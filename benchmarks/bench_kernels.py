@@ -38,6 +38,36 @@ def test_batch_smith_waterman_throughput(benchmark):
     assert np.all(result["score"] >= 0)
 
 
+def align_width_sweep(widths=(2, 41, 128), repeats=3):
+    """The wavefront kernel at several batch widths on the seed-33 set.
+
+    One row per width: DP cells, best-of-``repeats`` seconds, MCUPS and pad
+    efficiency (valid cells over the ``width x max_a x max_b`` box).  Narrow
+    batches are bound by per-diagonal call overhead, wide ones by padding, so
+    one rate does not describe the kernel.
+    """
+    seqs = synthetic_dataset(n_sequences=64, seed=33)
+    report = {}
+    for width in widths:
+        k = np.arange(width)
+        a_list = [seqs.codes(int(i)) for i in k % 64]
+        b_list = [seqs.codes(int(i)) for i in (k + 32 - 11 * (k // 64)) % 64]
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result = batch_smith_waterman(a_list, b_list)
+            best = min(best, time.perf_counter() - t0)
+        cells = int(result["cells"].sum())
+        box = width * max(map(len, a_list)) * max(map(len, b_list))
+        report[f"width_{width}"] = {
+            "cells": cells,
+            "seconds": best,
+            "mcups": cells / best / 1e6,
+            "pad_efficiency": cells / box,
+        }
+    return report
+
+
 def test_overlap_spgemm_throughput(benchmark):
     a, at = _overlap_operand(n=400, k=4000, nnz=12000, seed=7)
 
@@ -147,7 +177,8 @@ def _smoke() -> None:
 
     Runs the same high-compression-factor case as the pytest head-to-head so
     the memory-bound guarantee is asserted on every CI run, not only when the
-    benchmark suite is invoked by hand.
+    benchmark suite is invoked by hand; then writes the align kernel's
+    batch-width sweep next to the other ``benchmarks/results`` rows.
     """
     report = spgemm_backend_head_to_head(**HEAD_TO_HEAD_CASE, repeats=1)
     header = f"{'backend':<12} {'seconds':>10} {'flops':>8} {'nnz':>8} {'cf':>6} {'intermediate':>13}"
@@ -161,6 +192,18 @@ def _smoke() -> None:
         )
     assert report["gustavson"]["intermediate_bytes"] < report["expand"]["intermediate_bytes"]
     print("smoke OK: backends agree bit-for-bit; gustavson intermediate memory is lower")
+
+    sweep = align_width_sweep()
+    save_results("kernel_batch_sw_widths", sweep)
+    header = f"{'align batch':<12} {'cells':>10} {'seconds':>10} {'MCUPS':>8} {'pad eff':>8}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for name, row in sweep.items():
+        print(
+            f"{name:<12} {row['cells']:>10d} {row['seconds']:>10.4f} "
+            f"{row['mcups']:>8.2f} {row['pad_efficiency']:>8.2f}"
+        )
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ DP cells updated divided by forward-scoring kernel time.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,17 +98,11 @@ class AdeptDriver:
         Substitution matrix and gap penalties.
     batch_size:
         Pairs per device batch (ADEPT uses batches sized to fill the GPU).
-    use_threads:
-        If true, device batches run concurrently on a thread pool with one
-        worker per simulated GPU (mirrors ADEPT's one-host-thread-per-GPU
-        design).  NumPy releases the GIL for large array ops, so this gives a
-        modest real speedup; correctness does not depend on it.
     """
 
     node: NodeSpec = field(default_factory=lambda: SUMMIT_NODE)
     scoring: ScoringScheme = field(default_factory=lambda: DEFAULT_SCORING)
     batch_size: int = 128
-    use_threads: bool = False
 
     def align_pairs(
         self,
@@ -137,46 +130,26 @@ class AdeptDriver:
         sort_key = np.maximum(lengths[pair_rows], lengths[pair_cols])
         order = np.argsort(sort_key, kind="stable")
 
-        batches: list[np.ndarray] = [
-            order[start : start + self.batch_size]
-            for start in range(0, n_pairs, self.batch_size)
-        ]
-        stats.batches = len(batches)
         stats.pairs = n_pairs
-
-        def run_batch(batch_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+        n_gpus = max(self.node.gpus_per_node, 1)
+        gpu_modeled = np.zeros(n_gpus)
+        for start in range(0, n_pairs, self.batch_size):
+            batch_indices = order[start : start + self.batch_size]
             a_list = [sequences.codes(int(pair_rows[k])) for k in batch_indices]
             b_list = [sequences.codes(int(pair_cols[k])) for k in batch_indices]
             t0 = time.perf_counter()
             res = batch_smith_waterman(a_list, b_list, self.scoring)
-            measured = time.perf_counter() - t0
+            stats.measured_seconds += time.perf_counter() - t0
+            results[batch_indices] = res
             cells = int(res["cells"].sum())
             bytes_moved = int(sum(len(a) + len(b) for a, b in zip(a_list, b_list)))
-            modeled = self.node.gpu.batch_seconds(cells, bytes_moved)
-            return batch_indices, res, measured, modeled, cells
-
-        gpu_measured = np.zeros(max(self.node.gpus_per_node, 1))
-        gpu_modeled = np.zeros(max(self.node.gpus_per_node, 1))
-
-        if self.use_threads and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=max(self.node.gpus_per_node, 1)) as pool:
-                outputs = list(pool.map(run_batch, batches))
-        else:
-            outputs = [run_batch(b) for b in batches]
-
-        for batch_no, (batch_indices, res, measured, modeled, cells) in enumerate(outputs):
-            results[batch_indices] = res
-            gpu = batch_no % max(self.node.gpus_per_node, 1)
-            gpu_measured[gpu] += measured
-            gpu_modeled[gpu] += modeled
+            # batches go round-robin over the node's GPUs
+            gpu_modeled[stats.batches % n_gpus] += self.node.gpu.batch_seconds(cells, bytes_moved)
             stats.cells += cells
+            stats.batches += 1
 
-        # the node finishes when its slowest GPU finishes; measured time is the
-        # actual CPU wall time (sum if serial, max if threaded)
+        # the node finishes when its slowest GPU finishes
         stats.modeled_seconds = float(gpu_modeled.max())
-        stats.measured_seconds = (
-            float(gpu_measured.max()) if self.use_threads else float(gpu_measured.sum())
-        )
         return results, stats
 
     def align_pair_lengths(

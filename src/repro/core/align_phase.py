@@ -88,7 +88,6 @@ class AlignmentPhase:
             node=self.comm.cluster.node,
             scoring=self.params.scoring,
             batch_size=self.params.align_batch_size,
-            use_threads=self.params.use_threads,
         )
 
     # ------------------------------------------------------------------ execution

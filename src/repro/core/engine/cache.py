@@ -121,7 +121,7 @@ def params_cache_token(params: PastisParams) -> dict:
     """Canonical dict of the parameter fields that determine block results.
 
     Scheduler-selection knobs (``scheduler``, ``pre_blocking``,
-    ``preblock_depth``, ``preblock_workers``, ``use_threads``) are excluded
+    ``preblock_depth``, ``preblock_workers``) are excluded
     on purpose: results are bit-identical across schedulers, so entries must
     be shareable across them.  The clustering stage runs after the stage
     graph on its finished output, so ``cluster`` is excluded too.

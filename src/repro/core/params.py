@@ -92,9 +92,6 @@ class PastisParams:
         Number of virtual nodes / MPI ranks; must be a perfect square.
     align_batch_size:
         Pairs per ADEPT batch.
-    use_threads:
-        Use a thread pool for per-rank work (real concurrency; results are
-        identical either way).
     clock:
         ``"modeled"`` charges hardware-model time (GPU GCUPS for alignment,
         node sparse throughput for SpGEMM) so component ratios resemble the
@@ -221,7 +218,6 @@ class PastisParams:
     scheduler: str | None = None
     nodes: int = 4
     align_batch_size: int = 128
-    use_threads: bool = False
     clock: str = "modeled"
     alignment_mode: str = "full_sw"
     spgemm_backend: str = DEFAULTS.spgemm_backend

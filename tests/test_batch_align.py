@@ -1,13 +1,15 @@
 """Tests for the batched wavefront kernel and the ADEPT-like driver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.align.adept import AdeptDriver, AlignmentWorkloadStats
-from repro.align.batch import batch_smith_waterman, estimate_batch_cells
+from repro.align.batch import MAX_PATH_EXTENT, batch_smith_waterman, estimate_batch_cells
 from repro.align.result import ALIGNMENT_RESULT_DTYPE
 from repro.align.smith_waterman import smith_waterman_reference
-from repro.align.substitution import ScoringScheme, identity_matrix
+from repro.align.substitution import DEFAULT_SCORING, ScoringScheme, identity_matrix
 from repro.hardware.node import NodeSpec
 from repro.sequences.alphabet import PROTEIN
 from repro.sequences.synthetic import synthetic_dataset
@@ -89,6 +91,98 @@ def test_batch_scoring_scheme_is_honoured():
     assert int(results["score"][0]) == 24
 
 
+# ------------------------------------------------- golden bit-identity corpus
+# The wavefront kernel was rewritten in PR 13 under the contract "every field
+# of every record is bit-identical to the kernel it replaces".  The digests
+# below were computed with the replaced kernel (commit 2a9af0c) over this
+# seeded corpus; they pin all seven result fields plus ``cells`` — tie-breaks
+# included — on tie-dense alphabets, skewed lengths and empty sequences.
+_TIE_SCORING = ScoringScheme(matrix=identity_matrix(PROTEIN, match=2, mismatch=-1),
+                             gap_open=1, gap_extend=1)
+_FREE_GAP_SCORING = ScoringScheme(matrix=identity_matrix(PROTEIN, match=1, mismatch=-1),
+                                  gap_open=0, gap_extend=0)
+
+GOLDEN_DIGESTS = {
+    "protein": "a9ab63eb4bffdb00df46703b208558833db3b8ea34f180613ce56d2f14c0c40e",
+    "ternary": "86bc1a070cece41b4817fba3f30c29d48bf921a841cf42401bf5f3fbc1569da9",
+    "binary": "c475a2acd8568a8b56f72b711a45252c03080cebc1427b7226ce3d211c0b66da",
+    "free_gaps": "832ebd81b7161d8ab37932581f6f5bd9c29af0afd7869a003d32d096032d09d2",
+    "skew": "7775f47f208dd2ca48a257134820dc54968bb03a743c1c4dcfb6842c69039ee4",
+}
+
+
+def _golden_batches(case, random_sequence_pairs):
+    """The seeded batches behind one golden digest, as (a_list, b_list, scoring);
+    ``random_sequence_pairs`` is conftest's generator."""
+    empty = np.zeros(0, dtype=np.uint8)
+    if case == "skew":  # 1-vs-1000 and 1000-vs-1 next to ordinary pairs
+        rng = np.random.default_rng(7)
+        long_a = rng.integers(0, 20, 1000).astype(np.uint8)
+        pairs = random_sequence_pairs(70, n_pairs=6, max_len=40)
+        a_list = [long_a[:1], long_a] + [a for a, _ in pairs]
+        b_list = [long_a, long_a[499:500]] + [b for _, b in pairs]
+        yield a_list, b_list, DEFAULT_SCORING
+        return
+    letters = {"protein": 20, "ternary": 3, "binary": 2, "free_gaps": 2}[case]
+    scoring = {"protein": DEFAULT_SCORING, "free_gaps": _FREE_GAP_SCORING}.get(case, _TIE_SCORING)
+    for seed, n_pairs, max_len in ((1, 1, 60), (2, 2, 60), (3, 41, 60), (4, 128, 30), (5, 41, 120)):
+        pairs = random_sequence_pairs(1000 * letters + seed, n_pairs=n_pairs, max_len=max_len)
+        a_list = [a % letters for a, _ in pairs]
+        b_list = [b % letters for _, b in pairs]
+        if n_pairs == 41:  # empty sequences inside a non-empty batch
+            a_list[5] = empty
+            b_list[17] = empty
+            a_list[29] = b_list[29] = empty
+        yield a_list, b_list, scoring
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_batch_records_match_golden_digest(case, make_random_seq_pairs):
+    sha = hashlib.sha256()
+    for a_list, b_list, scoring in _golden_batches(case, make_random_seq_pairs):
+        sha.update(batch_smith_waterman(a_list, b_list, scoring).tobytes())
+    assert sha.hexdigest() == GOLDEN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["ternary", "skew"])
+def test_batch_record_depends_only_on_its_pair(case, make_random_seq_pairs):
+    """Every record of a batched call equals the single-pair call's record,
+    and permuting the batch permutes the records."""
+    rng = np.random.default_rng(0)
+    for a_list, b_list, scoring in _golden_batches(case, make_random_seq_pairs):
+        batched = batch_smith_waterman(a_list, b_list, scoring)
+        for k, (a, b) in enumerate(zip(a_list, b_list)):
+            assert batch_smith_waterman([a], [b], scoring)[0] == batched[k]
+        perm = rng.permutation(len(a_list))
+        permuted = batch_smith_waterman(
+            [a_list[k] for k in perm], [b_list[k] for k in perm], scoring
+        )
+        assert np.array_equal(permuted, batched[perm])
+
+
+def test_packed_state_limit():
+    """The packed path state holds ``max(len_a) + max(len_b) <= MAX_PATH_EXTENT``:
+    the largest accepted pair still reports begin/length right (a 65533-column
+    alignment: two matches joined by one free gap), one residue more is refused."""
+    free_gaps = _FREE_GAP_SCORING
+    n = MAX_PATH_EXTENT - 2
+    a = np.array([1, 2], dtype=np.uint8)
+    b = np.zeros(n, dtype=np.uint8)
+    b[0], b[-1] = 1, 2
+    res = batch_smith_waterman([a], [b], free_gaps)[0]
+    assert (int(res["score"]), int(res["matches"]), int(res["length"])) == (2, 2, n)
+    assert (int(res["begin_a"]), int(res["end_a"])) == (0, 1)
+    assert (int(res["begin_b"]), int(res["end_b"])) == (0, n - 1)
+
+    with pytest.raises(ValueError, match=rf"\(3\).*\({n}\).*{MAX_PATH_EXTENT}"):
+        batch_smith_waterman([np.array([1, 2, 3], dtype=np.uint8)], [b], free_gaps)
+
+
+def test_batch_rejects_codes_outside_the_scoring_alphabet():
+    with pytest.raises(ValueError, match="residue codes"):
+        batch_smith_waterman([np.array([0, 20], dtype=np.uint8)], [encode("ACD")])
+
+
 def test_estimate_batch_cells():
     a_list = [encode("AAAA"), encode("CC")]
     b_list = [encode("AAA"), encode("CCCC")]
@@ -119,19 +213,6 @@ def test_adept_driver_empty_input(driver_dataset):
     assert results.size == 0
     assert stats.pairs == 0
     assert stats.modeled_seconds == 0.0
-
-
-def test_adept_driver_threaded_matches_serial(driver_dataset):
-    rows = np.arange(0, 20)
-    cols = np.arange(1, 21)
-    serial, _ = AdeptDriver(batch_size=4, use_threads=False).align_pairs(
-        driver_dataset, rows, cols
-    )
-    threaded, _ = AdeptDriver(batch_size=4, use_threads=True).align_pairs(
-        driver_dataset, rows, cols
-    )
-    assert np.array_equal(serial["score"], threaded["score"])
-    assert np.array_equal(serial["matches"], threaded["matches"])
 
 
 def test_adept_driver_stats_and_cups(driver_dataset):

@@ -116,7 +116,7 @@ def assert_results_identical(cold, warm, *, skip_stats=frozenset(),
         pytest.param({}, frozenset(), id="serial"),
         pytest.param({"pre_blocking": True}, frozenset(), id="overlapped"),
         pytest.param(
-            {"pre_blocking": True, "use_threads": True, "preblock_depth": 2,
+            {"pre_blocking": True, "preblock_depth": 2,
              "preblock_workers": 2},
             CONCURRENCY_STATS_KEYS,
             id="threaded-depth2",
@@ -177,7 +177,7 @@ def test_entries_shared_across_schedulers(tmp_path, tiny_seqs):
     """Cache keys exclude scheduler knobs: a serial-written cache warms a
     threaded run, whose results equal a cold threaded reference."""
     params = _params(tmp_path)
-    threaded = dict(pre_blocking=True, use_threads=True, preblock_depth=2,
+    threaded = dict(pre_blocking=True, preblock_depth=2,
                     preblock_workers=2)
     reference = PastisPipeline(
         params.replace(cache_dir=None, **threaded)

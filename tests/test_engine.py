@@ -901,7 +901,6 @@ def test_threaded_discover_failure_propagates_without_deadlock(
     params = fast_params.replace(
         num_blocks=6,
         pre_blocking=True,
-        use_threads=True,
         preblock_depth=3,
         preblock_workers=3,
     )

@@ -52,16 +52,28 @@ def test_sw_vectorized_matches_reference(a, b):
         assert vec.begin_b <= vec.end_b
 
 
-@given(a=protein_seq, b=protein_seq)
+# few letters make equal-scoring alternatives (ties) the common case
+tie_dense_seq = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.uint8)
+)
+
+
+@given(pair=st.one_of(st.tuples(protein_seq, protein_seq), st.tuples(tie_dense_seq, tie_dense_seq)))
 @settings(**SETTINGS)
-def test_sw_batch_matches_reference(a, b):
+def test_sw_batch_matches_reference(pair):
+    """The wavefront kernel and the reference always agree on the score; on
+    ties they may pick different end cells (first best cell in anti-diagonal
+    order vs. in row order), and then the wavefront's cell must be co-optimal:
+    the prefixes it ends at align with the same score."""
+    a, b = pair
     ref = smith_waterman_reference(a, b)
     res = batch_smith_waterman([a], [b])[0]
     assert int(res["score"]) == ref.score
-    assert int(res["matches"]) <= int(res["length"])
-    # identity and coverage are well-formed
-    if res["length"] > 0:
-        assert 0.0 <= res["matches"] / res["length"] <= 1.0
+    assert 0 <= int(res["matches"]) <= int(res["length"])
+    coordinates = ("begin_a", "end_a", "begin_b", "end_b", "matches", "length")
+    if any(int(res[name]) != getattr(ref, name) for name in coordinates):
+        prefix = smith_waterman_reference(a[: int(res["end_a"]) + 1], b[: int(res["end_b"]) + 1])
+        assert prefix.score == ref.score
 
 
 @given(a=protein_seq)
