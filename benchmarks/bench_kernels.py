@@ -107,13 +107,10 @@ def _overlap_operand(n, k, nnz, seed):
 HEAD_TO_HEAD_CASE = dict(n=300, k=40, nnz=4000, seed=5)
 
 
-def spgemm_backend_head_to_head(n, k, nnz, seed, repeats=3):
-    """Run ``C = A·Aᵀ`` through every registered backend and compare.
-
-    Returns per-backend timing and :class:`SpGemmStats` numbers; asserts the
-    outputs agree bit-for-bit, so the comparison is purely about resources.
-    """
-    a, at = _overlap_operand(n, k, nnz, seed)
+def time_overlap_backends(a, at, repeats):
+    """Best-of-``repeats`` seconds and :class:`SpGemmStats` numbers of
+    ``A·Aᵀ`` under the overlap semiring, per backend that supports it;
+    asserts the outputs agree bit-for-bit."""
     semiring = OverlapSemiring()
     report = {}
     baseline = None
@@ -141,6 +138,15 @@ def spgemm_backend_head_to_head(n, k, nnz, seed, repeats=3):
     return report
 
 
+def spgemm_backend_head_to_head(n, k, nnz, seed, repeats=3):
+    """Run ``C = A·Aᵀ`` through every registered backend and compare.
+
+    Returns per-backend timing and :class:`SpGemmStats` numbers; the outputs
+    are asserted equal, so the comparison is purely about resources.
+    """
+    return time_overlap_backends(*_overlap_operand(n, k, nnz, seed), repeats)
+
+
 def test_spgemm_backend_head_to_head(benchmark):
     """Expand vs Gustavson on a high-compression-factor overlap product."""
     report = spgemm_backend_head_to_head(**HEAD_TO_HEAD_CASE)
@@ -161,6 +167,31 @@ def test_spgemm_backend_head_to_head(benchmark):
     assert gustavson["intermediate_bytes"] < expand["intermediate_bytes"]
 
 
+def inner_dimension_sweep(exponents=(5, 6, 7), n=400, nnz=6000, seed=9, repeats=5):
+    """One operand pair embedded in ever longer (emptier) inner dimensions.
+
+    The same few thousand k-mer-position nonzeros, over 1500 distinct k-mer
+    ids from a ``20**5`` space, are multiplied as ``A·Aᵀ`` with the inner
+    dimension declared ``20**e`` long.  The nonzeros — and so the flops —
+    never change; only a kernel that allocates something as long as the
+    dimension slows down.  (The scipy backend is absent: its CSR cannot
+    exist without the full ``indptr``.)
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, nnz)
+    kmers = rng.choice(rng.integers(0, 20**5, 1500), nnz)
+    positions = rng.integers(0, 90, nnz).astype(np.int32)
+    sweep = {}
+    for e in exponents:
+        a = CooMatrix((n, 20**e), rows, kmers, positions).deduplicate()
+        report = time_overlap_backends(a, a.transpose().sort_rowmajor(), repeats)
+        for name, row in report.items():
+            sweep.setdefault(name, {})[f"20^{e}"] = {
+                "seconds": row["seconds"], "flops": row["flops"]
+            }
+    return sweep
+
+
 def test_count_spgemm_scales_with_nnz(benchmark):
     rng = np.random.default_rng(11)
     n, k, nnz = 600, 8000, 30000
@@ -177,8 +208,10 @@ def _smoke() -> None:
 
     Runs the same high-compression-factor case as the pytest head-to-head so
     the memory-bound guarantee is asserted on every CI run, not only when the
-    benchmark suite is invoked by hand; then writes the align kernel's
-    batch-width sweep next to the other ``benchmarks/results`` rows.
+    benchmark suite is invoked by hand; then the hypersparse guard (the same
+    nonzeros in inner dimensions 20^5..20^7 must cost the Gustavson kernel the
+    same) and the align kernel's batch-width sweep, both written next to the
+    other ``benchmarks/results`` rows.
     """
     report = spgemm_backend_head_to_head(**HEAD_TO_HEAD_CASE, repeats=1)
     header = f"{'backend':<12} {'seconds':>10} {'flops':>8} {'nnz':>8} {'cf':>6} {'intermediate':>13}"
@@ -192,6 +225,22 @@ def _smoke() -> None:
         )
     assert report["gustavson"]["intermediate_bytes"] < report["expand"]["intermediate_bytes"]
     print("smoke OK: backends agree bit-for-bit; gustavson intermediate memory is lower")
+
+    inner = inner_dimension_sweep()
+    save_results("kernel_spgemm_inner_dimension", inner)
+    dims = list(inner["gustavson"])
+    print()
+    print(f"{'backend':<12} " + " ".join(f"{d + ' s':>10}" for d in dims) + f" {'flops':>8}")
+    for name, row in inner.items():
+        print(
+            f"{name:<12} " + " ".join(f"{row[d]['seconds']:>10.4f}" for d in dims)
+            + f" {row[dims[0]]['flops']:>8d}"
+        )
+    seconds = [inner["gustavson"][d]["seconds"] for d in dims]
+    assert max(seconds) <= 2.0 * min(seconds), (
+        f"gustavson is not flat in the inner dimension: {dict(zip(dims, seconds))}"
+    )
+    print("smoke OK: gustavson's time does not depend on the inner dimension's length")
 
     sweep = align_width_sweep()
     save_results("kernel_batch_sw_widths", sweep)

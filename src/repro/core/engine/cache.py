@@ -410,8 +410,8 @@ def build_stage_cache(
 ) -> StageCache:
     """Key every block of the run and open (or create) its cache directory.
 
-    Row/column stripe digests are computed once per block row/column — the
-    same stripes ``compute_block`` re-slices per block — so a block's key
+    Row/column stripe digests are computed once per block row/column — over
+    the very stripe objects ``compute_block`` multiplies — so a block's key
     covers exactly the inputs it consumes.  A human-readable ``manifest.json``
     (version tag + canonical params + input digest) is dropped next to the
     entries for debuggability.  ``extra_digest`` is folded into the run key
@@ -421,11 +421,11 @@ def build_stage_cache(
     schedule = engine.schedule
     run_key = run_cache_key(params, sequences, extra_digest)
     row_digests = {
-        r: stripe_digest(engine.a.row_stripe(schedule.row_range(r)))
+        r: stripe_digest(engine.row_stripe(r))
         for r in range(schedule.br)
     }
     col_digests = {
-        c: stripe_digest(engine.b.col_stripe(schedule.col_range(c)))
+        c: stripe_digest(engine.col_stripe(c))
         for c in range(schedule.bc)
     }
     keys: dict[tuple[int, int], str] = {}

@@ -1,14 +1,22 @@
 """Construction of the sequence-by-k-mer matrix ``A`` (and its transpose).
 
 ``A[i, t]`` is nonzero when sequence ``i`` contains k-mer ``t``; the value is
-the position of (the first occurrence of) the k-mer in the sequence, the seed
-location carried into the overlap matrix.  With substitute k-mers enabled,
-near-neighbour k-mers are added with the same position (they represent the
-same seed, reachable by one substitution).
+a position of the k-mer in the sequence, the seed location carried into the
+overlap matrix.  With substitute k-mers enabled, near-neighbour k-mers are
+added with the same position (they represent the same seed, reachable by one
+substitution).  One entry is kept per (sequence, k-mer), and it is the
+**last** of the extracted triples for that coordinate
+(:meth:`~repro.sparse.coo.CooMatrix.deduplicate` without a semiring): for a
+k-mer that occurs exactly, its last exact occurrence unless a later-listed
+substitute triple produces the same k-mer — ``ACDEFACDEFACDEF`` stores
+position 10 for ``ACDEF``, not 0.  Every output digest pins this rule.
 
 The matrix is hypersparse per rank (the k-mer dimension is ``|alphabet|^k``,
 e.g. 64 M for k=6), which is why CombBLAS/PASTIS store it in DCSC; the
-builder reports that compression ratio as part of its info record.
+builder reports that compression ratio as part of its info record.  Both
+operands are sorted row-major exactly once, here, where they are born:
+``A`` by (sequence, k-mer) and ``Aᵀ`` by (k-mer, sequence) — the order every
+stripe, shard and SpGEMM call downstream inherits by slicing.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ from ..mpi.communicator import SimCommunicator
 from ..sequences.alphabet import PROTEIN
 from ..sequences.kmers import KmerExtractor, substitute_kmers
 from ..sequences.sequence import SequenceSet
-from ..sparse.coo import CooMatrix
-from ..sparse.dcsc import DcscMatrix
+from ..sparse.coo import CooMatrix, rowmajor_order
+from ..sparse.csr import run_pointers
+from ..sparse.dcsc import csc_pointer_compression
 from .params import PastisParams
 
 
@@ -111,19 +120,29 @@ def extract_seed_triples(
     return seq_ids, kmer_ids, positions, occurrences, substitute_nnz, extractor
 
 
-def build_kmer_coo(sequences: SequenceSet, params: PastisParams) -> tuple[CooMatrix, KmerMatrixInfo]:
-    """Build the global (undistributed) sequence-by-k-mer COO matrix."""
+def build_kmer_operands(
+    sequences: SequenceSet, params: PastisParams
+) -> tuple[CooMatrix, CooMatrix, KmerMatrixInfo]:
+    """Build the global (undistributed) ``A`` and ``Aᵀ``, each sorted once.
+
+    ``A`` is row-major by (sequence, k-mer); ``Aᵀ`` holds the same entries
+    row-major by (k-mer, sequence) — which *is* the column-major order of
+    ``A``, so the hypersparsity statistic is read off its distinct rows.
+    """
     t0 = time.perf_counter()
     seq_ids, kmer_ids, positions, occurrences, substitute_nnz, extractor = (
         extract_seed_triples(sequences, params)
     )
     shape = (len(sequences), extractor.space_size())
     coo = CooMatrix(shape, seq_ids, kmer_ids, positions.astype(np.int32), check=False)
-    # one entry per (sequence, k-mer): keep the first position
-    coo = coo.sort_rowmajor().deduplicate()
+    # one entry per (sequence, k-mer): the last extracted triple wins
+    coo = coo.deduplicate()
+    order = rowmajor_order(coo.cols, coo.rows)
+    transposed = CooMatrix(
+        (shape[1], shape[0]), coo.cols[order], coo.rows[order], coo.values[order], check=False
+    )
     build_seconds = time.perf_counter() - t0
 
-    dcsc = DcscMatrix.from_coo(coo)
     info = KmerMatrixInfo(
         n_sequences=len(sequences),
         kmer_space=shape[1],
@@ -131,8 +150,18 @@ def build_kmer_coo(sequences: SequenceSet, params: PastisParams) -> tuple[CooMat
         kmer_occurrences=occurrences,
         substitute_nnz=substitute_nnz,
         build_seconds=build_seconds,
-        hypersparsity_ratio=dcsc.compression_ratio_vs_csc(),
+        # DCSC's ratio for A, without the DCSC copy: A's non-empty columns
+        # are Aᵀ's non-empty rows
+        hypersparsity_ratio=csc_pointer_compression(
+            shape[1], run_pointers(transposed.rows).size - 1
+        ),
     )
+    return coo, transposed, info
+
+
+def build_kmer_coo(sequences: SequenceSet, params: PastisParams) -> tuple[CooMatrix, KmerMatrixInfo]:
+    """Build the global (undistributed) sequence-by-k-mer COO matrix."""
+    coo, _, info = build_kmer_operands(sequences, params)
     return coo, info
 
 
@@ -144,12 +173,14 @@ def build_distributed_kmer_matrix(
 ) -> tuple[DistSparseMatrix, DistSparseMatrix, KmerMatrixInfo]:
     """Build ``A`` and ``Aᵀ`` distributed over the communicator's 2D grid.
 
-    Returns ``(A, A_transpose, info)``.  The distribution traffic is charged
-    by :func:`repro.distsparse.distribute.distribute_coo`.
+    Returns ``(A, A_transpose, info)``; every local block of both inherits
+    the row-major entry order of :func:`build_kmer_operands`.  The
+    distribution traffic is charged by
+    :func:`repro.distsparse.distribute.distribute_coo`.
     """
-    coo, info = build_kmer_coo(sequences, params)
+    coo, transposed, info = build_kmer_operands(sequences, params)
     a_dist = distribute_coo(coo, comm)
-    at_dist = distribute_coo(coo.transpose(), comm)
+    at_dist = distribute_coo(transposed, comm)
     if cost_seconds_per_rank is not None:
         for rank in range(comm.size):
             comm.ledger.charge(rank, "sparse_other", float(cost_seconds_per_rank[rank]))

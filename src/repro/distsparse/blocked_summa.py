@@ -16,10 +16,17 @@ times — the communication trade-off quantified by the paper's cost formula
 pipeline, possibly with pre-blocking) controls how many blocks are alive at
 any time; it also tracks the peak per-rank memory so the memory/blocking
 trade-off (Fig. 5) can be reported.
+
+The stripes are the paper's stored-once, re-traversed operands: each
+distinct ``A(r, *)`` / ``B(*, c)`` is sliced out of its operand the first
+time a block needs it and kept for the run (``br + bc`` slicings, not
+``2 br bc``).  A row stripe of a row-major operand is a set of views; a
+column stripe is a copy, so the kept B side costs one more copy of ``B``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -173,6 +180,15 @@ class BlockedSpGemm:
     peak_block_bytes: int = field(default=0, init=False)
     total_stats: SpGemmStats = field(default_factory=SpGemmStats, init=False)
     blocks_computed: int = field(default=0, init=False)
+    #: stripes already sliced, by ("a", block_row) / ("b", block_col); the
+    #: lock makes the get-or-slice atomic for the threaded scheduler's
+    #: workers (forked process-pool workers each inherit their own copy)
+    _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _stripes_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.a.shape[1] != self.b.shape[0]:
@@ -180,16 +196,33 @@ class BlockedSpGemm:
         if (self.schedule.n_rows, self.schedule.n_cols) != (self.a.shape[0], self.b.shape[1]):
             raise ValueError("schedule dimensions must match the output shape")
 
+    # ------------------------------------------------------------------ stripes
+    def _stripe(self, key: tuple[str, int], slice_operand) -> DistSparseMatrix:
+        with self._stripes_lock:
+            if key not in self._stripes:
+                self._stripes[key] = slice_operand()
+            return self._stripes[key]
+
+    def row_stripe(self, block_row: int) -> DistSparseMatrix:
+        """``A(r, *)`` for block row ``r``, sliced once per run."""
+        return self._stripe(
+            ("a", block_row), lambda: self.a.row_stripe(self.schedule.row_range(block_row))
+        )
+
+    def col_stripe(self, block_col: int) -> DistSparseMatrix:
+        """``B(*, c)`` for block column ``c``, sliced once per run."""
+        return self._stripe(
+            ("b", block_col), lambda: self.b.col_stripe(self.schedule.col_range(block_col))
+        )
+
     # ------------------------------------------------------------------ block computation
     def compute_block(self, block_row: int, block_col: int) -> OutputBlock:
         """Compute one output block via SUMMA over the corresponding stripes."""
         row_range = self.schedule.row_range(block_row)
         col_range = self.schedule.col_range(block_col)
-        a_stripe = self.a.row_stripe(row_range)
-        b_stripe = self.b.col_stripe(col_range)
         result = summa(
-            a_stripe,
-            b_stripe,
+            self.row_stripe(block_row),
+            self.col_stripe(block_col),
             self.semiring,
             output_shape=(self.a.shape[0], self.b.shape[1]),
             compute_category=self.compute_category,

@@ -6,7 +6,11 @@ of the process grid owns the block covering row chunk ``i`` and column chunk
 ``j`` (CombBLAS's 2D decomposition).  Local blocks are stored as
 :class:`repro.sparse.coo.CooMatrix` with *block-local* coordinates; the
 matrix knows each block's global offsets so results can be mapped back to
-global indices.
+global indices.  Partitioning and striping only *slice*: every block keeps
+the entry order of the matrix it was cut from, so operands sorted row-major
+where they are built (:func:`repro.core.kmer_matrix.build_kmer_operands`)
+reach every SpGEMM call row-major, and a row range of such a block is a
+``searchsorted`` view rather than a masked copy.
 
 The blocked SUMMA of §VI-A works on *stripes*: ``A(r, *)`` is the row stripe
 of ``A`` covering output block-row ``r``, still distributed over the whole
@@ -78,7 +82,8 @@ class DistSparseMatrix:
     def from_global_coo(cls, matrix: CooMatrix, comm: SimCommunicator) -> "DistSparseMatrix":
         """Partition a global COO matrix onto the grid (no communication charged).
 
-        Use :func:`repro.distsparse.distribute.distribute_coo` when the
+        Each block keeps the entry order of ``matrix``.  Use
+        :func:`repro.distsparse.distribute.distribute_coo` when the
         distribution traffic itself should be accounted.
         """
         grid = comm.require_grid()
@@ -162,6 +167,7 @@ class DistSparseMatrix:
 
         Offsets are kept in the *original* global coordinate system so that
         SUMMA's output coordinates are global sequence indices directly.
+        Blocks of a row-major operand come back as views of its arrays.
         """
         r0, r1 = row_range
         blocks: list[CooMatrix] = []
@@ -179,7 +185,8 @@ class DistSparseMatrix:
         return DistSparseMatrix(self.shape, self.comm, blocks, row_offsets, col_offsets)
 
     def col_stripe(self, col_range: tuple[int, int]) -> "DistSparseMatrix":
-        """The column stripe ``B(*, c)`` over a global column range."""
+        """The column stripe ``B(*, c)`` over a global column range (entry
+        order preserved; the blocks are masked copies)."""
         c0, c1 = col_range
         blocks: list[CooMatrix] = []
         row_offsets: list[int] = []

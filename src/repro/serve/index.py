@@ -1,10 +1,12 @@
 """The persistent database k-mer index.
 
 ``build_index`` runs the batch pipeline's own k-mer matrix construction
-(:func:`repro.core.kmer_matrix.build_kmer_coo`) once over the database,
-partitions the transposed operand ``Bᵀ = A_dbᵀ`` onto the 2D process grid,
-and persists it as the exact per-rank column-stripe shards Blocked SUMMA
-consumes (:mod:`repro.distsparse.shards`).  Every artifact is stamped with
+(:func:`repro.core.kmer_matrix.build_kmer_operands`) once over the database,
+partitions the transposed operand ``Bᵀ = A_dbᵀ`` — sorted row-major by
+(k-mer, sequence), the order a served SpGEMM multiplies from without
+sorting — onto the 2D process grid, and persists it as the exact per-rank
+column-stripe shards Blocked SUMMA consumes
+(:mod:`repro.distsparse.shards`).  Every artifact is stamped with
 the same content digests the PR 6 stage cache keys on —
 :func:`repro.core.engine.cache.sequence_digest` for the database residues,
 :func:`repro.core.engine.cache.stripe_digest` per stripe — so a query run
@@ -39,7 +41,7 @@ import numpy as np
 
 from ..config import atomic_write_bytes, atomic_write_text
 from ..core.engine.cache import sequence_digest, stripe_digest
-from ..core.kmer_matrix import KmerMatrixInfo, build_kmer_coo
+from ..core.kmer_matrix import KmerMatrixInfo, build_kmer_operands
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
 from ..distsparse.distmat import DistSparseMatrix
@@ -56,7 +58,9 @@ from ..sequences.kmers import KmerExtractor
 from ..sequences.sequence import SequenceSet
 
 INDEX_FORMAT = "pastis-kmer-index"
-INDEX_VERSION = 1
+#: 2: shard entries are row-major by (k-mer, sequence); version 1 stored the
+#: transposed (sequence, k-mer) order, which every request would re-sort
+INDEX_VERSION = 2
 MANIFEST_NAME = "index.json"
 SEQUENCES_NAME = "sequences.npz"
 SHARD_DIR = "shards"
@@ -146,8 +150,8 @@ def build_index(
 
     t0 = time.perf_counter()
     comm = SimCommunicator(params.nodes)
-    coo, info = build_kmer_coo(sequences, params)
-    bt = DistSparseMatrix.from_global_coo(coo.transpose(), comm)
+    _, transposed, info = build_kmer_operands(sequences, params)
+    bt = DistSparseMatrix.from_global_coo(transposed, comm)
     _, bc = effective_blocking(params, len(sequences))
     schedule = BlockSchedule(n_rows=len(sequences), n_cols=len(sequences), br=1, bc=bc)
 
@@ -185,8 +189,8 @@ def build_index(
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "n_sequences": len(sequences),
-        "kmer_space": int(coo.shape[1]),
-        "nnz": int(coo.nnz),
+        "kmer_space": int(transposed.shape[0]),
+        "nnz": int(transposed.nnz),
         "bc": bc,
         "alphabet": sequences.alphabet.name,
         "sequence_digest": sequence_digest(sequences),

@@ -44,7 +44,7 @@ from ..distsparse.shards import ShardedStripeMatrix
 from ..mpi.communicator import SimCommunicator
 from ..sequences.sequence import SequenceSet
 from ..sparse.coo import CooMatrix
-from ..sparse.dcsc import DcscMatrix
+from ..sparse.dcsc import csc_pointer_compression
 from .index import KmerIndex
 
 from ..core.engine.stages import BlockTask
@@ -116,9 +116,10 @@ def build_query_kmer_coo(
 ) -> tuple[CooMatrix, KmerMatrixInfo]:
     """The query operand ``A_query`` in database row coordinates.
 
-    Mirrors :func:`repro.core.kmer_matrix.build_kmer_coo` step for step —
-    with the database's persisted banned k-mer set standing in for the
-    global frequency filter — so a member query's row is bitwise equal to
+    Mirrors :func:`repro.core.kmer_matrix.build_kmer_operands` step for
+    step — with the database's persisted banned k-mer set standing in for
+    the global frequency filter, and the same keep-the-last-extracted-triple
+    rule per (sequence, k-mer) — so a member query's row is bitwise equal to
     its database row.
     """
     t0 = time.perf_counter()
@@ -138,9 +139,8 @@ def build_query_kmer_coo(
     rows = row_ids[seq_ids] if seq_ids.size else seq_ids.astype(np.int64)
     shape = (n_rows, index.kmer_space)
     coo = CooMatrix(shape, rows, kmer_ids, positions.astype(np.int32), check=False)
-    coo = coo.sort_rowmajor().deduplicate()
+    coo = coo.deduplicate()
     build_seconds = time.perf_counter() - t0
-    dcsc = DcscMatrix.from_coo(coo)
     info = KmerMatrixInfo(
         n_sequences=len(queries),
         kmer_space=shape[1],
@@ -148,7 +148,7 @@ def build_query_kmer_coo(
         kmer_occurrences=occurrences,
         substitute_nnz=substitute_nnz,
         build_seconds=build_seconds,
-        hypersparsity_ratio=dcsc.compression_ratio_vs_csc(),
+        hypersparsity_ratio=csc_pointer_compression(shape[1], int(np.unique(coo.cols).size)),
     )
     return coo, info
 

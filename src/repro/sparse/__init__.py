@@ -13,7 +13,10 @@ Contents
   semirings used by the pipeline (arithmetic, boolean/count, min-plus, and
   the overlap semiring carrying seed positions).
 * :mod:`repro.sparse.coo` / :mod:`repro.sparse.csr` /
-  :mod:`repro.sparse.dcsc` — storage formats (COO triplets, CSR, and the
+  :mod:`repro.sparse.dcsc` — storage formats (COO triplets, whose
+  row-major order is a scanned property; CSR, and
+  :func:`~repro.sparse.csr.compress_rows`, the pointers-over-non-empty-rows
+  form the Gustavson kernel multiplies hypersparse operands from; and the
   doubly-compressed sparse column format CombBLAS uses for hypersparse
   submatrices).
 * :mod:`repro.sparse.spgemm` — sort/expand/reduce semiring SpGEMM with
@@ -59,7 +62,7 @@ from .semiring import (
     OVERLAP_DTYPE,
 )
 from .coo import CooMatrix
-from .csr import CsrMatrix
+from .csr import CsrMatrix, compress_rows
 from .dcsc import DcscMatrix
 from .spgemm import spgemm, SpGemmStats
 from .gustavson import spgemm_gustavson
@@ -96,6 +99,7 @@ __all__ = [
     "OVERLAP_DTYPE",
     "CooMatrix",
     "CsrMatrix",
+    "compress_rows",
     "DcscMatrix",
     "spgemm",
     "spgemm_gustavson",

@@ -1,9 +1,13 @@
-"""CSR (compressed sparse row) matrix with arbitrary value dtypes.
+"""Row-compressed views of sparse matrices with arbitrary value dtypes.
 
-CombBLAS stores local submatrices in CSC/DCSC; our SpGEMM kernel is
-sort-based and consumes COO, but CSR is used wherever row slicing is needed
-(distributing row stripes of ``A`` in the blocked SUMMA, per-sequence k-mer
-lookups, and the aligner's gather of candidate pairs by row).
+CombBLAS stores local submatrices doubly compressed (DCSC) because a
+submatrix of the k-mer matrix is *hypersparse*: its k-mer dimension is
+``|alphabet|^k`` long and holds far fewer nonzeros.  :func:`compress_rows`
+is this package's form of that idea — pointers over the non-empty rows
+only, read off row-major triplets in ``O(nnz)`` — and is what the Gustavson
+kernel multiplies from.  :class:`CsrMatrix`, with its full ``nrows + 1``
+pointer array, is kept for the matrices whose row dimension is small
+(``repro.graph``'s transpose-CSR stochastic matrix, per-row slicing).
 """
 
 from __future__ import annotations
@@ -11,6 +15,31 @@ from __future__ import annotations
 import numpy as np
 
 from .coo import CooMatrix
+
+
+def run_pointers(keys: np.ndarray) -> np.ndarray:
+    """Pointers over the runs of equal adjacent keys: run ``i`` is
+    ``keys[p[i]:p[i + 1]]`` (``[0]`` for no keys)."""
+    if keys.size == 0:
+        return np.zeros(1, dtype=np.int64)
+    return np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [keys.size]))
+
+
+def compress_rows(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Doubly-compressed row structure of a COO matrix, in ``O(nnz)``.
+
+    Returns ``(row_ids, indptr, indices, values)``: the strictly increasing
+    ids of the non-empty rows, pointers over *those rows only*
+    (``len(row_ids) + 1`` long), and the column indices / values in
+    row-major, column-sorted order with input-order ties — the order the
+    stable ``np.lexsort((cols, rows))`` gives.  The triplets' order is
+    scanned (:meth:`CooMatrix.is_rowmajor`); the sort runs only when the
+    scan fails, and ``indices`` / ``values`` otherwise are the matrix's own
+    arrays.  Nothing of length ``coo.shape[0]`` is allocated.
+    """
+    rows, cols, values = coo.rowmajor_arrays()
+    indptr = run_pointers(rows)
+    return rows[indptr[:-1]], indptr, cols, values
 
 
 class CsrMatrix:
@@ -59,12 +88,17 @@ class CsrMatrix:
 
     @classmethod
     def from_coo(cls, coo: CooMatrix) -> "CsrMatrix":
-        """Convert from COO (entries are sorted row-major first)."""
-        m = coo.copy().sort_rowmajor()
-        counts = np.bincount(m.rows, minlength=m.shape[0])
-        indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
+        """Convert from COO (sorted row-major first unless it already is).
+
+        The CSR never shares arrays with ``coo``.
+        """
+        rows, cols, values = coo.rowmajor_arrays()
+        if cols is coo.cols:  # order scan passed: these are coo's own arrays
+            cols, values = cols.copy(), values.copy()
+        counts = np.bincount(rows, minlength=coo.shape[0])
+        indptr = np.zeros(coo.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(m.shape, indptr, m.cols, m.values)
+        return cls(coo.shape, indptr, cols, values)
 
     def to_coo(self) -> CooMatrix:
         """Convert back to COO."""

@@ -17,6 +17,12 @@ import numpy as np
 from .coo import CooMatrix
 
 
+def csc_pointer_compression(ncols: int, nonempty_cols: int) -> float:
+    """Bytes of a plain CSC column-pointer array (``ncols + 1`` words) over
+    DCSC's ``jc`` (one word per non-empty column) plus ``cp`` (one more)."""
+    return float((ncols + 1) * 8) / float(8 * nonempty_cols + 8 * (nonempty_cols + 1))
+
+
 class DcscMatrix:
     """Doubly compressed sparse column matrix.
 
@@ -121,9 +127,7 @@ class DcscMatrix:
 
         Large values indicate hypersparsity, the regime DCSC is designed for.
         """
-        csc_pointer_bytes = (self.shape[1] + 1) * 8
-        dcsc_pointer_bytes = max(self.jc.nbytes + self.cp.nbytes, 1)
-        return float(csc_pointer_bytes) / float(dcsc_pointer_bytes)
+        return csc_pointer_compression(self.shape[1], self.nzc)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -18,6 +18,17 @@ vectorized stand-in for the per-row hash table of a scalar Gustavson kernel;
 it yields the same grouping while keeping partial products in deterministic
 order.
 
+Every call costs ``O(nnz + flops)`` and allocates nothing as long as an
+operand dimension — the inner (k-mer) dimension is ``|alphabet|^k`` long and
+hypersparse, so a plain CSR ``indptr`` over it would cost more to build than
+the product costs to compute.  Operands are read through pointers over
+their *non-empty rows only* (:func:`repro.sparse.csr.compress_rows`, an
+order scan and no sort for the row-major triplets the pipeline builds); the
+``B`` row an ``A`` entry selects is found by ``searchsorted`` on ``B``'s
+non-empty row ids, and the flop-bounded row groups are formed over the ``A``
+rows that produce partial products at all — rows without any carry 0 flops
+and so cannot move a group boundary.
+
 The kernel is *bit-identical* to the sort–expand–reduce kernel, including
 for order-sensitive semirings such as
 :class:`repro.sparse.semiring.OverlapSemiring` (which keeps the first two
@@ -33,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coo import CooMatrix
-from .csr import CsrMatrix
+from .csr import CsrMatrix, compress_rows, run_pointers
 from .semiring import ArithmeticSemiring, Semiring
 from .spgemm import SpGemmStats, reduce_by_coordinate
 
@@ -63,6 +74,23 @@ def _require_sorted_columns(csr: CsrMatrix, name: str) -> None:
         )
 
 
+def _row_compressed(
+    matrix: CooMatrix | CsrMatrix, name: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_ids, indptr, indices, values)`` over an operand's non-empty rows.
+
+    COO operands go through :func:`~repro.sparse.csr.compress_rows` (order
+    scanned, sorted only if the scan fails); a :class:`CsrMatrix` has its
+    non-empty rows read off its ``indptr`` after the column-order check.
+    """
+    if not isinstance(matrix, CsrMatrix):
+        return compress_rows(matrix)
+    _require_sorted_columns(matrix, name)
+    row_ids = np.flatnonzero(matrix.indptr[1:] != matrix.indptr[:-1])
+    indptr = np.append(matrix.indptr[row_ids], matrix.nnz)
+    return row_ids, indptr, matrix.indices, matrix.values
+
+
 def spgemm_gustavson(
     a: CooMatrix | CsrMatrix,
     b: CooMatrix | CsrMatrix,
@@ -75,9 +103,9 @@ def spgemm_gustavson(
     Parameters
     ----------
     a, b:
-        Operands with compatible shapes; COO inputs are converted to CSR.
-        CSR inputs are used as-is — the fast path for callers that already
-        hold row-compressed stripes — but must be in the row-major,
+        Operands with compatible shapes.  COO triplets that already are
+        row-major (every operand the pipeline builds is) cost one order scan;
+        others are stably sorted first.  CSR inputs must be in the row-major,
         column-sorted entry order :meth:`CsrMatrix.from_coo` produces, since
         the bit-identity guarantee depends on it; unsorted columns are
         rejected.  (The other registered backend accepts COO only; select
@@ -103,33 +131,33 @@ def spgemm_gustavson(
         raise ValueError("batch_flops must be >= 1")
     out_shape = (a.shape[0], b.shape[1])
 
-    if isinstance(a, CsrMatrix):
-        _require_sorted_columns(a, "a")
-        a_csr = a
-    else:
-        a_csr = CsrMatrix.from_coo(a)
-    if isinstance(b, CsrMatrix):
-        _require_sorted_columns(b, "b")
-        b_csr = b
-    else:
-        b_csr = CsrMatrix.from_coo(b)
+    a_row_ids, a_indptr, a_cols, a_values = _row_compressed(a, "a")
+    b_row_ids, b_indptr, b_cols, b_values = _row_compressed(b, "b")
 
-    # per-A-entry cost: nnz of the B row its inner index selects
-    b_row_nnz = np.diff(b_csr.indptr)
-    entry_cost = b_row_nnz[a_csr.indices] if a_csr.nnz else np.empty(0, dtype=np.int64)
-    flops = int(entry_cost.sum())
-    if flops == 0:
+    # the A entries whose inner index selects a non-empty B row: only these
+    # produce partial products, and rows without any carry 0 flops, so
+    # dropping the rest moves no row-group boundary
+    if b_row_ids.size:
+        b_pos = np.minimum(np.searchsorted(b_row_ids, a_cols), b_row_ids.size - 1)
+        live = np.flatnonzero(b_row_ids[b_pos] == a_cols)
+    else:
+        live = np.empty(0, dtype=np.int64)
+    if live.size == 0:
         result = CooMatrix.empty(out_shape, dtype=semiring.value_dtype)
         stats = SpGemmStats(flops=0, output_nnz=0, intermediate_bytes=0, compression_factor=1.0)
         return (result, stats) if return_stats else result
+    b_pos = b_pos[live]
+    b_start = b_indptr[b_pos]
+    entry_cost = b_indptr[b_pos + 1] - b_start  # nnz of the selected B row, >= 1
+    entry_rows = np.repeat(a_row_ids, np.diff(a_indptr))[live]
+    entry_values = a_values[live]
 
-    # cumulative flops at every A row boundary: cum[i] = flops of rows [0, i)
-    entry_cum = np.zeros(a_csr.nnz + 1, dtype=np.int64)
+    # cumulative flops at every entry and at every (live) A row boundary
+    entry_cum = np.zeros(live.size + 1, dtype=np.int64)
     np.cumsum(entry_cost, out=entry_cum[1:])
-    row_cum = entry_cum[a_csr.indptr]
-
-    # row of every A entry (needed to label partial products)
-    a_entry_rows = np.repeat(np.arange(out_shape[0], dtype=np.int64), np.diff(a_csr.indptr))
+    flops = int(entry_cum[-1])
+    row_ptr = run_pointers(entry_rows)
+    row_cum = entry_cum[row_ptr]
 
     rows_parts: list[np.ndarray] = []
     cols_parts: list[np.ndarray] = []
@@ -137,30 +165,26 @@ def spgemm_gustavson(
     peak_bytes = 0
 
     r = 0
-    nrows = out_shape[0]
+    nrows = row_ptr.size - 1
     while r < nrows:
         # largest row range [r, r_next) whose flops fit the budget (≥ 1 row)
         r_next = int(np.searchsorted(row_cum, row_cum[r] + batch_flops, side="right")) - 1
         r_next = min(max(r_next, r + 1), nrows)
-        lo, hi = int(a_csr.indptr[r]), int(a_csr.indptr[r_next])
+        lo, hi = int(row_ptr[r]), int(row_ptr[r_next])
         r = r_next
-        if lo == hi:
-            continue
         reps = entry_cost[lo:hi]
         group_flops = int(entry_cum[hi] - entry_cum[lo])
-        if group_flops == 0:
-            continue
 
-        # expand: for each A entry in CSR order, all entries of B's row —
-        # ascending inner index with input-order ties, mirroring the
+        # expand: for each A entry in row-major order, all entries of B's
+        # row — ascending inner index with input-order ties, mirroring the
         # expansion order of the sort–expand–reduce kernel
-        a_idx = np.repeat(np.arange(lo, hi, dtype=np.int64), reps)
-        starts = entry_cum[lo:hi] - entry_cum[lo]
-        local = np.arange(group_flops, dtype=np.int64) - np.repeat(starts, reps)
-        b_idx = np.repeat(b_csr.indptr[a_csr.indices[lo:hi]], reps) + local
-        out_rows = a_entry_rows[a_idx]
-        out_cols = b_csr.indices[b_idx]
-        products = np.asarray(semiring.multiply(a_csr.values[a_idx], b_csr.values[b_idx]))
+        b_idx = np.arange(group_flops, dtype=np.int64)
+        b_idx += np.repeat(b_start[lo:hi] - (entry_cum[lo:hi] - entry_cum[lo]), reps)
+        out_rows = np.repeat(entry_rows[lo:hi], reps)
+        out_cols = b_cols[b_idx]
+        products = np.asarray(
+            semiring.multiply(np.repeat(entry_values[lo:hi], reps), b_values[b_idx])
+        )
         peak_bytes = max(peak_bytes, out_rows.nbytes + out_cols.nbytes + products.nbytes)
 
         # accumulate: stable group-by output coordinate, then semiring reduce

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coo import CooMatrix
+from .coo import CooMatrix, rowmajor_order
 from .semiring import ArithmeticSemiring, Semiring
 
 
@@ -163,7 +163,7 @@ def reduce_by_coordinate(
     """
     if out_rows.size == 0:
         return out_rows, out_cols, np.empty(0, dtype=semiring.value_dtype)
-    order = np.lexsort((out_cols, out_rows))
+    order = rowmajor_order(out_rows, out_cols)
     out_rows = out_rows[order]
     out_cols = out_cols[order]
     products = products[order]

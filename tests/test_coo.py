@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse.coo import CooMatrix
+from repro.sparse.coo import CooMatrix, rowmajor_order
 from repro.sparse.semiring import CountSemiring, OVERLAP_DTYPE
 
 
@@ -57,6 +57,34 @@ def test_sort_rowmajor_and_colmajor():
     assert m.cols.tolist() == [0, 1, 3, 3]
 
 
+def test_order_scan_decides_whether_to_sort():
+    """Row-major order is scanned: sorted input keeps its arrays, ties and all."""
+    rows = np.array([0, 0, 0, 2, 2, 5])
+    cols = np.array([1, 1, 4, 0, 3, 3])  # duplicate (0, 1) adjacent: still sorted
+    m = CooMatrix((6, 6), rows, cols, np.arange(6.0))
+    assert m.is_rowmajor()
+    kept_rows, kept_values = m.rows, m.values
+    assert m.sort_rowmajor().rows is kept_rows and m.values is kept_values
+    for bad_rows, bad_cols in [([0, 2, 1], [0, 0, 0]), ([0, 0, 1], [3, 2, 0])]:
+        bad = CooMatrix((6, 6), np.array(bad_rows), np.array(bad_cols))
+        assert not bad.is_rowmajor()
+        assert bad.sort_rowmajor().is_rowmajor()
+    assert CooMatrix.empty((3, 3)).is_rowmajor()
+
+
+@pytest.mark.parametrize("high", [40, 2**40])
+def test_rowmajor_order_is_the_stable_lexsort(high):
+    """Packed-key fast path (small coordinates) and lexsort fallback (a
+    (row, col) pair that does not pack into int64) give one permutation,
+    duplicates in input order."""
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 12, 400) * (high // 12)
+    cols = rng.integers(0, 12, 400) * (high // 12)
+    assert np.array_equal(rowmajor_order(rows, cols), np.lexsort((cols, rows)))
+    empty = np.empty(0, dtype=np.int64)
+    assert rowmajor_order(empty, empty).size == 0
+
+
 def test_transpose():
     m = make_matrix()
     t = m.transpose()
@@ -86,6 +114,23 @@ def test_submatrix_no_relabel():
     assert set(sub.rows.tolist()) == {1, 2}
 
 
+def test_submatrix_preserves_order_and_slices_sorted_rows():
+    rng = np.random.default_rng(2)
+    shuffled = CooMatrix((9, 7), rng.integers(0, 9, 60), rng.integers(0, 7, 60), np.arange(60.0))
+    for m in (shuffled, shuffled.copy().sort_rowmajor()):
+        mask = (m.rows >= 2) & (m.rows < 6) & (m.cols >= 1) & (m.cols < 5)
+        sub = m.submatrix((2, 6), (1, 5))
+        assert sub.shape == (4, 4)
+        assert np.array_equal(sub.rows, m.rows[mask] - 2)
+        assert np.array_equal(sub.cols, m.cols[mask] - 1)
+        assert np.array_equal(sub.values, m.values[mask])
+    # a row range of row-sorted triplets is a view, a full range is the matrix
+    m = shuffled.copy().sort_rowmajor()
+    assert np.shares_memory(m.submatrix((2, 6), (0, 7)).values, m.values)
+    assert np.shares_memory(m.submatrix((0, 9), (0, 7)).rows, m.rows)
+    assert m.submatrix((4, 4), (0, 7)).nnz == 0
+
+
 def test_with_offset():
     m = CooMatrix((2, 2), np.array([0]), np.array([1]), np.array([5.0]))
     big = m.with_offset(3, 4, (10, 10))
@@ -100,6 +145,16 @@ def test_deduplicate_last_wins():
     d = m.deduplicate()
     assert d.nnz == 2
     assert d.values[d.rows == 0][0] == 9.0
+
+
+def test_deduplicate_last_wins_on_presorted_input():
+    """The skip-the-sort fast path keeps the same entry the sorting path keeps."""
+    rows, cols = np.array([0, 0, 0, 1]), np.array([1, 1, 1, 2])
+    values = np.array([1.0, 9.0, 5.0, 2.0])
+    d = CooMatrix((3, 3), rows, cols, values).deduplicate()
+    assert d.values.tolist() == [5.0, 2.0]
+    flipped = CooMatrix((3, 3), rows[::-1], cols[::-1], values[::-1]).deduplicate()
+    assert flipped.values.tolist() == [1.0, 2.0]
 
 
 def test_deduplicate_with_semiring_counts():

@@ -20,8 +20,11 @@ from repro.core.params import PastisParams, nearly_square_factors
 from repro.core.preblocking import PreblockingModel
 from repro.distsparse.blocked_summa import BlockSchedule
 from repro.mpi.communicator import SimCommunicator
+from repro.sequences.kmers import encode_kmers
+from repro.sequences.sequence import SequenceSet
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix
+from repro.sparse.dcsc import DcscMatrix
 from repro.sparse.semiring import OVERLAP_DTYPE
 
 
@@ -260,8 +263,18 @@ def test_build_kmer_coo_counts():
     assert info.nnz == coo.nnz
     assert info.nnz <= info.kmer_occurrences
     assert info.hypersparsity_ratio > 1.0
+    # same integers, same float as the DCSC copy the builder no longer makes
+    assert info.hypersparsity_ratio == DcscMatrix.from_coo(coo).compression_ratio_vs_csc()
     # positions are valid indices into their sequences
     assert int(coo.values.max()) < int(seqs.lengths.max())
+
+
+def test_repeated_kmer_stores_its_last_position():
+    """One entry per (sequence, k-mer): the last extracted triple wins."""
+    seqs = SequenceSet.from_strings(["ACDEFACDEFACDEF"])
+    coo, _ = build_kmer_coo(seqs, PastisParams(kmer_length=5, substitute_kmers=0))
+    acdef = int(encode_kmers(seqs.codes(0)[:5], 5, seqs.alphabet.size)[0])
+    assert coo.values[coo.cols == acdef].tolist() == [10]
 
 
 def test_build_kmer_coo_with_substitutes_increases_nnz():
@@ -279,6 +292,9 @@ def test_build_distributed_kmer_matrix():
     assert a.shape == (25, 20**5)
     assert at.shape == (20**5, 25)
     assert a.nnz == at.nnz == info.nnz
+    # both operands are born row-major: no SpGEMM call downstream has to sort
+    assert all(m.local(rank).is_rowmajor() for m in (a, at) for rank in range(4))
+    assert at.to_global_coo() == a.to_global_coo().transpose()
 
 
 # ---------------------------------------------------------------- costing

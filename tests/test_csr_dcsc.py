@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse.coo import CooMatrix
-from repro.sparse.csr import CsrMatrix
+from repro.sparse.csr import CsrMatrix, compress_rows
 from repro.sparse.dcsc import DcscMatrix
 
 
@@ -121,6 +121,34 @@ def test_csr_roundtrip_with_duplicate_coordinates():
     assert cols.tolist() == [1, 1]
     assert vals.tolist() == [1.0, 2.0]
     assert csr.to_coo() == coo.copy().sort_rowmajor()
+
+
+def test_csr_from_sorted_coo_does_not_alias():
+    coo = sample_coo()  # deduplicate() leaves it row-major: from_coo skips the sort
+    csr = CsrMatrix.from_coo(coo)
+    assert not np.shares_memory(csr.indices, coo.cols)
+    assert not np.shares_memory(csr.values, coo.values)
+
+
+@pytest.mark.parametrize("presorted", [True, False])
+def test_compress_rows_matches_csr_on_nonempty_rows(presorted):
+    """Pointers over the non-empty rows only, same entry order as the CSR."""
+    rng = np.random.default_rng(4)
+    coo = CooMatrix((20**12, 9), rng.integers(0, 20**12, 50).repeat(3),
+                    rng.integers(0, 9, 150), rng.random(150))
+    if presorted:
+        coo.sort_rowmajor()
+    row_ids, indptr, indices, values = compress_rows(coo)
+    assert np.all(np.diff(row_ids) > 0) and row_ids.size == np.unique(coo.rows).size
+    assert indptr[0] == 0 and indptr[-1] == coo.nnz and indptr.size == row_ids.size + 1
+    order = np.lexsort((coo.cols, coo.rows))
+    assert np.array_equal(np.repeat(row_ids, np.diff(indptr)), coo.rows[order])
+    assert np.array_equal(indices, coo.cols[order])
+    assert np.array_equal(values, coo.values[order])
+    if presorted:
+        assert indices is coo.cols  # nothing copied, nothing sorted
+    empty = compress_rows(CooMatrix.empty((20**12, 3)))
+    assert empty[0].size == 0 and empty[1].tolist() == [0]
 
 
 # ---------------------------------------------------------------------- DCSC

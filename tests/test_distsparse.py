@@ -214,6 +214,121 @@ def test_blocked_summa_union_equals_direct(blocking):
     assert merged == direct
 
 
+def test_blocked_discover_equals_scipy_oracle_block_by_block():
+    """Independent oracle for candidate discovery (no repro.sparse on its side).
+
+    The k-mer pattern is read off the residue strings with plain slicing and
+    multiplied by SciPy as an integer ``P·Pᵀ``; per output block of a 3x4
+    blocking on a 2x2 grid, the blocked-SUMMA candidates' coordinates and
+    shared-k-mer counts must equal the matching slice with error exactly 0,
+    and every stored seed pair must point at k equal residues.
+    """
+    import scipy.sparse as sp
+
+    from repro.core.kmer_matrix import build_distributed_kmer_matrix
+    from repro.core.params import PastisParams
+
+    k = 4
+    seqs = synthetic_dataset(n_sequences=26, seed=31)
+    params = PastisParams(kmer_length=k, nodes=4, substitute_kmers=0)
+    comm = SimCommunicator(params.nodes)
+    a_dist, at_dist, _ = build_distributed_kmer_matrix(seqs, params, comm)
+
+    n = len(seqs)
+    strings = [seqs.residues(i) for i in range(n)]
+    kmer_column: dict[str, int] = {}
+    pattern_rows, pattern_cols = [], []
+    for i, residues in enumerate(strings):
+        for kmer in {residues[p : p + k] for p in range(len(residues) - k + 1)}:
+            pattern_rows.append(i)
+            pattern_cols.append(kmer_column.setdefault(kmer, len(kmer_column)))
+    pattern = sp.csr_array(
+        (np.ones(len(pattern_rows), dtype=np.int64), (pattern_rows, pattern_cols)),
+        shape=(n, len(kmer_column)),
+    )
+    oracle = (pattern @ pattern.T).toarray()
+
+    engine = BlockedSpGemm(
+        a_dist, at_dist, OverlapSemiring(), BlockSchedule(n, n, 3, 4),
+        spgemm_backend="gustavson",
+    )
+    max_block_error = -1
+    candidates = 0
+    for block in engine.iter_blocks():
+        (r0, r1), (c0, c1) = block.row_range, block.col_range
+        found = block.result.to_global()
+        assert np.all((found.rows >= r0) & (found.rows < r1))
+        assert np.all((found.cols >= c0) & (found.cols < c1))
+        counts = np.zeros((r1 - r0, c1 - c0), dtype=np.int64)
+        np.add.at(counts, (found.rows - r0, found.cols - c0), found.values["count"])
+        assert found.nnz == np.count_nonzero(counts)  # one element per coordinate
+        max_block_error = max(max_block_error, int(np.abs(counts - oracle[r0:r1, c0:c1]).max()))
+        for i, j, rec in zip(found.rows, found.cols, found.values):
+            seeds = [(rec["first_pos_a"], rec["first_pos_b"])]
+            # a second seed needs a second shared k-mer; the converse does not
+            # hold today (SUMMA's per-stage merge re-reduces single records
+            # and drops their second seed — ROADMAP item 5)
+            if rec["second_pos_a"] != -1:
+                assert rec["count"] > 1
+                seeds.append((rec["second_pos_a"], rec["second_pos_b"]))
+            for pos_a, pos_b in seeds:
+                assert len(strings[i][pos_a : pos_a + k]) == k
+                assert strings[i][pos_a : pos_a + k] == strings[j][pos_b : pos_b + k]
+        candidates += found.nnz
+    assert max_block_error == 0
+    assert candidates == np.count_nonzero(oracle) > n  # off-diagonal overlaps exist
+
+
+def test_blocked_summa_slices_each_stripe_once_under_racing_threads():
+    """``br + bc`` slicings per run, not ``2 br bc`` — also when worker threads
+    ask for the same stripe at the same time (the threaded scheduler does)."""
+    import sys
+    import threading
+    from collections import Counter
+
+    comm = SimCommunicator(4)
+    n = 24
+    a = random_coo((n, 120), 200, 7, dtype=np.int32)
+    a_dist = DistSparseMatrix.from_global_coo(a, comm)
+    b_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm)
+    engine = BlockedSpGemm(a_dist, b_dist, CountSemiring(), BlockSchedule(n, n, 3, 4))
+    slicings = Counter()
+    for matrix, name in ((a_dist, "row_stripe"), (b_dist, "col_stripe")):
+        original = getattr(matrix, name)
+
+        def counted(index_range, _original=original, _name=name):
+            slicings[_name, index_range] += 1
+            return _original(index_range)
+
+        setattr(matrix, name, counted)
+
+    seen: list[dict] = []
+
+    def worker():
+        stripes = {("a", r): engine.row_stripe(r) for r in range(3)}
+        stripes.update({("b", c): engine.col_stripe(c) for c in range(4)})
+        seen.append(stripes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 8
+    assert len(slicings) == 3 + 4 and set(slicings.values()) == {1}
+    assert all(stripes[key] is seen[0][key] for stripes in seen for key in stripes)
+    # and the blocks multiply those very objects
+    for _ in engine.iter_blocks():
+        pass
+    assert set(slicings.values()) == {1}
+
+
 def test_blocked_summa_peak_memory_decreases_with_more_blocks():
     comm = SimCommunicator(4)
     n, k = 30, 200

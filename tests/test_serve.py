@@ -9,6 +9,7 @@ refusals, integrity taxonomy), the pluggable sequence providers, the
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ import pytest
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockSchedule
-from repro.distsparse.distmat import DistSparseMatrix
-from repro.core.kmer_matrix import build_kmer_coo
+from repro.core.kmer_matrix import build_distributed_kmer_matrix
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences import SequenceSet, write_fasta
 from repro.sequences.synthetic import SyntheticDatasetConfig, synthetic_dataset
@@ -33,7 +33,13 @@ from repro.serve import (
     register_provider,
 )
 from repro.serve.cli import main as serve_main
-from repro.serve.index import SEQUENCES_NAME, SHARD_DIR, shard_filename
+from repro.serve.index import (
+    INDEX_VERSION,
+    MANIFEST_NAME,
+    SEQUENCES_NAME,
+    SHARD_DIR,
+    shard_filename,
+)
 
 N_DB = 16
 
@@ -56,12 +62,12 @@ def db(tmp_path_factory):
 
 # ---------------------------------------------------------------------- index
 def test_index_round_trip_bitwise(db):
-    """Stored stripes reload bitwise equal to freshly computed ones."""
+    """Stored stripes reload bitwise equal to the ones an all-vs-all run
+    slices out of its freshly built ``Aᵀ``."""
     sequences, params, index_dir = db
     index = KmerIndex.open(index_dir)
     comm = SimCommunicator(params.nodes)
-    coo, _ = build_kmer_coo(sequences, params)
-    bt = DistSparseMatrix.from_global_coo(coo.transpose(), comm)
+    _, bt, _ = build_distributed_kmer_matrix(sequences, params, comm)
     schedule = BlockSchedule(n_rows=N_DB, n_cols=N_DB, br=1, bc=index.bc)
     for c in range(index.bc):
         expected = bt.col_stripe(schedule.col_range(c))
@@ -73,6 +79,7 @@ def test_index_round_trip_bitwise(db):
             np.testing.assert_array_equal(have.rows, want.rows)
             np.testing.assert_array_equal(have.cols, want.cols)
             np.testing.assert_array_equal(have.values, want.values)
+            assert have.is_rowmajor()  # a served SpGEMM never sorts
 
 
 def test_index_round_trips_sequences_and_summary(db):
@@ -110,6 +117,19 @@ def test_index_refuses_mismatched_params(db):
         PastisPipeline(
             params.replace(mode="query", index_dir=index_dir, kmer_length=5)
         ).run(sequences.subset(np.array([0])))
+
+
+def test_index_refuses_previous_format_version(db, tmp_path):
+    """An index written by the previous build is refused, not re-sorted per request."""
+    _, _, index_dir = db
+    manifest = json.loads((Path(index_dir) / MANIFEST_NAME).read_text())
+    manifest["version"] = INDEX_VERSION - 1
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(
+        IndexCompatibilityError,
+        match=rf"version {INDEX_VERSION - 1} .*reads version {INDEX_VERSION}",
+    ):
+        KmerIndex.open(tmp_path)
 
 
 def test_stale_sequences_payload_is_refused(db, tmp_path):

@@ -117,6 +117,67 @@ def test_empty_operands_and_empty_rows(semiring):
     assert_kernels_identical(a, b, semiring)
 
 
+@pytest.mark.parametrize("semiring", [ArithmeticSemiring(), OverlapSemiring()],
+                         ids=["arithmetic", "overlap"])
+def test_hypersparse_inner_dimension(semiring):
+    """A 20¹²-long inner dimension holding a few hundred nonzeros.
+
+    Any array as long as that dimension (a CSR ``indptr``, a ``bincount``)
+    cannot be allocated, so this passes only while the kernels touch nothing
+    but the nonzeros.  ``"scipy"`` is exempt: its CSR *is* the ``indptr``.
+    """
+    inner = 20**12
+    rng = np.random.default_rng(12)
+    kmers = rng.integers(0, inner, 70)  # a shared pool, so products exist
+    a = CooMatrix(
+        (30, inner), rng.integers(0, 30, 300), rng.choice(kmers, 300),
+        rng.integers(0, 97, 300).astype(np.int32),
+    )
+    b = CooMatrix(
+        (inner, 25), rng.choice(kmers, 250), rng.integers(0, 25, 250),
+        rng.integers(0, 97, 250).astype(np.int32),
+    )
+    assert_kernels_identical(a, b, semiring)
+    assert_kernels_identical(a, b, semiring, batch_flops=97)
+    c1, s1 = spgemm(a, b, semiring, return_stats=True)
+    assert s1.flops > 500
+    c3, s3 = get_kernel("auto")(a, b, semiring, return_stats=True)
+    assert c3 == c1 and (s3.flops, s3.output_nnz) == (s1.flops, s1.output_nnz)
+
+
+def test_row_groups_ignore_empty_rows():
+    """Empty rows carry 0 flops, so they may not move a row-group boundary.
+
+    ``B`` is a 6x6 identity with row 5 removed: every A entry in columns 0-4
+    costs exactly one flop, column 5 costs none.  Live rows hold 3, 1, 6, 2, 2
+    flops; under ``batch_flops=4`` the groups are {3, 1}, {6} (one row over
+    budget stays whole), {2, 2} — 3 groups, the widest expanding 6 partial
+    products of 8 + 8 + 8 bytes each.
+    """
+    eye = np.arange(5)
+    b = CooMatrix((6, 6), eye, eye, np.ones(5))
+    row_nnz = [3, 1, 6, 2, 2]
+    cols = np.concatenate([np.arange(n) % 5 for n in row_nnz])
+
+    def product(row_ids, nrows, extra_rows=(), extra_cols=()):
+        rows = np.concatenate([np.repeat(row_ids, row_nnz), extra_rows]).astype(np.int64)
+        a = CooMatrix((nrows, 6), rows, np.concatenate([cols, extra_cols]).astype(np.int64),
+                      np.ones(rows.size))
+        return spgemm_gustavson(a, b, return_stats=True, batch_flops=4)
+
+    squeezed, s_squeezed = product(np.arange(5), 5)
+    # empty rows before, between and after; row 9 only selects B's empty row 5
+    spread_ids = np.array([2, 3, 7, 11, 12])
+    spread, s_spread = product(spread_ids, 15, extra_rows=[9, 9], extra_cols=[5, 5])
+    for stats in (s_squeezed, s_spread):
+        assert stats.flops == 14
+        assert stats.row_groups == 3
+        assert stats.intermediate_bytes == 6 * (8 + 8 + 8)
+    assert np.array_equal(spread.rows, spread_ids[squeezed.rows])
+    assert np.array_equal(spread.cols, squeezed.cols)
+    assert np.array_equal(spread.values, squeezed.values)
+
+
 def test_duplicate_coordinates_keep_first_two_seeds():
     """Duplicates are separate partial products, in original input order."""
     a = CooMatrix(
