@@ -14,10 +14,12 @@ import time
 import numpy as np
 
 from repro.align.batch import batch_smith_waterman
+from repro.core import EDGE_DTYPE, SimilarityGraph
+from repro.graph import StochasticMatrix
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix
 from repro.sparse.kernels import available_kernels, get_kernel, kernel_supports_semiring
-from repro.sparse.semiring import CountSemiring, OverlapSemiring
+from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
 from repro.sparse.spgemm import spgemm
 
 from _results import save_results
@@ -192,6 +194,71 @@ def inner_dimension_sweep(exponents=(5, 6, 7), n=400, nnz=6000, seed=9, repeats=
     return sweep
 
 
+def planted_mcl_operand(n=3000, seed=21):
+    """Triplets of MCL's stored (transpose) transition matrix, planted graph.
+
+    The shape of the ``cluster_mcl`` input, seeded: families of
+    ``2 + geometric(mean 8)`` vertices, intra-family edges with probability
+    0.7 and ``ani ~ U(0.3, 1)``, 0.3 spurious edges per vertex with
+    ``ani ~ U(0.3, 0.5)``, turned into a column-stochastic matrix by
+    :meth:`StochasticMatrix.from_similarity_graph` (every value positive).
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    start = 0
+    while start < n:
+        members = np.arange(start, min(n, start + 2 + int(rng.geometric(1 / 8))))
+        i, j = np.triu_indices(members.size, 1)
+        hit = rng.random(i.size) < 0.7
+        pairs.append(np.column_stack([members[i[hit]], members[j[hit]]]))
+        start = int(members[-1]) + 1
+    family = np.concatenate(pairs)
+    spurious = rng.integers(0, n, size=(int(0.3 * n), 2))
+    spurious = spurious[spurious[:, 0] != spurious[:, 1]]
+    edges = np.zeros(len(family) + len(spurious), dtype=EDGE_DTYPE)
+    edges["row"] = np.concatenate([family[:, 0], spurious.min(axis=1)])
+    edges["col"] = np.concatenate([family[:, 1], spurious.max(axis=1)])
+    edges["ani"] = np.concatenate(
+        [rng.uniform(0.3, 1.0, len(family)), rng.uniform(0.3, 0.5, len(spurious))]
+    )
+    graph = SimilarityGraph.from_edges(edges, n)
+    return StochasticMatrix.from_similarity_graph(graph).tcsr.to_coo()
+
+
+def time_plus_times_backends(t, repeats):
+    """Best-of-``repeats`` seconds of the expansion ``Mᵀ·Mᵀ`` per backend.
+
+    ``"gustavson"`` (whose row groups go through SciPy's accumulator on
+    positive values), ``"expand"`` and ``"scipy"`` (when registered); the
+    results are asserted bit-equal, values included.
+    """
+    semiring = ArithmeticSemiring()
+    report = {}
+    baseline = None
+    for name in ("gustavson", "expand", "scipy"):
+        if name not in available_kernels():
+            continue
+        kernel = get_kernel(name)
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result, stats = kernel(t, t, semiring, return_stats=True)
+            best = min(best, time.perf_counter() - t0)
+        if baseline is None:
+            baseline = result
+        else:
+            assert result == baseline and np.array_equal(result.values, baseline.values), (
+                f"backend {name!r} disagrees with the others"
+            )
+        report[name] = {
+            "seconds": best,
+            "flops": stats.flops,
+            "output_nnz": stats.output_nnz,
+            "products_per_second": stats.flops / best if best else 0.0,
+        }
+    return report
+
+
 def test_count_spgemm_scales_with_nnz(benchmark):
     rng = np.random.default_rng(11)
     n, k, nnz = 600, 8000, 30000
@@ -210,8 +277,10 @@ def _smoke() -> None:
     the memory-bound guarantee is asserted on every CI run, not only when the
     benchmark suite is invoked by hand; then the hypersparse guard (the same
     nonzeros in inner dimensions 20^5..20^7 must cost the Gustavson kernel the
-    same) and the align kernel's batch-width sweep, both written next to the
-    other ``benchmarks/results`` rows.
+    same), the ``plus_times`` head-to-head on an MCL expansion (gustavson,
+    expand and scipy bit-equal, seconds per backend) and the align kernel's
+    batch-width sweep, all written next to the other ``benchmarks/results``
+    rows.
     """
     report = spgemm_backend_head_to_head(**HEAD_TO_HEAD_CASE, repeats=1)
     header = f"{'backend':<12} {'seconds':>10} {'flops':>8} {'nnz':>8} {'cf':>6} {'intermediate':>13}"
@@ -241,6 +310,19 @@ def _smoke() -> None:
         f"gustavson is not flat in the inner dimension: {dict(zip(dims, seconds))}"
     )
     print("smoke OK: gustavson's time does not depend on the inner dimension's length")
+
+    plus_times = time_plus_times_backends(planted_mcl_operand(), repeats=3)
+    save_results("kernel_spgemm_plus_times", plus_times)
+    header = f"{'plus_times':<12} {'seconds':>10} {'flops':>8} {'nnz':>8} {'Mflop/s':>8}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for name, row in plus_times.items():
+        print(
+            f"{name:<12} {row['seconds']:>10.4f} {row['flops']:>8d} "
+            f"{row['output_nnz']:>8d} {row['products_per_second'] / 1e6:>8.1f}"
+        )
+    print("smoke OK: plus_times backends agree bit-for-bit on an MCL expansion")
 
     sweep = align_width_sweep()
     save_results("kernel_batch_sw_widths", sweep)

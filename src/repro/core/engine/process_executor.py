@@ -270,12 +270,23 @@ def _sweep_segments(token: str, num_blocks: int) -> None:
 
     Runs after the pool has been joined, so no worker can re-create a
     segment behind the sweep; segments never created (or already consumed
-    and unlinked) are simply absent.
+    and unlinked) are simply absent.  A worker killed between creating a
+    segment and sizing it leaves a zero-length one, which cannot be mapped:
+    that one is unlinked by name.
     """
     for index in range(num_blocks):
+        name = _segment_name(token, index)
         try:
-            shm = shared_memory.SharedMemory(name=_segment_name(token, index))
+            shm = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
+            continue
+        except ValueError:  # "cannot mmap an empty file"
+            # the call SharedMemory.unlink makes, without an attached object
+            # (this executor requires fork, so the POSIX binding exists)
+            try:
+                shared_memory._posixshmem.shm_unlink("/" + name)
+            except FileNotFoundError:
+                pass
             continue
         try:
             shm.unlink()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.csr import CsrMatrix
+from ..sparse.csr import CsrMatrix, run_pointers
 from ..sparse.kernels import kernel_supports_batch_flops, resolve_kernel
 from ..sparse.semiring import ArithmeticSemiring
 from ..sparse.spgemm import SpGemmStats
@@ -131,31 +131,52 @@ def prune_keep_mask(
     Returns the boolean keep mask over the stored entries plus the
     :class:`PruneStats` of what the mask discards.  Ranking within a stored
     row is by descending value with ascending column index as the
-    deterministic tie-break; each row's largest entry always survives.  The
+    deterministic tie-break (then stored position); an entry is kept when
+    it is ``>= threshold`` or ranks first — each row's largest entry always
+    survives — and, under ``top_k``, also ranks below ``top_k``.  The
     decisions for one stored row depend only on that row's entries, so masks
     computed on disjoint stripes agree bit-for-bit with the whole-matrix
     mask — the caller (serial or distributed) decides globally whether
     anything was dropped and renormalizes accordingly.
+
+    Only what is read of the ranking is computed, in HipMCL's order —
+    threshold, then selection only where over budget.  Rank 0 is one
+    ``reduceat`` pass (the row maximum, then the lowest index holding it).
+    Entries at or above the threshold rank ahead of every entry below it,
+    so ``top_k`` can cut only rows holding more than ``top_k`` of them, and
+    only those rows' surviving entries are sorted.
     """
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1")
     values = tcsr.values
+    indices = tcsr.indices
     nnz = values.size
     if nnz == 0:
         return np.ones(0, dtype=bool), PruneStats()
     col_ids = stored_row_ids(tcsr)
-    # rank entries within each stored row: descending value, ascending index
-    order = np.lexsort((tcsr.indices, -values, col_ids))
-    sorted_cols = col_ids[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], np.diff(sorted_cols) != 0])
-    )
-    counts = np.diff(np.concatenate([starts, [nnz]]))
-    rank = np.empty(nnz, dtype=np.int64)
-    rank[order] = np.arange(nnz) - np.repeat(starts, counts)
-    keep = (values >= threshold) | (rank == 0)
+    above = values >= threshold
+    keep = above.copy()
+
+    # rank 0 of every non-empty stored row; indices need not be sorted
+    sizes = np.diff(tcsr.indptr)
+    starts = tcsr.indptr[:-1][sizes > 0]
+    sizes = sizes[sizes > 0]
+    at_max = values == np.repeat(np.fmax.reduceat(values, starts), sizes)
+    lowest = np.minimum.reduceat(np.where(at_max, indices, np.iinfo(indices.dtype).max), starts)
+    first = np.flatnonzero(at_max & (indices == np.repeat(lowest, sizes)))
+    # a repeated index at the maximum: the first stored position ranks first
+    leads = np.ones(first.size, dtype=bool)
+    leads[1:] = col_ids[first[1:]] != col_ids[first[:-1]]
+    keep[first[leads]] = True
+
     if top_k is not None:
-        keep &= rank < top_k
+        over = np.bincount(col_ids[above], minlength=tcsr.shape[0]) > top_k
+        if over.any():
+            ranked = np.flatnonzero(above & over[col_ids])
+            ranked = ranked[np.lexsort((indices[ranked], -values[ranked], col_ids[ranked]))]
+            ptr = run_pointers(col_ids[ranked])
+            rank = np.arange(ranked.size) - np.repeat(ptr[:-1], np.diff(ptr))
+            keep[ranked[rank >= top_k]] = False
     dropped = ~keep
     if not np.any(dropped):
         return keep, PruneStats()

@@ -12,11 +12,27 @@ caps the reachable problem size.
 algorithm): for each row ``i`` of ``A``, the rows of ``B`` selected by
 ``A(i, :)`` are gathered and accumulated into ``C(i, :)``.  Rows are
 processed in flop-bounded groups, so peak intermediate memory is
-``O(max(batch_flops, max_row_flops))`` instead of ``O(total_flops)``.  The
-per-group accumulator is a stable sort by output coordinate — NumPy's
-vectorized stand-in for the per-row hash table of a scalar Gustavson kernel;
-it yields the same grouping while keeping partial products in deterministic
-order.
+``O(max(batch_flops, max_row_flops))`` instead of ``O(total_flops)``.
+
+Each row group has one of two accumulators:
+
+* **SciPy's row accumulator** (the fast path) for the plain arithmetic
+  semiring when SciPy imports and every live ``A`` value and every ``B``
+  value is ``> 0`` with ``min(a) * min(b) > 0`` in float64.  The group
+  becomes one ``csr_array @ csr_array`` on the compressed operands — ``A``'s
+  live rows with column ids relabelled onto ``B``'s non-empty rows, so the
+  inner dimension is at most ``nnz(B)`` even when the real one is 20¹² —
+  plus ``sort_indices()``.  SciPy's scalar accumulator adds each output
+  entry's partial products in ascending inner index, then ``B``-row order,
+  starting from ``0.0``: the strict left-to-right association
+  :func:`~repro.sparse.semiring.sequential_segment_sum` emulates, and
+  ``0.0 + p == p`` for ``p > 0``.  The guard is what keeps that exact: no
+  product underflows to 0 and no sum cancels to 0, so SciPy, which silently
+  drops zero sums, drops nothing; a NaN fails ``> 0`` as well.
+* **Expand, then a stable sort by output coordinate and
+  ``semiring.reduce``** (:func:`~repro.sparse.spgemm.reduce_by_coordinate`)
+  for every other semiring and every input that fails the guard.  It is the
+  fallback and the oracle the fast path is tested against.
 
 Every call costs ``O(nnz + flops)`` and allocates nothing as long as an
 operand dimension — the inner (k-mer) dimension is ``|alphabet|^k`` long and
@@ -34,9 +50,10 @@ for order-sensitive semirings such as
 :class:`repro.sparse.semiring.OverlapSemiring` (which keeps the first two
 seed pairs of each group): both kernels enumerate the partial products of an
 output entry in ascending inner-index order, with ties in original input
-order, and reduce them with the same ``semiring.reduce`` call.  The
-randomized cross-kernel harness in ``tests/test_spgemm_equivalence.py``
-asserts this equivalence, down to ``SpGemmStats.flops``/``output_nnz``.
+order, and reduce them with the same ``semiring.reduce`` call (or, on the
+fast path, with the same association).  The randomized cross-kernel harness
+in ``tests/test_spgemm_equivalence.py`` asserts this equivalence, down to
+``SpGemmStats.flops``/``output_nnz``, on both sides of the guard.
 """
 
 from __future__ import annotations
@@ -47,6 +64,11 @@ from .coo import CooMatrix
 from .csr import CsrMatrix, compress_rows, run_pointers
 from .semiring import ArithmeticSemiring, Semiring
 from .spgemm import SpGemmStats, reduce_by_coordinate
+
+try:  # the arithmetic fast path needs scipy; without it every group expands
+    import scipy.sparse as _scipy_sparse
+except ImportError:  # pragma: no cover - exercised on scipy-free installs
+    _scipy_sparse = None
 
 #: Default flop budget per row group.  Large enough that NumPy per-call
 #: overheads amortize, small enough that intermediate memory stays a fraction
@@ -159,6 +181,21 @@ def spgemm_gustavson(
     row_ptr = run_pointers(entry_rows)
     row_cum = entry_cum[row_ptr]
 
+    # SciPy's row accumulator where it is exact (module docstring): B′ is B
+    # over its non-empty rows, built once; each group's A′ is its live rows
+    # with inner index b_pos, so the inner dimension is at most nnz(B)
+    b_scipy = None
+    if _scipy_sparse is not None and type(semiring) is ArithmeticSemiring:
+        a_float = np.asarray(entry_values, dtype=np.float64)
+        b_float = np.asarray(b_values, dtype=np.float64)
+        a_min, b_min = a_float.min(), b_float.min()
+        if a_min > 0 and b_min > 0 and a_min * b_min > 0:
+            b_scipy = _scipy_sparse.csr_array(
+                (b_float, b_cols, b_indptr), shape=(b_row_ids.size, b.shape[1])
+            )
+            # one partial product of the expand form: row, column, float64
+            product_bytes = entry_rows.itemsize + b_cols.itemsize + a_float.itemsize
+
     rows_parts: list[np.ndarray] = []
     cols_parts: list[np.ndarray] = []
     vals_parts: list[np.ndarray] = []
@@ -171,27 +208,41 @@ def spgemm_gustavson(
         r_next = int(np.searchsorted(row_cum, row_cum[r] + batch_flops, side="right")) - 1
         r_next = min(max(r_next, r + 1), nrows)
         lo, hi = int(row_ptr[r]), int(row_ptr[r_next])
+        group_ptr = row_ptr[r : r_next + 1]
         r = r_next
-        reps = entry_cost[lo:hi]
         group_flops = int(entry_cum[hi] - entry_cum[lo])
 
-        # expand: for each A entry in row-major order, all entries of B's
-        # row — ascending inner index with input-order ties, mirroring the
-        # expansion order of the sort–expand–reduce kernel
-        b_idx = np.arange(group_flops, dtype=np.int64)
-        b_idx += np.repeat(b_start[lo:hi] - (entry_cum[lo:hi] - entry_cum[lo]), reps)
-        out_rows = np.repeat(entry_rows[lo:hi], reps)
-        out_cols = b_cols[b_idx]
-        products = np.asarray(
-            semiring.multiply(np.repeat(entry_values[lo:hi], reps), b_values[b_idx])
-        )
-        peak_bytes = max(peak_bytes, out_rows.nbytes + out_cols.nbytes + products.nbytes)
+        if b_scipy is not None:
+            # intermediate_bytes stays the expand form's peak — modeled here,
+            # since SciPy's accumulator materializes no partial products
+            peak_bytes = max(peak_bytes, group_flops * product_bytes)
+            a_group = _scipy_sparse.csr_array(
+                (a_float[lo:hi], b_pos[lo:hi], group_ptr - lo),
+                shape=(group_ptr.size - 1, b_row_ids.size),
+            )
+            product = a_group @ b_scipy
+            product.sort_indices()
+            group_rows = np.repeat(entry_rows[group_ptr[:-1]], np.diff(product.indptr))
+            group_cols, group_vals = product.indices, product.data
+        else:
+            # expand: for each A entry in row-major order, all entries of B's
+            # row — ascending inner index with input-order ties, mirroring
+            # the expansion order of the sort–expand–reduce kernel
+            reps = entry_cost[lo:hi]
+            b_idx = np.arange(group_flops, dtype=np.int64)
+            b_idx += np.repeat(b_start[lo:hi] - (entry_cum[lo:hi] - entry_cum[lo]), reps)
+            out_rows = np.repeat(entry_rows[lo:hi], reps)
+            out_cols = b_cols[b_idx]
+            products = np.asarray(
+                semiring.multiply(np.repeat(entry_values[lo:hi], reps), b_values[b_idx])
+            )
+            peak_bytes = max(peak_bytes, out_rows.nbytes + out_cols.nbytes + products.nbytes)
 
-        # accumulate: stable group-by output coordinate, then semiring reduce
-        # (shared with the expand kernel — the bit-identity linchpin)
-        group_rows, group_cols, group_vals = reduce_by_coordinate(
-            out_rows, out_cols, products, semiring
-        )
+            # accumulate: stable group-by output coordinate, then semiring
+            # reduce (shared with the expand kernel — the bit-identity linchpin)
+            group_rows, group_cols, group_vals = reduce_by_coordinate(
+                out_rows, out_cols, products, semiring
+            )
         rows_parts.append(group_rows)
         cols_parts.append(group_cols)
         vals_parts.append(group_vals)

@@ -132,8 +132,11 @@ def _spa_rows_overlap(
     """SPA Gustavson over output rows [r_lo, r_hi) for the overlap semiring.
 
     Accumulates the shared-k-mer count and the first two (a, b) seed-position
-    pairs by arrival order — the same "first two elements of the sorted
-    group" rule :meth:`OverlapSemiring.reduce` applies.
+    pairs by arrival order — the associative merge
+    :meth:`OverlapSemiring.reduce` applies (keep the accumulated record's own
+    second seed, else take the next record's first).  Every arriving product
+    is a fresh single-seed record, so this is arrival order either way.
+    Mirrors the NumPy semiring; unverified where numba is not installed.
     """
     pos = 0
     for i in range(r_lo, r_hi):
@@ -154,7 +157,9 @@ def _spa_rows_overlap(
                     acc_sa[j] = -1
                     acc_sb[j] = -1
                 else:
-                    if acc_count[j] == 1:
+                    # OverlapSemiring's merge: keep the record's own second
+                    # seed, otherwise take the arriving product's first
+                    if acc_sa[j] == -1:
                         acc_sa[j] = a_pos
                         acc_sb[j] = b_pos
                     acc_count[j] = acc_count[j] + 1

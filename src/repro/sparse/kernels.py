@@ -14,7 +14,9 @@ The package ships three interchangeable SpGEMM kernels:
     memory is bounded by the per-row-group flop budget instead of the total
     flop count, so it wins when the compression factor is high (popular
     k-mers, dense overlap structure) — the regime that otherwise caps the
-    reachable problem size.
+    reachable problem size.  Under the arithmetic semiring with positive
+    values each row group is accumulated by SciPy's CSR matmul on the
+    compressed operands (exactly, see :mod:`repro.sparse.gustavson`).
 
 ``"auto"``
     Per-invocation dispatch (:func:`spgemm_auto`): every call — e.g. every
@@ -37,11 +39,19 @@ The package ships three interchangeable SpGEMM kernels:
     accumulator.  The raw-speed backend for process-pool discover lanes.
 
 ``"scipy"``
-    :func:`spgemm_scipy`, wrapping ``scipy.sparse``'s C++ CSR matmul.  Only
-    registered when SciPy is importable, and only supports the plain
-    arithmetic (+, ×) semiring — but there it is the fastest backend by a
-    wide margin, which is why ``repro.graph``'s Markov-clustering expansion
-    prefers it.  Bit-identical to the other backends because
+    :func:`spgemm_scipy`, wrapping ``scipy.sparse``'s C++ CSR matmul over
+    the whole product.  Only registered when SciPy is importable, and only
+    supports the plain arithmetic (+, ×) semiring; ``repro.graph``'s
+    single-rank Markov clustering resolves to it when no backend is named.
+    It is no longer the only fast arithmetic path: ``"gustavson"`` runs its
+    row groups through the same SciPy accumulator whenever every value is
+    positive (MCL's transition matrices), and the two run at comparable
+    speed on an MCL expansion, an order of magnitude ahead of ``"expand"``
+    (the ``plus_times`` head-to-head of ``benchmarks/bench_kernels.py
+    --smoke``).  Unlike ``"gustavson"`` it
+    needs a full CSR ``indptr`` over the inner dimension and drops output
+    entries that sum to exactly zero.  Bit-identical to the other backends
+    on the inputs it is tested with, because
     :class:`~repro.sparse.semiring.ArithmeticSemiring` reduces with strict
     left-to-right association, the same order SciPy's scalar accumulator
     uses.  Operands with duplicate coordinates are pre-merged with ``+``

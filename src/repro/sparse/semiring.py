@@ -104,8 +104,12 @@ def sequential_segment_sum(values: np.ndarray, group_starts: np.ndarray) -> np.n
     bound.)
 
     This is what makes the plain arithmetic semiring bit-identical across
-    every registered SpGEMM backend *including* the SciPy wrapper
-    (``tests/test_spgemm_equivalence.py`` asserts it).
+    every registered SpGEMM backend *including* those that accumulate in
+    SciPy — the ``"scipy"`` wrapper and the Gustavson kernel's fast path,
+    which skips this function whenever SciPy's accumulator is exact
+    (:mod:`repro.sparse.gustavson`).  What remains here is the ``"expand"``
+    kernel, the Gustavson fallback, and the oracle both SciPy paths are
+    tested against (``tests/test_spgemm_equivalence.py``).
     """
     values = np.asarray(values, dtype=np.float64)
     group_starts = np.asarray(group_starts, dtype=np.int64)
@@ -137,13 +141,16 @@ def sequential_segment_sum(values: np.ndarray, group_starts: np.ndarray) -> np.n
 
 @dataclass
 class ArithmeticSemiring(Semiring):
-    """Conventional (+, ×) semiring over float64 — for validation against SciPy.
+    """Conventional (+, ×) semiring over float64 — Markov clustering's semiring.
 
     The additive reduce uses :func:`sequential_segment_sum` (strict
     left-to-right association) rather than ``np.add.reduceat``, so the sums
     are bit-identical to any scalar accumulator that adds partial products
     in generation order — in particular SciPy's CSR matmul, which backs the
-    registry's ``"scipy"`` kernel.
+    registry's ``"scipy"`` kernel and, when every value is positive, the
+    Gustavson kernel's row groups.  That kernel detects this semiring by
+    exact type: a subclass may change multiply or reduce, so it never takes
+    the SciPy path.
     """
 
     value_dtype: np.dtype = np.dtype(np.float64)
@@ -211,6 +218,13 @@ class OverlapSemiring(Semiring):
     product; the add accumulates the shared-k-mer count and keeps the first
     two seed position pairs (enough for the seed-and-extend or full
     Smith–Waterman alignment that follows).
+
+    The add is an associative merge of records, not only of fresh products:
+    a record stands for the ordered list of its seeds, and merging keeps the
+    first two seeds of the concatenation — the first record's own second
+    seed when it has one, otherwise the next record's first.  SUMMA's
+    per-stage merge re-reduces already-reduced records, so this is what
+    makes the seeds independent of the process grid.
     """
 
     value_dtype: np.dtype = OVERLAP_DTYPE
@@ -228,21 +242,14 @@ class OverlapSemiring(Semiring):
         return out
 
     def reduce(self, values: np.ndarray, group_starts: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        n_groups = group_starts.size
-        out = np.empty(n_groups, dtype=OVERLAP_DTYPE)
-        out["count"] = np.add.reduceat(values["count"].astype(np.int64), group_starts).astype(
-            np.int32
-        )
-        out["first_pos_a"] = values["first_pos_a"][group_starts]
-        out["first_pos_b"] = values["first_pos_b"][group_starts]
-        # second seed: the element right after the group start, when the
-        # group has at least two members
-        group_ends = np.empty(n_groups, dtype=np.int64)
-        group_ends[:-1] = group_starts[1:]
-        group_ends[-1] = values.size
-        has_second = (group_ends - group_starts) >= 2
-        second_index = np.where(has_second, group_starts + 1, group_starts)
-        out["second_pos_a"] = np.where(has_second, values["first_pos_a"][second_index], -1)
-        out["second_pos_b"] = np.where(has_second, values["first_pos_b"][second_index], -1)
-        return out
+        # OVERLAP_DTYPE is five packed int32 fields: columns count,
+        # first_pos_a, first_pos_b, second_pos_a, second_pos_b of this view
+        records = np.ascontiguousarray(values, dtype=OVERLAP_DTYPE).view(np.int32).reshape(-1, 5)
+        out = records[group_starts]  # every group's leading record
+        out[:, 0] = np.add.reduceat(records[:, 0].astype(np.int64), group_starts).astype(np.int32)
+        # second seed: the leading record's own, else the next record's first
+        # (-1 when the group is a single record without one)
+        group_ends = np.append(group_starts[1:], records.shape[0])
+        borrow = np.flatnonzero((out[:, 3] == -1) & (group_ends - group_starts >= 2))
+        out[borrow, 3:] = records[group_starts[borrow] + 1, 1:3]
+        return out.view(OVERLAP_DTYPE).reshape(-1)

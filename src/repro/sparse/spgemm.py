@@ -38,7 +38,11 @@ class SpGemmStats:
     output_nnz:
         Nonzeros in the result after additive reduction.
     intermediate_bytes:
-        Peak bytes held by the expanded partial-product arrays.
+        Peak bytes held by the expanded partial-product arrays.  The
+        Gustavson kernel's SciPy-accumulated groups materialize none; for
+        them it is the modeled peak of the same expand form (flops times the
+        itemsizes of output row, column and product), so the number does
+        not depend on which accumulator ran.
     compression_factor:
         ``flops / output_nnz`` (1.0 when the output is empty).
     row_groups:

@@ -265,11 +265,10 @@ def test_blocked_discover_equals_scipy_oracle_block_by_block():
         max_block_error = max(max_block_error, int(np.abs(counts - oracle[r0:r1, c0:c1]).max()))
         for i, j, rec in zip(found.rows, found.cols, found.values):
             seeds = [(rec["first_pos_a"], rec["first_pos_b"])]
-            # a second seed needs a second shared k-mer; the converse does not
-            # hold today (SUMMA's per-stage merge re-reduces single records
-            # and drops their second seed — ROADMAP item 5)
+            # a second seed exactly when there is a second shared k-mer: the
+            # per-stage merge keeps the second seed a record already holds
+            assert (rec["second_pos_a"] != -1) == (rec["count"] > 1)
             if rec["second_pos_a"] != -1:
-                assert rec["count"] > 1
                 seeds.append((rec["second_pos_a"], rec["second_pos_b"]))
             for pos_a, pos_b in seeds:
                 assert len(strings[i][pos_a : pos_a + k]) == k
@@ -277,6 +276,34 @@ def test_blocked_discover_equals_scipy_oracle_block_by_block():
         candidates += found.nnz
     assert max_block_error == 0
     assert candidates == np.count_nonzero(oracle) > n  # off-diagonal overlaps exist
+
+
+@pytest.mark.parametrize("nodes", [1, 4, 9])
+def test_summa_overlap_payload_equals_serial_kernel_on_every_grid(nodes):
+    """Seeds are a function of the pair, not of the process grid.
+
+    SUMMA merges per-stage partial records with the semiring's reduce; that
+    merge is associative, so every field — the two seeds included — equals
+    one serial kernel call on the undistributed operands.
+    """
+    from repro.core.kmer_matrix import build_distributed_kmer_matrix
+    from repro.core.params import PastisParams
+    from repro.sparse.gustavson import spgemm_gustavson
+
+    seqs = synthetic_dataset(n_sequences=26, seed=31)
+    params = PastisParams(kmer_length=4, nodes=nodes, substitute_kmers=0)
+    comm = SimCommunicator(nodes)
+    a_dist, at_dist, _ = build_distributed_kmer_matrix(seqs, params, comm)
+    sr = OverlapSemiring()
+    serial = spgemm_gustavson(a_dist.to_global_coo(), at_dist.to_global_coo(), sr)
+    distributed = summa(a_dist, at_dist, sr, spgemm_backend="gustavson").to_global(sr)
+    assert np.array_equal(distributed.rows, serial.rows)
+    assert np.array_equal(distributed.cols, serial.cols)
+    for field in sr.value_dtype.names:
+        assert np.array_equal(distributed.values[field], serial.values[field]), field
+    values = serial.values
+    assert np.count_nonzero(values["count"] > 1) > 100
+    assert np.array_equal(values["second_pos_a"] != -1, values["count"] > 1)
 
 
 def test_blocked_summa_slices_each_stripe_once_under_racing_threads():

@@ -651,6 +651,29 @@ def test_process_worker_death_fails_fast_and_sweeps_shm(
     assert glob.glob("/dev/shm/repro-psched-*") == []
 
 
+def test_sweep_unlinks_zero_length_segment():
+    """A worker killed between creating its segment and sizing it leaves a
+    zero-length ``/dev/shm`` file that cannot be mapped; the teardown sweep
+    must unlink it by name instead of raising over the run's own error."""
+    import os
+    from multiprocessing import shared_memory
+
+    from repro.core.engine.process_executor import _segment_name, _sweep_segments
+
+    name = _segment_name("deadbeef", 0)
+    path = os.path.join("/dev/shm", name)
+    posixshmem = shared_memory._posixshmem
+    fd = posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
+    os.close(fd)
+    try:
+        assert os.path.getsize(path) == 0
+        _sweep_segments("deadbeef", 2)
+        assert not os.path.exists(path)
+    finally:
+        if os.path.exists(path):
+            posixshmem.shm_unlink("/" + name)
+
+
 def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatch):
     """An ordinary exception in a worker (not a crash) surfaces unchanged."""
     from repro.distsparse.blocked_summa import BlockedSpGemm

@@ -186,6 +186,68 @@ def test_prune_never_empties_a_column():
     assert np.allclose(pruned.column_sums(), 1.0)
 
 
+def lexsort_prune_reference(tcsr, threshold, top_k):
+    """The full-ranking prune: every stored entry ranked by one three-key lexsort."""
+    from repro.graph.matrix import PruneStats, stored_row_ids
+
+    values = tcsr.values
+    nnz = values.size
+    if nnz == 0:
+        return np.ones(0, dtype=bool), PruneStats()
+    col_ids = stored_row_ids(tcsr)
+    order = np.lexsort((tcsr.indices, -values, col_ids))
+    sorted_cols = col_ids[order]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(sorted_cols) != 0]))
+    counts = np.diff(np.concatenate([starts, [nnz]]))
+    rank = np.empty(nnz, dtype=np.int64)
+    rank[order] = np.arange(nnz) - np.repeat(starts, counts)
+    keep = (values >= threshold) | (rank == 0)
+    if top_k is not None:
+        keep &= rank < top_k
+    dropped = ~keep
+    if not np.any(dropped):
+        return keep, PruneStats()
+    dropped_mass = np.bincount(col_ids[dropped], weights=values[dropped], minlength=tcsr.shape[0])
+    return keep, PruneStats(
+        pruned_entries=int(dropped.sum()),
+        pruned_mass=float(dropped_mass.sum()),
+        pruned_mass_max=float(dropped_mass.max()),
+    )
+
+
+def random_prune_stripe(seed):
+    """A transpose-CSR stripe with value ties, empty stored rows, repeated and
+    unsorted indices, and stored rows lying wholly below any threshold."""
+    from repro.sparse.csr import CsrMatrix
+
+    rng = np.random.default_rng(seed)
+    nrows, ncols = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+    sizes = rng.integers(0, 12, nrows)
+    sizes[rng.random(nrows) < 0.25] = 0  # empty stored rows
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    nnz = int(indptr[-1])
+    indices = rng.integers(0, ncols, nnz)  # unsorted, with repeats
+    values = rng.choice(np.array([0.02, 0.05, 0.1, 0.1, 0.25, 0.5]), nnz)  # ties
+    values = np.where(rng.random(nnz) < 0.5, values, rng.random(nnz))
+    low = np.repeat(rng.random(nrows) < 0.2, sizes)
+    values[low] *= 0.01  # all-below-threshold stored rows
+    return CsrMatrix((nrows, ncols), indptr, indices, values)
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("top_k", [None, 1, 2, 5])
+def test_prune_keep_mask_equals_full_lexsort_ranking(seed, top_k):
+    """Select-only pruning is bit-identical to ranking every stored entry."""
+    from repro.graph.matrix import prune_keep_mask
+
+    tcsr = random_prune_stripe(seed)
+    for threshold in (0.0, 0.05, 0.1, 0.3, 2.0):
+        keep, stats = prune_keep_mask(tcsr, threshold, top_k)
+        ref_keep, ref_stats = lexsort_prune_reference(tcsr, threshold, top_k)
+        assert np.array_equal(keep, ref_keep)
+        assert stats == ref_stats
+
+
 def test_chaos_zero_on_idempotent_matrix():
     graph = SimilarityGraph.empty(6)
     m = StochasticMatrix.from_similarity_graph(graph)  # identity (self loops only)

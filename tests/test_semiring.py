@@ -163,6 +163,21 @@ def test_overlap_semiring_single_member_group():
     assert reduced["second_pos_a"][0] == -1
 
 
+def test_overlap_semiring_reduce_is_an_associative_merge():
+    """Re-reducing reduced records (SUMMA's per-stage merge) changes nothing."""
+    s = OverlapSemiring()
+    rng = np.random.default_rng(5)
+    products = s.multiply(rng.integers(0, 500, 40), rng.integers(0, 500, 40))
+    whole = s.reduce(products, np.array([0]))
+    for cuts in ([1], [2], [1, 2], [3, 17, 18, 39], list(range(1, 40))):
+        starts = np.array([0, *cuts])
+        partial = s.reduce(products, starts)
+        assert s.reduce(partial, np.array([0])) == whole
+    # a lone record keeps its own second seed
+    assert s.reduce(whole, np.array([0])) == whole
+    assert whole["second_pos_a"][0] == products["first_pos_a"][1]
+
+
 def test_value_dtypes():
     assert ArithmeticSemiring().value_dtype == np.dtype(np.float64)
     assert CountSemiring().value_dtype == np.dtype(np.int64)

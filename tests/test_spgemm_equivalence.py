@@ -12,6 +12,7 @@ overlap semiring, and the results are compared field by field.
 import numpy as np
 import pytest
 
+import repro.sparse.gustavson as gustavson_mod
 from repro.sparse.coo import CooMatrix
 from repro.sparse.gustavson import spgemm_gustavson
 from repro.sparse.kernels import available_kernels, get_kernel, register_kernel, resolve_kernel
@@ -145,6 +146,97 @@ def test_hypersparse_inner_dimension(semiring):
     assert c3 == c1 and (s3.flops, s3.output_nnz) == (s1.flops, s1.output_nnz)
 
 
+# ------------------------------------------------------------------ SciPy accumulator guard
+def _has_scipy():
+    return "scipy" in available_kernels()
+
+
+def _positive_operands(seed, inner=None):
+    """Positive, non-representable float operands with duplicate coordinates.
+
+    ``inner`` set: a hypersparse inner dimension of that length, entries
+    drawn from a shared pool of inner indices so products exist.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    nnz_a, nnz_b = int(rng.integers(1, 400)), int(rng.integers(1, 400))
+    if inner is None:
+        k = int(rng.integers(1, 50))
+        a_inner, b_inner = rng.integers(0, k, nnz_a), rng.integers(0, k, nnz_b)
+    else:
+        k = inner
+        pool = rng.integers(0, inner, 60)
+        a_inner, b_inner = rng.choice(pool, nnz_a), rng.choice(pool, nnz_b)
+    a = CooMatrix((n, k), rng.integers(0, n, nnz_a), a_inner, rng.random(nnz_a) + 1e-3)
+    b = CooMatrix((k, m), b_inner, rng.integers(0, m, nnz_b), rng.random(nnz_b) / 3 + 1e-3)
+    return a, b
+
+
+def _refuse_expand(*args, **kwargs):
+    raise AssertionError("row group took the expand path")
+
+
+@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("inner", [None, 20**12], ids=["dense_inner", "inner_20e12"])
+def test_positive_arithmetic_takes_scipy_accumulator_bit_identically(seed, inner, monkeypatch):
+    """Positive values never reach ``reduce_by_coordinate``, and the result,
+    values bitwise, and every ``SpGemmStats`` field equal the expand path
+    (a SciPy build contracting ``sums += a*b`` to an FMA would fail here)."""
+    a, b = _positive_operands(seed, inner)
+    for batch_flops in (97, 1 << 16):
+        # the oracle: the same kernel with SciPy absent, every group expanded
+        with monkeypatch.context() as patch:
+            patch.setattr(gustavson_mod, "_scipy_sparse", None)
+            expected, expected_stats = spgemm_gustavson(
+                a, b, ArithmeticSemiring(), return_stats=True, batch_flops=batch_flops
+            )
+        with monkeypatch.context() as patch:
+            patch.setattr(gustavson_mod, "reduce_by_coordinate", _refuse_expand)
+            got, stats = spgemm_gustavson(
+                a, b, ArithmeticSemiring(), return_stats=True, batch_flops=batch_flops
+            )
+        assert got == expected
+        assert np.array_equal(got.values, expected.values)
+        assert got.rows.dtype == got.cols.dtype == np.int64
+        assert stats == expected_stats
+    assert expected_stats.flops > 0
+    assert_kernels_identical(a, b, ArithmeticSemiring(), batch_flops=97)
+
+
+def _guard_case(kind):
+    """Operands the SciPy accumulator would get wrong: it drops zero sums."""
+    rows, cols = np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2])
+    b = CooMatrix((3, 2), np.array([0, 1, 2]), np.array([0, 0, 1]), np.array([1.0, 1.0, 0.5]))
+    if kind == "stored_zero":  # C(1, 0) = 0.0 * 1.0
+        values = np.array([0.5, 0.25, 0.0, 2.0])
+    elif kind == "cancel":  # C(0, 0) = 0.75 + -0.75
+        values = np.array([0.75, -0.75, 3.0, 2.0])
+    else:  # "underflow": C(2, 1) = 1e-200 * 0.5e-200 underflows to 0.0
+        values = np.array([0.5, 0.25, 3.0, 1e-200])
+        b.values[2] = 0.5e-200
+    return CooMatrix((3, 3), rows, cols, values), b
+
+
+@pytest.mark.parametrize("kind", ["stored_zero", "cancel", "underflow"])
+def test_zero_producing_inputs_fall_back_and_keep_explicit_zeros(kind, monkeypatch):
+    a, b = _guard_case(kind)
+    calls = {"n": 0}
+    original = gustavson_mod.reduce_by_coordinate
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gustavson_mod, "reduce_by_coordinate", counting)
+    c, stats = spgemm_gustavson(a, b, ArithmeticSemiring(), return_stats=True)
+    assert calls["n"] == stats.row_groups == 1
+    assert np.count_nonzero(c.values == 0.0) == 1  # the explicit zero survives
+    assert stats.output_nnz == c.nnz == 3
+    assert_kernels_identical(a, b, ArithmeticSemiring())
+    assert_kernels_identical(a, b, ArithmeticSemiring(), batch_flops=1)
+
+
 def test_row_groups_ignore_empty_rows():
     """Empty rows carry 0 flops, so they may not move a row-group boundary.
 
@@ -266,10 +358,6 @@ def test_reduce_by_coordinate_empty_input():
 
 
 # ------------------------------------------------------------------ scipy backend
-def _has_scipy():
-    return "scipy" in available_kernels()
-
-
 def _random_float_case(seed):
     """Canonical (duplicate-free) float64 operands for the scipy backend."""
     rng = np.random.default_rng(seed)
