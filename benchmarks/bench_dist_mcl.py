@@ -50,9 +50,7 @@ WORKLOAD = dict(
     seed=97,
 )
 
-BACKENDS = tuple(
-    k for k in ("expand", "gustavson", "auto", "scipy") if k in available_kernels()
-)
+BACKENDS = available_kernels()
 GRID_SIZES = (1, 4, 9)
 PROJECTION_NODES = [1, 4, 16, 64, 256]
 

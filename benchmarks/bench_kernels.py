@@ -21,6 +21,7 @@ from repro.sparse.coo import CooMatrix
 from repro.sparse.kernels import available_kernels, get_kernel, kernel_supports_semiring
 from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
 from repro.sparse.spgemm import spgemm
+from repro.sparse.spops import to_scipy_csr
 
 from _results import save_results
 
@@ -119,7 +120,7 @@ def time_overlap_backends(a, at, repeats):
     for name in available_kernels():
         kernel = get_kernel(name)
         if not kernel_supports_semiring(kernel, semiring):
-            continue  # e.g. the scipy backend, plain-arithmetic only
+            continue  # a backend declaring no overlap support
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -176,8 +177,7 @@ def inner_dimension_sweep(exponents=(5, 6, 7), n=400, nnz=6000, seed=9, repeats=
     ids from a ``20**5`` space, are multiplied as ``A·Aᵀ`` with the inner
     dimension declared ``20**e`` long.  The nonzeros — and so the flops —
     never change; only a kernel that allocates something as long as the
-    dimension slows down.  (The scipy backend is absent: its CSR cannot
-    exist without the full ``indptr``.)
+    dimension slows down.
     """
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, nnz)
@@ -228,16 +228,16 @@ def planted_mcl_operand(n=3000, seed=21):
 def time_plus_times_backends(t, repeats):
     """Best-of-``repeats`` seconds of the expansion ``Mᵀ·Mᵀ`` per backend.
 
-    ``"gustavson"`` (whose row groups go through SciPy's accumulator on
-    positive values), ``"expand"`` and ``"scipy"`` (when registered); the
-    results are asserted bit-equal, values included.
+    ``"gustavson"`` (one SciPy accumulator call on positive values) and
+    ``"expand"``, asserted bit-equal, values included; plus an unregistered
+    ``scipy.sparse`` row — the raw ``A @ B`` on prebuilt CSR operands, a
+    reference for what the hardware does with the same product (seconds
+    only).
     """
     semiring = ArithmeticSemiring()
     report = {}
     baseline = None
-    for name in ("gustavson", "expand", "scipy"):
-        if name not in available_kernels():
-            continue
+    for name in ("gustavson", "expand"):
         kernel = get_kernel(name)
         best = float("inf")
         for _ in range(repeats):
@@ -256,6 +256,13 @@ def time_plus_times_backends(t, repeats):
             "output_nnz": stats.output_nnz,
             "products_per_second": stats.flops / best if best else 0.0,
         }
+    reference = to_scipy_csr(t)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        reference @ reference
+        best = min(best, time.perf_counter() - t0)
+    report["scipy.sparse"] = {"seconds": best}
     return report
 
 
@@ -277,8 +284,9 @@ def _smoke() -> None:
     the memory-bound guarantee is asserted on every CI run, not only when the
     benchmark suite is invoked by hand; then the hypersparse guard (the same
     nonzeros in inner dimensions 20^5..20^7 must cost the Gustavson kernel the
-    same), the ``plus_times`` head-to-head on an MCL expansion (gustavson,
-    expand and scipy bit-equal, seconds per backend) and the align kernel's
+    same), the ``plus_times`` head-to-head on an MCL expansion (gustavson
+    and expand bit-equal, a raw ``scipy.sparse`` product as the reference
+    row, seconds per backend) and the align kernel's
     batch-width sweep, all written next to the other ``benchmarks/results``
     rows.
     """
@@ -317,10 +325,12 @@ def _smoke() -> None:
     print()
     print(header)
     print("-" * len(header))
+    flops = plus_times["gustavson"]["flops"]
     for name, row in plus_times.items():
         print(
-            f"{name:<12} {row['seconds']:>10.4f} {row['flops']:>8d} "
-            f"{row['output_nnz']:>8d} {row['products_per_second'] / 1e6:>8.1f}"
+            f"{name:<12} {row['seconds']:>10.4f} {flops:>8d} "
+            f"{plus_times['gustavson']['output_nnz']:>8d} "
+            f"{flops / row['seconds'] / 1e6:>8.1f}"
         )
     print("smoke OK: plus_times backends agree bit-for-bit on an MCL expansion")
 

@@ -18,9 +18,9 @@ content-hash key and the completed block is persisted under it:
 
 A :class:`StageCache` stores one ``.npz`` file per completed block in a
 per-run directory, written atomically (temp file + rename via
-:func:`repro.config.atomic_write_bytes`, the same hardened helper the
-calibration writer uses), so a SIGKILL mid-run loses at most the in-flight
-block.  Unreadable or truncated entries are treated as misses, never as
+:func:`repro.config.atomic_write_bytes`, the same hardened helper the index
+and run-manifest writers use), so a SIGKILL mid-run loses at most the
+in-flight block.  Unreadable or truncated entries are treated as misses, never as
 errors.
 
 **The cache invariant: a hit is bit-identical to recomputation.**  An entry
@@ -61,7 +61,7 @@ from ..params import PastisParams
 #: Cache schema / kernel-suite version.  Bump whenever the on-disk entry
 #: layout changes or a kernel change makes previously stored results stale;
 #: combined with the package version into every key (see :func:`version_tag`).
-CACHE_VERSION = "3"
+CACHE_VERSION = "4"
 
 #: Ledger counters charged exclusively by the discover lane (inside
 #: ``summa``); captured and restored per block alongside the lane's time
@@ -146,7 +146,6 @@ def params_cache_token(params: PastisParams) -> dict:
         "alignment_mode": params.alignment_mode,
         "spgemm_backend": params.spgemm_backend,
         "batch_flops": params.batch_flops,
-        "auto_compression_threshold": params.auto_compression_threshold,
         "substitution_matrix": _digest_matrix(params.scoring.matrix),
     }
 

@@ -101,28 +101,16 @@ class PastisParams:
         ``"seed_extend"`` (x-drop, cheaper, less sensitive).
     spgemm_backend:
         Local SpGEMM kernel used inside every SUMMA stage, by registry name
-        (see :mod:`repro.sparse.kernels`): ``"expand"`` (sort–expand–reduce,
-        fastest at low compression factors), ``"gustavson"`` (row-wise with
-        bounded intermediate memory, preferred when the compression factor
-        is high), or ``"auto"`` (pick per SUMMA stage from the predicted
-        compression factor).  Results are bit-identical in every case.  The
-        default comes from :data:`repro.config.DEFAULTS` — ``"gustavson"``
-        for the pipeline's overlap semiring, the memory-safe choice at the
-        high compression factors of ``A·Aᵀ``.
+        (see :mod:`repro.sparse.kernels`): ``"gustavson"`` (row-wise with
+        bounded intermediate memory; the default, from
+        :data:`repro.config.DEFAULTS`) or ``"expand"``
+        (sort–expand–reduce, the cross-kernel oracle).  Results are
+        bit-identical in every case.
     batch_flops:
-        Flop budget per row group of the ``"gustavson"`` backend (and of
-        ``"auto"`` when it picks it); bounds the kernel's peak intermediate
-        memory for memory-constrained runs.  ``None`` uses the kernel's
-        default; backends without batching reject an explicit value.
-    auto_compression_threshold:
-        Predicted-compression-factor crossover at which the ``"auto"``
-        backend routes to Gustavson instead of expand.  Promoted from the
-        former module constant so the crossover can be calibrated per run;
-        defaults to :data:`repro.config.DEFAULTS`'s value, which is the
-        registry constant :data:`repro.sparse.kernels.AUTO_COMPRESSION_THRESHOLD`
-        unless a measured calibration has been written back by
-        ``benchmarks/bench_auto_threshold.py --write-default`` (see
-        :func:`repro.config.write_calibration`).  Fixed backends ignore it.
+        Flop budget per row group of the ``"gustavson"`` backend; bounds the
+        kernel's peak intermediate memory for memory-constrained runs.
+        ``None`` uses the kernel's default; backends without batching reject
+        an explicit value.
     cluster:
         Post-search clustering stage configuration
         (:class:`repro.graph.api.ClusterParams`); disabled by default, in
@@ -222,7 +210,6 @@ class PastisParams:
     alignment_mode: str = "full_sw"
     spgemm_backend: str = DEFAULTS.spgemm_backend
     batch_flops: int | None = None
-    auto_compression_threshold: float = DEFAULTS.auto_compression_threshold
     cluster: ClusterParams = field(default_factory=ClusterParams)
     cache_dir: str | None = DEFAULTS.cache_dir
     cache_invalidate: bool = False
@@ -259,8 +246,7 @@ class PastisParams:
         if not kernel_supports_semiring(get_kernel(self.spgemm_backend), OverlapSemiring()):
             raise ValueError(
                 f"spgemm_backend {self.spgemm_backend!r} does not support the "
-                "pipeline's overlap semiring (it is registered for the plain "
-                "arithmetic semiring only, e.g. for repro.graph clustering)"
+                "pipeline's overlap semiring"
             )
         if self.batch_flops is not None and self.batch_flops < 1:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
@@ -273,8 +259,6 @@ class PastisParams:
                 "scheduler must be None, 'serial', 'overlapped', 'threaded' or "
                 f"'process', got {self.scheduler!r}"
             )
-        if self.auto_compression_threshold <= 0:
-            raise ValueError("auto_compression_threshold must be positive")
         if self.cache_dir is not None and not str(self.cache_dir).strip():
             raise ValueError("cache_dir must be a non-empty path (or None)")
         if self.cache_invalidate and self.cache_dir is None:

@@ -50,6 +50,7 @@ import numpy as np
 
 from ..distsparse.blocked_summa import BlockedSpGemm
 from ..graph.api import ClusteringResult, cluster_similarity_graph
+from ..metrics.imbalance import imbalance_percent
 from ..metrics.memory import MemoryTracker
 from ..metrics.timers import TimerRegistry
 from ..mpi.communicator import SimCommunicator
@@ -163,8 +164,8 @@ class PastisPipeline:
             # iterations) reach the recorder through the active-tracer global
             activate(tracer)
         if hub is not None:
-            # same pattern for metrics: spgemm_auto dispatch decisions and
-            # the SUMMA stage loop find the hub through the active global
+            # same pattern for metrics: the SUMMA stage loop finds the hub
+            # through the active global
             activate_metrics(hub)
         try:
             result = self._run_impl(sequences, resume, tracer, hub, phases, state)
@@ -309,7 +310,6 @@ class PastisPipeline:
             compute_category="spgemm_measured",
             spgemm_backend=params.spgemm_backend,
             batch_flops=params.batch_flops,
-            auto_compression_threshold=params.auto_compression_threshold,
         )
         aligner = AlignmentPhase(align_sequences, params, comm, cost_model)
         accumulator = StreamingGraphAccumulator(n_vertices=n_vertices)
@@ -470,8 +470,8 @@ class PastisPipeline:
             time_total=time_total,
             kernel_seconds=outcome.kernel_seconds,
             wall_seconds=time.perf_counter() - wall_start,
-            imbalance_align_percent=_imbalance_percent(ledger.per_rank("align")),
-            imbalance_sparse_percent=_imbalance_percent(ledger.per_rank("spgemm")),
+            imbalance_align_percent=imbalance_percent(ledger.per_rank("align")),
+            imbalance_sparse_percent=imbalance_percent(ledger.per_rank("spgemm")),
             extras={
                 "measured_align_seconds": outcome.measured_align_seconds,
                 "measured_discover_seconds": outcome.measured_discover_seconds,
@@ -577,10 +577,3 @@ def _feed_metrics(hub, phases, stage_cache, outcome, engine, accumulator) -> Non
         "peak_live_block_bytes", float(accumulator.peak_live_block_bytes)
     )
 
-
-def _imbalance_percent(per_rank: np.ndarray) -> float:
-    """(max/avg - 1) * 100, 0 when the average is zero."""
-    avg = float(np.mean(per_rank)) if per_rank.size else 0.0
-    if avg <= 0:
-        return 0.0
-    return (float(np.max(per_rank)) / avg - 1.0) * 100.0

@@ -143,17 +143,11 @@ class BlockedSpGemm:
         Ledger category local multiplies are charged to.
     spgemm_backend:
         Registry name of the local SpGEMM kernel every SUMMA stage uses
-        (see :mod:`repro.sparse.kernels`); ``None`` selects the default,
-        ``"auto"`` re-selects per stage from the predicted compression
-        factor.
+        (see :mod:`repro.sparse.kernels`); ``None`` selects the default.
     batch_flops:
         Per-row-group flop budget passed to every local multiply (bounds
         the Gustavson kernel's peak intermediate memory); ``None`` uses the
         kernel default.
-    auto_compression_threshold:
-        Dispatch crossover of the ``"auto"`` kernel
-        (``PastisParams.auto_compression_threshold``); ignored by fixed
-        backends, ``None`` keeps the registry default.
     deferred_merge:
         Run each block's SUMMA with the deferred local multiply (one kernel
         invocation per rank over the gathered stripes, after all stage
@@ -174,7 +168,6 @@ class BlockedSpGemm:
     compute_category: str = "spgemm"
     spgemm_backend: str | None = None
     batch_flops: int | None = None
-    auto_compression_threshold: float | None = None
     deferred_merge: bool = False
     collectives: object = None
     peak_block_bytes: int = field(default=0, init=False)
@@ -228,7 +221,6 @@ class BlockedSpGemm:
             compute_category=self.compute_category,
             spgemm_backend=self.spgemm_backend,
             batch_flops=self.batch_flops,
-            auto_compression_threshold=self.auto_compression_threshold,
             deferred_merge=self.deferred_merge,
             collectives=self.collectives,
         )

@@ -31,7 +31,6 @@ from ..sparse.coo import CooMatrix
 from ..sparse.kernels import (
     SpGemmKernel,
     kernel_supports_batch_flops,
-    kernel_supports_compression_threshold,
     resolve_kernel,
 )
 from ..sparse.semiring import Semiring
@@ -122,7 +121,6 @@ def summa(
     compute_category: str = "spgemm",
     spgemm_backend: str | SpGemmKernel | None = None,
     batch_flops: int | None = None,
-    auto_compression_threshold: float | None = None,
     deferred_merge: bool = False,
     collectives=None,
 ) -> SummaResult:
@@ -136,10 +134,6 @@ def summa(
     a callable; ``None`` uses the registry default.  ``batch_flops`` bounds
     the per-row-group flop budget of every local multiply (memory-constrained
     runs); the selected backend must support batching.
-    ``auto_compression_threshold`` calibrates the ``"auto"`` kernel's
-    dispatch crossover; backends without per-invocation dispatch ignore it
-    (the knob tunes a policy, unlike ``batch_flops``, which demands a
-    memory bound and is therefore rejected when unsupported).
 
     ``deferred_merge`` changes *when* each rank multiplies, not what it
     receives: the stage broadcasts (and their charged cost) are identical,
@@ -171,18 +165,14 @@ def summa(
     if output_shape is None:
         output_shape = (a.shape[0], b.shape[1])
     spgemm_kernel = resolve_kernel(spgemm_backend)
-    kernel_kwargs: dict[str, float] = {}
+    kernel_kwargs: dict[str, int] = {}
     if batch_flops is not None:
         if not kernel_supports_batch_flops(spgemm_kernel):
             raise ValueError(
                 f"spgemm_backend {spgemm_backend!r} does not support batch_flops; "
-                "use the 'gustavson' (or 'auto') backend for flop-budgeted batching"
+                "use the 'gustavson' backend for flop-budgeted batching"
             )
         kernel_kwargs["batch_flops"] = batch_flops
-    if auto_compression_threshold is not None and kernel_supports_compression_threshold(
-        spgemm_kernel
-    ):
-        kernel_kwargs["compression_threshold"] = auto_compression_threshold
 
     ledger = comm.ledger
     engine = comm.collectives if collectives is None else collectives
@@ -198,8 +188,7 @@ def summa(
     # it reaches the tracer through the module-level active-tracer global
     tracer = current_tracer()
     # kernel dispatch records (measured compression factor + per-kernel
-    # seconds, the raw material for online adaptive dispatch) go to the
-    # active metrics hub the same way — a worker's journaling hub rides the
+    # seconds) go to the active metrics hub the same way — a worker's journaling hub rides the
     # block header back to the parent
     metrics = current_metrics()
     backend_label = ""

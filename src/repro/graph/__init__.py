@@ -10,8 +10,8 @@ on the same substrates the search uses:
   pruning operators);
 * :mod:`repro.graph.mcl` — sparse Markov clustering, with expansion
   executed through the SpGEMM kernel registry under the plain arithmetic
-  semiring (bit-identical across every registered backend, including the
-  ``"scipy"`` fast path) and per-iteration flop/nnz/pruned-mass stats;
+  semiring (``"gustavson"`` by default, bit-identical to the ``"expand"``
+  oracle) and per-iteration flop/nnz/pruned-mass stats;
 * :mod:`repro.graph.dist` — *distributed* Markov clustering on the 2D
   process grid (see the stage map below);
 * :mod:`repro.graph.components` — dependency-free union-find connected

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..mpi.process_grid import is_perfect_square
-from ..sparse.kernels import available_kernels, get_kernel, kernel_supports_batch_flops
+from ..sparse.kernels import (
+    DEFAULT_KERNEL,
+    available_kernels,
+    get_kernel,
+    kernel_supports_batch_flops,
+)
 from .components import connected_components
 from .dist import DistMarkovClustering
 from .matrix import WEIGHT_TRANSFORMS
@@ -52,14 +57,13 @@ class ClusterParams:
         ``"components"``).
     spgemm_backend:
         Registry name of the SpGEMM backend executing MCL expansion;
-        ``None`` picks ``"scipy"`` when registered (the plain-semiring
-        fast path) and the registry default otherwise.  Results are
-        bit-identical either way.
+        ``None`` picks the registry default, ``"gustavson"`` — the kernel
+        the search pipeline uses too.  Results are bit-identical either
+        way.
     batch_flops:
         Optional flop budget bounding the expansion's intermediate memory.
-        Requires a batching backend: with ``spgemm_backend=None`` the
-        resolution switches to ``"gustavson"``; an explicit non-batching
-        backend is rejected at validation.
+        Requires a batching backend (the default is one); an explicit
+        non-batching backend is rejected at validation.
     nprocs:
         Number of virtual ranks the clustering stage runs on (a perfect
         square, as for the search grid).  ``1`` keeps the single-rank
@@ -149,8 +153,8 @@ class ClusterParams:
             ):
                 raise ValueError(
                     f"spgemm_backend {self.spgemm_backend!r} does not support "
-                    "batch_flops; use 'gustavson' or 'auto' (or leave the "
-                    "backend unset) for flop-budgeted expansion"
+                    "batch_flops; use 'gustavson' (or leave the backend "
+                    "unset) for flop-budgeted expansion"
                 )
         if not is_perfect_square(self.nprocs):
             raise ValueError(
@@ -162,19 +166,9 @@ class ClusterParams:
                 f"method 'mcl', got {self.method!r}"
             )
 
-    def resolve_backend(self) -> str | None:
-        """The backend actually used when none is configured explicitly.
-
-        ``"scipy"`` when registered (the plain-semiring fast path) — unless
-        a ``batch_flops`` budget is set, which is a request for bounded
-        intermediate memory only a batching backend can honor, so
-        ``"gustavson"`` is picked instead.
-        """
-        if self.spgemm_backend is not None:
-            return self.spgemm_backend
-        if self.batch_flops is not None:
-            return "gustavson"
-        return "scipy" if "scipy" in available_kernels() else None
+    def resolve_backend(self) -> str:
+        """The backend actually used: the configured one, else the default."""
+        return self.spgemm_backend or DEFAULT_KERNEL
 
     def replace(self, **overrides) -> "ClusterParams":
         """A copy with the given fields replaced."""

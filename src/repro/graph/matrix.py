@@ -18,7 +18,7 @@ CSC variant needed.
 Everything here is deterministic (stable sorts, index-ordered tie-breaks)
 and, because expansion goes through the registry whose backends are
 bit-identical under the arithmetic semiring, a whole MCL run is bit-identical
-across ``expand``/``gustavson``/``auto``/``scipy``.
+across ``gustavson`` (the default) and ``expand`` (the oracle).
 """
 
 from __future__ import annotations
@@ -379,7 +379,7 @@ class StochasticMatrix:
             if not kernel_supports_batch_flops(spgemm_kernel):
                 raise ValueError(
                     f"SpGEMM backend {kernel!r} does not support batch_flops; "
-                    "use 'gustavson' or 'auto' for flop-budgeted expansion"
+                    "use 'gustavson' for flop-budgeted expansion"
                 )
             kwargs["batch_flops"] = batch_flops
         t_coo = self.tcsr.to_coo()

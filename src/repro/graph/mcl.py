@@ -7,8 +7,9 @@ walks started inside a family keep circulating inside it, walks across a
 thin bridge are starved out.  The algorithm alternates
 
 * **expansion** — ``M ← M·M``, an SpGEMM under the plain arithmetic
-  semiring, dispatched through :mod:`repro.sparse.kernels` (any registered
-  backend; the ``"scipy"`` wrapper is the fast path where available);
+  semiring, dispatched through :mod:`repro.sparse.kernels` (by default
+  ``"gustavson"``, which hands positive-valued products to SciPy's row
+  accumulator in one call);
 * **inflation** — elementwise power ``Γ_r`` + column renormalization,
   sharpening strong transitions and starving weak ones;
 * **pruning** — per-column threshold / top-k sparsification, which is what
@@ -127,7 +128,7 @@ class MarkovClustering:
         (:meth:`StochasticMatrix.chaos`); 0 demands exact idempotency.
     spgemm_backend:
         Registry name (or callable) executing the expansion; ``None`` uses
-        the registry default.  Results are bit-identical for every backend.
+        the registry default, ``"gustavson"``.  Results are bit-identical for every backend.
     batch_flops:
         Optional flop budget forwarded to batching backends (bounds the
         expansion's intermediate memory).

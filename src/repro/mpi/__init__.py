@@ -19,15 +19,13 @@ algorithms run on a *simulated* SPMD runtime:
 
 The result of a distributed computation is *identical* to the serial one (the
 data really is partitioned, broadcast and multiplied per rank); only the
-clock is modelled.  An optional thread pool executes per-rank work
-concurrently for real speedups at small rank counts.
+clock is modelled.
 """
 
 from .costmodel import CostLedger, TimeBreakdown
 from .process_grid import ProcessGrid
 from .communicator import SimCommunicator
 from .collectives import CollectiveEngine
-from .executor import SpmdExecutor
 from .io import ParallelIoModel
 
 __all__ = [
@@ -36,6 +34,5 @@ __all__ = [
     "ProcessGrid",
     "SimCommunicator",
     "CollectiveEngine",
-    "SpmdExecutor",
     "ParallelIoModel",
 ]

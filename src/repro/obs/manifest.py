@@ -138,7 +138,6 @@ def build_manifest(
             "preblock_workers": params.preblock_workers,
             "spgemm_backend": str(params.spgemm_backend),
             "batch_flops": params.batch_flops,
-            "auto_compression_threshold": params.auto_compression_threshold,
         },
         "wall_seconds": wall_seconds,
         "phase_seconds": dict(phases.summary()) if phases is not None else {},

@@ -5,7 +5,7 @@ measures about itself — ledger seconds per category (via the same hook
 protocol :class:`repro.trace.TraceRecorder` implements), phase timers,
 cache hit/miss counters, scheduler lane stats, and per-SUMMA-stage
 kernel dispatch records (measured compression factor + per-kernel
-seconds, the raw material for online adaptive dispatch).
+seconds).
 
 Design constraints, in order:
 
@@ -76,8 +76,8 @@ class MetricsHub:
     The typed facade is :meth:`counter_add`, :meth:`gauge_set`, and
     :meth:`observe`; labels are passed as keyword arguments::
 
-        hub.counter_add("spgemm_dispatch", 1.0, kernel="gustavson")
-        hub.observe("spgemm_kernel_seconds", dt, backend="auto", stage="2")
+        hub.counter_add("spgemm_stage_flops", flops, backend="gustavson")
+        hub.observe("spgemm_kernel_seconds", dt, backend="gustavson", stage="2")
 
     The hub also speaks the :class:`~repro.mpi.costmodel.CostLedger`
     trace-hook protocol (:meth:`bump` / :meth:`set_value`), so it can be
@@ -147,14 +147,6 @@ class MetricsHub:
             backend=backend,
             stage=str(stage),
         )
-
-    def record_dispatch(self, kernel: str, predicted_cf: float | None) -> None:
-        """One ``spgemm_auto`` routing decision."""
-        self.counter_add("spgemm_dispatch", 1.0, kernel=kernel)
-        if predicted_cf is not None:
-            self.observe(
-                "spgemm_predicted_compression_factor", predicted_cf, kernel=kernel
-            )
 
     # ---- CostLedger trace-hook protocol ----------------------------------
 
@@ -292,7 +284,7 @@ def prometheus_from_snapshot(
     Histograms are exposed as ``_count``/``_sum`` summary pairs plus
     ``_min``/``_max`` gauges (native histogram buckets would force a
     bucket layout on callers; the four aggregates are what the
-    regression detector and adaptive dispatch consume).
+    regression detector consumes).
     """
     lines: list[str] = []
     seen_types: set[str] = set()

@@ -34,22 +34,19 @@ Contents
 
 Choosing a backend
 ------------------
-Both kernels return bit-identical outputs and flop/nnz statistics (the
-randomized harness in ``tests/test_spgemm_equivalence.py`` asserts this), so
-the choice is purely about resources.  The deciding quantity is the
-*compression factor* ``flops / output nnz`` (§V-B of the paper): the
-``"expand"`` kernel materializes every partial product at once, so its peak
-memory grows with flops; the ``"gustavson"`` kernel forms the output in
-flop-bounded row groups, so its peak memory stays near the output size.
-With a high compression factor (popular k-mers, dense overlap structure)
-prefer ``"gustavson"``; at low compression ``"expand"``'s single vectorized
-pass is the faster choice; ``"auto"`` makes that call per invocation from
-:func:`~repro.sparse.kernels.predict_compression_factor`.  End to end, the
-backend is picked with ``PastisParams(spgemm_backend=...)`` (default
-``"gustavson"``, the memory-safe choice for the overlap semiring), which
-the pipeline routes through
+There is one default: ``"gustavson"`` (:data:`~repro.sparse.kernels.DEFAULT_KERNEL`),
+for every semiring — the search pipeline's overlap multiply
+(``PastisParams(spgemm_backend=...)``, routed through
 :class:`repro.distsparse.blocked_summa.BlockedSpGemm` into every SUMMA
-stage; ``benchmarks/bench_kernels.py`` reports a head-to-head.
+stage) and Markov clustering's expansion alike.  It forms the output in
+flop-bounded row groups, so peak memory stays near the output size even at
+the overlap matrix's high compression factors (``flops / output nnz``, §V-B
+of the paper), and under the arithmetic semiring with positive values it
+hands the whole product to SciPy's row accumulator.  ``"expand"``
+materializes every partial product at once; it stays registered as the
+oracle: both return bit-identical outputs and flop/nnz statistics (the
+randomized harness in ``tests/test_spgemm_equivalence.py`` asserts this).
+``benchmarks/bench_kernels.py`` reports a head-to-head.
 """
 
 from .semiring import (
@@ -67,16 +64,12 @@ from .dcsc import DcscMatrix
 from .spgemm import spgemm, SpGemmStats
 from .gustavson import spgemm_gustavson
 from .kernels import (
-    AUTO_COMPRESSION_THRESHOLD,
     DEFAULT_KERNEL,
-    DEFAULT_OVERLAP_KERNEL,
     available_kernels,
     get_kernel,
     kernel_supports_batch_flops,
-    predict_compression_factor,
     register_kernel,
     resolve_kernel,
-    spgemm_auto,
 )
 from .spops import (
     transpose,
@@ -104,16 +97,12 @@ __all__ = [
     "spgemm",
     "spgemm_gustavson",
     "SpGemmStats",
-    "AUTO_COMPRESSION_THRESHOLD",
     "DEFAULT_KERNEL",
-    "DEFAULT_OVERLAP_KERNEL",
     "available_kernels",
     "get_kernel",
     "kernel_supports_batch_flops",
-    "predict_compression_factor",
     "register_kernel",
     "resolve_kernel",
-    "spgemm_auto",
     "transpose",
     "triu",
     "tril",

@@ -14,25 +14,29 @@ algorithm): for each row ``i`` of ``A``, the rows of ``B`` selected by
 processed in flop-bounded groups, so peak intermediate memory is
 ``O(max(batch_flops, max_row_flops))`` instead of ``O(total_flops)``.
 
-Each row group has one of two accumulators:
+A call has one of two accumulators:
 
 * **SciPy's row accumulator** (the fast path) for the plain arithmetic
   semiring when SciPy imports and every live ``A`` value and every ``B``
-  value is ``> 0`` with ``min(a) * min(b) > 0`` in float64.  The group
+  value is ``> 0`` with ``min(a) * min(b) > 0`` in float64.  The whole call
   becomes one ``csr_array @ csr_array`` on the compressed operands — ``A``'s
   live rows with column ids relabelled onto ``B``'s non-empty rows, so the
   inner dimension is at most ``nnz(B)`` even when the real one is 20¹² —
-  plus ``sort_indices()``.  SciPy's scalar accumulator adds each output
+  plus one ``sort_indices()``.  SciPy's scalar accumulator adds each output
   entry's partial products in ascending inner index, then ``B``-row order,
   starting from ``0.0``: the strict left-to-right association
   :func:`~repro.sparse.semiring.sequential_segment_sum` emulates, and
   ``0.0 + p == p`` for ``p > 0``.  The guard is what keeps that exact: no
   product underflows to 0 and no sum cancels to 0, so SciPy, which silently
-  drops zero sums, drops nothing; a NaN fails ``> 0`` as well.
+  drops zero sums, drops nothing; a NaN fails ``> 0`` as well.  SciPy
+  materializes no partial products, so the flop-bounded row groups are
+  only counted here: ``SpGemmStats.row_groups`` and ``intermediate_bytes``
+  (the expand form's modeled peak) are those the expand path would report.
 * **Expand, then a stable sort by output coordinate and
-  ``semiring.reduce``** (:func:`~repro.sparse.spgemm.reduce_by_coordinate`)
-  for every other semiring and every input that fails the guard.  It is the
-  fallback and the oracle the fast path is tested against.
+  ``semiring.reduce``** (:func:`~repro.sparse.spgemm.reduce_by_coordinate`),
+  one flop-bounded row group at a time, for every other semiring and every
+  input that fails the guard.  It is the fallback and the oracle the fast
+  path is tested against.
 
 Every call costs ``O(nnz + flops)`` and allocates nothing as long as an
 operand dimension — the inner (k-mer) dimension is ``|alphabet|^k`` long and
@@ -181,84 +185,81 @@ def spgemm_gustavson(
     row_ptr = run_pointers(entry_rows)
     row_cum = entry_cum[row_ptr]
 
-    # SciPy's row accumulator where it is exact (module docstring): B′ is B
-    # over its non-empty rows, built once; each group's A′ is its live rows
-    # with inner index b_pos, so the inner dimension is at most nnz(B)
-    b_scipy = None
+    # flop-bounded row groups over the live rows: each [r, r_next) is the
+    # largest range whose flops fit the budget, and never less than one row
+    bounds = [0]
+    nrows = row_ptr.size - 1
+    while bounds[-1] < nrows:
+        r = bounds[-1]
+        r_next = int(np.searchsorted(row_cum, row_cum[r] + batch_flops, side="right")) - 1
+        bounds.append(min(max(r_next, r + 1), nrows))
+    group_flops = np.diff(row_cum[bounds])
+
+    # SciPy's row accumulator where it is exact (module docstring): one
+    # product of A′ — A's live rows with inner index b_pos — and B′ — B over
+    # its non-empty rows — so the inner dimension is at most nnz(B)
+    exact = False
     if _scipy_sparse is not None and type(semiring) is ArithmeticSemiring:
         a_float = np.asarray(entry_values, dtype=np.float64)
         b_float = np.asarray(b_values, dtype=np.float64)
         a_min, b_min = a_float.min(), b_float.min()
-        if a_min > 0 and b_min > 0 and a_min * b_min > 0:
-            b_scipy = _scipy_sparse.csr_array(
-                (b_float, b_cols, b_indptr), shape=(b_row_ids.size, b.shape[1])
-            )
-            # one partial product of the expand form: row, column, float64
-            product_bytes = entry_rows.itemsize + b_cols.itemsize + a_float.itemsize
-
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    vals_parts: list[np.ndarray] = []
-    peak_bytes = 0
-
-    r = 0
-    nrows = row_ptr.size - 1
-    while r < nrows:
-        # largest row range [r, r_next) whose flops fit the budget (≥ 1 row)
-        r_next = int(np.searchsorted(row_cum, row_cum[r] + batch_flops, side="right")) - 1
-        r_next = min(max(r_next, r + 1), nrows)
-        lo, hi = int(row_ptr[r]), int(row_ptr[r_next])
-        group_ptr = row_ptr[r : r_next + 1]
-        r = r_next
-        group_flops = int(entry_cum[hi] - entry_cum[lo])
-
-        if b_scipy is not None:
-            # intermediate_bytes stays the expand form's peak — modeled here,
-            # since SciPy's accumulator materializes no partial products
-            peak_bytes = max(peak_bytes, group_flops * product_bytes)
-            a_group = _scipy_sparse.csr_array(
-                (a_float[lo:hi], b_pos[lo:hi], group_ptr - lo),
-                shape=(group_ptr.size - 1, b_row_ids.size),
-            )
-            product = a_group @ b_scipy
-            product.sort_indices()
-            group_rows = np.repeat(entry_rows[group_ptr[:-1]], np.diff(product.indptr))
-            group_cols, group_vals = product.indices, product.data
-        else:
+        exact = a_min > 0 and b_min > 0 and a_min * b_min > 0
+    if exact:
+        b_scipy = _scipy_sparse.csr_array(
+            (b_float, b_cols, b_indptr), shape=(b_row_ids.size, b.shape[1])
+        )
+        a_scipy = _scipy_sparse.csr_array(
+            (a_float, b_pos, row_ptr), shape=(nrows, b_row_ids.size)
+        )
+        product = a_scipy @ b_scipy
+        product.sort_indices()
+        # intermediate_bytes stays the expand form's peak — modeled, since
+        # SciPy's accumulator materializes no partial products: one row,
+        # column and float64 value per partial product of the largest group
+        product_bytes = entry_rows.itemsize + b_cols.itemsize + a_float.itemsize
+        peak_bytes = int(group_flops.max()) * product_bytes
+        out_rows = np.repeat(entry_rows[row_ptr[:-1]], np.diff(product.indptr))
+        out_cols, out_vals = product.indices, product.data
+    else:
+        rows_parts: list[np.ndarray] = []
+        cols_parts: list[np.ndarray] = []
+        vals_parts: list[np.ndarray] = []
+        peak_bytes = 0
+        for r, r_next in zip(bounds[:-1], bounds[1:]):
+            lo, hi = int(row_ptr[r]), int(row_ptr[r_next])
             # expand: for each A entry in row-major order, all entries of B's
             # row — ascending inner index with input-order ties, mirroring
             # the expansion order of the sort–expand–reduce kernel
             reps = entry_cost[lo:hi]
-            b_idx = np.arange(group_flops, dtype=np.int64)
+            b_idx = np.arange(entry_cum[hi] - entry_cum[lo], dtype=np.int64)
             b_idx += np.repeat(b_start[lo:hi] - (entry_cum[lo:hi] - entry_cum[lo]), reps)
-            out_rows = np.repeat(entry_rows[lo:hi], reps)
-            out_cols = b_cols[b_idx]
+            group_rows = np.repeat(entry_rows[lo:hi], reps)
+            group_cols = b_cols[b_idx]
             products = np.asarray(
                 semiring.multiply(np.repeat(entry_values[lo:hi], reps), b_values[b_idx])
             )
-            peak_bytes = max(peak_bytes, out_rows.nbytes + out_cols.nbytes + products.nbytes)
+            peak_bytes = max(
+                peak_bytes, group_rows.nbytes + group_cols.nbytes + products.nbytes
+            )
 
             # accumulate: stable group-by output coordinate, then semiring
             # reduce (shared with the expand kernel — the bit-identity linchpin)
             group_rows, group_cols, group_vals = reduce_by_coordinate(
-                out_rows, out_cols, products, semiring
+                group_rows, group_cols, products, semiring
             )
-        rows_parts.append(group_rows)
-        cols_parts.append(group_cols)
-        vals_parts.append(group_vals)
+            rows_parts.append(group_rows)
+            cols_parts.append(group_cols)
+            vals_parts.append(group_vals)
+        out_rows = np.concatenate(rows_parts)
+        out_cols = np.concatenate(cols_parts)
+        out_vals = np.concatenate(vals_parts)
 
-    result = CooMatrix(
-        out_shape,
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts),
-        check=False,
-    )
+    result = CooMatrix(out_shape, out_rows, out_cols, out_vals, check=False)
     stats = SpGemmStats(
         flops=flops,
         output_nnz=result.nnz,
         intermediate_bytes=peak_bytes,
         compression_factor=flops / result.nnz if result.nnz else 1.0,
-        row_groups=len(rows_parts),
+        row_groups=len(bounds) - 1,
     )
     return (result, stats) if return_stats else result

@@ -104,12 +104,12 @@ def sequential_segment_sum(values: np.ndarray, group_starts: np.ndarray) -> np.n
     bound.)
 
     This is what makes the plain arithmetic semiring bit-identical across
-    every registered SpGEMM backend *including* those that accumulate in
-    SciPy — the ``"scipy"`` wrapper and the Gustavson kernel's fast path,
-    which skips this function whenever SciPy's accumulator is exact
-    (:mod:`repro.sparse.gustavson`).  What remains here is the ``"expand"``
-    kernel, the Gustavson fallback, and the oracle both SciPy paths are
-    tested against (``tests/test_spgemm_equivalence.py``).
+    every registered SpGEMM backend *including* the Gustavson kernel's fast
+    path, which accumulates in SciPy and skips this function whenever
+    SciPy's accumulator is exact (:mod:`repro.sparse.gustavson`).  What
+    remains here is the ``"expand"`` kernel, the Gustavson fallback, and the
+    oracle the SciPy path is tested against
+    (``tests/test_spgemm_equivalence.py``).
     """
     values = np.asarray(values, dtype=np.float64)
     group_starts = np.asarray(group_starts, dtype=np.int64)
@@ -147,8 +147,7 @@ class ArithmeticSemiring(Semiring):
     left-to-right association) rather than ``np.add.reduceat``, so the sums
     are bit-identical to any scalar accumulator that adds partial products
     in generation order — in particular SciPy's CSR matmul, which backs the
-    registry's ``"scipy"`` kernel and, when every value is positive, the
-    Gustavson kernel's row groups.  That kernel detects this semiring by
+    Gustavson kernel whenever every value is positive.  That kernel detects this semiring by
     exact type: a subclass may change multiply or reduce, so it never takes
     the SciPy path.
     """

@@ -48,11 +48,11 @@ def test_defaults_match_paper_parameters():
 
 def test_default_spgemm_backend_is_wired_and_registered():
     from repro.core.params import PastisParams
-    from repro.sparse import DEFAULT_OVERLAP_KERNEL, available_kernels
+    from repro.sparse import DEFAULT_KERNEL, available_kernels
 
     assert DEFAULTS.spgemm_backend in available_kernels()
-    # one source of truth: registry overlap default -> config -> params default
-    assert DEFAULTS.spgemm_backend == DEFAULT_OVERLAP_KERNEL == "gustavson"
+    # one source of truth: registry default -> config -> params default
+    assert DEFAULTS.spgemm_backend == DEFAULT_KERNEL == "gustavson"
     assert PastisParams().spgemm_backend == DEFAULTS.spgemm_backend
 
 

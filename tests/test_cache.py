@@ -238,6 +238,24 @@ def test_version_tag_bump_invalidates(tmp_path, tiny_seqs, monkeypatch):
     assert rerun.stats.extras["cache"]["hits"] == 0
 
 
+def test_entries_keyed_before_the_threshold_removal_do_not_match(tmp_path, tiny_seqs, monkeypatch):
+    """The params token lost the dispatch-threshold field, so schema 4 keys
+    differ from schema 3 keys even for otherwise equal parameters: a cache
+    written under "3" is never read by the current version."""
+    params = _params(tmp_path)
+    token = cache_mod.params_cache_token(params)
+    assert "auto_compression_threshold" not in token
+    assert token["spgemm_backend"] == "gustavson"
+    assert cache_mod.CACHE_VERSION == "4"
+    current_key = cache_mod.run_cache_key(params, tiny_seqs)
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "3")
+    assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
+    PastisPipeline(params).run(tiny_seqs)
+    monkeypatch.undo()
+    rerun = PastisPipeline(params).run(tiny_seqs)
+    assert rerun.stats.extras["cache"]["hits"] == 0
+
+
 def test_cache_invalidate_forces_recompute(tmp_path, tiny_seqs):
     params = _params(tmp_path)
     PastisPipeline(params).run(tiny_seqs)

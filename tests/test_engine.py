@@ -333,55 +333,12 @@ def test_batch_flops_rejected_by_non_batching_backend(small_seqs, fast_params):
         PastisParams(batch_flops=0)
 
 
-def test_auto_backend_matches_fixed_backends(small_seqs, fast_params, pipeline_result):
-    """Per-stage auto selection changes nothing about results or accounting."""
-    auto = PastisPipeline(fast_params.replace(spgemm_backend="auto")).run(small_seqs)
-    assert auto.similarity_graph == pipeline_result.similarity_graph
-    assert auto.stats.spgemm_flops == pipeline_result.stats.spgemm_flops
-    assert auto.stats.candidates_discovered == pipeline_result.stats.candidates_discovered
-
-
-def test_auto_compression_threshold_plumbs_to_dispatch(small_seqs, fast_params):
-    """The params knob reaches every SUMMA stage's auto dispatch.
-
-    Forcing the threshold to the extremes pins the dispatch to one backend
-    each way; the graphs must agree (backends are bit-identical) while the
-    forced-Gustavson run shows its row-group batching in the stats.
-    """
-    base = fast_params.replace(spgemm_backend="auto", batch_flops=64)
-    all_gustavson = PastisPipeline(
-        base.replace(auto_compression_threshold=1e-9)
-    ).run(small_seqs)
-    # batch_flops forces the gustavson path regardless, so drop it for the
-    # expand-pinning run
-    all_expand = PastisPipeline(
-        base.replace(auto_compression_threshold=1e9, batch_flops=None)
-    ).run(small_seqs)
-    assert all_gustavson.similarity_graph == all_expand.similarity_graph
-    assert (
-        all_gustavson.stats.extras["spgemm_row_groups"]
-        > all_expand.stats.extras["spgemm_row_groups"]
-    )
-
-
-def test_predict_compression_factor_is_a_lower_bound():
-    from repro.sparse import CooMatrix, predict_compression_factor, spgemm
-
-    rng = np.random.default_rng(5)
-    n, k, nnz = 60, 12, 600
-    a = CooMatrix(
-        (n, k),
-        rng.integers(0, n, nnz),
-        rng.integers(0, k, nnz),
-        rng.integers(1, 9, nnz).astype(np.int64),
-    ).deduplicate()
-    _, stats = spgemm(a, a.transpose(), return_stats=True)
-    predicted = predict_compression_factor(a, a.transpose())
-    assert 1.0 <= predicted <= stats.compression_factor
-    # dense-ish overlap product: the bound is informative, not vacuous
-    assert predicted > 1.5
-    empty = CooMatrix.empty((4, 4))
-    assert predict_compression_factor(empty, empty) == 1.0
+def test_expand_oracle_matches_default_backend(small_seqs, fast_params, pipeline_result):
+    """The ``"expand"`` oracle changes nothing about results or accounting."""
+    oracle = PastisPipeline(fast_params.replace(spgemm_backend="expand")).run(small_seqs)
+    assert oracle.similarity_graph == pipeline_result.similarity_graph
+    assert oracle.stats.spgemm_flops == pipeline_result.stats.spgemm_flops
+    assert oracle.stats.candidates_discovered == pipeline_result.stats.candidates_discovered
 
 
 # ---------------------------------------------------------------- threaded executor

@@ -28,11 +28,11 @@ from repro.graph import (
     size_histogram,
 )
 from repro.sequences.synthetic import synthetic_dataset
-from repro.sparse.kernels import available_kernels
+from repro.sparse.kernels import DEFAULT_KERNEL
 
-#: Backends exercised by the cross-backend bit-identity tests ("scipy"
-#: participates exactly when it is registered, i.e. when scipy importable).
-MCL_BACKENDS = [k for k in ("expand", "gustavson", "auto", "scipy") if k in available_kernels()]
+#: Backends exercised by the cross-backend bit-identity tests: the default
+#: and the oracle.
+MCL_BACKENDS = ["expand", "gustavson"]
 
 
 def make_edges(pairs, ani=0.8, coverage=0.9, score=50):
@@ -297,6 +297,20 @@ def test_mcl_is_deterministic():
     assert stable(a) == stable(b)
 
 
+def test_mcl_default_backend_equals_expand_oracle_bitwise():
+    """A caller naming no backend gets the default kernel, bit-equal to the
+    ``"expand"`` oracle: labels, final iterate and per-iteration stats."""
+    m = StochasticMatrix.from_similarity_graph(bridged_cliques())
+    default = MarkovClustering().fit(m)
+    oracle = MarkovClustering(spgemm_backend="expand").fit(m)
+    assert default.iterations[0].backend == DEFAULT_KERNEL == "gustavson"
+    assert np.array_equal(default.labels, oracle.labels)
+    assert default.final_matrix.same_bits(oracle.final_matrix)
+    for got, want in zip(default.iterations, oracle.iterations, strict=True):
+        for field in ("nnz", "flops", "pruned_entries", "pruned_mass", "chaos"):
+            assert getattr(got, field) == getattr(want, field), field
+
+
 @pytest.mark.parametrize("workload_seed", [3, 11])
 def test_mcl_bit_identical_across_backends(workload_seed):
     """Every registered backend produces the same labels AND the same bits."""
@@ -413,8 +427,9 @@ def test_cluster_params_validation():
         ClusterParams(spgemm_backend="bogus")
     with pytest.raises(ValueError, match="batch_flops"):
         ClusterParams(batch_flops=0)
-    params = ClusterParams()
-    assert params.resolve_backend() == ("scipy" if "scipy" in available_kernels() else None)
+    assert ClusterParams().resolve_backend() == "gustavson"
+    assert ClusterParams(enabled=True).resolve_backend() == "gustavson"
+    assert ClusterParams(enabled=True, batch_flops=4096).resolve_backend() == "gustavson"
     assert ClusterParams(spgemm_backend="expand").resolve_backend() == "expand"
 
 
@@ -426,10 +441,7 @@ def test_cluster_params_batch_flops_resolves_to_batching_backend():
     assert result.n_clusters == 2
     with pytest.raises(ValueError, match="batch_flops"):
         ClusterParams(spgemm_backend="expand", batch_flops=4096)
-    if "scipy" in available_kernels():
-        with pytest.raises(ValueError, match="batch_flops"):
-            ClusterParams(spgemm_backend="scipy", batch_flops=4096)
-    ClusterParams(spgemm_backend="auto", batch_flops=4096)  # batching backends fine
+    ClusterParams(spgemm_backend="gustavson", batch_flops=4096)  # batching backend fine
 
 
 def test_cluster_similarity_graph_components_method():
@@ -470,6 +482,26 @@ def test_pipeline_cluster_stage_end_to_end():
     assert search_only.clustering is None
     assert search_only.stats.time_total == pytest.approx(result.stats.time_total)
     assert "cluster" in result.ledger.categories()
+
+
+def test_pipeline_search_and_cluster_stages_share_the_default_kernel():
+    """A run naming no backend anywhere uses one kernel for the search and
+    the clustering stage, and the clustering equals the ``"expand"`` oracle."""
+    seqs = synthetic_dataset(n_sequences=40, seed=5)
+    params = PastisParams(
+        kmer_length=5, common_kmer_threshold=1, nodes=4, num_blocks=1,
+        cluster=ClusterParams(enabled=True),
+    )
+    assert params.spgemm_backend == params.cluster.resolve_backend() == DEFAULT_KERNEL
+    result = PastisPipeline(params).run(seqs)
+    assert {it.backend for it in result.clustering.iterations} == {DEFAULT_KERNEL}
+    oracle = cluster_similarity_graph(
+        result.similarity_graph, params.cluster.replace(spgemm_backend="expand")
+    )
+    assert np.array_equal(result.clustering.labels, oracle.labels)
+    assert [it.flops for it in result.clustering.iterations] == [
+        it.flops for it in oracle.iterations
+    ]
 
 
 def test_pipeline_cluster_report_is_json_serializable(tmp_path):

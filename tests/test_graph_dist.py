@@ -4,8 +4,8 @@ Acceptance criteria of the subsystem:
 
 * distributed MCL labels *and* the final matrix are bit-identical to
   single-rank :class:`~repro.graph.mcl.MarkovClustering` across grid sizes
-  {1, 4, 9} and every registered SpGEMM backend (including ``"scipy"``
-  when present), with and without the overlapped schedule;
+  {1, 4, 9} and both SpGEMM backends (the default ``"gustavson"`` and the
+  ``"expand"`` oracle), with and without the overlapped schedule;
 * the per-rank ledger reconciles with the simulated clock:
   ``cluster_expand + cluster_prune − cluster_overlap_hidden == combined``;
 * the ``cluster_comm`` byte counters match the closed-form broadcast
@@ -39,10 +39,10 @@ from repro.graph.dist import CLUSTER_COUNTER_PREFIX
 from repro.io.report import clustering_report, clustering_table
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences.synthetic import synthetic_dataset
-from repro.sparse.kernels import available_kernels
+from repro.sparse.kernels import DEFAULT_KERNEL
 
-#: Every registered backend participates ("scipy" exactly when importable).
-MCL_BACKENDS = [k for k in ("expand", "gustavson", "auto", "scipy") if k in available_kernels()]
+#: The default kernel and the oracle.
+MCL_BACKENDS = ["expand", "gustavson"]
 GRID_SIZES = [1, 4, 9]
 
 
@@ -96,6 +96,19 @@ def test_dist_mcl_bit_identical_to_serial(matrix, serial_result, nprocs, backend
     assert dist.final_matrix.same_bits(serial_result.final_matrix)
     assert dist.converged == serial_result.converged
     assert dist.n_iterations == serial_result.n_iterations
+
+
+@pytest.mark.parametrize("nprocs", GRID_SIZES)
+def test_dist_mcl_default_backend_equals_expand_oracle(matrix, serial_result, nprocs):
+    """Naming no backend runs the default kernel on every rank, bit-equal to
+    single-rank MCL on the ``"expand"`` oracle, per-iteration flops included."""
+    dist = DistMarkovClustering(nprocs=nprocs).fit(matrix)
+    assert {it.backend for it in dist.iterations} == {DEFAULT_KERNEL}
+    assert np.array_equal(dist.labels, serial_result.labels)
+    assert dist.final_matrix.same_bits(serial_result.final_matrix)
+    assert [it.flops for it in dist.iterations] == [
+        it.flops for it in serial_result.iterations
+    ]
 
 
 @pytest.mark.parametrize("nprocs", [4, 9])

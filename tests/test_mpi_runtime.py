@@ -1,4 +1,4 @@
-"""Tests for the simulated MPI runtime: ledger, grid, collectives, executor, IO."""
+"""Tests for the simulated MPI runtime: ledger, grid, collectives, IO."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.mpi.costmodel import (
     TimeBreakdown,
     charge_overlap_slot,
 )
-from repro.mpi.executor import SpmdExecutor
 from repro.mpi.io import ParallelIoModel
 from repro.mpi.process_grid import ProcessGrid, is_perfect_square
 from repro.sparse.coo import CooMatrix
@@ -324,7 +323,7 @@ def test_point_to_point_and_barrier(engine):
     assert ledger.component_time("comm") > 0
 
 
-# ---------------------------------------------------------------- communicator / executor / io
+# ---------------------------------------------------------------- communicator / io
 def test_communicator_grid_and_charges():
     comm = SimCommunicator(4)
     assert comm.size == 4
@@ -346,26 +345,6 @@ def test_communicator_non_square_world():
 def test_communicator_invalid_size():
     with pytest.raises(ValueError):
         SimCommunicator(0)
-
-
-def test_spmd_executor_serial_and_threaded():
-    ledger = CostLedger(4)
-    executor = SpmdExecutor(ledger=ledger, use_threads=False)
-    results = executor.run(4, lambda rank: rank * rank, category="work")
-    assert results == [0, 1, 4, 9]
-    assert np.all(ledger.per_rank("work") >= 0)
-
-    ledger2 = CostLedger(4)
-    threaded = SpmdExecutor(ledger=ledger2, use_threads=True)
-    assert threaded.run(4, lambda rank: rank + 1, category="work") == [1, 2, 3, 4]
-
-
-def test_spmd_executor_charged_variant():
-    ledger = CostLedger(2)
-    executor = SpmdExecutor(ledger=ledger)
-    results = executor.run_charged(2, lambda rank: (rank, 0.5 + rank), category="align")
-    assert results == [0, 1]
-    assert ledger.per_rank("align").tolist() == [0.5, 1.5]
 
 
 def test_parallel_io_model():

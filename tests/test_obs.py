@@ -8,8 +8,7 @@ The observability contract under test has four legs:
   ``tests/test_trace.py`` asserts for tracing).
 * **Fidelity** — the hub's ``ledger_seconds`` counters equal the
   ledger's own per-category sums, SUMMA-stage kernel histograms are
-  journaled in the discover workers and merged parent-side, and
-  ``spgemm_auto`` dispatch decisions are counted.
+  journaled in the discover workers and merged parent-side.
 * **Manifests** — every run, success *and* failure path (including a
   SIGKILLed worker), leaves a schema-versioned, loadable ``run.json``
   in the registry; a crashed run records its partial phase timers.
@@ -226,25 +225,28 @@ def test_active_hub_defaults_to_none():
     assert current_metrics() is None
 
 
-def test_record_spgemm_stage_and_dispatch():
+def test_record_spgemm_stage():
     hub = MetricsHub()
     hub.record_spgemm_stage("gustavson", 0, 0.01, 100.0, 4.0)
     hub.record_spgemm_stage("gustavson", 0, 0.03, 300.0, 2.0)
-    hub.record_dispatch("expand", 1.5)
-    hub.record_dispatch("gustavson", None)  # no prediction → no histogram
     assert hub.value("spgemm_stage_invocations", backend="gustavson") == 2.0
     assert hub.value("spgemm_stage_flops", backend="gustavson") == 400.0
     kernel = hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="0")
     assert kernel["count"] == 2.0 and kernel["max"] == 0.03
     cf = hub.histogram("spgemm_compression_factor", backend="gustavson", stage="0")
     assert cf["min"] == 2.0 and cf["max"] == 4.0
-    assert hub.value("spgemm_dispatch", kernel="expand") == 1.0
-    assert hub.value("spgemm_dispatch", kernel="gustavson") == 1.0
-    predicted = hub.histogram("spgemm_predicted_compression_factor", kernel="expand")
-    assert predicted["count"] == 1.0
-    assert hub.histogram(
-        "spgemm_predicted_compression_factor", kernel="gustavson"
-    ) is None
+
+
+def test_default_run_records_stages_under_the_default_kernel(tiny_seqs, fast_params):
+    """Every SUMMA stage of a default run is recorded under ``"gustavson"``;
+    there is no dispatch decision left to count."""
+    observed = _run(tiny_seqs, fast_params, metrics=True)
+    hub = observed.metrics
+    assert hub.value("spgemm_stage_invocations", backend="gustavson") > 0
+    assert hub.value("spgemm_stage_flops", backend="gustavson") == observed.stats.spgemm_flops
+    names = {row["name"] for rows in hub.snapshot().values() for row in rows}
+    assert not names & {"spgemm_dispatch", "spgemm_predicted_compression_factor"}
+    assert not hasattr(hub, "record_dispatch")
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +292,6 @@ def test_tracing_and_metrics_fan_out_the_ledger_hook(tiny_seqs, fast_params):
     )
     traced_align = [c.value for c in both.trace.counters if c.name == "ledger.align"]
     assert traced_align and traced_align[-1] == pytest.approx(align_sum)
-
-
-def test_auto_dispatch_decisions_are_counted(tiny_seqs, fast_params):
-    plain = _run(tiny_seqs, fast_params, spgemm_backend="auto")
-    observed = _run(tiny_seqs, fast_params, spgemm_backend="auto", metrics=True)
-    assert_observed_identical(plain, observed)
-    hub = observed.metrics
-    dispatched = hub.value("spgemm_dispatch", kernel="gustavson") + hub.value(
-        "spgemm_dispatch", kernel="expand"
-    )
-    assert dispatched > 0
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_hypersparse_inner_dimension(semiring):
 
     Any array as long as that dimension (a CSR ``indptr``, a ``bincount``)
     cannot be allocated, so this passes only while the kernels touch nothing
-    but the nonzeros.  ``"scipy"`` is exempt: its CSR *is* the ``indptr``.
+    but the nonzeros.
     """
     inner = 20**12
     rng = np.random.default_rng(12)
@@ -140,15 +140,13 @@ def test_hypersparse_inner_dimension(semiring):
     )
     assert_kernels_identical(a, b, semiring)
     assert_kernels_identical(a, b, semiring, batch_flops=97)
-    c1, s1 = spgemm(a, b, semiring, return_stats=True)
+    _, s1 = spgemm(a, b, semiring, return_stats=True)
     assert s1.flops > 500
-    c3, s3 = get_kernel("auto")(a, b, semiring, return_stats=True)
-    assert c3 == c1 and (s3.flops, s3.output_nnz) == (s1.flops, s1.output_nnz)
 
 
 # ------------------------------------------------------------------ SciPy accumulator guard
 def _has_scipy():
-    return "scipy" in available_kernels()
+    return gustavson_mod._scipy_sparse is not None
 
 
 def _positive_operands(seed, inner=None):
@@ -357,9 +355,9 @@ def test_reduce_by_coordinate_empty_input():
     assert vals.dtype == OverlapSemiring().value_dtype
 
 
-# ------------------------------------------------------------------ scipy backend
+# ------------------------------------------------------------------ raw SciPy oracle
 def _random_float_case(seed):
-    """Canonical (duplicate-free) float64 operands for the scipy backend."""
+    """Canonical (duplicate-free) float64 operands, ``SciPy``'s own convention."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
     k = int(rng.integers(1, 50))
@@ -377,115 +375,203 @@ def _random_float_case(seed):
 
 @pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
 @pytest.mark.parametrize("seed", range(15))
-def test_scipy_backend_bit_identical_under_arithmetic_semiring(seed):
-    """Values, indices, and flop accounting all match the native kernels.
+def test_gustavson_matches_raw_scipy_product_bitwise(seed):
+    """Values, indices, and flop accounting match an independent SciPy product.
 
     Bit-identity (not allclose) holds because the arithmetic semiring
     reduces with strict left-to-right association — the same order SciPy's
     scalar accumulator adds partial products in.
     """
-    from repro.sparse.kernels import spgemm_scipy
+    from repro.sparse.spops import from_scipy, to_scipy_csr
 
     a, b = _random_float_case(seed)
+    reference = to_scipy_csr(a) @ to_scipy_csr(b)
+    reference.sort_indices()
     c1, s1 = spgemm(a, b, ArithmeticSemiring(), return_stats=True)
     c2, s2 = spgemm_gustavson(a, b, ArithmeticSemiring(), return_stats=True, batch_flops=131)
-    c3, s3 = spgemm_scipy(a, b, ArithmeticSemiring(), return_stats=True)
-    assert c1 == c2 == c3
-    assert np.array_equal(c1.values, c3.values)  # bitwise, beyond __eq__'s dtype check
-    assert s1.flops == s2.flops == s3.flops
-    assert s1.output_nnz == s3.output_nnz
+    expected = from_scipy(reference)
+    assert c1 == c2 == expected
+    assert np.array_equal(c2.values, expected.values)  # bitwise, beyond __eq__
+    assert s1.flops == s2.flops
+    assert s1.output_nnz == s2.output_nnz == reference.nnz
 
 
 @pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
-def test_scipy_backend_accepts_csr_and_default_semiring():
+@pytest.mark.parametrize("batch_flops", [1, 64, 1 << 16])
+def test_positive_arithmetic_is_one_scipy_product_per_call(batch_flops, monkeypatch):
+    """However many flop-bounded row groups a call has, the SciPy path runs
+    one ``csr_array @ csr_array``; results match ``"expand"`` and every
+    ``SpGemmStats`` field matches the expand path of the same kernel."""
+    a, b = _positive_operands(7)
+    with monkeypatch.context() as patch:
+        patch.setattr(gustavson_mod, "_scipy_sparse", None)
+        _, oracle_stats = spgemm_gustavson(
+            a, b, ArithmeticSemiring(), return_stats=True, batch_flops=batch_flops
+        )
+    products = []
+    matmul = gustavson_mod._scipy_sparse.csr_array.__matmul__
+
+    def spy(self, other):
+        products.append(self.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(gustavson_mod._scipy_sparse.csr_array, "__matmul__", spy)
+    got, stats = spgemm_gustavson(
+        a, b, ArithmeticSemiring(), return_stats=True, batch_flops=batch_flops
+    )
+    monkeypatch.undo()
+    expected, expand_stats = spgemm(a, b, ArithmeticSemiring(), return_stats=True)
+    assert len(products) == 1
+    assert got == expected
+    assert np.array_equal(got.values, expected.values)
+    assert stats == oracle_stats
+    assert (stats.flops, stats.output_nnz, stats.compression_factor) == (
+        expand_stats.flops, expand_stats.output_nnz, expand_stats.compression_factor
+    )
+    if batch_flops < 1 << 16:
+        assert stats.row_groups > 1
+
+
+def _spy_scipy_products(monkeypatch):
+    """Record the shape of every ``csr_array @`` the kernel runs."""
+    products = []
+    matmul = gustavson_mod._scipy_sparse.csr_array.__matmul__
+
+    def spy(self, other):
+        products.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(gustavson_mod._scipy_sparse.csr_array, "__matmul__", spy)
+    return products
+
+
+@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
+@pytest.mark.parametrize("kind", ["stored_zero", "cancel", "underflow"])
+def test_guarded_inputs_make_no_scipy_product(kind, monkeypatch):
+    """The exactness guard trips before SciPy is called, whatever the
+    row-group count; the expand path alone forms the (oracle-equal) result."""
+    a, b = _guard_case(kind)
+    expected, expected_stats = spgemm(a, b, ArithmeticSemiring(), return_stats=True)
+    products = _spy_scipy_products(monkeypatch)
+    for batch_flops in (1, 1 << 16):
+        got, stats = spgemm_gustavson(
+            a, b, ArithmeticSemiring(), return_stats=True, batch_flops=batch_flops
+        )
+        assert got == expected
+        assert np.array_equal(got.values, expected.values)
+        assert (stats.flops, stats.output_nnz) == (expected_stats.flops, expected_stats.output_nnz)
+    assert products == []
+
+
+@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
+def test_one_scipy_product_has_compressed_inner_dimension(monkeypatch):
+    """On a ``20**12``-long inner dimension the single SciPy product runs over
+    ``B``'s non-empty rows only, and ``A``'s live rows only."""
+    a, b = _positive_operands(3, inner=20**12)
+    expected = spgemm(a, b, ArithmeticSemiring())
+    products = _spy_scipy_products(monkeypatch)
+    got = spgemm_gustavson(a, b, ArithmeticSemiring(), batch_flops=5)
+    assert got == expected
+    assert np.array_equal(got.values, expected.values)
+    assert len(products) == 1
+    (a_rows, inner), (b_inner, m) = products[0]
+    assert inner == b_inner <= np.unique(b.rows).size
+    assert a_rows <= np.unique(a.rows).size
+    assert m == b.shape[1]
+
+
+@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
+def test_csr_operands_take_the_same_single_scipy_product(monkeypatch):
     from repro.sparse.csr import CsrMatrix
-    from repro.sparse.kernels import spgemm_scipy
 
-    a, b = _random_float_case(3)
-    via_coo = spgemm_scipy(a, b)
-    via_csr = spgemm_scipy(CsrMatrix.from_coo(a), CsrMatrix.from_coo(b))
-    assert via_coo == via_csr == spgemm(a, b)
-
-
-@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
-def test_scipy_backend_rejects_overloaded_semirings():
-    from repro.sparse.kernels import kernel_supports_semiring, spgemm_scipy
-
-    a, b = _random_float_case(0)
-    with pytest.raises(ValueError, match="plain arithmetic"):
-        spgemm_scipy(a, b, OverlapSemiring())
-    assert not kernel_supports_semiring(spgemm_scipy, OverlapSemiring())
-    assert kernel_supports_semiring(spgemm_scipy, ArithmeticSemiring())
-    assert kernel_supports_semiring(spgemm_scipy, None)
-    # generic backends remain semiring-agnostic
-    assert kernel_supports_semiring(spgemm, OverlapSemiring())
+    a, b = _positive_operands(11)
+    a_csr = CsrMatrix.from_coo(a.deduplicate())
+    b_csr = CsrMatrix.from_coo(b.deduplicate())
+    expected, expected_stats = spgemm(
+        a_csr.to_coo(), b_csr.to_coo(), ArithmeticSemiring(), return_stats=True
+    )
+    products = _spy_scipy_products(monkeypatch)
+    via_csr, stats = spgemm_gustavson(
+        a_csr, b_csr, ArithmeticSemiring(), return_stats=True, batch_flops=64
+    )
+    assert len(products) == 1
+    assert via_csr == expected
+    assert np.array_equal(via_csr.values, expected.values)
+    assert (stats.flops, stats.output_nnz) == (expected_stats.flops, expected_stats.output_nnz)
+    assert stats.row_groups > 1
 
 
-@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
-def test_scipy_backend_empty_cases():
-    from repro.sparse.kernels import spgemm_scipy
-
-    c, s = spgemm_scipy(
+@pytest.mark.parametrize("backend", ["expand", "gustavson"])
+def test_registered_kernels_empty_operands(backend):
+    """Both registered kernels agree on empty and zero-dimension products."""
+    kernel = get_kernel(backend)
+    c, s = kernel(
         CooMatrix.empty((4, 6), dtype=np.float64),
         CooMatrix.empty((6, 3), dtype=np.float64),
+        ArithmeticSemiring(),
         return_stats=True,
     )
     assert c.nnz == 0 and c.shape == (4, 3)
-    assert s.flops == 0
+    assert (s.flops, s.output_nnz) == (0, 0)
+    c0 = kernel(CooMatrix.empty((0, 5)), CooMatrix.empty((5, 2)))
+    assert c0.shape == (0, 2) and c0.nnz == 0
     with pytest.raises(ValueError, match="inner dimensions"):
-        spgemm_scipy(CooMatrix.empty((3, 4)), CooMatrix.empty((5, 3)))
+        kernel(CooMatrix.empty((3, 4)), CooMatrix.empty((5, 3)))
 
 
-def test_scipy_backend_excluded_from_pipeline_params():
-    """The overlap pipeline must reject plain-arithmetic-only backends."""
-    if not _has_scipy():
-        pytest.skip("scipy not importable")
+@pytest.mark.parametrize("name", ["auto", "scipy"])
+def test_removed_backend_names_are_rejected_everywhere(name):
+    """The deleted backends are unknown names to every consumer."""
     from repro.core.params import PastisParams
+    from repro.graph import ClusterParams, DistMarkovClustering, MarkovClustering
 
+    assert name not in available_kernels()
+    with pytest.raises(ValueError, match="unknown SpGEMM kernel"):
+        get_kernel(name)
+    with pytest.raises(ValueError, match="unknown SpGEMM kernel"):
+        resolve_kernel(name)
+    with pytest.raises(ValueError):
+        PastisParams(spgemm_backend=name)
+    with pytest.raises(ValueError, match="spgemm_backend"):
+        ClusterParams(spgemm_backend=name)
+    with pytest.raises(ValueError, match="unknown SpGEMM kernel"):
+        MarkovClustering(spgemm_backend=name)
+    with pytest.raises(ValueError, match="unknown SpGEMM kernel"):
+        DistMarkovClustering(nprocs=4, spgemm_backend=name)
+
+
+def test_registry_holds_the_default_and_the_oracle():
+    """Two NumPy kernels, plus the compiled one only when numba imports."""
+    from repro.sparse import kernels as kernels_mod
+
+    names = set(available_kernels())
+    assert names - {"gustavson-numba"} == {"expand", "gustavson"}
+    assert kernels_mod.DEFAULT_KERNEL == "gustavson"
+    for removed in ("spgemm_auto", "spgemm_scipy", "predict_compression_factor",
+                    "AUTO_COMPRESSION_THRESHOLD", "DEFAULT_OVERLAP_KERNEL"):
+        assert not hasattr(kernels_mod, removed), removed
+
+
+def test_kernel_supports_semiring_reads_the_declaration(monkeypatch):
+    """Backends are generic unless they declare ``supported_semirings``; the
+    overlap pipeline rejects a registered backend declaring no overlap."""
+    import repro.sparse.kernels as kernels_mod
+    from repro.core.params import PastisParams
+    from repro.sparse.kernels import kernel_supports_semiring
+
+    def plain_only(a, b, semiring=None, return_stats=False):
+        return spgemm(a, b, semiring, return_stats=return_stats)
+
+    plain_only.supported_semirings = ("plus_times",)
+    assert not kernel_supports_semiring(plain_only, OverlapSemiring())
+    assert kernel_supports_semiring(plain_only, ArithmeticSemiring())
+    assert kernel_supports_semiring(plain_only, None)
+    # generic backends remain semiring-agnostic
+    assert kernel_supports_semiring(spgemm, OverlapSemiring())
+    assert kernel_supports_semiring(spgemm_gustavson, OverlapSemiring())
+    monkeypatch.setitem(kernels_mod._KERNELS, "plain-only", plain_only)
     with pytest.raises(ValueError, match="overlap semiring"):
-        PastisParams(spgemm_backend="scipy")
-
-
-# ------------------------------------------------------------------ auto threshold
-def test_auto_compression_threshold_steers_dispatch():
-    """threshold -> 0 forces Gustavson, threshold -> inf forces expand."""
-    from repro.sparse.kernels import (
-        kernel_supports_compression_threshold,
-        spgemm_auto,
-    )
-
-    rng = np.random.default_rng(21)
-    a = CooMatrix(
-        (150, 20), rng.integers(0, 150, 3000), rng.integers(0, 20, 3000),
-        rng.random(3000),
-    ).deduplicate()
-    # big enough that the Gustavson default flop budget forces >1 row group,
-    # making the chosen backend observable through SpGemmStats
-    _, low = spgemm_auto(
-        a, a.transpose(), ArithmeticSemiring(), return_stats=True, compression_threshold=0.0
-    )
-    _, high = spgemm_auto(
-        a, a.transpose(), ArithmeticSemiring(), return_stats=True,
-        compression_threshold=float("inf"),
-    )
-    assert low.row_groups > 1  # Gustavson path, batched
-    assert high.row_groups == 1  # expand path, single pass
-    assert low.intermediate_bytes < high.intermediate_bytes
-    assert low.flops == high.flops
-    assert kernel_supports_compression_threshold(spgemm_auto)
-    assert not kernel_supports_compression_threshold(spgemm)
-    assert not kernel_supports_compression_threshold(spgemm_gustavson)
-
-
-def test_auto_compression_threshold_plumbs_through_params():
-    from repro.core.params import PastisParams
-    from repro.sparse.kernels import AUTO_COMPRESSION_THRESHOLD
-
-    assert PastisParams().auto_compression_threshold == AUTO_COMPRESSION_THRESHOLD
-    params = PastisParams(auto_compression_threshold=7.5)
-    assert params.auto_compression_threshold == 7.5
-    with pytest.raises(ValueError, match="auto_compression_threshold"):
-        PastisParams(auto_compression_threshold=0.0)
+        PastisParams(spgemm_backend="plain-only")
 
 
 # ------------------------------------------------------------------ numba backend
@@ -588,7 +674,7 @@ def test_registry_lookup_and_default():
     assert set(available_kernels()) >= {"expand", "gustavson"}
     assert get_kernel("expand") is spgemm
     assert get_kernel("gustavson") is spgemm_gustavson
-    assert resolve_kernel(None) is spgemm
+    assert resolve_kernel(None) is spgemm_gustavson
     assert resolve_kernel("gustavson") is spgemm_gustavson
     assert resolve_kernel(spgemm_gustavson) is spgemm_gustavson
 
