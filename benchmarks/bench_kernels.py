@@ -225,6 +225,37 @@ def planted_mcl_operand(n=3000, seed=21):
     return StochasticMatrix.from_similarity_graph(graph).tcsr.to_coo()
 
 
+def time_two_backends(a, b, semiring, repeats):
+    """Best-of-``repeats`` seconds of ``A·B`` under ``semiring`` for
+    ``"gustavson"`` and ``"expand"``, asserted bit-equal: coordinates,
+    values (dtype included) and flop/nnz accounting."""
+    report = {}
+    baseline = None
+    for name in ("gustavson", "expand"):
+        kernel = get_kernel(name)
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result, stats = kernel(a, b, semiring, return_stats=True)
+            best = min(best, time.perf_counter() - t0)
+        if baseline is None:
+            baseline = (result, stats)
+        else:
+            assert (
+                result == baseline[0]
+                and result.values.dtype == baseline[0].values.dtype
+                and np.array_equal(result.values, baseline[0].values)
+                and (stats.flops, stats.output_nnz) == (baseline[1].flops, baseline[1].output_nnz)
+            ), f"backend {name!r} disagrees with the others"
+        report[name] = {
+            "seconds": best,
+            "flops": stats.flops,
+            "output_nnz": stats.output_nnz,
+            "products_per_second": stats.flops / best if best else 0.0,
+        }
+    return report
+
+
 def time_plus_times_backends(t, repeats):
     """Best-of-``repeats`` seconds of the expansion ``Mᵀ·Mᵀ`` per backend.
 
@@ -234,28 +265,7 @@ def time_plus_times_backends(t, repeats):
     reference for what the hardware does with the same product (seconds
     only).
     """
-    semiring = ArithmeticSemiring()
-    report = {}
-    baseline = None
-    for name in ("gustavson", "expand"):
-        kernel = get_kernel(name)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result, stats = kernel(t, t, semiring, return_stats=True)
-            best = min(best, time.perf_counter() - t0)
-        if baseline is None:
-            baseline = result
-        else:
-            assert result == baseline and np.array_equal(result.values, baseline.values), (
-                f"backend {name!r} disagrees with the others"
-            )
-        report[name] = {
-            "seconds": best,
-            "flops": stats.flops,
-            "output_nnz": stats.output_nnz,
-            "products_per_second": stats.flops / best if best else 0.0,
-        }
+    report = time_two_backends(t, t, ArithmeticSemiring(), repeats)
     reference = to_scipy_csr(t)
     best = float("inf")
     for _ in range(repeats):
@@ -264,6 +274,18 @@ def time_plus_times_backends(t, repeats):
         best = min(best, time.perf_counter() - t0)
     report["scipy.sparse"] = {"seconds": best}
     return report
+
+
+def kmer_count_operands(n=600, k=5, seed=97):
+    """``A`` and ``Aᵀ`` of a seeded synthetic set, built the way the search
+    pipeline builds them (one sort each, positions as values): candidate
+    discovery's count product."""
+    from repro.core.kmer_matrix import build_kmer_operands
+    from repro.core.params import PastisParams
+
+    seqs = synthetic_dataset(n_sequences=n, seed=seed)
+    a, at, _ = build_kmer_operands(seqs, PastisParams(kmer_length=k))
+    return a, at
 
 
 def test_count_spgemm_scales_with_nnz(benchmark):
@@ -286,7 +308,8 @@ def _smoke() -> None:
     nonzeros in inner dimensions 20^5..20^7 must cost the Gustavson kernel the
     same), the ``plus_times`` head-to-head on an MCL expansion (gustavson
     and expand bit-equal, a raw ``scipy.sparse`` product as the reference
-    row, seconds per backend) and the align kernel's
+    row, seconds per backend), the count-semiring head-to-head on k-mer
+    operands (candidate discovery's product, bit-equal) and the align kernel's
     batch-width sweep, all written next to the other ``benchmarks/results``
     rows.
     """
@@ -333,6 +356,19 @@ def _smoke() -> None:
             f"{flops / row['seconds'] / 1e6:>8.1f}"
         )
     print("smoke OK: plus_times backends agree bit-for-bit on an MCL expansion")
+
+    count = time_two_backends(*kmer_count_operands(), CountSemiring(), repeats=3)
+    save_results("kernel_spgemm_count", count)
+    header = f"{'count':<12} {'seconds':>10} {'flops':>8} {'nnz':>8} {'Mflop/s':>8}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for name, row in count.items():
+        print(
+            f"{name:<12} {row['seconds']:>10.4f} {row['flops']:>8d} "
+            f"{row['output_nnz']:>8d} {row['products_per_second'] / 1e6:>8.1f}"
+        )
+    print("smoke OK: count backends agree bit-for-bit on k-mer operands")
 
     sweep = align_width_sweep()
     save_results("kernel_batch_sw_widths", sweep)

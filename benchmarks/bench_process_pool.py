@@ -10,8 +10,10 @@ survives pure-Python stage orchestration at the cost of fork + shm-mapping
 overhead per block.
 
 The sweep crosses scheduler {threaded, process} x discover workers x local
-SpGEMM kernel ({gustavson} plus ``gustavson-numba`` when the optional numba
-extra is installed — ``pip install .[fast]``), all at speculative depth 2
+SpGEMM kernel (every registered backend besides the ``"expand"`` oracle
+that supports the count semiring discovery multiplies with — today
+``"gustavson"``; ``"gustavson-numba"`` declares no count support and the
+search refuses it), all at speculative depth 2
 under ``clock="measured"``.  Every configuration is asserted bit-identical
 to the serial baseline — scheduler, worker count and kernel may move wall
 time, never results.
@@ -39,7 +41,8 @@ import numpy as np
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.sequences.synthetic import SyntheticDatasetConfig, synthetic_dataset
-from repro.sparse.kernels import available_kernels
+from repro.sparse.kernels import available_kernels, get_kernel, kernel_supports_semiring
+from repro.sparse.semiring import CountSemiring
 
 from _results import save_results
 
@@ -60,11 +63,11 @@ DEPTH = 2
 
 
 def _kernels() -> tuple[str, ...]:
-    """Pure-NumPy gustavson always; the compiled backend when registered."""
-    kernels = ["gustavson"]
-    if "gustavson-numba" in available_kernels():
-        kernels.append("gustavson-numba")
-    return tuple(kernels)
+    """The registered backends a search can run, the oracle aside."""
+    return tuple(
+        name for name in available_kernels()
+        if name != "expand" and kernel_supports_semiring(get_kernel(name), CountSemiring())
+    )
 
 
 def _params(**overrides) -> PastisParams:

@@ -40,7 +40,7 @@ class ReproConfig:
         Default blocking factor (paper production run: 20x20; strong scaling
         experiments use 8x8).
     spgemm_backend:
-        Default SpGEMM kernel for the pipeline's overlap-semiring multiply,
+        Default SpGEMM kernel for the pipeline's candidate-discovery multiply,
         by registry name (``"gustavson"`` or ``"expand"``).  Mirrors
         :data:`repro.sparse.kernels.DEFAULT_KERNEL` — the registry is the
         single source of truth, so the pipeline, Markov clustering and

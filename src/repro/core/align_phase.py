@@ -174,22 +174,31 @@ class AlignmentPhase:
 
     # ------------------------------------------------------------------ helpers
     def _seed_extend_rank(self, candidates: CooMatrix) -> np.ndarray:
-        """X-drop seed-extension alignment of one rank's candidates."""
-        results = np.zeros(candidates.nnz, dtype=ALIGNMENT_RESULT_DTYPE)
+        """X-drop seed-extension alignment of one rank's candidates.
+
+        The candidates must carry overlap records (``first_pos_a`` … fields);
+        a candidate without seeds has nothing to extend from, so it is
+        refused rather than extended from an invented position.
+        """
         values = candidates.values
-        has_seeds = values.dtype.names is not None and "first_pos_a" in values.dtype.names
+        if "first_pos_a" not in (values.dtype.names or ()):
+            pairs = ", ".join(
+                f"({i}, {j})" for i, j in zip(candidates.rows[:3], candidates.cols[:3])
+            )
+            raise ValueError(
+                f"seed_extend alignment got {candidates.nnz} candidate(s) with no seed "
+                f"fields (value dtype {values.dtype}), e.g. {pairs}"
+            )
+        results = np.zeros(candidates.nnz, dtype=ALIGNMENT_RESULT_DTYPE)
         for idx in range(candidates.nnz):
             i = int(candidates.rows[idx])
             j = int(candidates.cols[idx])
             a_codes = self.sequences.codes(i)
             b_codes = self.sequences.codes(j)
-            if has_seeds:
-                seeds = [
-                    (int(values["first_pos_a"][idx]), int(values["first_pos_b"][idx])),
-                    (int(values["second_pos_a"][idx]), int(values["second_pos_b"][idx])),
-                ]
-            else:
-                seeds = [(0, 0)]
+            seeds = [
+                (int(values["first_pos_a"][idx]), int(values["first_pos_b"][idx])),
+                (int(values["second_pos_a"][idx]), int(values["second_pos_b"][idx])),
+            ]
             res = seed_and_extend(
                 a_codes,
                 b_codes,

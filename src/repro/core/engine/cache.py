@@ -61,7 +61,7 @@ from ..params import PastisParams
 #: Cache schema / kernel-suite version.  Bump whenever the on-disk entry
 #: layout changes or a kernel change makes previously stored results stale;
 #: combined with the package version into every key (see :func:`version_tag`).
-CACHE_VERSION = "4"
+CACHE_VERSION = "5"
 
 #: Ledger counters charged exclusively by the discover lane (inside
 #: ``summa``); captured and restored per block alongside the lane's time

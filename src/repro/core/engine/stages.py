@@ -4,11 +4,15 @@ One :class:`BlockTask` per output block of the blocked overlap computation,
 with four explicit stages:
 
 ``discover``
-    Run the Blocked 2D Sparse SUMMA for this block and derive the per-rank
-    sparse (SpGEMM + stripe-traversal) seconds under the configured clock.
+    Run the Blocked 2D Sparse SUMMA for this block — shared-k-mer counts
+    under :class:`~repro.sparse.semiring.CountSemiring` — and derive the
+    per-rank sparse (SpGEMM + stripe-traversal) seconds under the configured
+    clock.
 ``prune``
     Apply the load-balancing scheme's element selection, drop self pairs,
-    and apply the common-k-mer threshold — per rank.
+    and apply the common-k-mer threshold — per rank; discovery produced
+    shared-k-mer counts only, so under ``alignment_mode="seed_extend"`` the
+    survivors' seed positions are gathered here too.
 ``align``
     Batch-align the surviving candidate pairs (no ledger charging here; the
     scheduler owns charging so it can apply contention multipliers).
@@ -204,6 +208,10 @@ class BlockTask:
                 pruned = drop_self_pairs(pruned)
                 pruned = filter_common_kmers(pruned, ctx.params.common_kmer_threshold)
                 per_rank.append(pruned)
+            if ctx.params.alignment_mode == "seed_extend":
+                # discovery counted shared k-mers only; the survivors' seeds
+                # are gathered here, where they are read
+                per_rank = ctx.engine.with_seeds(self.block_row, self.block_col, per_rank)
             self.candidates = per_rank
         return per_rank
 

@@ -22,8 +22,9 @@ from ..sparse.spops import filter_values
 def filter_common_kmers(block: CooMatrix, threshold: int) -> CooMatrix:
     """Keep overlap elements with at least ``threshold`` shared k-mers.
 
-    Works on overlap-semiring values (``count`` field) as well as plain
-    integer counts (the :class:`repro.sparse.semiring.CountSemiring` output).
+    Works on plain integer counts (the
+    :class:`repro.sparse.semiring.CountSemiring` output candidate discovery
+    produces) as well as on overlap-semiring values (``count`` field).
     """
     if block.nnz == 0:
         return block

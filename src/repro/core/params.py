@@ -19,7 +19,7 @@ from ..sparse.kernels import (
     get_kernel,
     kernel_supports_semiring,
 )
-from ..sparse.semiring import OverlapSemiring
+from ..sparse.semiring import CountSemiring, OverlapSemiring
 
 
 @dataclass
@@ -105,7 +105,10 @@ class PastisParams:
         bounded intermediate memory; the default, from
         :data:`repro.config.DEFAULTS`) or ``"expand"``
         (sort–expand–reduce, the cross-kernel oracle).  Results are
-        bit-identical in every case.
+        bit-identical in every case.  The backend must support the count
+        semiring discovery multiplies with (and, for ``"seed_extend"``, the
+        overlap semiring seeds are gathered with); ``"gustavson-numba"``
+        declares no count support and is refused.
     batch_flops:
         Flop budget per row group of the ``"gustavson"`` backend; bounds the
         kernel's peak intermediate memory for memory-constrained runs.
@@ -243,11 +246,17 @@ class PastisParams:
                 f"spgemm_backend must be one of {available_kernels()}, "
                 f"got {self.spgemm_backend!r}"
             )
-        if not kernel_supports_semiring(get_kernel(self.spgemm_backend), OverlapSemiring()):
-            raise ValueError(
-                f"spgemm_backend {self.spgemm_backend!r} does not support the "
-                "pipeline's overlap semiring"
-            )
+        # discovery multiplies with the count semiring; seed extension also
+        # gathers its seeds with the overlap semiring
+        needed = [CountSemiring()]
+        if self.alignment_mode == "seed_extend":
+            needed.append(OverlapSemiring())
+        for semiring in needed:
+            if not kernel_supports_semiring(get_kernel(self.spgemm_backend), semiring):
+                raise ValueError(
+                    f"spgemm_backend {self.spgemm_backend!r} does not support the "
+                    f"pipeline's {semiring.name!r} semiring ({type(semiring).__name__})"
+                )
         if self.batch_flops is not None and self.batch_flops < 1:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
         if self.preblock_depth < 1:

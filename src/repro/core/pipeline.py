@@ -5,7 +5,10 @@ distributed runtime:
 
 1. **candidate discovery** — build the distributed sequence-by-k-mer matrix
    ``A`` and form the overlap matrix ``C = A·Aᵀ`` incrementally with the
-   Blocked 2D Sparse SUMMA under the configured load-balancing scheme;
+   Blocked 2D Sparse SUMMA under the configured load-balancing scheme; its
+   elements are shared-k-mer counts (everything pruning reads), and seed
+   positions are gathered for the surviving pairs only, when
+   ``alignment_mode="seed_extend"`` reads them;
 2. **batch alignment** — for every block, prune the candidates (symmetry +
    common-k-mer threshold) and align each rank's pairs with the ADEPT-like
    batched Smith–Waterman driver;
@@ -62,7 +65,7 @@ from ..mpi.io import ParallelIoModel
 from ..mpi.process_grid import is_perfect_square
 from ..distsparse.distribute import distribute_sequences
 from ..sequences.sequence import SequenceSet
-from ..sparse.semiring import OverlapSemiring
+from ..sparse.semiring import CountSemiring
 from .align_phase import AlignmentPhase, EDGE_DTYPE  # noqa: F401  (EDGE_DTYPE re-export)
 from .blocking import make_block_tasks
 from .costing import CostModel
@@ -305,7 +308,7 @@ class PastisPipeline:
         engine = BlockedSpGemm(
             a_dist,
             b_operand,
-            OverlapSemiring(),
+            CountSemiring(),
             schedule,
             compute_category="spgemm_measured",
             spgemm_backend=params.spgemm_backend,

@@ -32,7 +32,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..sparse.semiring import Semiring
+from ..sparse.coo import CooMatrix
+from ..sparse.kernels import resolve_kernel
+from ..sparse.semiring import OverlapSemiring, Semiring
 from ..sparse.spgemm import SpGemmStats
 from .distmat import DistSparseMatrix
 from .summa import SummaResult, summa
@@ -81,6 +83,25 @@ class BlockSchedule:
     def block_bounds(self, r: int, c: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(row range, col range) of one output block."""
         return self.row_range(r), self.col_range(c)
+
+
+def _restricted(stripe: DistSparseMatrix, keep: np.ndarray, axis: int) -> CooMatrix:
+    """The stripe's entries whose global row (``axis=0``) or column
+    (``axis=1``) is in the sorted ``keep``, as one row-major global COO."""
+    parts = []
+    for rank in range(stripe.grid.nprocs):
+        local = stripe.local(rank)
+        row_offset, col_offset = stripe.offsets(rank)
+        rows, cols = local.rows + row_offset, local.cols + col_offset
+        mask = np.isin(rows if axis == 0 else cols, keep)
+        parts.append((rows[mask], cols[mask], local.values[mask]))
+    return CooMatrix(
+        stripe.shape,
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+        np.concatenate([p[2] for p in parts]),
+        check=False,
+    ).sort_rowmajor()
 
 
 def _chunk_bounds(n: int, parts: int, index: int) -> tuple[int, int]:
@@ -236,6 +257,44 @@ class BlockedSpGemm:
             result=result,
             stats=result.stats,
         )
+
+    def with_seeds(
+        self, block_row: int, block_col: int, pieces: list[CooMatrix]
+    ) -> list[CooMatrix]:
+        """``pieces`` — candidate pairs of one block, in global coordinates —
+        with their values replaced by overlap records carrying two seeds.
+
+        One :class:`~repro.sparse.semiring.OverlapSemiring` product of the
+        block's stripes, restricted to the rows and columns the pairs occupy,
+        through the engine's kernel and outside the ledger.  A record is a
+        function of its pair alone (the semiring's add is an associative
+        merge), so it equals the one a full overlap SUMMA would have formed.
+        """
+        rows = np.concatenate([p.rows for p in pieces])
+        cols = np.concatenate([p.cols for p in pieces])
+        if rows.size == 0:
+            return pieces
+        a = _restricted(self.row_stripe(block_row), np.unique(rows), axis=0)
+        b = _restricted(self.col_stripe(block_col), np.unique(cols), axis=1)
+        kernel = resolve_kernel(self.spgemm_backend)
+        kwargs = {} if self.batch_flops is None else {"batch_flops": self.batch_flops}
+        product = kernel(a, b, OverlapSemiring(), **kwargs)
+        # the product is row-major with one entry per coordinate
+        span = product.shape[1]
+        keys = product.rows * span + product.cols
+        wanted = rows * span + cols
+        at = np.minimum(np.searchsorted(keys, wanted), max(keys.size - 1, 0))
+        if keys.size == 0 or not np.array_equal(keys[at], wanted):
+            raise ValueError(
+                f"block ({block_row}, {block_col}): a candidate pair shares no "
+                "k-mer with its partner, so it has no seed"
+            )
+        seeds = product.values[at]
+        bounds = np.cumsum([0] + [p.nnz for p in pieces])
+        return [
+            CooMatrix(p.shape, p.rows, p.cols, seeds[lo:hi], check=False)
+            for p, lo, hi in zip(pieces, bounds[:-1], bounds[1:])
+        ]
 
     def iter_blocks(
         self, blocks: Iterable[tuple[int, int]] | None = None

@@ -91,33 +91,30 @@ class KmerExtractor:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(seq_ids, kmer_ids, positions)`` arrays.
 
-        One entry per k-mer occurrence.  ``positions`` is the 0-based offset
-        of the k-mer within its sequence (the "seed location" the overlap
-        matrix elements carry).
+        One entry per k-mer occurrence, ordered by sequence and then by
+        position.  ``positions`` is the 0-based offset of the k-mer within
+        its sequence (the "seed location" the overlap matrix elements carry).
+
+        Every window of the concatenated residue array is encoded at once
+        (``k`` shifted multiply-adds, Horner's rule — the same integers
+        :func:`encode_kmers` forms per sequence), and only the windows that
+        lie inside one sequence are kept.
         """
         if sequences.alphabet.name != self.alphabet.name:
             sequences = sequences.reencode(self.alphabet)
-        lengths = sequences.lengths
-        counts = np.maximum(lengths - self.k + 1, 0)
-        total = int(counts.sum())
-        seq_ids = np.empty(total, dtype=np.int64)
-        kmer_ids = np.empty(total, dtype=np.int64)
-        positions = np.empty(total, dtype=np.int32)
-        cursor = 0
-        asize = self.alphabet.size
-        for i in range(len(sequences)):
-            c = int(counts[i])
-            if c == 0:
-                continue
-            codes = sequences.codes(i)
-            ids = encode_kmers(codes, self.k, asize)
-            seq_ids[cursor : cursor + c] = i
-            kmer_ids[cursor : cursor + c] = ids
-            positions[cursor : cursor + c] = np.arange(c, dtype=np.int32)
-            cursor += c
-        seq_ids = seq_ids[:cursor]
-        kmer_ids = kmer_ids[:cursor]
-        positions = positions[:cursor]
+        k = self.k
+        data = sequences.data
+        windows = max(data.size - k + 1, 0)
+        encoded = np.zeros(windows, dtype=np.int64)
+        for j in range(k):
+            encoded *= self.alphabet.size
+            encoded += data[j : j + windows]
+        counts = np.maximum(sequences.lengths - k + 1, 0)
+        seq_ids = np.repeat(np.arange(len(sequences), dtype=np.int64), counts)
+        first = np.cumsum(counts) - counts  # each sequence's first output entry
+        positions = np.arange(seq_ids.size, dtype=np.int64) - first[seq_ids]
+        kmer_ids = encoded[sequences.offsets[:-1][seq_ids] + positions]
+        positions = positions.astype(np.int32)
         if self.max_kmer_frequency is not None:
             seq_ids, kmer_ids, positions = self._filter_frequent(
                 seq_ids, kmer_ids, positions

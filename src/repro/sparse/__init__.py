@@ -35,14 +35,15 @@ Contents
 Choosing a backend
 ------------------
 There is one default: ``"gustavson"`` (:data:`~repro.sparse.kernels.DEFAULT_KERNEL`),
-for every semiring — the search pipeline's overlap multiply
+for every semiring — the search pipeline's shared-k-mer count multiply
 (``PastisParams(spgemm_backend=...)``, routed through
 :class:`repro.distsparse.blocked_summa.BlockedSpGemm` into every SUMMA
 stage) and Markov clustering's expansion alike.  It forms the output in
 flop-bounded row groups, so peak memory stays near the output size even at
 the overlap matrix's high compression factors (``flops / output nnz``, §V-B
-of the paper), and under the arithmetic semiring with positive values it
-hands the whole product to SciPy's row accumulator.  ``"expand"``
+of the paper), and under the arithmetic semiring with positive values (and
+the count semiring on flop-heavy calls) it hands the whole product to
+SciPy's row accumulator.  ``"expand"``
 materializes every partial product at once; it stays registered as the
 oracle: both return bit-identical outputs and flop/nnz statistics (the
 randomized harness in ``tests/test_spgemm_equivalence.py`` asserts this).

@@ -16,22 +16,33 @@ processed in flop-bounded groups, so peak intermediate memory is
 
 A call has one of two accumulators:
 
-* **SciPy's row accumulator** (the fast path) for the plain arithmetic
-  semiring when SciPy imports and every live ``A`` value and every ``B``
-  value is ``> 0`` with ``min(a) * min(b) > 0`` in float64.  The whole call
-  becomes one ``csr_array @ csr_array`` on the compressed operands — ``A``'s
-  live rows with column ids relabelled onto ``B``'s non-empty rows, so the
-  inner dimension is at most ``nnz(B)`` even when the real one is 20¹² —
-  plus one ``sort_indices()``.  SciPy's scalar accumulator adds each output
-  entry's partial products in ascending inner index, then ``B``-row order,
-  starting from ``0.0``: the strict left-to-right association
-  :func:`~repro.sparse.semiring.sequential_segment_sum` emulates, and
-  ``0.0 + p == p`` for ``p > 0``.  The guard is what keeps that exact: no
-  product underflows to 0 and no sum cancels to 0, so SciPy, which silently
-  drops zero sums, drops nothing; a NaN fails ``> 0`` as well.  SciPy
-  materializes no partial products, so the flop-bounded row groups are
-  only counted here: ``SpGemmStats.row_groups`` and ``intermediate_bytes``
-  (the expand form's modeled peak) are those the expand path would report.
+* **SciPy's row accumulator** (the fast path), when SciPy imports, for
+
+  - the count semiring (:class:`~repro.sparse.semiring.CountSemiring`, the
+    search pipeline's discovery semiring) when the call has at least as many
+    flops as ``B`` has entries: a count is the number of partial products,
+    so both operands go to SciPy as all-ones float64 patterns and every sum
+    is an integer below 2⁵³ — exact — and never 0.  SciPy's set-up is
+    ``O(nnz(B))`` while the expand form's integer reduce is cheap, so only
+    such calls pay it back — a whole ``A·Aᵀ`` always does (``Σ deg² ≥ Σ
+    deg``), a query against a database stripe almost never;
+  - the plain arithmetic semiring when every live ``A`` value and every
+    ``B`` value is ``> 0`` with ``min(a) * min(b) > 0`` in float64.  SciPy's
+    scalar accumulator adds each output entry's partial products in
+    ascending inner index, then ``B``-row order, starting from ``0.0``: the
+    strict left-to-right association
+    :func:`~repro.sparse.semiring.sequential_segment_sum` emulates, and
+    ``0.0 + p == p`` for ``p > 0``.  The guard is what keeps that exact: no
+    product underflows to 0 and no sum cancels to 0, so SciPy, which
+    silently drops zero sums, drops nothing; a NaN fails ``> 0`` as well.
+
+  The whole call becomes one ``csr_array @ csr_array`` on the compressed
+  operands — ``A``'s live rows with column ids relabelled onto ``B``'s
+  non-empty rows, so the inner dimension is at most ``nnz(B)`` even when the
+  real one is 20¹² — plus one ``sort_indices()``.  SciPy materializes no
+  partial products, so the flop-bounded row groups are only counted here:
+  ``SpGemmStats.row_groups`` and ``intermediate_bytes`` (the expand form's
+  modeled peak) are those the expand path would report.
 * **Expand, then a stable sort by output coordinate and
   ``semiring.reduce``** (:func:`~repro.sparse.spgemm.reduce_by_coordinate`),
   one flop-bounded row group at a time, for every other semiring and every
@@ -43,11 +54,15 @@ operand dimension — the inner (k-mer) dimension is ``|alphabet|^k`` long and
 hypersparse, so a plain CSR ``indptr`` over it would cost more to build than
 the product costs to compute.  Operands are read through pointers over
 their *non-empty rows only* (:func:`repro.sparse.csr.compress_rows`, an
-order scan and no sort for the row-major triplets the pipeline builds); the
-``B`` row an ``A`` entry selects is found by ``searchsorted`` on ``B``'s
-non-empty row ids, and the flop-bounded row groups are formed over the ``A``
-rows that produce partial products at all — rows without any carry 0 flops
-and so cannot move a group boundary.
+order scan and no sort for the row-major triplets the pipeline builds).  The
+``B`` row an ``A`` entry selects is found by :func:`match_rows`: most ``A``
+entries of an overlap product select no ``B`` row at all, so a
+multiplicative-hash bitmap over ``B``'s non-empty row ids (``O(nnz(B))``
+slots, never dimension-sized) rejects them first, and only the entries it
+passes are sorted, binary-searched and checked for equality — exact, whatever
+the hash does.  The flop-bounded row groups are formed over the ``A`` rows
+that produce partial products at all — rows without any carry 0 flops and so
+cannot move a group boundary.
 
 The kernel is *bit-identical* to the sort–expand–reduce kernel, including
 for order-sensitive semirings such as
@@ -66,10 +81,10 @@ import numpy as np
 
 from .coo import CooMatrix
 from .csr import CsrMatrix, compress_rows, run_pointers
-from .semiring import ArithmeticSemiring, Semiring
+from .semiring import ArithmeticSemiring, CountSemiring, Semiring
 from .spgemm import SpGemmStats, reduce_by_coordinate
 
-try:  # the arithmetic fast path needs scipy; without it every group expands
+try:  # the SciPy fast path needs scipy; without it every group expands
     import scipy.sparse as _scipy_sparse
 except ImportError:  # pragma: no cover - exercised on scipy-free installs
     _scipy_sparse = None
@@ -78,6 +93,49 @@ except ImportError:  # pragma: no cover - exercised on scipy-free installs
 #: overheads amortize, small enough that intermediate memory stays a fraction
 #: of the total flop count on high-compression inputs.
 DEFAULT_BATCH_FLOPS = 1 << 16
+
+#: Fibonacci hashing: ``2⁶⁴ / φ``, odd, so ``id * M mod 2⁶⁴`` is a bijection
+#: whose top bits spread consecutive and strided ids over the table.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+#: Bitmap slots per ``B`` row id: at most one slot in 16 is set, so a key
+#: absent from ``B`` passes the filter with probability below 1/16.
+_HASH_SLOTS_PER_ID = 16
+
+
+def hash_buckets(ids: np.ndarray, bits: int) -> np.ndarray:
+    """Multiplicative-hash bucket in ``[0, 2**bits)`` of every id."""
+    return (ids.astype(np.uint64) * _HASH_MULTIPLIER) >> np.uint64(64 - bits)
+
+
+def match_rows(row_ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(live, pos)``: the ascending indices of the ``keys`` present in the
+    strictly increasing ``row_ids``, and where — ``row_ids[pos] == keys[live]``.
+
+    When there are enough keys to pay for it (``4 * len(keys) >=
+    len(row_ids)``) a bitmap of ``16 * len(row_ids)`` slots, rounded up to a
+    power of two, marks the hash buckets of ``row_ids``; a key whose bucket is
+    unmarked is absent, and only the keys that pass — the present ones plus
+    under 1/16 of the absent ones — are sorted and binary-searched.  Smaller
+    key sets (a query against a database stripe) skip the filter, whose
+    ``O(len(row_ids))`` set-up they would not pay back.  Either way the
+    equality check decides, so the result is exact.
+    """
+    if row_ids.size == 0 or keys.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    candidates = np.arange(keys.size)
+    if 4 * keys.size >= row_ids.size:
+        bits = int(_HASH_SLOTS_PER_ID * row_ids.size - 1).bit_length()
+        marked = np.zeros(1 << bits, dtype=bool)
+        marked[hash_buckets(row_ids, bits)] = True
+        candidates = np.flatnonzero(marked[hash_buckets(keys, bits)])
+    candidate_keys = keys[candidates]
+    # sorted keys walk row_ids once instead of jumping around it
+    order = np.argsort(candidate_keys)
+    pos = np.empty(candidates.size, dtype=np.int64)
+    pos[order] = np.searchsorted(row_ids, candidate_keys[order])
+    np.minimum(pos, row_ids.size - 1, out=pos)
+    hit = row_ids[pos] == candidate_keys
+    return candidates[hit], pos[hit]
 
 
 def _require_sorted_columns(csr: CsrMatrix, name: str) -> None:
@@ -163,16 +221,11 @@ def spgemm_gustavson(
     # the A entries whose inner index selects a non-empty B row: only these
     # produce partial products, and rows without any carry 0 flops, so
     # dropping the rest moves no row-group boundary
-    if b_row_ids.size:
-        b_pos = np.minimum(np.searchsorted(b_row_ids, a_cols), b_row_ids.size - 1)
-        live = np.flatnonzero(b_row_ids[b_pos] == a_cols)
-    else:
-        live = np.empty(0, dtype=np.int64)
+    live, b_pos = match_rows(b_row_ids, a_cols)
     if live.size == 0:
         result = CooMatrix.empty(out_shape, dtype=semiring.value_dtype)
         stats = SpGemmStats(flops=0, output_nnz=0, intermediate_bytes=0, compression_factor=1.0)
         return (result, stats) if return_stats else result
-    b_pos = b_pos[live]
     b_start = b_indptr[b_pos]
     entry_cost = b_indptr[b_pos + 1] - b_start  # nnz of the selected B row, >= 1
     entry_rows = np.repeat(a_row_ids, np.diff(a_indptr))[live]
@@ -199,7 +252,10 @@ def spgemm_gustavson(
     # product of A′ — A's live rows with inner index b_pos — and B′ — B over
     # its non-empty rows — so the inner dimension is at most nnz(B)
     exact = False
-    if _scipy_sparse is not None and type(semiring) is ArithmeticSemiring:
+    if _scipy_sparse is not None and type(semiring) is CountSemiring and flops >= b_cols.size:
+        a_float, b_float = np.ones(live.size), np.ones(b_cols.size)
+        exact = True
+    elif _scipy_sparse is not None and type(semiring) is ArithmeticSemiring:
         a_float = np.asarray(entry_values, dtype=np.float64)
         b_float = np.asarray(b_values, dtype=np.float64)
         a_min, b_min = a_float.min(), b_float.min()
@@ -219,7 +275,8 @@ def spgemm_gustavson(
         product_bytes = entry_rows.itemsize + b_cols.itemsize + a_float.itemsize
         peak_bytes = int(group_flops.max()) * product_bytes
         out_rows = np.repeat(entry_rows[row_ptr[:-1]], np.diff(product.indptr))
-        out_cols, out_vals = product.indices, product.data
+        out_cols = product.indices
+        out_vals = product.data.astype(semiring.value_dtype, copy=False)
     else:
         rows_parts: list[np.ndarray] = []
         cols_parts: list[np.ndarray] = []

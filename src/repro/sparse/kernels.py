@@ -5,14 +5,15 @@ The package ships two interchangeable SpGEMM kernels:
 ``"gustavson"`` (:data:`DEFAULT_KERNEL`)
     The row-wise Gustavson kernel
     (:func:`repro.sparse.gustavson.spgemm_gustavson`), what every caller
-    that names no backend gets — the search pipeline's overlap semiring and
+    that names no backend gets — the search pipeline's count semiring and
     Markov clustering's arithmetic expansion alike.  Peak intermediate
     memory is bounded by the per-row-group flop budget instead of the total
     flop count, and nothing of inner-dimension size is allocated, so a
     ``20ᵏ``-long k-mer dimension costs nothing.  Under the arithmetic
-    semiring with positive values (MCL's transition matrices) the whole
-    product is one SciPy CSR matmul on the compressed operands (exactly,
-    see :mod:`repro.sparse.gustavson`).
+    semiring with positive values (MCL's transition matrices), and under
+    the count semiring when a call has at least as many flops as ``B`` has
+    entries, the whole product is one SciPy CSR matmul on the compressed
+    operands (exactly, see :mod:`repro.sparse.gustavson`).
 
 ``"expand"``
     The vectorized sort–expand–reduce kernel
@@ -28,7 +29,9 @@ The package ships two interchangeable SpGEMM kernels:
     bit-identical to ``"gustavson"`` — same flop-bounded row grouping, same
     ascending-inner-index enumeration, strict left-to-right accumulation —
     while replacing the per-group sort with an ``O(flops)`` dense sparse
-    accumulator.  The raw-speed backend for process-pool discover lanes.
+    accumulator.  It declares no ``count`` support, so the search pipeline,
+    whose discovery multiplies with the count semiring, refuses it
+    (:meth:`repro.core.params.PastisParams.validate`); MCL can use it.
 
 All produce bit-identical outputs and :class:`~repro.sparse.spgemm.SpGemmStats`
 flop/nnz accounting (asserted by ``tests/test_spgemm_equivalence.py``), so

@@ -166,8 +166,12 @@ class ArithmeticSemiring(Semiring):
 class CountSemiring(Semiring):
     """Counts how many partial products land on each output coordinate.
 
-    With boolean inputs this computes, for ``A·Aᵀ``, the number of shared
-    inner indices (e.g. shared k-mers) — the simplest overlap detector.
+    Values are ignored: for ``A·Aᵀ`` of the sequence-by-k-mer matrix this is
+    the number of shared k-mers — the count the search pipeline's candidate
+    discovery computes, thresholds and prunes on before it touches a seed
+    position.  The Gustavson kernel detects this semiring by exact type and
+    hands the product to SciPy as all-ones patterns (exact: every count is an
+    integer below 2⁵³); a subclass never takes that path.
     """
 
     value_dtype: np.dtype = np.dtype(np.int64)
@@ -209,14 +213,13 @@ class MaxSemiring(Semiring):
 
 
 class OverlapSemiring(Semiring):
-    """The PASTIS candidate-discovery semiring.
+    """The PASTIS overlap semiring: shared-k-mer count plus two seeds.
 
     Inputs are k-mer *positions*: ``A[i, t]`` holds the position of k-mer
     ``t`` in sequence ``i`` and ``B = Aᵀ`` holds the same for the other
     sequence.  The multiply forms one "shared k-mer" record per partial
     product; the add accumulates the shared-k-mer count and keeps the first
-    two seed position pairs (enough for the seed-and-extend or full
-    Smith–Waterman alignment that follows).
+    two seed position pairs (what seed-and-extend alignment starts from).
 
     The add is an associative merge of records, not only of fresh products:
     a record stands for the ordered list of its seeds, and merging keeps the
@@ -224,6 +227,15 @@ class OverlapSemiring(Semiring):
     seed when it has one, otherwise the next record's first.  SUMMA's
     per-stage merge re-reduces already-reduced records, so this is what
     makes the seeds independent of the process grid.
+
+    It is the **seed oracle**: the search pipeline discovers candidates
+    with :class:`CountSemiring` (the ``count`` field alone) and, only under
+    ``alignment_mode="seed_extend"``, gathers the seeds of the pairs that
+    survive pruning with one product of this semiring over the survivors'
+    rows and columns
+    (:meth:`repro.distsparse.blocked_summa.BlockedSpGemm.with_seeds`) — equal
+    to the record a full product would hold, because a record is a function
+    of its pair alone.
     """
 
     value_dtype: np.dtype = OVERLAP_DTYPE

@@ -246,7 +246,7 @@ def test_entries_keyed_before_the_threshold_removal_do_not_match(tmp_path, tiny_
     token = cache_mod.params_cache_token(params)
     assert "auto_compression_threshold" not in token
     assert token["spgemm_backend"] == "gustavson"
-    assert cache_mod.CACHE_VERSION == "4"
+    assert cache_mod.CACHE_VERSION not in ("3", "4")
     current_key = cache_mod.run_cache_key(params, tiny_seqs)
     monkeypatch.setattr(cache_mod, "CACHE_VERSION", "3")
     assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
@@ -254,6 +254,24 @@ def test_entries_keyed_before_the_threshold_removal_do_not_match(tmp_path, tiny_
     monkeypatch.undo()
     rerun = PastisPipeline(params).run(tiny_seqs)
     assert rerun.stats.extras["cache"]["hits"] == 0
+
+
+def test_entries_stored_before_count_only_discovery_do_not_match(tmp_path, tiny_seqs, monkeypatch):
+    """Schema 5: discovery stores shared-k-mer counts (24 B per candidate)
+    instead of overlap records (36 B), so the ``block_bytes`` of a schema 4
+    entry means something else — a cache written under "4" is never read."""
+    params = _params(tmp_path)
+    assert cache_mod.CACHE_VERSION == "5"
+    current_key = cache_mod.run_cache_key(params, tiny_seqs)
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "4")
+    assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
+    old = PastisPipeline(params).run(tiny_seqs)
+    monkeypatch.undo()
+    rerun = PastisPipeline(params).run(tiny_seqs)
+    assert rerun.stats.extras["cache"]["hits"] == 0
+    assert rerun.stats.extras["cache"]["stores"] == old.stats.extras["cache"]["stores"] > 0
+    # and the entries are the counts-only blocks: 8 + 8 + 8 bytes a candidate
+    assert all(r.block_bytes == 24 * r.candidates for r in rerun.block_records)
 
 
 def test_cache_invalidate_forces_recompute(tmp_path, tiny_seqs):

@@ -81,6 +81,68 @@ def test_extractor_frequency_filter():
     assert (sid == 2).sum() == 4
 
 
+def _per_sequence_oracle(seqs, extractor):
+    """``extract`` as a loop over sequences: ``encode_kmers`` on each one's
+    codes, positions ``0..count-1``, then the same frequency filter."""
+    if seqs.alphabet.name != extractor.alphabet.name:
+        seqs = seqs.reencode(extractor.alphabet)
+    sid, kid, pos = [], [], []
+    for i in range(len(seqs)):
+        ids = encode_kmers(seqs.codes(i), extractor.k, extractor.alphabet.size)
+        sid.append(np.full(ids.size, i, dtype=np.int64))
+        kid.append(ids)
+        pos.append(np.arange(ids.size, dtype=np.int32))
+    triples = (np.concatenate(sid), np.concatenate(kid), np.concatenate(pos))
+    if extractor.max_kmer_frequency is not None:
+        _, inverse, freq = np.unique(triples[1], return_inverse=True, return_counts=True)
+        keep = freq[inverse] <= extractor.max_kmer_frequency
+        triples = tuple(t[keep] for t in triples)
+    return triples
+
+
+ORACLE_SETS = {
+    # empty sequences first, between and last; lengths below, at and above k
+    "edges": ["", "ACD", "ACDE", "", "ACDEFGHIK", "A", "ACDEF", ""],
+    "all_shorter_than_k": ["AC", "", "D"],
+    "exactly_k": ["ACDE", "WWWW", "ACDE"],
+    "only_empty": ["", ""],
+    "repeats": ["ACDEFACDEFACDEF", "AAAAAAAA", "CDEFGH", "AAAA"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+@pytest.mark.parametrize(
+    "extractor",
+    [
+        KmerExtractor(k=4),
+        KmerExtractor(k=1),
+        KmerExtractor(k=4, alphabet=MURPHY10),  # the reduced-alphabet re-encode
+        KmerExtractor(k=3, max_kmer_frequency=2),
+        KmerExtractor(k=3, alphabet=MURPHY10, max_kmer_frequency=3),
+    ],
+    ids=["k4", "k1", "murphy10", "max_frequency", "murphy10_max_frequency"],
+)
+def test_one_pass_extract_equals_per_sequence_encoding(name, extractor):
+    """Same triples, same order, same dtypes as encoding each sequence alone."""
+    seqs = SequenceSet.from_strings(ORACLE_SETS[name])
+    got = extractor.extract(seqs)
+    expected = _per_sequence_oracle(seqs, extractor)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+
+
+def test_one_pass_extract_equals_oracle_on_a_synthetic_set():
+    from repro.sequences.synthetic import synthetic_dataset
+
+    seqs = synthetic_dataset(n_sequences=60, seed=19)
+    for extractor in (KmerExtractor(k=5), KmerExtractor(k=6, max_kmer_frequency=3)):
+        got = extractor.extract(seqs)
+        expected = _per_sequence_oracle(seqs, extractor)
+        assert got[0].size > 1000
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
 def test_extractor_space_size():
     assert KmerExtractor(k=4).space_size() == 20**4
 

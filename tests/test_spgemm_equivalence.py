@@ -3,10 +3,12 @@
 The kernel registry promises that every backend produces *bit-identical*
 output — indices, values (including the order-sensitive fields of the
 overlap semiring), and the flop/nnz statistics.  This suite is what makes it
-safe to swap the default: ~50 seeded random matrices covering varied shapes,
+safe to swap the default: ~75 seeded random matrices covering varied shapes,
 densities, duplicate coordinates, empty rows/columns and zero-dimension edge
-cases are multiplied with both backends under both the arithmetic and the
-overlap semiring, and the results are compared field by field.
+cases are multiplied with both backends under the arithmetic, the count and
+the overlap semiring, and the results are compared field by field.  The
+Gustavson kernel's hashed ``A``-entry → ``B``-row match is checked against a
+plain binary search on the cases a hash gets wrong if anything does.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import repro.sparse.gustavson as gustavson_mod
 from repro.sparse.coo import CooMatrix
 from repro.sparse.gustavson import spgemm_gustavson
 from repro.sparse.kernels import available_kernels, get_kernel, register_kernel, resolve_kernel
-from repro.sparse.semiring import ArithmeticSemiring, OverlapSemiring
+from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
 from repro.sparse.spgemm import spgemm
 
 
@@ -68,18 +70,22 @@ def assert_kernels_identical(a, b, semiring, batch_flops=None):
     assert s2.intermediate_bytes <= s1.intermediate_bytes
 
 
-# 25 seeds x 2 semirings = 50 randomized cases
+#: the plain arithmetic semiring (MCL), the count semiring (candidate
+#: discovery) and the overlap semiring (the seed oracle)
+SEMIRINGS = [ArithmeticSemiring(), CountSemiring(), OverlapSemiring()]
+SEMIRING_IDS = ["arithmetic", "count", "overlap"]
+
+
+# 25 seeds x 3 semirings = 75 randomized cases
 @pytest.mark.parametrize("seed", range(25))
-@pytest.mark.parametrize("semiring", [ArithmeticSemiring(), OverlapSemiring()],
-                         ids=["arithmetic", "overlap"])
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=SEMIRING_IDS)
 def test_random_cross_kernel_equivalence(seed, semiring):
     a, b = _random_case(seed)
     # a small flop budget forces the multi-row-group path even on tiny inputs
     assert_kernels_identical(a, b, semiring, batch_flops=97)
 
 
-@pytest.mark.parametrize("semiring", [ArithmeticSemiring(), OverlapSemiring()],
-                         ids=["arithmetic", "overlap"])
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=SEMIRING_IDS)
 def test_overlap_product_a_at_equivalence(semiring):
     """The pipeline's actual shape: C = A·Aᵀ on a k-mer-position-like matrix."""
     rng = np.random.default_rng(99)
@@ -97,16 +103,14 @@ def test_overlap_product_a_at_equivalence(semiring):
         ((0, 0), (0, 0)),   # fully degenerate
     ],
 )
-@pytest.mark.parametrize("semiring", [ArithmeticSemiring(), OverlapSemiring()],
-                         ids=["arithmetic", "overlap"])
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=SEMIRING_IDS)
 def test_zero_dimension_edge_cases(shape_a, shape_b, semiring):
     a = CooMatrix.empty(shape_a, dtype=np.int32)
     b = CooMatrix.empty(shape_b, dtype=np.int32)
     assert_kernels_identical(a, b, semiring)
 
 
-@pytest.mark.parametrize("semiring", [ArithmeticSemiring(), OverlapSemiring()],
-                         ids=["arithmetic", "overlap"])
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=SEMIRING_IDS)
 def test_empty_operands_and_empty_rows(semiring):
     # nonzero shapes but no entries
     assert_kernels_identical(
@@ -118,8 +122,7 @@ def test_empty_operands_and_empty_rows(semiring):
     assert_kernels_identical(a, b, semiring)
 
 
-@pytest.mark.parametrize("semiring", [ArithmeticSemiring(), OverlapSemiring()],
-                         ids=["arithmetic", "overlap"])
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=SEMIRING_IDS)
 def test_hypersparse_inner_dimension(semiring):
     """A 20¹²-long inner dimension holding a few hundred nonzeros.
 
@@ -501,6 +504,147 @@ def test_csr_operands_take_the_same_single_scipy_product(monkeypatch):
     assert stats.row_groups > 1
 
 
+def _kmer_operands(seed, inner):
+    """A k-mer-position-like ``A`` and its transpose: positions include 0,
+    which the count semiring must ignore."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, inner, 80)
+    a = CooMatrix(
+        (40, inner), rng.integers(0, 40, 500), rng.choice(pool, 500),
+        rng.integers(0, 60, 500).astype(np.int32),
+    ).deduplicate()
+    return a, a.transpose().sort_rowmajor()
+
+
+@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("inner", [20**5, 20**12], ids=["inner_20e5", "inner_20e12"])
+def test_count_is_one_scipy_product_equal_to_expand(seed, inner, monkeypatch):
+    """Count discovery: one SciPy product per call whatever the row-group
+    count, counts equal to ``"expand"`` bit for bit (``int64``), every
+    ``SpGemmStats`` field equal to ``"expand"`` when one group holds the call
+    and to the kernel's own expand path under any budget."""
+    a, at = _kmer_operands(seed, inner)
+    expected, expand_stats = spgemm(a, at, CountSemiring(), return_stats=True)
+    for batch_flops in (1, 97, 1 << 16):
+        with monkeypatch.context() as patch:
+            patch.setattr(gustavson_mod, "_scipy_sparse", None)
+            oracle, oracle_stats = spgemm_gustavson(
+                a, at, CountSemiring(), return_stats=True, batch_flops=batch_flops
+            )
+        with monkeypatch.context() as patch:
+            products = _spy_scipy_products(patch)
+            patch.setattr(gustavson_mod, "reduce_by_coordinate", _refuse_expand)
+            got, stats = spgemm_gustavson(
+                a, at, CountSemiring(), return_stats=True, batch_flops=batch_flops
+            )
+        assert len(products) == 1
+        assert got.values.dtype == oracle.values.dtype == np.int64
+        assert got == expected == oracle
+        assert np.array_equal(got.values, expected.values)
+        assert stats == oracle_stats
+        if batch_flops == 1 << 16:
+            assert stats == expand_stats
+    assert expand_stats.flops > expand_stats.output_nnz > 0
+
+
+@pytest.mark.skipif(not _has_scipy(), reason="scipy not importable")
+def test_count_with_fewer_flops_than_b_entries_expands(monkeypatch):
+    """A query-shaped count product — a few rows against the whole ``Aᵀ`` —
+    has fewer flops than ``B`` has entries: SciPy's ``O(nnz(B))`` set-up would
+    not pay back, so no SciPy product runs, and the counts still equal
+    ``"expand"``'s."""
+    a, at = _kmer_operands(0, 20**12)
+    query = a.submatrix((0, 2), (0, a.shape[1]), relabel=False)
+    expected, expected_stats = spgemm(query, at, CountSemiring(), return_stats=True)
+    products = _spy_scipy_products(monkeypatch)
+    got, stats = spgemm_gustavson(query, at, CountSemiring(), return_stats=True)
+    assert 0 < stats.flops < at.nnz
+    assert products == []
+    assert got == expected and np.array_equal(got.values, expected.values)
+    assert stats == expected_stats
+
+
+def _binary_search_reference(row_ids, keys):
+    """The ``A``-entry → ``B``-row match without a hash: one binary search
+    per key."""
+    if row_ids.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(row_ids, keys), row_ids.size - 1)
+    live = np.flatnonzero(row_ids[pos] == keys)
+    return live, pos[live]
+
+
+def _match_case(kind):
+    """``(B's non-empty row ids, A's inner indices)`` for one edge case."""
+    rng = np.random.default_rng(41)
+    inner = 20**12
+    if kind == "shared_bucket":
+        # absent keys that hash into a bucket some row id occupies: only the
+        # equality check can reject them
+        row_ids = np.unique(rng.integers(0, inner, 40))
+        bits = int(16 * row_ids.size - 1).bit_length()
+        pool = np.setdiff1d(rng.integers(0, inner, 20000), row_ids)
+        shared = np.isin(
+            gustavson_mod.hash_buckets(pool, bits), gustavson_mod.hash_buckets(row_ids, bits)
+        )
+        assert shared.sum() > 100
+        keys = rng.permutation(np.concatenate([pool[shared], row_ids, pool[:50]]))
+    elif kind == "near_20e12":
+        row_ids = inner - 1 - np.arange(0, 300, 3)[::-1]
+        keys = inner - 1 - rng.integers(0, 400, 500)
+    elif kind == "absent":
+        row_ids = np.arange(0, 2000, 2)
+        keys = rng.integers(0, 1000, 600) * 2 + 1
+    elif kind == "one_key_many_rows":
+        row_ids = np.unique(rng.integers(0, inner, 50))
+        keys = np.full(300, row_ids[7])
+    else:  # "empty_b"
+        row_ids = np.empty(0, dtype=np.int64)
+        keys = rng.integers(0, 100, 50)
+    return row_ids.astype(np.int64), keys.astype(np.int64)
+
+
+MATCH_CASES = ["shared_bucket", "near_20e12", "absent", "one_key_many_rows", "empty_b"]
+
+
+@pytest.mark.parametrize("kind", MATCH_CASES)
+def test_hashed_match_equals_binary_search(kind):
+    """Both sides of the size rule — hashed (many keys) and plain binary
+    search (few keys) — give the reference's ``live`` and ``pos`` exactly."""
+    row_ids, keys = _match_case(kind)
+    few = keys[: max(row_ids.size // 8, 1)]
+    for sample in (keys, few):
+        live, pos = gustavson_mod.match_rows(row_ids, sample)
+        ref_live, ref_pos = _binary_search_reference(row_ids, sample)
+        assert np.array_equal(live, ref_live)
+        assert np.array_equal(pos, ref_pos)
+    if kind == "absent":
+        assert live.size == 0
+    if kind == "one_key_many_rows":
+        assert np.array_equal(live, np.arange(few.size))
+
+
+@pytest.mark.parametrize("kind", MATCH_CASES)
+@pytest.mark.parametrize("semiring", [CountSemiring(), OverlapSemiring()], ids=["count", "overlap"])
+def test_match_edge_cases_through_both_kernels(kind, semiring):
+    """The same cases as operands: ``A``'s inner indices are the keys, ``B``'s
+    non-empty rows the row ids."""
+    row_ids, keys = _match_case(kind)
+    rng = np.random.default_rng(7)
+    a = CooMatrix(
+        (30, 20**12), rng.integers(0, 30, keys.size), keys,
+        rng.integers(0, 90, keys.size).astype(np.int32),
+    )
+    b_rows = np.repeat(row_ids, 2)
+    b = CooMatrix(
+        (20**12, 20), b_rows, rng.integers(0, 20, b_rows.size),
+        rng.integers(0, 90, b_rows.size).astype(np.int32),
+    )
+    assert_kernels_identical(a, b, semiring)
+    assert_kernels_identical(a, b, semiring, batch_flops=7)
+
+
 @pytest.mark.parametrize("backend", ["expand", "gustavson"])
 def test_registered_kernels_empty_operands(backend):
     """Both registered kernels agree on empty and zero-dimension products."""
@@ -554,7 +698,7 @@ def test_registry_holds_the_default_and_the_oracle():
 
 def test_kernel_supports_semiring_reads_the_declaration(monkeypatch):
     """Backends are generic unless they declare ``supported_semirings``; the
-    overlap pipeline rejects a registered backend declaring no overlap."""
+    search pipeline rejects a registered backend declaring no count."""
     import repro.sparse.kernels as kernels_mod
     from repro.core.params import PastisParams
     from repro.sparse.kernels import kernel_supports_semiring
@@ -564,14 +708,33 @@ def test_kernel_supports_semiring_reads_the_declaration(monkeypatch):
 
     plain_only.supported_semirings = ("plus_times",)
     assert not kernel_supports_semiring(plain_only, OverlapSemiring())
+    assert not kernel_supports_semiring(plain_only, CountSemiring())
     assert kernel_supports_semiring(plain_only, ArithmeticSemiring())
     assert kernel_supports_semiring(plain_only, None)
     # generic backends remain semiring-agnostic
-    assert kernel_supports_semiring(spgemm, OverlapSemiring())
-    assert kernel_supports_semiring(spgemm_gustavson, OverlapSemiring())
+    for semiring in (OverlapSemiring(), CountSemiring()):
+        assert kernel_supports_semiring(spgemm, semiring)
+        assert kernel_supports_semiring(spgemm_gustavson, semiring)
     monkeypatch.setitem(kernels_mod._KERNELS, "plain-only", plain_only)
-    with pytest.raises(ValueError, match="overlap semiring"):
+    with pytest.raises(ValueError, match="'count' semiring"):
         PastisParams(spgemm_backend="plain-only")
+
+
+def test_search_refuses_a_backend_without_count_support(monkeypatch):
+    """A backend declaring ``("plus_times", "overlap")`` — what
+    ``"gustavson-numba"`` declares — cannot run discovery, which multiplies
+    with the count semiring; the refusal names that semiring."""
+    import repro.sparse.kernels as kernels_mod
+    from repro.core.params import PastisParams
+
+    def no_count(a, b, semiring=None, return_stats=False):
+        return spgemm(a, b, semiring, return_stats=return_stats)
+
+    no_count.supported_semirings = ("plus_times", "overlap")
+    monkeypatch.setitem(kernels_mod._KERNELS, "no-count", no_count)
+    for mode in ("full_sw", "seed_extend"):
+        with pytest.raises(ValueError, match=r"'count' semiring \(CountSemiring\)"):
+            PastisParams(spgemm_backend="no-count", alignment_mode=mode)
 
 
 # ------------------------------------------------------------------ numba backend
@@ -660,9 +823,14 @@ def test_numba_registry_and_semiring_declaration():
     assert kernel_supports_batch_flops(spgemm_gustavson_numba)
     assert kernel_supports_semiring(spgemm_gustavson_numba, ArithmeticSemiring())
     assert kernel_supports_semiring(spgemm_gustavson_numba, OverlapSemiring())
+    from repro.core.params import PastisParams
     from repro.sparse.semiring import MinPlusSemiring
 
     assert not kernel_supports_semiring(spgemm_gustavson_numba, MinPlusSemiring())
+    # discovery counts shared k-mers, which the compiled backend does not do
+    assert not kernel_supports_semiring(spgemm_gustavson_numba, CountSemiring())
+    with pytest.raises(ValueError, match="'count' semiring"):
+        PastisParams(spgemm_backend="gustavson-numba")
     with pytest.raises(ValueError, match="semiring"):
         spgemm_gustavson_numba(
             CooMatrix.empty((2, 2)), CooMatrix.empty((2, 2)), MinPlusSemiring()
