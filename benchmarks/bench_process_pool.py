@@ -1,32 +1,29 @@
-"""Measured-clock scheduler x workers x kernel sweep of the process executor.
+"""Measured-clock depth x workers x kernel sweep of the process executor.
 
-``bench_overlap_depth.py`` sweeps the *threaded* executor's depth axis; this
-bench pits the two real executors against each other on the axis that
-separates them: the GIL.  The threaded discover lane only overlaps to the
-extent the SpGEMM kernels release the GIL; the
-:class:`~repro.core.engine.process_executor.ProcessScheduler` runs the lane
-in worker processes with shared-memory block transport, so the overlap
-survives pure-Python stage orchestration at the cost of fork + shm-mapping
-overhead per block.
+:class:`~repro.core.engine.process_executor.ProcessScheduler` is the one
+scheduler with real concurrency: it runs the discover lane in worker
+processes with shared-memory block transport, so discovers overlap the
+aligner and each other, at the cost of fork + shm-mapping overhead per
+block.  (The ``"overlapped"`` scheduler runs the same schedule on one
+thread; its overlap exists only on the per-rank clock.)
 
-The sweep crosses scheduler {threaded, process} x discover workers x local
-SpGEMM kernel (every registered backend besides the ``"expand"`` oracle
-that supports the count semiring discovery multiplies with — today
-``"gustavson"``; ``"gustavson-numba"`` declares no count support and the
-search refuses it), all at speculative depth 2
-under ``clock="measured"``.  Every configuration is asserted bit-identical
-to the serial baseline — scheduler, worker count and kernel may move wall
-time, never results.
+The sweep crosses speculative depth x discover workers x local SpGEMM kernel
+(every registered backend besides the ``"expand"`` oracle that supports the
+count semiring discovery multiplies with — today ``"gustavson"``;
+``"gustavson-numba"`` declares no count support and the search refuses it),
+all under ``clock="measured"``.  Every configuration is asserted
+bit-identical to the serial baseline — depth, worker count and kernel may
+move wall time, never results.
 
-Reported per row (same semantics as bench_overlap_depth):
+Reported per row:
 
 * ``wall_speedup`` — serial stage-loop wall seconds over the executor's
   (best of ``repeats``); reported, with only a pathological-overhead floor
   asserted (see ``_smoke``).
 * ``schedule_speedup`` — the depth-k overlap algebra on the measured
   per-rank stage seconds: how much of the discover lane the schedule hid.
-* process rows add ``shm_peak_block_bytes`` / ``shm_total_bytes`` — the
-  shared-memory transport footprint surfaced by the executor.
+* ``shm_peak_block_bytes`` / ``shm_total_bytes`` — the shared-memory
+  transport footprint surfaced by the executor.
 
 Writes ``benchmarks/results/BENCH_process_pool.json``; CI runs ``--smoke``
 and uploads the JSON as a workflow artifact.
@@ -47,8 +44,7 @@ from repro.sparse.semiring import CountSemiring
 from _results import save_results
 
 #: Substitute-k-mer seeding keeps the discover lane a large share of the
-#: phase — the regime where moving it off the GIL can pay (same workload as
-#: the depth sweep, so the two benches are comparable).
+#: phase — the regime where moving it into worker processes can pay.
 WORKLOAD = dict(
     n_sequences=90,
     family_fraction=0.75,
@@ -57,9 +53,8 @@ WORKLOAD = dict(
     fragment_probability=0.1,
     seed=97,
 )
-SCHEDULERS = ("threaded", "process")
+DEPTHS = (1, 2, 4)
 WORKERS = (1, 2)
-DEPTH = 2
 
 
 def _kernels() -> tuple[str, ...]:
@@ -101,13 +96,13 @@ def _schedule_speedup(result) -> float:
 
 
 def run_pool_sweep(
-    schedulers=SCHEDULERS,
+    depths=DEPTHS,
     workers=WORKERS,
     kernels: tuple[str, ...] | None = None,
     repeats: int = 2,
     workload=WORKLOAD,
 ) -> dict:
-    """Serial baseline per kernel + scheduler x workers x kernel sweep."""
+    """Serial baseline per kernel + depth x workers x kernel sweep."""
     if kernels is None:
         kernels = _kernels()
     seqs = synthetic_dataset(config=SyntheticDatasetConfig(**workload))
@@ -134,47 +129,46 @@ def run_pool_sweep(
 
     rows = []
     for kernel in kernels:
-        for scheduler in schedulers:
+        for depth in depths:
             for nworkers in workers:
                 best, result = _run(
                     seqs,
                     _params(
                         spgemm_backend=kernel,
                         pre_blocking=True,
-                        preblock_depth=DEPTH,
+                        preblock_depth=depth,
                         preblock_workers=nworkers,
-                        scheduler=scheduler,
+                        scheduler="process",
                     ),
                     repeats,
                 )
-                assert result.scheduler == scheduler
+                assert result.scheduler == "process"
                 assert np.array_equal(
                     result.similarity_graph.edges, reference_edges
                 ), (
-                    f"scheduler={scheduler} workers={nworkers} kernel={kernel}: "
+                    f"depth={depth} workers={nworkers} kernel={kernel}: "
                     "results diverged from serial"
                 )
-                row = {
-                    "scheduler": scheduler,
-                    "workers": nworkers,
-                    "kernel": kernel,
-                    "phase_seconds": best,
-                    "wall_speedup": serials[kernel]["phase_seconds"] / best,
-                    "schedule_speedup": _schedule_speedup(result),
-                    "peak_live_blocks": result.stats.extras["peak_live_blocks"],
-                }
-                if scheduler == "process":
-                    row["shm_peak_block_bytes"] = result.stats.extras[
-                        "shm_peak_block_bytes"
-                    ]
-                    row["shm_total_bytes"] = result.stats.extras["shm_total_bytes"]
-                rows.append(row)
+                rows.append(
+                    {
+                        "depth": depth,
+                        "workers": nworkers,
+                        "kernel": kernel,
+                        "phase_seconds": best,
+                        "wall_speedup": serials[kernel]["phase_seconds"] / best,
+                        "schedule_speedup": _schedule_speedup(result),
+                        "peak_live_blocks": result.stats.extras["peak_live_blocks"],
+                        "shm_peak_block_bytes": result.stats.extras[
+                            "shm_peak_block_bytes"
+                        ],
+                        "shm_total_bytes": result.stats.extras["shm_total_bytes"],
+                    }
+                )
 
     best_row = max(rows, key=lambda r: r["wall_speedup"])
     return {
         "workload": dict(workload),
         "repeats": repeats,
-        "depth": DEPTH,
         "kernels": list(kernels),
         "cpu_count": os.cpu_count(),
         "usable_cpus": len(os.sched_getaffinity(0))
@@ -184,7 +178,7 @@ def run_pool_sweep(
         "rows": rows,
         "best_wall_speedup": best_row["wall_speedup"],
         "best_config": {
-            "scheduler": best_row["scheduler"],
+            "depth": best_row["depth"],
             "workers": best_row["workers"],
             "kernel": best_row["kernel"],
         },
@@ -198,52 +192,48 @@ def _print_report(out: dict) -> None:
             f"(discover {serial['measured_discover_seconds']:.2f}s, "
             f"align {serial['measured_align_seconds']:.2f}s)"
         )
-    print(f"{out['usable_cpus']} usable CPUs, depth={out['depth']}")
+    print(f"{out['usable_cpus']} usable CPUs")
     header = (
-        f"{'scheduler':>9} {'workers':>7} {'kernel':>15} {'phase s':>8} "
+        f"{'depth':>5} {'workers':>7} {'kernel':>15} {'phase s':>8} "
         f"{'wall x':>7} {'sched x':>8} {'shm peak':>10}"
     )
     print(header)
     print("-" * len(header))
     for row in out["rows"]:
-        shm = row.get("shm_peak_block_bytes")
         print(
-            f"{row['scheduler']:>9} {row['workers']:>7} {row['kernel']:>15} "
+            f"{row['depth']:>5} {row['workers']:>7} {row['kernel']:>15} "
             f"{row['phase_seconds']:>8.2f} {row['wall_speedup']:>7.2f} "
-            f"{row['schedule_speedup']:>8.2f} "
-            f"{'-' if shm is None else f'{shm:.0f}':>10}"
+            f"{row['schedule_speedup']:>8.2f} {row['shm_peak_block_bytes']:>10.0f}"
         )
     best = out["best_config"]
     print(
         f"best wall speedup x{out['best_wall_speedup']:.2f} at "
-        f"scheduler={best['scheduler']} workers={best['workers']} "
-        f"kernel={best['kernel']}"
+        f"depth={best['depth']} workers={best['workers']} kernel={best['kernel']}"
     )
 
 
 def _assert_invariants(out: dict) -> None:
     for row in out["rows"]:
-        label = f"{row['scheduler']} workers={row['workers']} kernel={row['kernel']}"
-        assert row["peak_live_blocks"] <= out["depth"] + 1, (
+        label = f"depth={row['depth']} workers={row['workers']} kernel={row['kernel']}"
+        assert row["peak_live_blocks"] <= row["depth"] + 1, (
             f"{label}: accumulator admitted more than depth+1 blocks"
         )
         assert row["schedule_speedup"] > 1.0, (
             f"{label}: the executed schedule hid nothing"
         )
-        if row["scheduler"] == "process":
-            # shm transport actually carried the blocks
-            assert row["shm_total_bytes"] >= row["shm_peak_block_bytes"] > 0, label
+        # shm transport actually carried the blocks
+        assert row["shm_total_bytes"] >= row["shm_peak_block_bytes"] > 0, label
 
 
 def test_process_pool_benchmark(benchmark):
-    """Scheduler x workers x kernel sweep (pytest-benchmark wrapper)."""
+    """Depth x workers x kernel sweep (pytest-benchmark wrapper)."""
     out = run_pool_sweep(repeats=2)
     save_results("BENCH_process_pool", out)
     _print_report(out)
     _assert_invariants(out)
     seqs = synthetic_dataset(config=SyntheticDatasetConfig(**WORKLOAD))
     params = _params(
-        pre_blocking=True, preblock_depth=DEPTH, preblock_workers=2,
+        pre_blocking=True, preblock_depth=2, preblock_workers=2,
         scheduler="process",
     )
     benchmark(lambda: PastisPipeline(params).run(seqs))
@@ -251,28 +241,25 @@ def test_process_pool_benchmark(benchmark):
 
 
 def _smoke() -> None:
-    """Standalone sweep (reduced grid) — used by CI."""
-    out = run_pool_sweep(workers=(2,), repeats=2)
+    """Standalone sweep (reduced grid: depth 2 x 2 workers) — used by CI."""
+    out = run_pool_sweep(depths=(2,), workers=(2,), repeats=2)
     _print_report(out)
     save_results("BENCH_process_pool", out)
     _assert_invariants(out)
-    process_rows = [r for r in out["rows"] if r["scheduler"] == "process"]
-    best_process = max(r["wall_speedup"] for r in process_rows)
     # The wall speed-up is reported, not asserted: with hypersparse SpGEMM
     # operands the serial discover lane of this workload is a few percent of
     # the phase, so there is little for worker processes to hide and their
-    # fork + shm cost shows (ROADMAP item 3 holds the numbers and the
-    # schedulers' keep-or-delete verdict they feed).  The floor only guards
-    # against a pathological regression (deadlock-adjacent stalls, per-block
-    # fork storms); the real gates are bit-identity and the schedule
-    # invariants above.
-    assert best_process > 0.25, (
-        f"process executor overhead is pathological (x{best_process:.2f})"
+    # fork + shm cost shows (ROADMAP item 4 holds the numbers).  The floor
+    # only guards against a pathological regression (deadlock-adjacent
+    # stalls, per-block fork storms); the real gates are bit-identity and
+    # the schedule invariants above.
+    assert out["best_wall_speedup"] > 0.25, (
+        f"process executor overhead is pathological (x{out['best_wall_speedup']:.2f})"
     )
     print(
-        f"smoke OK: process pool wall speedup x{best_process:.2f} over serial "
-        f"on {out['usable_cpus']} usable CPUs (reported, not asserted); "
-        "schedule hid background work in every configuration"
+        f"smoke OK: process pool wall speedup x{out['best_wall_speedup']:.2f} "
+        f"over serial on {out['usable_cpus']} usable CPUs (reported, not "
+        "asserted); schedule hid background work in every configuration"
     )
 
 

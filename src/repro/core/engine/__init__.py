@@ -11,44 +11,31 @@ stages, executed by pluggable schedulers:
 * :mod:`repro.core.engine.accumulator` — the streaming
   :class:`StreamingGraphAccumulator` that consumes each block's edges the
   moment they are produced, so peak memory is bounded by the *live* blocks
-  (one for the serial schedule, two under depth-1 pre-blocking, ``k + 1``
-  under speculative depth ``k``); with ``max_live_blocks`` set it is also
-  the admission gate that enforces that bound on a concurrent schedule;
+  (one for the serial schedule, ``k + 1`` under pre-blocking at depth
+  ``k``); with ``max_live_blocks`` set it refuses, rather than exceeds,
+  that bound;
 * :mod:`repro.core.engine.timeline` — the per-block scheduled timings from
   which the Table-I :class:`~repro.core.preblocking.PreblockingReport` is
   *derived* (it is no longer computed post hoc by
   ``PreblockingModel.evaluate`` inside the pipeline);
 * :mod:`repro.core.engine.schedulers` — the scheduler contract and the two
-  single-threaded implementations: :class:`SerialScheduler`
+  implementations that run on the calling thread: :class:`SerialScheduler`
   (bulk-synchronous, bit-identical to the historical monolithic loop) and
-  :class:`OverlappedScheduler` (§VI-C pre-blocking *simulated*:
-  ``discover(b+1)`` is interleaved with ``align(b)`` on the modeled clock,
-  with the paper's contention slowdowns charged as the schedule is
-  executed);
-* :mod:`repro.core.engine.executor` — :class:`ThreadedScheduler`, the
-  *measured-clock executor* of §VI-C: where the paper overlaps the next
-  block's CPU-side SpGEMM with the current block's GPU alignment, the
-  executor runs ``discover(b+1..b+k)`` on a bounded worker pool genuinely
-  concurrent with the main thread's ``align(b)``, generalizing pre-blocking
-  to speculative depth ``k`` (``PastisParams.preblock_depth``).  Discovers
-  execute in block order through a determinism turnstile, so records, edges
-  and ledger categories stay bit-identical to :class:`SerialScheduler` for
-  every depth and thread count; memory is bounded to ``k + 1`` live blocks
-  by the accumulator's admission gate; and the per-rank clock is derived
-  through the shared depth-``k`` overlap algebra
-  (:class:`repro.mpi.costmodel.OverlapWindow`), so
-  ``align + spgemm − overlap_hidden == combined clock`` holds for measured
-  wall seconds exactly as it does for modeled ones.
-
+  :class:`OverlappedScheduler` (§VI-C pre-blocking at speculative depth
+  ``k = PastisParams.preblock_depth``: blocks ``b+1..b+k`` are discovered
+  before ``align(b)``, and the overlap lives in the per-rank clock, closed
+  through the shared depth-``k`` algebra of
+  :class:`repro.mpi.costmodel.OverlapWindow`, so
+  ``align + spgemm − overlap_hidden == combined clock``; at depth 1 on the
+  modeled clock the paper's contention slowdowns are charged);
 * :mod:`repro.core.engine.process_executor` — :class:`ProcessScheduler`,
-  the *GIL-free* variant of the threaded executor: discover lanes run in
-  worker **processes** (``fork``) that execute the SpGEMM stage against a
-  forked copy of the run state and ship the block's CSR/COO arrays back
-  zero-copy through ``multiprocessing.shared_memory`` segments, with a
-  small picklable header carrying stats and an ordered journal of ledger
-  events.  The parent replays every side effect strictly in block order
-  (the role the threaded turnstile plays), so records, edges, stats and
-  every deterministic ledger category stay bit-identical to
+  the one lane with real concurrency: discovers run in worker **processes**
+  (``fork``) that execute the SpGEMM stage against a forked copy of the run
+  state and ship the block's COO arrays back zero-copy through
+  ``multiprocessing.shared_memory`` segments, with a small picklable header
+  carrying stats and an ordered journal of ledger events.  The parent
+  replays every side effect strictly in block order, so records, edges,
+  stats and every deterministic ledger category stay bit-identical to
   :class:`SerialScheduler` across depth and worker count, and the clock
   closes through the same :class:`~repro.mpi.costmodel.OverlapWindow`
   algebra.
@@ -71,27 +58,22 @@ Schedulers — not the pipeline — own execution order and ledger charging;
 the pipeline builds the task list and hands it over.
 
 **Choosing a scheduler** (``PastisParams.scheduler``, or derived from
-``pre_blocking``/``clock``/``preblock_depth`` when ``None``):
+``pre_blocking`` when ``None``: serial without it, overlapped with it):
 
 * ``"serial"`` — bulk-synchronous reference schedule.  Simplest, no
   concurrency; the baseline every other scheduler is bit-identical to.
-* ``"overlapped"`` — §VI-C pre-blocking *simulated* on the modeled clock
-  with the paper's contention multipliers.  Choose it for paper-faithful
-  Table-I numbers; no real concurrency happens.
-* ``"threaded"`` — the schedule actually executed on a thread pool.
-  Choose it for measured-clock runs or depth > 1.  Real overlap is limited
-  by the GIL: it helps exactly when the discover lane spends its time in
-  NumPy kernels that release the GIL, and collapses when the lane is
-  dominated by pure-Python stage orchestration.
+* ``"overlapped"`` — §VI-C pre-blocking at ``preblock_depth``, on one
+  thread: the overlap is in the clock, not in the wall time.  At depth 1
+  on the modeled clock it charges the paper's contention multipliers
+  (paper-faithful Table-I numbers); otherwise it charges raw seconds.
 * ``"process"`` — the same schedule with discover workers in *processes*
-  (shared-memory block transport).  The GIL does not apply, so overlap
-  survives Python-heavy discover work; costs fork + shm-mapping overhead
-  per block, so prefer ``"threaded"`` for tiny blocks and ``"process"``
-  when blocks are large enough to amortize it (see
+  (shared-memory block transport), the only scheduler that runs two
+  discovers at once.  Costs fork + shm-mapping overhead per block, so it
+  pays only when blocks are large enough to amortize it (see
   ``benchmarks/bench_process_pool.py``).  Requires the ``fork`` start
-  method.
+  method; ``preblock_workers`` sizes its pool.
 
-All four produce bit-identical records, edges, stats and deterministic
+All three produce bit-identical records, edges, stats and deterministic
 ledger categories; only wall-clock behavior differs.
 
 **Observability** (``PastisParams.trace`` / ``trace_dir``; see
@@ -100,14 +82,13 @@ ledger categories; only wall-clock behavior differs.
 the mechanisms above —
 
 * ``stage`` spans (``discover``/``prune``/``align``/``accumulate``) — the
-  four :class:`BlockTask` stages, wherever they execute (main thread,
-  pool thread, or worker process);
+  four :class:`BlockTask` stages, wherever they execute (main thread or
+  worker process);
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
   :class:`StageCache` consult and the bit-identical replay of a hit;
-* ``wait`` spans — the concurrency gates: ``admission_wait`` is time
-  blocked in the accumulator's ``admit_block`` admission gate (the
-  ``k + 1`` live-block memory bound), ``turnstile_wait`` is a threaded
-  worker waiting its turn in the ``_Turnstile`` determinism gate;
+* ``wait`` spans — ``admission_wait`` is the process scheduler reserving a
+  live-block slot in the accumulator (``admit_block``, the ``k + 1``
+  live-block memory bound) before submitting a block;
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
   stages inside one discover's 2D SUMMA;
 * ``transport``/``replay`` spans (``shm_ship``/``ledger_replay``) — the
@@ -116,7 +97,7 @@ the mechanisms above —
 * counter series (live blocks, ``ledger.<category>`` totals, shm bytes,
   cache hits) are sampled once per block at the accumulate boundary.
 
-Serial/Overlapped/Threaded record directly into the run's recorder; the
+Serial and Overlapped record directly into the run's recorder; the
 process executor's workers journal spans into the block header (the same
 pattern as their ledger journal) and the parent merges them in block
 order with worker-pid attribution.  Tracing is off by default, zero-cost
@@ -147,7 +128,6 @@ assert bit-identity per scheduler.
 
 from .accumulator import StreamingGraphAccumulator
 from .cache import CachedBlock, StageCache, build_stage_cache
-from .executor import ThreadedScheduler
 from .process_executor import ProcessScheduler
 from .schedulers import (
     OverlappedScheduler,
@@ -174,6 +154,5 @@ __all__ = [
     "StageTimeline",
     "build_stage_cache",
     "StreamingGraphAccumulator",
-    "ThreadedScheduler",
     "make_scheduler",
 ]

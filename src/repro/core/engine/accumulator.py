@@ -8,19 +8,19 @@ block is registered as *live*, its edges are consumed the moment the
 alignment stage produces them, and the block is released when the task's
 ``accumulate`` stage discards it.  Peak live bytes are tracked with
 :class:`repro.metrics.memory.MemoryTracker`, so a run can report that
-streaming held one block (serial schedule), two (depth-1 pre-blocking: the
-current block plus the one being discovered) or ``k + 1`` (speculative
-depth-``k`` pre-blocking) instead of the cumulative
-``retained_block_bytes`` a keep-everything run would have paid.
+streaming held one block (serial schedule) or ``k + 1`` (pre-blocking at
+depth ``k``: the current block plus the ``k`` discovered ahead) instead of
+the cumulative ``retained_block_bytes`` a keep-everything run would have
+paid.
 
 The accumulator is also the engine's **memory governor**: with
-``max_live_blocks`` set (the threaded executor sets it to ``depth + 1``),
-:meth:`admit_block` blocks the calling worker until a slot frees, so a deep
-speculative schedule can never hold more than ``k + 1`` blocks no matter
-how far the discover lane runs ahead of alignment.  Admission, consumption
-and release are thread-safe — the threaded scheduler's workers admit and
-register blocks while the main thread consumes edges and discards them —
-and the measured peak is reported via :attr:`peak_live_blocks`.
+``max_live_blocks`` set (the pre-blocking schedulers set it to
+``depth + 1``), a block past the bound is refused with an error rather than
+admitted, whether it is reserved ahead of time (:meth:`admit_block`, the
+process scheduler's submit window) or registered when computed
+(:meth:`block_computed`).  Nothing ever waits for a slot: the thread that
+registers blocks is the one that discards them.  The measured peak is
+reported via :attr:`peak_live_blocks`.
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ class StreamingGraphAccumulator:
     n_vertices:
         Number of sequences (graph vertices).
     max_live_blocks:
-        Admission bound: at most this many blocks may be live (admitted and
-        not yet discarded) at once; :meth:`admit_block` blocks until a slot
-        frees.  ``None`` (the default) disables admission control — the
-        serial and modeled overlapped schedulers regulate liveness through
-        their schedule shape instead.
+        Bound on blocks live (admitted and not yet discarded) at once; an
+        admission past it raises.  ``None`` (the default) disables the
+        bound — the serial scheduler holds one block by construction.
     memory:
         Tracker recording current/peak bytes of the ``live_blocks`` and
         ``edge_buffer`` components.
@@ -63,9 +61,8 @@ class StreamingGraphAccumulator:
     edges_streamed:
         Total edges consumed (before the final canonicalization).
     peak_live_blocks:
-        Measured peak number of simultaneously live blocks (1 serial, 2
-        depth-1 overlapped, at most ``depth + 1`` under the threaded
-        executor).
+        Measured peak number of simultaneously live blocks (1 serial, at
+        most ``depth + 1`` under pre-blocking).
     """
 
     n_vertices: int
@@ -77,51 +74,28 @@ class StreamingGraphAccumulator:
     _edge_parts: list[np.ndarray] = field(default_factory=list, repr=False)
     _live: int = field(default=0, repr=False)
     _pending_admissions: int = field(default=0, repr=False)
-    _aborted: bool = field(default=False, repr=False)
-    _cond: threading.Condition = field(default_factory=threading.Condition, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # ------------------------------------------------------------------ admission
     def admit_block(self) -> None:
         """Reserve a live-block slot *before* computing a block.
 
-        Blocks the caller until fewer than ``max_live_blocks`` blocks are
-        live, then counts the reservation as live — this is what bounds the
-        threaded executor's speculation to ``depth + 1`` blocks.  A
-        subsequent :meth:`block_computed` consumes the reservation instead
-        of admitting again.  Note: wakeup order among *concurrent* waiters
-        is not FIFO (plain condition-variable semantics); oldest-block-first
-        admission holds because callers serialize their admissions — the
-        executor's block-order turnstile admits one block at a time.
+        Counts the reservation as live, or raises when ``max_live_blocks``
+        blocks already are; a subsequent :meth:`block_computed` consumes the
+        reservation instead of admitting again.
         """
-        with self._cond:
+        with self._lock:
             self._admit_locked()
             self._pending_admissions += 1
 
-    def abort_admission(self) -> None:
-        """Wake all admission waiters with an error (executor teardown)."""
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
-    def _admit_locked(self, blocking: bool = True) -> None:
-        while (
-            blocking
-            and self.max_live_blocks is not None
-            and self._live >= self.max_live_blocks
-            and not self._aborted
-        ):
-            self._cond.wait()
-        if self._aborted:
-            raise RuntimeError("accumulator admission aborted (run torn down)")
+    def _admit_locked(self) -> None:
         if self.max_live_blocks is not None and self._live >= self.max_live_blocks:
-            # non-blocking path: the caller is the only thread there is, so
-            # waiting for an eviction it would itself have to perform is a
-            # guaranteed deadlock — fail loudly instead
+            # the caller is the thread that would have to discard a block to
+            # free the slot, so waiting for one would deadlock
             raise RuntimeError(
                 f"live-block bound exceeded: {self._live} blocks live with "
-                f"max_live_blocks={self.max_live_blocks}; single-threaded "
-                "schedulers must discard before computing the next block (or "
-                "reserve concurrently via admit_block)"
+                f"max_live_blocks={self.max_live_blocks}; a scheduler must "
+                "discard a block before admitting the next"
             )
         self._live += 1
         self.peak_live_blocks = max(self.peak_live_blocks, self._live)
@@ -132,24 +106,20 @@ class StreamingGraphAccumulator:
 
         Blocks replayed from the stage cache go through the exact same
         admission/registration/discard life cycle as computed ones (with the
-        stored ``block_bytes``), so live-block bounds, peak accounting and —
-        under the threaded executor — the admission gate behave identically
-        on warm and cold runs.
+        stored ``block_bytes``), so live-block bounds and peak accounting
+        behave identically on warm and cold runs.
         """
-        with self._cond:
+        with self._lock:
             if self._pending_admissions:
                 self._pending_admissions -= 1
             else:
-                # caller did not pre-admit (serial / modeled overlapped
-                # schedulers): admit on registration, without blocking — the
-                # registering thread may be the only one able to evict
-                self._admit_locked(blocking=False)
+                self._admit_locked()
             self.memory.allocate(LIVE_BLOCKS, int(nbytes))
             self.retained_block_bytes += int(nbytes)
 
     def consume(self, edges: np.ndarray) -> None:
         """Stream one block's similar-pair edges into the output buffer."""
-        with self._cond:
+        with self._lock:
             if edges.size:
                 self._edge_parts.append(edges)
                 self.memory.allocate(EDGE_BUFFER, int(edges.nbytes))
@@ -157,10 +127,9 @@ class StreamingGraphAccumulator:
 
     def block_discarded(self, nbytes: int) -> None:
         """Release a block whose edges have been consumed."""
-        with self._cond:
+        with self._lock:
             self.memory.release(LIVE_BLOCKS, int(nbytes))
             self._live = max(0, self._live - 1)
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------ results
     @property

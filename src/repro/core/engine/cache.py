@@ -325,8 +325,7 @@ class StageCache:
     once per run by :func:`build_stage_cache`).  ``read=False`` (the
     ``cache_invalidate`` knob) skips lookups and overwrites entries;
     ``write=False`` makes the cache read-only.  Lookup/store counters are
-    thread-safe — the threaded executor loads entries on worker threads
-    while the main thread stores completed blocks.
+    updated under a lock, so several threads may share one cache.
     """
 
     directory: Path

@@ -1,17 +1,16 @@
 """Process-pool executor: a GIL-free discover lane over shared memory.
 
-:class:`~repro.core.engine.executor.ThreadedScheduler` overlaps the discover
-lane with the foreground align lane on *threads* — genuine concurrency for
-the NumPy-heavy SpGEMM only to the extent the kernels release the GIL.
-:class:`ProcessScheduler` runs the same speculative depth-``k`` schedule with
-the discover lane in worker **processes**: the Python interpreter of the
-SUMMA stage loop no longer shares the GIL with the aligner, so the overlap
-gain survives pure-Python hot loops.  Results stay bit-identical to
-:class:`~repro.core.engine.schedulers.SerialScheduler` — records, edges,
-stats and every deterministic ledger category — for every depth and worker
-count (asserted in ``tests/test_engine.py``).
+:class:`~repro.core.engine.schedulers.OverlappedScheduler` runs the
+speculative depth-``k`` pre-blocking schedule on one thread, so its overlap
+exists only on the per-rank clock.  :class:`ProcessScheduler` runs the same
+schedule with the discover lane in worker **processes**: discovers run
+concurrently with the aligner and with each other, which is what makes it
+the one scheduler whose overlap shows in wall time.  Results stay
+bit-identical to :class:`~repro.core.engine.schedulers.SerialScheduler` —
+records, edges, stats and every deterministic ledger category — for every
+depth and worker count (asserted in ``tests/test_engine.py``).
 
-Three mechanisms replace the threaded executor's shared-state machinery:
+Three mechanisms keep the workers from touching shared state:
 
 **Pure workers, parent-ordered replay.**  A worker computes its block
 against a *forked copy* of the run state and mutates nothing the parent can
@@ -24,7 +23,7 @@ and the engine's ``blocks_computed``/``total_stats``/``peak_block_bytes``
 mutations, the accumulator admission, and the cache snapshot — strictly in
 block order as it consumes results.  Same charges, same order, same starting
 state: float sums land bit-identically to the serial schedule, without any
-cross-process turnstile.
+cross-process lock.
 
 **Shared-memory block transport.**  The block's per-rank COO arrays travel
 through one ``multiprocessing.shared_memory`` segment per block (name
@@ -39,7 +38,7 @@ leaks (fault-injection test in ``tests/test_engine.py``).
 **Shared admission and overlap algebra.**  The parent reserves the
 accumulator's live-block slot at submission time, in block order, so
 speculation is memory-bounded to ``depth + 1`` live blocks exactly like the
-threaded executor; the per-rank clock is closed through the same
+overlapped schedule; the per-rank clock is closed through the same
 :class:`repro.mpi.costmodel.OverlapWindow` replay, so
 ``align + spgemm − overlap_hidden == combined clock`` holds per rank.
 
@@ -62,17 +61,17 @@ import numpy as np
 from ...distsparse.blocked_summa import OutputBlock
 from ...distsparse.summa import SummaResult
 from ...metrics.timers import Timer, time_call
-from ...mpi.costmodel import CostLedger, OverlapWindow
+from ...mpi.costmodel import CostLedger
 from ...obs import MetricsHub, activate_metrics
 from ...sparse.coo import CooMatrix
 from ...trace import TraceRecorder, activate, maybe_span
 from .cache import LANE_COUNTERS, CachedBlock, lane_time_categories
 from .schedulers import (
-    OVERLAP_HIDDEN_CATEGORY,
     ScheduleOutcome,
     Scheduler,
     _charge_sparse,
     _run_foreground_stages,
+    close_overlap_clock,
 )
 from .stages import BlockRecord, BlockTask, StageContext
 from .timeline import StageTimeline
@@ -426,10 +425,9 @@ def _worker_discover(index: int, block_row: int, block_col: int, segment_name: s
 def _admit_block(header: _BlockHeader, task: BlockTask, ctx: StageContext):
     """Replay one worker result's discover side effects, in block order.
 
-    This is the process executor's determinism gate (the role the threaded
-    executor's turnstile plays): ledger events, engine stat merges, the
-    accumulator admission and the cache snapshot all land here, on the
-    parent, strictly in block index order.  Returns the attached
+    This is the process executor's determinism gate: ledger events, engine
+    stat merges, the accumulator registration and the cache snapshot all
+    land here, on the parent, strictly in block index order.  Returns the attached
     :class:`_ShmBlock` (``None`` for cache hits and empty blocks shipped
     without a segment).
     """
@@ -484,6 +482,8 @@ def _admit_block(header: _BlockHeader, task: BlockTask, ctx: StageContext):
     engine.peak_block_bytes = max(engine.peak_block_bytes, block_bytes)
     task.block = block
     task.sparse_seconds = header.sparse_seconds
+    task.candidate_count = block.nnz
+    task.block_bytes = block_bytes
     task.discover_wall_seconds = header.discover_wall_seconds
     if cache is not None:
         times, counters = ctx.comm.ledger.snapshot(
@@ -507,9 +507,8 @@ class ProcessScheduler(Scheduler):
     max_workers:
         Worker processes in the discover pool (``None`` = 1).  At most
         ``depth`` discovers are submitted beyond the block being consumed,
-        so extra workers beyond ``depth`` idle; like the threaded
-        executor's knob, worker count can never change results (asserted
-        in the engine tests).
+        so extra workers beyond ``depth`` idle; worker count can never
+        change results (asserted in the engine tests).
     """
 
     name: str = "process"
@@ -537,7 +536,7 @@ class ProcessScheduler(Scheduler):
             raise RuntimeError(
                 "scheduler='process' requires the 'fork' multiprocessing start "
                 "method (workers inherit the run state); use scheduler="
-                "'threaded' on platforms without it"
+                "'overlapped' on platforms without it"
             ) from exc
         # make sure the shm resource tracker exists *before* the pool forks,
         # so parent and workers share one tracker and the worker-side
@@ -556,7 +555,7 @@ class ProcessScheduler(Scheduler):
             ctx.accumulator.max_live_blocks = depth + 1
         # submissions reserve their live-block slot up front, so the in-flight
         # window must fit under the admission bound (the parent is the only
-        # drainer — an over-submission would deadlock, not block briefly)
+        # drainer: a reservation past the bound raises)
         bound = ctx.accumulator.max_live_blocks
         inflight = depth if bound is None else max(0, min(depth, int(bound) - 1))
         token = f"{os.getpid():x}-{next(_TOKEN_COUNTER):x}"
@@ -572,7 +571,6 @@ class ProcessScheduler(Scheduler):
         shm_total = 0
         futures: dict[int, object] = {}
         phase_timer = Timer()
-        failed = False
         previous_ctx = _WORKER_CTX
         _WORKER_CTX = ctx
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
@@ -582,7 +580,8 @@ class ProcessScheduler(Scheduler):
                 def ensure_submitted(upto: int) -> None:
                     for j in range(len(futures) + len(records), min(upto, num_blocks - 1) + 1):
                         # block-order slot reservation: the submit window is
-                        # sized so this can never block (see `inflight`)
+                        # sized so this can never exceed the bound (see
+                        # `inflight`)
                         with maybe_span(
                             ctx.trace,
                             "admission_wait",
@@ -648,25 +647,18 @@ class ProcessScheduler(Scheduler):
                     # keep `inflight` discovers in the pipe now that this
                     # block's live slot has been released by accumulate
                     ensure_submitted(index + 1 + inflight)
-        except BaseException:
-            failed = True
-            raise
         finally:
-            if failed:
-                ctx.accumulator.abort_admission()
             pool.shutdown(wait=True, cancel_futures=True)
             _WORKER_CTX = previous_ctx
             # the pool is joined: nothing can re-create a segment behind us
             _sweep_segments(token, num_blocks)
 
-        clock = np.zeros(ctx.comm.size)
-        window = OverlapWindow(ctx.comm.ledger, clock, OVERLAP_HIDDEN_CATEGORY)
-        window.run_schedule(
+        timeline.combined_per_rank = close_overlap_clock(
+            ctx,
             align_per_block,
             [record.sparse_seconds_per_rank for record in records],
-            depth=depth,
+            depth,
         )
-        timeline.combined_per_rank = clock
         timeline.measured_phase_seconds = phase_timer.elapsed
         self.lane_stats = {
             str(pid): {

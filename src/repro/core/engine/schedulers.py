@@ -17,16 +17,18 @@ policy.
 bit-for-bit: stages run strictly in block order and raw component times are
 charged.
 
-:class:`OverlappedScheduler` implements §VI-C pre-blocking on the simulated
-clock: ``discover(b+1)`` is issued while block ``b`` is aligned, both
-components are charged with the paper's measured contention slowdowns
-(~1.13x for alignment; ``1.10 + 0.006 · num_blocks`` for the sparse
-multiply, growing with the block count), and the per-rank clock advances by
-``max(align(b), discover(b+1))`` per step — the schedule *is* the
-computation, not post-hoc arithmetic.  The time hidden by the overlap
-(``min(align(b), discover(b+1))`` per step) is charged to the informational
-``overlap_hidden`` ledger category, so per-rank clock and ledger stay
-reconcilable: ``align + spgemm − overlap_hidden == combined clock``.
+:class:`OverlappedScheduler` implements §VI-C pre-blocking at speculative
+depth ``k`` on the calling thread: blocks ``b+1..b+k`` are discovered before
+block ``b`` is aligned, so the run holds the ``k + 1`` live blocks the
+overlapped schedule would.  Components may be charged with the paper's
+measured contention slowdowns (~1.13x for alignment; ``1.10 + 0.006 ·
+num_blocks`` for the sparse multiply, growing with the block count), and
+the per-rank clock is the executed schedule replayed through
+:meth:`repro.mpi.costmodel.OverlapWindow.run_schedule` — at depth 1 each
+step costs ``max(align(b), discover(b+1))``.  The time hidden by the overlap
+is charged to the informational ``overlap_hidden`` ledger category, so
+per-rank clock and ledger stay reconcilable:
+``align + spgemm − overlap_hidden == combined clock``.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...metrics.timers import Timer
-from ...mpi.costmodel import charge_overlap_slot
+from ...mpi.costmodel import OverlapWindow
 from ..align_phase import BlockAlignmentOutput
 from ..preblocking import PreblockingModel
 from .stages import BlockRecord, BlockTask, StageContext
 from .timeline import BlockTiming, StageTimeline
 
 #: Ledger category holding the per-rank seconds hidden by pre-blocking
-#: overlap (charged by :class:`OverlappedScheduler` only; excluded from
+#: overlap (charged by the pre-blocking schedulers only; excluded from
 #: reported totals).
 OVERLAP_HIDDEN_CATEGORY = "overlap_hidden"
 
@@ -196,22 +198,45 @@ class SerialScheduler(Scheduler):
         )
 
 
+def close_overlap_clock(
+    ctx: StageContext,
+    align_scheduled: list[np.ndarray],
+    sparse_scheduled: list[np.ndarray],
+    depth: int,
+) -> np.ndarray:
+    """Replay an executed depth-``k`` block schedule through the shared
+    overlap algebra; charges ``overlap_hidden`` and returns the per-rank
+    combined clock (``align + spgemm − overlap_hidden``)."""
+    clock = np.zeros(ctx.comm.size)
+    window = OverlapWindow(ctx.comm.ledger, clock, OVERLAP_HIDDEN_CATEGORY)
+    window.run_schedule(align_scheduled, sparse_scheduled, depth=depth)
+    return clock
+
+
 @dataclass
 class OverlappedScheduler(Scheduler):
-    """Pre-blocking (§VI-C): discover the next block while aligning this one.
+    """Pre-blocking (§VI-C) at speculative depth ``k``, on one thread.
 
-    The contention parameterization is shared with the closed-form
-    :class:`~repro.core.preblocking.PreblockingModel` (which remains the
-    reference for Table-I arithmetic); this scheduler *executes* the
-    schedule instead of evaluating it after the run.  At most two blocks
-    are live at any point: the one being aligned and the one being
-    discovered.
+    Before block ``b`` is aligned, blocks up to ``b + k`` have been
+    discovered: the stage order and the ``k + 1`` live blocks are those of
+    the overlapped schedule, and the overlap itself lives in the clock.
+    ``contention`` scales the charged seconds; its default is the paper's
+    slowdowns, shared with the closed-form
+    :class:`~repro.core.preblocking.PreblockingModel` (the reference for
+    Table-I arithmetic), and :meth:`PreblockingModel.uncontended` charges
+    raw seconds.
     """
 
     name: str = "overlapped"
+    depth: int = 1
     contention: PreblockingModel = field(default_factory=PreblockingModel)
 
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+
     def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
+        depth = int(self.depth)
         num_blocks = len(tasks)
         align_mult = self.contention.align_contention
         sparse_mult = self.contention.sparse_contention(num_blocks)
@@ -219,56 +244,44 @@ class OverlappedScheduler(Scheduler):
             scheduler=self.name,
             align_contention=align_mult,
             sparse_contention=sparse_mult,
+            preblock_depth=depth,
         )
         if not tasks:
             return ScheduleOutcome(records=[], timeline=timeline)
+        if ctx.accumulator.max_live_blocks is None:
+            # the schedule's memory contract: current block + k discovered ahead
+            ctx.accumulator.max_live_blocks = depth + 1
 
-        ledger = ctx.comm.ledger
         records: list[BlockRecord] = []
         kernel_seconds = 0.0
         measured_seconds = 0.0
         measured_discover = 0.0
-        clock = np.zeros(ctx.comm.size)
+        align_scheduled: list[np.ndarray] = []
+        sparse_scheduled: list[np.ndarray] = []
         phase_timer = Timer()
-
         with phase_timer:
-            # prologue: the first block's discovery has nothing to hide behind
-            tasks[0].discover(ctx)
-            _charge_sparse(ctx, tasks[0].sparse_seconds, sparse_mult)
-            measured_discover += tasks[0].discover_wall_seconds
-            sparse_sched_next = tasks[0].sparse_seconds * sparse_mult
-            clock += sparse_sched_next
-
             for index, task in enumerate(tasks):
-                sparse_sched = sparse_sched_next
-                nxt = tasks[index + 1] if index + 1 < num_blocks else None
-                if nxt is not None:
-                    # CPU SpGEMM of block b+1 runs while block b is on the GPUs
-                    nxt.discover(ctx)
-                    _charge_sparse(ctx, nxt.sparse_seconds, sparse_mult)
-                    measured_discover += nxt.discover_wall_seconds
-                    sparse_sched_next = nxt.sparse_seconds * sparse_mult
+                # CPU SpGEMM of blocks b+1..b+k runs while block b is on the GPUs
+                while len(sparse_scheduled) <= min(index + depth, num_blocks - 1):
+                    ahead = tasks[len(sparse_scheduled)]
+                    ahead.discover(ctx)
+                    _charge_sparse(ctx, ahead.sparse_seconds, sparse_mult)
+                    measured_discover += ahead.discover_wall_seconds
+                    sparse_scheduled.append(ahead.sparse_seconds * sparse_mult)
 
                 record, output, align_sched = _run_foreground_stages(
                     task, ctx, timeline,
                     align_mult=align_mult,
-                    sparse_scheduled=sparse_sched,
+                    sparse_scheduled=sparse_scheduled[index],
                 )
                 kernel_seconds += output.kernel_seconds
                 measured_seconds += output.measured_seconds
+                align_scheduled.append(align_sched)
                 records.append(record)
 
-                if nxt is not None:
-                    # the slot costs the slower of the two co-scheduled stages;
-                    # the hidden remainder is ledgered for reconciliation
-                    charge_overlap_slot(
-                        ledger, clock, align_sched, sparse_sched_next, OVERLAP_HIDDEN_CATEGORY
-                    )
-                else:
-                    # epilogue: the last block's alignment runs alone
-                    clock += align_sched
-
-        timeline.combined_per_rank = clock
+        timeline.combined_per_rank = close_overlap_clock(
+            ctx, align_scheduled, sparse_scheduled, depth
+        )
         timeline.measured_phase_seconds = phase_timer.elapsed
         return ScheduleOutcome(
             records=records,
@@ -280,24 +293,20 @@ class OverlappedScheduler(Scheduler):
 
 
 def make_scheduler(name: str, **kwargs) -> Scheduler:
-    """Factory: ``"serial"``, ``"overlapped"``, ``"threaded"`` or ``"process"``.
+    """Factory: ``"serial"``, ``"overlapped"`` or ``"process"``.
 
-    Keyword arguments go to the scheduler — the threaded and process
-    executors take ``depth`` (speculative discovery depth) and
+    Keyword arguments go to the scheduler — ``"overlapped"`` takes
+    ``depth`` and ``contention``, ``"process"`` takes ``depth`` and
     ``max_workers`` (discover pool size).
     """
     if name == "serial":
         return SerialScheduler(**kwargs)
     if name == "overlapped":
         return OverlappedScheduler(**kwargs)
-    if name == "threaded":
-        from .executor import ThreadedScheduler  # circular-import guard
-
-        return ThreadedScheduler(**kwargs)
     if name == "process":
         from .process_executor import ProcessScheduler  # circular-import guard
 
         return ProcessScheduler(**kwargs)
     raise ValueError(
-        f"unknown scheduler {name!r}; available: serial, overlapped, threaded, process"
+        f"unknown scheduler {name!r}; available: serial, overlapped, process"
     )

@@ -126,8 +126,11 @@ class BlockTask:
     cached: CachedBlock | None = field(default=None, repr=False)
     #: post-discover ledger snapshot of a miss, pending store on completion
     _capture: tuple | None = field(default=None, repr=False)
-    #: wall-clock seconds the discover stage took (whatever thread ran it);
-    #: what the threaded executor reports as the background lane's real time
+    #: candidates discovered and bytes held by the block — set by discover,
+    #: its cache replay, or the process scheduler's parent-side admission
+    candidate_count: int = 0
+    block_bytes: int = 0
+    #: wall-clock seconds the discover stage took (whichever process ran it)
     discover_wall_seconds: float = 0.0
 
     # ------------------------------------------------------------------ stages
@@ -166,6 +169,8 @@ class BlockTask:
             sparse_seconds = np.asarray(block.result.compute_seconds_per_rank, dtype=float)
         self.block = block
         self.sparse_seconds = sparse_seconds
+        self.candidate_count = block.nnz
+        self.block_bytes = block.memory_bytes()
         if cache is not None:
             # absolute lane state *after* this block's discover: the entry
             # restores (not re-adds) these vectors on replay, which is the
@@ -174,15 +179,15 @@ class BlockTask:
                 lane_time_categories(ctx.engine.compute_category), LANE_COUNTERS
             )
             self._capture = (times, counters, block.stats)
-        ctx.accumulator.block_computed(block.memory_bytes())
+        ctx.accumulator.block_computed(self.block_bytes)
         return block
 
     def _replay_discover(self, ctx: StageContext, entry: CachedBlock) -> None:
         """Reproduce every side effect the cold discover had, from the entry.
 
-        Runs inside whatever ordering discipline the scheduler imposes on
-        discovers (the threaded executor's turnstile), so restores land in
-        block order exactly like the original charges did.
+        Schedulers run discovers in block order (the process scheduler
+        replays its workers' hits on the parent), so restores land in block
+        order exactly like the original charges did.
         """
         ctx.comm.ledger.restore(entry.ledger_times, entry.ledger_counters)
         engine = ctx.engine
@@ -190,6 +195,8 @@ class BlockTask:
         engine.peak_block_bytes = max(engine.peak_block_bytes, entry.block_bytes)
         self.cached = entry
         self.sparse_seconds = entry.sparse_seconds_per_rank
+        self.candidate_count = entry.candidates
+        self.block_bytes = entry.block_bytes
         self.discover_wall_seconds = entry.discover_wall_seconds
         ctx.accumulator.block_computed(entry.block_bytes)
 
@@ -229,22 +236,22 @@ class BlockTask:
         return self.output
 
     def accumulate(self, ctx: StageContext) -> BlockRecord:
-        """Stream edges out, snapshot the record, and discard the block."""
-        if self.cached is not None:
-            with maybe_span(
-                ctx.trace,
-                "accumulate",
-                "stage",
-                block=(self.block_row, self.block_col),
-                cached=True,
-            ):
-                return self._accumulate_cached(ctx)
-        assert self.block is not None and self.output is not None, "accumulate before align"
+        """Stream edges out, snapshot the record, and discard the block.
+
+        One path for computed and replayed blocks: the record is built from
+        what discover (or its replay) and align left on the task; ``kind``
+        is a pure function of the block's index ranges.  A miss is stored in
+        the cache here, once the block is complete.
+        """
+        assert self.output is not None, "accumulate before align"
         with maybe_span(
-            ctx.trace, "accumulate", "stage", block=(self.block_row, self.block_col)
+            ctx.trace,
+            "accumulate",
+            "stage",
+            block=(self.block_row, self.block_col),
+            cached=self.cached is not None,
         ) as span:
-            block, output = self.block, self.output
-            block_bytes = block.memory_bytes()
+            output, block_bytes = self.output, self.block_bytes
             self.record = BlockRecord(
                 block_row=self.block_row,
                 block_col=self.block_col,
@@ -252,7 +259,7 @@ class BlockTask:
                     ctx.schedule.row_range(self.block_row),
                     ctx.schedule.col_range(self.block_col),
                 ),
-                candidates=block.nnz,
+                candidates=self.candidate_count,
                 aligned_pairs=output.pairs_aligned,
                 similar_pairs=int(output.edges.size),
                 sparse_seconds_per_rank=self.sparse_seconds,
@@ -263,12 +270,12 @@ class BlockTask:
             )
             ctx.accumulator.consume(output.edges)
             ctx.accumulator.block_discarded(block_bytes)
-            if ctx.cache is not None and self._capture is not None:
+            if self._capture is not None:
                 times, counters, stats = self._capture
                 ctx.cache.store(
                     (self.block_row, self.block_col),
                     CachedBlock(
-                        candidates=self.record.candidates,
+                        candidates=self.candidate_count,
                         block_bytes=block_bytes,
                         sparse_seconds_per_rank=self.sparse_seconds,
                         align_seconds_per_rank=output.align_seconds_per_rank,
@@ -292,30 +299,4 @@ class BlockTask:
             # survive
             self.block = None
             self.candidates = None
-        return self.record
-
-    def _accumulate_cached(self, ctx: StageContext) -> BlockRecord:
-        """The accumulate stage of a replayed block: same consumption order,
-        record rebuilt from the stored values (``kind`` is recomputed — it is
-        a pure function of the block's index ranges)."""
-        entry, output = self.cached, self.output
-        assert output is not None, "accumulate before align"
-        self.record = BlockRecord(
-            block_row=self.block_row,
-            block_col=self.block_col,
-            kind=classify_block(
-                ctx.schedule.row_range(self.block_row), ctx.schedule.col_range(self.block_col)
-            ),
-            candidates=entry.candidates,
-            aligned_pairs=output.pairs_aligned,
-            similar_pairs=int(output.edges.size),
-            sparse_seconds_per_rank=self.sparse_seconds,
-            align_seconds_per_rank=output.align_seconds_per_rank,
-            pairs_per_rank=output.pairs_aligned_per_rank,
-            cells_per_rank=output.cells_per_rank,
-            block_bytes=entry.block_bytes,
-        )
-        ctx.accumulator.consume(output.edges)
-        ctx.accumulator.block_discarded(entry.block_bytes)
-        self.candidates = None
         return self.record

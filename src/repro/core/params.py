@@ -56,36 +56,32 @@ class PastisParams:
     load_balancing:
         ``"index"`` or ``"triangularity"`` (§VI-B).
     pre_blocking:
-        Overlap next-block SpGEMM with current-block alignment (§VI-C).
-        Under ``clock="modeled"`` (and ``preblock_depth == 1``) the overlap
-        is simulated by
-        :class:`~repro.core.engine.schedulers.OverlappedScheduler` with the
-        paper's contention multipliers; under ``clock="measured"`` (or any
-        ``preblock_depth > 1``) it is *executed* by the threaded
-        measured-clock executor
-        (:class:`~repro.core.engine.executor.ThreadedScheduler`).  Results
-        are bit-identical in every case.
+        Overlap next-block SpGEMM with current-block alignment (§VI-C),
+        run by :class:`~repro.core.engine.schedulers.OverlappedScheduler`
+        at ``preblock_depth`` on one thread: the overlap shows on the
+        per-rank clock, not in wall time.  At depth 1 on the modeled clock
+        it charges the paper's contention multipliers; otherwise raw
+        seconds.  Results are bit-identical to the serial schedule.
     preblock_depth:
-        Speculative discovery depth ``k`` of the threaded executor: while
-        block ``b`` aligns, the discover stages of blocks ``b+1..b+k`` are
-        in flight, memory-bounded to ``k + 1`` live blocks by the streaming
-        accumulator's admission gate.  ``1`` is classic pre-blocking.
-        Ignored without ``pre_blocking``.
+        Speculative discovery depth ``k``: block ``b`` is aligned after the
+        discover stages of blocks up to ``b+k``, so ``k + 1`` blocks are
+        live (bounded by the streaming accumulator) and the clock hides up
+        to ``k`` discovers behind each alignment.  ``1`` is classic
+        pre-blocking.  Used by the ``"overlapped"`` and ``"process"``
+        schedulers.
     preblock_workers:
-        Workers of the executor's discover pool (``None`` = 1) — threads
-        for ``scheduler="threaded"``, processes for ``scheduler="process"``.
-        The discover lane's results land in block order by design, so one
-        worker carries it at full speed; the knob exists because worker
-        count must never change results (asserted in the engine tests).
+        Worker processes of ``scheduler="process"``'s discover pool
+        (``None`` = 1) — the only scheduler whose worker count moves wall
+        time; refused with any other scheduler.  Worker count never changes
+        results (asserted in the engine tests).
     scheduler:
-        Explicit scheduler override (``"serial"``, ``"overlapped"``,
-        ``"threaded"`` or ``"process"``); ``None`` (default) derives the
-        scheduler from ``pre_blocking``/``clock``/``preblock_depth``.
-        ``"process"`` runs the discover lane in worker *processes* with the
-        block results shipped back through shared memory — the GIL-free
-        variant of ``"threaded"`` (see
-        :class:`~repro.core.engine.process_executor.ProcessScheduler`);
-        it requires the ``fork`` start method (Linux/macOS-with-fork).
+        Explicit scheduler override (``"serial"``, ``"overlapped"`` or
+        ``"process"``); ``None`` (default) derives ``"overlapped"`` from
+        ``pre_blocking`` and ``"serial"`` otherwise.  ``"process"`` is never
+        derived: it runs the discover lane in worker *processes* with the
+        block results shipped back through shared memory (see
+        :class:`~repro.core.engine.process_executor.ProcessScheduler`) and
+        requires the ``fork`` start method (Linux/macOS-with-fork).
         Results are bit-identical across schedulers — the override selects
         an execution strategy, not a computation.
     nodes:
@@ -134,8 +130,8 @@ class PastisParams:
     trace:
         Record structured spans and counter series for the run (see
         :mod:`repro.trace`): stage spans (discover/prune/align/accumulate),
-        cache hit/miss replays, SUMMA broadcast stages, admission and
-        turnstile waits, MCL iterations.  Off by default; the disabled
+        cache hit/miss replays, SUMMA broadcast stages, process-scheduler
+        admissions, MCL iterations.  Off by default; the disabled
         path costs nothing, and tracing never perturbs results — records,
         edges and the deterministic ledger categories are bit-identical
         with tracing on (asserted in ``tests/test_trace.py``).  The
@@ -261,13 +257,20 @@ class PastisParams:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
         if self.preblock_depth < 1:
             raise ValueError("preblock_depth must be >= 1")
-        if self.preblock_workers is not None and self.preblock_workers < 1:
-            raise ValueError("preblock_workers must be >= 1 (or None for auto-sizing)")
-        if self.scheduler not in (None, "serial", "overlapped", "threaded", "process"):
+        if self.scheduler not in (None, "serial", "overlapped", "process"):
             raise ValueError(
-                "scheduler must be None, 'serial', 'overlapped', 'threaded' or "
-                f"'process', got {self.scheduler!r}"
+                "scheduler must be None, 'serial', 'overlapped' or 'process', "
+                f"got {self.scheduler!r}"
             )
+        if self.preblock_workers is not None:
+            if self.scheduler != "process":
+                raise ValueError(
+                    "preblock_workers is the worker-process count of "
+                    "scheduler='process' and has no effect with "
+                    f"scheduler={self.scheduler!r}"
+                )
+            if self.preblock_workers < 1:
+                raise ValueError("preblock_workers must be >= 1 (or None for 1)")
         if self.cache_dir is not None and not str(self.cache_dir).strip():
             raise ValueError("cache_dir must be a non-empty path (or None)")
         if self.cache_invalidate and self.cache_dir is None:

@@ -27,9 +27,10 @@ execution engine** (:mod:`repro.core.engine`): each output block becomes a
 ``discover → prune → align → accumulate`` stages, run by a pluggable
 scheduler — :class:`~repro.core.engine.schedulers.SerialScheduler` for the
 bulk-synchronous schedule, or (with ``pre_blocking=True``)
-:class:`~repro.core.engine.schedulers.OverlappedScheduler`, which interleaves
-``discover(b+1)`` with ``align(b)`` on the simulated clock and charges the
-§VI-C contention slowdowns as it schedules.  Edges stream into an
+:class:`~repro.core.engine.schedulers.OverlappedScheduler`, which discovers
+``preblock_depth`` blocks ahead of the block being aligned, closes the
+overlap on the per-rank clock and, at depth 1 on the modeled clock, charges
+the §VI-C contention slowdowns.  Edges stream into an
 incremental :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`
 so block outputs are discarded as soon as they are consumed; peak live
 memory is reported through the result's
@@ -81,7 +82,7 @@ from .engine.cache import StageCache, build_stage_cache
 from .engine.schedulers import OVERLAP_HIDDEN_CATEGORY
 from .kmer_matrix import KmerMatrixInfo, build_distributed_kmer_matrix
 from .params import PastisParams
-from .preblocking import PreblockingReport
+from .preblocking import PreblockingModel, PreblockingReport
 from .similarity_graph import SimilarityGraph
 from .stats import SearchStats
 
@@ -367,25 +368,32 @@ class PastisPipeline:
         )
         if state is not None:
             state.cache = stage_cache
-        # scheduler selection: no pre-blocking -> serial; pre-blocking on the
-        # modeled clock at depth 1 -> the simulated overlapped scheduler with
-        # the paper's contention multipliers; measured clock or speculative
-        # depth > 1 -> the threaded executor (real worker-pool concurrency).
-        # params.scheduler overrides the derivation — "process" opts into the
-        # GIL-free process-pool executor (never derived: it needs fork).
+        # scheduler selection: no pre-blocking -> serial; pre-blocking ->
+        # overlapped at preblock_depth.  params.scheduler overrides the
+        # derivation — "process" (never derived: it needs fork) runs the
+        # discover lane in worker processes.  The paper's contention
+        # multipliers model the depth-1 schedule on the modeled clock; any
+        # other overlapped run charges raw seconds.
         if params.scheduler is not None:
             scheduler_name = params.scheduler
-        elif not params.pre_blocking:
-            scheduler_name = "serial"
-        elif params.clock == "measured" or params.preblock_depth > 1:
-            scheduler_name = "threaded"
         else:
-            scheduler_name = "overlapped"
-        if scheduler_name in ("threaded", "process"):
+            scheduler_name = "overlapped" if params.pre_blocking else "serial"
+        if scheduler_name == "process":
             scheduler = make_scheduler(
-                scheduler_name,
+                "process",
                 depth=params.preblock_depth,
                 max_workers=params.preblock_workers,
+            )
+        elif scheduler_name == "overlapped":
+            paper_contention = params.clock == "modeled" and params.preblock_depth == 1
+            scheduler = make_scheduler(
+                "overlapped",
+                depth=params.preblock_depth,
+                contention=(
+                    PreblockingModel()
+                    if paper_contention
+                    else PreblockingModel.uncontended()
+                ),
             )
         else:
             scheduler = make_scheduler(scheduler_name)

@@ -16,10 +16,10 @@ sparse) / achieved combined time``), whose degradation under load imbalance
 is exactly what makes the triangularity-based scheme benefit less.
 
 The pipeline itself no longer calls :meth:`PreblockingModel.evaluate`: the
-overlap is executed live by
+overlap is executed by
 :class:`repro.core.engine.schedulers.OverlappedScheduler`, which shares this
-model's contention parameterization, advances the simulated per-rank clock
-step by step, and records a
+model's contention parameterization, replays the executed schedule through
+the per-rank overlap clock, and records a
 :class:`~repro.core.engine.timeline.StageTimeline` from which the
 :class:`PreblockingReport` (the Table-I row) is derived.  The closed form
 remains for the Table-I benchmark and as a cross-check: on the same
@@ -92,6 +92,15 @@ class PreblockingModel:
     align_contention: float = 1.13
     sparse_contention_base: float = 1.10
     sparse_contention_per_block: float = 0.006
+
+    @classmethod
+    def uncontended(cls) -> "PreblockingModel":
+        """Multipliers of exactly 1.0: the schedule charges raw seconds."""
+        return cls(
+            align_contention=1.0,
+            sparse_contention_base=1.0,
+            sparse_contention_per_block=0.0,
+        )
 
     def sparse_contention(self, num_blocks: int) -> float:
         """Sparse-multiply slowdown factor for a given block count."""

@@ -195,8 +195,8 @@ class BlockedSpGemm:
     total_stats: SpGemmStats = field(default_factory=SpGemmStats, init=False)
     blocks_computed: int = field(default=0, init=False)
     #: stripes already sliced, by ("a", block_row) / ("b", block_col); the
-    #: lock makes the get-or-slice atomic for the threaded scheduler's
-    #: workers (forked process-pool workers each inherit their own copy)
+    #: lock makes the get-or-slice atomic for threads sharing one engine
+    #: (forked process-pool workers each inherit their own copy)
     _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
         default_factory=dict, init=False, repr=False
     )

@@ -39,7 +39,7 @@ class Timer:
 def time_call(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)`` and return ``(result, elapsed_seconds)``.
 
-    The wall-clock measurement primitive of the measured-clock executor:
+    The wall-clock measurement primitive of ``clock="measured"`` runs:
     stage implementations wrap their work in one call so schedulers receive
     real seconds through the same interface the modeled clock uses.
     """

@@ -72,10 +72,10 @@ def charge_overlap_slot(
     categories by the caller, which keeps the ledger reconcilable with the
     clock: ``foreground + background − hidden == clock`` per rank.
 
-    This is the single slot of the §VI-C overlap algebra, shared by
-    :class:`repro.core.engine.schedulers.OverlappedScheduler` and
-    :class:`repro.graph.dist.DistMarkovClustering` so both schedules satisfy
-    the same reconciliation identity.
+    This is the single slot of the §VI-C overlap algebra.  The schedules
+    themselves run through :class:`OverlapWindow`, whose depth-1 case is
+    bit-identical to a sequence of these slots; this function is kept as
+    that equivalence's oracle (``tests/test_mpi_runtime.py``).
     """
     foreground = np.asarray(foreground, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -94,8 +94,8 @@ class OverlapWindow:
     ``align(b)`` in the search engine, ``expand(b+1..b+k)`` behind
     ``prune(b)`` in distributed MCL).  The window models the background lane
     as a FIFO: stages enter via :meth:`push` when they are issued and drain
-    at one second per second — in issue order, exactly like the executor's
-    ordered worker lane — concurrently with the foreground stages.
+    at one second per second — in issue order, exactly like the engine's
+    block-ordered discover lane — concurrently with the foreground stages.
 
     Each :meth:`foreground` slot may name a background stage (by its issue
     sequence number) that has to be complete before the next foreground
@@ -235,14 +235,13 @@ class OverlapWindow:
 class CostLedger:
     """Accumulates per-rank, per-category time (simulated or measured seconds).
 
-    Thread safety: every mutation and read holds an internal lock, so the
-    threaded executor's two lanes (workers charging communication/measured
-    categories inside ``summa``, the main thread charging ``align`` and
-    ``spgemm``) can share one ledger without lost updates.  Note that the
-    lock makes concurrent charging *safe*, not *ordered* — reproducible
-    float sums additionally require that concurrent lanes charge disjoint
-    categories (which the executor's lane split guarantees) or charge in a
-    deterministic order (the executor's block-order turnstile).
+    Thread safety: every mutation and read holds an internal lock, so
+    threads sharing one ledger lose no updates.  The lock makes concurrent
+    charging *safe*, not *ordered*: reproducible float sums need charges in
+    a deterministic order.  The engine gets that without threads — its
+    schedulers charge from one thread, and the process scheduler's workers
+    charge a private :class:`~repro.core.engine.process_executor.RecordingLedger`
+    whose journal the parent replays in block order.
     """
 
     def __init__(self, nranks: int) -> None:

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 # The active hub is a plain module global (not a thread-local) for the
-# same reason the active tracer is: scheduler pool threads and forked
-# discover workers must all see the hub that the pipeline activated.
+# same reason the active tracer is: forked discover workers must see the
+# hub that the pipeline activated.
 _ACTIVE: MetricsHub | None = None
 
 

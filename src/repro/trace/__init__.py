@@ -5,8 +5,9 @@ totals, ledger category sums, ``StageTimeline`` matrices.  This package
 records the run as it happened: a :class:`TraceRecorder` collects
 **spans** — ``(name, category, t_start, t_end, pid, tid, lane, block,
 attrs)`` — for every stage of every block (discover / prune / align /
-accumulate), cache loads and replays, SUMMA broadcast stages, admission
-and turnstile waits, MCL iterations and top-level pipeline phases, plus
+accumulate), cache loads and replays, SUMMA broadcast stages, the
+process scheduler's admissions and ledger replays, MCL iterations and
+top-level pipeline phases, plus
 **counter series** (live blocks, ledger category totals, shm bytes,
 cache hits) sampled at block boundaries.
 
@@ -20,10 +21,10 @@ sites guard on ``ctx.trace is None`` (or the no-op handle from
 and every deterministic ledger category are bit-identical with tracing
 on (asserted in ``tests/test_trace.py``).
 
-All four schedulers emit through one recorder: Serial / Overlapped /
-Threaded record directly (the threaded executor adds ``admission_wait``
-and ``turnstile_wait`` spans from its worker threads);
-:class:`~repro.core.engine.process_executor.ProcessScheduler` workers
+All three schedulers emit through one recorder: Serial and Overlapped
+record directly;
+:class:`~repro.core.engine.process_executor.ProcessScheduler` adds
+``admission_wait`` spans from the parent's submit window, and its workers
 journal spans into the per-block result header — the same pattern as
 their ``RecordingLedger`` ledger journal — and the parent merges them in
 block order with the worker's pid attribution intact.
@@ -58,8 +59,8 @@ from .export import (
 from .recorder import CounterSample, Span, TraceRecorder, maybe_span
 
 #: The run-scoped active recorder.  A plain module global (not a
-#: thread-local): the threaded executor's pool threads and forked worker
-#: processes must all see it.  One traced run at a time per process —
+#: thread-local): forked worker processes inherit it and re-point it at
+#: their own recorder.  One traced run at a time per process —
 #: the same cardinality as the process executor's ``_WORKER_CTX``.
 _ACTIVE: TraceRecorder | None = None
 

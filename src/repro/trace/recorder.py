@@ -7,8 +7,7 @@ A :class:`TraceRecorder` collects two kinds of events:
   coordinate, a display ``lane`` and free-form attributes.  Spans are
   emitted either through the :meth:`TraceRecorder.span` context manager
   (times taken at enter/exit) or through :meth:`TraceRecorder.add_span`
-  for intervals the caller already timed (e.g. the turnstile's wait
-  portion).
+  for intervals the caller already timed.
 * **counter samples** — ``(name, t, value)`` points of a time series.
   Cheap *cumulative* counters (:meth:`bump`, :meth:`set_value`) are plain
   dictionary updates on the hot path; they only become events when
@@ -26,9 +25,8 @@ existing per-block ledger journal, and the parent merges them with the
 worker's ``pid`` already baked in (see
 :mod:`repro.core.engine.process_executor`).
 
-Thread safety: all mutation happens under one lock; recording from the
-threaded executor's worker pool and the main align lane concurrently is
-safe.  The recorder never touches run state — it only appends to its own
+Thread safety: all mutation happens under one lock, so several threads
+may record into one recorder.  The recorder never touches run state — it only appends to its own
 lists — which is what makes tracing provably non-perturbing (asserted by
 the bit-identity tests in ``tests/test_trace.py``).
 """

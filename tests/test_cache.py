@@ -41,8 +41,8 @@ LEDGER_COUNTERS = (
 )
 
 #: SearchStats keys that legitimately differ between a cold and a warm run:
-#: real wall time, the cache's own hit/miss counters, and (threaded only)
-#: race-dependent concurrency peaks — the same classes test_engine.py's
+#: real wall time, the cache's own hit/miss counters, and (pre-blocking
+#: only) live-block peaks — the same classes test_engine.py's
 #: TIMING_AND_MEMORY_KEYS excludes from scheduler comparisons.
 NONDETERMINISTIC_STATS_KEYS = frozenset({"wall_seconds", "cache", "phase_seconds"})
 CONCURRENCY_STATS_KEYS = frozenset({"peak_live_blocks", "peak_live_block_bytes"})
@@ -116,10 +116,9 @@ def assert_results_identical(cold, warm, *, skip_stats=frozenset(),
         pytest.param({}, frozenset(), id="serial"),
         pytest.param({"pre_blocking": True}, frozenset(), id="overlapped"),
         pytest.param(
-            {"pre_blocking": True, "preblock_depth": 2,
-             "preblock_workers": 2},
+            {"pre_blocking": True, "preblock_depth": 2},
             CONCURRENCY_STATS_KEYS,
-            id="threaded-depth2",
+            id="overlapped-depth2",
         ),
         pytest.param(
             {"pre_blocking": True, "scheduler": "process", "preblock_depth": 2,
@@ -175,15 +174,14 @@ def test_measured_clock_stage_categories_replay(tmp_path, tiny_seqs):
 
 def test_entries_shared_across_schedulers(tmp_path, tiny_seqs):
     """Cache keys exclude scheduler knobs: a serial-written cache warms a
-    threaded run, whose results equal a cold threaded reference."""
+    depth-2 overlapped run, whose results equal a cold depth-2 reference."""
     params = _params(tmp_path)
-    threaded = dict(pre_blocking=True, preblock_depth=2,
-                    preblock_workers=2)
+    overlapped = dict(pre_blocking=True, preblock_depth=2)
     reference = PastisPipeline(
-        params.replace(cache_dir=None, **threaded)
+        params.replace(cache_dir=None, **overlapped)
     ).run(tiny_seqs)
     PastisPipeline(params).run(tiny_seqs)  # serial cold run populates
-    warm = PastisPipeline(params.replace(**threaded)).run(tiny_seqs, resume=True)
+    warm = PastisPipeline(params.replace(**overlapped)).run(tiny_seqs, resume=True)
     assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
     assert_results_identical(
         reference, warm, skip_stats=CONCURRENCY_STATS_KEYS | MEASURED_STATS_KEYS

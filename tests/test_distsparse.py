@@ -330,8 +330,8 @@ def test_summa_overlap_payload_equals_serial_kernel_on_every_grid(nodes):
 
 
 def test_blocked_summa_slices_each_stripe_once_under_racing_threads():
-    """``br + bc`` slicings per run, not ``2 br bc`` — also when worker threads
-    ask for the same stripe at the same time (the threaded scheduler does)."""
+    """``br + bc`` slicings per run, not ``2 br bc`` — also when threads
+    sharing one engine ask for the same stripe at the same time."""
     import sys
     import threading
     from collections import Counter

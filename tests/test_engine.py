@@ -21,7 +21,6 @@ from repro.core.engine import (
     ProcessScheduler,
     SerialScheduler,
     StreamingGraphAccumulator,
-    ThreadedScheduler,
     make_scheduler,
 )
 from repro.core.engine.schedulers import OVERLAP_HIDDEN_CATEGORY
@@ -341,7 +340,7 @@ def test_expand_oracle_matches_default_backend(small_seqs, fast_params, pipeline
     assert oracle.stats.candidates_discovered == pipeline_result.stats.candidates_discovered
 
 
-# ---------------------------------------------------------------- threaded executor
+# ---------------------------------------------------------------- overlapped at depth k
 def _stats_equal_modulo_timing(stats_a, stats_b, ignore=frozenset()):
     assert set(stats_a) - ignore == set(stats_b) - ignore
     for key, value in stats_a.items():
@@ -353,96 +352,154 @@ def _stats_equal_modulo_timing(stats_a, stats_b, ignore=frozenset()):
             assert stats_b[key] == value, key
 
 
-@pytest.fixture(scope="module")
-def threaded_serial_baseline():
-    """Serial reference run for the depth x threads bit-identity matrix."""
-    seqs = synthetic_dataset(n_sequences=40, seed=3)
-    return seqs, _run(seqs, num_blocks=6)
-
-
-# acceptance: bit-identical records/edges across depth {1, 2, 4} x threads
-# {1, 2, 4} — concurrency may reorder execution, never results
-@pytest.mark.parametrize("depth", [1, 2, 4])
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_threaded_scheduler_bit_identical_to_serial(
-    depth, threads, threaded_serial_baseline
-):
-    seqs, serial = threaded_serial_baseline
-    threaded = _run(
-        seqs,
-        num_blocks=6,
-        pre_blocking=True,
-        preblock_depth=depth,
-        preblock_workers=threads,
-        scheduler="threaded",
-    )
-    assert threaded.scheduler == "threaded"
-    assert np.array_equal(
-        serial.similarity_graph.edges, threaded.similarity_graph.edges
-    )
-    _assert_records_equal(serial.block_records, threaded.block_records)
-    _stats_equal_modulo_timing(serial.stats.as_dict(), threaded.stats.as_dict())
-    # the ordered discover lane makes even the per-rank ledger sums of the
-    # modeled categories bit-identical to the serial schedule
-    for category in ("align", "spgemm", "comm", "cwait", "sparse_other", "io"):
-        assert np.array_equal(
-            serial.ledger.per_rank(category), threaded.ledger.per_rank(category)
-        ), category
-    # memory bound: at most depth + 1 blocks were ever live
-    assert threaded.stats.extras["peak_live_blocks"] <= depth + 1
-
-
-def test_threaded_scheduler_clock_identity_and_report(threaded_serial_baseline):
-    """align + spgemm - overlap_hidden == combined clock, and a report derives."""
-    seqs, serial = threaded_serial_baseline
-    threaded = _run(
-        seqs, num_blocks=6, pre_blocking=True, preblock_depth=2, scheduler="threaded"
-    )
-    ledger = threaded.ledger
-    assert OVERLAP_HIDDEN_CATEGORY in ledger.categories()
-    reconstructed = (
+def _reconstructed_clock(ledger):
+    """align + spgemm - overlap_hidden, per rank."""
+    return (
         ledger.per_rank("align")
         + ledger.per_rank("spgemm")
         - ledger.per_rank(OVERLAP_HIDDEN_CATEGORY)
     )
-    np.testing.assert_allclose(
-        reconstructed, threaded.timeline.combined_per_rank, rtol=1e-12
+
+
+@pytest.fixture(scope="module")
+def threaded_serial_baseline():
+    """Serial 6-block reference run for the pre-blocking bit-identity
+    matrices (overlapped over depth, process over depth x workers)."""
+    seqs = synthetic_dataset(n_sequences=40, seed=3)
+    return seqs, _run(seqs, num_blocks=6)
+
+
+# acceptance: bit-identical records/edges/ledger across depth {1, 2, 4} —
+# discovering ahead reorders stages, never results
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_overlapped_depth_k_bit_identical_to_serial(depth, threaded_serial_baseline):
+    seqs, serial = threaded_serial_baseline
+    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=depth)
+    assert overlapped.scheduler == "overlapped"
+    assert overlapped.timeline.preblock_depth == depth
+    assert np.array_equal(
+        serial.similarity_graph.edges, overlapped.similarity_graph.edges
     )
-    assert threaded.timeline.preblock_depth == 2
-    assert threaded.timeline.measured_phase_seconds > 0.0
-    report = threaded.preblocking_report
+    _assert_records_equal(serial.block_records, overlapped.block_records)
+    _stats_equal_modulo_timing(serial.stats.as_dict(), overlapped.stats.as_dict())
+    # the paper's contention multipliers scale align/spgemm at depth 1 on the
+    # modeled clock only; every other modeled category — and align/spgemm
+    # when uncontended — is bit-identical per rank to the serial schedule
+    contended = depth == 1
+    categories = ("comm", "cwait", "sparse_other", "io")
+    if not contended:
+        categories += ("align", "spgemm")
+    for category in categories:
+        assert np.array_equal(
+            serial.ledger.per_rank(category), overlapped.ledger.per_rank(category)
+        ), category
+    if contended:
+        np.testing.assert_allclose(
+            overlapped.ledger.per_rank("align"),
+            serial.ledger.per_rank("align") * PreblockingModel().align_contention,
+            rtol=1e-12,
+        )
+    # memory shape of the schedule: the block being aligned + k discovered
+    assert overlapped.stats.extras["peak_live_blocks"] == depth + 1
+
+
+def test_overlapped_depth2_clock_identity_and_report(threaded_serial_baseline):
+    """align + spgemm - overlap_hidden == combined clock, and a report derives."""
+    seqs, serial = threaded_serial_baseline
+    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=2)
+    ledger = overlapped.ledger
+    assert OVERLAP_HIDDEN_CATEGORY in ledger.categories()
+    np.testing.assert_allclose(
+        _reconstructed_clock(ledger), overlapped.timeline.combined_per_rank, rtol=1e-12
+    )
+    assert overlapped.timeline.preblock_depth == 2
+    assert overlapped.timeline.measured_phase_seconds > 0.0
+    report = overlapped.preblocking_report
     assert report is not None
-    # no synthetic contention in the executor: scheduled == raw components
+    # no contention beyond depth 1: scheduled == raw components
     assert report.align_seconds_pre == report.align_seconds
     assert report.sparse_seconds_pre == report.sparse_seconds
     # the schedule hid something, so the combined clock beats the sum
     assert report.combined_seconds_pre < report.sum_seconds
 
 
-def test_threaded_scheduler_measured_clock_same_results(threaded_serial_baseline):
-    """Under clock="measured" the executor still produces the serial results."""
+def test_overlapped_measured_clock_same_results(threaded_serial_baseline):
+    """Under clock="measured" pre-blocking still produces the serial results."""
     seqs, serial = threaded_serial_baseline
-    threaded = _run(
-        seqs,
-        num_blocks=6,
-        clock="measured",
-        pre_blocking=True,
-        preblock_depth=2,
-        preblock_workers=2,
+    overlapped = _run(
+        seqs, num_blocks=6, clock="measured", pre_blocking=True, preblock_depth=2
     )
-    assert threaded.scheduler == "threaded"  # measured + pre-blocking selects it
+    assert overlapped.scheduler == "overlapped"
     assert np.array_equal(
-        serial.similarity_graph.edges, threaded.similarity_graph.edges
+        serial.similarity_graph.edges, overlapped.similarity_graph.edges
     )
     # the invariant holds for measured wall seconds, not just modeled ones
-    ledger = threaded.ledger
-    reconstructed = (
-        ledger.per_rank("align")
-        + ledger.per_rank("spgemm")
-        - ledger.per_rank(OVERLAP_HIDDEN_CATEGORY)
-    )
     np.testing.assert_allclose(
-        reconstructed, threaded.timeline.combined_per_rank, rtol=1e-9
+        _reconstructed_clock(overlapped.ledger),
+        overlapped.timeline.combined_per_rank,
+        rtol=1e-9,
+    )
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_overlapped_discovers_k_blocks_ahead_of_each_alignment(
+    tiny_seqs, fast_params, depth
+):
+    """Stage order of the depth-k schedule: align(b) starts after the
+    discovers of blocks up to b + k, and never after more."""
+    result = PastisPipeline(
+        fast_params.replace(
+            num_blocks=6, pre_blocking=True, preblock_depth=depth, trace=True
+        )
+    ).run(tiny_seqs)
+    order = [s.block for s in result.trace.spans if s.name == "discover"]
+    stages = sorted(
+        (s for s in result.trace.spans if s.name in ("discover", "align")),
+        key=lambda s: s.t_start,
+    )
+    discovered = 0
+    for span in stages:
+        if span.name == "discover":
+            discovered += 1
+        else:
+            b = order.index(span.block)
+            assert discovered == min(b + depth + 1, len(order)), (b, discovered)
+
+
+def test_explicit_overlapped_on_measured_clock_charges_raw_seconds(
+    threaded_serial_baseline,
+):
+    """scheduler="overlapped" with clock="measured": contention multipliers
+    model the depth-1 schedule on the modeled clock only, so measured
+    seconds are charged as measured."""
+    seqs, _ = threaded_serial_baseline
+    result = _run(seqs, num_blocks=6, clock="measured", scheduler="overlapped")
+    timeline = result.timeline
+    assert result.scheduler == "overlapped"
+    assert (timeline.align_contention, timeline.sparse_contention) == (1.0, 1.0)
+    for timing in timeline.blocks:
+        assert np.array_equal(timing.align_scheduled, timing.align_raw)
+        assert np.array_equal(timing.sparse_scheduled, timing.sparse_raw)
+    report = result.preblocking_report
+    assert report.align_seconds_pre == report.align_seconds
+    assert report.sparse_seconds_pre == report.sparse_seconds
+
+
+def test_explicit_overlapped_honours_depth_above_one(threaded_serial_baseline):
+    """scheduler="overlapped" with preblock_depth > 1 runs at that depth,
+    uncontended: the same schedule and clock as pre_blocking selects."""
+    seqs, serial = threaded_serial_baseline
+    explicit = _run(seqs, num_blocks=6, scheduler="overlapped", preblock_depth=3)
+    derived = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=3)
+    assert explicit.scheduler == derived.scheduler == "overlapped"
+    assert explicit.timeline.preblock_depth == 3
+    assert explicit.timeline.align_contention == 1.0
+    assert explicit.stats.extras["peak_live_blocks"] == 4
+    np.testing.assert_array_equal(
+        explicit.timeline.combined_per_rank, derived.timeline.combined_per_rank
+    )
+    assert np.array_equal(
+        serial.similarity_graph.edges, explicit.similarity_graph.edges
     )
 
 
@@ -521,12 +578,12 @@ def test_process_scheduler_clock_identity_and_report(threaded_serial_baseline):
     assert report is not None
     assert report.combined_seconds_pre < report.sum_seconds
     # the modeled clock is scheduler-independent: same combined clock as the
-    # threaded executor at the same depth
-    threaded = _run(
-        seqs, num_blocks=6, pre_blocking=True, preblock_depth=2, scheduler="threaded"
-    )
+    # uncontended overlapped schedule at the same depth
+    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=2)
+    assert overlapped.scheduler == "overlapped"
+    assert overlapped.timeline.align_contention == 1.0
     np.testing.assert_array_equal(
-        process.timeline.combined_per_rank, threaded.timeline.combined_per_rank
+        process.timeline.combined_per_rank, overlapped.timeline.combined_per_rank
     )
 
 
@@ -652,11 +709,22 @@ def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatc
 
 
 def test_pipeline_scheduler_selection(small_seqs, fast_params):
-    """pre_blocking x clock x depth derive the documented scheduler choice."""
-    modeled = fast_params.replace(pre_blocking=True)
-    assert PastisPipeline(modeled).run(small_seqs).scheduler == "overlapped"
-    deep = fast_params.replace(pre_blocking=True, preblock_depth=2)
-    assert PastisPipeline(deep).run(small_seqs).scheduler == "threaded"
+    """No pre-blocking -> serial; pre-blocking -> overlapped at the
+    configured depth, with the paper's contention only at depth 1 on the
+    modeled clock; "process" only when named."""
+    paper = PreblockingModel().align_contention
+    cases = [
+        (dict(), "serial", 1, 1.0),
+        (dict(pre_blocking=True), "overlapped", 1, paper),
+        (dict(pre_blocking=True, preblock_depth=2), "overlapped", 2, 1.0),
+        (dict(pre_blocking=True, clock="measured"), "overlapped", 1, 1.0),
+        (dict(pre_blocking=True, scheduler="process"), "process", 1, 1.0),
+    ]
+    for overrides, name, depth, align_contention in cases:
+        result = PastisPipeline(fast_params.replace(**overrides)).run(small_seqs)
+        assert result.scheduler == name, overrides
+        assert result.timeline.preblock_depth == depth, overrides
+        assert result.timeline.align_contention == align_contention, overrides
 
 
 def test_dist_mcl_labels_bit_identical_across_overlap_depths(pipeline_result):
@@ -751,41 +819,26 @@ def test_accumulator_duplicate_edges_arriving_out_of_block_order():
     assert pair["score"][0] == 40  # first occurrence wins, block order decides
 
 
-def test_accumulator_forced_eviction_ordering():
-    """A full window blocks admission until the oldest block is evicted."""
-    import threading
-    import time as _time
-
+def test_accumulator_reservation_past_bound_raises_not_hangs():
+    """``admit_block`` reserves without waiting: past the bound it raises,
+    and a discard frees the slot for the next reservation."""
     acc = StreamingGraphAccumulator(n_vertices=4, max_live_blocks=2)
-    admitted: list[int] = []
-
-    def lane():
-        for block in range(4):
-            acc.admit_block()
-            acc.block_computed(100 * (block + 1))
-            admitted.append(block)
-
-    worker = threading.Thread(target=lane)
-    worker.start()
-    deadline = _time.monotonic() + 5.0
-    while len(admitted) < 2 and _time.monotonic() < deadline:
-        _time.sleep(0.005)
-    _time.sleep(0.05)
-    # the window is full: block 2 must wait for an eviction
-    assert admitted == [0, 1]
+    acc.admit_block()
+    acc.admit_block()
+    with pytest.raises(RuntimeError, match="live-block bound exceeded"):
+        acc.admit_block()
     assert acc.live_blocks == 2
-    acc.block_discarded(100)          # evict block 0 -> admits block 2
-    while len(admitted) < 3 and _time.monotonic() < deadline:
-        _time.sleep(0.005)
-    assert admitted == [0, 1, 2]
-    acc.block_discarded(200)          # evict block 1 -> admits block 3
-    worker.join(timeout=5.0)
-    assert not worker.is_alive()
-    assert admitted == [0, 1, 2, 3]
+    acc.block_computed(100)  # consumes a reservation, admits nothing new
+    acc.block_computed(200)
+    assert acc.live_blocks == 2
+    acc.block_discarded(100)
+    acc.admit_block()
+    acc.block_computed(300)
     assert acc.peak_live_blocks == 2  # the bound held throughout
+    acc.block_discarded(200)
     acc.block_discarded(300)
-    acc.block_discarded(400)
     assert acc.live_blocks == 0
+    assert acc.retained_block_bytes == 600
 
 
 def test_accumulator_single_thread_over_bound_raises_not_hangs():
@@ -801,71 +854,9 @@ def test_accumulator_single_thread_over_bound_raises_not_hangs():
     assert acc.live_blocks == 1
 
 
-def test_accumulator_abort_admission_unblocks_waiters():
-    import threading
-
-    acc = StreamingGraphAccumulator(n_vertices=4, max_live_blocks=1)
-    acc.admit_block()
-    acc.block_computed(10)
-    errors: list[Exception] = []
-
-    def blocked():
-        try:
-            acc.admit_block()
-        except RuntimeError as exc:
-            errors.append(exc)
-
-    worker = threading.Thread(target=blocked)
-    worker.start()
-    acc.abort_admission()
-    worker.join(timeout=5.0)
-    assert not worker.is_alive()
-    assert len(errors) == 1
-
-
-def test_turnstile_abort_wakes_parked_turn_waiters():
-    """A worker parked for a turn whose predecessor will never run (e.g. its
-    future was cancelled during teardown) can only be freed by aborting the
-    turnstile itself — the admission gate's abort does not reach this lane."""
-    import threading
-
-    from repro.core.engine.executor import _Turnstile
-
-    turnstile = _Turnstile()
-    errors: list[Exception] = []
-    entered = threading.Event()
-
-    def parked():
-        try:
-            with turnstile.turn(5):  # tickets 0..4 will never run
-                entered.set()
-        except RuntimeError as exc:
-            errors.append(exc)
-
-    worker = threading.Thread(target=parked)
-    worker.start()
-    turnstile.abort()
-    worker.join(timeout=5.0)
-    assert not worker.is_alive()
-    assert not entered.is_set()
-    assert len(errors) == 1 and "aborted" in str(errors[0])
-    # an aborted turnstile refuses new entrants too
-    with pytest.raises(RuntimeError, match="aborted"):
-        with turnstile.turn(0):
-            pass
-
-
-def test_threaded_discover_failure_propagates_without_deadlock(
-    small_seqs, fast_params, monkeypatch
-):
-    """Regression: a discover-lane failure must surface the original error
-    and tear the run down promptly.  Before the fix, teardown aborted only
-    the accumulator's admission gate; a later-block worker parked in the
-    determinism *turnstile* (waiting for the dead block's turn, which can
-    never come) left ``pool.shutdown(wait=True)`` joining a thread that
-    could never wake."""
-    import threading
-
+def test_overlapped_discover_failure_propagates(small_seqs, fast_params, monkeypatch):
+    """A discover failure while blocks are discovered ahead surfaces the
+    original error."""
     from repro.distsparse.blocked_summa import BlockedSpGemm
 
     calls = {"n": 0}
@@ -878,27 +869,9 @@ def test_threaded_discover_failure_propagates_without_deadlock(
         return original(self, block_row, block_col)
 
     monkeypatch.setattr(BlockedSpGemm, "compute_block", failing_compute)
-    params = fast_params.replace(
-        num_blocks=6,
-        pre_blocking=True,
-        preblock_depth=3,
-        preblock_workers=3,
-    )
-    outcome: list[BaseException] = []
-
-    def run():
-        try:
-            PastisPipeline(params).run(small_seqs)
-        except BaseException as exc:  # noqa: BLE001 - the assertion target
-            outcome.append(exc)
-
-    runner = threading.Thread(target=run)
-    runner.start()
-    runner.join(timeout=60.0)
-    assert not runner.is_alive(), "failed threaded run deadlocked in teardown"
-    assert len(outcome) == 1
-    assert isinstance(outcome[0], RuntimeError)
-    assert "injected discover failure" in str(outcome[0])
+    params = fast_params.replace(num_blocks=6, pre_blocking=True, preblock_depth=3)
+    with pytest.raises(RuntimeError, match="injected discover failure"):
+        PastisPipeline(params).run(small_seqs)
 
 
 # ---------------------------------------------------------------- scheduler contract
@@ -906,21 +879,46 @@ def test_make_scheduler_factory():
     assert isinstance(make_scheduler("serial"), SerialScheduler)
     overlapped = make_scheduler("overlapped")
     assert isinstance(overlapped, OverlappedScheduler)
+    assert overlapped.depth == 1
     assert overlapped.contention.align_contention > 1.0
-    threaded = make_scheduler("threaded", depth=3, max_workers=2)
-    assert isinstance(threaded, ThreadedScheduler)
-    assert (threaded.depth, threaded.max_workers) == (3, 2)
+    deep = make_scheduler(
+        "overlapped", depth=3, contention=PreblockingModel.uncontended()
+    )
+    assert deep.depth == 3
+    assert deep.contention.align_contention == 1.0
+    assert deep.contention.sparse_contention(400) == 1.0
     process = make_scheduler("process", depth=2, max_workers=3)
     assert isinstance(process, ProcessScheduler)
     assert (process.depth, process.max_workers) == (2, 3)
     with pytest.raises(ValueError, match="depth"):
-        make_scheduler("threaded", depth=0)
+        make_scheduler("overlapped", depth=0)
     with pytest.raises(ValueError, match="depth"):
         make_scheduler("process", depth=0)
     with pytest.raises(ValueError, match="max_workers"):
         make_scheduler("process", max_workers=0)
+    with pytest.raises(ValueError, match="unknown scheduler.*serial, overlapped, process"):
+        make_scheduler("threaded")
     with pytest.raises(ValueError, match="unknown scheduler"):
         make_scheduler("speculative")
+
+
+def test_params_refuse_the_removed_threaded_scheduler():
+    with pytest.raises(
+        ValueError, match="'serial', 'overlapped' or 'process', got 'threaded'"
+    ):
+        PastisParams(pre_blocking=True, scheduler="threaded")
+
+
+@pytest.mark.parametrize("scheduler", [None, "serial", "overlapped"])
+def test_params_refuse_preblock_workers_outside_process(scheduler):
+    """Only the process scheduler has a worker pool whose size moves wall
+    time; elsewhere the knob could change nothing and is refused."""
+    with pytest.raises(ValueError, match="preblock_workers.*scheduler='process'"):
+        PastisParams(pre_blocking=True, scheduler=scheduler, preblock_workers=2)
+    PastisParams(pre_blocking=True, scheduler=scheduler)  # without it: fine
+    assert PastisParams(scheduler="process", preblock_workers=2).preblock_workers == 2
+    with pytest.raises(ValueError, match="preblock_workers must be >= 1"):
+        PastisParams(scheduler="process", preblock_workers=0)
 
 
 def test_overlapped_scheduler_empty_task_list(small_seqs, fast_params):

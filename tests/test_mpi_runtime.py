@@ -113,6 +113,29 @@ def test_overlap_window_depth1_matches_charge_overlap_slot():
     assert np.array_equal(slot_ledger.per_rank("hidden"), win_ledger.per_rank("hidden"))
 
 
+def test_run_schedule_depth1_matches_charge_overlap_slot():
+    """The depth-1 block schedule the overlapped scheduler closes its clock
+    with is the classic slot loop, to the bit."""
+    rng = np.random.default_rng(11)
+    nranks, blocks = 4, 7
+    fg = _random_stage_seconds(rng, blocks, nranks)
+    bg = _random_stage_seconds(rng, blocks, nranks)
+
+    slot_ledger = CostLedger(nranks)
+    slot_clock = np.zeros(nranks)
+    slot_clock += bg[0]
+    for b in range(blocks - 1):
+        charge_overlap_slot(slot_ledger, slot_clock, fg[b], bg[b + 1], "hidden")
+    slot_clock += fg[-1]
+
+    win_ledger = CostLedger(nranks)
+    win_clock = np.zeros(nranks)
+    OverlapWindow(win_ledger, win_clock, "hidden").run_schedule(fg, bg, depth=1)
+
+    assert np.array_equal(slot_clock, win_clock)
+    assert np.array_equal(slot_ledger.per_rank("hidden"), win_ledger.per_rank("hidden"))
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 5])
 def test_overlap_window_identity_holds_for_every_depth(depth):
     """sum(foreground) + sum(background) - hidden == clock, per rank."""

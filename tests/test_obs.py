@@ -71,9 +71,8 @@ SCHEDULER_OVERRIDES = [
     pytest.param({}, id="serial"),
     pytest.param({"pre_blocking": True}, id="overlapped"),
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "threaded"},
-        id="threaded",
+        {"pre_blocking": True, "preblock_depth": 2},
+        id="overlapped-depth2",
     ),
     pytest.param(
         {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,

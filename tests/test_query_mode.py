@@ -54,12 +54,20 @@ def _assert_records_identical(query_records, base_records):
         np.testing.assert_array_equal(rec.cells_per_rank, ref.cells_per_rank)
 
 
-@pytest.mark.parametrize("scheduler", ["serial", "threaded"])
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        pytest.param({"scheduler": "serial"}, id="serial"),
+        pytest.param(
+            {"scheduler": "overlapped", "preblock_depth": 2}, id="overlapped-depth2"
+        ),
+    ],
+)
 @pytest.mark.parametrize("backend", ["expand", "gustavson"])
-def test_whole_db_query_bit_identical_to_all_vs_all(db, scheduler, backend):
+def test_whole_db_query_bit_identical_to_all_vs_all(db, schedule, backend):
     """Q = the whole database: the query run IS the all-vs-all run."""
     sequences, params, index_dir = db
-    params = params.replace(scheduler=scheduler, spgemm_backend=backend)
+    params = params.replace(spgemm_backend=backend, **schedule)
     base = PastisPipeline(params).run(sequences)
     query = PastisPipeline(
         params.replace(mode="query", index_dir=index_dir, query_dedup=True)

@@ -69,9 +69,8 @@ SCHEDULER_OVERRIDES = [
     pytest.param({}, id="serial"),
     pytest.param({"pre_blocking": True}, id="overlapped"),
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "threaded"},
-        id="threaded",
+        {"pre_blocking": True, "preblock_depth": 2},
+        id="overlapped-depth2",
     ),
     pytest.param(
         {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
@@ -125,7 +124,7 @@ def test_recorder_span_and_counter_basics():
     rec = TraceRecorder()
     with rec.span("discover", "stage", lane="discover", block=(0, 1), nnz=7) as span:
         span.set(flops=12.0)
-    rec.add_span("turnstile_wait", "wait", 1.0, 2.5, lane="discover")
+    rec.add_span("admission_wait", "wait", 1.0, 2.5, lane="submit")
     assert len(rec.spans) == 2
     first = rec.spans[0]
     assert first.name == "discover" and first.category == "stage"
@@ -144,7 +143,7 @@ def test_recorder_span_and_counter_basics():
         "live_blocks": 2.0, "ledger.align": 0.5, "shm_total_bytes": 1024.0,
     }
     summary = rec.summary()
-    assert summary[("wait", "turnstile_wait")]["count"] == 1
+    assert summary[("wait", "admission_wait")]["count"] == 1
 
 
 def test_recorder_span_records_error_attribute():
@@ -197,10 +196,10 @@ def test_tracing_is_non_perturbing_per_scheduler(tiny_seqs, fast_params, overrid
     for stage in ("discover", "prune", "align", "accumulate"):
         assert by_name.get(stage, 0) == 4, f"missing {stage!r} spans: {by_name}"
     assert by_name.get("summa_stage", 0) > 0
-    if overrides.get("scheduler") == "threaded":
-        assert by_name.get("turnstile_wait", 0) == 4
-        assert by_name.get("admission_wait", 0) == 4
-    if overrides.get("scheduler") == "process":
+    if overrides.get("scheduler") != "process":
+        # serial and overlapped run on one thread: nothing waits
+        assert by_name.get("admission_wait", 0) == 0
+    else:
         assert by_name.get("admission_wait", 0) == 4
         assert by_name.get("ledger_replay", 0) == 4
         worker_pids = {s.pid for s in traced.trace.spans if s.name == "discover"}
@@ -258,8 +257,7 @@ def test_chrome_export_schema_and_nesting(tmp_path, tiny_seqs, fast_params):
     trace_dir = tmp_path / "trace"
     result = _run(
         tiny_seqs, fast_params, trace_dir=str(trace_dir),
-        pre_blocking=True, preblock_depth=2, preblock_workers=2,
-        scheduler="threaded",
+        pre_blocking=True, preblock_depth=2,
     )
     assert result.trace is not None
     document = json.loads((trace_dir / CHROME_NAME).read_text())
