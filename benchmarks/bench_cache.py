@@ -23,7 +23,7 @@ from repro.sequences.synthetic import SyntheticDatasetConfig, synthetic_dataset
 
 from _results import save_results
 
-#: Same seeded workload as bench_pipeline, so the two artifacts are
+#: Same seeded workload as bench_graph / bench_trace_overhead, so the artifacts are
 #: comparable run-for-run across commits.
 WORKLOAD = dict(
     n_sequences=120,

@@ -40,7 +40,7 @@ from repro.sparse.kernels import available_kernels
 
 from _results import save_results
 
-#: The shared seeded workload of ``bench_pipeline.py`` / ``bench_graph.py``.
+#: The shared seeded workload of ``bench_graph.py`` / ``bench_cache.py``.
 WORKLOAD = dict(
     n_sequences=120,
     family_fraction=0.75,

@@ -1,7 +1,7 @@
 """Similarity-graph clustering benchmark: MCL across SpGEMM backends.
 
 Runs the pipeline on the shared seeded workload, then sweeps Markov
-clustering over inflation and pruning settings with every registered SpGEMM
+clustering over inflation and pruning settings with each SpGEMM
 backend executing the expansion.  Writes
 ``benchmarks/results/BENCH_graph.json``: per-configuration cluster counts,
 iteration counts, expansion flops/seconds per backend, pruned probability
@@ -35,7 +35,7 @@ from repro.sparse.kernels import available_kernels
 
 from _results import save_results
 
-#: The shared seeded workload of ``bench_pipeline.py`` — family-structured,
+#: The shared seeded workload of ``bench_cache.py`` — family-structured,
 #: so the recovered clustering can be scored against ground truth.
 WORKLOAD = dict(
     n_sequences=120,
@@ -46,7 +46,7 @@ WORKLOAD = dict(
     seed=97,
 )
 
-#: Backends sweeping the expansion: every registered one.
+#: Backends sweeping the expansion: both of them.
 BACKENDS = available_kernels()
 
 

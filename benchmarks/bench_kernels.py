@@ -18,7 +18,7 @@ from repro.core import EDGE_DTYPE, SimilarityGraph
 from repro.graph import StochasticMatrix
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix
-from repro.sparse.kernels import available_kernels, get_kernel, kernel_supports_semiring
+from repro.sparse.kernels import available_kernels, get_kernel
 from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
 from repro.sparse.spgemm import spgemm
 from repro.sparse.spops import to_scipy_csr
@@ -112,15 +112,13 @@ HEAD_TO_HEAD_CASE = dict(n=300, k=40, nnz=4000, seed=5)
 
 def time_overlap_backends(a, at, repeats):
     """Best-of-``repeats`` seconds and :class:`SpGemmStats` numbers of
-    ``A·Aᵀ`` under the overlap semiring, per backend that supports it;
-    asserts the outputs agree bit-for-bit."""
+    ``A·Aᵀ`` under the overlap semiring, per backend; asserts the outputs
+    agree bit-for-bit."""
     semiring = OverlapSemiring()
     report = {}
     baseline = None
     for name in available_kernels():
         kernel = get_kernel(name)
-        if not kernel_supports_semiring(kernel, semiring):
-            continue  # a backend declaring no overlap support
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -142,7 +140,7 @@ def time_overlap_backends(a, at, repeats):
 
 
 def spgemm_backend_head_to_head(n, k, nnz, seed, repeats=3):
-    """Run ``C = A·Aᵀ`` through every registered backend and compare.
+    """Run ``C = A·Aᵀ`` through both backends and compare.
 
     Returns per-backend timing and :class:`SpGemmStats` numbers; the outputs
     are asserted equal, so the comparison is purely about resources.
@@ -260,7 +258,7 @@ def time_plus_times_backends(t, repeats):
     """Best-of-``repeats`` seconds of the expansion ``Mᵀ·Mᵀ`` per backend.
 
     ``"gustavson"`` (one SciPy accumulator call on positive values) and
-    ``"expand"``, asserted bit-equal, values included; plus an unregistered
+    ``"expand"``, asserted bit-equal, values included; plus a
     ``scipy.sparse`` row — the raw ``A @ B`` on prebuilt CSR operands, a
     reference for what the hardware does with the same product (seconds
     only).

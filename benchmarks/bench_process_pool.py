@@ -1,4 +1,4 @@
-"""Measured-clock depth x workers x kernel sweep of the process executor.
+"""Measured-clock depth x workers sweep of the process executor.
 
 :class:`~repro.core.engine.process_executor.ProcessScheduler` is the one
 scheduler with real concurrency: it runs the discover lane in worker
@@ -7,12 +7,9 @@ aligner and each other, at the cost of fork + shm-mapping overhead per
 block.  (The ``"overlapped"`` scheduler runs the same schedule on one
 thread; its overlap exists only on the per-rank clock.)
 
-The sweep crosses speculative depth x discover workers x local SpGEMM kernel
-(every registered backend besides the ``"expand"`` oracle that supports the
-count semiring discovery multiplies with — today ``"gustavson"``;
-``"gustavson-numba"`` declares no count support and the search refuses it),
-all under ``clock="measured"``.  Every configuration is asserted
-bit-identical to the serial baseline — depth, worker count and kernel may
+The sweep crosses speculative depth x discover workers on the default
+SpGEMM kernel, all under ``clock="measured"``.  Every configuration is
+asserted bit-identical to the serial baseline — depth and worker count may
 move wall time, never results.
 
 Reported per row:
@@ -38,8 +35,6 @@ import numpy as np
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.sequences.synthetic import SyntheticDatasetConfig, synthetic_dataset
-from repro.sparse.kernels import available_kernels, get_kernel, kernel_supports_semiring
-from repro.sparse.semiring import CountSemiring
 
 from _results import save_results
 
@@ -55,14 +50,6 @@ WORKLOAD = dict(
 )
 DEPTHS = (1, 2, 4)
 WORKERS = (1, 2)
-
-
-def _kernels() -> tuple[str, ...]:
-    """The registered backends a search can run, the oracle aside."""
-    return tuple(
-        name for name in available_kernels()
-        if name != "expand" and kernel_supports_semiring(get_kernel(name), CountSemiring())
-    )
 
 
 def _params(**overrides) -> PastisParams:
@@ -95,126 +82,96 @@ def _schedule_speedup(result) -> float:
     return summed / combined if combined > 0 else 1.0
 
 
-def run_pool_sweep(
-    depths=DEPTHS,
-    workers=WORKERS,
-    kernels: tuple[str, ...] | None = None,
-    repeats: int = 2,
-    workload=WORKLOAD,
-) -> dict:
-    """Serial baseline per kernel + depth x workers x kernel sweep."""
-    if kernels is None:
-        kernels = _kernels()
+def run_pool_sweep(depths=DEPTHS, workers=WORKERS, repeats: int = 2, workload=WORKLOAD) -> dict:
+    """Serial baseline + depth x workers sweep."""
     seqs = synthetic_dataset(config=SyntheticDatasetConfig(**workload))
 
-    serials = {}
-    reference_edges = None
-    for kernel in kernels:
-        best, result = _run(seqs, _params(spgemm_backend=kernel), repeats)
-        edges = result.similarity_graph.edges
-        if reference_edges is None:
-            reference_edges = edges
-        else:
-            # the kernels themselves are bit-identical backends
-            assert np.array_equal(edges, reference_edges), (
-                f"kernel {kernel}: serial results diverged across kernels"
-            )
-        serials[kernel] = {
-            "phase_seconds": best,
-            "measured_discover_seconds": result.stats.extras[
-                "measured_discover_seconds"
-            ],
-            "measured_align_seconds": result.stats.extras["measured_align_seconds"],
-        }
+    best, result = _run(seqs, _params(), repeats)
+    reference_edges = result.similarity_graph.edges
+    serial = {
+        "phase_seconds": best,
+        "measured_discover_seconds": result.stats.extras["measured_discover_seconds"],
+        "measured_align_seconds": result.stats.extras["measured_align_seconds"],
+    }
 
     rows = []
-    for kernel in kernels:
-        for depth in depths:
-            for nworkers in workers:
-                best, result = _run(
-                    seqs,
-                    _params(
-                        spgemm_backend=kernel,
-                        pre_blocking=True,
-                        preblock_depth=depth,
-                        preblock_workers=nworkers,
-                        scheduler="process",
-                    ),
-                    repeats,
-                )
-                assert result.scheduler == "process"
-                assert np.array_equal(
-                    result.similarity_graph.edges, reference_edges
-                ), (
-                    f"depth={depth} workers={nworkers} kernel={kernel}: "
-                    "results diverged from serial"
-                )
-                rows.append(
-                    {
-                        "depth": depth,
-                        "workers": nworkers,
-                        "kernel": kernel,
-                        "phase_seconds": best,
-                        "wall_speedup": serials[kernel]["phase_seconds"] / best,
-                        "schedule_speedup": _schedule_speedup(result),
-                        "peak_live_blocks": result.stats.extras["peak_live_blocks"],
-                        "shm_peak_block_bytes": result.stats.extras[
-                            "shm_peak_block_bytes"
-                        ],
-                        "shm_total_bytes": result.stats.extras["shm_total_bytes"],
-                    }
-                )
+    for depth in depths:
+        for nworkers in workers:
+            best, result = _run(
+                seqs,
+                _params(
+                    pre_blocking=True,
+                    preblock_depth=depth,
+                    preblock_workers=nworkers,
+                    scheduler="process",
+                ),
+                repeats,
+            )
+            assert result.scheduler == "process"
+            assert np.array_equal(result.similarity_graph.edges, reference_edges), (
+                f"depth={depth} workers={nworkers}: results diverged from serial"
+            )
+            rows.append(
+                {
+                    "depth": depth,
+                    "workers": nworkers,
+                    "phase_seconds": best,
+                    "wall_speedup": serial["phase_seconds"] / best,
+                    "schedule_speedup": _schedule_speedup(result),
+                    "peak_live_blocks": result.stats.extras["peak_live_blocks"],
+                    "shm_peak_block_bytes": result.stats.extras["shm_peak_block_bytes"],
+                    "shm_total_bytes": result.stats.extras["shm_total_bytes"],
+                }
+            )
 
     best_row = max(rows, key=lambda r: r["wall_speedup"])
     return {
         "workload": dict(workload),
         "repeats": repeats,
-        "kernels": list(kernels),
         "cpu_count": os.cpu_count(),
         "usable_cpus": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
-        "serial": serials,
+        "serial": serial,
         "rows": rows,
         "best_wall_speedup": best_row["wall_speedup"],
         "best_config": {
             "depth": best_row["depth"],
             "workers": best_row["workers"],
-            "kernel": best_row["kernel"],
         },
     }
 
 
 def _print_report(out: dict) -> None:
-    for kernel, serial in out["serial"].items():
-        print(
-            f"serial[{kernel}] phase {serial['phase_seconds']:.2f}s "
-            f"(discover {serial['measured_discover_seconds']:.2f}s, "
-            f"align {serial['measured_align_seconds']:.2f}s)"
-        )
+    serial = out["serial"]
+    print(
+        f"serial phase {serial['phase_seconds']:.2f}s "
+        f"(discover {serial['measured_discover_seconds']:.2f}s, "
+        f"align {serial['measured_align_seconds']:.2f}s)"
+    )
     print(f"{out['usable_cpus']} usable CPUs")
     header = (
-        f"{'depth':>5} {'workers':>7} {'kernel':>15} {'phase s':>8} "
+        f"{'depth':>5} {'workers':>7} {'phase s':>8} "
         f"{'wall x':>7} {'sched x':>8} {'shm peak':>10}"
     )
     print(header)
     print("-" * len(header))
     for row in out["rows"]:
         print(
-            f"{row['depth']:>5} {row['workers']:>7} {row['kernel']:>15} "
+            f"{row['depth']:>5} {row['workers']:>7} "
             f"{row['phase_seconds']:>8.2f} {row['wall_speedup']:>7.2f} "
             f"{row['schedule_speedup']:>8.2f} {row['shm_peak_block_bytes']:>10.0f}"
         )
     best = out["best_config"]
     print(
         f"best wall speedup x{out['best_wall_speedup']:.2f} at "
-        f"depth={best['depth']} workers={best['workers']} kernel={best['kernel']}"
+        f"depth={best['depth']} workers={best['workers']}"
     )
 
 
 def _assert_invariants(out: dict) -> None:
     for row in out["rows"]:
-        label = f"depth={row['depth']} workers={row['workers']} kernel={row['kernel']}"
+        label = f"depth={row['depth']} workers={row['workers']}"
         assert row["peak_live_blocks"] <= row["depth"] + 1, (
             f"{label}: accumulator admitted more than depth+1 blocks"
         )
@@ -226,7 +183,7 @@ def _assert_invariants(out: dict) -> None:
 
 
 def test_process_pool_benchmark(benchmark):
-    """Depth x workers x kernel sweep (pytest-benchmark wrapper)."""
+    """Depth x workers sweep (pytest-benchmark wrapper)."""
     out = run_pool_sweep(repeats=2)
     save_results("BENCH_process_pool", out)
     _print_report(out)

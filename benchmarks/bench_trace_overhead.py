@@ -24,7 +24,7 @@ from repro.trace import CHROME_NAME, write_trace
 
 from _results import RESULTS_DIR, save_results
 
-#: Same seeded workload as bench_pipeline/bench_cache, so artifacts are
+#: Same seeded workload as bench_cache / bench_graph, so artifacts are
 #: comparable run-for-run across commits.
 WORKLOAD = dict(
     n_sequences=120,

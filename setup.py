@@ -8,11 +8,4 @@ legacy develop-mode install, which needs only setuptools.
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        # optional compiled SpGEMM backend: registers the "gustavson-numba"
-        # kernel (repro.sparse.gustavson_numba); everything degrades
-        # gracefully to the pure-NumPy kernels without it
-        "fast": ["numba"],
-    },
-)
+setup()

@@ -16,7 +16,7 @@ al., SC 2022):
 * the PASTIS pipeline itself (overlap detection, load balancing,
   pre-blocking, similarity-graph construction) — :mod:`repro.core`;
 * similarity-graph clustering into protein families (sparse Markov
-  clustering on the SpGEMM kernel registry, union-find components,
+  clustering on the SpGEMM kernels, union-find components,
   quality metrics) — :mod:`repro.graph`;
 * baselines (brute force, MMseqs2-like, DIAMOND-like) — :mod:`repro.baselines`;
 * an analytic performance model used to project paper-scale experiments —

@@ -41,7 +41,7 @@ class ReproConfig:
         experiments use 8x8).
     spgemm_backend:
         Default SpGEMM kernel for the pipeline's candidate-discovery multiply,
-        by registry name (``"gustavson"`` or ``"expand"``).  Mirrors
+        by name (``"gustavson"`` or ``"expand"``).  Mirrors
         :data:`repro.sparse.kernels.DEFAULT_KERNEL` — the registry is the
         single source of truth, so the pipeline, Markov clustering and
         ``resolve_kernel(None)`` all get the same kernel.  This value seeds

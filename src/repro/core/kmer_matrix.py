@@ -34,8 +34,7 @@ from ..sequences.alphabet import PROTEIN
 from ..sequences.kmers import KmerExtractor, substitute_kmers
 from ..sequences.sequence import SequenceSet
 from ..sparse.coo import CooMatrix, rowmajor_order
-from ..sparse.csr import run_pointers
-from ..sparse.dcsc import csc_pointer_compression
+from ..sparse.csr import csc_pointer_compression, run_pointers
 from .params import PastisParams
 
 

@@ -14,12 +14,7 @@ from ..align.substitution import BLOSUM62, ScoringScheme
 from ..config import DEFAULTS
 from ..graph.api import ClusterParams
 from ..sequences.alphabet import Alphabet, MURPHY10, PROTEIN
-from ..sparse.kernels import (
-    available_kernels,
-    get_kernel,
-    kernel_supports_semiring,
-)
-from ..sparse.semiring import CountSemiring, OverlapSemiring
+from ..sparse.kernels import available_kernels
 
 
 @dataclass
@@ -96,15 +91,12 @@ class PastisParams:
         ``"full_sw"`` (paper default: full Smith–Waterman on GPUs) or
         ``"seed_extend"`` (x-drop, cheaper, less sensitive).
     spgemm_backend:
-        Local SpGEMM kernel used inside every SUMMA stage, by registry name
-        (see :mod:`repro.sparse.kernels`): ``"gustavson"`` (row-wise with
+        Local SpGEMM kernel used inside every SUMMA stage, by name (see
+        :mod:`repro.sparse.kernels`): ``"gustavson"`` (row-wise with
         bounded intermediate memory; the default, from
         :data:`repro.config.DEFAULTS`) or ``"expand"``
         (sort–expand–reduce, the cross-kernel oracle).  Results are
-        bit-identical in every case.  The backend must support the count
-        semiring discovery multiplies with (and, for ``"seed_extend"``, the
-        overlap semiring seeds are gathered with); ``"gustavson-numba"``
-        declares no count support and is refused.
+        bit-identical in every case.
     batch_flops:
         Flop budget per row group of the ``"gustavson"`` backend; bounds the
         kernel's peak intermediate memory for memory-constrained runs.
@@ -242,17 +234,6 @@ class PastisParams:
                 f"spgemm_backend must be one of {available_kernels()}, "
                 f"got {self.spgemm_backend!r}"
             )
-        # discovery multiplies with the count semiring; seed extension also
-        # gathers its seeds with the overlap semiring
-        needed = [CountSemiring()]
-        if self.alignment_mode == "seed_extend":
-            needed.append(OverlapSemiring())
-        for semiring in needed:
-            if not kernel_supports_semiring(get_kernel(self.spgemm_backend), semiring):
-                raise ValueError(
-                    f"spgemm_backend {self.spgemm_backend!r} does not support the "
-                    f"pipeline's {semiring.name!r} semiring ({type(semiring).__name__})"
-                )
         if self.batch_flops is not None and self.batch_flops < 1:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
         if self.preblock_depth < 1:

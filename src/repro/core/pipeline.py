@@ -16,7 +16,7 @@ distributed runtime:
    and assemble the output graph;
 4. **clustering** (optional, ``params.cluster.enabled``) — hand the finished
    graph to :func:`repro.graph.api.cluster_similarity_graph` (Markov
-   clustering on the SpGEMM kernel registry, or union-find components).
+   clustering on the SpGEMM kernels, or union-find components).
    This is a post-graph stage independent of the per-block stage graph, so
    the schedulers are untouched; its result lands on
    ``SearchResult.clustering`` and in ``stats.extras["clustering"]``.

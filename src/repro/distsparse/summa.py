@@ -130,7 +130,7 @@ def summa(
     output coordinates are global either way.  ``output_shape`` defaults to
     ``(a.shape[0], b.shape[1])`` and should be set to the full matrix shape
     when multiplying stripes.  ``spgemm_backend`` selects the local-multiply
-    kernel by registry name (see :mod:`repro.sparse.kernels`) or directly as
+    kernel by name (see :mod:`repro.sparse.kernels`) or directly as
     a callable; ``None`` uses the registry default.  ``batch_flops`` bounds
     the per-row-group flop budget of every local multiply (memory-constrained
     runs); the selected backend must support batching.

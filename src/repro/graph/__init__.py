@@ -9,7 +9,7 @@ on the same substrates the search uses:
   the similarity graph (transpose-CSR storage; expansion, inflation and
   pruning operators);
 * :mod:`repro.graph.mcl` — sparse Markov clustering, with expansion
-  executed through the SpGEMM kernel registry under the plain arithmetic
+  executed through the SpGEMM kernels under the plain arithmetic
   semiring (``"gustavson"`` by default, bit-identical to the ``"expand"``
   oracle) and per-iteration flop/nnz/pruned-mass stats;
 * :mod:`repro.graph.dist` — *distributed* Markov clustering on the 2D

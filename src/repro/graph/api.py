@@ -5,7 +5,7 @@ make; :class:`ClusterParams` is the sub-config ``PastisParams.cluster``
 embeds, so a clustering run is configured next to the search that feeds it.
 Two methods are offered: ``"components"`` (union-find connectivity — fast,
 but a single spurious edge merges two families) and ``"mcl"`` (sparse
-Markov clustering on the SpGEMM kernel registry — separates families that
+Markov clustering on the SpGEMM kernels — separates families that
 connectivity over-merges, at the cost of a few sparse matrix products).
 """
 
@@ -56,8 +56,8 @@ class ClusterParams:
         The :class:`~repro.graph.mcl.MarkovClustering` knobs (ignored by
         ``"components"``).
     spgemm_backend:
-        Registry name of the SpGEMM backend executing MCL expansion;
-        ``None`` picks the registry default, ``"gustavson"`` — the kernel
+        Name of the SpGEMM backend executing MCL expansion;
+        ``None`` picks the default, ``"gustavson"`` — the kernel
         the search pipeline uses too.  Results are bit-identical either
         way.
     batch_flops:

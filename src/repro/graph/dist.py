@@ -38,7 +38,7 @@ cluster_overlap_hidden == combined clock`` per rank for every depth.
 **Bit-identity.**  The distributed run produces the same labels and the same
 final matrix, bit for bit, as single-rank
 :class:`~repro.graph.mcl.MarkovClustering` for every grid size and every
-registered SpGEMM backend.  Two properties make that possible:
+SpGEMM backend.  Two properties make that possible:
 
 * expansion uses the *deferred-merge* SUMMA
   (:func:`repro.distsparse.summa.summa` with ``deferred_merge=True``): each

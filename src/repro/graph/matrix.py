@@ -4,7 +4,7 @@ Markov clustering walks the similarity graph with a column-stochastic
 transition matrix ``M``: ``M[j, c]`` is the probability that a random walk
 standing at sequence ``c`` steps to sequence ``j``.  This module wraps that
 matrix in :class:`StochasticMatrix` and supplies the three MCL operators —
-expansion (``M·M`` through the SpGEMM kernel registry under the plain
+expansion (``M·M`` through the SpGEMM kernels under the plain
 arithmetic semiring), inflation (elementwise power + column
 renormalization), and pruning (per-column threshold / top-k sparsification
 with the discarded probability mass accounted per iteration).
@@ -12,11 +12,11 @@ with the discarded probability mass accounted per iteration).
 Storage is the CSR of the *transpose*: stored row ``c`` holds column ``c``
 of ``M``, so every per-column operation is a contiguous row operation and
 expansion is simply ``Mᵀ·Mᵀ = (M·M)ᵀ`` on the stored matrix — one
-:class:`~repro.sparse.csr.CsrMatrix` and the unchanged kernel registry, no
+:class:`~repro.sparse.csr.CsrMatrix` and the unchanged SpGEMM kernels, no
 CSC variant needed.
 
 Everything here is deterministic (stable sorts, index-ordered tie-breaks)
-and, because expansion goes through the registry whose backends are
+and, because expansion goes through kernels that are
 bit-identical under the arithmetic semiring, a whole MCL run is bit-identical
 across ``gustavson`` (the default) and ``expand`` (the oracle).
 """
@@ -359,7 +359,7 @@ class StochasticMatrix:
         batch_flops: int | None = None,
         right: "StochasticMatrix | None" = None,
     ) -> tuple["StochasticMatrix", SpGemmStats]:
-        """MCL expansion ``M·M`` through the SpGEMM kernel registry.
+        """MCL expansion ``M·M`` through the SpGEMM kernels.
 
         In transpose storage ``(M·M)ᵀ = Mᵀ·Mᵀ``, so the stored matrix is
         multiplied by itself under the plain arithmetic semiring.  The

@@ -1,4 +1,4 @@
-"""Sparse Markov clustering (MCL) on the SpGEMM kernel registry.
+"""Sparse Markov clustering (MCL) on the SpGEMM kernels.
 
 Connected components cannot separate protein families joined by a single
 spurious edge — one borderline alignment merges two families for good.
@@ -127,8 +127,8 @@ class MarkovClustering:
         Convergence threshold on the chaos measure
         (:meth:`StochasticMatrix.chaos`); 0 demands exact idempotency.
     spgemm_backend:
-        Registry name (or callable) executing the expansion; ``None`` uses
-        the registry default, ``"gustavson"``.  Results are bit-identical for every backend.
+        Kernel name (or callable) executing the expansion; ``None`` uses
+        the default, ``"gustavson"``.  Results are bit-identical for every backend.
     batch_flops:
         Optional flop budget forwarded to batching backends (bounds the
         expansion's intermediate memory).

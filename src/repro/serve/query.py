@@ -44,7 +44,7 @@ from ..distsparse.shards import ShardedStripeMatrix
 from ..mpi.communicator import SimCommunicator
 from ..sequences.sequence import SequenceSet
 from ..sparse.coo import CooMatrix
-from ..sparse.dcsc import csc_pointer_compression
+from ..sparse.csr import csc_pointer_compression
 from .index import KmerIndex
 
 from ..core.engine.stages import BlockTask

@@ -12,23 +12,20 @@ Contents
 * :mod:`repro.sparse.semiring` — the semiring abstraction and the concrete
   semirings used by the pipeline (arithmetic, boolean/count, min-plus, and
   the overlap semiring carrying seed positions).
-* :mod:`repro.sparse.coo` / :mod:`repro.sparse.csr` /
-  :mod:`repro.sparse.dcsc` — storage formats (COO triplets, whose
-  row-major order is a scanned property; CSR, and
+* :mod:`repro.sparse.coo` / :mod:`repro.sparse.csr` — storage formats
+  (COO triplets, whose row-major order is a scanned property; CSR, and
   :func:`~repro.sparse.csr.compress_rows`, the pointers-over-non-empty-rows
-  form the Gustavson kernel multiplies hypersparse operands from; and the
-  doubly-compressed sparse column format CombBLAS uses for hypersparse
-  submatrices).
+  form — CombBLAS's doubly compressed idea — the Gustavson kernel
+  multiplies hypersparse operands from).
 * :mod:`repro.sparse.spgemm` — sort/expand/reduce semiring SpGEMM with
   flop (compression-factor) accounting.
 * :mod:`repro.sparse.gustavson` — row-wise Gustavson SpGEMM whose peak
   intermediate memory is bounded by a per-row-group flop budget instead of
   the total flop count.
-* :mod:`repro.sparse.kernels` — the SpGEMM **kernel registry**.  Backends
-  are selected by name (``"expand"`` or ``"gustavson"``) via
+* :mod:`repro.sparse.kernels` — the two SpGEMM kernels by name
+  (``"gustavson"`` and ``"expand"``), looked up with
   :func:`~repro.sparse.kernels.get_kernel` /
-  :func:`~repro.sparse.kernels.resolve_kernel`, and new ones can be added
-  with :func:`~repro.sparse.kernels.register_kernel`.
+  :func:`~repro.sparse.kernels.resolve_kernel`.
 * :mod:`repro.sparse.spops` — transpose, triangular extraction, parity
   pruning, elementwise filtering, conversions.
 
@@ -44,7 +41,7 @@ the overlap matrix's high compression factors (``flops / output nnz``, §V-B
 of the paper), and under the arithmetic semiring with positive values (and
 the count semiring on flop-heavy calls) it hands the whole product to
 SciPy's row accumulator.  ``"expand"``
-materializes every partial product at once; it stays registered as the
+materializes every partial product at once; it stays selectable as the
 oracle: both return bit-identical outputs and flop/nnz statistics (the
 randomized harness in ``tests/test_spgemm_equivalence.py`` asserts this).
 ``benchmarks/bench_kernels.py`` reports a head-to-head.
@@ -61,7 +58,6 @@ from .semiring import (
 )
 from .coo import CooMatrix
 from .csr import CsrMatrix, compress_rows
-from .dcsc import DcscMatrix
 from .spgemm import spgemm, SpGemmStats
 from .gustavson import spgemm_gustavson
 from .kernels import (
@@ -69,7 +65,6 @@ from .kernels import (
     available_kernels,
     get_kernel,
     kernel_supports_batch_flops,
-    register_kernel,
     resolve_kernel,
 )
 from .spops import (
@@ -94,7 +89,6 @@ __all__ = [
     "CooMatrix",
     "CsrMatrix",
     "compress_rows",
-    "DcscMatrix",
     "spgemm",
     "spgemm_gustavson",
     "SpGemmStats",
@@ -102,7 +96,6 @@ __all__ = [
     "available_kernels",
     "get_kernel",
     "kernel_supports_batch_flops",
-    "register_kernel",
     "resolve_kernel",
     "transpose",
     "triu",

@@ -149,15 +149,6 @@ class CooMatrix:
         self.rows, self.cols, self.values = self.rowmajor_arrays()
         return self
 
-    def sort_colmajor(self) -> "CooMatrix":
-        """Sort entries in (col, row) order in place.  Returns self."""
-        if self.nnz:
-            order = rowmajor_order(self.cols, self.rows)
-            self.rows = self.rows[order]
-            self.cols = self.cols[order]
-            self.values = self.values[order]
-        return self
-
     # ------------------------------------------------------------------ algebra helpers
     def transpose(self) -> "CooMatrix":
         """Return the transpose (values are shared copies)."""

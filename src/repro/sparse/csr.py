@@ -5,7 +5,8 @@ submatrix of the k-mer matrix is *hypersparse*: its k-mer dimension is
 ``|alphabet|^k`` long and holds far fewer nonzeros.  :func:`compress_rows`
 is this package's form of that idea — pointers over the non-empty rows
 only, read off row-major triplets in ``O(nnz)`` — and is what the Gustavson
-kernel multiplies from.  :class:`CsrMatrix`, with its full ``nrows + 1``
+kernel multiplies from; :func:`csc_pointer_compression` is the memory it
+saves over a full pointer array.  :class:`CsrMatrix`, with its full ``nrows + 1``
 pointer array, is kept for the matrices whose row dimension is small
 (``repro.graph``'s transpose-CSR stochastic matrix, per-row slicing).
 """
@@ -40,6 +41,14 @@ def compress_rows(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     rows, cols, values = coo.rowmajor_arrays()
     indptr = run_pointers(rows)
     return rows[indptr[:-1]], indptr, cols, values
+
+
+def csc_pointer_compression(ncols: int, nonempty_cols: int) -> float:
+    """Hypersparsity of a matrix: bytes of a plain CSC column-pointer array
+    (``ncols + 1`` words) over the doubly compressed form's (one id per
+    non-empty column plus one pointer more) — the saving
+    :func:`compress_rows` makes on the transposed matrix."""
+    return float((ncols + 1) * 8) / float(8 * nonempty_cols + 8 * (nonempty_cols + 1))
 
 
 class CsrMatrix:

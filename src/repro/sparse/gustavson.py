@@ -192,7 +192,7 @@ def spgemm_gustavson(
         others are stably sorted first.  CSR inputs must be in the row-major,
         column-sorted entry order :meth:`CsrMatrix.from_coo` produces, since
         the bit-identity guarantee depends on it; unsorted columns are
-        rejected.  (The other registered backend accepts COO only; select
+        rejected.  (The other backend, ``"expand"``, accepts COO only; select
         the operand format for the backend you call.)
     semiring:
         Semiring supplying multiply/reduce; defaults to arithmetic (+, ×).

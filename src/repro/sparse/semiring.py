@@ -104,7 +104,7 @@ def sequential_segment_sum(values: np.ndarray, group_starts: np.ndarray) -> np.n
     bound.)
 
     This is what makes the plain arithmetic semiring bit-identical across
-    every registered SpGEMM backend *including* the Gustavson kernel's fast
+    both SpGEMM backends *including* the Gustavson kernel's fast
     path, which accumulates in SciPy and skips this function whenever
     SciPy's accumulator is exact (:mod:`repro.sparse.gustavson`).  What
     remains here is the ``"expand"`` kernel, the Gustavson fallback, and the

@@ -49,12 +49,10 @@ def test_empty_constructor():
     assert m.dtype == np.float32
 
 
-def test_sort_rowmajor_and_colmajor():
+def test_sort_rowmajor():
     m = make_matrix()
     m.sort_rowmajor()
     assert m.rows.tolist() == [0, 1, 2, 2]
-    m.sort_colmajor()
-    assert m.cols.tolist() == [0, 1, 3, 3]
 
 
 def test_order_scan_decides_whether_to_sort():

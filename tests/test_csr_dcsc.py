@@ -1,11 +1,10 @@
-"""Tests for repro.sparse.csr and repro.sparse.dcsc."""
+"""Tests for repro.sparse.csr: CSR, and the doubly compressed row form."""
 
 import numpy as np
 import pytest
 
 from repro.sparse.coo import CooMatrix
-from repro.sparse.csr import CsrMatrix, compress_rows
-from repro.sparse.dcsc import DcscMatrix
+from repro.sparse.csr import CsrMatrix, compress_rows, csc_pointer_compression
 
 
 def sample_coo(rng=None, shape=(8, 2000), nnz=40):
@@ -152,64 +151,110 @@ def test_compress_rows_matches_csr_on_nonempty_rows(presorted):
 
 
 # ---------------------------------------------------------------------- DCSC
+# The doubly compressed column form of A is compress_rows of A's transpose:
+# the ids of the non-empty columns, pointers over those columns only, and the
+# row indices / values column by column.
+def dcsc(coo):
+    return compress_rows(coo.transpose())
+
+
+def dcsc_to_coo(shape, form):
+    col_ids, indptr, rows, values = form
+    return CooMatrix(shape, rows, np.repeat(col_ids, np.diff(indptr)), values)
+
+
+def dcsc_column(form, j):
+    col_ids, indptr, rows, values = form
+    k = int(np.searchsorted(col_ids, j))
+    if k == col_ids.size or col_ids[k] != j:
+        return rows[:0], values[:0]
+    return rows[indptr[k]:indptr[k + 1]], values[indptr[k]:indptr[k + 1]]
+
+
 def test_dcsc_roundtrip():
     coo = sample_coo()
-    dcsc = DcscMatrix.from_coo(coo)
-    assert dcsc.nnz == coo.nnz
-    assert dcsc.to_coo().sort_rowmajor() == coo.copy().sort_rowmajor()
+    form = dcsc(coo)
+    assert form[2].size == coo.nnz
+    assert dcsc_to_coo(coo.shape, form) == coo
 
 
 def test_dcsc_nonempty_columns_only():
     coo = sample_coo()
-    dcsc = DcscMatrix.from_coo(coo)
-    assert dcsc.nzc == np.unique(coo.cols).size
-    assert dcsc.nzc <= dcsc.nnz
+    col_ids, indptr, _, _ = dcsc(coo)
+    assert col_ids.size == np.unique(coo.cols).size
+    assert col_ids.size <= coo.nnz
+    assert np.all(np.diff(indptr) > 0)  # no pointer for an empty column
 
 
 def test_dcsc_column_access():
     coo = CooMatrix((5, 100), np.array([0, 3]), np.array([42, 42]), np.array([1.0, 2.0]))
-    dcsc = DcscMatrix.from_coo(coo)
-    rows, vals = dcsc.column(42)
-    assert sorted(rows.tolist()) == [0, 3]
-    empty_rows, _ = dcsc.column(7)
+    form = dcsc(coo)
+    rows, vals = dcsc_column(form, 42)
+    assert rows.tolist() == [0, 3]
+    assert vals.tolist() == [1.0, 2.0]
+    empty_rows, _ = dcsc_column(form, 7)
     assert empty_rows.size == 0
+    assert dcsc_column(form, 99)[0].size == 0  # past the last non-empty column
+
+
+def test_dcsc_column_access_on_the_kmer_dimension():
+    """Columns indexed by 20**12 k-mer ids: nothing of that length exists."""
+    cols = np.array([5, 20**12 - 1, 5, 7 * 20**9])
+    coo = CooMatrix((3, 20**12), np.array([2, 0, 1, 1]), cols, np.array([1, 2, 3, 4]))
+    form = dcsc(coo)
+    assert form[0].tolist() == [5, 7 * 20**9, 20**12 - 1]
+    assert form[1].size == 4
+    assert dcsc_column(form, 5)[0].tolist() == [1, 2]
+    assert dcsc_column(form, 20**12 - 1)[1].tolist() == [2]
+    assert dcsc_column(form, 6)[0].size == 0
 
 
 def test_dcsc_empty_matrix():
-    dcsc = DcscMatrix.from_coo(CooMatrix.empty((5, 100)))
-    assert dcsc.nnz == 0
-    assert dcsc.nzc == 0
-    assert dcsc.to_coo().nnz == 0
+    col_ids, indptr, rows, _ = form = dcsc(CooMatrix.empty((5, 100)))
+    assert rows.size == 0
+    assert col_ids.size == 0
+    assert indptr.tolist() == [0]
+    assert dcsc_to_coo((5, 100), form).nnz == 0
 
 
 def test_dcsc_hypersparse_compression():
     # 8 rows x 2,000 columns with only 40 nonzeros: DCSC pointers should be
     # far smaller than a CSC column-pointer array
-    dcsc = DcscMatrix.from_coo(sample_coo())
-    assert dcsc.compression_ratio_vs_csc() > 10
-    assert dcsc.memory_bytes() < (2000 + 1) * 8
+    coo = sample_coo()
+    col_ids, indptr, _, _ = dcsc(coo)
+    assert csc_pointer_compression(coo.shape[1], col_ids.size) > 10
+    assert col_ids.nbytes + indptr.nbytes < (2000 + 1) * 8
 
 
 @pytest.mark.parametrize("shape", [(0, 7), (7, 0), (0, 0)])
 def test_dcsc_zero_dimension_roundtrip(shape):
-    dcsc = DcscMatrix.from_coo(CooMatrix.empty(shape))
-    assert dcsc.shape == shape
-    assert dcsc.nnz == 0
-    assert dcsc.nzc == 0
-    assert dcsc.to_coo().shape == shape
+    col_ids, indptr, rows, _ = form = dcsc(CooMatrix.empty(shape))
+    assert rows.size == 0
+    assert col_ids.size == 0
+    assert indptr.tolist() == [0]
+    assert dcsc_to_coo(shape, form).shape == shape
 
 
 def test_dcsc_single_nonempty_column_roundtrip():
     coo = CooMatrix((4, 1000), np.array([3]), np.array([999]), np.array([2.5]))
-    dcsc = DcscMatrix.from_coo(coo)
-    assert dcsc.nzc == 1
-    assert dcsc.jc.tolist() == [999]
-    rows, vals = dcsc.column(999)
+    form = dcsc(coo)
+    assert form[0].tolist() == [999]
+    assert form[1].tolist() == [0, 1]
+    rows, vals = dcsc_column(form, 999)
     assert rows.tolist() == [3]
     assert vals.tolist() == [2.5]
-    assert dcsc.to_coo().sort_rowmajor() == coo
+    assert dcsc_to_coo(coo.shape, form) == coo
 
 
-def test_dcsc_validation():
-    with pytest.raises(ValueError):
-        DcscMatrix((2, 5), np.array([1, 0]), np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, 2.0]))
+def test_csc_pointer_compression_counts_pointer_words():
+    """8 rows x 2,000 columns with 40 nonzeros: a CSC column-pointer array is
+    2,001 words; the doubly compressed form stores one id per non-empty column
+    plus one pointer more."""
+    coo = sample_coo()
+    nzc = np.unique(coo.cols).size
+    _, indptr, _, _ = compress_rows(coo.transpose())
+    assert indptr.size == nzc + 1  # the non-empty columns, from compress_rows
+    ratio = csc_pointer_compression(coo.shape[1], nzc)
+    assert ratio == 2001 / (2 * nzc + 1)
+    assert ratio > 10
+    assert csc_pointer_compression(7, 7) == 8 / 15

@@ -167,6 +167,15 @@ def test_overlapped_report_matches_closed_form_model(overlapped6_result):
         assert getattr(report, field) == getattr(expected, field), field
 
 
+def test_depth1_overlap_pays_despite_contention(overlapped6_result):
+    """Classic pre-blocking charges the paper's contention multipliers and
+    still finishes discover + align sooner than back to back."""
+    report = overlapped6_result.preblocking_report
+    assert overlapped6_result.timeline.align_contention > 1.0
+    assert report.combined_seconds_pre < report.sum_seconds
+    assert 0.0 < report.efficiency_percent <= 100.0
+
+
 def test_overlap_hidden_reconciles_ledger_with_clock(overlapped_result, pipeline_result):
     """align + spgemm - overlap_hidden equals the simulated combined clock."""
     ledger = overlapped_result.ledger

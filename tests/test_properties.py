@@ -25,7 +25,6 @@ from repro.distsparse.distmat import DistSparseMatrix
 from repro.mpi.communicator import SimCommunicator
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
-from repro.sparse.dcsc import DcscMatrix
 from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
 from repro.sparse.spgemm import spgemm, spgemm_reference
 
@@ -142,7 +141,6 @@ def test_overlap_spgemm_matches_reference_property(data):
 def test_conversions_are_lossless(data):
     coo = build_coo((15, 12), data)
     assert CsrMatrix.from_coo(coo).to_coo() == coo.copy().sort_rowmajor()
-    assert DcscMatrix.from_coo(coo).to_coo().sort_rowmajor() == coo.copy().sort_rowmajor()
 
 
 @given(data=coo_strategy, br=st.integers(1, 4), bc=st.integers(1, 4))
