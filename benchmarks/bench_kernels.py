@@ -276,14 +276,60 @@ def time_plus_times_backends(t, repeats):
 
 def kmer_count_operands(n=600, k=5, seed=97):
     """``A`` and ``Aᵀ`` of a seeded synthetic set, built the way the search
-    pipeline builds them (one sort each, positions as values): candidate
-    discovery's count product."""
+    pipeline builds them (positions as values): candidate discovery's count
+    product."""
     from repro.core.kmer_matrix import build_kmer_operands
     from repro.core.params import PastisParams
 
     seqs = synthetic_dataset(n_sequences=n, seed=seed)
     a, at, _ = build_kmer_operands(seqs, PastisParams(kmer_length=k))
     return a, at
+
+
+def operand_birth(n=2000, k=5, seed=33, repeats=3):
+    """Birth of the search operands on the seed-33 generator's set: build,
+    distribute (2x2 grid, 3x3 blocking) and cut every row stripe of ``A``
+    and column stripe of ``Aᵀ``, as a run's Blocked SUMMA does.
+
+    Best-of-``repeats`` seconds, plus what the born operands and their
+    stripes hold once built (``resident_bytes``) and the peak above the
+    starting point while building (``peak_bytes``), both by ``tracemalloc``.
+    """
+    import tracemalloc
+
+    from repro.core.blocking import make_schedule
+    from repro.core.kmer_matrix import build_distributed_kmer_matrix
+    from repro.core.params import PastisParams
+    from repro.mpi.communicator import SimCommunicator
+
+    seqs = synthetic_dataset(n_sequences=n, seed=seed)
+    params = PastisParams(kmer_length=k, nodes=4, blocking=(3, 3))
+    schedule = make_schedule(n, params)
+
+    def birth():
+        a, at, info = build_distributed_kmer_matrix(seqs, params, SimCommunicator(params.nodes))
+        stripes = [a.row_stripe(schedule.row_range(r)) for r in range(schedule.br)]
+        stripes += [at.col_stripe(schedule.col_range(c)) for c in range(schedule.bc)]
+        return info, (a, at, stripes)
+
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        info, held = birth()
+        best = min(best, time.perf_counter() - t0)
+    del held
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    info, held = birth()
+    resident, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {
+        "seconds": best,
+        "nnz": info.nnz,
+        "stripes": schedule.br + schedule.bc,
+        "resident_bytes": resident - start,
+        "peak_bytes": peak - start,
+    }
 
 
 def test_count_spgemm_scales_with_nnz(benchmark):
@@ -307,9 +353,10 @@ def _smoke() -> None:
     same), the ``plus_times`` head-to-head on an MCL expansion (gustavson
     and expand bit-equal, a raw ``scipy.sparse`` product as the reference
     row, seconds per backend), the count-semiring head-to-head on k-mer
-    operands (candidate discovery's product, bit-equal) and the align kernel's
-    batch-width sweep, all written next to the other ``benchmarks/results``
-    rows.
+    operands (candidate discovery's product, bit-equal), the search operands'
+    birth (build, distribute and every stripe: seconds and resident bytes)
+    and the align kernel's batch-width sweep, all written next to the other
+    ``benchmarks/results`` rows.
     """
     report = spgemm_backend_head_to_head(**HEAD_TO_HEAD_CASE, repeats=1)
     header = f"{'backend':<12} {'seconds':>10} {'flops':>8} {'nnz':>8} {'cf':>6} {'intermediate':>13}"
@@ -367,6 +414,15 @@ def _smoke() -> None:
             f"{row['output_nnz']:>8d} {row['products_per_second'] / 1e6:>8.1f}"
         )
     print("smoke OK: count backends agree bit-for-bit on k-mer operands")
+
+    birth = operand_birth()
+    save_results("kernel_operand_birth", birth)
+    print()
+    print(f"{'birth':<12} {'seconds':>10} {'nnz':>8} {'resident MB':>12} {'peak MB':>8}")
+    print(
+        f"{'A, Aᵀ, stripes':<12} {birth['seconds']:>10.4f} {birth['nnz']:>8d} "
+        f"{birth['resident_bytes'] / 1e6:>12.2f} {birth['peak_bytes'] / 1e6:>8.2f}"
+    )
 
     sweep = align_width_sweep()
     save_results("kernel_batch_sw_widths", sweep)

@@ -13,10 +13,22 @@ position 10 for ``ACDEF``, not 0.  Every output digest pins this rule.
 
 The matrix is hypersparse per rank (the k-mer dimension is ``|alphabet|^k``,
 e.g. 64 M for k=6), which is why CombBLAS/PASTIS store it in DCSC; the
-builder reports that compression ratio as part of its info record.  Both
-operands are sorted row-major exactly once, here, where they are born:
-``A`` by (sequence, k-mer) and ``Aᵀ`` by (k-mer, sequence) — the order every
-stripe, shard and SpGEMM call downstream inherits by slicing.
+builder reports that compression ratio as part of its info record.
+
+Both operands are born here, once, in the order the process grid consumes
+them, by sorts of integer keys instead of comparison sorts of coordinate
+tuples (:func:`repro.sparse.coo.radix_order`).  The deduplicated triples
+come out of :func:`seed_operand` in (k-mer, sequence) order — ``Aᵀ``
+row-major — and one more sort per operand orders them by rank block
+(:meth:`repro.distsparse.distmat.DistSparseMatrix.from_global_coo`): ``A``
+by (rank block, sequence, k-mer), ``Aᵀ`` by (rank block, column stripe of
+the run's schedule, k-mer, sequence), in block-local coordinates with
+per-segment pointers.  Every rank block, row stripe, column stripe, SUMMA
+stage operand and index shard is then a contiguous view of those arrays,
+and each stripe block caches the row pointers the kernel reads it through
+on its first multiply (:func:`repro.sparse.csr.compress_rows`).  The query
+path (:mod:`repro.serve.query`) builds its ``A`` through the same
+:func:`seed_operand`.
 """
 
 from __future__ import annotations
@@ -33,8 +45,9 @@ from ..mpi.communicator import SimCommunicator
 from ..sequences.alphabet import PROTEIN
 from ..sequences.kmers import KmerExtractor, substitute_kmers
 from ..sequences.sequence import SequenceSet
-from ..sparse.coo import CooMatrix, rowmajor_order
-from ..sparse.csr import csc_pointer_compression, run_pointers
+from ..sparse.coo import CooMatrix, radix_order
+from ..sparse.csr import csc_pointer_compression
+from .blocking import make_schedule
 from .params import PastisParams
 
 
@@ -119,43 +132,96 @@ def extract_seed_triples(
     return seq_ids, kmer_ids, positions, occurrences, substitute_nnz, extractor
 
 
+@dataclass
+class SeedOperand:
+    """The deduplicated seed triples of ``A``, in (k-mer, row) order.
+
+    That order *is* ``Aᵀ`` row-major, and ``A`` column-major: both operands
+    are distributed from these arrays without a comparison sort
+    (:meth:`repro.distsparse.distmat.DistSparseMatrix.from_global_coo`).
+    """
+
+    #: shape of ``A``: (rows, k-mer space)
+    shape: tuple[int, int]
+    rows: np.ndarray
+    kmers: np.ndarray
+    positions: np.ndarray
+    info: KmerMatrixInfo
+
+    def matrix(self) -> CooMatrix:
+        """``A`` (entries in (k-mer, row) order)."""
+        return CooMatrix(self.shape, self.rows, self.kmers, self.positions, check=False)
+
+    def transposed(self) -> CooMatrix:
+        """``Aᵀ``, row-major by (k-mer, row)."""
+        shape = (self.shape[1], self.shape[0])
+        return CooMatrix(shape, self.kmers, self.rows, self.positions, check=False)
+
+
+def seed_operand(
+    extracted: tuple,
+    shape: tuple[int, int],
+    n_sequences: int,
+    started: float,
+    row_ids: np.ndarray | None = None,
+) -> SeedOperand:
+    """Deduplicate :func:`extract_seed_triples`' output into a :class:`SeedOperand`.
+
+    The one birth path of every search operand ``A`` — all-vs-all and query
+    alike, so a member query's row cannot drift from its database row.
+    ``row_ids`` maps sequence ``i`` to row ``row_ids[i]`` (the query path's
+    database coordinates); ``started`` is the ``perf_counter`` reading the
+    build began at.  The triples are stably ordered by (k-mer, row) —
+    :func:`repro.sparse.coo.radix_order`, one sort of packed integer keys —
+    and of each run of equal coordinates the last extracted triple is kept.
+    """
+    seq_ids, kmer_ids, positions, occurrences, substitute_nnz, _ = extracted
+    rows = seq_ids if row_ids is None or seq_ids.size == 0 else row_ids[seq_ids]
+    order = radix_order(kmer_ids, rows)
+    kmers, rows = kmer_ids[order], rows[order]
+    last = np.ones(kmers.size, dtype=bool)
+    last[:-1] = (kmers[1:] != kmers[:-1]) | (rows[1:] != rows[:-1])
+    kmers, rows = kmers[last], rows[last]
+    positions = positions[order[last]].astype(np.int32)
+    info = KmerMatrixInfo(
+        n_sequences=n_sequences,
+        kmer_space=shape[1],
+        nnz=int(kmers.size),
+        kmer_occurrences=occurrences,
+        substitute_nnz=substitute_nnz,
+        build_seconds=time.perf_counter() - started,
+        # DCSC's ratio for A, without the DCSC copy: A's non-empty columns
+        # are the k-mer runs of this order
+        hypersparsity_ratio=csc_pointer_compression(
+            shape[1], int(np.count_nonzero(kmers[1:] != kmers[:-1])) + bool(kmers.size)
+        ),
+    )
+    return SeedOperand(shape, rows, kmers, positions, info)
+
+
+def build_seed_operand(sequences: SequenceSet, params: PastisParams) -> SeedOperand:
+    """The all-vs-all :class:`SeedOperand` of ``sequences``."""
+    started = time.perf_counter()
+    extracted = extract_seed_triples(sequences, params)
+    shape = (len(sequences), extracted[5].space_size())
+    return seed_operand(extracted, shape, len(sequences), started)
+
+
 def build_kmer_operands(
     sequences: SequenceSet, params: PastisParams
 ) -> tuple[CooMatrix, CooMatrix, KmerMatrixInfo]:
-    """Build the global (undistributed) ``A`` and ``Aᵀ``, each sorted once.
-
-    ``A`` is row-major by (sequence, k-mer); ``Aᵀ`` holds the same entries
-    row-major by (k-mer, sequence) — which *is* the column-major order of
-    ``A``, so the hypersparsity statistic is read off its distinct rows.
-    """
-    t0 = time.perf_counter()
-    seq_ids, kmer_ids, positions, occurrences, substitute_nnz, extractor = (
-        extract_seed_triples(sequences, params)
+    """The global (undistributed) ``A`` and ``Aᵀ``, both row-major."""
+    operand = build_seed_operand(sequences, params)
+    # a stable pass over the rows of the (k-mer, row) order: (row, k-mer)
+    order = radix_order(operand.rows)
+    a = CooMatrix(
+        operand.shape,
+        operand.rows[order],
+        operand.kmers[order],
+        operand.positions[order],
+        check=False,
     )
-    shape = (len(sequences), extractor.space_size())
-    coo = CooMatrix(shape, seq_ids, kmer_ids, positions.astype(np.int32), check=False)
-    # one entry per (sequence, k-mer): the last extracted triple wins
-    coo = coo.deduplicate()
-    order = rowmajor_order(coo.cols, coo.rows)
-    transposed = CooMatrix(
-        (shape[1], shape[0]), coo.cols[order], coo.rows[order], coo.values[order], check=False
-    )
-    build_seconds = time.perf_counter() - t0
-
-    info = KmerMatrixInfo(
-        n_sequences=len(sequences),
-        kmer_space=shape[1],
-        nnz=coo.nnz,
-        kmer_occurrences=occurrences,
-        substitute_nnz=substitute_nnz,
-        build_seconds=build_seconds,
-        # DCSC's ratio for A, without the DCSC copy: A's non-empty columns
-        # are Aᵀ's non-empty rows
-        hypersparsity_ratio=csc_pointer_compression(
-            shape[1], run_pointers(transposed.rows).size - 1
-        ),
-    )
-    return coo, transposed, info
+    return a, operand.transposed(), operand.info
 
 
 def build_kmer_coo(sequences: SequenceSet, params: PastisParams) -> tuple[CooMatrix, KmerMatrixInfo]:
@@ -172,15 +238,19 @@ def build_distributed_kmer_matrix(
 ) -> tuple[DistSparseMatrix, DistSparseMatrix, KmerMatrixInfo]:
     """Build ``A`` and ``Aᵀ`` distributed over the communicator's 2D grid.
 
-    Returns ``(A, A_transpose, info)``; every local block of both inherits
-    the row-major entry order of :func:`build_kmer_operands`.  The
+    Returns ``(A, A_transpose, info)``, born in the order the run's Blocked
+    SUMMA consumes them: ``A``'s blocks row-major, ``Aᵀ``'s blocks cut into
+    the schedule's column stripes (:func:`repro.core.blocking.make_schedule`)
+    and row-major within each — every stripe of either is a view.  The
     distribution traffic is charged by
     :func:`repro.distsparse.distribute.distribute_coo`.
     """
-    coo, transposed, info = build_kmer_operands(sequences, params)
-    a_dist = distribute_coo(coo, comm)
-    at_dist = distribute_coo(transposed, comm)
+    operand = build_seed_operand(sequences, params)
+    a_dist = distribute_coo(operand.matrix(), comm)
+    at_dist = distribute_coo(
+        operand.transposed(), comm, col_cuts=make_schedule(len(sequences), params).col_cuts()
+    )
     if cost_seconds_per_rank is not None:
         for rank in range(comm.size):
             comm.ledger.charge(rank, "sparse_other", float(cost_seconds_per_rank[rank]))
-    return a_dist, at_dist, info
+    return a_dist, at_dist, operand.info

@@ -20,8 +20,15 @@ trade-off (Fig. 5) can be reported.
 The stripes are the paper's stored-once, re-traversed operands: each
 distinct ``A(r, *)`` / ``B(*, c)`` is sliced out of its operand the first
 time a block needs it and kept for the run (``br + bc`` slicings, not
-``2 br bc``).  A row stripe of a row-major operand is a set of views; a
-column stripe is a copy, so the kept B side costs one more copy of ``B``.
+``2 br bc``).  Both are views: a row stripe is a ``searchsorted`` range of
+each row-major block, and a column stripe is one column segment of each
+block of ``B``, which is born sorted by (rank block, column stripe, row,
+column) (:meth:`DistSparseMatrix.from_global_coo` with the schedule's
+:meth:`BlockSchedule.col_cuts`; an operand born without them is re-born
+once, at construction).  Each stripe block keeps the row pointers the
+kernel reads it through (:func:`repro.sparse.csr.compress_rows`), computed
+on its first multiply — so a stripe is scanned and compressed once per run,
+however many SUMMA stages and output blocks broadcast it.
 """
 
 from __future__ import annotations
@@ -75,6 +82,10 @@ class BlockSchedule:
     def col_range(self, c: int) -> tuple[int, int]:
         """Global column range of block column ``c``."""
         return _chunk_bounds(self.n_cols, self.bc, c)
+
+    def col_cuts(self) -> list[int]:
+        """Global columns where one column stripe ends and the next begins."""
+        return [self.col_range(c)[0] for c in range(1, self.bc)]
 
     def all_blocks(self) -> list[tuple[int, int]]:
         """All (block_row, block_col) pairs in row-major order."""
@@ -209,6 +220,8 @@ class BlockedSpGemm:
             raise ValueError("inner dimensions of the operands do not match")
         if (self.schedule.n_rows, self.schedule.n_cols) != (self.a.shape[0], self.b.shape[1]):
             raise ValueError("schedule dimensions must match the output shape")
+        if isinstance(self.b, DistSparseMatrix):
+            self.b = self.b.with_col_cuts(self.schedule.col_cuts())
 
     # ------------------------------------------------------------------ stripes
     def _stripe(self, key: tuple[str, int], slice_operand) -> DistSparseMatrix:

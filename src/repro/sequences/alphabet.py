@@ -97,12 +97,18 @@ class Alphabet:
         Unknown characters raise ``ValueError`` so that corrupt input is not
         silently folded into the search.
         """
-        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        codes = self._lut[raw]
+        # a non-ASCII character becomes "?", which no alphabet has a code for
+        codes = self._lut[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
         if (codes < 0).any():
-            bad = sorted({chr(c) for c in raw[codes < 0]})
-            raise ValueError(f"unknown residue characters {bad!r} for alphabet {self.name}")
+            raise ValueError(
+                f"unknown residue characters {self.unknown_characters(text)!r} "
+                f"for alphabet {self.name}"
+            )
         return codes.astype(np.uint8)
+
+    def unknown_characters(self, text: str) -> list[str]:
+        """The distinct characters of ``text`` this alphabet has no code for, sorted."""
+        return sorted(ch for ch in set(text) if ord(ch) > 127 or self._lut[ord(ch)] < 0)
 
     def decode(self, codes: np.ndarray) -> str:
         """Decode ``uint8`` codes back into the representative letters."""

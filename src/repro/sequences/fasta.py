@@ -53,14 +53,31 @@ def iter_fasta(handle: io.TextIOBase) -> Iterator[FastaRecord]:
         yield FastaRecord(header=header, sequence="".join(chunks))
 
 
+def _sequence_set(records: list[FastaRecord], alphabet: Alphabet, path: Path) -> SequenceSet:
+    """The records as a :class:`SequenceSet`; a record holding a residue
+    outside ``alphabet`` is refused naming the file, its header and the
+    characters."""
+    try:
+        return SequenceSet.from_strings(
+            (r.sequence for r in records), (r.name for r in records), alphabet
+        )
+    except ValueError:
+        for record in records:
+            bad = alphabet.unknown_characters(record.sequence)
+            if bad:
+                raise ValueError(
+                    f"{path}: FASTA record '>{record.header}' has unknown residue "
+                    f"characters {bad!r} for alphabet {alphabet.name}"
+                ) from None
+        raise
+
+
 def read_fasta(path: str | os.PathLike, alphabet: Alphabet = PROTEIN) -> SequenceSet:
     """Read a FASTA file into a :class:`SequenceSet`."""
     path = Path(path)
     with path.open("r") as handle:
         records = list(iter_fasta(handle))
-    return SequenceSet.from_strings(
-        (r.sequence for r in records), (r.name for r in records), alphabet
-    )
+    return _sequence_set(records, alphabet, path)
 
 
 def write_fasta(
@@ -138,7 +155,4 @@ def read_fasta_partitioned(
             if lo <= rec_start < hi:
                 partitions[p].append(record)
                 break
-    return [
-        SequenceSet.from_strings((r.sequence for r in part), (r.name for r in part), alphabet)
-        for part in partitions
-    ]
+    return [_sequence_set(part, alphabet, path) for part in partitions]

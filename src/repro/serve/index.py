@@ -1,11 +1,12 @@
 """The persistent database k-mer index.
 
-``build_index`` runs the batch pipeline's own k-mer matrix construction
-(:func:`repro.core.kmer_matrix.build_kmer_operands`) once over the database,
-partitions the transposed operand ``Bᵀ = A_dbᵀ`` — sorted row-major by
+``build_index`` runs the batch pipeline's own k-mer matrix birth
+(:func:`repro.core.kmer_matrix.build_seed_operand`) once over the database,
+distributes the transposed operand ``Bᵀ = A_dbᵀ`` onto the 2D process grid
+cut into the index's column stripes — each stripe block a row-major view by
 (k-mer, sequence), the order a served SpGEMM multiplies from without
-sorting — onto the 2D process grid, and persists it as the exact per-rank
-column-stripe shards Blocked SUMMA consumes
+sorting — and persists it as the exact per-rank column-stripe shards
+Blocked SUMMA consumes
 (:mod:`repro.distsparse.shards`).  Every artifact is stamped with
 the same content digests the PR 6 stage cache keys on —
 :func:`repro.core.engine.cache.sequence_digest` for the database residues,
@@ -41,7 +42,7 @@ import numpy as np
 
 from ..config import atomic_write_bytes, atomic_write_text
 from ..core.engine.cache import sequence_digest, stripe_digest
-from ..core.kmer_matrix import KmerMatrixInfo, build_kmer_operands
+from ..core.kmer_matrix import KmerMatrixInfo, build_seed_operand
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
 from ..distsparse.distmat import DistSparseMatrix
@@ -150,10 +151,13 @@ def build_index(
 
     t0 = time.perf_counter()
     comm = SimCommunicator(params.nodes)
-    _, transposed, info = build_kmer_operands(sequences, params)
-    bt = DistSparseMatrix.from_global_coo(transposed, comm)
+    operand = build_seed_operand(sequences, params)
+    info = operand.info
     _, bc = effective_blocking(params, len(sequences))
     schedule = BlockSchedule(n_rows=len(sequences), n_cols=len(sequences), br=1, bc=bc)
+    bt = DistSparseMatrix.from_global_coo(
+        operand.transposed(), comm, col_cuts=schedule.col_cuts()
+    )
 
     stripes: list[dict] = []
     shard_bytes = 0
@@ -189,8 +193,8 @@ def build_index(
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "n_sequences": len(sequences),
-        "kmer_space": int(transposed.shape[0]),
-        "nnz": int(transposed.nnz),
+        "kmer_space": int(bt.shape[0]),
+        "nnz": int(bt.nnz),
         "bc": bc,
         "alphabet": sequences.alphabet.name,
         "sequence_digest": sequence_digest(sequences),

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.kmer_matrix import KmerMatrixInfo, extract_seed_triples
+from ..core.kmer_matrix import KmerMatrixInfo, SeedOperand, extract_seed_triples, seed_operand
 from ..core.load_balance import LoadBalancingScheme, make_scheme
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
@@ -44,7 +44,6 @@ from ..distsparse.shards import ShardedStripeMatrix
 from ..mpi.communicator import SimCommunicator
 from ..sequences.sequence import SequenceSet
 from ..sparse.coo import CooMatrix
-from ..sparse.csr import csc_pointer_compression
 from .index import KmerIndex
 
 from ..core.engine.stages import BlockTask
@@ -107,50 +106,35 @@ def resolve_queries(queries: SequenceSet, database: SequenceSet) -> np.ndarray:
     return rows
 
 
-def build_query_kmer_coo(
+def build_query_operand(
     queries: SequenceSet,
     params: PastisParams,
     index: KmerIndex,
     row_ids: np.ndarray,
     n_rows: int,
-) -> tuple[CooMatrix, KmerMatrixInfo]:
+) -> SeedOperand:
     """The query operand ``A_query`` in database row coordinates.
 
-    Mirrors :func:`repro.core.kmer_matrix.build_kmer_operands` step for
-    step — with the database's persisted banned k-mer set standing in for
-    the global frequency filter, and the same keep-the-last-extracted-triple
-    rule per (sequence, k-mer) — so a member query's row is bitwise equal to
-    its database row.
+    The triples come from the batch pipeline's own extraction — with the
+    database's persisted banned k-mer set standing in for the global
+    frequency filter — and go through the batch pipeline's own birth path
+    (:func:`repro.core.kmer_matrix.seed_operand`), so a member query's row
+    is bitwise equal to its database row.
     """
-    t0 = time.perf_counter()
-    seq_ids, kmer_ids, positions, occurrences, substitute_nnz, extractor = (
-        extract_seed_triples(
-            queries,
-            params,
-            apply_frequency_filter=False,
-            banned_kmers=index.banned_kmers(),
-        )
+    started = time.perf_counter()
+    extracted = extract_seed_triples(
+        queries,
+        params,
+        apply_frequency_filter=False,
+        banned_kmers=index.banned_kmers(),
     )
-    if extractor.space_size() != index.kmer_space:
+    space = extracted[5].space_size()
+    if space != index.kmer_space:
         raise ValueError(
-            f"query k-mer space {extractor.space_size()} != index k-mer space "
+            f"query k-mer space {space} != index k-mer space "
             f"{index.kmer_space} (parameter validation should have caught this)"
         )
-    rows = row_ids[seq_ids] if seq_ids.size else seq_ids.astype(np.int64)
-    shape = (n_rows, index.kmer_space)
-    coo = CooMatrix(shape, rows, kmer_ids, positions.astype(np.int32), check=False)
-    coo = coo.deduplicate()
-    build_seconds = time.perf_counter() - t0
-    info = KmerMatrixInfo(
-        n_sequences=len(queries),
-        kmer_space=shape[1],
-        nnz=coo.nnz,
-        kmer_occurrences=occurrences,
-        substitute_nnz=substitute_nnz,
-        build_seconds=build_seconds,
-        hypersparsity_ratio=csc_pointer_compression(shape[1], int(np.unique(coo.cols).size)),
-    )
-    return coo, info
+    return seed_operand(extracted, (n_rows, space), len(queries), started, row_ids=row_ids)
 
 
 @dataclass
@@ -203,8 +187,8 @@ def prepare_query_run(
     query_rows[novel_mask] = n_db + np.arange(n_novel, dtype=np.int64)
     n_rows = n_db + n_novel
 
-    coo, kmer_info = build_query_kmer_coo(queries, params, index, query_rows, n_rows)
-    a_dist = distribute_coo(coo, comm)
+    operand = build_query_operand(queries, params, index, query_rows, n_rows)
+    a_dist = distribute_coo(operand.matrix(), comm)
     b = index.matrix(comm)
 
     br_param, _ = params.blocking_factors()
@@ -230,7 +214,7 @@ def prepare_query_run(
         tasks=tasks,
         align_sequences=align_sequences,
         n_vertices=n_rows,
-        kmer_info=kmer_info,
+        kmer_info=operand.info,
         query_rows=query_rows,
         n_members=len(queries) - n_novel,
         n_novel=n_novel,

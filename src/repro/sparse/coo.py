@@ -8,14 +8,92 @@ including the structured :data:`repro.sparse.semiring.OVERLAP_DTYPE`.
 Row-major order (``rows`` non-decreasing, ``cols`` non-decreasing within a
 row) is a *scanned* property of the triplets, never a trusted flag: every
 consumer that needs it asks :meth:`CooMatrix.is_rowmajor` — one ``O(nnz)``
-pass — and sorts only when the scan fails.  Operands are sorted once where
-they are born and every slicing operation preserves entry order, so in a
-pipeline run the scan is all that is ever paid.
+pass — and sorts only when the scan fails.  Search operands are born in the
+order the process grid consumes them (:func:`radix_order`: sorts of integer
+keys, not tuple comparisons) and every stripe of them is a contiguous view,
+so in a pipeline run one scan per stripe block is all that is ever paid.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: bits per radix pass: NumPy's stable argsort of a ``uint16`` array is a
+#: counting (radix) sort, linear in the length
+_RADIX_BITS = 16
+#: a key of at most this many bits is one ``uint8`` counting pass, faster
+#: than any packed sort
+_ONE_PASS_BITS = 8
+#: below this many entries :func:`radix_order` is ``np.lexsort`` outright
+_SMALL = 1024
+
+
+def _ascending(keys: tuple[np.ndarray, ...]) -> bool:
+    """Whether the entries already are in lexicographic order of ``keys``."""
+    tied = None  # adjacent pairs equal on every key so far
+    for key in keys:
+        drops = key[1:] < key[:-1]
+        if (drops if tied is None else drops & tied).any():
+            return False
+        tied = key[1:] == key[:-1] if tied is None else tied & (key[1:] == key[:-1])
+        if not tied.any():
+            break
+    return True
+
+
+def radix_order(*keys: np.ndarray) -> np.ndarray:
+    """The stable order by ``keys[0]``, then ``keys[1]``, … — the permutation
+    ``np.lexsort(keys[::-1])`` — from integer keys, without a comparison
+    sort of tuples.
+
+    The keys are packed into one ``int64`` (mixed radix, each key's span its
+    maximum plus one).  A minor-key suffix the entries already ascend in
+    costs nothing — LSD radix would sort by it first, and a stable sort of
+    sorted keys is the identity — so it is looked for where dropping it
+    leaves a key of at most 8 bits, or where the whole key would leave no
+    room for the entry index.  A key of at most 8 bits is one ``uint8``
+    counting (radix) pass.  When the entry index fits beside the packed key
+    in 63 bits, ``(key, index)`` integers are unique, so one plain (SIMD)
+    sort of them *is* the stable order.  Otherwise the key is sorted 16 bits
+    per least-significant-digit radix pass.  Fewer than 1024 entries,
+    negative keys, or keys whose product of spans does not fit an ``int64``
+    fall back to ``np.lexsort``.
+    """
+    n = keys[0].size if keys else 0
+    if n < 2:
+        return np.arange(n, dtype=np.intp)
+    if n < _SMALL or min(int(key.min()) for key in keys) < 0:
+        return np.lexsort(keys[::-1])
+    spans = [int(key.max()) + 1 for key in keys]
+    prefix_bits = [
+        (int(np.prod(spans[:j], dtype=object)) - 1).bit_length() for j in range(1, len(keys) + 1)
+    ]
+    index_bits = (n - 1).bit_length()
+    fits = prefix_bits[-1] + index_bits <= 63
+    kept = len(keys)
+    for j in range(1, len(keys)):  # the shortest prefix that orders the entries
+        if (prefix_bits[j - 1] <= _ONE_PASS_BITS or not fits) and _ascending(keys[j:]):
+            kept = j
+            break
+    keys, bits = keys[:kept], prefix_bits[kept - 1]
+    if bits > 63:
+        return np.lexsort(keys[::-1])
+    packed = keys[0].astype(np.int64)
+    for key, span in zip(keys[1:], spans[1:]):
+        packed *= span
+        packed += key
+    if bits > _ONE_PASS_BITS and bits + index_bits <= 63:
+        packed <<= index_bits
+        packed |= np.arange(n)
+        packed.sort()
+        packed &= (1 << index_bits) - 1
+        return packed
+    dtype = np.uint8 if bits <= _ONE_PASS_BITS else np.uint16
+    digits = [(packed >> shift).astype(dtype) for shift in range(0, max(bits, 1), _RADIX_BITS)]
+    order = np.argsort(digits[0], kind="stable")
+    for digit in digits[1:]:
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
 
 
 def rowmajor_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -85,6 +163,8 @@ class CooMatrix:
         self.rows = rows
         self.cols = cols
         self.values = values
+        self._derived: dict = {}
+        self._derived_from: tuple = ()
         if sort:
             self.sort_rowmajor()
 
@@ -130,6 +210,20 @@ class CooMatrix:
         ascending |= (rows[:-1] == rows[1:]) & (cols[:-1] <= cols[1:])
         return bool(ascending.all())
 
+    def derived(self, name: str, compute):
+        """``compute()``'s result, computed on the first call and kept with
+        this matrix (the row pointers and row filter a SpGEMM kernel reads
+        an operand through).  Replacing ``rows``, ``cols`` or ``values``
+        discards everything kept."""
+        arrays = (self.rows, self.cols, self.values)
+        if len(self._derived_from) != 3 or any(
+            a is not b for a, b in zip(arrays, self._derived_from)
+        ):
+            self._derived, self._derived_from = {}, arrays
+        if name not in self._derived:
+            self._derived[name] = compute()
+        return self._derived[name]
+
     def rowmajor_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, values)`` in (row, col) order.
 
@@ -168,41 +262,6 @@ class CooMatrix:
         return CooMatrix(
             self.shape, self.rows[mask], self.cols[mask], self.values[mask], check=False
         )
-
-    def submatrix(
-        self, row_range: tuple[int, int], col_range: tuple[int, int], relabel: bool = True
-    ) -> "CooMatrix":
-        """Extract the block ``[row_range) x [col_range)``, preserving entry order.
-
-        With ``relabel=True`` (default) the block's coordinates are shifted so
-        the block starts at (0, 0) — the form needed for distributed block
-        ownership.  A dimension the range covers in full is not compared at
-        all; a row range of a matrix whose ``rows`` are non-decreasing is a
-        ``searchsorted`` slice.  The block may therefore share memory with
-        this matrix — neither side's arrays are ever written in place.
-        """
-        r0, r1 = row_range
-        c0, c1 = col_range
-        rows, cols, values = self.rows, self.cols, self.values
-        mask = None
-        if r0 > 0 or r1 < self.shape[0]:
-            if rows.size < 2 or bool((rows[:-1] <= rows[1:]).all()):
-                lo, hi = np.searchsorted(rows, (r0, r1))
-                rows, cols, values = rows[lo:hi], cols[lo:hi], values[lo:hi]
-            else:
-                mask = (rows >= r0) & (rows < r1)
-        if c0 > 0 or c1 < self.shape[1]:
-            col_mask = (cols >= c0) & (cols < c1)
-            mask = col_mask if mask is None else mask & col_mask
-        if mask is not None:
-            rows, cols, values = rows[mask], cols[mask], values[mask]
-        if relabel:
-            rows = rows - r0 if r0 else rows
-            cols = cols - c0 if c0 else cols
-            shape = (r1 - r0, c1 - c0)
-        else:
-            shape = self.shape
-        return CooMatrix(shape, rows, cols, values, check=False)
 
     def with_offset(self, row_offset: int, col_offset: int, shape: tuple[int, int]) -> "CooMatrix":
         """Return a copy re-embedded into a larger matrix at the given offset."""

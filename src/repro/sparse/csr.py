@@ -37,10 +37,27 @@ def compress_rows(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     scanned (:meth:`CooMatrix.is_rowmajor`); the sort runs only when the
     scan fails, and ``indices`` / ``values`` otherwise are the matrix's own
     arrays.  Nothing of length ``coo.shape[0]`` is allocated.
+
+    A row-major matrix keeps its row ids and pointers
+    (:meth:`CooMatrix.derived`): a stripe block multiplied in every SUMMA
+    stage of every output block it meets is scanned and compressed on its
+    first call only.  Sorted copies of any other matrix are not kept.
     """
+    pointers = coo.derived("row_pointers", lambda: _own_row_pointers(coo))
+    if pointers is not None:
+        return pointers[0], pointers[1], coo.cols, coo.values
     rows, cols, values = coo.rowmajor_arrays()
     indptr = run_pointers(rows)
     return rows[indptr[:-1]], indptr, cols, values
+
+
+def _own_row_pointers(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(row_ids, indptr)`` over the matrix's own arrays, or ``None`` when
+    they are not row-major."""
+    if not coo.is_rowmajor():
+        return None
+    indptr = run_pointers(coo.rows)
+    return coo.rows[indptr[:-1]], indptr
 
 
 def csc_pointer_compression(ncols: int, nonempty_cols: int) -> float:

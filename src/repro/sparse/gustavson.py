@@ -60,7 +60,10 @@ entries of an overlap product select no ``B`` row at all, so a
 multiplicative-hash bitmap over ``B``'s non-empty row ids (``O(nnz(B))``
 slots, never dimension-sized) rejects them first, and only the entries it
 passes are sorted, binary-searched and checked for equality — exact, whatever
-the hash does.  The flop-bounded row groups are formed over the ``A`` rows
+the hash does.  A COO operand keeps both its row pointers and (as ``B``) its
+packed bitmap (:meth:`~repro.sparse.coo.CooMatrix.derived`), so a stripe
+block broadcast to many SUMMA stages pays for them on its first call only.
+The flop-bounded row groups are formed over the ``A`` rows
 that produce partial products at all — rows without any carry 0 flops and so
 cannot move a group boundary.
 
@@ -79,7 +82,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coo import CooMatrix
+from .coo import CooMatrix, radix_order
 from .csr import CsrMatrix, compress_rows, run_pointers
 from .semiring import ArithmeticSemiring, CountSemiring, Semiring
 from .spgemm import SpGemmStats, reduce_by_coordinate
@@ -107,30 +110,46 @@ def hash_buckets(ids: np.ndarray, bits: int) -> np.ndarray:
     return (ids.astype(np.uint64) * _HASH_MULTIPLIER) >> np.uint64(64 - bits)
 
 
-def match_rows(row_ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def build_row_filter(row_ids: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(bits, bitmap)``: a table of ``16 * len(row_ids)`` slots, rounded up
+    to ``2**bits``, with the hash bucket of every row id marked — packed
+    eight slots per byte, so a stripe block can keep it for the run."""
+    bits = int(_HASH_SLOTS_PER_ID * row_ids.size - 1).bit_length()
+    marked = np.zeros(1 << bits, dtype=bool)
+    marked[hash_buckets(row_ids, bits)] = True
+    return bits, np.packbits(marked, bitorder="little")
+
+
+def filters_keys(n_row_ids: int, n_keys: int) -> bool:
+    """Whether :func:`match_rows` filters ``n_keys`` keys through a
+    :func:`build_row_filter` of ``n_row_ids`` row ids."""
+    return 4 * n_keys >= n_row_ids
+
+
+def match_rows(
+    row_ids: np.ndarray, keys: np.ndarray, row_filter: tuple[int, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``(live, pos)``: the ascending indices of the ``keys`` present in the
     strictly increasing ``row_ids``, and where — ``row_ids[pos] == keys[live]``.
 
-    When there are enough keys to pay for it (``4 * len(keys) >=
-    len(row_ids)``) a bitmap of ``16 * len(row_ids)`` slots, rounded up to a
-    power of two, marks the hash buckets of ``row_ids``; a key whose bucket is
-    unmarked is absent, and only the keys that pass — the present ones plus
-    under 1/16 of the absent ones — are sorted and binary-searched.  Smaller
-    key sets (a query against a database stripe) skip the filter, whose
-    ``O(len(row_ids))`` set-up they would not pay back.  Either way the
-    equality check decides, so the result is exact.
+    When there are enough keys to pay for it (:func:`filters_keys`) the
+    :func:`build_row_filter` of ``row_ids`` — passed in as ``row_filter`` when
+    the caller keeps it — rejects every key whose bucket is unmarked, and
+    only the keys that pass — the present ones plus under 1/16 of the absent
+    ones — are sorted and binary-searched.  Smaller key sets (a query against a database stripe)
+    skip the filter, whose ``O(len(row_ids))`` set-up they would not pay
+    back.  Either way the equality check decides, so the result is exact.
     """
     if row_ids.size == 0 or keys.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     candidates = np.arange(keys.size)
-    if 4 * keys.size >= row_ids.size:
-        bits = int(_HASH_SLOTS_PER_ID * row_ids.size - 1).bit_length()
-        marked = np.zeros(1 << bits, dtype=bool)
-        marked[hash_buckets(row_ids, bits)] = True
-        candidates = np.flatnonzero(marked[hash_buckets(keys, bits)])
+    if filters_keys(row_ids.size, keys.size):
+        bits, bitmap = build_row_filter(row_ids) if row_filter is None else row_filter
+        slots = hash_buckets(keys, bits)
+        candidates = np.flatnonzero((bitmap[slots >> np.uint64(3)] >> (slots & np.uint64(7))) & 1)
     candidate_keys = keys[candidates]
     # sorted keys walk row_ids once instead of jumping around it
-    order = np.argsort(candidate_keys)
+    order = radix_order(candidate_keys)
     pos = np.empty(candidates.size, dtype=np.int64)
     pos[order] = np.searchsorted(row_ids, candidate_keys[order])
     np.minimum(pos, row_ids.size - 1, out=pos)
@@ -220,8 +239,12 @@ def spgemm_gustavson(
 
     # the A entries whose inner index selects a non-empty B row: only these
     # produce partial products, and rows without any carry 0 flops, so
-    # dropping the rest moves no row-group boundary
-    live, b_pos = match_rows(b_row_ids, a_cols)
+    # dropping the rest moves no row-group boundary; a COO B keeps its row
+    # filter for every later call
+    b_filter = None
+    if isinstance(b, CooMatrix) and b_row_ids.size and filters_keys(b_row_ids.size, a_cols.size):
+        b_filter = b.derived("row_filter", lambda: build_row_filter(b_row_ids))
+    live, b_pos = match_rows(b_row_ids, a_cols, b_filter)
     if live.size == 0:
         result = CooMatrix.empty(out_shape, dtype=semiring.value_dtype)
         stats = SpGemmStats(flops=0, output_nnz=0, intermediate_bytes=0, compression_factor=1.0)

@@ -98,37 +98,6 @@ def test_select_mask():
         m.select(np.array([True]))
 
 
-def test_submatrix_relabel():
-    m = make_matrix()
-    sub = m.submatrix((1, 3), (0, 4), relabel=True)
-    assert sub.shape == (2, 4)
-    assert set(zip(sub.rows.tolist(), sub.cols.tolist())) == {(0, 0), (1, 3)}
-
-
-def test_submatrix_no_relabel():
-    m = make_matrix()
-    sub = m.submatrix((1, 3), (0, 4), relabel=False)
-    assert sub.shape == m.shape
-    assert set(sub.rows.tolist()) == {1, 2}
-
-
-def test_submatrix_preserves_order_and_slices_sorted_rows():
-    rng = np.random.default_rng(2)
-    shuffled = CooMatrix((9, 7), rng.integers(0, 9, 60), rng.integers(0, 7, 60), np.arange(60.0))
-    for m in (shuffled, shuffled.copy().sort_rowmajor()):
-        mask = (m.rows >= 2) & (m.rows < 6) & (m.cols >= 1) & (m.cols < 5)
-        sub = m.submatrix((2, 6), (1, 5))
-        assert sub.shape == (4, 4)
-        assert np.array_equal(sub.rows, m.rows[mask] - 2)
-        assert np.array_equal(sub.cols, m.cols[mask] - 1)
-        assert np.array_equal(sub.values, m.values[mask])
-    # a row range of row-sorted triplets is a view, a full range is the matrix
-    m = shuffled.copy().sort_rowmajor()
-    assert np.shares_memory(m.submatrix((2, 6), (0, 7)).values, m.values)
-    assert np.shares_memory(m.submatrix((0, 9), (0, 7)).rows, m.rows)
-    assert m.submatrix((4, 4), (0, 7)).nnz == 0
-
-
 def test_with_offset():
     m = CooMatrix((2, 2), np.array([0]), np.array([1]), np.array([5.0]))
     big = m.with_offset(3, 4, (10, 10))

@@ -73,9 +73,16 @@ def test_row_and_col_stripes_cover_matrix():
     assert set(zip(global_stripe.rows.tolist(), global_stripe.cols.tolist())) == set(
         zip(expected.rows.tolist(), expected.cols.tolist())
     )
-    cstripe = dist.col_stripe((0, 5))
+    # a column stripe is one column segment of every block: cut there first
+    with pytest.raises(ValueError, match="not one column segment"):
+        dist.col_stripe((0, 5))
+    cut = dist.with_col_cuts([5])
+    assert cut.with_col_cuts([5]) is cut
+    cstripe = cut.col_stripe((0, 5))
     expected_c = mat.select(mat.cols < 5)
     assert cstripe.nnz == expected_c.nnz
+    assert cstripe.to_global_coo() == expected_c.copy().sort_rowmajor()
+    assert all(cstripe.local(rank).is_rowmajor() for rank in range(4))
 
 
 def test_set_local_shape_check():
@@ -339,9 +346,13 @@ def test_blocked_summa_slices_each_stripe_once_under_racing_threads():
     comm = SimCommunicator(4)
     n = 24
     a = random_coo((n, 120), 200, 7, dtype=np.int32)
+    schedule = BlockSchedule(n, n, 3, 4)
     a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    b_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm)
-    engine = BlockedSpGemm(a_dist, b_dist, CountSemiring(), BlockSchedule(n, n, 3, 4))
+    b_dist = DistSparseMatrix.from_global_coo(
+        a.transpose(), comm, col_cuts=schedule.col_cuts()
+    )
+    engine = BlockedSpGemm(a_dist, b_dist, CountSemiring(), schedule)
+    assert engine.b is b_dist  # born on the schedule's cuts: nothing to re-cut
     slicings = Counter()
     for matrix, name in ((a_dist, "row_stripe"), (b_dist, "col_stripe")):
         original = getattr(matrix, name)
@@ -621,9 +632,11 @@ def test_broadcast_volume_model_consistent_with_ledger_charges():
     grid = comm.require_grid()
     n, k = 12, 30
     a = random_coo((n, k), 80, 13, dtype=np.int32)
-    a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    at_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm)
     schedule = BlockSchedule(n, n, 2, 2)
+    a_dist = DistSparseMatrix.from_global_coo(a, comm)
+    at_dist = DistSparseMatrix.from_global_coo(
+        a.transpose(), comm, col_cuts=schedule.col_cuts()
+    )
     engine = BlockedSpGemm(a_dist, at_dist, CountSemiring(), schedule)
     for _ in engine.iter_blocks():
         pass

@@ -78,6 +78,23 @@ def test_partitioned_read_covers_everything_once(tmp_path, nparts):
     assert sorted(names) == sorted(str(n) for n in seqs.names)
 
 
+def test_unknown_residue_refusal_names_file_record_and_characters(tmp_path):
+    path = tmp_path / "bad.fasta"
+    path.write_text(">ok first\nACDEF\n>sp|P1|bad second record\nAC#DE\nF!G\n>later\nKLM\n")
+    for read in (read_fasta, lambda p: read_fasta_partitioned(p, 2)):
+        with pytest.raises(ValueError) as refused:
+            read(path)
+        message = str(refused.value)
+        assert str(path) in message
+        assert ">sp|P1|bad second record" in message
+        assert "['!', '#']" in message and "protein20" in message
+        assert "ok first" not in message and "later" not in message
+    # a non-ASCII residue is named as itself
+    path.write_text(">uni\nACDÉF\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r">uni' has unknown residue characters \['É'\]"):
+        read_fasta(path)
+
+
 def test_partitioned_read_invalid_parts(tmp_path):
     path = tmp_path / "x.fasta"
     write_fasta(path, SequenceSet.from_strings(["AC"]))
