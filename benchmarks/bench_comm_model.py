@@ -55,11 +55,12 @@ def run():
     measured = []
     for br, bc in BLOCKINGS:
         comm = SimCommunicator(4)
+        schedule = BlockSchedule(n, n, br, bc)
         engine = BlockedSpGemm(
             DistSparseMatrix.from_global_coo(a, comm),
-            DistSparseMatrix.from_global_coo(a.transpose(), comm),
+            DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts()),
             OverlapSemiring(),
-            BlockSchedule(n, n, br, bc),
+            schedule,
         )
         for _ in engine.iter_blocks():
             pass

@@ -278,12 +278,12 @@ def kmer_count_operands(n=600, k=5, seed=97):
     """``A`` and ``Aᵀ`` of a seeded synthetic set, built the way the search
     pipeline builds them (positions as values): candidate discovery's count
     product."""
-    from repro.core.kmer_matrix import build_kmer_operands
+    from repro.core.kmer_matrix import extract_seed_triples, seed_operand
     from repro.core.params import PastisParams
 
     seqs = synthetic_dataset(n_sequences=n, seed=seed)
-    a, at, _ = build_kmer_operands(seqs, PastisParams(kmer_length=k))
-    return a, at
+    operand = seed_operand(extract_seed_triples(seqs, PastisParams(kmer_length=k)))
+    return operand.matrix().sort_rowmajor(), operand.transposed()
 
 
 def operand_birth(n=2000, k=5, seed=33, repeats=3):

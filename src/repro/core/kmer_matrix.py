@@ -5,11 +5,10 @@ a position of the k-mer in the sequence, the seed location carried into the
 overlap matrix.  With substitute k-mers enabled, near-neighbour k-mers are
 added with the same position (they represent the same seed, reachable by one
 substitution).  One entry is kept per (sequence, k-mer), and it is the
-**last** of the extracted triples for that coordinate
-(:meth:`~repro.sparse.coo.CooMatrix.deduplicate` without a semiring): for a
-k-mer that occurs exactly, its last exact occurrence unless a later-listed
-substitute triple produces the same k-mer — ``ACDEFACDEFACDEF`` stores
-position 10 for ``ACDEF``, not 0.  Every output digest pins this rule.
+**last** of the extracted triples for that coordinate: for a k-mer that
+occurs exactly, its last exact occurrence unless a later-listed substitute
+triple produces the same k-mer — ``ACDEFACDEFACDEF`` stores position 10 for
+``ACDEF``, not 0.  Every output digest pins this rule.
 
 The matrix is hypersparse per rank (the k-mer dimension is ``|alphabet|^k``,
 e.g. 64 M for k=6), which is why CombBLAS/PASTIS store it in DCSC; the
@@ -27,7 +26,8 @@ per-segment pointers.  Every rank block, row stripe, column stripe, SUMMA
 stage operand and index shard is then a contiguous view of those arrays,
 and each stripe block caches the row pointers the kernel reads it through
 on its first multiply (:func:`repro.sparse.csr.compress_rows`).  The query
-path (:mod:`repro.serve.query`) builds its ``A`` through the same
+path (:mod:`repro.serve.query`) and the index build
+(:mod:`repro.serve.index`) build their operands through the same
 :func:`seed_operand`.
 """
 
@@ -76,21 +76,39 @@ class KmerMatrixInfo:
         }
 
 
+@dataclass
+class SeedTriples:
+    """The extracted seed (sequence, k-mer, position) triples of a
+    :class:`~repro.sequences.sequence.SequenceSet`, substitutes included."""
+
+    seq_ids: np.ndarray
+    kmer_ids: np.ndarray
+    positions: np.ndarray
+    n_sequences: int
+    #: width of ``A``: the extractor's k-mer space
+    kmer_space: int
+    #: exact k-mer occurrences (the triples before the substitutes)
+    occurrences: int
+    substitute_nnz: int
+    #: wall seconds the extraction took
+    seconds: float
+
+
 def extract_seed_triples(
     sequences: SequenceSet,
     params: PastisParams,
     *,
     apply_frequency_filter: bool = True,
     banned_kmers: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, KmerExtractor]:
+) -> SeedTriples:
     """Extract the seed (seq, k-mer, position) triples, substitutes included.
 
-    Returns ``(seq_ids, kmer_ids, positions, occurrences, substitute_nnz,
-    extractor)`` in the exact entry order :func:`build_kmer_coo` has always
-    produced — exact occurrences first (per sequence, position-ascending),
-    then substitutes grouped by neighbour rank.  That ordering is load-bearing:
-    deduplication keeps the last entry per coordinate, so two extractions must
-    interleave a row's duplicates identically to produce bitwise-equal rows.
+    The triples come in the exact entry order the k-mer matrix has always
+    been built from — exact occurrences first (per sequence,
+    position-ascending), then substitutes grouped by neighbour rank.  That
+    ordering is load-bearing: deduplication (:func:`seed_operand`) keeps the
+    last entry per coordinate, so two extractions must interleave a row's
+    duplicates identically to produce bitwise-equal rows.
 
     The query-vs-database path (:mod:`repro.serve.query`) reuses this with
     ``apply_frequency_filter=False`` and the database's persisted banned
@@ -98,6 +116,7 @@ def extract_seed_triples(
     so queries drop the database's banned ids instead of recounting — which
     is what keeps a member query's row bitwise equal to its database row.
     """
+    started = time.perf_counter()
     alphabet = params.alphabet
     extractor = KmerExtractor(
         k=params.kmer_length,
@@ -129,7 +148,16 @@ def extract_seed_triples(
         seq_ids = np.concatenate([seq_ids, seq_ids[src_idx]])
         kmer_ids = np.concatenate([kmer_ids, neighbor_ids])
         positions = np.concatenate([positions, positions[src_idx]])
-    return seq_ids, kmer_ids, positions, occurrences, substitute_nnz, extractor
+    return SeedTriples(
+        seq_ids,
+        kmer_ids,
+        positions,
+        n_sequences=len(sequences),
+        kmer_space=extractor.space_size(),
+        occurrences=occurrences,
+        substitute_nnz=substitute_nnz,
+        seconds=time.perf_counter() - started,
+    )
 
 
 @dataclass
@@ -159,37 +187,36 @@ class SeedOperand:
 
 
 def seed_operand(
-    extracted: tuple,
-    shape: tuple[int, int],
-    n_sequences: int,
-    started: float,
-    row_ids: np.ndarray | None = None,
+    triples: SeedTriples, n_rows: int | None = None, row_ids: np.ndarray | None = None
 ) -> SeedOperand:
-    """Deduplicate :func:`extract_seed_triples`' output into a :class:`SeedOperand`.
+    """Deduplicate extracted triples into a :class:`SeedOperand`.
 
     The one birth path of every search operand ``A`` — all-vs-all and query
     alike, so a member query's row cannot drift from its database row.
+    ``A`` has ``n_rows`` rows (one per sequence unless given), and
     ``row_ids`` maps sequence ``i`` to row ``row_ids[i]`` (the query path's
-    database coordinates); ``started`` is the ``perf_counter`` reading the
-    build began at.  The triples are stably ordered by (k-mer, row) —
+    database coordinates).  The triples are stably ordered by (k-mer, row) —
     :func:`repro.sparse.coo.radix_order`, one sort of packed integer keys —
     and of each run of equal coordinates the last extracted triple is kept.
     """
-    seq_ids, kmer_ids, positions, occurrences, substitute_nnz, _ = extracted
-    rows = seq_ids if row_ids is None or seq_ids.size == 0 else row_ids[seq_ids]
-    order = radix_order(kmer_ids, rows)
-    kmers, rows = kmer_ids[order], rows[order]
+    started = time.perf_counter()
+    shape = (triples.n_sequences if n_rows is None else n_rows, triples.kmer_space)
+    rows = triples.seq_ids
+    if row_ids is not None and rows.size:
+        rows = row_ids[rows]
+    order = radix_order(triples.kmer_ids, rows)
+    kmers, rows = triples.kmer_ids[order], rows[order]
     last = np.ones(kmers.size, dtype=bool)
     last[:-1] = (kmers[1:] != kmers[:-1]) | (rows[1:] != rows[:-1])
     kmers, rows = kmers[last], rows[last]
-    positions = positions[order[last]].astype(np.int32)
+    positions = triples.positions[order[last]].astype(np.int32)
     info = KmerMatrixInfo(
-        n_sequences=n_sequences,
+        n_sequences=triples.n_sequences,
         kmer_space=shape[1],
         nnz=int(kmers.size),
-        kmer_occurrences=occurrences,
-        substitute_nnz=substitute_nnz,
-        build_seconds=time.perf_counter() - started,
+        kmer_occurrences=triples.occurrences,
+        substitute_nnz=triples.substitute_nnz,
+        build_seconds=triples.seconds + time.perf_counter() - started,
         # DCSC's ratio for A, without the DCSC copy: A's non-empty columns
         # are the k-mer runs of this order
         hypersparsity_ratio=csc_pointer_compression(
@@ -199,35 +226,10 @@ def seed_operand(
     return SeedOperand(shape, rows, kmers, positions, info)
 
 
-def build_seed_operand(sequences: SequenceSet, params: PastisParams) -> SeedOperand:
-    """The all-vs-all :class:`SeedOperand` of ``sequences``."""
-    started = time.perf_counter()
-    extracted = extract_seed_triples(sequences, params)
-    shape = (len(sequences), extracted[5].space_size())
-    return seed_operand(extracted, shape, len(sequences), started)
-
-
-def build_kmer_operands(
-    sequences: SequenceSet, params: PastisParams
-) -> tuple[CooMatrix, CooMatrix, KmerMatrixInfo]:
-    """The global (undistributed) ``A`` and ``Aᵀ``, both row-major."""
-    operand = build_seed_operand(sequences, params)
-    # a stable pass over the rows of the (k-mer, row) order: (row, k-mer)
-    order = radix_order(operand.rows)
-    a = CooMatrix(
-        operand.shape,
-        operand.rows[order],
-        operand.kmers[order],
-        operand.positions[order],
-        check=False,
-    )
-    return a, operand.transposed(), operand.info
-
-
 def build_kmer_coo(sequences: SequenceSet, params: PastisParams) -> tuple[CooMatrix, KmerMatrixInfo]:
-    """Build the global (undistributed) sequence-by-k-mer COO matrix."""
-    coo, _, info = build_kmer_operands(sequences, params)
-    return coo, info
+    """Build the global (undistributed) sequence-by-k-mer COO matrix, row-major."""
+    operand = seed_operand(extract_seed_triples(sequences, params))
+    return operand.matrix().sort_rowmajor(), operand.info
 
 
 def build_distributed_kmer_matrix(
@@ -245,7 +247,7 @@ def build_distributed_kmer_matrix(
     distribution traffic is charged by
     :func:`repro.distsparse.distribute.distribute_coo`.
     """
-    operand = build_seed_operand(sequences, params)
+    operand = seed_operand(extract_seed_triples(sequences, params))
     a_dist = distribute_coo(operand.matrix(), comm)
     at_dist = distribute_coo(
         operand.transposed(), comm, col_cuts=make_schedule(len(sequences), params).col_cuts()

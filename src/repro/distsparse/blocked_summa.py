@@ -24,8 +24,8 @@ time a block needs it and kept for the run (``br + bc`` slicings, not
 each row-major block, and a column stripe is one column segment of each
 block of ``B``, which is born sorted by (rank block, column stripe, row,
 column) (:meth:`DistSparseMatrix.from_global_coo` with the schedule's
-:meth:`BlockSchedule.col_cuts`; an operand born without them is re-born
-once, at construction).  Each stripe block keeps the row pointers the
+:meth:`BlockSchedule.col_cuts`; a ``B`` born without them is refused by
+its first column stripe).  Each stripe block keeps the row pointers the
 kernel reads it through (:func:`repro.sparse.csr.compress_rows`), computed
 on its first multiply — so a stripe is scanned and compressed once per run,
 however many SUMMA stages and output blocks broadcast it.
@@ -220,8 +220,6 @@ class BlockedSpGemm:
             raise ValueError("inner dimensions of the operands do not match")
         if (self.schedule.n_rows, self.schedule.n_cols) != (self.a.shape[0], self.b.shape[1]):
             raise ValueError("schedule dimensions must match the output shape")
-        if isinstance(self.b, DistSparseMatrix):
-            self.b = self.b.with_col_cuts(self.schedule.col_cuts())
 
     # ------------------------------------------------------------------ stripes
     def _stripe(self, key: tuple[str, int], slice_operand) -> DistSparseMatrix:

@@ -245,22 +245,6 @@ class DistSparseMatrix:
         values = np.concatenate([p[2] for p in parts])
         return CooMatrix(self.shape, rows, cols, values, check=False).sort_rowmajor()
 
-    def with_col_cuts(self, col_cuts) -> "DistSparseMatrix":
-        """This matrix if every global column of ``col_cuts`` already is a
-        segment boundary of every block it falls inside; otherwise the matrix
-        re-born by :meth:`from_global_coo` with its cuts and ``col_cuts``."""
-        present = {
-            self._col_offsets[rank] + int(cut)
-            for rank in range(self.grid.nprocs)
-            for cut in self.col_segments(rank)[0]
-        }
-        wanted = {int(c) for c in col_cuts if 0 < int(c) < self.shape[1]}
-        if wanted <= present:
-            return self
-        return DistSparseMatrix.from_global_coo(
-            self.to_global_coo(), self.comm, col_cuts=sorted(present | wanted)
-        )
-
     # ------------------------------------------------------------------ stripes
     def row_stripe(self, row_range: tuple[int, int]) -> "DistSparseMatrix":
         """The row stripe ``A(r, *)`` over a global row range (still grid-distributed).
@@ -307,7 +291,7 @@ class DistSparseMatrix:
         segment: the stripe's blocks are then views of that segment (columns
         relabelled to the stripe), row-major, in the matrix's entry order.
         Distribute with ``col_cuts`` at the stripe boundaries
-        (:meth:`from_global_coo`, :meth:`with_col_cuts`) to make them so.
+        (:meth:`from_global_coo`) to make them so.
         """
         c0, c1 = col_range
         blocks: list[CooMatrix] = []

@@ -1,7 +1,7 @@
 """The persistent database k-mer index.
 
 ``build_index`` runs the batch pipeline's own k-mer matrix birth
-(:func:`repro.core.kmer_matrix.build_seed_operand`) once over the database,
+(:func:`repro.core.kmer_matrix.seed_operand`) once over the database,
 distributes the transposed operand ``Bᵀ = A_dbᵀ`` onto the 2D process grid
 cut into the index's column stripes — each stripe block a row-major view by
 (k-mer, sequence), the order a served SpGEMM multiplies from without
@@ -42,7 +42,7 @@ import numpy as np
 
 from ..config import atomic_write_bytes, atomic_write_text
 from ..core.engine.cache import sequence_digest, stripe_digest
-from ..core.kmer_matrix import KmerMatrixInfo, build_seed_operand
+from ..core.kmer_matrix import KmerMatrixInfo, extract_seed_triples, seed_operand
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
 from ..distsparse.distmat import DistSparseMatrix
@@ -151,7 +151,7 @@ def build_index(
 
     t0 = time.perf_counter()
     comm = SimCommunicator(params.nodes)
-    operand = build_seed_operand(sequences, params)
+    operand = seed_operand(extract_seed_triples(sequences, params))
     info = operand.info
     _, bc = effective_blocking(params, len(sequences))
     schedule = BlockSchedule(n_rows=len(sequences), n_cols=len(sequences), br=1, bc=bc)

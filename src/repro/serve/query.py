@@ -29,7 +29,6 @@ identical to the all-vs-all run's.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,20 +120,18 @@ def build_query_operand(
     (:func:`repro.core.kmer_matrix.seed_operand`), so a member query's row
     is bitwise equal to its database row.
     """
-    started = time.perf_counter()
-    extracted = extract_seed_triples(
+    triples = extract_seed_triples(
         queries,
         params,
         apply_frequency_filter=False,
         banned_kmers=index.banned_kmers(),
     )
-    space = extracted[5].space_size()
-    if space != index.kmer_space:
+    if triples.kmer_space != index.kmer_space:
         raise ValueError(
-            f"query k-mer space {space} != index k-mer space "
+            f"query k-mer space {triples.kmer_space} != index k-mer space "
             f"{index.kmer_space} (parameter validation should have caught this)"
         )
-    return seed_operand(extracted, (n_rows, space), len(queries), started, row_ids=row_ids)
+    return seed_operand(triples, n_rows, row_ids=row_ids)
 
 
 @dataclass

@@ -18,13 +18,20 @@ from __future__ import annotations
 
 import numpy as np
 
-#: bits per radix pass: NumPy's stable argsort of a ``uint16`` array is a
-#: counting (radix) sort, linear in the length
-_RADIX_BITS = 16
-#: a key of at most this many bits is one ``uint8`` counting pass, faster
-#: than any packed sort
+#: a key of at most this many bits is one ``uint8`` counting pass (NumPy's
+#: stable argsort of a ``uint8`` array is a radix sort), faster than any
+#: packed sort
 _ONE_PASS_BITS = 8
-#: below this many entries :func:`radix_order` is ``np.lexsort`` outright
+#: a packed key in at most this many ascending runs (concatenated sorted
+#: pieces, e.g. SUMMA stage outputs) is merged by a stable argsort, which
+#: gallops through the runs; measured on 10⁵–10⁶ random keys cut into
+#: interleaving runs, it is on par with the packed ``(key, index)`` sort at
+#: four runs and 2–3× slower at sixteen
+_FEW_RUNS = 4
+#: below this many entries :func:`radix_order` is ``np.lexsort`` outright:
+#: measured on (row, col) keys, ``lexsort`` takes 2–24 µs up to 512 entries
+#: against the packing's ≈ 35–45 µs of fixed cost, and 90 µs at 1024
+#: against 45–50 µs
 _SMALL = 1024
 
 
@@ -47,17 +54,15 @@ def radix_order(*keys: np.ndarray) -> np.ndarray:
     sort of tuples.
 
     The keys are packed into one ``int64`` (mixed radix, each key's span its
-    maximum plus one).  A minor-key suffix the entries already ascend in
-    costs nothing — LSD radix would sort by it first, and a stable sort of
-    sorted keys is the identity — so it is looked for where dropping it
-    leaves a key of at most 8 bits, or where the whole key would leave no
-    room for the entry index.  A key of at most 8 bits is one ``uint8``
-    counting (radix) pass.  When the entry index fits beside the packed key
-    in 63 bits, ``(key, index)`` integers are unique, so one plain (SIMD)
-    sort of them *is* the stable order.  Otherwise the key is sorted 16 bits
-    per least-significant-digit radix pass.  Fewer than 1024 entries,
-    negative keys, or keys whose product of spans does not fit an ``int64``
-    fall back to ``np.lexsort``.
+    maximum plus one); equal packed keys are equal key tuples.  A key of at
+    most 8 bits is one ``uint8`` counting (radix) pass — also after dropping
+    a minor-key suffix the entries already ascend in, which a stable sort
+    would leave in place (the bucket key of an operand born in (k-mer, row)
+    order).  A key in at most four ascending runs is merged by a stable
+    argsort.  Otherwise, the entry index fits beside the key in 63 bits, so
+    ``(key, index)`` integers are unique and one plain (SIMD) sort of them
+    *is* the stable order.  Fewer than 1024 entries, negative keys, or keys
+    too wide for the index fall back to ``np.lexsort``.
     """
     n = keys[0].size if keys else 0
     if n < 2:
@@ -65,56 +70,38 @@ def radix_order(*keys: np.ndarray) -> np.ndarray:
     if n < _SMALL or min(int(key.min()) for key in keys) < 0:
         return np.lexsort(keys[::-1])
     spans = [int(key.max()) + 1 for key in keys]
-    prefix_bits = [
-        (int(np.prod(spans[:j], dtype=object)) - 1).bit_length() for j in range(1, len(keys) + 1)
-    ]
-    index_bits = (n - 1).bit_length()
-    fits = prefix_bits[-1] + index_bits <= 63
+    prefix_bits, prefix_span = [], 1
+    for span in spans:
+        prefix_span *= span
+        prefix_bits.append((prefix_span - 1).bit_length())
     kept = len(keys)
-    for j in range(1, len(keys)):  # the shortest prefix that orders the entries
-        if (prefix_bits[j - 1] <= _ONE_PASS_BITS or not fits) and _ascending(keys[j:]):
+    for j in range(1, len(keys)):
+        if prefix_bits[j - 1] <= _ONE_PASS_BITS and _ascending(keys[j:]):
             kept = j
             break
     keys, bits = keys[:kept], prefix_bits[kept - 1]
-    if bits > 63:
+    index_bits = (n - 1).bit_length()
+    if bits > _ONE_PASS_BITS and bits + index_bits > 63:
         return np.lexsort(keys[::-1])
     packed = keys[0].astype(np.int64)
     for key, span in zip(keys[1:], spans[1:]):
         packed *= span
         packed += key
-    if bits > _ONE_PASS_BITS and bits + index_bits <= 63:
-        packed <<= index_bits
-        packed |= np.arange(n)
-        packed.sort()
-        packed &= (1 << index_bits) - 1
-        return packed
-    dtype = np.uint8 if bits <= _ONE_PASS_BITS else np.uint16
-    digits = [(packed >> shift).astype(dtype) for shift in range(0, max(bits, 1), _RADIX_BITS)]
-    order = np.argsort(digits[0], kind="stable")
-    for digit in digits[1:]:
-        order = order[np.argsort(digit[order], kind="stable")]
-    return order
+    if bits <= _ONE_PASS_BITS:
+        return np.argsort(packed.astype(np.uint8), kind="stable")
+    if np.count_nonzero(packed[1:] < packed[:-1]) < _FEW_RUNS:
+        return np.argsort(packed, kind="stable")
+    packed <<= index_bits
+    packed |= np.arange(n)
+    packed.sort()
+    packed &= (1 << index_bits) - 1
+    return packed
 
 
 def rowmajor_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stable permutation ``np.lexsort((cols, rows))``, computed faster.
-
-    When the coordinates are non-negative and a (row, col) pair packs into
-    one ``int64``, a single stable argsort of the packed key is the same
-    permutation — equal keys are equal coordinates, key order is
-    lexicographic order — at a fraction of the cost: the inputs that reach a
-    sort here are already grouped by row (partial products, concatenated
-    sorted runs), which the merge sort gallops through where ``lexsort``
-    pays two full indirect passes.  Anything else falls back to ``lexsort``.
-    """
-    if rows.size:
-        span = int(cols.max()) + 1
-        if (
-            min(int(rows.min()), int(cols.min())) >= 0
-            and (int(rows.max()) + 1) * span <= np.iinfo(np.int64).max
-        ):
-            return np.argsort(rows * span + cols, kind="stable")
-    return np.lexsort((cols, rows))
+    """The stable permutation ``np.lexsort((cols, rows))``:
+    :func:`radix_order` of the coordinates."""
+    return radix_order(rows, cols)
 
 
 class CooMatrix:

@@ -26,6 +26,18 @@ def random_coo(shape, nnz, seed, dtype=np.float64):
     return CooMatrix(shape, rows, cols, vals).deduplicate()
 
 
+def blocked_engine(a, comm, schedule, semiring, **kwargs):
+    """``BlockedSpGemm`` of ``a · aᵀ``, with ``aᵀ`` distributed on the
+    schedule's column stripes."""
+    return BlockedSpGemm(
+        DistSparseMatrix.from_global_coo(a, comm),
+        DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts()),
+        semiring,
+        schedule,
+        **kwargs,
+    )
+
+
 # ---------------------------------------------------------------- DistSparseMatrix
 def test_distribution_partitions_all_nonzeros():
     comm = SimCommunicator(4)
@@ -76,9 +88,7 @@ def test_row_and_col_stripes_cover_matrix():
     # a column stripe is one column segment of every block: cut there first
     with pytest.raises(ValueError, match="not one column segment"):
         dist.col_stripe((0, 5))
-    cut = dist.with_col_cuts([5])
-    assert cut.with_col_cuts([5]) is cut
-    cstripe = cut.col_stripe((0, 5))
+    cstripe = DistSparseMatrix.from_global_coo(mat, comm, col_cuts=[5]).col_stripe((0, 5))
     expected_c = mat.select(mat.cols < 5)
     assert cstripe.nnz == expected_c.nnz
     assert cstripe.to_global_coo() == expected_c.copy().sort_rowmajor()
@@ -207,12 +217,7 @@ def test_blocked_summa_union_equals_direct(blocking):
     a = random_coo((n, k), 200, 7, dtype=np.int32)
     sr = CountSemiring()
     direct = spgemm(a, a.transpose(), sr)
-    engine = BlockedSpGemm(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm),
-        sr,
-        BlockSchedule(n, n, blocking[0], blocking[1]),
-    )
+    engine = blocked_engine(a, comm, BlockSchedule(n, n, blocking[0], blocking[1]), sr)
     pieces = [blk.result.to_global(sr) for blk in engine.iter_blocks()]
     rows = np.concatenate([p.rows for p in pieces])
     cols = np.concatenate([p.cols for p in pieces])
@@ -229,9 +234,9 @@ def test_blocked_summa_default_backend_equals_expand_oracle(blocking):
     n, k = 24, 120
     a = random_coo((n, k), 200, 11, dtype=np.int32)
     sr = OverlapSemiring()
-    a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    at_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm)
     schedule = BlockSchedule(n, n, blocking[0], blocking[1])
+    a_dist = DistSparseMatrix.from_global_coo(a, comm)
+    at_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts())
     default = BlockedSpGemm(a_dist, at_dist, sr, schedule)
     oracle = BlockedSpGemm(a_dist, at_dist, sr, schedule, spgemm_backend="expand")
     pairs = list(zip(default.iter_blocks(), oracle.iter_blocks(), strict=True))
@@ -260,7 +265,7 @@ def test_blocked_discover_equals_scipy_oracle_block_by_block():
 
     k = 4
     seqs = synthetic_dataset(n_sequences=26, seed=31)
-    params = PastisParams(kmer_length=k, nodes=4, substitute_kmers=0)
+    params = PastisParams(kmer_length=k, nodes=4, substitute_kmers=0, blocking=(3, 4))
     comm = SimCommunicator(params.nodes)
     a_dist, at_dist, _ = build_distributed_kmer_matrix(seqs, params, comm)
 
@@ -352,7 +357,6 @@ def test_blocked_summa_slices_each_stripe_once_under_racing_threads():
         a.transpose(), comm, col_cuts=schedule.col_cuts()
     )
     engine = BlockedSpGemm(a_dist, b_dist, CountSemiring(), schedule)
-    assert engine.b is b_dist  # born on the schedule's cuts: nothing to re-cut
     slicings = Counter()
     for matrix, name in ((a_dist, "row_stripe"), (b_dist, "col_stripe")):
         original = getattr(matrix, name)
@@ -397,12 +401,7 @@ def test_blocked_summa_peak_memory_decreases_with_more_blocks():
     sr = OverlapSemiring()
     peaks = {}
     for blocks in [(1, 1), (5, 5)]:
-        engine = BlockedSpGemm(
-            DistSparseMatrix.from_global_coo(a, comm),
-            DistSparseMatrix.from_global_coo(a.transpose(), comm),
-            sr,
-            BlockSchedule(n, n, *blocks),
-        )
+        engine = blocked_engine(a, comm, BlockSchedule(n, n, *blocks), sr)
         for _ in engine.iter_blocks():
             pass
         peaks[blocks] = engine.peak_block_bytes
@@ -420,15 +419,25 @@ def test_blocked_summa_validation():
                       BlockSchedule(10, 10, 2, 2))
 
 
-def test_blocked_summa_broadcast_volume_model():
+def test_blocked_summa_refuses_b_without_the_schedules_cuts():
+    """A ``B`` distributed without the schedule's column cuts is not re-cut:
+    its first column stripe is refused, naming ``col_cuts``."""
     comm = SimCommunicator(4)
     a = random_coo((20, 50), 100, 9, dtype=np.int32)
     engine = BlockedSpGemm(
         DistSparseMatrix.from_global_coo(a, comm),
         DistSparseMatrix.from_global_coo(a.transpose(), comm),
         CountSemiring(),
-        BlockSchedule(20, 20, 4, 4),
+        BlockSchedule(20, 20, 1, 3),
     )
+    with pytest.raises(ValueError, match="col_cuts"):
+        next(engine.iter_blocks())
+
+
+def test_blocked_summa_broadcast_volume_model():
+    comm = SimCommunicator(4)
+    a = random_coo((20, 50), 100, 9, dtype=np.int32)
+    engine = blocked_engine(a, comm, BlockSchedule(20, 20, 4, 4), CountSemiring())
     model = engine.broadcast_volume_model()
     # blocked variant sends more messages but the bandwidth term grows only
     # with (br + bc), not br * bc
@@ -586,12 +595,7 @@ def test_broadcast_volume_model_1x1_grid():
     """A 1x1 grid has no partners: the model must stay finite and ordered."""
     comm = SimCommunicator(1)
     a = random_coo((10, 10), 40, 11)
-    engine = BlockedSpGemm(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm),
-        CountSemiring(),
-        BlockSchedule(10, 10, 2, 3),
-    )
+    engine = blocked_engine(a, comm, BlockSchedule(10, 10, 2, 3), CountSemiring())
     model = engine.broadcast_volume_model()
     assert np.isfinite(list(model.values())).all()
     assert model["blocked_latency_messages"] == 6 * model["plain_latency_messages"]
@@ -606,12 +610,8 @@ def test_broadcast_volume_model_non_divisible_dims():
     comm = SimCommunicator(9)
     n, k = 17, 23  # neither divisible by grid_dim=3
     a = random_coo((n, k), 90, 12, dtype=np.int32)
-    engine = BlockedSpGemm(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm),
-        CountSemiring(),
-        BlockSchedule(n, n, 4, 3),  # 17 rows into 4 blocks: uneven chunks
-    )
+    # 17 rows into 4 blocks: uneven chunks
+    engine = blocked_engine(a, comm, BlockSchedule(n, n, 4, 3), CountSemiring())
     direct = spgemm(a, a.transpose(), CountSemiring())
     pieces = [blk.result.to_global(CountSemiring()) for blk in engine.iter_blocks()]
     rows = np.concatenate([p.rows for p in pieces])

@@ -15,7 +15,7 @@ import repro.core.pipeline as pipeline_module
 import repro.distsparse.blocked_summa as blocked_summa_module
 import repro.sparse.coo as coo_module
 import repro.sparse.csr as csr_module
-from repro.core.kmer_matrix import build_kmer_operands, extract_seed_triples
+from repro.core.kmer_matrix import build_kmer_coo, extract_seed_triples, seed_operand
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockSchedule
@@ -23,8 +23,8 @@ from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix, radix_order, rowmajor_order
 
 
-def _radix_passes(monkeypatch) -> list:
-    """Record the dtype of every ``np.argsort`` call (a radix pass sorts ``uint16``)."""
+def _argsorts(monkeypatch) -> list:
+    """Record the dtype of every ``np.argsort`` call (a counting pass sorts ``uint8``)."""
     calls = []
     real = np.argsort
 
@@ -55,34 +55,54 @@ def test_radix_order_keeps_duplicate_coordinates_in_input_order(n):
     assert np.array_equal(order, rowmajor_order(rows, cols))
 
 
+def test_radix_order_merges_a_few_sorted_runs(monkeypatch):
+    """Concatenated row-major pieces (SUMMA stage outputs) with coordinates
+    shared between pieces: one stable argsort of the packed key, and each
+    shared coordinate keeps the earlier piece's entry first."""
+    rng = np.random.default_rng(5)
+    pieces = []
+    for _ in range(3):
+        rows, cols = rng.integers(0, 300, 4000), rng.integers(0, 300, 4000)
+        order = np.lexsort((cols, rows))
+        pieces.append((rows[order], cols[order]))
+    rows = np.concatenate([p[0] for p in pieces])
+    cols = np.concatenate([p[1] for p in pieces])
+    want = np.lexsort((cols, rows))
+    sorts = _argsorts(monkeypatch)
+    monkeypatch.setattr(np, "lexsort", None)
+    assert np.array_equal(rowmajor_order(rows, cols), want)
+    assert sorts == [np.dtype(np.int64)]
+
+
 @pytest.mark.parametrize("k", [8, 12])
 def test_radix_order_of_kmer_ids_at_and_above_two_to_the_32(monkeypatch, k):
     """k = 8 over 20 letters: ids past 2³², packed with a sequence id and the
     entry index into one sort.  k = 12: ids past 2⁵¹ leave no room for the
-    index, so the key goes through more than two 16-bit radix passes."""
+    index, so the order is ``np.lexsort``'s own."""
     rng = np.random.default_rng(k)
     kmers = rng.integers(2**32, 20**k, 3000)
     kmers[::5] = kmers[0]
     seqs = rng.integers(0, 400, 3000)
     want = np.lexsort((seqs, kmers))
-    passes = _radix_passes(monkeypatch)
-    monkeypatch.setattr(np, "lexsort", None)  # no fallback either way
-    got = radix_order(kmers, seqs)
-    assert np.array_equal(got, want)
-    assert passes.count(np.dtype(np.uint16)) == (0 if k == 8 else 4)
+    if k == 8:
+        monkeypatch.setattr(np, "lexsort", None)  # no fallback
+    assert np.array_equal(radix_order(kmers, seqs), want)
 
 
 def test_radix_order_skips_a_minor_key_the_input_ascends_in(monkeypatch):
-    """Extraction lists rows ascending: the row key costs no bits, so even a
-    row span of 2⁴⁰ beside 22-bit k-mer ids leaves room for the index."""
+    """An operand born in (k-mer, row) order, bucketed by rank block: the
+    row and column keys already ascend, so the 3-bit bucket key alone is
+    one ``uint8`` counting pass."""
     rng = np.random.default_rng(4)
-    rows = np.sort(rng.integers(0, 2**40, 3000))
-    kmers = rng.integers(0, 20**5, 3000)
-    want = np.lexsort((rows, kmers))
-    passes = _radix_passes(monkeypatch)
+    kmers, rows = rng.integers(0, 20**5, 3000), rng.integers(0, 2**40, 3000)
+    born = np.lexsort((rows, kmers))
+    kmers, rows = kmers[born], rows[born]
+    bucket = rng.integers(0, 6, 3000)
+    want = np.lexsort((rows, kmers, bucket))
+    sorts = _argsorts(monkeypatch)
     monkeypatch.setattr(np, "lexsort", None)
-    assert np.array_equal(radix_order(kmers, rows), want)
-    assert passes.count(np.dtype(np.uint16)) == 0
+    assert np.array_equal(radix_order(bucket, kmers, rows), want)
+    assert sorts == [np.dtype(np.uint8)]
 
 
 def test_radix_order_too_wide_to_pack_falls_back_to_lexsort(monkeypatch):
@@ -97,25 +117,35 @@ def test_radix_order_too_wide_to_pack_falls_back_to_lexsort(monkeypatch):
     assert fallbacks == [1]
 
 
+def _global_operands(seqs, params):
+    """The undistributed born ``A`` (row-major) and ``Aᵀ``."""
+    operand = seed_operand(extract_seed_triples(seqs, params))
+    return build_kmer_coo(seqs, params)[0], operand.transposed(), operand.info
+
+
 @pytest.mark.parametrize("substitutes", [0, 1])
 def test_birth_equals_the_comparison_sorted_operands(substitutes):
     """The radix-born global ``A`` and ``Aᵀ`` are bitwise the arrays a
-    comparison-sorting build gives: dedup by (sequence, k-mer) keeping the
-    last extracted triple, then ``Aᵀ`` by ``rowmajor_order``."""
+    comparison-sorting build gives: ``np.lexsort`` by (sequence, k-mer),
+    keeping the last extracted triple of each coordinate, and ``Aᵀ`` by
+    ``np.lexsort`` of that."""
     seqs = synthetic_dataset(n_sequences=40, seed=21)
     params = PastisParams(kmer_length=4, substitute_kmers=substitutes)
-    seq_ids, kmer_ids, positions, _, _, extractor = extract_seed_triples(seqs, params)
-    shape = (len(seqs), extractor.space_size())
-    old_a = CooMatrix(shape, seq_ids, kmer_ids, positions.astype(np.int32)).deduplicate()
-    order = rowmajor_order(old_a.cols, old_a.rows)
-    a, at, info = build_kmer_operands(seqs, params)
+    triples = extract_seed_triples(seqs, params)
+    order = np.lexsort((triples.kmer_ids, triples.seq_ids))
+    rows, cols = triples.seq_ids[order], triples.kmer_ids[order]
+    last = np.r_[(rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True]
+    rows, cols = rows[last], cols[last]
+    values = triples.positions[order[last]].astype(np.int32)
+    transposed = np.lexsort((rows, cols))
+    a, at, info = _global_operands(seqs, params)
     for got, want in (
-        (a, (old_a.rows, old_a.cols, old_a.values)),
-        (at, (old_a.cols[order], old_a.rows[order], old_a.values[order])),
+        (a, (rows, cols, values)),
+        (at, (cols[transposed], rows[transposed], values[transposed])),
     ):
         for have, expected in zip((got.rows, got.cols, got.values), want):
             assert have.dtype == expected.dtype and np.array_equal(have, expected)
-    assert info.nnz == old_a.nnz
+    assert info.nnz == rows.size
 
 
 # ---------------------------------------------------------------- after birth
@@ -166,7 +196,7 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     result = PastisPipeline(params).run(seqs)
     assert result.stats.candidates_discovered > 0
 
-    a_global, at_global, _ = build_kmer_operands(seqs, params)
+    a_global, at_global, _ = _global_operands(seqs, params)
     schedule = BlockSchedule(len(seqs), len(seqs), 3, 3)
     stripes = {"a": {}, "b": {}}
     for a, b in handed:

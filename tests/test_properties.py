@@ -158,11 +158,12 @@ def test_blocked_summa_blocking_invariance_property(data, br, bc):
     sr = CountSemiring()
     direct = spgemm(a, a.transpose(), sr)
     comm = SimCommunicator(4)
+    schedule = BlockSchedule(15, 15, br, bc)
     engine = BlockedSpGemm(
         DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm),
+        DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts()),
         sr,
-        BlockSchedule(15, 15, br, bc),
+        schedule,
     )
     pieces = [blk.result.to_global(sr) for blk in engine.iter_blocks()]
     nonempty = [p for p in pieces if p.nnz]
