@@ -1,6 +1,6 @@
 """Measured-clock depth x workers sweep of the process executor.
 
-:class:`~repro.core.engine.process_executor.ProcessScheduler` is the one
+:class:`~repro.core.engine.schedulers.ProcessScheduler` is the one
 scheduler with real concurrency: it runs the discover lane in worker
 processes with shared-memory block transport, so discovers overlap the
 aligner and each other, at the cost of fork + shm-mapping overhead per
@@ -206,7 +206,7 @@ def _smoke() -> None:
     # The wall speed-up is reported, not asserted: with hypersparse SpGEMM
     # operands the serial discover lane of this workload is a few percent of
     # the phase, so there is little for worker processes to hide and their
-    # fork + shm cost shows (ROADMAP item 4 holds the numbers).  The floor
+    # fork + shm cost shows (ROADMAP item 6 holds the numbers).  The floor
     # only guards against a pathological regression (deadlock-adjacent
     # stalls, per-block fork storms); the real gates are bit-identity and
     # the schedule invariants above.

@@ -18,41 +18,45 @@ stages, executed by pluggable schedulers:
   which the Table-I :class:`~repro.core.preblocking.PreblockingReport` is
   *derived* (it is no longer computed post hoc by
   ``PreblockingModel.evaluate`` inside the pipeline);
-* :mod:`repro.core.engine.schedulers` — the scheduler contract and the two
-  implementations that run on the calling thread: :class:`SerialScheduler`
-  (bulk-synchronous, bit-identical to the historical monolithic loop) and
-  :class:`OverlappedScheduler` (§VI-C pre-blocking at speculative depth
-  ``k = PastisParams.preblock_depth``: blocks ``b+1..b+k`` are discovered
-  before ``align(b)``, and the overlap lives in the per-rank clock, closed
-  through the shared depth-``k`` algebra of
+* :mod:`repro.core.engine.schedulers` — the scheduler contract and its one
+  loop, parameterised by a lookahead depth and a discover lane, in three
+  configurations: :class:`SerialScheduler` (bulk-synchronous, bit-identical
+  to the historical monolithic loop), :class:`OverlappedScheduler` (§VI-C
+  pre-blocking at speculative depth ``k = PastisParams.preblock_depth`` on
+  the calling thread: blocks ``b+1..b+k`` are discovered before
+  ``align(b)``, and the overlap lives in the per-rank clock, closed through
+  the shared depth-``k`` algebra of
   :class:`repro.mpi.costmodel.OverlapWindow`, so
   ``align + spgemm − overlap_hidden == combined clock``; at depth 1 on the
-  modeled clock the paper's contention slowdowns are charged);
-* :mod:`repro.core.engine.process_executor` — :class:`ProcessScheduler`,
-  the one lane with real concurrency: discovers run in worker **processes**
-  (``fork``) that execute the SpGEMM stage against a forked copy of the run
-  state and ship the block's COO arrays back zero-copy through
-  ``multiprocessing.shared_memory`` segments, with a small picklable header
-  carrying stats and an ordered journal of ledger events.  The parent
-  replays every side effect strictly in block order, so records, edges,
-  stats and every deterministic ledger category stay bit-identical to
-  :class:`SerialScheduler` across depth and worker count, and the clock
-  closes through the same :class:`~repro.mpi.costmodel.OverlapWindow`
-  algebra.
-
+  modeled clock the paper's contention slowdowns are charged) and
+  :class:`ProcessScheduler` (the same schedule with the discover lane in
+  worker processes);
+* :mod:`repro.core.engine.process_executor` — that pool lane, the one lane
+  with real concurrency: forked workers run the same pure ``discover`` and
+  ship the block's COO arrays back zero-copy through
+  ``multiprocessing.shared_memory`` segments, the rest of the result
+  (stats, timings, ledger journal) over the pipe;
 * :mod:`repro.core.engine.cache` — the content-hashed :class:`StageCache`,
   the engine's analogue of the synpp/pisa declare-then-decide pipeline
   design: stages *declare* what they depend on (the canonicalized parameter
   subset, content digests of the operand stripes and input sequences, a
   kernel/schema version tag — all folded into a deterministic per-block
   key) and the framework *decides* what actually runs — a stored block is
-  replayed instead of recomputed.  The cache invariant is that a hit is
-  bit-identical to recomputation: an entry carries the block's outputs
-  *and* the absolute post-block ledger state of the discover lane, which
-  replay restores while the schedulers recharge their own categories
-  through the ordinary code paths; entries are therefore shareable across
-  all three schedulers, and ``PastisPipeline.run(resume=True)`` continues a
-  killed run from its last completed block.
+  replayed instead of recomputed.
+
+**One ordered commit.**  ``discover`` is pure: it reads the cache entry or
+runs SUMMA against a block-local ledger journal
+(:class:`~repro.mpi.costmodel.RecordingLedger`) and returns a
+:class:`~repro.core.engine.stages.BlockResult`, inline or in a pool
+worker alike.  ``commit`` applies results strictly in block order: it
+replays the journal (the one replay site), merges the SpGEMM stats and the
+peak block size, registers the block with the accumulator and counts the
+cache hit or miss.  A cache entry stores the block's outputs *and* its
+journal, so a hit adds exactly what the cold block charged on top of
+whatever the run charged before it: entries are valid after any run
+prefix, shareable across all three schedulers, and
+``PastisPipeline.run(resume=True)`` continues a killed run from its last
+completed block.
 
 Schedulers — not the pipeline — own execution order and ledger charging;
 the pipeline builds the task list and hands it over.
@@ -85,22 +89,20 @@ the mechanisms above —
   four :class:`BlockTask` stages, wherever they execute (main thread or
   worker process);
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
-  :class:`StageCache` consult and the bit-identical replay of a hit;
+  :class:`StageCache` consult and the commit of a hit;
 * ``wait`` spans — ``admission_wait`` is the process scheduler reserving a
   live-block slot in the accumulator (``admit_block``, the ``k + 1``
   live-block memory bound) before submitting a block;
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
   stages inside one discover's 2D SUMMA;
 * ``transport``/``replay`` spans (``shm_ship``/``ledger_replay``) — the
-  process executor's shared-memory shipping and the parent's block-ordered
-  journal replay;
+  pool lane's shared-memory shipping and the commit of a computed block;
 * counter series (live blocks, ``ledger.<category>`` totals, shm bytes,
   cache hits) are sampled once per block at the accumulate boundary.
 
-Serial and Overlapped record directly into the run's recorder; the
-process executor's workers journal spans into the block header (the same
-pattern as their ledger journal) and the parent merges them in block
-order with worker-pid attribution.  Tracing is off by default, zero-cost
+The inline lane records directly into the run's recorder; pool workers
+journal spans into their result (the same pattern as the ledger journal)
+and the parent merges them in block order with worker-pid attribution.  Tracing is off by default, zero-cost
 when disabled, and non-perturbing: results stay bit-identical with it on.
 
 **Tracing vs metrics** — two complementary observability layers share
@@ -128,19 +130,20 @@ assert bit-identity per scheduler.
 
 from .accumulator import StreamingGraphAccumulator
 from .cache import CachedBlock, StageCache, build_stage_cache
-from .process_executor import ProcessScheduler
 from .schedulers import (
     OverlappedScheduler,
+    ProcessScheduler,
     ScheduleOutcome,
     Scheduler,
     SerialScheduler,
     make_scheduler,
 )
-from .stages import BlockRecord, BlockTask, StageContext
+from .stages import BlockRecord, BlockResult, BlockTask, StageContext
 from .timeline import BlockTiming, StageTimeline
 
 __all__ = [
     "BlockRecord",
+    "BlockResult",
     "BlockTask",
     "BlockTiming",
     "CachedBlock",

@@ -24,18 +24,16 @@ in-flight block.  Unreadable or truncated entries are treated as misses, never a
 errors.
 
 **The cache invariant: a hit is bit-identical to recomputation.**  An entry
-records everything a block's execution produced *and* every externally
-visible side effect it had: the similar-pair edges, the per-rank timing and
-workload vectors, the block's :class:`~repro.sparse.spgemm.SpGemmStats`,
-and — crucially — the absolute post-block per-rank state of the ledger
-categories the discover stage charges ("comm", the measured compute
-category, and the flop/byte counters).  Replay *restores* those absolute
-vectors rather than re-adding per-block deltas, because float addition does
-not round-trip through subtraction; everything the schedulers charge
+records what a block's discover and align produced — the similar-pair
+edges, the per-rank timing and workload vectors, the block's
+:class:`~repro.sparse.spgemm.SpGemmStats` — and the discover's ledger
+journal (:class:`~repro.mpi.costmodel.RecordingLedger`: every charge and
+count SUMMA made, in order).  A hit hands the stored journal to the same
+ordered commit a computed block goes through, which replays it on top of
+whatever the run charged before; everything the schedulers charge
 themselves ("spgemm", "align", the overlap algebra) is recharged from the
-stored raw seconds through the ordinary scheduler code paths, which is what
-keeps the invariant intact across all three schedulers and makes entries
-scheduler-portable.
+stored raw seconds.  An entry therefore depends on nothing but its key: it
+is valid after any run prefix and shareable across all three schedulers.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,25 +58,7 @@ from ..params import PastisParams
 #: Cache schema / kernel-suite version.  Bump whenever the on-disk entry
 #: layout changes or a kernel change makes previously stored results stale;
 #: combined with the package version into every key (see :func:`version_tag`).
-CACHE_VERSION = "5"
-
-#: Ledger counters charged exclusively by the discover lane (inside
-#: ``summa``); captured and restored per block alongside the lane's time
-#: categories ("comm" plus the engine's measured compute category).
-LANE_COUNTERS = ("spgemm_flops", "bytes_sent", "bytes_received")
-
-#: npz keys of the scalar entry fields (stored as 0-d arrays).
-_SCALAR_KEYS = (
-    "candidates",
-    "block_bytes",
-    "kernel_seconds",
-    "measured_align_seconds",
-    "discover_wall_seconds",
-    "stats_flops",
-    "stats_output_nnz",
-    "stats_intermediate_bytes",
-    "stats_row_groups",
-)
+CACHE_VERSION = "6"
 
 #: npz keys of the per-rank array fields.
 _ARRAY_KEYS = (
@@ -89,18 +68,10 @@ _ARRAY_KEYS = (
     "cells_per_rank",
 )
 
-_LTIME_PREFIX = "ltime__"
-_LCOUNT_PREFIX = "lcount__"
-
 
 def version_tag() -> str:
     """The kernel/backend version component of every cache key."""
     return f"{CACHE_VERSION}:{__version__}"
-
-
-def lane_time_categories(compute_category: str) -> tuple[str, ...]:
-    """Ledger time categories the discover stage charges (the worker lane)."""
-    return ("comm", compute_category)
 
 
 # --------------------------------------------------------------------------- keys
@@ -208,25 +179,10 @@ class CachedBlock:
     kernel_seconds: float
     measured_align_seconds: float
     discover_wall_seconds: float
-    stats_flops: int
-    stats_output_nnz: int
-    stats_intermediate_bytes: int
-    stats_row_groups: int
-    #: absolute post-discover per-rank ledger state of the discover lane
-    ledger_times: dict[str, np.ndarray]
-    ledger_counters: dict[str, np.ndarray]
-
-    def spgemm_stats(self) -> SpGemmStats:
-        """The block's SpGEMM stats (compression factor is derived)."""
-        return SpGemmStats(
-            flops=self.stats_flops,
-            output_nnz=self.stats_output_nnz,
-            intermediate_bytes=self.stats_intermediate_bytes,
-            compression_factor=(
-                self.stats_flops / self.stats_output_nnz if self.stats_output_nnz else 1.0
-            ),
-            row_groups=self.stats_row_groups,
-        )
+    stats: SpGemmStats
+    #: the discover's ledger journal (:class:`~repro.mpi.costmodel.RecordingLedger`
+    #: events, in the order SUMMA charged them)
+    journal: list[tuple[str, int, str, float]]
 
     def alignment_output(self) -> BlockAlignmentOutput:
         """Reconstruct the align stage's output for the foreground replay."""
@@ -242,27 +198,29 @@ class CachedBlock:
     # ------------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:
         buffer = io.BytesIO()
-        payload = {
-            "candidates": np.int64(self.candidates),
-            "block_bytes": np.int64(self.block_bytes),
-            "kernel_seconds": np.float64(self.kernel_seconds),
-            "measured_align_seconds": np.float64(self.measured_align_seconds),
-            "discover_wall_seconds": np.float64(self.discover_wall_seconds),
-            "stats_flops": np.int64(self.stats_flops),
-            "stats_output_nnz": np.int64(self.stats_output_nnz),
-            "stats_intermediate_bytes": np.int64(self.stats_intermediate_bytes),
-            "stats_row_groups": np.int64(self.stats_row_groups),
-            "sparse_seconds_per_rank": self.sparse_seconds_per_rank,
-            "align_seconds_per_rank": self.align_seconds_per_rank,
-            "pairs_per_rank": self.pairs_per_rank,
-            "cells_per_rank": self.cells_per_rank,
-            "edges": self.edges,
-        }
-        for cat, values in self.ledger_times.items():
-            payload[_LTIME_PREFIX + cat] = values
-        for cnt, values in self.ledger_counters.items():
-            payload[_LCOUNT_PREFIX + cnt] = values
-        np.savez(buffer, **payload)
+        width = max((len(name) for _, _, name, _ in self.journal), default=1)
+        journal = np.array(
+            [(kind == "count", rank, name, value) for kind, rank, name, value in self.journal],
+            dtype=[("count", "?"), ("rank", "<i8"), ("name", f"<U{width}"), ("value", "<f8")],
+        )
+        np.savez(
+            buffer,
+            candidates=np.int64(self.candidates),
+            block_bytes=np.int64(self.block_bytes),
+            kernel_seconds=np.float64(self.kernel_seconds),
+            measured_align_seconds=np.float64(self.measured_align_seconds),
+            discover_wall_seconds=np.float64(self.discover_wall_seconds),
+            stats_flops=np.int64(self.stats.flops),
+            stats_output_nnz=np.int64(self.stats.output_nnz),
+            stats_intermediate_bytes=np.int64(self.stats.intermediate_bytes),
+            stats_row_groups=np.int64(self.stats.row_groups),
+            sparse_seconds_per_rank=self.sparse_seconds_per_rank,
+            align_seconds_per_rank=self.align_seconds_per_rank,
+            pairs_per_rank=self.pairs_per_rank,
+            cells_per_rank=self.cells_per_rank,
+            edges=self.edges,
+            journal=journal,
+        )
         return buffer.getvalue()
 
     @classmethod
@@ -270,10 +228,6 @@ class CachedBlock:
         """Parse a stored entry; raises on any malformation (callers treat
         every failure as a cache miss)."""
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            files = set(npz.files)
-            missing = (set(_SCALAR_KEYS) | set(_ARRAY_KEYS) | {"edges"}) - files
-            if missing:
-                raise ValueError(f"cache entry missing fields: {sorted(missing)}")
             arrays = {key: npz[key] for key in _ARRAY_KEYS}
             for key, arr in arrays.items():
                 if arr.shape != (nranks,):
@@ -284,35 +238,33 @@ class CachedBlock:
             edges = npz["edges"]
             if edges.dtype != EDGE_DTYPE:
                 raise ValueError(f"cache entry edges have dtype {edges.dtype}")
-            times: dict[str, np.ndarray] = {}
-            counters: dict[str, np.ndarray] = {}
-            for key in files:
-                if key.startswith(_LTIME_PREFIX):
-                    times[key[len(_LTIME_PREFIX):]] = npz[key]
-                elif key.startswith(_LCOUNT_PREFIX):
-                    counters[key[len(_LCOUNT_PREFIX):]] = npz[key]
-            for name, vec in {**times, **counters}.items():
-                if vec.shape != (nranks,):
-                    raise ValueError(
-                        f"cache entry ledger vector {name!r} has shape {vec.shape}"
-                    )
+            journal = npz["journal"]
+            if (
+                journal.dtype.names != ("count", "rank", "name", "value")
+                or np.any((journal["rank"] < 0) | (journal["rank"] >= nranks))
+                or np.any(~journal["count"] & (journal["value"] < 0))
+            ):
+                raise ValueError("cache entry journal is malformed")
+            flops, output_nnz = int(npz["stats_flops"]), int(npz["stats_output_nnz"])
             return cls(
                 candidates=int(npz["candidates"]),
                 block_bytes=int(npz["block_bytes"]),
-                sparse_seconds_per_rank=arrays["sparse_seconds_per_rank"],
-                align_seconds_per_rank=arrays["align_seconds_per_rank"],
-                pairs_per_rank=arrays["pairs_per_rank"],
-                cells_per_rank=arrays["cells_per_rank"],
                 edges=edges,
                 kernel_seconds=float(npz["kernel_seconds"]),
                 measured_align_seconds=float(npz["measured_align_seconds"]),
                 discover_wall_seconds=float(npz["discover_wall_seconds"]),
-                stats_flops=int(npz["stats_flops"]),
-                stats_output_nnz=int(npz["stats_output_nnz"]),
-                stats_intermediate_bytes=int(npz["stats_intermediate_bytes"]),
-                stats_row_groups=int(npz["stats_row_groups"]),
-                ledger_times=times,
-                ledger_counters=counters,
+                stats=SpGemmStats(
+                    flops=flops,
+                    output_nnz=output_nnz,
+                    intermediate_bytes=int(npz["stats_intermediate_bytes"]),
+                    compression_factor=flops / output_nnz if output_nnz else 1.0,
+                    row_groups=int(npz["stats_row_groups"]),
+                ),
+                journal=[
+                    ("count" if count else "charge", rank, name, value)
+                    for count, rank, name, value in journal.tolist()
+                ],
+                **arrays,
             )
 
 
@@ -324,8 +276,9 @@ class StageCache:
     ``keys`` maps block coordinates to their content-hash keys (computed
     once per run by :func:`build_stage_cache`).  ``read=False`` (the
     ``cache_invalidate`` knob) skips lookups and overwrites entries;
-    ``write=False`` makes the cache read-only.  Lookup/store counters are
-    updated under a lock, so several threads may share one cache.
+    ``write=False`` makes the cache read-only.  :meth:`load` is a pure read
+    (it also runs in pool workers); the run's hit/miss counts are kept by
+    the scheduler's ordered commit, and :meth:`store` counts stores.
     """
 
     directory: Path
@@ -336,7 +289,6 @@ class StageCache:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def entry_path(self, block: tuple[int, int]) -> Path:
         r, c = block
@@ -351,50 +303,22 @@ class StageCache:
         """
         if not self.read:
             return None
-        entry: CachedBlock | None = None
-        path = self.entry_path(block)
         try:
-            entry = CachedBlock.from_bytes(path.read_bytes(), self.nranks)
-        except FileNotFoundError:
-            entry = None
+            return CachedBlock.from_bytes(self.entry_path(block).read_bytes(), self.nranks)
         except Exception:
-            # unreadable/corrupt entry: recompute rather than crash
-            entry = None
-        with self._lock:
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return entry
+            # absent, unreadable or corrupt entry: recompute rather than crash
+            return None
 
     def store(self, block: tuple[int, int], entry: CachedBlock) -> None:
         """Persist a completed block atomically (temp file + rename)."""
         if not self.write:
             return
         atomic_write_bytes(self.entry_path(block), entry.to_bytes())
-        with self._lock:
-            self.stores += 1
-
-    def note_hit(self) -> None:
-        """Record a hit observed elsewhere (e.g. in a worker process).
-
-        The process executor's workers consult their *forked copies* of the
-        cache, whose counters the parent never sees; the parent mirrors each
-        worker-side lookup through :meth:`note_hit`/:meth:`note_miss` so
-        ``counters()`` reports the same numbers every other scheduler would.
-        """
-        with self._lock:
-            self.hits += 1
-
-    def note_miss(self) -> None:
-        """Record a miss observed elsewhere (see :meth:`note_hit`)."""
-        with self._lock:
-            self.misses += 1
+        self.stores += 1
 
     def counters(self) -> dict[str, int]:
         """Hit/miss/store counts for ``stats.extras`` and run reports."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
+        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
 
 
 def build_stage_cache(

@@ -1,50 +1,36 @@
-"""Process-pool executor: a GIL-free discover lane over shared memory.
+"""Process-pool discover lane: GIL-free discovers over shared memory.
 
-:class:`~repro.core.engine.schedulers.OverlappedScheduler` runs the
-speculative depth-``k`` pre-blocking schedule on one thread, so its overlap
-exists only on the per-rank clock.  :class:`ProcessScheduler` runs the same
-schedule with the discover lane in worker **processes**: discovers run
-concurrently with the aligner and with each other, which is what makes it
-the one scheduler whose overlap shows in wall time.  Results stay
-bit-identical to :class:`~repro.core.engine.schedulers.SerialScheduler` —
-records, edges, stats and every deterministic ledger category — for every
-depth and worker count (asserted in ``tests/test_engine.py``).
+:class:`PoolLane` is the lane :class:`~repro.core.engine.schedulers.ProcessScheduler`
+configures the one scheduler loop with: the discover stages run in worker
+**processes**, concurrently with the aligner and with each other, which is
+what makes it the one configuration whose overlap shows in wall time.  What
+lives here is only what a pool needs:
 
-Three mechanisms keep the workers from touching shared state:
-
-**Pure workers, parent-ordered replay.**  A worker computes its block
-against a *forked copy* of the run state and mutates nothing the parent can
-see.  Before computing it swaps a :class:`RecordingLedger` into its copy of
-the communicator (both ``comm.ledger`` and ``comm.collectives.ledger`` —
-they alias one object), so every ``charge``/``count`` the SUMMA stages make
-is applied locally (``summa`` reads ``per_rank`` to derive its comm delta)
-*and* recorded as an ordered event list.  The parent replays those events —
-and the engine's ``blocks_computed``/``total_stats``/``peak_block_bytes``
-mutations, the accumulator admission, and the cache snapshot — strictly in
-block order as it consumes results.  Same charges, same order, same starting
-state: float sums land bit-identically to the serial schedule, without any
-cross-process lock.
+**The pool and its workers.**  A worker runs the same pure
+:func:`~repro.core.engine.stages.discover` as the inline lane, against a
+*forked copy* of the run context, so it mutates nothing the parent can see;
+the block's ledger journal, stats and timings ride the result home, where
+the scheduler commits it in block order like any other.  The worker's spans
+and metrics go to its own journaling sinks and are merged parent-side in
+block order, worker pid attribution intact.
 
 **Shared-memory block transport.**  The block's per-rank COO arrays travel
 through one ``multiprocessing.shared_memory`` segment per block (name
 ``repro-psched-{token}-{index}``, parent-chosen so crashed runs can be swept
-by name); only a small picklable :class:`_BlockHeader` (array layout, stats,
-timings, ledger events) crosses the pipe.  The parent maps the arrays
-zero-copy into :class:`~repro.sparse.coo.CooMatrix` views and unlinks the
-segment once the block is accumulated and discarded.  A failed run unlinks
-every segment that was or could have been created, so ``/dev/shm`` never
-leaks (fault-injection test in ``tests/test_engine.py``).
+by name); only the rest of the result crosses the pipe.  The parent maps
+the arrays zero-copy into :class:`~repro.sparse.coo.CooMatrix` views and
+unlinks the segment once the block is accumulated and discarded.
 
-**Shared admission and overlap algebra.**  The parent reserves the
-accumulator's live-block slot at submission time, in block order, so
-speculation is memory-bounded to ``depth + 1`` live blocks exactly like the
-overlapped schedule; the per-rank clock is closed through the same
-:class:`repro.mpi.costmodel.OverlapWindow` replay, so
-``align + spgemm − overlap_hidden == combined clock`` holds per rank.
+**Admission and teardown.**  The parent reserves the accumulator's
+live-block slot at submission time, in block order, so speculation is
+memory-bounded to ``depth + 1`` live blocks exactly like the inline
+schedule.  Leaving the lane — on success or failure — joins the pool and
+unlinks every segment that was or could have been created, so ``/dev/shm``
+never leaks (fault-injection test in ``tests/test_engine.py``).
 
 Requires the ``fork`` start method (the workers inherit the run state
-instead of pickling it); :meth:`ProcessScheduler.run` raises a clear error
-on platforms without it.
+instead of pickling it); opening the lane raises a clear error on platforms
+without it.
 """
 
 from __future__ import annotations
@@ -53,80 +39,16 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
-from ...distsparse.blocked_summa import OutputBlock
 from ...distsparse.summa import SummaResult
-from ...metrics.timers import Timer, time_call
-from ...mpi.costmodel import CostLedger
 from ...obs import MetricsHub, activate_metrics
 from ...sparse.coo import CooMatrix
 from ...trace import TraceRecorder, activate, maybe_span
-from .cache import LANE_COUNTERS, CachedBlock, lane_time_categories
-from .schedulers import (
-    ScheduleOutcome,
-    Scheduler,
-    _charge_sparse,
-    _run_foreground_stages,
-    close_overlap_clock,
-)
-from .stages import BlockRecord, BlockTask, StageContext
-from .timeline import StageTimeline
-
-
-class RecordingLedger(CostLedger):
-    """A :class:`~repro.mpi.costmodel.CostLedger` that journals every mutation.
-
-    Charges and counts are applied to the local (fresh, zero-initialized)
-    ledger as usual — ``summa`` reads ``per_rank`` of the comm category to
-    derive its per-block comm delta, so reads must keep working — and every
-    mutation is appended to :attr:`events` in call order.  The parent replays
-    the journal onto the real ledger in block order; since ``charge`` is a
-    plain ``+=`` of the recorded value, replay reproduces the serial
-    schedule's float sums bit for bit.
-    """
-
-    def __init__(self, nranks: int) -> None:
-        super().__init__(nranks)
-        self.events: list[tuple] = []
-
-    def charge(self, rank: int, category: str, seconds: float) -> None:
-        super().charge(rank, category, seconds)
-        self.events.append(("charge", int(rank), category, float(seconds)))
-
-    def charge_all(self, category: str, seconds) -> None:
-        super().charge_all(category, seconds)
-        arr = np.broadcast_to(np.asarray(seconds, dtype=np.float64), (self.nranks,)).copy()
-        self.events.append(("charge_all", category, arr))
-
-    def count(self, rank: int, counter: str, amount: float = 1.0) -> None:
-        super().count(rank, counter, amount)
-        self.events.append(("count", int(rank), counter, float(amount)))
-
-    def count_all(self, counter: str, amounts) -> None:
-        super().count_all(counter, amounts)
-        arr = np.broadcast_to(np.asarray(amounts, dtype=np.float64), (self.nranks,)).copy()
-        self.events.append(("count_all", counter, arr))
-
-
-def replay_ledger_events(ledger: CostLedger, events: list[tuple]) -> None:
-    """Apply a :class:`RecordingLedger` journal onto ``ledger``, in order."""
-    for event in events:
-        kind = event[0]
-        if kind == "charge":
-            ledger.charge(event[1], event[2], event[3])
-        elif kind == "count":
-            ledger.count(event[1], event[2], event[3])
-        elif kind == "charge_all":
-            ledger.charge_all(event[1], event[2])
-        elif kind == "count_all":
-            ledger.count_all(event[1], event[2])
-        else:  # pragma: no cover - journal is produced by RecordingLedger only
-            raise ValueError(f"unknown ledger event kind {kind!r}")
-
+from .stages import BlockResult, BlockTask, StageContext, discover
 
 # --------------------------------------------------------------------------- shm transport
 #: Prefix of every segment this executor creates; the fault-injection test
@@ -146,33 +68,17 @@ def _align_up(nbytes: int) -> int:
 
 
 @dataclass
-class _BlockHeader:
-    """The picklable part of one worker result (arrays travel via shm)."""
+class _Shipped:
+    """One worker result as it crosses the pipe (block arrays via shm)."""
 
-    index: int
+    result: BlockResult
     worker_pid: int
-    discover_wall_seconds: float
-    #: cache hit: the entry itself ships over the pipe, no shm segment
-    entry: CachedBlock | None = None
-    #: miss: shm layout + everything needed to rebuild the OutputBlock
     shm_name: str | None = None
     shm_bytes: int = 0
     #: per rank: (rows_offset, cols_offset, values_offset, nnz, values_descr)
-    rank_specs: list[tuple] | None = None
-    result_shape: tuple[int, int] | None = None
-    stats: object = None
-    comm_seconds: float = 0.0
-    compute_seconds_per_rank: np.ndarray | None = None
-    flops_per_rank: np.ndarray | None = None
-    sparse_seconds: np.ndarray | None = None
-    ledger_events: list[tuple] = field(default_factory=list)
-    #: spans/counters the worker recorded for this block (same journaling
-    #: pattern as ``ledger_events``); merged into the parent recorder with
-    #: the worker's pid attribution intact, in block order
-    trace_spans: list = field(default_factory=list)
-    trace_counters: list = field(default_factory=list)
-    #: metrics events the worker's journaling hub recorded for this block
-    #: (SUMMA kernel dispatch records); merged parent-side in block order
+    rank_specs: list[tuple] = field(default_factory=list)
+    #: the worker's spans and counters for this block, and its metrics events
+    trace: tuple[list, list] = ([], [])
     metrics_events: list = field(default_factory=list)
 
 
@@ -221,24 +127,24 @@ def _ship_result(result: SummaResult, segment_name: str):
 class _ShmBlock:
     """Parent-side zero-copy view of a shipped block; owns the segment."""
 
-    def __init__(self, header: _BlockHeader) -> None:
-        self.nbytes = header.shm_bytes
+    def __init__(self, shipped: _Shipped) -> None:
+        self.nbytes = shipped.shm_bytes
         self._shm = None
-        if header.shm_name is not None:
-            self._shm = shared_memory.SharedMemory(name=header.shm_name)
+        if shipped.shm_name is not None:
+            self._shm = shared_memory.SharedMemory(name=shipped.shm_name)
+        shape = shipped.result.block.result.shape
         per_rank: list[CooMatrix] = []
-        for rows_off, cols_off, vals_off, nnz, descr in header.rank_specs:
+        for rows_off, cols_off, vals_off, nnz, descr in shipped.rank_specs:
             dtype = np.lib.format.descr_to_dtype(descr)
             if nnz:
-                shape = (nnz,)
-                rows = np.ndarray(shape, dtype=np.int64, buffer=self._shm.buf, offset=rows_off)
-                cols = np.ndarray(shape, dtype=np.int64, buffer=self._shm.buf, offset=cols_off)
-                values = np.ndarray(shape, dtype=dtype, buffer=self._shm.buf, offset=vals_off)
+                rows = np.ndarray((nnz,), dtype=np.int64, buffer=self._shm.buf, offset=rows_off)
+                cols = np.ndarray((nnz,), dtype=np.int64, buffer=self._shm.buf, offset=cols_off)
+                values = np.ndarray((nnz,), dtype=dtype, buffer=self._shm.buf, offset=vals_off)
             else:
                 rows = np.empty(0, dtype=np.int64)
                 cols = np.empty(0, dtype=np.int64)
                 values = np.empty(0, dtype=dtype)
-            per_rank.append(CooMatrix(header.result_shape, rows, cols, values, check=False))
+            per_rank.append(CooMatrix(shape, rows, cols, values, check=False))
         self.per_rank = per_rank
 
     def release(self) -> None:
@@ -296,248 +202,100 @@ def _sweep_segments(token: str, num_blocks: int) -> None:
 
 # --------------------------------------------------------------------------- worker side
 #: The run context workers inherit through fork.  Set by the parent before
-#: the pool exists; workers treat it as read-only apart from swapping their
-#: private ledger copy.
+#: the pool exists; workers never write to it.
 _WORKER_CTX: StageContext | None = None
 
-#: The worker process's own span recorder (fresh, parent epoch) — built
-#: lazily on first traced block and reused for the worker's lifetime.  The
-#: forked copy of the *parent* recorder is never appended to: it already
-#: holds the parent's pre-fork spans, and appending would duplicate them
-#: on every block header.  ``perf_counter`` is CLOCK_MONOTONIC system-wide
-#: on Linux, so the parent epoch is a valid origin in the fork.
-_WORKER_TRACE: TraceRecorder | None = None
+#: The worker process's own view of :data:`_WORKER_CTX`, built on its first
+#: block (see :func:`_worker_context`).
+_WORKER_LOCAL: StageContext | None = None
 
 
-def _worker_trace(ctx: StageContext) -> TraceRecorder | None:
-    """The per-process worker recorder (None when the run is untraced)."""
-    global _WORKER_TRACE
-    if ctx.trace is None:
-        return None
-    if _WORKER_TRACE is None:
-        _WORKER_TRACE = TraceRecorder(epoch=ctx.trace.epoch)
-        # deep sites (the SUMMA stage loop) find the recorder through the
-        # active-tracer global; re-point the fork's copy at the worker's own
-        activate(_WORKER_TRACE)
-    return _WORKER_TRACE
+def _worker_context() -> StageContext:
+    """The inherited run context with this worker's own trace/metrics sinks.
 
-
-#: The worker process's own journaling metrics hub — same lifecycle as
-#: :data:`_WORKER_TRACE`: built lazily, re-pointing the forked copy of the
-#: active-hub global so the SUMMA stage loop records into the worker's own
-#: journal instead of the (forked, dead-end) parent hub.
-_WORKER_METRICS: MetricsHub | None = None
-
-
-def _worker_metrics(ctx: StageContext) -> MetricsHub | None:
-    """The per-process worker hub (None when the run collects no metrics)."""
-    global _WORKER_METRICS
-    if ctx.metrics is None:
-        return None
-    if _WORKER_METRICS is None:
-        _WORKER_METRICS = MetricsHub(journal=True)
-        activate_metrics(_WORKER_METRICS)
-    return _WORKER_METRICS
-
-
-def _worker_discover(index: int, block_row: int, block_col: int, segment_name: str):
-    """Compute one block in a worker process; ship the result via shm.
-
-    Pure computation: every side effect lands either in the forked copy of
-    the run state (discarded) or in the returned header for the parent to
-    replay in block order.
+    The forked copies of the parent's recorder and hub are never appended
+    to: they already hold the parent's pre-fork records, and appending would
+    duplicate them on every block.  The worker builds fresh journaling sinks
+    — the recorder on the parent's epoch (``perf_counter`` is
+    CLOCK_MONOTONIC system-wide on Linux) — and re-points the active-sink
+    globals at them, so deep sites (the SUMMA stage loop) record there too.
     """
-    ctx = _WORKER_CTX
-    if ctx is None:  # pragma: no cover - guards against a spawn-context pool
-        raise RuntimeError(
-            "worker has no inherited run context; ProcessScheduler requires "
-            "the 'fork' start method"
-        )
-    trace = _worker_trace(ctx)
-    metrics = _worker_metrics(ctx)
-    coords = (block_row, block_col)
-    cache = ctx.cache
-    if cache is not None:
-        with maybe_span(
-            trace, "cache_load", "cache", lane="discover", block=coords
-        ) as span:
-            entry = cache.load(coords)
-            span.set(hit=entry is not None)
-        if entry is not None:
-            header = _BlockHeader(
-                index=index,
-                worker_pid=os.getpid(),
-                discover_wall_seconds=entry.discover_wall_seconds,
-                entry=entry,
+    global _WORKER_LOCAL
+    if _WORKER_LOCAL is None:
+        ctx = _WORKER_CTX
+        if ctx is None:  # pragma: no cover - guards against a spawn-context pool
+            raise RuntimeError(
+                "worker has no inherited run context; the process lane "
+                "requires the 'fork' start method"
             )
-            if trace is not None:
-                header.trace_spans, header.trace_counters = trace.drain()
-            if metrics is not None:
-                header.metrics_events = metrics.drain()
-            return header
-    # journal the discover lane's ledger traffic in this worker's forked
-    # copy; comm.ledger and comm.collectives.ledger alias one object, so
-    # both references must point at the recorder
-    recorder = RecordingLedger(ctx.comm.nranks)
-    ctx.comm.ledger = recorder
-    ctx.comm.collectives.ledger = recorder
-    with maybe_span(trace, "discover", "stage", lane="discover", block=coords) as span:
-        block, wall_seconds = time_call(ctx.engine.compute_block, block_row, block_col)
-        span.set(nnz=block.nnz, flops=float(block.result.flops_per_rank.sum()))
-    result = block.result
-    if ctx.params.clock == "modeled":
-        sparse_seconds = np.array(
-            [
-                ctx.cost_model.spgemm_seconds(f) + ctx.stripe_seconds
-                for f in result.flops_per_rank
-            ]
-        )
-    else:
-        sparse_seconds = np.asarray(result.compute_seconds_per_rank, dtype=float)
-    with maybe_span(
-        trace, "shm_ship", "transport", lane="discover", block=coords
-    ) as span:
-        shm_name, shm_bytes, rank_specs = _ship_result(result, segment_name)
-        span.set(bytes=shm_bytes)
-    header = _BlockHeader(
-        index=index,
-        worker_pid=os.getpid(),
-        discover_wall_seconds=wall_seconds,
-        shm_name=shm_name,
-        shm_bytes=shm_bytes,
-        rank_specs=rank_specs,
-        result_shape=result.shape,
-        stats=block.stats,
-        comm_seconds=result.comm_seconds,
-        compute_seconds_per_rank=result.compute_seconds_per_rank,
-        flops_per_rank=result.flops_per_rank,
-        sparse_seconds=sparse_seconds,
-        ledger_events=recorder.events,
-    )
-    if trace is not None:
-        header.trace_spans, header.trace_counters = trace.drain()
-    if metrics is not None:
-        header.metrics_events = metrics.drain()
-    return header
+        trace = metrics = None
+        if ctx.trace is not None:
+            trace = TraceRecorder(epoch=ctx.trace.epoch)
+            activate(trace)
+        if ctx.metrics is not None:
+            metrics = MetricsHub(journal=True)
+            activate_metrics(metrics)
+        _WORKER_LOCAL = replace(ctx, trace=trace, metrics=metrics)
+    return _WORKER_LOCAL
+
+
+def _worker_discover(block_row: int, block_col: int, segment_name: str) -> _Shipped:
+    """Run :func:`discover` in a worker; ship the block's arrays via shm."""
+    ctx = _worker_context()
+    result = discover(ctx, BlockTask(block_row, block_col))
+    shipped = _Shipped(result=result, worker_pid=os.getpid())
+    if result.block is not None:
+        summa_result = result.block.result
+        with maybe_span(
+            ctx.trace, "shm_ship", "transport", lane="discover", block=(block_row, block_col)
+        ) as span:
+            shipped.shm_name, shipped.shm_bytes, shipped.rank_specs = _ship_result(
+                summa_result, segment_name
+            )
+            span.set(bytes=shipped.shm_bytes)
+        summa_result.per_rank = []  # the arrays travel through the segment
+    if ctx.trace is not None:
+        shipped.trace = ctx.trace.drain()
+    if ctx.metrics is not None:
+        shipped.metrics_events = ctx.metrics.drain()
+    return shipped
 
 
 # --------------------------------------------------------------------------- parent side
-def _admit_block(header: _BlockHeader, task: BlockTask, ctx: StageContext):
-    """Replay one worker result's discover side effects, in block order.
+class PoolLane:
+    """The discover lane of the scheduler loop, in forked worker processes.
 
-    This is the process executor's determinism gate: ledger events, engine
-    stat merges, the accumulator registration and the cache snapshot all
-    land here, on the parent, strictly in block index order.  Returns the attached
-    :class:`_ShmBlock` (``None`` for cache hits and empty blocks shipped
-    without a segment).
-    """
-    if ctx.trace is not None:
-        # worker-journaled spans arrive with the header and merge here, in
-        # block order, keeping the worker's pid/tid attribution intact
-        ctx.trace.merge(header.trace_spans, header.trace_counters)
-    if ctx.metrics is not None and header.metrics_events:
-        # worker kernel-dispatch records, merged in the same block order
-        # (ledger-fed metrics need no journal: replay_ledger_events below
-        # re-fires the parent ledger's trace hook)
-        ctx.metrics.merge(header.metrics_events)
-    coords = (task.block_row, task.block_col)
-    cache = ctx.cache
-    if header.entry is not None:
-        if cache is not None:
-            cache.note_hit()
-        with maybe_span(
-            ctx.trace, "cache_replay", "cache", lane="admit", block=coords
-        ):
-            task._replay_discover(ctx, header.entry)
-        return None
-    if cache is not None:
-        cache.note_miss()
-    with maybe_span(
-        ctx.trace, "ledger_replay", "replay", lane="admit", block=coords
-    ) as span:
-        replay_ledger_events(ctx.comm.ledger, header.ledger_events)
-        span.set(events=len(header.ledger_events))
-    shm_block = _ShmBlock(header)
-    result = SummaResult(
-        shape=header.result_shape,
-        per_rank=shm_block.per_rank,
-        stats=header.stats,
-        comm_seconds=header.comm_seconds,
-        compute_seconds_per_rank=header.compute_seconds_per_rank,
-        flops_per_rank=header.flops_per_rank,
-    )
-    engine = ctx.engine
-    block = OutputBlock(
-        block_row=task.block_row,
-        block_col=task.block_col,
-        row_range=ctx.schedule.row_range(task.block_row),
-        col_range=ctx.schedule.col_range(task.block_col),
-        result=result,
-        stats=header.stats,
-    )
-    # the mutations compute_block applies, replayed in serial order
-    engine.blocks_computed += 1
-    engine.total_stats = engine.total_stats.merge(header.stats)
-    block_bytes = block.memory_bytes()
-    engine.peak_block_bytes = max(engine.peak_block_bytes, block_bytes)
-    task.block = block
-    task.sparse_seconds = header.sparse_seconds
-    task.candidate_count = block.nnz
-    task.block_bytes = block_bytes
-    task.discover_wall_seconds = header.discover_wall_seconds
-    if cache is not None:
-        times, counters = ctx.comm.ledger.snapshot(
-            lane_time_categories(engine.compute_category), LANE_COUNTERS
-        )
-        task._capture = (times, counters, header.stats)
-    ctx.accumulator.block_computed(block_bytes)
-    return shm_block
-
-
-@dataclass
-class ProcessScheduler(Scheduler):
-    """Speculative depth-``k`` pre-blocking on a process pool (GIL-free lane).
-
-    Parameters
-    ----------
-    depth:
-        Speculative discovery depth ``k``: while block ``b`` is aligned,
-        the discover stages of blocks ``b+1..b+k`` are in flight in worker
-        processes.  ``1`` is classic §VI-C pre-blocking.
-    max_workers:
-        Worker processes in the discover pool (``None`` = 1).  At most
-        ``depth`` discovers are submitted beyond the block being consumed,
-        so extra workers beyond ``depth`` idle; worker count can never
-        change results (asserted in the engine tests).
+    :meth:`ready` keeps blocks submitted up to the loop's lookahead — each
+    after reserving its live-block slot, in block order, never more than
+    ``max_live_blocks - 1`` beyond the block being consumed — and hands back
+    block ``index`` only, once its worker is done, with its arrays mapped
+    from shm; :meth:`release` unlinks the segment after ``accumulate``.
     """
 
-    name: str = "process"
-    depth: int = 1
-    max_workers: int | None = None
-    #: per-worker lane statistics of the last run (pid -> blocks/seconds),
-    #: surfaced in ``stats.extras`` via the outcome
-    lane_stats: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1 (or None)")
-
-    def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
-        global _WORKER_CTX
-        depth = int(self.depth)
-        timeline = StageTimeline(scheduler=self.name, preblock_depth=depth)
-        if not tasks:
-            return ScheduleOutcome(records=[], timeline=timeline)
+    def __init__(self, ctx: StageContext, tasks: list[BlockTask], workers: int) -> None:
         try:
-            mp_context = get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-fork platforms only
+            self._mp_context = get_context("fork")
+        except ValueError as exc:
             raise RuntimeError(
                 "scheduler='process' requires the 'fork' multiprocessing start "
                 "method (workers inherit the run state); use scheduler="
                 "'overlapped' on platforms without it"
             ) from exc
+        self.ctx, self.tasks, self.workers = ctx, tasks, workers
+        bound = ctx.accumulator.max_live_blocks
+        # the parent is the only drainer: a reservation past the bound raises
+        self.inflight = len(tasks) if bound is None else max(0, bound - 1)
+        self.token = f"{os.getpid():x}-{next(_TOKEN_COUNTER):x}"
+        self.submitted = 0
+        self.futures: dict[int, object] = {}
+        self.segments: dict[int, _ShmBlock] = {}
+        self.lane_blocks: dict[int, int] = {}
+        self.lane_seconds: dict[int, float] = {}
+        self.shm_peak_block = 0
+        self.shm_total = 0
+
+    def __enter__(self) -> "PoolLane":
+        global _WORKER_CTX
         # make sure the shm resource tracker exists *before* the pool forks,
         # so parent and workers share one tracker and the worker-side
         # register / parent-side unlink pairs balance out silently
@@ -547,135 +305,88 @@ class ProcessScheduler(Scheduler):
             resource_tracker.ensure_running()
         except Exception:
             pass
+        self.pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=self._mp_context)
+        self._previous_ctx, _WORKER_CTX = _WORKER_CTX, self.ctx
+        return self
 
-        num_blocks = len(tasks)
-        workers = self.max_workers if self.max_workers is not None else 1
-        if ctx.accumulator.max_live_blocks is None:
-            # the executor's memory contract: current block + k speculative
-            ctx.accumulator.max_live_blocks = depth + 1
-        # submissions reserve their live-block slot up front, so the in-flight
-        # window must fit under the admission bound (the parent is the only
-        # drainer: a reservation past the bound raises)
-        bound = ctx.accumulator.max_live_blocks
-        inflight = depth if bound is None else max(0, min(depth, int(bound) - 1))
-        token = f"{os.getpid():x}-{next(_TOKEN_COUNTER):x}"
+    def __exit__(self, *exc) -> None:
+        global _WORKER_CTX
+        self.pool.shutdown(wait=True, cancel_futures=True)
+        _WORKER_CTX = self._previous_ctx
+        # the pool is joined: nothing can re-create a segment behind us
+        _sweep_segments(self.token, len(self.tasks))
 
-        records: list[BlockRecord] = []
-        kernel_seconds = 0.0
-        measured_align = 0.0
-        measured_discover = 0.0
-        align_per_block: list[np.ndarray] = []
-        lane_blocks: dict[int, int] = {}
-        lane_seconds: dict[int, float] = {}
-        shm_peak_block = 0
-        shm_total = 0
-        futures: dict[int, object] = {}
-        phase_timer = Timer()
-        previous_ctx = _WORKER_CTX
-        _WORKER_CTX = ctx
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
+    def _submit_through(self, last: int) -> None:
+        ctx = self.ctx
+        for j in range(self.submitted, last + 1):
+            task = self.tasks[j]
+            with maybe_span(
+                ctx.trace, "admission_wait", "wait", lane="submit",
+                block=(task.block_row, task.block_col),
+            ):
+                ctx.accumulator.admit_block()
+            try:
+                self.futures[j] = self.pool.submit(
+                    _worker_discover, task.block_row, task.block_col,
+                    _segment_name(self.token, j),
+                )
+            except BrokenProcessPool as exc:
+                raise RuntimeError(
+                    f"discover worker died before block {j} could be submitted "
+                    "(killed or crashed); the run is torn down and its "
+                    "shared-memory segments unlinked"
+                ) from exc
+            self.submitted = j + 1
+
+    def ready(self, index: int, upto: int):
+        """``(task, result)`` of block ``index``, keeping blocks through
+        ``upto`` submitted (within the live-block bound)."""
+        self._submit_through(min(upto, index + self.inflight))
         try:
-            with phase_timer:
+            shipped = self.futures.pop(index).result()
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                f"discover worker died while block {index} was in flight "
+                "(killed or crashed); the run is torn down and its "
+                "shared-memory segments unlinked"
+            ) from exc
+        ctx, result, pid = self.ctx, shipped.result, shipped.worker_pid
+        if ctx.trace is not None:
+            ctx.trace.merge(*shipped.trace)
+        if ctx.metrics is not None and shipped.metrics_events:
+            # kernel-dispatch records; ledger-fed metrics need no journal:
+            # commit's replay re-fires the parent ledger's hook
+            ctx.metrics.merge(shipped.metrics_events)
+        if result.block is not None:
+            segment = self.segments[index] = _ShmBlock(shipped)
+            result.block.result.per_rank = segment.per_rank
+            self.shm_peak_block = max(self.shm_peak_block, segment.nbytes)
+            self.shm_total += segment.nbytes
+        self.lane_blocks[pid] = self.lane_blocks.get(pid, 0) + 1
+        self.lane_seconds[pid] = self.lane_seconds.get(pid, 0.0) + result.wall_seconds
+        if ctx.trace is not None:
+            # gauges picked up by the block-boundary counter sample
+            ctx.trace.set_value("shm_total_bytes", float(self.shm_total))
+            ctx.trace.set_value("shm_peak_block_bytes", float(self.shm_peak_block))
+        yield self.tasks[index], result
 
-                def ensure_submitted(upto: int) -> None:
-                    for j in range(len(futures) + len(records), min(upto, num_blocks - 1) + 1):
-                        # block-order slot reservation: the submit window is
-                        # sized so this can never exceed the bound (see
-                        # `inflight`)
-                        with maybe_span(
-                            ctx.trace,
-                            "admission_wait",
-                            "wait",
-                            lane="submit",
-                            block=(tasks[j].block_row, tasks[j].block_col),
-                        ):
-                            ctx.accumulator.admit_block()
-                        try:
-                            futures[j] = pool.submit(
-                                _worker_discover,
-                                j,
-                                tasks[j].block_row,
-                                tasks[j].block_col,
-                                _segment_name(token, j),
-                            )
-                        except BrokenProcessPool as exc:
-                            raise RuntimeError(
-                                f"discover worker died before block {j} could "
-                                "be submitted (killed or crashed); the run is "
-                                "torn down and its shared-memory segments "
-                                "unlinked"
-                            ) from exc
+    def release(self, index: int) -> None:
+        """Unlink block ``index``'s segment once ``accumulate`` dropped it."""
+        segment = self.segments.pop(index, None)
+        if segment is not None:
+            segment.release()
 
-                ensure_submitted(inflight)
-                for index, task in enumerate(tasks):
-                    try:
-                        header = futures.pop(index).result()
-                    except BrokenProcessPool as exc:
-                        raise RuntimeError(
-                            f"discover worker died while block {index} was in "
-                            "flight (killed or crashed); the run is torn down "
-                            "and its shared-memory segments unlinked"
-                        ) from exc
-                    shm_block = _admit_block(header, task, ctx)
-                    _charge_sparse(ctx, task.sparse_seconds, 1.0)
-                    measured_discover += task.discover_wall_seconds
-                    lane_blocks[header.worker_pid] = lane_blocks.get(header.worker_pid, 0) + 1
-                    lane_seconds[header.worker_pid] = (
-                        lane_seconds.get(header.worker_pid, 0.0)
-                        + header.discover_wall_seconds
-                    )
-                    if shm_block is not None:
-                        shm_peak_block = max(shm_peak_block, shm_block.nbytes)
-                        shm_total += shm_block.nbytes
-                    if ctx.trace is not None:
-                        # gauges picked up by the block-boundary counter sample
-                        # inside _run_foreground_stages
-                        ctx.trace.set_value("shm_total_bytes", float(shm_total))
-                        ctx.trace.set_value(
-                            "shm_peak_block_bytes", float(shm_peak_block)
-                        )
-
-                    record, output, align_sched = _run_foreground_stages(
-                        task, ctx, timeline
-                    )
-                    kernel_seconds += output.kernel_seconds
-                    measured_align += output.measured_seconds
-                    align_per_block.append(align_sched)
-                    records.append(record)
-                    if shm_block is not None:
-                        shm_block.release()
-                    # keep `inflight` discovers in the pipe now that this
-                    # block's live slot has been released by accumulate
-                    ensure_submitted(index + 1 + inflight)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            _WORKER_CTX = previous_ctx
-            # the pool is joined: nothing can re-create a segment behind us
-            _sweep_segments(token, num_blocks)
-
-        timeline.combined_per_rank = close_overlap_clock(
-            ctx,
-            align_per_block,
-            [record.sparse_seconds_per_rank for record in records],
-            depth,
-        )
-        timeline.measured_phase_seconds = phase_timer.elapsed
-        self.lane_stats = {
-            str(pid): {
-                "blocks": int(count),
-                "discover_seconds": float(lane_seconds[pid]),
-            }
-            for pid, count in lane_blocks.items()
-        }
-        return ScheduleOutcome(
-            records=records,
-            timeline=timeline,
-            kernel_seconds=kernel_seconds,
-            measured_align_seconds=measured_align,
-            measured_discover_seconds=measured_discover,
-            extras={
-                "process_lanes": self.lane_stats,
-                "shm_peak_block_bytes": float(shm_peak_block),
-                "shm_total_bytes": float(shm_total),
+    @property
+    def extras(self) -> dict:
+        """Per-worker lane statistics and shm bytes, for ``stats.extras``."""
+        return {
+            "process_lanes": {
+                str(pid): {
+                    "blocks": int(count),
+                    "discover_seconds": float(self.lane_seconds[pid]),
+                }
+                for pid, count in self.lane_blocks.items()
             },
-        )
+            "shm_peak_block_bytes": float(self.shm_peak_block),
+            "shm_total_bytes": float(self.shm_total),
+        }

@@ -4,30 +4,45 @@ The scheduler contract is deliberately small::
 
     outcome = scheduler.run(tasks, ctx)   # tasks: list[BlockTask]
 
-A scheduler must execute every stage of every task exactly once, respecting
-the per-task stage order (discover → prune → align → accumulate), stream
-results through ``ctx.accumulator``, charge the per-rank cost ledger for the
-sparse and alignment work it schedules, and return a
+A scheduler executes every stage of every task exactly once, respecting the
+per-task stage order (discover → prune → align → accumulate), streams
+results through ``ctx.accumulator``, charges the per-rank cost ledger for
+the sparse and alignment work it schedules, and returns a
 :class:`ScheduleOutcome` with the per-block records and the executed
-:class:`~repro.core.engine.timeline.StageTimeline`.  Everything else — task
-ordering across blocks, interleaving, contention charging — is scheduler
-policy.
+:class:`~repro.core.engine.timeline.StageTimeline`.
 
-:class:`SerialScheduler` reproduces the historical monolithic pipeline loop
-bit-for-bit: stages run strictly in block order and raw component times are
-charged.
+There is one loop, :meth:`Scheduler.run`, parameterised by two things:
 
-:class:`OverlappedScheduler` implements §VI-C pre-blocking at speculative
-depth ``k`` on the calling thread: blocks ``b+1..b+k`` are discovered before
-block ``b`` is aligned, so the run holds the ``k + 1`` live blocks the
-overlapped schedule would.  Components may be charged with the paper's
-measured contention slowdowns (~1.13x for alignment; ``1.10 + 0.006 ·
-num_blocks`` for the sparse multiply, growing with the block count), and
-the per-rank clock is the executed schedule replayed through
-:meth:`repro.mpi.costmodel.OverlapWindow.run_schedule` — at depth 1 each
-step costs ``max(align(b), discover(b+1))``.  The time hidden by the overlap
-is charged to the informational ``overlap_hidden`` ledger category, so
-per-rank clock and ledger stay reconcilable:
+* the **depth** ``k``: before block ``b`` is aligned, the discovers of
+  blocks up to ``b + k`` have been issued (``0`` for the serial schedule);
+* the **lane** the discovers run in: *inline* on the calling thread, where
+  a block is committed as soon as it is discovered, or a *pool* of forked
+  worker processes (:mod:`repro.core.engine.process_executor`), which keeps
+  ``k`` discovers in flight and hands block ``b`` over when ``b`` is next.
+
+Either way every discover result goes through
+:func:`~repro.core.engine.stages.commit` in block order, which is what keeps
+records, edges, stats and ledger bit-identical across the three
+configurations:
+
+:class:`SerialScheduler`
+    Depth 0, inline: finish block ``b`` before starting ``b+1``; raw
+    component times are charged.
+:class:`OverlappedScheduler`
+    §VI-C pre-blocking at depth ``k``, inline: the run holds the ``k + 1``
+    live blocks the overlapped schedule would, and the overlap lives in the
+    per-rank clock.  Components may be charged with the paper's measured
+    contention slowdowns (~1.13x for alignment; ``1.10 + 0.006 ·
+    num_blocks`` for the sparse multiply).
+:class:`ProcessScheduler`
+    The same schedule with the pool lane — the one configuration whose
+    overlap shows in wall time.
+
+With ``k >= 1`` the per-rank clock is the executed schedule replayed
+through :meth:`repro.mpi.costmodel.OverlapWindow.run_schedule` — at depth
+1 each step costs ``max(align(b), discover(b+1))`` — and the time hidden by
+the overlap is charged to the informational ``overlap_hidden`` ledger
+category, so per-rank clock and ledger stay reconcilable:
 ``align + spgemm − overlap_hidden == combined clock``.
 """
 
@@ -39,9 +54,9 @@ import numpy as np
 
 from ...metrics.timers import Timer
 from ...mpi.costmodel import OverlapWindow
-from ..align_phase import BlockAlignmentOutput
 from ..preblocking import PreblockingModel
-from .stages import BlockRecord, BlockTask, StageContext
+from .process_executor import PoolLane
+from .stages import BlockRecord, BlockTask, StageContext, commit, discover
 from .timeline import BlockTiming, StageTimeline
 
 #: Ledger category holding the per-rank seconds hidden by pre-blocking
@@ -79,86 +94,123 @@ class ScheduleOutcome:
         return sum(int(rec.cells_per_rank.sum()) for rec in self.records)
 
 
-def _charge_sparse(ctx: StageContext, seconds: np.ndarray, multiplier: float) -> None:
-    """Charge one block's per-rank sparse seconds (scaled) to the ledger."""
-    ledger = ctx.comm.ledger
-    for rank in range(ctx.comm.size):
-        ledger.charge(rank, "spgemm", float(seconds[rank]) * multiplier)
+class InlineLane:
+    """Discovers on the calling thread, each block committed as it is found."""
 
+    def __init__(self, ctx: StageContext, tasks: list[BlockTask]) -> None:
+        self.ctx, self.tasks, self.issued = ctx, tasks, 0
+        self.extras: dict = {}
 
-def _charge_alignment(
-    ctx: StageContext, output: BlockAlignmentOutput, multiplier: float
-) -> None:
-    """Charge one block's per-rank alignment seconds (scaled) and counters."""
-    ledger = ctx.comm.ledger
-    for rank in range(ctx.comm.size):
-        ledger.charge(rank, "align", float(output.align_seconds_per_rank[rank]) * multiplier)
-        ledger.count(rank, "alignments", float(output.pairs_aligned_per_rank[rank]))
-        ledger.count(rank, "alignment_cells", float(output.cells_per_rank[rank]))
+    def __enter__(self) -> "InlineLane":
+        return self
 
+    def __exit__(self, *exc) -> None:
+        return None
 
-def _run_foreground_stages(
-    task: BlockTask,
-    ctx: StageContext,
-    timeline: StageTimeline,
-    align_mult: float = 1.0,
-    sparse_scheduled: np.ndarray | None = None,
-):
-    """The foreground half of one block, shared by every scheduler:
-    prune -> align -> charge alignment -> accumulate -> record the timing.
+    def ready(self, index: int, upto: int):
+        """``(task, result)`` of every block through ``upto``, in block order."""
+        while self.issued <= upto:
+            task = self.tasks[self.issued]
+            self.issued += 1
+            yield task, discover(self.ctx, task)
 
-    ``align_mult`` inflates the charged/scheduled alignment seconds (the
-    overlapped scheduler's contention); ``sparse_scheduled`` overrides the
-    timing's as-scheduled sparse seconds (raw when ``None``).  Returns
-    ``(record, output, align_scheduled)``.
-    """
-    task.prune(ctx)
-    output = task.align(ctx)
-    _charge_alignment(ctx, output, align_mult)
-    align_sched = (
-        output.align_seconds_per_rank
-        if align_mult == 1.0
-        else output.align_seconds_per_rank * align_mult
-    )
-    record = task.accumulate(ctx)
-    timeline.append(
-        BlockTiming(
-            block_row=task.block_row,
-            block_col=task.block_col,
-            sparse_raw=record.sparse_seconds_per_rank,
-            align_raw=record.align_seconds_per_rank,
-            sparse_scheduled=(
-                record.sparse_seconds_per_rank
-                if sparse_scheduled is None
-                else sparse_scheduled
-            ),
-            align_scheduled=align_sched,
-        )
-    )
-    if ctx.trace is not None:
-        # one counter sample per block boundary: live-memory gauges, cache
-        # hit/miss counters, plus every cumulative counter the recorder holds
-        # (the ledger charge hooks bump per-category totals between samples)
-        values = {
-            "live_blocks": float(ctx.accumulator.live_blocks),
-            "live_block_bytes": float(ctx.accumulator.live_block_bytes),
-        }
-        if ctx.cache is not None:
-            cache_counters = ctx.cache.counters()
-            values["cache_hits"] = float(cache_counters.get("hits", 0))
-            values["cache_misses"] = float(cache_counters.get("misses", 0))
-        ctx.trace.sample_counters(**values)
-    return record, output, align_sched
+    def release(self, index: int) -> None:
+        """Nothing to free: an inline block lives on its task."""
 
 
 class Scheduler:
-    """Base scheduler: executes a list of block tasks against a context."""
+    """The one scheduler loop; subclasses only configure it."""
 
     name: str = "base"
+    #: discover lookahead ``k`` (0: no overlap)
+    depth: int = 0
+
+    def _contention(self, num_blocks: int) -> tuple[float, float]:
+        """(align, sparse) multipliers on the charged seconds."""
+        return 1.0, 1.0
+
+    def _lane(self, ctx: StageContext, tasks: list[BlockTask]):
+        return InlineLane(ctx, tasks)
 
     def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
         """Execute every stage of every task; return records and timeline."""
-        raise NotImplementedError
+        depth = int(self.depth)
+        align_mult, sparse_mult = self._contention(len(tasks))
+        timeline = StageTimeline(
+            scheduler=self.name,
+            align_contention=align_mult,
+            sparse_contention=sparse_mult,
+            preblock_depth=max(depth, 1),
+        )
+        outcome = ScheduleOutcome(records=[], timeline=timeline)
+        if not tasks:
+            return outcome
+        if depth and ctx.accumulator.max_live_blocks is None:
+            # the schedule's memory contract: current block + k discovered ahead
+            ctx.accumulator.max_live_blocks = depth + 1
+        ledger = ctx.comm.ledger
+        align_scheduled: list[np.ndarray] = []
+        sparse_scheduled: list[np.ndarray] = []
+        phase_timer = Timer()
+        with self._lane(ctx, tasks) as lane:
+            with phase_timer:
+                for index, task in enumerate(tasks):
+                    upto = min(index + depth, len(tasks) - 1)
+                    for ready, result in lane.ready(index, upto):
+                        commit(ctx, ready, result)
+                        sparse = result.sparse_seconds * sparse_mult
+                        for rank in range(ctx.comm.size):
+                            ledger.charge(rank, "spgemm", float(sparse[rank]))
+                        sparse_scheduled.append(sparse)
+                        outcome.measured_discover_seconds += result.wall_seconds
+
+                    task.prune(ctx)
+                    output = task.align(ctx)
+                    align = output.align_seconds_per_rank * align_mult
+                    for rank in range(ctx.comm.size):
+                        ledger.charge(rank, "align", float(align[rank]))
+                        ledger.count(rank, "alignments", float(output.pairs_aligned_per_rank[rank]))
+                        ledger.count(rank, "alignment_cells", float(output.cells_per_rank[rank]))
+                    align_scheduled.append(align)
+                    record = task.accumulate(ctx)
+                    timeline.append(
+                        BlockTiming(
+                            block_row=task.block_row,
+                            block_col=task.block_col,
+                            sparse_raw=record.sparse_seconds_per_rank,
+                            align_raw=record.align_seconds_per_rank,
+                            sparse_scheduled=sparse_scheduled[index],
+                            align_scheduled=align,
+                        )
+                    )
+                    if ctx.trace is not None:
+                        _sample_counters(ctx)
+                    outcome.records.append(record)
+                    outcome.kernel_seconds += output.kernel_seconds
+                    outcome.measured_align_seconds += output.measured_seconds
+                    lane.release(index)
+        if depth:
+            timeline.combined_per_rank = np.zeros(ctx.comm.size)
+            OverlapWindow(
+                ledger, timeline.combined_per_rank, OVERLAP_HIDDEN_CATEGORY
+            ).run_schedule(align_scheduled, sparse_scheduled, depth=depth)
+        timeline.measured_phase_seconds = phase_timer.elapsed
+        outcome.extras = lane.extras
+        return outcome
+
+
+def _sample_counters(ctx: StageContext) -> None:
+    """One counter sample per block boundary: live-memory gauges, cache
+    hit/miss counters, plus every cumulative counter the recorder holds
+    (the ledger charge hooks bump per-category totals between samples)."""
+    values = {
+        "live_blocks": float(ctx.accumulator.live_blocks),
+        "live_block_bytes": float(ctx.accumulator.live_block_bytes),
+    }
+    if ctx.cache is not None:
+        values["cache_hits"] = float(ctx.cache.hits)
+        values["cache_misses"] = float(ctx.cache.misses)
+    ctx.trace.sample_counters(**values)
 
 
 @dataclass
@@ -171,46 +223,6 @@ class SerialScheduler(Scheduler):
     """
 
     name: str = "serial"
-
-    def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
-        timeline = StageTimeline(scheduler=self.name)
-        records: list[BlockRecord] = []
-        kernel_seconds = 0.0
-        measured_seconds = 0.0
-        measured_discover = 0.0
-        phase_timer = Timer()
-        with phase_timer:
-            for task in tasks:
-                task.discover(ctx)
-                _charge_sparse(ctx, task.sparse_seconds, 1.0)
-                measured_discover += task.discover_wall_seconds
-                record, output, _ = _run_foreground_stages(task, ctx, timeline)
-                kernel_seconds += output.kernel_seconds
-                measured_seconds += output.measured_seconds
-                records.append(record)
-        timeline.measured_phase_seconds = phase_timer.elapsed
-        return ScheduleOutcome(
-            records=records,
-            timeline=timeline,
-            kernel_seconds=kernel_seconds,
-            measured_align_seconds=measured_seconds,
-            measured_discover_seconds=measured_discover,
-        )
-
-
-def close_overlap_clock(
-    ctx: StageContext,
-    align_scheduled: list[np.ndarray],
-    sparse_scheduled: list[np.ndarray],
-    depth: int,
-) -> np.ndarray:
-    """Replay an executed depth-``k`` block schedule through the shared
-    overlap algebra; charges ``overlap_hidden`` and returns the per-rank
-    combined clock (``align + spgemm − overlap_hidden``)."""
-    clock = np.zeros(ctx.comm.size)
-    window = OverlapWindow(ctx.comm.ledger, clock, OVERLAP_HIDDEN_CATEGORY)
-    window.run_schedule(align_scheduled, sparse_scheduled, depth=depth)
-    return clock
 
 
 @dataclass
@@ -235,61 +247,43 @@ class OverlappedScheduler(Scheduler):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
 
-    def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
-        depth = int(self.depth)
-        num_blocks = len(tasks)
-        align_mult = self.contention.align_contention
-        sparse_mult = self.contention.sparse_contention(num_blocks)
-        timeline = StageTimeline(
-            scheduler=self.name,
-            align_contention=align_mult,
-            sparse_contention=sparse_mult,
-            preblock_depth=depth,
+    def _contention(self, num_blocks: int) -> tuple[float, float]:
+        return (
+            self.contention.align_contention,
+            self.contention.sparse_contention(num_blocks),
         )
-        if not tasks:
-            return ScheduleOutcome(records=[], timeline=timeline)
-        if ctx.accumulator.max_live_blocks is None:
-            # the schedule's memory contract: current block + k discovered ahead
-            ctx.accumulator.max_live_blocks = depth + 1
 
-        records: list[BlockRecord] = []
-        kernel_seconds = 0.0
-        measured_seconds = 0.0
-        measured_discover = 0.0
-        align_scheduled: list[np.ndarray] = []
-        sparse_scheduled: list[np.ndarray] = []
-        phase_timer = Timer()
-        with phase_timer:
-            for index, task in enumerate(tasks):
-                # CPU SpGEMM of blocks b+1..b+k runs while block b is on the GPUs
-                while len(sparse_scheduled) <= min(index + depth, num_blocks - 1):
-                    ahead = tasks[len(sparse_scheduled)]
-                    ahead.discover(ctx)
-                    _charge_sparse(ctx, ahead.sparse_seconds, sparse_mult)
-                    measured_discover += ahead.discover_wall_seconds
-                    sparse_scheduled.append(ahead.sparse_seconds * sparse_mult)
 
-                record, output, align_sched = _run_foreground_stages(
-                    task, ctx, timeline,
-                    align_mult=align_mult,
-                    sparse_scheduled=sparse_scheduled[index],
-                )
-                kernel_seconds += output.kernel_seconds
-                measured_seconds += output.measured_seconds
-                align_scheduled.append(align_sched)
-                records.append(record)
+@dataclass
+class ProcessScheduler(Scheduler):
+    """Speculative depth-``k`` pre-blocking with the discover lane in worker
+    processes (:class:`~repro.core.engine.process_executor.PoolLane`).
 
-        timeline.combined_per_rank = close_overlap_clock(
-            ctx, align_scheduled, sparse_scheduled, depth
-        )
-        timeline.measured_phase_seconds = phase_timer.elapsed
-        return ScheduleOutcome(
-            records=records,
-            timeline=timeline,
-            kernel_seconds=kernel_seconds,
-            measured_align_seconds=measured_seconds,
-            measured_discover_seconds=measured_discover,
-        )
+    Parameters
+    ----------
+    depth:
+        Speculative discovery depth ``k``: while block ``b`` is aligned,
+        the discover stages of blocks ``b+1..b+k`` are in flight in worker
+        processes.  ``1`` is classic §VI-C pre-blocking.
+    max_workers:
+        Worker processes in the discover pool (``None`` = 1).  At most
+        ``depth`` discovers are submitted beyond the block being consumed,
+        so extra workers beyond ``depth`` idle; worker count can never
+        change results (asserted in the engine tests).
+    """
+
+    name: str = "process"
+    depth: int = 1
+    max_workers: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError("max_workers must be >= 1 (or None)")
+
+    def _lane(self, ctx: StageContext, tasks: list[BlockTask]):
+        return PoolLane(ctx, tasks, workers=self.max_workers or 1)
 
 
 def make_scheduler(name: str, **kwargs) -> Scheduler:
@@ -304,8 +298,6 @@ def make_scheduler(name: str, **kwargs) -> Scheduler:
     if name == "overlapped":
         return OverlappedScheduler(**kwargs)
     if name == "process":
-        from .process_executor import ProcessScheduler  # circular-import guard
-
         return ProcessScheduler(**kwargs)
     raise ValueError(
         f"unknown scheduler {name!r}; available: serial, overlapped, process"

@@ -27,15 +27,20 @@ its predecessor (asserted).  Schedulers decide *when* each stage of each
 task runs — the serial scheduler finishes a task before starting the next,
 the overlapped scheduler interleaves ``discover(b+1)`` with ``align(b)``.
 
-When the context carries a :class:`~repro.core.engine.cache.StageCache`,
-``discover`` first consults it: a hit replays the stored block — restoring
-the discover lane's ledger state, merging the stored SpGEMM stats, and
-turning the remaining stages into replays of the stored outputs — while the
-schedulers keep charging "spgemm"/"align"/overlap through their ordinary
-code paths, so a warm run stays bit-identical to the cold run that stored
-the entries.  A miss executes normally, captures the lane's post-block
-ledger snapshot, and stores the completed entry when ``accumulate``
-finishes the block.
+``discover`` is a pure function, :func:`discover` ``(ctx, task) ->``
+:class:`BlockResult`: it reads the block from the
+:class:`~repro.core.engine.cache.StageCache`, or runs SUMMA against a
+block-local :class:`~repro.mpi.costmodel.RecordingLedger`, and returns the
+block (or the entry), its sparse seconds, SpGEMM stats, wall seconds and
+ledger journal — touching nothing the run can see, so it runs alike on the
+calling thread or in a pool worker.  :func:`commit` is the one place a
+result reaches the run: schedulers call it in block order, and it replays
+the journal, merges the stats and the peak block size, registers the block
+with the accumulator, counts the cache hit or miss, and arms the store of a
+miss, which ``accumulate`` writes once the block is complete.  A hit then
+replays the stored outputs through the remaining stages while the
+schedulers charge "spgemm"/"align"/overlap through their ordinary code
+paths, so a warm run is bit-identical to the cold run that stored it.
 """
 
 from __future__ import annotations
@@ -47,16 +52,18 @@ import numpy as np
 from ...distsparse.blocked_summa import BlockedSpGemm, BlockSchedule, OutputBlock
 from ...metrics.timers import time_call
 from ...mpi.communicator import SimCommunicator
+from ...mpi.costmodel import RecordingLedger, replay_journal
 from ...obs import MetricsHub
 from ...trace import TraceRecorder, maybe_span
 from ...sparse.coo import CooMatrix
+from ...sparse.spgemm import SpGemmStats
 from ..align_phase import AlignmentPhase, BlockAlignmentOutput
 from ..costing import CostModel
 from ..filtering import drop_self_pairs, filter_common_kmers
 from ..load_balance import BlockKind, LoadBalancingScheme, classify_block
 from ..params import PastisParams
 from .accumulator import StreamingGraphAccumulator
-from .cache import LANE_COUNTERS, CachedBlock, StageCache, lane_time_categories
+from .cache import CachedBlock, StageCache
 
 
 @dataclass
@@ -109,6 +116,110 @@ class StageContext:
     #: optional metrics hub (None — the default — disables collection, with
     #: the same guard-on-None zero-cost contract as tracing)
     metrics: MetricsHub | None = None
+    #: run totals of the committed blocks (written by :func:`commit` only)
+    spgemm_stats: SpGemmStats = field(default_factory=SpGemmStats)
+    peak_block_bytes: int = 0
+
+
+@dataclass
+class BlockResult:
+    """What :func:`discover` hands to :func:`commit`."""
+
+    #: the computed block (None on a cache hit)
+    block: OutputBlock | None
+    #: the stored block being replayed (None on a miss)
+    entry: CachedBlock | None
+    sparse_seconds: np.ndarray
+    stats: SpGemmStats
+    candidates: int
+    block_bytes: int
+    wall_seconds: float
+    #: the block's ledger charges, in order (``RecordingLedger.events``)
+    journal: list[tuple[str, int, str, float]]
+
+
+def discover(ctx: StageContext, task: "BlockTask") -> BlockResult:
+    """Compute one block via SUMMA (or read it from the stage cache).
+
+    Charges nothing to the run and changes none of its totals (the engine
+    only memoizes the stripes it slices): SUMMA charges a fresh
+    :class:`~repro.mpi.costmodel.RecordingLedger`, swapped into both
+    ``comm.ledger`` and ``comm.collectives.ledger`` (they alias one object)
+    for the duration of the multiply.
+    """
+    coords = (task.block_row, task.block_col)
+    if ctx.cache is not None:
+        with maybe_span(ctx.trace, "cache_load", "cache", lane="discover", block=coords) as span:
+            entry = ctx.cache.load(coords)
+            span.set(hit=entry is not None)
+        if entry is not None:
+            return BlockResult(
+                block=None,
+                entry=entry,
+                sparse_seconds=entry.sparse_seconds_per_rank,
+                stats=entry.stats,
+                candidates=entry.candidates,
+                block_bytes=entry.block_bytes,
+                wall_seconds=entry.discover_wall_seconds,
+                journal=entry.journal,
+            )
+    comm = ctx.comm
+    ledgers = comm.ledger, comm.collectives.ledger
+    journal = comm.ledger = comm.collectives.ledger = RecordingLedger(comm.nranks)
+    try:
+        with maybe_span(ctx.trace, "discover", "stage", lane="discover", block=coords) as span:
+            block, wall_seconds = time_call(ctx.engine.compute_block, *coords)
+            span.set(nnz=block.nnz, flops=float(block.result.flops_per_rank.sum()))
+    finally:
+        comm.ledger, comm.collectives.ledger = ledgers
+    if ctx.params.clock == "modeled":
+        sparse_seconds = np.array(
+            [
+                ctx.cost_model.spgemm_seconds(f) + ctx.stripe_seconds
+                for f in block.result.flops_per_rank
+            ]
+        )
+    else:
+        sparse_seconds = np.asarray(block.result.compute_seconds_per_rank, dtype=float)
+    return BlockResult(
+        block=block,
+        entry=None,
+        sparse_seconds=sparse_seconds,
+        stats=block.stats,
+        candidates=block.nnz,
+        block_bytes=block.memory_bytes(),
+        wall_seconds=wall_seconds,
+        journal=journal.events,
+    )
+
+
+def commit(ctx: StageContext, task: "BlockTask", result: BlockResult) -> None:
+    """Apply one discover result to the run; schedulers call it in block order.
+
+    The single site where a ledger journal is replayed — a computed block's
+    and a cache hit's alike, on top of whatever the run charged before it.
+    """
+    hit = result.entry is not None
+    with maybe_span(
+        ctx.trace,
+        "cache_replay" if hit else "ledger_replay",
+        "cache" if hit else "replay",
+        lane="commit",
+        block=(task.block_row, task.block_col),
+    ) as span:
+        replay_journal(ctx.comm.ledger, result.journal)
+        span.set(events=len(result.journal))
+    ctx.spgemm_stats = ctx.spgemm_stats.merge(result.stats)
+    ctx.peak_block_bytes = max(ctx.peak_block_bytes, result.block_bytes)
+    ctx.accumulator.block_computed(result.block_bytes)
+    cache = ctx.cache
+    if cache is not None and cache.read:
+        if hit:
+            cache.hits += 1
+        else:
+            cache.misses += 1
+    task.result, task.block = result, result.block
+    task.store_pending = cache is not None and not hit
 
 
 @dataclass
@@ -117,95 +228,23 @@ class BlockTask:
 
     block_row: int
     block_col: int
+    #: the committed discover result
+    result: BlockResult | None = field(default=None, repr=False)
+    #: the computed block the prune stage reads (None on a cache hit)
     block: OutputBlock | None = field(default=None, repr=False)
-    sparse_seconds: np.ndarray | None = field(default=None, repr=False)
     candidates: list[CooMatrix] | None = field(default=None, repr=False)
     output: BlockAlignmentOutput | None = field(default=None, repr=False)
     record: BlockRecord | None = field(default=None, repr=False)
-    #: cache hit being replayed through the remaining stages (None on a miss)
-    cached: CachedBlock | None = field(default=None, repr=False)
-    #: post-discover ledger snapshot of a miss, pending store on completion
-    _capture: tuple | None = field(default=None, repr=False)
-    #: candidates discovered and bytes held by the block — set by discover,
-    #: its cache replay, or the process scheduler's parent-side admission
-    candidate_count: int = 0
-    block_bytes: int = 0
-    #: wall-clock seconds the discover stage took (whichever process ran it)
-    discover_wall_seconds: float = 0.0
+    #: a miss to store in the cache once ``accumulate`` completes it
+    store_pending: bool = False
 
     # ------------------------------------------------------------------ stages
-    def discover(self, ctx: StageContext) -> OutputBlock | None:
-        """Compute this block via SUMMA (or replay it from the stage cache)."""
-        assert self.block is None and self.cached is None, "discover ran twice"
-        cache = ctx.cache
-        coords = (self.block_row, self.block_col)
-        if cache is not None:
-            with maybe_span(
-                ctx.trace, "cache_load", "cache", lane="discover", block=coords
-            ) as span:
-                entry = cache.load(coords)
-                span.set(hit=entry is not None)
-            if entry is not None:
-                with maybe_span(
-                    ctx.trace, "cache_replay", "cache", lane="discover", block=coords
-                ):
-                    self._replay_discover(ctx, entry)
-                return None
-        with maybe_span(
-            ctx.trace, "discover", "stage", lane="discover", block=coords
-        ) as span:
-            block, self.discover_wall_seconds = time_call(
-                ctx.engine.compute_block, self.block_row, self.block_col
-            )
-            span.set(nnz=block.nnz, flops=float(block.result.flops_per_rank.sum()))
-        if ctx.params.clock == "modeled":
-            sparse_seconds = np.array(
-                [
-                    ctx.cost_model.spgemm_seconds(f) + ctx.stripe_seconds
-                    for f in block.result.flops_per_rank
-                ]
-            )
-        else:
-            sparse_seconds = np.asarray(block.result.compute_seconds_per_rank, dtype=float)
-        self.block = block
-        self.sparse_seconds = sparse_seconds
-        self.candidate_count = block.nnz
-        self.block_bytes = block.memory_bytes()
-        if cache is not None:
-            # absolute lane state *after* this block's discover: the entry
-            # restores (not re-adds) these vectors on replay, which is the
-            # only way the float sums stay bit-identical
-            times, counters = ctx.comm.ledger.snapshot(
-                lane_time_categories(ctx.engine.compute_category), LANE_COUNTERS
-            )
-            self._capture = (times, counters, block.stats)
-        ctx.accumulator.block_computed(self.block_bytes)
-        return block
-
-    def _replay_discover(self, ctx: StageContext, entry: CachedBlock) -> None:
-        """Reproduce every side effect the cold discover had, from the entry.
-
-        Schedulers run discovers in block order (the process scheduler
-        replays its workers' hits on the parent), so restores land in block
-        order exactly like the original charges did.
-        """
-        ctx.comm.ledger.restore(entry.ledger_times, entry.ledger_counters)
-        engine = ctx.engine
-        engine.total_stats = engine.total_stats.merge(entry.spgemm_stats())
-        engine.peak_block_bytes = max(engine.peak_block_bytes, entry.block_bytes)
-        self.cached = entry
-        self.sparse_seconds = entry.sparse_seconds_per_rank
-        self.candidate_count = entry.candidates
-        self.block_bytes = entry.block_bytes
-        self.discover_wall_seconds = entry.discover_wall_seconds
-        ctx.accumulator.block_computed(entry.block_bytes)
-
     def prune(self, ctx: StageContext) -> list[CooMatrix]:
         """Select the elements each rank will align."""
-        if self.cached is not None:
+        assert self.result is not None, "prune before commit"
+        if self.result.entry is not None:
             self.candidates = []
             return self.candidates
-        assert self.block is not None, "prune before discover"
         with maybe_span(
             ctx.trace, "prune", "stage", block=(self.block_row, self.block_col)
         ):
@@ -224,8 +263,8 @@ class BlockTask:
 
     def align(self, ctx: StageContext) -> BlockAlignmentOutput:
         """Align the pruned candidates (ledger charging deferred to the scheduler)."""
-        if self.cached is not None:
-            self.output = self.cached.alignment_output()
+        if self.result.entry is not None:
+            self.output = self.result.entry.alignment_output()
             return self.output
         assert self.candidates is not None, "align before prune"
         with maybe_span(
@@ -239,19 +278,19 @@ class BlockTask:
         """Stream edges out, snapshot the record, and discard the block.
 
         One path for computed and replayed blocks: the record is built from
-        what discover (or its replay) and align left on the task; ``kind``
-        is a pure function of the block's index ranges.  A miss is stored in
-        the cache here, once the block is complete.
+        the committed result and the align output; ``kind`` is a pure
+        function of the block's index ranges.  A miss is stored in the cache
+        here, once the block is complete.
         """
         assert self.output is not None, "accumulate before align"
+        result, output = self.result, self.output
         with maybe_span(
             ctx.trace,
             "accumulate",
             "stage",
             block=(self.block_row, self.block_col),
-            cached=self.cached is not None,
+            cached=result.entry is not None,
         ) as span:
-            output, block_bytes = self.output, self.block_bytes
             self.record = BlockRecord(
                 block_row=self.block_row,
                 block_col=self.block_col,
@@ -259,44 +298,39 @@ class BlockTask:
                     ctx.schedule.row_range(self.block_row),
                     ctx.schedule.col_range(self.block_col),
                 ),
-                candidates=self.candidate_count,
+                candidates=result.candidates,
                 aligned_pairs=output.pairs_aligned,
                 similar_pairs=int(output.edges.size),
-                sparse_seconds_per_rank=self.sparse_seconds,
+                sparse_seconds_per_rank=result.sparse_seconds,
                 align_seconds_per_rank=output.align_seconds_per_rank,
                 pairs_per_rank=output.pairs_aligned_per_rank,
                 cells_per_rank=output.cells_per_rank,
-                block_bytes=block_bytes,
+                block_bytes=result.block_bytes,
             )
             ctx.accumulator.consume(output.edges)
-            ctx.accumulator.block_discarded(block_bytes)
-            if self._capture is not None:
-                times, counters, stats = self._capture
+            ctx.accumulator.block_discarded(result.block_bytes)
+            if self.store_pending:
                 ctx.cache.store(
                     (self.block_row, self.block_col),
                     CachedBlock(
-                        candidates=self.candidate_count,
-                        block_bytes=block_bytes,
-                        sparse_seconds_per_rank=self.sparse_seconds,
+                        candidates=result.candidates,
+                        block_bytes=result.block_bytes,
+                        sparse_seconds_per_rank=result.sparse_seconds,
                         align_seconds_per_rank=output.align_seconds_per_rank,
                         pairs_per_rank=output.pairs_aligned_per_rank,
                         cells_per_rank=output.cells_per_rank,
                         edges=output.edges,
                         kernel_seconds=output.kernel_seconds,
                         measured_align_seconds=output.measured_seconds,
-                        discover_wall_seconds=self.discover_wall_seconds,
-                        stats_flops=stats.flops,
-                        stats_output_nnz=stats.output_nnz,
-                        stats_intermediate_bytes=stats.intermediate_bytes,
-                        stats_row_groups=stats.row_groups,
-                        ledger_times=times,
-                        ledger_counters=counters,
+                        discover_wall_seconds=result.wall_seconds,
+                        stats=result.stats,
+                        journal=result.journal,
                     ),
                 )
-                self._capture = None
+                self.store_pending = False
             span.set(edges=int(output.edges.size))
             # drop the bulky stage products; the record and the streamed edges
             # survive
-            self.block = None
+            self.block = result.block = None
             self.candidates = None
         return self.record

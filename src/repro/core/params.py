@@ -75,7 +75,7 @@ class PastisParams:
         ``pre_blocking`` and ``"serial"`` otherwise.  ``"process"`` is never
         derived: it runs the discover lane in worker *processes* with the
         block results shipped back through shared memory (see
-        :class:`~repro.core.engine.process_executor.ProcessScheduler`) and
+        :class:`~repro.core.engine.schedulers.ProcessScheduler`) and
         requires the ``fork`` start method (Linux/macOS-with-fork).
         Results are bit-identical across schedulers — the override selects
         an execution strategy, not a computation.

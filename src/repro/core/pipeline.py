@@ -469,9 +469,9 @@ class PastisPipeline:
             alignments_performed=outcome.alignments_performed,
             similar_pairs=graph.num_edges,
             alignment_cells=outcome.alignment_cells,
-            spgemm_flops=int(engine.total_stats.flops),
-            compression_factor=engine.total_stats.compression_factor,
-            peak_block_bytes=engine.peak_block_bytes,
+            spgemm_flops=int(ctx.spgemm_stats.flops),
+            compression_factor=ctx.spgemm_stats.compression_factor,
+            peak_block_bytes=ctx.peak_block_bytes,
             time_align=time_align_reported,
             time_spgemm=time_spgemm_reported,
             time_sparse_all=time_spgemm_reported + time_sparse_other,
@@ -490,7 +490,7 @@ class PastisPipeline:
                 "retained_block_bytes": float(accumulator.retained_block_bytes),
                 "peak_live_blocks": float(accumulator.peak_live_blocks),
                 "edge_buffer_bytes": float(accumulator.memory.peak("edge_buffer")),
-                "spgemm_row_groups": float(engine.total_stats.row_groups),
+                "spgemm_row_groups": float(ctx.spgemm_stats.row_groups),
                 # measured wall seconds of the top-level phases, backed by
                 # the TimerRegistry (a timing key: values vary run to run)
                 "phase_seconds": phases.summary(),
@@ -515,7 +515,7 @@ class PastisPipeline:
                 "modeled_seconds": cluster_seconds,
             }
         if hub is not None:
-            _feed_metrics(hub, phases, stage_cache, outcome, engine, accumulator)
+            _feed_metrics(hub, phases, stage_cache, outcome, ctx)
         if tracer is not None and params.trace_dir is not None:
             write_trace(tracer, params.trace_dir)
         if params.run_registry is not None:
@@ -560,7 +560,7 @@ class _RunState:
     scheduler: str | None = None
 
 
-def _feed_metrics(hub, phases, stage_cache, outcome, engine, accumulator) -> None:
+def _feed_metrics(hub, phases, stage_cache, outcome, ctx) -> None:
     """End-of-run ingestion of everything the hub can't see live:
     phase timers, cache counters, scheduler lane stats, peak memory.
     (Ledger seconds and SUMMA kernel records arrive live via the ledger
@@ -583,8 +583,8 @@ def _feed_metrics(hub, phases, stage_cache, outcome, engine, accumulator) -> Non
     for key in ("shm_peak_block_bytes", "shm_total_bytes"):
         if key in outcome.extras:
             hub.gauge_set(key, float(outcome.extras[key]))
-    hub.gauge_set("peak_block_bytes", float(engine.peak_block_bytes))
+    hub.gauge_set("peak_block_bytes", float(ctx.peak_block_bytes))
     hub.gauge_set(
-        "peak_live_block_bytes", float(accumulator.peak_live_block_bytes)
+        "peak_live_block_bytes", float(ctx.accumulator.peak_live_block_bytes)
     )
 

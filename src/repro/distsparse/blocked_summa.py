@@ -14,8 +14,10 @@ times — the communication trade-off quantified by the paper's cost formula
 
 :class:`BlockedSpGemm` exposes the blocks as a generator so the caller (the
 pipeline, possibly with pre-blocking) controls how many blocks are alive at
-any time; it also tracks the peak per-rank memory so the memory/blocking
-trade-off (Fig. 5) can be reported.
+any time; each block reports its own ``memory_bytes``, from which the
+memory/blocking trade-off (Fig. 5) is read.  The engine keeps no run totals:
+computing a block changes nothing but the stripe cache and the ledger SUMMA
+charges.
 
 The stripes are the paper's stored-once, re-traversed operands: each
 distinct ``A(r, *)`` / ``B(*, c)`` is sliced out of its operand the first
@@ -202,9 +204,6 @@ class BlockedSpGemm:
     batch_flops: int | None = None
     deferred_merge: bool = False
     collectives: object = None
-    peak_block_bytes: int = field(default=0, init=False)
-    total_stats: SpGemmStats = field(default_factory=SpGemmStats, init=False)
-    blocks_computed: int = field(default=0, init=False)
     #: stripes already sliced, by ("a", block_row) / ("b", block_col); the
     #: lock makes the get-or-slice atomic for threads sharing one engine
     #: (forked process-pool workers each inherit their own copy)
@@ -256,10 +255,6 @@ class BlockedSpGemm:
             deferred_merge=self.deferred_merge,
             collectives=self.collectives,
         )
-        self.blocks_computed += 1
-        self.total_stats = self.total_stats.merge(result.stats)
-        block_bytes = result.memory_bytes()
-        self.peak_block_bytes = max(self.peak_block_bytes, block_bytes)
         return OutputBlock(
             block_row=block_row,
             block_col=block_col,

@@ -238,10 +238,10 @@ class CostLedger:
     Thread safety: every mutation and read holds an internal lock, so
     threads sharing one ledger lose no updates.  The lock makes concurrent
     charging *safe*, not *ordered*: reproducible float sums need charges in
-    a deterministic order.  The engine gets that without threads — its
-    schedulers charge from one thread, and the process scheduler's workers
-    charge a private :class:`~repro.core.engine.process_executor.RecordingLedger`
-    whose journal the parent replays in block order.
+    a deterministic order.  The engine gets that without threads: a block's
+    discover charges a private :class:`RecordingLedger`, wherever it runs,
+    and the scheduler replays the journals onto the run's ledger in block
+    order (:func:`replay_journal`).
     """
 
     def __init__(self, nranks: int) -> None:
@@ -290,61 +290,6 @@ class CostLedger:
         arr = np.broadcast_to(np.asarray(amounts, dtype=np.float64), (self.nranks,))
         with self._lock:
             self._counters[counter] = self._counters[counter] + arr
-
-    # ------------------------------------------------------------------ snapshots
-    def snapshot(
-        self, categories: tuple[str, ...], counters: tuple[str, ...] = ()
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Copy the absolute per-rank vectors of the named categories/counters.
-
-        One consistent cut under the lock, for replay-style consumers (the
-        stage cache records the ledger state a completed block left behind).
-        """
-        with self._lock:
-            times = {cat: self._time[cat].copy() for cat in categories}
-            counts = {cnt: self._counters[cnt].copy() for cnt in counters}
-        return times, counts
-
-    def restore(
-        self,
-        times: dict[str, np.ndarray],
-        counters: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        """Overwrite the named categories/counters with absolute per-rank vectors.
-
-        The inverse of :meth:`snapshot`: replaying a cached block *sets* the
-        lane's categories to the values the original execution left, rather
-        than re-adding per-block deltas — floating-point addition does not
-        round-trip through subtraction (``S0 + (S1 - S0) != S1`` in
-        general), so only absolute restoration keeps a warm run bit-identical
-        to the cold run that populated the cache.  Categories not named are
-        untouched, which is what makes a restore safe while other threads
-        charge disjoint categories.
-        """
-        with self._lock:
-            for cat, values in times.items():
-                arr = np.asarray(values, dtype=np.float64)
-                if arr.shape != (self.nranks,):
-                    raise ValueError(
-                        f"restore of category {cat!r} needs shape ({self.nranks},), "
-                        f"got {arr.shape}"
-                    )
-                self._time[cat] = arr.copy()
-            if self.trace is not None:
-                # a restore *sets* the lane's categories (cache replay), so
-                # the trace counter must follow absolutely, not additively
-                for cat in times:
-                    self.trace.set_value(
-                        "ledger." + cat, float(np.asarray(times[cat]).sum())
-                    )
-            for cnt, values in (counters or {}).items():
-                arr = np.asarray(values, dtype=np.float64)
-                if arr.shape != (self.nranks,):
-                    raise ValueError(
-                        f"restore of counter {cnt!r} needs shape ({self.nranks},), "
-                        f"got {arr.shape}"
-                    )
-                self._counters[cnt] = arr.copy()
 
     # ------------------------------------------------------------------ queries
     def per_rank(self, category: str) -> np.ndarray:
@@ -434,3 +379,51 @@ class CostLedger:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CostLedger(nranks={self.nranks}, categories={self.categories()})"
+
+
+class RecordingLedger(CostLedger):
+    """A :class:`CostLedger` that journals every mutation, in call order.
+
+    Charges and counts apply to this (fresh, zero-initialized) ledger as
+    usual — ``summa`` reads ``per_rank`` of the comm category to derive its
+    comm delta, so reads keep working — and each is appended to
+    :attr:`events` as ``(kind, rank, name, value)``, ``kind`` being
+    ``"charge"`` or ``"count"``.  A whole-grid ``charge_all``/``count_all``
+    is journaled rank by rank: adding a vector is the same IEEE addition on
+    every rank.  Every event is a plain ``+=`` of the recorded value, so
+    journals replayed (:func:`replay_journal`) in the order their blocks
+    were computed leave the same float sums as charging directly.
+    """
+
+    def __init__(self, nranks: int) -> None:
+        super().__init__(nranks)
+        self.events: list[tuple[str, int, str, float]] = []
+
+    def charge(self, rank: int, category: str, seconds: float) -> None:
+        super().charge(rank, category, seconds)
+        self.events.append(("charge", int(rank), category, float(seconds)))
+
+    def charge_all(self, category: str, seconds: float | np.ndarray) -> None:
+        super().charge_all(category, seconds)
+        self._journal_all("charge", category, seconds)
+
+    def count(self, rank: int, counter: str, amount: float = 1.0) -> None:
+        super().count(rank, counter, amount)
+        self.events.append(("count", int(rank), counter, float(amount)))
+
+    def count_all(self, counter: str, amounts: np.ndarray | float) -> None:
+        super().count_all(counter, amounts)
+        self._journal_all("count", counter, amounts)
+
+    def _journal_all(self, kind: str, name: str, values) -> None:
+        per_rank = np.broadcast_to(np.asarray(values, dtype=np.float64), (self.nranks,))
+        self.events.extend((kind, rank, name, float(v)) for rank, v in enumerate(per_rank))
+
+
+def replay_journal(ledger: CostLedger, events) -> None:
+    """Apply a :class:`RecordingLedger` journal to ``ledger``, in order."""
+    for kind, rank, name, value in events:
+        if kind == "charge":
+            ledger.charge(rank, name, value)
+        else:
+            ledger.count(rank, name, value)

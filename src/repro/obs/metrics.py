@@ -15,8 +15,9 @@ Design constraints, in order:
 * **near-zero cost when off** — instrumented code guards on
   ``current_metrics() is not None`` (one global read); no hub, no cost.
 * **process-safe** — forked discover workers record into a fresh
-  journaling hub whose events ride the block header home, where the
-  parent merges them in block order (the ``RecordingLedger`` pattern).
+  journaling hub whose events ride the block's result home, where the
+  parent merges them in block order (as it commits the block's
+  ``RecordingLedger`` journal).
 
 This module depends only on the standard library so low-level code
 (``repro.sparse.kernels``, ``repro.distsparse.summa``) can import it
@@ -158,7 +159,7 @@ class MetricsHub:
 
     def set_value(self, name: str, value: float) -> None:
         if name.startswith("ledger."):
-            # cache replay restores absolute per-category sums
+            # an absolute per-category sum overwrites the counter
             key = ("ledger_seconds", _labels_key({"category": name[7:]}))
             with self._lock:
                 self._counters[key] = float(value)

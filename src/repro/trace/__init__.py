@@ -21,13 +21,13 @@ sites guard on ``ctx.trace is None`` (or the no-op handle from
 and every deterministic ledger category are bit-identical with tracing
 on (asserted in ``tests/test_trace.py``).
 
-All three schedulers emit through one recorder: Serial and Overlapped
-record directly;
-:class:`~repro.core.engine.process_executor.ProcessScheduler` adds
-``admission_wait`` spans from the parent's submit window, and its workers
-journal spans into the per-block result header — the same pattern as
-their ``RecordingLedger`` ledger journal — and the parent merges them in
-block order with the worker's pid attribution intact.
+All three schedulers emit through one recorder: the inline discover lane
+records directly;
+:class:`~repro.core.engine.schedulers.ProcessScheduler` adds
+``admission_wait`` spans from the parent's submit window, and its pool
+workers journal spans into the block's result — next to the block's
+``repro.mpi.costmodel.RecordingLedger`` journal — which the parent merges
+in block order with the worker's pid attribution intact.
 
 Deep sites without a :class:`~repro.core.engine.stages.StageContext`
 (the SUMMA stage loop, Markov clustering) find the recorder through the

@@ -19,9 +19,9 @@ A :class:`TraceRecorder` collects two kinds of events:
 Timestamps are ``time.perf_counter()`` seconds.  On Linux that clock is
 ``CLOCK_MONOTONIC`` — system-wide, not per-process — so a recorder
 *epoch* taken in the parent is a valid origin for spans recorded in
-forked worker processes: :class:`ProcessScheduler` workers build a fresh
-recorder sharing the parent's epoch, journal their spans alongside the
-existing per-block ledger journal, and the parent merges them with the
+forked worker processes: the process scheduler's pool workers build a
+fresh recorder sharing the parent's epoch, ship their spans home with the
+block's result and ledger journal, and the parent merges them with the
 worker's ``pid`` already baked in (see
 :mod:`repro.core.engine.process_executor`).
 
@@ -194,7 +194,7 @@ class TraceRecorder:
             self._cumulative[name] = self._cumulative.get(name, 0.0) + delta
 
     def set_value(self, name: str, value: float) -> None:
-        """Overwrite a cumulative counter (cache replay restores absolutes)."""
+        """Overwrite a cumulative counter (a gauge such as shm bytes)."""
         with self._lock:
             self._cumulative[name] = float(value)
 

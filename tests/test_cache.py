@@ -4,8 +4,8 @@ The cache invariant under test: **a cache hit is bit-identical to
 recomputation**.  A warm run (every block replayed from disk) must produce
 the same records, edges, statistics and per-rank ledger state as the cold
 run that populated the cache — across all three schedulers — because an
-entry stores the block's outputs *and* the absolute post-discover ledger
-vectors of the discover lane, which replay restores instead of re-deriving.
+entry stores the block's outputs *and* its discover's ledger journal, which
+a hit replays through the same ordered commit as a computed block.
 
 Also covered: every ingredient of the content-hash key invalidates
 (parameters, input sequences, kernel/schema version), corrupt entries
@@ -25,6 +25,7 @@ from repro.core.engine.stages import BlockTask
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockedSpGemm
+from repro.mpi.costmodel import CostLedger, replay_journal
 from repro.sequences.synthetic import synthetic_dataset
 
 #: Per-rank ledger time categories that are deterministic on the modeled
@@ -52,7 +53,7 @@ PROCESS_STATS_KEYS = frozenset(
     {"process_lanes", "shm_peak_block_bytes", "shm_total_bytes"}
 )
 #: Measured wall-time aggregates: identical between cold and warm runs of
-#: the *same* cache (replay restores the stored seconds) but not between
+#: the *same* cache (a hit replays the stored seconds) but not between
 #: independent executions — skipped when comparing against an uncached
 #: reference or when part of the run was recomputed.
 MEASURED_STATS_KEYS = frozenset({"measured_align_seconds", "measured_discover_seconds"})
@@ -135,7 +136,7 @@ def test_warm_run_bit_identical_to_cold(tmp_path, tiny_seqs, overrides, skip_sta
     assert cold.stats.extras["cache"] == {"hits": 0, "misses": 4, "stores": 4}
     assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
     # the full-ledger contract includes the measured discover-lane category:
-    # warm replay *restores* the cold run's absolute spgemm_measured vectors
+    # warm replay re-adds the cold run's journaled spgemm_measured charges
     assert_results_identical(
         cold, warm,
         skip_stats=skip_stats,
@@ -150,7 +151,7 @@ def test_warm_run_matches_uncached_reference(tmp_path, tiny_seqs):
     PastisPipeline(params).run(tiny_seqs)
     warm = PastisPipeline(params).run(tiny_seqs, resume=True)
     # spgemm_measured / measured_* are real wall time — deterministic only
-    # *through* the cache (restore), not between independent executions
+    # *through* the cache (replay), not between independent executions
     assert_results_identical(reference, warm, skip_stats=MEASURED_STATS_KEYS)
 
 
@@ -172,19 +173,56 @@ def test_measured_clock_stage_categories_replay(tmp_path, tiny_seqs):
     assert np.array_equal(cold.similarity_graph.edges, warm.similarity_graph.edges)
 
 
-def test_entries_shared_across_schedulers(tmp_path, tiny_seqs):
-    """Cache keys exclude scheduler knobs: a serial-written cache warms a
-    depth-2 overlapped run, whose results equal a cold depth-2 reference."""
+OVERLAPPED_DEPTH2 = {"pre_blocking": True, "preblock_depth": 2}
+PROCESS_DEPTH2 = {"pre_blocking": True, "scheduler": "process", "preblock_depth": 2,
+                  "preblock_workers": 2}
+
+
+@pytest.mark.parametrize(
+    "writer, reader",
+    [
+        pytest.param({}, OVERLAPPED_DEPTH2, id="serial-writes-overlapped-reads"),
+        pytest.param(PROCESS_DEPTH2, {}, id="process-writes-serial-reads"),
+        pytest.param({}, PROCESS_DEPTH2, id="serial-writes-process-reads"),
+    ],
+)
+def test_entries_shared_across_schedulers(tmp_path, tiny_seqs, writer, reader):
+    """Cache keys exclude scheduler knobs: a cache one scheduler wrote warms
+    another, whose results equal a cold uncached run of the reader."""
     params = _params(tmp_path)
-    overlapped = dict(pre_blocking=True, preblock_depth=2)
-    reference = PastisPipeline(
-        params.replace(cache_dir=None, **overlapped)
-    ).run(tiny_seqs)
-    PastisPipeline(params).run(tiny_seqs)  # serial cold run populates
-    warm = PastisPipeline(params.replace(**overlapped)).run(tiny_seqs, resume=True)
+    reference = PastisPipeline(params.replace(cache_dir=None, **reader)).run(tiny_seqs)
+    PastisPipeline(params.replace(**writer)).run(tiny_seqs)  # cold run populates
+    warm = PastisPipeline(params.replace(**reader)).run(tiny_seqs, resume=True)
     assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
     assert_results_identical(
-        reference, warm, skip_stats=CONCURRENCY_STATS_KEYS | MEASURED_STATS_KEYS
+        reference, warm,
+        skip_stats=CONCURRENCY_STATS_KEYS | MEASURED_STATS_KEYS | PROCESS_STATS_KEYS,
+    )
+
+
+def test_hit_adds_its_stored_journal_to_what_the_run_charged_before(tmp_path, tiny_seqs):
+    """A hit replays its stored charges on top of the run so far.  With the
+    first block's entry deleted, a measured-clock resume recomputes block 0;
+    its spgemm_measured is then the fresh block-0 charges plus the other
+    blocks' stored journals, replayed in block order."""
+    params = _params(tmp_path, clock="measured")
+    cold = PastisPipeline(params).run(tiny_seqs)
+
+    def entry_path(record):
+        pattern = f"run-*/block-r{record.block_row}-c{record.block_col}-*.npz"
+        (path,) = (tmp_path / "cache").glob(pattern)
+        return path
+
+    entry_path(cold.block_records[0]).unlink()
+    warm = PastisPipeline(params).run(tiny_seqs, resume=True)
+    assert warm.stats.extras["cache"] == {"hits": 3, "misses": 1, "stores": 1}
+    # block 0's new entry holds the fresh charges; the others the cold ones
+    expected = CostLedger(params.nodes)
+    for record in warm.block_records:
+        entry = cache_mod.CachedBlock.from_bytes(entry_path(record).read_bytes(), params.nodes)
+        replay_journal(expected, entry.journal)
+    assert np.array_equal(
+        warm.ledger.per_rank("spgemm_measured"), expected.per_rank("spgemm_measured")
     )
 
 
@@ -254,22 +292,20 @@ def test_entries_keyed_before_the_threshold_removal_do_not_match(tmp_path, tiny_
     assert rerun.stats.extras["cache"]["hits"] == 0
 
 
-def test_entries_stored_before_count_only_discovery_do_not_match(tmp_path, tiny_seqs, monkeypatch):
-    """Schema 5: discovery stores shared-k-mer counts (24 B per candidate)
-    instead of overlap records (36 B), so the ``block_bytes`` of a schema 4
-    entry means something else — a cache written under "4" is never read."""
+def test_entries_stored_before_journaled_commit_do_not_match(tmp_path, tiny_seqs, monkeypatch):
+    """Schema 6: an entry stores its discover's ledger journal instead of the
+    absolute post-block ledger vectors of schema 5, so keys written under
+    "5" differ and a cache written under "5" is never read."""
     params = _params(tmp_path)
-    assert cache_mod.CACHE_VERSION == "5"
+    assert cache_mod.CACHE_VERSION == "6"
     current_key = cache_mod.run_cache_key(params, tiny_seqs)
-    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "4")
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "5")
     assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
     old = PastisPipeline(params).run(tiny_seqs)
     monkeypatch.undo()
     rerun = PastisPipeline(params).run(tiny_seqs)
     assert rerun.stats.extras["cache"]["hits"] == 0
     assert rerun.stats.extras["cache"]["stores"] == old.stats.extras["cache"]["stores"] > 0
-    # and the entries are the counts-only blocks: 8 + 8 + 8 bytes a candidate
-    assert all(r.block_bytes == 24 * r.candidates for r in rerun.block_records)
 
 
 def test_cache_invalidate_forces_recompute(tmp_path, tiny_seqs):

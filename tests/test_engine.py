@@ -717,6 +717,22 @@ def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatc
     assert glob.glob("/dev/shm/repro-psched-*") == []
 
 
+def test_process_scheduler_refuses_a_platform_without_fork(
+    small_seqs, fast_params, monkeypatch
+):
+    """Without the ``fork`` start method the process lane cannot inherit the
+    run state: the run fails with an error that names the alternative."""
+    from repro.core.engine import process_executor
+
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(process_executor, "get_context", no_fork)
+    params = fast_params.replace(num_blocks=4, pre_blocking=True, scheduler="process")
+    with pytest.raises(RuntimeError, match="scheduler='overlapped'"):
+        PastisPipeline(params).run(small_seqs)
+
+
 def test_pipeline_scheduler_selection(small_seqs, fast_params):
     """No pre-blocking -> serial; pre-blocking -> overlapped at the
     configured depth, with the paper's contention only at depth 1 on the
