@@ -2,9 +2,9 @@
 
 :class:`~repro.core.engine.schedulers.ProcessScheduler` is the one
 scheduler with real concurrency: it runs the discover lane in worker
-processes with shared-memory block transport, so discovers overlap the
-aligner and each other, at the cost of fork + shm-mapping overhead per
-block.  (The ``"overlapped"`` scheduler runs the same schedule on one
+processes, each result sent back through the pool's pipe, so discovers
+overlap the aligner and each other, at the cost of fork + a pickle round
+trip per block.  (The ``"overlapped"`` scheduler runs the same schedule on one
 thread; its overlap exists only on the per-rank clock.)
 
 The sweep crosses speculative depth x discover workers on the default
@@ -19,8 +19,6 @@ Reported per row:
   asserted (see ``_smoke``).
 * ``schedule_speedup`` — the depth-k overlap algebra on the measured
   per-rank stage seconds: how much of the discover lane the schedule hid.
-* ``shm_peak_block_bytes`` / ``shm_total_bytes`` — the shared-memory
-  transport footprint surfaced by the executor.
 
 Writes ``benchmarks/results/BENCH_process_pool.json``; CI runs ``--smoke``
 and uploads the JSON as a workflow artifact.
@@ -119,8 +117,6 @@ def run_pool_sweep(depths=DEPTHS, workers=WORKERS, repeats: int = 2, workload=WO
                     "wall_speedup": serial["phase_seconds"] / best,
                     "schedule_speedup": _schedule_speedup(result),
                     "peak_live_blocks": result.stats.extras["peak_live_blocks"],
-                    "shm_peak_block_bytes": result.stats.extras["shm_peak_block_bytes"],
-                    "shm_total_bytes": result.stats.extras["shm_total_bytes"],
                 }
             )
 
@@ -152,7 +148,7 @@ def _print_report(out: dict) -> None:
     print(f"{out['usable_cpus']} usable CPUs")
     header = (
         f"{'depth':>5} {'workers':>7} {'phase s':>8} "
-        f"{'wall x':>7} {'sched x':>8} {'shm peak':>10}"
+        f"{'wall x':>7} {'sched x':>8}"
     )
     print(header)
     print("-" * len(header))
@@ -160,7 +156,7 @@ def _print_report(out: dict) -> None:
         print(
             f"{row['depth']:>5} {row['workers']:>7} "
             f"{row['phase_seconds']:>8.2f} {row['wall_speedup']:>7.2f} "
-            f"{row['schedule_speedup']:>8.2f} {row['shm_peak_block_bytes']:>10.0f}"
+            f"{row['schedule_speedup']:>8.2f}"
         )
     best = out["best_config"]
     print(
@@ -178,8 +174,6 @@ def _assert_invariants(out: dict) -> None:
         assert row["schedule_speedup"] > 1.0, (
             f"{label}: the executed schedule hid nothing"
         )
-        # shm transport actually carried the blocks
-        assert row["shm_total_bytes"] >= row["shm_peak_block_bytes"] > 0, label
 
 
 def test_process_pool_benchmark(benchmark):
@@ -206,7 +200,7 @@ def _smoke() -> None:
     # The wall speed-up is reported, not asserted: with hypersparse SpGEMM
     # operands the serial discover lane of this workload is a few percent of
     # the phase, so there is little for worker processes to hide and their
-    # fork + shm cost shows (ROADMAP item 6 holds the numbers).  The floor
+    # fork + pickle cost shows (ROADMAP item 6 holds the numbers).  The floor
     # only guards against a pathological regression (deadlock-adjacent
     # stalls, per-block fork storms); the real gates are bit-identity and
     # the schedule invariants above.

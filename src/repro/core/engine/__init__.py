@@ -33,9 +33,8 @@ stages, executed by pluggable schedulers:
   worker processes);
 * :mod:`repro.core.engine.process_executor` — that pool lane, the one lane
   with real concurrency: forked workers run the same pure ``discover`` and
-  ship the block's COO arrays back zero-copy through
-  ``multiprocessing.shared_memory`` segments, the rest of the result
-  (stats, timings, ledger journal) over the pipe;
+  send the whole result (the block's COO arrays, stats, timings, ledger
+  journal) back through the pool's pipe;
 * :mod:`repro.core.engine.cache` — the content-hashed :class:`StageCache`,
   the engine's analogue of the synpp/pisa declare-then-decide pipeline
   design: stages *declare* what they depend on (the canonicalized parameter
@@ -71,8 +70,8 @@ the pipeline builds the task list and hands it over.
   on the modeled clock it charges the paper's contention multipliers
   (paper-faithful Table-I numbers); otherwise it charges raw seconds.
 * ``"process"`` — the same schedule with discover workers in *processes*
-  (shared-memory block transport), the only scheduler that runs two
-  discovers at once.  Costs fork + shm-mapping overhead per block, so it
+  (results through the pool's pipe), the only scheduler that runs two
+  discovers at once.  Costs fork + a pickle round trip per block, so it
   pays only when blocks are large enough to amortize it (see
   ``benchmarks/bench_process_pool.py``).  Requires the ``fork`` start
   method; ``preblock_workers`` sizes its pool.
@@ -95,10 +94,9 @@ the mechanisms above —
   live-block memory bound) before submitting a block;
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
   stages inside one discover's 2D SUMMA;
-* ``transport``/``replay`` spans (``shm_ship``/``ledger_replay``) — the
-  pool lane's shared-memory shipping and the commit of a computed block;
-* counter series (live blocks, ``ledger.<category>`` totals, shm bytes,
-  cache hits) are sampled once per block at the accumulate boundary.
+* ``replay`` spans (``ledger_replay``) — the commit of a computed block;
+* counter series (live blocks, ``ledger.<category>`` totals, cache hits)
+  are sampled once per block at the accumulate boundary.
 
 The inline lane records directly into the run's recorder; pool workers
 journal spans into their result (the same pattern as the ledger journal)

@@ -75,7 +75,7 @@ class ScheduleOutcome:
     measured_align_seconds: float = 0.0
     measured_discover_seconds: float = 0.0
     #: scheduler-specific report entries merged into ``stats.extras`` by the
-    #: pipeline (e.g. the process executor's per-lane timings and shm bytes)
+    #: pipeline (e.g. the process executor's per-lane timings)
     extras: dict = field(default_factory=dict)
 
     @property
@@ -113,9 +113,6 @@ class InlineLane:
             task = self.tasks[self.issued]
             self.issued += 1
             yield task, discover(self.ctx, task)
-
-    def release(self, index: int) -> None:
-        """Nothing to free: an inline block lives on its task."""
 
 
 class Scheduler:
@@ -188,7 +185,6 @@ class Scheduler:
                     outcome.records.append(record)
                     outcome.kernel_seconds += output.kernel_seconds
                     outcome.measured_align_seconds += output.measured_seconds
-                    lane.release(index)
         if depth:
             timeline.combined_per_rank = np.zeros(ctx.comm.size)
             OverlapWindow(

@@ -74,7 +74,7 @@ class PastisParams:
         ``"process"``); ``None`` (default) derives ``"overlapped"`` from
         ``pre_blocking`` and ``"serial"`` otherwise.  ``"process"`` is never
         derived: it runs the discover lane in worker *processes* with the
-        block results shipped back through shared memory (see
+        block results sent back through the pool's pipe (see
         :class:`~repro.core.engine.schedulers.ProcessScheduler`) and
         requires the ``fork`` start method (Linux/macOS-with-fork).
         Results are bit-identical across schedulers — the override selects

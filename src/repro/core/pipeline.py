@@ -496,7 +496,7 @@ class PastisPipeline:
                 "phase_seconds": phases.summary(),
             },
         )
-        # scheduler-specific report entries (process-lane timings, shm bytes)
+        # scheduler-specific report entries (process-lane timings)
         stats.extras.update(outcome.extras)
         if query_mode:
             stats.extras["query"] = {
@@ -580,9 +580,6 @@ def _feed_metrics(hub, phases, stage_cache, outcome, ctx) -> None:
             float(lane.get("discover_seconds", 0.0)),
             pid=str(pid),
         )
-    for key in ("shm_peak_block_bytes", "shm_total_bytes"):
-        if key in outcome.extras:
-            hub.gauge_set(key, float(outcome.extras[key]))
     hub.gauge_set("peak_block_bytes", float(ctx.peak_block_bytes))
     hub.gauge_set(
         "peak_live_block_bytes", float(ctx.accumulator.peak_live_block_bytes)

@@ -188,10 +188,4 @@ class SearchStats:
                     f"  Worker {pid:<12}           {int(lane.get('blocks', 0)):,} blocks, "
                     f"{float(lane.get('discover_seconds', 0.0)):.3f} s discover"
                 )
-            peak = self.extras.get("shm_peak_block_bytes")
-            total = self.extras.get("shm_total_bytes")
-            if peak is not None and total is not None:
-                lines.append(
-                    f"  Shm peak block / total        {int(peak):,} B / {int(total):,} B"
-                )
         return "\n".join(lines)

@@ -35,7 +35,6 @@ however many SUMMA stages and output blocks broadcast it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -204,14 +203,10 @@ class BlockedSpGemm:
     batch_flops: int | None = None
     deferred_merge: bool = False
     collectives: object = None
-    #: stripes already sliced, by ("a", block_row) / ("b", block_col); the
-    #: lock makes the get-or-slice atomic for threads sharing one engine
+    #: stripes already sliced, by ("a", block_row) / ("b", block_col)
     #: (forked process-pool workers each inherit their own copy)
     _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
         default_factory=dict, init=False, repr=False
-    )
-    _stripes_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -222,10 +217,9 @@ class BlockedSpGemm:
 
     # ------------------------------------------------------------------ stripes
     def _stripe(self, key: tuple[str, int], slice_operand) -> DistSparseMatrix:
-        with self._stripes_lock:
-            if key not in self._stripes:
-                self._stripes[key] = slice_operand()
-            return self._stripes[key]
+        if key not in self._stripes:
+            self._stripes[key] = slice_operand()
+        return self._stripes[key]
 
     def row_stripe(self, block_row: int) -> DistSparseMatrix:
         """``A(r, *)`` for block row ``r``, sliced once per run."""

@@ -39,11 +39,10 @@ def run_report(stats: SearchStats, extra: dict[str, Any] | None = None) -> dict[
     is hoisted to flat ``process_lane_count`` / ``process_lane_blocks`` /
     ``process_lane_discover_seconds`` keys (worker count, total blocks they
     computed, total discover-lane seconds), so scheduler comparisons diff on
-    scalars; ``shm_peak_block_bytes`` / ``shm_total_bytes`` /
-    ``peak_live_blocks`` already arrive flat through the extras merge.  The
-    phase-timer map (``extras["phase_seconds"]``) is hoisted the same way,
-    to flat ``phase_<name>_seconds`` keys, which is also what makes phase
-    times visible to ``python -m repro.obs regress`` over saved reports.
+    scalars; ``peak_live_blocks`` already arrives flat through the extras
+    merge.  The phase-timer map (``extras["phase_seconds"]``) is hoisted the
+    same way, to flat ``phase_<name>_seconds`` keys, which is also what makes
+    phase times visible to ``python -m repro.obs regress`` over saved reports.
     Query-mode runs (``extras["query"]``, see :mod:`repro.serve`) hoist to
     flat ``query_*`` keys (``query_n_queries`` / ``query_members`` /
     ``query_novel`` / ``query_db_sequences``) for the same reason.

@@ -8,8 +8,8 @@ attrs)`` — for every stage of every block (discover / prune / align /
 accumulate), cache loads and replays, SUMMA broadcast stages, the
 process scheduler's admissions and ledger replays, MCL iterations and
 top-level pipeline phases, plus
-**counter series** (live blocks, ledger category totals, shm bytes,
-cache hits) sampled at block boundaries.
+**counter series** (live blocks, ledger category totals, cache hits)
+sampled at block boundaries.
 
 Enable it per run with ``PastisParams.trace=True`` (recorder attached to
 ``SearchResult.trace``) and/or ``PastisParams.trace_dir="..."`` (the

@@ -194,7 +194,7 @@ class TraceRecorder:
             self._cumulative[name] = self._cumulative.get(name, 0.0) + delta
 
     def set_value(self, name: str, value: float) -> None:
-        """Overwrite a cumulative counter (a gauge such as shm bytes)."""
+        """Overwrite a cumulative counter (a gauge)."""
         with self._lock:
             self._cumulative[name] = float(value)
 

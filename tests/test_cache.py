@@ -47,11 +47,8 @@ LEDGER_COUNTERS = (
 #: TIMING_AND_MEMORY_KEYS excludes from scheduler comparisons.
 NONDETERMINISTIC_STATS_KEYS = frozenset({"wall_seconds", "cache", "phase_seconds"})
 CONCURRENCY_STATS_KEYS = frozenset({"peak_live_blocks", "peak_live_block_bytes"})
-#: Process-scheduler-only extras: worker pids differ run to run, and a warm
-#: run ships cache entries over the pipe instead of shm segments.
-PROCESS_STATS_KEYS = frozenset(
-    {"process_lanes", "shm_peak_block_bytes", "shm_total_bytes"}
-)
+#: Process-scheduler-only extras: worker pids differ run to run.
+PROCESS_STATS_KEYS = frozenset({"process_lanes"})
 #: Measured wall-time aggregates: identical between cold and warm runs of
 #: the *same* cache (a hit replays the stored seconds) but not between
 #: independent executions — skipped when comparing against an uncached

@@ -514,15 +514,13 @@ def test_explicit_overlapped_honours_depth_above_one(threaded_serial_baseline):
 
 # ---------------------------------------------------------------- process executor
 #: SearchStats extras only the process scheduler reports (per-lane process
-#: timings and shared-memory transport bytes) — excluded from cross-scheduler
-#: stats-identity comparisons, asserted separately below.
-PROCESS_EXTRAS_KEYS = frozenset(
-    {"process_lanes", "shm_peak_block_bytes", "shm_total_bytes"}
-)
+#: timings) — excluded from cross-scheduler stats-identity comparisons,
+#: asserted separately below.
+PROCESS_EXTRAS_KEYS = frozenset({"process_lanes"})
 
 
 # acceptance: bit-identical records/edges/stats/ledger across depth {1, 2, 4}
-# x worker processes {1, 2, 4} — fork, shm transport and parent-ordered
+# x worker processes {1, 2, 4} — fork, the pool's pipe and parent-ordered
 # replay may move work across processes, never change results
 @pytest.mark.parametrize("depth", [1, 2, 4])
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -558,11 +556,6 @@ def test_process_scheduler_bit_identical_to_serial(
     lanes = process.stats.extras["process_lanes"]
     assert sum(lane["blocks"] for lane in lanes.values()) == 6
     assert len(lanes) <= workers
-    assert process.stats.extras["shm_peak_block_bytes"] > 0
-    assert (
-        process.stats.extras["shm_total_bytes"]
-        >= process.stats.extras["shm_peak_block_bytes"]
-    )
 
 
 def test_process_scheduler_clock_identity_and_report(threaded_serial_baseline):
@@ -623,13 +616,9 @@ def test_process_scheduler_measured_clock_same_results(threaded_serial_baseline)
     )
 
 
-def test_process_worker_death_fails_fast_and_sweeps_shm(
-    small_seqs, fast_params, monkeypatch
-):
-    """Satellite acceptance: SIGKILL a discover worker mid-block; the run must
-    surface a clear error promptly (no deadlock on the broken pool) and leave
-    no shared-memory segment behind in /dev/shm."""
-    import glob
+def test_process_worker_death_fails_fast(small_seqs, fast_params, monkeypatch):
+    """SIGKILL a discover worker mid-block; the run must surface a clear
+    error promptly (no deadlock on the broken pool)."""
     import os
     import signal
     import threading
@@ -670,31 +659,33 @@ def test_process_worker_death_fails_fast_and_sweeps_shm(
     assert len(outcome) == 1
     assert isinstance(outcome[0], RuntimeError)
     assert "discover worker died" in str(outcome[0])
-    # teardown hygiene: every segment the run created (or could have) is gone
-    assert glob.glob("/dev/shm/repro-psched-*") == []
 
 
-def test_sweep_unlinks_zero_length_segment():
-    """A worker killed between creating its segment and sizing it leaves a
-    zero-length ``/dev/shm`` file that cannot be mapped; the teardown sweep
-    must unlink it by name instead of raising over the run's own error."""
-    import os
+def test_process_run_creates_no_shared_memory_segment(
+    threaded_serial_baseline, monkeypatch
+):
+    """Block results travel through the pool's pipe: a run that could not
+    create a shared-memory segment (forked workers inherit the patch) still
+    matches serial."""
     from multiprocessing import shared_memory
 
-    from repro.core.engine.process_executor import _segment_name, _sweep_segments
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run created a shared-memory segment")
 
-    name = _segment_name("deadbeef", 0)
-    path = os.path.join("/dev/shm", name)
-    posixshmem = shared_memory._posixshmem
-    fd = posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
-    os.close(fd)
-    try:
-        assert os.path.getsize(path) == 0
-        _sweep_segments("deadbeef", 2)
-        assert not os.path.exists(path)
-    finally:
-        if os.path.exists(path):
-            posixshmem.shm_unlink("/" + name)
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    seqs, serial = threaded_serial_baseline
+    process = _run(
+        seqs,
+        num_blocks=6,
+        pre_blocking=True,
+        preblock_depth=2,
+        preblock_workers=2,
+        scheduler="process",
+    )
+    assert process.scheduler == "process"
+    assert np.array_equal(
+        serial.similarity_graph.edges, process.similarity_graph.edges
+    )
 
 
 def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatch):
@@ -712,9 +703,6 @@ def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatc
     )
     with pytest.raises(ValueError, match="injected worker failure"):
         PastisPipeline(params).run(small_seqs)
-    import glob
-
-    assert glob.glob("/dev/shm/repro-psched-*") == []
 
 
 def test_process_scheduler_refuses_a_platform_without_fork(

@@ -62,8 +62,6 @@ NONCOMPARABLE_STATS_KEYS = frozenset(
         "peak_live_blocks",
         "peak_live_block_bytes",
         "process_lanes",
-        "shm_peak_block_bytes",
-        "shm_total_bytes",
     }
 )
 

@@ -60,8 +60,6 @@ NONCOMPARABLE_STATS_KEYS = frozenset(
         "peak_live_blocks",
         "peak_live_block_bytes",
         "process_lanes",
-        "shm_peak_block_bytes",
-        "shm_total_bytes",
     }
 )
 
@@ -490,14 +488,12 @@ def test_run_report_hoists_process_lane_keys(tiny_seqs, fast_params):
     assert report["process_lane_discover_seconds"] == pytest.approx(
         sum(float(lane["discover_seconds"]) for lane in lanes.values())
     )
-    # the shm/memory gauges arrive flat through the ordinary extras merge
-    assert "shm_peak_block_bytes" in report and "shm_total_bytes" in report
+    # the memory gauges arrive flat through the ordinary extras merge
     assert "peak_live_blocks" in report
 
     table = result.stats.as_table()
     assert "Process lanes" in table
     assert "Discover workers" in table
-    assert "Shm peak block / total" in table
 
 
 def test_run_report_without_process_extras_has_no_lane_keys(tiny_seqs, fast_params):
