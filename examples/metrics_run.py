@@ -6,13 +6,12 @@ The walkthrough for :mod:`repro.obs` — where :mod:`repro.trace` answers
 "how much, and is it getting slower across runs":
 
 1. run the PASTIS search twice with ``PastisParams.run_registry`` set —
-   a cold cache-populating run and a warm run under the process
-   scheduler — so each run appends a schema-versioned manifest
+   a cold cache-populating run and a warm run under the overlapped
+   scheduler at depth 2 — so each run appends a schema-versioned manifest
    (``run.json``) to the local registry;
 2. look at what the metrics facade collected: ledger seconds per
    category, per-SUMMA-stage kernel seconds and measured compression
-   factors (journaled in the discover workers, merged parent-side),
-   cache hit/miss counters, per-lane stats;
+   factors, cache hit/miss counters;
 3. drive the registry CLI the way CI does: ``ls`` the runs, ``diff``
    cold vs warm, ``export`` Prometheus text, and ``regress`` the warm
    run against the cold baseline;
@@ -21,7 +20,7 @@ The walkthrough for :mod:`repro.obs` — where :mod:`repro.trace` answers
 
 Metrics are off by default and non-perturbing: the observed run's edges
 are bit-identical to an unobserved one (asserted below, and by
-``tests/test_obs.py`` for all four schedulers).
+``tests/test_obs.py`` for both schedulers).
 
 Run with:  python examples/metrics_run.py
 """
@@ -63,9 +62,7 @@ def main() -> None:
             num_blocks=6,
             load_balancing="index",
             pre_blocking=True,
-            scheduler="process",
-            preblock_depth=3,
-            preblock_workers=2,
+            preblock_depth=2,
             cache_dir=cache_dir,
             run_registry=str(registry_dir),
         )
@@ -104,8 +101,7 @@ def main() -> None:
                                         backend="gustavson", stage="0")
     if kernel is not None:
         print(f"  stage-0 kernel seconds    {kernel['count']:.0f} obs, "
-              f"sum {kernel['sum']:.6f} (cold run; journaled in the "
-              f"workers, merged parent-side)")
+              f"sum {kernel['sum']:.6f} (cold run)")
 
     # ---- 3. the registry CLI, as CI drives it --------------------------------
     print(f"\n$ python -m repro.obs ls --registry {registry_dir}")

@@ -4,14 +4,12 @@
 The walkthrough for :mod:`repro.trace`:
 
 1. run the PASTIS search on a synthetic catalog with
-   ``PastisParams.trace_dir`` set, under the process scheduler with a
-   stage cache — a cold populating run, then a traced warm run, so the
-   trace shows cache loads in the worker processes and the parent's
-   block-ordered replay;
+   ``PastisParams.trace_dir`` set, under the overlapped scheduler at
+   depth 2 with a stage cache — a cold populating run, then a traced warm
+   run, so the trace shows the cache loads and the block-ordered replay;
 2. look at what the recorder collected: per-stage spans (discover /
-   prune / align / accumulate), SUMMA broadcast stages, admission waits,
-   cache loads and replays, with pid attribution across the parent and
-   the discover workers;
+   prune / align / accumulate), SUMMA broadcast stages, cache loads and
+   replays;
 3. print the per-stage/per-lane breakdown the CLI would print
    (``python -m repro.trace summarize <trace_dir>``);
 4. point at the Perfetto document — drag ``trace.json`` onto
@@ -19,7 +17,7 @@ The walkthrough for :mod:`repro.trace`:
 
 Tracing is off by default and non-perturbing: the traced run's edges are
 bit-identical to an untraced one (asserted below, and by
-``tests/test_trace.py`` for all four schedulers).
+``tests/test_trace.py`` for both schedulers).
 
 Run with:  python examples/trace_run.py
 """
@@ -39,7 +37,7 @@ OUT_DIR = Path("trace-example")
 
 
 def main() -> None:
-    # ---- 1. a traced warm-cache run under the process scheduler --------------
+    # ---- 1. a traced warm-cache run under the overlapped scheduler -----------
     config = SyntheticDatasetConfig(
         n_sequences=120,
         family_fraction=0.75,
@@ -57,9 +55,7 @@ def main() -> None:
             num_blocks=6,
             load_balancing="index",
             pre_blocking=True,
-            scheduler="process",
-            preblock_depth=3,
-            preblock_workers=2,
+            preblock_depth=2,
             cache_dir=cache_dir,
         )
         print("cold run (populates the stage cache, untraced)...")
@@ -79,12 +75,9 @@ def main() -> None:
 
     # ---- 2. what the recorder collected --------------------------------------
     recorder = traced.trace
-    pids = sorted({span.pid for span in recorder.spans})
-    workers = [pid for pid in pids if pid != recorder.pid]
     print(f"\nrecorded {len(recorder.spans)} spans, "
-          f"{len(recorder.counters)} counter samples")
-    print(f"parent pid {recorder.pid}, discover workers {workers}")
-    for name in ("cache_load", "cache_replay", "admission_wait", "accumulate"):
+          f"{len(recorder.counters)} counter samples (pid {recorder.pid})")
+    for name in ("cache_load", "cache_replay", "accumulate"):
         count = sum(1 for span in recorder.spans if span.name == name)
         print(f"  {name:<16} x{count}")
 

@@ -19,8 +19,8 @@ stages, executed by pluggable schedulers:
   *derived* (it is no longer computed post hoc by
   ``PreblockingModel.evaluate`` inside the pipeline);
 * :mod:`repro.core.engine.schedulers` — the scheduler contract and its one
-  loop, parameterised by a lookahead depth and a discover lane, in three
-  configurations: :class:`SerialScheduler` (bulk-synchronous, bit-identical
+  loop, parameterised by a lookahead depth, in two configurations:
+  :class:`SerialScheduler` (bulk-synchronous, bit-identical
   to the historical monolithic loop), :class:`OverlappedScheduler` (§VI-C
   pre-blocking at speculative depth ``k = PastisParams.preblock_depth`` on
   the calling thread: blocks ``b+1..b+k`` are discovered before
@@ -28,13 +28,7 @@ stages, executed by pluggable schedulers:
   the shared depth-``k`` algebra of
   :class:`repro.mpi.costmodel.OverlapWindow`, so
   ``align + spgemm − overlap_hidden == combined clock``; at depth 1 on the
-  modeled clock the paper's contention slowdowns are charged) and
-  :class:`ProcessScheduler` (the same schedule with the discover lane in
-  worker processes);
-* :mod:`repro.core.engine.process_executor` — that pool lane, the one lane
-  with real concurrency: forked workers run the same pure ``discover`` and
-  send the whole result (the block's COO arrays, stats, timings, ledger
-  journal) back through the pool's pipe;
+  modeled clock the paper's contention slowdowns are charged);
 * :mod:`repro.core.engine.cache` — the content-hashed :class:`StageCache`,
   the engine's analogue of the synpp/pisa declare-then-decide pipeline
   design: stages *declare* what they depend on (the canonicalized parameter
@@ -46,14 +40,13 @@ stages, executed by pluggable schedulers:
 **One ordered commit.**  ``discover`` is pure: it reads the cache entry or
 runs SUMMA against a block-local ledger journal
 (:class:`~repro.mpi.costmodel.RecordingLedger`) and returns a
-:class:`~repro.core.engine.stages.BlockResult`, inline or in a pool
-worker alike.  ``commit`` applies results strictly in block order: it
-replays the journal (the one replay site), merges the SpGEMM stats and the
-peak block size, registers the block with the accumulator and counts the
-cache hit or miss.  A cache entry stores the block's outputs *and* its
+:class:`~repro.core.engine.stages.BlockResult`.  ``commit`` applies
+results strictly in block order: it replays the journal (the one replay
+site), merges the SpGEMM stats and the peak block size, registers the block
+with the accumulator and counts the cache hit or miss.  A cache entry stores the block's outputs *and* its
 journal, so a hit adds exactly what the cold block charged on top of
 whatever the run charged before it: entries are valid after any run
-prefix, shareable across all three schedulers, and
+prefix, shareable across both schedulers, and
 ``PastisPipeline.run(resume=True)`` continues a killed run from its last
 completed block.
 
@@ -64,20 +57,14 @@ the pipeline builds the task list and hands it over.
 ``pre_blocking`` when ``None``: serial without it, overlapped with it):
 
 * ``"serial"`` — bulk-synchronous reference schedule.  Simplest, no
-  concurrency; the baseline every other scheduler is bit-identical to.
+  concurrency; the baseline the overlapped scheduler is bit-identical to.
 * ``"overlapped"`` — §VI-C pre-blocking at ``preblock_depth``, on one
   thread: the overlap is in the clock, not in the wall time.  At depth 1
   on the modeled clock it charges the paper's contention multipliers
   (paper-faithful Table-I numbers); otherwise it charges raw seconds.
-* ``"process"`` — the same schedule with discover workers in *processes*
-  (results through the pool's pipe), the only scheduler that runs two
-  discovers at once.  Costs fork + a pickle round trip per block, so it
-  pays only when blocks are large enough to amortize it (see
-  ``benchmarks/bench_process_pool.py``).  Requires the ``fork`` start
-  method; ``preblock_workers`` sizes its pool.
 
-All three produce bit-identical records, edges, stats and deterministic
-ledger categories; only wall-clock behavior differs.
+Both produce bit-identical records, edges, stats and deterministic ledger
+categories; only the modeled clock differs.
 
 **Observability** (``PastisParams.trace`` / ``trace_dir``; see
 :mod:`repro.trace`): every scheduler emits spans through the optional
@@ -85,23 +72,17 @@ ledger categories; only wall-clock behavior differs.
 the mechanisms above —
 
 * ``stage`` spans (``discover``/``prune``/``align``/``accumulate``) — the
-  four :class:`BlockTask` stages, wherever they execute (main thread or
-  worker process);
+  four :class:`BlockTask` stages;
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
   :class:`StageCache` consult and the commit of a hit;
-* ``wait`` spans — ``admission_wait`` is the process scheduler reserving a
-  live-block slot in the accumulator (``admit_block``, the ``k + 1``
-  live-block memory bound) before submitting a block;
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
   stages inside one discover's 2D SUMMA;
 * ``replay`` spans (``ledger_replay``) — the commit of a computed block;
 * counter series (live blocks, ``ledger.<category>`` totals, cache hits)
   are sampled once per block at the accumulate boundary.
 
-The inline lane records directly into the run's recorder; pool workers
-journal spans into their result (the same pattern as the ledger journal)
-and the parent merges them in block order with worker-pid attribution.  Tracing is off by default, zero-cost
-when disabled, and non-perturbing: results stay bit-identical with it on.
+Tracing is off by default, zero-cost when disabled, and non-perturbing:
+results stay bit-identical with it on.
 
 **Tracing vs metrics** — two complementary observability layers share
 the instrumentation points above; pick by the question being asked:
@@ -114,13 +95,12 @@ the instrumentation points above; pick by the question being asked:
 * *"How much, and is it getting slower across runs?"* → **metrics**
   (``PastisParams.metrics``/``run_registry``, :mod:`repro.obs`): typed
   counters/gauges/histograms with label sets — ledger seconds per
-  category, phase timers, cache hit/miss counts, lane stats, per-SUMMA
-  -stage kernel seconds and measured compression factors — aggregated
+  category, phase timers, cache hit/miss counts, per-SUMMA-stage kernel
+  seconds and measured compression factors — aggregated
   per run, persisted as registry manifests, scraped via Prometheus text
   exposition, and guarded by ``python -m repro.obs regress``.
 
-Both ride the same ledger trace hook (fanned out when both are on), use
-the same worker-journaling transport under the process scheduler, and
+Both ride the same ledger trace hook (fanned out when both are on) and
 carry the same contract: off by default, near-zero-cost when disabled,
 and non-perturbing — ``tests/test_trace.py`` and ``tests/test_obs.py``
 assert bit-identity per scheduler.
@@ -130,7 +110,6 @@ from .accumulator import StreamingGraphAccumulator
 from .cache import CachedBlock, StageCache, build_stage_cache
 from .schedulers import (
     OverlappedScheduler,
-    ProcessScheduler,
     ScheduleOutcome,
     Scheduler,
     SerialScheduler,
@@ -146,7 +125,6 @@ __all__ = [
     "BlockTiming",
     "CachedBlock",
     "OverlappedScheduler",
-    "ProcessScheduler",
     "ScheduleOutcome",
     "Scheduler",
     "SerialScheduler",

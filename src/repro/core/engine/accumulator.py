@@ -14,13 +14,11 @@ the cumulative ``retained_block_bytes`` a keep-everything run would have
 paid.
 
 The accumulator is also the engine's **memory governor**: with
-``max_live_blocks`` set (the pre-blocking schedulers set it to
-``depth + 1``), a block past the bound is refused with an error rather than
-admitted, whether it is reserved ahead of time (:meth:`admit_block`, the
-process scheduler's submit window) or registered when computed
-(:meth:`block_computed`).  Nothing ever waits for a slot: the thread that
-registers blocks is the one that discards them.  The measured peak is
-reported via :attr:`peak_live_blocks`.
+``max_live_blocks`` set (the overlapped scheduler sets it to
+``depth + 1``), a block past the bound is refused with an error by
+:meth:`block_computed` rather than admitted.  Nothing ever waits for a
+slot: the thread that registers blocks is the one that discards them.
+The measured peak is reported via :attr:`peak_live_blocks`.
 """
 
 from __future__ import annotations
@@ -73,47 +71,29 @@ class StreamingGraphAccumulator:
     peak_live_blocks: int = 0
     _edge_parts: list[np.ndarray] = field(default_factory=list, repr=False)
     _live: int = field(default=0, repr=False)
-    _pending_admissions: int = field(default=0, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    # ------------------------------------------------------------------ admission
-    def admit_block(self) -> None:
-        """Reserve a live-block slot *before* computing a block.
-
-        Counts the reservation as live, or raises when ``max_live_blocks``
-        blocks already are; a subsequent :meth:`block_computed` consumes the
-        reservation instead of admitting again.
-        """
-        with self._lock:
-            self._admit_locked()
-            self._pending_admissions += 1
-
-    def _admit_locked(self) -> None:
-        if self.max_live_blocks is not None and self._live >= self.max_live_blocks:
-            # the caller is the thread that would have to discard a block to
-            # free the slot, so waiting for one would deadlock
-            raise RuntimeError(
-                f"live-block bound exceeded: {self._live} blocks live with "
-                f"max_live_blocks={self.max_live_blocks}; a scheduler must "
-                "discard a block before admitting the next"
-            )
-        self._live += 1
-        self.peak_live_blocks = max(self.peak_live_blocks, self._live)
 
     # ------------------------------------------------------------------ block life cycle
     def block_computed(self, nbytes: int) -> None:
         """Register a freshly discovered block's output as live.
 
-        Blocks replayed from the stage cache go through the exact same
-        admission/registration/discard life cycle as computed ones (with the
-        stored ``block_bytes``), so live-block bounds and peak accounting
-        behave identically on warm and cold runs.
+        Raises when ``max_live_blocks`` blocks are already live.  Blocks
+        replayed from the stage cache go through the exact same
+        registration/discard life cycle as computed ones (with the stored
+        ``block_bytes``), so live-block bounds and peak accounting behave
+        identically on warm and cold runs.
         """
         with self._lock:
-            if self._pending_admissions:
-                self._pending_admissions -= 1
-            else:
-                self._admit_locked()
+            if self.max_live_blocks is not None and self._live >= self.max_live_blocks:
+                # the caller is the thread that would have to discard a block
+                # to free the slot, so waiting for one would deadlock
+                raise RuntimeError(
+                    f"live-block bound exceeded: {self._live} blocks live with "
+                    f"max_live_blocks={self.max_live_blocks}; a scheduler must "
+                    "discard a block before admitting the next"
+                )
+            self._live += 1
+            self.peak_live_blocks = max(self.peak_live_blocks, self._live)
             self.memory.allocate(LIVE_BLOCKS, int(nbytes))
             self.retained_block_bytes += int(nbytes)
 

@@ -9,7 +9,7 @@ content-hash key and the completed block is persisted under it:
 * the **run key** hashes a canonicalized subset of
   :class:`~repro.core.params.PastisParams` (only fields that influence what
   a block computes or charges — scheduler/pre-blocking knobs are excluded,
-  so a cache written by one scheduler is readable by all three), a digest of
+  so a cache written by one scheduler is readable by the other), a digest of
   the input :class:`~repro.sequences.sequence.SequenceSet`, and a
   kernel/schema :data:`CACHE_VERSION` tag combined with the package version
   (bumping either invalidates everything);
@@ -33,7 +33,7 @@ ordered commit a computed block goes through, which replays it on top of
 whatever the run charged before; everything the schedulers charge
 themselves ("spgemm", "align", the overlap algebra) is recharged from the
 stored raw seconds.  An entry therefore depends on nothing but its key: it
-is valid after any run prefix and shareable across all three schedulers.
+is valid after any run prefix and shareable across both schedulers.
 """
 
 from __future__ import annotations
@@ -92,9 +92,8 @@ def params_cache_token(params: PastisParams) -> dict:
     """Canonical dict of the parameter fields that determine block results.
 
     Scheduler-selection knobs (``scheduler``, ``pre_blocking``,
-    ``preblock_depth``, ``preblock_workers``) are excluded
-    on purpose: results are bit-identical across schedulers, so entries must
-    be shareable across them.  The clustering stage runs after the stage
+    ``preblock_depth``) are excluded on purpose: results are bit-identical
+    across schedulers, so entries must be shareable across them.  The clustering stage runs after the stage
     graph on its finished output, so ``cluster`` is excluded too.
     """
     br, bc = params.blocking_factors()
@@ -276,9 +275,9 @@ class StageCache:
     ``keys`` maps block coordinates to their content-hash keys (computed
     once per run by :func:`build_stage_cache`).  ``read=False`` (the
     ``cache_invalidate`` knob) skips lookups and overwrites entries;
-    ``write=False`` makes the cache read-only.  :meth:`load` is a pure read
-    (it also runs in pool workers); the run's hit/miss counts are kept by
-    the scheduler's ordered commit, and :meth:`store` counts stores.
+    ``write=False`` makes the cache read-only.  :meth:`load` is a pure read;
+    the run's hit/miss counts are kept by the scheduler's ordered commit,
+    and :meth:`store` counts stores.
     """
 
     directory: Path

@@ -11,32 +11,22 @@ the sparse and alignment work it schedules, and returns a
 :class:`ScheduleOutcome` with the per-block records and the executed
 :class:`~repro.core.engine.timeline.StageTimeline`.
 
-There is one loop, :meth:`Scheduler.run`, parameterised by two things:
-
-* the **depth** ``k``: before block ``b`` is aligned, the discovers of
-  blocks up to ``b + k`` have been issued (``0`` for the serial schedule);
-* the **lane** the discovers run in: *inline* on the calling thread, where
-  a block is committed as soon as it is discovered, or a *pool* of forked
-  worker processes (:mod:`repro.core.engine.process_executor`), which keeps
-  ``k`` discovers in flight and hands block ``b`` over when ``b`` is next.
-
-Either way every discover result goes through
+There is one loop, :meth:`Scheduler.run`, parameterised by the **depth**
+``k``: before block ``b`` is aligned, the discovers of blocks up to
+``b + k`` have run on the calling thread (``0`` for the serial schedule).
+Every discover result goes through
 :func:`~repro.core.engine.stages.commit` in block order, which is what keeps
-records, edges, stats and ledger bit-identical across the three
-configurations:
+records, edges, stats and ledger bit-identical across the two schedulers:
 
 :class:`SerialScheduler`
-    Depth 0, inline: finish block ``b`` before starting ``b+1``; raw
-    component times are charged.
+    Depth 0: finish block ``b`` before starting ``b+1``; raw component
+    times are charged.
 :class:`OverlappedScheduler`
-    §VI-C pre-blocking at depth ``k``, inline: the run holds the ``k + 1``
-    live blocks the overlapped schedule would, and the overlap lives in the
+    §VI-C pre-blocking at depth ``k``: the run holds the ``k + 1`` live
+    blocks the overlapped schedule would, and the overlap lives in the
     per-rank clock.  Components may be charged with the paper's measured
     contention slowdowns (~1.13x for alignment; ``1.10 + 0.006 ·
     num_blocks`` for the sparse multiply).
-:class:`ProcessScheduler`
-    The same schedule with the pool lane — the one configuration whose
-    overlap shows in wall time.
 
 With ``k >= 1`` the per-rank clock is the executed schedule replayed
 through :meth:`repro.mpi.costmodel.OverlapWindow.run_schedule` — at depth
@@ -55,7 +45,6 @@ import numpy as np
 from ...metrics.timers import Timer
 from ...mpi.costmodel import OverlapWindow
 from ..preblocking import PreblockingModel
-from .process_executor import PoolLane
 from .stages import BlockRecord, BlockTask, StageContext, commit, discover
 from .timeline import BlockTiming, StageTimeline
 
@@ -74,9 +63,6 @@ class ScheduleOutcome:
     kernel_seconds: float = 0.0
     measured_align_seconds: float = 0.0
     measured_discover_seconds: float = 0.0
-    #: scheduler-specific report entries merged into ``stats.extras`` by the
-    #: pipeline (e.g. the process executor's per-lane timings)
-    extras: dict = field(default_factory=dict)
 
     @property
     def candidates_discovered(self) -> int:
@@ -94,27 +80,6 @@ class ScheduleOutcome:
         return sum(int(rec.cells_per_rank.sum()) for rec in self.records)
 
 
-class InlineLane:
-    """Discovers on the calling thread, each block committed as it is found."""
-
-    def __init__(self, ctx: StageContext, tasks: list[BlockTask]) -> None:
-        self.ctx, self.tasks, self.issued = ctx, tasks, 0
-        self.extras: dict = {}
-
-    def __enter__(self) -> "InlineLane":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def ready(self, index: int, upto: int):
-        """``(task, result)`` of every block through ``upto``, in block order."""
-        while self.issued <= upto:
-            task = self.tasks[self.issued]
-            self.issued += 1
-            yield task, discover(self.ctx, task)
-
-
 class Scheduler:
     """The one scheduler loop; subclasses only configure it."""
 
@@ -125,9 +90,6 @@ class Scheduler:
     def _contention(self, num_blocks: int) -> tuple[float, float]:
         """(align, sparse) multipliers on the charged seconds."""
         return 1.0, 1.0
-
-    def _lane(self, ctx: StageContext, tasks: list[BlockTask]):
-        return InlineLane(ctx, tasks)
 
     def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
         """Execute every stage of every task; return records and timeline."""
@@ -149,49 +111,51 @@ class Scheduler:
         align_scheduled: list[np.ndarray] = []
         sparse_scheduled: list[np.ndarray] = []
         phase_timer = Timer()
-        with self._lane(ctx, tasks) as lane:
-            with phase_timer:
-                for index, task in enumerate(tasks):
-                    upto = min(index + depth, len(tasks) - 1)
-                    for ready, result in lane.ready(index, upto):
-                        commit(ctx, ready, result)
-                        sparse = result.sparse_seconds * sparse_mult
-                        for rank in range(ctx.comm.size):
-                            ledger.charge(rank, "spgemm", float(sparse[rank]))
-                        sparse_scheduled.append(sparse)
-                        outcome.measured_discover_seconds += result.wall_seconds
-
-                    task.prune(ctx)
-                    output = task.align(ctx)
-                    align = output.align_seconds_per_rank * align_mult
+        discovered = 0
+        with phase_timer:
+            for index, task in enumerate(tasks):
+                upto = min(index + depth, len(tasks) - 1)
+                while discovered <= upto:
+                    ahead = tasks[discovered]
+                    discovered += 1
+                    result = discover(ctx, ahead)
+                    commit(ctx, ahead, result)
+                    sparse = result.sparse_seconds * sparse_mult
                     for rank in range(ctx.comm.size):
-                        ledger.charge(rank, "align", float(align[rank]))
-                        ledger.count(rank, "alignments", float(output.pairs_aligned_per_rank[rank]))
-                        ledger.count(rank, "alignment_cells", float(output.cells_per_rank[rank]))
-                    align_scheduled.append(align)
-                    record = task.accumulate(ctx)
-                    timeline.append(
-                        BlockTiming(
-                            block_row=task.block_row,
-                            block_col=task.block_col,
-                            sparse_raw=record.sparse_seconds_per_rank,
-                            align_raw=record.align_seconds_per_rank,
-                            sparse_scheduled=sparse_scheduled[index],
-                            align_scheduled=align,
-                        )
+                        ledger.charge(rank, "spgemm", float(sparse[rank]))
+                    sparse_scheduled.append(sparse)
+                    outcome.measured_discover_seconds += result.wall_seconds
+
+                task.prune(ctx)
+                output = task.align(ctx)
+                align = output.align_seconds_per_rank * align_mult
+                for rank in range(ctx.comm.size):
+                    ledger.charge(rank, "align", float(align[rank]))
+                    ledger.count(rank, "alignments", float(output.pairs_aligned_per_rank[rank]))
+                    ledger.count(rank, "alignment_cells", float(output.cells_per_rank[rank]))
+                align_scheduled.append(align)
+                record = task.accumulate(ctx)
+                timeline.append(
+                    BlockTiming(
+                        block_row=task.block_row,
+                        block_col=task.block_col,
+                        sparse_raw=record.sparse_seconds_per_rank,
+                        align_raw=record.align_seconds_per_rank,
+                        sparse_scheduled=sparse_scheduled[index],
+                        align_scheduled=align,
                     )
-                    if ctx.trace is not None:
-                        _sample_counters(ctx)
-                    outcome.records.append(record)
-                    outcome.kernel_seconds += output.kernel_seconds
-                    outcome.measured_align_seconds += output.measured_seconds
+                )
+                if ctx.trace is not None:
+                    _sample_counters(ctx)
+                outcome.records.append(record)
+                outcome.kernel_seconds += output.kernel_seconds
+                outcome.measured_align_seconds += output.measured_seconds
         if depth:
             timeline.combined_per_rank = np.zeros(ctx.comm.size)
             OverlapWindow(
                 ledger, timeline.combined_per_rank, OVERLAP_HIDDEN_CATEGORY
             ).run_schedule(align_scheduled, sparse_scheduled, depth=depth)
         timeline.measured_phase_seconds = phase_timer.elapsed
-        outcome.extras = lane.extras
         return outcome
 
 
@@ -250,51 +214,14 @@ class OverlappedScheduler(Scheduler):
         )
 
 
-@dataclass
-class ProcessScheduler(Scheduler):
-    """Speculative depth-``k`` pre-blocking with the discover lane in worker
-    processes (:class:`~repro.core.engine.process_executor.PoolLane`).
-
-    Parameters
-    ----------
-    depth:
-        Speculative discovery depth ``k``: while block ``b`` is aligned,
-        the discover stages of blocks ``b+1..b+k`` are in flight in worker
-        processes.  ``1`` is classic §VI-C pre-blocking.
-    max_workers:
-        Worker processes in the discover pool (``None`` = 1).  At most
-        ``depth`` discovers are submitted beyond the block being consumed,
-        so extra workers beyond ``depth`` idle; worker count can never
-        change results (asserted in the engine tests).
-    """
-
-    name: str = "process"
-    depth: int = 1
-    max_workers: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1 (or None)")
-
-    def _lane(self, ctx: StageContext, tasks: list[BlockTask]):
-        return PoolLane(ctx, tasks, workers=self.max_workers or 1)
-
-
 def make_scheduler(name: str, **kwargs) -> Scheduler:
-    """Factory: ``"serial"``, ``"overlapped"`` or ``"process"``.
+    """Factory: ``"serial"`` or ``"overlapped"``.
 
     Keyword arguments go to the scheduler — ``"overlapped"`` takes
-    ``depth`` and ``contention``, ``"process"`` takes ``depth`` and
-    ``max_workers`` (discover pool size).
+    ``depth`` and ``contention``.
     """
     if name == "serial":
         return SerialScheduler(**kwargs)
     if name == "overlapped":
         return OverlappedScheduler(**kwargs)
-    if name == "process":
-        return ProcessScheduler(**kwargs)
-    raise ValueError(
-        f"unknown scheduler {name!r}; available: serial, overlapped, process"
-    )
+    raise ValueError(f"unknown scheduler {name!r}; available: serial, overlapped")

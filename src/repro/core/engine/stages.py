@@ -32,12 +32,11 @@ the overlapped scheduler interleaves ``discover(b+1)`` with ``align(b)``.
 :class:`~repro.core.engine.cache.StageCache`, or runs SUMMA against a
 block-local :class:`~repro.mpi.costmodel.RecordingLedger`, and returns the
 block (or the entry), its sparse seconds, SpGEMM stats, wall seconds and
-ledger journal — touching nothing the run can see, so it runs alike on the
-calling thread or in a pool worker.  :func:`commit` is the one place a
-result reaches the run: schedulers call it in block order, and it replays
-the journal, merges the stats and the peak block size, registers the block
-with the accumulator, counts the cache hit or miss, and arms the store of a
-miss, which ``accumulate`` writes once the block is complete.  A hit then
+ledger journal — touching nothing the run can see.  :func:`commit` is the
+one place a result reaches the run: schedulers call it in block order, and
+it replays the journal, merges the stats and the peak block size, registers
+the block with the accumulator, counts the cache hit or miss, and arms the
+store of a miss, which ``accumulate`` writes once the block is complete.  A hit then
 replays the stored outputs through the remaining stages while the
 schedulers charge "spgemm"/"align"/overlap through their ordinary code
 paths, so a warm run is bit-identical to the cold run that stored it.

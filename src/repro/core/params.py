@@ -62,23 +62,13 @@ class PastisParams:
         discover stages of blocks up to ``b+k``, so ``k + 1`` blocks are
         live (bounded by the streaming accumulator) and the clock hides up
         to ``k`` discovers behind each alignment.  ``1`` is classic
-        pre-blocking.  Used by the ``"overlapped"`` and ``"process"``
-        schedulers.
-    preblock_workers:
-        Worker processes of ``scheduler="process"``'s discover pool
-        (``None`` = 1) — the only scheduler whose worker count moves wall
-        time; refused with any other scheduler.  Worker count never changes
-        results (asserted in the engine tests).
+        pre-blocking.  Used by the ``"overlapped"`` scheduler.
     scheduler:
-        Explicit scheduler override (``"serial"``, ``"overlapped"`` or
-        ``"process"``); ``None`` (default) derives ``"overlapped"`` from
-        ``pre_blocking`` and ``"serial"`` otherwise.  ``"process"`` is never
-        derived: it runs the discover lane in worker *processes* with the
-        block results sent back through the pool's pipe (see
-        :class:`~repro.core.engine.schedulers.ProcessScheduler`) and
-        requires the ``fork`` start method (Linux/macOS-with-fork).
-        Results are bit-identical across schedulers — the override selects
-        an execution strategy, not a computation.
+        Explicit scheduler override (``"serial"`` or ``"overlapped"``);
+        ``None`` (default) derives ``"overlapped"`` from ``pre_blocking``
+        and ``"serial"`` otherwise.  Results are bit-identical across
+        schedulers — the override selects an execution strategy, not a
+        computation.
     nodes:
         Number of virtual nodes / MPI ranks; must be a perfect square.
     align_batch_size:
@@ -111,7 +101,7 @@ class PastisParams:
         (:mod:`repro.core.engine.cache`).  When set, every completed block
         is persisted under a deterministic content-hash key and later runs
         with the same inputs/parameters replay stored blocks instead of
-        recomputing them — bit-identically, across all three schedulers —
+        recomputing them — bit-identically, across both schedulers —
         which is also what makes ``PastisPipeline.run(resume=True)`` pick a
         killed run up from its last completed block.  ``None`` (the default,
         seeded from :data:`repro.config.DEFAULTS`) disables caching.
@@ -193,7 +183,6 @@ class PastisParams:
     load_balancing: str = "index"
     pre_blocking: bool = False
     preblock_depth: int = 1
-    preblock_workers: int | None = None
     scheduler: str | None = None
     nodes: int = 4
     align_batch_size: int = 128
@@ -238,20 +227,11 @@ class PastisParams:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
         if self.preblock_depth < 1:
             raise ValueError("preblock_depth must be >= 1")
-        if self.scheduler not in (None, "serial", "overlapped", "process"):
+        if self.scheduler not in (None, "serial", "overlapped"):
             raise ValueError(
-                "scheduler must be None, 'serial', 'overlapped' or 'process', "
+                "scheduler must be None, 'serial' or 'overlapped', "
                 f"got {self.scheduler!r}"
             )
-        if self.preblock_workers is not None:
-            if self.scheduler != "process":
-                raise ValueError(
-                    "preblock_workers is the worker-process count of "
-                    "scheduler='process' and has no effect with "
-                    f"scheduler={self.scheduler!r}"
-                )
-            if self.preblock_workers < 1:
-                raise ValueError("preblock_workers must be >= 1 (or None for 1)")
         if self.cache_dir is not None and not str(self.cache_dir).strip():
             raise ValueError("cache_dir must be a non-empty path (or None)")
         if self.cache_invalidate and self.cache_dir is None:

@@ -369,22 +369,15 @@ class PastisPipeline:
         if state is not None:
             state.cache = stage_cache
         # scheduler selection: no pre-blocking -> serial; pre-blocking ->
-        # overlapped at preblock_depth.  params.scheduler overrides the
-        # derivation — "process" (never derived: it needs fork) runs the
-        # discover lane in worker processes.  The paper's contention
-        # multipliers model the depth-1 schedule on the modeled clock; any
-        # other overlapped run charges raw seconds.
+        # overlapped at preblock_depth; params.scheduler overrides the
+        # derivation.  The paper's contention multipliers model the depth-1
+        # schedule on the modeled clock; any other overlapped run charges
+        # raw seconds.
         if params.scheduler is not None:
             scheduler_name = params.scheduler
         else:
             scheduler_name = "overlapped" if params.pre_blocking else "serial"
-        if scheduler_name == "process":
-            scheduler = make_scheduler(
-                "process",
-                depth=params.preblock_depth,
-                max_workers=params.preblock_workers,
-            )
-        elif scheduler_name == "overlapped":
+        if scheduler_name == "overlapped":
             paper_contention = params.clock == "modeled" and params.preblock_depth == 1
             scheduler = make_scheduler(
                 "overlapped",
@@ -496,8 +489,6 @@ class PastisPipeline:
                 "phase_seconds": phases.summary(),
             },
         )
-        # scheduler-specific report entries (process-lane timings)
-        stats.extras.update(outcome.extras)
         if query_mode:
             stats.extras["query"] = {
                 "n_queries": len(sequences),
@@ -515,7 +506,7 @@ class PastisPipeline:
                 "modeled_seconds": cluster_seconds,
             }
         if hub is not None:
-            _feed_metrics(hub, phases, stage_cache, outcome, ctx)
+            _feed_metrics(hub, phases, stage_cache, ctx)
         if tracer is not None and params.trace_dir is not None:
             write_trace(tracer, params.trace_dir)
         if params.run_registry is not None:
@@ -560,9 +551,9 @@ class _RunState:
     scheduler: str | None = None
 
 
-def _feed_metrics(hub, phases, stage_cache, outcome, ctx) -> None:
+def _feed_metrics(hub, phases, stage_cache, ctx) -> None:
     """End-of-run ingestion of everything the hub can't see live:
-    phase timers, cache counters, scheduler lane stats, peak memory.
+    phase timers, cache counters, peak memory.
     (Ledger seconds and SUMMA kernel records arrive live via the ledger
     hook and the active-hub global.)"""
     for name, seconds in phases.summary().items():
@@ -570,16 +561,6 @@ def _feed_metrics(hub, phases, stage_cache, outcome, ctx) -> None:
     if stage_cache is not None:
         for kind, count in stage_cache.counters().items():
             hub.counter_add("cache_events", float(count), kind=kind)
-    lanes = outcome.extras.get("process_lanes") or {}
-    for pid, lane in lanes.items():
-        hub.gauge_set(
-            "process_lane_blocks", float(lane.get("blocks", 0)), pid=str(pid)
-        )
-        hub.gauge_set(
-            "process_lane_discover_seconds",
-            float(lane.get("discover_seconds", 0.0)),
-            pid=str(pid),
-        )
     hub.gauge_set("peak_block_bytes", float(ctx.peak_block_bytes))
     hub.gauge_set(
         "peak_live_block_bytes", float(ctx.accumulator.peak_live_block_bytes)

@@ -176,16 +176,4 @@ class SearchStats:
                 f"{cache.get('misses', 0):,}",
                 f"  Entries stored                {cache.get('stores', 0):,}",
             ]
-        lanes = self.extras.get("process_lanes")
-        if isinstance(lanes, dict):
-            lines += [
-                "Process lanes",
-                f"  Discover workers              {len(lanes)}",
-            ]
-            for pid in sorted(lanes):
-                lane = lanes[pid]
-                lines.append(
-                    f"  Worker {pid:<12}           {int(lane.get('blocks', 0)):,} blocks, "
-                    f"{float(lane.get('discover_seconds', 0.0)):.3f} s discover"
-                )
         return "\n".join(lines)

@@ -204,7 +204,6 @@ class BlockedSpGemm:
     deferred_merge: bool = False
     collectives: object = None
     #: stripes already sliced, by ("a", block_row) / ("b", block_col)
-    #: (forked process-pool workers each inherit their own copy)
     _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
         default_factory=dict, init=False, repr=False
     )

@@ -183,13 +183,11 @@ def summa(
     compute_seconds = np.zeros(grid.nprocs)
     flops_per_rank = np.zeros(grid.nprocs)
     comm_before = ledger.per_rank(engine.comm_category).copy()
-    # spans go to whatever recorder is active in this process (the parent's,
-    # or a process-pool worker's own journal); summa has no StageContext, so
-    # it reaches the tracer through the module-level active-tracer global
+    # summa has no StageContext, so it reaches the tracer through the
+    # module-level active-tracer global
     tracer = current_tracer()
     # kernel dispatch records (measured compression factor + per-kernel
-    # seconds) go to the active metrics hub the same way — a worker's journaling hub rides the
-    # block header back to the parent
+    # seconds) go to the active metrics hub the same way
     metrics = current_metrics()
     backend_label = ""
     if metrics is not None:

@@ -35,13 +35,8 @@ def run_report(stats: SearchStats, extra: dict[str, Any] | None = None) -> dict[
     Stage-cache hit/miss counters (``stats.extras["cache"]``, present when a
     run had ``cache_dir`` configured) are additionally hoisted to flat
     ``cache_hits``/``cache_misses`` keys so warm-vs-cold runs diff cleanly.
-    Likewise the process executor's per-lane map (``extras["process_lanes"]``)
-    is hoisted to flat ``process_lane_count`` / ``process_lane_blocks`` /
-    ``process_lane_discover_seconds`` keys (worker count, total blocks they
-    computed, total discover-lane seconds), so scheduler comparisons diff on
-    scalars; ``peak_live_blocks`` already arrives flat through the extras
-    merge.  The phase-timer map (``extras["phase_seconds"]``) is hoisted the
-    same way, to flat ``phase_<name>_seconds`` keys, which is also what makes
+    The phase-timer map (``extras["phase_seconds"]``) is hoisted the same
+    way, to flat ``phase_<name>_seconds`` keys, which is also what makes
     phase times visible to ``python -m repro.obs regress`` over saved reports.
     Query-mode runs (``extras["query"]``, see :mod:`repro.serve`) hoist to
     flat ``query_*`` keys (``query_n_queries`` / ``query_members`` /
@@ -56,17 +51,6 @@ def run_report(stats: SearchStats, extra: dict[str, Any] | None = None) -> dict[
     if isinstance(cache, dict):
         report.setdefault("cache_hits", cache.get("hits", 0))
         report.setdefault("cache_misses", cache.get("misses", 0))
-    lanes = report.get("process_lanes")
-    if isinstance(lanes, dict):
-        report.setdefault("process_lane_count", len(lanes))
-        report.setdefault(
-            "process_lane_blocks",
-            sum(int(lane.get("blocks", 0)) for lane in lanes.values()),
-        )
-        report.setdefault(
-            "process_lane_discover_seconds",
-            sum(float(lane.get("discover_seconds", 0.0)) for lane in lanes.values()),
-        )
     query = report.get("query")
     if isinstance(query, dict):
         for key in ("n_queries", "members", "novel", "db_sequences"):

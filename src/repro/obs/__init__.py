@@ -37,9 +37,8 @@ __all__ = [
     "current_metrics",
 ]
 
-# The active hub is a plain module global (not a thread-local) for the
-# same reason the active tracer is: forked discover workers must see the
-# hub that the pipeline activated.
+# The active hub is a plain module global, like the active tracer: one
+# observed run at a time per process.
 _ACTIVE: MetricsHub | None = None
 
 

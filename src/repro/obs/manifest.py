@@ -135,7 +135,6 @@ def build_manifest(
             "num_blocks": params.num_blocks,
             "pre_blocking": params.pre_blocking,
             "preblock_depth": params.preblock_depth,
-            "preblock_workers": params.preblock_workers,
             "spgemm_backend": str(params.spgemm_backend),
             "batch_flops": params.batch_flops,
         },

@@ -3,8 +3,7 @@
 One :class:`MetricsHub` per pipeline run collects everything the run
 measures about itself — ledger seconds per category (via the same hook
 protocol :class:`repro.trace.TraceRecorder` implements), phase timers,
-cache hit/miss counters, scheduler lane stats, and per-SUMMA-stage
-kernel dispatch records (measured compression factor + per-kernel
+cache hit/miss counters, and per-SUMMA-stage kernel dispatch records (measured compression factor + per-kernel
 seconds).
 
 Design constraints, in order:
@@ -14,10 +13,6 @@ Design constraints, in order:
   metrics on is asserted per scheduler in ``tests/test_obs.py``.
 * **near-zero cost when off** — instrumented code guards on
   ``current_metrics() is not None`` (one global read); no hub, no cost.
-* **process-safe** — forked discover workers record into a fresh
-  journaling hub whose events ride the block's result home, where the
-  parent merges them in block order (as it commits the block's
-  ``RecordingLedger`` journal).
 
 This module depends only on the standard library so low-level code
 (``repro.sparse.kernels``, ``repro.distsparse.summa``) can import it
@@ -27,7 +22,7 @@ without cycles.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "MetricsHub",
@@ -72,7 +67,7 @@ class _Hist:
 
 
 class MetricsHub:
-    """Process-safe store of labeled counters, gauges, and histograms.
+    """Thread-safe store of labeled counters, gauges, and histograms.
 
     The typed facade is :meth:`counter_add`, :meth:`gauge_set`, and
     :meth:`observe`; labels are passed as keyword arguments::
@@ -81,24 +76,16 @@ class MetricsHub:
         hub.observe("spgemm_kernel_seconds", dt, backend="gustavson", stage="2")
 
     The hub also speaks the :class:`~repro.mpi.costmodel.CostLedger`
-    trace-hook protocol (:meth:`bump` / :meth:`set_value`), so it can be
-    attached to ``ledger.trace`` directly — ``ledger.<category>`` names
-    become a ``ledger_seconds`` counter labeled by category.
-
-    With ``journal=True`` every mutation is also appended to an event
-    list; :meth:`drain` hands the events to a transport (the process
-    scheduler's block header) and the receiving hub applies them with
-    :meth:`merge`.  Replaying events through ``merge`` is deterministic:
-    the parent admits blocks in block order, so merged metrics are
-    reproducible across worker counts.
+    trace-hook protocol (:meth:`bump`), so it can be attached to
+    ``ledger.trace`` directly — ``ledger.<category>`` names become a
+    ``ledger_seconds`` counter labeled by category.
     """
 
-    def __init__(self, journal: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, LabelKey], float] = {}
         self._gauges: dict[tuple[str, LabelKey], float] = {}
         self._hists: dict[tuple[str, LabelKey], _Hist] = {}
-        self._journal: list[tuple] | None = [] if journal else None
 
     # ---- typed facade ----------------------------------------------------
 
@@ -106,15 +93,11 @@ class MetricsHub:
         key = (name, _labels_key(labels))
         with self._lock:
             self._counters[key] = self._counters.get(key, 0.0) + float(value)
-            if self._journal is not None:
-                self._journal.append(("c", name, key[1], float(value)))
 
     def gauge_set(self, name: str, value: float, **labels: Any) -> None:
         key = (name, _labels_key(labels))
         with self._lock:
             self._gauges[key] = float(value)
-            if self._journal is not None:
-                self._journal.append(("g", name, key[1], float(value)))
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = (name, _labels_key(labels))
@@ -123,8 +106,6 @@ class MetricsHub:
             if hist is None:
                 hist = self._hists[key] = _Hist()
             hist.observe(float(value))
-            if self._journal is not None:
-                self._journal.append(("h", name, key[1], float(value)))
 
     # ---- domain recorders ------------------------------------------------
 
@@ -156,46 +137,6 @@ class MetricsHub:
             self.counter_add("ledger_seconds", delta, category=name[7:])
         else:
             self.counter_add(name, delta)
-
-    def set_value(self, name: str, value: float) -> None:
-        if name.startswith("ledger."):
-            # an absolute per-category sum overwrites the counter
-            key = ("ledger_seconds", _labels_key({"category": name[7:]}))
-            with self._lock:
-                self._counters[key] = float(value)
-                if self._journal is not None:
-                    self._journal.append(("cs", "ledger_seconds", key[1], float(value)))
-        else:
-            self.gauge_set(name, value)
-
-    # ---- worker journaling -----------------------------------------------
-
-    def drain(self) -> list[tuple]:
-        """Return and clear the journaled events (journaling hubs only)."""
-        with self._lock:
-            events = self._journal or []
-            if self._journal is not None:
-                self._journal = []
-            return events
-
-    def merge(self, events: Iterable[tuple]) -> None:
-        """Apply events drained from another hub, in order."""
-        with self._lock:
-            for kind, name, labels, value in events:
-                key = (name, tuple(tuple(pair) for pair in labels))
-                if kind == "c":
-                    self._counters[key] = self._counters.get(key, 0.0) + value
-                elif kind == "cs":
-                    self._counters[key] = value
-                elif kind == "g":
-                    self._gauges[key] = value
-                elif kind == "h":
-                    hist = self._hists.get(key)
-                    if hist is None:
-                        hist = self._hists[key] = _Hist()
-                    hist.observe(value)
-                if self._journal is not None:
-                    self._journal.append((kind, name, key[1], value))
 
     # ---- views -----------------------------------------------------------
 
@@ -249,10 +190,6 @@ class LedgerFanout:
     def bump(self, name: str, delta: float) -> None:
         for sink in self.sinks:
             sink.bump(name, delta)
-
-    def set_value(self, name: str, value: float) -> None:
-        for sink in self.sinks:
-            sink.set_value(name, value)
 
 
 # ---- Prometheus text exposition ------------------------------------------

@@ -5,9 +5,8 @@ totals, ledger category sums, ``StageTimeline`` matrices.  This package
 records the run as it happened: a :class:`TraceRecorder` collects
 **spans** — ``(name, category, t_start, t_end, pid, tid, lane, block,
 attrs)`` — for every stage of every block (discover / prune / align /
-accumulate), cache loads and replays, SUMMA broadcast stages, the
-process scheduler's admissions and ledger replays, MCL iterations and
-top-level pipeline phases, plus
+accumulate), cache loads and replays, SUMMA broadcast stages, ledger
+replays, MCL iterations and top-level pipeline phases, plus
 **counter series** (live blocks, ledger category totals, cache hits)
 sampled at block boundaries.
 
@@ -21,19 +20,12 @@ sites guard on ``ctx.trace is None`` (or the no-op handle from
 and every deterministic ledger category are bit-identical with tracing
 on (asserted in ``tests/test_trace.py``).
 
-All three schedulers emit through one recorder: the inline discover lane
-records directly;
-:class:`~repro.core.engine.schedulers.ProcessScheduler` adds
-``admission_wait`` spans from the parent's submit window, and its pool
-workers journal spans into the block's result — next to the block's
-``repro.mpi.costmodel.RecordingLedger`` journal — which the parent merges
-in block order with the worker's pid attribution intact.
+Both schedulers record directly into the run's one recorder.
 
 Deep sites without a :class:`~repro.core.engine.stages.StageContext`
 (the SUMMA stage loop, Markov clustering) find the recorder through the
 module-level active tracer (:func:`activate` / :func:`current_tracer`),
-which the pipeline installs for the duration of a traced run and which
-forked workers re-point at their own recorder.
+which the pipeline installs for the duration of a traced run.
 
 CLI::
 
@@ -58,10 +50,8 @@ from .export import (
 )
 from .recorder import CounterSample, Span, TraceRecorder, maybe_span
 
-#: The run-scoped active recorder.  A plain module global (not a
-#: thread-local): forked worker processes inherit it and re-point it at
-#: their own recorder.  One traced run at a time per process —
-#: the same cardinality as the process executor's ``_WORKER_CTX``.
+#: The run-scoped active recorder.  A plain module global: one traced run
+#: at a time per process.
 _ACTIVE: TraceRecorder | None = None
 
 

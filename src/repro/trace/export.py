@@ -3,7 +3,7 @@
 Two formats, one source of truth:
 
 * **JSONL** (``trace.jsonl``) — the canonical on-disk form.  Line 1 is a
-  meta record (schema version, epoch, parent pid); every further line is
+  meta record (schema version, epoch, pid); every further line is
   one span or counter sample with times in seconds relative to the
   epoch.  Machine-diffable, streamable, and what the CLI consumes.
 * **Chrome trace-event JSON** (``trace.json``) — the
@@ -11,8 +11,8 @@ Two formats, one source of truth:
   load (the same format PyTorch's profiler and dask's task-stream emit):
   spans as complete events (``ph: "X"``, microsecond ``ts``/``dur``,
   ``pid``/``tid``), counter series as ``ph: "C"`` events, plus
-  ``ph: "M"`` metadata naming each process ("parent"/"worker") and each
-  thread by the lane its spans run in.
+  ``ph: "M"`` metadata naming the process by its pid and each thread by
+  the lane its spans run in.
 
 ``write_trace`` writes both next to each other; it is also what the
 pipeline calls from its failure path, so a run that dies mid-schedule
@@ -119,15 +119,13 @@ def read_jsonl(path: str | os.PathLike) -> tuple[dict, list[dict], list[dict]]:
 
 
 # --------------------------------------------------------------------------- Chrome
-def chrome_events(meta: dict, spans: list[dict], counters: list[dict]) -> list[dict]:
+def chrome_events(spans: list[dict], counters: list[dict]) -> list[dict]:
     """Build the Chrome trace-event list from parsed JSONL records.
 
     Times arrive in relative seconds and leave in microseconds (the
-    trace-event clock unit).  Each distinct ``(pid, tid)`` is named after
-    the lane of its first span, and each pid after its role (the recorder's
-    own pid is the parent; every other pid is a discover worker).
+    trace-event clock unit).  Each pid is named by its number and each
+    distinct ``(pid, tid)`` after the lane of its first span.
     """
-    parent_pid = meta.get("pid")
     events: list[dict] = []
     seen_pids: dict[int, None] = {}
     thread_lane: dict[tuple[int, int], str] = {}
@@ -139,14 +137,13 @@ def chrome_events(meta: dict, spans: list[dict], counters: list[dict]) -> list[d
         seen_pids.setdefault(counter["pid"], None)
 
     for pid in seen_pids:
-        role = "parent" if parent_pid is None or pid == parent_pid else "discover-worker"
         events.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": f"{role} (pid {pid})"},
+                "args": {"name": f"repro (pid {pid})"},
             }
         )
     for (pid, tid), lane in thread_lane.items():
@@ -197,18 +194,17 @@ def write_chrome(recorder: TraceRecorder, path: str | os.PathLike) -> Path:
     """Write a Perfetto-loadable Chrome trace-event file from a recorder."""
     spans, counters = recorder.snapshot()
     epoch = recorder.epoch
-    meta = {"pid": recorder.pid}
     span_records = [_span_record(s, epoch) for s in spans]
     counter_records = [_counter_record(c, epoch) for c in counters]
     return _write_chrome_document(
-        chrome_events(meta, span_records, counter_records), path
+        chrome_events(span_records, counter_records), path
     )
 
 
 def chrome_from_jsonl(jsonl_path: str | os.PathLike, out_path: str | os.PathLike) -> Path:
     """Convert a JSONL trace to a Chrome trace-event file."""
-    meta, spans, counters = read_jsonl(jsonl_path)
-    return _write_chrome_document(chrome_events(meta, spans, counters), out_path)
+    _, spans, counters = read_jsonl(jsonl_path)
+    return _write_chrome_document(chrome_events(spans, counters), out_path)
 
 
 def _write_chrome_document(events: list[dict], path: str | os.PathLike) -> Path:
@@ -287,7 +283,7 @@ def summarize_text(path: str | os.PathLike) -> str:
 
 def diff_text(path_a: str | os.PathLike, path_b: str | os.PathLike) -> str:
     """Side-by-side per-stage comparison of two JSONL traces (the
-    cold-vs-warm and serial-vs-process cases)."""
+    cold-vs-warm and serial-vs-overlapped cases)."""
     _, spans_a, _ = read_jsonl(path_a)
     _, spans_b, _ = read_jsonl(path_b)
     agg_a = aggregate(spans_a)

@@ -9,25 +9,18 @@ A :class:`TraceRecorder` collects two kinds of events:
   (times taken at enter/exit) or through :meth:`TraceRecorder.add_span`
   for intervals the caller already timed.
 * **counter samples** — ``(name, t, value)`` points of a time series.
-  Cheap *cumulative* counters (:meth:`bump`, :meth:`set_value`) are plain
-  dictionary updates on the hot path; they only become events when
+  Cheap *cumulative* counters (:meth:`bump`) are plain dictionary updates on the hot path; they only become events when
   :meth:`sample_counters` materializes the current values, which the
   schedulers call at block boundaries.  This is what keeps per-charge
   ledger hooks affordable: a ``charge()`` costs one dict add, not one
   event allocation.
 
-Timestamps are ``time.perf_counter()`` seconds.  On Linux that clock is
-``CLOCK_MONOTONIC`` — system-wide, not per-process — so a recorder
-*epoch* taken in the parent is a valid origin for spans recorded in
-forked worker processes: the process scheduler's pool workers build a
-fresh recorder sharing the parent's epoch, ship their spans home with the
-block's result and ledger journal, and the parent merges them with the
-worker's ``pid`` already baked in (see
-:mod:`repro.core.engine.process_executor`).
+Timestamps are ``time.perf_counter()`` seconds, exported relative to the
+recorder's *epoch* (taken when it is built).
 
 Thread safety: all mutation happens under one lock, so several threads
-may record into one recorder.  The recorder never touches run state — it only appends to its own
-lists — which is what makes tracing provably non-perturbing (asserted by
+may record into one recorder.  The recorder never touches run state — it
+only appends to its own lists — which is what makes tracing provably non-perturbing (asserted by
 the bit-identity tests in ``tests/test_trace.py``).
 """
 
@@ -41,8 +34,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Span:
-    """One named interval. ``attrs`` is a tuple of ``(key, value)`` pairs
-    (hashable, compactly picklable — workers ship spans over the pipe)."""
+    """One named interval. ``attrs`` is a tuple of ``(key, value)`` pairs."""
 
     name: str
     category: str
@@ -147,14 +139,12 @@ def maybe_span(recorder, name: str, category: str, *, lane: str = "main",
 
 
 class TraceRecorder:
-    """Collects spans and counter series for one run (or one worker's share)."""
+    """Collects spans and counter series for one run."""
 
-    def __init__(self, epoch: float | None = None) -> None:
-        #: origin all exported timestamps are relative to (perf_counter
-        #: seconds); pass the parent's epoch when building worker recorders
-        self.epoch = time.perf_counter() if epoch is None else float(epoch)
-        #: pid of the process that built the recorder (the parent, in
-        #: exported traces — worker spans carry their own pid)
+    def __init__(self) -> None:
+        #: origin all exported timestamps are relative to (perf_counter seconds)
+        self.epoch = time.perf_counter()
+        #: pid of the process that built the recorder
         self.pid = os.getpid()
         self.spans: list[Span] = []
         self.counters: list[CounterSample] = []
@@ -193,11 +183,6 @@ class TraceRecorder:
         with self._lock:
             self._cumulative[name] = self._cumulative.get(name, 0.0) + delta
 
-    def set_value(self, name: str, value: float) -> None:
-        """Overwrite a cumulative counter (a gauge)."""
-        with self._lock:
-            self._cumulative[name] = float(value)
-
     def sample_counters(self, **values: float) -> None:
         """Materialize counter samples: the given values plus every
         cumulative counter, all stamped with one timestamp.  Schedulers call
@@ -209,27 +194,6 @@ class TraceRecorder:
                 self.counters.append(CounterSample(name, now, float(value), pid))
             for name, value in self._cumulative.items():
                 self.counters.append(CounterSample(name, now, float(value), pid))
-
-    # ------------------------------------------------------------------ worker journaling
-    def drain(self) -> tuple[list[Span], list[CounterSample]]:
-        """Return and clear the recorded events (worker-side, per block:
-        the drained lists ride the block header to the parent)."""
-        with self._lock:
-            spans, self.spans = self.spans, []
-            counters, self.counters = self.counters, []
-        return spans, counters
-
-    def merge(self, spans, counters=()) -> None:
-        """Append events journaled elsewhere (parent-side worker merge).
-
-        Called from the process executor's block-ordered replay, so worker
-        spans land in the parent recorder in block order even though they
-        were produced concurrently; each span keeps the pid/tid of the
-        worker that produced it.
-        """
-        with self._lock:
-            self.spans.extend(spans)
-            self.counters.extend(counters)
 
     # ------------------------------------------------------------------ views
     def snapshot(self) -> tuple[list[Span], list[CounterSample]]:

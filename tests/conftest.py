@@ -93,3 +93,65 @@ def pipeline_result(small_seqs, fast_params):
     from repro.core.pipeline import PastisPipeline
 
     return PastisPipeline(fast_params).run(small_seqs)
+
+
+@pytest.fixture(params=["before_blocks", "after_commit", "during_align"])
+def failing_run(request, monkeypatch):
+    """A run that raises ``RuntimeError`` part way through the stage graph.
+
+    ``before_blocks`` fails the serial scheduler before block 0 is
+    discovered; ``after_commit`` raises from the second
+    ``BlockedSpGemm.compute_block`` call of an overlapped depth-3 run, after
+    block 0 has been committed; ``during_align`` raises from the second
+    ``BlockTask.align`` call of a serial run, after blocks 0 and 1 have
+    been committed.  Returns the parameter overrides, the error message,
+    the scheduler name and the number of blocks committed.
+    """
+    from types import SimpleNamespace
+
+    if request.param == "during_align":
+        from repro.core.engine.stages import BlockTask
+
+        original_align = BlockTask.align
+        aligned = {"n": 0}
+
+        def fail_second_align(self, ctx):
+            aligned["n"] += 1
+            if aligned["n"] == 2:
+                raise RuntimeError("injected align failure")
+            return original_align(self, ctx)
+
+        monkeypatch.setattr(BlockTask, "align", fail_second_align)
+        return SimpleNamespace(
+            overrides={}, message="injected align failure",
+            scheduler="serial", committed=2,
+        )
+
+    if request.param == "before_blocks":
+        from repro.core.engine.schedulers import SerialScheduler
+
+        def boom(self, tasks, ctx):
+            raise RuntimeError("injected scheduler failure")
+
+        monkeypatch.setattr(SerialScheduler, "run", boom)
+        return SimpleNamespace(
+            overrides={}, message="injected scheduler failure",
+            scheduler="serial", committed=0,
+        )
+
+    from repro.distsparse.blocked_summa import BlockedSpGemm
+
+    original = BlockedSpGemm.compute_block
+    calls = {"n": 0}
+
+    def fail_second(self, block_row, block_col):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise RuntimeError("injected discover failure")
+        return original(self, block_row, block_col)
+
+    monkeypatch.setattr(BlockedSpGemm, "compute_block", fail_second)
+    return SimpleNamespace(
+        overrides={"pre_blocking": True, "preblock_depth": 3},
+        message="injected discover failure", scheduler="overlapped", committed=1,
+    )

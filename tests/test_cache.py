@@ -47,8 +47,6 @@ LEDGER_COUNTERS = (
 #: TIMING_AND_MEMORY_KEYS excludes from scheduler comparisons.
 NONDETERMINISTIC_STATS_KEYS = frozenset({"wall_seconds", "cache", "phase_seconds"})
 CONCURRENCY_STATS_KEYS = frozenset({"peak_live_blocks", "peak_live_block_bytes"})
-#: Process-scheduler-only extras: worker pids differ run to run.
-PROCESS_STATS_KEYS = frozenset({"process_lanes"})
 #: Measured wall-time aggregates: identical between cold and warm runs of
 #: the *same* cache (a hit replays the stored seconds) but not between
 #: independent executions — skipped when comparing against an uncached
@@ -119,10 +117,9 @@ def assert_results_identical(cold, warm, *, skip_stats=frozenset(),
             id="overlapped-depth2",
         ),
         pytest.param(
-            {"pre_blocking": True, "scheduler": "process", "preblock_depth": 2,
-             "preblock_workers": 2},
-            CONCURRENCY_STATS_KEYS | PROCESS_STATS_KEYS,
-            id="process-depth2",
+            {"pre_blocking": True, "preblock_depth": 4},
+            CONCURRENCY_STATS_KEYS,
+            id="overlapped-depth4",
         ),
     ],
 )
@@ -171,16 +168,22 @@ def test_measured_clock_stage_categories_replay(tmp_path, tiny_seqs):
 
 
 OVERLAPPED_DEPTH2 = {"pre_blocking": True, "preblock_depth": 2}
-PROCESS_DEPTH2 = {"pre_blocking": True, "scheduler": "process", "preblock_depth": 2,
-                  "preblock_workers": 2}
+#: depth 1 on the modeled clock: the reader charges the paper's contention
+#: multipliers on the raw seconds a serial writer stored, and vice versa
+OVERLAPPED_DEPTH1 = {"pre_blocking": True}
 
 
 @pytest.mark.parametrize(
     "writer, reader",
     [
         pytest.param({}, OVERLAPPED_DEPTH2, id="serial-writes-overlapped-reads"),
-        pytest.param(PROCESS_DEPTH2, {}, id="process-writes-serial-reads"),
-        pytest.param({}, PROCESS_DEPTH2, id="serial-writes-process-reads"),
+        pytest.param(OVERLAPPED_DEPTH2, {}, id="overlapped-writes-serial-reads"),
+        pytest.param(
+            {}, OVERLAPPED_DEPTH1, id="serial-writes-contended-overlapped-reads"
+        ),
+        pytest.param(
+            OVERLAPPED_DEPTH1, {}, id="contended-overlapped-writes-serial-reads"
+        ),
     ],
 )
 def test_entries_shared_across_schedulers(tmp_path, tiny_seqs, writer, reader):
@@ -193,7 +196,7 @@ def test_entries_shared_across_schedulers(tmp_path, tiny_seqs, writer, reader):
     assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
     assert_results_identical(
         reference, warm,
-        skip_stats=CONCURRENCY_STATS_KEYS | MEASURED_STATS_KEYS | PROCESS_STATS_KEYS,
+        skip_stats=CONCURRENCY_STATS_KEYS | MEASURED_STATS_KEYS,
     )
 
 

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.engine import (
     OverlappedScheduler,
-    ProcessScheduler,
     SerialScheduler,
     StreamingGraphAccumulator,
     make_scheduler,
@@ -350,10 +349,10 @@ def test_expand_oracle_matches_default_backend(small_seqs, fast_params, pipeline
 
 
 # ---------------------------------------------------------------- overlapped at depth k
-def _stats_equal_modulo_timing(stats_a, stats_b, ignore=frozenset()):
-    assert set(stats_a) - ignore == set(stats_b) - ignore
+def _stats_equal_modulo_timing(stats_a, stats_b):
+    assert set(stats_a) == set(stats_b)
     for key, value in stats_a.items():
-        if key in TIMING_AND_MEMORY_KEYS or key in ignore:
+        if key in TIMING_AND_MEMORY_KEYS:
             continue
         if key.startswith("imbalance_"):
             assert stats_b[key] == pytest.approx(value, rel=1e-9), key
@@ -371,18 +370,19 @@ def _reconstructed_clock(ledger):
 
 
 @pytest.fixture(scope="module")
-def threaded_serial_baseline():
+def serial_baseline():
     """Serial 6-block reference run for the pre-blocking bit-identity
-    matrices (overlapped over depth, process over depth x workers)."""
+    matrix over depth."""
     seqs = synthetic_dataset(n_sequences=40, seed=3)
     return seqs, _run(seqs, num_blocks=6)
 
 
 # acceptance: bit-identical records/edges/ledger across depth {1, 2, 4} —
-# discovering ahead reorders stages, never results
-@pytest.mark.parametrize("depth", [1, 2, 4])
-def test_overlapped_depth_k_bit_identical_to_serial(depth, threaded_serial_baseline):
-    seqs, serial = threaded_serial_baseline
+# discovering ahead reorders stages, never results; depths 5, 6 and 9 reach
+# or pass the last of the 6 blocks, so the lookahead is clamped
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 9])
+def test_overlapped_depth_k_bit_identical_to_serial(depth, serial_baseline):
+    seqs, serial = serial_baseline
     overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=depth)
     assert overlapped.scheduler == "overlapped"
     assert overlapped.timeline.preblock_depth == depth
@@ -409,12 +409,65 @@ def test_overlapped_depth_k_bit_identical_to_serial(depth, threaded_serial_basel
             rtol=1e-12,
         )
     # memory shape of the schedule: the block being aligned + k discovered
-    assert overlapped.stats.extras["peak_live_blocks"] == depth + 1
+    # (never more than the run has blocks)
+    assert overlapped.stats.extras["peak_live_blocks"] == min(depth + 1, 6)
 
 
-def test_overlapped_depth2_clock_identity_and_report(threaded_serial_baseline):
+@pytest.fixture(scope="module")
+def triangularity_baseline():
+    """Serial 6-block reference run under triangularity load balancing."""
+    seqs = synthetic_dataset(n_sequences=40, seed=3)
+    return seqs, _run(seqs, num_blocks=6, load_balancing="triangularity")
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_overlapped_depth_k_bit_identical_under_triangularity(
+    depth, triangularity_baseline
+):
+    """Depth-k lookahead over triangularity-balanced blocks (diagonal and
+    off-diagonal kinds interleaved) leaves results bit-identical."""
+    seqs, serial = triangularity_baseline
+    overlapped = _run(
+        seqs,
+        num_blocks=6,
+        load_balancing="triangularity",
+        pre_blocking=True,
+        preblock_depth=depth,
+    )
+    assert np.array_equal(
+        serial.similarity_graph.edges, overlapped.similarity_graph.edges
+    )
+    _assert_records_equal(serial.block_records, overlapped.block_records)
+    _stats_equal_modulo_timing(serial.stats.as_dict(), overlapped.stats.as_dict())
+    for category in ("align", "spgemm", "comm", "cwait", "sparse_other", "io"):
+        assert np.array_equal(
+            serial.ledger.per_rank(category), overlapped.ledger.per_rank(category)
+        ), category
+
+
+@pytest.mark.parametrize("depth", [1, 3, 4, 5, 6])
+def test_overlapped_clock_identity_at_every_depth(depth, serial_baseline):
+    """The overlap algebra closes at every depth, including lookaheads that
+    reach the last block: align + spgemm - overlap_hidden == combined clock,
+    the hidden time is non-negative and the combined clock never exceeds
+    the back-to-back sum."""
+    seqs, _ = serial_baseline
+    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=depth)
+    ledger = overlapped.ledger
+    combined = overlapped.timeline.combined_per_rank
+    np.testing.assert_allclose(_reconstructed_clock(ledger), combined, rtol=1e-12)
+    assert np.all(ledger.per_rank(OVERLAP_HIDDEN_CATEGORY) >= 0.0)
+    assert np.all(
+        combined <= ledger.per_rank("align") + ledger.per_rank("spgemm") + 1e-12
+    )
+    report = overlapped.preblocking_report
+    assert report is not None
+    assert report.combined_seconds_pre <= report.sum_seconds
+
+
+def test_overlapped_depth2_clock_identity_and_report(serial_baseline):
     """align + spgemm - overlap_hidden == combined clock, and a report derives."""
-    seqs, serial = threaded_serial_baseline
+    seqs, serial = serial_baseline
     overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=2)
     ledger = overlapped.ledger
     assert OVERLAP_HIDDEN_CATEGORY in ledger.categories()
@@ -432,9 +485,9 @@ def test_overlapped_depth2_clock_identity_and_report(threaded_serial_baseline):
     assert report.combined_seconds_pre < report.sum_seconds
 
 
-def test_overlapped_measured_clock_same_results(threaded_serial_baseline):
+def test_overlapped_measured_clock_same_results(serial_baseline):
     """Under clock="measured" pre-blocking still produces the serial results."""
-    seqs, serial = threaded_serial_baseline
+    seqs, serial = serial_baseline
     overlapped = _run(
         seqs, num_blocks=6, clock="measured", pre_blocking=True, preblock_depth=2
     )
@@ -450,7 +503,7 @@ def test_overlapped_measured_clock_same_results(threaded_serial_baseline):
     )
 
 
-@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
 def test_overlapped_discovers_k_blocks_ahead_of_each_alignment(
     tiny_seqs, fast_params, depth
 ):
@@ -475,13 +528,28 @@ def test_overlapped_discovers_k_blocks_ahead_of_each_alignment(
             assert discovered == min(b + depth + 1, len(order)), (b, discovered)
 
 
+def test_serial_discovers_each_block_just_before_its_alignment(
+    tiny_seqs, fast_params
+):
+    """Depth 0: align(b) starts after exactly the discovers of blocks 0..b."""
+    result = PastisPipeline(fast_params.replace(num_blocks=6, trace=True)).run(
+        tiny_seqs
+    )
+    stages = sorted(
+        (s for s in result.trace.spans if s.name in ("discover", "align")),
+        key=lambda s: s.t_start,
+    )
+    assert [s.name for s in stages] == ["discover", "align"] * 6
+    assert [s.block for s in stages[::2]] == [s.block for s in stages[1::2]]
+
+
 def test_explicit_overlapped_on_measured_clock_charges_raw_seconds(
-    threaded_serial_baseline,
+    serial_baseline,
 ):
     """scheduler="overlapped" with clock="measured": contention multipliers
     model the depth-1 schedule on the modeled clock only, so measured
     seconds are charged as measured."""
-    seqs, _ = threaded_serial_baseline
+    seqs, _ = serial_baseline
     result = _run(seqs, num_blocks=6, clock="measured", scheduler="overlapped")
     timeline = result.timeline
     assert result.scheduler == "overlapped"
@@ -494,10 +562,10 @@ def test_explicit_overlapped_on_measured_clock_charges_raw_seconds(
     assert report.sparse_seconds_pre == report.sparse_seconds
 
 
-def test_explicit_overlapped_honours_depth_above_one(threaded_serial_baseline):
+def test_explicit_overlapped_honours_depth_above_one(serial_baseline):
     """scheduler="overlapped" with preblock_depth > 1 runs at that depth,
     uncontended: the same schedule and clock as pre_blocking selects."""
-    seqs, serial = threaded_serial_baseline
+    seqs, serial = serial_baseline
     explicit = _run(seqs, num_blocks=6, scheduler="overlapped", preblock_depth=3)
     derived = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=3)
     assert explicit.scheduler == derived.scheduler == "overlapped"
@@ -512,226 +580,16 @@ def test_explicit_overlapped_honours_depth_above_one(threaded_serial_baseline):
     )
 
 
-# ---------------------------------------------------------------- process executor
-#: SearchStats extras only the process scheduler reports (per-lane process
-#: timings) — excluded from cross-scheduler stats-identity comparisons,
-#: asserted separately below.
-PROCESS_EXTRAS_KEYS = frozenset({"process_lanes"})
-
-
-# acceptance: bit-identical records/edges/stats/ledger across depth {1, 2, 4}
-# x worker processes {1, 2, 4} — fork, the pool's pipe and parent-ordered
-# replay may move work across processes, never change results
-@pytest.mark.parametrize("depth", [1, 2, 4])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_process_scheduler_bit_identical_to_serial(
-    depth, workers, threaded_serial_baseline
-):
-    seqs, serial = threaded_serial_baseline
-    process = _run(
-        seqs,
-        num_blocks=6,
-        pre_blocking=True,
-        preblock_depth=depth,
-        preblock_workers=workers,
-        scheduler="process",
-    )
-    assert process.scheduler == "process"
-    assert np.array_equal(
-        serial.similarity_graph.edges, process.similarity_graph.edges
-    )
-    _assert_records_equal(serial.block_records, process.block_records)
-    _stats_equal_modulo_timing(
-        serial.stats.as_dict(), process.stats.as_dict(), ignore=PROCESS_EXTRAS_KEYS
-    )
-    # parent-ordered replay of the workers' ledger journals makes the
-    # per-rank sums of every modeled category bit-identical to serial
-    for category in ("align", "spgemm", "comm", "cwait", "sparse_other", "io"):
-        assert np.array_equal(
-            serial.ledger.per_rank(category), process.ledger.per_rank(category)
-        ), category
-    # memory bound: at most depth + 1 blocks were ever live
-    assert process.stats.extras["peak_live_blocks"] <= depth + 1
-    # the process-specific extras are present and coherent
-    lanes = process.stats.extras["process_lanes"]
-    assert sum(lane["blocks"] for lane in lanes.values()) == 6
-    assert len(lanes) <= workers
-
-
-def test_process_scheduler_clock_identity_and_report(threaded_serial_baseline):
-    """The process schedule closes through the same depth-k overlap algebra."""
-    seqs, serial = threaded_serial_baseline
-    process = _run(
-        seqs, num_blocks=6, pre_blocking=True, preblock_depth=2, scheduler="process"
-    )
-    ledger = process.ledger
-    assert OVERLAP_HIDDEN_CATEGORY in ledger.categories()
-    reconstructed = (
-        ledger.per_rank("align")
-        + ledger.per_rank("spgemm")
-        - ledger.per_rank(OVERLAP_HIDDEN_CATEGORY)
-    )
-    np.testing.assert_allclose(
-        reconstructed, process.timeline.combined_per_rank, rtol=1e-12
-    )
-    assert process.timeline.preblock_depth == 2
-    assert process.timeline.measured_phase_seconds > 0.0
-    report = process.preblocking_report
-    assert report is not None
-    assert report.combined_seconds_pre < report.sum_seconds
-    # the modeled clock is scheduler-independent: same combined clock as the
-    # uncontended overlapped schedule at the same depth
-    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=2)
-    assert overlapped.scheduler == "overlapped"
-    assert overlapped.timeline.align_contention == 1.0
-    np.testing.assert_array_equal(
-        process.timeline.combined_per_rank, overlapped.timeline.combined_per_rank
-    )
-
-
-def test_process_scheduler_measured_clock_same_results(threaded_serial_baseline):
-    """Under clock="measured" the process executor still matches serial."""
-    seqs, serial = threaded_serial_baseline
-    process = _run(
-        seqs,
-        num_blocks=6,
-        clock="measured",
-        pre_blocking=True,
-        preblock_depth=2,
-        preblock_workers=2,
-        scheduler="process",
-    )
-    assert process.scheduler == "process"
-    assert np.array_equal(
-        serial.similarity_graph.edges, process.similarity_graph.edges
-    )
-    ledger = process.ledger
-    reconstructed = (
-        ledger.per_rank("align")
-        + ledger.per_rank("spgemm")
-        - ledger.per_rank(OVERLAP_HIDDEN_CATEGORY)
-    )
-    np.testing.assert_allclose(
-        reconstructed, process.timeline.combined_per_rank, rtol=1e-9
-    )
-
-
-def test_process_worker_death_fails_fast(small_seqs, fast_params, monkeypatch):
-    """SIGKILL a discover worker mid-block; the run must surface a clear
-    error promptly (no deadlock on the broken pool)."""
-    import os
-    import signal
-    import threading
-
-    from repro.distsparse.blocked_summa import BlockedSpGemm
-
-    calls = {"n": 0}  # forked per worker: counts that worker's blocks only
-    original = BlockedSpGemm.compute_block
-
-    def kamikaze(self, block_row, block_col):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return original(self, block_row, block_col)
-
-    # patch the class before run(): the pool forks after submission starts,
-    # so every worker inherits the kamikaze discover stage
-    monkeypatch.setattr(BlockedSpGemm, "compute_block", kamikaze)
-    params = fast_params.replace(
-        num_blocks=6,
-        pre_blocking=True,
-        scheduler="process",
-        preblock_depth=3,
-        preblock_workers=2,
-    )
-    outcome: list[BaseException] = []
-
-    def run():
-        try:
-            PastisPipeline(params).run(small_seqs)
-        except BaseException as exc:  # noqa: BLE001 - the assertion target
-            outcome.append(exc)
-
-    runner = threading.Thread(target=run)
-    runner.start()
-    runner.join(timeout=60.0)
-    assert not runner.is_alive(), "killed process run deadlocked in teardown"
-    assert len(outcome) == 1
-    assert isinstance(outcome[0], RuntimeError)
-    assert "discover worker died" in str(outcome[0])
-
-
-def test_process_run_creates_no_shared_memory_segment(
-    threaded_serial_baseline, monkeypatch
-):
-    """Block results travel through the pool's pipe: a run that could not
-    create a shared-memory segment (forked workers inherit the patch) still
-    matches serial."""
-    from multiprocessing import shared_memory
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a run created a shared-memory segment")
-
-    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
-    seqs, serial = threaded_serial_baseline
-    process = _run(
-        seqs,
-        num_blocks=6,
-        pre_blocking=True,
-        preblock_depth=2,
-        preblock_workers=2,
-        scheduler="process",
-    )
-    assert process.scheduler == "process"
-    assert np.array_equal(
-        serial.similarity_graph.edges, process.similarity_graph.edges
-    )
-
-
-def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatch):
-    """An ordinary exception in a worker (not a crash) surfaces unchanged."""
-    from repro.distsparse.blocked_summa import BlockedSpGemm
-
-    original = BlockedSpGemm.compute_block
-
-    def failing(self, block_row, block_col):
-        raise ValueError("injected worker failure")
-
-    monkeypatch.setattr(BlockedSpGemm, "compute_block", failing)
-    params = fast_params.replace(
-        num_blocks=6, pre_blocking=True, scheduler="process", preblock_workers=2
-    )
-    with pytest.raises(ValueError, match="injected worker failure"):
-        PastisPipeline(params).run(small_seqs)
-
-
-def test_process_scheduler_refuses_a_platform_without_fork(
-    small_seqs, fast_params, monkeypatch
-):
-    """Without the ``fork`` start method the process lane cannot inherit the
-    run state: the run fails with an error that names the alternative."""
-    from repro.core.engine import process_executor
-
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(process_executor, "get_context", no_fork)
-    params = fast_params.replace(num_blocks=4, pre_blocking=True, scheduler="process")
-    with pytest.raises(RuntimeError, match="scheduler='overlapped'"):
-        PastisPipeline(params).run(small_seqs)
-
-
 def test_pipeline_scheduler_selection(small_seqs, fast_params):
     """No pre-blocking -> serial; pre-blocking -> overlapped at the
     configured depth, with the paper's contention only at depth 1 on the
-    modeled clock; "process" only when named."""
+    modeled clock."""
     paper = PreblockingModel().align_contention
     cases = [
         (dict(), "serial", 1, 1.0),
         (dict(pre_blocking=True), "overlapped", 1, paper),
         (dict(pre_blocking=True, preblock_depth=2), "overlapped", 2, 1.0),
         (dict(pre_blocking=True, clock="measured"), "overlapped", 1, 1.0),
-        (dict(pre_blocking=True, scheduler="process"), "process", 1, 1.0),
     ]
     for overrides, name, depth, align_contention in cases:
         result = PastisPipeline(fast_params.replace(**overrides)).run(small_seqs)
@@ -774,9 +632,8 @@ def test_accumulator_peak_accounting_with_k_plus_1_live_blocks():
 
     acc = StreamingGraphAccumulator(n_vertices=12, max_live_blocks=3)
     sizes = [1000, 400, 2500, 800, 50]
-    # admit/compute the first k+1 = 3 blocks (speculation fills the window)
+    # compute the first k+1 = 3 blocks (speculation fills the window)
     for nbytes in sizes[:3]:
-        acc.admit_block()
         acc.block_computed(nbytes)
     assert acc.live_blocks == 3
     assert acc.peak_live_blocks == 3
@@ -784,13 +641,11 @@ def test_accumulator_peak_accounting_with_k_plus_1_live_blocks():
     # consume/discard in block order while admitting the remaining blocks
     acc.consume(np.zeros(0, dtype=EDGE_DTYPE))
     acc.block_discarded(sizes[0])
-    acc.admit_block()
     acc.block_computed(sizes[3])
     assert acc.live_blocks == 3
     assert acc.peak_live_block_bytes == 1000 + 400 + 2500  # old peak stands
     acc.block_discarded(sizes[1])
     acc.block_discarded(sizes[2])
-    acc.admit_block()
     acc.block_computed(sizes[4])
     acc.block_discarded(sizes[3])
     acc.block_discarded(sizes[4])
@@ -813,8 +668,6 @@ def test_accumulator_duplicate_edges_arriving_out_of_block_order():
     acc = StreamingGraphAccumulator(n_vertices=8, max_live_blocks=3)
     # three blocks live at once; edges consumed in block order but discards
     # interleave (block 1 outlives block 2's consumption)
-    for _ in range(3):
-        acc.admit_block()
     acc.block_computed(100)
     acc.block_computed(200)
     acc.block_computed(300)
@@ -832,39 +685,76 @@ def test_accumulator_duplicate_edges_arriving_out_of_block_order():
     assert pair["score"][0] == 40  # first occurrence wins, block order decides
 
 
-def test_accumulator_reservation_past_bound_raises_not_hangs():
-    """``admit_block`` reserves without waiting: past the bound it raises,
-    and a discard frees the slot for the next reservation."""
-    acc = StreamingGraphAccumulator(n_vertices=4, max_live_blocks=2)
-    acc.admit_block()
-    acc.admit_block()
-    with pytest.raises(RuntimeError, match="live-block bound exceeded"):
-        acc.admit_block()
-    assert acc.live_blocks == 2
-    acc.block_computed(100)  # consumes a reservation, admits nothing new
-    acc.block_computed(200)
-    assert acc.live_blocks == 2
-    acc.block_discarded(100)
-    acc.admit_block()
-    acc.block_computed(300)
-    assert acc.peak_live_blocks == 2  # the bound held throughout
-    acc.block_discarded(200)
-    acc.block_discarded(300)
-    assert acc.live_blocks == 0
-    assert acc.retained_block_bytes == 600
-
-
 def test_accumulator_single_thread_over_bound_raises_not_hangs():
-    """Registering past the bound without a pre-admission fails loudly: the
-    registering thread may be the only one able to evict, so waiting for a
-    slot it would itself have to free would deadlock silently."""
+    """Registering past the bound fails loudly: the registering thread is
+    the only one able to evict, so waiting for a slot it would itself have
+    to free would deadlock silently."""
     acc = StreamingGraphAccumulator(n_vertices=4, max_live_blocks=1)
-    acc.block_computed(100)  # self-admits
+    acc.block_computed(100)  # admits
     with pytest.raises(RuntimeError, match="live-block bound exceeded"):
         acc.block_computed(200)
     acc.block_discarded(100)
     acc.block_computed(200)  # a freed slot admits again
     assert acc.live_blocks == 1
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_accumulator_refusal_leaves_accounting_untouched(bound):
+    """A block refused at the bound is not counted: live blocks, live and
+    retained bytes and the peaks are what the admitted blocks made them."""
+    acc = StreamingGraphAccumulator(n_vertices=4, max_live_blocks=bound)
+    for _ in range(bound):
+        acc.block_computed(100)
+    with pytest.raises(RuntimeError, match="live-block bound exceeded"):
+        acc.block_computed(7000)
+    assert acc.live_blocks == acc.peak_live_blocks == bound
+    assert acc.live_block_bytes == acc.peak_live_block_bytes == 100 * bound
+    assert acc.retained_block_bytes == 100 * bound
+    for _ in range(bound):
+        acc.block_discarded(100)
+    assert acc.live_blocks == 0
+    assert acc.live_block_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, depth",
+    [
+        pytest.param({}, 0, id="serial"),
+        pytest.param({"pre_blocking": True}, 1, id="overlapped"),
+        pytest.param({"pre_blocking": True, "preblock_depth": 3}, 3, id="overlapped-depth3"),
+    ],
+)
+def test_align_failure_stops_the_schedule(
+    small_seqs, fast_params, monkeypatch, overrides, depth
+):
+    """An alignment failure on the second block surfaces the original error
+    once the schedule's lookahead has been discovered, and nothing after."""
+    from repro.core.engine import schedulers
+    from repro.core.engine.stages import BlockTask
+
+    discovered = []
+    original_discover = schedulers.discover
+    original_align = BlockTask.align
+    aligned = {"n": 0}
+
+    def counting_discover(ctx, task):
+        discovered.append((task.block_row, task.block_col))
+        return original_discover(ctx, task)
+
+    def failing_align(self, ctx):
+        aligned["n"] += 1
+        if aligned["n"] == 2:
+            raise RuntimeError("injected align failure")
+        return original_align(self, ctx)
+
+    monkeypatch.setattr(schedulers, "discover", counting_discover)
+    monkeypatch.setattr(BlockTask, "align", failing_align)
+    params = fast_params.replace(num_blocks=6, **overrides)
+    with pytest.raises(RuntimeError, match="injected align failure"):
+        PastisPipeline(params).run(small_seqs)
+    # block 1 was being aligned: blocks 0 .. 1 + depth had been discovered
+    assert len(discovered) == 2 + depth
+    assert len(set(discovered)) == len(discovered)
 
 
 def test_overlapped_discover_failure_propagates(small_seqs, fast_params, monkeypatch):
@@ -900,38 +790,23 @@ def test_make_scheduler_factory():
     assert deep.depth == 3
     assert deep.contention.align_contention == 1.0
     assert deep.contention.sparse_contention(400) == 1.0
-    process = make_scheduler("process", depth=2, max_workers=3)
-    assert isinstance(process, ProcessScheduler)
-    assert (process.depth, process.max_workers) == (2, 3)
     with pytest.raises(ValueError, match="depth"):
         make_scheduler("overlapped", depth=0)
-    with pytest.raises(ValueError, match="depth"):
-        make_scheduler("process", depth=0)
-    with pytest.raises(ValueError, match="max_workers"):
-        make_scheduler("process", max_workers=0)
-    with pytest.raises(ValueError, match="unknown scheduler.*serial, overlapped, process"):
-        make_scheduler("threaded")
+    for removed in ("threaded", "process"):
+        with pytest.raises(ValueError, match="unknown scheduler.*serial, overlapped$"):
+            make_scheduler(removed)
     with pytest.raises(ValueError, match="unknown scheduler"):
         make_scheduler("speculative")
 
 
 def test_params_refuse_the_removed_threaded_scheduler():
-    with pytest.raises(
-        ValueError, match="'serial', 'overlapped' or 'process', got 'threaded'"
-    ):
-        PastisParams(pre_blocking=True, scheduler="threaded")
-
-
-@pytest.mark.parametrize("scheduler", [None, "serial", "overlapped"])
-def test_params_refuse_preblock_workers_outside_process(scheduler):
-    """Only the process scheduler has a worker pool whose size moves wall
-    time; elsewhere the knob could change nothing and is refused."""
-    with pytest.raises(ValueError, match="preblock_workers.*scheduler='process'"):
-        PastisParams(pre_blocking=True, scheduler=scheduler, preblock_workers=2)
-    PastisParams(pre_blocking=True, scheduler=scheduler)  # without it: fine
-    assert PastisParams(scheduler="process", preblock_workers=2).preblock_workers == 2
-    with pytest.raises(ValueError, match="preblock_workers must be >= 1"):
-        PastisParams(scheduler="process", preblock_workers=0)
+    """The removed schedulers are refused at the boundary, naming the allowed
+    values."""
+    for removed in ("threaded", "process"):
+        with pytest.raises(
+            ValueError, match=f"None, 'serial' or 'overlapped', got '{removed}'"
+        ):
+            PastisParams(pre_blocking=True, scheduler=removed)
 
 
 def test_overlapped_scheduler_empty_task_list(small_seqs, fast_params):

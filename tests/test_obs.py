@@ -7,11 +7,12 @@ The observability contract under test has four legs:
   deterministic ledger category and counter (the same contract
   ``tests/test_trace.py`` asserts for tracing).
 * **Fidelity** — the hub's ``ledger_seconds`` counters equal the
-  ledger's own per-category sums, SUMMA-stage kernel histograms are
-  journaled in the discover workers and merged parent-side.
-* **Manifests** — every run, success *and* failure path (including a
-  SIGKILLed worker), leaves a schema-versioned, loadable ``run.json``
-  in the registry; a crashed run records its partial phase timers.
+  ledger's own per-category sums, and SUMMA-stage kernel histograms are
+  recorded.
+* **Manifests** — every run, success *and* failure path (before block 0
+  or after blocks have been committed), leaves a schema-versioned,
+  loadable ``run.json`` in the registry; a crashed run records its
+  partial phase timers.
 * **Regression gate** — an injected 2× slowdown against a stored
   baseline is flagged (exit 2) and an identical re-run passes (exit 0).
 """
@@ -61,7 +62,6 @@ NONCOMPARABLE_STATS_KEYS = frozenset(
         "measured_discover_seconds",
         "peak_live_blocks",
         "peak_live_block_bytes",
-        "process_lanes",
     }
 )
 
@@ -72,10 +72,10 @@ SCHEDULER_OVERRIDES = [
         {"pre_blocking": True, "preblock_depth": 2},
         id="overlapped-depth2",
     ),
+    # the lookahead reaches the last of the run's 4 blocks
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "process"},
-        id="process",
+        {"pre_blocking": True, "preblock_depth": 4},
+        id="overlapped-depth4",
     ),
 ]
 
@@ -159,41 +159,13 @@ def test_hub_speaks_the_ledger_hook_protocol():
     hub.bump("live_blocks", 1.0)  # non-ledger bumps become plain counters
     assert hub.value("ledger_seconds", category="align") == 0.5
     assert hub.value("live_blocks") == 1.0
-    # cache replay restores absolute sums: set_value overwrites the counter
-    hub.set_value("ledger.align", 9.0)
-    assert hub.value("ledger_seconds", category="align") == 9.0
-    hub.set_value("shm_total_bytes", 1024.0)  # non-ledger sets are gauges
-    assert hub.value("shm_total_bytes") == 1024.0
-
-
-def test_hub_drain_and_merge_replay_events_in_order():
-    worker = MetricsHub(journal=True)
-    worker.counter_add("c", 1.0, k="v")
-    worker.observe("h", 0.5)
-    worker.bump("ledger.align", 0.1)
-    worker.set_value("ledger.align", 2.0)  # "cs": absolute, must win on merge
-    events = worker.drain()
-    assert worker.drain() == []  # drained
-    parent = MetricsHub()
-    parent.counter_add("c", 1.0, k="v")  # merge adds onto existing series
-    parent.merge(events)
-    assert parent.value("c", k="v") == 2.0
-    assert parent.histogram("h")["count"] == 1.0
-    assert parent.value("ledger_seconds", category="align") == 2.0
-    # merging into a journaling hub re-journals (relay through a middle hop)
-    relay = MetricsHub(journal=True)
-    relay.merge(events)
-    parent2 = MetricsHub()
-    parent2.merge(relay.drain())
-    assert parent2.value("c", k="v") == 1.0
-    assert parent2.value("ledger_seconds", category="align") == 2.0
 
 
 def test_ledger_fanout_forwards_to_all_sinks():
     a, b = MetricsHub(), MetricsHub()
     fanout = LedgerFanout(a, None, b)
     fanout.bump("ledger.io", 1.5)
-    fanout.set_value("x", 3.0)
+    fanout.bump("x", 3.0)
     for hub in (a, b):
         assert hub.value("ledger_seconds", category="io") == 1.5
         assert hub.value("x") == 3.0
@@ -269,14 +241,9 @@ def test_metrics_are_non_perturbing_per_scheduler(tiny_seqs, fast_params, overri
     # phase gauges arrive through the end-of-run feed
     for phase in ("input_io", "kmer_matrix", "stage_graph", "output_io"):
         assert hub.value("phase_seconds", default=-1.0, phase=phase) >= 0.0
-    # SUMMA stage kernels were recorded — for the process scheduler this
-    # proves the worker journal made it home through the block headers
+    # SUMMA stage kernels were recorded
     kernel = hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="0")
     assert kernel is not None and kernel["count"] > 0
-    if overrides.get("scheduler") == "process":
-        lanes = observed.stats.extras["process_lanes"]
-        for pid in lanes:
-            assert hub.value("process_lane_blocks", default=-1.0, pid=pid) >= 0.0
 
 
 def test_tracing_and_metrics_fan_out_the_ledger_hook(tiny_seqs, fast_params):
@@ -370,95 +337,38 @@ def test_baselines_filter_host_config_and_status(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# failure paths: fault injection and SIGKILL
+# failure paths: fault injection
 # ---------------------------------------------------------------------------
 
 
 def test_failed_run_records_partial_phase_timers(
-    tmp_path, tiny_seqs, fast_params, monkeypatch
+    tmp_path, tiny_seqs, fast_params, failing_run
 ):
     """Mid-schedule fault injection: the manifest from a crashed run must
     carry the phase timers that had accumulated when it died."""
-    from repro.core.engine.schedulers import SerialScheduler
-
-    def boom(self, tasks, ctx):
-        raise RuntimeError("injected scheduler failure")
-
-    monkeypatch.setattr(SerialScheduler, "run", boom)
     registry_dir = tmp_path / "reg"
-    with pytest.raises(RuntimeError, match="injected scheduler failure"):
+    with pytest.raises(RuntimeError, match=failing_run.message):
         PastisPipeline(
-            fast_params.replace(num_blocks=4, run_registry=str(registry_dir))
+            fast_params.replace(
+                num_blocks=4, run_registry=str(registry_dir), **failing_run.overrides
+            )
         ).run(tiny_seqs)
     registry = RunRegistry(registry_dir)
     manifest = registry.latest()
-    assert manifest is not None
+    assert manifest is not None  # valid JSON, schema-checked by load()
     assert manifest["status"] == "error"
     assert manifest["error"] == {
         "type": "RuntimeError",
-        "message": "injected scheduler failure",
+        "message": failing_run.message,
     }
     # phases completed before the crash are present; the interrupted
     # stage_graph phase still accumulated its partial seconds on exit
     phases = manifest["phase_seconds"]
     assert {"input_io", "kmer_matrix", "stage_graph"} <= set(phases)
     assert "output_io" not in phases
-    assert manifest["config"]["scheduler"] == "serial"
+    assert manifest["config"]["scheduler"] == failing_run.scheduler
     assert "ledger" in manifest  # the communicator existed at death
     assert current_metrics() is None  # teardown deactivated the hub
-
-
-def test_sigkilled_process_run_leaves_valid_manifest(
-    tmp_path, small_seqs, fast_params, monkeypatch
-):
-    """A worker SIGKILL mid-run must still leave a loadable run.json
-    (the acceptance-criterion run)."""
-    import os
-    import signal
-    import threading
-
-    from repro.distsparse.blocked_summa import BlockedSpGemm
-
-    calls = {"n": 0}
-    original = BlockedSpGemm.compute_block
-
-    def kamikaze(self, block_row, block_col):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return original(self, block_row, block_col)
-
-    monkeypatch.setattr(BlockedSpGemm, "compute_block", kamikaze)
-    registry_dir = tmp_path / "reg"
-    params = fast_params.replace(
-        num_blocks=6,
-        pre_blocking=True,
-        scheduler="process",
-        preblock_depth=3,
-        preblock_workers=2,
-        run_registry=str(registry_dir),
-    )
-    outcome: list[BaseException] = []
-
-    def run():
-        try:
-            PastisPipeline(params).run(small_seqs)
-        except BaseException as exc:  # noqa: BLE001 - the assertion target
-            outcome.append(exc)
-
-    runner = threading.Thread(target=run)
-    runner.start()
-    runner.join(timeout=60.0)
-    assert not runner.is_alive(), "killed observed run deadlocked in teardown"
-    assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
-    registry = RunRegistry(registry_dir)
-    manifest = registry.latest()
-    assert manifest is not None  # valid JSON, schema-checked by load()
-    assert manifest["status"] == "error"
-    assert manifest["error"]["type"] == "RuntimeError"
-    assert "kmer_matrix" in manifest["phase_seconds"]
-    assert manifest["config"]["scheduler"] == "process"
-    assert current_metrics() is None
 
 
 # ---------------------------------------------------------------------------

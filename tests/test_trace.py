@@ -1,4 +1,4 @@
-"""Structured run tracing: non-perturbation, export schema, worker merge.
+"""Structured run tracing: non-perturbation, export schema, failure path.
 
 The tracing contract under test has three legs:
 
@@ -10,23 +10,19 @@ The tracing contract under test has three legs:
   valid (every complete event has ``ph``/``ts``/``dur``/``pid``/``tid``)
   and spans on one ``(pid, tid)`` row are disjoint or properly nested, so
   Perfetto renders them without overlap artifacts.
-* **Worker merge** — process-scheduler workers journal spans into the
-  per-block header; the parent merge preserves worker-pid attribution
-  (≥ 2 worker pids on a multi-worker run) and a SIGKILLed run still
-  exports a valid partial trace from the failure path.
+* **Failure path** — a run that fails, before block 0 or after blocks
+  have been committed, still exports a valid partial trace.
 """
 
 from __future__ import annotations
 
 import json
-import time as time_mod
 
 import numpy as np
 import pytest
 
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
-from repro.io.report import run_report
 from repro.trace import (
     CHROME_NAME,
     JSONL_NAME,
@@ -49,7 +45,7 @@ LEDGER_COUNTERS = (
 )
 
 #: SearchStats keys that legitimately differ between two executions of the
-#: same run (wall clocks, per-run cache/lane identities, concurrency peaks).
+#: same run (wall clocks, per-run cache counters, concurrency peaks).
 NONCOMPARABLE_STATS_KEYS = frozenset(
     {
         "wall_seconds",
@@ -59,7 +55,6 @@ NONCOMPARABLE_STATS_KEYS = frozenset(
         "measured_discover_seconds",
         "peak_live_blocks",
         "peak_live_block_bytes",
-        "process_lanes",
     }
 )
 
@@ -70,10 +65,10 @@ SCHEDULER_OVERRIDES = [
         {"pre_blocking": True, "preblock_depth": 2},
         id="overlapped-depth2",
     ),
+    # the lookahead reaches the last of the run's 4 blocks
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "process"},
-        id="process",
+        {"pre_blocking": True, "preblock_depth": 4},
+        id="overlapped-depth4",
     ),
 ]
 
@@ -122,7 +117,7 @@ def test_recorder_span_and_counter_basics():
     rec = TraceRecorder()
     with rec.span("discover", "stage", lane="discover", block=(0, 1), nnz=7) as span:
         span.set(flops=12.0)
-    rec.add_span("admission_wait", "wait", 1.0, 2.5, lane="submit")
+    rec.add_span("ledger_replay", "replay", 1.0, 2.5, lane="commit")
     assert len(rec.spans) == 2
     first = rec.spans[0]
     assert first.name == "discover" and first.category == "stage"
@@ -133,15 +128,12 @@ def test_recorder_span_and_counter_basics():
 
     rec.bump("ledger.align", 0.25)
     rec.bump("ledger.align", 0.25)
-    rec.set_value("shm_total_bytes", 1024.0)
     assert rec.counters == []  # cumulative counters are not yet events
     rec.sample_counters(live_blocks=2.0)
     names = {c.name: c.value for c in rec.counters}
-    assert names == {
-        "live_blocks": 2.0, "ledger.align": 0.5, "shm_total_bytes": 1024.0,
-    }
+    assert names == {"live_blocks": 2.0, "ledger.align": 0.5}
     summary = rec.summary()
-    assert summary[("wait", "admission_wait")]["count"] == 1
+    assert summary[("replay", "ledger_replay")]["count"] == 1
 
 
 def test_recorder_span_records_error_attribute():
@@ -157,18 +149,6 @@ def test_maybe_span_disabled_is_shared_noop():
     assert handle is NULL_SPAN
     with handle as h:
         h.set(anything=1)  # no-op, must not raise
-
-
-def test_recorder_drain_and_merge_preserve_attribution():
-    worker = TraceRecorder(epoch=123.0)
-    worker.add_span("discover", "stage", 124.0, 125.0, lane="discover")
-    worker.sample_counters(x=1.0)
-    spans, counters = worker.drain()
-    assert worker.spans == [] and worker.counters == []
-    parent = TraceRecorder(epoch=123.0)
-    parent.merge(spans, counters)
-    assert parent.spans[0].pid == spans[0].pid  # pid baked in at record time
-    assert parent.counters[0].name == "x"
 
 
 def test_active_tracer_defaults_to_none():
@@ -194,14 +174,8 @@ def test_tracing_is_non_perturbing_per_scheduler(tiny_seqs, fast_params, overrid
     for stage in ("discover", "prune", "align", "accumulate"):
         assert by_name.get(stage, 0) == 4, f"missing {stage!r} spans: {by_name}"
     assert by_name.get("summa_stage", 0) > 0
-    if overrides.get("scheduler") != "process":
-        # serial and overlapped run on one thread: nothing waits
-        assert by_name.get("admission_wait", 0) == 0
-    else:
-        assert by_name.get("admission_wait", 0) == 4
-        assert by_name.get("ledger_replay", 0) == 4
-        worker_pids = {s.pid for s in traced.trace.spans if s.name == "discover"}
-        assert traced.trace.pid not in worker_pids  # discovers ran off-parent
+    assert by_name.get("ledger_replay", 0) == 4  # one commit per block
+    assert {s.pid for s in traced.trace.spans} == {traced.trace.pid}
 
 
 def test_phase_seconds_reported_with_and_without_tracing(tiny_seqs, fast_params):
@@ -297,137 +271,49 @@ def test_jsonl_roundtrip_matches_recorder(tmp_path, tiny_seqs, fast_params):
 
 
 def test_failed_run_still_exports_valid_trace(
-    tmp_path, tiny_seqs, fast_params, monkeypatch
+    tmp_path, tiny_seqs, fast_params, failing_run
 ):
-    from repro.core.engine.schedulers import SerialScheduler
-
-    def boom(self, tasks, ctx):
-        raise RuntimeError("injected scheduler failure")
-
-    monkeypatch.setattr(SerialScheduler, "run", boom)
     trace_dir = tmp_path / "trace"
-    with pytest.raises(RuntimeError, match="injected scheduler failure"):
+    with pytest.raises(RuntimeError, match=failing_run.message):
         PastisPipeline(
-            fast_params.replace(num_blocks=4, trace_dir=str(trace_dir))
+            fast_params.replace(
+                num_blocks=4, trace_dir=str(trace_dir), **failing_run.overrides
+            )
         ).run(tiny_seqs)
     # both documents exist and parse; the failing phase span carries the error
     document = json.loads((trace_dir / CHROME_NAME).read_text())
-    _, spans, _ = read_jsonl(trace_dir / JSONL_NAME)
+    meta, spans, _ = read_jsonl(trace_dir / JSONL_NAME)
+    assert meta["schema"] == 1
     assert document["traceEvents"]
+    assert any(s["name"] == "kmer_matrix" for s in spans)
     failed = [s for s in spans if s["name"] == "stage_graph"]
     assert failed and failed[0]["attrs"]["error"] == "RuntimeError"
+    # the blocks committed before the fault are in the partial trace
+    replayed = sum(1 for s in spans if s["name"] == "ledger_replay")
+    assert replayed == failing_run.committed
     assert current_tracer() is None  # pipeline teardown deactivated the tracer
 
 
-# ---------------------------------------------------------------------------
-# process-scheduler worker merge (the acceptance-criterion run)
-# ---------------------------------------------------------------------------
-
-
-def test_process_warm_run_merges_spans_from_multiple_workers(
-    tmp_path, tiny_seqs, fast_params, monkeypatch
-):
-    """A traced warm-cache process run produces a Chrome trace with spans
-    from ≥ 2 worker pids, cache-replay spans and admission-wait spans —
-    while staying bit-identical to the same run untraced."""
-    from repro.core.engine.cache import StageCache
-
+def test_traced_warm_run_replays_every_block(tmp_path, tiny_seqs, fast_params):
+    """A traced warm-cache run loads and replays every block on the run's
+    own process, and stays bit-identical to the same run untraced."""
     params = fast_params.replace(
         num_blocks=6,
         pre_blocking=True,
-        scheduler="process",
         preblock_depth=3,
-        preblock_workers=2,
         cache_dir=str(tmp_path / "cache"),
     )
     PastisPipeline(params).run(tiny_seqs)  # cold: populate the cache
-
-    # slow the per-block cache load slightly so both pool workers get blocks
-    # (class-level patch: forked workers inherit it, same pattern as the
-    # fault injection in test_engine.py)
-    original_load = StageCache.load
-
-    def slow_load(self, coords):
-        time_mod.sleep(0.05)
-        return original_load(self, coords)
-
-    monkeypatch.setattr(StageCache, "load", slow_load)
-    untraced = PastisPipeline(params).run(tiny_seqs, resume=True)
-    trace_dir = tmp_path / "trace"
-    traced = PastisPipeline(
-        params.replace(trace_dir=str(trace_dir))
-    ).run(tiny_seqs, resume=True)
+    untraced = PastisPipeline(params).run(tiny_seqs)
+    traced = PastisPipeline(params.replace(trace=True)).run(tiny_seqs)
 
     assert traced.stats.extras["cache"]["hits"] == 6
     assert_traced_identical(untraced, traced)
-
     spans = traced.trace.spans
-    worker_pids = {s.pid for s in spans if s.name == "cache_load"}
-    assert traced.trace.pid not in worker_pids
-    assert len(worker_pids) >= 2, f"expected ≥2 worker pids, got {worker_pids}"
+    assert sum(1 for s in spans if s.name == "cache_load") == 6
     assert sum(1 for s in spans if s.name == "cache_replay") == 6
-    assert sum(1 for s in spans if s.name == "admission_wait") == 6
-    # the exported chrome document names both worker processes
-    document = json.loads((trace_dir / CHROME_NAME).read_text())
-    process_names = {
-        event["args"]["name"]
-        for event in document["traceEvents"]
-        if event["ph"] == "M" and event["name"] == "process_name"
-    }
-    workers_named = {n for n in process_names if n.startswith("discover-worker")}
-    assert len(workers_named) >= 2
-
-
-def test_sigkilled_process_run_exports_valid_partial_trace(
-    tmp_path, small_seqs, fast_params, monkeypatch
-):
-    """A worker SIGKILL mid-run must still leave parseable trace documents
-    (the pipeline's failure-path export)."""
-    import os
-    import signal
-    import threading
-
-    from repro.distsparse.blocked_summa import BlockedSpGemm
-
-    calls = {"n": 0}
-    original = BlockedSpGemm.compute_block
-
-    def kamikaze(self, block_row, block_col):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return original(self, block_row, block_col)
-
-    monkeypatch.setattr(BlockedSpGemm, "compute_block", kamikaze)
-    trace_dir = tmp_path / "trace"
-    params = fast_params.replace(
-        num_blocks=6,
-        pre_blocking=True,
-        scheduler="process",
-        preblock_depth=3,
-        preblock_workers=2,
-        trace_dir=str(trace_dir),
-    )
-    outcome: list[BaseException] = []
-
-    def run():
-        try:
-            PastisPipeline(params).run(small_seqs)
-        except BaseException as exc:  # noqa: BLE001 - the assertion target
-            outcome.append(exc)
-
-    runner = threading.Thread(target=run)
-    runner.start()
-    runner.join(timeout=60.0)
-    assert not runner.is_alive(), "killed traced run deadlocked in teardown"
-    assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
-    # partial trace: valid JSON in both formats, phases recorded up to death
-    document = json.loads((trace_dir / CHROME_NAME).read_text())
-    meta, spans, _ = read_jsonl(trace_dir / JSONL_NAME)
-    assert meta["schema"] == 1
-    assert isinstance(document["traceEvents"], list)
-    assert any(s["name"] == "kmer_matrix" for s in spans)
-    assert current_tracer() is None
+    assert not any(s.name == "ledger_replay" for s in spans)
+    assert {s.pid for s in spans} == {traced.trace.pid}
 
 
 # ---------------------------------------------------------------------------
@@ -468,40 +354,6 @@ def test_cli_diff(traced_dirs, capsys):
     assert trace_cli(["diff", str(dir_a), str(dir_b)]) == 0
     out = capsys.readouterr().out
     assert "delta" in out and "discover" in out
-
-
-# ---------------------------------------------------------------------------
-# report hoisting and table section (satellite)
-# ---------------------------------------------------------------------------
-
-
-def test_run_report_hoists_process_lane_keys(tiny_seqs, fast_params):
-    result = _run(
-        tiny_seqs, fast_params,
-        pre_blocking=True, scheduler="process", preblock_workers=2,
-        preblock_depth=2,
-    )
-    report = run_report(result.stats)
-    lanes = result.stats.extras["process_lanes"]
-    assert report["process_lane_count"] == len(lanes)
-    assert report["process_lane_blocks"] == 4  # every block went through a lane
-    assert report["process_lane_discover_seconds"] == pytest.approx(
-        sum(float(lane["discover_seconds"]) for lane in lanes.values())
-    )
-    # the memory gauges arrive flat through the ordinary extras merge
-    assert "peak_live_blocks" in report
-
-    table = result.stats.as_table()
-    assert "Process lanes" in table
-    assert "Discover workers" in table
-
-
-def test_run_report_without_process_extras_has_no_lane_keys(tiny_seqs, fast_params):
-    result = _run(tiny_seqs, fast_params)
-    report = run_report(result.stats)
-    assert "process_lane_count" not in report
-    assert "process_lane_blocks" not in report
-    assert "Process lanes" not in result.stats.as_table()
 
 
 def test_trace_params_validation():
