@@ -1,10 +1,12 @@
-"""The distributed alignment phase of one overlap-matrix block.
+"""The distributed alignment phase of overlap-matrix blocks.
 
 Each virtual rank owns the overlap elements it computed during the blocked
 SUMMA; after pruning (load balancing) and the common-k-mer filter, those
 elements are exactly the pairwise alignments that rank must perform.  The
-rank hands them to its node's ADEPT driver (6 simulated GPUs), collects
-scores/ANI/coverage, and keeps the pairs that pass the similarity thresholds.
+survivors of every rank and of a window of consecutive blocks go to the
+ADEPT driver (6 simulated GPUs) in one call, as ADEPT hands each launch a
+full batch; scores/ANI/coverage are split back per block and rank, and the
+pairs that pass the similarity thresholds are kept.
 
 Per-rank counters (pairs aligned, DP cells, modelled alignment seconds) are
 recorded so the load-imbalance plots of Fig. 7 and the "Imbalance (%)" rows of
@@ -41,7 +43,7 @@ EDGE_DTYPE = np.dtype(
 
 @dataclass
 class BlockAlignmentOutput:
-    """Result of aligning one block's candidates.
+    """Result of aligning one block's candidates (one block of a window).
 
     Attributes
     ----------
@@ -52,7 +54,7 @@ class BlockAlignmentOutput:
     kernel_seconds:
         Modelled forward-scoring kernel time (CUPS denominator).
     measured_seconds:
-        Actual CPU wall time spent in the kernels.
+        This block's share, by cells, of the window's kernel wall time.
     """
 
     edges: np.ndarray
@@ -75,7 +77,7 @@ class BlockAlignmentOutput:
 
 @dataclass
 class AlignmentPhase:
-    """Executes the per-rank batch alignments of overlap-matrix blocks."""
+    """Executes the batch alignments of windows of overlap-matrix blocks."""
 
     sequences: SequenceSet
     params: PastisParams
@@ -91,86 +93,95 @@ class AlignmentPhase:
         )
 
     # ------------------------------------------------------------------ execution
-    def align_block(
-        self, per_rank_candidates: list[CooMatrix], charge: bool = True
-    ) -> BlockAlignmentOutput:
-        """Align each rank's candidate pairs and filter to similar pairs.
+    def align_block(self, window: list[list[CooMatrix]]) -> list[BlockAlignmentOutput]:
+        """Align a window of blocks in one driver call; filter to similar pairs.
 
-        ``per_rank_candidates`` holds, for every rank, the (already pruned and
-        filtered) overlap elements in global coordinates.  With
-        ``charge=False`` the ledger is left untouched: the per-rank seconds
-        and counters are only returned, so a scheduler can charge them itself
-        (possibly scaled by a contention multiplier — see
-        :mod:`repro.core.engine.schedulers`).
+        ``window`` holds, per block, every rank's (already pruned and
+        filtered) overlap elements in global coordinates.  The non-empty
+        (block, rank) groups are concatenated into **one**
+        :meth:`~repro.align.adept.AdeptDriver.align_pairs` call, which still
+        sorts by length and cuts device batches at ``align_batch_size``; a
+        record depends only on its own pair, so the regrouping cannot change
+        a result.  The results are split back by group offsets into one
+        :class:`BlockAlignmentOutput` per block.  Cells, bytes, modeled and
+        kernel seconds stay per rank; the measured seconds are the call's
+        kernel time apportioned by cells.  The ledger is left untouched: the
+        scheduler charges it (see :mod:`repro.core.engine.schedulers`).
         """
         nranks = self.comm.size
         lengths = self.sequences.lengths
-        pairs_per_rank = np.zeros(nranks, dtype=np.int64)
-        cells_per_rank = np.zeros(nranks, dtype=np.int64)
-        seconds_per_rank = np.zeros(nranks, dtype=np.float64)
-        kernel_seconds = 0.0
-        measured_seconds = 0.0
-        edge_parts: list[np.ndarray] = []
+        groups = [
+            (block, rank, candidates)
+            for block, per_rank in enumerate(window)
+            for rank, candidates in enumerate(per_rank)
+            if candidates.nnz
+        ]
+        outputs = [
+            BlockAlignmentOutput(
+                edges=np.zeros(0, dtype=EDGE_DTYPE),
+                pairs_aligned_per_rank=np.zeros(nranks, dtype=np.int64),
+                cells_per_rank=np.zeros(nranks, dtype=np.int64),
+                align_seconds_per_rank=np.zeros(nranks, dtype=np.float64),
+            )
+            for _ in window
+        ]
+        if not groups:
+            return outputs
 
-        for rank in range(nranks):
-            candidates = per_rank_candidates[rank]
-            if candidates.nnz == 0:
-                continue
-            rows = candidates.rows
-            cols = candidates.cols
-            if self.params.alignment_mode == "seed_extend":
-                results = self._seed_extend_rank(candidates)
-                measured = 0.0
-            else:
-                results, stats = self.driver.align_pairs(self.sequences, rows, cols)
-                measured = stats.measured_seconds
-            cells = int(results["cells"].sum())
-            bytes_moved = int(lengths[rows].sum() + lengths[cols].sum())
+        rows = np.concatenate([candidates.rows for _, _, candidates in groups])
+        cols = np.concatenate([candidates.cols for _, _, candidates in groups])
+        if self.params.alignment_mode == "seed_extend":
+            results = np.concatenate(
+                [self._seed_extend_rank(candidates) for _, _, candidates in groups]
+            )
+            measured = 0.0
+        else:
+            results, stats = self.driver.align_pairs(self.sequences, rows, cols)
+            measured = stats.measured_seconds
 
-            pairs_per_rank[rank] = rows.size
-            cells_per_rank[rank] = cells
-            measured_seconds += measured
+        sizes = np.array([candidates.nnz for _, _, candidates in groups])
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        len_a, len_b = lengths[rows], lengths[cols]
+        group_cells = np.add.reduceat(results["cells"], starts)
+        group_bytes = np.add.reduceat(len_a + len_b, starts)
+        total_cells = int(group_cells.sum())
 
-            if self.params.clock == "modeled":
-                seconds = self.cost_model.alignment_seconds(cells, bytes_moved)
-            else:
-                seconds = measured
-            seconds_per_rank[rank] = seconds
-            kernel_seconds += self.cost_model.alignment_kernel_seconds(cells)
-            if charge:
-                self.comm.ledger.charge(rank, "align", seconds)
-                self.comm.ledger.count(rank, "alignments", rows.size)
-                self.comm.ledger.count(rank, "alignment_cells", cells)
-
-            mask = similarity_mask(
+        kept = np.flatnonzero(
+            similarity_mask(
                 results,
-                lengths[rows],
-                lengths[cols],
+                len_a,
+                len_b,
                 self.params.ani_threshold,
                 self.params.coverage_threshold,
             )
-            if mask.any():
-                edges = np.zeros(int(mask.sum()), dtype=EDGE_DTYPE)
-                edges["row"] = rows[mask]
-                edges["col"] = cols[mask]
-                edges["score"] = results["score"][mask]
-                edges["ani"] = identity_array(results)[mask]
-                edges["coverage"] = coverage_array(results, lengths[rows], lengths[cols])[mask]
-                edge_parts.append(edges)
+        )
+        similar = results[kept]
+        edges = np.zeros(kept.size, dtype=EDGE_DTYPE)
+        edges["row"] = rows[kept]
+        edges["col"] = cols[kept]
+        edges["score"] = similar["score"]
+        edges["ani"] = identity_array(similar)
+        edges["coverage"] = coverage_array(similar, len_a[kept], len_b[kept])
+        # groups are in (block, rank) order, so each block's edges are one run
+        block_ends = np.cumsum([sum(piece.nnz for piece in per_rank) for per_rank in window])
+        edge_cuts = np.searchsorted(kept, np.concatenate(([0], block_ends)))
+        for block, output in enumerate(outputs):
+            output.edges = edges[edge_cuts[block] : edge_cuts[block + 1]]
 
-        edges = (
-            np.concatenate(edge_parts)
-            if edge_parts
-            else np.zeros(0, dtype=EDGE_DTYPE)
-        )
-        return BlockAlignmentOutput(
-            edges=edges,
-            pairs_aligned_per_rank=pairs_per_rank,
-            cells_per_rank=cells_per_rank,
-            align_seconds_per_rank=seconds_per_rank,
-            kernel_seconds=kernel_seconds,
-            measured_seconds=measured_seconds,
-        )
+        for g, (block, rank, candidates) in enumerate(groups):
+            output = outputs[block]
+            cells = int(group_cells[g])
+            share = measured * cells / total_cells if total_cells else 0.0
+            output.pairs_aligned_per_rank[rank] = candidates.nnz
+            output.cells_per_rank[rank] = cells
+            output.measured_seconds += share
+            if self.params.clock == "modeled":
+                seconds = self.cost_model.alignment_seconds(cells, int(group_bytes[g]))
+            else:
+                seconds = share
+            output.align_seconds_per_rank[rank] = seconds
+            output.kernel_seconds += self.cost_model.alignment_kernel_seconds(cells)
+        return outputs
 
     # ------------------------------------------------------------------ helpers
     def _seed_extend_rank(self, candidates: CooMatrix) -> np.ndarray:

@@ -5,9 +5,10 @@ stages, executed by pluggable schedulers:
 
 * :mod:`repro.core.engine.stages` — :class:`BlockTask`, one node of the
   graph per output block, with the four stages ``discover`` (blocked SUMMA
-  SpGEMM), ``prune`` (load balancing + common-k-mer filter), ``align``
-  (batched Smith–Waterman) and ``accumulate`` (stream edges out, discard
-  the block), plus the shared :class:`StageContext`;
+  SpGEMM), ``prune`` (load balancing + common-k-mer filter, then release
+  the block), ``align`` (batched Smith–Waterman, one call per window of
+  blocks) and ``accumulate`` (stream edges out), plus the shared
+  :class:`StageContext`;
 * :mod:`repro.core.engine.accumulator` — the streaming
   :class:`StreamingGraphAccumulator` that consumes each block's edges the
   moment they are produced, so peak memory is bounded by the *live* blocks
@@ -24,7 +25,7 @@ stages, executed by pluggable schedulers:
   to the historical monolithic loop), :class:`OverlappedScheduler` (§VI-C
   pre-blocking at speculative depth ``k = PastisParams.preblock_depth`` on
   the calling thread: blocks ``b+1..b+k`` are discovered before
-  ``align(b)``, and the overlap lives in the per-rank clock, closed through
+  block ``b`` is pruned, and the overlap lives in the per-rank clock, closed through
   the shared depth-``k`` algebra of
   :class:`repro.mpi.costmodel.OverlapWindow`, so
   ``align + spgemm − overlap_hidden == combined clock``; at depth 1 on the
@@ -72,7 +73,8 @@ categories; only the modeled clock differs.
 the mechanisms above —
 
 * ``stage`` spans (``discover``/``prune``/``align``/``accumulate``) — the
-  four :class:`BlockTask` stages;
+  four :class:`BlockTask` stages; ``align`` is one span per alignment
+  window (attributes ``blocks`` and ``pairs``), the others one per block;
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
   :class:`StageCache` consult and the commit of a hit;
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast

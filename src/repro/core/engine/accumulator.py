@@ -1,17 +1,19 @@
 """Streaming accumulation of the similarity graph.
 
 The paper's "incremental similarity search" promises that a block's overlap
-elements can be discarded as soon as they are aligned; what must survive to
+elements can be discarded as soon as they are pruned; what must survive to
 the end of the run is only the (much smaller) stream of similar pairs.  The
 accumulator makes that life cycle explicit and auditable: every computed
-block is registered as *live*, its edges are consumed the moment the
-alignment stage produces them, and the block is released when the task's
-``accumulate`` stage discards it.  Peak live bytes are tracked with
+block is registered as *live* when it is committed and released when the
+task's prune stage has selected its survivors (:meth:`block_discarded`, from
+:meth:`~repro.core.engine.stages.BlockTask.release`).  The survivors then
+wait in the scheduler's alignment window, and the block's edges are
+consumed when the window flushes.  Peak live bytes are tracked with
 :class:`repro.metrics.memory.MemoryTracker`, so a run can report that
 streaming held one block (serial schedule) or ``k + 1`` (pre-blocking at
-depth ``k``: the current block plus the ``k`` discovered ahead) instead of
-the cumulative ``retained_block_bytes`` a keep-everything run would have
-paid.
+depth ``k``: the block being pruned plus the ``k`` discovered ahead)
+instead of the cumulative ``retained_block_bytes`` a keep-everything run
+would have paid; the window size does not change either figure.
 
 The accumulator is also the engine's **memory governor**: with
 ``max_live_blocks`` set (the overlapped scheduler sets it to
@@ -54,7 +56,7 @@ class StreamingGraphAccumulator:
         Tracker recording current/peak bytes of the ``live_blocks`` and
         ``edge_buffer`` components.
     retained_block_bytes:
-        Sum of every consumed block's bytes — what peak memory would have
+        Sum of every committed block's bytes — what peak memory would have
         been had all block outputs been retained instead of streamed.
     edges_streamed:
         Total edges consumed (before the final canonicalization).
@@ -106,7 +108,7 @@ class StreamingGraphAccumulator:
             self.edges_streamed += int(edges.size)
 
     def block_discarded(self, nbytes: int) -> None:
-        """Release a block whose edges have been consumed."""
+        """Release a block whose survivors have been selected."""
         with self._lock:
             self.memory.release(LIVE_BLOCKS, int(nbytes))
             self._live = max(0, self._live - 1)

@@ -8,8 +8,9 @@ content-hash key and the completed block is persisted under it:
 
 * the **run key** hashes a canonicalized subset of
   :class:`~repro.core.params.PastisParams` (only fields that influence what
-  a block computes or charges — scheduler/pre-blocking knobs are excluded,
-  so a cache written by one scheduler is readable by the other), a digest of
+  a block computes or charges — scheduler, pre-blocking and align-batch
+  knobs are excluded, so a cache written under one schedule is readable
+  under any other), a digest of
   the input :class:`~repro.sequences.sequence.SequenceSet`, and a
   kernel/schema :data:`CACHE_VERSION` tag combined with the package version
   (bumping either invalidates everything);
@@ -58,7 +59,7 @@ from ..params import PastisParams
 #: Cache schema / kernel-suite version.  Bump whenever the on-disk entry
 #: layout changes or a kernel change makes previously stored results stale;
 #: combined with the package version into every key (see :func:`version_tag`).
-CACHE_VERSION = "6"
+CACHE_VERSION = "7"
 
 #: npz keys of the per-rank array fields.
 _ARRAY_KEYS = (
@@ -91,10 +92,13 @@ def _digest_matrix(matrix: np.ndarray) -> str:
 def params_cache_token(params: PastisParams) -> dict:
     """Canonical dict of the parameter fields that determine block results.
 
-    Scheduler-selection knobs (``scheduler``, ``pre_blocking``,
-    ``preblock_depth``) are excluded on purpose: results are bit-identical
-    across schedulers, so entries must be shareable across them.  The clustering stage runs after the stage
-    graph on its finished output, so ``cluster`` is excluded too.
+    Scheduler knobs (``scheduler``, ``pre_blocking``, ``preblock_depth``,
+    ``align_batch_size``) are excluded on purpose: results are bit-identical
+    across schedulers, and a record depends only on its pair, so
+    ``align_batch_size`` sets nothing but alignment-window and device-batch
+    boundaries; entries must be shareable across all of them.  The
+    clustering stage runs after the stage graph on its finished output, so
+    ``cluster`` is excluded too.
     """
     br, bc = params.blocking_factors()
     return {
@@ -111,7 +115,6 @@ def params_cache_token(params: PastisParams) -> dict:
         "blocking": [br, bc],
         "load_balancing": params.load_balancing,
         "nodes": params.nodes,
-        "align_batch_size": params.align_batch_size,
         "clock": params.clock,
         "alignment_mode": params.alignment_mode,
         "spgemm_backend": params.spgemm_backend,

@@ -12,15 +12,26 @@ the sparse and alignment work it schedules, and returns a
 :class:`~repro.core.engine.timeline.StageTimeline`.
 
 There is one loop, :meth:`Scheduler.run`, parameterised by the **depth**
-``k``: before block ``b`` is aligned, the discovers of blocks up to
+``k``: before block ``b`` is pruned, the discovers of blocks up to
 ``b + k`` have run on the calling thread (``0`` for the serial schedule).
 Every discover result goes through
 :func:`~repro.core.engine.stages.commit` in block order, which is what keeps
-records, edges, stats and ledger bit-identical across the two schedulers:
+records, edges, stats and ledger bit-identical across the two schedulers.
+
+Alignment runs per **window** of consecutive blocks.  Pruning a block
+releases its :class:`~repro.distsparse.blocked_summa.OutputBlock` (the
+accumulator's live-block slot with it) and adds the block to the pending
+window; the window flushes once its survivor pairs reach
+``params.align_batch_size``, and at the last block.  A flush makes one
+:meth:`~repro.core.align_phase.AlignmentPhase.align_block` call for every
+pending survivor (cache hits sit in the window with their stored outputs),
+then charges, accumulates and times each block in block order, exactly as
+a per-block alignment would: a record depends only on its pair, so the
+window size changes how many kernel calls run, never a result.
 
 :class:`SerialScheduler`
-    Depth 0: finish block ``b`` before starting ``b+1``; raw component
-    times are charged.
+    Depth 0: discover block ``b + 1`` only after block ``b`` is pruned; raw
+    component times are charged.
 :class:`OverlappedScheduler`
     §VI-C pre-blocking at depth ``k``: the run holds the ``k + 1`` live
     blocks the overlapped schedule would, and the overlap lives in the
@@ -44,6 +55,7 @@ import numpy as np
 
 from ...metrics.timers import Timer
 from ...mpi.costmodel import OverlapWindow
+from ...trace import maybe_span
 from ..preblocking import PreblockingModel
 from .stages import BlockRecord, BlockTask, StageContext, commit, discover
 from .timeline import BlockTiming, StageTimeline
@@ -110,6 +122,44 @@ class Scheduler:
         ledger = ctx.comm.ledger
         align_scheduled: list[np.ndarray] = []
         sparse_scheduled: list[np.ndarray] = []
+        window: list[BlockTask] = []
+        pending_pairs = 0
+
+        def flush() -> None:
+            """Align the window's pending survivors in one call, then charge,
+            accumulate and time its blocks in block order."""
+            with maybe_span(
+                ctx.trace, "align", "stage", blocks=len(window), pairs=pending_pairs
+            ):
+                outputs = ctx.aligner.align_block([task.candidates for task in window])
+            for task, output in zip(window, outputs):
+                if task.result.entry is not None:  # a hit has no survivors to align
+                    output = task.result.entry.alignment_output()
+                align = output.align_seconds_per_rank * align_mult
+                for rank in range(ctx.comm.size):
+                    ledger.charge(rank, "align", float(align[rank]))
+                    ledger.count(rank, "alignments", float(output.pairs_aligned_per_rank[rank]))
+                    ledger.count(rank, "alignment_cells", float(output.cells_per_rank[rank]))
+                align_scheduled.append(align)
+                record = task.accumulate(ctx, output)
+                timeline.append(
+                    BlockTiming(
+                        block_row=task.block_row,
+                        block_col=task.block_col,
+                        sparse_raw=record.sparse_seconds_per_rank,
+                        align_raw=record.align_seconds_per_rank,
+                        # records so far == this block's index
+                        sparse_scheduled=sparse_scheduled[len(outcome.records)],
+                        align_scheduled=align,
+                    )
+                )
+                if ctx.trace is not None:
+                    _sample_counters(ctx)
+                outcome.records.append(record)
+                outcome.kernel_seconds += output.kernel_seconds
+                outcome.measured_align_seconds += output.measured_seconds
+            window.clear()
+
         phase_timer = Timer()
         discovered = 0
         with phase_timer:
@@ -126,30 +176,13 @@ class Scheduler:
                     sparse_scheduled.append(sparse)
                     outcome.measured_discover_seconds += result.wall_seconds
 
-                task.prune(ctx)
-                output = task.align(ctx)
-                align = output.align_seconds_per_rank * align_mult
-                for rank in range(ctx.comm.size):
-                    ledger.charge(rank, "align", float(align[rank]))
-                    ledger.count(rank, "alignments", float(output.pairs_aligned_per_rank[rank]))
-                    ledger.count(rank, "alignment_cells", float(output.cells_per_rank[rank]))
-                align_scheduled.append(align)
-                record = task.accumulate(ctx)
-                timeline.append(
-                    BlockTiming(
-                        block_row=task.block_row,
-                        block_col=task.block_col,
-                        sparse_raw=record.sparse_seconds_per_rank,
-                        align_raw=record.align_seconds_per_rank,
-                        sparse_scheduled=sparse_scheduled[index],
-                        align_scheduled=align,
-                    )
-                )
-                if ctx.trace is not None:
-                    _sample_counters(ctx)
-                outcome.records.append(record)
-                outcome.kernel_seconds += output.kernel_seconds
-                outcome.measured_align_seconds += output.measured_seconds
+                survivors = task.prune(ctx)
+                task.release(ctx)
+                window.append(task)
+                pending_pairs += sum(piece.nnz for piece in survivors)
+                if pending_pairs >= ctx.params.align_batch_size or index == len(tasks) - 1:
+                    flush()
+                    pending_pairs = 0
         if depth:
             timeline.combined_per_rank = np.zeros(ctx.comm.size)
             OverlapWindow(

@@ -12,20 +12,26 @@ with four explicit stages:
     Apply the load-balancing scheme's element selection, drop self pairs,
     and apply the common-k-mer threshold — per rank; discovery produced
     shared-k-mer counts only, so under ``alignment_mode="seed_extend"`` the
-    survivors' seed positions are gathered here too.
+    survivors' seed positions are gathered here too.  :meth:`BlockTask.release`
+    ends the stage: the block's
+    :class:`~repro.distsparse.blocked_summa.OutputBlock` is dropped and its
+    accumulator slot released, so a block waiting for alignment holds its
+    survivors only.
 ``align``
-    Batch-align the surviving candidate pairs (no ledger charging here; the
-    scheduler owns charging so it can apply contention multipliers).
+    Owned by the scheduler: the survivors of a window of consecutive blocks
+    are aligned in one :meth:`~repro.core.align_phase.AlignmentPhase.align_block`
+    call (a cache hit's output is the stored one).  No ledger charging
+    there; the scheduler charges so it can apply contention multipliers.
 ``accumulate``
     Stream the block's similar pairs into the
     :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`,
-    snapshot the :class:`BlockRecord`, and discard the block's candidate
-    matrices (the "incremental" part of incremental similarity search).
+    snapshot the :class:`BlockRecord`, and drop the survivors (the
+    "incremental" part of incremental similarity search).
 
 Stages communicate through fields on the task; a stage may only run after
 its predecessor (asserted).  Schedulers decide *when* each stage of each
-task runs — the serial scheduler finishes a task before starting the next,
-the overlapped scheduler interleaves ``discover(b+1)`` with ``align(b)``.
+task runs — discovering ``k`` blocks ahead, and aligning once a window's
+survivors fill a device batch (see :mod:`repro.core.engine.schedulers`).
 
 ``discover`` is a pure function, :func:`discover` ``(ctx, task) ->``
 :class:`BlockResult`: it reads the block from the
@@ -232,7 +238,6 @@ class BlockTask:
     #: the computed block the prune stage reads (None on a cache hit)
     block: OutputBlock | None = field(default=None, repr=False)
     candidates: list[CooMatrix] | None = field(default=None, repr=False)
-    output: BlockAlignmentOutput | None = field(default=None, repr=False)
     record: BlockRecord | None = field(default=None, repr=False)
     #: a miss to store in the cache once ``accumulate`` completes it
     store_pending: bool = False
@@ -260,29 +265,26 @@ class BlockTask:
             self.candidates = per_rank
         return per_rank
 
-    def align(self, ctx: StageContext) -> BlockAlignmentOutput:
-        """Align the pruned candidates (ledger charging deferred to the scheduler)."""
-        if self.result.entry is not None:
-            self.output = self.result.entry.alignment_output()
-            return self.output
-        assert self.candidates is not None, "align before prune"
-        with maybe_span(
-            ctx.trace, "align", "stage", block=(self.block_row, self.block_col)
-        ) as span:
-            self.output = ctx.aligner.align_block(self.candidates, charge=False)
-            span.set(pairs=self.output.pairs_aligned)
-        return self.output
+    def release(self, ctx: StageContext) -> None:
+        """Drop the pruned block and release its live-block slot.
 
-    def accumulate(self, ctx: StageContext) -> BlockRecord:
-        """Stream edges out, snapshot the record, and discard the block.
+        The last step of the prune stage: what stays pending until the
+        block's alignment window flushes is only its survivors.  A separate
+        call so that ``prune``'s callers can still read the block it pruned.
+        """
+        self.block = self.result.block = None
+        ctx.accumulator.block_discarded(self.result.block_bytes)
+
+    def accumulate(self, ctx: StageContext, output: BlockAlignmentOutput) -> BlockRecord:
+        """Stream edges out, snapshot the record, and drop the survivors.
 
         One path for computed and replayed blocks: the record is built from
-        the committed result and the align output; ``kind`` is a pure
+        the committed result and the block's align ``output``; ``kind`` is a pure
         function of the block's index ranges.  A miss is stored in the cache
         here, once the block is complete.
         """
-        assert self.output is not None, "accumulate before align"
-        result, output = self.result, self.output
+        assert self.candidates is not None, "accumulate before prune"
+        result = self.result
         with maybe_span(
             ctx.trace,
             "accumulate",
@@ -307,7 +309,6 @@ class BlockTask:
                 block_bytes=result.block_bytes,
             )
             ctx.accumulator.consume(output.edges)
-            ctx.accumulator.block_discarded(result.block_bytes)
             if self.store_pending:
                 ctx.cache.store(
                     (self.block_row, self.block_col),
@@ -328,8 +329,6 @@ class BlockTask:
                 )
                 self.store_pending = False
             span.set(edges=int(output.edges.size))
-            # drop the bulky stage products; the record and the streamed edges
-            # survive
-            self.block = result.block = None
+            # the record and the streamed edges survive; the survivors do not
             self.candidates = None
         return self.record

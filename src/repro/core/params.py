@@ -72,7 +72,9 @@ class PastisParams:
     nodes:
         Number of virtual nodes / MPI ranks; must be a perfect square.
     align_batch_size:
-        Pairs per ADEPT batch.
+        Pairs per ADEPT device batch, and the size at which the scheduler's
+        alignment window of pending survivors flushes (one driver call per
+        window).  Sets only batch and window boundaries, never a result.
     clock:
         ``"modeled"`` charges hardware-model time (GPU GCUPS for alignment,
         node sparse throughput for SpGEMM) so component ratios resemble the

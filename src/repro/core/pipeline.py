@@ -28,12 +28,13 @@ execution engine** (:mod:`repro.core.engine`): each output block becomes a
 scheduler — :class:`~repro.core.engine.schedulers.SerialScheduler` for the
 bulk-synchronous schedule, or (with ``pre_blocking=True``)
 :class:`~repro.core.engine.schedulers.OverlappedScheduler`, which discovers
-``preblock_depth`` blocks ahead of the block being aligned, closes the
+``preblock_depth`` blocks ahead of the block being pruned, closes the
 overlap on the per-rank clock and, at depth 1 on the modeled clock, charges
-the §VI-C contention slowdowns.  Edges stream into an
-incremental :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`
-so block outputs are discarded as soon as they are consumed; peak live
-memory is reported through the result's
+the §VI-C contention slowdowns.  Block outputs are discarded as soon as they
+are pruned; the survivors of consecutive blocks are aligned in one call per
+window (up to ``align_batch_size`` pairs), and edges stream into an
+incremental :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`;
+peak live memory is reported through the result's
 :class:`~repro.metrics.memory.MemoryTracker`.
 
 All communication, IO and computation is charged to the per-rank cost

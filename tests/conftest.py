@@ -103,27 +103,29 @@ def failing_run(request, monkeypatch):
     discovered; ``after_commit`` raises from the second
     ``BlockedSpGemm.compute_block`` call of an overlapped depth-3 run, after
     block 0 has been committed; ``during_align`` raises from the second
-    ``BlockTask.align`` call of a serial run, after blocks 0 and 1 have
-    been committed.  Returns the parameter overrides, the error message,
-    the scheduler name and the number of blocks committed.
+    ``AlignmentPhase.align_block`` call of a serial run with
+    ``align_batch_size=1`` (every block with survivors is its own window),
+    after blocks 0 and 1 have been committed.  Returns the parameter
+    overrides, the error message, the scheduler name and the number of
+    blocks committed.
     """
     from types import SimpleNamespace
 
     if request.param == "during_align":
-        from repro.core.engine.stages import BlockTask
+        from repro.core.align_phase import AlignmentPhase
 
-        original_align = BlockTask.align
+        original_align = AlignmentPhase.align_block
         aligned = {"n": 0}
 
-        def fail_second_align(self, ctx):
+        def fail_second_align(self, window):
             aligned["n"] += 1
             if aligned["n"] == 2:
                 raise RuntimeError("injected align failure")
-            return original_align(self, ctx)
+            return original_align(self, window)
 
-        monkeypatch.setattr(BlockTask, "align", fail_second_align)
+        monkeypatch.setattr(AlignmentPhase, "align_block", fail_second_align)
         return SimpleNamespace(
-            overrides={}, message="injected align failure",
+            overrides={"align_batch_size": 1}, message="injected align failure",
             scheduler="serial", committed=2,
         )
 

@@ -83,7 +83,7 @@ def test_alignment_phase_full_sw_and_seed_extend_agree_on_easy_pairs():
     ]
     full = AlignmentPhase(
         seqs, PastisParams(nodes=4, common_kmer_threshold=1), comm, CostModel()
-    ).align_block(per_rank)
+    ).align_block([per_rank])[0]
     assert full.pairs_aligned == 3
     assert full.pairs_aligned_per_rank.tolist() == [3, 0, 0, 0]
     assert full.cells > 0
@@ -95,7 +95,7 @@ def test_alignment_phase_full_sw_and_seed_extend_agree_on_easy_pairs():
         PastisParams(nodes=4, common_kmer_threshold=1, alignment_mode="seed_extend"),
         comm2,
         CostModel(),
-    ).align_block(per_rank)
+    ).align_block([per_rank])[0]
     assert seed_mode.pairs_aligned == 3
     # x-drop ungapped extension cannot admit more pairs than full Smith-Waterman
     assert seed_mode.edges.size <= full.edges.size
@@ -106,7 +106,7 @@ def test_alignment_phase_empty_block():
     comm = SimCommunicator(4)
     phase = AlignmentPhase(seqs, PastisParams(nodes=4), comm, CostModel())
     empty = [CooMatrix.empty((10, 10), dtype=OVERLAP_DTYPE) for _ in range(4)]
-    output = phase.align_block(empty)
+    (output,) = phase.align_block([empty])
     assert output.pairs_aligned == 0
     assert output.edges.size == 0
     assert output.kernel_seconds == 0.0

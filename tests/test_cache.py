@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.align_phase import AlignmentPhase
 from repro.core.engine import cache as cache_mod
-from repro.core.engine.stages import BlockTask
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockedSpGemm
@@ -258,6 +258,16 @@ def test_scheduler_knobs_do_not_invalidate(tmp_path, tiny_seqs):
     assert warm.stats.extras["cache"]["hits"] == 4
 
 
+def test_align_batch_size_does_not_invalidate(tmp_path, tiny_seqs):
+    """align_batch_size only sets window and device-batch boundaries: a cache
+    written with one window per block is replayed by a run with another."""
+    params = _params(tmp_path)
+    cold = PastisPipeline(params).run(tiny_seqs)
+    warm = PastisPipeline(params.replace(align_batch_size=1)).run(tiny_seqs, resume=True)
+    assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
+    assert_results_identical(cold, warm)
+
+
 def test_input_change_invalidates(tmp_path, tiny_seqs):
     params = _params(tmp_path)
     PastisPipeline(params).run(tiny_seqs)
@@ -292,14 +302,15 @@ def test_entries_keyed_before_the_threshold_removal_do_not_match(tmp_path, tiny_
     assert rerun.stats.extras["cache"]["hits"] == 0
 
 
-def test_entries_stored_before_journaled_commit_do_not_match(tmp_path, tiny_seqs, monkeypatch):
-    """Schema 6: an entry stores its discover's ledger journal instead of the
-    absolute post-block ledger vectors of schema 5, so keys written under
-    "5" differ and a cache written under "5" is never read."""
+def test_entries_keyed_with_align_batch_size_do_not_match(tmp_path, tiny_seqs, monkeypatch):
+    """Schema 7: ``align_batch_size`` left the key (schema 6 held it, and
+    entries since schema 6 store their discover's ledger journal), so every
+    key changed; a cache written under "6" is never read."""
     params = _params(tmp_path)
-    assert cache_mod.CACHE_VERSION == "6"
+    assert cache_mod.CACHE_VERSION == "7"
+    assert "align_batch_size" not in cache_mod.params_cache_token(params)
     current_key = cache_mod.run_cache_key(params, tiny_seqs)
-    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "5")
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "6")
     assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
     old = PastisPipeline(params).run(tiny_seqs)
     monkeypatch.undo()
@@ -337,23 +348,26 @@ def test_corrupt_entry_is_a_miss_not_a_crash(tmp_path, tiny_seqs):
 
 
 def test_killed_run_resumes_from_last_completed_block(tmp_path, tiny_seqs, monkeypatch):
-    """ISSUE acceptance: kill a run mid-way, resume, get identical results."""
+    """ISSUE acceptance: kill a run mid-way, resume, get identical results.
+
+    The killed run aligns one block per window (``align_batch_size=1``) and
+    dies in its third window; the resumed run keeps the default window."""
     params = _params(tmp_path)
     reference = PastisPipeline(params.replace(cache_dir=None)).run(tiny_seqs)
 
     calls = {"n": 0}
-    original_align = BlockTask.align
+    original_align = AlignmentPhase.align_block
 
-    def dying_align(self, ctx):
+    def dying_align(self, window):
         calls["n"] += 1
         if calls["n"] == 3:
             raise RuntimeError("simulated kill")
-        return original_align(self, ctx)
+        return original_align(self, window)
 
-    monkeypatch.setattr(BlockTask, "align", dying_align)
+    monkeypatch.setattr(AlignmentPhase, "align_block", dying_align)
     with pytest.raises(RuntimeError, match="simulated kill"):
-        PastisPipeline(params).run(tiny_seqs)
-    monkeypatch.setattr(BlockTask, "align", original_align)
+        PastisPipeline(params.replace(align_batch_size=1)).run(tiny_seqs)
+    monkeypatch.setattr(AlignmentPhase, "align_block", original_align)
 
     resumed = PastisPipeline(params).run(tiny_seqs, resume=True)
     counters = resumed.stats.extras["cache"]
@@ -396,7 +410,10 @@ def test_run_key_stable_and_sensitive(tiny_seqs):
     assert key == cache_mod.run_cache_key(base, tiny_seqs)  # deterministic
     # scheduler/cache knobs are excluded from the key ...
     assert key == cache_mod.run_cache_key(
-        base.replace(pre_blocking=True, preblock_depth=3, cache_dir="/x"), tiny_seqs
+        base.replace(
+            pre_blocking=True, preblock_depth=3, align_batch_size=7, cache_dir="/x"
+        ),
+        tiny_seqs,
     )
     # ... search-defining parameters and the input content are not
     assert key != cache_mod.run_cache_key(base.replace(kmer_length=6), tiny_seqs)

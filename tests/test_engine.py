@@ -503,44 +503,64 @@ def test_overlapped_measured_clock_same_results(serial_baseline):
     )
 
 
+def _stage_spans(result, names):
+    return sorted(
+        (s for s in result.trace.spans if s.name in names), key=lambda s: s.t_start
+    )
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
 def test_overlapped_discovers_k_blocks_ahead_of_each_alignment(
     tiny_seqs, fast_params, depth
 ):
-    """Stage order of the depth-k schedule: align(b) starts after the
-    discovers of blocks up to b + k, and never after more."""
+    """Stage order of the depth-k schedule, one block per window
+    (``align_batch_size=1``, every block has survivors): align(b) starts
+    after the discovers of blocks up to b + k, and never after more."""
     result = PastisPipeline(
         fast_params.replace(
-            num_blocks=6, pre_blocking=True, preblock_depth=depth, trace=True
+            num_blocks=6,
+            pre_blocking=True,
+            preblock_depth=depth,
+            align_batch_size=1,
+            trace=True,
         )
     ).run(tiny_seqs)
-    order = [s.block for s in result.trace.spans if s.name == "discover"]
-    stages = sorted(
-        (s for s in result.trace.spans if s.name in ("discover", "align")),
-        key=lambda s: s.t_start,
-    )
-    discovered = 0
-    for span in stages:
+    discovered = pruned = 0
+    for span in _stage_spans(result, ("discover", "prune", "align")):
         if span.name == "discover":
             discovered += 1
+        elif span.name == "prune":
+            pruned += 1
         else:
-            b = order.index(span.block)
-            assert discovered == min(b + depth + 1, len(order)), (b, discovered)
+            b = pruned - 1
+            assert span.attrs_dict()["blocks"] == 1
+            assert discovered == min(b + depth + 1, 6), (b, discovered)
 
 
 def test_serial_discovers_each_block_just_before_its_alignment(
     tiny_seqs, fast_params
 ):
-    """Depth 0: align(b) starts after exactly the discovers of blocks 0..b."""
-    result = PastisPipeline(fast_params.replace(num_blocks=6, trace=True)).run(
+    """Depth 0.  With ``align_batch_size=1`` each block with survivors is its
+    own window, aligned right after its discover; by default the 6 blocks'
+    survivors fit one batch, so one window follows all their discovers."""
+    per_block = PastisPipeline(
+        fast_params.replace(num_blocks=6, align_batch_size=1, trace=True)
+    ).run(tiny_seqs)
+    assert all(rec.aligned_pairs > 0 for rec in per_block.block_records)
+    stages = _stage_spans(per_block, ("discover", "align"))
+    assert [s.name for s in stages] == ["discover", "align"] * 6
+    assert [s.attrs_dict()["blocks"] for s in stages[1::2]] == [1] * 6
+
+    windowed = PastisPipeline(fast_params.replace(num_blocks=6, trace=True)).run(
         tiny_seqs
     )
-    stages = sorted(
-        (s for s in result.trace.spans if s.name in ("discover", "align")),
-        key=lambda s: s.t_start,
-    )
-    assert [s.name for s in stages] == ["discover", "align"] * 6
-    assert [s.block for s in stages[::2]] == [s.block for s in stages[1::2]]
+    assert windowed.stats.alignments_performed <= fast_params.align_batch_size
+    stages = _stage_spans(windowed, ("discover", "align"))
+    assert [s.name for s in stages] == ["discover"] * 6 + ["align"]
+    assert stages[-1].attrs_dict() == {
+        "blocks": 6,
+        "pairs": windowed.stats.alignments_performed,
+    }
 
 
 def test_explicit_overlapped_on_measured_clock_charges_raw_seconds(
@@ -727,29 +747,30 @@ def test_accumulator_refusal_leaves_accounting_untouched(bound):
 def test_align_failure_stops_the_schedule(
     small_seqs, fast_params, monkeypatch, overrides, depth
 ):
-    """An alignment failure on the second block surfaces the original error
-    once the schedule's lookahead has been discovered, and nothing after."""
+    """An alignment failure in the second window (one block per window with
+    ``align_batch_size=1``) surfaces the original error once the schedule's
+    lookahead has been discovered, and nothing after."""
+    from repro.core.align_phase import AlignmentPhase
     from repro.core.engine import schedulers
-    from repro.core.engine.stages import BlockTask
 
     discovered = []
     original_discover = schedulers.discover
-    original_align = BlockTask.align
+    original_align = AlignmentPhase.align_block
     aligned = {"n": 0}
 
     def counting_discover(ctx, task):
         discovered.append((task.block_row, task.block_col))
         return original_discover(ctx, task)
 
-    def failing_align(self, ctx):
+    def failing_align(self, window):
         aligned["n"] += 1
         if aligned["n"] == 2:
             raise RuntimeError("injected align failure")
-        return original_align(self, ctx)
+        return original_align(self, window)
 
     monkeypatch.setattr(schedulers, "discover", counting_discover)
-    monkeypatch.setattr(BlockTask, "align", failing_align)
-    params = fast_params.replace(num_blocks=6, **overrides)
+    monkeypatch.setattr(AlignmentPhase, "align_block", failing_align)
+    params = fast_params.replace(num_blocks=6, align_batch_size=1, **overrides)
     with pytest.raises(RuntimeError, match="injected align failure"):
         PastisPipeline(params).run(small_seqs)
     # block 1 was being aligned: blocks 0 .. 1 + depth had been discovered
@@ -775,6 +796,100 @@ def test_overlapped_discover_failure_propagates(small_seqs, fast_params, monkeyp
     params = fast_params.replace(num_blocks=6, pre_blocking=True, preblock_depth=3)
     with pytest.raises(RuntimeError, match="injected discover failure"):
         PastisPipeline(params).run(small_seqs)
+
+
+# ---------------------------------------------------------------- alignment windows
+#: schedule name -> (overrides, discover depth)
+WINDOW_SCHEDULES = {
+    "serial": ({}, 0),
+    "overlapped": ({"pre_blocking": True}, 1),
+    "overlapped-depth3": ({"pre_blocking": True, "preblock_depth": 3}, 3),
+}
+
+
+def _capture_contexts(monkeypatch):
+    """Record the StageContext of every scheduler run."""
+    from repro.core.engine.schedulers import Scheduler
+
+    contexts = []
+    original_run = Scheduler.run
+
+    def spying_run(self, tasks, ctx):
+        contexts.append(ctx)
+        return original_run(self, tasks, ctx)
+
+    monkeypatch.setattr(Scheduler, "run", spying_run)
+    return contexts
+
+
+def test_window_size_cannot_change_a_result(tiny_seqs, fast_params, monkeypatch):
+    """align_batch_size sets the alignment windows (one block each at 1,
+    several at 7, the whole run at 128) and nothing else: records, edges,
+    every modeled ledger category and counter, SpGemmStats and the per-rank
+    combined clock are bit-identical, per schedule and across schedules."""
+    contexts = _capture_contexts(monkeypatch)
+    runs = {}
+    for name, (overrides, _) in WINDOW_SCHEDULES.items():
+        for batch in (1, 7, 128):
+            runs[name, batch] = PastisPipeline(
+                fast_params.replace(num_blocks=6, align_batch_size=batch, **overrides)
+            ).run(tiny_seqs)
+    stats_by_run = dict(zip(runs, (ctx.spgemm_stats for ctx in contexts)))
+    reference = runs["serial", 1]
+    for (name, batch), result in runs.items():
+        assert np.array_equal(
+            result.similarity_graph.edges, reference.similarity_graph.edges
+        )
+        _assert_records_equal(reference.block_records, result.block_records)
+        assert stats_by_run[name, batch] == stats_by_run["serial", 1]
+        same_schedule = runs[name, 1]
+        for category in ("align", "spgemm", "comm", "cwait", "sparse_other", "io",
+                         OVERLAP_HIDDEN_CATEGORY):
+            assert np.array_equal(
+                result.ledger.per_rank(category), same_schedule.ledger.per_rank(category)
+            ), (name, batch, category)
+        for counter in ("spgemm_flops", "bytes_sent", "bytes_received",
+                        "alignments", "alignment_cells"):
+            assert np.array_equal(
+                result.ledger.counter_per_rank(counter),
+                reference.ledger.counter_per_rank(counter),
+            ), (name, batch, counter)
+        _stats_equal_modulo_timing(same_schedule.stats.as_dict(), result.stats.as_dict())
+        if name == "serial":
+            assert result.timeline.combined_per_rank is None
+        else:
+            assert np.array_equal(
+                result.timeline.combined_per_rank,
+                same_schedule.timeline.combined_per_rank,
+            )
+        # release at prune: the window holds survivors, not blocks
+        _, depth = WINDOW_SCHEDULES[name]
+        assert result.stats.extras["peak_live_blocks"] == depth + 1
+
+
+def test_served_request_makes_one_kernel_call(tmp_path, tiny_seqs, monkeypatch):
+    """A served request whose survivors fit one device batch is one
+    batch_smith_waterman call, however many blocks and ranks they span."""
+    from repro.align import adept
+    from repro.serve import build_index
+
+    params = PastisParams(kmer_length=5, nodes=4, num_blocks=4, common_kmer_threshold=1)
+    build_index(tiny_seqs, params, tmp_path / "index")
+    calls = {"n": 0}
+    original = adept.batch_smith_waterman
+
+    def counting_kernel(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adept, "batch_smith_waterman", counting_kernel)
+    result = PastisPipeline(
+        params.replace(mode="query", index_dir=str(tmp_path / "index"))
+    ).run(tiny_seqs.subset(np.arange(8)))
+    groups = sum(int(np.count_nonzero(rec.pairs_per_rank)) for rec in result.block_records)
+    assert groups > 1  # more than one (block, rank) had survivors
+    assert 0 < result.stats.alignments_performed <= params.align_batch_size
+    assert calls["n"] == 1
 
 
 # ---------------------------------------------------------------- scheduler contract

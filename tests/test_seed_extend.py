@@ -83,4 +83,4 @@ def test_seed_extend_refuses_candidates_without_seeds(seqs):
         CostModel(),
     )
     with pytest.raises(ValueError, match=r"no seed fields.*\(0, 1\)"):
-        phase.align_block([counts, empty, empty, empty])
+        phase.align_block([[counts, empty, empty, empty]])

@@ -171,8 +171,12 @@ def test_tracing_is_non_perturbing_per_scheduler(tiny_seqs, fast_params, overrid
     by_name: dict[str, int] = {}
     for span in traced.trace.spans:
         by_name[span.name] = by_name.get(span.name, 0) + 1
-    for stage in ("discover", "prune", "align", "accumulate"):
+    for stage in ("discover", "prune", "accumulate"):
         assert by_name.get(stage, 0) == 4, f"missing {stage!r} spans: {by_name}"
+    # one align span per window: the 4 blocks' survivors stay below
+    # align_batch_size, so they are aligned in one window
+    windows = [s.attrs_dict() for s in traced.trace.spans if s.name == "align"]
+    assert windows == [{"blocks": 4, "pairs": traced.stats.alignments_performed}]
     assert by_name.get("summa_stage", 0) > 0
     assert by_name.get("ledger_replay", 0) == 4  # one commit per block
     assert {s.pid for s in traced.trace.spans} == {traced.trace.pid}
