@@ -80,7 +80,8 @@ def _update_array(h, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
     h.update(str(arr.dtype.str).encode())
     h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
+    # the contiguous buffer itself: the same bytes as ``tobytes()``, no copy
+    h.update(arr.reshape(-1).view(np.uint8))
 
 
 def _digest_matrix(matrix: np.ndarray) -> str:

@@ -2,13 +2,28 @@
 
 The serving index (:mod:`repro.serve.index`) persists the database operand
 ``Bᵀ = A_dbᵀ`` as the exact column stripes Blocked SUMMA consumes: for each
-output block column ``c`` and each rank ``r``, one ``.npz`` shard holding
+output block column ``c`` and each rank ``r``, one ``.bin`` shard holding
 the rank's local COO piece of ``B.col_stripe(col_range(c))`` together with
 its global placement offsets.  Loading the shards of a stripe reconstructs
 a :class:`~repro.distsparse.distmat.DistSparseMatrix` *bitwise identical*
 to the one an all-vs-all run would slice out of the freshly built matrix —
-which is what keeps the PR 6 stage-cache stripe digests honest across the
+which is what keeps the stage-cache stripe digests honest across the
 build/serve boundary.
+
+A shard is flat and little-endian, so reading one costs bytes, not parsing::
+
+    int64[8] header   magic, nnz, local rows, local cols, row offset,
+                      col offset, values dtype kind (ord of the char),
+                      values dtype itemsize
+    int64[nnz]        rows
+    int64[nnz]        cols
+    <kind><size>[nnz] values
+
+Every array starts on an 8-byte boundary and the file ends with the last
+value.  :func:`read_shard` is one read, a magic check, an exact length
+check against the header and three read-only ``np.frombuffer`` views; the
+header's shape and offsets and all three arrays are covered by the
+manifest's stripe digest, which the index verifies on every load.
 
 :class:`ShardedStripeMatrix` is the lazy B-side operand adapter: it exposes
 exactly the surface :class:`~repro.distsparse.blocked_summa.BlockedSpGemm`
@@ -18,7 +33,6 @@ cost model, loading and digest-verifying each stripe on first use.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -30,46 +44,76 @@ from ..mpi.communicator import SimCommunicator
 from ..sparse.coo import CooMatrix
 from .distmat import DistSparseMatrix
 
+#: first header word of every shard (``b"PSHARD03"`` read as little-endian int64)
+SHARD_MAGIC = int.from_bytes(b"PSHARD03", "little")
+_HEADER_WORDS = 8
+_HEADER_BYTES = 8 * _HEADER_WORDS
+_VALUE_KINDS = "biuf"
+
 
 def shard_filename(stripe: int, rank: int) -> str:
     """Canonical shard file name for (block column, rank)."""
-    return f"stripe-{stripe:05d}-rank-{rank:03d}.npz"
+    return f"stripe-{stripe:05d}-rank-{rank:03d}.bin"
 
 
 def write_shard(path: Path, block: CooMatrix, row_offset: int, col_offset: int) -> int:
     """Atomically persist one rank's piece of a column stripe; returns bytes."""
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        rows=block.rows,
-        cols=block.cols,
-        values=block.values,
-        shape=np.asarray(block.shape, dtype=np.int64),
-        row_offset=np.int64(row_offset),
-        col_offset=np.int64(col_offset),
+    values = block.values
+    if values.dtype.kind not in _VALUE_KINDS:
+        raise ValueError(f"cannot store shard values of dtype {values.dtype}")
+    values = values.astype(values.dtype.newbyteorder("<"), copy=False)
+    header = np.array(
+        [
+            SHARD_MAGIC,
+            block.nnz,
+            block.shape[0],
+            block.shape[1],
+            row_offset,
+            col_offset,
+            ord(values.dtype.kind),
+            values.dtype.itemsize,
+        ],
+        dtype="<i8",
     )
-    data = buffer.getvalue()
+    rows = block.rows.astype("<i8", copy=False)
+    cols = block.cols.astype("<i8", copy=False)
+    data = b"".join(part.tobytes() for part in (header, rows, cols, values))
     atomic_write_bytes(path, data)
     return len(data)
 
 
 def read_shard(path: Path) -> tuple[CooMatrix, int, int]:
-    """Parse one shard file back into (local block, row offset, col offset).
+    """Map one shard file back into (local block, row offset, col offset).
 
-    Raises on any malformation; callers wrap failures into the serve-layer
-    integrity error naming the offending file.
+    The block's arrays are read-only views into the file's bytes.  Raises
+    ``ValueError`` naming the file on a wrong magic, an unknown values dtype
+    or a length that disagrees with the header; callers wrap failures into
+    the serve-layer integrity error.
     """
-    with np.load(io.BytesIO(path.read_bytes()), allow_pickle=False) as npz:
-        missing = {"rows", "cols", "values", "shape", "row_offset", "col_offset"} - set(
-            npz.files
+    data = path.read_bytes()
+    if len(data) < _HEADER_BYTES:
+        raise ValueError(f"{path.name}: {len(data)} bytes, shorter than a shard header")
+    magic, nnz, n_rows, n_cols, row_offset, col_offset, kind, itemsize = (
+        int(word) for word in np.frombuffer(data, dtype="<i8", count=_HEADER_WORDS)
+    )
+    if magic != SHARD_MAGIC:
+        raise ValueError(f"{path.name}: not a stripe shard (bad magic)")
+    if not (0 <= kind < 128 and chr(kind) in _VALUE_KINDS and itemsize in (1, 2, 4, 8)):
+        raise ValueError(f"{path.name}: unknown values dtype (kind={kind}, itemsize={itemsize})")
+    if nnz < 0 or len(data) != _HEADER_BYTES + nnz * (16 + itemsize):
+        raise ValueError(
+            f"{path.name}: {len(data)} bytes, but its header describes {nnz} entries"
         )
-        if missing:
-            raise ValueError(f"shard missing fields: {sorted(missing)}")
-        shape = tuple(int(x) for x in npz["shape"])
-        if len(shape) != 2:
-            raise ValueError(f"shard shape field has {len(shape)} dimensions")
-        block = CooMatrix(shape, npz["rows"], npz["cols"], npz["values"])
-        return block, int(npz["row_offset"]), int(npz["col_offset"])
+    rows = np.frombuffer(data, dtype="<i8", count=nnz, offset=_HEADER_BYTES)
+    cols = np.frombuffer(data, dtype="<i8", count=nnz, offset=_HEADER_BYTES + 8 * nnz)
+    values = np.frombuffer(
+        data, dtype=f"<{chr(kind)}{itemsize}", count=nnz, offset=_HEADER_BYTES + 16 * nnz
+    )
+    try:
+        block = CooMatrix((n_rows, n_cols), rows, cols, values)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
+    return block, row_offset, col_offset
 
 
 def write_stripe_shards(

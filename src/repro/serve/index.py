@@ -8,7 +8,7 @@ cut into the index's column stripes — each stripe block a row-major view by
 sorting — and persists it as the exact per-rank column-stripe shards
 Blocked SUMMA consumes
 (:mod:`repro.distsparse.shards`).  Every artifact is stamped with
-the same content digests the PR 6 stage cache keys on —
+the same content digests the stage cache keys on —
 :func:`repro.core.engine.cache.sequence_digest` for the database residues,
 :func:`repro.core.engine.cache.stripe_digest` per stripe — so a query run
 served from the index produces byte-for-byte the cache keys an all-vs-all
@@ -20,19 +20,38 @@ killed build never leaves a manifest pointing at missing shards)::
     index_dir/
       index.json                       # manifest: format/version, digests,
                                        #   blocking, canonical params token
-      sequences.npz                    # residues + names + banned k-mer ids
-      shards/stripe-CCCCC-rank-RRR.npz # rank R's piece of column stripe C
+      sequences.bin                    # residues + names + banned k-mer ids
+      shards/stripe-CCCCC-rank-RRR.bin # rank R's piece of column stripe C
+
+Both payloads are flat little-endian files read with one ``read_bytes`` and
+a few read-only ``np.frombuffer`` views (no archive, no per-member header
+parsing).  ``sequences.bin`` is::
+
+    int64[5]          magic, n sequences, n residues, n banned k-mers,
+                      name blob bytes
+    int64[n + 1]      residue offsets
+    int64[n + 1]      name offsets (into the name blob)
+    int64[n_banned]   banned k-mer ids
+    uint8[n_residues] residue codes, zero-padded to an 8-byte boundary
+    bytes             UTF-8 name blob
+
+Every byte is covered by a check on read: a shard by its magic, its exact
+length and the manifest's stripe digest (:mod:`repro.distsparse.shards`);
+``sequences.bin`` by its magic, its exact length, the manifest's
+``sequences_payload_digest`` (sha256 of the whole file) and
+``sequence_digest`` (the residues and offsets the cache keys on).
 
 Failure taxonomy: :class:`IndexIntegrityError` — the index contradicts its
-own stamps (tampered sequences, corrupt or truncated shard); never answered
+own stamps (absent, truncated, extended or corrupt payload); never answered
 from, always refused with the offending file named.
 :class:`IndexCompatibilityError` — the index is healthy but was built with
-different parameters than the run asking to use it.
+different parameters, or by a build with another :data:`INDEX_VERSION`,
+than the run asking to use it.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -49,22 +68,25 @@ from ..distsparse.distmat import DistSparseMatrix
 from ..distsparse.shards import (
     ShardedStripeMatrix,
     load_stripe_shards,
-    shard_filename,
     write_stripe_shards,
 )
 from ..mpi.communicator import SimCommunicator
 from ..mpi.process_grid import is_perfect_square
-from ..sequences.alphabet import MURPHY10, PROTEIN
+from ..sequences.alphabet import MURPHY10, PROTEIN, Alphabet
 from ..sequences.kmers import KmerExtractor
 from ..sequences.sequence import SequenceSet
 
 INDEX_FORMAT = "pastis-kmer-index"
-#: 2: shard entries are row-major by (k-mer, sequence); version 1 stored the
-#: transposed (sequence, k-mer) order, which every request would re-sort
-INDEX_VERSION = 2
+#: 3: flat little-endian ``.bin`` payloads read as array views (version 2
+#: stored npz archives; version 1 stored shard entries in (sequence, k-mer)
+#: order, which every request would re-sort)
+INDEX_VERSION = 3
 MANIFEST_NAME = "index.json"
-SEQUENCES_NAME = "sequences.npz"
+SEQUENCES_NAME = "sequences.bin"
 SHARD_DIR = "shards"
+#: first header word of ``sequences.bin`` (``b"PSEQS003"`` as little-endian int64)
+SEQUENCES_MAGIC = int.from_bytes(b"PSEQS003", "little")
+_SEQUENCES_HEADER_WORDS = 5
 
 _ALPHABETS = {PROTEIN.name: PROTEIN, MURPHY10.name: MURPHY10}
 
@@ -126,6 +148,69 @@ def effective_blocking(params: PastisParams, n_sequences: int) -> tuple[int, int
     return min(br, n_sequences), min(bc, n_sequences)
 
 
+def _pad8(n: int) -> int:
+    return -n % 8
+
+
+def _encode_sequences(sequences: SequenceSet, banned: np.ndarray) -> bytes:
+    """The ``sequences.bin`` payload of a database (layout in the module doc)."""
+    names = [str(name).encode("utf-8") for name in sequences.names]
+    name_offsets = np.zeros(len(names) + 1, dtype="<i8")
+    np.cumsum([len(name) for name in names], out=name_offsets[1:])
+    residues = sequences.data.tobytes()
+    header = np.array(
+        [SEQUENCES_MAGIC, len(sequences), len(residues), banned.size, name_offsets[-1]],
+        dtype="<i8",
+    )
+    return b"".join(
+        [
+            header.tobytes(),
+            sequences.offsets.astype("<i8", copy=False).tobytes(),
+            name_offsets.tobytes(),
+            banned.astype("<i8", copy=False).tobytes(),
+            residues,
+            bytes(_pad8(len(residues))),
+            *names,
+        ]
+    )
+
+
+def _decode_sequences(data: bytes, alphabet: Alphabet) -> tuple[SequenceSet, np.ndarray]:
+    """Views of one ``sequences.bin`` payload: (sequences, banned k-mer ids).
+
+    Raises ``ValueError`` on a wrong magic or a length that disagrees with
+    the header; the residues, offsets and banned ids are read-only views
+    into ``data``.
+    """
+    header_bytes = 8 * _SEQUENCES_HEADER_WORDS
+    if len(data) < header_bytes:
+        raise ValueError(f"{len(data)} bytes, shorter than the payload header")
+    magic, n, n_residues, n_banned, name_bytes = (
+        int(word) for word in np.frombuffer(data, dtype="<i8", count=_SEQUENCES_HEADER_WORDS)
+    )
+    if magic != SEQUENCES_MAGIC:
+        raise ValueError("not a sequences payload (bad magic)")
+    if min(n, n_residues, n_banned, name_bytes) < 0:
+        raise ValueError("negative count in the payload header")
+    residues_at = header_bytes + 8 * (2 * (n + 1) + n_banned)
+    names_at = residues_at + n_residues + _pad8(n_residues)
+    if len(data) != names_at + name_bytes:
+        raise ValueError(
+            f"{len(data)} bytes, but its header describes {names_at + name_bytes}"
+        )
+    offsets = np.frombuffer(data, dtype="<i8", count=n + 1, offset=header_bytes)
+    name_offsets = np.frombuffer(
+        data, dtype="<i8", count=n + 1, offset=header_bytes + 8 * (n + 1)
+    ).tolist()
+    banned = np.frombuffer(
+        data, dtype="<i8", count=n_banned, offset=header_bytes + 16 * (n + 1)
+    )
+    residues = np.frombuffer(data, dtype=np.uint8, count=n_residues, offset=residues_at)
+    blob = data[names_at:]
+    names = [blob[lo:hi].decode("utf-8") for lo, hi in zip(name_offsets, name_offsets[1:])]
+    return SequenceSet(residues, offsets, names, alphabet), banned
+
+
 def build_index(
     sequences: SequenceSet,
     params: PastisParams,
@@ -178,15 +263,7 @@ def build_index(
         )
 
     banned = banned_kmer_ids(sequences, params)
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        data=sequences.data,
-        offsets=sequences.offsets,
-        names=np.asarray([str(name) for name in sequences.names], dtype=np.str_),
-        banned_kmers=banned,
-    )
-    sequences_payload = buffer.getvalue()
+    sequences_payload = _encode_sequences(sequences, banned)
     atomic_write_bytes(out / SEQUENCES_NAME, sequences_payload)
 
     manifest = {
@@ -198,6 +275,7 @@ def build_index(
         "bc": bc,
         "alphabet": sequences.alphabet.name,
         "sequence_digest": sequence_digest(sequences),
+        "sequences_payload_digest": hashlib.sha256(sequences_payload).hexdigest(),
         "params": index_params_token(params),
         "banned_kmer_count": int(banned.size),
         "kmer_info": info.as_dict(),
@@ -280,28 +358,30 @@ class KmerIndex:
 
     # ------------------------------------------------------------------ payloads
     def sequences(self) -> SequenceSet:
-        """The database sequences, digest-verified against the manifest."""
+        """The database sequences, digest-verified against the manifest.
+
+        The residues, offsets and banned k-mer ids are read-only views into
+        the payload's bytes.
+        """
         if self._sequences is not None:
             return self._sequences
         path = self.path / SEQUENCES_NAME
+        alphabet_name = str(self.manifest["alphabet"])
+        if alphabet_name not in _ALPHABETS:
+            raise IndexCompatibilityError(
+                f"index alphabet {alphabet_name!r} unknown to this build"
+            )
         try:
-            with np.load(io.BytesIO(path.read_bytes()), allow_pickle=False) as npz:
-                alphabet_name = str(self.manifest["alphabet"])
-                if alphabet_name not in _ALPHABETS:
-                    raise IndexCompatibilityError(
-                        f"index alphabet {alphabet_name!r} unknown to this build"
-                    )
-                sequences = SequenceSet(
-                    data=npz["data"],
-                    offsets=npz["offsets"],
-                    names=[str(name) for name in npz["names"]],
-                    alphabet=_ALPHABETS[alphabet_name],
-                )
-                self._banned = np.asarray(npz["banned_kmers"], dtype=np.int64)
-        except ServeIndexError:
-            raise
-        except Exception as exc:
+            data = path.read_bytes()
+            sequences, banned = _decode_sequences(data, _ALPHABETS[alphabet_name])
+        except (OSError, ValueError) as exc:
             raise IndexIntegrityError(f"unreadable index payload {path}: {exc}") from exc
+        payload_digest = hashlib.sha256(data).hexdigest()
+        if payload_digest != self.manifest["sequences_payload_digest"]:
+            raise IndexIntegrityError(
+                f"corrupt index payload: {path} digests to {payload_digest[:16]}… but "
+                f"the manifest stamps {self.manifest['sequences_payload_digest'][:16]}…"
+            )
         digest = sequence_digest(sequences)
         if digest != self.sequence_digest:
             raise IndexIntegrityError(
@@ -309,7 +389,7 @@ class KmerIndex:
                 f"stamps {self.sequence_digest[:16]}… — rebuild the index instead "
                 "of serving wrong answers"
             )
-        self._sequences = sequences
+        self._sequences, self._banned = sequences, banned
         return sequences
 
     def banned_kmers(self) -> np.ndarray:
@@ -322,18 +402,19 @@ class KmerIndex:
         """Column stripe ``c`` of ``Bᵀ``, digest-verified against the manifest."""
         entry = self.manifest["stripes"][c]
         shape = (self.kmer_space, self.n_sequences)
+        shard_dir = self.path / SHARD_DIR
         try:
-            stripe = load_stripe_shards(self.path / SHARD_DIR, c, shape, comm)
-        except Exception as exc:
+            stripe = load_stripe_shards(shard_dir, c, shape, comm)
+        except (OSError, ValueError) as exc:
             raise IndexIntegrityError(
-                f"corrupt index shard for stripe {c} "
-                f"(under {self.path / SHARD_DIR / shard_filename(c, 0)}…): {exc}"
+                f"corrupt index shard for stripe {c} under {shard_dir}: {exc}"
             ) from exc
         digest = stripe_digest(stripe)
         if digest != entry["digest"]:
             raise IndexIntegrityError(
-                f"stale index: stripe {c} digests to {digest[:16]}… but the "
-                f"manifest stamps {entry['digest'][:16]}…"
+                f"stale index: stripe {c} ({', '.join(entry['files'])} under "
+                f"{shard_dir}) digests to {digest[:16]}… but the manifest stamps "
+                f"{entry['digest'][:16]}…"
             )
         return stripe
 

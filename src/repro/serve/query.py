@@ -6,10 +6,11 @@ rows an all-vs-all run over the database would have produced — same block
 records, same edges, same SpGEMM stats.  The whole design follows from one
 decision: **the query operand lives in database row coordinates.**
 
-* A member query (same residues as a database sequence, resolved by content
-  digest) occupies its database row; its k-mer row is rebuilt bitwise equal
-  to the database row (same extraction, the database's persisted banned
-  k-mer set instead of a recount, same substitute ordering, same dedup).
+* A member query (same residues as a database sequence, resolved by an
+  exact residue comparison) occupies its database row; its k-mer row is
+  rebuilt bitwise equal to the database row (same extraction, the
+  database's persisted banned k-mer set instead of a recount, same
+  substitute ordering, same dedup).
 * A novel query is appended at a fresh row ``>= n_db``.
 * The output schedule is ``BlockSchedule(n_db + n_novel, n_db, br, bc_index)``
   and only block rows containing a populated query row are computed
@@ -28,7 +29,6 @@ identical to the all-vs-all run's.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,20 +88,28 @@ class QueryScheme(LoadBalancingScheme):
 def resolve_queries(queries: SequenceSet, database: SequenceSet) -> np.ndarray:
     """Database row of each query (``-1`` for novel sequences).
 
-    Membership is by residue content (sha256 of the code array); duplicate
-    database sequences resolve to the first occurrence.
+    Membership is by residues: each query is compared exactly against the
+    database sequences of its length, and the first equal one wins, so
+    duplicate database sequences resolve to their first occurrence.
     """
     if queries.alphabet.name != database.alphabet.name:
         raise ValueError(
             f"query alphabet {queries.alphabet.name!r} does not match the "
             f"database alphabet {database.alphabet.name!r}"
         )
-    lookup: dict[bytes, int] = {}
-    for i in range(len(database)):
-        lookup.setdefault(hashlib.sha256(database.codes(i).tobytes()).digest(), i)
+    lengths = database.lengths
+    starts = database.offsets[:-1]
+    residues = database.data
     rows = np.full(len(queries), -1, dtype=np.int64)
     for q in range(len(queries)):
-        rows[q] = lookup.get(hashlib.sha256(queries.codes(q).tobytes()).digest(), -1)
+        codes = queries.codes(q)
+        candidates = np.flatnonzero(lengths == codes.size)
+        if candidates.size == 0:
+            continue
+        window = residues[starts[candidates, None] + np.arange(codes.size)]
+        equal = np.flatnonzero((window == codes).all(axis=1))
+        if equal.size:
+            rows[q] = candidates[equal[0]]
     return rows
 
 

@@ -421,6 +421,35 @@ def test_run_key_stable_and_sensitive(tiny_seqs):
     assert key != cache_mod.run_cache_key(base, other)
 
 
+_EDGE_DTYPE = np.dtype([("row", "<i8"), ("col", "<i8"), ("score", "<i4"), ("ani", "<f4")])
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.arange(-5, 12, dtype=np.int64),
+        np.arange(40, dtype=np.int32).reshape(5, 8),
+        np.frombuffer(b"ACDEFGHIKLMNPQRSTVWY", dtype=np.uint8),
+        np.array([True, False, True, True]),
+        np.array([(3, 9, 41, 0.75), (0, 2, -7, 1.0)], dtype=_EDGE_DTYPE),
+        np.zeros(0, dtype=np.int64),
+        np.arange(60, dtype=np.int64).reshape(6, 10)[::2, 1::3],
+    ],
+    ids=["int64", "int32", "uint8", "bool", "edges", "empty", "non_contiguous"],
+)
+def test_array_hash_equals_the_tobytes_form(arr):
+    """Keys hash an array's buffer in place; the digest is the one the
+    ``tobytes()`` copy gave, so no stored key or index stamp moves."""
+    got = cache_mod.hashlib.sha256()
+    cache_mod._update_array(got, arr)
+    contiguous = np.ascontiguousarray(arr)
+    want = cache_mod.hashlib.sha256()
+    want.update(str(contiguous.dtype.str).encode())
+    want.update(str(contiguous.shape).encode())
+    want.update(contiguous.tobytes())
+    assert got.hexdigest() == want.hexdigest()
+
+
 def test_cached_block_rejects_malformed_payload():
     with pytest.raises(Exception):
         cache_mod.CachedBlock.from_bytes(b"garbage", nranks=4)

@@ -9,6 +9,7 @@ refusals, integrity taxonomy), the pluggable sequence providers, the
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,11 @@ import pytest
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockSchedule
+from repro.distsparse.shards import shard_filename
 from repro.core.kmer_matrix import build_distributed_kmer_matrix
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences import SequenceSet, write_fasta
+from repro.sequences.alphabet import MURPHY10
 from repro.sequences.synthetic import SyntheticDatasetConfig, synthetic_dataset
 from repro.serve import (
     IndexCompatibilityError,
@@ -33,13 +36,8 @@ from repro.serve import (
     register_provider,
 )
 from repro.serve.cli import main as serve_main
-from repro.serve.index import (
-    INDEX_VERSION,
-    MANIFEST_NAME,
-    SEQUENCES_NAME,
-    SHARD_DIR,
-    shard_filename,
-)
+from repro.serve.query import resolve_queries
+from repro.serve.index import INDEX_VERSION, MANIFEST_NAME, SEQUENCES_NAME, SHARD_DIR
 
 N_DB = 16
 
@@ -139,7 +137,7 @@ def test_stale_sequences_payload_is_refused(db, tmp_path):
     build_index(sequences, params, index_dir)
     payload = index_dir / SEQUENCES_NAME
     raw = bytearray(payload.read_bytes())
-    # flip one residue code inside the npz payload
+    # flip one residue code: the middle of the flat payload is in the residues
     raw[len(raw) // 2] ^= 0x01
     payload.write_bytes(bytes(raw))
     index = KmerIndex.open(index_dir)
@@ -159,6 +157,191 @@ def test_corrupt_shard_is_refused_with_file_named(db, tmp_path):
         index.stripe(0, comm)
     with pytest.raises(IndexIntegrityError):
         index.verify()
+
+
+def _payload_regions(victim: Path) -> dict[str, tuple[int, int]]:
+    """Byte ranges of each region of a flat index payload, read off its header."""
+    raw = victim.read_bytes()
+    if victim.name != SEQUENCES_NAME:
+        nnz = int(np.frombuffer(raw, dtype="<i8", count=2)[1])
+        return {
+            "header": (0, 64),
+            "rows": (64, 64 + 8 * nnz),
+            "cols": (64 + 8 * nnz, 64 + 16 * nnz),
+            "values": (64 + 16 * nnz, len(raw)),
+        }
+    _, n, n_residues, n_banned, name_bytes = np.frombuffer(raw, dtype="<i8", count=5).tolist()
+    bounds = np.cumsum([0, 40, 8 * (n + 1), 8 * (n + 1), 8 * n_banned, n_residues])
+    names = ["header", "offsets", "name_offsets", "banned", "residues"]
+    regions = {name: (int(lo), int(hi)) for name, lo, hi in zip(names, bounds, bounds[1:])}
+    regions["names"] = (len(raw) - name_bytes, len(raw))
+    return regions
+
+
+def _flip_middle_byte(victim: Path, region: str) -> None:
+    lo, hi = _payload_regions(victim)[region]
+    assert hi > lo, f"fixture has an empty {region} region"
+    raw = bytearray(victim.read_bytes())
+    raw[(lo + hi) // 2] ^= 0x01
+    victim.write_bytes(bytes(raw))
+
+
+def _bump_count_word(victim: Path, index_dir: Path) -> None:
+    """Add one to the header's entry count (nnz, or the number of sequences)."""
+    raw = bytearray(victim.read_bytes())
+    count = int(np.frombuffer(raw, dtype="<i8", count=2)[1])
+    raw[8:16] = np.array([count + 1], dtype="<i8").tobytes()
+    victim.write_bytes(bytes(raw))
+
+
+def _as_version_2_index(victim: Path, index_dir: Path) -> None:
+    """The layout a version-2 build left: npz payloads under a version-2 manifest."""
+    victim.rename(victim.with_suffix(".npz"))
+    manifest = json.loads((index_dir / MANIFEST_NAME).read_text())
+    manifest["version"] = 2
+    (index_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+_CORRUPTIONS = {
+    "absent": lambda victim, _: victim.unlink(),
+    "truncated": lambda victim, _: victim.write_bytes(victim.read_bytes()[:-1]),
+    "extended": lambda victim, _: victim.write_bytes(victim.read_bytes() + b"\0"),
+    "count_disagrees": _bump_count_word,
+    "version_2": _as_version_2_index,
+}
+_SHARD_REGIONS = ("header", "rows", "cols", "values")
+_SEQUENCES_REGIONS = ("header", "offsets", "name_offsets", "banned", "residues", "names")
+_INTEGRITY_TABLE = [
+    (payload, cell)
+    for payload, regions in (("shard", _SHARD_REGIONS), ("sequences", _SEQUENCES_REGIONS))
+    for cell in [*_CORRUPTIONS, *(f"flip_{region}" for region in regions)]
+]
+
+
+@pytest.fixture(scope="module")
+def banned_index(db, tmp_path_factory):
+    """An index whose every payload region is non-empty (``max_kmer_frequency``
+    bans some k-mers), plus its largest shard's file name."""
+    sequences, params, _ = db
+    index_dir = tmp_path_factory.mktemp("banned-index")
+    index = build_index(sequences, params.replace(max_kmer_frequency=3), index_dir)
+    assert index.verify()["banned_kmers"] > 0
+    shards = sorted((index_dir / SHARD_DIR).iterdir(), key=lambda p: p.stat().st_size)
+    return index_dir, shards[-1].name
+
+
+@pytest.mark.parametrize(
+    "payload,cell", _INTEGRITY_TABLE, ids=[f"{p}-{c}" for p, c in _INTEGRITY_TABLE]
+)
+def test_every_index_payload_failure_has_one_outcome(banned_index, tmp_path, payload, cell):
+    """Index payload × failure mode: each cell is refused with exactly one
+    error type — integrity naming the damaged file, or compatibility naming
+    both versions — and never answered from."""
+    source, shard_name = banned_index
+    index_dir = tmp_path / "index"
+    shutil.copytree(source, index_dir)
+    if payload == "shard":
+        victim = index_dir / SHARD_DIR / shard_name
+    else:
+        victim = index_dir / SEQUENCES_NAME
+    if cell.startswith("flip_"):
+        _flip_middle_byte(victim, cell[len("flip_"):])
+    else:
+        _CORRUPTIONS[cell](victim, index_dir)
+    expected = IndexCompatibilityError if cell == "version_2" else IndexIntegrityError
+    with pytest.raises(ServeIndexError) as caught:
+        KmerIndex.open(index_dir).verify()
+    assert type(caught.value) is expected
+    if expected is IndexCompatibilityError:
+        assert "version 2" in str(caught.value)
+        assert f"version {INDEX_VERSION}" in str(caught.value)
+    else:
+        assert victim.name in str(caught.value)
+
+
+def test_served_run_reads_index_memory_read_only(db, monkeypatch):
+    """Stripe blocks and database sequences come off disk as read-only views,
+    and a query run, a batcher drain and a deep verify all succeed on them:
+    nothing writes into index memory."""
+    from repro.serve import index as index_mod
+
+    sequences, params, index_dir = db
+    blocks, databases = [], []
+    load_stripe_shards = index_mod.load_stripe_shards
+    read_sequences = index_mod.KmerIndex.sequences
+
+    def spy_stripe(*args, **kwargs):
+        stripe = load_stripe_shards(*args, **kwargs)
+        blocks.extend(stripe.local(rank) for rank in range(stripe.grid.nprocs))
+        return stripe
+
+    def spy_sequences(self):
+        databases.append(read_sequences(self))
+        return databases[-1]
+
+    monkeypatch.setattr(index_mod, "load_stripe_shards", spy_stripe)
+    monkeypatch.setattr(index_mod.KmerIndex, "sequences", spy_sequences)
+    novel = SequenceSet.from_strings(["MKVLAAGIVGLLLAQPAMA"], names=["novel"])
+    queries = SequenceSet.concatenate([sequences.subset(np.arange(0, 5)), novel])
+    result = PastisPipeline(params.replace(mode="query", index_dir=index_dir)).run(queries)
+    assert result.query_rows.tolist() == [0, 1, 2, 3, 4, N_DB]
+    batcher = QueryBatcher(index_dir, params, max_batch_queries=4)
+    batcher.submit(sequences.subset(np.arange(5, 8)))
+    assert len(batcher.drain()) == 1
+    assert KmerIndex.open(index_dir).verify()["ok"]
+
+    assert blocks and databases
+    for block in blocks:
+        for arr in (block.rows, block.cols, block.values):
+            assert not arr.flags.writeable
+    for database in databases:
+        assert not database.codes(0).flags.writeable
+        assert not database._offsets.flags.writeable
+
+
+# ------------------------------------------------------------- member resolution
+def _resolve(queries: list[str], database: list[str]) -> list[int]:
+    return resolve_queries(
+        SequenceSet.from_strings(queries), SequenceSet.from_strings(database)
+    ).tolist()
+
+
+def test_resolver_duplicate_resolves_to_first_occurrence():
+    assert _resolve(["KLMN", "ACDE"], ["MKV", "ACDE", "KLMN", "ACDE", "KLMN"]) == [2, 1]
+
+
+def test_resolver_same_length_one_residue_off_is_novel():
+    assert _resolve(["ACDF", "ACDE"], ["ACDE", "WWWW"]) == [-1, 0]
+
+
+def test_resolver_prefix_of_a_member_is_novel():
+    assert _resolve(["ACD", "ACDEF"], ["ACDE", "ACDEFG"]) == [-1, -1]
+
+
+def test_resolver_empty_query_set():
+    rows = resolve_queries(
+        SequenceSet.from_strings([]), SequenceSet.from_strings(["ACDE"])
+    )
+    assert rows.dtype == np.int64 and rows.shape == (0,)
+
+
+def test_resolver_refuses_alphabet_mismatch():
+    database = SequenceSet.from_strings(["ACDE"])
+    with pytest.raises(ValueError, match="does not match the database alphabet"):
+        resolve_queries(database.reencode(MURPHY10), database)
+
+
+def test_resolver_equals_a_residue_dictionary():
+    """Exact comparison agrees with first-occurrence lookup by residue bytes
+    on a database full of equal lengths and duplicates."""
+    rng = np.random.default_rng(5)
+    letters = np.array(list("ACDE"))
+    database = ["".join(rng.choice(letters, size=rng.integers(1, 4))) for _ in range(60)]
+    queries = ["".join(rng.choice(letters, size=rng.integers(0, 5))) for _ in range(80)]
+    first: dict[str, int] = {}
+    for i, residues in enumerate(database):
+        first.setdefault(residues, i)
+    assert _resolve(queries, database) == [first.get(q, -1) for q in queries]
 
 
 def test_open_refuses_non_index_directory(tmp_path):
