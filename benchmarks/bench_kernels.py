@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from repro.align.batch import batch_smith_waterman
+from repro.align.batch import batch_smith_waterman, sweep_plan
 from repro.core import EDGE_DTYPE, SimilarityGraph
 from repro.graph import StochasticMatrix
 from repro.sequences.synthetic import synthetic_dataset
@@ -41,20 +41,29 @@ def test_batch_smith_waterman_throughput(benchmark):
     assert np.all(result["score"] >= 0)
 
 
+def align_width_batch(seqs, width):
+    """The width-``width`` batch of :func:`align_width_sweep`: pair ``k``
+    aligns sequence ``k % 64`` against a partner 32 (then 21, 10, ...) on."""
+    k = np.arange(width)
+    a_list = [seqs.codes(int(i)) for i in k % 64]
+    b_list = [seqs.codes(int(i)) for i in (k + 32 - 11 * (k // 64)) % 64]
+    return a_list, b_list
+
+
 def align_width_sweep(widths=(2, 41, 128), repeats=3):
     """The wavefront kernel at several batch widths on the seed-33 set.
 
-    One row per width: DP cells, best-of-``repeats`` seconds, MCUPS and pad
-    efficiency (valid cells over the ``width x max_a x max_b`` box).  Narrow
-    batches are bound by per-diagonal call overhead, wide ones by padding, so
-    one rate does not describe the kernel.
+    One row per width: DP cells, best-of-``repeats`` seconds, MCUPS, pad
+    efficiency (valid cells over the ``width x max_a x max_b`` box), the
+    cells the kernel actually sweeps and the direction bytes it keeps for
+    the traceback (one per swept cell), both from its sweep plan.  Narrow
+    batches are bound by per-diagonal call overhead, wide ones by padding,
+    so one rate does not describe the kernel.
     """
     seqs = synthetic_dataset(n_sequences=64, seed=33)
     report = {}
     for width in widths:
-        k = np.arange(width)
-        a_list = [seqs.codes(int(i)) for i in k % 64]
-        b_list = [seqs.codes(int(i)) for i in (k + 32 - 11 * (k // 64)) % 64]
+        a_list, b_list = align_width_batch(seqs, width)
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -62,13 +71,29 @@ def align_width_sweep(widths=(2, 41, 128), repeats=3):
             best = min(best, time.perf_counter() - t0)
         cells = int(result["cells"].sum())
         box = width * max(map(len, a_list)) * max(map(len, b_list))
+        swept = int(sweep_plan(list(map(len, a_list)), list(map(len, b_list))).cells.sum())
         report[f"width_{width}"] = {
             "cells": cells,
             "seconds": best,
             "mcups": cells / best / 1e6,
             "pad_efficiency": cells / box,
+            "swept_cells": swept,
+            "direction_bytes": swept,
         }
     return report
+
+
+def align_width_pair_mismatches(widths=(2, 41, 128)):
+    """Per width, how many of the batched records differ from the
+    single-pair calls' records (0: a record depends only on its pair)."""
+    seqs = synthetic_dataset(n_sequences=64, seed=33)
+    mismatches = {}
+    for width in widths:
+        a_list, b_list = align_width_batch(seqs, width)
+        batched = batch_smith_waterman(a_list, b_list)
+        single = np.concatenate([batch_smith_waterman([a], [b]) for a, b in zip(a_list, b_list)])
+        mismatches[f"width_{width}"] = int(np.count_nonzero(batched != single))
+    return mismatches
 
 
 def test_overlap_spgemm_throughput(benchmark):
@@ -355,7 +380,9 @@ def _smoke() -> None:
     row, seconds per backend), the count-semiring head-to-head on k-mer
     operands (candidate discovery's product, bit-equal), the search operands'
     birth (build, distribute and every stripe: seconds and resident bytes)
-    and the align kernel's batch-width sweep, all written next to the other
+    and the align kernel's batch-width sweep (with its swept cells and
+    direction bytes, and a check that every width's records equal the
+    single-pair calls'), all written next to the other
     ``benchmarks/results`` rows.
     """
     report = spgemm_backend_head_to_head(**HEAD_TO_HEAD_CASE, repeats=1)
@@ -425,16 +452,28 @@ def _smoke() -> None:
     )
 
     sweep = align_width_sweep()
+    mismatches = align_width_pair_mismatches()
+    for name, row in sweep.items():
+        row["pair_mismatches"] = mismatches[name]
     save_results("kernel_batch_sw_widths", sweep)
-    header = f"{'align batch':<12} {'cells':>10} {'seconds':>10} {'MCUPS':>8} {'pad eff':>8}"
+    header = (
+        f"{'align batch':<12} {'cells':>10} {'seconds':>10} {'MCUPS':>8} {'pad eff':>8} "
+        f"{'swept':>10} {'dir bytes':>10} {'!= pair':>8}"
+    )
     print()
     print(header)
     print("-" * len(header))
     for name, row in sweep.items():
         print(
             f"{name:<12} {row['cells']:>10d} {row['seconds']:>10.4f} "
-            f"{row['mcups']:>8.2f} {row['pad_efficiency']:>8.2f}"
+            f"{row['mcups']:>8.2f} {row['pad_efficiency']:>8.2f} "
+            f"{row['swept_cells']:>10d} {row['direction_bytes']:>10d} "
+            f"{row['pair_mismatches']:>8d}"
         )
+    assert not any(mismatches.values()), (
+        f"batched records differ from single-pair calls: {mismatches}"
+    )
+    print("smoke OK: every width's batched records equal the single-pair calls")
 
 
 if __name__ == "__main__":

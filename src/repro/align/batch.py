@@ -8,18 +8,19 @@ whole batch advances through anti-diagonals together, so every NumPy
 operation works on a contiguous ``(diagonal_width, batch)`` slab — the SIMD
 dimension that the GPU provides in hardware.
 
-Besides the score and end coordinates (what ADEPT's forward pass returns),
-the kernel propagates, along the best-scoring path, the number of matches,
-the alignment length, and the begin coordinates.  This avoids a traceback
-pass while still providing everything PASTIS needs to compute ANI and
-coverage for the similarity-graph filter.
+Like ADEPT, the kernel works in two passes.  The forward pass sweeps int32
+scores only and finds each pair's score and end cell (what ADEPT's forward
+pass returns); it also records, per swept cell, the comparisons that chose
+the cell's value.  A traceback then replays those choices from each end
+cell and recovers the begin coordinates, the number of matches and the
+alignment length, which PASTIS needs for ANI and coverage.
 
 Buffer scheme
 -------------
 Everything the sweep touches is allocated once per call, laid out
 ``(row, pair)`` so that the cells of one anti-diagonal are one contiguous
 row slice, and every per-diagonal operation writes into an ``out=`` buffer:
-one diagonal is a fixed ~30 NumPy calls and no temporaries.
+one diagonal is a fixed ~20 NumPy calls and no temporaries.
 
 * ``H`` (best score ending at the cell) lives in three rolling buffers
   indexed by DP row ``i``: diagonals ``d-2``, ``d-1`` and ``d``.  They start
@@ -43,32 +44,60 @@ one diagonal is a fixed ~30 NumPy calls and no temporaries.
   ``len_a + len_b``, and whenever an eighth of the columns has finished the
   slabs are copied together without them (the only allocations after
   set-up, at most ``log(batch) / log(8/7)`` times per call).
+  :func:`sweep_plan` computes these rows and columns for every diagonal
+  before the sweep starts.
 
-Packed path state
------------------
-The four path quantities travel as **one** ``int64`` per cell, 16 bits each:
-``matches << 48 | length << 32 | span_a << 16 | span_b``, where ``span_a`` /
-``span_b`` count the residues of ``a`` / ``b`` the path has consumed
-(``begin = end - span + 1``).  A cell with ``H == 0`` has state 0, every move
-adds a constant (the diagonal move's constant comes from a table that also
-carries the match bit), and choosing between two predecessors is one masked
-copy instead of four.  The fields must not carry into each other, so a call
-whose longest ``a`` plus longest ``b`` exceeds :data:`MAX_PATH_EXTENT`
-(65535) is refused with a ``ValueError``.
+Direction bytes and traceback
+-----------------------------
+The sweep already makes five comparisons per cell to pick its values: ``E``
+open >= extend, ``F`` open >= extend, ``F`` > diagonal, ``E`` > the better
+of those two, and ``H <= 0``.  It writes each into a bool plane of a chunk
+buffer (``2 x (M + 1) x batch`` cells per plane), and a full chunk is
+packed, eight cells per ``uint64`` operation, into **one direction byte per
+swept cell**.  The bytes of diagonal ``d`` form one ``(rows, live)`` block
+in a flat buffer, at an offset taken from the sweep plan, so the byte of a
+cell is found from its diagonal's offset, its row in the window and its
+column.
+
+The traceback starts every pair at its end cell and advances all pairs one
+step per round.  A table indexed by ``state + byte`` (states "in H", "in
+E", "in F", "done") gives the move: from ``H`` the diagonal move, or ``F``
+/ ``E`` when the forward pass let them win, or a stop at a zero cell; a
+gap consumes its residue and stays in the gap unless it was opened there.
+After the sweep the bytes of row 1 and column 1 get one more bit each, so a
+move that consumes row 1 or column 1 ends its path on the border.  Where a
+path ends, its begin coordinates are; its length is the number of moves,
+and its matches are counted afterwards over the rounds' diagonal moves.
 
 Tie-break
 ---------
 Among equal scores a cell prefers the diagonal move, then ``F`` (up), then
 ``E`` (left); a gap prefers opening over extending (``open >= extend``); and
 the reported end cell is the **first best cell in anti-diagonal order, then
-lowest row**.  :func:`repro.align.smith_waterman.smith_waterman_reference`
-scans in row order instead, so on tie-dense inputs the two agree on ``score``
-always but may report different, equally optimal end cells (and with them
-different ``begin_*``/``matches``/``length``).  Both behaviours are pinned by
-tests; neither is more right.
+lowest row**.  The traceback realises the path part of this rule by
+replaying the forward pass's own comparisons, so it never re-decides a tie.
+:func:`repro.align.smith_waterman.smith_waterman_reference` scans in row
+order instead, so on tie-dense inputs the two agree on ``score`` always but
+may report different, equally optimal end cells (and with them different
+``begin_*``/``matches``/``length``).  Both behaviours are pinned by tests;
+neither is more right.
+
+The direction bytes grow with the cells a call sweeps, so a batch whose
+plan exceeds :data:`_MAX_DIRECTION_BYTES` (64 MiB) is aligned as two
+halves, the longer pairs apart from the shorter ones; a single pair is
+never split.
+
+Input range
+-----------
+A call whose longest ``a`` plus longest ``b`` exceeds
+:data:`MAX_PATH_EXTENT` (65535) is refused with a ``ValueError``.  That is
+the kernel's accepted input range.  The direction bytes and the traceback
+do not depend on it; lifting it is a change of behaviour of its own.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,19 +108,106 @@ _NEG = -(10**8)
 #: substitution score of the padding residue (see "Buffer scheme")
 _PAD_SCORE = -(1 << 24)
 
-_FIELD_BITS = 16
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-#: largest ``max(len_a) + max(len_b)`` one call accepts: every field of the
-#: packed path state is bounded by it and must fit its 16 bits
-MAX_PATH_EXTENT = _FIELD_MASK
+#: largest ``max(len_a) + max(len_b)`` one call accepts (see "Input range")
+MAX_PATH_EXTENT = (1 << 16) - 1
 
-_SPAN_B = 1
-_SPAN_A = 1 << _FIELD_BITS
-_LENGTH = 1 << (2 * _FIELD_BITS)
-_MATCH = 1 << (3 * _FIELD_BITS)
-_MOVE_E = _LENGTH + _SPAN_B              # left: consumes a residue of b
-_MOVE_F = _LENGTH + _SPAN_A              # up: consumes a residue of a
-_MOVE_DIAG = _LENGTH + _SPAN_A + _SPAN_B
+# the bits of a cell's direction byte: the forward pass's five comparisons...
+_E_OPEN = 1        # E(i, j) opened from H(i, j-1) (open >= extend)
+_F_OPEN = 2        # F(i, j) opened from H(i-1, j)
+_H_FROM_F = 4      # F beat the diagonal move
+_H_FROM_E = 8      # E beat the better of the diagonal move and F
+_H_ZERO = 16       # H clamped at 0: no path runs through this cell
+_BITS = 5
+# ...and where the cell lies: a move out of row 1 / column 1 ends a path
+_ROW_1 = 32
+_COL_1 = 64
+_STATE = 128       # traceback states are multiples of this: in H, E, F, done
+
+#: a chunk of direction bits holds this many ``(M + 1) x batch`` slabs, and
+#: at least _CHUNK_CELLS cells
+_CHUNK_SLABS = 2
+_CHUNK_CELLS = 1 << 16
+#: the traceback checks whether every path has ended once per this many rounds
+_CHECK = 8
+#: direction bytes one call keeps at most, unless a single pair needs more
+_MAX_DIRECTION_BYTES = 1 << 26
+
+
+def _traceback_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One traceback step for every ``state + direction byte``.
+
+    From ``H`` the byte picks the diagonal move, or ``F`` / ``E`` where the
+    forward pass let them win, or stops at a zero cell; a gap move consumes
+    its residue and stays in the gap unless the gap was opened there.  A
+    move that consumes row 1 or column 1 ends the path on the border.
+    Returns the rows and columns each key consumes (0 or 1), the next
+    state, and whether the move is diagonal.
+    """
+    keys = np.arange(4 * _STATE)
+    state, byte = keys // _STATE, keys % _STATE
+    from_e = (byte & (_H_ZERO | _H_FROM_E)) == _H_FROM_E
+    from_f = (byte & (_H_ZERO | _H_FROM_E | _H_FROM_F)) == _H_FROM_F
+    diag = (state == 0) & ((byte & (_H_ZERO | _H_FROM_E | _H_FROM_F)) == 0)
+    left = ((state == 0) & from_e) | (state == 1)
+    up = ((state == 0) & from_f) | (state == 2)
+    nxt = np.full(keys.size, 3 * _STATE)
+    nxt[diag] = 0
+    nxt[left] = np.where(byte[left] & _E_OPEN, 0, _STATE)
+    nxt[up] = np.where(byte[up] & _F_OPEN, 0, 2 * _STATE)
+    nxt[((diag | up) & (byte & _ROW_1 > 0)) | ((diag | left) & (byte & _COL_1 > 0))] = 3 * _STATE
+    return (diag | up).astype(np.intp), (diag | left).astype(np.intp), nxt, diag
+
+
+_STEP_I, _STEP_J, _NEXT, _DIAG = _traceback_tables()
+_DONE = 3 * _STATE
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """What the wavefront sweeps on each diagonal ``d = 2, 3, ...``.
+
+    ``order`` lists the pairs by descending last diagonal (``len_a + len_b``,
+    0 for a pair with an empty side), the column order of the sweep; diagonal
+    ``d`` sweeps rows ``ilo[d-2]..ihi[d-2]`` of the first ``live[d-2]``
+    columns.
+    """
+
+    order: np.ndarray
+    ilo: np.ndarray
+    ihi: np.ndarray
+    live: np.ndarray
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Cells swept on each diagonal, one direction byte each."""
+        return (self.ihi - self.ilo + 1) * self.live
+
+
+def sweep_plan(len_a: np.ndarray, len_b: np.ndarray) -> SweepPlan:
+    """The rows and columns :func:`batch_smith_waterman` sweeps per diagonal.
+
+    With the pairs ordered by descending last diagonal, the pairs still
+    running on ``d`` are a prefix; the row range covers their cells, and the
+    sweep ends with the last diagonal any pair needs.  The columns the slabs
+    hold (``live``) drop to that prefix whenever an eighth of them belongs to
+    finished pairs (see "Buffer scheme").
+    """
+    len_a = np.asarray(len_a, dtype=np.int64)
+    len_b = np.asarray(len_b, dtype=np.int64)
+    last = np.where((len_a > 0) & (len_b > 0), len_a + len_b, 0)
+    order = np.argsort(-last, kind="stable")
+    len_a, len_b, last = len_a[order], len_b[order], last[order]
+    d = np.arange(2, int(last[0]) + 1)
+    running = last.size - np.searchsorted(last[::-1], d, side="left")
+    ilo = np.maximum(1, d - np.maximum.accumulate(len_b)[running - 1])
+    ihi = np.minimum(np.maximum.accumulate(len_a)[running - 1], d - 1)
+    live = np.empty_like(running)
+    cols = last.size
+    for k, r in enumerate(running.tolist()):
+        if 8 * r <= 7 * cols:
+            cols = r
+        live[k] = cols
+    return SweepPlan(order, ilo, ihi, live)
 
 
 def _pack(codes_list: list[np.ndarray], width: int, pad: int, reverse: bool) -> np.ndarray:
@@ -109,22 +225,28 @@ def _pack(codes_list: list[np.ndarray], width: int, pad: int, reverse: bool) -> 
     return packed
 
 
-def _diagonal_windows(
-    len_a: np.ndarray, len_b: np.ndarray, last: np.ndarray
-) -> tuple[list[int], list[int], list[int]]:
-    """Rows ``[ilo, ihi]`` and pair count to sweep on each diagonal ``d = 2, 3, ...``.
+def _pack_bits(bits: np.ndarray, n: int, word: np.ndarray, out: np.ndarray) -> None:
+    """Write the first ``n`` cells of the ``(_BITS, capacity)`` bool planes
+    ``bits`` into ``out`` as one direction byte each.
 
-    ``last`` is each pair's last diagonal with a cell (``len_a + len_b``, or 0
-    for a pair with an empty side) and the pairs must be ordered by descending
-    ``last``: the pairs still running at ``d`` are then a prefix, the row
-    range covers the cells of that prefix, and the lists end with the last
-    diagonal any pair needs.
+    Every plane byte is 0 or 1, so shifting eight of them at once as one
+    ``uint64`` cannot carry between cells; ``word`` is a ``uint64`` scratch
+    of ``capacity / 8`` words.
     """
-    d = np.arange(2, int(last[0]) + 1)
-    running = last.size - np.searchsorted(last[::-1], d, side="left")
-    ilo = np.maximum(1, d - np.maximum.accumulate(len_b)[running - 1])
-    ihi = np.minimum(np.maximum.accumulate(len_a)[running - 1], d - 1)
-    return ilo.tolist(), ihi.tolist(), running.tolist()
+    words = -(-n // 8)
+    planes = bits.view(np.uint64)[:, :words]
+    acc = word[:words]
+    acc[...] = planes[0]
+    for k in range(1, _BITS):
+        np.left_shift(planes[k], k, out=planes[k])
+        np.bitwise_or(acc, planes[k], out=acc)
+    out[:n] = acc.view(np.uint8)[:n]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(start, start + length)`` for each pair."""
+    shift = starts - np.cumsum(lengths) + lengths
+    return np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
 
 
 def batch_smith_waterman(
@@ -159,71 +281,92 @@ def batch_smith_waterman(
     if M + N > MAX_PATH_EXTENT:
         raise ValueError(
             f"batch_smith_waterman: longest a ({M}) + longest b ({N}) = {M + N} exceeds "
-            f"the packed path-state limit of {MAX_PATH_EXTENT} residues"
+            f"the accepted input range of {MAX_PATH_EXTENT} residues"
         )
     size = scoring.alphabet_size
     codes = np.concatenate(a_list + b_list)
     if codes.min() < 0 or codes.max() >= size:
         raise ValueError(f"residue codes must lie in [0, {size}) for this scoring scheme")
 
-    # flat substitution / diagonal-move tables with one extra padding code
+    # flat substitution table with one extra padding code
     stride = size + 1
     sub = np.full((stride, stride), _PAD_SCORE, dtype=np.int32)
     sub[:size, :size] = scoring.matrix
     sub = sub.ravel()
-    move = np.full((stride, stride), _MOVE_DIAG, dtype=np.int64)
-    np.fill_diagonal(move[:size, :size], _MOVE_DIAG + _MATCH)
-    move = move.ravel()
     go = scoring.gap_open + scoring.gap_extend
     ge = scoring.gap_extend
 
     # longest-running pairs first, so the pairs still running are a prefix
-    last = np.where((len_a > 0) & (len_b > 0), len_a + len_b, 0)
-    order = np.argsort(-last, kind="stable")
-    len_a, len_b, last = len_a[order], len_b[order], last[order]
+    plan = sweep_plan(len_a, len_b)
+    order = plan.order
+    if batch > 1 and plan.cells.sum() > _MAX_DIRECTION_BYTES:
+        # a record depends only on its pair: align the longer and the
+        # shorter half apart, so a call's direction bytes stay bounded
+        for part in np.array_split(order, 2):
+            results[part] = batch_smith_waterman(
+                [a_list[k] for k in part], [b_list[k] for k in part], scoring
+            )
+        return results
     a_scaled = _pack([a_list[k] for k in order], M, size, reverse=False)
     a_scaled *= stride
     b_rev = _pack([b_list[k] for k in order], N, size, reverse=True)
 
     H = np.zeros((3, M + 1, batch), dtype=np.int32)     # diagonal d lives in H[d % 3]
-    S = np.zeros((3, M + 1, batch), dtype=np.int64)
     E = np.full((M + 1, batch), _NEG, dtype=np.int32)
     F = np.full((N, batch), _NEG, dtype=np.int32)
-    SE = np.zeros((M + 1, batch), dtype=np.int64)
-    SF = np.zeros((N, batch), dtype=np.int64)
     opened = np.empty((M + 1, batch), dtype=np.int32)   # H(d-1) - go
     index = np.empty((M, batch), dtype=np.intp)
-    mask = np.empty((M, batch), dtype=bool)
+    floor = np.zeros(M * batch, dtype=np.int32)
+
+    # direction bytes: diagonal d's (row, column) block starts at offset[d]
+    cells = plan.cells
+    offset = np.zeros(cells.size + 3, dtype=np.int64)
+    np.cumsum(cells, out=offset[3:])
+    dirs = np.empty(int(offset[-1]), dtype=np.uint8)
+    capacity = min(dirs.size, max(_CHUNK_SLABS * (M + 1) * batch, _CHUNK_CELLS))
+    capacity = -(-capacity // 8) * 8
+    bits = np.empty((_BITS, capacity), dtype=bool)
+    word = np.empty(capacity // 8, dtype=np.uint64)
+    pos = 0                               # cells of the current chunk
+    packed = 0                            # direction bytes written
 
     best_score = np.zeros(batch, dtype=np.int32)
-    best_i = np.zeros(batch, dtype=np.int64)
-    best_d = np.zeros(batch, dtype=np.int64)
-    best_state = np.zeros(batch, dtype=np.int64)
+    gains = []                            # (d, columns, rows) where a best rose
     diag_best = np.empty(batch, dtype=np.int32)
     improved = np.empty(batch, dtype=bool)
 
     live = batch                          # pair columns the slabs still hold
     best_live = best_score
-    windows = zip(*_diagonal_windows(len_a, len_b, last))
-    for d, (ilo, ihi, running) in enumerate(windows, start=2):
-        if 8 * running <= 7 * live:
+    windows = zip(plan.ilo.tolist(), plan.ihi.tolist(), plan.live.tolist())
+    for d, (ilo, ihi, held) in enumerate(windows, start=2):
+        if held != live:
             # an eighth of the columns belongs to finished pairs: copy the
             # rest together so every slab stays contiguous (a copy costs
-            # about one diagonal, and a threshold bounds how many are made)
-            live = running
-            H, S, E, F, SE, SF, a_scaled, b_rev, opened, index, mask = (
-                np.ascontiguousarray(x[..., :live])
-                for x in (H, S, E, F, SE, SF, a_scaled, b_rev, opened, index, mask)
-            )
+            # about one diagonal, and a threshold bounds how many are made),
+            # one slab at a time so that one old copy at most is alive
+            live = held
+            H = np.ascontiguousarray(H[..., :live])
+            E = np.ascontiguousarray(E[:, :live])
+            F = np.ascontiguousarray(F[:, :live])
+            a_scaled = np.ascontiguousarray(a_scaled[:, :live])
+            b_rev = np.ascontiguousarray(b_rev[:, :live])
+            opened = np.ascontiguousarray(opened[:, :live])
+            index = np.ascontiguousarray(index[:, :live])
             diag_best, improved, best_live = diag_best[:live], improved[:live], best_score[:live]
         w = ihi - ilo + 1
+        n = w * live
+        if pos + n > capacity:
+            _pack_bits(bits, pos, word, dirs[packed:])
+            packed += pos
+            pos = 0
+        bit = bits[:, pos : pos + n].reshape(_BITS, w, live)
+        e_open, f_open, from_f, from_e, zero = bit[0], bit[1], bit[2], bit[3], bit[4]
+        pos += n
         r0 = N - d + ilo                  # reversed-column index of cell (ilo, d - ilo)
-        m = mask[:w]
         # cell (i, j) of this diagonal reads (i, j-1) at row i and (i-1, j)
         # at row i-1 of the previous diagonal, (i-1, j-1) at row i-1 of the
         # one before
         H_prev2, H_prev, H_cur = H[(d - 2) % 3], H[(d - 1) % 3], H[d % 3]
-        S_prev2, S_prev, S_cur = S[(d - 2) % 3], S[(d - 1) % 3], S[d % 3]
         open_ = opened[: w + 1]
         np.subtract(H_prev[ilo - 1 : ihi + 1], go, out=open_)
         open_f = open_[:w]
@@ -231,62 +374,148 @@ def batch_smith_waterman(
 
         # --- E: gap in A (left move)
         e = E[ilo : ihi + 1]
-        se = SE[ilo : ihi + 1]
         np.subtract(e, ge, out=e)
-        np.greater_equal(open_e, e, out=m)
+        np.greater_equal(open_e, e, out=e_open)
         np.maximum(open_e, e, out=e)
-        np.putmask(se, m, S_prev[ilo : ihi + 1])
-        np.add(se, _MOVE_E, out=se)
 
         # --- F: gap in B (up move)
         f = F[r0 : r0 + w]
-        sf = SF[r0 : r0 + w]
         np.subtract(f, ge, out=f)
-        np.greater_equal(open_f, f, out=m)
+        np.greater_equal(open_f, f, out=f_open)
         np.maximum(open_f, f, out=f)
-        np.putmask(sf, m, S_prev[ilo - 1 : ihi])
-        np.add(sf, _MOVE_F, out=sf)
 
         # --- H: start from the diagonal move, let F then E take over only
         # when strictly better (diagonal > F > E on ties), then clamp at 0
         h = H_cur[ilo : ihi + 1]
-        s = S_cur[ilo : ihi + 1]
         idx = index[:w]
         np.add(a_scaled[ilo - 1 : ihi], b_rev[r0 : r0 + w], out=idx)
         sub.take(idx, out=h, mode="clip")
         np.add(h, H_prev2[ilo - 1 : ihi], out=h)
-        move.take(idx, out=s, mode="clip")
-        np.add(s, S_prev2[ilo - 1 : ihi], out=s)
-        np.greater(f, h, out=m)
+        np.greater(f, h, out=from_f)
         np.maximum(h, f, out=h)
-        np.putmask(s, m, sf)
-        np.greater(e, h, out=m)
+        np.greater(e, h, out=from_e)
         np.maximum(h, e, out=h)
-        np.putmask(s, m, se)
-        np.less_equal(h, 0, out=m)
-        np.maximum(h, 0, out=h)
-        np.putmask(s, m, 0)
+        np.less_equal(h, 0, out=zero)
+        np.maximum(h, floor[:n].reshape(w, live), out=h)
 
         # --- running best cell per pair: first best diagonal, lowest row
         np.maximum.reduce(h, axis=0, out=diag_best)
         np.greater(diag_best, best_live, out=improved)
-        if improved.any():
-            cols = np.flatnonzero(improved)
-            rows = h[:, cols].argmax(axis=0)
-            best_score[cols] = diag_best[cols]
-            best_i[cols] = rows + ilo
-            best_d[cols] = d
-            best_state[cols] = s[rows, cols]
+        raised = np.flatnonzero(improved)
+        if raised.size:
+            np.maximum(best_live, diag_best, out=best_live)
+            gains.append((d, raised, h.take(raised, axis=1).argmax(axis=0) + ilo))
+    _pack_bits(bits, pos, word, dirs[packed:])
+    del H, E, F, a_scaled, b_rev, opened, index, floor, bits, word
 
-    # an unaligned pair kept best_i = best_d = best_state = 0: end -1, rest 0
+    # a pair's best cell is on the last diagonal that raised its best
+    best_i = np.zeros(batch, dtype=np.int64)
+    best_d = np.zeros(batch, dtype=np.int64)
+    if gains:
+        at = np.concatenate([cols for _, cols, _ in gains])
+        on = np.repeat([d for d, _, _ in gains], [cols.size for _, cols, _ in gains])
+        np.maximum.at(best_d, at, on)
+        last = on == best_d[at]
+        best_i[at[last]] = np.concatenate([rows for _, _, rows in gains])[last]
+
+    base, width = _address(dirs, plan, offset)
+    a_start = np.cumsum(len_a) - len_a - 1         # codes[a_start[k] + i] is a_i
+    b_start = np.cumsum(len_b) - len_b - 1 + len_a.sum()
+    begin_a, begin_b, matches, length = _traceback(
+        dirs, base, width, best_i, best_d, codes, a_start[order], b_start[order]
+    )
+
+    # an unaligned pair kept best_i = best_d = 0: end -1, begin 0, rest 0
     results["score"][order] = best_score
     results["end_a"][order] = best_i - 1
     results["end_b"][order] = best_d - best_i - 1
-    results["begin_a"][order] = best_i - ((best_state >> _FIELD_BITS) & _FIELD_MASK)
-    results["begin_b"][order] = best_d - best_i - (best_state & _FIELD_MASK)
-    results["matches"][order] = best_state >> (3 * _FIELD_BITS)
-    results["length"][order] = (best_state >> (2 * _FIELD_BITS)) & _FIELD_MASK
+    results["begin_a"][order] = begin_a
+    results["begin_b"][order] = begin_b
+    results["matches"][order] = matches
+    results["length"][order] = length
     return results
+
+
+def _address(
+    dirs: np.ndarray, plan: SweepPlan, offset: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mark the cells of row 1 and column 1 in ``dirs`` and return ``base``
+    and ``width``, indexed by diagonal: the byte of cell ``(i, d - i)`` in
+    column ``c`` is ``dirs[base[d] + i * width[d] + c]``.
+
+    ``offset[d]`` is where diagonal ``d``'s block starts.  A path meets row
+    1 or column 1 only on a diagonal whose window reaches it, where it is
+    the window's first or last row.
+    """
+    d = np.arange(2, offset.size - 1)
+    first = plan.ilo == 1
+    dirs[_ranges(offset[2:-1][first], plan.live[first])] |= _ROW_1
+    final = plan.ihi == d - 1
+    dirs[_ranges(offset[3:][final] - plan.live[final], plan.live[final])] |= _COL_1
+    width = np.zeros_like(offset)
+    width[2:-1] = plan.live
+    base = offset.copy()
+    base[2:-1] -= plan.ilo * plan.live
+    return base, width
+
+
+def _traceback(
+    dirs: np.ndarray,
+    base: np.ndarray,
+    width: np.ndarray,
+    end_i: np.ndarray,
+    end_d: np.ndarray,
+    codes: np.ndarray,
+    a_start: np.ndarray,
+    b_start: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk every pair's path back from its end cell (row ``end_i`` on
+    diagonal ``end_d``), all pairs one step per round, and return 0-based
+    ``begin_a``, ``begin_b``, ``matches`` and ``length``.
+
+    A round reads the byte of each pair's cell and steps back by the move
+    :func:`_traceback_tables` gives for its state and byte.  Every round's
+    keys and cells are kept, so the matches on the diagonal moves are
+    counted afterwards in one pass.
+    """
+    n = end_i.size
+    # a round consumes a residue or ends a path; termination is checked
+    # every _CHECK rounds, and a finished path stays where it is
+    rounds = int(end_d.max()) + _CHECK
+    diag = np.empty((rounds + 1, n), dtype=np.intp)
+    row = np.empty((rounds + 1, n), dtype=np.intp)
+    keys = np.empty((rounds, n), dtype=np.intp)
+    diag[0], row[0] = end_d, end_i
+    state = np.where(end_i > 0, 0, _DONE)
+    step_d = _STEP_I + _STEP_J
+    column = np.arange(n)
+    at, shift, back = (np.empty(n, dtype=np.intp) for _ in range(3))
+    byte = np.empty(n, dtype=np.uint8)
+    t = 0
+    while t % _CHECK or state.min() != _DONE:
+        d, i, key = diag[t], row[t], keys[t]
+        base.take(d, out=at)
+        width.take(d, out=shift)
+        np.multiply(shift, i, out=shift)
+        np.add(at, shift, out=at)
+        np.add(at, column, out=at)
+        dirs.take(at, out=byte, mode="clip")
+        np.add(state, byte, out=key)
+        step_d.take(key, out=back)
+        np.subtract(d, back, out=diag[t + 1])
+        _STEP_I.take(key, out=back)
+        np.subtract(i, back, out=row[t + 1])
+        _NEXT.take(key, out=state)
+        t += 1
+
+    begin_a, begin_b = row[t], diag[t] - row[t]
+    steps, cols = np.nonzero(_DIAG[keys[:t]])
+    i = row[steps, cols]
+    j = diag[steps, cols] - i
+    same = codes[a_start[cols] + i] == codes[b_start[cols] + j]
+    matches = np.bincount(cols[same], minlength=n)
+    length = (end_d - diag[t]) - np.bincount(cols, minlength=n)
+    return begin_a, begin_b, matches, length
 
 
 def estimate_batch_cells(a_list: list[np.ndarray], b_list: list[np.ndarray]) -> int:

@@ -1,12 +1,18 @@
 """Tests for the batched wavefront kernel and the ADEPT-like driver."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.align.adept import AdeptDriver, AlignmentWorkloadStats
-from repro.align.batch import MAX_PATH_EXTENT, batch_smith_waterman, estimate_batch_cells
+from repro.align.batch import (
+    MAX_PATH_EXTENT,
+    batch_smith_waterman,
+    estimate_batch_cells,
+    sweep_plan,
+)
 from repro.align.result import ALIGNMENT_RESULT_DTYPE
 from repro.align.smith_waterman import smith_waterman_reference
 from repro.align.substitution import DEFAULT_SCORING, ScoringScheme, identity_matrix
@@ -108,6 +114,9 @@ GOLDEN_DIGESTS = {
     "binary": "c475a2acd8568a8b56f72b711a45252c03080cebc1427b7226ce3d211c0b66da",
     "free_gaps": "832ebd81b7161d8ab37932581f6f5bd9c29af0afd7869a003d32d096032d09d2",
     "skew": "7775f47f208dd2ca48a257134820dc54968bb03a743c1c4dcfb6842c69039ee4",
+    # computed with the packed-path-state kernel (commit 09b666a), before the
+    # direction-byte traceback replaced it
+    "staggered": "b5e5c9f4c5564030d9e7d94f36d4b3a08c20063455f76eacefa57a4e040907fe",
 }
 
 
@@ -123,6 +132,9 @@ def _golden_batches(case, random_sequence_pairs):
         b_list = [long_a, long_a[499:500]] + [b for _, b in pairs]
         yield a_list, b_list, DEFAULT_SCORING
         return
+    if case == "staggered":
+        yield from _staggered_batches()
+        return
     letters = {"protein": 20, "ternary": 3, "binary": 2, "free_gaps": 2}[case]
     scoring = {"protein": DEFAULT_SCORING, "free_gaps": _FREE_GAP_SCORING}.get(case, _TIE_SCORING)
     for seed, n_pairs, max_len in ((1, 1, 60), (2, 2, 60), (3, 41, 60), (4, 128, 30), (5, 41, 120)):
@@ -136,6 +148,27 @@ def _golden_batches(case, random_sequence_pairs):
         yield a_list, b_list, scoring
 
 
+def _staggered_batches():
+    """One long pair with a 30-residue run missing from each side (a run of
+    left moves, then of up moves) beside 23 tie-dense pairs whose last
+    diagonals are spread out, so the sweep compacts its columns many times
+    while the long pair's path crosses those diagonals; under free gaps and
+    under tie scoring."""
+    rng = np.random.default_rng(11)
+    for scoring, letters in ((_FREE_GAP_SCORING, 2), (_TIE_SCORING, 3)):
+        base = rng.integers(0, 20, 240).astype(np.uint8)
+        a_list = [np.concatenate([base[:80], base[110:]])]
+        b_list = [np.concatenate([base[:150], base[180:]])]
+        for k in range(23):
+            a = rng.integers(0, letters, 6 + 8 * k).astype(np.uint8)
+            b = a.copy()
+            mutate = rng.random(b.size) < 0.2
+            b[mutate] = rng.integers(0, letters, int(mutate.sum()))
+            a_list.append(a)
+            b_list.append(b)
+        yield a_list, b_list, scoring
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
 def test_batch_records_match_golden_digest(case, make_random_seq_pairs):
     sha = hashlib.sha256()
@@ -144,7 +177,7 @@ def test_batch_records_match_golden_digest(case, make_random_seq_pairs):
     assert sha.hexdigest() == GOLDEN_DIGESTS[case]
 
 
-@pytest.mark.parametrize("case", ["ternary", "skew"])
+@pytest.mark.parametrize("case", ["ternary", "skew", "staggered"])
 def test_batch_record_depends_only_on_its_pair(case, make_random_seq_pairs):
     """Every record of a batched call equals the single-pair call's record,
     and permuting the batch permutes the records."""
@@ -158,6 +191,72 @@ def test_batch_record_depends_only_on_its_pair(case, make_random_seq_pairs):
             [a_list[k] for k in perm], [b_list[k] for k in perm], scoring
         )
         assert np.array_equal(permuted, batched[perm])
+
+
+def test_staggered_batches_compact_under_the_long_path(make_random_seq_pairs):
+    """The ``staggered`` digest pins what it is meant to: the sweep drops
+    finished columns at least three times on diagonals the long pair's path
+    crosses, and that path keeps both 30-residue gap runs."""
+    for a_list, b_list, scoring in _golden_batches("staggered", make_random_seq_pairs):
+        batch = len(a_list)
+        plan = sweep_plan([len(a) for a in a_list], [len(b) for b in b_list])
+        drops = 2 + np.flatnonzero(np.diff(plan.live, prepend=batch))
+        long_pair = batch_smith_waterman(a_list, b_list, scoring)[0]
+        first = long_pair["begin_a"] + long_pair["begin_b"] + 2
+        last = long_pair["end_a"] + long_pair["end_b"] + 2
+        assert np.count_nonzero((drops > first) & (drops <= last)) >= 3
+        span = (long_pair["end_a"] - long_pair["begin_a"] + 1
+                + long_pair["end_b"] - long_pair["begin_b"] + 1)
+        assert 2 * long_pair["length"] - span >= 60   # columns that are gaps
+
+
+def test_direction_bytes_take_one_byte_per_swept_cell():
+    """One 128-wide call allocates at most one byte per swept cell beyond
+    its sweep slabs.  128 bytes per cell of the ``(M + 1) x batch`` slab
+    cover the int32/intp slabs, the chunk of bool planes, one compaction
+    copy and the traceback's rounds; keeping the five comparisons unpacked
+    (five bytes a cell) would overshoot by several times that."""
+    seqs = synthetic_dataset(n_sequences=64, seed=33)
+    k = np.arange(128)
+    a_list = [seqs.codes(int(i)) for i in k % 64]
+    b_list = [seqs.codes(int(i)) for i in (k + 32 - 11 * (k // 64)) % 64]
+    batch_smith_waterman(a_list, b_list)
+    tracemalloc.start()
+    try:
+        batch_smith_waterman(a_list, b_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    swept = int(sweep_plan([len(a) for a in a_list], [len(b) for b in b_list]).cells.sum())
+    slab = (max(map(len, a_list)) + 1) * len(a_list)
+    assert swept > 100 * slab   # the direction bytes dominate the call
+    assert peak <= swept + 128 * slab
+
+
+def test_batch_over_the_direction_byte_budget_is_aligned_in_halves(
+    monkeypatch, make_random_seq_pairs
+):
+    """A batch whose direction bytes exceed the budget is aligned in halves,
+    down to single pairs if need be, with the same records as one call."""
+    import repro.align.batch as kernel
+
+    cases = list(_golden_batches("staggered", make_random_seq_pairs))
+    cases += list(_golden_batches("skew", make_random_seq_pairs))
+    whole = [batch_smith_waterman(*case) for case in cases]
+    plan = kernel.sweep_plan
+    swept = []
+
+    def recording_plan(len_a, len_b):
+        result = plan(len_a, len_b)
+        swept.append(int(result.cells.sum()))
+        return result
+
+    monkeypatch.setattr(kernel, "_MAX_DIRECTION_BYTES", 5000)
+    monkeypatch.setattr(kernel, "sweep_plan", recording_plan)
+    for case, records in zip(cases, whole):
+        swept.clear()
+        assert np.array_equal(batch_smith_waterman(*case), records)
+        assert len(swept) > 3 and max(swept[1:]) < swept[0]
 
 
 def test_packed_state_limit():
