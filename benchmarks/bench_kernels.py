@@ -357,6 +357,64 @@ def operand_birth(n=2000, k=5, seed=33, repeats=3):
     }
 
 
+def match_paths(n=2000, k=5, seed=33, repeats=3):
+    """Discovery's ``A``-entry → ``B``-row match on born chunk pairs, both ways.
+
+    The search operands of the seed-33 generator's set are built as a run
+    builds them (2x2 grid, 3x3 blocking, dense k-mer ids), and every pair of
+    stripe blocks a SUMMA stage multiplies is matched by the direct table
+    and by the sort and search (:mod:`repro.sparse.gustavson`).
+    Best-of-``repeats`` seconds over all pairs per path, the pairs the size
+    rule sends to each, and the pairs whose two answers differ.
+    """
+    from repro.core.blocking import make_schedule
+    from repro.core.kmer_matrix import build_distributed_kmer_matrix
+    from repro.core.params import PastisParams
+    from repro.mpi.communicator import SimCommunicator
+    from repro.sparse.csr import compress_rows
+    from repro.sparse.gustavson import DIRECT_SLOTS_PER_KEY, match_by_search, match_by_table
+
+    seqs = synthetic_dataset(n_sequences=n, seed=seed)
+    params = PastisParams(kmer_length=k, nodes=4, blocking=(3, 3))
+    schedule = make_schedule(n, params)
+    a, at, _ = build_distributed_kmer_matrix(seqs, params, SimCommunicator(params.nodes))
+    dim = a.grid.grid_dim
+    pairs = []
+    for r in range(schedule.br):
+        a_stripe = a.row_stripe(schedule.row_range(r))
+        for c in range(schedule.bc):
+            b_stripe = at.col_stripe(schedule.col_range(c))
+            for i, j, stage in np.ndindex(dim, dim, dim):
+                a_block, b_block = a_stripe.grid_block(i, stage)[0], b_stripe.grid_block(stage, j)[0]
+                if a_block.nnz and b_block.nnz:
+                    pairs.append((compress_rows(b_block)[0], a_block.cols, a_block.shape[1]))
+    paths = {
+        "table": match_by_table,
+        "search": lambda row_ids, keys, _inner: match_by_search(row_ids, keys),
+    }
+    report = {}
+    for name, match in paths.items():
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            answers = [match(*pair) for pair in pairs]
+            best = min(best, time.perf_counter() - t0)
+        report[name] = {"seconds": best, "answers": answers}
+    ruled = [inner + row_ids.size <= DIRECT_SLOTS_PER_KEY * keys.size
+             for row_ids, keys, inner in pairs]
+    report["table"]["ruled"], report["search"]["ruled"] = sum(ruled), len(pairs) - sum(ruled)
+    mismatches = sum(
+        not (np.array_equal(t_live, s_live) and np.array_equal(t_pos, s_pos))
+        for (t_live, t_pos), (s_live, s_pos) in zip(
+            report["table"].pop("answers"), report["search"].pop("answers")
+        )
+    )
+    for row in report.values():
+        row.update(pairs=len(pairs), keys=int(sum(keys.size for _, keys, _ in pairs)),
+                   mismatches=mismatches)
+    return report
+
+
 def test_count_spgemm_scales_with_nnz(benchmark):
     rng = np.random.default_rng(11)
     n, k, nnz = 600, 8000, 30000
@@ -375,7 +433,9 @@ def _smoke() -> None:
     the memory-bound guarantee is asserted on every CI run, not only when the
     benchmark suite is invoked by hand; then the hypersparse guard (the same
     nonzeros in inner dimensions 20^5..20^7 must cost the Gustavson kernel the
-    same), the ``plus_times`` head-to-head on an MCL expansion (gustavson
+    same, and none may get the direct match table), the direct table and the
+    sort and search on born chunk pairs (equal answers, seconds per path),
+    the ``plus_times`` head-to-head on an MCL expansion (gustavson
     and expand bit-equal, a raw ``scipy.sparse`` product as the reference
     row, seconds per backend), the count-semiring head-to-head on k-mer
     operands (candidate discovery's product, bit-equal), the search operands'
@@ -398,7 +458,15 @@ def _smoke() -> None:
     assert report["gustavson"]["intermediate_bytes"] < report["expand"]["intermediate_bytes"]
     print("smoke OK: backends agree bit-for-bit; gustavson intermediate memory is lower")
 
-    inner = inner_dimension_sweep()
+    import repro.sparse.gustavson as gustavson_mod
+
+    tables = []  # a hypersparse inner dimension must never get a direct table
+    real_table = gustavson_mod.match_by_table
+    gustavson_mod.match_by_table = lambda *args: tables.append(args[2]) or real_table(*args)
+    try:
+        inner = inner_dimension_sweep()
+    finally:
+        gustavson_mod.match_by_table = real_table
     save_results("kernel_spgemm_inner_dimension", inner)
     dims = list(inner["gustavson"])
     print()
@@ -413,6 +481,22 @@ def _smoke() -> None:
         f"gustavson is not flat in the inner dimension: {dict(zip(dims, seconds))}"
     )
     print("smoke OK: gustavson's time does not depend on the inner dimension's length")
+    assert not tables, f"the inner-dimension sweep built a direct table at inner {tables}"
+    print("smoke OK: every inner dimension of the sweep is matched by sort and search")
+
+    match = match_paths()
+    save_results("kernel_match_rows", match)
+    header = f"{'match':<12} {'seconds':>10} {'pairs':>8} {'keys':>9} {'ruled':>6} {'!= other':>9}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for name, row in match.items():
+        print(
+            f"{name:<12} {row['seconds']:>10.4f} {row['pairs']:>8d} {row['keys']:>9d} "
+            f"{row['ruled']:>6d} {row['mismatches']:>9d}"
+        )
+    assert match["table"]["mismatches"] == 0, "the table and the search match differently"
+    print("smoke OK: the direct table and the sort and search match every born pair alike")
 
     plus_times = time_plus_times_backends(planted_mcl_operand(), repeats=3)
     save_results("kernel_spgemm_plus_times", plus_times)

@@ -59,7 +59,7 @@ from ..params import PastisParams
 #: Cache schema / kernel-suite version.  Bump whenever the on-disk entry
 #: layout changes or a kernel change makes previously stored results stale;
 #: combined with the package version into every key (see :func:`version_tag`).
-CACHE_VERSION = "7"
+CACHE_VERSION = "8"
 
 #: npz keys of the per-rank array fields.
 _ARRAY_KEYS = (

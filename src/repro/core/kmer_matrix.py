@@ -29,17 +29,33 @@ on its first multiply (:func:`repro.sparse.csr.compress_rows`).  The query
 path (:mod:`repro.serve.query`) and the index build
 (:mod:`repro.serve.index`) build their operands through the same
 :func:`seed_operand`.
+
+The batch operands are born with **dense k-mer ids**
+(:meth:`SeedOperand.dense`): the k-mer dimension is contracted away by
+``A·Aᵀ``, so any monotone relabelling of it leaves every product, the order
+its partial products are summed in, and every statistic unchanged.  In
+(k-mer, row) order a k-mer's dense id is the number of k-mer runs before
+it — one cumulative sum of the run flags — so ``A`` is ``n × U`` with ``U ≤
+nnz`` distinct k-mers instead of ``n × |alphabet|^k``, and the SpGEMM kernel
+matches ``A``'s columns to ``Aᵀ``'s rows through a table over a block's
+share of ``U`` (:func:`repro.sparse.gustavson.match_rows`).  The grid's
+k-mer chunks stay the balanced chunks of the ``|alphabet|^k`` space, their
+starts mapped to dense ids by one ``searchsorted`` in the sorted k-mer ids
+(``KmerMatrixInfo.kmer_ids``), so every rank owns exactly the entries, bytes
+and traffic it owns in k-mer-id coordinates.  The query path and the index
+stay in the ``|alphabet|^k`` space, where a query's k-mers and a stored
+database's can meet without a shared dictionary.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..align.substitution import BLOSUM62, identity_matrix, reduce_matrix
-from ..distsparse.distmat import DistSparseMatrix
+from ..distsparse.distmat import DistSparseMatrix, chunk_starts
 from ..distsparse.distribute import distribute_coo
 from ..mpi.communicator import SimCommunicator
 from ..sequences.alphabet import PROTEIN
@@ -62,6 +78,10 @@ class KmerMatrixInfo:
     substitute_nnz: int
     build_seconds: float
     hypersparsity_ratio: float
+    #: the k-mer id of every column of a dense-born ``A``
+    #: (:meth:`SeedOperand.dense`), ascending; ``None`` while the columns
+    #: are the k-mer ids themselves.  Not a report field.
+    kmer_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view for reports."""
@@ -185,6 +205,27 @@ class SeedOperand:
         shape = (self.shape[1], self.shape[0])
         return CooMatrix(shape, self.kmers, self.rows, self.positions, check=False)
 
+    def dense(self) -> "SeedOperand":
+        """This operand with its k-mer ids relabelled to ``0..U-1`` in
+        ascending order, ``U`` the number of distinct k-mers; the info's
+        ``kmer_ids`` maps a dense id back (``int32`` while the k-mer space
+        fits: it is held as long as the run's info).  The entries keep
+        their order."""
+        first = np.ones(self.kmers.size, dtype=bool)
+        first[1:] = self.kmers[1:] != self.kmers[:-1]
+        kmer_ids = self.kmers[first]
+        if self.shape[1] <= np.iinfo(np.int32).max:
+            kmer_ids = kmer_ids.astype(np.int32)
+        dense = np.cumsum(first)
+        dense -= 1
+        return SeedOperand(
+            (self.shape[0], kmer_ids.size),
+            self.rows,
+            dense,
+            self.positions,
+            replace(self.info, kmer_ids=kmer_ids),
+        )
+
 
 def seed_operand(
     triples: SeedTriples, n_rows: int | None = None, row_ids: np.ndarray | None = None
@@ -244,13 +285,21 @@ def build_distributed_kmer_matrix(
     SUMMA consumes them: ``A``'s blocks row-major, ``Aᵀ``'s blocks cut into
     the schedule's column stripes (:func:`repro.core.blocking.make_schedule`)
     and row-major within each — every stripe of either is a view.  The
-    distribution traffic is charged by
-    :func:`repro.distsparse.distribute.distribute_coo`.
+    k-mer dimension holds dense ids (:meth:`SeedOperand.dense`;
+    ``info.kmer_ids[j]`` is column ``j``'s k-mer), chunked where the
+    balanced chunks of the k-mer space fall.  The distribution traffic is
+    charged by :func:`repro.distsparse.distribute.distribute_coo`.
     """
-    operand = seed_operand(extract_seed_triples(sequences, params))
-    a_dist = distribute_coo(operand.matrix(), comm)
+    operand = seed_operand(extract_seed_triples(sequences, params)).dense()
+    kmer_starts = np.searchsorted(
+        operand.info.kmer_ids, chunk_starts(comm.require_grid(), operand.info.kmer_space)
+    )
+    a_dist = distribute_coo(operand.matrix(), comm, col_starts=kmer_starts)
     at_dist = distribute_coo(
-        operand.transposed(), comm, col_cuts=make_schedule(len(sequences), params).col_cuts()
+        operand.transposed(),
+        comm,
+        col_cuts=make_schedule(len(sequences), params).col_cuts(),
+        row_starts=kmer_starts,
     )
     if cost_seconds_per_rank is not None:
         for rank in range(comm.size):

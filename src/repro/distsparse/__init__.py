@@ -15,15 +15,14 @@ CombBLAS plays for PASTIS:
   computed by a SUMMA over the corresponding row stripe of ``A`` and column
   stripe of ``B``, so peak memory is bounded by one output block (plus the
   stripes) instead of the whole overlap matrix;
-* :mod:`repro.distsparse.gather` — gathering distributed results back to a
-  single COO matrix.
+* :mod:`repro.distsparse.shards` — column stripes stored as on-disk shards
+  and read back as views.
 """
 
 from .distmat import DistSparseMatrix
 from .distribute import distribute_coo, distribute_sequences
 from .summa import summa, SummaResult
 from .blocked_summa import BlockedSpGemm, BlockSchedule, OutputBlock
-from .gather import gather_to_root
 
 __all__ = [
     "DistSparseMatrix",
@@ -34,5 +33,4 @@ __all__ = [
     "BlockedSpGemm",
     "BlockSchedule",
     "OutputBlock",
-    "gather_to_root",
 ]

@@ -37,17 +37,34 @@ from ..mpi.process_grid import ProcessGrid
 from ..sparse.coo import CooMatrix, radix_order
 
 
-def _chunk_starts(grid: ProcessGrid, n: int) -> np.ndarray:
-    """Start of every grid chunk of ``n``, plus ``n``."""
+def chunk_starts(grid: ProcessGrid, n: int) -> np.ndarray:
+    """Start of every balanced grid chunk of ``n``, plus ``n``."""
     return np.array([grid.block_bounds(n, i)[0] for i in range(grid.grid_dim)] + [n])
+
+
+def _explicit_starts(starts, grid: ProcessGrid, n: int, axis: str) -> np.ndarray:
+    """``starts`` checked as chunk starts of ``n`` over the grid."""
+    starts = np.asarray(starts, dtype=np.int64)
+    if (
+        starts.shape != (grid.grid_dim + 1,)
+        or starts[0] != 0
+        or starts[-1] != n
+        or np.any(starts[1:] < starts[:-1])
+    ):
+        raise ValueError(
+            f"{axis}_starts must be {grid.grid_dim + 1} ascending chunk starts "
+            f"from 0 to {n}, got {starts.tolist()}"
+        )
+    return starts
 
 
 def _chunk_index(values: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
     """For each of ``values`` (all in ``[0, span)``), the index of the last of
-    the ascending ``starts`` (``starts[0] == 0``) at or below it."""
+    the ascending ``starts`` (``starts[0] == 0``) at or below it, ``int32``."""
     if span <= values.size:  # a lookup table no longer than the values
-        return (np.searchsorted(starts, np.arange(span), side="right") - 1)[values]
-    index = np.zeros(values.size, dtype=np.int64)
+        chunk = np.arange(starts.size, dtype=np.int32)
+        return np.repeat(chunk, np.diff(starts, append=span))[values]
+    index = np.zeros(values.size, dtype=np.int32)
     for start in starts[1:]:
         index += values >= start
     return index
@@ -113,7 +130,12 @@ class DistSparseMatrix:
     # ------------------------------------------------------------------ constructors
     @classmethod
     def from_global_coo(
-        cls, matrix: CooMatrix, comm: SimCommunicator, col_cuts=()
+        cls,
+        matrix: CooMatrix,
+        comm: SimCommunicator,
+        col_cuts=(),
+        row_starts=None,
+        col_starts=None,
     ) -> "DistSparseMatrix":
         """Partition a global COO matrix onto the grid (no communication charged).
 
@@ -122,23 +144,33 @@ class DistSparseMatrix:
         segments are cut at the grid's column chunks and at the global
         columns ``col_cuts`` — so each block is a view of one sorted copy,
         row-major within every segment, with duplicates of a coordinate in
-        input order.
+        input order.  The chunks are the grid's balanced ones
+        (:func:`chunk_starts`) unless ``row_starts`` / ``col_starts`` give
+        them (``grid_dim + 1`` ascending starts, 0 first and the dimension
+        last): ids relabelled monotonically keep every rank's entries when
+        the old chunk starts are relabelled with them.
         Use :func:`repro.distsparse.distribute.distribute_coo` when the
         distribution traffic itself should be accounted.
         """
         grid = comm.require_grid()
         nrows, ncols = matrix.shape
         dim = grid.grid_dim
-        row_starts = _chunk_starts(grid, nrows)
-        chunk_starts = _chunk_starts(grid, ncols)
+        if row_starts is None:
+            row_starts = chunk_starts(grid, nrows)
+        else:
+            row_starts = _explicit_starts(row_starts, grid, nrows, "row")
+        if col_starts is None:
+            col_starts = chunk_starts(grid, ncols)
+        else:
+            col_starts = _explicit_starts(col_starts, grid, ncols, "col")
         cuts = np.asarray(list(col_cuts), dtype=np.int64)
         seg_starts = np.unique(
-            np.concatenate([chunk_starts[:-1], cuts[(cuts > 0) & (cuts < ncols)]])
+            np.concatenate([col_starts[:-1], cuts[(cuts > 0) & (cuts < ncols)]])
         )
         seg_starts = seg_starts[seg_starts < ncols]
         n_seg = seg_starts.size
         # every segment lies in one column chunk: the last chunk starting at or before it
-        seg_chunk = np.searchsorted(chunk_starts, seg_starts, side="right") - 1
+        seg_chunk = np.searchsorted(col_starts, seg_starts, side="right") - 1
         rows, cols, values = matrix.rows, matrix.cols, matrix.values
         bucket = _chunk_index(rows, row_starts[:-1], nrows) * n_seg
         bucket += _chunk_index(cols, seg_starts, ncols)
@@ -151,9 +183,12 @@ class DistSparseMatrix:
 
         blocks: list[CooMatrix] = []
         segments: list[tuple[np.ndarray, np.ndarray]] = []
+        row_offsets: list[int] = []
+        col_offsets: list[int] = []
         for rank in range(grid.nprocs):
             i, j = grid.coords(rank)
-            (rlo, rhi), (clo, chi) = grid.local_ranges(nrows, ncols, rank)
+            rlo, rhi = int(row_starts[i]), int(row_starts[i + 1])
+            clo, chi = int(col_starts[j]), int(col_starts[j + 1])
             first, last = np.searchsorted(seg_chunk, (j, j + 1))
             seg_ptr = pointers[i * n_seg + first : i * n_seg + last + 1]
             lo, hi = int(seg_ptr[0]), int(seg_ptr[-1])
@@ -166,7 +201,9 @@ class DistSparseMatrix:
                 )
             )
             segments.append((np.append(seg_starts[first:last], chi) - clo, seg_ptr - lo))
-        return cls(matrix.shape, comm, blocks, col_segments=segments)
+            row_offsets.append(rlo)
+            col_offsets.append(clo)
+        return cls(matrix.shape, comm, blocks, row_offsets, col_offsets, segments)
 
     @classmethod
     def empty(cls, shape: tuple[int, int], comm: SimCommunicator, dtype=np.int8) -> "DistSparseMatrix":

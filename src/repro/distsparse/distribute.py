@@ -21,18 +21,21 @@ from .distmat import DistSparseMatrix
 
 
 def distribute_coo(
-    matrix: CooMatrix, comm: SimCommunicator, col_cuts=()
+    matrix: CooMatrix, comm: SimCommunicator, col_cuts=(), row_starts=None, col_starts=None
 ) -> DistSparseMatrix:
     """Distribute a global COO matrix onto the 2D grid, charging the traffic.
 
     The blocks are born as :meth:`DistSparseMatrix.from_global_coo` lays
-    them out (column segments cut at ``col_cuts``).  The triplets are
+    them out (column segments cut at ``col_cuts``, chunks at ``row_starts``
+    / ``col_starts`` when given).  The triplets are
     assumed to start uniformly spread over ranks (the result of parallel
     input parsing); moving each triplet to its owning rank is a personalized
     all-to-all whose per-rank volume is ``nnz/p`` triplets.
     """
     grid = comm.require_grid()
-    dist = DistSparseMatrix.from_global_coo(matrix, comm, col_cuts=col_cuts)
+    dist = DistSparseMatrix.from_global_coo(
+        matrix, comm, col_cuts=col_cuts, row_starts=row_starts, col_starts=col_starts
+    )
 
     # model the all-to-all that permutes triplets from the readers to the owners
     triplet_bytes = 8 + 8 + (matrix.values.dtype.itemsize if matrix.nnz else 8)

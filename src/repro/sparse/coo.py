@@ -199,8 +199,8 @@ class CooMatrix:
 
     def derived(self, name: str, compute):
         """``compute()``'s result, computed on the first call and kept with
-        this matrix (the row pointers and row filter a SpGEMM kernel reads
-        an operand through).  Replacing ``rows``, ``cols`` or ``values``
+        this matrix (the row pointers a SpGEMM kernel reads an operand
+        through).  Replacing ``rows``, ``cols`` or ``values``
         discards everything kept."""
         arrays = (self.rows, self.cols, self.values)
         if len(self._derived_from) != 3 or any(

@@ -307,10 +307,26 @@ def test_entries_keyed_with_align_batch_size_do_not_match(tmp_path, tiny_seqs, m
     entries since schema 6 store their discover's ledger journal), so every
     key changed; a cache written under "6" is never read."""
     params = _params(tmp_path)
-    assert cache_mod.CACHE_VERSION == "7"
+    assert int(cache_mod.CACHE_VERSION) >= 7
     assert "align_batch_size" not in cache_mod.params_cache_token(params)
     current_key = cache_mod.run_cache_key(params, tiny_seqs)
     monkeypatch.setattr(cache_mod, "CACHE_VERSION", "6")
+    assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
+    old = PastisPipeline(params).run(tiny_seqs)
+    monkeypatch.undo()
+    rerun = PastisPipeline(params).run(tiny_seqs)
+    assert rerun.stats.extras["cache"]["hits"] == 0
+    assert rerun.stats.extras["cache"]["stores"] == old.stats.extras["cache"]["stores"] > 0
+
+
+def test_entries_keyed_on_kmer_id_operands_do_not_match(tmp_path, tiny_seqs, monkeypatch):
+    """Schema 8: the search operands are born with dense k-mer ids, so the
+    stripe digests in every block key changed; a cache written under "7"
+    is never read."""
+    params = _params(tmp_path)
+    assert cache_mod.CACHE_VERSION == "8"
+    current_key = cache_mod.run_cache_key(params, tiny_seqs)
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "7")
     assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
     old = PastisPipeline(params).run(tiny_seqs)
     monkeypatch.undo()

@@ -288,13 +288,22 @@ def test_build_kmer_coo_with_substitutes_increases_nnz():
 def test_build_distributed_kmer_matrix():
     seqs = synthetic_dataset(n_sequences=25, seed=4)
     comm = SimCommunicator(4)
-    a, at, info = build_distributed_kmer_matrix(seqs, PastisParams(kmer_length=5), comm)
-    assert a.shape == (25, 20**5)
-    assert at.shape == (20**5, 25)
+    params = PastisParams(kmer_length=5)
+    a, at, info = build_distributed_kmer_matrix(seqs, params, comm)
+    # the k-mer dimension holds dense ids, one per distinct k-mer, ascending
+    distinct = info.kmer_ids.size
+    assert info.kmer_space == 20**5 and 0 < distinct <= info.nnz
+    assert np.all(np.diff(info.kmer_ids) > 0)
+    assert a.shape == (25, distinct)
+    assert at.shape == (distinct, 25)
     assert a.nnz == at.nnz == info.nnz
     # both operands are born row-major: no SpGEMM call downstream has to sort
     assert all(m.local(rank).is_rowmajor() for m in (a, at) for rank in range(4))
     assert at.to_global_coo() == a.to_global_coo().transpose()
+    # through the dictionary, A is the matrix over k-mer ids
+    dense = a.to_global_coo()
+    by_kmer_id = CooMatrix((25, 20**5), dense.rows, info.kmer_ids[dense.cols], dense.values)
+    assert by_kmer_id == build_kmer_coo(seqs, params)[0]
 
 
 # ---------------------------------------------------------------- costing

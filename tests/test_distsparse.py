@@ -6,7 +6,6 @@ import pytest
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
 from repro.distsparse.distmat import DistSparseMatrix
 from repro.distsparse.distribute import distribute_coo, distribute_sequences
-from repro.distsparse.gather import gather_to_root
 from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences.synthetic import synthetic_dataset
@@ -450,17 +449,6 @@ def test_distribute_sequences_assigns_row_and_col_ranges():
         union.update(idx.tolist())
     assert union == set(range(20))
     assert comm.ledger.component_time("cwait") > 0
-
-
-def test_gather_to_root():
-    comm = SimCommunicator(4)
-    pieces = [CooMatrix.empty((6, 6), dtype=np.float64) for _ in range(4)]
-    pieces[1] = CooMatrix((6, 6), np.array([2]), np.array([3]), np.array([1.5]))
-    pieces[3] = CooMatrix((6, 6), np.array([4]), np.array([5]), np.array([2.5]))
-    merged = gather_to_root(pieces, (6, 6), comm)
-    assert merged.nnz == 2
-    with pytest.raises(ValueError):
-        gather_to_root(pieces[:2], (6, 6), comm)
 
 
 # ---------------------------------------------------------------- deferred merge

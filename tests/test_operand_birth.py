@@ -162,16 +162,18 @@ def _mask_stripe_block(global_op: CooMatrix, row_offset, col_offset, shape):
 
 def test_nothing_is_redone_after_birth(monkeypatch):
     """A pipeline on a 2×2 grid with a 3×3 blocking: every stripe SUMMA gets
-    is a view of the born operand and bitwise what a mask would cut; no
-    operand is ever sorted, and each stripe block is compressed at most once."""
+    is a view of the born operand and bitwise what a mask would cut out of
+    the dense-id global operand — which is the k-mer-id operand through the
+    dictionary; no operand is ever sorted, and each stripe block is
+    compressed at most once."""
     seqs = synthetic_dataset(n_sequences=60, seed=13)
     params = PastisParams(kmer_length=4, nodes=4, blocking=(3, 3), common_kmer_threshold=1)
     born = {}
     real_build = pipeline_module.build_distributed_kmer_matrix
 
     def build(*args, **kwargs):
-        born["a"], born["b"], info = real_build(*args, **kwargs)
-        return born["a"], born["b"], info
+        born["a"], born["b"], born["info"] = real_build(*args, **kwargs)
+        return born["a"], born["b"], born["info"]
 
     handed = []
     real_summa = blocked_summa_module.summa
@@ -196,7 +198,19 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     result = PastisPipeline(params).run(seqs)
     assert result.stats.candidates_discovered > 0
 
-    a_global, at_global, _ = _global_operands(seqs, params)
+    # the born operands hold dense k-mer ids: through the dictionary, the
+    # dense global operands are the k-mer-id ones
+    dense = seed_operand(extract_seed_triples(seqs, params)).dense()
+    kmer_ids = born["info"].kmer_ids
+    assert np.array_equal(dense.info.kmer_ids, kmer_ids)
+    a_global, at_global = dense.matrix().sort_rowmajor(), dense.transposed()
+    a_by_id, at_by_id, _ = _global_operands(seqs, params)
+    assert np.array_equal(kmer_ids[a_global.cols], a_by_id.cols)
+    assert np.array_equal(kmer_ids[at_global.rows], at_by_id.rows)
+    assert np.array_equal(a_global.rows, a_by_id.rows)
+    assert np.array_equal(at_global.cols, at_by_id.cols)
+    for got, want in ((a_global, a_by_id), (at_global, at_by_id)):
+        assert np.array_equal(got.values, want.values)
     schedule = BlockSchedule(len(seqs), len(seqs), 3, 3)
     stripes = {"a": {}, "b": {}}
     for a, b in handed:

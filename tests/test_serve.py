@@ -61,20 +61,25 @@ def db(tmp_path_factory):
 # ---------------------------------------------------------------------- index
 def test_index_round_trip_bitwise(db):
     """Stored stripes reload bitwise equal to the ones an all-vs-all run
-    slices out of its freshly built ``Aᵀ``."""
+    slices out of its freshly built ``Aᵀ`` — whose rows are dense k-mer ids,
+    so its k-mer coordinates are compared through the dictionary."""
     sequences, params, index_dir = db
     index = KmerIndex.open(index_dir)
     comm = SimCommunicator(params.nodes)
-    _, bt, _ = build_distributed_kmer_matrix(sequences, params, comm)
+    _, bt, info = build_distributed_kmer_matrix(sequences, params, comm)
     schedule = BlockSchedule(n_rows=N_DB, n_cols=N_DB, br=1, bc=index.bc)
     for c in range(index.bc):
         expected = bt.col_stripe(schedule.col_range(c))
         got = index.stripe(c, comm)
-        assert got.shape == expected.shape
+        assert got.shape == (index.kmer_space, expected.shape[1])
         for rank in range(params.nodes):
-            assert got.offsets(rank) == expected.offsets(rank)
+            (row_offset, col_offset), (dense_offset, want_col_offset) = (
+                got.offsets(rank), expected.offsets(rank)
+            )
+            assert col_offset == want_col_offset
             want, have = expected.local(rank), got.local(rank)
-            np.testing.assert_array_equal(have.rows, want.rows)
+            kmers = info.kmer_ids[want.rows + dense_offset]
+            np.testing.assert_array_equal(have.rows, kmers - row_offset)
             np.testing.assert_array_equal(have.cols, want.cols)
             np.testing.assert_array_equal(have.values, want.values)
             assert have.is_rowmajor()  # a served SpGEMM never sorts

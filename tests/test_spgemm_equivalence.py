@@ -7,8 +7,10 @@ safe to swap the default: ~75 seeded random matrices covering varied shapes,
 densities, duplicate coordinates, empty rows/columns and zero-dimension edge
 cases are multiplied with both backends under the arithmetic, the count and
 the overlap semiring, and the results are compared field by field.  The
-Gustavson kernel's hashed ``A``-entry → ``B``-row match is checked against a
-plain binary search on the cases a hash gets wrong if anything does.
+Gustavson kernel's ``A``-entry → ``B``-row match — a direct table over a
+short inner dimension, a sort and search over a long one — is checked
+against a plain binary search at the ends of the inner range and on both
+sides of the size rule.
 """
 
 import numpy as np
@@ -566,8 +568,7 @@ def test_count_with_fewer_flops_than_b_entries_expands(monkeypatch):
 
 
 def _binary_search_reference(row_ids, keys):
-    """The ``A``-entry → ``B``-row match without a hash: one binary search
-    per key."""
+    """The ``A``-entry → ``B``-row match as one binary search per key."""
     if row_ids.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     pos = np.minimum(np.searchsorted(row_ids, keys), row_ids.size - 1)
@@ -576,53 +577,80 @@ def _binary_search_reference(row_ids, keys):
 
 
 def _match_case(kind):
-    """``(B's non-empty row ids, A's inner indices)`` for one edge case."""
+    """``(B's non-empty row ids, A's inner indices, inner dimension)`` for
+    one edge case."""
     rng = np.random.default_rng(41)
-    inner = 20**12
-    if kind == "shared_bucket":
-        # absent keys that hash into a bucket some row id occupies: only the
-        # equality check can reject them
-        row_ids = np.unique(rng.integers(0, inner, 40))
-        bits = int(16 * row_ids.size - 1).bit_length()
-        pool = np.setdiff1d(rng.integers(0, inner, 20000), row_ids)
-        shared = np.isin(
-            gustavson_mod.hash_buckets(pool, bits), gustavson_mod.hash_buckets(row_ids, bits)
-        )
-        assert shared.sum() > 100
-        keys = rng.permutation(np.concatenate([pool[shared], row_ids, pool[:50]]))
+    rule = gustavson_mod.DIRECT_SLOTS_PER_KEY
+    if kind == "inner_one":
+        row_ids, keys, inner = np.zeros(1), np.zeros(5), 1
+    elif kind == "range_ends":
+        inner = 1000
+        row_ids = np.array([0, 1, 500, 998, 999])
+        keys = rng.choice(np.array([0, 999, 1, 2, 997, 998]), 300)
+    elif kind == "absent":
+        inner = 2000
+        row_ids = np.arange(0, inner, 2)
+        keys = rng.integers(0, 1000, 600) * 2 + 1
+    elif kind == "identity":  # every B row present: MCL's square operands
+        inner = 500
+        row_ids = np.arange(inner)
+        keys = rng.integers(0, inner, 400)
+    elif kind in ("rule_direct", "rule_search"):  # one slot either side of the rule
+        row_ids = np.unique(rng.integers(0, 3000, 60))
+        keys = rng.choice(np.concatenate([row_ids, rng.integers(0, 3000, 60)]), 100)
+        inner = rule * keys.size - row_ids.size + (kind == "rule_search")
     elif kind == "near_20e12":
+        inner = 20**12
         row_ids = inner - 1 - np.arange(0, 300, 3)[::-1]
         keys = inner - 1 - rng.integers(0, 400, 500)
-    elif kind == "absent":
-        row_ids = np.arange(0, 2000, 2)
-        keys = rng.integers(0, 1000, 600) * 2 + 1
     elif kind == "one_key_many_rows":
+        inner = 20**12
         row_ids = np.unique(rng.integers(0, inner, 50))
         keys = np.full(300, row_ids[7])
     else:  # "empty_b"
+        inner = 100
         row_ids = np.empty(0, dtype=np.int64)
-        keys = rng.integers(0, 100, 50)
-    return row_ids.astype(np.int64), keys.astype(np.int64)
+        keys = rng.integers(0, inner, 50)
+    return row_ids.astype(np.int64), keys.astype(np.int64), inner
 
 
-MATCH_CASES = ["shared_bucket", "near_20e12", "absent", "one_key_many_rows", "empty_b"]
+#: the cases :func:`~repro.sparse.gustavson.match_rows` answers by its table
+DIRECT_CASES = ["inner_one", "range_ends", "absent", "identity", "rule_direct"]
+MATCH_CASES = DIRECT_CASES + ["rule_search", "near_20e12", "one_key_many_rows", "empty_b"]
 
 
 @pytest.mark.parametrize("kind", MATCH_CASES)
-def test_hashed_match_equals_binary_search(kind):
-    """Both sides of the size rule — hashed (many keys) and plain binary
-    search (few keys) — give the reference's ``live`` and ``pos`` exactly."""
-    row_ids, keys = _match_case(kind)
-    few = keys[: max(row_ids.size // 8, 1)]
-    for sample in (keys, few):
-        live, pos = gustavson_mod.match_rows(row_ids, sample)
-        ref_live, ref_pos = _binary_search_reference(row_ids, sample)
-        assert np.array_equal(live, ref_live)
-        assert np.array_equal(pos, ref_pos)
+def test_match_equals_binary_search(kind, monkeypatch):
+    """Each case takes the path the size rule assigns it, and gives the
+    reference's ``live`` and ``pos`` exactly — as does the other path
+    wherever a table over the inner dimension can be built."""
+    row_ids, keys, inner = _match_case(kind)
+    taken = []
+    for name in ("match_by_table", "match_by_search"):
+        real = getattr(gustavson_mod, name)
+        monkeypatch.setattr(
+            gustavson_mod, name, lambda *args, real=real, name=name: taken.append(name) or real(*args)
+        )
+    ref_live, ref_pos = _binary_search_reference(row_ids, keys)
+    live, pos = gustavson_mod.match_rows(row_ids, keys, inner)
+    assert np.array_equal(live, ref_live) and np.array_equal(pos, ref_pos)
+    if kind == "empty_b":
+        assert taken == []
+        return
+    assert taken == ["match_by_table" if kind in DIRECT_CASES else "match_by_search"]
+    other_paths = [gustavson_mod.match_by_search(row_ids, keys)]
+    if inner < 1 << 20:
+        other_paths.append(gustavson_mod.match_by_table(row_ids, keys, inner))
+    for other_live, other_pos in other_paths:
+        assert np.array_equal(other_live, ref_live) and np.array_equal(other_pos, ref_pos)
     if kind == "absent":
         assert live.size == 0
-    if kind == "one_key_many_rows":
-        assert np.array_equal(live, np.arange(few.size))
+    if kind == "identity":
+        assert np.array_equal(live, np.arange(keys.size)) and np.array_equal(pos, keys)
+    if kind in ("inner_one", "one_key_many_rows"):
+        assert np.array_equal(live, np.arange(keys.size))
+    if kind == "range_ends":
+        assert set(keys[live].tolist()) == {0, 1, 998, 999}
 
 
 @pytest.mark.parametrize("kind", MATCH_CASES)
@@ -630,15 +658,15 @@ def test_hashed_match_equals_binary_search(kind):
 def test_match_edge_cases_through_both_kernels(kind, semiring):
     """The same cases as operands: ``A``'s inner indices are the keys, ``B``'s
     non-empty rows the row ids."""
-    row_ids, keys = _match_case(kind)
+    row_ids, keys, inner = _match_case(kind)
     rng = np.random.default_rng(7)
     a = CooMatrix(
-        (30, 20**12), rng.integers(0, 30, keys.size), keys,
+        (30, inner), rng.integers(0, 30, keys.size), keys,
         rng.integers(0, 90, keys.size).astype(np.int32),
     )
     b_rows = np.repeat(row_ids, 2)
     b = CooMatrix(
-        (20**12, 20), b_rows, rng.integers(0, 20, b_rows.size),
+        (inner, 20), b_rows, rng.integers(0, 20, b_rows.size),
         rng.integers(0, 90, b_rows.size).astype(np.int32),
     )
     assert_kernels_identical(a, b, semiring)
