@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Project a measured small-scale run to Summit scale (the paper's Table IV).
 
-Runs the actual pipeline on a few hundred synthetic sequences, calibrates a
-workload profile from the measured counters (candidates per sequence pair,
-DP cells per alignment, SpGEMM flops per candidate, ...), scales that profile
-to 405 million sequences with the paper's quadratic/linear growth rules, and
+Runs the actual pipeline on a few hundred synthetic sequences, builds a
+workload profile from the run's counters (candidates, alignments, DP cells,
+SpGEMM flops, ...), scales that profile to 405 million sequences with the
+paper's quadratic/linear growth rules (``WorkloadProfile.scaled_to``), and
 feeds it to the analytic performance model to estimate the full-scale
 production run on 3364 Summit nodes — alongside the projection built directly
 from the paper's own Table IV workload numbers.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro import PastisParams, PastisPipeline, synthetic_dataset
 from repro.io.tables import format_table
-from repro.perfmodel import AnalyticModel, WorkloadProfile, calibrate_profile
+from repro.perfmodel import AnalyticModel, WorkloadProfile
 
 
 def main() -> None:
@@ -38,9 +38,20 @@ def main() -> None:
         f"{result.stats.similar_pairs} similar pairs"
     )
 
-    # ---- 2. calibrate a workload profile and scale it to 405M sequences ------
-    coeffs = calibrate_profile(result)
-    calibrated = coeffs.profile_for(405e6, num_blocks=400)
+    # ---- 2. profile the run and scale it to 405M sequences -------------------
+    stats = result.stats
+    measured = WorkloadProfile(
+        n_sequences=len(sequences),
+        avg_length=sequences.total_residues / len(sequences),
+        candidates=stats.candidates_discovered,
+        alignments=stats.alignments_performed,
+        cells=stats.alignment_cells,
+        spgemm_flops=stats.spgemm_flops,
+        kmer_nnz=result.kmer_info.nnz,
+        output_pairs=stats.similar_pairs,
+        num_blocks=params.num_blocks,
+    )
+    calibrated = measured.scaled_to(405e6).with_blocks(400)
 
     # ---- 3. paper-derived profile for reference ------------------------------
     paper_profile = WorkloadProfile.paper_production()

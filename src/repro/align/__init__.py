@@ -12,8 +12,8 @@ on GPUs).  This subpackage plays the role of those libraries:
   role), returning score, end/begin coordinates, matches and alignment length;
 * :mod:`repro.align.adept` — the multi-GPU driver with a V100 throughput
   model and CUPS accounting;
-* :mod:`repro.align.banded` / :mod:`repro.align.seed_extend` — cheaper
-  alignment modes (banded SW, x-drop seed extension);
+* :mod:`repro.align.seed_extend` — the cheaper alignment mode (x-drop seed
+  extension);
 * :mod:`repro.align.result` — result records, ANI and coverage.
 """
 
@@ -27,7 +27,6 @@ from .result import (
 )
 from .smith_waterman import smith_waterman, smith_waterman_reference, score_only
 from .batch import batch_smith_waterman
-from .banded import banded_smith_waterman
 from .seed_extend import seed_and_extend, ungapped_extension
 from .adept import AdeptDriver, AlignmentWorkloadStats
 
@@ -45,7 +44,6 @@ __all__ = [
     "smith_waterman_reference",
     "score_only",
     "batch_smith_waterman",
-    "banded_smith_waterman",
     "seed_and_extend",
     "ungapped_extension",
     "AdeptDriver",

@@ -104,6 +104,10 @@ class AdeptDriver:
     scoring: ScoringScheme = field(default_factory=lambda: DEFAULT_SCORING)
     batch_size: int = 128
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
     def align_pairs(
         self,
         sequences: SequenceSet,

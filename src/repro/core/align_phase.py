@@ -171,15 +171,12 @@ class AlignmentPhase:
         for g, (block, rank, candidates) in enumerate(groups):
             output = outputs[block]
             cells = int(group_cells[g])
-            share = measured * cells / total_cells if total_cells else 0.0
             output.pairs_aligned_per_rank[rank] = candidates.nnz
             output.cells_per_rank[rank] = cells
-            output.measured_seconds += share
-            if self.params.clock == "modeled":
-                seconds = self.cost_model.alignment_seconds(cells, int(group_bytes[g]))
-            else:
-                seconds = share
-            output.align_seconds_per_rank[rank] = seconds
+            output.measured_seconds += measured * cells / total_cells if total_cells else 0.0
+            output.align_seconds_per_rank[rank] = self.cost_model.alignment_seconds(
+                cells, int(group_bytes[g])
+            )
             output.kernel_seconds += self.cost_model.alignment_kernel_seconds(cells)
         return outputs
 

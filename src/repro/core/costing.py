@@ -4,8 +4,8 @@ The reproduction executes the real algorithms on a laptop-class CPU, but the
 paper's figures compare component times *on Summit nodes*.  To keep the shape
 of those comparisons meaningful (alignment on GPUs vs. memory-bound sparse
 computation on CPUs, roughly a 2:1 ratio in the paper's runs), the pipeline
-can charge the ledger with *modelled* node time derived from workload
-quantities instead of raw Python wall time:
+charges the ledger with *modelled* node time derived from workload
+quantities, never with raw Python wall time:
 
 * alignment — DP cells / (GPUs per node x GCUPS per GPU), via the
   :class:`repro.hardware.gpu.GpuSpec` batch model;
@@ -14,7 +14,9 @@ quantities instead of raw Python wall time:
 * other sparse work (k-mer matrix construction, pruning, merging) — bytes
   touched / node memory bandwidth.
 
-With ``clock="measured"`` the raw wall times are charged instead.
+The ledger is therefore a pure function of the inputs.  Wall time is
+measured only in spans, timers and metrics (``extras["phase_seconds"]``,
+``measured_align_seconds``, ``measured_discover_seconds``).
 """
 
 from __future__ import annotations

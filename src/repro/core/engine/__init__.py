@@ -28,8 +28,8 @@ stages, executed by pluggable schedulers:
   block ``b`` is pruned, and the overlap lives in the per-rank clock, closed through
   the shared depth-``k`` algebra of
   :class:`repro.mpi.costmodel.OverlapWindow`, so
-  ``align + spgemm − overlap_hidden == combined clock``; at depth 1 on the
-  modeled clock the paper's contention slowdowns are charged);
+  ``align + spgemm − overlap_hidden == combined clock``; at depth 1 the
+  paper's contention slowdowns are charged);
 * :mod:`repro.core.engine.cache` — the content-hashed :class:`StageCache`,
   the engine's analogue of the synpp/pisa declare-then-decide pipeline
   design: stages *declare* what they depend on (the canonicalized parameter
@@ -61,11 +61,11 @@ the pipeline builds the task list and hands it over.
   concurrency; the baseline the overlapped scheduler is bit-identical to.
 * ``"overlapped"`` — §VI-C pre-blocking at ``preblock_depth``, on one
   thread: the overlap is in the clock, not in the wall time.  At depth 1
-  on the modeled clock it charges the paper's contention multipliers
-  (paper-faithful Table-I numbers); otherwise it charges raw seconds.
+  it charges the paper's contention multipliers (paper-faithful Table-I
+  numbers); otherwise it charges raw seconds.
 
-Both produce bit-identical records, edges, stats and deterministic ledger
-categories; only the modeled clock differs.
+Both produce bit-identical records, edges and stats; only the modeled
+clock differs.
 
 **Observability** (``PastisParams.trace`` / ``trace_dir``; see
 :mod:`repro.trace`): every scheduler emits spans through the optional

@@ -59,7 +59,7 @@ from ..params import PastisParams
 #: Cache schema / kernel-suite version.  Bump whenever the on-disk entry
 #: layout changes or a kernel change makes previously stored results stale;
 #: combined with the package version into every key (see :func:`version_tag`).
-CACHE_VERSION = "8"
+CACHE_VERSION = "9"
 
 #: npz keys of the per-rank array fields.
 _ARRAY_KEYS = (
@@ -116,7 +116,6 @@ def params_cache_token(params: PastisParams) -> dict:
         "blocking": [br, bc],
         "load_balancing": params.load_balancing,
         "nodes": params.nodes,
-        "clock": params.clock,
         "alignment_mode": params.alignment_mode,
         "spgemm_backend": params.spgemm_backend,
         "batch_flops": params.batch_flops,

@@ -35,8 +35,8 @@ window size changes how many kernel calls run, never a result.
 :class:`OverlappedScheduler`
     §VI-C pre-blocking at depth ``k``: the run holds the ``k + 1`` live
     blocks the overlapped schedule would, and the overlap lives in the
-    per-rank clock.  Components may be charged with the paper's measured
-    contention slowdowns (~1.13x for alignment; ``1.10 + 0.006 ·
+    per-rank clock.  At depth 1 components are charged with the contention
+    slowdowns the paper measured (~1.13x for alignment; ``1.10 + 0.006 ·
     num_blocks`` for the sparse multiply).
 
 With ``k >= 1`` the per-rank clock is the executed schedule replayed
@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...metrics.timers import Timer
 from ...mpi.costmodel import OverlapWindow
 from ...trace import maybe_span
 from ..preblocking import PreblockingModel
@@ -160,35 +159,32 @@ class Scheduler:
                 outcome.measured_align_seconds += output.measured_seconds
             window.clear()
 
-        phase_timer = Timer()
         discovered = 0
-        with phase_timer:
-            for index, task in enumerate(tasks):
-                upto = min(index + depth, len(tasks) - 1)
-                while discovered <= upto:
-                    ahead = tasks[discovered]
-                    discovered += 1
-                    result = discover(ctx, ahead)
-                    commit(ctx, ahead, result)
-                    sparse = result.sparse_seconds * sparse_mult
-                    for rank in range(ctx.comm.size):
-                        ledger.charge(rank, "spgemm", float(sparse[rank]))
-                    sparse_scheduled.append(sparse)
-                    outcome.measured_discover_seconds += result.wall_seconds
+        for index, task in enumerate(tasks):
+            upto = min(index + depth, len(tasks) - 1)
+            while discovered <= upto:
+                ahead = tasks[discovered]
+                discovered += 1
+                result = discover(ctx, ahead)
+                commit(ctx, ahead, result)
+                sparse = result.sparse_seconds * sparse_mult
+                for rank in range(ctx.comm.size):
+                    ledger.charge(rank, "spgemm", float(sparse[rank]))
+                sparse_scheduled.append(sparse)
+                outcome.measured_discover_seconds += result.wall_seconds
 
-                survivors = task.prune(ctx)
-                task.release(ctx)
-                window.append(task)
-                pending_pairs += sum(piece.nnz for piece in survivors)
-                if pending_pairs >= ctx.params.align_batch_size or index == len(tasks) - 1:
-                    flush()
-                    pending_pairs = 0
+            survivors = task.prune(ctx)
+            task.release(ctx)
+            window.append(task)
+            pending_pairs += sum(piece.nnz for piece in survivors)
+            if pending_pairs >= ctx.params.align_batch_size or index == len(tasks) - 1:
+                flush()
+                pending_pairs = 0
         if depth:
             timeline.combined_per_rank = np.zeros(ctx.comm.size)
             OverlapWindow(
                 ledger, timeline.combined_per_rank, OVERLAP_HIDDEN_CATEGORY
             ).run_schedule(align_scheduled, sparse_scheduled, depth=depth)
-        timeline.measured_phase_seconds = phase_timer.elapsed
         return outcome
 
 

@@ -6,8 +6,7 @@ with four explicit stages:
 ``discover``
     Run the Blocked 2D Sparse SUMMA for this block — shared-k-mer counts
     under :class:`~repro.sparse.semiring.CountSemiring` — and derive the
-    per-rank sparse (SpGEMM + stripe-traversal) seconds under the configured
-    clock.
+    per-rank modeled sparse (SpGEMM + stripe-traversal) seconds.
 ``prune``
     Apply the load-balancing scheme's element selection, drop self pairs,
     and apply the common-k-mer threshold — per rank; discovery produced
@@ -177,15 +176,12 @@ def discover(ctx: StageContext, task: "BlockTask") -> BlockResult:
             span.set(nnz=block.nnz, flops=float(block.result.flops_per_rank.sum()))
     finally:
         comm.ledger, comm.collectives.ledger = ledgers
-    if ctx.params.clock == "modeled":
-        sparse_seconds = np.array(
-            [
-                ctx.cost_model.spgemm_seconds(f) + ctx.stripe_seconds
-                for f in block.result.flops_per_rank
-            ]
-        )
-    else:
-        sparse_seconds = np.asarray(block.result.compute_seconds_per_rank, dtype=float)
+    sparse_seconds = np.array(
+        [
+            ctx.cost_model.spgemm_seconds(f) + ctx.stripe_seconds
+            for f in block.result.flops_per_rank
+        ]
+    )
     return BlockResult(
         block=block,
         entry=None,

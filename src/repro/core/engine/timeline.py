@@ -1,11 +1,10 @@
 """Scheduled per-block timings and the derived Table-I report.
 
 Schedulers append one :class:`BlockTiming` per executed block: the *raw*
-per-rank sparse/align seconds (what the hardware model or measured clock
-produced) and the *scheduled* seconds actually charged to the ledger (raw
-times inflated by the contention multipliers of §VI-C when the overlapped
-scheduler shares the node between ADEPT's host threads and the next block's
-SpGEMM).  The overlapped scheduler also advances a per-rank simulated clock
+per-rank sparse/align seconds (what the hardware model produced) and the
+*scheduled* seconds actually charged to the ledger (raw times inflated by
+the contention multipliers of §VI-C when the overlapped scheduler shares
+the node between ADEPT's host threads and the next block's SpGEMM).  The overlapped scheduler also advances a per-rank simulated clock
 as it goes — ``combined_per_rank`` is that clock at the end of the run.
 
 :meth:`StageTimeline.preblocking_report` derives the
@@ -55,14 +54,9 @@ class StageTimeline:
         One :class:`BlockTiming` per executed block, in execution order.
     combined_per_rank:
         Final value of the scheduler's per-rank clock for the interleaved
-        discover/align phases — simulated seconds under the modeled clock,
-        real wall seconds fed through the same overlap algebra under
-        ``clock="measured"``; ``None`` for schedules with no overlap.
-    measured_phase_seconds:
-        Actual wall-clock seconds the scheduler's stage loop took (all
-        schedulers record it), so a measured-clock run can compare the real
-        interleaved elapsed time against the per-stage sum; ``None`` when
-        the scheduler did not time its loop.
+        discover/align phases, in modeled seconds; ``None`` for schedules
+        with no overlap.  The wall time of the stage loop is the
+        ``stage_graph`` phase timer (``extras["phase_seconds"]``).
     """
 
     scheduler: str
@@ -71,7 +65,6 @@ class StageTimeline:
     preblock_depth: int = 1
     blocks: list[BlockTiming] = field(default_factory=list)
     combined_per_rank: np.ndarray | None = None
-    measured_phase_seconds: float | None = None
 
     def append(self, timing: BlockTiming) -> None:
         """Record one executed block."""

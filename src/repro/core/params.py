@@ -13,6 +13,7 @@ import numpy as np
 from ..align.substitution import BLOSUM62, ScoringScheme
 from ..config import DEFAULTS
 from ..graph.api import ClusterParams
+from ..mpi.process_grid import is_perfect_square
 from ..sequences.alphabet import Alphabet, MURPHY10, PROTEIN
 from ..sparse.kernels import available_kernels
 
@@ -54,9 +55,9 @@ class PastisParams:
         Overlap next-block SpGEMM with current-block alignment (§VI-C),
         run by :class:`~repro.core.engine.schedulers.OverlappedScheduler`
         at ``preblock_depth`` on one thread: the overlap shows on the
-        per-rank clock, not in wall time.  At depth 1 on the modeled clock
-        it charges the paper's contention multipliers; otherwise raw
-        seconds.  Results are bit-identical to the serial schedule.
+        per-rank clock, not in wall time.  At depth 1 it charges the
+        paper's contention multipliers; otherwise raw modeled seconds.
+        Results are bit-identical to the serial schedule.
     preblock_depth:
         Speculative discovery depth ``k``: block ``b`` is aligned after the
         discover stages of blocks up to ``b+k``, so ``k + 1`` blocks are
@@ -75,10 +76,6 @@ class PastisParams:
         Pairs per ADEPT device batch, and the size at which the scheduler's
         alignment window of pending survivors flushes (one driver call per
         window).  Sets only batch and window boundaries, never a result.
-    clock:
-        ``"modeled"`` charges hardware-model time (GPU GCUPS for alignment,
-        node sparse throughput for SpGEMM) so component ratios resemble the
-        paper's; ``"measured"`` charges actual Python wall time.
     alignment_mode:
         ``"full_sw"`` (paper default: full Smith–Waterman on GPUs) or
         ``"seed_extend"`` (x-drop, cheaper, less sensitive).
@@ -117,8 +114,8 @@ class PastisParams:
         cache hit/miss replays, SUMMA broadcast stages, process-scheduler
         admissions, MCL iterations.  Off by default; the disabled
         path costs nothing, and tracing never perturbs results — records,
-        edges and the deterministic ledger categories are bit-identical
-        with tracing on (asserted in ``tests/test_trace.py``).  The
+        edges and the whole ledger are bit-identical with tracing on
+        (asserted in ``tests/test_trace.py``).  The
         recorder is returned on ``SearchResult.trace``; with ``trace_dir``
         also set, the run additionally writes ``trace.jsonl`` (canonical)
         and ``trace.json`` (Chrome trace-event, loadable in Perfetto /
@@ -188,7 +185,6 @@ class PastisParams:
     scheduler: str | None = None
     nodes: int = 4
     align_batch_size: int = 128
-    clock: str = "modeled"
     alignment_mode: str = "full_sw"
     spgemm_backend: str = DEFAULTS.spgemm_backend
     batch_flops: int | None = None
@@ -212,12 +208,16 @@ class PastisParams:
         """Raise ``ValueError`` for inconsistent settings."""
         if self.kmer_length < 1:
             raise ValueError("kmer_length must be >= 1")
+        if self.substitute_kmers < 0:
+            raise ValueError(f"substitute_kmers must be >= 0, got {self.substitute_kmers}")
+        if self.max_kmer_frequency is not None and self.max_kmer_frequency < 1:
+            raise ValueError(
+                f"max_kmer_frequency must be >= 1 (or None), got {self.max_kmer_frequency}"
+            )
         if self.seed_alphabet not in ("protein", "murphy10"):
             raise ValueError("seed_alphabet must be 'protein' or 'murphy10'")
         if self.load_balancing not in ("index", "triangularity"):
             raise ValueError("load_balancing must be 'index' or 'triangularity'")
-        if self.clock not in ("modeled", "measured"):
-            raise ValueError("clock must be 'modeled' or 'measured'")
         if self.alignment_mode not in ("full_sw", "seed_extend"):
             raise ValueError("alignment_mode must be 'full_sw' or 'seed_extend'")
         if self.spgemm_backend not in available_kernels():
@@ -258,8 +258,12 @@ class PastisParams:
         if not isinstance(self.cluster, ClusterParams):
             raise ValueError("cluster must be a ClusterParams instance")
         self.cluster.validate()
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
+        if not is_perfect_square(self.nodes):
+            raise ValueError(
+                f"nodes={self.nodes} must be a perfect square (2D process grid requirement)"
+            )
+        if self.align_batch_size < 1:
+            raise ValueError(f"align_batch_size must be >= 1, got {self.align_batch_size}")
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         if self.blocking is not None and (self.blocking[0] < 1 or self.blocking[1] < 1):

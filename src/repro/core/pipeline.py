@@ -29,16 +29,16 @@ scheduler — :class:`~repro.core.engine.schedulers.SerialScheduler` for the
 bulk-synchronous schedule, or (with ``pre_blocking=True``)
 :class:`~repro.core.engine.schedulers.OverlappedScheduler`, which discovers
 ``preblock_depth`` blocks ahead of the block being pruned, closes the
-overlap on the per-rank clock and, at depth 1 on the modeled clock, charges
-the §VI-C contention slowdowns.  Block outputs are discarded as soon as they
-are pruned; the survivors of consecutive blocks are aligned in one call per
-window (up to ``align_batch_size`` pairs), and edges stream into an
+overlap on the per-rank clock and, at depth 1, charges the §VI-C contention
+slowdowns.  Block outputs are discarded as soon as they are pruned; the
+survivors of consecutive blocks are aligned in one call per window (up to
+``align_batch_size`` pairs), and edges stream into an
 incremental :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`;
 peak live memory is reported through the result's
 :class:`~repro.metrics.memory.MemoryTracker`.
 
 All communication, IO and computation is charged to the per-rank cost
-ledger.  The result object carries the similarity graph, Table-IV-style
+ledger, in modeled seconds only.  The result object carries the similarity graph, Table-IV-style
 statistics, the per-block records used by the figure benchmarks, the
 Table-I :class:`~repro.core.preblocking.PreblockingReport` (now *derived*
 from the executed schedule's timeline, not recomputed post hoc), and the
@@ -64,7 +64,6 @@ from ..obs.manifest import build_manifest
 from ..obs.registry import RunRegistry
 from ..trace import TraceRecorder, activate, deactivate, maybe_span, write_trace
 from ..mpi.io import ParallelIoModel
-from ..mpi.process_grid import is_perfect_square
 from ..distsparse.distribute import distribute_sequences
 from ..sequences.sequence import SequenceSet
 from ..sparse.semiring import CountSemiring
@@ -238,10 +237,6 @@ class PastisPipeline:
         query_mode = params.mode == "query"
         if not query_mode and len(sequences) < 2:
             raise ValueError("need at least two sequences to search")
-        if not is_perfect_square(params.nodes):
-            raise ValueError(
-                f"nodes={params.nodes} must be a perfect square (2D process grid requirement)"
-            )
         wall_start = time.perf_counter()
 
         comm = SimCommunicator(params.nodes)
@@ -262,7 +257,7 @@ class PastisPipeline:
         # "cluster" is excluded from the Table-IV total: the paper's runtime
         # breakdown covers the search; the clustering stage reports its own
         # modeled seconds in stats.extras["clustering"]
-        scoring_category_exclude = ("spgemm_measured", OVERLAP_HIDDEN_CATEGORY, "cluster")
+        scoring_category_exclude = (OVERLAP_HIDDEN_CATEGORY, "cluster")
 
         # ---- input IO and sequence exchange -------------------------------------
         # query mode reads the persistent database operand (stripe shards +
@@ -292,10 +287,7 @@ class PastisPipeline:
                 )
             kmer_bytes = kmer_info.nnz * (8 + 8 + 4)
             comm.ledger.charge_all(
-                "sparse_other",
-                cost_model.sparse_traversal_seconds(kmer_bytes / comm.size)
-                if params.clock == "modeled"
-                else kmer_info.build_seconds / comm.size,
+                "sparse_other", cost_model.sparse_traversal_seconds(kmer_bytes / comm.size)
             )
 
         # ---- stage graph: blocked overlap computation + alignment ------------------
@@ -312,7 +304,6 @@ class PastisPipeline:
             b_operand,
             CountSemiring(),
             schedule,
-            compute_category="spgemm_measured",
             spgemm_backend=params.spgemm_backend,
             batch_flops=params.batch_flops,
         )
@@ -372,20 +363,18 @@ class PastisPipeline:
         # scheduler selection: no pre-blocking -> serial; pre-blocking ->
         # overlapped at preblock_depth; params.scheduler overrides the
         # derivation.  The paper's contention multipliers model the depth-1
-        # schedule on the modeled clock; any other overlapped run charges
-        # raw seconds.
+        # schedule; any deeper overlapped run charges raw seconds.
         if params.scheduler is not None:
             scheduler_name = params.scheduler
         else:
             scheduler_name = "overlapped" if params.pre_blocking else "serial"
         if scheduler_name == "overlapped":
-            paper_contention = params.clock == "modeled" and params.preblock_depth == 1
             scheduler = make_scheduler(
                 "overlapped",
                 depth=params.preblock_depth,
                 contention=(
                     PreblockingModel()
-                    if paper_contention
+                    if params.preblock_depth == 1
                     else PreblockingModel.uncontended()
                 ),
             )
@@ -409,15 +398,9 @@ class PastisPipeline:
         clustering = None
         cluster_seconds = 0.0
         if params.cluster.enabled:
-            t0 = time.perf_counter()
             with phase("cluster"):
                 clustering = cluster_similarity_graph(graph, params.cluster)
-            cluster_wall = time.perf_counter() - t0
-            if params.clock != "modeled":
-                # measured clock: every category holds wall seconds, so the
-                # cluster stage must too (whatever driver produced it)
-                cluster_seconds = cluster_wall / comm.size
-            elif clustering.dist is not None:
+            if clustering.dist is not None:
                 # distributed MCL (ClusterParams.nprocs > 1) ran on its own
                 # cluster_* ledger grid; its bulk-synchronous stage total
                 # (slowest rank's clock + comm) is spread over the search

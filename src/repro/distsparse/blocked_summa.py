@@ -172,8 +172,6 @@ class BlockedSpGemm:
         Semiring used for candidate discovery.
     schedule:
         Output blocking.
-    compute_category:
-        Ledger category local multiplies are charged to.
     spgemm_backend:
         Registry name of the local SpGEMM kernel every SUMMA stage uses
         (see :mod:`repro.sparse.kernels`); ``None`` selects the default.
@@ -198,7 +196,6 @@ class BlockedSpGemm:
     b: DistSparseMatrix
     semiring: Semiring
     schedule: BlockSchedule
-    compute_category: str = "spgemm"
     spgemm_backend: str | None = None
     batch_flops: int | None = None
     deferred_merge: bool = False
@@ -242,7 +239,6 @@ class BlockedSpGemm:
             self.col_stripe(block_col),
             self.semiring,
             output_shape=(self.a.shape[0], self.b.shape[1]),
-            compute_category=self.compute_category,
             spgemm_backend=self.spgemm_backend,
             batch_flops=self.batch_flops,
             deferred_merge=self.deferred_merge,

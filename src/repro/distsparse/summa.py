@@ -11,9 +11,10 @@
 
 Communication is charged through the collective engine (binomial-tree
 broadcasts — the ``(alpha + beta*s) * log2(sqrt p)`` terms of the paper's
-cost analysis), and every rank's local multiply time is measured and charged
-to the ``spgemm`` category, so component breakdowns and load imbalance fall
-out of the ledger.
+cost analysis), and every rank's local multiply is counted in semiring flops
+(the ``spgemm_flops`` counter and :attr:`SummaResult.flops_per_rank`), from
+which callers charge modeled compute seconds, so component breakdowns and
+load imbalance fall out of the ledger.
 
 The result is returned per rank in *global* output coordinates, which is what
 the alignment phase consumes; :meth:`SummaResult.to_global` merges the ranks
@@ -55,15 +56,14 @@ class SummaResult:
         Aggregated SpGEMM statistics (flops, compression factor, ...).
     comm_seconds:
         Modelled broadcast time charged to the slowest rank.
-    compute_seconds_per_rank:
-        Measured local-multiply time per rank.
+    flops_per_rank:
+        Semiring flops (partial products) of each rank's local multiplies.
     """
 
     shape: tuple[int, int]
     per_rank: list[CooMatrix]
     stats: SpGemmStats = field(default_factory=SpGemmStats)
     comm_seconds: float = 0.0
-    compute_seconds_per_rank: np.ndarray | None = None
     flops_per_rank: np.ndarray | None = None
 
     @property
@@ -118,7 +118,6 @@ def summa(
     b: DistSparseMatrix,
     semiring: Semiring,
     output_shape: tuple[int, int] | None = None,
-    compute_category: str = "spgemm",
     spgemm_backend: str | SpGemmKernel | None = None,
     batch_flops: int | None = None,
     deferred_merge: bool = False,
@@ -180,7 +179,6 @@ def summa(
     received_a: list[list[tuple[CooMatrix, int, int]]] = [[] for _ in range(grid.nprocs)]
     received_b: list[list[tuple[CooMatrix, int, int]]] = [[] for _ in range(grid.nprocs)]
     stats = SpGemmStats()
-    compute_seconds = np.zeros(grid.nprocs)
     flops_per_rank = np.zeros(grid.nprocs)
     comm_before = ledger.per_rank(engine.comm_category).copy()
     # summa has no StageContext, so it reaches the tracer through the
@@ -240,7 +238,6 @@ def summa(
                 a_block, b_block, semiring, return_stats=True, **kernel_kwargs
             )
             kernel_dt = time.perf_counter() - t0
-            compute_seconds[rank] += kernel_dt
             stats = stats.merge(pstats)
             if metrics is not None:
                 metrics.record_spgemm_stage(
@@ -280,7 +277,6 @@ def summa(
                 a_local, b_local, semiring, return_stats=True, **kernel_kwargs
             )
             kernel_dt = time.perf_counter() - t0
-            compute_seconds[rank] += kernel_dt
             stats = stats.merge(pstats)
             if metrics is not None:
                 metrics.record_spgemm_stage(
@@ -305,16 +301,12 @@ def summa(
             if not parts:
                 per_rank.append(CooMatrix.empty(output_shape, dtype=semiring.value_dtype))
                 continue
-            t0 = time.perf_counter()
             rows = np.concatenate([p.rows for p in parts])
             cols = np.concatenate([p.cols for p in parts])
             values = np.concatenate([p.values for p in parts])
             merged = CooMatrix(output_shape, rows, cols, values, check=False).deduplicate(semiring)
-            compute_seconds[rank] += time.perf_counter() - t0
             per_rank.append(merged)
 
-    for rank in range(grid.nprocs):
-        ledger.charge(rank, compute_category, compute_seconds[rank])
     comm_after = ledger.per_rank(engine.comm_category)
     comm_seconds = float((comm_after - comm_before).max()) if grid.nprocs else 0.0
 
@@ -323,6 +315,5 @@ def summa(
         per_rank=per_rank,
         stats=stats,
         comm_seconds=comm_seconds,
-        compute_seconds_per_rank=compute_seconds,
         flops_per_rank=flops_per_rank,
     )

@@ -62,7 +62,6 @@ cost ledger) that makes the search scale.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,10 +104,6 @@ CLUSTER_PRUNE_CATEGORY = "cluster_prune"
 #: expand(b+1)/prune(b) overlap; excluded from totals, and what makes
 #: ``cluster_expand + cluster_prune − cluster_overlap_hidden == clock``.
 CLUSTER_OVERLAP_HIDDEN_CATEGORY = "cluster_overlap_hidden"
-#: Category absorbing the *measured* (wall-clock) seconds of the local SUMMA
-#: multiplies, kept out of the modeled identity exactly like the search
-#: pipeline's ``spgemm_measured``.
-CLUSTER_EXPAND_MEASURED_CATEGORY = "cluster_expand_measured"
 #: Prefix namespacing the cluster stage's byte counters on a shared ledger.
 CLUSTER_COUNTER_PREFIX = "cluster_"
 
@@ -614,7 +609,6 @@ class DistMarkovClustering:
                     b_dist,
                     ArithmeticSemiring(),
                     output_shape=(current.n, current.n),
-                    compute_category=CLUSTER_EXPAND_MEASURED_CATEGORY,
                     spgemm_backend=self.spgemm_backend,
                     batch_flops=self.batch_flops,
                     deferred_merge=True,

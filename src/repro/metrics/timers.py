@@ -39,9 +39,9 @@ class Timer:
 def time_call(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)`` and return ``(result, elapsed_seconds)``.
 
-    The wall-clock measurement primitive of ``clock="measured"`` runs:
-    stage implementations wrap their work in one call so schedulers receive
-    real seconds through the same interface the modeled clock uses.
+    Stage implementations wrap their work in one call; the wall seconds
+    feed spans, timers and metrics (``measured_discover_seconds``), never
+    the cost ledger, which holds modeled seconds only.
     """
     start = time.perf_counter()
     result = fn(*args, **kwargs)

@@ -1,8 +1,9 @@
 """Per-rank cost accounting.
 
 Every virtual rank accumulates time into named categories ("align",
-"spgemm", "sparse_other", "comm", "cwait", "io", ...).  The paper's reported
-metrics map directly onto this ledger:
+"spgemm", "sparse_other", "comm", "cwait", "io", ...).  Every charge is a
+modeled second, never wall time, so the ledger is a pure function of the
+inputs.  The paper's reported metrics map directly onto this ledger:
 
 * component time breakdowns (Fig. 5, Fig. 7d, Table I, Table IV) — the
   per-category maximum over ranks (bulk-synchronous execution finishes when
@@ -233,7 +234,7 @@ class OverlapWindow:
 
 
 class CostLedger:
-    """Accumulates per-rank, per-category time (simulated or measured seconds).
+    """Accumulates per-rank, per-category modeled seconds and counters.
 
     Thread safety: every mutation and read holds an internal lock, so
     threads sharing one ledger lose no updates.  The lock makes concurrent
@@ -311,6 +312,11 @@ class CostLedger:
         """Names of all charged time categories."""
         with self._lock:
             return sorted(self._time.keys())
+
+    def counters(self) -> list[str]:
+        """Names of all incremented counters."""
+        with self._lock:
+            return sorted(self._counters.keys())
 
     def breakdown(self, category: str) -> TimeBreakdown:
         """Min/avg/max of a category over ranks."""

@@ -130,7 +130,6 @@ def build_manifest(
         "config_key": config_key(token),
         "config": {
             "scheduler": scheduler,
-            "clock": params.clock,
             "nodes": params.nodes,
             "num_blocks": params.num_blocks,
             "pre_blocking": params.pre_blocking,

@@ -9,9 +9,9 @@ throughput, alpha-beta network, parallel file system) and the SUMMA
 communication formulas of §VI-A to predict component times at any node
 count.  The scaling benchmarks use it to regenerate the strong-scaling
 (Fig. 8), weak-scaling (Fig. 9 / Table III), overhead (Table II) and
-production-run (Table IV) numbers, and the calibration module derives profile
-coefficients from actual small-scale pipeline runs so the projection is
-anchored in measured behaviour rather than copied from the paper.
+production-run (Table IV) numbers.  ``examples/scale_projection.py`` shows
+how to derive a profile from the counters of an actual small-scale run
+instead of the paper's.
 """
 
 from .profile import WorkloadProfile
@@ -21,7 +21,6 @@ from .analytic import (
     summa_communication_seconds,
     blocked_summa_communication_seconds,
 )
-from .calibration import calibrate_profile, CalibrationCoefficients
 from .scaling import strong_scaling_series, weak_scaling_series, ScalingPoint
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "ComponentTimes",
     "summa_communication_seconds",
     "blocked_summa_communication_seconds",
-    "calibrate_profile",
-    "CalibrationCoefficients",
     "strong_scaling_series",
     "weak_scaling_series",
     "ScalingPoint",

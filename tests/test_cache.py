@@ -10,7 +10,9 @@ a hit replays through the same ordered commit as a computed block.
 Also covered: every ingredient of the content-hash key invalidates
 (parameters, input sequences, kernel/schema version), corrupt entries
 degrade to misses, and ``run(resume=True)`` continues a killed run from its
-last completed block with results identical to an uncached reference.
+last completed block with results identical to an uncached reference.  What
+the replay relies on is tested first: the ledger is a pure function of the
+inputs, so two uncached runs leave bit-identical ledgers.
 """
 
 from __future__ import annotations
@@ -25,21 +27,12 @@ from repro.core.engine import cache as cache_mod
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockedSpGemm
+from repro.graph.api import ClusterParams
+from repro.graph.dist import DistMarkovClustering
+from repro.graph.matrix import StochasticMatrix
 from repro.mpi.costmodel import CostLedger, replay_journal
 from repro.sequences.synthetic import synthetic_dataset
-
-#: Per-rank ledger time categories that are deterministic on the modeled
-#: clock and therefore must match bit-exactly between cold and warm runs.
-LEDGER_CATEGORIES = ("align", "spgemm", "comm", "cwait", "sparse_other", "io")
-
-#: Per-rank ledger counters — always deterministic, always compared.
-LEDGER_COUNTERS = (
-    "spgemm_flops",
-    "bytes_sent",
-    "bytes_received",
-    "alignments",
-    "alignment_cells",
-)
+from repro.serve import build_index
 
 #: SearchStats keys that legitimately differ between a cold and a warm run:
 #: real wall time, the cache's own hit/miss counters, and (pre-blocking
@@ -66,8 +59,20 @@ def _params(tmp_path, **overrides):
     )
 
 
-def assert_results_identical(cold, warm, *, skip_stats=frozenset(),
-                             categories=LEDGER_CATEGORIES):
+def assert_ledgers_identical(a, b):
+    """Assert two ledgers hold the same time categories and counters, each
+    bit-identical per rank — every one of them, no exclusion list."""
+    assert a.categories() == b.categories()
+    assert a.counters() == b.counters()
+    for category in a.categories():
+        assert np.array_equal(a.per_rank(category), b.per_rank(category)), category
+    for counter in a.counters():
+        assert np.array_equal(
+            a.counter_per_rank(counter), b.counter_per_rank(counter)
+        ), counter
+
+
+def assert_results_identical(cold, warm, *, skip_stats=frozenset()):
     """Assert two runs are bit-identical on everything deterministic."""
     # block records
     assert len(cold.block_records) == len(warm.block_records)
@@ -82,15 +87,9 @@ def assert_results_identical(cold, warm, *, skip_stats=frozenset(),
         assert np.array_equal(ra.cells_per_rank, rb.cells_per_rank)
     # similarity graph
     assert np.array_equal(cold.similarity_graph.edges, warm.similarity_graph.edges)
-    # ledger: per-rank times and counters
-    for category in categories:
-        assert np.array_equal(
-            cold.ledger.per_rank(category), warm.ledger.per_rank(category)
-        ), f"ledger category {category!r} differs"
-    for counter in LEDGER_COUNTERS:
-        assert np.array_equal(
-            cold.ledger.counter_per_rank(counter), warm.ledger.counter_per_rank(counter)
-        ), f"ledger counter {counter!r} differs"
+    # ledger: every per-rank time category and counter (modeled seconds
+    # only, so a warm replay has no carve-out)
+    assert_ledgers_identical(cold.ledger, warm.ledger)
     # statistics
     skip = NONDETERMINISTIC_STATS_KEYS | skip_stats
     sc, sw = cold.stats.as_dict(), warm.stats.as_dict()
@@ -99,6 +98,42 @@ def assert_results_identical(cold, warm, *, skip_stats=frozenset(),
         if key in skip:
             continue
         assert sc[key] == sw[key], f"stats key {key!r} differs: {sc[key]} != {sw[key]}"
+
+
+# ---------------------------------------------------------------------------
+# the ledger is a pure function of the inputs
+# ---------------------------------------------------------------------------
+
+#: search variants whose ledger must repeat bit for bit
+DETERMINISTIC_RUNS = {
+    "serial": {},
+    "overlapped-depth1": {"pre_blocking": True},
+    "overlapped-depth2": {"pre_blocking": True, "preblock_depth": 2},
+    "query": {"mode": "query"},
+    "cluster-nprocs4": {"cluster": ClusterParams(enabled=True, nprocs=4)},
+}
+
+
+@pytest.mark.parametrize("case", [*DETERMINISTIC_RUNS, "dist-mcl"])
+def test_ledger_is_deterministic(tmp_path, case):
+    """Two runs of the same inputs leave bit-identical ledgers in every
+    category and counter: the ledger holds modeled seconds only."""
+    sequences = synthetic_dataset(n_sequences=40, seed=1)
+    params = PastisParams(kmer_length=3, nodes=4, num_blocks=4)
+    if case == "dist-mcl":
+        graph = PastisPipeline(params).run(sequences).similarity_graph
+        matrix = StochasticMatrix.from_similarity_graph(graph)
+        first, second = (DistMarkovClustering(nprocs=4).fit(matrix) for _ in range(2))
+    else:
+        overrides = dict(DETERMINISTIC_RUNS[case])
+        if case == "query":
+            build_index(sequences, params, tmp_path / "index")
+            overrides["index_dir"] = str(tmp_path / "index")
+            sequences = sequences[:10]
+        params = params.replace(**overrides)
+        first, second = (PastisPipeline(params).run(sequences) for _ in range(2))
+    assert first.ledger.categories()
+    assert_ledgers_identical(first.ledger, second.ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +164,7 @@ def test_warm_run_bit_identical_to_cold(tmp_path, tiny_seqs, overrides, skip_sta
     warm = PastisPipeline(params).run(tiny_seqs, resume=True)
     assert cold.stats.extras["cache"] == {"hits": 0, "misses": 4, "stores": 4}
     assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
-    # the full-ledger contract includes the measured discover-lane category:
-    # warm replay re-adds the cold run's journaled spgemm_measured charges
-    assert_results_identical(
-        cold, warm,
-        skip_stats=skip_stats,
-        categories=LEDGER_CATEGORIES + ("spgemm_measured",),
-    )
+    assert_results_identical(cold, warm, skip_stats=skip_stats)
 
 
 def test_warm_run_matches_uncached_reference(tmp_path, tiny_seqs):
@@ -144,32 +173,14 @@ def test_warm_run_matches_uncached_reference(tmp_path, tiny_seqs):
     reference = PastisPipeline(params.replace(cache_dir=None)).run(tiny_seqs)
     PastisPipeline(params).run(tiny_seqs)
     warm = PastisPipeline(params).run(tiny_seqs, resume=True)
-    # spgemm_measured / measured_* are real wall time — deterministic only
-    # *through* the cache (replay), not between independent executions
+    # measured_* are real wall time — deterministic only *through* the
+    # cache (replay), not between independent executions
     assert_results_identical(reference, warm, skip_stats=MEASURED_STATS_KEYS)
 
 
-def test_measured_clock_stage_categories_replay(tmp_path, tiny_seqs):
-    """Under clock="measured" the stage-graph categories still replay
-    bit-identically; pre-block phases (k-mer build -> sparse_other) are
-    re-measured wall time outside the per-block cache's scope."""
-    params = _params(tmp_path, pre_blocking=True, clock="measured")
-    cold = PastisPipeline(params).run(tiny_seqs)
-    warm = PastisPipeline(params).run(tiny_seqs, resume=True)
-    for category in ("align", "spgemm", "comm", "spgemm_measured", "overlap_hidden"):
-        assert np.array_equal(
-            cold.ledger.per_rank(category), warm.ledger.per_rank(category)
-        ), category
-    for counter in LEDGER_COUNTERS:
-        assert np.array_equal(
-            cold.ledger.counter_per_rank(counter), warm.ledger.counter_per_rank(counter)
-        )
-    assert np.array_equal(cold.similarity_graph.edges, warm.similarity_graph.edges)
-
-
 OVERLAPPED_DEPTH2 = {"pre_blocking": True, "preblock_depth": 2}
-#: depth 1 on the modeled clock: the reader charges the paper's contention
-#: multipliers on the raw seconds a serial writer stored, and vice versa
+#: depth 1: the reader charges the paper's contention multipliers on the
+#: raw seconds a serial writer stored, and vice versa
 OVERLAPPED_DEPTH1 = {"pre_blocking": True}
 
 
@@ -202,10 +213,11 @@ def test_entries_shared_across_schedulers(tmp_path, tiny_seqs, writer, reader):
 
 def test_hit_adds_its_stored_journal_to_what_the_run_charged_before(tmp_path, tiny_seqs):
     """A hit replays its stored charges on top of the run so far.  With the
-    first block's entry deleted, a measured-clock resume recomputes block 0;
-    its spgemm_measured is then the fresh block-0 charges plus the other
-    blocks' stored journals, replayed in block order."""
-    params = _params(tmp_path, clock="measured")
+    first block's entry deleted, a resume recomputes block 0 and replays the
+    other blocks' stored journals in block order: its ledger equals the cold
+    run's in every category and counter, and the SUMMA flop counter is
+    exactly the stored journals replayed."""
+    params = _params(tmp_path)
     cold = PastisPipeline(params).run(tiny_seqs)
 
     def entry_path(record):
@@ -222,8 +234,9 @@ def test_hit_adds_its_stored_journal_to_what_the_run_charged_before(tmp_path, ti
         entry = cache_mod.CachedBlock.from_bytes(entry_path(record).read_bytes(), params.nodes)
         replay_journal(expected, entry.journal)
     assert np.array_equal(
-        warm.ledger.per_rank("spgemm_measured"), expected.per_rank("spgemm_measured")
+        warm.ledger.counter_per_rank("spgemm_flops"), expected.counter_per_rank("spgemm_flops")
     )
+    assert_ledgers_identical(cold.ledger, warm.ledger)
 
 
 def test_fully_warm_run_executes_zero_spgemm_stages(tmp_path, tiny_seqs, monkeypatch):
@@ -324,9 +337,25 @@ def test_entries_keyed_on_kmer_id_operands_do_not_match(tmp_path, tiny_seqs, mon
     stripe digests in every block key changed; a cache written under "7"
     is never read."""
     params = _params(tmp_path)
-    assert cache_mod.CACHE_VERSION == "8"
+    assert int(cache_mod.CACHE_VERSION) >= 8
     current_key = cache_mod.run_cache_key(params, tiny_seqs)
     monkeypatch.setattr(cache_mod, "CACHE_VERSION", "7")
+    assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
+    old = PastisPipeline(params).run(tiny_seqs)
+    monkeypatch.undo()
+    rerun = PastisPipeline(params).run(tiny_seqs)
+    assert rerun.stats.extras["cache"]["hits"] == 0
+    assert rerun.stats.extras["cache"]["stores"] == old.stats.extras["cache"]["stores"] > 0
+
+
+def test_entries_keyed_with_the_clock_do_not_match(tmp_path, tiny_seqs, monkeypatch):
+    """Schema 9: ``clock`` left the key and the journals no longer carry
+    wall seconds, so a cache written under "8" is never read."""
+    params = _params(tmp_path)
+    assert cache_mod.CACHE_VERSION == "9"
+    assert "clock" not in cache_mod.params_cache_token(params)
+    current_key = cache_mod.run_cache_key(params, tiny_seqs)
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", "8")
     assert cache_mod.run_cache_key(params, tiny_seqs) != current_key
     old = PastisPipeline(params).run(tiny_seqs)
     monkeypatch.undo()

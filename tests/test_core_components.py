@@ -4,6 +4,7 @@ pre-blocking, k-mer matrix construction, costing."""
 import numpy as np
 import pytest
 
+from repro.align.adept import AdeptDriver
 from repro.core.blocking import make_schedule, schedule_for_num_blocks
 from repro.core.costing import CostModel
 from repro.core.filtering import drop_self_pairs, filter_common_kmers
@@ -19,6 +20,7 @@ from repro.core.load_balance import (
 from repro.core.params import PastisParams, nearly_square_factors
 from repro.core.preblocking import PreblockingModel
 from repro.distsparse.blocked_summa import BlockSchedule
+from repro.graph.api import ClusterParams
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences.kmers import encode_kmers
 from repro.sequences.sequence import SequenceSet
@@ -38,17 +40,41 @@ def test_default_params_match_paper():
     assert params.coverage_threshold == 0.70
 
 
+#: (constructor, bad settings, the field the refusal must name).  Refused at
+#: construction, because a run would fail late or answer wrongly: a batch
+#: size ``<= 0`` aligns nothing (an empty graph) or dies in ``range()``.
+BAD_SETTINGS = [
+    (PastisParams, {"kmer_length": 0}, "kmer_length"),
+    (PastisParams, {"load_balancing": "bogus"}, "load_balancing"),
+    (PastisParams, {"ani_threshold": 1.5}, "ani_threshold"),
+    (PastisParams, {"nodes": 0}, "nodes"),
+    (PastisParams, {"nodes": 3}, "nodes"),
+    (PastisParams, {"align_batch_size": 0}, "align_batch_size"),
+    (PastisParams, {"align_batch_size": -3}, "align_batch_size"),
+    (PastisParams, {"substitute_kmers": -1}, "substitute_kmers"),
+    (PastisParams, {"max_kmer_frequency": 0}, "max_kmer_frequency"),
+    (ClusterParams, {"nprocs": 3}, "nprocs"),
+    (AdeptDriver, {"batch_size": 0}, "batch_size"),
+    (AdeptDriver, {"batch_size": -3}, "batch_size"),
+]
+
+
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PastisParams(kmer_length=0)
-    with pytest.raises(ValueError):
-        PastisParams(load_balancing="bogus")
-    with pytest.raises(ValueError):
-        PastisParams(clock="wallclock")
-    with pytest.raises(ValueError):
-        PastisParams(ani_threshold=1.5)
-    with pytest.raises(ValueError):
-        PastisParams(nodes=0)
+    """Every bad setting is refused at construction, by a ValueError that
+    names its field; every row is visited before the verdict."""
+    missed = []
+    for cls, settings, field_name in BAD_SETTINGS:
+        try:
+            cls(**settings)
+        except ValueError as exc:
+            if field_name not in str(exc):
+                missed.append(f"{cls.__name__}({settings}): {exc}")
+        else:
+            missed.append(f"{cls.__name__}({settings}) accepted")
+    assert not missed, missed
+    # the ledger holds modeled seconds only: there is no clock to pick
+    with pytest.raises(TypeError):
+        PastisParams(clock="measured")
 
 
 def test_params_replace_and_blocking_factors():

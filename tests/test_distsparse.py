@@ -150,16 +150,19 @@ def test_summa_unknown_backend_raises():
 
 
 def test_summa_charges_communication_and_compute():
+    """SUMMA charges modeled broadcast seconds and counts compute in flops;
+    callers turn the flops into modeled compute seconds, so no wall time
+    reaches the ledger."""
     comm = SimCommunicator(4)
     a = random_coo((20, 20), 120, 5)
-    summa(
+    result = summa(
         DistSparseMatrix.from_global_coo(a, comm),
         DistSparseMatrix.from_global_coo(a.transpose(), comm),
         CountSemiring(),
     )
     assert comm.ledger.component_time("comm") > 0
-    assert comm.ledger.component_time("spgemm") > 0
-    assert comm.ledger.counter_total("spgemm_flops") > 0
+    assert comm.ledger.categories() == ["comm"]
+    assert comm.ledger.counter_total("spgemm_flops") == result.flops_per_rank.sum() > 0
 
 
 def test_summa_dimension_mismatch():

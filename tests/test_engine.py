@@ -475,7 +475,7 @@ def test_overlapped_depth2_clock_identity_and_report(serial_baseline):
         _reconstructed_clock(ledger), overlapped.timeline.combined_per_rank, rtol=1e-12
     )
     assert overlapped.timeline.preblock_depth == 2
-    assert overlapped.timeline.measured_phase_seconds > 0.0
+    assert overlapped.stats.extras["phase_seconds"]["stage_graph"] > 0.0
     report = overlapped.preblocking_report
     assert report is not None
     # no contention beyond depth 1: scheduled == raw components
@@ -483,24 +483,6 @@ def test_overlapped_depth2_clock_identity_and_report(serial_baseline):
     assert report.sparse_seconds_pre == report.sparse_seconds
     # the schedule hid something, so the combined clock beats the sum
     assert report.combined_seconds_pre < report.sum_seconds
-
-
-def test_overlapped_measured_clock_same_results(serial_baseline):
-    """Under clock="measured" pre-blocking still produces the serial results."""
-    seqs, serial = serial_baseline
-    overlapped = _run(
-        seqs, num_blocks=6, clock="measured", pre_blocking=True, preblock_depth=2
-    )
-    assert overlapped.scheduler == "overlapped"
-    assert np.array_equal(
-        serial.similarity_graph.edges, overlapped.similarity_graph.edges
-    )
-    # the invariant holds for measured wall seconds, not just modeled ones
-    np.testing.assert_allclose(
-        _reconstructed_clock(overlapped.ledger),
-        overlapped.timeline.combined_per_rank,
-        rtol=1e-9,
-    )
 
 
 def _stage_spans(result, names):
@@ -563,25 +545,6 @@ def test_serial_discovers_each_block_just_before_its_alignment(
     }
 
 
-def test_explicit_overlapped_on_measured_clock_charges_raw_seconds(
-    serial_baseline,
-):
-    """scheduler="overlapped" with clock="measured": contention multipliers
-    model the depth-1 schedule on the modeled clock only, so measured
-    seconds are charged as measured."""
-    seqs, _ = serial_baseline
-    result = _run(seqs, num_blocks=6, clock="measured", scheduler="overlapped")
-    timeline = result.timeline
-    assert result.scheduler == "overlapped"
-    assert (timeline.align_contention, timeline.sparse_contention) == (1.0, 1.0)
-    for timing in timeline.blocks:
-        assert np.array_equal(timing.align_scheduled, timing.align_raw)
-        assert np.array_equal(timing.sparse_scheduled, timing.sparse_raw)
-    report = result.preblocking_report
-    assert report.align_seconds_pre == report.align_seconds
-    assert report.sparse_seconds_pre == report.sparse_seconds
-
-
 def test_explicit_overlapped_honours_depth_above_one(serial_baseline):
     """scheduler="overlapped" with preblock_depth > 1 runs at that depth,
     uncontended: the same schedule and clock as pre_blocking selects."""
@@ -602,14 +565,12 @@ def test_explicit_overlapped_honours_depth_above_one(serial_baseline):
 
 def test_pipeline_scheduler_selection(small_seqs, fast_params):
     """No pre-blocking -> serial; pre-blocking -> overlapped at the
-    configured depth, with the paper's contention only at depth 1 on the
-    modeled clock."""
+    configured depth, with the paper's contention only at depth 1."""
     paper = PreblockingModel().align_contention
     cases = [
         (dict(), "serial", 1, 1.0),
         (dict(pre_blocking=True), "overlapped", 1, paper),
         (dict(pre_blocking=True, preblock_depth=2), "overlapped", 2, 1.0),
-        (dict(pre_blocking=True, clock="measured"), "overlapped", 1, 1.0),
     ]
     for overrides, name, depth, align_contention in cases:
         result = PastisPipeline(fast_params.replace(**overrides)).run(small_seqs)

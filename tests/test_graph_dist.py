@@ -281,14 +281,6 @@ def test_expansion_broadcast_closed_form_standalone(matrix):
     )
 
 
-def test_measured_expand_seconds_kept_out_of_identity(matrix):
-    """The wall-clock SUMMA seconds live in their own excluded category."""
-    dist = DistMarkovClustering(nprocs=4).fit(matrix)
-    assert dist.ledger.component_time("cluster_expand_measured") > 0.0
-    # the identity categories are modeled, not measured
-    assert dist.ledger.component_time(CLUSTER_EXPAND_CATEGORY) > 0.0
-
-
 # ---------------------------------------------------------------- DistStochasticMatrix
 def test_dist_matrix_round_trip_and_accounting(matrix):
     comm = SimCommunicator(9)
@@ -381,21 +373,6 @@ def test_counter_prefix_keeps_search_counters_clean(matrix):
     ledger = dist.ledger
     assert ledger.counter_total(CLUSTER_COUNTER_PREFIX + "bytes_sent") > 0
     assert ledger.counter_total("bytes_sent") == 0
-
-
-def test_pipeline_measured_clock_charges_wall_seconds_for_dist_cluster():
-    """clock="measured" must charge wall time for the cluster stage even when
-    the distributed driver (which models its own grid) produced it."""
-    seqs = synthetic_dataset(n_sequences=40, seed=31)
-    result = PastisPipeline(
-        PastisParams(
-            kmer_length=5, common_kmer_threshold=1, nodes=4, num_blocks=4,
-            clock="measured",
-            cluster=ClusterParams(enabled=True, nprocs=4, overlap=True),
-        )
-    ).run(seqs)
-    cluster_seconds = result.ledger.component_time("cluster")
-    assert 0.0 < cluster_seconds < result.stats.wall_seconds
 
 
 def test_reused_communicator_reports_per_run_deltas(matrix):

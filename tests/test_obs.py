@@ -46,13 +46,6 @@ from repro.obs.manifest import (
 from repro.obs.regress import detect, doc_metrics, flatten_numeric, load_baseline_docs
 from repro.obs.registry import RunRegistry
 
-#: same bit-identity surface as tests/test_trace.py
-LEDGER_CATEGORIES = (
-    "align", "spgemm", "comm", "cwait", "sparse_other", "io", "overlap_hidden",
-)
-LEDGER_COUNTERS = (
-    "spgemm_flops", "bytes_sent", "bytes_received", "alignments", "alignment_cells",
-)
 NONCOMPARABLE_STATS_KEYS = frozenset(
     {
         "wall_seconds",
@@ -98,14 +91,17 @@ def assert_observed_identical(plain, observed):
         )
         assert np.array_equal(ra.sparse_seconds_per_rank, rb.sparse_seconds_per_rank)
         assert np.array_equal(ra.align_seconds_per_rank, rb.align_seconds_per_rank)
-    for category in LEDGER_CATEGORIES:
+    # the whole ledger: every time category and counter it holds
+    ledger_a, ledger_b = plain.ledger, observed.ledger
+    assert ledger_a.categories() == ledger_b.categories()
+    assert ledger_a.counters() == ledger_b.counters()
+    for category in ledger_a.categories():
         assert np.array_equal(
-            plain.ledger.per_rank(category), observed.ledger.per_rank(category)
+            ledger_a.per_rank(category), ledger_b.per_rank(category)
         ), f"ledger category {category!r} perturbed by metrics"
-    for counter in LEDGER_COUNTERS:
+    for counter in ledger_a.counters():
         assert np.array_equal(
-            plain.ledger.counter_per_rank(counter),
-            observed.ledger.counter_per_rank(counter),
+            ledger_a.counter_per_rank(counter), ledger_b.counter_per_rank(counter)
         ), f"ledger counter {counter!r} perturbed by metrics"
     su, st = plain.stats.as_dict(), observed.stats.as_dict()
     assert set(su) == set(st), "metrics changed the stats key set"

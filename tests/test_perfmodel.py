@@ -1,4 +1,4 @@
-"""Tests for the analytic performance model and its calibration."""
+"""Tests for the analytic performance model."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.perfmodel.analytic import (
     blocked_summa_communication_seconds,
     summa_communication_seconds,
 )
-from repro.perfmodel.calibration import calibrate_profile
 from repro.perfmodel.profile import WorkloadProfile
 from repro.perfmodel.scaling import strong_scaling_series, weak_scaling_series
 
@@ -137,22 +136,6 @@ def test_weak_scaling_efficiency_stays_high():
     # alignments grow roughly linearly with nodes (quadratic in sequences)
     ratio = series[-1].alignments / series[0].alignments
     assert ratio == pytest.approx(784 / 25, rel=0.05)
-
-
-# ---------------------------------------------------------------- calibration
-def test_calibration_from_pipeline_run(pipeline_result):
-    coeffs = calibrate_profile(pipeline_result)
-    assert coeffs.candidates_per_pair > 0
-    assert coeffs.alignments_per_pair > 0
-    assert coeffs.cells_per_alignment > 1
-    profile = coeffs.profile_for(1_000_000, num_blocks=64)
-    assert profile.n_sequences == 1_000_000
-    assert profile.alignments == pytest.approx(
-        coeffs.alignments_per_pair * 1_000_000**2
-    )
-    # a calibrated profile can drive the scaling model end to end
-    series = strong_scaling_series(profile, [49, 100], AnalyticModel())
-    assert series[-1].times.total > 0
 
 
 # ---------------------------------------------------------------- cluster stage

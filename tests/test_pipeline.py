@@ -157,15 +157,6 @@ def test_pipeline_input_validation(small_seqs, fast_params):
         PastisPipeline(fast_params).run(small_seqs[0:1])
 
 
-def test_measured_clock_mode(small_seqs, fast_params):
-    measured = PastisPipeline(
-        fast_params.replace(clock="measured", num_blocks=2, nodes=4)
-    ).run(small_seqs)
-    assert measured.stats.time_total > 0
-    # measured Python time is much larger than the modelled Summit-node time
-    assert measured.stats.time_align > 0
-
-
 @pytest.mark.slow
 def test_reduced_alphabet_seeding_finds_at_least_as_many_candidates(small_seqs, fast_params,
                                                                     pipeline_result):

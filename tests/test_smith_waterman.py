@@ -1,9 +1,8 @@
-"""Tests for the Smith-Waterman kernels (reference, vectorized, banded, seed-extend)."""
+"""Tests for the Smith-Waterman kernels (reference, vectorized, seed-extend)."""
 
 import numpy as np
 import pytest
 
-from repro.align.banded import banded_smith_waterman
 from repro.align.seed_extend import seed_and_extend, ungapped_extension
 from repro.align.smith_waterman import score_only, smith_waterman, smith_waterman_reference
 from repro.align.substitution import BLOSUM62, DEFAULT_SCORING, ScoringScheme, identity_matrix
@@ -120,29 +119,6 @@ def test_reference_and_vectorized_agree_on_random_pairs(seed):
     assert r_ref.score == r_vec.score
     assert r_ref.matches <= r_ref.length
     assert r_vec.matches <= r_vec.length
-
-
-# ---------------------------------------------------------------- banded
-def test_banded_equals_full_when_band_covers_matrix():
-    a = encode("HEAGAWGHEE")
-    b = encode("PAWHEAE")
-    full = smith_waterman(a, b)
-    banded = banded_smith_waterman(a, b, bandwidth=50)
-    assert banded.score == full.score
-
-
-def test_banded_with_narrow_band_is_lower_bound():
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 20, 60).astype(np.uint8)
-    b = rng.integers(0, 20, 60).astype(np.uint8)
-    full = smith_waterman(a, b)
-    banded = banded_smith_waterman(a, b, bandwidth=2)
-    assert banded.score <= full.score
-    assert banded.cells < full.cells
-
-
-def test_banded_empty_input():
-    assert banded_smith_waterman(encode(""), encode("AC")).score == 0
 
 
 # ---------------------------------------------------------------- seed & extend

@@ -34,16 +34,6 @@ from repro.trace import (
 from repro.trace.__main__ import main as trace_cli
 from repro.trace.recorder import NULL_SPAN
 
-#: Ledger state that must be bit-identical with tracing on: the modeled
-#: time categories plus the informational overlap category, and every
-#: deterministic counter.  ``spgemm_measured`` (wall seconds) is excluded.
-LEDGER_CATEGORIES = (
-    "align", "spgemm", "comm", "cwait", "sparse_other", "io", "overlap_hidden",
-)
-LEDGER_COUNTERS = (
-    "spgemm_flops", "bytes_sent", "bytes_received", "alignments", "alignment_cells",
-)
-
 #: SearchStats keys that legitimately differ between two executions of the
 #: same run (wall clocks, per-run cache counters, concurrency peaks).
 NONCOMPARABLE_STATS_KEYS = frozenset(
@@ -91,14 +81,17 @@ def assert_traced_identical(untraced, traced):
         )
         assert np.array_equal(ra.sparse_seconds_per_rank, rb.sparse_seconds_per_rank)
         assert np.array_equal(ra.align_seconds_per_rank, rb.align_seconds_per_rank)
-    for category in LEDGER_CATEGORIES:
+    # the whole ledger: every time category and counter it holds
+    ledger_a, ledger_b = untraced.ledger, traced.ledger
+    assert ledger_a.categories() == ledger_b.categories()
+    assert ledger_a.counters() == ledger_b.counters()
+    for category in ledger_a.categories():
         assert np.array_equal(
-            untraced.ledger.per_rank(category), traced.ledger.per_rank(category)
+            ledger_a.per_rank(category), ledger_b.per_rank(category)
         ), f"ledger category {category!r} perturbed by tracing"
-    for counter in LEDGER_COUNTERS:
+    for counter in ledger_a.counters():
         assert np.array_equal(
-            untraced.ledger.counter_per_rank(counter),
-            traced.ledger.counter_per_rank(counter),
+            ledger_a.counter_per_rank(counter), ledger_b.counter_per_rank(counter)
         ), f"ledger counter {counter!r} perturbed by tracing"
     su, st = untraced.stats.as_dict(), traced.stats.as_dict()
     assert set(su) == set(st), "tracing changed the stats key set"
