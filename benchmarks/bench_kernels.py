@@ -96,6 +96,38 @@ def align_width_pair_mismatches(widths=(2, 41, 128)):
     return mismatches
 
 
+def best_cell_fuzz(n_batches=1500, seed=8):
+    """Contract 8 on ``n_batches`` seeded batches (``tests/best_cell_oracle.py``):
+    how many records' score and end cell differ from the full-matrix DP's,
+    and seconds of the kernel and of the oracle."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from best_cell_oracle import full_matrix_best_cells, fuzz_batches
+
+    pairs = mismatches = 0
+    kernel_seconds = oracle_seconds = 0.0
+    for a_list, b_list, scoring in fuzz_batches(n_batches, seed):
+        t0 = time.perf_counter()
+        records = batch_smith_waterman(a_list, b_list, scoring)
+        t1 = time.perf_counter()
+        score, end_a, end_b = full_matrix_best_cells(a_list, b_list, scoring)
+        oracle_seconds += time.perf_counter() - t1
+        kernel_seconds += t1 - t0
+        pairs += records.size
+        mismatches += int(np.count_nonzero(
+            (records["score"] != score) | (records["end_a"] != end_a) | (records["end_b"] != end_b)
+        ))
+    return {
+        "batches": n_batches,
+        "pairs": pairs,
+        "mismatches": mismatches,
+        "kernel_seconds": kernel_seconds,
+        "oracle_seconds": oracle_seconds,
+    }
+
+
 def test_overlap_spgemm_throughput(benchmark):
     a, at = _overlap_operand(n=400, k=4000, nnz=12000, seed=7)
 
@@ -442,8 +474,9 @@ def _smoke() -> None:
     birth (build, distribute and every stripe: seconds and resident bytes)
     and the align kernel's batch-width sweep (with its swept cells and
     direction bytes, and a check that every width's records equal the
-    single-pair calls'), all written next to the other
-    ``benchmarks/results`` rows.
+    single-pair calls') and the best-cell fuzz (contract 8's end cell
+    against a full-matrix DP on 1 500 seeded batches), all written next to
+    the other ``benchmarks/results`` rows.
     """
     report = spgemm_backend_head_to_head(**HEAD_TO_HEAD_CASE, repeats=1)
     header = f"{'backend':<12} {'seconds':>10} {'flops':>8} {'nnz':>8} {'cf':>6} {'intermediate':>13}"
@@ -558,6 +591,22 @@ def _smoke() -> None:
         f"batched records differ from single-pair calls: {mismatches}"
     )
     print("smoke OK: every width's batched records equal the single-pair calls")
+
+    fuzz = best_cell_fuzz()
+    save_results("kernel_best_cell", fuzz)
+    print()
+    print(
+        f"{'best cell':<12} {'batches':>8} {'pairs':>8} {'kernel s':>9} "
+        f"{'oracle s':>9} {'!= DP':>6}"
+    )
+    print(
+        f"{'fuzz':<12} {fuzz['batches']:>8d} {fuzz['pairs']:>8d} "
+        f"{fuzz['kernel_seconds']:>9.3f} {fuzz['oracle_seconds']:>9.3f} {fuzz['mismatches']:>6d}"
+    )
+    assert fuzz["mismatches"] == 0, (
+        f"{fuzz['mismatches']} end cells differ from the full-matrix DP"
+    )
+    print("smoke OK: every fuzzed score and end cell equals the full-matrix DP's")
 
 
 if __name__ == "__main__":

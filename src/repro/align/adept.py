@@ -52,6 +52,9 @@ class AlignmentWorkloadStats:
         Modelled GPU time for the same work on the configured node.
     batches:
         Number of device batches formed.
+    pair_seconds:
+        Each pair's share, by cells, of its device batch's measured seconds
+        (an even share when the batch has no cells), in input pair order.
     """
 
     pairs: int = 0
@@ -59,6 +62,7 @@ class AlignmentWorkloadStats:
     measured_seconds: float = 0.0
     modeled_seconds: float = 0.0
     batches: int = 0
+    pair_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def measured_cups(self) -> float:
@@ -83,7 +87,18 @@ class AlignmentWorkloadStats:
             measured_seconds=self.measured_seconds + other.measured_seconds,
             modeled_seconds=self.modeled_seconds + other.modeled_seconds,
             batches=self.batches + other.batches,
+            pair_seconds=np.concatenate([self.pair_seconds, other.pair_seconds]),
         )
+
+
+def length_order(len_a: np.ndarray, len_b: np.ndarray) -> np.ndarray:
+    """The driver's pair order: by the longer side, ties in input order.
+
+    :meth:`AdeptDriver.align_pairs` cuts its device batches from this order,
+    so the batches have little padding; a prefix of it of whole batches is
+    therefore aligned in exactly the batches the driver would form for it.
+    """
+    return np.argsort(np.maximum(len_a, len_b), kind="stable")
 
 
 @dataclass
@@ -116,8 +131,10 @@ class AdeptDriver:
     ) -> tuple[np.ndarray, AlignmentWorkloadStats]:
         """Align sequence pairs ``(pair_rows[k], pair_cols[k])``.
 
-        Returns a structured array (in the *input pair order*) and workload
-        statistics.
+        The pairs are put in :func:`length_order` and cut into device batches
+        of ``batch_size`` pairs, one :func:`~repro.align.batch.batch_smith_waterman`
+        call each; only the last batch can be short.  Returns a structured
+        array (in the *input pair order*) and workload statistics.
         """
         pair_rows = np.asarray(pair_rows, dtype=np.int64)
         pair_cols = np.asarray(pair_cols, dtype=np.int64)
@@ -125,14 +142,12 @@ class AdeptDriver:
             raise ValueError("pair_rows and pair_cols must have the same shape")
         n_pairs = int(pair_rows.size)
         results = np.zeros(n_pairs, dtype=ALIGNMENT_RESULT_DTYPE)
-        stats = AlignmentWorkloadStats()
+        stats = AlignmentWorkloadStats(pair_seconds=np.zeros(n_pairs))
         if n_pairs == 0:
             return results, stats
 
         lengths = sequences.lengths
-        # sort pairs by the larger sequence length so batches have little padding
-        sort_key = np.maximum(lengths[pair_rows], lengths[pair_cols])
-        order = np.argsort(sort_key, kind="stable")
+        order = length_order(lengths[pair_rows], lengths[pair_cols])
 
         stats.pairs = n_pairs
         n_gpus = max(self.node.gpus_per_node, 1)
@@ -143,9 +158,12 @@ class AdeptDriver:
             b_list = [sequences.codes(int(pair_cols[k])) for k in batch_indices]
             t0 = time.perf_counter()
             res = batch_smith_waterman(a_list, b_list, self.scoring)
-            stats.measured_seconds += time.perf_counter() - t0
+            seconds = time.perf_counter() - t0
+            stats.measured_seconds += seconds
             results[batch_indices] = res
             cells = int(res["cells"].sum())
+            share = res["cells"] / cells if cells else np.full(res.size, 1 / res.size)
+            stats.pair_seconds[batch_indices] = seconds * share
             bytes_moved = int(sum(len(a) + len(b) for a, b in zip(a_list, b_list)))
             # batches go round-robin over the node's GPUs
             gpu_modeled[stats.batches % n_gpus] += self.node.gpu.batch_seconds(cells, bytes_moved)

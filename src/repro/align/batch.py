@@ -11,16 +11,17 @@ dimension that the GPU provides in hardware.
 Like ADEPT, the kernel works in two passes.  The forward pass sweeps int32
 scores only and finds each pair's score and end cell (what ADEPT's forward
 pass returns); it also records, per swept cell, the comparisons that chose
-the cell's value.  A traceback then replays those choices from each end
-cell and recovers the begin coordinates, the number of matches and the
-alignment length, which PASTIS needs for ANI and coverage.
+the cell's value and whether the cell reaches its diagonal's maximum.  A
+traceback then replays those choices from each end cell and recovers the
+begin coordinates, the number of matches and the alignment length, which
+PASTIS needs for ANI and coverage.
 
 Buffer scheme
 -------------
 Everything the sweep touches is allocated once per call, laid out
 ``(row, pair)`` so that the cells of one anti-diagonal are one contiguous
 row slice, and every per-diagonal operation writes into an ``out=`` buffer:
-one diagonal is a fixed ~20 NumPy calls and no temporaries.
+one diagonal is a fixed 18 NumPy calls and no temporaries.
 
 * ``H`` (best score ending at the cell) lives in three rolling buffers
   indexed by DP row ``i``: diagonals ``d-2``, ``d-1`` and ``d``.  They start
@@ -35,8 +36,9 @@ one diagonal is a fixed ~20 NumPy calls and no temporaries.
   substitution table, and one ``np.take`` yields the scores.
 * Pairs shorter than the batch maximum are padded with an extra residue code
   whose substitution score is hugely negative.  A path can reach a padded
-  cell only through gaps, which never *raise* the score, so such a cell can
-  never beat the running best of its pair and no validity mask is needed.
+  cell only through gaps, which never *raise* the score, so such a cell
+  never reaches its pair's maximum before a real cell of the pair has (see
+  "Tie-break") and no validity mask is needed.
 * The sweep skips most of the padding all the same.  Pairs are ordered by
   descending ``len_a + len_b`` (their last diagonal), so the pairs still
   running are a prefix of the columns: each diagonal is restricted to the
@@ -51,13 +53,14 @@ Direction bytes and traceback
 -----------------------------
 The sweep already makes five comparisons per cell to pick its values: ``E``
 open >= extend, ``F`` open >= extend, ``F`` > diagonal, ``E`` > the better
-of those two, and ``H <= 0``.  It writes each into a bool plane of a chunk
-buffer (``2 x (M + 1) x batch`` cells per plane), and a full chunk is
-packed, eight cells per ``uint64`` operation, into **one direction byte per
-swept cell**.  The bytes of diagonal ``d`` form one ``(rows, live)`` block
-in a flat buffer, at an offset taken from the sweep plan, so the byte of a
-cell is found from its diagonal's offset, its row in the window and its
-column.
+of those two, and ``H <= 0``; a sixth marks the cells equal to their
+column's maximum on the diagonal (see "Tie-break").  It writes each into a
+bool plane of a chunk buffer (``2 x (M + 1) x batch`` cells per plane), and
+a full chunk is packed, eight cells per ``uint64`` operation, into **one
+direction byte per swept cell**.  The bytes of diagonal ``d`` form one
+``(rows, live)`` block in a flat buffer, at an offset taken from the sweep
+plan, so the byte of a cell is found from its diagonal's offset, its row in
+the window and its column.
 
 The traceback starts every pair at its end cell and advances all pairs one
 step per round.  A table indexed by ``state + byte`` (states "in H", "in
@@ -74,8 +77,16 @@ Tie-break
 Among equal scores a cell prefers the diagonal move, then ``F`` (up), then
 ``E`` (left); a gap prefers opening over extending (``open >= extend``); and
 the reported end cell is the **first best cell in anti-diagonal order, then
-lowest row**.  The traceback realises the path part of this rule by
-replaying the forward pass's own comparisons, so it never re-decides a tie.
+lowest row**.  The sweep resolves no end cell while it runs: per diagonal
+it writes each column's maximum into a ``(diagonals, batch)`` array (one
+reduce) and marks the cells that reach it (one compare, the sixth
+direction bit).  After the sweep a pair's score is its largest column
+maximum, its end diagonal the first one that reaches that score, and its
+end row the lowest marked row on that diagonal.  A padded cell cannot be
+that cell: it reaches a value only by gaps from a real cell of its pair on
+an earlier diagonal, which holds at least as much.  The traceback realises
+the path part of the rule by replaying the forward pass's own comparisons,
+so it never re-decides a tie.
 :func:`repro.align.smith_waterman.smith_waterman_reference` scans in row
 order instead, so on tie-dense inputs the two agree on ``score`` always but
 may report different, equally optimal end cells (and with them different
@@ -117,11 +128,13 @@ _F_OPEN = 2        # F(i, j) opened from H(i-1, j)
 _H_FROM_F = 4      # F beat the diagonal move
 _H_FROM_E = 8      # E beat the better of the diagonal move and F
 _H_ZERO = 16       # H clamped at 0: no path runs through this cell
-_BITS = 5
+# ...whether H equals the maximum of its diagonal in its column...
+_DIAG_MAX = 32
+_BITS = 6
 # ...and where the cell lies: a move out of row 1 / column 1 ends a path
-_ROW_1 = 32
-_COL_1 = 64
-_STATE = 128       # traceback states are multiples of this: in H, E, F, done
+_ROW_1 = 64
+_COL_1 = 128
+_STATE = 256       # traceback states are multiples of this: in H, E, F, done
 
 #: a chunk of direction bits holds this many ``(M + 1) x batch`` slabs, and
 #: at least _CHUNK_CELLS cells
@@ -330,13 +343,10 @@ def batch_smith_waterman(
     pos = 0                               # cells of the current chunk
     packed = 0                            # direction bytes written
 
-    best_score = np.zeros(batch, dtype=np.int32)
-    gains = []                            # (d, columns, rows) where a best rose
-    diag_best = np.empty(batch, dtype=np.int32)
-    improved = np.empty(batch, dtype=bool)
+    # each column's maximum on each diagonal (0 where the column is not held)
+    diag_max = np.zeros((cells.size, batch), dtype=np.int32)
 
     live = batch                          # pair columns the slabs still hold
-    best_live = best_score
     windows = zip(plan.ilo.tolist(), plan.ihi.tolist(), plan.live.tolist())
     for d, (ilo, ihi, held) in enumerate(windows, start=2):
         if held != live:
@@ -352,7 +362,6 @@ def batch_smith_waterman(
             b_rev = np.ascontiguousarray(b_rev[:, :live])
             opened = np.ascontiguousarray(opened[:, :live])
             index = np.ascontiguousarray(index[:, :live])
-            diag_best, improved, best_live = diag_best[:live], improved[:live], best_score[:live]
         w = ihi - ilo + 1
         n = w * live
         if pos + n > capacity:
@@ -360,7 +369,7 @@ def batch_smith_waterman(
             packed += pos
             pos = 0
         bit = bits[:, pos : pos + n].reshape(_BITS, w, live)
-        e_open, f_open, from_f, from_e, zero = bit[0], bit[1], bit[2], bit[3], bit[4]
+        e_open, f_open, from_f, from_e, zero, top = bit
         pos += n
         r0 = N - d + ilo                  # reversed-column index of cell (ilo, d - ilo)
         # cell (i, j) of this diagonal reads (i, j-1) at row i and (i-1, j)
@@ -398,26 +407,15 @@ def batch_smith_waterman(
         np.less_equal(h, 0, out=zero)
         np.maximum(h, floor[:n].reshape(w, live), out=h)
 
-        # --- running best cell per pair: first best diagonal, lowest row
-        np.maximum.reduce(h, axis=0, out=diag_best)
-        np.greater(diag_best, best_live, out=improved)
-        raised = np.flatnonzero(improved)
-        if raised.size:
-            np.maximum(best_live, diag_best, out=best_live)
-            gains.append((d, raised, h.take(raised, axis=1).argmax(axis=0) + ilo))
+        # --- the column maxima of this diagonal, and the cells that reach them
+        peak = diag_max[d - 2, :live]
+        np.maximum.reduce(h, axis=0, out=peak)
+        np.equal(h, peak, out=top)
     _pack_bits(bits, pos, word, dirs[packed:])
     del H, E, F, a_scaled, b_rev, opened, index, floor, bits, word
 
-    # a pair's best cell is on the last diagonal that raised its best
-    best_i = np.zeros(batch, dtype=np.int64)
-    best_d = np.zeros(batch, dtype=np.int64)
-    if gains:
-        at = np.concatenate([cols for _, cols, _ in gains])
-        on = np.repeat([d for d, _, _ in gains], [cols.size for _, cols, _ in gains])
-        np.maximum.at(best_d, at, on)
-        last = on == best_d[at]
-        best_i[at[last]] = np.concatenate([rows for _, _, rows in gains])[last]
-
+    best_score, best_i, best_d = _best_cells(diag_max, dirs, plan, offset)
+    del diag_max
     base, width = _address(dirs, plan, offset)
     a_start = np.cumsum(len_a) - len_a - 1         # codes[a_start[k] + i] is a_i
     b_start = np.cumsum(len_b) - len_b - 1 + len_a.sum()
@@ -434,6 +432,35 @@ def batch_smith_waterman(
     results["matches"][order] = matches
     results["length"][order] = length
     return results
+
+
+def _best_cells(
+    diag_max: np.ndarray, dirs: np.ndarray, plan: SweepPlan, offset: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair's score and end cell (row ``best_i`` on diagonal ``best_d``),
+    by column of the sweep: the first diagonal that reaches the pair's
+    maximum, then the lowest row on it whose byte has :data:`_DIAG_MAX`.
+
+    A pair whose maximum is 0 is unaligned and keeps ``best_i = best_d = 0``.
+    """
+    best_score = diag_max.max(axis=0)
+    k = diag_max.argmax(axis=0)
+    aligned = np.flatnonzero(best_score > 0)
+    k = k[aligned]
+    # the rows of each aligned pair's best diagonal, pair after pair
+    ilo = plan.ilo[k]
+    rows = plan.ihi[k] - ilo + 1
+    first = np.cumsum(rows) - rows
+    i = _ranges(ilo, rows)
+    pair = np.repeat(np.arange(aligned.size), rows)
+    at = offset[k + 2][pair] + (i - ilo[pair]) * plan.live[k][pair] + aligned[pair]
+    top = np.flatnonzero(dirs[at] & _DIAG_MAX)
+    # every pair has a top row on its best diagonal: the first one is its end
+    best_i = np.zeros(diag_max.shape[1], dtype=np.int64)
+    best_d = np.zeros(diag_max.shape[1], dtype=np.int64)
+    best_i[aligned] = i[top[np.searchsorted(top, first)]]
+    best_d[aligned] = k + 2
+    return best_score, best_i, best_d
 
 
 def _address(

@@ -4,9 +4,11 @@ Each virtual rank owns the overlap elements it computed during the blocked
 SUMMA; after pruning (load balancing) and the common-k-mer filter, those
 elements are exactly the pairwise alignments that rank must perform.  The
 survivors of every rank and of a window of consecutive blocks go to the
-ADEPT driver (6 simulated GPUs) in one call, as ADEPT hands each launch a
-full batch; scores/ANI/coverage are split back per block and rank, and the
-pairs that pass the similarity thresholds are kept.
+ADEPT driver (6 simulated GPUs) in one call of whole device batches, as
+ADEPT hands each launch a full batch; the pairs that do not fill one wait
+for the next window.  Once a block's pairs all have records, its
+scores/ANI/coverage are split back per rank, and the pairs that pass the
+similarity thresholds are kept.
 
 Per-rank counters (pairs aligned, DP cells, modelled alignment seconds) are
 recorded so the load-imbalance plots of Fig. 7 and the "Imbalance (%)" rows of
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..align.adept import AdeptDriver
+from ..align.adept import AdeptDriver, length_order
 from ..align.result import ALIGNMENT_RESULT_DTYPE, coverage_array, identity_array
 from ..align.seed_extend import seed_and_extend
 from ..mpi.communicator import SimCommunicator
@@ -75,6 +77,83 @@ class BlockAlignmentOutput:
         return int(self.cells_per_rank.sum())
 
 
+class AlignmentWindow:
+    """Survivors waiting for alignment: whole blocks, in block order, and the
+    records of the pairs aligned so far.
+
+    A pair without a record is *pending*.  A flush
+    (:meth:`AlignmentPhase.align_block`) aligns the window's :attr:`due`
+    pairs, the first whole device batches of the pending pairs in the
+    driver's :func:`~repro.align.adept.length_order`; the rest (fewer than
+    a batch, and the longest) carry into the next flush.  Once the window is
+    :attr:`closed` — the last block has joined — every pending pair is due.
+    A block leaves the window once all its pairs, and all pairs of the blocks
+    before it, have records.
+    """
+
+    def __init__(self, batch_size: int) -> None:
+        self.batch_size = batch_size
+        self.closed = False
+        #: per block in the window, its survivors per rank
+        self.sizes: list[np.ndarray] = []
+        #: the window's pairs, block after block and rank after rank
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.cols = np.zeros(0, dtype=np.int64)
+        self.values: np.ndarray | None = None
+        self.records = np.zeros(0, dtype=ALIGNMENT_RESULT_DTYPE)
+        #: each pair's share of the measured kernel seconds
+        self.seconds = np.zeros(0)
+        self.aligned = np.zeros(0, dtype=bool)
+
+    def add(self, per_rank: list[CooMatrix]) -> None:
+        """Append the next block's survivors (one piece per rank)."""
+        pieces = [piece for piece in per_rank if piece.nnz]
+        n = sum(piece.nnz for piece in pieces)
+        self.sizes.append(np.array([piece.nnz for piece in per_rank], dtype=np.int64))
+        if not n:
+            return
+        self.rows = np.concatenate([self.rows, *(piece.rows for piece in pieces)])
+        self.cols = np.concatenate([self.cols, *(piece.cols for piece in pieces)])
+        values = [piece.values for piece in pieces]
+        self.values = np.concatenate(values if self.values is None else [self.values, *values])
+        self.records = np.concatenate([self.records, np.zeros(n, self.records.dtype)])
+        self.seconds = np.concatenate([self.seconds, np.zeros(n)])
+        self.aligned = np.concatenate([self.aligned, np.zeros(n, dtype=bool)])
+
+    @property
+    def pending(self) -> int:
+        """Pairs without a record."""
+        return int(self.aligned.size - np.count_nonzero(self.aligned))
+
+    @property
+    def due(self) -> int:
+        """Pairs the next flush aligns."""
+        pending = self.pending
+        return pending if self.closed else pending - pending % self.batch_size
+
+    def complete(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Remove the leading blocks whose pairs all have records; return each
+        one's survivors per rank and its pairs' rows, columns, records and
+        measured seconds."""
+        ends = np.cumsum([sizes.sum() for sizes in self.sizes], dtype=np.int64)
+        unaligned = np.flatnonzero(~self.aligned)
+        first = int(unaligned[0]) if unaligned.size else self.aligned.size
+        n = int(np.searchsorted(ends, first, side="right"))
+        starts = np.concatenate(([0], ends[:n]))
+        columns = (self.rows, self.cols, self.records, self.seconds)
+        blocks = [
+            (self.sizes[b], *(column[starts[b] : starts[b + 1]] for column in columns))
+            for b in range(n)
+        ]
+        del self.sizes[:n]
+        cut = int(starts[-1])
+        self.rows, self.cols, self.records = self.rows[cut:], self.cols[cut:], self.records[cut:]
+        self.seconds, self.aligned = self.seconds[cut:], self.aligned[cut:]
+        if self.values is not None:
+            self.values = self.values[cut:]
+        return blocks
+
+
 @dataclass
 class AlignmentPhase:
     """Executes the batch alignments of windows of overlap-matrix blocks."""
@@ -92,115 +171,128 @@ class AlignmentPhase:
             batch_size=self.params.align_batch_size,
         )
 
+    def window(self) -> AlignmentWindow:
+        """An empty window; seed-and-extend has no device batches to fill,
+        so there every pending pair is due."""
+        full_sw = self.params.alignment_mode != "seed_extend"
+        return AlignmentWindow(self.driver.batch_size if full_sw else 1)
+
     # ------------------------------------------------------------------ execution
-    def align_block(self, window: list[list[CooMatrix]]) -> list[BlockAlignmentOutput]:
-        """Align a window of blocks in one driver call; filter to similar pairs.
+    def align_block(
+        self, window: AlignmentWindow | list[list[CooMatrix]]
+    ) -> list[BlockAlignmentOutput]:
+        """Align a window's due pairs; filter the completed blocks to similar pairs.
 
-        ``window`` holds, per block, every rank's (already pruned and
-        filtered) overlap elements in global coordinates.  The non-empty
-        (block, rank) groups are concatenated into **one**
-        :meth:`~repro.align.adept.AdeptDriver.align_pairs` call, which still
-        sorts by length and cuts device batches at ``align_batch_size``; a
-        record depends only on its own pair, so the regrouping cannot change
-        a result.  The results are split back by group offsets into one
-        :class:`BlockAlignmentOutput` per block.  Cells, bytes, modeled and
-        kernel seconds stay per rank; the measured seconds are the call's
-        kernel time apportioned by cells.  The ledger is left untouched: the
+        The due pairs (see :class:`AlignmentWindow`) are **one**
+        :meth:`~repro.align.adept.AdeptDriver.align_pairs` call: whole device
+        batches of ``align_batch_size`` pairs, and a short one only once the
+        window is closed.  A record depends only on its own pair, so neither
+        the windows nor the carry can change a result.  Every block that is
+        now complete leaves the window, and gets one
+        :class:`BlockAlignmentOutput`, in block order.  Cells, bytes, modeled
+        and kernel seconds come from each (block, rank) group's totals; the
+        measured seconds are the group's pairs' shares, by cells, of the
+        kernel calls that aligned them.  The ledger is left untouched: the
         scheduler charges it (see :mod:`repro.core.engine.schedulers`).
+
+        A plain list holds, per block, every rank's (already pruned and
+        filtered) overlap elements in global coordinates; it is aligned as
+        one closed window.
         """
+        if not isinstance(window, AlignmentWindow):
+            blocks, window = window, self.window()
+            for per_rank in blocks:
+                window.add(per_rank)
+            window.closed = True
+        due = window.due
+        if due:
+            lengths = self.sequences.lengths
+            pending = np.flatnonzero(~window.aligned)
+            take = pending[
+                length_order(lengths[window.rows[pending]], lengths[window.cols[pending]])[:due]
+            ]
+            rows, cols = window.rows[take], window.cols[take]
+            if self.params.alignment_mode == "seed_extend":
+                window.records[take] = self._seed_extend(rows, cols, window.values[take])
+            else:
+                window.records[take], stats = self.driver.align_pairs(self.sequences, rows, cols)
+                window.seconds[take] = stats.pair_seconds
+            window.aligned[take] = True
+        return [self._block_output(*block) for block in window.complete()]
+
+    def _block_output(
+        self,
+        sizes: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        records: np.ndarray,
+        seconds: np.ndarray,
+    ) -> BlockAlignmentOutput:
+        """One complete block's output from its pairs' records: the similar
+        pairs as edges, in pair order, and the per-rank workload of each
+        (block, rank) group."""
         nranks = self.comm.size
+        output = BlockAlignmentOutput(
+            edges=np.zeros(0, dtype=EDGE_DTYPE),
+            pairs_aligned_per_rank=np.zeros(nranks, dtype=np.int64),
+            cells_per_rank=np.zeros(nranks, dtype=np.int64),
+            align_seconds_per_rank=np.zeros(nranks, dtype=np.float64),
+        )
+        ranks = np.flatnonzero(sizes)
+        if not ranks.size:
+            return output
         lengths = self.sequences.lengths
-        groups = [
-            (block, rank, candidates)
-            for block, per_rank in enumerate(window)
-            for rank, candidates in enumerate(per_rank)
-            if candidates.nnz
-        ]
-        outputs = [
-            BlockAlignmentOutput(
-                edges=np.zeros(0, dtype=EDGE_DTYPE),
-                pairs_aligned_per_rank=np.zeros(nranks, dtype=np.int64),
-                cells_per_rank=np.zeros(nranks, dtype=np.int64),
-                align_seconds_per_rank=np.zeros(nranks, dtype=np.float64),
-            )
-            for _ in window
-        ]
-        if not groups:
-            return outputs
-
-        rows = np.concatenate([candidates.rows for _, _, candidates in groups])
-        cols = np.concatenate([candidates.cols for _, _, candidates in groups])
-        if self.params.alignment_mode == "seed_extend":
-            results = np.concatenate(
-                [self._seed_extend_rank(candidates) for _, _, candidates in groups]
-            )
-            measured = 0.0
-        else:
-            results, stats = self.driver.align_pairs(self.sequences, rows, cols)
-            measured = stats.measured_seconds
-
-        sizes = np.array([candidates.nnz for _, _, candidates in groups])
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         len_a, len_b = lengths[rows], lengths[cols]
-        group_cells = np.add.reduceat(results["cells"], starts)
+        starts = np.cumsum(sizes[ranks]) - sizes[ranks]
+        group_cells = np.add.reduceat(records["cells"], starts)
         group_bytes = np.add.reduceat(len_a + len_b, starts)
-        total_cells = int(group_cells.sum())
 
         kept = np.flatnonzero(
             similarity_mask(
-                results,
+                records,
                 len_a,
                 len_b,
                 self.params.ani_threshold,
                 self.params.coverage_threshold,
             )
         )
-        similar = results[kept]
-        edges = np.zeros(kept.size, dtype=EDGE_DTYPE)
-        edges["row"] = rows[kept]
-        edges["col"] = cols[kept]
-        edges["score"] = similar["score"]
-        edges["ani"] = identity_array(similar)
-        edges["coverage"] = coverage_array(similar, len_a[kept], len_b[kept])
-        # groups are in (block, rank) order, so each block's edges are one run
-        block_ends = np.cumsum([sum(piece.nnz for piece in per_rank) for per_rank in window])
-        edge_cuts = np.searchsorted(kept, np.concatenate(([0], block_ends)))
-        for block, output in enumerate(outputs):
-            output.edges = edges[edge_cuts[block] : edge_cuts[block + 1]]
+        similar = records[kept]
+        output.edges = np.zeros(kept.size, dtype=EDGE_DTYPE)
+        output.edges["row"] = rows[kept]
+        output.edges["col"] = cols[kept]
+        output.edges["score"] = similar["score"]
+        output.edges["ani"] = identity_array(similar)
+        output.edges["coverage"] = coverage_array(similar, len_a[kept], len_b[kept])
 
-        for g, (block, rank, candidates) in enumerate(groups):
-            output = outputs[block]
+        for g, rank in enumerate(ranks):
             cells = int(group_cells[g])
-            output.pairs_aligned_per_rank[rank] = candidates.nnz
+            output.pairs_aligned_per_rank[rank] = sizes[rank]
             output.cells_per_rank[rank] = cells
-            output.measured_seconds += measured * cells / total_cells if total_cells else 0.0
             output.align_seconds_per_rank[rank] = self.cost_model.alignment_seconds(
                 cells, int(group_bytes[g])
             )
             output.kernel_seconds += self.cost_model.alignment_kernel_seconds(cells)
-        return outputs
+        output.measured_seconds = float(seconds.sum())
+        return output
 
     # ------------------------------------------------------------------ helpers
-    def _seed_extend_rank(self, candidates: CooMatrix) -> np.ndarray:
-        """X-drop seed-extension alignment of one rank's candidates.
+    def _seed_extend(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """X-drop seed-extension alignment of the pairs ``(rows[k], cols[k])``.
 
         The candidates must carry overlap records (``first_pos_a`` … fields);
         a candidate without seeds has nothing to extend from, so it is
         refused rather than extended from an invented position.
         """
-        values = candidates.values
         if "first_pos_a" not in (values.dtype.names or ()):
-            pairs = ", ".join(
-                f"({i}, {j})" for i, j in zip(candidates.rows[:3], candidates.cols[:3])
-            )
+            pairs = ", ".join(f"({i}, {j})" for i, j in zip(rows[:3], cols[:3]))
             raise ValueError(
-                f"seed_extend alignment got {candidates.nnz} candidate(s) with no seed "
+                f"seed_extend alignment got {rows.size} candidate(s) with no seed "
                 f"fields (value dtype {values.dtype}), e.g. {pairs}"
             )
-        results = np.zeros(candidates.nnz, dtype=ALIGNMENT_RESULT_DTYPE)
-        for idx in range(candidates.nnz):
-            i = int(candidates.rows[idx])
-            j = int(candidates.cols[idx])
+        results = np.zeros(rows.size, dtype=ALIGNMENT_RESULT_DTYPE)
+        for idx in range(rows.size):
+            i = int(rows[idx])
+            j = int(cols[idx])
             a_codes = self.sequences.codes(i)
             b_codes = self.sequences.codes(j)
             seeds = [

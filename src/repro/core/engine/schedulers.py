@@ -18,16 +18,21 @@ Every discover result goes through
 :func:`~repro.core.engine.stages.commit` in block order, which is what keeps
 records, edges, stats and ledger bit-identical across the two schedulers.
 
-Alignment runs per **window** of consecutive blocks.  Pruning a block
+Alignment runs per **window** of consecutive blocks
+(:class:`~repro.core.align_phase.AlignmentWindow`).  Pruning a block
 releases its :class:`~repro.distsparse.blocked_summa.OutputBlock` (the
-accumulator's live-block slot with it) and adds the block to the pending
-window; the window flushes once its survivor pairs reach
-``params.align_batch_size``, and at the last block.  A flush makes one
-:meth:`~repro.core.align_phase.AlignmentPhase.align_block` call for every
-pending survivor (cache hits sit in the window with their stored outputs),
-then charges, accumulates and times each block in block order, exactly as
-a per-block alignment would: a record depends only on its pair, so the
-window size changes how many kernel calls run, never a result.
+accumulator's live-block slot with it) and adds the block's survivors to
+the window; the window flushes once its pairs without a record reach
+``params.align_batch_size``, and at the last block.  A flush is one
+:meth:`~repro.core.align_phase.AlignmentPhase.align_block` call, which
+aligns whole device batches only and carries the leftover pairs (the
+longest, fewer than a batch) into the next flush; the last block's flush
+aligns everything.  Each block that now has a record for every pair is
+charged, accumulated and timed, in block order (cache hits sit in the
+window with no pairs and use their stored outputs), exactly as a
+per-block alignment would: a record depends only on its pair, so the
+window size and the carry change how many kernel calls run, never a
+result.
 
 :class:`SerialScheduler`
     Depth 0: discover block ``b + 1`` only after block ``b`` is pruned; raw
@@ -121,17 +126,17 @@ class Scheduler:
         ledger = ctx.comm.ledger
         align_scheduled: list[np.ndarray] = []
         sparse_scheduled: list[np.ndarray] = []
-        window: list[BlockTask] = []
-        pending_pairs = 0
+        window = ctx.aligner.window()
+        waiting: list[BlockTask] = []  # the window's blocks, in block order
 
         def flush() -> None:
-            """Align the window's pending survivors in one call, then charge,
-            accumulate and time its blocks in block order."""
+            """Align the window's due pairs in one call, then charge,
+            accumulate and time the blocks that completed, in block order."""
             with maybe_span(
-                ctx.trace, "align", "stage", blocks=len(window), pairs=pending_pairs
+                ctx.trace, "align", "stage", blocks=len(waiting), pairs=window.due
             ):
-                outputs = ctx.aligner.align_block([task.candidates for task in window])
-            for task, output in zip(window, outputs):
+                outputs = ctx.aligner.align_block(window)
+            for task, output in zip(waiting, outputs):
                 if task.result.entry is not None:  # a hit has no survivors to align
                     output = task.result.entry.alignment_output()
                 align = output.align_seconds_per_rank * align_mult
@@ -157,7 +162,7 @@ class Scheduler:
                 outcome.records.append(record)
                 outcome.kernel_seconds += output.kernel_seconds
                 outcome.measured_align_seconds += output.measured_seconds
-            window.clear()
+            del waiting[: len(outputs)]
 
         discovered = 0
         for index, task in enumerate(tasks):
@@ -173,13 +178,12 @@ class Scheduler:
                 sparse_scheduled.append(sparse)
                 outcome.measured_discover_seconds += result.wall_seconds
 
-            survivors = task.prune(ctx)
+            window.add(task.prune(ctx))
             task.release(ctx)
-            window.append(task)
-            pending_pairs += sum(piece.nnz for piece in survivors)
-            if pending_pairs >= ctx.params.align_batch_size or index == len(tasks) - 1:
+            waiting.append(task)
+            window.closed = index == len(tasks) - 1
+            if window.due or window.closed:
                 flush()
-                pending_pairs = 0
         if depth:
             timeline.combined_per_rank = np.zeros(ctx.comm.size)
             OverlapWindow(

@@ -29,8 +29,9 @@ with four explicit stages:
 
 Stages communicate through fields on the task; a stage may only run after
 its predecessor (asserted).  Schedulers decide *when* each stage of each
-task runs — discovering ``k`` blocks ahead, and aligning once a window's
-survivors fill a device batch (see :mod:`repro.core.engine.schedulers`).
+task runs — discovering ``k`` blocks ahead, aligning whole device batches
+of a window's survivors, and accumulating a block once all its pairs are
+aligned (see :mod:`repro.core.engine.schedulers`).
 
 ``discover`` is a pure function, :func:`discover` ``(ctx, task) ->``
 :class:`BlockResult`: it reads the block from the

@@ -31,8 +31,9 @@ bulk-synchronous schedule, or (with ``pre_blocking=True``)
 ``preblock_depth`` blocks ahead of the block being pruned, closes the
 overlap on the per-rank clock and, at depth 1, charges the §VI-C contention
 slowdowns.  Block outputs are discarded as soon as they are pruned; the
-survivors of consecutive blocks are aligned in one call per window (up to
-``align_batch_size`` pairs), and edges stream into an
+survivors of consecutive blocks are aligned in one call per window, in
+whole device batches of ``align_batch_size`` pairs (the leftover pairs
+carry into the next window), and edges stream into an
 incremental :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`;
 peak live memory is reported through the result's
 :class:`~repro.metrics.memory.MemoryTracker`.

@@ -20,6 +20,8 @@ from repro.hardware.node import NodeSpec
 from repro.sequences.alphabet import PROTEIN
 from repro.sequences.synthetic import synthetic_dataset
 
+from best_cell_oracle import full_matrix_best_cells, fuzz_batches
+
 
 def encode(s):
     return PROTEIN.encode(s)
@@ -260,9 +262,10 @@ def test_batch_over_the_direction_byte_budget_is_aligned_in_halves(
 
 
 def test_packed_state_limit():
-    """The packed path state holds ``max(len_a) + max(len_b) <= MAX_PATH_EXTENT``:
-    the largest accepted pair still reports begin/length right (a 65533-column
-    alignment: two matches joined by one free gap), one residue more is refused."""
+    """The kernel accepts ``max(len_a) + max(len_b) <= MAX_PATH_EXTENT``, its
+    input range: the largest accepted pair still reports begin/length right
+    (a 65533-column alignment: two matches joined by one free gap), one
+    residue more is refused."""
     free_gaps = _FREE_GAP_SCORING
     n = MAX_PATH_EXTENT - 2
     a = np.array([1, 2], dtype=np.uint8)
@@ -275,6 +278,22 @@ def test_packed_state_limit():
 
     with pytest.raises(ValueError, match=rf"\(3\).*\({n}\).*{MAX_PATH_EXTENT}"):
         batch_smith_waterman([np.array([1, 2, 3], dtype=np.uint8)], [b], free_gaps)
+
+
+def test_end_cell_matches_full_matrix_oracle():
+    """Contract 8 against an independent oracle, on 200 seeded batches (BLOSUM62,
+    ±1, free-gap and zero-mismatch scoring; empty sides): score and end cell
+    equal a full-matrix DP's first best anti-diagonal, then lowest row, and
+    begin/matches/length equal the single-pair call's (for a rotating
+    quarter of the pairs: a single-pair call costs as much as a batch)."""
+    for n, (a_list, b_list, scoring) in enumerate(fuzz_batches(200)):
+        records = batch_smith_waterman(a_list, b_list, scoring)
+        score, end_a, end_b = full_matrix_best_cells(a_list, b_list, scoring)
+        assert np.array_equal(records["score"], score)
+        assert np.array_equal(records["end_a"], end_a)
+        assert np.array_equal(records["end_b"], end_b)
+        for k in range(n % 4, len(a_list), 4):
+            assert batch_smith_waterman([a_list[k]], [b_list[k]], scoring)[0] == records[k]
 
 
 def test_batch_rejects_codes_outside_the_scoring_alphabet():

@@ -828,6 +828,48 @@ def test_window_size_cannot_change_a_result(tiny_seqs, fast_params, monkeypatch)
         assert result.stats.extras["peak_live_blocks"] == depth + 1
 
 
+def test_windows_align_whole_device_batches(tiny_seqs, fast_params, monkeypatch):
+    """A window flush aligns whole device batches only and carries the rest:
+    every kernel call but the last is exactly ``align_batch_size`` pairs, the
+    run makes ``ceil(pairs / align_batch_size)`` calls, and records, edges and
+    the ledger equal the one-pair-per-batch run's."""
+    from repro.align import adept
+
+    widths = []
+    original = adept.batch_smith_waterman
+
+    def counting_kernel(a_list, b_list, *args, **kwargs):
+        widths.append(len(a_list))
+        return original(a_list, b_list, *args, **kwargs)
+
+    monkeypatch.setattr(adept, "batch_smith_waterman", counting_kernel)
+    for name, (overrides, _) in WINDOW_SCHEDULES.items():
+        params = fast_params.replace(num_blocks=6, **overrides)
+        reference = PastisPipeline(params.replace(align_batch_size=1)).run(tiny_seqs)
+        pairs = reference.stats.alignments_performed
+        for batch in (5, 7):
+            widths.clear()
+            result = PastisPipeline(params.replace(align_batch_size=batch)).run(tiny_seqs)
+            assert pairs % batch  # the last call is short: something was carried
+            assert widths[:-1] == [batch] * (len(widths) - 1), (name, batch, widths)
+            assert len(widths) == -(-pairs // batch)
+            assert np.array_equal(
+                result.similarity_graph.edges, reference.similarity_graph.edges
+            )
+            _assert_records_equal(reference.block_records, result.block_records)
+            for category in ("align", "spgemm", "comm", "cwait", "sparse_other", "io",
+                             OVERLAP_HIDDEN_CATEGORY):
+                assert np.array_equal(
+                    result.ledger.per_rank(category), reference.ledger.per_rank(category)
+                ), (name, batch, category)
+            for counter in ("spgemm_flops", "bytes_sent", "bytes_received",
+                            "alignments", "alignment_cells"):
+                assert np.array_equal(
+                    result.ledger.counter_per_rank(counter),
+                    reference.ledger.counter_per_rank(counter),
+                ), (name, batch, counter)
+
+
 def test_served_request_makes_one_kernel_call(tmp_path, tiny_seqs, monkeypatch):
     """A served request whose survivors fit one device batch is one
     batch_smith_waterman call, however many blocks and ranks they span."""
