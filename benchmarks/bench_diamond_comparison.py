@@ -79,7 +79,7 @@ def run(bench_sequences, bench_params):
     # ---- functional head-to-head on the synthetic dataset -----------------------
     truth = BruteForceSearch().run(bench_sequences)
     pastis = PastisPipeline(
-        bench_params.replace(load_balancing="triangularity", pre_blocking=True, num_blocks=9)
+        bench_params.replace(load_balancing="triangularity", preblock_depth=1, num_blocks=9)
     ).run(bench_sequences)
     diamond = DiamondLikeSearch(kmer_length=5, common_kmer_threshold=1).run(bench_sequences)
     functional = {

@@ -59,7 +59,7 @@ def run(bench_sequences, bench_params):
     functional = []
     reference_edges = None
     for nodes in FUNCTIONAL_NODES:
-        params = bench_params.replace(nodes=nodes, num_blocks=4, pre_blocking=True,
+        params = bench_params.replace(nodes=nodes, num_blocks=4, preblock_depth=1,
                                       load_balancing="triangularity")
         result = PastisPipeline(params).run(bench_sequences)
         edges = result.similarity_graph.edge_key_set()

@@ -40,7 +40,7 @@ def run(bench_sequences, bench_params):
     # ---- functional production-style run ------------------------------------
     params = bench_params.replace(
         load_balancing="triangularity",
-        pre_blocking=True,
+        preblock_depth=1,
         num_blocks=16,
     )
     result = PastisPipeline(params).run(bench_sequences)

@@ -47,6 +47,6 @@ def bench_params() -> PastisParams:
         nodes=4,
         num_blocks=4,
         load_balancing="index",
-        pre_blocking=False,
+        preblock_depth=0,
         align_batch_size=128,
     )

@@ -58,7 +58,7 @@ def main() -> None:
         ani_threshold=0.40,
         nodes=4,
         num_blocks=16,
-        pre_blocking=True,
+        preblock_depth=1,
         cluster=ClusterParams(enabled=True, inflation=2.0, weight_transform="ani"),
     )
     result = PastisPipeline(params).run(sequences)

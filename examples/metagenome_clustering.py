@@ -63,7 +63,7 @@ def main() -> None:
         nodes=4,
         num_blocks=16,
         load_balancing="index",
-        pre_blocking=True,
+        preblock_depth=1,
     )
     result = PastisPipeline(params).run(sequences)
     graph = result.similarity_graph

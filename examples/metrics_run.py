@@ -6,8 +6,8 @@ The walkthrough for :mod:`repro.obs` — where :mod:`repro.trace` answers
 "how much, and is it getting slower across runs":
 
 1. run the PASTIS search twice with ``PastisParams.run_registry`` set —
-   a cold cache-populating run and a warm run under the overlapped
-   scheduler at depth 2 — so each run appends a schema-versioned manifest
+   a cold cache-populating run and a warm run, both on the depth-2
+   pre-blocking clock — so each run appends a schema-versioned manifest
    (``run.json``) to the local registry;
 2. look at what the metrics facade collected: ledger seconds per
    category, per-SUMMA-stage kernel seconds and measured compression
@@ -20,7 +20,7 @@ The walkthrough for :mod:`repro.obs` — where :mod:`repro.trace` answers
 
 Metrics are off by default and non-perturbing: the observed run's edges
 are bit-identical to an unobserved one (asserted below, and by
-``tests/test_obs.py`` for both schedulers).
+``tests/test_obs.py`` per pre-blocking depth).
 
 Run with:  python examples/metrics_run.py
 """
@@ -61,7 +61,6 @@ def main() -> None:
             nodes=4,
             num_blocks=6,
             load_balancing="index",
-            pre_blocking=True,
             preblock_depth=2,
             cache_dir=cache_dir,
             run_registry=str(registry_dir),

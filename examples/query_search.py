@@ -12,7 +12,7 @@ through the :class:`repro.serve.QueryBatcher`:
   sequence.
 
 Prints each request's per-query matches and the modeled request-queue
-books (the same OverlapWindow algebra the engine's overlapped scheduler
+books (the same OverlapWindow algebra the engine's pre-blocking clock
 uses, one level up).
 
 Run with:  python examples/query_search.py

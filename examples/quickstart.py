@@ -35,7 +35,7 @@ def main() -> None:
         nodes=4,                     # virtual Summit nodes (perfect square)
         num_blocks=9,                # 3x3 Blocked 2D Sparse SUMMA
         load_balancing="triangularity",
-        pre_blocking=True,
+        preblock_depth=1,
     )
 
     # 3. run the pipeline

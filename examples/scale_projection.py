@@ -28,7 +28,7 @@ def main() -> None:
         nodes=4,
         num_blocks=4,
         load_balancing="triangularity",
-        pre_blocking=True,
+        preblock_depth=1,
     )
     result = PastisPipeline(params).run(sequences)
     print(

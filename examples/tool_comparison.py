@@ -43,7 +43,7 @@ def main() -> None:
             nodes=4,
             num_blocks=9,
             load_balancing="triangularity",
-            pre_blocking=True,
+            preblock_depth=1,
         )
     ).run(sequences)
 

@@ -4,8 +4,8 @@
 The walkthrough for :mod:`repro.trace`:
 
 1. run the PASTIS search on a synthetic catalog with
-   ``PastisParams.trace_dir`` set, under the overlapped scheduler at
-   depth 2 with a stage cache — a cold populating run, then a traced warm
+   ``PastisParams.trace_dir`` set, on the depth-2 pre-blocking clock
+   with a stage cache — a cold populating run, then a traced warm
    run, so the trace shows the cache loads and the block-ordered replay;
 2. look at what the recorder collected: per-stage spans (discover /
    prune / align / accumulate), SUMMA broadcast stages, cache loads and
@@ -17,7 +17,7 @@ The walkthrough for :mod:`repro.trace`:
 
 Tracing is off by default and non-perturbing: the traced run's edges are
 bit-identical to an untraced one (asserted below, and by
-``tests/test_trace.py`` for both schedulers).
+``tests/test_trace.py`` per pre-blocking depth).
 
 Run with:  python examples/trace_run.py
 """
@@ -37,7 +37,7 @@ OUT_DIR = Path("trace-example")
 
 
 def main() -> None:
-    # ---- 1. a traced warm-cache run under the overlapped scheduler -----------
+    # ---- 1. a traced warm-cache run on the depth-2 pre-blocking clock --------
     config = SyntheticDatasetConfig(
         n_sequences=120,
         family_fraction=0.75,
@@ -54,7 +54,6 @@ def main() -> None:
             nodes=4,
             num_blocks=6,
             load_balancing="index",
-            pre_blocking=True,
             preblock_depth=2,
             cache_dir=cache_dir,
         )

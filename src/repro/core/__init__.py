@@ -10,8 +10,9 @@ substrates (:mod:`repro.sequences`, :mod:`repro.sparse`, :mod:`repro.align`,
 * :mod:`repro.core.load_balance` — the triangularity- and index-based schemes (§VI-B);
 * :mod:`repro.core.preblocking` — the closed-form pre-blocking model (§VI-C);
 * :mod:`repro.core.engine` — the stage-graph execution engine: per-block
-  ``discover → prune → align → accumulate`` tasks, the serial and overlapped
-  (pre-blocking) schedulers, and the streaming similarity-graph accumulator;
+  ``discover → prune → align → accumulate`` tasks, the one stage loop (and
+  the pre-blocking clock replayed over it), and the streaming
+  similarity-graph accumulator;
 * :mod:`repro.core.align_phase` — distributed batch alignment of block candidates;
 * :mod:`repro.core.filtering` — common-k-mer and ANI/coverage filters;
 * :mod:`repro.core.similarity_graph` — the output graph;
@@ -29,24 +30,20 @@ from .load_balance import (
     TriangularityScheme,
     classify_block,
     make_scheme,
-    pairs_align_exactly_once,
 )
 from .preblocking import PreblockingModel, PreblockingReport
 from .engine import (
     BlockTask,
-    OverlappedScheduler,
     ScheduleOutcome,
     Scheduler,
-    SerialScheduler,
     StageContext,
     StageTimeline,
     StreamingGraphAccumulator,
-    make_scheduler,
 )
-from .blocking import make_block_tasks, make_schedule, schedule_for_num_blocks
+from .blocking import make_block_tasks, make_schedule
 from .costing import CostModel
 from .align_phase import AlignmentPhase, EDGE_DTYPE
-from .kmer_matrix import build_kmer_coo, build_distributed_kmer_matrix, KmerMatrixInfo
+from .kmer_matrix import build_distributed_kmer_matrix, KmerMatrixInfo
 from .filtering import filter_common_kmers, drop_self_pairs, similarity_mask
 
 __all__ = [
@@ -62,25 +59,19 @@ __all__ = [
     "TriangularityScheme",
     "classify_block",
     "make_scheme",
-    "pairs_align_exactly_once",
     "PreblockingModel",
     "PreblockingReport",
     "BlockTask",
-    "OverlappedScheduler",
     "ScheduleOutcome",
     "Scheduler",
-    "SerialScheduler",
     "StageContext",
     "StageTimeline",
     "StreamingGraphAccumulator",
-    "make_scheduler",
     "make_block_tasks",
     "make_schedule",
-    "schedule_for_num_blocks",
     "CostModel",
     "AlignmentPhase",
     "EDGE_DTYPE",
-    "build_kmer_coo",
     "build_distributed_kmer_matrix",
     "KmerMatrixInfo",
     "filter_common_kmers",

@@ -193,7 +193,7 @@ class AlignmentPhase:
         and kernel seconds come from each (block, rank) group's totals; the
         measured seconds are the group's pairs' shares, by cells, of the
         kernel calls that aligned them.  The ledger is left untouched: the
-        scheduler charges it (see :mod:`repro.core.engine.schedulers`).
+        stage loop charges it (see :mod:`repro.core.engine.schedulers`).
 
         A plain list holds, per block, every rank's (already pruned and
         filtered) overlap elements in global coordinates; it is aligned as

@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..distsparse.blocked_summa import BlockSchedule
 from .engine.stages import BlockTask
 from .load_balance import LoadBalancingScheme, make_scheme
-from .params import PastisParams, nearly_square_factors
+from .params import PastisParams
 
 
 def make_schedule(n_sequences: int, params: PastisParams) -> BlockSchedule:
@@ -26,18 +26,10 @@ def make_block_tasks(
     """Blocking, load-balancing scheme, and the stage-graph task list of a run.
 
     One :class:`~repro.core.engine.stages.BlockTask` is created per block the
-    scheme computes, in the scheme's block order; schedulers decide how the
-    tasks' stages interleave.
+    scheme computes, in the scheme's block order; the stage loop runs them in
+    that order.
     """
     schedule = make_schedule(n_sequences, params)
     scheme = make_scheme(params.load_balancing)
     tasks = [BlockTask(r, c) for r, c in scheme.blocks_to_compute(schedule)]
     return schedule, scheme, tasks
-
-
-def schedule_for_num_blocks(n_sequences: int, num_blocks: int) -> BlockSchedule:
-    """Schedule with ``num_blocks`` blocks factored as squarely as possible."""
-    br, bc = nearly_square_factors(num_blocks)
-    br = min(br, n_sequences)
-    bc = min(bc, n_sequences)
-    return BlockSchedule(n_rows=n_sequences, n_cols=n_sequences, br=br, bc=bc)

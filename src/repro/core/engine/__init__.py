@@ -1,7 +1,7 @@
 """The stage-graph execution engine of the incremental similarity search.
 
 The pipeline's block loop is decomposed into an explicit graph of per-block
-stages, executed by pluggable schedulers:
+stages, executed in block order by one stage loop:
 
 * :mod:`repro.core.engine.stages` — :class:`BlockTask`, one node of the
   graph per output block, with the four stages ``discover`` (blocked SUMMA
@@ -11,25 +11,20 @@ stages, executed by pluggable schedulers:
   :class:`StageContext`;
 * :mod:`repro.core.engine.accumulator` — the streaming
   :class:`StreamingGraphAccumulator` that consumes each block's edges the
-  moment they are produced, so peak memory is bounded by the *live* blocks
-  (one for the serial schedule, ``k + 1`` under pre-blocking at depth
-  ``k``); with ``max_live_blocks`` set it refuses, rather than exceeds,
-  that bound;
-* :mod:`repro.core.engine.timeline` — the per-block scheduled timings from
-  which the Table-I :class:`~repro.core.preblocking.PreblockingReport` is
-  *derived* (it is no longer computed post hoc by
-  ``PreblockingModel.evaluate`` inside the pipeline);
-* :mod:`repro.core.engine.schedulers` — the scheduler contract and its one
-  loop, parameterised by a lookahead depth, in two configurations:
-  :class:`SerialScheduler` (bulk-synchronous, bit-identical
-  to the historical monolithic loop), :class:`OverlappedScheduler` (§VI-C
-  pre-blocking at speculative depth ``k = PastisParams.preblock_depth`` on
-  the calling thread: blocks ``b+1..b+k`` are discovered before
-  block ``b`` is pruned, and the overlap lives in the per-rank clock, closed through
-  the shared depth-``k`` algebra of
-  :class:`repro.mpi.costmodel.OverlapWindow`, so
+  moment they are produced, so peak memory is bounded by the one *live*
+  block;
+* :mod:`repro.core.engine.timeline` — the executed blocks' records, from
+  which the Table-I :class:`~repro.core.preblocking.PreblockingReport`,
+  with the live-block peak of the depth-``k`` schedule, is *derived* (it
+  is not computed post hoc by ``PreblockingModel.evaluate`` inside the
+  pipeline);
+* :mod:`repro.core.engine.schedulers` — :class:`Scheduler`, the one stage
+  loop (discover → prune → window → flush, block by block), and the §VI-C
+  pre-blocking clock at depth ``k = PastisParams.preblock_depth``: the
+  loop's recorded per-block charges are replayed through the depth-``k``
+  algebra of :class:`repro.mpi.costmodel.OverlapWindow`, so
   ``align + spgemm − overlap_hidden == combined clock``; at depth 1 the
-  paper's contention slowdowns are charged);
+  paper's contention slowdowns are charged;
 * :mod:`repro.core.engine.cache` — the content-hashed :class:`StageCache`,
   the engine's analogue of the synpp/pisa declare-then-decide pipeline
   design: stages *declare* what they depend on (the canonicalized parameter
@@ -47,28 +42,22 @@ site), merges the SpGEMM stats and the peak block size, registers the block
 with the accumulator and counts the cache hit or miss.  A cache entry stores the block's outputs *and* its
 journal, so a hit adds exactly what the cold block charged on top of
 whatever the run charged before it: entries are valid after any run
-prefix, shareable across both schedulers, and
+prefix, shareable across pre-blocking depths, and
 ``PastisPipeline.run(resume=True)`` continues a killed run from its last
 completed block.
 
-Schedulers — not the pipeline — own execution order and ledger charging;
-the pipeline builds the task list and hands it over.
+The stage loop — not the pipeline — owns execution order and ledger
+charging; the pipeline builds the task list and hands it over.
 
-**Choosing a scheduler** (``PastisParams.scheduler``, or derived from
-``pre_blocking`` when ``None``: serial without it, overlapped with it):
-
-* ``"serial"`` — bulk-synchronous reference schedule.  Simplest, no
-  concurrency; the baseline the overlapped scheduler is bit-identical to.
-* ``"overlapped"`` — §VI-C pre-blocking at ``preblock_depth``, on one
-  thread: the overlap is in the clock, not in the wall time.  At depth 1
-  it charges the paper's contention multipliers (paper-faithful Table-I
-  numbers); otherwise it charges raw seconds.
-
-Both produce bit-identical records, edges and stats; only the modeled
-clock differs.
+**Pre-blocking is a clock.**  Everything runs on one thread, so
+discovering ahead would buy nothing: ``PastisParams.preblock_depth``
+(0, the default, is none) selects only the modeled clock, never the
+execution order.  Records, edges and stats are bit-identical at every
+depth (``tests/test_preblock_oracle.py`` pins them, with the clock, to
+golden runs of the engine that still discovered ahead).
 
 **Observability** (``PastisParams.trace`` / ``trace_dir``; see
-:mod:`repro.trace`): every scheduler emits spans through the optional
+:mod:`repro.trace`): the stage loop emits spans through the optional
 ``StageContext.trace`` recorder, and each span category maps onto one of
 the mechanisms above —
 
@@ -105,35 +94,25 @@ the instrumentation points above; pick by the question being asked:
 Both ride the same ledger trace hook (fanned out when both are on) and
 carry the same contract: off by default, near-zero-cost when disabled,
 and non-perturbing — ``tests/test_trace.py`` and ``tests/test_obs.py``
-assert bit-identity per scheduler.
+assert bit-identity per pre-blocking depth.
 """
 
 from .accumulator import StreamingGraphAccumulator
 from .cache import CachedBlock, StageCache, build_stage_cache
-from .schedulers import (
-    OverlappedScheduler,
-    ScheduleOutcome,
-    Scheduler,
-    SerialScheduler,
-    make_scheduler,
-)
+from .schedulers import ScheduleOutcome, Scheduler
 from .stages import BlockRecord, BlockResult, BlockTask, StageContext
-from .timeline import BlockTiming, StageTimeline
+from .timeline import StageTimeline
 
 __all__ = [
     "BlockRecord",
     "BlockResult",
     "BlockTask",
-    "BlockTiming",
     "CachedBlock",
-    "OverlappedScheduler",
     "ScheduleOutcome",
     "Scheduler",
-    "SerialScheduler",
     "StageCache",
     "StageContext",
     "StageTimeline",
     "build_stage_cache",
     "StreamingGraphAccumulator",
-    "make_scheduler",
 ]

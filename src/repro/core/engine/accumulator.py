@@ -7,20 +7,14 @@ accumulator makes that life cycle explicit and auditable: every computed
 block is registered as *live* when it is committed and released when the
 task's prune stage has selected its survivors (:meth:`block_discarded`, from
 :meth:`~repro.core.engine.stages.BlockTask.release`).  The survivors then
-wait in the scheduler's alignment window, and the block's edges are
+wait in the stage loop's alignment window, and the block's edges are
 consumed when the window flushes.  Peak live bytes are tracked with
 :class:`repro.metrics.memory.MemoryTracker`, so a run can report that
-streaming held one block (serial schedule) or ``k + 1`` (pre-blocking at
-depth ``k``: the block being pruned plus the ``k`` discovered ahead)
-instead of the cumulative ``retained_block_bytes`` a keep-everything run
-would have paid; the window size does not change either figure.
-
-The accumulator is also the engine's **memory governor**: with
-``max_live_blocks`` set (the overlapped scheduler sets it to
-``depth + 1``), a block past the bound is refused with an error by
-:meth:`block_computed` rather than admitted.  Nothing ever waits for a
-slot: the thread that registers blocks is the one that discards them.
-The measured peak is reported via :attr:`peak_live_blocks`.
+streaming held one block instead of the cumulative
+``retained_block_bytes`` a keep-everything run would have paid; the window
+size does not change either figure.  (The ``k + 1`` blocks a depth-``k``
+pre-blocking schedule would hold are modeled in its Table-I report,
+:meth:`~repro.core.engine.timeline.StageTimeline.preblocking_report`.)
 """
 
 from __future__ import annotations
@@ -48,10 +42,6 @@ class StreamingGraphAccumulator:
     ----------
     n_vertices:
         Number of sequences (graph vertices).
-    max_live_blocks:
-        Bound on blocks live (admitted and not yet discarded) at once; an
-        admission past it raises.  ``None`` (the default) disables the
-        bound — the serial scheduler holds one block by construction.
     memory:
         Tracker recording current/peak bytes of the ``live_blocks`` and
         ``edge_buffer`` components.
@@ -61,12 +51,11 @@ class StreamingGraphAccumulator:
     edges_streamed:
         Total edges consumed (before the final canonicalization).
     peak_live_blocks:
-        Measured peak number of simultaneously live blocks (1 serial, at
-        most ``depth + 1`` under pre-blocking).
+        Measured peak number of simultaneously live blocks (1 for the
+        stage loop).
     """
 
     n_vertices: int
-    max_live_blocks: int | None = None
     memory: MemoryTracker = field(default_factory=MemoryTracker)
     retained_block_bytes: int = 0
     edges_streamed: int = 0
@@ -79,21 +68,12 @@ class StreamingGraphAccumulator:
     def block_computed(self, nbytes: int) -> None:
         """Register a freshly discovered block's output as live.
 
-        Raises when ``max_live_blocks`` blocks are already live.  Blocks
-        replayed from the stage cache go through the exact same
+        Blocks replayed from the stage cache go through the exact same
         registration/discard life cycle as computed ones (with the stored
-        ``block_bytes``), so live-block bounds and peak accounting behave
-        identically on warm and cold runs.
+        ``block_bytes``), so peak accounting behaves identically on warm
+        and cold runs.
         """
         with self._lock:
-            if self.max_live_blocks is not None and self._live >= self.max_live_blocks:
-                # the caller is the thread that would have to discard a block
-                # to free the slot, so waiting for one would deadlock
-                raise RuntimeError(
-                    f"live-block bound exceeded: {self._live} blocks live with "
-                    f"max_live_blocks={self.max_live_blocks}; a scheduler must "
-                    "discard a block before admitting the next"
-                )
             self._live += 1
             self.peak_live_blocks = max(self.peak_live_blocks, self._live)
             self.memory.allocate(LIVE_BLOCKS, int(nbytes))

@@ -8,9 +8,9 @@ content-hash key and the completed block is persisted under it:
 
 * the **run key** hashes a canonicalized subset of
   :class:`~repro.core.params.PastisParams` (only fields that influence what
-  a block computes or charges — scheduler, pre-blocking and align-batch
-  knobs are excluded, so a cache written under one schedule is readable
-  under any other), a digest of
+  a block computes or charges — every other field is listed, with its
+  reason, in :data:`CACHE_KEY_EXCLUSIONS`, so a cache written at one
+  pre-blocking depth or window size is readable at any other), a digest of
   the input :class:`~repro.sequences.sequence.SequenceSet`, and a
   kernel/schema :data:`CACHE_VERSION` tag combined with the package version
   (bumping either invalidates everything);
@@ -31,10 +31,10 @@ edges, the per-rank timing and workload vectors, the block's
 journal (:class:`~repro.mpi.costmodel.RecordingLedger`: every charge and
 count SUMMA made, in order).  A hit hands the stored journal to the same
 ordered commit a computed block goes through, which replays it on top of
-whatever the run charged before; everything the schedulers charge
-themselves ("spgemm", "align", the overlap algebra) is recharged from the
+whatever the run charged before; everything the stage loop charges
+itself ("spgemm", "align", the overlap algebra) is recharged from the
 stored raw seconds.  An entry therefore depends on nothing but its key: it
-is valid after any run prefix and shareable across both schedulers.
+is valid after any run prefix and shareable across pre-blocking depths.
 """
 
 from __future__ import annotations
@@ -90,19 +90,32 @@ def _digest_matrix(matrix: np.ndarray) -> str:
     return h.hexdigest()
 
 
+#: The :class:`PastisParams` fields :func:`params_cache_token` leaves out,
+#: each with why it cannot change what a block computes or charges
+#: (``tests/test_cache.py`` fails on a field neither read nor listed).
+CACHE_KEY_EXCLUSIONS: tuple[tuple[str, str], ...] = (
+    ("preblock_depth", "selects the modeled clock only; every depth runs one stage loop"),
+    ("align_batch_size", "sets batch and window boundaries; a record depends only on its pair"),
+    ("cluster", "runs after the stage graph, on its finished output"),
+    ("cache_dir", "where entries live, not what they hold"),
+    ("cache_invalidate", "whether entries are read, not what they hold"),
+    ("trace", "observability never perturbs a result"),
+    ("trace_dir", "observability never perturbs a result"),
+    ("metrics", "observability never perturbs a result"),
+    ("run_registry", "observability never perturbs a result"),
+    ("index_dir", "query runs fold the index's sequence digest into the run key"),
+)
+
+
 def params_cache_token(params: PastisParams) -> dict:
     """Canonical dict of the parameter fields that determine block results.
 
-    Scheduler knobs (``scheduler``, ``pre_blocking``, ``preblock_depth``,
-    ``align_batch_size``) are excluded on purpose: results are bit-identical
-    across schedulers, and a record depends only on its pair, so
-    ``align_batch_size`` sets nothing but alignment-window and device-batch
-    boundaries; entries must be shareable across all of them.  The
-    clustering stage runs after the stage graph on its finished output, so
-    ``cluster`` is excluded too.
+    Every other field is in :data:`CACHE_KEY_EXCLUSIONS`.  ``query_dedup``
+    (always off outside query mode) is keyed for query runs only, which
+    leaves every all-vs-all key as it was.
     """
     br, bc = params.blocking_factors()
-    return {
+    token = {
         "mode": params.mode,
         "kmer_length": params.kmer_length,
         "seed_alphabet": params.seed_alphabet,
@@ -121,6 +134,10 @@ def params_cache_token(params: PastisParams) -> dict:
         "batch_flops": params.batch_flops,
         "substitution_matrix": _digest_matrix(params.scoring.matrix),
     }
+    if params.mode == "query":
+        # the symmetric prune changes which candidates a block aligns
+        token["query_dedup"] = params.query_dedup
+    return token
 
 
 def sequence_digest(sequences: SequenceSet) -> str:
@@ -273,13 +290,13 @@ class CachedBlock:
 # --------------------------------------------------------------------------- cache
 @dataclass
 class StageCache:
-    """Disk-backed per-block result cache consulted by every scheduler.
+    """Disk-backed per-block result cache consulted by the stage loop.
 
     ``keys`` maps block coordinates to their content-hash keys (computed
     once per run by :func:`build_stage_cache`).  ``read=False`` (the
     ``cache_invalidate`` knob) skips lookups and overwrites entries;
     ``write=False`` makes the cache read-only.  :meth:`load` is a pure read;
-    the run's hit/miss counts are kept by the scheduler's ordered commit,
+    the run's hit/miss counts are kept by the stage loop's ordered commit,
     and :meth:`store` counts stores.
     """
 

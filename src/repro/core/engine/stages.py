@@ -17,10 +17,10 @@ with four explicit stages:
     accumulator slot released, so a block waiting for alignment holds its
     survivors only.
 ``align``
-    Owned by the scheduler: the survivors of a window of consecutive blocks
+    Owned by the stage loop: the survivors of a window of consecutive blocks
     are aligned in one :meth:`~repro.core.align_phase.AlignmentPhase.align_block`
     call (a cache hit's output is the stored one).  No ledger charging
-    there; the scheduler charges so it can apply contention multipliers.
+    there; the stage loop charges so it can apply contention multipliers.
 ``accumulate``
     Stream the block's similar pairs into the
     :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`,
@@ -28,10 +28,10 @@ with four explicit stages:
     "incremental" part of incremental similarity search).
 
 Stages communicate through fields on the task; a stage may only run after
-its predecessor (asserted).  Schedulers decide *when* each stage of each
-task runs — discovering ``k`` blocks ahead, aligning whole device batches
-of a window's survivors, and accumulating a block once all its pairs are
-aligned (see :mod:`repro.core.engine.schedulers`).
+its predecessor (asserted).  The stage loop decides *when* each stage of
+each task runs — aligning whole device batches of a window's survivors,
+and accumulating a block once all its pairs are aligned (see
+:mod:`repro.core.engine.schedulers`).
 
 ``discover`` is a pure function, :func:`discover` ``(ctx, task) ->``
 :class:`BlockResult`: it reads the block from the
@@ -39,12 +39,12 @@ aligned (see :mod:`repro.core.engine.schedulers`).
 block-local :class:`~repro.mpi.costmodel.RecordingLedger`, and returns the
 block (or the entry), its sparse seconds, SpGEMM stats, wall seconds and
 ledger journal — touching nothing the run can see.  :func:`commit` is the
-one place a result reaches the run: schedulers call it in block order, and
+one place a result reaches the run: the stage loop calls it in block order, and
 it replays the journal, merges the stats and the peak block size, registers
 the block with the accumulator, counts the cache hit or miss, and arms the
 store of a miss, which ``accumulate`` writes once the block is complete.  A hit then
 replays the stored outputs through the remaining stages while the
-schedulers charge "spgemm"/"align"/overlap through their ordinary code
+stage loop charges "spgemm"/"align"/overlap through its ordinary code
 paths, so a warm run is bit-identical to the cold run that stored it.
 """
 
@@ -76,9 +76,9 @@ class BlockRecord:
     """Per-block bookkeeping used by the figure benchmarks.
 
     Timing vectors hold *raw* (uninflated) per-rank seconds; contention
-    multipliers applied by an overlapping scheduler live in the run's
+    multipliers applied at pre-blocking depth 1 live in the run's
     :class:`~repro.core.engine.timeline.StageTimeline`, so records are
-    comparable across schedulers.
+    comparable across depths.
     """
 
     block_row: int
@@ -98,7 +98,7 @@ class BlockRecord:
 class StageContext:
     """Shared state every stage executes against.
 
-    Built once per run by the pipeline; schedulers thread it through the
+    Built once per run by the pipeline; the stage loop threads it through the
     stages.  ``stripe_seconds`` is the per-block cost of re-traversing the
     operand stripes (the "split sparse computations" overhead of §VI-A),
     precomputed because it is identical for every block.
@@ -196,7 +196,7 @@ def discover(ctx: StageContext, task: "BlockTask") -> BlockResult:
 
 
 def commit(ctx: StageContext, task: "BlockTask", result: BlockResult) -> None:
-    """Apply one discover result to the run; schedulers call it in block order.
+    """Apply one discover result to the run, in block order.
 
     The single site where a ledger journal is replayed — a computed block's
     and a cache hit's alike, on top of whatever the run charged before it.

@@ -267,12 +267,6 @@ def seed_operand(
     return SeedOperand(shape, rows, kmers, positions, info)
 
 
-def build_kmer_coo(sequences: SequenceSet, params: PastisParams) -> tuple[CooMatrix, KmerMatrixInfo]:
-    """Build the global (undistributed) sequence-by-k-mer COO matrix, row-major."""
-    operand = seed_operand(extract_seed_triples(sequences, params))
-    return operand.matrix().sort_rowmajor(), operand.info
-
-
 def build_distributed_kmer_matrix(
     sequences: SequenceSet,
     params: PastisParams,

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from ..distsparse.blocked_summa import BlockSchedule
 from ..sparse.coo import CooMatrix
 from ..sparse.spops import prune_by_parity, triu
@@ -127,22 +125,3 @@ def make_scheme(name: str) -> LoadBalancingScheme:
     if name == "triangularity":
         return TriangularityScheme()
     raise ValueError(f"unknown load balancing scheme {name!r}")
-
-
-def pairs_align_exactly_once(pruned_blocks: list[CooMatrix], n: int) -> bool:
-    """Invariant check: across all pruned blocks, each unordered pair appears at most once.
-
-    Used by tests and by the pipeline's self-check: the union of pruned block
-    elements, mapped to unordered pairs, must contain no duplicates.
-    """
-    keys = []
-    for block in pruned_blocks:
-        if block.nnz == 0:
-            continue
-        lo = np.minimum(block.rows, block.cols)
-        hi = np.maximum(block.rows, block.cols)
-        keys.append(lo * n + hi)
-    if not keys:
-        return True
-    all_keys = np.concatenate(keys)
-    return np.unique(all_keys).size == all_keys.size

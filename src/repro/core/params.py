@@ -6,7 +6,7 @@ is given there, and the small-scale evaluation configuration (§VI) otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -51,29 +51,19 @@ class PastisParams:
         ``num_blocks``.
     load_balancing:
         ``"index"`` or ``"triangularity"`` (§VI-B).
-    pre_blocking:
-        Overlap next-block SpGEMM with current-block alignment (§VI-C),
-        run by :class:`~repro.core.engine.schedulers.OverlappedScheduler`
-        at ``preblock_depth`` on one thread: the overlap shows on the
-        per-rank clock, not in wall time.  At depth 1 it charges the
-        paper's contention multipliers; otherwise raw modeled seconds.
-        Results are bit-identical to the serial schedule.
     preblock_depth:
-        Speculative discovery depth ``k``: block ``b`` is aligned after the
-        discover stages of blocks up to ``b+k``, so ``k + 1`` blocks are
-        live (bounded by the streaming accumulator) and the clock hides up
-        to ``k`` discovers behind each alignment.  ``1`` is classic
-        pre-blocking.  Used by the ``"overlapped"`` scheduler.
-    scheduler:
-        Explicit scheduler override (``"serial"`` or ``"overlapped"``);
-        ``None`` (default) derives ``"overlapped"`` from ``pre_blocking``
-        and ``"serial"`` otherwise.  Results are bit-identical across
-        schedulers — the override selects an execution strategy, not a
-        computation.
+        Pre-blocking (§VI-C) depth ``k``, which selects the modeled clock
+        only: ``0`` (the default) is no pre-blocking; at ``k >= 1`` the
+        run's per-block charges are replayed as block ``b``'s alignment
+        overlapping the discovers of blocks up to ``b + k``, with the
+        paper's contention multipliers at depth 1 and raw modeled seconds
+        above it, and the Table-I report models the ``k + 1`` live blocks
+        that schedule holds.  Every depth runs the same serial stage loop,
+        so records, edges and stats are bit-identical across depths.
     nodes:
         Number of virtual nodes / MPI ranks; must be a perfect square.
     align_batch_size:
-        Pairs per ADEPT device batch, and the size at which the scheduler's
+        Pairs per ADEPT device batch, and the size at which the stage loop's
         alignment window of pending survivors flushes (one driver call per
         window).  Sets only batch and window boundaries, never a result.
     alignment_mode:
@@ -100,7 +90,7 @@ class PastisParams:
         (:mod:`repro.core.engine.cache`).  When set, every completed block
         is persisted under a deterministic content-hash key and later runs
         with the same inputs/parameters replay stored blocks instead of
-        recomputing them — bit-identically, across both schedulers —
+        recomputing them — bit-identically, at every pre-blocking depth —
         which is also what makes ``PastisPipeline.run(resume=True)`` pick a
         killed run up from its last completed block.  ``None`` (the default,
         seeded from :data:`repro.config.DEFAULTS`) disables caching.
@@ -111,8 +101,8 @@ class PastisParams:
     trace:
         Record structured spans and counter series for the run (see
         :mod:`repro.trace`): stage spans (discover/prune/align/accumulate),
-        cache hit/miss replays, SUMMA broadcast stages, process-scheduler
-        admissions, MCL iterations.  Off by default; the disabled
+        cache hit/miss replays, SUMMA broadcast stages, MCL iterations.
+        Off by default; the disabled
         path costs nothing, and tracing never perturbs results — records,
         edges and the whole ledger are bit-identical with tracing on
         (asserted in ``tests/test_trace.py``).  The
@@ -126,10 +116,10 @@ class PastisParams:
     metrics:
         Collect typed counters/gauges/histograms for the run through a
         :class:`repro.obs.MetricsHub` (ledger seconds per category, phase
-        timers, cache hit/miss counters, scheduler lane stats, and
-        per-SUMMA-stage kernel dispatch records with measured compression
-        factors).  Off by default; like tracing it is near-zero-cost when
-        disabled and never perturbs results (asserted per scheduler in
+        timers, cache hit/miss counters, and per-SUMMA-stage kernel
+        dispatch records with measured compression factors).  Off by
+        default; like tracing it is near-zero-cost when disabled and never
+        perturbs results (asserted per pre-blocking depth in
         ``tests/test_obs.py``).  The hub is returned on
         ``SearchResult.metrics``.
     run_registry:
@@ -180,9 +170,7 @@ class PastisParams:
     num_blocks: int = 1
     blocking: tuple[int, int] | None = None
     load_balancing: str = "index"
-    pre_blocking: bool = False
-    preblock_depth: int = 1
-    scheduler: str | None = None
+    preblock_depth: int = 0
     nodes: int = 4
     align_batch_size: int = 128
     alignment_mode: str = "full_sw"
@@ -199,8 +187,15 @@ class PastisParams:
     index_dir: str | None = None
     query_dedup: bool = False
     substitution_matrix: np.ndarray = field(default=None, repr=False)
+    #: accepted at construction as ``None`` only (a removed knob)
+    scheduler: InitVar[None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, scheduler: None) -> None:
+        if scheduler is not None:
+            raise ValueError(
+                f"scheduler={scheduler!r} is not a parameter: every run executes "
+                "the one stage loop; set preblock_depth for the pre-blocking clock"
+            )
         self.validate()
 
     # ------------------------------------------------------------------ helpers
@@ -227,12 +222,9 @@ class PastisParams:
             )
         if self.batch_flops is not None and self.batch_flops < 1:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
-        if self.preblock_depth < 1:
-            raise ValueError("preblock_depth must be >= 1")
-        if self.scheduler not in (None, "serial", "overlapped"):
+        if self.preblock_depth < 0:
             raise ValueError(
-                "scheduler must be None, 'serial' or 'overlapped', "
-                f"got {self.scheduler!r}"
+                f"preblock_depth must be >= 0 (0: no pre-blocking), got {self.preblock_depth}"
             )
         if self.cache_dir is not None and not str(self.cache_dir).strip():
             raise ValueError("cache_dir must be a non-empty path (or None)")

@@ -18,19 +18,18 @@ distributed runtime:
    graph to :func:`repro.graph.api.cluster_similarity_graph` (Markov
    clustering on the SpGEMM kernels, or union-find components).
    This is a post-graph stage independent of the per-block stage graph, so
-   the schedulers are untouched; its result lands on
+   the stage loop is untouched; its result lands on
    ``SearchResult.clustering`` and in ``stats.extras["clustering"]``.
 
 Execution order of the per-block work is owned by the **stage-graph
 execution engine** (:mod:`repro.core.engine`): each output block becomes a
 :class:`~repro.core.engine.stages.BlockTask` with explicit
-``discover → prune → align → accumulate`` stages, run by a pluggable
-scheduler — :class:`~repro.core.engine.schedulers.SerialScheduler` for the
-bulk-synchronous schedule, or (with ``pre_blocking=True``)
-:class:`~repro.core.engine.schedulers.OverlappedScheduler`, which discovers
-``preblock_depth`` blocks ahead of the block being pruned, closes the
-overlap on the per-rank clock and, at depth 1, charges the §VI-C contention
-slowdowns.  Block outputs are discarded as soon as they are pruned; the
+``discover → prune → align → accumulate`` stages, run in block order by
+the one stage loop, :class:`~repro.core.engine.schedulers.Scheduler`.
+``preblock_depth >= 1`` selects the §VI-C pre-blocking clock: the loop
+replays its per-block charges as an overlapped schedule on the per-rank
+clock and, at depth 1, charges the paper's contention slowdowns.  Block
+outputs are discarded as soon as they are pruned; the
 survivors of consecutive blocks are aligned in one call per window, in
 whole device batches of ``align_batch_size`` pairs (the leftover pairs
 carry into the next window), and edges stream into an
@@ -74,16 +73,16 @@ from .costing import CostModel
 from .engine import (
     BlockRecord,
     ScheduleOutcome,
+    Scheduler,
     StageContext,
     StageTimeline,
     StreamingGraphAccumulator,
-    make_scheduler,
 )
 from .engine.cache import StageCache, build_stage_cache
 from .engine.schedulers import OVERLAP_HIDDEN_CATEGORY
 from .kmer_matrix import KmerMatrixInfo, build_distributed_kmer_matrix
 from .params import PastisParams
-from .preblocking import PreblockingModel, PreblockingReport
+from .preblocking import PreblockingReport
 from .similarity_graph import SimilarityGraph
 from .stats import SearchStats
 
@@ -101,7 +100,8 @@ class SearchResult:
     preblocking_report: PreblockingReport | None = None
     timeline: StageTimeline | None = None
     memory: MemoryTracker | None = None
-    scheduler: str = "serial"
+    #: the pre-blocking depth the run was charged at (0: none)
+    preblock_depth: int = 0
     clustering: ClusteringResult | None = None
     #: the run's span recorder when ``params.trace``/``trace_dir`` enabled
     #: tracing (None otherwise); see :mod:`repro.trace`
@@ -189,7 +189,6 @@ class PastisPipeline:
                             params=params,
                             status="error",
                             error=exc,
-                            scheduler=state.scheduler,
                             phases=phases,
                             hub=hub,
                             comm=state.comm,
@@ -361,30 +360,8 @@ class PastisPipeline:
         )
         if state is not None:
             state.cache = stage_cache
-        # scheduler selection: no pre-blocking -> serial; pre-blocking ->
-        # overlapped at preblock_depth; params.scheduler overrides the
-        # derivation.  The paper's contention multipliers model the depth-1
-        # schedule; any deeper overlapped run charges raw seconds.
-        if params.scheduler is not None:
-            scheduler_name = params.scheduler
-        else:
-            scheduler_name = "overlapped" if params.pre_blocking else "serial"
-        if scheduler_name == "overlapped":
-            scheduler = make_scheduler(
-                "overlapped",
-                depth=params.preblock_depth,
-                contention=(
-                    PreblockingModel()
-                    if params.preblock_depth == 1
-                    else PreblockingModel.uncontended()
-                ),
-            )
-        else:
-            scheduler = make_scheduler(scheduler_name)
-        if state is not None:
-            state.scheduler = scheduler.name
         with phase("stage_graph"):
-            outcome: ScheduleOutcome = scheduler.run(tasks, ctx)
+            outcome: ScheduleOutcome = Scheduler(params.preblock_depth).run(tasks, ctx)
         block_records = outcome.records
 
         # ---- output IO -------------------------------------------------------------
@@ -392,10 +369,10 @@ class PastisPipeline:
             graph = accumulator.finalize()
             io_model.collective_write(ParallelIoModel.triples_bytes(graph.num_edges))
 
-        # ---- optional clustering stage (post-graph; schedulers untouched) ----------
+        # ---- optional clustering stage (post-graph; stage loop untouched) ----------
         # runs after the stage graph has been drained: it consumes the one
         # artifact every block contributed to, so it is a BlockTask-independent
-        # stage and no scheduler needs to know about it
+        # stage and the stage loop need not know about it
         clustering = None
         cluster_seconds = 0.0
         if params.cluster.enabled:
@@ -499,7 +476,6 @@ class PastisPipeline:
                 build_manifest(
                     params=params,
                     status="ok",
-                    scheduler=scheduler.name,
                     phases=phases,
                     hub=hub,
                     comm=comm,
@@ -518,7 +494,7 @@ class PastisPipeline:
             preblocking_report=preblocking_report,
             timeline=outcome.timeline,
             memory=accumulator.memory,
-            scheduler=scheduler.name,
+            preblock_depth=params.preblock_depth,
             clustering=clustering,
             trace=tracer,
             metrics=hub,
@@ -533,7 +509,6 @@ class _RunState:
 
     comm: SimCommunicator | None = None
     cache: StageCache | None = None
-    scheduler: str | None = None
 
 
 def _feed_metrics(hub, phases, stage_cache, ctx) -> None:

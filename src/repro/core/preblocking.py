@@ -15,11 +15,11 @@ arithmetic, including the efficiency metric of Table I (``max(align,
 sparse) / achieved combined time``), whose degradation under load imbalance
 is exactly what makes the triangularity-based scheme benefit less.
 
-The pipeline itself no longer calls :meth:`PreblockingModel.evaluate`: the
-overlap is executed by
-:class:`repro.core.engine.schedulers.OverlappedScheduler`, which shares this
-model's contention parameterization, replays the executed schedule through
-the per-rank overlap clock, and records a
+The pipeline itself does not call :meth:`PreblockingModel.evaluate`: at
+``PastisParams.preblock_depth >= 1`` the
+:class:`repro.core.engine.schedulers.Scheduler` shares this model's
+contention parameterization, replays the executed per-block charges
+through the per-rank overlap clock, and records a
 :class:`~repro.core.engine.timeline.StageTimeline` from which the
 :class:`PreblockingReport` (the Table-I row) is derived.  The closed form
 remains for the Table-I benchmark and as a cross-check: on the same
@@ -50,6 +50,11 @@ class PreblockingReport:
     sparse_seconds_pre: float
     combined_seconds_pre: float
     total_seconds_pre: float
+    #: live-block peak of the depth-``k`` schedule: ``min(k + 1, blocks)``
+    #: blocks, and the largest sum of ``k + 1`` consecutive blocks' bytes
+    #: (0 from the closed form, which sees no block sizes)
+    peak_live_blocks: int = 0
+    peak_live_block_bytes: int = 0
 
     @property
     def normalized_align(self) -> float:

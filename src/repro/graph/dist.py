@@ -445,7 +445,7 @@ class DistMarkovClustering:
         blocks ``b+1..b+k`` may be in flight behind ``prune(b)``, scheduled
         through the same depth-``k`` algebra
         (:class:`repro.mpi.costmodel.OverlapWindow`) the search engine's
-        pre-blocking schedulers use.  ``1`` reproduces the classic slot schedule
+        pre-blocking clock uses.  ``1`` reproduces the classic slot schedule
         bit for bit.  Ignored without ``overlap``.
     rmcl_tolerance:
         Flow-balance residual stop criterion for regularized runs (see

@@ -13,10 +13,10 @@ inputs.  The paper's reported metrics map directly onto this ledger:
 * communication-wait and IO percentages (Table II) — category time divided
   by total time.
 
-Schedulers (see :mod:`repro.core.engine.schedulers`) own the charging of
-the "align" and "spgemm" categories, possibly inflated by the §VI-C
-contention multipliers.  The overlapped scheduler additionally charges the
-seconds *hidden* by the discover/align overlap to the informational
+The engine's stage loop (see :mod:`repro.core.engine.schedulers`) owns
+the charging of the "align" and "spgemm" categories, possibly inflated by
+the §VI-C contention multipliers.  At pre-blocking depth >= 1 it
+additionally charges the seconds *hidden* by the discover/align overlap to the informational
 "overlap_hidden" category (excluded from reported totals), which keeps the
 ledger reconcilable with the simulated clock:
 ``align + spgemm - overlap_hidden == combined schedule time`` per rank.
@@ -241,7 +241,7 @@ class CostLedger:
     charging *safe*, not *ordered*: reproducible float sums need charges in
     a deterministic order.  The engine gets that without threads: a block's
     discover charges a private :class:`RecordingLedger`, wherever it runs,
-    and the scheduler replays the journals onto the run's ledger in block
+    and the stage loop replays the journals onto the run's ledger in block
     order (:func:`replay_journal`).
     """
 

@@ -4,9 +4,8 @@ Three layers, built on top of (and complementary to) :mod:`repro.trace`:
 
 * :class:`MetricsHub` — typed counters/gauges/histograms with label
   sets, fed from the ``CostLedger`` trace hook, phase timers, cache
-  counters, scheduler lane stats, and per-SUMMA-stage kernel dispatch
-  records.  Enabled with ``PastisParams.metrics``; the hub rides on
-  ``SearchResult.metrics``.
+  counters, and per-SUMMA-stage kernel dispatch records.  Enabled
+  with ``PastisParams.metrics``; the hub rides on ``SearchResult.metrics``.
 * :mod:`repro.obs.manifest` / :mod:`repro.obs.registry` — every
   ``PastisPipeline.run`` with ``PastisParams.run_registry`` set writes a
   schema-versioned ``run.json`` manifest (success *and* failure paths)
@@ -21,7 +20,7 @@ registry, and regress are imported explicitly by their users.
 
 Like tracing, collection is off by default, near-zero-cost when
 disabled, and non-perturbing — ``tests/test_obs.py`` asserts
-bit-identity with metrics on, per scheduler.
+bit-identity with metrics on, per pre-blocking depth.
 """
 
 from __future__ import annotations

@@ -52,14 +52,14 @@ def _cmd_ls(args: argparse.Namespace) -> int:
     if not runs:
         print(f"registry {registry.root} is empty")
         return 0
-    print(f"{'run id':<34} {'status':<7} {'scheduler':<11} {'wall s':>9}  host")
+    print(f"{'run id':<34} {'status':<7} {'depth':<5} {'wall s':>9}  host")
     for run in runs:
         wall = run.get("wall_seconds")
         wall_text = f"{wall:.3f}" if wall is not None else "—"
         print(
             f"{run.get('run_id', '?'):<34} "
             f"{run.get('status', '?'):<7} "
-            f"{str((run.get('config') or {}).get('scheduler')):<11} "
+            f"{str((run.get('config') or {}).get('preblock_depth')):<5} "
             f"{wall_text:>9}  "
             f"{(run.get('host') or {}).get('hostname', '?')}"
         )

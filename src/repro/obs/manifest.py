@@ -3,7 +3,7 @@
 A manifest is one JSON document describing a run well enough to compare
 it against other runs later: the params cache token (the same
 result-determining subset the stage cache keys on), a host fingerprint,
-the scheduler/kernel configuration, phase wall seconds, ledger totals,
+the pre-blocking/kernel configuration, phase wall seconds, ledger totals,
 cache counters, peak memory, the metrics snapshot, and the exit status.
 Failed runs get a manifest too — with whatever phase timers had
 accumulated when the run died, which is usually the most interesting
@@ -97,7 +97,6 @@ def build_manifest(
     *,
     params: Any,
     status: str,
-    scheduler: str | None = None,
     phases: Any = None,
     hub: Any = None,
     comm: Any = None,
@@ -129,10 +128,8 @@ def build_manifest(
         "params_token": token,
         "config_key": config_key(token),
         "config": {
-            "scheduler": scheduler,
             "nodes": params.nodes,
             "num_blocks": params.num_blocks,
-            "pre_blocking": params.pre_blocking,
             "preblock_depth": params.preblock_depth,
             "spgemm_backend": str(params.spgemm_backend),
             "batch_flops": params.batch_flops,

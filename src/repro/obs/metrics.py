@@ -10,7 +10,7 @@ Design constraints, in order:
 
 * **non-perturbing** — collection never touches the data path; every
   instrument is a dict update under one lock.  Bit-identity with
-  metrics on is asserted per scheduler in ``tests/test_obs.py``.
+  metrics on is asserted per pre-blocking depth in ``tests/test_obs.py``.
 * **near-zero cost when off** — instrumented code guards on
   ``current_metrics() is not None`` (one global read); no hub, no cost.
 

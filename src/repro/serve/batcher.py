@@ -9,7 +9,7 @@ result.
 
 The request queue is modeled with the same
 :class:`~repro.mpi.costmodel.OverlapWindow` admission algebra the engine's
-overlapped scheduler uses: each batch's discovery lane (its per-rank
+pre-blocking clock uses: each batch's discovery lane (its per-rank
 ``spgemm`` seconds) is pushed as a background stage and its alignment lane
 runs as the foreground slot, so batch ``b+1``'s discovery hides behind
 batch ``b``'s alignment exactly like pre-blocking hides block ``b+1``'s

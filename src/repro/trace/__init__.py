@@ -20,7 +20,7 @@ sites guard on ``ctx.trace is None`` (or the no-op handle from
 and every deterministic ledger category are bit-identical with tracing
 on (asserted in ``tests/test_trace.py``).
 
-Both schedulers record directly into the run's one recorder.
+The stage loop records directly into the run's one recorder.
 
 Deep sites without a :class:`~repro.core.engine.stages.StageContext`
 (the SUMMA stage loop, Markov clustering) find the recorder through the

@@ -11,7 +11,7 @@ A :class:`TraceRecorder` collects two kinds of events:
 * **counter samples** — ``(name, t, value)`` points of a time series.
   Cheap *cumulative* counters (:meth:`bump`) are plain dictionary updates on the hot path; they only become events when
   :meth:`sample_counters` materializes the current values, which the
-  schedulers call at block boundaries.  This is what keeps per-charge
+  stage loop calls at block boundaries.  This is what keeps per-charge
   ledger hooks affordable: a ``charge()`` costs one dict add, not one
   event allocation.
 

@@ -99,15 +99,15 @@ def pipeline_result(small_seqs, fast_params):
 def failing_run(request, monkeypatch):
     """A run that raises ``RuntimeError`` part way through the stage graph.
 
-    ``before_blocks`` fails the serial scheduler before block 0 is
-    discovered; ``after_commit`` raises from the second
-    ``BlockedSpGemm.compute_block`` call of an overlapped depth-3 run, after
-    block 0 has been committed; ``during_align`` raises from the second
-    ``AlignmentPhase.align_block`` call of a serial run with
+    ``before_blocks`` fails the stage loop before block 0 is discovered;
+    ``after_commit`` raises from the second ``BlockedSpGemm.compute_block``
+    call, after block 0 has been committed; ``during_align`` raises from
+    the second ``AlignmentPhase.align_block`` call with
     ``align_batch_size=1`` (every block with survivors is its own window),
     after blocks 0 and 1 have been committed.  Returns the parameter
-    overrides, the error message, the scheduler name and the number of
-    blocks committed.
+    overrides, the error message and the number of blocks committed.  (The
+    pre-blocking depth cannot change any of this: see
+    ``test_engine.py::test_align_failure_stops_the_schedule``.)
     """
     from types import SimpleNamespace
 
@@ -126,19 +126,18 @@ def failing_run(request, monkeypatch):
         monkeypatch.setattr(AlignmentPhase, "align_block", fail_second_align)
         return SimpleNamespace(
             overrides={"align_batch_size": 1}, message="injected align failure",
-            scheduler="serial", committed=2,
+            committed=2,
         )
 
     if request.param == "before_blocks":
-        from repro.core.engine.schedulers import SerialScheduler
+        from repro.core.engine.schedulers import Scheduler
 
         def boom(self, tasks, ctx):
             raise RuntimeError("injected scheduler failure")
 
-        monkeypatch.setattr(SerialScheduler, "run", boom)
+        monkeypatch.setattr(Scheduler, "run", boom)
         return SimpleNamespace(
-            overrides={}, message="injected scheduler failure",
-            scheduler="serial", committed=0,
+            overrides={}, message="injected scheduler failure", committed=0,
         )
 
     from repro.distsparse.blocked_summa import BlockedSpGemm
@@ -154,6 +153,5 @@ def failing_run(request, monkeypatch):
 
     monkeypatch.setattr(BlockedSpGemm, "compute_block", fail_second)
     return SimpleNamespace(
-        overrides={"pre_blocking": True, "preblock_depth": 3},
-        message="injected discover failure", scheduler="overlapped", committed=1,
+        overrides={}, message="injected discover failure", committed=1,
     )

@@ -3,7 +3,7 @@
 The cache invariant under test: **a cache hit is bit-identical to
 recomputation**.  A warm run (every block replayed from disk) must produce
 the same records, edges, statistics and per-rank ledger state as the cold
-run that populated the cache — across all three schedulers — because an
+run that populated the cache — at every pre-blocking depth — because an
 entry stores the block's outputs *and* its discover's ledger journal, which
 a hit replays through the same ordered commit as a computed block.
 
@@ -35,11 +35,8 @@ from repro.sequences.synthetic import synthetic_dataset
 from repro.serve import build_index
 
 #: SearchStats keys that legitimately differ between a cold and a warm run:
-#: real wall time, the cache's own hit/miss counters, and (pre-blocking
-#: only) live-block peaks — the same classes test_engine.py's
-#: TIMING_AND_MEMORY_KEYS excludes from scheduler comparisons.
+#: real wall time and the cache's own hit/miss counters.
 NONDETERMINISTIC_STATS_KEYS = frozenset({"wall_seconds", "cache", "phase_seconds"})
-CONCURRENCY_STATS_KEYS = frozenset({"peak_live_blocks", "peak_live_block_bytes"})
 #: Measured wall-time aggregates: identical between cold and warm runs of
 #: the *same* cache (a hit replays the stored seconds) but not between
 #: independent executions — skipped when comparing against an uncached
@@ -107,8 +104,8 @@ def assert_results_identical(cold, warm, *, skip_stats=frozenset()):
 #: search variants whose ledger must repeat bit for bit
 DETERMINISTIC_RUNS = {
     "serial": {},
-    "overlapped-depth1": {"pre_blocking": True},
-    "overlapped-depth2": {"pre_blocking": True, "preblock_depth": 2},
+    "overlapped-depth1": {"preblock_depth": 1},
+    "overlapped-depth2": {"preblock_depth": 2},
     "query": {"mode": "query"},
     "cluster-nprocs4": {"cluster": ClusterParams(enabled=True, nprocs=4)},
 }
@@ -137,34 +134,26 @@ def test_ledger_is_deterministic(tmp_path, case):
 
 
 # ---------------------------------------------------------------------------
-# warm == cold bit-identity, per scheduler
+# warm == cold bit-identity, per pre-blocking depth
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "overrides, skip_stats",
+    "overrides",
     [
-        pytest.param({}, frozenset(), id="serial"),
-        pytest.param({"pre_blocking": True}, frozenset(), id="overlapped"),
-        pytest.param(
-            {"pre_blocking": True, "preblock_depth": 2},
-            CONCURRENCY_STATS_KEYS,
-            id="overlapped-depth2",
-        ),
-        pytest.param(
-            {"pre_blocking": True, "preblock_depth": 4},
-            CONCURRENCY_STATS_KEYS,
-            id="overlapped-depth4",
-        ),
+        pytest.param({}, id="serial"),
+        pytest.param({"preblock_depth": 1}, id="overlapped"),
+        pytest.param({"preblock_depth": 2}, id="overlapped-depth2"),
+        pytest.param({"preblock_depth": 4}, id="overlapped-depth4"),
     ],
 )
-def test_warm_run_bit_identical_to_cold(tmp_path, tiny_seqs, overrides, skip_stats):
+def test_warm_run_bit_identical_to_cold(tmp_path, tiny_seqs, overrides):
     params = _params(tmp_path, **overrides)
     cold = PastisPipeline(params).run(tiny_seqs)
     warm = PastisPipeline(params).run(tiny_seqs, resume=True)
     assert cold.stats.extras["cache"] == {"hits": 0, "misses": 4, "stores": 4}
     assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
-    assert_results_identical(cold, warm, skip_stats=skip_stats)
+    assert_results_identical(cold, warm)
 
 
 def test_warm_run_matches_uncached_reference(tmp_path, tiny_seqs):
@@ -178,10 +167,10 @@ def test_warm_run_matches_uncached_reference(tmp_path, tiny_seqs):
     assert_results_identical(reference, warm, skip_stats=MEASURED_STATS_KEYS)
 
 
-OVERLAPPED_DEPTH2 = {"pre_blocking": True, "preblock_depth": 2}
+OVERLAPPED_DEPTH2 = {"preblock_depth": 2}
 #: depth 1: the reader charges the paper's contention multipliers on the
-#: raw seconds a serial writer stored, and vice versa
-OVERLAPPED_DEPTH1 = {"pre_blocking": True}
+#: raw seconds a depth-0 writer stored, and vice versa
+OVERLAPPED_DEPTH1 = {"preblock_depth": 1}
 
 
 @pytest.mark.parametrize(
@@ -198,8 +187,9 @@ OVERLAPPED_DEPTH1 = {"pre_blocking": True}
     ],
 )
 def test_entries_shared_across_schedulers(tmp_path, tiny_seqs, writer, reader):
-    """Cache keys exclude scheduler knobs: a cache one scheduler wrote warms
-    another, whose results equal a cold uncached run of the reader."""
+    """Cache keys exclude the pre-blocking depth: a cache written at one
+    depth warms another, whose results equal a cold uncached run of the
+    reader."""
     params = _params(tmp_path)
     reference = PastisPipeline(params.replace(cache_dir=None, **reader)).run(tiny_seqs)
     PastisPipeline(params.replace(**writer)).run(tiny_seqs)  # cold run populates
@@ -207,7 +197,7 @@ def test_entries_shared_across_schedulers(tmp_path, tiny_seqs, writer, reader):
     assert warm.stats.extras["cache"] == {"hits": 4, "misses": 0, "stores": 0}
     assert_results_identical(
         reference, warm,
-        skip_stats=CONCURRENCY_STATS_KEYS | MEASURED_STATS_KEYS,
+        skip_stats=MEASURED_STATS_KEYS,
     )
 
 
@@ -267,7 +257,7 @@ def test_param_change_invalidates(tmp_path, tiny_seqs):
 def test_scheduler_knobs_do_not_invalidate(tmp_path, tiny_seqs):
     params = _params(tmp_path)
     PastisPipeline(params).run(tiny_seqs)
-    warm = PastisPipeline(params.replace(pre_blocking=True)).run(tiny_seqs, resume=True)
+    warm = PastisPipeline(params.replace(preblock_depth=1)).run(tiny_seqs, resume=True)
     assert warm.stats.extras["cache"]["hits"] == 4
 
 
@@ -453,17 +443,57 @@ def test_run_key_stable_and_sensitive(tiny_seqs):
     base = PastisParams(kmer_length=5, nodes=4, num_blocks=4)
     key = cache_mod.run_cache_key(base, tiny_seqs)
     assert key == cache_mod.run_cache_key(base, tiny_seqs)  # deterministic
-    # scheduler/cache knobs are excluded from the key ...
-    assert key == cache_mod.run_cache_key(
-        base.replace(
-            pre_blocking=True, preblock_depth=3, align_batch_size=7, cache_dir="/x"
-        ),
-        tiny_seqs,
-    )
+    # the pre-blocking depth and window/cache knobs are excluded from the key ...
+    for depth in (0, 1, 2, 3):
+        assert key == cache_mod.run_cache_key(
+            base.replace(preblock_depth=depth, align_batch_size=7, cache_dir="/x"),
+            tiny_seqs,
+        ), depth
     # ... search-defining parameters and the input content are not
     assert key != cache_mod.run_cache_key(base.replace(kmer_length=6), tiny_seqs)
     other = synthetic_dataset(n_sequences=30, seed=8)
     assert key != cache_mod.run_cache_key(base, other)
+
+
+def test_cache_key_reads_or_excludes_every_params_field():
+    """Every PastisParams field is either read by params_cache_token (in
+    all-vs-all or query mode) or listed, with a reason, in
+    CACHE_KEY_EXCLUSIONS — never both, never neither."""
+    import dataclasses
+
+    reads = set()
+
+    class Spy(PastisParams):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    runs = (Spy(), Spy(mode="query", index_dir="/x", query_dedup=True))
+    reads.clear()  # construction validates, reading every field
+    for params in runs:
+        cache_mod.params_cache_token(params)
+    fields = {f.name for f in dataclasses.fields(PastisParams)}
+    excluded = dict(cache_mod.CACHE_KEY_EXCLUSIONS)
+    assert len(excluded) == len(cache_mod.CACHE_KEY_EXCLUSIONS)  # no duplicates
+    assert all(reason.strip() for reason in excluded.values())
+    assert set(excluded) <= fields, set(excluded) - fields
+    assert not (set(excluded) & reads), set(excluded) & reads
+    assert fields - set(excluded) <= reads, fields - set(excluded) - reads
+
+
+def test_query_dedup_is_keyed_in_query_mode(tmp_path, tiny_seqs):
+    """query_dedup changes which candidates a block aligns, so a query cache
+    written without it must not warm a run with it."""
+    params = _params(tmp_path)
+    build_index(tiny_seqs, params.replace(cache_dir=None), tmp_path / "index")
+    query = params.replace(mode="query", index_dir=str(tmp_path / "index"))
+    PastisPipeline(query).run(tiny_seqs)
+    dedup = PastisPipeline(query.replace(query_dedup=True)).run(tiny_seqs)
+    assert dedup.stats.extras["cache"]["hits"] == 0
+    reference = PastisPipeline(query.replace(query_dedup=True, cache_dir=None)).run(tiny_seqs)
+    assert dedup.stats.alignments_performed == reference.stats.alignments_performed
+    # all-vs-all keys do not carry the field at all
+    assert "query_dedup" not in cache_mod.params_cache_token(params)
 
 
 _EDGE_DTYPE = np.dtype([("row", "<i8"), ("col", "<i8"), ("score", "<i4"), ("ani", "<f4")])

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from repro.align.adept import AdeptDriver
-from repro.core.blocking import make_schedule, schedule_for_num_blocks
+from repro.core.blocking import make_schedule
 from repro.core.costing import CostModel
 from repro.core.filtering import drop_self_pairs, filter_common_kmers
-from repro.core.kmer_matrix import build_distributed_kmer_matrix, build_kmer_coo
+from repro.core.kmer_matrix import build_distributed_kmer_matrix
 from repro.core.load_balance import (
     BlockKind,
     IndexScheme,
     TriangularityScheme,
     classify_block,
     make_scheme,
-    pairs_align_exactly_once,
 )
 from repro.core.params import PastisParams, nearly_square_factors
 from repro.core.preblocking import PreblockingModel
@@ -27,6 +26,7 @@ from repro.sequences.sequence import SequenceSet
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import OVERLAP_DTYPE
+from search_oracles import build_kmer_coo, pairs_align_exactly_once
 
 
 # ---------------------------------------------------------------- params
@@ -107,11 +107,6 @@ def test_make_schedule_respects_params():
     # blocking clamped for tiny datasets
     tiny = make_schedule(3, PastisParams(num_blocks=100))
     assert tiny.br <= 3 and tiny.bc <= 3
-
-
-def test_schedule_for_num_blocks():
-    schedule = schedule_for_num_blocks(50, 6)
-    assert schedule.num_blocks == 6
 
 
 # ---------------------------------------------------------------- block classification

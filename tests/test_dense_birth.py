@@ -15,7 +15,6 @@ import pytest
 from repro.core.blocking import make_schedule
 from repro.core.kmer_matrix import (
     build_distributed_kmer_matrix,
-    build_kmer_coo,
     extract_seed_triples,
     seed_operand,
 )
@@ -29,6 +28,7 @@ from repro.sequences.sequence import SequenceSet
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.semiring import CountSemiring, OverlapSemiring
 from repro.sparse.spgemm import spgemm
+from search_oracles import build_kmer_coo
 
 GRIDS = [1, 4, 9]
 BLOCKINGS = [(1, 1), (3, 4)]

@@ -1,11 +1,12 @@
-"""The stage-graph execution engine: scheduler equivalence and streaming memory.
+"""The stage-graph execution engine: the pre-blocking clock and streaming memory.
 
-The central contract of :mod:`repro.core.engine`: scheduling policy (serial
-vs. overlapped pre-blocking) changes *when* work runs and what the clock
-reads, never *what* is computed.  The harness here asserts bit-identical
-similarity graphs, statistics and block records across schedulers over
-seeds, blockings and both load-balancing schemes; that the overlapped
-schedule's derived Table-I report equals the closed-form
+The central contract of :mod:`repro.core.engine`: the pre-blocking depth
+changes what the modeled clock reads, never *what* is computed or in what
+order.  The harness here asserts bit-identical similarity graphs,
+statistics and block records across depths over seeds, blockings and both
+load-balancing schemes (``tests/test_preblock_oracle.py`` pins the same
+against golden runs of the lookahead engine); that the depth-1 schedule's
+derived Table-I report equals the closed-form
 :class:`~repro.core.preblocking.PreblockingModel` on the same per-block
 times; and that the streaming accumulator's peak live memory beats
 retaining all block outputs.
@@ -16,21 +17,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import (
-    OverlappedScheduler,
-    SerialScheduler,
-    StreamingGraphAccumulator,
-    make_scheduler,
-)
+from repro.core.engine import Scheduler, StreamingGraphAccumulator
 from repro.core.engine.schedulers import OVERLAP_HIDDEN_CATEGORY
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.core.preblocking import PreblockingModel
 from repro.sequences.synthetic import synthetic_dataset
 
-#: SearchStats keys that legitimately differ between schedulers: clock
-#: readings (the overlapped schedule is the point of pre-blocking) and the
-#: memory footprint (k + 1 live blocks instead of one).
+#: SearchStats keys that legitimately differ between depths: clock
+#: readings (the overlapped clock is the point of pre-blocking) and wall
+#: time.
 TIMING_AND_MEMORY_KEYS = frozenset(
     {
         "time_total",
@@ -68,8 +64,8 @@ def _run(seqs, **overrides):
 # facets of the same execution, so run each configuration once per module
 @pytest.fixture(scope="module")
 def overlapped_result(small_seqs, fast_params):
-    """pre_blocking=True counterpart of ``pipeline_result`` (4 blocks)."""
-    return PastisPipeline(fast_params.replace(pre_blocking=True)).run(small_seqs)
+    """Depth-1 counterpart of ``pipeline_result`` (4 blocks)."""
+    return PastisPipeline(fast_params.replace(preblock_depth=1)).run(small_seqs)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +76,7 @@ def serial6_result(small_seqs, fast_params):
 @pytest.fixture(scope="module")
 def overlapped6_result(small_seqs, fast_params):
     return PastisPipeline(
-        fast_params.replace(num_blocks=6, pre_blocking=True)
+        fast_params.replace(num_blocks=6, preblock_depth=1)
     ).run(small_seqs)
 
 
@@ -95,7 +91,7 @@ def _assert_records_equal(records_a, records_b):
         assert np.array_equal(ra.pairs_per_rank, rb.pairs_per_rank)
         assert np.array_equal(ra.cells_per_rank, rb.cells_per_rank)
         # records keep *raw* seconds, so under the deterministic modeled
-        # clock they agree bit-for-bit even across schedulers
+        # clock they agree bit-for-bit even across depths
         assert np.array_equal(ra.sparse_seconds_per_rank, rb.sparse_seconds_per_rank)
         assert np.array_equal(ra.align_seconds_per_rank, rb.align_seconds_per_rank)
 
@@ -108,21 +104,22 @@ def _assert_records_equal(records_a, records_b):
 @pytest.mark.parametrize("num_blocks", [4, 6])
 @pytest.mark.parametrize("load_balancing", ["index", "triangularity"])
 def test_scheduler_equivalence(seed, num_blocks, load_balancing):
-    """Overlapped scheduling is bit-identical to serial, modulo timing fields."""
+    """The depth-1 clock leaves results bit-identical to depth 0, modulo
+    timing fields."""
     seqs = synthetic_dataset(n_sequences=40, seed=seed)
     serial = _run(seqs, num_blocks=num_blocks, load_balancing=load_balancing)
     overlapped = _run(
-        seqs, num_blocks=num_blocks, load_balancing=load_balancing, pre_blocking=True
+        seqs, num_blocks=num_blocks, load_balancing=load_balancing, preblock_depth=1
     )
-    assert serial.scheduler == "serial"
-    assert overlapped.scheduler == "overlapped"
+    assert serial.preblock_depth == 0
+    assert overlapped.preblock_depth == 1
 
     # the similarity graph agrees down to every edge attribute
     assert np.array_equal(
         serial.similarity_graph.edges, overlapped.similarity_graph.edges
     )
 
-    # statistics agree on everything but clock readings / live-memory shape
+    # statistics agree on everything but clock readings
     stats_serial = serial.stats.as_dict()
     stats_overlapped = overlapped.stats.as_dict()
     assert set(stats_serial) == set(stats_overlapped)
@@ -187,7 +184,7 @@ def test_overlap_hidden_reconciles_ledger_with_clock(overlapped_result, pipeline
     np.testing.assert_allclose(
         reconstructed, overlapped_result.timeline.combined_per_rank, rtol=1e-12
     )
-    # and the hidden time never appears in serial runs
+    # and the hidden time never appears without pre-blocking
     assert OVERLAP_HIDDEN_CATEGORY not in pipeline_result.ledger.categories()
 
 
@@ -210,13 +207,16 @@ def test_streaming_peak_is_below_retaining_all_blocks(serial6_result, overlapped
 
 
 def test_serial_holds_one_block_overlapped_at_most_two(serial6_result, overlapped6_result):
-    # serial: exactly one live block at a time -> peak is the largest block
-    assert (
-        serial6_result.stats.extras["peak_live_block_bytes"]
-        == serial6_result.stats.peak_block_bytes
-    )
-    # overlapped: current block + in-flight next block, never more
-    peak = overlapped6_result.stats.extras["peak_live_block_bytes"]
+    # the stage loop holds exactly one live block at a time at every depth
+    # -> the measured peak is the largest block
+    for result in (serial6_result, overlapped6_result):
+        assert result.stats.extras["peak_live_blocks"] == 1
+        assert result.stats.extras["peak_live_block_bytes"] == result.stats.peak_block_bytes
+    # the depth-1 schedule the clock models holds the current block + the
+    # next one, never more
+    report = overlapped6_result.preblocking_report
+    assert report.peak_live_blocks == 2
+    peak = report.peak_live_block_bytes
     assert peak >= overlapped6_result.stats.peak_block_bytes
     assert peak <= 2 * overlapped6_result.stats.peak_block_bytes
 
@@ -295,7 +295,7 @@ def test_accumulator_zero_edge_block_memory_accounting():
     acc.block_computed(5000)  # live but will produce nothing
     acc.consume(np.zeros(0, dtype=EDGE_DTYPE))
     assert acc.live_block_bytes == 5000
-    acc.block_computed(2000)  # second block live concurrently (pre-blocking)
+    acc.block_computed(2000)  # second block live concurrently
     assert acc.peak_live_block_bytes == 7000
     acc.block_discarded(5000)
     edges = np.zeros(1, dtype=EDGE_DTYPE)
@@ -377,14 +377,14 @@ def serial_baseline():
     return seqs, _run(seqs, num_blocks=6)
 
 
-# acceptance: bit-identical records/edges/ledger across depth {1, 2, 4} —
-# discovering ahead reorders stages, never results; depths 5, 6 and 9 reach
-# or pass the last of the 6 blocks, so the lookahead is clamped
+# acceptance: bit-identical records/edges/ledger across depth — the depth
+# selects the clock, never a result; depths 5, 6 and 9 reach or pass the
+# last of the 6 blocks, so the modeled lookahead is clamped
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 9])
 def test_overlapped_depth_k_bit_identical_to_serial(depth, serial_baseline):
     seqs, serial = serial_baseline
-    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=depth)
-    assert overlapped.scheduler == "overlapped"
+    overlapped = _run(seqs, num_blocks=6, preblock_depth=depth)
+    assert overlapped.preblock_depth == depth
     assert overlapped.timeline.preblock_depth == depth
     assert np.array_equal(
         serial.similarity_graph.edges, overlapped.similarity_graph.edges
@@ -393,7 +393,7 @@ def test_overlapped_depth_k_bit_identical_to_serial(depth, serial_baseline):
     _stats_equal_modulo_timing(serial.stats.as_dict(), overlapped.stats.as_dict())
     # the paper's contention multipliers scale align/spgemm at depth 1 on the
     # modeled clock only; every other modeled category — and align/spgemm
-    # when uncontended — is bit-identical per rank to the serial schedule
+    # when uncontended — is bit-identical per rank to depth 0
     contended = depth == 1
     categories = ("comm", "cwait", "sparse_other", "io")
     if not contended:
@@ -408,9 +408,10 @@ def test_overlapped_depth_k_bit_identical_to_serial(depth, serial_baseline):
             serial.ledger.per_rank("align") * PreblockingModel().align_contention,
             rtol=1e-12,
         )
-    # memory shape of the schedule: the block being aligned + k discovered
-    # (never more than the run has blocks)
-    assert overlapped.stats.extras["peak_live_blocks"] == min(depth + 1, 6)
+    # memory shape of the modeled schedule: the block being aligned + k
+    # discovered (never more than the run has blocks); the loop holds one
+    assert overlapped.preblocking_report.peak_live_blocks == min(depth + 1, 6)
+    assert overlapped.stats.extras["peak_live_blocks"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -424,15 +425,11 @@ def triangularity_baseline():
 def test_overlapped_depth_k_bit_identical_under_triangularity(
     depth, triangularity_baseline
 ):
-    """Depth-k lookahead over triangularity-balanced blocks (diagonal and
+    """The depth-k clock over triangularity-balanced blocks (diagonal and
     off-diagonal kinds interleaved) leaves results bit-identical."""
     seqs, serial = triangularity_baseline
     overlapped = _run(
-        seqs,
-        num_blocks=6,
-        load_balancing="triangularity",
-        pre_blocking=True,
-        preblock_depth=depth,
+        seqs, num_blocks=6, load_balancing="triangularity", preblock_depth=depth
     )
     assert np.array_equal(
         serial.similarity_graph.edges, overlapped.similarity_graph.edges
@@ -452,7 +449,7 @@ def test_overlapped_clock_identity_at_every_depth(depth, serial_baseline):
     the hidden time is non-negative and the combined clock never exceeds
     the back-to-back sum."""
     seqs, _ = serial_baseline
-    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=depth)
+    overlapped = _run(seqs, num_blocks=6, preblock_depth=depth)
     ledger = overlapped.ledger
     combined = overlapped.timeline.combined_per_rank
     np.testing.assert_allclose(_reconstructed_clock(ledger), combined, rtol=1e-12)
@@ -468,7 +465,7 @@ def test_overlapped_clock_identity_at_every_depth(depth, serial_baseline):
 def test_overlapped_depth2_clock_identity_and_report(serial_baseline):
     """align + spgemm - overlap_hidden == combined clock, and a report derives."""
     seqs, serial = serial_baseline
-    overlapped = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=2)
+    overlapped = _run(seqs, num_blocks=6, preblock_depth=2)
     ledger = overlapped.ledger
     assert OVERLAP_HIDDEN_CATEGORY in ledger.categories()
     np.testing.assert_allclose(
@@ -492,19 +489,15 @@ def _stage_spans(result, names):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
-def test_overlapped_discovers_k_blocks_ahead_of_each_alignment(
+def test_every_depth_discovers_each_block_just_before_its_alignment(
     tiny_seqs, fast_params, depth
 ):
-    """Stage order of the depth-k schedule, one block per window
-    (``align_batch_size=1``, every block has survivors): align(b) starts
-    after the discovers of blocks up to b + k, and never after more."""
+    """The depth selects the clock, not the stage order: with one block
+    per window (``align_batch_size=1``, every block has survivors),
+    align(b) starts after the discovers of blocks up to b, and no more."""
     result = PastisPipeline(
         fast_params.replace(
-            num_blocks=6,
-            pre_blocking=True,
-            preblock_depth=depth,
-            align_batch_size=1,
-            trace=True,
+            num_blocks=6, preblock_depth=depth, align_batch_size=1, trace=True
         )
     ).run(tiny_seqs)
     discovered = pruned = 0
@@ -516,7 +509,7 @@ def test_overlapped_discovers_k_blocks_ahead_of_each_alignment(
         else:
             b = pruned - 1
             assert span.attrs_dict()["blocks"] == 1
-            assert discovered == min(b + depth + 1, 6), (b, discovered)
+            assert discovered == b + 1, (b, discovered)
 
 
 def test_serial_discovers_each_block_just_before_its_alignment(
@@ -546,35 +539,38 @@ def test_serial_discovers_each_block_just_before_its_alignment(
 
 
 def test_explicit_overlapped_honours_depth_above_one(serial_baseline):
-    """scheduler="overlapped" with preblock_depth > 1 runs at that depth,
-    uncontended: the same schedule and clock as pre_blocking selects."""
+    """An explicit preblock_depth above one is honoured, uncontended: the
+    combined clock is the depth-3 replay of the records' raw seconds, the
+    report models 4 live blocks, and the loop itself held one."""
+    from repro.mpi.costmodel import CostLedger, OverlapWindow
+
     seqs, serial = serial_baseline
-    explicit = _run(seqs, num_blocks=6, scheduler="overlapped", preblock_depth=3)
-    derived = _run(seqs, num_blocks=6, pre_blocking=True, preblock_depth=3)
-    assert explicit.scheduler == derived.scheduler == "overlapped"
+    explicit = _run(seqs, num_blocks=6, preblock_depth=3)
     assert explicit.timeline.preblock_depth == 3
     assert explicit.timeline.align_contention == 1.0
-    assert explicit.stats.extras["peak_live_blocks"] == 4
-    np.testing.assert_array_equal(
-        explicit.timeline.combined_per_rank, derived.timeline.combined_per_rank
+    assert explicit.preblocking_report.peak_live_blocks == 4
+    assert explicit.stats.extras["peak_live_blocks"] == 1
+    clock = np.zeros(4)
+    OverlapWindow(CostLedger(4), clock, "hidden").run_schedule(
+        [r.align_seconds_per_rank for r in explicit.block_records],
+        [r.sparse_seconds_per_rank for r in explicit.block_records],
+        depth=3,
     )
+    np.testing.assert_array_equal(explicit.timeline.combined_per_rank, clock)
     assert np.array_equal(
         serial.similarity_graph.edges, explicit.similarity_graph.edges
     )
 
 
 def test_pipeline_scheduler_selection(small_seqs, fast_params):
-    """No pre-blocking -> serial; pre-blocking -> overlapped at the
-    configured depth, with the paper's contention only at depth 1."""
+    """The run reports the depth it was charged at (0 by default), with the
+    paper's contention only at depth 1."""
     paper = PreblockingModel().align_contention
-    cases = [
-        (dict(), "serial", 1, 1.0),
-        (dict(pre_blocking=True), "overlapped", 1, paper),
-        (dict(pre_blocking=True, preblock_depth=2), "overlapped", 2, 1.0),
-    ]
-    for overrides, name, depth, align_contention in cases:
+    cases = [(dict(), 0, 1.0), (dict(preblock_depth=1), 1, paper),
+             (dict(preblock_depth=2), 2, 1.0)]
+    for overrides, depth, align_contention in cases:
         result = PastisPipeline(fast_params.replace(**overrides)).run(small_seqs)
-        assert result.scheduler == name, overrides
+        assert result.preblock_depth == depth, overrides
         assert result.timeline.preblock_depth == depth, overrides
         assert result.timeline.align_contention == align_contention, overrides
 
@@ -606,14 +602,14 @@ def test_dist_mcl_labels_bit_identical_across_overlap_depths(pipeline_result):
         np.testing.assert_allclose(reconstructed, dist.clock_per_rank, rtol=1e-12)
 
 
-# ---------------------------------------------------------------- bounded admission
+# ---------------------------------------------------------------- several live blocks
 def test_accumulator_peak_accounting_with_k_plus_1_live_blocks():
-    """depth+1 bounded admission: peak bytes and counts track the k+1 window."""
+    """Peak bytes and counts track k + 1 blocks live at once."""
     from repro.core.align_phase import EDGE_DTYPE
 
-    acc = StreamingGraphAccumulator(n_vertices=12, max_live_blocks=3)
+    acc = StreamingGraphAccumulator(n_vertices=12)
     sizes = [1000, 400, 2500, 800, 50]
-    # compute the first k+1 = 3 blocks (speculation fills the window)
+    # compute the first k+1 = 3 blocks
     for nbytes in sizes[:3]:
         acc.block_computed(nbytes)
     assert acc.live_blocks == 3
@@ -638,7 +634,7 @@ def test_accumulator_peak_accounting_with_k_plus_1_live_blocks():
 
 def test_accumulator_duplicate_edges_arriving_out_of_block_order():
     """Cross-block duplicates keep first-consumed attributes even when block
-    lifetimes interleave out of discard order (deep speculation)."""
+    lifetimes interleave out of discard order."""
     from repro.core.align_phase import EDGE_DTYPE
 
     def one_edge(row, col, score):
@@ -646,7 +642,7 @@ def test_accumulator_duplicate_edges_arriving_out_of_block_order():
         edges["row"], edges["col"], edges["score"] = row, col, score
         return edges
 
-    acc = StreamingGraphAccumulator(n_vertices=8, max_live_blocks=3)
+    acc = StreamingGraphAccumulator(n_vertices=8)
     # three blocks live at once; edges consumed in block order but discards
     # interleave (block 1 outlives block 2's consumption)
     acc.block_computed(100)
@@ -666,81 +662,67 @@ def test_accumulator_duplicate_edges_arriving_out_of_block_order():
     assert pair["score"][0] == 40  # first occurrence wins, block order decides
 
 
-def test_accumulator_single_thread_over_bound_raises_not_hangs():
-    """Registering past the bound fails loudly: the registering thread is
-    the only one able to evict, so waiting for a slot it would itself have
-    to free would deadlock silently."""
-    acc = StreamingGraphAccumulator(n_vertices=4, max_live_blocks=1)
-    acc.block_computed(100)  # admits
-    with pytest.raises(RuntimeError, match="live-block bound exceeded"):
-        acc.block_computed(200)
-    acc.block_discarded(100)
-    acc.block_computed(200)  # a freed slot admits again
-    assert acc.live_blocks == 1
-
-
-@pytest.mark.parametrize("bound", [1, 2, 3, 4])
-def test_accumulator_refusal_leaves_accounting_untouched(bound):
-    """A block refused at the bound is not counted: live blocks, live and
-    retained bytes and the peaks are what the admitted blocks made them."""
-    acc = StreamingGraphAccumulator(n_vertices=4, max_live_blocks=bound)
-    for _ in range(bound):
-        acc.block_computed(100)
-    with pytest.raises(RuntimeError, match="live-block bound exceeded"):
-        acc.block_computed(7000)
-    assert acc.live_blocks == acc.peak_live_blocks == bound
-    assert acc.live_block_bytes == acc.peak_live_block_bytes == 100 * bound
-    assert acc.retained_block_bytes == 100 * bound
-    for _ in range(bound):
-        acc.block_discarded(100)
-    assert acc.live_blocks == 0
-    assert acc.live_block_bytes == 0
-
-
 @pytest.mark.parametrize(
-    "overrides, depth",
+    "depth",
     [
-        pytest.param({}, 0, id="serial"),
-        pytest.param({"pre_blocking": True}, 1, id="overlapped"),
-        pytest.param({"pre_blocking": True, "preblock_depth": 3}, 3, id="overlapped-depth3"),
+        pytest.param(0, id="serial"),
+        pytest.param(1, id="overlapped"),
+        pytest.param(3, id="overlapped-depth3"),
     ],
 )
-def test_align_failure_stops_the_schedule(
-    small_seqs, fast_params, monkeypatch, overrides, depth
-):
+def test_align_failure_stops_the_schedule(small_seqs, fast_params, monkeypatch, depth):
     """An alignment failure in the second window (one block per window with
-    ``align_batch_size=1``) surfaces the original error once the schedule's
-    lookahead has been discovered, and nothing after."""
+    ``align_batch_size=1``), and likewise a failure in the second discover,
+    raises the original error with the same blocks discovered and committed
+    at every pre-blocking depth: the depth selects the clock, never the
+    stage order."""
     from repro.core.align_phase import AlignmentPhase
-    from repro.core.engine import schedulers
+    from repro.core.engine import schedulers, stages
+    from repro.distsparse.blocked_summa import BlockedSpGemm
 
-    discovered = []
-    original_discover = schedulers.discover
-    original_align = AlignmentPhase.align_block
-    aligned = {"n": 0}
+    discovered, committed = [], []
+    original_discover, original_commit = schedulers.discover, stages.commit
 
     def counting_discover(ctx, task):
         discovered.append((task.block_row, task.block_col))
         return original_discover(ctx, task)
 
-    def failing_align(self, window):
-        aligned["n"] += 1
-        if aligned["n"] == 2:
-            raise RuntimeError("injected align failure")
-        return original_align(self, window)
+    def counting_commit(ctx, task, result):
+        committed.append((task.block_row, task.block_col))
+        return original_commit(ctx, task, result)
+
+    def fail_second(original, message):
+        calls = {"n": 0}
+
+        def failing(*args):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError(message)
+            return original(*args)
+
+        return failing
 
     monkeypatch.setattr(schedulers, "discover", counting_discover)
-    monkeypatch.setattr(AlignmentPhase, "align_block", failing_align)
-    params = fast_params.replace(num_blocks=6, align_batch_size=1, **overrides)
-    with pytest.raises(RuntimeError, match="injected align failure"):
-        PastisPipeline(params).run(small_seqs)
-    # block 1 was being aligned: blocks 0 .. 1 + depth had been discovered
-    assert len(discovered) == 2 + depth
-    assert len(set(discovered)) == len(discovered)
+    monkeypatch.setattr(schedulers, "commit", counting_commit)
+    params = fast_params.replace(num_blocks=6, align_batch_size=1, preblock_depth=depth)
+    for target, name, message, blocks in (
+        (AlignmentPhase, "align_block", "injected align failure", 2),
+        (BlockedSpGemm, "compute_block", "injected discover failure", 1),
+    ):
+        discovered.clear()
+        committed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fail_second(getattr(target, name), message))
+            with pytest.raises(RuntimeError, match=message):
+                PastisPipeline(params).run(small_seqs)
+        # the align failure hit block 1's window after blocks 0 and 1 were
+        # committed; the discover failure hit block 1 before its commit
+        assert len(discovered) == 2, message
+        assert committed == discovered[:blocks], message
 
 
 def test_overlapped_discover_failure_propagates(small_seqs, fast_params, monkeypatch):
-    """A discover failure while blocks are discovered ahead surfaces the
+    """A discover failure under a depth-3 pre-blocking clock surfaces the
     original error."""
     from repro.distsparse.blocked_summa import BlockedSpGemm
 
@@ -754,22 +736,22 @@ def test_overlapped_discover_failure_propagates(small_seqs, fast_params, monkeyp
         return original(self, block_row, block_col)
 
     monkeypatch.setattr(BlockedSpGemm, "compute_block", failing_compute)
-    params = fast_params.replace(num_blocks=6, pre_blocking=True, preblock_depth=3)
+    params = fast_params.replace(num_blocks=6, preblock_depth=3)
     with pytest.raises(RuntimeError, match="injected discover failure"):
         PastisPipeline(params).run(small_seqs)
 
 
 # ---------------------------------------------------------------- alignment windows
-#: schedule name -> (overrides, discover depth)
+#: schedule name -> (overrides, pre-blocking depth)
 WINDOW_SCHEDULES = {
     "serial": ({}, 0),
-    "overlapped": ({"pre_blocking": True}, 1),
-    "overlapped-depth3": ({"pre_blocking": True, "preblock_depth": 3}, 3),
+    "overlapped": ({"preblock_depth": 1}, 1),
+    "overlapped-depth3": ({"preblock_depth": 3}, 3),
 }
 
 
 def _capture_contexts(monkeypatch):
-    """Record the StageContext of every scheduler run."""
+    """Record the StageContext of every stage-loop run."""
     from repro.core.engine.schedulers import Scheduler
 
     contexts = []
@@ -787,7 +769,7 @@ def test_window_size_cannot_change_a_result(tiny_seqs, fast_params, monkeypatch)
     """align_batch_size sets the alignment windows (one block each at 1,
     several at 7, the whole run at 128) and nothing else: records, edges,
     every modeled ledger category and counter, SpGemmStats and the per-rank
-    combined clock are bit-identical, per schedule and across schedules."""
+    combined clock are bit-identical, per depth and across depths."""
     contexts = _capture_contexts(monkeypatch)
     runs = {}
     for name, (overrides, _) in WINDOW_SCHEDULES.items():
@@ -824,8 +806,10 @@ def test_window_size_cannot_change_a_result(tiny_seqs, fast_params, monkeypatch)
                 same_schedule.timeline.combined_per_rank,
             )
         # release at prune: the window holds survivors, not blocks
+        assert result.stats.extras["peak_live_blocks"] == 1
         _, depth = WINDOW_SCHEDULES[name]
-        assert result.stats.extras["peak_live_blocks"] == depth + 1
+        if depth:
+            assert result.preblocking_report.peak_live_blocks == depth + 1
 
 
 def test_windows_align_whole_device_batches(tiny_seqs, fast_params, monkeypatch):
@@ -843,31 +827,29 @@ def test_windows_align_whole_device_batches(tiny_seqs, fast_params, monkeypatch)
         return original(a_list, b_list, *args, **kwargs)
 
     monkeypatch.setattr(adept, "batch_smith_waterman", counting_kernel)
-    for name, (overrides, _) in WINDOW_SCHEDULES.items():
-        params = fast_params.replace(num_blocks=6, **overrides)
-        reference = PastisPipeline(params.replace(align_batch_size=1)).run(tiny_seqs)
-        pairs = reference.stats.alignments_performed
-        for batch in (5, 7):
-            widths.clear()
-            result = PastisPipeline(params.replace(align_batch_size=batch)).run(tiny_seqs)
-            assert pairs % batch  # the last call is short: something was carried
-            assert widths[:-1] == [batch] * (len(widths) - 1), (name, batch, widths)
-            assert len(widths) == -(-pairs // batch)
+    params = fast_params.replace(num_blocks=6)
+    reference = PastisPipeline(params.replace(align_batch_size=1)).run(tiny_seqs)
+    pairs = reference.stats.alignments_performed
+    for batch in (5, 7):
+        widths.clear()
+        result = PastisPipeline(params.replace(align_batch_size=batch)).run(tiny_seqs)
+        assert pairs % batch  # the last call is short: something was carried
+        assert widths[:-1] == [batch] * (len(widths) - 1), (batch, widths)
+        assert len(widths) == -(-pairs // batch)
+        assert np.array_equal(
+            result.similarity_graph.edges, reference.similarity_graph.edges
+        )
+        _assert_records_equal(reference.block_records, result.block_records)
+        for category in ("align", "spgemm", "comm", "cwait", "sparse_other", "io"):
             assert np.array_equal(
-                result.similarity_graph.edges, reference.similarity_graph.edges
-            )
-            _assert_records_equal(reference.block_records, result.block_records)
-            for category in ("align", "spgemm", "comm", "cwait", "sparse_other", "io",
-                             OVERLAP_HIDDEN_CATEGORY):
-                assert np.array_equal(
-                    result.ledger.per_rank(category), reference.ledger.per_rank(category)
-                ), (name, batch, category)
-            for counter in ("spgemm_flops", "bytes_sent", "bytes_received",
-                            "alignments", "alignment_cells"):
-                assert np.array_equal(
-                    result.ledger.counter_per_rank(counter),
-                    reference.ledger.counter_per_rank(counter),
-                ), (name, batch, counter)
+                result.ledger.per_rank(category), reference.ledger.per_rank(category)
+            ), (batch, category)
+        for counter in ("spgemm_flops", "bytes_sent", "bytes_received",
+                        "alignments", "alignment_cells"):
+            assert np.array_equal(
+                result.ledger.counter_per_rank(counter),
+                reference.ledger.counter_per_rank(counter),
+            ), (batch, counter)
 
 
 def test_served_request_makes_one_kernel_call(tmp_path, tiny_seqs, monkeypatch):
@@ -895,43 +877,58 @@ def test_served_request_makes_one_kernel_call(tmp_path, tiny_seqs, monkeypatch):
     assert calls["n"] == 1
 
 
-# ---------------------------------------------------------------- scheduler contract
-def test_make_scheduler_factory():
-    assert isinstance(make_scheduler("serial"), SerialScheduler)
-    overlapped = make_scheduler("overlapped")
-    assert isinstance(overlapped, OverlappedScheduler)
-    assert overlapped.depth == 1
-    assert overlapped.contention.align_contention > 1.0
-    deep = make_scheduler(
-        "overlapped", depth=3, contention=PreblockingModel.uncontended()
+# ---------------------------------------------------------------- stage-loop contract
+@pytest.mark.parametrize(
+    "depth, blocks, peak_bytes",
+    [(1, 2, 2500 + 800), (2, 3, 1000 + 400 + 2500), (3, 4, 1000 + 400 + 2500 + 800),
+     (5, 5, 1000 + 400 + 2500 + 800 + 50)],
+)
+def test_report_models_k_plus_1_consecutive_live_blocks(depth, blocks, peak_bytes):
+    """The depth-k report's live-block peak is min(k + 1, blocks) blocks and
+    the largest sum of k + 1 consecutive blocks' bytes, in execution order."""
+    from repro.core.engine import BlockRecord, StageTimeline
+    from repro.core.load_balance import BlockKind
+
+    zeros = np.zeros(2)
+    timeline = StageTimeline(preblock_depth=depth, combined_per_rank=zeros)
+    for index, nbytes in enumerate([1000, 400, 2500, 800, 50]):
+        timeline.blocks.append(BlockRecord(
+            block_row=0, block_col=index, kind=BlockKind.FULL, candidates=0,
+            aligned_pairs=0, similar_pairs=0, sparse_seconds_per_rank=zeros,
+            align_seconds_per_rank=zeros, pairs_per_rank=zeros, cells_per_rank=zeros,
+            block_bytes=nbytes,
+        ))
+    report = timeline.preblocking_report()
+    assert (report.peak_live_blocks, report.peak_live_block_bytes) == (blocks, peak_bytes)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_contention_only_at_depth_one(depth):
+    """The paper's contention slowdowns model the depth-1 schedule; depth 0
+    and deeper clocks charge raw seconds."""
+    model = PreblockingModel()
+    expected = (
+        (model.align_contention, model.sparse_contention(9)) if depth == 1 else (1.0, 1.0)
     )
-    assert deep.depth == 3
-    assert deep.contention.align_contention == 1.0
-    assert deep.contention.sparse_contention(400) == 1.0
-    with pytest.raises(ValueError, match="depth"):
-        make_scheduler("overlapped", depth=0)
-    for removed in ("threaded", "process"):
-        with pytest.raises(ValueError, match="unknown scheduler.*serial, overlapped$"):
-            make_scheduler(removed)
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("speculative")
+    assert Scheduler(depth).contention(9) == expected
 
 
 def test_params_refuse_the_removed_threaded_scheduler():
-    """The removed schedulers are refused at the boundary, naming the allowed
-    values."""
-    for removed in ("threaded", "process"):
+    """``scheduler`` is accepted as ``None`` only; any name is refused at
+    the boundary, pointing to ``preblock_depth``.  So is a negative depth."""
+    assert PastisParams(scheduler=None).preblock_depth == 0
+    for removed in ("threaded", "process", "serial", "overlapped"):
         with pytest.raises(
-            ValueError, match=f"None, 'serial' or 'overlapped', got '{removed}'"
+            ValueError, match=f"scheduler='{removed}' .* set preblock_depth"
         ):
-            PastisParams(pre_blocking=True, scheduler=removed)
+            PastisParams(scheduler=removed)
+    with pytest.raises(ValueError, match="preblock_depth must be >= 0"):
+        PastisParams(preblock_depth=-1)
 
 
 def test_overlapped_scheduler_empty_task_list(small_seqs, fast_params):
     """Degenerate schedule: no tasks still yields a coherent outcome."""
-    from repro.core.engine import OverlappedScheduler
-
-    outcome = OverlappedScheduler().run([], ctx=None)
+    outcome = Scheduler(depth=1).run([], ctx=None)
     assert outcome.records == []
     assert outcome.timeline.combined_per_rank is None
     assert outcome.timeline.preblocking_report(1.0) is None

@@ -114,7 +114,7 @@ def test_overlap_window_depth1_matches_charge_overlap_slot():
 
 
 def test_run_schedule_depth1_matches_charge_overlap_slot():
-    """The depth-1 block schedule the overlapped scheduler closes its clock
+    """The depth-1 block schedule the pre-blocking clock is replayed
     with is the classic slot loop, to the bit."""
     rng = np.random.default_rng(11)
     nranks, blocks = 4, 7

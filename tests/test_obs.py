@@ -3,7 +3,7 @@
 The observability contract under test has four legs:
 
 * **Non-perturbation** — a run with metrics enabled is bit-identical to
-  the same run without, per scheduler: records, edges, every
+  the same run without, per pre-blocking depth: records, edges, every
   deterministic ledger category and counter (the same contract
   ``tests/test_trace.py`` asserts for tracing).
 * **Fidelity** — the hub's ``ledger_seconds`` counters equal the
@@ -53,23 +53,16 @@ NONCOMPARABLE_STATS_KEYS = frozenset(
         "cache",
         "measured_align_seconds",
         "measured_discover_seconds",
-        "peak_live_blocks",
-        "peak_live_block_bytes",
     }
 )
 
+#: pre-blocking depths (the depth selects the modeled clock)
 SCHEDULER_OVERRIDES = [
     pytest.param({}, id="serial"),
-    pytest.param({"pre_blocking": True}, id="overlapped"),
-    pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2},
-        id="overlapped-depth2",
-    ),
-    # the lookahead reaches the last of the run's 4 blocks
-    pytest.param(
-        {"pre_blocking": True, "preblock_depth": 4},
-        id="overlapped-depth4",
-    ),
+    pytest.param({"preblock_depth": 1}, id="overlapped"),
+    pytest.param({"preblock_depth": 2}, id="overlapped-depth2"),
+    # the modeled lookahead reaches the last of the run's 4 blocks
+    pytest.param({"preblock_depth": 4}, id="overlapped-depth4"),
 ]
 
 
@@ -215,7 +208,7 @@ def test_default_run_records_stages_under_the_default_kernel(tiny_seqs, fast_par
 
 
 # ---------------------------------------------------------------------------
-# non-perturbation: observed == unobserved, per scheduler
+# non-perturbation: observed == unobserved, per pre-blocking depth
 # ---------------------------------------------------------------------------
 
 
@@ -269,7 +262,8 @@ def test_successful_run_records_a_manifest(tmp_path, tiny_seqs, fast_params):
     assert manifest["schema"] == RUN_SCHEMA_VERSION
     assert manifest["status"] == "ok"
     assert manifest["error"] is None
-    assert manifest["config"]["scheduler"] == "serial"
+    assert manifest["config"]["preblock_depth"] == 0
+    assert "scheduler" not in manifest["config"]
     assert manifest["config_key"] == config_key(manifest["params_token"])
     assert manifest["host"]["fingerprint"] == host_fingerprint()["fingerprint"]
     assert {"input_io", "kmer_matrix", "stage_graph", "output_io"} <= set(
@@ -313,7 +307,7 @@ def _manifest(run_id, scale=1.0, *, status="ok", host="f0", key="k0"):
         "status": status,
         "host": {"hostname": "h", "fingerprint": host},
         "config_key": key,
-        "config": {"scheduler": "serial"},
+        "config": {"preblock_depth": 0},
         "wall_seconds": 10.0 * scale,
         "phase_seconds": {"stage_graph": 8.0 * scale, "input_io": 0.5 * scale},
         "error": None,
@@ -362,7 +356,7 @@ def test_failed_run_records_partial_phase_timers(
     phases = manifest["phase_seconds"]
     assert {"input_io", "kmer_matrix", "stage_graph"} <= set(phases)
     assert "output_io" not in phases
-    assert manifest["config"]["scheduler"] == failing_run.scheduler
+    assert manifest["config"]["preblock_depth"] == 0
     assert "ledger" in manifest  # the communicator existed at death
     assert current_metrics() is None  # teardown deactivated the hub
 
@@ -479,7 +473,9 @@ def test_cli_ls_show_diff_export(observed_registry, tmp_path, capsys):
     reg = str(observed_registry)
     assert obs_cli(["ls", "--registry", reg]) == 0
     out = capsys.readouterr().out
-    assert "run id" in out and out.count("serial") == 2
+    header, *rows = out.splitlines()
+    assert header.split()[:4] == ["run", "id", "status", "depth"]
+    assert [row.split()[2] for row in rows] == ["0", "0"]  # the runs' depth
     assert obs_cli(["show", "latest", "--registry", reg]) == 0
     out = capsys.readouterr().out
     assert "phases" in out and "ledger (sum over ranks)" in out

@@ -15,12 +15,13 @@ import repro.core.pipeline as pipeline_module
 import repro.distsparse.blocked_summa as blocked_summa_module
 import repro.sparse.coo as coo_module
 import repro.sparse.csr as csr_module
-from repro.core.kmer_matrix import build_kmer_coo, extract_seed_triples, seed_operand
+from repro.core.kmer_matrix import extract_seed_triples, seed_operand
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockSchedule
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix, radix_order, rowmajor_order
+from search_oracles import build_kmer_coo
 
 
 def _argsorts(monkeypatch) -> list:

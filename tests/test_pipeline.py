@@ -93,7 +93,7 @@ def test_results_identical_across_node_counts(small_seqs, fast_params, pipeline_
 
 
 def test_preblocking_does_not_change_results(small_seqs, fast_params, pipeline_result):
-    pre = PastisPipeline(fast_params.replace(pre_blocking=True, num_blocks=4)).run(small_seqs)
+    pre = PastisPipeline(fast_params.replace(preblock_depth=1, num_blocks=4)).run(small_seqs)
     assert pre.similarity_graph == pipeline_result.similarity_graph
     assert pre.preblocking_report is not None
     report = pre.preblocking_report

@@ -3,9 +3,9 @@
 For any query subset Q of the database, ``mode="query"`` with
 ``query_dedup=True`` must be *bit-identical* to the corresponding rows of
 the all-vs-all run over the database — per-block records, edges, SpGEMM
-stats — across schedulers and kernels.  These tests pin that contract plus
-the serving semantics around it (novel queries, dedup-off neighborhoods,
-cache warm replay).
+stats — across pre-blocking depths and kernels.  These tests pin that
+contract plus the serving semantics around it (novel queries, dedup-off
+neighborhoods, cache warm replay).
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ def _assert_records_identical(query_records, base_records):
 @pytest.mark.parametrize(
     "schedule",
     [
-        pytest.param({"scheduler": "serial"}, id="serial"),
-        pytest.param(
-            {"scheduler": "overlapped", "preblock_depth": 2}, id="overlapped-depth2"
-        ),
+        pytest.param({}, id="serial"),
+        pytest.param({"preblock_depth": 2}, id="overlapped-depth2"),
     ],
 )
 @pytest.mark.parametrize("backend", ["expand", "gustavson"])

@@ -3,8 +3,8 @@
 The tracing contract under test has three legs:
 
 * **Non-perturbation** — a traced run is bit-identical to the same run
-  untraced, per scheduler: records, edges, every deterministic ledger
-  category and counter.  The recorder only ever appends to its own lists,
+  untraced, per pre-blocking depth: records, edges, every deterministic
+  ledger category and counter.  The recorder only ever appends to its own lists,
   and these tests are the proof.
 * **Export schema** — the Chrome trace-event document is structurally
   valid (every complete event has ``ph``/``ts``/``dur``/``pid``/``tid``)
@@ -35,7 +35,7 @@ from repro.trace.__main__ import main as trace_cli
 from repro.trace.recorder import NULL_SPAN
 
 #: SearchStats keys that legitimately differ between two executions of the
-#: same run (wall clocks, per-run cache counters, concurrency peaks).
+#: same run (wall clocks, per-run cache counters).
 NONCOMPARABLE_STATS_KEYS = frozenset(
     {
         "wall_seconds",
@@ -43,23 +43,16 @@ NONCOMPARABLE_STATS_KEYS = frozenset(
         "cache",
         "measured_align_seconds",
         "measured_discover_seconds",
-        "peak_live_blocks",
-        "peak_live_block_bytes",
     }
 )
 
+#: pre-blocking depths (the depth selects the modeled clock)
 SCHEDULER_OVERRIDES = [
     pytest.param({}, id="serial"),
-    pytest.param({"pre_blocking": True}, id="overlapped"),
-    pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2},
-        id="overlapped-depth2",
-    ),
-    # the lookahead reaches the last of the run's 4 blocks
-    pytest.param(
-        {"pre_blocking": True, "preblock_depth": 4},
-        id="overlapped-depth4",
-    ),
+    pytest.param({"preblock_depth": 1}, id="overlapped"),
+    pytest.param({"preblock_depth": 2}, id="overlapped-depth2"),
+    # the modeled lookahead reaches the last of the run's 4 blocks
+    pytest.param({"preblock_depth": 4}, id="overlapped-depth4"),
 ]
 
 
@@ -149,7 +142,7 @@ def test_active_tracer_defaults_to_none():
 
 
 # ---------------------------------------------------------------------------
-# non-perturbation: traced == untraced, per scheduler
+# non-perturbation: traced == untraced, per pre-blocking depth
 # ---------------------------------------------------------------------------
 
 
@@ -225,8 +218,7 @@ def _assert_spans_disjoint_or_nested(rows):
 def test_chrome_export_schema_and_nesting(tmp_path, tiny_seqs, fast_params):
     trace_dir = tmp_path / "trace"
     result = _run(
-        tiny_seqs, fast_params, trace_dir=str(trace_dir),
-        pre_blocking=True, preblock_depth=2,
+        tiny_seqs, fast_params, trace_dir=str(trace_dir), preblock_depth=2
     )
     assert result.trace is not None
     document = json.loads((trace_dir / CHROME_NAME).read_text())
@@ -296,7 +288,6 @@ def test_traced_warm_run_replays_every_block(tmp_path, tiny_seqs, fast_params):
     own process, and stays bit-identical to the same run untraced."""
     params = fast_params.replace(
         num_blocks=6,
-        pre_blocking=True,
         preblock_depth=3,
         cache_dir=str(tmp_path / "cache"),
     )
@@ -320,11 +311,11 @@ def test_traced_warm_run_replays_every_block(tmp_path, tiny_seqs, fast_params):
 
 @pytest.fixture()
 def traced_dirs(tmp_path, tiny_seqs, fast_params):
-    """Two traced runs (serial / overlapped) for the CLI tests."""
+    """Two traced runs (depth 0 / depth 1) for the CLI tests."""
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
     _run(tiny_seqs, fast_params, trace_dir=str(dir_a))
-    _run(tiny_seqs, fast_params, trace_dir=str(dir_b), pre_blocking=True)
+    _run(tiny_seqs, fast_params, trace_dir=str(dir_b), preblock_depth=1)
     return dir_a, dir_b
 
 
