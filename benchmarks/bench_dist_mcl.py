@@ -1,8 +1,9 @@
-"""Distributed Markov clustering benchmark: grid sizes x backends x overlap.
+"""Distributed Markov clustering benchmark: grid sizes x backends x depth.
 
 Runs the pipeline on the shared seeded workload, then sweeps
 :class:`repro.graph.dist.DistMarkovClustering` over grid sizes, SpGEMM
-backends and the overlapped schedule.  Asserts on every configuration that
+backends and the overlap depth of the schedule.  Asserts on every
+configuration that
 
 * labels and the final matrix are **bit-identical** to single-rank MCL,
 * the charged ``cluster_comm`` volume matches the closed-form broadcast
@@ -69,10 +70,10 @@ def run_dist_mcl_sweep(
     workload: dict,
     grid_sizes=GRID_SIZES,
     backends=BACKENDS,
-    overlaps=(False, True),
+    depths=(0, 1),
     matrix: StochasticMatrix | None = None,
 ) -> dict:
-    """Sweep grid sizes x backends x overlap on one seeded search output.
+    """Sweep grid sizes x backends x overlap depth on one seeded search output.
 
     ``matrix`` lets a caller that already ran the (deterministic) search
     reuse its transition matrix instead of paying for a second pipeline run.
@@ -94,9 +95,9 @@ def run_dist_mcl_sweep(
     }
     for nprocs in grid_sizes:
         for backend in backends:
-            for overlap in overlaps:
+            for depth in depths:
                 mcl = DistMarkovClustering(
-                    nprocs=nprocs, spgemm_backend=backend, overlap=overlap
+                    nprocs=nprocs, spgemm_backend=backend, overlap_depth=depth
                 )
                 t0 = time.perf_counter()
                 result = mcl.fit(matrix)
@@ -125,7 +126,7 @@ def run_dist_mcl_sweep(
                         "nprocs": nprocs,
                         "grid": f"{result.grid_dim}x{result.grid_dim}",
                         "backend": backend,
-                        "overlap": overlap,
+                        "overlap_depth": depth,
                         "wall_seconds": wall,
                         "n_iterations": result.n_iterations,
                         "flops": result.total_flops,
@@ -169,14 +170,14 @@ def _print_report(out: dict) -> None:
         f"{out['serial']['n_clusters']} clusters in {out['serial']['n_iterations']} iterations"
     )
     header = (
-        f"{'grid':>5} {'backend':>10} {'overlap':>7} {'expand s':>10} {'prune s':>9} "
+        f"{'grid':>5} {'backend':>10} {'depth':>5} {'expand s':>10} {'prune s':>9} "
         f"{'comm s':>9} {'hidden s':>9} {'clock s':>9} {'MB sent':>8}"
     )
     print(header)
     print("-" * len(header))
     for row in out["runs"]:
         print(
-            f"{row['grid']:>5} {row['backend']:>10} {str(row['overlap']):>7} "
+            f"{row['grid']:>5} {row['backend']:>10} {row['overlap_depth']:>5} "
             f"{row['expand_seconds']:>10.4f} {row['prune_seconds']:>9.4f} "
             f"{row['comm_seconds']:>9.4f} {row['overlap_hidden_seconds']:>9.4f} "
             f"{row['clock_seconds']:>9.4f} {row['bytes_sent'] / 1e6:>8.2f}"
@@ -189,19 +190,19 @@ def test_dist_mcl_benchmark(benchmark):
     out = run_dist_mcl_sweep(WORKLOAD, matrix=matrix)
     save_results("BENCH_dist_mcl", out)
     _print_report(out)
-    benchmark(lambda: DistMarkovClustering(nprocs=9, overlap=True).fit(matrix))
-    overlapped = [r for r in out["runs"] if r["overlap"] and r["nprocs"] > 1]
+    benchmark(lambda: DistMarkovClustering(nprocs=9, overlap_depth=1).fit(matrix))
+    overlapped = [r for r in out["runs"] if r["overlap_depth"] and r["nprocs"] > 1]
     assert all(r["overlap_hidden_seconds"] > 0 for r in overlapped)
 
 
 def _smoke() -> None:
     """Reduced sweep (no pytest-benchmark needed) — used by CI."""
     out = run_dist_mcl_sweep(
-        WORKLOAD, grid_sizes=(1, 4), backends=BACKENDS, overlaps=(False, True)
+        WORKLOAD, grid_sizes=(1, 4), backends=BACKENDS, depths=(0, 1)
     )
     _print_report(out)
     save_results("BENCH_dist_mcl", out)
-    overlapped = [r for r in out["runs"] if r["overlap"] and r["nprocs"] > 1]
+    overlapped = [r for r in out["runs"] if r["overlap_depth"] and r["nprocs"] > 1]
     assert overlapped and all(r["overlap_hidden_seconds"] > 0 for r in overlapped), (
         "the overlapped cluster schedule stopped hiding time"
     )

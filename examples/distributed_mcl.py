@@ -12,7 +12,7 @@ The walkthrough for :mod:`repro.graph.dist`:
    per rank, the seconds hidden by the overlap, the charged ``cluster_comm``
    volume against the closed-form broadcast model;
 4. run the whole thing through the pipeline instead
-   (``ClusterParams.nprocs/overlap``) and print the clustering report;
+   (``ClusterParams.nprocs/overlap_depth``) and print the clustering report;
 5. project the stage's strong scaling to node counts the simulator never
    ran (:func:`repro.perfmodel.scaling.cluster_strong_scaling_series`).
 
@@ -65,18 +65,18 @@ def main() -> None:
         f"{serial.n_iterations} iterations (converged={serial.converged})"
     )
     for nprocs in (4, 9):
-        for overlap in (False, True):
-            dist = DistMarkovClustering(nprocs=nprocs, overlap=overlap).fit(matrix)
+        for depth in (0, 1):
+            dist = DistMarkovClustering(nprocs=nprocs, overlap_depth=depth).fit(matrix)
             assert np.array_equal(dist.labels, serial.labels)
             assert dist.final_matrix.same_bits(serial.final_matrix)
-            sched = "overlapped" if overlap else "serial"
+            sched = "overlapped" if depth else "serial"
             print(
                 f"  {dist.grid_dim}x{dist.grid_dim} grid, {sched:>10} schedule: "
                 f"bit-identical; stage total {dist.total_seconds():.4f}s"
             )
 
     # ---- 3. the cluster-stage ledger ------------------------------------------
-    dist = DistMarkovClustering(nprocs=9, overlap=True).fit(matrix)
+    dist = DistMarkovClustering(nprocs=9, overlap_depth=1).fit(matrix)
     ledger = dist.ledger
     expand = ledger.per_rank(CLUSTER_EXPAND_CATEGORY)
     prune = ledger.per_rank(CLUSTER_PRUNE_CATEGORY)
@@ -100,11 +100,11 @@ def main() -> None:
     # ---- 4. the same stage through the pipeline --------------------------------
     clustered = PastisPipeline(
         params.replace(
-            cluster=ClusterParams(enabled=True, nprocs=9, overlap=True)
+            cluster=ClusterParams(enabled=True, nprocs=9, overlap_depth=1)
         )
     ).run(sequences)
     assert np.array_equal(clustered.clustering.labels, serial.labels)
-    print("\npipeline run with ClusterParams(nprocs=9, overlap=True):\n")
+    print("\npipeline run with ClusterParams(nprocs=9, overlap_depth=1):\n")
     print(clustering_table(clustered.clustering))
 
     # ---- 5. strong-scaling projection ------------------------------------------

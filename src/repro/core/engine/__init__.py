@@ -66,8 +66,8 @@ the mechanisms above —
   window (attributes ``blocks`` and ``pairs``), the others one per block;
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
   :class:`StageCache` consult and the commit of a hit;
-* ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
-  stages inside one discover's 2D SUMMA;
+* ``summa`` spans (``summa_stage``) — the broadcast stages inside one
+  discover's 2D SUMMA;
 * ``replay`` spans (``ledger_replay``) — the commit of a computed block;
 * counter series (live blocks, ``ledger.<category>`` totals, cache hits)
   are sampled once per block at the accumulate boundary.

@@ -179,17 +179,6 @@ class BlockedSpGemm:
         Per-row-group flop budget passed to every local multiply (bounds
         the Gustavson kernel's peak intermediate memory); ``None`` uses the
         kernel default.
-    deferred_merge:
-        Run each block's SUMMA with the deferred local multiply (one kernel
-        invocation per rank over the gathered stripes, after all stage
-        broadcasts) instead of per-stage multiplies — identical
-        communication, but per-element bit-identity with a serial kernel on
-        the undistributed operands (see :func:`repro.distsparse.summa.summa`).
-        The distributed Markov clustering requires it.
-    collectives:
-        Optional substitute :class:`~repro.mpi.collectives.CollectiveEngine`
-        charging the broadcasts (e.g. into a dedicated ledger category);
-        ``None`` uses the communicator's default engine.
     """
 
     a: DistSparseMatrix
@@ -198,8 +187,6 @@ class BlockedSpGemm:
     schedule: BlockSchedule
     spgemm_backend: str | None = None
     batch_flops: int | None = None
-    deferred_merge: bool = False
-    collectives: object = None
     #: stripes already sliced, by ("a", block_row) / ("b", block_col)
     _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
         default_factory=dict, init=False, repr=False
@@ -241,8 +228,6 @@ class BlockedSpGemm:
             output_shape=(self.a.shape[0], self.b.shape[1]),
             spgemm_backend=self.spgemm_backend,
             batch_flops=self.batch_flops,
-            deferred_merge=self.deferred_merge,
-            collectives=self.collectives,
         )
         return OutputBlock(
             block_row=block_row,

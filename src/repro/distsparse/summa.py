@@ -94,25 +94,6 @@ class SummaResult:
         return merged.deduplicate(semiring) if semiring is not None else merged.sort_rowmajor()
 
 
-def _concat_received(
-    parts: list[tuple[CooMatrix, int, int]], shape: tuple[int, int]
-) -> CooMatrix:
-    """Concatenate broadcast-received blocks into one global-coordinate COO.
-
-    Blocks arrive in stage order, i.e. ascending global inner index, and the
-    concatenation preserves that order — which is what lets the deferred
-    local multiply reduce every output element's partial products in the
-    same left-to-right ascending-inner-index pass a serial kernel uses.
-    """
-    nonempty = [(blk, roff, coff) for blk, roff, coff in parts if blk.nnz]
-    if not nonempty:
-        return CooMatrix.empty(shape)
-    rows = np.concatenate([blk.rows + roff for blk, roff, _ in nonempty])
-    cols = np.concatenate([blk.cols + coff for blk, _, coff in nonempty])
-    values = np.concatenate([blk.values for blk, _, _ in nonempty])
-    return CooMatrix(shape, rows, cols, values, check=False)
-
-
 def summa(
     a: DistSparseMatrix,
     b: DistSparseMatrix,
@@ -120,8 +101,6 @@ def summa(
     output_shape: tuple[int, int] | None = None,
     spgemm_backend: str | SpGemmKernel | None = None,
     batch_flops: int | None = None,
-    deferred_merge: bool = False,
-    collectives=None,
 ) -> SummaResult:
     """Run the 2D Sparse SUMMA ``C = A ·(semiring) B`` on the simulated grid.
 
@@ -133,26 +112,6 @@ def summa(
     a callable; ``None`` uses the registry default.  ``batch_flops`` bounds
     the per-row-group flop budget of every local multiply (memory-constrained
     runs); the selected backend must support batching.
-
-    ``deferred_merge`` changes *when* each rank multiplies, not what it
-    receives: the stage broadcasts (and their charged cost) are identical,
-    but instead of multiplying the two blocks of every stage and merging the
-    per-stage partials afterwards, each rank concatenates the received
-    blocks into its full row stripe of ``A`` and column stripe of ``B`` —
-    in stage order, i.e. ascending global inner index — and runs *one*
-    local multiply at the end.  Per-stage merging reassociates the additive
-    reduction (stage sums are formed first, then summed), so for
-    non-exactly-representable values its floats differ in the last ulp from
-    a single global multiply; the deferred variant keeps every output
-    element's partial products in one left-to-right reduction over ascending
-    inner index and is therefore **bit-identical per element to a serial
-    kernel invocation on the undistributed operands** — the property the
-    distributed Markov clustering (:mod:`repro.graph.dist`) is built on.
-
-    ``collectives`` optionally substitutes the
-    :class:`~repro.mpi.collectives.CollectiveEngine` charging the broadcasts
-    (e.g. one with ``comm_category="cluster_comm"``); ``None`` uses the
-    communicator's default engine.
     """
     if a.comm is not b.comm:
         raise ValueError("operands must live on the same communicator")
@@ -174,10 +133,8 @@ def summa(
         kernel_kwargs["batch_flops"] = batch_flops
 
     ledger = comm.ledger
-    engine = comm.collectives if collectives is None else collectives
+    engine = comm.collectives
     partials: list[list[CooMatrix]] = [[] for _ in range(grid.nprocs)]
-    received_a: list[list[tuple[CooMatrix, int, int]]] = [[] for _ in range(grid.nprocs)]
-    received_b: list[list[tuple[CooMatrix, int, int]]] = [[] for _ in range(grid.nprocs)]
     stats = SpGemmStats()
     flops_per_rank = np.zeros(grid.nprocs)
     comm_before = ledger.per_rank(engine.comm_category).copy()
@@ -212,20 +169,6 @@ def summa(
             engine.bcast(block, owner, grid.col_group(j))
             for rank in grid.col_group(j):
                 b_blocks[rank] = (block, roff, coff)
-
-        if deferred_merge:
-            # hold the received blocks; the single local multiply runs after
-            # the last stage so the additive reduction stays one left-to-right
-            # pass over ascending global inner index
-            for rank in range(grid.nprocs):
-                received_a[rank].append(a_blocks[rank])
-                received_b[rank].append(b_blocks[rank])
-            if tracer is not None:
-                tracer.add_span(
-                    "summa_stage", "summa", stage_t0, time.perf_counter(),
-                    lane="discover", stage=k, deferred=True,
-                )
-            continue
 
         # --- local semiring multiply on every rank
         for rank in range(grid.nprocs):
@@ -262,50 +205,18 @@ def summa(
                 lane="discover", stage=k,
             )
 
+    # --- merge per-rank partial results across stages
     per_rank: list[CooMatrix] = []
-    if deferred_merge:
-        merge_t0 = time.perf_counter() if tracer is not None else 0.0
-        # --- one local multiply per rank over the gathered stripes
-        for rank in range(grid.nprocs):
-            a_local = _concat_received(received_a[rank], (a.shape[0], a.shape[1]))
-            b_local = _concat_received(received_b[rank], (b.shape[0], b.shape[1]))
-            if a_local.nnz == 0 or b_local.nnz == 0:
-                per_rank.append(CooMatrix.empty(output_shape, dtype=semiring.value_dtype))
-                continue
-            t0 = time.perf_counter()
-            partial, pstats = spgemm_kernel(
-                a_local, b_local, semiring, return_stats=True, **kernel_kwargs
-            )
-            kernel_dt = time.perf_counter() - t0
-            stats = stats.merge(pstats)
-            if metrics is not None:
-                metrics.record_spgemm_stage(
-                    backend_label, "merge", kernel_dt, pstats.flops,
-                    pstats.compression_factor,
-                )
-            # operand coordinates were global, so the output already is too
-            per_rank.append(
-                CooMatrix(output_shape, partial.rows, partial.cols, partial.values, check=False)
-            )
-            ledger.count(rank, "spgemm_flops", pstats.flops)
-            flops_per_rank[rank] += pstats.flops
-        if tracer is not None:
-            tracer.add_span(
-                "summa_merge", "summa", merge_t0, time.perf_counter(),
-                lane="discover",
-            )
-    else:
-        # --- merge per-rank partial results across stages
-        for rank in range(grid.nprocs):
-            parts = partials[rank]
-            if not parts:
-                per_rank.append(CooMatrix.empty(output_shape, dtype=semiring.value_dtype))
-                continue
-            rows = np.concatenate([p.rows for p in parts])
-            cols = np.concatenate([p.cols for p in parts])
-            values = np.concatenate([p.values for p in parts])
-            merged = CooMatrix(output_shape, rows, cols, values, check=False).deduplicate(semiring)
-            per_rank.append(merged)
+    for rank in range(grid.nprocs):
+        parts = partials[rank]
+        if not parts:
+            per_rank.append(CooMatrix.empty(output_shape, dtype=semiring.value_dtype))
+            continue
+        rows = np.concatenate([p.rows for p in parts])
+        cols = np.concatenate([p.cols for p in parts])
+        values = np.concatenate([p.values for p in parts])
+        merged = CooMatrix(output_shape, rows, cols, values, check=False).deduplicate(semiring)
+        per_rank.append(merged)
 
     comm_after = ledger.per_rank(engine.comm_category)
     comm_seconds = float((comm_after - comm_before).max()) if grid.nprocs else 0.0

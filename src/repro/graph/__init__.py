@@ -13,7 +13,8 @@ on the same substrates the search uses:
   semiring (``"gustavson"`` by default, bit-identical to the ``"expand"``
   oracle) and per-iteration flop/nnz/pruned-mass stats;
 * :mod:`repro.graph.dist` — *distributed* Markov clustering on the 2D
-  process grid (see the stage map below);
+  process grid: computed on one rank, with the grid a charge plan (see the
+  stage map below);
 * :mod:`repro.graph.components` — dependency-free union-find connected
   components (also backing
   :meth:`~repro.core.similarity_graph.SimilarityGraph.connected_components`);
@@ -23,7 +24,7 @@ on the same substrates the search uses:
   ``PastisParams.cluster``) and :func:`cluster_similarity_graph`, the
   entry point the pipeline's optional post-graph ``cluster`` stage calls.
 
-**MCL stages and their paper counterparts.**  Distributed MCL reuses,
+**MCL stages and their paper counterparts.**  Distributed MCL charges,
 stage for stage, the machinery the paper builds for the search:
 
 ========================  =====================================================
@@ -72,7 +73,6 @@ from .dist import (
     DistMarkovClustering,
     DistMclIterationStats,
     DistMclResult,
-    DistStochasticMatrix,
     expansion_broadcast_bytes,
 )
 from .matrix import WEIGHT_TRANSFORMS, PruneStats, StochasticMatrix, similarity_weights
@@ -98,7 +98,6 @@ __all__ = [
     "DistMarkovClustering",
     "DistMclIterationStats",
     "DistMclResult",
-    "DistStochasticMatrix",
     "expansion_broadcast_bytes",
     "UnionFind",
     "canonical_labels",

@@ -68,20 +68,19 @@ class ClusterParams:
         Number of virtual ranks the clustering stage runs on (a perfect
         square, as for the search grid).  ``1`` keeps the single-rank
         :class:`~repro.graph.mcl.MarkovClustering`; larger values run
-        :class:`~repro.graph.dist.DistMarkovClustering` — the transition
-        matrix blocked over the 2D grid, expansion through the blocked
-        SUMMA, collectives charged to the ``cluster_comm`` ledger category.
-        Results are bit-identical either way.
-    overlap:
-        Distributed runs only: co-schedule ``expand(b+1)`` with ``prune(b)``
-        on the simulated clock (hidden seconds ledgered under
-        ``cluster_overlap_hidden``).  Labels are unaffected.
+        :class:`~repro.graph.dist.DistMarkovClustering` — the single-rank
+        operators, with the 2D grid's blocked SUMMA and row-op collectives
+        charged to the ``cluster_comm`` ledger category.  Results are
+        bit-identical either way.
     overlap_depth:
-        Speculative depth ``k`` of the distributed overlapped schedule
-        (``expand(b+1..b+k)`` in flight behind ``prune(b)``), scheduled
-        through the shared :class:`repro.mpi.costmodel.OverlapWindow`
-        algebra; ``1`` is the classic slot schedule.  Ignored without
-        ``overlap``.
+        Distributed runs only: depth ``k`` of the overlapped schedule on the
+        simulated clock (``expand(b+1..b+k)`` in flight behind
+        ``prune(b)``, hidden seconds ledgered under
+        ``cluster_overlap_hidden``), scheduled through the shared
+        :class:`repro.mpi.costmodel.OverlapWindow` algebra.  ``0`` (the
+        default) runs the stages back to back; ``1`` is the classic slot
+        schedule.  A single-rank run (``nprocs == 1``) has no schedule, so
+        any ``k > 0`` is refused there.  Labels are unaffected.
     regularized:
         Regularized MCL (expand against the *original* transition matrix
         each iteration) — the cheap sensitivity option; honored by both the
@@ -107,8 +106,7 @@ class ClusterParams:
     spgemm_backend: str | None = None
     batch_flops: int | None = None
     nprocs: int = 1
-    overlap: bool = False
-    overlap_depth: int = 1
+    overlap_depth: int = 0
     regularized: bool = False
     rmcl_tolerance: float = 0.0
 
@@ -138,8 +136,8 @@ class ClusterParams:
             raise ValueError("tolerance must be non-negative")
         if self.rmcl_tolerance < 0.0:
             raise ValueError("rmcl_tolerance must be non-negative (0 disables)")
-        if self.overlap_depth < 1:
-            raise ValueError("overlap_depth must be >= 1")
+        if self.overlap_depth < 0:
+            raise ValueError("overlap_depth must be >= 0 (0 runs the stages back to back)")
         if self.spgemm_backend is not None and self.spgemm_backend not in available_kernels():
             raise ValueError(
                 f"spgemm_backend must be one of {available_kernels()} (or None), "
@@ -159,6 +157,11 @@ class ClusterParams:
         if not is_perfect_square(self.nprocs):
             raise ValueError(
                 f"nprocs ({self.nprocs}) must be a perfect square (2D grid requirement)"
+            )
+        if self.overlap_depth > 0 and self.nprocs == 1:
+            raise ValueError(
+                f"overlap_depth ({self.overlap_depth}) needs nprocs > 1: a "
+                "single-rank run (nprocs == 1) has no schedule to overlap"
             )
         if self.nprocs > 1 and self.method != "mcl":
             raise ValueError(
@@ -261,7 +264,6 @@ def cluster_similarity_graph(graph, params: ClusterParams | None = None) -> Clus
             tolerance=params.tolerance,
             spgemm_backend=backend,
             batch_flops=params.batch_flops,
-            overlap=params.overlap,
             overlap_depth=params.overlap_depth,
             regularized=params.regularized,
             rmcl_tolerance=params.rmcl_tolerance,

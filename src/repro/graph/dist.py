@@ -1,24 +1,25 @@
-"""Distributed Markov clustering on the 2D process grid.
+"""Distributed Markov clustering on the 2D process grid, computed on one rank.
 
-PR 3 made the similarity graph's family detection a sparse-compute pipeline,
-but a *single-rank* one: the search stage scales over the simulated grid
-while MCL runs on one node.  This module closes that gap.  The transition
-matrix is blocked over the same ``sqrt(p) x sqrt(p)``
-:class:`~repro.mpi.process_grid.ProcessGrid` the search uses, expansion runs
-block by block through the deferred-merge 2D Sparse SUMMA
-(:func:`repro.distsparse.summa.summa`, the same engine
-:class:`~repro.distsparse.blocked_summa.BlockedSpGemm` drives for the
-search) under the plain arithmetic semiring, and inflation/pruning are
-grid-local row operations with the cross-rank reductions (column
-renormalization, prune ranking, chaos) modeled as collectives.  Every MCL
-iteration is expressed as ``BlockTask``-style stages over stored-row blocks
-of the iterate (``blocks_per_grid_row`` sub-blocks nested in each grid row,
-the cluster analogue of the search's ``num_blocks``) —
+The search stage scales over the simulated ``sqrt(p) x sqrt(p)``
+:class:`~repro.mpi.process_grid.ProcessGrid`; this module puts the
+clustering stage on the same grid, the way HipMCL distributes MCL.  The grid
+is a *charge plan*, not an execution: a grid run's matrices are by contract
+the single-rank ones, so :class:`DistMarkovClustering` iterates the
+single-rank operators on one
+:class:`~repro.graph.matrix.StochasticMatrix` and charges the ledger what the
+grid spends, from per-block, per-rank counts alone.  Every MCL iteration is
+blocked into stored-row blocks of the iterate (``blocks_per_grid_row``
+sub-blocks nested in each grid row, the cluster analogue of the search's
+``num_blocks``) and charged as three stages —
 
 ``expand(b)``
-    Deferred-merge blocked SUMMA for stored-row block ``b`` of ``Mᵀ·Mᵀ``
-    (broadcasts charged to the ``cluster_comm`` ledger category and the
-    ``cluster_bytes_*`` counters).
+    Blocked 2D Sparse SUMMA for stored-row block ``b`` of ``Mᵀ·Mᵀ``: in stage
+    ``k``, ``A`` block ``(i, k)`` is broadcast along grid row ``i`` and ``B``
+    block ``(k, j)`` along grid column ``j``, empty blocks included (charged
+    to the ``cluster_comm`` ledger category and the ``cluster_bytes_*``
+    counters).  Rank ``(i, j)`` then multiplies its gathered stripes once:
+    its flops are its ``A`` entries' ``B`` rows cut to column block ``j``,
+    and its kernel peak is the largest of the Gustavson kernel's row groups.
 ``inflate(b)`` / ``prune(b)``
     Elementwise power and per-column prune decisions on the stripe — local
     to grid row ``b``'s ranks once the ranking allgather has run; the
@@ -27,33 +28,27 @@ the cluster analogue of the search's ``num_blocks``) —
     Iteration epilogue: one global "did anything drop" flag, the
     post-prune renormalization, and the chaos reduction.
 
-— so the same overlap algebra the search engine executes (the shared
-depth-``k`` :class:`repro.mpi.costmodel.OverlapWindow`, of which the classic
-``charge_overlap_slot`` is the depth-1 special case) co-schedules
+— so the same overlap algebra the search engine's clock replays (the shared
+depth-``k`` :class:`repro.mpi.costmodel.OverlapWindow`) co-schedules
 ``expand(b+1..b+k)`` with ``prune(b)`` on the simulated clock
-(``overlap_depth`` selects ``k``), ledgering the hidden seconds under
-``cluster_overlap_hidden`` so that ``cluster_expand + cluster_prune −
-cluster_overlap_hidden == combined clock`` per rank for every depth.
+(``overlap_depth`` selects ``k``; 0 runs the stages back to back), ledgering
+the hidden seconds under ``cluster_overlap_hidden`` so that ``cluster_expand
++ cluster_prune − cluster_overlap_hidden == combined clock`` per rank for
+every depth.
 
-**Bit-identity.**  The distributed run produces the same labels and the same
-final matrix, bit for bit, as single-rank
-:class:`~repro.graph.mcl.MarkovClustering` for every grid size and every
-SpGEMM backend.  Two properties make that possible:
-
-* expansion uses the *deferred-merge* SUMMA
-  (:func:`repro.distsparse.summa.summa` with ``deferred_merge=True``): each
-  rank multiplies its gathered stripes once, so every output element's
-  partial products are reduced in one left-to-right pass over ascending
-  global inner index — exactly the association
-  :class:`~repro.sparse.semiring.ArithmeticSemiring.reduce` gives a serial
-  kernel (per-stage merging would re-associate the sums and drift in the
-  last ulp);
-* inflation, pruning and renormalization run the *same code* as the serial
-  operators (the stripe functions of :mod:`repro.graph.matrix`), and every
-  one of them is per-stored-row, so stripe-wise evaluation concatenates to
-  the serial result exactly.  The only globally-coupled decision — serial
-  ``prune`` renormalizes all columns iff *any* entry dropped anywhere — is
-  reproduced with the iteration-epilogue flag reduction.
+**The charge-plan contract.**  Labels and the final matrix are those of
+single-rank :class:`~repro.graph.mcl.MarkovClustering`, bit for bit, for
+every grid size and SpGEMM backend: expansion is one
+:meth:`~repro.graph.matrix.StochasticMatrix.expand` per iteration, and
+inflation, pruning and renormalization are the stripe functions of
+:mod:`repro.graph.matrix`, every one of them per stored row.  Prune
+decisions run per stored-row block, so the
+:class:`~repro.graph.matrix.PruneStats` merge in block order, as the grid
+reduces them.  The ledger (every charge, in order), the clock, the byte
+counters and the memory peaks are those of the executed grid — one
+deferred-merge SUMMA per block on real payloads — bit for bit:
+``tests/mcl_golden.json``, captured from that execution, pins them
+(``tests/test_mcl_oracle.py``).
 
 This mirrors the paper's framing: the clustering stage becomes one more
 distributed sparse-matrix workload on the very substrate (grid, SUMMA,
@@ -67,24 +62,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..distsparse.blocked_summa import _chunk_bounds
-from ..distsparse.distmat import DistSparseMatrix
-from ..distsparse.summa import summa
 from ..metrics.memory import MemoryTracker
 from ..mpi.collectives import CollectiveEngine
 from ..mpi.communicator import SimCommunicator
 from ..mpi.costmodel import OverlapWindow
 from ..mpi.process_grid import is_perfect_square
-from ..sparse.coo import CooMatrix
 from ..sparse.csr import CsrMatrix
-from ..sparse.kernels import DEFAULT_KERNEL, resolve_kernel
-from ..sparse.semiring import ArithmeticSemiring
-from ..sparse.spgemm import SpGemmStats
+from ..sparse.gustavson import DEFAULT_BATCH_FLOPS, row_group_bounds
+from ..sparse.kernels import DEFAULT_KERNEL, kernel_supports_batch_flops, resolve_kernel
 from .matrix import (
     PruneStats,
     StochasticMatrix,
     apply_keep_mask,
     chaos_tcsr,
-    column_sums_tcsr,
     flow_residual_tcsr,
     inflate_tcsr,
     normalize_tcsr,
@@ -110,6 +100,9 @@ CLUSTER_COUNTER_PREFIX = "cluster_"
 #: Bytes per stored entry moved by the row-op collectives (int64 column
 #: index + float64 value).
 ROW_OP_ENTRY_BYTES = 16
+#: Bytes per COO triplet (int64 row and column, float64 value): an entry a
+#: SUMMA broadcast moves, and a partial product of a kernel's expand form.
+COO_ENTRY_BYTES = 24
 #: Memory-tracker component names.
 DIST_MCL_ITERATE = "dist_mcl_iterate"
 DIST_MCL_INTERMEDIATE = "dist_mcl_intermediate"
@@ -165,132 +158,168 @@ class _VolumePredictor:
         self.bcast(nbytes, participants)
 
 
-class DistStochasticMatrix:
-    """A column-stochastic transition matrix blocked over the 2D process grid.
+class _ChargePlan:
+    """The 2D grid's ledger charges for one fit, from per-block, per-rank counts.
 
-    Storage follows the transpose-CSR convention of
-    :class:`~repro.graph.matrix.StochasticMatrix`: stored row ``c`` is
-    logical column ``c``.  Stored rows are split into ``grid_dim`` balanced
-    stripes (grid row ``r`` owns stripe ``r``); within a grid row, the
-    stored *columns* split by grid column, giving every rank the 2D block of
-    CombBLAS's decomposition.  The stripes are the unit the per-column
-    operators run on; :meth:`to_dist_sparse` materializes the per-rank COO
-    blocks the SUMMA expansion consumes, and per-rank nnz accounting is
-    derived from the same column splits.
+    The matrices are computed on one rank; the plan charges what the
+    executed grid does — SUMMA stage broadcasts, per-rank flops and kernel
+    peaks, row-op collectives and modeled compute seconds — in the order the
+    grid emits them.  Collectives charge through the cluster
+    :class:`~repro.mpi.collectives.CollectiveEngine`'s byte-count entry
+    points and add the same sizes to the closed-form
+    :class:`_VolumePredictor`.
     """
 
-    def __init__(self, comm: SimCommunicator, stripes: list[CsrMatrix], n: int) -> None:
-        grid = comm.require_grid()
-        if len(stripes) != grid.grid_dim:
-            raise ValueError("need exactly one stored-row stripe per grid row")
-        for r, stripe in enumerate(stripes):
-            lo, hi = grid.block_bounds(n, r)
-            if stripe.shape != (hi - lo, n):
-                raise ValueError(
-                    f"stripe {r} has shape {stripe.shape}, expected {(hi - lo, n)}"
-                )
-        self.comm = comm
-        self.grid = grid
-        self.n = int(n)
-        self.stripes = stripes
-
-    # ------------------------------------------------------------------ construction
-    @classmethod
-    def from_matrix(cls, matrix: StochasticMatrix, comm: SimCommunicator) -> "DistStochasticMatrix":
-        """Block a single-rank transition matrix over the communicator's grid."""
-        grid = comm.require_grid()
-        n = matrix.n
+    def __init__(
+        self, comm: SimCommunicator, n: int, blocks_per_grid_row: int, kernel, batch_flops
+    ) -> None:
+        grid = self.grid = comm.require_grid()
         if grid.grid_dim > n:
             raise ValueError(
                 f"grid dimension {grid.grid_dim} exceeds the matrix order {n}; "
                 "every grid row needs at least one stored row"
             )
-        stripes = [
-            matrix.tcsr.row_slice(*grid.block_bounds(n, r)) for r in range(grid.grid_dim)
+        self.ledger = comm.ledger
+        self.node = comm.cluster.node
+        self.engine = CollectiveEngine(
+            network=comm.cluster.network,
+            ledger=comm.ledger,
+            comm_category=CLUSTER_COMM_CATEGORY,
+            counter_prefix=CLUSTER_COUNTER_PREFIX,
+        )
+        self.predictor = _VolumePredictor()
+        # the kernel's row-group flop budget; a kernel without one expands
+        # each multiply as a single group
+        self.budget = (
+            (batch_flops or DEFAULT_BATCH_FLOPS) if kernel_supports_batch_flops(kernel) else None
+        )
+        self.grid_rows = [grid.block_bounds(n, r) for r in range(grid.grid_dim)]
+        self.col_lo = np.array([lo for lo, _ in self.grid_rows], dtype=np.int64)
+        # blocks_per_grid_row sub-blocks nested in each grid row, so
+        # consecutive blocks busy the same ranks and the overlapped schedule
+        # has something to hide (clamped to the rows available)
+        self.blocks = [
+            (r, lo, hi)
+            for r, (rlo, rhi) in enumerate(self.grid_rows)
+            for lo, hi in _balanced_chunks(rlo, rhi, min(blocks_per_grid_row, rhi - rlo))
         ]
-        return cls(comm, stripes, n)
+        self.block_rows = [(lo, hi) for _, lo, hi in self.blocks]
 
-    @classmethod
-    def from_similarity_graph(
-        cls,
-        graph,
-        comm: SimCommunicator,
-        transform: str = "ani",
-        self_loop_weight: float = 1.0,
-    ) -> "DistStochasticMatrix":
-        """Build and distribute the MCL transition matrix of a similarity graph."""
-        return cls.from_matrix(
-            StochasticMatrix.from_similarity_graph(
-                graph, transform=transform, self_loop_weight=self_loop_weight
-            ),
-            comm,
-        )
-
-    # ------------------------------------------------------------------ basics
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Global matrix shape (n x n)."""
-        return (self.n, self.n)
-
-    @property
-    def nnz(self) -> int:
-        """Global number of stored transition probabilities."""
-        return sum(stripe.nnz for stripe in self.stripes)
-
-    def triplet_bytes(self) -> int:
-        """COO triplet footprint of the whole matrix (what SUMMA broadcasts)."""
-        return self.nnz * 24
-
-    def _col_block_of(self, indices: np.ndarray) -> np.ndarray:
+    def owner(self, indices: np.ndarray) -> np.ndarray:
         """Grid column owning each stored column index."""
-        return _column_owner(indices, self.grid, self.n)
+        return np.searchsorted(self.col_lo, indices, side="right") - 1
 
-    def nnz_per_rank(self) -> np.ndarray:
-        """Stored entries per rank under the 2D decomposition."""
-        out = np.zeros(self.grid.nprocs, dtype=np.int64)
-        for r, stripe in enumerate(self.stripes):
-            counts = np.bincount(
-                self._col_block_of(stripe.indices), minlength=self.grid.grid_dim
-            )
-            for c in range(self.grid.grid_dim):
-                out[self.grid.rank_of(r, c)] = counts[c]
-        return out
+    def counts(self, tcsr: CsrMatrix, row_ranges) -> np.ndarray:
+        """Stored entries per (row range, grid column)."""
+        owner, dim = self.owner(tcsr.indices), self.grid.grid_dim
+        ends = [(tcsr.indptr[lo], tcsr.indptr[hi]) for lo, hi in row_ranges]
+        return np.array([np.bincount(owner[lo:hi], minlength=dim) for lo, hi in ends])
 
-    def memory_bytes(self) -> int:
-        """Footprint of the stripe storage."""
-        return sum(stripe.memory_bytes() for stripe in self.stripes)
+    def iterate_bytes(self, tcsr: CsrMatrix) -> int:
+        """Footprint of the iterate as grid-row stripes, each with its own
+        row pointer (one entry longer than its rows)."""
+        return tcsr.memory_bytes() + (self.grid.grid_dim - 1) * tcsr.indptr.itemsize
 
-    def to_matrix(self) -> StochasticMatrix:
-        """Gather the stripes into a single-rank :class:`StochasticMatrix`."""
-        return StochasticMatrix(_vstack_tcsr(self.stripes, self.n))
-
-    def to_dist_sparse(self) -> DistSparseMatrix:
-        """Materialize the per-rank COO blocks for the SUMMA expansion."""
-        blocks: list[CooMatrix] = [None] * self.grid.nprocs  # type: ignore[list-item]
-        for r, stripe in enumerate(self.stripes):
-            rows = stored_row_ids(stripe)
-            owner = self._col_block_of(stripe.indices)
-            for c in range(self.grid.grid_dim):
-                clo, chi = self.grid.block_bounds(self.n, c)
-                mask = owner == c
-                blocks[self.grid.rank_of(r, c)] = CooMatrix(
-                    (stripe.shape[0], chi - clo),
-                    rows[mask],
-                    stripe.indices[mask] - clo,
-                    stripe.values[mask],
-                    check=False,
-                )
-        return DistSparseMatrix(self.shape, self.comm, blocks)
-
-    def same_bits(self, other: "DistStochasticMatrix") -> bool:
-        """Exact structural and bitwise equality of the stripes."""
-        return self.n == other.n and all(
-            a.shape == b.shape
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.values, b.values)
-            for a, b in zip(self.stripes, other.stripes)
+    def expand(self, a: CsrMatrix, b: CsrMatrix) -> tuple[list[np.ndarray], np.ndarray, int]:
+        """Charge the blocked SUMMA of ``a · b``: per-block per-rank seconds,
+        flops per rank and the largest kernel peak."""
+        grid, dim = self.grid, self.grid.grid_dim
+        closed_form = expansion_broadcast_bytes(
+            dim, COO_ENTRY_BYTES * a.nnz, COO_ENTRY_BYTES * b.nnz, len(self.blocks)
         )
+        self.predictor.sent += closed_form
+        self.predictor.received += closed_form
+        b_blocks = self.counts(b, self.grid_rows)  # [k, j]: entries of B block (k, j)
+        # flops of every stored row of a against column block j: the entries
+        # in column block j of the b rows its entries select
+        b_rows = np.bincount(
+            stored_row_ids(b) * dim + self.owner(b.indices), minlength=b.shape[0] * dim
+        ).reshape(-1, dim)
+        cum = np.zeros((a.nnz + 1, dim), dtype=np.int64)
+        np.cumsum(b_rows[a.indices], axis=0, out=cum[1:])
+        row_flops = cum[a.indptr[1:]] - cum[a.indptr[:-1]]
+        seconds, flops_per_rank, peak = [], np.zeros(grid.nprocs), 0
+        for (r, lo, hi), a_block in zip(self.blocks, self.counts(a, self.block_rows)):
+            for k in range(dim):
+                for i in range(dim):
+                    nbytes = COO_ENTRY_BYTES * int(a_block[k]) if i == r else 0
+                    self.engine.bcast_bytes(nbytes, grid.rank_of(i, k), grid.row_group(i))
+                for j in range(dim):
+                    nbytes = COO_ENTRY_BYTES * int(b_blocks[k, j])
+                    self.engine.bcast_bytes(nbytes, grid.rank_of(k, j), grid.col_group(j))
+            # rank (r, j) multiplies once, when both gathered stripes hold entries
+            flops = np.zeros(grid.nprocs)
+            for j in np.flatnonzero(b_blocks.sum(axis=0)) if a_block.any() else ():
+                rank = grid.rank_of(r, int(j))
+                flops[rank] = row_flops[lo:hi, j].sum()
+                peak = max(peak, self.kernel_peak(row_flops[lo:hi, j]))
+                self.ledger.count(rank, "spgemm_flops", int(flops[rank]))
+            flops_seconds = flops / (self.node.sparse_gflops * 1e9)
+            seconds.append(self.charge(CLUSTER_EXPAND_CATEGORY, flops_seconds))
+            flops_per_rank += flops
+        return seconds, flops_per_rank, peak
+
+    def kernel_peak(self, row_flops: np.ndarray) -> int:
+        """Intermediate bytes of one multiply: its largest row group's products."""
+        row_cum = np.concatenate(([0], np.cumsum(row_flops[row_flops > 0])))
+        if row_cum[-1] == 0:
+            return 0
+        bounds = row_group_bounds(row_cum, self.budget or int(row_cum[-1]))
+        return COO_ENTRY_BYTES * int(np.diff(row_cum[bounds]).max())
+
+    def prune(self, inflated: CsrMatrix) -> list[np.ndarray]:
+        """Charge each block's inflation allreduce, ranking allgather and row
+        ops; returns the per-block per-rank seconds."""
+        seconds = []
+        for (r, lo, hi), counts in zip(self.blocks, self.counts(inflated, self.block_rows)):
+            row_group = self.grid.row_group(r)
+            # column-renormalization sums: one float64 per stored row
+            self.allreduce(8 * (hi - lo), row_group)
+            # ranking allgather: each rank's column segment (index, value) pairs
+            self.allgather(
+                {rank: ROW_OP_ENTRY_BYTES * int(counts[c]) for c, rank in enumerate(row_group)}
+            )
+            # inflation + mask: two streaming passes over each rank's block
+            seconds.append(self.charge(CLUSTER_PRUNE_CATEGORY, self.row_op_seconds(counts, r)))
+        return seconds
+
+    def epilogue(self, final: CsrMatrix, dropped_any: bool) -> np.ndarray:
+        """Charge the renormalize epilogue; returns its per-rank seconds."""
+        everyone = range(self.grid.nprocs)
+        self.allreduce(8, everyone)  # the global "did anything drop" flag
+        seconds = np.zeros(self.grid.nprocs)
+        for (r, lo, hi), counts in zip(self.blocks, self.counts(final, self.block_rows)):
+            if dropped_any:  # post-prune renormalization sums
+                self.allreduce(8 * (hi - lo), self.grid.row_group(r))
+            # chaos: each column's max and sum of squares
+            self.allreduce(16 * (hi - lo), self.grid.row_group(r))
+            seconds += self.row_op_seconds(counts, r)
+        self.allreduce(8, everyone)  # the chaos max
+        return self.charge(CLUSTER_PRUNE_CATEGORY, seconds)
+
+    def row_op_seconds(self, counts: np.ndarray, grid_row: int) -> np.ndarray:
+        """Modeled per-rank seconds of two streaming passes over one block:
+        each rank of its grid row streams its ``counts[c]`` entries (16 bytes
+        each) at the node's memory bandwidth; other ranks are idle."""
+        seconds = np.zeros(self.grid.nprocs)
+        bandwidth = self.node.memory_bandwidth_gbps * 1e9
+        for c, rank in enumerate(self.grid.row_group(grid_row)):
+            seconds[rank] = 2.0 * ROW_OP_ENTRY_BYTES * float(counts[c]) / bandwidth
+        return seconds
+
+    def charge(self, category: str, seconds: np.ndarray) -> np.ndarray:
+        for rank, value in enumerate(seconds):
+            self.ledger.charge(rank, category, float(value))
+        return seconds
+
+    def allreduce(self, nbytes: int, participants) -> None:
+        participants = list(participants)
+        self.engine.allreduce_bytes(nbytes, participants)
+        self.predictor.allreduce(nbytes, len(participants))
+
+    def allgather(self, sizes: dict[int, int]) -> None:
+        self.engine.allgather_bytes(sizes)
+        self.predictor.allgather(list(sizes.values()))
 
 
 @dataclass(frozen=True)
@@ -348,7 +377,7 @@ class DistMclResult:
     n_iterations: int
     grid_dim: int
     nprocs: int
-    overlap: bool
+    overlap_depth: int
     iterations: list[DistMclIterationStats] = field(default_factory=list)
     final_matrix: StochasticMatrix | None = None
     comm: SimCommunicator | None = None
@@ -388,7 +417,7 @@ class DistMclResult:
         return {
             "grid": f"{self.grid_dim}x{self.grid_dim}",
             "nprocs": self.nprocs,
-            "overlap": self.overlap,
+            "overlap_depth": self.overlap_depth,
             "expand_seconds_per_rank": self.category_seconds[
                 CLUSTER_EXPAND_CATEGORY
             ].tolist(),
@@ -426,7 +455,7 @@ class DistMclResult:
 
 
 class DistMarkovClustering:
-    """Distributed MCL driver: the serial algorithm, one stored-row block at a time.
+    """Distributed MCL driver: the single-rank algorithm, the 2D grid charged.
 
     Parameters mirror :class:`~repro.graph.mcl.MarkovClustering` (and produce
     bit-identical labels and final matrices for any setting), plus:
@@ -434,24 +463,21 @@ class DistMarkovClustering:
     nprocs:
         Number of virtual ranks; must be a perfect square (2D grid
         requirement, as for the search).
-    overlap:
-        Co-schedule ``expand(b+1)`` with ``prune(b)`` on the simulated
-        clock, charging the hidden seconds to ``cluster_overlap_hidden``
-        (the §VI-C pre-blocking idea applied to the cluster stage).  Labels
-        are unaffected — expansion always reads the iteration-start matrix,
-        so the overlap is dependency-free.
     overlap_depth:
-        Speculative depth ``k`` of the overlapped schedule: expansions of
-        blocks ``b+1..b+k`` may be in flight behind ``prune(b)``, scheduled
-        through the same depth-``k`` algebra
+        Depth ``k`` of the overlapped schedule on the simulated clock: the
+        expansions of blocks ``b+1..b+k`` are in flight behind ``prune(b)``,
+        scheduled through the same depth-``k`` algebra
         (:class:`repro.mpi.costmodel.OverlapWindow`) the search engine's
-        pre-blocking clock uses.  ``1`` reproduces the classic slot schedule
-        bit for bit.  Ignored without ``overlap``.
+        pre-blocking clock uses, with the hidden seconds charged to
+        ``cluster_overlap_hidden`` (the §VI-C pre-blocking idea applied to
+        the cluster stage).  ``0`` (the default) runs the stages back to
+        back; ``1`` is the classic slot schedule.  Labels are unaffected —
+        expansion always reads the iteration-start matrix.
     rmcl_tolerance:
         Flow-balance residual stop criterion for regularized runs (see
-        :class:`~repro.graph.mcl.MarkovClustering`); the residual is
-        evaluated per stripe and combined with a modeled ``max`` allreduce,
-        so convergence (and the final labels) stay bit-identical to the
+        :class:`~repro.graph.mcl.MarkovClustering`); the residual is the
+        single-rank one, charged as a ``max`` allreduce over the grid, so
+        convergence (and the final labels) stay bit-identical to the
         single-rank driver.  ``0`` disables.
     blocks_per_grid_row:
         Stored-row sub-blocks per grid row (the cluster stage's analogue of
@@ -475,8 +501,7 @@ class DistMarkovClustering:
         tolerance: float = 1e-9,
         spgemm_backend=None,
         batch_flops: int | None = None,
-        overlap: bool = False,
-        overlap_depth: int = 1,
+        overlap_depth: int = 0,
         blocks_per_grid_row: int = 2,
         regularized: bool = False,
         rmcl_tolerance: float = 0.0,
@@ -495,8 +520,8 @@ class DistMarkovClustering:
             raise ValueError("tolerance must be non-negative")
         if blocks_per_grid_row < 1:
             raise ValueError("blocks_per_grid_row must be >= 1")
-        if overlap_depth < 1:
-            raise ValueError("overlap_depth must be >= 1")
+        if overlap_depth < 0:
+            raise ValueError("overlap_depth must be >= 0 (0 runs the stages back to back)")
         if rmcl_tolerance < 0.0:
             raise ValueError("rmcl_tolerance must be non-negative (0 disables)")
         self.blocks_per_grid_row = int(blocks_per_grid_row)
@@ -508,7 +533,6 @@ class DistMarkovClustering:
         self.tolerance = float(tolerance)
         self.spgemm_backend = spgemm_backend
         self.batch_flops = batch_flops
-        self.overlap = bool(overlap)
         self.overlap_depth = int(overlap_depth)
         self.regularized = bool(regularized)
         self.rmcl_tolerance = float(rmcl_tolerance)
@@ -529,16 +553,11 @@ class DistMarkovClustering:
             raise ValueError(
                 f"communicator has {comm.size} ranks, expected nprocs={self.nprocs}"
             )
-        grid = comm.require_grid()
-        dim = grid.grid_dim
-        node = comm.cluster.node
-        ledger = comm.ledger
-        cluster_collectives = CollectiveEngine(
-            network=comm.cluster.network,
-            ledger=ledger,
-            comm_category=CLUSTER_COMM_CATEGORY,
-            counter_prefix=CLUSTER_COUNTER_PREFIX,
+        plan = _ChargePlan(
+            comm, matrix.n, self.blocks_per_grid_row, resolve_kernel(self.spgemm_backend),
+            self.batch_flops,
         )
+        ledger = comm.ledger
         backend_name = (
             self.spgemm_backend
             if isinstance(self.spgemm_backend, str)
@@ -546,11 +565,10 @@ class DistMarkovClustering:
                   else getattr(self.spgemm_backend, "__name__", "custom"))
         )
 
-        current = DistStochasticMatrix.from_matrix(matrix, comm)
-        original = current if self.regularized else None
-        predictor = _VolumePredictor()
+        current = matrix
+        original = matrix if self.regularized else None
         memory = MemoryTracker()
-        memory.set_usage(DIST_MCL_ITERATE, current.memory_bytes())
+        memory.set_usage(DIST_MCL_ITERATE, plan.iterate_bytes(current.tcsr))
         clock = np.zeros(comm.size)
         iterations: list[DistMclIterationStats] = []
         converged = False
@@ -570,182 +588,56 @@ class DistMarkovClustering:
         sent_baseline = ledger.counter_per_rank(sent_counter)
         received_baseline = ledger.counter_per_rank(received_counter)
 
-        # the stored-row stage blocking: blocks_per_grid_row sub-blocks nested
-        # in each grid row, so consecutive blocks busy the same ranks and the
-        # overlapped schedule has something to hide (clamped to the rows
-        # available; the blocking is a schedule, so it is fixed up front)
-        blocks: list[tuple[int, int, int]] = []  # (grid_row, lo, hi) global rows
-        for r in range(dim):
-            rlo, rhi = grid.block_bounds(current.n, r)
-            parts = min(self.blocks_per_grid_row, rhi - rlo)
-            for lo, hi in _balanced_chunks(rlo, rhi, parts):
-                blocks.append((r, lo, hi))
-        n_blocks = len(blocks)
-
-        # the regularized right operand never changes; distribute it once
-        original_dist = original.to_dist_sparse() if original is not None else None
-
         for iteration in range(1, self.max_iterations + 1):
             comm_seconds_before = ledger.per_rank(CLUSTER_COMM_CATEGORY)
             sent_before = ledger.counter_total(sent_counter)
 
-            # ---- expand: blocked deferred-merge SUMMA over the grid ----------
-            a_dist = current.to_dist_sparse()
-            b_dist = original_dist if original_dist is not None else a_dist
-            b_bytes = original.triplet_bytes() if original is not None else current.triplet_bytes()
-            expansion_bytes = expansion_broadcast_bytes(
-                dim, current.triplet_bytes(), b_bytes, n_blocks
+            # ---- expand: one multiply, charged as the blocked SUMMA ----------
+            expanded, spgemm_stats = current.expand(
+                kernel=self.spgemm_backend, batch_flops=self.batch_flops, right=original
             )
-            predictor.sent += expansion_bytes
-            predictor.received += expansion_bytes
-
-            expand_seconds: list[np.ndarray] = []   # per block, per rank
-            expanded_stripes: list[CsrMatrix] = []
-            block_stats = SpGemmStats()
-            flops_per_rank = np.zeros(comm.size)
-            for _, lo, hi in blocks:
-                result = summa(
-                    a_dist.row_stripe((lo, hi)),
-                    b_dist,
-                    ArithmeticSemiring(),
-                    output_shape=(current.n, current.n),
-                    spgemm_backend=self.spgemm_backend,
-                    batch_flops=self.batch_flops,
-                    deferred_merge=True,
-                    collectives=cluster_collectives,
-                )
-                seconds = np.asarray(result.flops_per_rank) / (node.sparse_gflops * 1e9)
-                expand_seconds.append(seconds)
-                flops_per_rank += result.flops_per_rank
-                block_stats = block_stats.merge(result.stats)
-                expanded_stripes.append(
-                    _stripe_from_pieces(result.per_rank, (lo, hi), current.n)
-                )
-                for rank in range(comm.size):
-                    ledger.charge(rank, CLUSTER_EXPAND_CATEGORY, float(seconds[rank]))
+            expand_seconds, flops_per_rank, intermediate_bytes = plan.expand(
+                current.tcsr, (current if original is None else original).tcsr
+            )
 
             # ---- inflate + prune decisions per stored-row block ---------------
-            prune_seconds: list[np.ndarray] = []
-            inflated_stripes: list[CsrMatrix] = []
+            inflated = inflate_tcsr(expanded.tcsr, self.inflation)
             keep_masks: list[np.ndarray] = []
             prune_stats = PruneStats()
-            for (r, lo, hi), stripe in zip(blocks, expanded_stripes):
-                row_group = grid.row_group(r)
-                rows_b = stripe.shape[0]
-                # column-renormalization allreduce of the inflation pass
-                # (payload sizes are exact — one float64 per stored row of
-                # the block; the contents are representative, the actual
-                # sums are produced inside inflate_tcsr)
-                sums = column_sums_tcsr(stripe)
-                cluster_collectives.allreduce(
-                    {rank: sums for rank in row_group}, np.add
+            for lo, hi in plan.block_rows:
+                keep, stats_b = prune_keep_mask(
+                    inflated.row_slice(lo, hi), self.prune_threshold, self.top_k
                 )
-                predictor.allreduce(rows_b * 8, dim)
-                inflated = inflate_tcsr(stripe, self.inflation)
-                owner = _column_owner(inflated.indices, grid, current.n)
-                # ranking allgather: each rank contributes its column
-                # segment's (index, value) pairs
-                segments = _column_segments(inflated, owner, grid)
-                cluster_collectives.allgather(
-                    {rank: segments[c] for c, rank in enumerate(row_group)}
-                )
-                predictor.allgather([ROW_OP_ENTRY_BYTES * seg[0].size for seg in segments])
-                keep, stats_b = prune_keep_mask(inflated, self.prune_threshold, self.top_k)
-                prune_stats = prune_stats.merge(stats_b)
-                inflated_stripes.append(inflated)
                 keep_masks.append(keep)
-                # inflation + mask: two streaming passes over each rank's block
-                seconds = _row_op_seconds(
-                    np.bincount(owner, minlength=dim), grid, node, r, passes=2.0
-                )
-                prune_seconds.append(seconds)
-                for rank in range(comm.size):
-                    ledger.charge(rank, CLUSTER_PRUNE_CATEGORY, float(seconds[rank]))
+                prune_stats = prune_stats.merge(stats_b)
+            prune_seconds = plan.prune(inflated)
 
             # ---- schedule the blocks on the simulated clock -------------------
-            if self.overlap and n_blocks > 1:
-                # the shared depth-k overlap algebra: expand(b+1..b+k) in
-                # flight behind prune(b); depth 1 reproduces the classic
-                # charge_overlap_slot schedule bit for bit
+            if self.overlap_depth and len(plan.blocks) > 1:
                 window = OverlapWindow(ledger, clock, CLUSTER_OVERLAP_HIDDEN_CATEGORY)
-                window.run_schedule(
-                    prune_seconds, expand_seconds, depth=self.overlap_depth
-                )
+                window.run_schedule(prune_seconds, expand_seconds, depth=self.overlap_depth)
             else:
-                for b in range(n_blocks):
-                    clock += expand_seconds[b] + prune_seconds[b]
+                for expand_b, prune_b in zip(expand_seconds, prune_seconds):
+                    clock += expand_b + prune_b
 
             # ---- renormalize epilogue (global drop flag, renorm, chaos) ------
             dropped_any = prune_stats.pruned_entries > 0
-            cluster_collectives.allreduce(
-                {rank: np.array([float(dropped_any)]) for rank in range(comm.size)},
-                np.maximum,
-            )
-            predictor.allreduce(8, comm.size)
-            block_results: list[CsrMatrix] = []
-            chaos = 0.0
-            epilogue_seconds = np.zeros(comm.size)
-            for (r, lo, hi), inflated, keep in zip(blocks, inflated_stripes, keep_masks):
-                if dropped_any:
-                    kept = apply_keep_mask(inflated, keep)
-                    sums = column_sums_tcsr(kept)
-                    cluster_collectives.allreduce(
-                        {rank: sums for rank in grid.row_group(r)}, np.add
-                    )
-                    predictor.allreduce(kept.shape[0] * 8, dim)
-                    stripe = normalize_tcsr(kept)
-                else:
-                    stripe = inflated
-                block_results.append(stripe)
-                chaos = max(chaos, chaos_tcsr(stripe))
-                cluster_collectives.allreduce(
-                    {
-                        rank: (np.zeros(stripe.shape[0]), np.zeros(stripe.shape[0]))
-                        for rank in grid.row_group(r)
-                    },
-                    lambda a, b: a,
-                )
-                predictor.allreduce(stripe.shape[0] * 16, dim)
-                epilogue_seconds += _row_op_seconds(
-                    np.bincount(_column_owner(stripe.indices, grid, current.n), minlength=dim),
-                    grid,
-                    node,
-                    r,
-                    passes=2.0,
-                )
-            cluster_collectives.allreduce(
-                {rank: np.array([chaos]) for rank in range(comm.size)}, np.maximum
-            )
-            predictor.allreduce(8, comm.size)
-            for rank in range(comm.size):
-                ledger.charge(rank, CLUSTER_PRUNE_CATEGORY, float(epilogue_seconds[rank]))
+            new = inflated
+            if dropped_any:
+                new = normalize_tcsr(apply_keep_mask(inflated, np.concatenate(keep_masks)))
+            # the grid reduces per-block chaos from an empty block's 0.0, so a
+            # value rounded just below zero reads 0.0
+            chaos = max(0.0, chaos_tcsr(new))
+            epilogue_seconds = plan.epilogue(new, dropped_any)
             clock += epilogue_seconds
-
-            # reassemble the grid-row stripes from their sub-blocks
-            new_stripes = [
-                _vstack_tcsr(
-                    [s for (r, _, _), s in zip(blocks, block_results) if r == row],
-                    current.n,
-                )
-                for row in range(dim)
-            ]
-            # flow-balance residual (R-MCL stop criterion): per-stripe L1
-            # change combined with a modeled max allreduce — bit-identical
-            # to the single-rank residual on the whole matrix
+            # flow-balance residual (R-MCL stop criterion), a max allreduce
             residual = None
             if self.rmcl_tolerance > 0:
-                residual = max(
-                    flow_residual_tcsr(old, new)
-                    for old, new in zip(current.stripes, new_stripes)
-                )
-                cluster_collectives.allreduce(
-                    {rank: np.array([residual]) for rank in range(comm.size)},
-                    np.maximum,
-                )
-                predictor.allreduce(8, comm.size)
-            current = DistStochasticMatrix(comm, new_stripes, current.n)
-            memory.set_usage(DIST_MCL_ITERATE, current.memory_bytes())
-            memory.set_usage(DIST_MCL_INTERMEDIATE, block_stats.intermediate_bytes)
+                residual = flow_residual_tcsr(current.tcsr, new)
+                plan.allreduce(8, range(comm.size))
+            current = StochasticMatrix(new)
+            memory.set_usage(DIST_MCL_ITERATE, plan.iterate_bytes(new))
+            memory.set_usage(DIST_MCL_INTERMEDIATE, intermediate_bytes)
             comm_seconds = float(
                 (ledger.per_rank(CLUSTER_COMM_CATEGORY) - comm_seconds_before).max()
             )
@@ -754,10 +646,10 @@ class DistMarkovClustering:
                     iteration=iteration,
                     backend=backend_name,
                     nnz=current.nnz,
-                    flops=block_stats.flops,
+                    flops=spgemm_stats.flops,
                     flops_per_rank=tuple(float(f) for f in flops_per_rank),
-                    compression_factor=block_stats.compression_factor,
-                    intermediate_bytes=block_stats.intermediate_bytes,
+                    compression_factor=spgemm_stats.compression_factor,
+                    intermediate_bytes=intermediate_bytes,
                     pruned_entries=prune_stats.pruned_entries,
                     pruned_mass=prune_stats.pruned_mass,
                     pruned_mass_max=prune_stats.pruned_mass_max,
@@ -777,8 +669,7 @@ class DistMarkovClustering:
                 converged = True
                 break
 
-        final = current.to_matrix()
-        labels = interpret_clusters(final)
+        labels = interpret_clusters(current)
         category_seconds = {
             cat: ledger.per_rank(cat) - base for cat, base in category_baseline.items()
         }
@@ -787,8 +678,8 @@ class DistMarkovClustering:
             ledger.counter_per_rank(received_counter) - received_baseline
         )
         volume = {
-            "predicted_bytes_sent": predictor.sent,
-            "predicted_bytes_received": predictor.received,
+            "predicted_bytes_sent": plan.predictor.sent,
+            "predicted_bytes_received": plan.predictor.received,
             "charged_bytes_sent": int(bytes_sent_per_rank.sum()),
             "charged_bytes_received": int(bytes_received_per_rank.sum()),
         }
@@ -797,11 +688,11 @@ class DistMarkovClustering:
             n_clusters=int(labels.max()) + 1 if labels.size else 0,
             converged=converged,
             n_iterations=len(iterations),
-            grid_dim=dim,
+            grid_dim=plan.grid.grid_dim,
             nprocs=comm.size,
-            overlap=self.overlap,
+            overlap_depth=self.overlap_depth,
             iterations=iterations,
-            final_matrix=final,
+            final_matrix=current,
             comm=comm,
             clock_per_rank=clock,
             volume=volume,
@@ -831,86 +722,4 @@ def _balanced_chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return [
         (lo + c0, lo + c1)
         for c0, c1 in (_chunk_bounds(hi - lo, parts, i) for i in range(parts))
-    ]
-
-
-def _vstack_tcsr(parts: list[CsrMatrix], n_cols: int) -> CsrMatrix:
-    """Vertically concatenate stored-row stripes (contiguous row ranges)."""
-    total_rows = sum(p.shape[0] for p in parts)
-    indptr = np.zeros(total_rows + 1, dtype=np.int64)
-    row = 0
-    offset = 0
-    for part in parts:
-        indptr[row + 1 : row + part.shape[0] + 1] = part.indptr[1:] + offset
-        row += part.shape[0]
-        offset += part.nnz
-    indices = (
-        np.concatenate([p.indices for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    )
-    values = (
-        np.concatenate([p.values for p in parts]) if parts else np.empty(0, dtype=np.float64)
-    )
-    return CsrMatrix((total_rows, n_cols), indptr, indices, values)
-
-
-def _column_owner(indices: np.ndarray, grid, n: int) -> np.ndarray:
-    """Grid column owning each stored column index (shared by every split)."""
-    col_lo = np.array(
-        [grid.block_bounds(n, c)[0] for c in range(grid.grid_dim)], dtype=np.int64
-    )
-    return np.searchsorted(col_lo, indices, side="right") - 1
-
-
-def _row_op_seconds(
-    counts: np.ndarray, grid, node, grid_row: int, passes: float
-) -> np.ndarray:
-    """Modeled per-rank seconds of streaming row ops over one stripe.
-
-    ``counts`` holds the stripe's stored entries per grid column (from
-    ``np.bincount`` of :func:`_column_owner`).  Each rank of the owning grid
-    row streams its own column segment ``passes`` times at the node's memory
-    bandwidth (16 bytes per stored entry: index + value); ranks outside the
-    grid row are idle for this stripe.
-    """
-    seconds = np.zeros(grid.nprocs)
-    bandwidth = node.memory_bandwidth_gbps * 1e9
-    for c in range(grid.grid_dim):
-        seconds[grid.rank_of(grid_row, c)] = (
-            passes * ROW_OP_ENTRY_BYTES * float(counts[c]) / bandwidth
-        )
-    return seconds
-
-
-def _stripe_from_pieces(
-    pieces: list[CooMatrix], row_range: tuple[int, int], n: int
-) -> CsrMatrix:
-    """Assemble a stored-row stripe from the SUMMA output's per-rank pieces.
-
-    The pieces are disjoint global-coordinate blocks; sorting the
-    concatenation row-major reproduces exactly the triplet order a serial
-    kernel's output has within this row range, so the stripe is bit-identical
-    to the corresponding ``row_slice`` of the serial expansion.
-    """
-    lo, hi = row_range
-    nonempty = [p for p in pieces if p.nnz]
-    if not nonempty:
-        return CsrMatrix(
-            (hi - lo, n),
-            np.zeros(hi - lo + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    rows = np.concatenate([p.rows for p in nonempty]) - lo
-    cols = np.concatenate([p.cols for p in nonempty])
-    values = np.concatenate([p.values for p in nonempty])
-    return CsrMatrix.from_coo(CooMatrix((hi - lo, n), rows, cols, values, check=False))
-
-
-def _column_segments(
-    stripe: CsrMatrix, owner: np.ndarray, grid
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a stripe's (index, value) pairs by owning grid column."""
-    return [
-        (stripe.indices[owner == c], stripe.values[owner == c])
-        for c in range(grid.grid_dim)
     ]

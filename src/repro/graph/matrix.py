@@ -88,10 +88,10 @@ class PruneStats:
 # so every operator below is a contiguous row operation.  None of them needs
 # the matrix to be square — they work on any *stripe* of stored rows, and
 # because each column lives entirely inside one stored row, running them on
-# the grid-row stripes of :class:`repro.graph.dist.DistStochasticMatrix` and
-# concatenating is bit-identical to running them on the whole matrix.  That
-# shared-code property is what the distributed MCL's bit-identity guarantee
-# rests on; :class:`StochasticMatrix` delegates to these same functions.
+# stripes and concatenating is bit-identical to running them on the whole
+# matrix.  The distributed MCL (:mod:`repro.graph.dist`) relies on that: it
+# takes its prune decisions per stored-row block of the one matrix it
+# computes; :class:`StochasticMatrix` delegates to these same functions.
 # ---------------------------------------------------------------------------
 def stored_row_ids(tcsr: CsrMatrix) -> np.ndarray:
     """Stored-row (= logical-column) id of every nonzero."""

@@ -95,7 +95,7 @@ def clustering_table(clustering) -> str:
         lines += [
             f"  Distributed grid              {dist.get('grid')} "
             f"({dist.get('nprocs')} ranks"
-            + (", overlapped schedule" if dist.get("overlap") else "")
+            + (f", overlap depth {dist['overlap_depth']}" if dist.get("overlap_depth") else "")
             + ")",
             f"  Cluster comm volume           "
             f"{int(dist.get('charged_bytes_sent', 0)):,} B sent / "

@@ -14,10 +14,14 @@ every participating rank the modelled time of the operation:
 
 Message sizes are taken from the actual NumPy payloads being moved (via
 :func:`payload_nbytes`), so cost scales with the real data volume of the run.
+``bcast``, ``allgather`` and ``allreduce`` charge through byte-count entry
+points (``bcast_bytes``, ``allgather_bytes``, ``allreduce_bytes``) that a
+caller knowing only the sizes — a charge plan — calls directly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -77,28 +81,14 @@ class CollectiveEngine:
         distributed-matrix layer treats received payloads as read-only).
         """
         participants = list(participants)
-        if root not in participants:
-            raise ValueError("root must be among the participants")
-        nbytes = payload_nbytes(data)
-        seconds = self.network.tree_broadcast_seconds(nbytes, len(participants))
-        for rank in participants:
-            self.ledger.charge(rank, self.comm_category, seconds)
-            self._count(rank, "bytes_received", 0 if rank == root else nbytes)
-        self._count(root, "bytes_sent", nbytes * max(len(participants) - 1, 0))
+        self.bcast_bytes(payload_nbytes(data), root, participants)
         return {rank: data for rank in participants}
 
     def allgather(self, per_rank_data: dict[int, Any]) -> dict[int, list[Any]]:
         """Every participant receives the list of all participants' payloads."""
-        participants = sorted(per_rank_data.keys())
-        sizes = [payload_nbytes(per_rank_data[r]) for r in participants]
-        avg_size = int(np.mean(sizes)) if sizes else 0
-        seconds = self.network.allgather_seconds(avg_size, len(participants))
-        gathered = [per_rank_data[r] for r in participants]
-        for rank, size in zip(participants, sizes):
-            self.ledger.charge(rank, self.comm_category, seconds)
-            self._count(rank, "bytes_sent", size * max(len(participants) - 1, 0))
-            self._count(rank, "bytes_received", int(np.sum(sizes)) - size)
-        return {rank: list(gathered) for rank in participants}
+        self.allgather_bytes({r: payload_nbytes(d) for r, d in per_rank_data.items()})
+        gathered = [per_rank_data[r] for r in sorted(per_rank_data)]
+        return {rank: list(gathered) for rank in sorted(per_rank_data)}
 
     def alltoallv(self, send_matrix: dict[int, dict[int, Any]]) -> dict[int, dict[int, Any]]:
         """Personalized all-to-all.
@@ -132,22 +122,50 @@ class CollectiveEngine:
         if root not in participants:
             raise ValueError("root must be among the participants")
         sizes = [payload_nbytes(per_rank_data[r]) for r in participants]
-        avg_size = int(np.mean(sizes)) if sizes else 0
-        seconds = self.network.tree_broadcast_seconds(avg_size, len(participants))
-        for rank in participants:
-            self.ledger.charge(rank, self.comm_category, seconds)
-        result = None
-        for rank in participants:
-            payload = per_rank_data[rank]
-            result = payload if result is None else op(result, payload)
-        return result
+        self._reduce_bytes(int(np.mean(sizes)) if sizes else 0, participants)
+        return functools.reduce(op, (per_rank_data[rank] for rank in participants))
 
     def allreduce(self, per_rank_data: dict[int, Any], op: Callable[[Any, Any], Any]) -> dict[int, Any]:
-        """Reduce-then-broadcast allreduce."""
+        """Reduce-then-broadcast allreduce, charged at the result's size."""
         participants = sorted(per_rank_data.keys())
-        root = participants[0]
-        result = self.reduce(per_rank_data, op, root)
-        return self.bcast(result, root, participants)
+        result = functools.reduce(op, (per_rank_data[rank] for rank in participants))
+        self.allreduce_bytes(payload_nbytes(result), participants)
+        return {rank: result for rank in participants}
+
+    # ------------------------------------------------------------------ byte counts
+    def bcast_bytes(self, nbytes: int, root: int, participants: Sequence[int]) -> None:
+        """Charge a binomial-tree broadcast of ``nbytes`` from ``root``."""
+        participants = list(participants)
+        if root not in participants:
+            raise ValueError("root must be among the participants")
+        seconds = self.network.tree_broadcast_seconds(nbytes, len(participants))
+        for rank in participants:
+            self.ledger.charge(rank, self.comm_category, seconds)
+            self._count(rank, "bytes_received", 0 if rank == root else nbytes)
+        self._count(root, "bytes_sent", nbytes * max(len(participants) - 1, 0))
+
+    def allgather_bytes(self, sizes: dict[int, int]) -> None:
+        """Charge a ring allgather of ``sizes[rank]`` bytes from every rank."""
+        participants = sorted(sizes)
+        total = int(sum(sizes.values()))
+        avg_size = int(np.mean([sizes[r] for r in participants])) if sizes else 0
+        seconds = self.network.allgather_seconds(avg_size, len(participants))
+        for rank in participants:
+            self.ledger.charge(rank, self.comm_category, seconds)
+            self._count(rank, "bytes_sent", sizes[rank] * max(len(participants) - 1, 0))
+            self._count(rank, "bytes_received", total - sizes[rank])
+
+    def allreduce_bytes(self, nbytes: int, participants: Sequence[int]) -> None:
+        """Charge an allreduce of ``nbytes`` per rank: a tree reduction onto
+        the lowest rank, then its broadcast."""
+        participants = sorted(participants)
+        self._reduce_bytes(nbytes, participants)
+        self.bcast_bytes(nbytes, participants[0], participants)
+
+    def _reduce_bytes(self, nbytes: int, participants: list[int]) -> None:
+        seconds = self.network.tree_broadcast_seconds(nbytes, len(participants))
+        for rank in participants:
+            self.ledger.charge(rank, self.comm_category, seconds)
 
     def point_to_point(
         self, data: Any, src: int, dst: int, category: str | None = None

@@ -51,8 +51,6 @@ from .semiring import (
     Semiring,
     ArithmeticSemiring,
     CountSemiring,
-    MinPlusSemiring,
-    MaxSemiring,
     OverlapSemiring,
     OVERLAP_DTYPE,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "Semiring",
     "ArithmeticSemiring",
     "CountSemiring",
-    "MinPlusSemiring",
-    "MaxSemiring",
     "OverlapSemiring",
     "OVERLAP_DTYPE",
     "CooMatrix",

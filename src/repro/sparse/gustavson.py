@@ -150,6 +150,22 @@ def match_by_search(row_ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, 
     return np.flatnonzero(hit), pos[hit]
 
 
+def row_group_bounds(row_cum: np.ndarray, batch_flops: int) -> list[int]:
+    """The flop-bounded row groups, as boundaries into ``row_cum``.
+
+    ``row_cum`` holds the cumulative flops at every live row boundary,
+    starting at 0.  Each group ``[r, r_next)`` is the largest run of rows
+    whose flops fit ``batch_flops``, and never less than one row.
+    """
+    bounds = [0]
+    nrows = row_cum.size - 1
+    while bounds[-1] < nrows:
+        r = bounds[-1]
+        r_next = int(np.searchsorted(row_cum, row_cum[r] + batch_flops, side="right")) - 1
+        bounds.append(min(max(r_next, r + 1), nrows))
+    return bounds
+
+
 def _require_sorted_columns(csr: CsrMatrix, name: str) -> None:
     """Reject CSR operands whose rows are not column-sorted.
 
@@ -250,14 +266,9 @@ def spgemm_gustavson(
     row_ptr = run_pointers(entry_rows)
     row_cum = entry_cum[row_ptr]
 
-    # flop-bounded row groups over the live rows: each [r, r_next) is the
-    # largest range whose flops fit the budget, and never less than one row
-    bounds = [0]
+    # flop-bounded row groups over the live rows
+    bounds = row_group_bounds(row_cum, batch_flops)
     nrows = row_ptr.size - 1
-    while bounds[-1] < nrows:
-        r = bounds[-1]
-        r_next = int(np.searchsorted(row_cum, row_cum[r] + batch_flops, side="right")) - 1
-        bounds.append(min(max(r_next, r + 1), nrows))
     group_flops = np.diff(row_cum[bounds])
 
     # SciPy's row accumulator where it is exact (module docstring): one

@@ -184,34 +184,6 @@ class CountSemiring(Semiring):
         return np.add.reduceat(np.asarray(values, dtype=np.int64), group_starts)
 
 
-@dataclass
-class MinPlusSemiring(Semiring):
-    """Tropical (min, +) semiring — e.g. shortest paths on the similarity graph."""
-
-    value_dtype: np.dtype = np.dtype(np.float64)
-    name: str = "min_plus"
-
-    def multiply(self, a_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
-        return np.asarray(a_values, dtype=np.float64) + np.asarray(b_values, dtype=np.float64)
-
-    def reduce(self, values: np.ndarray, group_starts: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(np.asarray(values, dtype=np.float64), group_starts)
-
-
-@dataclass
-class MaxSemiring(Semiring):
-    """(max, ×) semiring — e.g. keeping the best score among parallel products."""
-
-    value_dtype: np.dtype = np.dtype(np.float64)
-    name: str = "max_times"
-
-    def multiply(self, a_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
-        return np.asarray(a_values, dtype=np.float64) * np.asarray(b_values, dtype=np.float64)
-
-    def reduce(self, values: np.ndarray, group_starts: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(np.asarray(values, dtype=np.float64), group_starts)
-
-
 class OverlapSemiring(Semiring):
     """The PASTIS overlap semiring: shared-k-mer count plus two seeds.
 

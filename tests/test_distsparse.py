@@ -454,115 +454,6 @@ def test_distribute_sequences_assigns_row_and_col_ranges():
     assert comm.ledger.component_time("cwait") > 0
 
 
-# ---------------------------------------------------------------- deferred merge
-@pytest.mark.parametrize("nprocs", [1, 4, 9])
-@pytest.mark.parametrize("backend", ["expand", "gustavson"])
-def test_deferred_merge_bit_identical_to_serial_kernel(nprocs, backend):
-    """Deferred-merge SUMMA matches a serial kernel invocation bit for bit.
-
-    The operand values are probabilities (not exactly representable), so the
-    per-stage merge's re-association *would* drift in the last ulp — the
-    deferred local multiply must not.
-    """
-    from repro.sparse.kernels import get_kernel
-
-    rng = np.random.default_rng(42)
-    n = 21
-    a = CooMatrix(
-        (n, n), rng.integers(0, n, 260), rng.integers(0, n, 260),
-        rng.random(260) * 0.1 + 1e-3,
-    ).deduplicate()
-    comm = SimCommunicator(nprocs)
-    dist = DistSparseMatrix.from_global_coo(a, comm)
-    result = summa(
-        dist, dist, ArithmeticSemiring(), spgemm_backend=backend, deferred_merge=True
-    )
-    merged = result.to_global()
-    direct = get_kernel(backend)(a, a, ArithmeticSemiring())
-    assert np.array_equal(merged.rows, direct.rows)
-    assert np.array_equal(merged.cols, direct.cols)
-    assert np.array_equal(merged.values, direct.values)  # bitwise, not allclose
-
-
-@pytest.mark.parametrize("nprocs", [1, 4, 9])
-def test_deferred_merge_default_backend_equals_expand_oracle(nprocs):
-    """With no backend named, every stage runs the default kernel, and the
-    deferred-merge product equals the ``"expand"`` oracle bit for bit."""
-    rng = np.random.default_rng(43)
-    n = 21
-    a = CooMatrix(
-        (n, n), rng.integers(0, n, 260), rng.integers(0, n, 260),
-        rng.random(260) * 0.1 + 1e-3,
-    ).deduplicate()
-    comm = SimCommunicator(nprocs)
-    dist = DistSparseMatrix.from_global_coo(a, comm)
-    result = summa(dist, dist, ArithmeticSemiring(), batch_flops=16, deferred_merge=True)
-    merged = result.to_global()
-    oracle, oracle_stats = spgemm(a, a, ArithmeticSemiring(), return_stats=True)
-    assert np.array_equal(merged.rows, oracle.rows)
-    assert np.array_equal(merged.cols, oracle.cols)
-    assert np.array_equal(merged.values, oracle.values)  # bitwise, not allclose
-    assert result.stats.flops == oracle_stats.flops
-    assert result.stats.output_nnz == oracle_stats.output_nnz
-
-
-def test_deferred_merge_charges_identical_communication():
-    """Deferring the local multiply must not change what the network does."""
-    rng = np.random.default_rng(5)
-    a = CooMatrix(
-        (16, 16), rng.integers(0, 16, 120), rng.integers(0, 16, 120),
-        rng.random(120),
-    ).deduplicate()
-    volumes = {}
-    times = {}
-    for deferred in (False, True):
-        comm = SimCommunicator(9)
-        dist = DistSparseMatrix.from_global_coo(a, comm)
-        summa(dist, dist, ArithmeticSemiring(), deferred_merge=deferred)
-        volumes[deferred] = comm.ledger.counter_total("bytes_sent")
-        times[deferred] = comm.ledger.component_time("comm")
-    assert volumes[True] == volumes[False]
-    assert times[True] == times[False]
-    assert volumes[True] > 0
-
-
-def test_deferred_merge_flops_match_per_stage():
-    rng = np.random.default_rng(6)
-    a = CooMatrix(
-        (12, 12), rng.integers(0, 12, 80), rng.integers(0, 12, 80), rng.random(80)
-    ).deduplicate()
-    comm = SimCommunicator(4)
-    dist = DistSparseMatrix.from_global_coo(a, comm)
-    staged = summa(dist, dist, ArithmeticSemiring())
-    deferred = summa(dist, dist, ArithmeticSemiring(), deferred_merge=True)
-    assert deferred.stats.flops == staged.stats.flops
-    assert deferred.flops_per_rank.sum() == staged.flops_per_rank.sum()
-
-
-def test_summa_custom_collectives_category():
-    """A substitute CollectiveEngine routes comm charges to its own category."""
-    from repro.mpi.collectives import CollectiveEngine
-
-    rng = np.random.default_rng(8)
-    a = CooMatrix(
-        (10, 10), rng.integers(0, 10, 60), rng.integers(0, 10, 60), rng.random(60)
-    ).deduplicate()
-    comm = SimCommunicator(4)
-    engine = CollectiveEngine(
-        network=comm.cluster.network,
-        ledger=comm.ledger,
-        comm_category="cluster_comm",
-        counter_prefix="cluster_",
-    )
-    dist = DistSparseMatrix.from_global_coo(a, comm)
-    result = summa(dist, dist, ArithmeticSemiring(), collectives=engine)
-    assert comm.ledger.component_time("cluster_comm") > 0
-    assert comm.ledger.component_time("comm") == 0
-    assert comm.ledger.counter_total("cluster_bytes_sent") > 0
-    assert comm.ledger.counter_total("bytes_sent") == 0
-    assert result.comm_seconds > 0  # measured against the substitute category
-
-
 # -------------------------------------------------- volume model edge cases
 def test_broadcast_volume_model_1x1_grid():
     """A 1x1 grid has no partners: the model must stay finite and ordered."""

@@ -588,9 +588,7 @@ def test_dist_mcl_labels_bit_identical_across_overlap_depths(pipeline_result):
     graph = pipeline_result.similarity_graph
     serial = MarkovClustering().fit_graph(graph)
     for depth in (1, 2, 4):
-        dist = DistMarkovClustering(
-            nprocs=4, overlap=True, overlap_depth=depth
-        ).fit_graph(graph)
+        dist = DistMarkovClustering(nprocs=4, overlap_depth=depth).fit_graph(graph)
         assert np.array_equal(dist.labels, serial.labels), depth
         assert dist.final_matrix.same_bits(serial.final_matrix)
         ledger = dist.ledger

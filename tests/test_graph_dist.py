@@ -10,7 +10,9 @@ Acceptance criteria of the subsystem:
   ``cluster_expand + cluster_prune − cluster_overlap_hidden == combined``;
 * the ``cluster_comm`` byte counters match the closed-form broadcast
   volume model to the bit;
-* the stage is wired end to end: ``ClusterParams.nprocs/overlap`` →
+* every expand flop goes through the one traced kernel binding — a single
+  call per iteration, none through SUMMA;
+* the stage is wired end to end: ``ClusterParams.nprocs/overlap_depth`` →
   pipeline cluster stage → ``SearchResult.clustering`` + per-rank comm
   stats in ``stats.extras`` + report rendering.
 """
@@ -29,7 +31,6 @@ from repro.graph import (
     CLUSTER_PRUNE_CATEGORY,
     ClusterParams,
     DistMarkovClustering,
-    DistStochasticMatrix,
     MarkovClustering,
     StochasticMatrix,
     cluster_similarity_graph,
@@ -39,7 +40,7 @@ from repro.graph.dist import CLUSTER_COUNTER_PREFIX
 from repro.io.report import clustering_report, clustering_table
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences.synthetic import synthetic_dataset
-from repro.sparse.kernels import DEFAULT_KERNEL
+from repro.sparse.kernels import DEFAULT_KERNEL, resolve_kernel
 
 #: The default kernel and the oracle.
 MCL_BACKENDS = ["expand", "gustavson"]
@@ -113,7 +114,7 @@ def test_dist_mcl_default_backend_equals_expand_oracle(matrix, serial_result, np
 
 @pytest.mark.parametrize("nprocs", [4, 9])
 def test_overlapped_schedule_does_not_change_results(matrix, serial_result, nprocs):
-    dist = DistMarkovClustering(nprocs=nprocs, overlap=True).fit(matrix)
+    dist = DistMarkovClustering(nprocs=nprocs, overlap_depth=1).fit(matrix)
     assert np.array_equal(dist.labels, serial_result.labels)
     assert dist.final_matrix.same_bits(serial_result.final_matrix)
 
@@ -123,7 +124,7 @@ def test_dist_mcl_top_k_and_inflation_parity():
     matrix = StochasticMatrix.from_similarity_graph(bridged_cliques())
     serial = MarkovClustering(inflation=1.6, top_k=4, prune_threshold=1e-3).fit(matrix)
     dist = DistMarkovClustering(
-        nprocs=4, inflation=1.6, top_k=4, prune_threshold=1e-3, overlap=True
+        nprocs=4, inflation=1.6, top_k=4, prune_threshold=1e-3, overlap_depth=1
     ).fit(matrix)
     assert np.array_equal(dist.labels, serial.labels)
     assert dist.final_matrix.same_bits(serial.final_matrix)
@@ -133,7 +134,7 @@ def test_regularized_parity_and_effect(matrix):
     """Regularized MCL: serial and distributed agree; expansion flops differ
     from plain MCL (the right operand stays the original, sparser matrix)."""
     serial = MarkovClustering(regularized=True).fit(matrix)
-    dist = DistMarkovClustering(nprocs=4, regularized=True, overlap=True).fit(matrix)
+    dist = DistMarkovClustering(nprocs=4, regularized=True, overlap_depth=1).fit(matrix)
     assert np.array_equal(dist.labels, serial.labels)
     assert dist.final_matrix.same_bits(serial.final_matrix)
     plain = MarkovClustering().fit(matrix)
@@ -154,7 +155,7 @@ def test_rmcl_residual_criterion_bit_identical_to_serial():
     serial = MarkovClustering(**mcl_kwargs).fit_graph(graph)
     assert serial.converged and serial.n_iterations < 40
     for nprocs in (4, 9):
-        dist = DistMarkovClustering(nprocs=nprocs, overlap=True, **mcl_kwargs).fit_graph(graph)
+        dist = DistMarkovClustering(nprocs=nprocs, overlap_depth=1, **mcl_kwargs).fit_graph(graph)
         assert dist.converged
         assert dist.n_iterations == serial.n_iterations
         assert np.array_equal(dist.labels, serial.labels)
@@ -168,7 +169,7 @@ def test_rmcl_residual_criterion_bit_identical_to_serial():
 @pytest.mark.parametrize("depth", [2, 4])
 def test_overlap_depth_does_not_change_results(matrix, serial_result, depth):
     """Depth-k speculative expansion: same labels, identity still reconciles."""
-    dist = DistMarkovClustering(nprocs=4, overlap=True, overlap_depth=depth).fit(matrix)
+    dist = DistMarkovClustering(nprocs=4, overlap_depth=depth).fit(matrix)
     assert np.array_equal(dist.labels, serial_result.labels)
     assert dist.final_matrix.same_bits(serial_result.final_matrix)
     ledger = dist.ledger
@@ -185,7 +186,7 @@ def test_overlap_depth_hides_no_less_than_depth1(matrix):
     hidden = {}
     for depth in (1, 2, 4):
         dist = DistMarkovClustering(
-            nprocs=4, overlap=True, overlap_depth=depth, blocks_per_grid_row=4
+            nprocs=4, overlap_depth=depth, blocks_per_grid_row=4
         ).fit(matrix)
         hidden[depth] = float(
             dist.ledger.per_rank(CLUSTER_OVERLAP_HIDDEN_CATEGORY).sum()
@@ -198,7 +199,7 @@ def test_overlap_depth_hides_no_less_than_depth1(matrix):
 @pytest.mark.parametrize("overlap", [False, True])
 def test_cluster_ledger_reconciles_with_clock(matrix, overlap):
     """cluster_expand + cluster_prune − cluster_overlap_hidden == clock."""
-    dist = DistMarkovClustering(nprocs=9, overlap=overlap).fit(matrix)
+    dist = DistMarkovClustering(nprocs=9, overlap_depth=int(overlap)).fit(matrix)
     ledger = dist.ledger
     reconstructed = (
         ledger.per_rank(CLUSTER_EXPAND_CATEGORY)
@@ -221,7 +222,7 @@ def test_cluster_ledger_reconciles_with_clock(matrix, overlap):
 @pytest.mark.parametrize("nprocs", GRID_SIZES)
 def test_charged_volume_matches_closed_form_model(matrix, nprocs):
     """cluster_bytes_* counters equal the closed-form prediction to the bit."""
-    dist = DistMarkovClustering(nprocs=nprocs, overlap=True).fit(matrix)
+    dist = DistMarkovClustering(nprocs=nprocs, overlap_depth=1).fit(matrix)
     assert dist.volume["charged_bytes_sent"] == dist.volume["predicted_bytes_sent"]
     assert dist.volume["charged_bytes_received"] == dist.volume["predicted_bytes_received"]
     if nprocs == 1:
@@ -234,69 +235,59 @@ def test_charged_volume_matches_closed_form_model(matrix, nprocs):
 def test_expansion_broadcast_closed_form_standalone(matrix):
     """The expansion broadcasts alone charge exactly the §VI-A closed form.
 
-    Drives the blocked deferred-merge expansion directly (the same schedule
-    the driver uses: blocks_per_grid_row sub-blocks per grid row) through a
-    cluster CollectiveEngine, with no row-op collectives in the ledger, so
-    the byte counters isolate the expansion term that
+    Drives the charge plan's blocked-SUMMA expansion directly (the driver's
+    blocking: two sub-blocks per grid row), with no row-op collectives in
+    the ledger, so the byte counters isolate the expansion term that
     :func:`expansion_broadcast_bytes` models.
     """
-    from repro.graph.dist import CLUSTER_COMM_CATEGORY as COMM_CAT
-    from repro.graph.dist import _balanced_chunks
-    from repro.mpi.collectives import CollectiveEngine
-    from repro.distsparse.summa import summa
-    from repro.sparse.semiring import ArithmeticSemiring
+    from repro.graph.dist import _ChargePlan
 
     comm = SimCommunicator(4)
-    grid = comm.require_grid()
-    engine = CollectiveEngine(
-        network=comm.cluster.network,
-        ledger=comm.ledger,
-        comm_category=COMM_CAT,
-        counter_prefix=CLUSTER_COUNTER_PREFIX,
-    )
-    dist_matrix = DistStochasticMatrix.from_matrix(matrix, comm)
-    a_dist = dist_matrix.to_dist_sparse()
-    blocks = [
-        chunk
-        for r in range(grid.grid_dim)
-        for chunk in _balanced_chunks(*grid.block_bounds(matrix.n, r), 2)
-    ]
-    for lo, hi in blocks:
-        summa(
-            a_dist.row_stripe((lo, hi)),
-            a_dist,
-            ArithmeticSemiring(),
-            output_shape=dist_matrix.shape,
-            deferred_merge=True,
-            collectives=engine,
-        )
-    t_bytes = dist_matrix.triplet_bytes()
-    expected = expansion_broadcast_bytes(
-        grid.grid_dim, t_bytes, t_bytes, n_blocks=len(blocks)
-    )
-    assert expected > 0
+    plan = _ChargePlan(comm, matrix.n, 2, resolve_kernel(None), None)
+    plan.expand(matrix.tcsr, matrix.tcsr)
+    t_bytes = matrix.nnz * 24
+    expected = expansion_broadcast_bytes(2, t_bytes, t_bytes, n_blocks=len(plan.blocks))
+    assert len(plan.blocks) == 4 and expected > 0
     assert comm.ledger.counter_total(CLUSTER_COUNTER_PREFIX + "bytes_sent") == expected
     assert (
         comm.ledger.counter_total(CLUSTER_COUNTER_PREFIX + "bytes_received") == expected
     )
+    assert plan.predictor.sent == plan.predictor.received == expected
 
 
-# ---------------------------------------------------------------- DistStochasticMatrix
-def test_dist_matrix_round_trip_and_accounting(matrix):
-    comm = SimCommunicator(9)
-    dist = DistStochasticMatrix.from_matrix(matrix, comm)
-    assert dist.nnz == matrix.nnz
-    assert dist.to_matrix().same_bits(matrix)
-    assert int(dist.nnz_per_rank().sum()) == matrix.nnz
-    assert dist.triplet_bytes() == matrix.nnz * 24
-    sparse = dist.to_dist_sparse()
-    assert sparse.nnz == matrix.nnz
-    # the COO blocks reassemble to the stored transpose exactly
-    global_coo = sparse.to_global_coo()
-    tcsr_coo = matrix.tcsr.to_coo().sort_rowmajor()
-    assert np.array_equal(global_coo.rows, tcsr_coo.rows)
-    assert np.array_equal(global_coo.cols, tcsr_coo.cols)
-    assert np.array_equal(global_coo.values, tcsr_coo.values)
+def test_every_expand_flop_reaches_the_traced_kernel(matrix, monkeypatch):
+    """Expansion is one kernel call per iteration through the
+    ``resolve_kernel`` binding of :mod:`repro.graph.matrix` (where the
+    end-to-end harness wraps ``sparse.spgemm``); those calls carry every
+    expand flop, and nothing reaches :mod:`repro.distsparse.summa`."""
+    import importlib
+
+    import repro.graph.matrix as matrix_module
+
+    # the package re-exports the function under the module's name
+    summa_module = importlib.import_module("repro.distsparse.summa")
+
+    real = matrix_module.resolve_kernel
+    kernel_flops, summa_kernels = [], []
+
+    def counting(kernel):
+        inner = real(kernel)
+
+        def wrapped(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            kernel_flops.append(out[1].flops)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(matrix_module, "resolve_kernel", counting)
+    monkeypatch.setattr(
+        summa_module, "resolve_kernel", lambda kernel: summa_kernels.append(kernel) or real(kernel)
+    )
+    result = DistMarkovClustering(nprocs=4).fit(matrix)
+    assert len(kernel_flops) == result.n_iterations
+    assert sum(kernel_flops) == result.total_flops
+    assert summa_kernels == []
 
 
 def test_grid_larger_than_matrix_rejected():
@@ -316,14 +307,16 @@ def test_cluster_params_validation():
         ClusterParams(nprocs=3)
     with pytest.raises(ValueError, match="method 'mcl'"):
         ClusterParams(method="components", nprocs=4)
-    params = ClusterParams(nprocs=4, overlap=True, regularized=True)
+    with pytest.raises(ValueError, match="overlap_depth.*nprocs"):
+        ClusterParams(nprocs=1, overlap_depth=1)
+    params = ClusterParams(nprocs=4, overlap_depth=1, regularized=True)
     assert params.nprocs == 4
 
 
 def test_cluster_similarity_graph_dist_route(matrix):
     graph = random_graph(7)
     serial = cluster_similarity_graph(graph, ClusterParams())
-    dist = cluster_similarity_graph(graph, ClusterParams(nprocs=4, overlap=True))
+    dist = cluster_similarity_graph(graph, ClusterParams(nprocs=4, overlap_depth=1))
     assert np.array_equal(serial.labels, dist.labels)
     assert dist.nprocs == 4
     assert dist.dist is not None
@@ -342,7 +335,7 @@ def test_pipeline_dist_cluster_stage_end_to_end():
         PastisParams(**base, cluster=ClusterParams(enabled=True, nprocs=1))
     ).run(seqs)
     dist = PastisPipeline(
-        PastisParams(**base, cluster=ClusterParams(enabled=True, nprocs=4, overlap=True))
+        PastisParams(**base, cluster=ClusterParams(enabled=True, nprocs=4, overlap_depth=1))
     ).run(seqs)
     assert np.array_equal(serial.clustering.labels, dist.clustering.labels)
     extras = dist.stats.extras["clustering"]
@@ -357,7 +350,7 @@ def test_pipeline_dist_cluster_stage_end_to_end():
 
 def test_report_renders_dist_stats(matrix):
     graph = random_graph(7)
-    clustering = cluster_similarity_graph(graph, ClusterParams(nprocs=4, overlap=True))
+    clustering = cluster_similarity_graph(graph, ClusterParams(nprocs=4, overlap_depth=1))
     table = clustering_table(clustering)
     assert "Distributed grid" in table
     assert "2x2" in table
@@ -378,7 +371,7 @@ def test_counter_prefix_keeps_search_counters_clean(matrix):
 def test_reused_communicator_reports_per_run_deltas(matrix):
     """fit(matrix, comm) on a communicator that already carries cluster
     charges must still report this run's volume/identity, not the total."""
-    mcl = DistMarkovClustering(nprocs=4, overlap=True)
+    mcl = DistMarkovClustering(nprocs=4, overlap_depth=1)
     comm = SimCommunicator(4)
     first = mcl.fit(matrix, comm)
     second = mcl.fit(matrix, comm)

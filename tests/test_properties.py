@@ -26,7 +26,8 @@ from repro.mpi.communicator import SimCommunicator
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
-from repro.sparse.spgemm import spgemm, spgemm_reference
+from repro.sparse.spgemm import spgemm
+from sparse_oracles import spgemm_reference
 
 SETTINGS = dict(
     deadline=None,

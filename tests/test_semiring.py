@@ -7,13 +7,12 @@ import repro.sparse.semiring as semiring_mod
 from repro.sparse.semiring import (
     ArithmeticSemiring,
     CountSemiring,
-    MaxSemiring,
-    MinPlusSemiring,
     OverlapSemiring,
     OVERLAP_DTYPE,
     Semiring,
     sequential_segment_sum,
 )
+from sparse_oracles import MaxSemiring, MinPlusSemiring
 
 
 def _left_to_right_reference(values, group_starts):

@@ -8,11 +8,11 @@ from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import (
     ArithmeticSemiring,
     CountSemiring,
-    MinPlusSemiring,
     OverlapSemiring,
 )
-from repro.sparse.spgemm import SpGemmStats, spgemm, spgemm_reference
+from repro.sparse.spgemm import SpGemmStats, spgemm
 from repro.sparse.spops import from_scipy
+from sparse_oracles import MinPlusSemiring, spgemm_reference
 
 
 def random_coo(shape, density, seed):
