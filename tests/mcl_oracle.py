@@ -19,6 +19,13 @@ rank, the sha256 of the ordered ledger charges (``CostLedger.trace``), the
 byte volumes, the memory peaks, ``comm_stats()`` and ``total_seconds()``.
 Floats are stored as ``float.hex``, so the comparison has no tolerance.
 
+Four more cells pin single-rank :class:`~repro.graph.mcl.MarkovClustering`
+on the same matrix, one per variant (``top_k`` without the grid-only
+``blocks_per_grid_row``): the labels' and final matrix's sha256, the
+iteration count and convergence, every
+:class:`~repro.graph.mcl.MclIterationStats` field but the wall-clock
+``expand_seconds``, and the memory peaks.
+
 Regenerate (only when a change to the charges is intended; the new golden
 then pins the plan to itself)::
 
@@ -36,7 +43,7 @@ import numpy as np
 from preblock_oracle import exact
 from test_graph_dist import random_graph
 
-from repro.graph import DistMarkovClustering, StochasticMatrix
+from repro.graph import DistMarkovClustering, MarkovClustering, StochasticMatrix
 from repro.mpi.communicator import SimCommunicator
 
 GOLDEN = Path(__file__).with_name("mcl_golden.json")
@@ -50,6 +57,11 @@ VARIANTS = {
     "top_k": dict(top_k=5, blocks_per_grid_row=3, batch_flops=64),
 }
 CELLS = tuple(itertools.product(NPROCS, DEPTHS, VARIANTS))
+#: single-rank cells: the variants without the grid-only knob
+SINGLE_VARIANTS = {
+    name: {k: v for k, v in knobs.items() if k != "blocks_per_grid_row"}
+    for name, knobs in VARIANTS.items()
+}
 
 #: ``comm_stats()`` echoes the schedule knob back; the cell key already
 #: holds it, and the golden was captured when it was the bool ``overlap``
@@ -82,6 +94,10 @@ def cell_key(nprocs: int, depth: int, variant: str) -> str:
     return f"nprocs={nprocs} depth={depth} variant={variant}"
 
 
+def single_key(variant: str) -> str:
+    return f"single-rank variant={variant}"
+
+
 def run_cell(m: StochasticMatrix, nprocs: int, depth: int, variant: str):
     """One traced fit of the grid; returns ``(result, charge log)``."""
     comm = SimCommunicator(nprocs)
@@ -90,6 +106,11 @@ def run_cell(m: StochasticMatrix, nprocs: int, depth: int, variant: str):
         nprocs=nprocs, max_iterations=8, overlap_depth=depth, **VARIANTS[variant]
     )
     return mcl.fit(m, comm), charges
+
+
+def run_single(m: StochasticMatrix, variant: str):
+    """One single-rank fit of ``variant``."""
+    return MarkovClustering(max_iterations=8, **SINGLE_VARIANTS[variant]).fit(m)
 
 
 def _sha(*arrays) -> str:
@@ -127,9 +148,28 @@ def snapshot(result, charges: ChargeLog) -> dict:
     )
 
 
+def single_snapshot(result) -> dict:
+    """Everything the golden pins about one single-rank run."""
+    final = result.final_matrix.tcsr
+    return exact(
+        {
+            "labels": _sha(result.labels),
+            "final": _sha(final.indptr, final.indices, final.values),
+            "n_iterations": result.n_iterations,
+            "converged": result.converged,
+            "iterations": [
+                {k: v for k, v in it.as_dict().items() if k != "expand_seconds"}
+                for it in result.iterations
+            ],
+            "memory": result.memory.summary(),
+        }
+    )
+
+
 def main() -> None:
     m = matrix()
-    cells = {cell_key(*cell): snapshot(*run_cell(m, *cell)) for cell in CELLS}
+    cells = {single_key(v): single_snapshot(run_single(m, v)) for v in SINGLE_VARIANTS}
+    cells |= {cell_key(*cell): snapshot(*run_cell(m, *cell)) for cell in CELLS}
     # one cell per line keeps diffs of the golden readable
     lines = [f"  {json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in cells.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
