@@ -31,6 +31,7 @@ import numpy as np
 from ..sparse.coo import CooMatrix
 from ..sparse.kernels import (
     SpGemmKernel,
+    kernel_name,
     kernel_supports_batch_flops,
     resolve_kernel,
 )
@@ -144,13 +145,7 @@ def summa(
     # kernel dispatch records (measured compression factor + per-kernel
     # seconds) go to the active metrics hub the same way
     metrics = current_metrics()
-    backend_label = ""
-    if metrics is not None:
-        backend_label = (
-            spgemm_backend
-            if isinstance(spgemm_backend, str)
-            else getattr(spgemm_backend, "__name__", "custom")
-        )
+    backend_label = kernel_name(spgemm_backend)
 
     for k in range(dim):
         stage_t0 = time.perf_counter() if tracer is not None else 0.0

@@ -8,13 +8,13 @@ on the same substrates the search uses:
 * :mod:`repro.graph.matrix` — column-stochastic transition matrices over
   the similarity graph (transpose-CSR storage; expansion, inflation and
   pruning operators);
-* :mod:`repro.graph.mcl` — sparse Markov clustering, with expansion
-  executed through the SpGEMM kernels under the plain arithmetic
-  semiring (``"gustavson"`` by default, bit-identical to the ``"expand"``
-  oracle) and per-iteration flop/nnz/pruned-mass stats;
+* :mod:`repro.graph.mcl` — sparse Markov clustering, the one MCL loop,
+  with expansion executed through the SpGEMM kernels under the plain
+  arithmetic semiring (``"gustavson"`` by default, bit-identical to the
+  ``"expand"`` oracle) and per-iteration flop/nnz/pruned-mass stats;
 * :mod:`repro.graph.dist` — *distributed* Markov clustering on the 2D
-  process grid: computed on one rank, with the grid a charge plan (see the
-  stage map below);
+  process grid: that loop with a charge plan, which charges the grid from
+  counts while the matrices stay on one rank (see the stage map below);
 * :mod:`repro.graph.components` — dependency-free union-find connected
   components (also backing
   :meth:`~repro.core.similarity_graph.SimilarityGraph.connected_components`);

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..mpi.process_grid import is_perfect_square
 from ..sparse.kernels import (
     DEFAULT_KERNEL,
     available_kernels,
@@ -23,7 +22,7 @@ from ..sparse.kernels import (
     kernel_supports_batch_flops,
 )
 from .components import connected_components
-from .dist import DistMarkovClustering
+from .dist import DistMarkovClustering, DistMclResult
 from .matrix import WEIGHT_TRANSFORMS
 from .mcl import MarkovClustering, MclIterationStats
 from .quality import ClusterQuality, evaluate_clustering
@@ -66,12 +65,12 @@ class ClusterParams:
         non-batching backend is rejected at validation.
     nprocs:
         Number of virtual ranks the clustering stage runs on (a perfect
-        square, as for the search grid).  ``1`` keeps the single-rank
+        square, as for the search grid).  ``1`` runs
         :class:`~repro.graph.mcl.MarkovClustering`; larger values run
-        :class:`~repro.graph.dist.DistMarkovClustering` — the single-rank
-        operators, with the 2D grid's blocked SUMMA and row-op collectives
-        charged to the ``cluster_comm`` ledger category.  Results are
-        bit-identical either way.
+        :class:`~repro.graph.dist.DistMarkovClustering` — the same MCL loop
+        with a charge plan, which charges the 2D grid's blocked SUMMA and
+        row-op collectives to the ``cluster_comm`` ledger category.  Results
+        are bit-identical either way.
     overlap_depth:
         Distributed runs only: depth ``k`` of the overlapped schedule on the
         simulated clock (``expand(b+1..b+k)`` in flight behind
@@ -124,20 +123,6 @@ class ClusterParams:
             )
         if self.self_loop_weight < 0:
             raise ValueError("self_loop_weight must be non-negative")
-        if self.inflation <= 1.0:
-            raise ValueError("inflation must be > 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0.0 <= self.prune_threshold < 1.0:
-            raise ValueError("prune_threshold must be in [0, 1)")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1 (or None)")
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be non-negative")
-        if self.rmcl_tolerance < 0.0:
-            raise ValueError("rmcl_tolerance must be non-negative (0 disables)")
-        if self.overlap_depth < 0:
-            raise ValueError("overlap_depth must be >= 0 (0 runs the stages back to back)")
         if self.spgemm_backend is not None and self.spgemm_backend not in available_kernels():
             raise ValueError(
                 f"spgemm_backend must be one of {available_kernels()} (or None), "
@@ -154,10 +139,8 @@ class ClusterParams:
                     "batch_flops; use 'gustavson' (or leave the backend "
                     "unset) for flop-budgeted expansion"
                 )
-        if not is_perfect_square(self.nprocs):
-            raise ValueError(
-                f"nprocs ({self.nprocs}) must be a perfect square (2D grid requirement)"
-            )
+        # the driver's own checks: the MCL knobs, nprocs and overlap_depth
+        DistMarkovClustering(self.nprocs, overlap_depth=self.overlap_depth, **self._mcl_knobs())
         if self.overlap_depth > 0 and self.nprocs == 1:
             raise ValueError(
                 f"overlap_depth ({self.overlap_depth}) needs nprocs > 1: a "
@@ -173,6 +156,20 @@ class ClusterParams:
         """The backend actually used: the configured one, else the default."""
         return self.spgemm_backend or DEFAULT_KERNEL
 
+    def _mcl_knobs(self) -> dict[str, object]:
+        """The :class:`~repro.graph.mcl.MarkovClustering` arguments."""
+        return dict(
+            inflation=self.inflation,
+            max_iterations=self.max_iterations,
+            prune_threshold=self.prune_threshold,
+            top_k=self.top_k,
+            tolerance=self.tolerance,
+            spgemm_backend=self.resolve_backend(),
+            batch_flops=self.batch_flops,
+            regularized=self.regularized,
+            rmcl_tolerance=self.rmcl_tolerance,
+        )
+
     def replace(self, **overrides) -> "ClusterParams":
         """A copy with the given fields replaced."""
         from dataclasses import replace as dc_replace
@@ -184,10 +181,9 @@ class ClusterParams:
 class ClusteringResult:
     """A clustering of the similarity graph, with provenance and quality.
 
-    ``iterations`` holds per-iteration MCL stats —
-    :class:`~repro.graph.mcl.MclIterationStats` for single-rank runs,
-    :class:`~repro.graph.dist.DistMclIterationStats` for distributed ones
-    (both expose ``flops``, ``pruned_mass`` and ``as_dict``).  ``dist`` is
+    ``iterations`` holds per-iteration
+    :class:`~repro.graph.mcl.MclIterationStats` (distributed runs: the
+    :class:`~repro.graph.dist.DistMclIterationStats` subclass).  ``dist`` is
     the distributed run's per-rank communication/compute summary (grid,
     ledger categories, byte counters, volume model), ``None`` for
     single-rank runs.
@@ -253,54 +249,18 @@ def cluster_similarity_graph(graph, params: ClusterParams | None = None) -> Clus
             n_iterations=0,
             quality=evaluate_clustering(graph, labels, params.weight_transform),
         )
-    backend = params.resolve_backend()
-    if params.nprocs > 1:
-        dist_mcl = DistMarkovClustering(
-            nprocs=params.nprocs,
-            inflation=params.inflation,
-            max_iterations=params.max_iterations,
-            prune_threshold=params.prune_threshold,
-            top_k=params.top_k,
-            tolerance=params.tolerance,
-            spgemm_backend=backend,
-            batch_flops=params.batch_flops,
-            overlap_depth=params.overlap_depth,
-            regularized=params.regularized,
-            rmcl_tolerance=params.rmcl_tolerance,
-        )
-        dist_result = dist_mcl.fit_graph(
-            graph,
-            transform=params.weight_transform,
-            self_loop_weight=params.self_loop_weight,
-        )
-        dist_stats = dist_result.comm_stats()
-        dist_stats["total_seconds"] = dist_result.total_seconds()
-        return ClusteringResult(
-            method="mcl",
-            labels=dist_result.labels,
-            n_clusters=dist_result.n_clusters,
-            converged=dist_result.converged,
-            n_iterations=dist_result.n_iterations,
-            quality=evaluate_clustering(graph, dist_result.labels, params.weight_transform),
-            iterations=dist_result.iterations,
-            backend=backend if isinstance(backend, str) else None,
-            nprocs=params.nprocs,
-            dist=dist_stats,
-        )
-    mcl = MarkovClustering(
-        inflation=params.inflation,
-        max_iterations=params.max_iterations,
-        prune_threshold=params.prune_threshold,
-        top_k=params.top_k,
-        tolerance=params.tolerance,
-        spgemm_backend=backend,
-        batch_flops=params.batch_flops,
-        regularized=params.regularized,
-        rmcl_tolerance=params.rmcl_tolerance,
+    knobs = params._mcl_knobs()
+    mcl = (
+        MarkovClustering(**knobs)
+        if params.nprocs == 1
+        else DistMarkovClustering(params.nprocs, overlap_depth=params.overlap_depth, **knobs)
     )
     result = mcl.fit_graph(
         graph, transform=params.weight_transform, self_loop_weight=params.self_loop_weight
     )
+    dist = None
+    if isinstance(result, DistMclResult):
+        dist = result.comm_stats() | {"total_seconds": result.total_seconds()}
     return ClusteringResult(
         method="mcl",
         labels=result.labels,
@@ -309,5 +269,7 @@ def cluster_similarity_graph(graph, params: ClusterParams | None = None) -> Clus
         n_iterations=result.n_iterations,
         quality=evaluate_clustering(graph, result.labels, params.weight_transform),
         iterations=result.iterations,
-        backend=backend if isinstance(backend, str) else None,
+        backend=params.resolve_backend(),
+        nprocs=params.nprocs,
+        dist=dist,
     )

@@ -4,13 +4,13 @@ The search stage scales over the simulated ``sqrt(p) x sqrt(p)``
 :class:`~repro.mpi.process_grid.ProcessGrid`; this module puts the
 clustering stage on the same grid, the way HipMCL distributes MCL.  The grid
 is a *charge plan*, not an execution: a grid run's matrices are by contract
-the single-rank ones, so :class:`DistMarkovClustering` iterates the
-single-rank operators on one
-:class:`~repro.graph.matrix.StochasticMatrix` and charges the ledger what the
-grid spends, from per-block, per-rank counts alone.  Every MCL iteration is
-blocked into stored-row blocks of the iterate (``blocks_per_grid_row``
-sub-blocks nested in each grid row, the cluster analogue of the search's
-``num_blocks``) and charged as three stages —
+the single-rank ones, so :class:`DistMarkovClustering` is
+:class:`~repro.graph.mcl.MarkovClustering` with a charge plan — the one MCL
+loop, on one :class:`~repro.graph.matrix.StochasticMatrix`, charging the
+ledger what the grid spends from per-block, per-rank counts alone.  Every MCL
+iteration is blocked into stored-row blocks of the iterate
+(``blocks_per_grid_row`` sub-blocks nested in each grid row, the cluster
+analogue of the search's ``num_blocks``) and charged as three stages —
 
 ``expand(b)``
     Blocked 2D Sparse SUMMA for stored-row block ``b`` of ``Mᵀ·Mᵀ``: in stage
@@ -38,11 +38,11 @@ every depth.
 
 **The charge-plan contract.**  Labels and the final matrix are those of
 single-rank :class:`~repro.graph.mcl.MarkovClustering`, bit for bit, for
-every grid size and SpGEMM backend: expansion is one
+every grid size and SpGEMM backend, because the loop is the same: one
 :meth:`~repro.graph.matrix.StochasticMatrix.expand` per iteration, and
 inflation, pruning and renormalization are the stripe functions of
 :mod:`repro.graph.matrix`, every one of them per stored row.  Prune
-decisions run per stored-row block, so the
+decisions run per stored-row block of the plan, so the
 :class:`~repro.graph.matrix.PruneStats` merge in block order, as the grid
 reduces them.  The ledger (every charge, in order), the clock, the byte
 counters and the memory peaks are those of the executed grid — one
@@ -57,31 +57,21 @@ cost ledger) that makes the search scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..distsparse.blocked_summa import _chunk_bounds
-from ..metrics.memory import MemoryTracker
+from ..metrics.memory import MemoryTracker  # DistMclResult.__init__'s inherited hint
 from ..mpi.collectives import CollectiveEngine
 from ..mpi.communicator import SimCommunicator
 from ..mpi.costmodel import OverlapWindow
 from ..mpi.process_grid import is_perfect_square
 from ..sparse.csr import CsrMatrix
 from ..sparse.gustavson import DEFAULT_BATCH_FLOPS, row_group_bounds
-from ..sparse.kernels import DEFAULT_KERNEL, kernel_supports_batch_flops, resolve_kernel
-from .matrix import (
-    PruneStats,
-    StochasticMatrix,
-    apply_keep_mask,
-    chaos_tcsr,
-    flow_residual_tcsr,
-    inflate_tcsr,
-    normalize_tcsr,
-    prune_keep_mask,
-    stored_row_ids,
-)
-from .mcl import interpret_clusters
+from ..sparse.kernels import kernel_supports_batch_flops, resolve_kernel
+from .matrix import StochasticMatrix, stored_row_ids
+from .mcl import MarkovClustering, MclIterationStats, MclResult
 
 #: Ledger time category of the expansion broadcasts and row-op collectives.
 CLUSTER_COMM_CATEGORY = "cluster_comm"
@@ -103,6 +93,9 @@ ROW_OP_ENTRY_BYTES = 16
 #: Bytes per COO triplet (int64 row and column, float64 value): an entry a
 #: SUMMA broadcast moves, and a partial product of a kernel's expand form.
 COO_ENTRY_BYTES = 24
+#: The cluster stage's byte counters.
+SENT_COUNTER = CLUSTER_COUNTER_PREFIX + "bytes_sent"
+RECEIVED_COUNTER = CLUSTER_COUNTER_PREFIX + "bytes_received"
 #: Memory-tracker component names.
 DIST_MCL_ITERATE = "dist_mcl_iterate"
 DIST_MCL_INTERMEDIATE = "dist_mcl_intermediate"
@@ -164,14 +157,24 @@ class _ChargePlan:
     The matrices are computed on one rank; the plan charges what the
     executed grid does — SUMMA stage broadcasts, per-rank flops and kernel
     peaks, row-op collectives and modeled compute seconds — in the order the
-    grid emits them.  Collectives charge through the cluster
-    :class:`~repro.mpi.collectives.CollectiveEngine`'s byte-count entry
-    points and add the same sizes to the closed-form
+    grid emits them.  :meth:`~repro.graph.mcl.MarkovClustering.fit` calls
+    :meth:`charge_iteration` once per iteration.  Collectives charge through
+    the cluster :class:`~repro.mpi.collectives.CollectiveEngine`'s
+    byte-count entry points and add the same sizes to the closed-form
     :class:`_VolumePredictor`.
     """
 
+    #: memory-tracker components of the iterate and the kernel peak
+    memory_components = (DIST_MCL_ITERATE, DIST_MCL_INTERMEDIATE)
+
     def __init__(
-        self, comm: SimCommunicator, n: int, blocks_per_grid_row: int, kernel, batch_flops
+        self,
+        comm: SimCommunicator,
+        n: int,
+        blocks_per_grid_row: int,
+        kernel,
+        batch_flops,
+        overlap_depth: int = 0,
     ) -> None:
         grid = self.grid = comm.require_grid()
         if grid.grid_dim > n:
@@ -188,6 +191,8 @@ class _ChargePlan:
             counter_prefix=CLUSTER_COUNTER_PREFIX,
         )
         self.predictor = _VolumePredictor()
+        self.overlap_depth = overlap_depth
+        self.clock = np.zeros(grid.nprocs)
         # the kernel's row-group flop budget; a kernel without one expands
         # each multiply as a single group
         self.budget = (
@@ -219,6 +224,48 @@ class _ChargePlan:
         """Footprint of the iterate as grid-row stripes, each with its own
         row pointer (one entry longer than its rows)."""
         return tcsr.memory_bytes() + (self.grid.grid_dim - 1) * tcsr.indptr.itemsize
+
+    def charge_iteration(
+        self,
+        stats: MclIterationStats,
+        a: CsrMatrix,
+        b: CsrMatrix,
+        inflated: CsrMatrix,
+        final: CsrMatrix,
+    ) -> DistMclIterationStats:
+        """Charge one iteration in the executed grid's order — the SUMMA of
+        ``a · b``, the row ops on ``inflated``, the clock, the epilogue on
+        ``final`` and the residual allreduce — and return ``stats`` with the
+        grid's fields."""
+        ledger = self.ledger
+        comm_before = ledger.per_rank(CLUSTER_COMM_CATEGORY)
+        sent_before = ledger.counter_total(SENT_COUNTER)
+        expand_seconds, flops_per_rank, peak = self.expand(a, b)
+        prune_seconds = self.prune(inflated)
+        if self.overlap_depth and len(self.blocks) > 1:
+            window = OverlapWindow(ledger, self.clock, CLUSTER_OVERLAP_HIDDEN_CATEGORY)
+            window.run_schedule(prune_seconds, expand_seconds, depth=self.overlap_depth)
+        else:
+            for expand_b, prune_b in zip(expand_seconds, prune_seconds):
+                self.clock += expand_b + prune_b
+        epilogue_seconds = self.epilogue(final, stats.pruned_entries > 0)
+        self.clock += epilogue_seconds
+        if stats.flow_residual is not None:  # the R-MCL stop criterion's max
+            self.allreduce(8, range(self.grid.nprocs))
+        single_rank = asdict(stats) | {
+            "intermediate_bytes": peak,
+            # the grid reduces per-block chaos from an empty block's 0.0, so
+            # a value rounded just below zero reads 0.0
+            "chaos": max(0.0, stats.chaos),
+            "expand_seconds": float(sum(s.max() for s in expand_seconds)),
+        }
+        return DistMclIterationStats(
+            **single_rank,
+            flops_per_rank=tuple(float(f) for f in flops_per_rank),
+            prune_seconds=float(sum(s.max() for s in prune_seconds) + epilogue_seconds.max()),
+            comm_seconds=float((ledger.per_rank(CLUSTER_COMM_CATEGORY) - comm_before).max()),
+            comm_bytes_sent=int(ledger.counter_total(SENT_COUNTER) - sent_before),
+        )
 
     def expand(self, a: CsrMatrix, b: CsrMatrix) -> tuple[list[np.ndarray], np.ndarray, int]:
         """Charge the blocked SUMMA of ``a · b``: per-block per-rank seconds,
@@ -322,88 +369,37 @@ class _ChargePlan:
         self.predictor.allgather(list(sizes.values()))
 
 
-@dataclass(frozen=True)
-class DistMclIterationStats:
-    """Instrumentation of one distributed expansion-inflation-pruning round."""
+@dataclass(frozen=True, kw_only=True)
+class DistMclIterationStats(MclIterationStats):
+    """One distributed round: ``intermediate_bytes`` is the largest rank's
+    kernel peak and ``expand_seconds`` the modeled slowest-rank seconds."""
 
-    iteration: int
-    backend: str
-    nnz: int
-    flops: int
     flops_per_rank: tuple[float, ...]
-    compression_factor: float
-    intermediate_bytes: int
-    pruned_entries: int
-    pruned_mass: float
-    pruned_mass_max: float
-    chaos: float
-    expand_seconds: float
     prune_seconds: float
     comm_seconds: float
     comm_bytes_sent: int
-    #: flow-balance residual (max per-column L1 change vs. the previous
-    #: iterate); None when the run does not track it (rmcl_tolerance == 0)
-    flow_residual: float | None = None
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat JSON-serializable view (for reports and benchmarks)."""
-        return {
-            "iteration": self.iteration,
-            "backend": self.backend,
-            "nnz": self.nnz,
-            "flops": self.flops,
-            "flops_per_rank": list(self.flops_per_rank),
-            "compression_factor": self.compression_factor,
-            "intermediate_bytes": self.intermediate_bytes,
-            "pruned_entries": self.pruned_entries,
-            "pruned_mass": self.pruned_mass,
-            "pruned_mass_max": self.pruned_mass_max,
-            "chaos": self.chaos,
-            "expand_seconds": self.expand_seconds,
-            "prune_seconds": self.prune_seconds,
-            "comm_seconds": self.comm_seconds,
-            "comm_bytes_sent": self.comm_bytes_sent,
-            "flow_residual": self.flow_residual,
-        }
 
 
-@dataclass
-class DistMclResult:
-    """Everything one distributed Markov-clustering run produces."""
+@dataclass(kw_only=True)
+class DistMclResult(MclResult):
+    """One distributed run: the single-rank result plus the grid's charges."""
 
-    labels: np.ndarray
-    n_clusters: int
-    converged: bool
-    n_iterations: int
     grid_dim: int
     nprocs: int
     overlap_depth: int
-    iterations: list[DistMclIterationStats] = field(default_factory=list)
-    final_matrix: StochasticMatrix | None = None
-    comm: SimCommunicator | None = None
-    clock_per_rank: np.ndarray | None = None
-    volume: dict[str, int] = field(default_factory=dict)
-    memory: MemoryTracker = field(default_factory=MemoryTracker)
+    comm: SimCommunicator
+    clock_per_rank: np.ndarray
+    volume: dict[str, int]
     #: per-rank seconds of this run alone (ledger deltas over the fit, so a
     #: reused communicator's earlier charges don't leak into the stats)
-    category_seconds: dict[str, np.ndarray] = field(default_factory=dict)
-    bytes_sent_per_rank: np.ndarray | None = None
-    bytes_received_per_rank: np.ndarray | None = None
+    category_seconds: dict[str, np.ndarray]
+    bytes_sent_per_rank: np.ndarray
+    bytes_received_per_rank: np.ndarray
 
     @property
     def ledger(self):
         """The per-rank cost ledger of the run."""
-        return self.comm.ledger if self.comm is not None else None
-
-    @property
-    def total_flops(self) -> int:
-        """Expansion flops summed over all iterations."""
-        return sum(it.flops for it in self.iterations)
-
-    @property
-    def total_pruned_mass(self) -> float:
-        """Probability mass discarded by pruning, summed over iterations."""
-        return sum(it.pruned_mass for it in self.iterations)
+        return self.comm.ledger
 
     def comm_stats(self) -> dict[str, object]:
         """Per-rank communication/compute summary for reports and extras.
@@ -412,53 +408,33 @@ class DistMclResult:
         correct when :meth:`DistMarkovClustering.fit` reused a communicator
         that already carried charges.
         """
-        if not self.category_seconds:
-            return {}
+        seconds = self.category_seconds
         return {
             "grid": f"{self.grid_dim}x{self.grid_dim}",
             "nprocs": self.nprocs,
             "overlap_depth": self.overlap_depth,
-            "expand_seconds_per_rank": self.category_seconds[
-                CLUSTER_EXPAND_CATEGORY
-            ].tolist(),
-            "prune_seconds_per_rank": self.category_seconds[
-                CLUSTER_PRUNE_CATEGORY
-            ].tolist(),
-            "comm_seconds_per_rank": self.category_seconds[
-                CLUSTER_COMM_CATEGORY
-            ].tolist(),
-            "overlap_hidden_per_rank": self.category_seconds[
-                CLUSTER_OVERLAP_HIDDEN_CATEGORY
-            ].tolist(),
-            "clock_per_rank": (
-                self.clock_per_rank.tolist() if self.clock_per_rank is not None else []
-            ),
-            "bytes_sent_per_rank": (
-                self.bytes_sent_per_rank.tolist()
-                if self.bytes_sent_per_rank is not None
-                else []
-            ),
-            "bytes_received_per_rank": (
-                self.bytes_received_per_rank.tolist()
-                if self.bytes_received_per_rank is not None
-                else []
-            ),
+            "expand_seconds_per_rank": seconds[CLUSTER_EXPAND_CATEGORY].tolist(),
+            "prune_seconds_per_rank": seconds[CLUSTER_PRUNE_CATEGORY].tolist(),
+            "comm_seconds_per_rank": seconds[CLUSTER_COMM_CATEGORY].tolist(),
+            "overlap_hidden_per_rank": seconds[CLUSTER_OVERLAP_HIDDEN_CATEGORY].tolist(),
+            "clock_per_rank": self.clock_per_rank.tolist(),
+            "bytes_sent_per_rank": self.bytes_sent_per_rank.tolist(),
+            "bytes_received_per_rank": self.bytes_received_per_rank.tolist(),
             **{k: int(v) for k, v in self.volume.items()},
         }
 
     def total_seconds(self) -> float:
         """Bulk-synchronous stage time: slowest rank's clock plus its comm."""
-        if self.clock_per_rank is None or not self.category_seconds:
-            return 0.0
         comm_seconds = self.category_seconds[CLUSTER_COMM_CATEGORY]
         return float((self.clock_per_rank + comm_seconds).max())
 
 
-class DistMarkovClustering:
-    """Distributed MCL driver: the single-rank algorithm, the 2D grid charged.
+class DistMarkovClustering(MarkovClustering):
+    """Distributed MCL driver: :class:`~repro.graph.mcl.MarkovClustering`
+    with the 2D grid charged.
 
-    Parameters mirror :class:`~repro.graph.mcl.MarkovClustering` (and produce
-    bit-identical labels and final matrices for any setting), plus:
+    Takes every :class:`~repro.graph.mcl.MarkovClustering` knob (and
+    produces bit-identical labels and final matrices for any setting), plus:
 
     nprocs:
         Number of virtual ranks; must be a perfect square (2D grid
@@ -473,12 +449,6 @@ class DistMarkovClustering:
         the cluster stage).  ``0`` (the default) runs the stages back to
         back; ``1`` is the classic slot schedule.  Labels are unaffected —
         expansion always reads the iteration-start matrix.
-    rmcl_tolerance:
-        Flow-balance residual stop criterion for regularized runs (see
-        :class:`~repro.graph.mcl.MarkovClustering`); the residual is the
-        single-rank one, charged as a ``max`` allreduce over the grid, so
-        convergence (and the final labels) stay bit-identical to the
-        single-rank driver.  ``0`` disables.
     blocks_per_grid_row:
         Stored-row sub-blocks per grid row (the cluster stage's analogue of
         the search's ``num_blocks``).  Consecutive sub-blocks of one grid
@@ -486,57 +456,29 @@ class DistMarkovClustering:
         schedule time to hide; 1 reduces the blocking to one block per grid
         row (overlap then hides nothing — adjacent blocks live on disjoint
         ranks).  Clamped per grid row to the available stored rows.
-    regularized:
-        Regularized MCL: expansion multiplies by the original transition
-        matrix each iteration (see :class:`~repro.graph.mcl.MarkovClustering`).
+
+    The R-MCL flow residual is the single-rank one, charged as a ``max``
+    allreduce over the grid, so convergence stays bit-identical too.
     """
 
     def __init__(
         self,
         nprocs: int = 1,
-        inflation: float = 2.0,
-        max_iterations: int = 60,
-        prune_threshold: float = 1e-4,
-        top_k: int | None = None,
-        tolerance: float = 1e-9,
-        spgemm_backend=None,
-        batch_flops: int | None = None,
+        *,
         overlap_depth: int = 0,
         blocks_per_grid_row: int = 2,
-        regularized: bool = False,
-        rmcl_tolerance: float = 0.0,
+        **mcl_knobs,
     ) -> None:
+        super().__init__(**mcl_knobs)
         if not is_perfect_square(nprocs):
             raise ValueError(f"nprocs ({nprocs}) must be a perfect square")
-        if inflation <= 1.0:
-            raise ValueError("inflation must be > 1 (1.0 would never sharpen the walk)")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0.0 <= prune_threshold < 1.0:
-            raise ValueError("prune_threshold must be in [0, 1)")
-        if top_k is not None and top_k < 1:
-            raise ValueError("top_k must be >= 1 (or None)")
-        if tolerance < 0.0:
-            raise ValueError("tolerance must be non-negative")
         if blocks_per_grid_row < 1:
             raise ValueError("blocks_per_grid_row must be >= 1")
         if overlap_depth < 0:
             raise ValueError("overlap_depth must be >= 0 (0 runs the stages back to back)")
-        if rmcl_tolerance < 0.0:
-            raise ValueError("rmcl_tolerance must be non-negative (0 disables)")
-        self.blocks_per_grid_row = int(blocks_per_grid_row)
         self.nprocs = int(nprocs)
-        self.inflation = float(inflation)
-        self.max_iterations = int(max_iterations)
-        self.prune_threshold = float(prune_threshold)
-        self.top_k = top_k
-        self.tolerance = float(tolerance)
-        self.spgemm_backend = spgemm_backend
-        self.batch_flops = batch_flops
         self.overlap_depth = int(overlap_depth)
-        self.regularized = bool(regularized)
-        self.rmcl_tolerance = float(rmcl_tolerance)
-        resolve_kernel(spgemm_backend)  # fail fast on unknown names
+        self.blocks_per_grid_row = int(blocks_per_grid_row)
 
     # ------------------------------------------------------------------ public API
     def fit(
@@ -555,162 +497,49 @@ class DistMarkovClustering:
             )
         plan = _ChargePlan(
             comm, matrix.n, self.blocks_per_grid_row, resolve_kernel(self.spgemm_backend),
-            self.batch_flops,
+            self.batch_flops, self.overlap_depth,
         )
-        ledger = comm.ledger
-        backend_name = (
-            self.spgemm_backend
-            if isinstance(self.spgemm_backend, str)
-            else (DEFAULT_KERNEL if self.spgemm_backend is None
-                  else getattr(self.spgemm_backend, "__name__", "custom"))
-        )
-
-        current = matrix
-        original = matrix if self.regularized else None
-        memory = MemoryTracker()
-        memory.set_usage(DIST_MCL_ITERATE, plan.iterate_bytes(current.tcsr))
-        clock = np.zeros(comm.size)
-        iterations: list[DistMclIterationStats] = []
-        converged = False
-        sent_counter = CLUSTER_COUNTER_PREFIX + "bytes_sent"
-        received_counter = CLUSTER_COUNTER_PREFIX + "bytes_received"
         # snapshot the ledger so all reported stats are this run's deltas
         # (a reused communicator may already carry cluster_* charges)
-        category_baseline = {
-            cat: ledger.per_rank(cat)
-            for cat in (
-                CLUSTER_EXPAND_CATEGORY,
-                CLUSTER_PRUNE_CATEGORY,
-                CLUSTER_COMM_CATEGORY,
-                CLUSTER_OVERLAP_HIDDEN_CATEGORY,
-            )
-        }
-        sent_baseline = ledger.counter_per_rank(sent_counter)
-        received_baseline = ledger.counter_per_rank(received_counter)
-
-        for iteration in range(1, self.max_iterations + 1):
-            comm_seconds_before = ledger.per_rank(CLUSTER_COMM_CATEGORY)
-            sent_before = ledger.counter_total(sent_counter)
-
-            # ---- expand: one multiply, charged as the blocked SUMMA ----------
-            expanded, spgemm_stats = current.expand(
-                kernel=self.spgemm_backend, batch_flops=self.batch_flops, right=original
-            )
-            expand_seconds, flops_per_rank, intermediate_bytes = plan.expand(
-                current.tcsr, (current if original is None else original).tcsr
-            )
-
-            # ---- inflate + prune decisions per stored-row block ---------------
-            inflated = inflate_tcsr(expanded.tcsr, self.inflation)
-            keep_masks: list[np.ndarray] = []
-            prune_stats = PruneStats()
-            for lo, hi in plan.block_rows:
-                keep, stats_b = prune_keep_mask(
-                    inflated.row_slice(lo, hi), self.prune_threshold, self.top_k
-                )
-                keep_masks.append(keep)
-                prune_stats = prune_stats.merge(stats_b)
-            prune_seconds = plan.prune(inflated)
-
-            # ---- schedule the blocks on the simulated clock -------------------
-            if self.overlap_depth and len(plan.blocks) > 1:
-                window = OverlapWindow(ledger, clock, CLUSTER_OVERLAP_HIDDEN_CATEGORY)
-                window.run_schedule(prune_seconds, expand_seconds, depth=self.overlap_depth)
-            else:
-                for expand_b, prune_b in zip(expand_seconds, prune_seconds):
-                    clock += expand_b + prune_b
-
-            # ---- renormalize epilogue (global drop flag, renorm, chaos) ------
-            dropped_any = prune_stats.pruned_entries > 0
-            new = inflated
-            if dropped_any:
-                new = normalize_tcsr(apply_keep_mask(inflated, np.concatenate(keep_masks)))
-            # the grid reduces per-block chaos from an empty block's 0.0, so a
-            # value rounded just below zero reads 0.0
-            chaos = max(0.0, chaos_tcsr(new))
-            epilogue_seconds = plan.epilogue(new, dropped_any)
-            clock += epilogue_seconds
-            # flow-balance residual (R-MCL stop criterion), a max allreduce
-            residual = None
-            if self.rmcl_tolerance > 0:
-                residual = flow_residual_tcsr(current.tcsr, new)
-                plan.allreduce(8, range(comm.size))
-            current = StochasticMatrix(new)
-            memory.set_usage(DIST_MCL_ITERATE, plan.iterate_bytes(new))
-            memory.set_usage(DIST_MCL_INTERMEDIATE, intermediate_bytes)
-            comm_seconds = float(
-                (ledger.per_rank(CLUSTER_COMM_CATEGORY) - comm_seconds_before).max()
-            )
-            iterations.append(
-                DistMclIterationStats(
-                    iteration=iteration,
-                    backend=backend_name,
-                    nnz=current.nnz,
-                    flops=spgemm_stats.flops,
-                    flops_per_rank=tuple(float(f) for f in flops_per_rank),
-                    compression_factor=spgemm_stats.compression_factor,
-                    intermediate_bytes=intermediate_bytes,
-                    pruned_entries=prune_stats.pruned_entries,
-                    pruned_mass=prune_stats.pruned_mass,
-                    pruned_mass_max=prune_stats.pruned_mass_max,
-                    chaos=chaos,
-                    expand_seconds=float(sum(s.max() for s in expand_seconds)),
-                    prune_seconds=float(
-                        sum(s.max() for s in prune_seconds) + epilogue_seconds.max()
-                    ),
-                    comm_seconds=comm_seconds,
-                    comm_bytes_sent=int(ledger.counter_total(sent_counter) - sent_before),
-                    flow_residual=residual,
-                )
-            )
-            if chaos <= self.tolerance or (
-                residual is not None and residual <= self.rmcl_tolerance
-            ):
-                converged = True
-                break
-
-        labels = interpret_clusters(current)
-        category_seconds = {
-            cat: ledger.per_rank(cat) - base for cat, base in category_baseline.items()
-        }
-        bytes_sent_per_rank = ledger.counter_per_rank(sent_counter) - sent_baseline
-        bytes_received_per_rank = (
-            ledger.counter_per_rank(received_counter) - received_baseline
+        ledger = comm.ledger
+        categories = (
+            CLUSTER_EXPAND_CATEGORY,
+            CLUSTER_PRUNE_CATEGORY,
+            CLUSTER_COMM_CATEGORY,
+            CLUSTER_OVERLAP_HIDDEN_CATEGORY,
         )
-        volume = {
-            "predicted_bytes_sent": plan.predictor.sent,
-            "predicted_bytes_received": plan.predictor.received,
-            "charged_bytes_sent": int(bytes_sent_per_rank.sum()),
-            "charged_bytes_received": int(bytes_received_per_rank.sum()),
-        }
+        category_baseline = {cat: ledger.per_rank(cat) for cat in categories}
+        sent_baseline = ledger.counter_per_rank(SENT_COUNTER)
+        received_baseline = ledger.counter_per_rank(RECEIVED_COUNTER)
+        result = super().fit(matrix, plan)
+        sent = ledger.counter_per_rank(SENT_COUNTER) - sent_baseline
+        received = ledger.counter_per_rank(RECEIVED_COUNTER) - received_baseline
         return DistMclResult(
-            labels=labels,
-            n_clusters=int(labels.max()) + 1 if labels.size else 0,
-            converged=converged,
-            n_iterations=len(iterations),
+            **vars(result),
             grid_dim=plan.grid.grid_dim,
             nprocs=comm.size,
             overlap_depth=self.overlap_depth,
-            iterations=iterations,
-            final_matrix=current,
             comm=comm,
-            clock_per_rank=clock,
-            volume=volume,
-            memory=memory,
-            category_seconds=category_seconds,
-            bytes_sent_per_rank=bytes_sent_per_rank,
-            bytes_received_per_rank=bytes_received_per_rank,
+            clock_per_rank=plan.clock,
+            volume={
+                "predicted_bytes_sent": plan.predictor.sent,
+                "predicted_bytes_received": plan.predictor.received,
+                "charged_bytes_sent": int(sent.sum()),
+                "charged_bytes_received": int(received.sum()),
+            },
+            category_seconds={
+                cat: ledger.per_rank(cat) - base for cat, base in category_baseline.items()
+            },
+            bytes_sent_per_rank=sent,
+            bytes_received_per_rank=received,
         )
 
     def fit_graph(
         self, graph, transform: str = "ani", self_loop_weight: float = 1.0
     ) -> DistMclResult:
         """Convenience: build the transition matrix from a graph, then fit."""
-        return self.fit(
-            StochasticMatrix.from_similarity_graph(
-                graph, transform=transform, self_loop_weight=self_loop_weight
-            )
-        )
+        return super().fit_graph(graph, transform, self_loop_weight)
+
 
 def _balanced_chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     """Split ``[lo, hi)`` into ``parts`` balanced contiguous chunks.

@@ -25,15 +25,25 @@ backend executes the expansion (asserted in ``tests/test_graph.py``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..metrics.memory import MemoryTracker
-from ..sparse.kernels import DEFAULT_KERNEL, resolve_kernel
+from ..sparse.csr import CsrMatrix
+from ..sparse.kernels import kernel_name, resolve_kernel
 from ..trace import current_tracer
 from .components import canonical_labels, component_roots
-from .matrix import StochasticMatrix, flow_residual_tcsr
+from .matrix import (
+    PruneStats,
+    StochasticMatrix,
+    apply_keep_mask,
+    chaos_tcsr,
+    flow_residual_tcsr,
+    inflate_tcsr,
+    normalize_tcsr,
+    prune_keep_mask,
+)
 
 #: Memory-tracker component for the live MCL iterate.
 MCL_ITERATE = "mcl_iterate"
@@ -60,22 +70,9 @@ class MclIterationStats:
     #: iterate); None when the run does not track it (rmcl_tolerance == 0)
     flow_residual: float | None = None
 
-    def as_dict(self) -> dict[str, float]:
+    def as_dict(self) -> dict[str, object]:
         """Flat JSON-serializable view (for reports and benchmarks)."""
-        return {
-            "iteration": self.iteration,
-            "backend": self.backend,
-            "nnz": self.nnz,
-            "flops": self.flops,
-            "compression_factor": self.compression_factor,
-            "intermediate_bytes": self.intermediate_bytes,
-            "pruned_entries": self.pruned_entries,
-            "pruned_mass": self.pruned_mass,
-            "pruned_mass_max": self.pruned_mass_max,
-            "chaos": self.chaos,
-            "expand_seconds": self.expand_seconds,
-            "flow_residual": self.flow_residual,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -186,64 +183,81 @@ class MarkovClustering:
         resolve_kernel(spgemm_backend)  # fail fast on unknown names
 
     # ------------------------------------------------------------------ public API
-    def fit(self, matrix: StochasticMatrix) -> MclResult:
-        """Run MCL to convergence (or ``max_iterations``) on ``matrix``."""
-        backend_name = (
-            self.spgemm_backend
-            if isinstance(self.spgemm_backend, str)
-            else (DEFAULT_KERNEL if self.spgemm_backend is None
-                  else getattr(self.spgemm_backend, "__name__", "custom"))
-        )
+    def fit(self, matrix: StochasticMatrix, plan=None) -> MclResult:
+        """Run MCL to convergence (or ``max_iterations``) on ``matrix``.
+
+        ``plan`` is the 2D grid's charge plan, which
+        :class:`~repro.graph.dist.DistMarkovClustering` passes.  Prune
+        decisions then run per ``plan.block_rows`` block (one block without
+        a plan), ``plan.charge_iteration`` ledgers each iteration and returns
+        its stats with the grid's fields, and memory tracks the plan's sizes.
+        The plan only charges: the matrices are the same either way.
+        """
+        backend = kernel_name(self.spgemm_backend)
+        original = matrix if self.regularized else None
+        if plan is None:
+            blocks, footprint = [(0, matrix.n)], CsrMatrix.memory_bytes
+            iterate, intermediate = MCL_ITERATE, MCL_INTERMEDIATE
+        else:
+            blocks, footprint = plan.block_rows, plan.iterate_bytes
+            iterate, intermediate = plan.memory_components
         memory = MemoryTracker()
         current = matrix
-        memory.set_usage(MCL_ITERATE, current.memory_bytes())
+        memory.set_usage(iterate, footprint(current.tcsr))
         iterations: list[MclIterationStats] = []
         converged = False
         # fit has no StageContext; the tracer (if any) is the run's active one
         tracer = current_tracer()
         for iteration in range(1, self.max_iterations + 1):
             iter_t0 = time.perf_counter() if tracer is not None else 0.0
-            previous_tcsr = current.tcsr if self.rmcl_tolerance > 0 else None
             t0 = time.perf_counter()
             expanded, spgemm_stats = current.expand(
-                kernel=self.spgemm_backend,
-                batch_flops=self.batch_flops,
-                right=matrix if self.regularized else None,
+                kernel=self.spgemm_backend, batch_flops=self.batch_flops, right=original
             )
             expand_seconds = time.perf_counter() - t0
-            inflated = expanded.inflate(self.inflation)
-            current, prune_stats = inflated.prune(self.prune_threshold, self.top_k)
-            chaos = current.chaos()
-            residual = (
-                flow_residual_tcsr(previous_tcsr, current.tcsr)
-                if previous_tcsr is not None
-                else None
-            )
-            memory.set_usage(MCL_ITERATE, current.memory_bytes())
-            memory.set_usage(MCL_INTERMEDIATE, spgemm_stats.intermediate_bytes)
-            iterations.append(
-                MclIterationStats(
-                    iteration=iteration,
-                    backend=backend_name,
-                    nnz=current.nnz,
-                    flops=spgemm_stats.flops,
-                    compression_factor=spgemm_stats.compression_factor,
-                    intermediate_bytes=spgemm_stats.intermediate_bytes,
-                    pruned_entries=prune_stats.pruned_entries,
-                    pruned_mass=prune_stats.pruned_mass,
-                    pruned_mass_max=prune_stats.pruned_mass_max,
-                    chaos=chaos,
-                    expand_seconds=expand_seconds,
-                    flow_residual=residual,
+            inflated = inflate_tcsr(expanded.tcsr, self.inflation)
+            # prune decisions per stored-row block, merged in block order
+            keep_masks, prune_stats = [], PruneStats()
+            for lo, hi in blocks:
+                keep, block_stats = prune_keep_mask(
+                    inflated.row_slice(lo, hi), self.prune_threshold, self.top_k
                 )
+                keep_masks.append(keep)
+                prune_stats = prune_stats.merge(block_stats)
+            new = inflated
+            if prune_stats.pruned_entries:
+                new = normalize_tcsr(apply_keep_mask(inflated, np.concatenate(keep_masks)))
+            stats = MclIterationStats(
+                iteration=iteration,
+                backend=backend,
+                nnz=new.nnz,
+                flops=spgemm_stats.flops,
+                compression_factor=spgemm_stats.compression_factor,
+                intermediate_bytes=spgemm_stats.intermediate_bytes,
+                pruned_entries=prune_stats.pruned_entries,
+                pruned_mass=prune_stats.pruned_mass,
+                pruned_mass_max=prune_stats.pruned_mass_max,
+                chaos=chaos_tcsr(new),
+                expand_seconds=expand_seconds,
+                flow_residual=(
+                    flow_residual_tcsr(current.tcsr, new) if self.rmcl_tolerance > 0 else None
+                ),
             )
+            if plan is not None:
+                right = current if original is None else original
+                stats = plan.charge_iteration(stats, current.tcsr, right.tcsr, inflated, new)
+            current = StochasticMatrix(new)
+            memory.set_usage(iterate, footprint(new))
+            memory.set_usage(intermediate, stats.intermediate_bytes)
+            iterations.append(stats)
             if tracer is not None:
                 tracer.add_span(
                     "mcl_iteration", "cluster", iter_t0, time.perf_counter(),
                     lane="cluster", iteration=iteration, nnz=current.nnz,
-                    chaos=float(chaos),
+                    chaos=float(stats.chaos),
                 )
-            if chaos <= self.tolerance or (
+            residual = stats.flow_residual
+            if stats.chaos <= self.tolerance or (
                 residual is not None and residual <= self.rmcl_tolerance
             ):
                 converged = True

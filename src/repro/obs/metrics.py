@@ -22,7 +22,7 @@ without cycles.
 from __future__ import annotations
 
 import threading
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 __all__ = [
     "MetricsHub",

@@ -90,7 +90,7 @@ def cluster_strong_scaling_series(
     """Strong-scaling projection of the distributed MCL cluster stage.
 
     Takes the stage's measured workload — total expansion flops
-    (``DistMclResult.total_flops`` or ``MclResult.total_flops``), the
+    (``MclResult.total_flops``, which ``DistMclResult`` inherits), the
     representative per-iteration iterate footprint in triplet bytes, and the
     iteration count — and projects per-component times over ``node_counts``
     (each a perfect square, the 2D grid requirement):

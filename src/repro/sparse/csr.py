@@ -144,16 +144,16 @@ class CsrMatrix:
         return np.diff(self.indptr)
 
     def row_slice(self, start: int, stop: int) -> "CsrMatrix":
-        """Extract rows ``[start, stop)`` as a new CSR matrix (rows relabelled)."""
+        """Rows ``[start, stop)`` as a CSR matrix (rows relabelled) whose
+        ``indices`` and ``values`` are views of this matrix's."""
         start = max(0, start)
         stop = min(self.shape[0], stop)
         lo, hi = self.indptr[start], self.indptr[stop]
-        indptr = self.indptr[start : stop + 1] - lo
         return CsrMatrix(
             (stop - start, self.shape[1]),
-            indptr.copy(),
-            self.indices[lo:hi].copy(),
-            self.values[lo:hi].copy(),
+            self.indptr[start : stop + 1] - lo,
+            self.indices[lo:hi],
+            self.values[lo:hi],
         )
 
     def memory_bytes(self) -> int:

@@ -80,6 +80,16 @@ def resolve_kernel(kernel: str | SpGemmKernel | None) -> SpGemmKernel:
     return get_kernel(kernel)
 
 
+def kernel_name(kernel: str | SpGemmKernel | None) -> str:
+    """The label a backend spec reports under: its name, the default's for
+    ``None``, a callable's ``__name__`` (``"custom"`` when it has none)."""
+    if kernel is None:
+        return DEFAULT_KERNEL
+    if isinstance(kernel, str):
+        return kernel
+    return getattr(kernel, "__name__", "custom")
+
+
 def kernel_supports_batch_flops(kernel: SpGemmKernel) -> bool:
     """Whether a backend accepts the ``batch_flops`` flop-budget keyword.
 

@@ -8,6 +8,7 @@ from repro.distsparse.distmat import DistSparseMatrix
 from repro.distsparse.distribute import distribute_coo, distribute_sequences
 from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
+from repro.obs import MetricsHub, activate_metrics, deactivate_metrics
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
@@ -140,6 +141,25 @@ def test_summa_backend_selection_preserves_results(backend):
     assert res.stats.output_nnz == baseline.stats.output_nnz
     merged = res.to_global()
     assert merged == baseline.to_global()
+
+
+@pytest.mark.parametrize(
+    "backend, label",
+    [(None, "gustavson"), ("expand", "expand"), (spgemm, "spgemm")],
+)
+def test_summa_records_stage_metrics_under_the_kernel_name(backend, label):
+    """``None`` reports under the default kernel's name, not ``"custom"``."""
+    comm = SimCommunicator(4)
+    a = random_coo((20, 60), 150, 7)
+    a_dist = DistSparseMatrix.from_global_coo(a, comm)
+    at_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm)
+    hub = activate_metrics(MetricsHub())
+    try:
+        summa(a_dist, at_dist, ArithmeticSemiring(), spgemm_backend=backend)
+    finally:
+        deactivate_metrics()
+    assert hub.value("spgemm_stage_invocations", backend=label) > 0
+    assert hub.value("spgemm_stage_invocations", backend="custom") == 0
 
 
 def test_summa_unknown_backend_raises():
