@@ -6,7 +6,7 @@ substrates (:mod:`repro.sequences`, :mod:`repro.sparse`, :mod:`repro.align`,
 
 * :mod:`repro.core.params` — run configuration (Table IV's program parameters);
 * :mod:`repro.core.kmer_matrix` — the distributed sequence-by-k-mer matrix;
-* :mod:`repro.core.blocking` — output blocking schedules;
+* :mod:`repro.core.blocking` — the all-vs-all output blocking schedule;
 * :mod:`repro.core.load_balance` — the triangularity- and index-based schemes (§VI-B);
 * :mod:`repro.core.preblocking` — the closed-form pre-blocking model (§VI-C);
 * :mod:`repro.core.engine` — the stage-graph execution engine: per-block
@@ -17,7 +17,9 @@ substrates (:mod:`repro.sequences`, :mod:`repro.sparse`, :mod:`repro.align`,
 * :mod:`repro.core.filtering` — common-k-mer and ANI/coverage filters;
 * :mod:`repro.core.similarity_graph` — the output graph;
 * :mod:`repro.core.stats` — Table-IV-style run statistics;
-* :mod:`repro.core.pipeline` — the end-to-end :class:`PastisPipeline`.
+* :mod:`repro.core.pipeline` — the end-to-end :class:`PastisPipeline` and the
+  :class:`~repro.core.pipeline.RunPlan` it executes (all-vs-all and query
+  runs differ only in how their plan is made).
 """
 
 from .params import PastisParams, nearly_square_factors
@@ -40,7 +42,7 @@ from .engine import (
     StageTimeline,
     StreamingGraphAccumulator,
 )
-from .blocking import make_block_tasks, make_schedule
+from .blocking import make_schedule
 from .costing import CostModel
 from .align_phase import AlignmentPhase, EDGE_DTYPE
 from .kmer_matrix import build_distributed_kmer_matrix, KmerMatrixInfo
@@ -67,7 +69,6 @@ __all__ = [
     "StageContext",
     "StageTimeline",
     "StreamingGraphAccumulator",
-    "make_block_tasks",
     "make_schedule",
     "CostModel",
     "AlignmentPhase",

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from ..distsparse.blocked_summa import BlockSchedule
-from .engine.stages import BlockTask
-from .load_balance import LoadBalancingScheme, make_scheme
 from .params import PastisParams
 
 
@@ -19,17 +17,3 @@ def make_schedule(n_sequences: int, params: PastisParams) -> BlockSchedule:
     bc = min(bc, n_sequences)
     return BlockSchedule(n_rows=n_sequences, n_cols=n_sequences, br=br, bc=bc)
 
-
-def make_block_tasks(
-    n_sequences: int, params: PastisParams
-) -> tuple[BlockSchedule, LoadBalancingScheme, list[BlockTask]]:
-    """Blocking, load-balancing scheme, and the stage-graph task list of a run.
-
-    One :class:`~repro.core.engine.stages.BlockTask` is created per block the
-    scheme computes, in the scheme's block order; the stage loop runs them in
-    that order.
-    """
-    schedule = make_schedule(n_sequences, params)
-    scheme = make_scheme(params.load_balancing)
-    tasks = [BlockTask(r, c) for r, c in scheme.blocks_to_compute(schedule)]
-    return schedule, scheme, tasks

@@ -21,6 +21,12 @@ distributed runtime:
    the stage loop is untouched; its result lands on
    ``SearchResult.clustering`` and in ``stats.extras["clustering"]``.
 
+The k-mer phase makes the run's :class:`RunPlan`: an all-vs-all run
+builds it from ``A`` and ``Aᵀ``, a query run (``mode="query"``) from the
+query operand and the persisted database index
+(:func:`repro.serve.query.prepare_query_run`).  Everything after the
+k-mer phase reads only the plan, so the two modes run one code path.
+
 Execution order of the per-block work is owned by the **stage-graph
 execution engine** (:mod:`repro.core.engine`): each output block becomes a
 :class:`~repro.core.engine.stages.BlockTask` with explicit
@@ -53,7 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distsparse.blocked_summa import BlockedSpGemm
+from ..distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
+from ..distsparse.distmat import DistSparseMatrix
+from ..distsparse.shards import ShardedStripeMatrix
 from ..graph.api import ClusteringResult, cluster_similarity_graph
 from ..metrics.imbalance import imbalance_percent
 from ..metrics.memory import MemoryTracker
@@ -68,10 +76,11 @@ from ..distsparse.distribute import distribute_sequences
 from ..sequences.sequence import SequenceSet
 from ..sparse.semiring import CountSemiring
 from .align_phase import AlignmentPhase, EDGE_DTYPE  # noqa: F401  (EDGE_DTYPE re-export)
-from .blocking import make_block_tasks
+from .blocking import make_schedule
 from .costing import CostModel
 from .engine import (
     BlockRecord,
+    BlockTask,
     ScheduleOutcome,
     Scheduler,
     StageContext,
@@ -81,6 +90,7 @@ from .engine import (
 from .engine.cache import StageCache, build_stage_cache
 from .engine.schedulers import OVERLAP_HIDDEN_CATEGORY
 from .kmer_matrix import KmerMatrixInfo, build_distributed_kmer_matrix
+from .load_balance import LoadBalancingScheme, make_scheme
 from .params import PastisParams
 from .preblocking import PreblockingReport
 from .similarity_graph import SimilarityGraph
@@ -118,6 +128,60 @@ class SearchResult:
     def ledger(self):
         """The per-rank cost ledger of the run."""
         return self.comm.ledger
+
+
+@dataclass
+class RunPlan:
+    """What one run executes; everything after the k-mer phase reads it.
+
+    An all-vs-all run gets its plan from :func:`_batch_plan`, a query run
+    from :func:`repro.serve.query.prepare_query_run`: the two paths differ
+    only in how the plan is made.  The block tasks and the output graph's
+    vertex count are derived (``scheme.blocks_to_compute(schedule)`` and
+    ``schedule.n_rows``) in both modes.
+    """
+
+    #: the row operand ``A`` and the column-stripe source ``Aᵀ`` (or the
+    #: index's persisted database stripes) of ``C = A·Aᵀ``
+    a: DistSparseMatrix
+    b: DistSparseMatrix | ShardedStripeMatrix
+    schedule: BlockSchedule
+    scheme: LoadBalancingScheme
+    #: the sequences the alignment phase indexes by global row/column id
+    align_sequences: SequenceSet
+    kmer_info: KmerMatrixInfo
+    #: (row, column) operand nnz the §VI-A stripe-traversal charge reads
+    stripe_nnz: tuple[int, int]
+    #: the parameters and extra digest the stage-cache run key covers
+    cache_params: PastisParams
+    cache_digest: str | None = None
+    #: global output row of each input query, in input order (query runs)
+    query_rows: np.ndarray | None = None
+    #: entries the run adds to ``stats.extras``
+    extras: dict = field(default_factory=dict)
+
+    def tasks(self) -> list[BlockTask]:
+        """One task per block the scheme computes, in the scheme's order."""
+        return [BlockTask(r, c) for r, c in self.scheme.blocks_to_compute(self.schedule)]
+
+
+def _batch_plan(
+    sequences: SequenceSet, params: PastisParams, comm: SimCommunicator
+) -> RunPlan:
+    """The all-vs-all plan: ``A`` and ``Aᵀ`` of the whole input set."""
+    if len(sequences) < 2:
+        raise ValueError("need at least two sequences to search")
+    a, at, kmer_info = build_distributed_kmer_matrix(sequences, params, comm)
+    return RunPlan(
+        a=a,
+        b=at,
+        schedule=make_schedule(len(sequences), params),
+        scheme=make_scheme(params.load_balancing),
+        align_sequences=sequences,
+        kmer_info=kmer_info,
+        stripe_nnz=(a.nnz, at.nnz),
+        cache_params=params,
+    )
 
 
 class PastisPipeline:
@@ -234,9 +298,6 @@ class PastisPipeline:
                 "resume=True reads the cache; cache_invalidate=True forces "
                 "recomputation — pick one"
             )
-        query_mode = params.mode == "query"
-        if not query_mode and len(sequences) < 2:
-            raise ValueError("need at least two sequences to search")
         wall_start = time.perf_counter()
 
         comm = SimCommunicator(params.nodes)
@@ -258,68 +319,51 @@ class PastisPipeline:
         # breakdown covers the search; the clustering stage reports its own
         # modeled seconds in stats.extras["clustering"]
         scoring_category_exclude = (OVERLAP_HIDDEN_CATEGORY, "cluster")
+        # imported here: repro.serve imports this module
+        from ..serve.query import open_index_for, prepare_query_run
 
         # ---- input IO and sequence exchange -------------------------------------
-        # query mode reads the persistent database operand (stripe shards +
+        # a query run reads the persistent database operand (stripe shards +
         # residues) instead of re-deriving it; the index open/validate happens
         # inside the IO phase because a refused index is an input failure
-        plan = None
-        if query_mode:
-            from ..serve.query import open_index_for, prepare_query_run
-
-            index = open_index_for(params)
         with phase("input_io"):
+            index = open_index_for(params) if params.mode == "query" else None
             io_model.collective_read(
                 ParallelIoModel.fasta_bytes(sequences.total_residues, len(sequences))
             )
-            if query_mode:
+            if index is not None:
                 io_model.collective_read(index.payload_bytes())
             distribute_sequences(sequences, comm, category="cwait")
 
-        # ---- sequence-by-k-mer matrix --------------------------------------------
+        # ---- sequence-by-k-mer matrix: the run's plan ------------------------------
         with phase("kmer_matrix"):
-            if query_mode:
-                plan = prepare_query_run(params, sequences, index, comm)
-                kmer_info = plan.kmer_info
-            else:
-                a_dist, at_dist, kmer_info = build_distributed_kmer_matrix(
-                    sequences, params, comm
-                )
-            kmer_bytes = kmer_info.nnz * (8 + 8 + 4)
+            plan = (
+                _batch_plan(sequences, params, comm)
+                if index is None
+                else prepare_query_run(params, sequences, index, comm)
+            )
+            kmer_bytes = plan.kmer_info.nnz * (8 + 8 + 4)
             comm.ledger.charge_all(
                 "sparse_other", cost_model.sparse_traversal_seconds(kmer_bytes / comm.size)
             )
 
         # ---- stage graph: blocked overlap computation + alignment ------------------
-        if query_mode:
-            a_dist, b_operand = plan.a_dist, plan.b
-            schedule, scheme, tasks = plan.schedule, plan.scheme, plan.tasks
-            align_sequences, n_vertices = plan.align_sequences, plan.n_vertices
-        else:
-            schedule, scheme, tasks = make_block_tasks(len(sequences), params)
-            b_operand = at_dist
-            align_sequences, n_vertices = sequences, len(sequences)
+        schedule = plan.schedule
+        tasks = plan.tasks()
         engine = BlockedSpGemm(
-            a_dist,
-            b_operand,
+            plan.a,
+            plan.b,
             CountSemiring(),
             schedule,
             spgemm_backend=params.spgemm_backend,
             batch_flops=params.batch_flops,
         )
-        aligner = AlignmentPhase(align_sequences, params, comm, cost_model)
-        accumulator = StreamingGraphAccumulator(n_vertices=n_vertices)
+        aligner = AlignmentPhase(plan.align_sequences, params, comm, cost_model)
+        accumulator = StreamingGraphAccumulator(n_vertices=schedule.n_rows)
         # every block re-traverses its row/column stripes of A and Aᵀ — the
         # "split sparse computations" overhead of §VI-A that makes the sparse
-        # multiply grow with the number of blocks.  Query mode models both
-        # stripe terms from the *database* operand: the stripes traversed are
-        # database-coordinate stripes whatever the query set's density, which
-        # is also what keeps query-mode records bit-identical to the
-        # corresponding all-vs-all rows
-        if query_mode:
-            stripe_row_nnz = stripe_col_nnz = plan.index.nnz
-        else:
-            stripe_row_nnz, stripe_col_nnz = a_dist.nnz, b_operand.nnz
+        # multiply grow with the number of blocks
+        stripe_row_nnz, stripe_col_nnz = plan.stripe_nnz
         stripe_bytes_per_rank = (
             (stripe_row_nnz / schedule.br + stripe_col_nnz / schedule.bc)
             / comm.size
@@ -327,22 +371,13 @@ class PastisPipeline:
         )
         stage_cache: StageCache | None = None
         if params.cache_dir is not None:
-            # the cache token records the blocking the run actually executes
-            # (query mode pins bc to the index's stripes) and, in query mode,
-            # the database's content digest — two databases can share k-mer
-            # stripes yet differ in sub-k residues, which changes alignment
-            cache_params = (
-                params.replace(blocking=(schedule.br, schedule.bc))
-                if query_mode
-                else params
-            )
             stage_cache = build_stage_cache(
-                cache_params,
+                plan.cache_params,
                 sequences,
                 engine,
                 read=not params.cache_invalidate,
                 write=True,
-                extra_digest=index.sequence_digest if query_mode else None,
+                extra_digest=plan.cache_digest,
             )
         ctx = StageContext(
             params=params,
@@ -350,7 +385,7 @@ class PastisPipeline:
             cost_model=cost_model,
             engine=engine,
             aligner=aligner,
-            scheme=scheme,
+            scheme=plan.scheme,
             schedule=schedule,
             accumulator=accumulator,
             stripe_seconds=cost_model.sparse_traversal_seconds(stripe_bytes_per_rank),
@@ -449,17 +484,9 @@ class PastisPipeline:
                 # measured wall seconds of the top-level phases, backed by
                 # the TimerRegistry (a timing key: values vary run to run)
                 "phase_seconds": phases.summary(),
+                **plan.extras,
             },
         )
-        if query_mode:
-            stats.extras["query"] = {
-                "n_queries": len(sequences),
-                "members": plan.n_members,
-                "novel": plan.n_novel,
-                "db_sequences": index.n_sequences,
-                "index_dir": str(params.index_dir),
-                "dedup": bool(params.query_dedup),
-            }
         if stage_cache is not None:
             stats.extras["cache"] = stage_cache.counters()
         if clustering is not None:
@@ -489,7 +516,7 @@ class PastisPipeline:
             stats=stats,
             params=params,
             comm=comm,
-            kmer_info=kmer_info,
+            kmer_info=plan.kmer_info,
             block_records=block_records,
             preblocking_report=preblocking_report,
             timeline=outcome.timeline,
@@ -498,7 +525,7 @@ class PastisPipeline:
             clustering=clustering,
             trace=tracer,
             metrics=hub,
-            query_rows=plan.query_rows if query_mode else None,
+            query_rows=plan.query_rows,
         )
 
 

@@ -27,8 +27,9 @@ manifest's stripe digest, which the index verifies on every load.
 
 :class:`ShardedStripeMatrix` is the lazy B-side operand adapter: it exposes
 exactly the surface :class:`~repro.distsparse.blocked_summa.BlockedSpGemm`
-touches (``shape``, ``col_stripe``) plus ``nnz`` for the pipeline's stripe
-cost model, loading and digest-verifying each stripe on first use.
+touches (``shape``, ``col_stripe``) plus ``nnz``, which a query run's plan
+reads for both terms of the stripe-traversal charge, loading and
+digest-verifying each stripe on first use.
 """
 
 from __future__ import annotations
@@ -190,12 +191,3 @@ class ShardedStripeMatrix:
         if c not in self._loaded:
             self._loaded[c] = self.loader(c)
         return self._loaded[c]
-
-    def preload(self) -> None:
-        """Load (and verify) every stripe up front."""
-        for lo_hi in list(self._by_range):
-            self.col_stripe(lo_hi)
-
-    @property
-    def loaded_stripes(self) -> int:
-        return len(self._loaded)

@@ -24,7 +24,9 @@ database∪novel :class:`~repro.sequences.sequence.SequenceSet`, and when the
 query set has no novel members the operand *shape equals the database
 operand's shape*, so the rank partition — and with it every per-rank stripe,
 record and ledger charge of a fully-populated block row — is bitwise
-identical to the all-vs-all run's.
+identical to the all-vs-all run's.  :func:`prepare_query_run` hands all of
+it to the pipeline as a :class:`~repro.core.pipeline.RunPlan`, which the
+pipeline executes exactly as it executes an all-vs-all plan.
 """
 
 from __future__ import annotations
@@ -33,19 +35,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.kmer_matrix import KmerMatrixInfo, SeedOperand, extract_seed_triples, seed_operand
+from ..core.kmer_matrix import SeedOperand, extract_seed_triples, seed_operand
 from ..core.load_balance import LoadBalancingScheme, make_scheme
 from ..core.params import PastisParams
+from ..core.pipeline import RunPlan
 from ..distsparse.blocked_summa import BlockSchedule
 from ..distsparse.distribute import distribute_coo
-from ..distsparse.distmat import DistSparseMatrix
-from ..distsparse.shards import ShardedStripeMatrix
 from ..mpi.communicator import SimCommunicator
 from ..sequences.sequence import SequenceSet
 from ..sparse.coo import CooMatrix
 from .index import KmerIndex
-
-from ..core.engine.stages import BlockTask
 
 
 @dataclass
@@ -142,26 +141,6 @@ def build_query_operand(
     return seed_operand(triples, n_rows, row_ids=row_ids)
 
 
-@dataclass
-class QueryRunPlan:
-    """Everything the pipeline's query branch hands to the engine."""
-
-    index: KmerIndex
-    a_dist: DistSparseMatrix
-    b: ShardedStripeMatrix
-    schedule: BlockSchedule
-    scheme: QueryScheme
-    tasks: list[BlockTask]
-    #: database sequences (+ appended novel queries), indexed by global row id
-    align_sequences: SequenceSet
-    n_vertices: int
-    kmer_info: KmerMatrixInfo
-    #: global output row of each query, in query order
-    query_rows: np.ndarray
-    n_members: int
-    n_novel: int
-
-
 def open_index_for(params: PastisParams) -> KmerIndex:
     """Open and validate the index a query-mode run points at."""
     index = KmerIndex.open(params.index_dir)
@@ -174,7 +153,7 @@ def prepare_query_run(
     queries: SequenceSet,
     index: KmerIndex,
     comm: SimCommunicator,
-) -> QueryRunPlan:
+) -> RunPlan:
     """Resolve, build and plan one query batch against an opened index."""
     database = index.sequences()
     resolved = resolve_queries(queries, database)
@@ -193,7 +172,7 @@ def prepare_query_run(
     n_rows = n_db + n_novel
 
     operand = build_query_operand(queries, params, index, query_rows, n_rows)
-    a_dist = distribute_coo(operand.matrix(), comm)
+    a = distribute_coo(operand.matrix(), comm)
     b = index.matrix(comm)
 
     br_param, _ = params.blocking_factors()
@@ -201,8 +180,6 @@ def prepare_query_run(
         n_rows=n_rows, n_cols=n_db, br=min(br_param, n_rows), bc=index.bc
     )
     base = make_scheme(params.load_balancing) if params.query_dedup else None
-    scheme = QueryScheme(base=base, populated_rows=np.unique(query_rows))
-    tasks = [BlockTask(r, c) for r, c in scheme.blocks_to_compute(schedule)]
 
     if n_novel:
         align_sequences = SequenceSet.concatenate(
@@ -210,17 +187,33 @@ def prepare_query_run(
         )
     else:
         align_sequences = database
-    return QueryRunPlan(
-        index=index,
-        a_dist=a_dist,
+    return RunPlan(
+        a=a,
         b=b,
         schedule=schedule,
-        scheme=scheme,
-        tasks=tasks,
+        scheme=QueryScheme(base=base, populated_rows=np.unique(query_rows)),
         align_sequences=align_sequences,
-        n_vertices=n_rows,
         kmer_info=operand.info,
+        # both stripe terms come from the *database* operand: the stripes
+        # traversed are database-coordinate stripes whatever the query set's
+        # density, which keeps query records bit-identical to the
+        # corresponding all-vs-all rows
+        stripe_nnz=(b.nnz, b.nnz),
+        # the cache key records the blocking the run executes (bc is pinned
+        # to the index's stripes) and the database's content digest — two
+        # databases can share k-mer stripes yet differ in sub-k residues,
+        # which changes alignment
+        cache_params=params.replace(blocking=(schedule.br, schedule.bc)),
+        cache_digest=index.sequence_digest,
         query_rows=query_rows,
-        n_members=len(queries) - n_novel,
-        n_novel=n_novel,
+        extras={
+            "query": {
+                "n_queries": len(queries),
+                "members": len(queries) - n_novel,
+                "novel": n_novel,
+                "db_sequences": index.n_sequences,
+                "index_dir": str(params.index_dir),
+                "dedup": bool(params.query_dedup),
+            }
+        },
     )

@@ -122,6 +122,28 @@ def test_index_refuses_mismatched_params(db):
         ).run(sequences.subset(np.array([0])))
 
 
+def test_refused_index_is_an_input_io_failure(db, tmp_path):
+    """The index is opened inside the input-IO phase: a refused index
+    leaves an error manifest that timed that phase."""
+    from repro.obs.registry import RunRegistry
+
+    sequences, params, index_dir = db
+    registry_dir = tmp_path / "reg"
+    with pytest.raises(IndexCompatibilityError):
+        PastisPipeline(
+            params.replace(
+                mode="query",
+                index_dir=index_dir,
+                kmer_length=5,
+                run_registry=str(registry_dir),
+            )
+        ).run(sequences.subset(np.array([0])))
+    manifest = RunRegistry(registry_dir).latest()
+    assert manifest["status"] == "error"
+    assert manifest["error"]["type"] == "IndexCompatibilityError"
+    assert set(manifest["phase_seconds"]) == {"input_io"}
+
+
 def test_index_refuses_previous_format_version(db, tmp_path):
     """An index written by the previous build is refused, not re-sorted per request."""
     _, _, index_dir = db
