@@ -25,7 +25,7 @@ from .result import (
     coverage_array,
     passes_thresholds,
 )
-from .smith_waterman import smith_waterman, smith_waterman_reference, score_only
+from .smith_waterman import smith_waterman, smith_waterman_reference
 from .batch import batch_smith_waterman
 from .seed_extend import seed_and_extend, ungapped_extension
 from .adept import AdeptDriver, AlignmentWorkloadStats
@@ -42,7 +42,6 @@ __all__ = [
     "passes_thresholds",
     "smith_waterman",
     "smith_waterman_reference",
-    "score_only",
     "batch_smith_waterman",
     "seed_and_extend",
     "ungapped_extension",

@@ -543,10 +543,3 @@ def _traceback(
     matches = np.bincount(cols[same], minlength=n)
     length = (end_d - diag[t]) - np.bincount(cols, minlength=n)
     return begin_a, begin_b, matches, length
-
-
-def estimate_batch_cells(a_list: list[np.ndarray], b_list: list[np.ndarray]) -> int:
-    """Total number of DP cells a batch will update (the CUPS numerator)."""
-    return int(
-        sum(len(a) * len(b) for a, b in zip(a_list, b_list))
-    )

@@ -192,10 +192,3 @@ def smith_waterman(
         length=int(length),
         cells=int(m) * int(n),
     )
-
-
-def score_only(
-    a_codes: np.ndarray, b_codes: np.ndarray, scoring: ScoringScheme = DEFAULT_SCORING
-) -> int:
-    """Best local alignment score only (cheapest single-pair entry point)."""
-    return smith_waterman(a_codes, b_codes, scoring).score

@@ -4,7 +4,8 @@ The values here mirror the program parameters of the paper's production run
 (Table IV) and the system parameters of Summit used throughout the
 evaluation.  Individual runs override them through
 :class:`repro.core.params.PastisParams` and the hardware specs in
-:mod:`repro.hardware`.
+:mod:`repro.hardware`.  The SpGEMM kernel is not a run parameter, so it has
+no default here (see :data:`repro.sparse.kernels.DEFAULT_KERNEL`).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from .sparse.kernels import DEFAULT_KERNEL
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,6 @@ class ReproConfig:
     default_blocking:
         Default blocking factor (paper production run: 20x20; strong scaling
         experiments use 8x8).
-    spgemm_backend:
-        Default SpGEMM kernel for the pipeline's candidate-discovery multiply,
-        by name (``"gustavson"`` or ``"expand"``).  Mirrors
-        :data:`repro.sparse.kernels.DEFAULT_KERNEL` — the registry is the
-        single source of truth, so the pipeline, Markov clustering and
-        ``resolve_kernel(None)`` all get the same kernel.  This value seeds
-        ``PastisParams.spgemm_backend``, which individual runs override.
     cache_dir:
         Default directory for the content-hashed stage cache
         (:mod:`repro.core.engine.cache`).  ``None`` (the shipped default)
@@ -62,7 +54,6 @@ class ReproConfig:
     ani_threshold: float = 0.30
     coverage_threshold: float = 0.70
     default_blocking: tuple[int, int] = field(default=(8, 8))
-    spgemm_backend: str = DEFAULT_KERNEL
     cache_dir: str | None = None
     seed: int = 0
 

@@ -31,7 +31,10 @@ stages, executed in block order by one stage loop:
   subset, content digests of the operand stripes and input sequences, a
   kernel/schema version tag — all folded into a deterministic per-block
   key) and the framework *decides* what actually runs — a stored block is
-  replayed instead of recomputed.
+  replayed instead of recomputed.  Entries are always read and written
+  when ``PastisParams.cache_dir`` is set; a forced re-population empties
+  the directory first (``python -m repro.core.engine.cache gc <dir>
+  --max-bytes 0``).
 
 **One ordered commit.**  ``discover`` is pure: it reads the cache entry or
 runs SUMMA against a block-local ledger journal
@@ -91,10 +94,12 @@ the instrumentation points above; pick by the question being asked:
   per run, persisted as registry manifests, scraped via Prometheus text
   exposition, and guarded by ``python -m repro.obs regress``.
 
-Both ride the same ledger trace hook (fanned out when both are on) and
-carry the same contract: off by default, near-zero-cost when disabled,
-and non-perturbing — ``tests/test_trace.py`` and ``tests/test_obs.py``
-assert bit-identity per pre-blocking depth.
+Both ride the same ledger trace hook (fanned out when both are on); the
+metrics hub reaches the SUMMA stage loop through the active-hub global,
+not the :class:`StageContext`, and takes the run's cache counters and
+peaks once at the end.  Both carry the same contract: off by default,
+near-zero-cost when disabled, and non-perturbing — ``tests/test_trace.py``
+and ``tests/test_obs.py`` assert bit-identity per pre-blocking depth.
 """
 
 from .accumulator import StreamingGraphAccumulator

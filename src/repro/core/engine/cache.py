@@ -51,6 +51,7 @@ from ...config import atomic_write_bytes, atomic_write_text
 from ...distsparse.blocked_summa import BlockedSpGemm
 from ...distsparse.distmat import DistSparseMatrix
 from ...sequences.sequence import SequenceSet
+from ...sparse import kernels
 from ...sparse.spgemm import SpGemmStats
 from ...version import __version__
 from ..align_phase import EDGE_DTYPE, BlockAlignmentOutput
@@ -98,12 +99,15 @@ CACHE_KEY_EXCLUSIONS: tuple[tuple[str, str], ...] = (
     ("align_batch_size", "sets batch and window boundaries; a record depends only on its pair"),
     ("cluster", "runs after the stage graph, on its finished output"),
     ("cache_dir", "where entries live, not what they hold"),
-    ("cache_invalidate", "whether entries are read, not what they hold"),
     ("trace", "observability never perturbs a result"),
     ("trace_dir", "observability never perturbs a result"),
     ("metrics", "observability never perturbs a result"),
     ("run_registry", "observability never perturbs a result"),
-    ("index_dir", "query runs fold the index's sequence digest into the run key"),
+    (
+        "index_dir",
+        "the mode entry keys whether it is set, never its path; query runs "
+        "fold the index's sequence digest into the run key",
+    ),
 )
 
 
@@ -130,7 +134,8 @@ def params_cache_token(params: PastisParams) -> dict:
         "load_balancing": params.load_balancing,
         "nodes": params.nodes,
         "alignment_mode": params.alignment_mode,
-        "spgemm_backend": params.spgemm_backend,
+        # the kernel that computed the stored block (no run parameter)
+        "spgemm_backend": kernels.DEFAULT_KERNEL,
         "batch_flops": params.batch_flops,
         "substitution_matrix": _digest_matrix(params.scoring.matrix),
     }
@@ -293,18 +298,16 @@ class StageCache:
     """Disk-backed per-block result cache consulted by the stage loop.
 
     ``keys`` maps block coordinates to their content-hash keys (computed
-    once per run by :func:`build_stage_cache`).  ``read=False`` (the
-    ``cache_invalidate`` knob) skips lookups and overwrites entries;
-    ``write=False`` makes the cache read-only.  :meth:`load` is a pure read;
-    the run's hit/miss counts are kept by the stage loop's ordered commit,
-    and :meth:`store` counts stores.
+    once per run by :func:`build_stage_cache`).  :meth:`load` is a pure
+    read; the run's hit/miss counts are kept by the stage loop's ordered
+    commit, and :meth:`store` counts stores.  To force re-population, empty
+    the directory (``python -m repro.core.engine.cache gc <dir> --max-bytes
+    0``) or delete the run's ``run-<key>`` directory.
     """
 
     directory: Path
     keys: dict[tuple[int, int], str]
     nranks: int
-    read: bool = True
-    write: bool = True
     hits: int = 0
     misses: int = 0
     stores: int = 0
@@ -320,8 +323,6 @@ class StageCache:
         an error: the block simply recomputes (and the store overwrites the
         bad file).
         """
-        if not self.read:
-            return None
         try:
             return CachedBlock.from_bytes(self.entry_path(block).read_bytes(), self.nranks)
         except Exception:
@@ -330,8 +331,6 @@ class StageCache:
 
     def store(self, block: tuple[int, int], entry: CachedBlock) -> None:
         """Persist a completed block atomically (temp file + rename)."""
-        if not self.write:
-            return
         atomic_write_bytes(self.entry_path(block), entry.to_bytes())
         self.stores += 1
 
@@ -345,8 +344,6 @@ def build_stage_cache(
     sequences: SequenceSet,
     engine: BlockedSpGemm,
     *,
-    read: bool = True,
-    write: bool = True,
     extra_digest: str | None = None,
 ) -> StageCache:
     """Key every block of the run and open (or create) its cache directory.
@@ -399,13 +396,7 @@ def build_stage_cache(
             )
             + "\n",
         )
-    return StageCache(
-        directory=directory,
-        keys=keys,
-        nranks=params.nodes,
-        read=read,
-        write=write,
-    )
+    return StageCache(directory=directory, keys=keys, nranks=params.nodes)
 
 
 # --------------------------------------------------------------------------- maintenance CLI

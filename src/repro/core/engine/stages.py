@@ -58,7 +58,6 @@ from ...distsparse.blocked_summa import BlockedSpGemm, BlockSchedule, OutputBloc
 from ...metrics.timers import time_call
 from ...mpi.communicator import SimCommunicator
 from ...mpi.costmodel import RecordingLedger, replay_journal
-from ...obs import MetricsHub
 from ...trace import TraceRecorder, maybe_span
 from ...sparse.coo import CooMatrix
 from ...sparse.spgemm import SpGemmStats
@@ -118,9 +117,6 @@ class StageContext:
     #: optional span recorder (None — the default — disables tracing; every
     #: instrumented site guards on it, so the disabled path costs nothing)
     trace: TraceRecorder | None = None
-    #: optional metrics hub (None — the default — disables collection, with
-    #: the same guard-on-None zero-cost contract as tracing)
-    metrics: MetricsHub | None = None
     #: run totals of the committed blocks (written by :func:`commit` only)
     spgemm_stats: SpGemmStats = field(default_factory=SpGemmStats)
     peak_block_bytes: int = 0
@@ -215,7 +211,7 @@ def commit(ctx: StageContext, task: "BlockTask", result: BlockResult) -> None:
     ctx.peak_block_bytes = max(ctx.peak_block_bytes, result.block_bytes)
     ctx.accumulator.block_computed(result.block_bytes)
     cache = ctx.cache
-    if cache is not None and cache.read:
+    if cache is not None:
         if hit:
             cache.hits += 1
         else:

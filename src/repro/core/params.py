@@ -15,7 +15,8 @@ from ..config import DEFAULTS
 from ..graph.api import ClusterParams
 from ..mpi.process_grid import is_perfect_square
 from ..sequences.alphabet import Alphabet, MURPHY10, PROTEIN
-from ..sparse.kernels import available_kernels
+from ..sequences.kmers import max_kmer_length
+from ..sparse.kernels import check_removed_kernel_knob
 
 
 @dataclass
@@ -69,18 +70,11 @@ class PastisParams:
     alignment_mode:
         ``"full_sw"`` (paper default: full Smith–Waterman on GPUs) or
         ``"seed_extend"`` (x-drop, cheaper, less sensitive).
-    spgemm_backend:
-        Local SpGEMM kernel used inside every SUMMA stage, by name (see
-        :mod:`repro.sparse.kernels`): ``"gustavson"`` (row-wise with
-        bounded intermediate memory; the default, from
-        :data:`repro.config.DEFAULTS`) or ``"expand"``
-        (sort–expand–reduce, the cross-kernel oracle).  Results are
-        bit-identical in every case.
     batch_flops:
-        Flop budget per row group of the ``"gustavson"`` backend; bounds the
-        kernel's peak intermediate memory for memory-constrained runs.
-        ``None`` uses the kernel's default; backends without batching reject
-        an explicit value.
+        Flop budget per row group of the SpGEMM kernel
+        (:data:`repro.sparse.kernels.DEFAULT_KERNEL`); bounds the kernel's
+        peak intermediate memory for memory-constrained runs.  ``None`` uses
+        the kernel's default.
     cluster:
         Post-search clustering stage configuration
         (:class:`repro.graph.api.ClusterParams`); disabled by default, in
@@ -94,10 +88,10 @@ class PastisParams:
         which is also what makes ``PastisPipeline.run(resume=True)`` pick a
         killed run up from its last completed block.  ``None`` (the default,
         seeded from :data:`repro.config.DEFAULTS`) disables caching.
-    cache_invalidate:
-        Ignore existing cache entries and overwrite them with freshly
-        computed blocks (a forced re-population, e.g. after changing
-        something the key cannot see).  Only meaningful with ``cache_dir``.
+        To force re-population (e.g. after changing something the key
+        cannot see), empty the cache first with
+        ``python -m repro.core.engine.cache gc <dir> --max-bytes 0``, or
+        delete the run's ``run-<key>`` directory.
     trace:
         Record structured spans and counter series for the run (see
         :mod:`repro.trace`): stage spans (discover/prune/align/accumulate),
@@ -130,22 +124,19 @@ class PastisParams:
         totals, cache counters, peak memory, exit status) inspectable with
         ``python -m repro.obs ls|show|diff|export|regress``.  Implies
         ``metrics=True``.
-    mode:
-        ``"all_vs_all"`` (default: search the input against itself) or
-        ``"query"`` (search the input against a persistent database index,
-        see :mod:`repro.serve`).  Query mode loads the database operand's
-        column stripes from ``index_dir`` instead of recomputing them and
-        runs the one-sided product ``A_query · B_dbᵀ`` through the same
-        engine; results are bit-identical to the corresponding rows of an
-        all-vs-all run over the database (the serve contract, asserted in
-        ``tests/test_query_mode.py``).
     index_dir:
         Directory of the database index built by
         :func:`repro.serve.index.build_index` /
-        ``python -m repro.serve build``.  Required (and only meaningful)
-        with ``mode="query"``.  The run refuses indexes whose digests or
-        build parameters don't match (stale indexes never silently
-        mis-answer).
+        ``python -m repro.serve build``.  ``None`` (the default) searches
+        the input against itself; a path makes the run a query run (see
+        :mod:`repro.serve` and :attr:`mode`), which loads the database
+        operand's column stripes from the index instead of recomputing
+        them and runs the one-sided product ``A_query · B_dbᵀ`` through the
+        same engine.  Results are bit-identical to the corresponding rows
+        of an all-vs-all run over the database (the serve contract,
+        asserted in ``tests/test_query_mode.py``).  The run refuses indexes
+        whose digests or build parameters don't match (stale indexes never
+        silently mis-answer).
     query_dedup:
         Query-mode candidate semantics.  ``False`` (default, the serving
         semantics): every query keeps all its non-self candidates, so row
@@ -154,8 +145,9 @@ class PastisParams:
         ``load_balancing`` scheme's symmetric prune in database
         coordinates, making the run the literal row-restriction of the
         all-vs-all stage graph — partitioned query runs union to exactly
-        the all-vs-all edge set.  Requires every query to be a database
-        member (novel sequences have no database row to dedup against).
+        the all-vs-all edge set.  Requires ``index_dir``, and every query
+        to be a database member (novel sequences have no database row to
+        dedup against).
     """
 
     kmer_length: int = 6
@@ -174,28 +166,27 @@ class PastisParams:
     nodes: int = 4
     align_batch_size: int = 128
     alignment_mode: str = "full_sw"
-    spgemm_backend: str = DEFAULTS.spgemm_backend
     batch_flops: int | None = None
     cluster: ClusterParams = field(default_factory=ClusterParams)
     cache_dir: str | None = DEFAULTS.cache_dir
-    cache_invalidate: bool = False
     trace: bool = False
     trace_dir: str | None = None
     metrics: bool = False
     run_registry: str | None = None
-    mode: str = "all_vs_all"
     index_dir: str | None = None
     query_dedup: bool = False
     substitution_matrix: np.ndarray = field(default=None, repr=False)
-    #: accepted at construction as ``None`` only (a removed knob)
+    #: removed knobs, accepted at construction at their one value only
     scheduler: InitVar[None] = None
+    spgemm_backend: InitVar[str | None] = None
 
-    def __post_init__(self, scheduler: None) -> None:
+    def __post_init__(self, scheduler: None, spgemm_backend: str | None) -> None:
         if scheduler is not None:
             raise ValueError(
                 f"scheduler={scheduler!r} is not a parameter: every run executes "
                 "the one stage loop; set preblock_depth for the pre-blocking clock"
             )
+        check_removed_kernel_knob(spgemm_backend)
         self.validate()
 
     # ------------------------------------------------------------------ helpers
@@ -203,23 +194,28 @@ class PastisParams:
         """Raise ``ValueError`` for inconsistent settings."""
         if self.kmer_length < 1:
             raise ValueError("kmer_length must be >= 1")
+        if self.seed_alphabet not in ("protein", "murphy10"):
+            raise ValueError("seed_alphabet must be 'protein' or 'murphy10'")
+        max_k = max_kmer_length(self.alphabet.size)
+        if self.kmer_length > max_k:
+            raise ValueError(
+                f"kmer_length={self.kmer_length} overflows int64 k-mer ids "
+                f"({self.alphabet.size}**{self.kmer_length} > 2**63 - 1); the largest "
+                f"valid kmer_length for seed_alphabet={self.seed_alphabet!r} is {max_k}"
+            )
+        for name in ("gap_open", "gap_extend"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (a penalty), got {getattr(self, name)}")
         if self.substitute_kmers < 0:
             raise ValueError(f"substitute_kmers must be >= 0, got {self.substitute_kmers}")
         if self.max_kmer_frequency is not None and self.max_kmer_frequency < 1:
             raise ValueError(
                 f"max_kmer_frequency must be >= 1 (or None), got {self.max_kmer_frequency}"
             )
-        if self.seed_alphabet not in ("protein", "murphy10"):
-            raise ValueError("seed_alphabet must be 'protein' or 'murphy10'")
         if self.load_balancing not in ("index", "triangularity"):
             raise ValueError("load_balancing must be 'index' or 'triangularity'")
         if self.alignment_mode not in ("full_sw", "seed_extend"):
             raise ValueError("alignment_mode must be 'full_sw' or 'seed_extend'")
-        if self.spgemm_backend not in available_kernels():
-            raise ValueError(
-                f"spgemm_backend must be one of {available_kernels()}, "
-                f"got {self.spgemm_backend!r}"
-            )
         if self.batch_flops is not None and self.batch_flops < 1:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
         if self.preblock_depth < 0:
@@ -228,25 +224,14 @@ class PastisParams:
             )
         if self.cache_dir is not None and not str(self.cache_dir).strip():
             raise ValueError("cache_dir must be a non-empty path (or None)")
-        if self.cache_invalidate and self.cache_dir is None:
-            raise ValueError(
-                "cache_invalidate=True has no effect without cache_dir; "
-                "set cache_dir or drop the flag"
-            )
         if self.trace_dir is not None and not str(self.trace_dir).strip():
             raise ValueError("trace_dir must be a non-empty path (or None)")
         if self.run_registry is not None and not str(self.run_registry).strip():
             raise ValueError("run_registry must be a non-empty path (or None)")
-        if self.mode not in ("all_vs_all", "query"):
-            raise ValueError(f"mode must be 'all_vs_all' or 'query', got {self.mode!r}")
-        if self.mode == "query" and (
-            self.index_dir is None or not str(self.index_dir).strip()
-        ):
-            raise ValueError("mode='query' requires index_dir (a built serve index)")
-        if self.index_dir is not None and self.mode != "query":
-            raise ValueError("index_dir is only meaningful with mode='query'")
-        if self.query_dedup and self.mode != "query":
-            raise ValueError("query_dedup is only meaningful with mode='query'")
+        if self.index_dir is not None and not str(self.index_dir).strip():
+            raise ValueError("index_dir must be a non-empty path (or None)")
+        if self.query_dedup and self.index_dir is None:
+            raise ValueError("query_dedup is only meaningful with index_dir (a query run)")
         if not isinstance(self.cluster, ClusterParams):
             raise ValueError("cluster must be a ClusterParams instance")
         self.cluster.validate()
@@ -266,6 +251,12 @@ class PastisParams:
             raise ValueError("coverage_threshold must be in [0, 1]")
         if self.common_kmer_threshold < 1:
             raise ValueError("common_kmer_threshold must be >= 1")
+
+    @property
+    def mode(self) -> str:
+        """``"query"`` when the run searches against ``index_dir``, else
+        ``"all_vs_all"`` (read-only: the index decides)."""
+        return "all_vs_all" if self.index_dir is None else "query"
 
     @property
     def trace_enabled(self) -> bool:

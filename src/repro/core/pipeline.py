@@ -22,7 +22,7 @@ distributed runtime:
    ``SearchResult.clustering`` and in ``stats.extras["clustering"]``.
 
 The k-mer phase makes the run's :class:`RunPlan`: an all-vs-all run
-builds it from ``A`` and ``Aᵀ``, a query run (``mode="query"``) from the
+builds it from ``A`` and ``Aᵀ``, a query run (``index_dir`` set) from the
 query operand and the persisted database index
 (:func:`repro.serve.query.prepare_query_run`).  Everything after the
 k-mer phase reads only the plan, so the two modes run one code path.
@@ -293,11 +293,6 @@ class PastisPipeline:
                 "resume=True requires params.cache_dir: a resumable run needs "
                 "the stage cache the previous attempt wrote its blocks to"
             )
-        if resume and params.cache_invalidate:
-            raise ValueError(
-                "resume=True reads the cache; cache_invalidate=True forces "
-                "recomputation — pick one"
-            )
         wall_start = time.perf_counter()
 
         comm = SimCommunicator(params.nodes)
@@ -327,7 +322,7 @@ class PastisPipeline:
         # residues) instead of re-deriving it; the index open/validate happens
         # inside the IO phase because a refused index is an input failure
         with phase("input_io"):
-            index = open_index_for(params) if params.mode == "query" else None
+            index = None if params.index_dir is None else open_index_for(params)
             io_model.collective_read(
                 ParallelIoModel.fasta_bytes(sequences.total_residues, len(sequences))
             )
@@ -355,7 +350,6 @@ class PastisPipeline:
             plan.b,
             CountSemiring(),
             schedule,
-            spgemm_backend=params.spgemm_backend,
             batch_flops=params.batch_flops,
         )
         aligner = AlignmentPhase(plan.align_sequences, params, comm, cost_model)
@@ -372,12 +366,7 @@ class PastisPipeline:
         stage_cache: StageCache | None = None
         if params.cache_dir is not None:
             stage_cache = build_stage_cache(
-                plan.cache_params,
-                sequences,
-                engine,
-                read=not params.cache_invalidate,
-                write=True,
-                extra_digest=plan.cache_digest,
+                plan.cache_params, sequences, engine, extra_digest=plan.cache_digest
             )
         ctx = StageContext(
             params=params,
@@ -391,7 +380,6 @@ class PastisPipeline:
             stripe_seconds=cost_model.sparse_traversal_seconds(stripe_bytes_per_rank),
             cache=stage_cache,
             trace=tracer,
-            metrics=hub,
         )
         if state is not None:
             state.cache = stage_cache

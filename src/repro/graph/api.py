@@ -11,16 +11,11 @@ connectivity over-merges, at the cost of a few sparse matrix products).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ..sparse.kernels import (
-    DEFAULT_KERNEL,
-    available_kernels,
-    get_kernel,
-    kernel_supports_batch_flops,
-)
+from ..sparse.kernels import check_removed_kernel_knob, kernel_name
 from .components import connected_components
 from .dist import DistMarkovClustering, DistMclResult
 from .matrix import WEIGHT_TRANSFORMS
@@ -54,15 +49,10 @@ class ClusterParams:
     inflation, max_iterations, prune_threshold, top_k, tolerance:
         The :class:`~repro.graph.mcl.MarkovClustering` knobs (ignored by
         ``"components"``).
-    spgemm_backend:
-        Name of the SpGEMM backend executing MCL expansion;
-        ``None`` picks the default, ``"gustavson"`` — the kernel
-        the search pipeline uses too.  Results are bit-identical either
-        way.
     batch_flops:
-        Optional flop budget bounding the expansion's intermediate memory.
-        Requires a batching backend (the default is one); an explicit
-        non-batching backend is rejected at validation.
+        Optional flop budget bounding the expansion's intermediate memory
+        (MCL expands with :data:`repro.sparse.kernels.DEFAULT_KERNEL`, the
+        kernel the search pipeline uses too).
     nprocs:
         Number of virtual ranks the clustering stage runs on (a perfect
         square, as for the search grid).  ``1`` runs
@@ -102,14 +92,16 @@ class ClusterParams:
     prune_threshold: float = 1e-4
     top_k: int | None = None
     tolerance: float = 1e-9
-    spgemm_backend: str | None = None
     batch_flops: int | None = None
     nprocs: int = 1
     overlap_depth: int = 0
     regularized: bool = False
     rmcl_tolerance: float = 0.0
+    #: a removed knob, accepted at construction at its one value only
+    spgemm_backend: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, spgemm_backend: str | None) -> None:
+        check_removed_kernel_knob(spgemm_backend)
         self.validate()
 
     def validate(self) -> None:
@@ -123,22 +115,8 @@ class ClusterParams:
             )
         if self.self_loop_weight < 0:
             raise ValueError("self_loop_weight must be non-negative")
-        if self.spgemm_backend is not None and self.spgemm_backend not in available_kernels():
-            raise ValueError(
-                f"spgemm_backend must be one of {available_kernels()} (or None), "
-                f"got {self.spgemm_backend!r}"
-            )
-        if self.batch_flops is not None:
-            if self.batch_flops < 1:
-                raise ValueError("batch_flops must be >= 1 (or None)")
-            if self.spgemm_backend is not None and not kernel_supports_batch_flops(
-                get_kernel(self.spgemm_backend)
-            ):
-                raise ValueError(
-                    f"spgemm_backend {self.spgemm_backend!r} does not support "
-                    "batch_flops; use 'gustavson' (or leave the backend "
-                    "unset) for flop-budgeted expansion"
-                )
+        if self.batch_flops is not None and self.batch_flops < 1:
+            raise ValueError("batch_flops must be >= 1 (or None)")
         # the driver's own checks: the MCL knobs, nprocs and overlap_depth
         DistMarkovClustering(self.nprocs, overlap_depth=self.overlap_depth, **self._mcl_knobs())
         if self.overlap_depth > 0 and self.nprocs == 1:
@@ -152,10 +130,6 @@ class ClusterParams:
                 f"method 'mcl', got {self.method!r}"
             )
 
-    def resolve_backend(self) -> str:
-        """The backend actually used: the configured one, else the default."""
-        return self.spgemm_backend or DEFAULT_KERNEL
-
     def _mcl_knobs(self) -> dict[str, object]:
         """The :class:`~repro.graph.mcl.MarkovClustering` arguments."""
         return dict(
@@ -164,7 +138,6 @@ class ClusterParams:
             prune_threshold=self.prune_threshold,
             top_k=self.top_k,
             tolerance=self.tolerance,
-            spgemm_backend=self.resolve_backend(),
             batch_flops=self.batch_flops,
             regularized=self.regularized,
             rmcl_tolerance=self.rmcl_tolerance,
@@ -269,7 +242,7 @@ def cluster_similarity_graph(graph, params: ClusterParams | None = None) -> Clus
         n_iterations=result.n_iterations,
         quality=evaluate_clustering(graph, result.labels, params.weight_transform),
         iterations=result.iterations,
-        backend=params.resolve_backend(),
+        backend=kernel_name(None),
         nprocs=params.nprocs,
         dist=dist,
     )

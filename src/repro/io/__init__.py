@@ -6,15 +6,12 @@
   and benchmark series to JSON for EXPERIMENTS.md bookkeeping.
 """
 
-from .tables import format_table, format_markdown_table
-from .report import clustering_report, clustering_table, run_report, save_json, load_json
+from .tables import format_table
+from .report import clustering_table, run_report, save_json
 
 __all__ = [
     "format_table",
-    "format_markdown_table",
-    "clustering_report",
     "clustering_table",
     "run_report",
     "save_json",
-    "load_json",
 ]

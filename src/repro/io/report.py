@@ -61,18 +61,6 @@ def run_report(stats: SearchStats, extra: dict[str, Any] | None = None) -> dict[
     return report
 
 
-def clustering_report(clustering) -> dict[str, Any]:
-    """A JSON-serializable report of a clustering run.
-
-    ``clustering`` is a :class:`repro.graph.api.ClusteringResult`
-    (duck-typed).  Includes the per-iteration MCL trajectory, so a saved
-    report can answer "when did pruning start discarding real mass".
-    """
-    report = _jsonable(clustering.summary())
-    report["iterations"] = [_jsonable(it.as_dict()) for it in clustering.iterations]
-    return report
-
-
 def clustering_table(clustering) -> str:
     """Pretty-printed clustering report: summary lines + per-iteration table."""
     quality = clustering.quality
@@ -125,8 +113,3 @@ def save_json(data: Any, path: str | os.PathLike) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_jsonable(data), indent=2, sort_keys=True))
-
-
-def load_json(path: str | os.PathLike) -> Any:
-    """Read a JSON document."""
-    return json.loads(Path(path).read_text())

@@ -1,4 +1,4 @@
-"""Fixed-width and markdown table rendering for benchmark output."""
+"""Fixed-width table rendering for benchmark output."""
 
 from __future__ import annotations
 
@@ -29,20 +29,4 @@ def format_table(
     ]
     for row in rendered:
         lines.append(indent + "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_markdown_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    precision: int = 3,
-) -> str:
-    """Render a GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
-    rendered = [[_render_cell(v, precision) for v in row] for row in rows]
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rendered:
-        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)

@@ -1,29 +1,22 @@
-"""Measurement utilities: timers, rate counters, imbalance, scaling efficiency.
+"""Measurement utilities: timers, imbalance, memory and rate formatting.
 
-These implement the three reporting mechanisms of §VII of the paper: wall
-timers per component, alignments-per-second over the whole run, and cell
-updates per second (CUPS) over the alignment kernel time, plus the
-min/avg/max load-imbalance and the parallel-efficiency calculations used in
-the figures.
+These implement the reporting mechanisms of §VII of the paper: wall timers
+per component and the min/avg/max load-imbalance.  The headline rates
+(alignments per second, cell updates per second) are properties of
+:class:`repro.core.stats.SearchStats`.
 """
 
 from .timers import Timer, TimerRegistry, time_call
-from .counters import RateCounters, tcups, format_rate
+from .counters import format_rate
 from .imbalance import imbalance_stats, imbalance_percent
-from .efficiency import speedup, parallel_efficiency, weak_scaling_efficiency
 from .memory import MemoryTracker
 
 __all__ = [
     "Timer",
     "TimerRegistry",
     "time_call",
-    "RateCounters",
-    "tcups",
     "format_rate",
     "imbalance_stats",
     "imbalance_percent",
-    "speedup",
-    "parallel_efficiency",
-    "weak_scaling_efficiency",
     "MemoryTracker",
 ]

@@ -1,56 +1,6 @@
-"""Throughput counters: alignments per second and cell updates per second.
-
-These follow §VII of the paper exactly:
-
-* **alignments per second** — total pairwise alignments performed divided by
-  the *entire* parallel runtime;
-* **CUPS** — DP cells updated divided by the *alignment kernel* time only
-  (the forward-scoring time), reported in tera-CUPS at scale.
-"""
+"""Rate formatting for benchmark output."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass
-class RateCounters:
-    """Accumulates the quantities behind the paper's headline rates."""
-
-    alignments: int = 0
-    cells: int = 0
-    candidates: int = 0
-    similar_pairs: int = 0
-    total_seconds: float = 0.0
-    kernel_seconds: float = 0.0
-
-    def alignments_per_second(self) -> float:
-        """Alignments performed per second of total runtime."""
-        return self.alignments / self.total_seconds if self.total_seconds > 0 else 0.0
-
-    def cups(self) -> float:
-        """Cell updates per second over the alignment kernel time."""
-        return self.cells / self.kernel_seconds if self.kernel_seconds > 0 else 0.0
-
-    def tcups(self) -> float:
-        """CUPS in units of 10^12 (as reported in Table IV)."""
-        return self.cups() / 1e12
-
-    def merge(self, other: "RateCounters") -> "RateCounters":
-        """Combine counters from two phases/runs."""
-        return RateCounters(
-            alignments=self.alignments + other.alignments,
-            cells=self.cells + other.cells,
-            candidates=self.candidates + other.candidates,
-            similar_pairs=self.similar_pairs + other.similar_pairs,
-            total_seconds=self.total_seconds + other.total_seconds,
-            kernel_seconds=self.kernel_seconds + other.kernel_seconds,
-        )
-
-
-def tcups(cells: int, kernel_seconds: float) -> float:
-    """Tera cell-updates per second."""
-    return cells / kernel_seconds / 1e12 if kernel_seconds > 0 else 0.0
 
 
 def format_rate(value: float) -> str:

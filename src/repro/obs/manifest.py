@@ -131,7 +131,7 @@ def build_manifest(
             "nodes": params.nodes,
             "num_blocks": params.num_blocks,
             "preblock_depth": params.preblock_depth,
-            "spgemm_backend": str(params.spgemm_backend),
+            "spgemm_backend": token["spgemm_backend"],
             "batch_flops": params.batch_flops,
         },
         "wall_seconds": wall_seconds,

@@ -41,9 +41,3 @@ class LengthDistribution:
 def metagenome_length_distribution() -> LengthDistribution:
     """Default distribution mimicking assembled metagenomic protein fragments."""
     return LengthDistribution(log_mean=5.0, log_sigma=0.45, min_length=30, max_length=2000)
-
-
-def uniform_length_distribution(low: int, high: int) -> LengthDistribution:
-    """A nearly-uniform distribution, handy for controlled unit tests."""
-    mid = float(np.log((low + high) / 2.0))
-    return LengthDistribution(log_mean=mid, log_sigma=0.10, min_length=low, max_length=high)

@@ -29,6 +29,14 @@ def kmer_space_size(alphabet: Alphabet, k: int) -> int:
     return int(alphabet.size) ** int(k)
 
 
+def max_kmer_length(alphabet_size: int) -> int:
+    """The largest ``k`` whose ids fit int64: ``alphabet_size ** k <= 2**63 - 1``."""
+    k = 1
+    while alphabet_size ** (k + 1) <= 2**63 - 1:
+        k += 1
+    return k
+
+
 def encode_kmers(codes: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:
     """Encode all overlapping k-mers of a code array into integer ids.
 
@@ -53,16 +61,6 @@ def encode_kmers(codes: np.ndarray, k: int, alphabet_size: int) -> np.ndarray:
     # sliding_window_view gives an (n-k+1, k) view with zero copies.
     windows = np.lib.stride_tricks.sliding_window_view(codes, k)
     return windows @ weights
-
-
-def decode_kmer(kmer_id: int, k: int, alphabet: Alphabet = PROTEIN) -> str:
-    """Decode an integer k-mer id back to its residue string."""
-    digits = np.empty(k, dtype=np.uint8)
-    value = int(kmer_id)
-    for pos in range(k - 1, -1, -1):
-        digits[pos] = value % alphabet.size
-        value //= alphabet.size
-    return alphabet.decode(digits)
 
 
 @dataclass

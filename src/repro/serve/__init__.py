@@ -9,7 +9,7 @@ one-sided product ``A_query · B_dbᵀ`` through the same Blocked SUMMA engine:
   operand ``A_dbᵀ`` blocked into per-rank stripe shards, stamped with the
   stage cache's content digests;
 * :mod:`repro.serve.query` — the asymmetric search path behind
-  ``PastisParams(mode="query", index_dir=...)``: resolves queries against
+  ``PastisParams(index_dir=...)``: resolves queries against
   the database, builds the row-sparse query operand in *database row
   coordinates*, and plans a run bit-identical to the corresponding rows of
   an all-vs-all search;

@@ -3,7 +3,7 @@
 :class:`QueryBatcher` sits between callers and the engine: requests are
 *submitted* (each a named :class:`SequenceSet` of queries), coalesced into
 batches bounded by ``max_batch_queries``, and *drained* — each batch runs
-as one ``mode="query"`` pipeline execution against the configured index,
+as one query-mode pipeline execution against the configured index,
 and each request gets back its per-query matches split out of the batch
 result.
 
@@ -122,7 +122,7 @@ class QueryBatcher:
         if admission_depth < 1:
             raise ValueError("admission_depth must be >= 1")
         base = params if params is not None else PastisParams()
-        self.params = base.replace(mode="query", index_dir=str(index_dir))
+        self.params = base.replace(index_dir=str(index_dir))
         self.max_batch_queries = max_batch_queries
         self.admission_depth = admission_depth
         self.hub = hub if hub is not None else MetricsHub()

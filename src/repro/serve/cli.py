@@ -132,7 +132,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     index = KmerIndex.open(args.index)
     stored = index.manifest["params"]
     params = PastisParams(
-        mode="query",
         index_dir=args.index,
         query_dedup=args.dedup,
         # matrix-defining knobs come from the index manifest: a query run

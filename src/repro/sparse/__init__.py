@@ -26,23 +26,23 @@ Contents
   (``"gustavson"`` and ``"expand"``), looked up with
   :func:`~repro.sparse.kernels.get_kernel` /
   :func:`~repro.sparse.kernels.resolve_kernel`.
-* :mod:`repro.sparse.spops` — transpose, triangular extraction, parity
-  pruning, elementwise filtering, conversions.
+* :mod:`repro.sparse.spops` — transpose, upper-triangle extraction, parity
+  pruning, elementwise filtering, conversion to SciPy.
 
-Choosing a backend
-------------------
-There is one default: ``"gustavson"`` (:data:`~repro.sparse.kernels.DEFAULT_KERNEL`),
-for every semiring — the search pipeline's shared-k-mer count multiply
-(``PastisParams(spgemm_backend=...)``, routed through
+The kernel
+----------
+There is one kernel a run uses: ``"gustavson"``
+(:data:`~repro.sparse.kernels.DEFAULT_KERNEL`), for every semiring — the
+search pipeline's shared-k-mer count multiply (through
 :class:`repro.distsparse.blocked_summa.BlockedSpGemm` into every SUMMA
-stage) and Markov clustering's expansion alike.  It forms the output in
+stage) and Markov clustering's expansion alike; it is no run parameter.  It forms the output in
 flop-bounded row groups, so peak memory stays near the output size even at
 the overlap matrix's high compression factors (``flops / output nnz``, §V-B
 of the paper), and under the arithmetic semiring with positive values (and
 the count semiring on flop-heavy calls) it hands the whole product to
 SciPy's row accumulator.  ``"expand"``
-materializes every partial product at once; it stays selectable as the
-oracle: both return bit-identical outputs and flop/nnz statistics (the
+materializes every partial product at once; it stays reachable by name,
+through the library's kernel arguments, as the oracle: both return bit-identical outputs and flop/nnz statistics (the
 randomized harness in ``tests/test_spgemm_equivalence.py`` asserts this).
 ``benchmarks/bench_kernels.py`` reports a head-to-head.
 """
@@ -68,12 +68,9 @@ from .kernels import (
 from .spops import (
     transpose,
     triu,
-    tril,
     prune_by_parity,
     filter_values,
     to_scipy_csr,
-    from_scipy,
-    add_coo,
 )
 
 __all__ = [
@@ -95,10 +92,7 @@ __all__ = [
     "resolve_kernel",
     "transpose",
     "triu",
-    "tril",
     "prune_by_parity",
     "filter_values",
     "to_scipy_csr",
-    "from_scipy",
-    "add_coo",
 ]

@@ -21,10 +21,16 @@
 
 Both support every semiring and produce bit-identical outputs and
 :class:`~repro.sparse.spgemm.SpGemmStats` flop/nnz accounting (asserted by
-``tests/test_spgemm_equivalence.py``), so every consumer —
+``tests/test_spgemm_equivalence.py``), so the choice is no run parameter:
+the pipeline and the clustering stage always multiply with
+:data:`DEFAULT_KERNEL`.  The library entry points —
 :func:`repro.distsparse.summa.summa`,
-:class:`repro.distsparse.blocked_summa.BlockedSpGemm`, the pipeline via
-``PastisParams.spgemm_backend`` — selects one purely on performance grounds.
+:class:`repro.distsparse.blocked_summa.BlockedSpGemm`,
+:class:`repro.graph.mcl.MarkovClustering` and
+:class:`repro.graph.dist.DistMarkovClustering` — keep a kernel argument,
+the seam tests and benchmarks use to reach the ``"expand"`` oracle; a test
+runs a whole pipeline on the oracle by monkeypatching
+:data:`DEFAULT_KERNEL`.
 
 A kernel is any callable with the signature
 ``kernel(a, b, semiring=None, return_stats=False)`` accepting
@@ -47,9 +53,9 @@ from .spgemm import spgemm
 #: Signature shared by all SpGEMM backends.
 SpGemmKernel = Callable[..., object]
 
-#: Name of the backend used when none is requested — by the pipeline
-#: (``PastisParams.spgemm_backend``, seeded from :data:`repro.config.DEFAULTS`),
-#: by Markov clustering and by :func:`resolve_kernel` (``None``).
+#: Name of the backend used when none is requested — by the pipeline, by
+#: Markov clustering and by :func:`resolve_kernel` (``None``).  Read at call
+#: time, so monkeypatching it moves every default caller to another kernel.
 DEFAULT_KERNEL = "gustavson"
 
 #: The selectable backends by name (read-only).
@@ -88,6 +94,18 @@ def kernel_name(kernel: str | SpGemmKernel | None) -> str:
     if isinstance(kernel, str):
         return kernel
     return getattr(kernel, "__name__", "custom")
+
+
+def check_removed_kernel_knob(spgemm_backend: str | None) -> None:
+    """Refuse the removed ``spgemm_backend`` configuration knob unless it
+    names the one kernel a run multiplies with (``None`` or
+    :data:`DEFAULT_KERNEL`)."""
+    if spgemm_backend is not None and spgemm_backend != DEFAULT_KERNEL:
+        raise ValueError(
+            f"spgemm_backend={spgemm_backend!r} is not a parameter: every run "
+            f"multiplies with the {DEFAULT_KERNEL!r} kernel (the 'expand' oracle "
+            "is reached through repro.sparse.kernels)"
+        )
 
 
 def kernel_supports_batch_flops(kernel: SpGemmKernel) -> bool:

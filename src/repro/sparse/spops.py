@@ -1,10 +1,10 @@
 """Elementwise and structural sparse operations.
 
-These are the helpers PASTIS needs around SpGEMM: transposition, triangular
-extraction (the symmetry argument of §VI-B — only the strictly upper triangle
-of the overlap matrix needs aligning), the index-parity pruning rule of the
-index-based load-balancing scheme, value filtering (common-k-mer threshold,
-ANI/coverage thresholds) and conversions to/from SciPy for validation.
+These are the helpers PASTIS needs around SpGEMM: transposition, upper
+triangle extraction (the symmetry argument of §VI-B — only the strictly upper
+triangle of the overlap matrix needs aligning), the index-parity pruning rule
+of the index-based load-balancing scheme, value filtering (common-k-mer
+threshold, ANI/coverage thresholds) and conversion to SciPy for validation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .coo import CooMatrix
-from .semiring import Semiring
 
 
 def transpose(matrix: CooMatrix) -> CooMatrix:
@@ -29,12 +28,6 @@ def triu(matrix: CooMatrix, k: int = 0) -> CooMatrix:
     matrix: each unordered sequence pair is then represented exactly once.
     """
     mask = (matrix.cols - matrix.rows) >= k
-    return matrix.select(mask)
-
-
-def tril(matrix: CooMatrix, k: int = 0) -> CooMatrix:
-    """Keep entries with ``col - row <= k`` (lower triangle)."""
-    mask = (matrix.cols - matrix.rows) <= k
     return matrix.select(mask)
 
 
@@ -69,41 +62,6 @@ def filter_values(matrix: CooMatrix, predicate: Callable[[np.ndarray], np.ndarra
     return matrix.select(mask)
 
 
-def add_coo(a: CooMatrix, b: CooMatrix, semiring: Semiring | None = None) -> CooMatrix:
-    """Elementwise "addition": union of the patterns, duplicates combined.
-
-    Without a semiring, numerical values are summed.  With a semiring, the
-    semiring's reduce combines collisions — this is how partial SUMMA results
-    from successive stages are merged.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    rows = np.concatenate([a.rows, b.rows])
-    cols = np.concatenate([a.cols, b.cols])
-    if a.values.dtype != b.values.dtype:
-        values = np.concatenate(
-            [a.values.astype(np.float64), b.values.astype(np.float64)]
-        )
-    else:
-        values = np.concatenate([a.values, b.values])
-    merged = CooMatrix(a.shape, rows, cols, values, check=False)
-    if semiring is not None:
-        return merged.deduplicate(semiring)
-    if values.dtype.names is not None:
-        # structured values: without a semiring keep the first occurrence
-        return merged.deduplicate()
-    # numeric: sum duplicates
-    m = merged.sort_rowmajor()
-    if m.nnz == 0:
-        return m
-    changed = np.empty(m.nnz, dtype=bool)
-    changed[0] = True
-    changed[1:] = (np.diff(m.rows) != 0) | (np.diff(m.cols) != 0)
-    starts = np.flatnonzero(changed)
-    summed = np.add.reduceat(m.values.astype(np.float64), starts).astype(values.dtype)
-    return CooMatrix(m.shape, m.rows[starts], m.cols[starts], summed, check=False)
-
-
 def to_scipy_csr(matrix: CooMatrix):
     """Convert a numeric COO matrix to ``scipy.sparse.csr_matrix`` (validation)."""
     from scipy import sparse as sp
@@ -113,27 +71,3 @@ def to_scipy_csr(matrix: CooMatrix):
     return sp.csr_matrix(
         (matrix.values.astype(np.float64), (matrix.rows, matrix.cols)), shape=matrix.shape
     )
-
-
-def from_scipy(matrix) -> CooMatrix:
-    """Convert any SciPy sparse matrix to :class:`CooMatrix`."""
-    coo = matrix.tocoo()
-    return CooMatrix(
-        coo.shape,
-        coo.row.astype(np.int64),
-        coo.col.astype(np.int64),
-        np.asarray(coo.data),
-        check=False,
-    )
-
-
-def symmetrize_pattern(matrix: CooMatrix) -> CooMatrix:
-    """Return the union of a matrix's pattern with its transpose's pattern.
-
-    Used when turning the (upper-triangular) similarity graph back into a
-    symmetric adjacency structure for clustering.
-    """
-    rows = np.concatenate([matrix.rows, matrix.cols])
-    cols = np.concatenate([matrix.cols, matrix.rows])
-    values = np.concatenate([matrix.values, matrix.values])
-    return CooMatrix(matrix.shape, rows, cols, values, check=False).deduplicate()

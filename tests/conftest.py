@@ -55,6 +55,24 @@ def make_random_seq_pairs():
     return random_sequence_pairs
 
 
+@pytest.fixture
+def default_kernel(monkeypatch):
+    """Switch the SpGEMM kernel every default caller multiplies with.
+
+    ``default_kernel("expand")`` runs a whole pipeline (discovery and MCL
+    alike) on the oracle kernel by monkeypatching
+    :data:`repro.sparse.kernels.DEFAULT_KERNEL`, which is read at call time;
+    the kernel is no run parameter.
+    """
+    from repro.sparse import kernels
+
+    def use(name: str) -> None:
+        kernels.get_kernel(name)  # refuse unknown names
+        monkeypatch.setattr(kernels, "DEFAULT_KERNEL", name)
+
+    return use
+
+
 @pytest.fixture(scope="session")
 def tiny_seqs():
     """A ~30-sequence synthetic dataset (fast unit-level fixture)."""

@@ -127,7 +127,6 @@ def cell_params(
     if queries is None:
         return params
     return params.replace(
-        mode="query",
         index_dir=str(root / index_name(nodes, num_blocks)),
         query_dedup=queries == "members-dedup",
     )

@@ -1,7 +1,8 @@
 """Test-side sparse oracles: a dictionary SpGEMM and two extra semirings.
 
 :func:`spgemm_reference` is the slow, obviously-correct SpGEMM the
-vectorized kernels are validated against.  :class:`MinPlusSemiring` and
+vectorized kernels are validated against; :func:`coo_from_scipy` brings a
+SciPy reference product into :class:`~repro.sparse.coo.CooMatrix` form.  :class:`MinPlusSemiring` and
 :class:`MaxSemiring` exercise the kernels' semiring hooks with reductions
 other than the sums the library itself multiplies under.
 """
@@ -14,6 +15,14 @@ import numpy as np
 
 from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import ArithmeticSemiring, Semiring
+
+
+def coo_from_scipy(matrix) -> CooMatrix:
+    """Any SciPy sparse matrix as a :class:`CooMatrix` (int64 indices)."""
+    coo = matrix.tocoo()
+    return CooMatrix(
+        coo.shape, coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data, check=False
+    )
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Tests for the top-level package API and global configuration."""
 
 import numpy as np
+import pytest
 
 import repro
 from repro.config import DEFAULTS, ReproConfig
@@ -47,13 +48,18 @@ def test_defaults_match_paper_parameters():
 
 
 def test_default_spgemm_backend_is_wired_and_registered():
+    from repro.core.engine.cache import params_cache_token
     from repro.core.params import PastisParams
     from repro.sparse import DEFAULT_KERNEL, available_kernels
 
-    assert DEFAULTS.spgemm_backend in available_kernels()
-    # one source of truth: registry default -> config -> params default
-    assert DEFAULTS.spgemm_backend == DEFAULT_KERNEL == "gustavson"
-    assert PastisParams().spgemm_backend == DEFAULTS.spgemm_backend
+    assert DEFAULT_KERNEL == "gustavson" and DEFAULT_KERNEL in available_kernels()
+    # one source of truth: the registry default is no config or params field ...
+    assert not hasattr(DEFAULTS, "spgemm_backend")
+    assert PastisParams(spgemm_backend=DEFAULT_KERNEL) == PastisParams()
+    with pytest.raises(ValueError, match="spgemm_backend"):
+        PastisParams(spgemm_backend="expand")
+    # ... and the cache key records it as the kernel that computed a block
+    assert params_cache_token(PastisParams())["spgemm_backend"] == DEFAULT_KERNEL
 
 
 def _candidates_for(pairs, n, with_seeds):

@@ -10,7 +10,6 @@ from repro.align.adept import AdeptDriver, AlignmentWorkloadStats
 from repro.align.batch import (
     MAX_PATH_EXTENT,
     batch_smith_waterman,
-    estimate_batch_cells,
     sweep_plan,
 )
 from repro.align.result import ALIGNMENT_RESULT_DTYPE
@@ -299,12 +298,6 @@ def test_end_cell_matches_full_matrix_oracle():
 def test_batch_rejects_codes_outside_the_scoring_alphabet():
     with pytest.raises(ValueError, match="residue codes"):
         batch_smith_waterman([np.array([0, 20], dtype=np.uint8)], [encode("ACD")])
-
-
-def test_estimate_batch_cells():
-    a_list = [encode("AAAA"), encode("CC")]
-    b_list = [encode("AAA"), encode("CCCC")]
-    assert estimate_batch_cells(a_list, b_list) == 4 * 3 + 2 * 4
 
 
 # ---------------------------------------------------------------- AdeptDriver

@@ -106,7 +106,7 @@ DETERMINISTIC_RUNS = {
     "serial": {},
     "overlapped-depth1": {"preblock_depth": 1},
     "overlapped-depth2": {"preblock_depth": 2},
-    "query": {"mode": "query"},
+    "query": {},
     "cluster-nprocs4": {"cluster": ClusterParams(enabled=True, nprocs=4)},
 }
 
@@ -354,12 +354,18 @@ def test_entries_keyed_with_the_clock_do_not_match(tmp_path, tiny_seqs, monkeypa
     assert rerun.stats.extras["cache"]["stores"] == old.stats.extras["cache"]["stores"] > 0
 
 
-def test_cache_invalidate_forces_recompute(tmp_path, tiny_seqs):
+def test_gc_emptied_cache_forces_recompute(tmp_path, tiny_seqs):
+    """The documented forced re-population: empty the cache with
+    ``gc --max-bytes 0``, and the next run recomputes and rewrites every
+    block, bit-identically."""
     params = _params(tmp_path)
-    PastisPipeline(params).run(tiny_seqs)
-    forced = PastisPipeline(params.replace(cache_invalidate=True)).run(tiny_seqs)
-    # reads disabled entirely (misses aren't counted), entries rewritten
-    assert forced.stats.extras["cache"] == {"hits": 0, "misses": 0, "stores": 4}
+    cold = PastisPipeline(params).run(tiny_seqs)
+    summary = cache_mod.gc_cache(tmp_path / "cache", max_bytes=0)
+    assert summary["removed_entries"] == 4 and summary["kept_entries"] == 0
+    assert not list((tmp_path / "cache").glob("run-*"))
+    forced = PastisPipeline(params).run(tiny_seqs)
+    assert forced.stats.extras["cache"] == {"hits": 0, "misses": 4, "stores": 4}
+    assert np.array_equal(forced.similarity_graph.edges, cold.similarity_graph.edges)
     warm = PastisPipeline(params).run(tiny_seqs, resume=True)
     assert warm.stats.extras["cache"]["hits"] == 4
 
@@ -418,17 +424,6 @@ def test_resume_requires_cache_dir(tiny_seqs):
         PastisPipeline(params).run(tiny_seqs, resume=True)
 
 
-def test_resume_conflicts_with_invalidate(tmp_path, tiny_seqs):
-    params = _params(tmp_path, cache_invalidate=True)
-    with pytest.raises(ValueError, match="cache_invalidate"):
-        PastisPipeline(params).run(tiny_seqs, resume=True)
-
-
-def test_invalidate_requires_cache_dir():
-    with pytest.raises(ValueError, match="cache_invalidate"):
-        PastisParams(cache_invalidate=True)
-
-
 def test_empty_cache_dir_rejected():
     with pytest.raises(ValueError, match="cache_dir"):
         PastisParams(cache_dir="")
@@ -468,7 +463,15 @@ def test_cache_key_reads_or_excludes_every_params_field():
             reads.add(name)
             return super().__getattribute__(name)
 
-    runs = (Spy(), Spy(mode="query", index_dir="/x", query_dedup=True))
+        @property
+        def mode(self):
+            # the token keys whether index_dir is set, never its path: read
+            # the field past the spy
+            unset = object.__getattribute__(self, "index_dir") is None
+            return "all_vs_all" if unset else "query"
+
+    runs = (Spy(), Spy(index_dir="/x", query_dedup=True))
+    assert [run.mode for run in runs] == [PastisParams.mode.fget(run) for run in runs]
     reads.clear()  # construction validates, reading every field
     for params in runs:
         cache_mod.params_cache_token(params)
@@ -481,12 +484,86 @@ def test_cache_key_reads_or_excludes_every_params_field():
     assert fields - set(excluded) <= reads, fields - set(excluded) - reads
 
 
+def _block_fingerprint(record, committed) -> tuple:
+    """One block's record, SpGemmStats and discover journal, comparable
+    with ``==`` (arrays as bytes)."""
+    stats, journal = committed
+    return (
+        record.block_row, record.block_col, record.kind, record.candidates,
+        record.aligned_pairs, record.similar_pairs, record.block_bytes,
+        *(getattr(record, name).tobytes() for name in (
+            "sparse_seconds_per_rank", "align_seconds_per_rank",
+            "pairs_per_rank", "cells_per_rank")),
+        stats, tuple(journal),
+    )
+
+
+def test_cache_key_exclusions_cannot_change_a_block(tmp_path, tiny_seqs, monkeypatch):
+    """Every field in CACHE_KEY_EXCLUSIONS, driven through two values, leaves
+    every block's record, SpGemmStats and discover journal and the run's
+    edges bit-identical — the claim that lets the key leave it out.  Paths
+    take two temporary directories (``index_dir``: one index copied to two
+    paths); every row is visited before the verdict."""
+    import shutil
+
+    from repro.core.engine import schedulers
+
+    base = PastisParams(kmer_length=5, nodes=4, num_blocks=4, common_kmer_threshold=1)
+    build_index(tiny_seqs, base, tmp_path / "index-a")
+    shutil.copytree(tmp_path / "index-a", tmp_path / "index-b")
+
+    def paths(name):
+        return str(tmp_path / f"{name}-a"), str(tmp_path / f"{name}-b")
+
+    values = {
+        "preblock_depth": (0, 2),
+        "align_batch_size": (1, 128),
+        "cluster": (ClusterParams(), ClusterParams(enabled=True)),
+        "cache_dir": paths("cache"),
+        "trace": (False, True),
+        "trace_dir": paths("trace"),
+        "metrics": (False, True),
+        "run_registry": paths("registry"),
+        "index_dir": paths("index"),
+    }
+    assert set(values) == dict(cache_mod.CACHE_KEY_EXCLUSIONS).keys()
+
+    committed = []
+    original_commit = schedulers.commit
+
+    def recording_commit(ctx, task, result):
+        committed.append((result.stats, list(result.journal)))
+        original_commit(ctx, task, result)
+
+    monkeypatch.setattr(schedulers, "commit", recording_commit)
+    differ = []
+    for name, pair in values.items():
+        runs = []
+        for value in pair:
+            committed.clear()
+            queries = tiny_seqs.subset(np.arange(12)) if name == "index_dir" else tiny_seqs
+            result = PastisPipeline(base.replace(**{name: value})).run(queries)
+            blocks = [
+                _block_fingerprint(record, block)
+                for record, block in zip(result.block_records, committed, strict=True)
+            ]
+            runs.append((result.similarity_graph.edges.tobytes(), blocks))
+        (edges_a, blocks_a), (edges_b, blocks_b) = runs
+        if not blocks_a:
+            differ.append(f"{name}: no block computed")
+        if edges_a != edges_b:
+            differ.append(f"{name}: edges differ")
+        if blocks_a != blocks_b:
+            differ.append(f"{name}: a block's record, stats or journal differs")
+    assert not differ, differ
+
+
 def test_query_dedup_is_keyed_in_query_mode(tmp_path, tiny_seqs):
     """query_dedup changes which candidates a block aligns, so a query cache
     written without it must not warm a run with it."""
     params = _params(tmp_path)
     build_index(tiny_seqs, params.replace(cache_dir=None), tmp_path / "index")
-    query = params.replace(mode="query", index_dir=str(tmp_path / "index"))
+    query = params.replace(index_dir=str(tmp_path / "index"))
     PastisPipeline(query).run(tiny_seqs)
     dedup = PastisPipeline(query.replace(query_dedup=True)).run(tiny_seqs)
     assert dedup.stats.extras["cache"]["hits"] == 0

@@ -45,6 +45,14 @@ def test_default_params_match_paper():
 #: size ``<= 0`` aligns nothing (an empty graph) or dies in ``range()``.
 BAD_SETTINGS = [
     (PastisParams, {"kmer_length": 0}, "kmer_length"),
+    # 20**15 and 10**19 k-mer ids overflow int64
+    (PastisParams, {"kmer_length": 15}, "kmer_length"),
+    (PastisParams, {"seed_alphabet": "murphy10", "kmer_length": 19}, "kmer_length"),
+    (PastisParams, {"gap_open": -1}, "gap_open"),
+    (PastisParams, {"gap_extend": -1}, "gap_extend"),
+    (PastisParams, {"query_dedup": True}, "query_dedup"),
+    (PastisParams, {"index_dir": " "}, "index_dir"),
+    (PastisParams, {"spgemm_backend": "expand"}, "spgemm_backend"),
     (PastisParams, {"load_balancing": "bogus"}, "load_balancing"),
     (PastisParams, {"ani_threshold": 1.5}, "ani_threshold"),
     (PastisParams, {"nodes": 0}, "nodes"),
@@ -54,6 +62,7 @@ BAD_SETTINGS = [
     (PastisParams, {"substitute_kmers": -1}, "substitute_kmers"),
     (PastisParams, {"max_kmer_frequency": 0}, "max_kmer_frequency"),
     (ClusterParams, {"nprocs": 3}, "nprocs"),
+    (ClusterParams, {"spgemm_backend": "expand"}, "spgemm_backend"),
     (AdeptDriver, {"batch_size": 0}, "batch_size"),
     (AdeptDriver, {"batch_size": -3}, "batch_size"),
 ]
@@ -75,6 +84,9 @@ def test_params_validation():
     # the ledger holds modeled seconds only: there is no clock to pick
     with pytest.raises(TypeError):
         PastisParams(clock="measured")
+    # the largest k-mer lengths whose ids fit int64 are accepted
+    PastisParams(kmer_length=14)
+    PastisParams(seed_alphabet="murphy10", kmer_length=18)
 
 
 def test_params_replace_and_blocking_factors():

@@ -23,6 +23,7 @@ from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.core.preblocking import PreblockingModel
 from repro.sequences.synthetic import synthetic_dataset
+from repro.sparse import kernels
 
 #: SearchStats keys that legitimately differ between depths: clock
 #: readings (the overlapped clock is the point of pre-blocking) and wall
@@ -314,13 +315,11 @@ def test_batch_flops_forces_multi_group_batching_end_to_end(
     small_seqs, fast_params, pipeline_result
 ):
     """A small PastisParams.batch_flops budget reaches the Gustavson kernel."""
-    # fast_params uses the default backend, which is gustavson — the shared
-    # session run is the unconstrained baseline
-    assert fast_params.spgemm_backend == "gustavson"
+    # every run multiplies with the default kernel, which is gustavson —
+    # the shared session run is the unconstrained baseline
+    assert kernels.DEFAULT_KERNEL == "gustavson"
     roomy = pipeline_result
-    tight = PastisPipeline(
-        fast_params.replace(spgemm_backend="gustavson", batch_flops=64)
-    ).run(small_seqs)
+    tight = PastisPipeline(fast_params.replace(batch_flops=64)).run(small_seqs)
     # identical results, strictly more row groups under the tight budget
     assert tight.similarity_graph == roomy.similarity_graph
     assert tight.stats.spgemm_flops == roomy.stats.spgemm_flops
@@ -331,18 +330,20 @@ def test_batch_flops_forces_multi_group_batching_end_to_end(
     )
 
 
-def test_batch_flops_rejected_by_non_batching_backend(small_seqs, fast_params):
+def test_batch_flops_rejected_by_non_batching_backend(small_seqs, fast_params, default_kernel):
+    default_kernel("expand")
     with pytest.raises(ValueError, match="batch_flops"):
-        PastisPipeline(
-            fast_params.replace(spgemm_backend="expand", batch_flops=64)
-        ).run(small_seqs)
+        PastisPipeline(fast_params.replace(batch_flops=64)).run(small_seqs)
     with pytest.raises(ValueError, match="batch_flops"):
         PastisParams(batch_flops=0)
 
 
-def test_expand_oracle_matches_default_backend(small_seqs, fast_params, pipeline_result):
+def test_expand_oracle_matches_default_backend(
+    small_seqs, fast_params, pipeline_result, default_kernel
+):
     """The ``"expand"`` oracle changes nothing about results or accounting."""
-    oracle = PastisPipeline(fast_params.replace(spgemm_backend="expand")).run(small_seqs)
+    default_kernel("expand")
+    oracle = PastisPipeline(fast_params).run(small_seqs)
     assert oracle.similarity_graph == pipeline_result.similarity_graph
     assert oracle.stats.spgemm_flops == pipeline_result.stats.spgemm_flops
     assert oracle.stats.candidates_discovered == pipeline_result.stats.candidates_discovered
@@ -867,7 +868,7 @@ def test_served_request_makes_one_kernel_call(tmp_path, tiny_seqs, monkeypatch):
 
     monkeypatch.setattr(adept, "batch_smith_waterman", counting_kernel)
     result = PastisPipeline(
-        params.replace(mode="query", index_dir=str(tmp_path / "index"))
+        params.replace(index_dir=str(tmp_path / "index"))
     ).run(tiny_seqs.subset(np.arange(8)))
     groups = sum(int(np.count_nonzero(rec.pairs_per_rank)) for rec in result.block_records)
     assert groups > 1  # more than one (block, rank) had survivors

@@ -423,25 +423,24 @@ def test_cluster_params_validation():
         ClusterParams(weight_transform="bogus")
     with pytest.raises(ValueError, match="inflation"):
         ClusterParams(inflation=0.5)
-    with pytest.raises(ValueError, match="spgemm_backend"):
-        ClusterParams(spgemm_backend="bogus")
     with pytest.raises(ValueError, match="batch_flops"):
         ClusterParams(batch_flops=0)
-    assert ClusterParams().resolve_backend() == "gustavson"
-    assert ClusterParams(enabled=True).resolve_backend() == "gustavson"
-    assert ClusterParams(enabled=True, batch_flops=4096).resolve_backend() == "gustavson"
-    assert ClusterParams(spgemm_backend="expand").resolve_backend() == "expand"
+    # spgemm_backend is a removed knob: accepted as None or the default only
+    for name in ("bogus", "expand"):
+        with pytest.raises(ValueError, match="spgemm_backend"):
+            ClusterParams(spgemm_backend=name)
+    assert ClusterParams(spgemm_backend=DEFAULT_KERNEL) == ClusterParams()
 
 
-def test_cluster_params_batch_flops_resolves_to_batching_backend():
+def test_cluster_params_batch_flops_resolves_to_batching_backend(default_kernel):
     """A flop budget must never land on a backend that cannot honor it."""
     budget = ClusterParams(batch_flops=4096)
-    assert budget.resolve_backend() == "gustavson"
     result = cluster_similarity_graph(bridged_cliques(), budget)  # must not raise
+    assert result.backend == "gustavson"
     assert result.n_clusters == 2
+    default_kernel("expand")  # a non-batching kernel refuses, never drops, the budget
     with pytest.raises(ValueError, match="batch_flops"):
-        ClusterParams(spgemm_backend="expand", batch_flops=4096)
-    ClusterParams(spgemm_backend="gustavson", batch_flops=4096)  # batching backend fine
+        cluster_similarity_graph(bridged_cliques(), budget)
 
 
 def test_cluster_similarity_graph_components_method():
@@ -484,20 +483,20 @@ def test_pipeline_cluster_stage_end_to_end():
     assert "cluster" in result.ledger.categories()
 
 
-def test_pipeline_search_and_cluster_stages_share_the_default_kernel():
-    """A run naming no backend anywhere uses one kernel for the search and
-    the clustering stage, and the clustering equals the ``"expand"`` oracle."""
+def test_pipeline_search_and_cluster_stages_share_the_default_kernel(default_kernel):
+    """A run uses one kernel for the search and the clustering stage, and
+    the clustering equals the ``"expand"`` oracle."""
     seqs = synthetic_dataset(n_sequences=40, seed=5)
     params = PastisParams(
         kmer_length=5, common_kmer_threshold=1, nodes=4, num_blocks=1,
         cluster=ClusterParams(enabled=True),
     )
-    assert params.spgemm_backend == params.cluster.resolve_backend() == DEFAULT_KERNEL
     result = PastisPipeline(params).run(seqs)
+    assert result.stats.extras["clustering"]["backend"] == DEFAULT_KERNEL
     assert {it.backend for it in result.clustering.iterations} == {DEFAULT_KERNEL}
-    oracle = cluster_similarity_graph(
-        result.similarity_graph, params.cluster.replace(spgemm_backend="expand")
-    )
+    default_kernel("expand")
+    oracle = cluster_similarity_graph(result.similarity_graph, params.cluster)
+    assert {it.backend for it in oracle.iterations} == {"expand"}
     assert np.array_equal(result.clustering.labels, oracle.labels)
     assert [it.flops for it in result.clustering.iterations] == [
         it.flops for it in oracle.iterations
@@ -507,7 +506,7 @@ def test_pipeline_search_and_cluster_stages_share_the_default_kernel():
 def test_pipeline_cluster_report_is_json_serializable(tmp_path):
     import json
 
-    from repro.io.report import clustering_report, clustering_table, run_report
+    from repro.io.report import clustering_table, run_report
 
     seqs = synthetic_dataset(n_sequences=50, seed=9)
     params = PastisParams(
@@ -515,10 +514,8 @@ def test_pipeline_cluster_report_is_json_serializable(tmp_path):
         cluster=ClusterParams(enabled=True),
     )
     result = PastisPipeline(params).run(seqs)
-    json.dumps(run_report(result.stats))
-    report = clustering_report(result.clustering)
-    json.dumps(report)
-    assert len(report["iterations"]) == result.clustering.n_iterations
+    report = json.loads(json.dumps(run_report(result.stats)))
+    assert report["clustering"]["n_iterations"] == result.clustering.n_iterations
     table = clustering_table(result.clustering)
     assert "Clustering" in table and "Modularity" in table
 

@@ -37,7 +37,7 @@ from repro.graph import (
     expansion_broadcast_bytes,
 )
 from repro.graph.dist import CLUSTER_COUNTER_PREFIX
-from repro.io.report import clustering_report, clustering_table
+from repro.io.report import clustering_table
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.kernels import DEFAULT_KERNEL, resolve_kernel
@@ -355,9 +355,8 @@ def test_report_renders_dist_stats(matrix):
     assert "Distributed grid" in table
     assert "2x2" in table
     assert "Cluster comm volume" in table
-    report = clustering_report(clustering)
-    assert report["dist"]["nprocs"] == 4
-    assert report["iterations"][0]["flops_per_rank"]
+    assert clustering.summary()["dist"]["nprocs"] == 4
+    assert clustering.iterations[0].as_dict()["flops_per_rank"]
 
 
 def test_counter_prefix_keeps_search_counters_clean(matrix):

@@ -7,7 +7,6 @@ from repro.align.substitution import BLOSUM62
 from repro.sequences.alphabet import MURPHY10, PROTEIN
 from repro.sequences.kmers import (
     KmerExtractor,
-    decode_kmer,
     encode_kmers,
     kmer_space_size,
     substitute_kmers,
@@ -28,13 +27,6 @@ def test_encode_kmers_values():
 
 def test_encode_kmers_short_sequence():
     assert encode_kmers(np.array([1, 2], dtype=np.uint8), 5, 20).size == 0
-
-
-def test_decode_kmer_roundtrip():
-    seq = "ACDEF"
-    codes = PROTEIN.encode(seq)
-    kid = int(encode_kmers(codes, 5, 20)[0])
-    assert decode_kmer(kid, 5, PROTEIN) == seq
 
 
 def test_extractor_counts_and_positions():

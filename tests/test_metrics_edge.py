@@ -1,6 +1,6 @@
-"""Edge cases of the scaling-efficiency and load-imbalance metrics.
+"""Edge cases of the load-imbalance metrics.
 
-These helpers back the Fig. 7/8/9 benchmarks and the stats table; the
+These helpers back the stats table; the
 degenerate inputs here (zero times, empty or single-rank vectors,
 all-zero phases) show up in real runs — a phase that never executed, a
 1×1 grid, a killed run's empty per-rank vector — and must degrade to
@@ -12,46 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.metrics.efficiency import (
-    parallel_efficiency,
-    speedup,
-    weak_scaling_efficiency,
-)
 from repro.metrics.imbalance import imbalance_percent, imbalance_stats
-
-
-# ---------------------------------------------------------------------------
-# scaling efficiency
-# ---------------------------------------------------------------------------
-
-
-def test_speedup_normal_and_zero_time():
-    assert speedup(10.0, 2.0, 1, 8) == pytest.approx(5.0)
-    assert speedup(10.0, 0.0, 1, 8) == 0.0
-    assert speedup(10.0, -1.0, 1, 8) == 0.0
-    assert speedup(0.0, 2.0, 1, 8) == 0.0  # zero base time is no speedup
-
-
-def test_parallel_efficiency_ideal_and_degenerate():
-    # perfect strong scaling: 4x units, 4x faster → efficiency 1
-    assert parallel_efficiency(8.0, 2.0, 1, 4) == pytest.approx(1.0)
-    # half-efficient
-    assert parallel_efficiency(8.0, 4.0, 1, 4) == pytest.approx(0.5)
-    # degenerate denominators all collapse to 0, not a ZeroDivisionError
-    assert parallel_efficiency(8.0, 0.0, 1, 4) == 0.0
-    assert parallel_efficiency(8.0, 2.0, 0, 4) == 0.0
-    assert parallel_efficiency(8.0, 2.0, 1, 0) == 0.0
-    # single-rank "scaling" is the identity
-    assert parallel_efficiency(8.0, 8.0, 1, 1) == pytest.approx(1.0)
-
-
-def test_weak_scaling_efficiency_flat_runtime_is_ideal():
-    assert weak_scaling_efficiency(5.0, 5.0) == pytest.approx(1.0)
-    assert weak_scaling_efficiency(5.0, 10.0) == pytest.approx(0.5)
-    # mildly superlinear results (cache effects) pass through unclamped
-    assert weak_scaling_efficiency(5.0, 4.0) == pytest.approx(1.25)
-    assert weak_scaling_efficiency(5.0, 0.0) == 0.0
-    assert weak_scaling_efficiency(0.0, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The serve contract: query-mode runs are row restrictions of all-vs-all.
 
-For any query subset Q of the database, ``mode="query"`` with
+For any query subset Q of the database, a query run (``index_dir`` set) with
 ``query_dedup=True`` must be *bit-identical* to the corresponding rows of
 the all-vs-all run over the database — per-block records, edges, SpGEMM
 stats — across pre-blocking depths and kernels.  These tests pin that
@@ -62,13 +62,14 @@ def _assert_records_identical(query_records, base_records):
     ],
 )
 @pytest.mark.parametrize("backend", ["expand", "gustavson"])
-def test_whole_db_query_bit_identical_to_all_vs_all(db, schedule, backend):
+def test_whole_db_query_bit_identical_to_all_vs_all(db, schedule, backend, default_kernel):
     """Q = the whole database: the query run IS the all-vs-all run."""
     sequences, params, index_dir = db
-    params = params.replace(spgemm_backend=backend, **schedule)
+    default_kernel(backend)
+    params = params.replace(**schedule)
     base = PastisPipeline(params).run(sequences)
     query = PastisPipeline(
-        params.replace(mode="query", index_dir=index_dir, query_dedup=True)
+        params.replace(index_dir=index_dir, query_dedup=True)
     ).run(sequences)
 
     np.testing.assert_array_equal(
@@ -91,7 +92,7 @@ def test_block_row_subset_restriction(db, load_balancing):
     base = PastisPipeline(params).run(sequences)
     lo, hi = N_DB // 2, N_DB  # block row 1 of the 2x2 schedule
     query = PastisPipeline(
-        params.replace(mode="query", index_dir=index_dir, query_dedup=True)
+        params.replace(index_dir=index_dir, query_dedup=True)
     ).run(sequences.subset(np.arange(lo, hi)))
 
     # only block rows containing query rows are computed
@@ -122,7 +123,7 @@ def test_partitioned_queries_union_to_all_vs_all(db):
     """Disjoint dedup query runs partition the all-vs-all edge set exactly."""
     sequences, params, index_dir = db
     base = PastisPipeline(params).run(sequences)
-    qparams = params.replace(mode="query", index_dir=index_dir, query_dedup=True)
+    qparams = params.replace(index_dir=index_dir, query_dedup=True)
     half = N_DB // 2
     first = PastisPipeline(qparams).run(sequences.subset(np.arange(0, half)))
     second = PastisPipeline(qparams).run(sequences.subset(np.arange(half, N_DB)))
@@ -141,7 +142,7 @@ def test_dedup_requires_database_members(db):
     novel = SequenceSet.from_strings(["MKVLAWQQNNPRS"], names=["novel"])
     with pytest.raises(ValueError, match="database member"):
         PastisPipeline(
-            params.replace(mode="query", index_dir=index_dir, query_dedup=True)
+            params.replace(index_dir=index_dir, query_dedup=True)
         ).run(novel)
 
 
@@ -152,7 +153,7 @@ def test_member_query_neighborhood_without_dedup(db):
     base = PastisPipeline(open_params).run(sequences)
     q = 3
     query = PastisPipeline(
-        open_params.replace(mode="query", index_dir=index_dir)
+        open_params.replace(index_dir=index_dir)
     ).run(sequences.subset(np.array([q])))
 
     edges = base.similarity_graph.edges
@@ -178,7 +179,7 @@ def test_novel_query_searches_against_database(db):
     )
     result = PastisPipeline(
         params.replace(
-            mode="query", index_dir=index_dir, ani_threshold=0.0, coverage_threshold=0.0
+            index_dir=index_dir, ani_threshold=0.0, coverage_threshold=0.0
         )
     ).run(novel)
     assert result.query_rows.tolist() == [N_DB]  # appended past the database
@@ -194,7 +195,6 @@ def test_query_run_warm_cache_replays(db, tmp_path):
     """A cached query run replays bit-identically (mode is in the cache key)."""
     sequences, params, index_dir = db
     qparams = params.replace(
-        mode="query",
         index_dir=index_dir,
         query_dedup=True,
         cache_dir=str(tmp_path / "stage-cache"),
@@ -215,7 +215,7 @@ def test_query_extras_hoisted_into_report(db):
 
     sequences, params, index_dir = db
     result = PastisPipeline(
-        params.replace(mode="query", index_dir=index_dir)
+        params.replace(index_dir=index_dir)
     ).run(sequences.subset(np.arange(0, 4)))
     report = run_report(result.stats)
     assert report["query_n_queries"] == 4

@@ -64,7 +64,7 @@ def test_seed_extend_edges_pinned_on_every_grid(seqs, params, nodes):
 
 def test_seed_extend_edges_pinned_in_query_mode(seqs, params, tmp_path):
     build_index(seqs, params, tmp_path / "index")
-    query = params.replace(mode="query", index_dir=str(tmp_path / "index"))
+    query = params.replace(index_dir=str(tmp_path / "index"))
     whole = PastisPipeline(query.replace(query_dedup=True)).run(seqs)
     assert _edges_digest(whole) == ALL_VS_ALL_DIGEST
     served = PastisPipeline(query).run(seqs.subset(np.arange(20)))

@@ -118,7 +118,7 @@ def test_index_refuses_mismatched_params(db):
     # the pipeline front door refuses the same way
     with pytest.raises(IndexCompatibilityError):
         PastisPipeline(
-            params.replace(mode="query", index_dir=index_dir, kmer_length=5)
+            params.replace(index_dir=index_dir, kmer_length=5)
         ).run(sequences.subset(np.array([0])))
 
 
@@ -132,7 +132,6 @@ def test_refused_index_is_an_input_io_failure(db, tmp_path):
     with pytest.raises(IndexCompatibilityError):
         PastisPipeline(
             params.replace(
-                mode="query",
                 index_dir=index_dir,
                 kmer_length=5,
                 run_registry=str(registry_dir),
@@ -310,7 +309,7 @@ def test_served_run_reads_index_memory_read_only(db, monkeypatch):
     monkeypatch.setattr(index_mod.KmerIndex, "sequences", spy_sequences)
     novel = SequenceSet.from_strings(["MKVLAAGIVGLLLAQPAMA"], names=["novel"])
     queries = SequenceSet.concatenate([sequences.subset(np.arange(0, 5)), novel])
-    result = PastisPipeline(params.replace(mode="query", index_dir=index_dir)).run(queries)
+    result = PastisPipeline(params.replace(index_dir=index_dir)).run(queries)
     assert result.query_rows.tolist() == [0, 1, 2, 3, 4, N_DB]
     batcher = QueryBatcher(index_dir, params, max_batch_queries=4)
     batcher.submit(sequences.subset(np.arange(5, 8)))
@@ -385,7 +384,7 @@ def test_empty_query_batch(db):
     sequences, params, index_dir = db
     empty = SequenceSet.from_strings([], alphabet=sequences.alphabet)
     result = PastisPipeline(
-        params.replace(mode="query", index_dir=index_dir)
+        params.replace(index_dir=index_dir)
     ).run(empty)
     assert result.similarity_graph.edges.size == 0
     assert result.query_rows.size == 0
@@ -400,7 +399,7 @@ def test_query_longer_than_any_database_sequence(db):
     residues = "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=longest * 3))
     query = SequenceSet.from_strings([residues], names=["long-novel"])
     result = PastisPipeline(
-        params.replace(mode="query", index_dir=index_dir)
+        params.replace(index_dir=index_dir)
     ).run(query)
     assert result.query_rows.tolist() == [N_DB]
     edges = result.similarity_graph.edges
@@ -517,7 +516,7 @@ def test_batcher_coalescing_and_split_answers(db):
     # each request's matches == a standalone query run over its own queries
     for rid, lo, hi in ((r1, 0, 3), (r2, 3, 5), (r3, 5, 6)):
         solo = PastisPipeline(
-            params.replace(mode="query", index_dir=index_dir)
+            params.replace(index_dir=index_dir)
         ).run(sequences.subset(np.arange(lo, hi)))
         edges = solo.similarity_graph.edges
         for q, row in enumerate(answers[rid].rows):

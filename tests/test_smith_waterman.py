@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align.seed_extend import seed_and_extend, ungapped_extension
-from repro.align.smith_waterman import score_only, smith_waterman, smith_waterman_reference
+from repro.align.smith_waterman import smith_waterman, smith_waterman_reference
 from repro.align.substitution import BLOSUM62, DEFAULT_SCORING, ScoringScheme, identity_matrix
 from repro.sequences.alphabet import PROTEIN
 
@@ -80,11 +80,6 @@ def test_affine_gap_cost_arithmetic():
     # 10 matches, one gap of length 3: 50 - (10 + 3*1) = 37, better than
     # paying three mismatches (50 - 24 = 26)
     assert res.score == 37
-
-
-def test_score_only_helper():
-    a = encode("ACDEFG")
-    assert score_only(a, a) == smith_waterman(a, a).score
 
 
 def test_cells_metric():

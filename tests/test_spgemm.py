@@ -11,13 +11,12 @@ from repro.sparse.semiring import (
     OverlapSemiring,
 )
 from repro.sparse.spgemm import SpGemmStats, spgemm
-from repro.sparse.spops import from_scipy
-from sparse_oracles import MinPlusSemiring, spgemm_reference
+from sparse_oracles import MinPlusSemiring, coo_from_scipy, spgemm_reference
 
 
 def random_coo(shape, density, seed):
     mat = sp.random(shape[0], shape[1], density=density, random_state=seed, format="coo")
-    return from_scipy(mat)
+    return coo_from_scipy(mat)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

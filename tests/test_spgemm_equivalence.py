@@ -387,14 +387,15 @@ def test_gustavson_matches_raw_scipy_product_bitwise(seed):
     reduces with strict left-to-right association — the same order SciPy's
     scalar accumulator adds partial products in.
     """
-    from repro.sparse.spops import from_scipy, to_scipy_csr
+    from repro.sparse.spops import to_scipy_csr
+    from sparse_oracles import coo_from_scipy
 
     a, b = _random_float_case(seed)
     reference = to_scipy_csr(a) @ to_scipy_csr(b)
     reference.sort_indices()
     c1, s1 = spgemm(a, b, ArithmeticSemiring(), return_stats=True)
     c2, s2 = spgemm_gustavson(a, b, ArithmeticSemiring(), return_stats=True, batch_flops=131)
-    expected = from_scipy(reference)
+    expected = coo_from_scipy(reference)
     assert c1 == c2 == expected
     assert np.array_equal(c2.values, expected.values)  # bitwise, beyond __eq__
     assert s1.flops == s2.flops

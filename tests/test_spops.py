@@ -5,18 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from repro.sparse.coo import CooMatrix
-from repro.sparse.semiring import CountSemiring
 from repro.sparse.spops import (
-    add_coo,
     filter_values,
-    from_scipy,
     prune_by_parity,
-    symmetrize_pattern,
     to_scipy_csr,
     transpose,
-    tril,
     triu,
 )
+from sparse_oracles import coo_from_scipy
 
 
 def dense_symmetric(n=8, seed=0):
@@ -27,15 +23,6 @@ def dense_symmetric(n=8, seed=0):
     all_rows = np.concatenate([rows, cols])
     all_cols = np.concatenate([cols, rows])
     return CooMatrix((n, n), all_rows, all_cols, np.ones(all_rows.size))
-
-
-def test_triu_and_tril_partition_offdiagonal():
-    m = dense_symmetric()
-    upper = triu(m, k=1)
-    lower = tril(m, k=-1)
-    assert upper.nnz + lower.nnz == m.nnz
-    assert np.all(upper.cols > upper.rows)
-    assert np.all(lower.cols < lower.rows)
 
 
 def test_triu_keeps_diagonal_with_k0():
@@ -86,28 +73,6 @@ def test_filter_values():
         filter_values(m, lambda v: np.array([True]))
 
 
-def test_add_coo_numeric_sums_duplicates():
-    a = CooMatrix((2, 2), np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
-    b = CooMatrix((2, 2), np.array([0]), np.array([0]), np.array([10.0]))
-    c = add_coo(a, b)
-    dense = c.todense()
-    assert dense[0, 0] == 11.0
-    assert dense[1, 1] == 2.0
-
-
-def test_add_coo_with_semiring():
-    a = CooMatrix((2, 2), np.array([0]), np.array([1]), np.array([2], dtype=np.int64))
-    b = CooMatrix((2, 2), np.array([0]), np.array([1]), np.array([3], dtype=np.int64))
-    c = add_coo(a, b, CountSemiring())
-    assert c.nnz == 1
-    assert c.values[0] == 5
-
-
-def test_add_coo_shape_mismatch():
-    with pytest.raises(ValueError):
-        add_coo(CooMatrix.empty((2, 2)), CooMatrix.empty((3, 3)))
-
-
 def test_transpose_function():
     m = CooMatrix((2, 3), np.array([0]), np.array([2]), np.array([7.0]))
     t = transpose(m)
@@ -117,7 +82,7 @@ def test_transpose_function():
 
 def test_scipy_roundtrip():
     mat = sp.random(10, 12, density=0.2, random_state=1)
-    coo = from_scipy(mat)
+    coo = coo_from_scipy(mat)
     back = to_scipy_csr(coo)
     assert np.allclose(back.toarray(), mat.toarray())
 
@@ -128,11 +93,3 @@ def test_to_scipy_rejects_structured():
     m = CooMatrix((2, 2), np.array([0]), np.array([0]), np.zeros(1, dtype=OVERLAP_DTYPE))
     with pytest.raises(TypeError):
         to_scipy_csr(m)
-
-
-def test_symmetrize_pattern():
-    m = CooMatrix((4, 4), np.array([0, 1]), np.array([2, 3]), np.ones(2))
-    s = symmetrize_pattern(m)
-    pairs = set(zip(s.rows.tolist(), s.cols.tolist()))
-    assert (2, 0) in pairs and (0, 2) in pairs
-    assert s.nnz == 4

@@ -6,7 +6,6 @@ import pytest
 from repro.sequences.distribution import (
     LengthDistribution,
     metagenome_length_distribution,
-    uniform_length_distribution,
 )
 from repro.sequences.synthetic import (
     SyntheticDatasetConfig,
@@ -32,7 +31,12 @@ def test_different_seeds_differ():
 
 def test_lengths_respect_distribution_bounds():
     config = SyntheticDatasetConfig(
-        n_sequences=60, length_distribution=uniform_length_distribution(50, 120), seed=3
+        n_sequences=60,
+        # nearly uniform over [50, 120]: log-normal around the midpoint
+        length_distribution=LengthDistribution(
+            log_mean=float(np.log(85.0)), log_sigma=0.10, min_length=50, max_length=120
+        ),
+        seed=3,
     )
     seqs = synthetic_dataset(config=config)
     assert int(seqs.lengths.min()) >= 30  # fragments may shorten members
