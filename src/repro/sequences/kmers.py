@@ -31,6 +31,8 @@ def kmer_space_size(alphabet: Alphabet, k: int) -> int:
 
 def max_kmer_length(alphabet_size: int) -> int:
     """The largest ``k`` whose ids fit int64: ``alphabet_size ** k <= 2**63 - 1``."""
+    if alphabet_size < 2:
+        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
     k = 1
     while alphabet_size ** (k + 1) <= 2**63 - 1:
         k += 1

@@ -8,6 +8,7 @@ from repro.config import DEFAULTS, ReproConfig
 from repro.core.align_phase import AlignmentPhase, EDGE_DTYPE
 from repro.core.costing import CostModel
 from repro.core.params import PastisParams
+from repro.graph.api import ClusterParams
 from repro.mpi.communicator import SimCommunicator
 from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import OVERLAP_DTYPE
@@ -60,6 +61,17 @@ def test_default_spgemm_backend_is_wired_and_registered():
         PastisParams(spgemm_backend="expand")
     # ... and the cache key records it as the kernel that computed a block
     assert params_cache_token(PastisParams())["spgemm_backend"] == DEFAULT_KERNEL
+
+
+@pytest.mark.parametrize("cls", [PastisParams, ClusterParams], ids=lambda cls: cls.__name__)
+def test_removed_kernel_knob_accepts_only_the_kernel_in_use(cls, default_kernel):
+    """The removed ``spgemm_backend`` knob may still name the kernel every
+    run multiplies with, whichever that is, and nothing else."""
+    assert cls(spgemm_backend=None) == cls(spgemm_backend="gustavson") == cls()
+    default_kernel("expand")
+    assert cls(spgemm_backend="expand") == cls()
+    with pytest.raises(ValueError, match="spgemm_backend='gustavson' is not a parameter"):
+        cls(spgemm_backend="gustavson")
 
 
 def _candidates_for(pairs, n, with_seeds):

@@ -370,6 +370,21 @@ def test_gc_emptied_cache_forces_recompute(tmp_path, tiny_seqs):
     assert warm.stats.extras["cache"]["hits"] == 4
 
 
+def test_blocks_computed_by_another_kernel_are_not_replayed(tmp_path, tiny_seqs, default_kernel):
+    """The key records the kernel that computed a stored block: a run on
+    another kernel recomputes every block (to the same edges) and keeps
+    the first kernel's entries."""
+    params = _params(tmp_path)
+    cold = PastisPipeline(params).run(tiny_seqs)
+    gustavson_key = cache_mod.run_cache_key(params, tiny_seqs)
+    default_kernel("expand")
+    assert cache_mod.run_cache_key(params, tiny_seqs) != gustavson_key
+    expand = PastisPipeline(params).run(tiny_seqs)
+    assert expand.stats.extras["cache"] == {"hits": 0, "misses": 4, "stores": 4}
+    assert np.array_equal(expand.similarity_graph.edges, cold.similarity_graph.edges)
+    assert len(list((tmp_path / "cache").glob("run-*"))) == 2
+
+
 # ---------------------------------------------------------------------------
 # robustness: corrupt entries, killed runs, parameter validation
 # ---------------------------------------------------------------------------

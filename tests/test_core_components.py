@@ -89,6 +89,46 @@ def test_params_validation():
     PastisParams(seed_alphabet="murphy10", kmer_length=18)
 
 
+@pytest.mark.parametrize("seed_alphabet, largest", [("protein", 14), ("murphy10", 18)])
+def test_kmer_length_past_int64_is_refused_naming_the_largest_valid_k(seed_alphabet, largest):
+    params = PastisParams(seed_alphabet=seed_alphabet, kmer_length=largest)
+    message = rf"seed_alphabet='{seed_alphabet}' is {largest}$"
+    with pytest.raises(ValueError, match=message):
+        params.replace(kmer_length=largest + 1)
+    with pytest.raises(ValueError, match=message):
+        PastisParams(seed_alphabet=seed_alphabet, kmer_length=2 * largest)
+
+
+def test_murphy10_kmer_length_is_refused_on_the_protein_alphabet():
+    # the bound belongs to the seed alphabet: k = 18 fits 10**18, not 20**18
+    params = PastisParams(seed_alphabet="murphy10", kmer_length=18)
+    with pytest.raises(ValueError, match="kmer_length for seed_alphabet='protein' is 14"):
+        params.replace(seed_alphabet="protein")
+
+
+def test_zero_gap_penalties_are_accepted_and_reach_the_scoring_scheme():
+    scoring = PastisParams(gap_open=0, gap_extend=0).scoring
+    assert (scoring.gap_open, scoring.gap_extend) == (0, 0)
+    with pytest.raises(ValueError, match="gap_extend must be >= 0"):
+        PastisParams(gap_open=0, gap_extend=-2)
+
+
+def test_mode_is_read_from_index_dir(tmp_path):
+    """``mode`` is no field: a run is a query run exactly when it names an
+    index, and nothing else can say otherwise."""
+    params = PastisParams()
+    assert params.mode == "all_vs_all"
+    query = params.replace(index_dir=str(tmp_path), query_dedup=True)
+    assert query.mode == "query" and query.query_dedup
+    assert query.replace(index_dir=None, query_dedup=False).mode == "all_vs_all"
+    with pytest.raises(AttributeError):
+        query.mode = "all_vs_all"
+    with pytest.raises(TypeError):
+        params.replace(mode="query")
+    with pytest.raises(TypeError):
+        PastisParams(mode="query", index_dir=str(tmp_path))
+
+
 def test_params_replace_and_blocking_factors():
     params = PastisParams(num_blocks=12)
     assert params.blocking_factors() == (3, 4)

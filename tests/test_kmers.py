@@ -9,6 +9,7 @@ from repro.sequences.kmers import (
     KmerExtractor,
     encode_kmers,
     kmer_space_size,
+    max_kmer_length,
     substitute_kmers,
 )
 from repro.sequences.sequence import SequenceSet
@@ -27,6 +28,39 @@ def test_encode_kmers_values():
 
 def test_encode_kmers_short_sequence():
     assert encode_kmers(np.array([1, 2], dtype=np.uint8), 5, 20).size == 0
+
+
+@pytest.mark.parametrize(
+    "size, largest", [(2, 62), (4, 31), (MURPHY10.size, 18), (PROTEIN.size, 14)]
+)
+def test_max_kmer_length_is_the_int64_boundary(size, largest):
+    assert max_kmer_length(size) == largest
+    assert size**largest <= 2**63 - 1 < size ** (largest + 1)
+
+
+def test_max_kmer_length_refuses_degenerate_alphabets():
+    # a one-letter alphabet has no largest k: every power of 1 fits
+    for size in (0, 1):
+        with pytest.raises(ValueError, match="alphabet_size must be >= 2"):
+            max_kmer_length(size)
+
+
+@pytest.mark.parametrize("alphabet", [PROTEIN, MURPHY10], ids=lambda a: a.name)
+def test_encode_kmers_at_the_largest_k_equals_exact_integer_ids(alphabet):
+    """At the largest valid k the int64 ids equal the exact base-``size``
+    numbers: nothing wraps, so distinct k-mers never share an id."""
+    size = alphabet.size
+    k = max_kmer_length(size)
+    codes = np.random.default_rng(5).integers(0, size, size=4 * k).astype(np.uint8)
+    codes[:k] = size - 1  # the largest id, size**k - 1
+    ids = encode_kmers(codes, k, size)
+    exact = [
+        sum(int(c) * size ** (k - 1 - i) for i, c in enumerate(codes[start : start + k]))
+        for start in range(codes.size - k + 1)
+    ]
+    assert ids.tolist() == exact
+    assert ids[0] == size**k - 1
+    assert ids.min() >= 0
 
 
 def test_extractor_counts_and_positions():

@@ -286,6 +286,22 @@ def test_successful_run_records_a_manifest(tmp_path, tiny_seqs, fast_params):
         registry.resolve("nope")
 
 
+@pytest.mark.parametrize("kernel", ["gustavson", "expand"])
+def test_manifest_records_the_kernel_that_multiplied(
+    tmp_path, tiny_seqs, fast_params, default_kernel, kernel
+):
+    """The kernel is no run parameter, yet the manifest (config and cache
+    token alike) names the one every SUMMA stage of the run used."""
+    default_kernel(kernel)
+    registry = RunRegistry(tmp_path / "reg")
+    result = _run(tiny_seqs, fast_params, run_registry=str(tmp_path / "reg"))
+    manifest = registry.load(registry.run_ids()[0])
+    assert manifest["config"]["spgemm_backend"] == kernel
+    assert manifest["params_token"]["spgemm_backend"] == kernel
+    hub = result.metrics
+    assert hub.value("spgemm_stage_flops", backend=kernel) == result.stats.spgemm_flops
+
+
 def test_run_ids_sort_chronologically():
     first, second = new_run_id(), new_run_id()
     assert first < second  # microsecond stamp orders same-second runs

@@ -8,6 +8,8 @@ from repro.baselines.common import candidate_recall
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.core.similarity_graph import SimilarityGraph
+from repro.sequences.alphabet import MURPHY10, PROTEIN
+from repro.sequences.kmers import max_kmer_length
 
 
 def test_pipeline_produces_similarity_graph(pipeline_result, small_seqs):
@@ -150,6 +152,36 @@ def test_results_identical_across_spgemm_backends(
     assert expand.stats.spgemm_flops == pipeline_result.stats.spgemm_flops
     assert expand.stats.candidates_discovered == pipeline_result.stats.candidates_discovered
     assert expand.stats.alignments_performed == pipeline_result.stats.alignments_performed
+
+
+@pytest.mark.parametrize(
+    "seed_alphabet, alphabet", [("protein", PROTEIN), ("murphy10", MURPHY10)]
+)
+def test_largest_kmer_length_aligns_exactly_the_pairs_sharing_a_kmer(
+    tiny_seqs, seed_alphabet, alphabet
+):
+    """At the largest k whose ids fit int64 the run aligns exactly the
+    pairs that share a k-mer (threshold 1): no id wraps into a false
+    candidate or loses a true one."""
+    params = PastisParams(
+        kmer_length=max_kmer_length(alphabet.size),
+        seed_alphabet=seed_alphabet,
+        nodes=4,
+        num_blocks=4,
+        common_kmer_threshold=1,
+    )
+    result = PastisPipeline(params).run(tiny_seqs)
+    k = params.kmer_length
+    seeded = tiny_seqs.reencode(alphabet)
+    kmers = [
+        {residues[start : start + k] for start in range(len(residues) - k + 1)}
+        for residues in map(seeded.residues, range(len(seeded)))
+    ]
+    sharing = sum(
+        1 for i in range(len(kmers)) for j in range(i + 1, len(kmers)) if kmers[i] & kmers[j]
+    )
+    assert sharing > 0
+    assert result.stats.alignments_performed == sharing
 
 
 def test_pipeline_input_validation(small_seqs, fast_params):
