@@ -4,7 +4,7 @@ These are not paper figures; they measure the reproduction's own kernels —
 the batched Smith-Waterman wavefront (CUPS of the Python "device") and the
 semiring SpGEMM (partial products per second) — so the gap between the
 measured Python rates and the modelled Summit rates used by the pipeline's
-"modeled" clock is explicit and documented (see EXPERIMENTS.md).
+"modeled" clock (:mod:`repro.hardware`) is explicit.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def test_table1_preblocking(benchmark, bench_sequences, bench_params):
     # *efficiency* for the index scheme; at 4 virtual ranks the triangularity
     # scheme's alignment is so concentrated on few ranks that its sparse work
     # hides trivially behind it, so that particular ordering does not emerge
-    # at toy scale — see EXPERIMENTS.md.)
+    # at toy scale.)
     by_key = {(s["scheme"], s["blocks"]): s for s in series}
     for blocks in BLOCK_COUNTS:
         assert (

@@ -87,7 +87,7 @@ def main() -> None:
         "statistics quadratically; synthetic families are denser than Metaclust,\n"
         "so its workload (and runtime) overshoots.  The 'paper workload' row uses\n"
         "the paper's own candidate/alignment counts and reproduces the headline\n"
-        "rates within the tolerances documented in EXPERIMENTS.md."
+        "rates within the tolerances benchmarks/bench_table4_production.py asserts."
     )
 
 

@@ -47,15 +47,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ...config import atomic_write_bytes, atomic_write_text
-from ...distsparse.blocked_summa import BlockedSpGemm
-from ...distsparse.distmat import DistSparseMatrix
-from ...sequences.sequence import SequenceSet
-from ...sparse import kernels
-from ...sparse.spgemm import SpGemmStats
-from ...version import __version__
-from ..align_phase import EDGE_DTYPE, BlockAlignmentOutput
-from ..params import PastisParams
+from ....config import atomic_write_bytes, atomic_write_text
+from ....distsparse.blocked_summa import BlockedSpGemm
+from ....distsparse.distmat import DistSparseMatrix
+from ....sequences.sequence import SequenceSet
+from ....sparse import kernels
+from ....sparse.spgemm import SpGemmStats
+from ....version import __version__
+from ...align_phase import EDGE_DTYPE, BlockAlignmentOutput
+from ...params import PastisParams
 
 #: Cache schema / kernel-suite version.  Bump whenever the on-disk entry
 #: layout changes or a kernel change makes previously stored results stale;
@@ -563,6 +563,3 @@ def main(argv: list[str] | None = None) -> int:
     )
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in tests
-    raise SystemExit(main())

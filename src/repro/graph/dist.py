@@ -50,6 +50,25 @@ deferred-merge SUMMA per block on real payloads — bit for bit:
 ``tests/mcl_golden.json``, captured from that execution, pins them
 (``tests/test_mcl_oracle.py``).
 
+**How it charges.**  The plan never walks the grid in Python.  Each
+stage's events — every broadcast, allreduce and allgather charge, every
+byte and flop count, every rank's compute seconds — are laid out once per
+fit, in the executed grid's order, as arrays of ranks and names with the
+slot of a per-iteration value vector each event reads.  An iteration
+computes those values from vectorised count tables — entries per (block,
+grid column) from ``grid_dim − 1`` comparisons and one count per block,
+entries per (stored row, grid column) for the right operand, and the flops
+of every stored row against each grid column as the integer product of the
+left operand's pattern with that table — evaluates the
+:class:`~repro.hardware.topology.NetworkSpec` formulas elementwise, and
+applies the stage with one ordered bulk charge and one bulk count
+(:meth:`~repro.mpi.costmodel.CostLedger.charge_events`,
+:meth:`~repro.mpi.costmodel.CostLedger.count_events`).  Within each
+``(rank, name)`` the bulk calls add strictly left to right, starting from
+the current value, so every sum is the one-by-one charges' to the bit; a
+``trace`` hook still sees one bump per charge, in order.  A fit makes a
+fixed number of ledger calls per iteration, whatever the grid.
+
 This mirrors the paper's framing: the clustering stage becomes one more
 distributed sparse-matrix workload on the very substrate (grid, SUMMA,
 cost ledger) that makes the search scale.
@@ -57,20 +76,19 @@ cost ledger) that makes the search scale.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..distsparse.blocked_summa import _chunk_bounds
 from ..metrics.memory import MemoryTracker  # DistMclResult.__init__'s inherited hint
-from ..mpi.collectives import CollectiveEngine
 from ..mpi.communicator import SimCommunicator
-from ..mpi.costmodel import OverlapWindow
+from ..mpi.costmodel import CostLedger, OverlapWindow
 from ..mpi.process_grid import is_perfect_square
 from ..sparse.csr import CsrMatrix
-from ..sparse.gustavson import DEFAULT_BATCH_FLOPS, row_group_bounds
+from ..sparse.gustavson import DEFAULT_BATCH_FLOPS
 from ..sparse.kernels import kernel_supports_batch_flops, resolve_kernel
-from .matrix import StochasticMatrix, stored_row_ids
+from .matrix import StochasticMatrix
 from .mcl import MarkovClustering, MclIterationStats, MclResult
 
 #: Ledger time category of the expansion broadcasts and row-op collectives.
@@ -136,19 +154,106 @@ class _VolumePredictor:
         self.received = 0
 
     def bcast(self, nbytes: int, participants: int) -> None:
+        """Broadcasts of ``nbytes`` in all to groups of ``participants``."""
         moved = int(nbytes) * max(participants - 1, 0)
         self.sent += moved
         self.received += moved
 
-    def allgather(self, sizes: list[int]) -> None:
-        total = int(sum(sizes))
-        p = len(sizes)
-        self.sent += sum(int(s) * max(p - 1, 0) for s in sizes)
-        self.received += total * p - total
+    def allgather(self, sizes: np.ndarray) -> None:
+        """Allgathers of ``sizes[op, c]`` bytes from each of their ranks."""
+        p = sizes.shape[-1]
+        totals = sizes.sum(axis=-1)
+        self.sent += int(sizes.sum()) * max(p - 1, 0)
+        self.received += int((totals * p - totals).sum())
 
     def allreduce(self, nbytes: int, participants: int) -> None:
         # reduce-then-broadcast: only the broadcast leg counts bytes
         self.bcast(nbytes, participants)
+
+
+def _segment(ranks, name, slot, scale=1.0, when=0) -> tuple:
+    """One run of ledger events of a :class:`_Layout` (see :meth:`_Layout.add`)."""
+    return ranks, name, slot, scale, when
+
+
+def _bcast_segments(slot: np.ndarray, roots: np.ndarray, groups: np.ndarray, when=0):
+    """The charge and count segments of binomial-tree broadcasts from
+    ``roots[..., op]`` to ``groups[..., op, :]`` whose seconds and bytes are
+    slot ``slot[b, op]``, as
+    :meth:`~repro.mpi.collectives.CollectiveEngine.bcast_bytes` emits them:
+    every participant's charge, then every participant's received bytes and
+    the root's sent bytes."""
+    nblocks, p = slot.shape[0], groups.shape[-1]
+    shape = slot.shape + (p,)
+    groups = np.broadcast_to(groups, shape)
+    roots = np.broadcast_to(roots, slot.shape)[..., None]
+    charges = _segment(
+        groups.reshape(nblocks, -1), CLUSTER_COMM_CATEGORY,
+        np.broadcast_to(slot[..., None], shape).reshape(nblocks, -1), when=when,
+    )
+    # a root receives nothing and sends its bytes to the p - 1 others
+    scale = np.concatenate([groups != roots, np.full(roots.shape, p - 1)], axis=-1)
+    counts = _segment(
+        np.concatenate([groups, roots], axis=-1).reshape(nblocks, -1),
+        ([RECEIVED_COUNTER] * p + [SENT_COUNTER]) * slot.shape[1],
+        np.repeat(slot, p + 1, axis=-1),
+        scale.reshape(nblocks, -1),
+        when,
+    )
+    return charges, counts
+
+
+def _allreduce_segments(slot: np.ndarray, groups: np.ndarray, when=0):
+    """Segments of one allreduce per row of ``groups`` (ascending ranks)
+    whose seconds and bytes are slot ``slot[b]``: a tree reduction onto the
+    lowest rank — every participant's charge — then its broadcast."""
+    charges, counts = _bcast_segments(slot[:, None], groups[:, :1], groups[:, None, :], when)
+    return (charges, charges), counts
+
+
+class _Layout:
+    """One stage's ledger events, laid out once per fit in the order the
+    executed grid emits them.
+
+    Each event has a rank and a name, reads slot ``slot`` of the stage's
+    per-iteration value vector times a constant ``scale``, and happens when
+    slot ``when`` of the iteration's flag vector is set (slot 0 always is).
+    :meth:`apply` charges one iteration with one bulk charge and one bulk
+    count.
+    """
+
+    def __init__(self) -> None:
+        #: per kind: the rank, name, slot, scale and flag slot of every event
+        self.events: dict[str, list[np.ndarray]] = {"charge": [], "count": []}
+
+    def add(self, kind: str, blocks: int, *segments: tuple) -> "_Layout":
+        """Append ``segments`` (:func:`_segment`), each field broadcastable
+        to ``(blocks, width)``: block by block, and within a block in
+        argument order."""
+        columns = []
+        for segment in segments:
+            shape = np.broadcast_shapes(*(np.shape(field) for field in segment), (blocks, 1))
+            columns.append([np.broadcast_to(field, shape) for field in segment])
+        fields = [np.hstack(column).ravel() for column in zip(*columns)]
+        laid = self.events[kind]
+        self.events[kind] = [np.concatenate(pair) for pair in zip(laid, fields)] if laid else fields
+        return self
+
+    def apply(
+        self, ledger: CostLedger, charges: np.ndarray, counts: np.ndarray, flags=None
+    ) -> None:
+        """Charge one iteration: ``charges``/``counts`` are the value
+        vectors, ``flags`` the flag vector (``None``: every event happens)."""
+        for kind, values, bulk in (
+            ("charge", charges, ledger.charge_events),
+            ("count", counts, ledger.count_events),
+        ):
+            ranks, names, slot, scale, when = self.events[kind]
+            values = values[slot] * scale
+            if flags is not None:
+                keep = flags[when]
+                ranks, names, values = ranks[keep], names[keep], values[keep]
+            bulk(ranks, names, values)
 
 
 class _ChargePlan:
@@ -157,11 +262,10 @@ class _ChargePlan:
     The matrices are computed on one rank; the plan charges what the
     executed grid does — SUMMA stage broadcasts, per-rank flops and kernel
     peaks, row-op collectives and modeled compute seconds — in the order the
-    grid emits them.  :meth:`~repro.graph.mcl.MarkovClustering.fit` calls
-    :meth:`charge_iteration` once per iteration.  Collectives charge through
-    the cluster :class:`~repro.mpi.collectives.CollectiveEngine`'s
-    byte-count entry points and add the same sizes to the closed-form
-    :class:`_VolumePredictor`.
+    grid emits them, as the module docstring's "How it charges" describes.
+    :meth:`~repro.graph.mcl.MarkovClustering.fit` calls
+    :meth:`charge_iteration` once per iteration.  The collectives' sizes also
+    feed the closed-form :class:`_VolumePredictor`.
     """
 
     #: memory-tracker components of the iterate and the kernel peak
@@ -184,12 +288,7 @@ class _ChargePlan:
             )
         self.ledger = comm.ledger
         self.node = comm.cluster.node
-        self.engine = CollectiveEngine(
-            network=comm.cluster.network,
-            ledger=comm.ledger,
-            comm_category=CLUSTER_COMM_CATEGORY,
-            counter_prefix=CLUSTER_COUNTER_PREFIX,
-        )
+        self.network = comm.cluster.network
         self.predictor = _VolumePredictor()
         self.overlap_depth = overlap_depth
         self.clock = np.zeros(grid.nprocs)
@@ -198,33 +297,194 @@ class _ChargePlan:
         self.budget = (
             (batch_flops or DEFAULT_BATCH_FLOPS) if kernel_supports_batch_flops(kernel) else None
         )
-        self.grid_rows = [grid.block_bounds(n, r) for r in range(grid.grid_dim)]
-        self.col_lo = np.array([lo for lo, _ in self.grid_rows], dtype=np.int64)
+        dim = grid.grid_dim
+        grid_rows = [grid.block_bounds(n, r) for r in range(dim)]
+        self.col_lo = np.array([lo for lo, _ in grid_rows], dtype=np.int64)
         # blocks_per_grid_row sub-blocks nested in each grid row, so
         # consecutive blocks busy the same ranks and the overlapped schedule
         # has something to hide (clamped to the rows available)
         self.blocks = [
             (r, lo, hi)
-            for r, (rlo, rhi) in enumerate(self.grid_rows)
+            for r, (rlo, rhi) in enumerate(grid_rows)
             for lo, hi in _balanced_chunks(rlo, rhi, min(blocks_per_grid_row, rhi - rlo))
         ]
         self.block_rows = [(lo, hi) for _, lo, hi in self.blocks]
+        # the blocks tile the stored rows: block b is [edges[b], edges[b + 1])
+        self.edges = np.array([lo for lo, _ in self.block_rows] + [n], dtype=np.int64)
+        block_grid_row = np.array([r for r, _, _ in self.blocks], dtype=np.int64)
+        self.first_block = np.searchsorted(block_grid_row, np.arange(dim))
+        lanes = np.arange(dim)
+        row_groups = lanes[:, None] * dim + lanes  # [i, c]: the ranks of grid row i
+        # fancy indices of every block's A broadcasts and of its grid row's ranks
+        self.a_bcasts = (np.arange(len(self.blocks))[:, None], lanes, 0, block_grid_row[:, None])
+        self.block_ranks = row_groups[block_grid_row]  # [b, c]: block b's grid row
+        self.at_block_ranks = (self.a_bcasts[0], self.block_ranks)
+        self.layouts = self._layouts(row_groups)
+        # the row-op allreduces never change size: one float64 per stored row
+        # for prune's column sums; the epilogue's [drop flag | post-prune
+        # renormalization (block) | chaos (block) | chaos max | residual max]
+        rows, scalar = 8 * np.diff(self.edges), np.array([8])
+        self.sums_bytes = rows
+        self.sums_seconds = self.tree_seconds(rows, dim)
+        self.epilogue_bytes = np.concatenate([scalar, rows, 2 * rows, scalar, scalar])
+        self.epilogue_seconds = np.concatenate([
+            self.tree_seconds(scalar, grid.nprocs),
+            self.tree_seconds(np.concatenate([rows, 2 * rows]), dim),
+            self.tree_seconds(np.concatenate([scalar, scalar]), grid.nprocs),
+        ])
+        # the epilogue's allreduces for the predictor: (bytes in all,
+        # participants, flag slot)
+        self.epilogue_allreduces = (
+            (8, grid.nprocs, 0), (int(rows.sum()), dim, 1), (int(2 * rows.sum()), dim, 0),
+            (8, grid.nprocs, 0), (8, grid.nprocs, 2),
+        )
+        # (matrix, entry table, row table) of the iterate — the previous
+        # epilogue's final matrix — and of regularized MCL's fixed right operand
+        self._iterate: tuple[CsrMatrix, np.ndarray, np.ndarray] | None = None
+        self._right: tuple[CsrMatrix, np.ndarray, np.ndarray] | None = None
 
-    def owner(self, indices: np.ndarray) -> np.ndarray:
-        """Grid column owning each stored column index."""
-        return np.searchsorted(self.col_lo, indices, side="right") - 1
+    # ------------------------------------------------------------------ layouts
+    def _layouts(self, row_groups: np.ndarray) -> dict[str, _Layout]:
+        """Every stage's events in the executed grid's order; the comments
+        give each stage's value and flag vectors."""
+        dim, nprocs, nblocks = self.grid.grid_dim, self.grid.nprocs, len(self.blocks)
+        block, lanes, everyone = np.arange(nblocks)[:, None], np.arange(dim), np.arange(nprocs)
+        everyone_row = everyone[None, :]
+        # expand — charges: [broadcast seconds (block, stage k, side, x) |
+        # compute seconds (block, rank)]; counts: [broadcast bytes |
+        # flops (block, grid column)]; flags: [1 | rank multiplies].  Stage
+        # k broadcasts A block (i, k) along grid row i for every i, then
+        # B block (k, j) along grid column j for every j.
+        ops = 2 * dim * dim
+        roots = np.stack([row_groups.T, row_groups], axis=1)  # [k, side, x]
+        groups = np.broadcast_to(np.stack([row_groups, row_groups.T]), (dim, 2, dim, dim))
+        summa_charges, summa_counts = _bcast_segments(
+            block * ops + np.arange(ops), roots.ravel(), groups.reshape(ops, dim)
+        )
+        multiply = block * dim + lanes
+        expand = _Layout()
+        expand.add(
+            "charge", nblocks, summa_charges,
+            _segment(everyone, CLUSTER_EXPAND_CATEGORY, nblocks * ops + block * nprocs + everyone),
+        )
+        expand.add(
+            "count", nblocks, summa_counts,
+            _segment(self.block_ranks, "spgemm_flops", nblocks * ops + multiply, when=1 + multiply),
+        )
+        # prune — charges: [allreduce seconds (block) | allgather seconds
+        # (block) | row-op seconds (block, rank)]; counts: [allreduce bytes
+        # (block) | allgather sent, then received (block, grid column)]
+        reduce_charges, reduce_counts = _allreduce_segments(block[:, 0], self.block_ranks)
+        gathered = nblocks + multiply
+        prune = _Layout()
+        prune.add(
+            "charge", nblocks, *reduce_charges,
+            _segment(self.block_ranks, CLUSTER_COMM_CATEGORY, nblocks + block),
+            _segment(everyone, CLUSTER_PRUNE_CATEGORY, 2 * nblocks + block * nprocs + everyone),
+        )
+        prune.add(
+            "count", nblocks, reduce_counts,
+            _segment(
+                np.repeat(self.block_ranks, 2, axis=1),
+                [SENT_COUNTER, RECEIVED_COUNTER] * dim,
+                np.stack([gathered, gathered + nblocks * dim], axis=2).reshape(nblocks, -1),
+            ),
+        )
+        # epilogue — charges: the allreduce seconds of [drop flag | post-prune
+        # renormalization (block) | chaos (block) | chaos max | residual max],
+        # then [row-op seconds (rank)]; counts: those allreduces' bytes;
+        # flags: [1 | anything dropped | R-MCL residual]
+        flag = _allreduce_segments(np.array([0]), everyone_row)
+        renormalize = _allreduce_segments(1 + block[:, 0], self.block_ranks, when=1)
+        chaos = _allreduce_segments(1 + nblocks + block[:, 0], self.block_ranks)
+        chaos_max = _allreduce_segments(np.array([1 + 2 * nblocks]), everyone_row)
+        residual = _allreduce_segments(np.array([2 + 2 * nblocks]), everyone_row, when=2)
+        seconds = _segment(everyone, CLUSTER_PRUNE_CATEGORY, 3 + 2 * nblocks + everyone)
+        epilogue = _Layout()
+        epilogue.add("charge", 1, *flag[0]).add("count", 1, flag[1])
+        epilogue.add("charge", nblocks, *renormalize[0], *chaos[0])
+        epilogue.add("count", nblocks, renormalize[1], chaos[1])
+        epilogue.add("charge", 1, *chaos_max[0], seconds).add("count", 1, chaos_max[1])
+        epilogue.add("charge", 1, *residual[0]).add("count", 1, residual[1])
+        return {"expand": expand, "prune": prune, "epilogue": epilogue}
 
-    def counts(self, tcsr: CsrMatrix, row_ranges) -> np.ndarray:
-        """Stored entries per (row range, grid column)."""
-        owner, dim = self.owner(tcsr.indices), self.grid.grid_dim
-        ends = [(tcsr.indptr[lo], tcsr.indptr[hi]) for lo, hi in row_ranges]
-        return np.array([np.bincount(owner[lo:hi], minlength=dim) for lo, hi in ends])
+    def tree_seconds(self, nbytes: np.ndarray, participants: int) -> np.ndarray:
+        """Seconds of binomial-tree broadcasts (and reductions) of
+        ``nbytes`` each among ``participants`` ranks."""
+        seconds = self.network.tree_broadcast_seconds(nbytes, participants)
+        return np.broadcast_to(seconds, np.shape(nbytes))
+
+    # ------------------------------------------------------------------ counts
+    def entry_table(self, tcsr: CsrMatrix) -> np.ndarray:
+        """Stored entries per (block, grid column): ``grid_dim − 1``
+        comparisons against the column starts and one count per block."""
+        ends = tcsr.indptr[self.edges]
+        at_or_right = np.zeros((len(self.blocks), self.grid.grid_dim + 1), dtype=np.int64)
+        at_or_right[:, 0] = np.diff(ends)
+        for j in range(1, self.grid.grid_dim):
+            right = tcsr.indices >= self.col_lo[j]
+            at_or_right[:, j] = [np.count_nonzero(right[s:e]) for s, e in zip(ends[:-1], ends[1:])]
+        return at_or_right[:, :-1] - at_or_right[:, 1:]
+
+    def operand_tables(self, tcsr: CsrMatrix) -> tuple[CsrMatrix, np.ndarray, np.ndarray]:
+        """``(tcsr, entry table, row table)`` of a multiply operand: its entry
+        table sums its row table over each block."""
+        rows = self.row_table(tcsr)
+        return tcsr, np.add.reduceat(rows, self.edges[:-1], axis=0), rows
+
+    def row_table(self, tcsr: CsrMatrix) -> np.ndarray:
+        """Stored entries per (stored row, grid column), each grid column
+        contiguous."""
+        at_or_right = np.zeros((self.grid.grid_dim + 1, tcsr.shape[0]), dtype=np.int64)
+        at_or_right[0] = np.diff(tcsr.indptr)
+        for j in range(1, self.grid.grid_dim):
+            at_or_right[j] = _segment_sums(tcsr.indices >= self.col_lo[j], tcsr.indptr)
+        return (at_or_right[:-1] - at_or_right[1:]).T
+
+    @staticmethod
+    def entry_flops(a: CsrMatrix, b_rows: np.ndarray) -> list[np.ndarray]:
+        """Flops of every stored entry of ``a``, one array per grid column:
+        the entries in that column of the ``b`` row it selects."""
+        return [np.take(column, a.indices) for column in b_rows.T]
+
+    @staticmethod
+    def flops_over(entry_flops: list[np.ndarray], bounds: np.ndarray) -> np.ndarray:
+        """Flops per (entry range ``[bounds[i], bounds[i + 1])``, grid
+        column): with ``a.indptr`` the flops of every stored row — the
+        integer product ``pattern(a) @ b_rows`` — with ``a.indptr[edges]``
+        those of every block."""
+        return np.stack([_segment_sums(flops, bounds) for flops in entry_flops]).T
+
+    def kernel_peak(self, row_flops: np.ndarray, multiplies: np.ndarray) -> int:
+        """Intermediate bytes of the largest row group over the rank
+        multiplies ``multiplies[b, j]`` marks: each multiply's rows, cut
+        greedily into flop-bounded groups as
+        :func:`~repro.sparse.gustavson.row_group_bounds` cuts its rows with
+        flops, every multiply at once.  A row without flops repeats its
+        predecessor's cumulative count, which can add a group of none but
+        never changes the largest group."""
+        nrows = row_flops.shape[0]
+        cum = np.concatenate(([0], np.cumsum(row_flops.T)))  # grid column after grid column
+        block, column = np.nonzero(multiplies)
+        start, end = column * nrows + self.edges[block], column * nrows + self.edges[block + 1]
+        budget = self.budget or int(cum[-1])
+        peak = 0
+        while start.size:
+            # one group per multiply and pass: the largest run of rows
+            # within the budget, never less than one row
+            stop = np.searchsorted(cum, cum[start] + budget, side="right") - 1
+            stop = np.minimum(np.maximum(stop, start + 1), end)
+            peak = max(peak, int((cum[stop] - cum[start]).max()))
+            more = stop < end
+            start, end = stop[more], end[more]
+        return COO_ENTRY_BYTES * peak
 
     def iterate_bytes(self, tcsr: CsrMatrix) -> int:
         """Footprint of the iterate as grid-row stripes, each with its own
         row pointer (one entry longer than its rows)."""
         return tcsr.memory_bytes() + (self.grid.grid_dim - 1) * tcsr.indptr.itemsize
 
+    # ------------------------------------------------------------------ charges
     def charge_iteration(
         self,
         stats: MclIterationStats,
@@ -241,132 +501,133 @@ class _ChargePlan:
         comm_before = ledger.per_rank(CLUSTER_COMM_CATEGORY)
         sent_before = ledger.counter_total(SENT_COUNTER)
         expand_seconds, flops_per_rank, peak = self.expand(a, b)
-        prune_seconds = self.prune(inflated)
+        inflated_table = self.entry_table(inflated)
+        prune_seconds = self.prune(inflated_table)
         if self.overlap_depth and len(self.blocks) > 1:
             window = OverlapWindow(ledger, self.clock, CLUSTER_OVERLAP_HIDDEN_CATEGORY)
-            window.run_schedule(prune_seconds, expand_seconds, depth=self.overlap_depth)
+            window.run_schedule(list(prune_seconds), list(expand_seconds), depth=self.overlap_depth)
         else:
             for expand_b, prune_b in zip(expand_seconds, prune_seconds):
                 self.clock += expand_b + prune_b
-        epilogue_seconds = self.epilogue(final, stats.pruned_entries > 0)
+        self._iterate = self.operand_tables(final)  # the next iteration's a
+        epilogue_seconds = self.epilogue(
+            self._iterate[1], stats.pruned_entries > 0, stats.flow_residual is not None
+        )
         self.clock += epilogue_seconds
-        if stats.flow_residual is not None:  # the R-MCL stop criterion's max
-            self.allreduce(8, range(self.grid.nprocs))
-        single_rank = asdict(stats) | {
+        single_rank = vars(stats) | {
             "intermediate_bytes": peak,
             # the grid reduces per-block chaos from an empty block's 0.0, so
             # a value rounded just below zero reads 0.0
             "chaos": max(0.0, stats.chaos),
-            "expand_seconds": float(sum(s.max() for s in expand_seconds)),
+            "expand_seconds": float(sum(expand_seconds.max(axis=1).tolist())),
         }
         return DistMclIterationStats(
             **single_rank,
-            flops_per_rank=tuple(float(f) for f in flops_per_rank),
-            prune_seconds=float(sum(s.max() for s in prune_seconds) + epilogue_seconds.max()),
+            flops_per_rank=tuple(flops_per_rank.tolist()),
+            prune_seconds=float(
+                sum(prune_seconds.max(axis=1).tolist()) + epilogue_seconds.max()
+            ),
             comm_seconds=float((ledger.per_rank(CLUSTER_COMM_CATEGORY) - comm_before).max()),
             comm_bytes_sent=int(ledger.counter_total(SENT_COUNTER) - sent_before),
         )
 
-    def expand(self, a: CsrMatrix, b: CsrMatrix) -> tuple[list[np.ndarray], np.ndarray, int]:
+    def expand(self, a: CsrMatrix, b: CsrMatrix) -> tuple[np.ndarray, np.ndarray, int]:
         """Charge the blocked SUMMA of ``a · b``: per-block per-rank seconds,
         flops per rank and the largest kernel peak."""
-        grid, dim = self.grid, self.grid.grid_dim
+        dim, nblocks = self.grid.grid_dim, len(self.blocks)
         closed_form = expansion_broadcast_bytes(
-            dim, COO_ENTRY_BYTES * a.nnz, COO_ENTRY_BYTES * b.nnz, len(self.blocks)
+            dim, COO_ENTRY_BYTES * a.nnz, COO_ENTRY_BYTES * b.nnz, nblocks
         )
         self.predictor.sent += closed_form
         self.predictor.received += closed_form
-        b_blocks = self.counts(b, self.grid_rows)  # [k, j]: entries of B block (k, j)
-        # flops of every stored row of a against column block j: the entries
-        # in column block j of the b rows its entries select
-        b_rows = np.bincount(
-            stored_row_ids(b) * dim + self.owner(b.indices), minlength=b.shape[0] * dim
-        ).reshape(-1, dim)
-        cum = np.zeros((a.nnz + 1, dim), dtype=np.int64)
-        np.cumsum(b_rows[a.indices], axis=0, out=cum[1:])
-        row_flops = cum[a.indptr[1:]] - cum[a.indptr[:-1]]
-        seconds, flops_per_rank, peak = [], np.zeros(grid.nprocs), 0
-        for (r, lo, hi), a_block in zip(self.blocks, self.counts(a, self.block_rows)):
-            for k in range(dim):
-                for i in range(dim):
-                    nbytes = COO_ENTRY_BYTES * int(a_block[k]) if i == r else 0
-                    self.engine.bcast_bytes(nbytes, grid.rank_of(i, k), grid.row_group(i))
-                for j in range(dim):
-                    nbytes = COO_ENTRY_BYTES * int(b_blocks[k, j])
-                    self.engine.bcast_bytes(nbytes, grid.rank_of(k, j), grid.col_group(j))
-            # rank (r, j) multiplies once, when both gathered stripes hold entries
-            flops = np.zeros(grid.nprocs)
-            for j in np.flatnonzero(b_blocks.sum(axis=0)) if a_block.any() else ():
-                rank = grid.rank_of(r, int(j))
-                flops[rank] = row_flops[lo:hi, j].sum()
-                peak = max(peak, self.kernel_peak(row_flops[lo:hi, j]))
-                self.ledger.count(rank, "spgemm_flops", int(flops[rank]))
-            flops_seconds = flops / (self.node.sparse_gflops * 1e9)
-            seconds.append(self.charge(CLUSTER_EXPAND_CATEGORY, flops_seconds))
-            flops_per_rank += flops
-        return seconds, flops_per_rank, peak
+        if self._iterate is None or self._iterate[0] is not a:
+            self._iterate = self.operand_tables(a)
+        _, a_table, b_rows = self._iterate
+        b_table = a_table
+        if b is not a:  # regularized MCL multiplies by the fixed original matrix
+            if self._right is None or self._right[0] is not b:
+                self._right = self.operand_tables(b)
+            _, b_table, b_rows = self._right
+        b_grid = np.add.reduceat(b_table, self.first_block, axis=0)  # [k, j]: B block (k, j)
+        # [block, stage k, side, x]: A block (r, k) along grid row x — an
+        # empty block unless x is the block's grid row r — then B block (k, x)
+        nbytes = np.zeros((nblocks, dim, 2, dim), dtype=np.int64)
+        nbytes[:, :, 1, :] = COO_ENTRY_BYTES * b_grid
+        nbytes[self.a_bcasts] = COO_ENTRY_BYTES * a_table
+        # rank (r, j) multiplies once, when both gathered stripes hold entries
+        multiplies = a_table.any(axis=1)[:, None] & b_grid.any(axis=0)
+        entry_flops = self.entry_flops(a, b_rows)
+        block_flops = self.flops_over(entry_flops, a.indptr[self.edges])
+        # a multiply within the kernel's budget is one row group; only the
+        # others need their rows' flops
+        split = multiplies & (block_flops > (self.budget or np.inf))
+        peak = COO_ENTRY_BYTES * int(block_flops[multiplies & ~split].max(initial=0))
+        if split.any():
+            peak = max(peak, self.kernel_peak(self.flops_over(entry_flops, a.indptr), split))
+        flops = np.zeros((nblocks, self.grid.nprocs))
+        flops[self.at_block_ranks] = block_flops * multiplies
+        seconds = flops / (self.node.sparse_gflops * 1e9)
+        self.layouts["expand"].apply(
+            self.ledger,
+            np.concatenate([self.tree_seconds(nbytes, dim).ravel(), seconds.ravel()]),
+            np.concatenate([nbytes.ravel(), block_flops.ravel()]),
+            np.concatenate([[True], multiplies.ravel()]),
+        )
+        return seconds, flops.sum(axis=0), peak
 
-    def kernel_peak(self, row_flops: np.ndarray) -> int:
-        """Intermediate bytes of one multiply: its largest row group's products."""
-        row_cum = np.concatenate(([0], np.cumsum(row_flops[row_flops > 0])))
-        if row_cum[-1] == 0:
-            return 0
-        bounds = row_group_bounds(row_cum, self.budget or int(row_cum[-1]))
-        return COO_ENTRY_BYTES * int(np.diff(row_cum[bounds]).max())
-
-    def prune(self, inflated: CsrMatrix) -> list[np.ndarray]:
+    def prune(self, table: np.ndarray) -> np.ndarray:
         """Charge each block's inflation allreduce, ranking allgather and row
-        ops; returns the per-block per-rank seconds."""
-        seconds = []
-        for (r, lo, hi), counts in zip(self.blocks, self.counts(inflated, self.block_rows)):
-            row_group = self.grid.row_group(r)
-            # column-renormalization sums: one float64 per stored row
-            self.allreduce(8 * (hi - lo), row_group)
-            # ranking allgather: each rank's column segment (index, value) pairs
-            self.allgather(
-                {rank: ROW_OP_ENTRY_BYTES * int(counts[c]) for c, rank in enumerate(row_group)}
-            )
-            # inflation + mask: two streaming passes over each rank's block
-            seconds.append(self.charge(CLUSTER_PRUNE_CATEGORY, self.row_op_seconds(counts, r)))
+        ops, from the inflated matrix's entry ``table``; returns the
+        per-block per-rank seconds."""
+        dim = self.grid.grid_dim
+        # column-renormalization sums: one float64 per stored row
+        self.predictor.allreduce(int(self.sums_bytes.sum()), dim)
+        # ranking allgather: each rank's column segment (index, value) pairs
+        sizes = ROW_OP_ENTRY_BYTES * table
+        self.predictor.allgather(sizes)
+        totals = sizes.sum(axis=1)
+        average = (totals / dim).astype(np.int64)  # int(np.mean(sizes)), as the engine sizes it
+        # inflation + mask: two streaming passes over each rank's block
+        seconds = self.row_op_seconds(table)
+        self.layouts["prune"].apply(
+            self.ledger,
+            np.concatenate([
+                self.sums_seconds,
+                np.broadcast_to(self.network.allgather_seconds(average, dim), average.shape),
+                seconds.ravel(),
+            ]),
+            np.concatenate(
+                [self.sums_bytes, (sizes * (dim - 1)).ravel(), (totals[:, None] - sizes).ravel()]
+            ),
+        )
         return seconds
 
-    def epilogue(self, final: CsrMatrix, dropped_any: bool) -> np.ndarray:
-        """Charge the renormalize epilogue; returns its per-rank seconds."""
-        everyone = range(self.grid.nprocs)
-        self.allreduce(8, everyone)  # the global "did anything drop" flag
-        seconds = np.zeros(self.grid.nprocs)
-        for (r, lo, hi), counts in zip(self.blocks, self.counts(final, self.block_rows)):
-            if dropped_any:  # post-prune renormalization sums
-                self.allreduce(8 * (hi - lo), self.grid.row_group(r))
-            # chaos: each column's max and sum of squares
-            self.allreduce(16 * (hi - lo), self.grid.row_group(r))
-            seconds += self.row_op_seconds(counts, r)
-        self.allreduce(8, everyone)  # the chaos max
-        return self.charge(CLUSTER_PRUNE_CATEGORY, seconds)
+    def epilogue(self, table: np.ndarray, dropped_any: bool, residual: bool) -> np.ndarray:
+        """Charge the renormalize epilogue on the final matrix's entry
+        ``table`` — the drop-flag allreduce, per block the post-prune
+        renormalization sums (when an entry dropped) and the chaos column
+        maxima and sums of squares, the chaos max, and R-MCL's residual max
+        when ``residual`` — and return its per-rank seconds."""
+        flags = (True, dropped_any, residual)
+        for nbytes, p, flag in self.epilogue_allreduces:
+            if flags[flag]:
+                self.predictor.allreduce(nbytes, p)
+        seconds = np.cumsum(self.row_op_seconds(table), axis=0)[-1]
+        self.layouts["epilogue"].apply(
+            self.ledger, np.concatenate([self.epilogue_seconds, seconds]), self.epilogue_bytes,
+            np.array(flags),
+        )
+        return seconds
 
-    def row_op_seconds(self, counts: np.ndarray, grid_row: int) -> np.ndarray:
-        """Modeled per-rank seconds of two streaming passes over one block:
-        each rank of its grid row streams its ``counts[c]`` entries (16 bytes
-        each) at the node's memory bandwidth; other ranks are idle."""
-        seconds = np.zeros(self.grid.nprocs)
+    def row_op_seconds(self, table: np.ndarray) -> np.ndarray:
+        """Modeled per-block per-rank seconds of two streaming passes over
+        each block: each rank of its grid row streams its ``table[b, c]``
+        entries (16 bytes each) at the node's memory bandwidth; other ranks
+        are idle."""
+        seconds = np.zeros((len(self.blocks), self.grid.nprocs))
         bandwidth = self.node.memory_bandwidth_gbps * 1e9
-        for c, rank in enumerate(self.grid.row_group(grid_row)):
-            seconds[rank] = 2.0 * ROW_OP_ENTRY_BYTES * float(counts[c]) / bandwidth
+        seconds[self.at_block_ranks] = 2.0 * ROW_OP_ENTRY_BYTES * table / bandwidth
         return seconds
-
-    def charge(self, category: str, seconds: np.ndarray) -> np.ndarray:
-        for rank, value in enumerate(seconds):
-            self.ledger.charge(rank, category, float(value))
-        return seconds
-
-    def allreduce(self, nbytes: int, participants) -> None:
-        participants = list(participants)
-        self.engine.allreduce_bytes(nbytes, participants)
-        self.predictor.allreduce(nbytes, len(participants))
-
-    def allgather(self, sizes: dict[int, int]) -> None:
-        self.engine.allgather_bytes(sizes)
-        self.predictor.allgather(list(sizes.values()))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -539,6 +800,16 @@ class DistMarkovClustering(MarkovClustering):
     ) -> DistMclResult:
         """Convenience: build the transition matrix from a graph, then fit."""
         return super().fit_graph(graph, transform, self_loop_weight)
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[bounds[i]:bounds[i + 1]].sum()`` for every ``i``, as int64;
+    ``bounds`` ascends from 0 to ``values.size``, empty ranges allowed."""
+    sums = np.zeros(bounds.size - 1, dtype=np.int64)
+    live = np.flatnonzero(np.diff(bounds))
+    if live.size:
+        sums[live] = np.add.reduceat(values, bounds[live], dtype=np.int64)
+    return sums
 
 
 def _balanced_chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:

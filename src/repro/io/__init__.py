@@ -3,7 +3,7 @@
 * :mod:`repro.io.tables` — fixed-width table rendering used by the benchmark
   harnesses to print paper-style tables (Table I, II, IV);
 * :mod:`repro.io.report` — serializing :class:`repro.core.stats.SearchStats`
-  and benchmark series to JSON for EXPERIMENTS.md bookkeeping.
+  and benchmark series to JSON.
 """
 
 from .tables import format_table

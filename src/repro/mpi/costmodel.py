@@ -20,6 +20,16 @@ additionally charges the seconds *hidden* by the discover/align overlap to the i
 "overlap_hidden" category (excluded from reported totals), which keeps the
 ledger reconcilable with the simulated clock:
 ``align + spgemm - overlap_hidden == combined schedule time`` per rank.
+
+A caller that knows a whole sequence of charges up front — a charge plan —
+applies it in one call: :meth:`CostLedger.charge_events` and
+:meth:`CostLedger.count_events` take parallel ``(rank, name, value)`` event
+arrays.  The bulk calls keep *sequential association*: within each
+``(rank, name)`` the values add strictly left to right, starting from the
+current value — ``np.cumsum(np.concatenate(([x], v)))[-1]``, the float
+result of charging them one by one — never ``x + np.cumsum(v)[-1]`` or a
+pairwise ``np.sum``, which round differently.  A trace hook still sees one
+bump per charge event, in event order.
 """
 
 from __future__ import annotations
@@ -81,9 +91,7 @@ def charge_overlap_slot(
     foreground = np.asarray(foreground, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     clock += np.maximum(foreground, background)
-    hidden = np.minimum(foreground, background)
-    for rank in range(clock.size):
-        ledger.charge(rank, hidden_category, float(hidden[rank]))
+    ledger.charge_events(np.arange(clock.size), hidden_category, np.minimum(foreground, background))
 
 
 class OverlapWindow:
@@ -214,9 +222,9 @@ class OverlapWindow:
         for _, stage in self._queue:
             backlog = backlog + stage
         completed = np.minimum(backlog, slot)
-        hidden = np.minimum(fg, completed)
-        for rank in range(self.clock.size):
-            self.ledger.charge(rank, self.hidden_category, float(hidden[rank]))
+        self.ledger.charge_events(
+            np.arange(self.clock.size), self.hidden_category, np.minimum(fg, completed)
+        )
         self.clock += slot
         self._drain(completed)
 
@@ -280,6 +288,26 @@ class CostLedger:
         if self.trace is not None:
             self.trace.bump("ledger." + category, float(arr.sum()))
 
+    def charge_events(self, ranks, categories, seconds) -> None:
+        """Apply ``charge(ranks[e], categories[e], seconds[e])`` for every
+        event ``e``, in order, under one lock.
+
+        The three arguments broadcast against each other (one category name
+        may stand for all events).  Within each ``(rank, category)`` the
+        seconds add left to right from the current value, so the sums are
+        bit-identical to charging one by one; ``np.add.at`` applies repeated
+        indices one at a time, in index order.  A ``trace`` hook gets one
+        bump per event, in event order.
+        """
+        ranks, categories, seconds = self._event_arrays(ranks, categories, seconds)
+        if (seconds < 0).any():
+            raise ValueError("cannot charge negative time")
+        with self._lock:
+            _add_in_order(self._time, ranks, categories, seconds)
+        if self.trace is not None:
+            for category, value in zip(categories.tolist(), seconds.tolist()):
+                self.trace.bump("ledger." + category, value)
+
     def count(self, rank: int, counter: str, amount: float = 1.0) -> None:
         """Increment a per-rank counter (e.g. alignments, flops, bytes sent)."""
         self._check_rank(rank)
@@ -291,6 +319,13 @@ class CostLedger:
         arr = np.broadcast_to(np.asarray(amounts, dtype=np.float64), (self.nranks,))
         with self._lock:
             self._counters[counter] = self._counters[counter] + arr
+
+    def count_events(self, ranks, counters, amounts) -> None:
+        """Apply ``count(ranks[e], counters[e], amounts[e])`` for every event
+        ``e``, in order — the counter twin of :meth:`charge_events`."""
+        ranks, counters, amounts = self._event_arrays(ranks, counters, amounts)
+        with self._lock:
+            _add_in_order(self._counters, ranks, counters, amounts)
 
     # ------------------------------------------------------------------ queries
     def per_rank(self, category: str) -> np.ndarray:
@@ -379,6 +414,17 @@ class CostLedger:
         return out
 
     # ------------------------------------------------------------------ helpers
+    def _event_arrays(self, ranks, names, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat, equally long ``(rank, name, value)`` event arrays."""
+        ranks = np.asarray(ranks, dtype=np.intp)
+        names = np.asarray(names, dtype=str)
+        values = np.asarray(values, dtype=np.float64)
+        if not ranks.ndim == 1 or not ranks.shape == names.shape == values.shape:
+            ranks, names, values = (x.ravel() for x in np.broadcast_arrays(ranks, names, values))
+        if (ranks.view(np.uintp) >= self.nranks).any():  # a negative rank wraps around
+            raise IndexError(f"event ranks out of range for {self.nranks} ranks")
+        return ranks, names, values
+
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nranks:
             raise IndexError(f"rank {rank} out of range for {self.nranks} ranks")
@@ -396,9 +442,10 @@ class RecordingLedger(CostLedger):
     :attr:`events` as ``(kind, rank, name, value)``, ``kind`` being
     ``"charge"`` or ``"count"``.  A whole-grid ``charge_all``/``count_all``
     is journaled rank by rank: adding a vector is the same IEEE addition on
-    every rank.  Every event is a plain ``+=`` of the recorded value, so
-    journals replayed (:func:`replay_journal`) in the order their blocks
-    were computed leave the same float sums as charging directly.
+    every rank, and a bulk ``charge_events``/``count_events`` event by event.
+    Every event is a plain ``+=`` of the recorded value, so journals
+    replayed (:func:`replay_journal`) in the order their blocks were
+    computed leave the same float sums as charging directly.
     """
 
     def __init__(self, nranks: int) -> None:
@@ -421,9 +468,40 @@ class RecordingLedger(CostLedger):
         super().count_all(counter, amounts)
         self._journal_all("count", counter, amounts)
 
+    def charge_events(self, ranks, categories, seconds) -> None:
+        super().charge_events(ranks, categories, seconds)
+        self._journal_events("charge", ranks, categories, seconds)
+
+    def count_events(self, ranks, counters, amounts) -> None:
+        super().count_events(ranks, counters, amounts)
+        self._journal_events("count", ranks, counters, amounts)
+
+    def _journal_events(self, kind: str, ranks, names, values) -> None:
+        ranks, names, values = self._event_arrays(ranks, names, values)
+        self.events.extend(
+            (kind, rank, name, value)
+            for rank, name, value in zip(ranks.tolist(), names.tolist(), values.tolist())
+        )
+
     def _journal_all(self, kind: str, name: str, values) -> None:
         per_rank = np.broadcast_to(np.asarray(values, dtype=np.float64), (self.nranks,))
         self.events.extend((kind, rank, name, float(v)) for rank, v in enumerate(per_rank))
+
+
+def _add_in_order(
+    tables: dict[str, np.ndarray], ranks: np.ndarray, names: np.ndarray, values: np.ndarray
+) -> None:
+    """``tables[names[e]][ranks[e]] += values[e]`` for every event, in order:
+    one name at a time, first come first."""
+    while names.size:
+        name = str(names[0])
+        chosen = names == name
+        if chosen.all():  # the last name left
+            np.add.at(tables[name], ranks, values)
+            return
+        np.add.at(tables[name], ranks[chosen], values[chosen])
+        rest = ~chosen
+        ranks, names, values = ranks[rest], names[rest], values[rest]
 
 
 def replay_journal(ledger: CostLedger, events) -> None:

@@ -142,7 +142,7 @@ class AnalyticModel:
     #: effective semiring partial products processed per second per node.
     #: This folds in all the memory traffic of the hash SpGEMM and the
     #: per-block merging; calibrated so the production-run SpGEMM lands near
-    #: the paper's 2.06 hours (see EXPERIMENTS.md).
+    #: the paper's 2.06 hours (``benchmarks/bench_table4_production.py``).
     sparse_products_per_second: float = 2.0e7
     #: fixed overhead of one local SUMMA multiply (symbolic phase, buffer
     #: allocation); each rank performs sqrt(p) * num_blocks of them, which is

@@ -739,6 +739,29 @@ def test_cache_cli_module_invocation(tmp_path):
     assert "no run directories" in proc.stdout
 
 
+def test_cache_cli_runs_without_runpy_warning(tmp_path, tiny_seqs):
+    """The documented ``python -m repro.core.engine.cache gc <dir>
+    --max-bytes 0`` runs clean under ``-W error::RuntimeWarning``: runpy
+    executes the cache package's ``__main__``, which nothing imports before,
+    not a module the ``repro`` packages have imported already."""
+    import os
+    import subprocess
+    import sys
+
+    PastisPipeline(_params(tmp_path)).run(tiny_seqs)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.core.engine.cache",
+         "gc", str(tmp_path / "cache"), "--max-bytes", "0"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "removed 4 entries" in proc.stdout
+
+
 def test_report_hoists_cache_counters(tmp_path, tiny_seqs):
     from repro.io.report import run_report
 

@@ -9,6 +9,7 @@ from repro.mpi.communicator import SimCommunicator
 from repro.mpi.costmodel import (
     CostLedger,
     OverlapWindow,
+    RecordingLedger,
     TimeBreakdown,
     charge_overlap_slot,
 )
@@ -75,6 +76,85 @@ def test_time_breakdown_imbalance():
     assert tb.maximum == 3.0
     assert tb.imbalance_percent == pytest.approx(50.0)
     assert TimeBreakdown.from_values([]).average == 0.0
+
+
+def _bulk_events():
+    """Interleaved (rank, name, value) events.  Rank 0's "comm" values are
+    each below half an ulp of 1.0: added one by one to a 1.0 none sticks,
+    while ``1.0 + cumsum(v)`` gains their sum."""
+    tiny = 2.0**-53
+    ranks = [0, 1, 0, 2, 0, 0, 1, 0, 0, 2, 0, 0, 0]
+    names = ["comm", "comm", "align", "comm", "comm", "comm", "align", "comm", "comm",
+             "comm", "comm", "comm", "comm"]
+    values = [tiny, 0.25, 3.0, 0.5, tiny, tiny, 0.125, tiny, tiny, 1e-17, tiny, tiny, tiny]
+    return ranks, names, values
+
+
+def test_bulk_events_add_strictly_left_to_right():
+    """``charge_events``/``count_events`` leave the sums of one-by-one
+    ``charge``/``count`` calls bit for bit, starting from the current value,
+    on a sequence where the ``x + cumsum(v)`` association rounds
+    differently."""
+    ranks, names, values = _bulk_events()
+    rank0_comm = [v for r, n, v in zip(ranks, names, values) if (r, n) == (0, "comm")]
+    assert 1.0 + np.cumsum(rank0_comm)[-1] != np.cumsum([1.0] + rank0_comm)[-1]  # the trap is real
+
+    one_by_one, bulk = CostLedger(3), CostLedger(3)
+    for ledger in (one_by_one, bulk):
+        ledger.charge(0, "comm", 1.0)
+        ledger.count(0, "comm", 1.0)
+    for rank, name, value in zip(ranks, names, values):
+        one_by_one.charge(rank, name, value)
+        one_by_one.count(rank, name, value)
+    bulk.charge_events(ranks, names, values)
+    bulk.count_events(ranks, names, values)
+
+    assert bulk.per_rank("comm")[0] == 1.0  # and not 1.0 + 7 * 2**-53
+    assert one_by_one.categories() == bulk.categories()
+    assert one_by_one.counters() == bulk.counters()
+    for name in one_by_one.categories():
+        assert one_by_one.per_rank(name).tobytes() == bulk.per_rank(name).tobytes(), name
+    for name in one_by_one.counters():
+        assert (
+            one_by_one.counter_per_rank(name).tobytes() == bulk.counter_per_rank(name).tobytes()
+        ), name
+
+
+def test_bulk_events_refuse_negative_seconds_and_bad_ranks():
+    ledger = CostLedger(2)
+    with pytest.raises(ValueError):
+        ledger.charge_events([0, 1], "comm", [1.0, -1.0])
+    with pytest.raises(IndexError):
+        ledger.charge_events([0, 2], "comm", [1.0, 1.0])
+    with pytest.raises(IndexError):
+        ledger.count_events([-1], "bytes", [1.0])
+    assert ledger.categories() == [] and ledger.counters() == []  # nothing applied
+
+
+def test_bulk_charge_bumps_the_trace_once_per_event_in_order():
+    class Log:
+        def __init__(self):
+            self.bumps = []
+
+        def bump(self, name, value):
+            self.bumps.append((name, value))
+
+    ranks, names, values = _bulk_events()
+    ledger = CostLedger(3)
+    ledger.trace = Log()
+    ledger.charge_events(ranks, names, values)
+    ledger.count_events(ranks, names, values)  # counts never bump
+    assert ledger.trace.bumps == [("ledger." + n, v) for n, v in zip(names, values)]
+
+
+def test_recording_ledger_journals_every_bulk_event():
+    ranks, names, values = _bulk_events()
+    ledger = RecordingLedger(3)
+    ledger.charge_events(ranks, names, values)
+    ledger.count_events(ranks[:2], "bytes", 5)  # one name and value for every event
+    assert ledger.events == [
+        ("charge", r, n, v) for r, n, v in zip(ranks, names, values)
+    ] + [("count", 0, "bytes", 5.0), ("count", 1, "bytes", 5.0)]
 
 
 # ---------------------------------------------------------------- overlap window
