@@ -9,7 +9,6 @@ from repro.mpi.communicator import SimCommunicator
 from repro.mpi.costmodel import (
     CostLedger,
     OverlapWindow,
-    RecordingLedger,
     TimeBreakdown,
     charge_overlap_slot,
 )
@@ -148,6 +147,8 @@ def test_bulk_charge_bumps_the_trace_once_per_event_in_order():
 
 
 def test_recording_ledger_journals_every_bulk_event():
+    from repro.mpi.costmodel import RecordingLedger
+
     ranks, names, values = _bulk_events()
     ledger = RecordingLedger(3)
     ledger.charge_events(ranks, names, values)
