@@ -85,5 +85,26 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return atomic_write_bytes(path, text.encode("utf-8"))
 
 
+class RemovedKnob:
+    """A removed parameter that a params dataclass still accepts at
+    construction (as an ``InitVar``), but that fails when read: the
+    ``AttributeError`` names what replaced it.
+
+    ``@dataclass`` leaves an ``InitVar``'s default behind as a class
+    attribute, which reads back silently as that default.  Assigning this
+    descriptor over it once the decorator has run (the generated
+    ``__init__`` keeps the default) makes every read fail instead.
+    ``dataclasses.replace`` reads each ``InitVar`` back, so a ``replace``
+    wrapper passes the removed names itself.
+    """
+
+    def __init__(self, name: str, replacement: str) -> None:
+        self.name = name
+        self.replacement = replacement
+
+    def __get__(self, obj: object, owner: type | None = None):
+        raise AttributeError(f"{self.name!r} is no longer a parameter: {self.replacement}")
+
+
 #: Module-level singleton with the paper's default parameters.
 DEFAULTS = ReproConfig()

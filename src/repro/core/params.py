@@ -11,12 +11,12 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from ..align.substitution import BLOSUM62, ScoringScheme
-from ..config import DEFAULTS
+from ..config import DEFAULTS, RemovedKnob
 from ..graph.api import ClusterParams
 from ..mpi.process_grid import is_perfect_square
 from ..sequences.alphabet import Alphabet, MURPHY10, PROTEIN
 from ..sequences.kmers import max_kmer_length
-from ..sparse.kernels import check_removed_kernel_knob
+from ..sparse.kernels import KERNEL_KNOB_REPLACEMENT, check_removed_kernel_knob
 
 
 @dataclass
@@ -176,7 +176,8 @@ class PastisParams:
     index_dir: str | None = None
     query_dedup: bool = False
     substitution_matrix: np.ndarray = field(default=None, repr=False)
-    #: removed knobs, accepted at construction at their one value only
+    #: removed knobs, accepted at construction at their one value only;
+    #: reading one raises (the RemovedKnob descriptors below the class)
     scheduler: InitVar[None] = None
     spgemm_backend: InitVar[str | None] = None
 
@@ -290,7 +291,14 @@ class PastisParams:
         """A copy with the given fields replaced (dataclasses.replace wrapper)."""
         from dataclasses import replace as dc_replace
 
-        return dc_replace(self, **overrides)
+        return dc_replace(self, **{"scheduler": None, "spgemm_backend": None, **overrides})
+
+
+PastisParams.scheduler = RemovedKnob(
+    "scheduler", "every run executes the one stage loop; set preblock_depth for "
+    "the pre-blocking clock"
+)
+PastisParams.spgemm_backend = RemovedKnob("spgemm_backend", KERNEL_KNOB_REPLACEMENT)
 
 
 def nearly_square_factors(n: int) -> tuple[int, int]:

@@ -15,7 +15,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ..sparse.kernels import check_removed_kernel_knob, kernel_name
+from ..config import RemovedKnob
+from ..sparse.kernels import KERNEL_KNOB_REPLACEMENT, check_removed_kernel_knob, kernel_name
 from .components import connected_components
 from .dist import DistMarkovClustering, DistMclResult
 from .matrix import WEIGHT_TRANSFORMS
@@ -97,7 +98,8 @@ class ClusterParams:
     overlap_depth: int = 0
     regularized: bool = False
     rmcl_tolerance: float = 0.0
-    #: a removed knob, accepted at construction at its one value only
+    #: a removed knob, accepted at construction at its one value only;
+    #: reading it raises (the RemovedKnob descriptor below the class)
     spgemm_backend: InitVar[str | None] = None
 
     def __post_init__(self, spgemm_backend: str | None) -> None:
@@ -147,7 +149,10 @@ class ClusterParams:
         """A copy with the given fields replaced."""
         from dataclasses import replace as dc_replace
 
-        return dc_replace(self, **overrides)
+        return dc_replace(self, **{"spgemm_backend": None, **overrides})
+
+
+ClusterParams.spgemm_backend = RemovedKnob("spgemm_backend", KERNEL_KNOB_REPLACEMENT)
 
 
 @dataclass

@@ -11,9 +11,10 @@ with the discarded probability mass accounted per iteration).
 
 Storage is the CSR of the *transpose*: stored row ``c`` holds column ``c``
 of ``M``, so every per-column operation is a contiguous row operation and
-expansion is simply ``Mᵀ·Mᵀ = (M·M)ᵀ`` on the stored matrix — one
-:class:`~repro.sparse.csr.CsrMatrix` and the unchanged SpGEMM kernels, no
-CSC variant needed.
+expansion is simply ``Mᵀ·Mᵀ = (M·M)ᵀ`` on the stored matrix — no CSC
+variant needed.  The kernels multiply the stored
+:class:`~repro.sparse.csr.CsrMatrix` directly and hand back the product as
+the next iterate's CSR; nothing goes through COO.
 
 Everything here is deterministic (stable sorts, index-ordered tie-breaks)
 and, because expansion goes through kernels that are
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.csr import CsrMatrix, run_pointers
+from ..sparse.coo import radix_order
+from ..sparse.csr import CsrMatrix, columns_sorted, run_pointers
 from ..sparse.kernels import kernel_supports_batch_flops, resolve_kernel
 from ..sparse.semiring import ArithmeticSemiring
 from ..sparse.spgemm import SpGemmStats
@@ -94,10 +96,29 @@ class PruneStats:
 # computes; :class:`StochasticMatrix` delegates to these same functions.
 # ---------------------------------------------------------------------------
 def stored_row_ids(tcsr: CsrMatrix) -> np.ndarray:
-    """Stored-row (= logical-column) id of every nonzero."""
+    """Stored-row (= logical-column) id of every nonzero.
+
+    Rebuilt by each operator that needs it rather than built once per
+    iterate and passed along, on purpose: on the ``cluster_mcl`` benchmark
+    graph (8000 vertices, ``nprocs=4``, one core of a 2-CPU x86 VM),
+    keeping each iterate's array alive through inflate, prune and normalize
+    raised peak RSS from 118–119 MB to 129–130 MB and made no fit faster.
+    Sharing it needs a new argument.
+    """
     return np.repeat(
         np.arange(tcsr.shape[0], dtype=np.int64), np.diff(tcsr.indptr)
     )
+
+
+def sort_columns_tcsr(tcsr: CsrMatrix) -> CsrMatrix:
+    """``tcsr`` itself when every stored row is column-sorted (every matrix
+    this module and the kernels build is), else a copy sorted by (stored
+    row, column) with ties in stored order — the order the kernels require
+    of a CSR operand, and the one a COO round trip would have given."""
+    if columns_sorted(tcsr):
+        return tcsr
+    order = radix_order(stored_row_ids(tcsr), tcsr.indices)
+    return CsrMatrix(tcsr.shape, tcsr.indptr, tcsr.indices[order], tcsr.values[order])
 
 
 def column_sums_tcsr(tcsr: CsrMatrix) -> np.ndarray:
@@ -107,11 +128,16 @@ def column_sums_tcsr(tcsr: CsrMatrix) -> np.ndarray:
     )
 
 
+def _row_sum_divisors(tcsr: CsrMatrix) -> np.ndarray:
+    """Every entry's stored-row sum (1.0 in a row summing to 0), the
+    divisor that normalizes it."""
+    sums = column_sums_tcsr(tcsr)
+    return np.repeat(np.where(sums > 0, sums, 1.0), np.diff(tcsr.indptr))
+
+
 def normalize_tcsr(tcsr: CsrMatrix) -> CsrMatrix:
     """Rescale every stored row to sum to 1 (empty rows stay empty)."""
-    sums = column_sums_tcsr(tcsr)
-    scale = np.where(sums > 0, sums, 1.0)
-    values = tcsr.values / scale[stored_row_ids(tcsr)]
+    values = tcsr.values / _row_sum_divisors(tcsr)
     return CsrMatrix(tcsr.shape, tcsr.indptr, tcsr.indices, values)
 
 
@@ -120,7 +146,9 @@ def inflate_tcsr(tcsr: CsrMatrix, power: float) -> CsrMatrix:
     if power <= 0:
         raise ValueError("inflation power must be positive")
     raised = CsrMatrix(tcsr.shape, tcsr.indptr, tcsr.indices, np.power(tcsr.values, power))
-    return normalize_tcsr(raised)
+    # the powers are this call's own array: normalize them where they are
+    raised.values /= _row_sum_divisors(raised)
+    return raised
 
 
 def prune_keep_mask(
@@ -207,11 +235,15 @@ def chaos_tcsr(tcsr: CsrMatrix) -> float:
     """
     if tcsr.nnz == 0:
         return 0.0
-    col_ids = stored_row_ids(tcsr)
     values = tcsr.values
-    sq_sums = np.bincount(col_ids, weights=values * values, minlength=tcsr.shape[0])
+    sq_sums = np.bincount(
+        stored_row_ids(tcsr), weights=values * values, minlength=tcsr.shape[0]
+    )
+    # a maximum is exact in any order: one reduceat over the non-empty rows,
+    # floored at 0 like every empty row
+    filled = tcsr.indptr[1:] > tcsr.indptr[:-1]
     maxes = np.zeros(tcsr.shape[0], dtype=np.float64)
-    np.maximum.at(maxes, col_ids, values)
+    maxes[filled] = np.maximum(np.maximum.reduceat(values, tcsr.indptr[:-1][filled]), 0.0)
     return float(np.max(maxes - sq_sums))
 
 
@@ -237,7 +269,7 @@ def flow_residual_tcsr(prev: CsrMatrix, curr: CsrMatrix) -> float:
         return 0.0
     cols = np.concatenate([curr.indices, prev.indices])
     vals = np.concatenate([curr.values, -prev.values])
-    order = np.lexsort((cols, rows))  # stable: curr entries stay before prev
+    order = radix_order(rows, cols)  # stable: curr entries stay before prev
     rows, cols, vals = rows[order], cols[order], vals[order]
     boundary = np.empty(rows.size, dtype=bool)
     boundary[0] = True
@@ -305,7 +337,7 @@ class StochasticMatrix:
         rows, cols, values = rows[keep], cols[keep], values[keep]
         # the initial matrix is symmetric, so the transpose storage can be
         # built from the same triplets; CSR rows are the matrix's columns
-        order = np.lexsort((rows, cols))
+        order = radix_order(cols, rows)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
         tcsr = CsrMatrix((n, n), indptr, rows[order], values[order])
@@ -372,6 +404,12 @@ class StochasticMatrix:
         stored ``right`` becomes the second operand.  Regularized MCL passes
         the original transition matrix here so flow is always routed through
         the actual graph edges rather than the current (pruned) iterate.
+
+        The stored CSRs go to the kernel as they are, so their rows must be
+        column-sorted (the kernels refuse others; :func:`sort_columns_tcsr`
+        sorts one, as :meth:`MarkovClustering.fit
+        <repro.graph.mcl.MarkovClustering.fit>` does for its input), and the
+        product comes back as the next iterate's CSR.
         """
         spgemm_kernel = resolve_kernel(kernel)
         kwargs = {}
@@ -382,12 +420,15 @@ class StochasticMatrix:
                     "use 'gustavson' for flop-budgeted expansion"
                 )
             kwargs["batch_flops"] = batch_flops
-        t_coo = self.tcsr.to_coo()
-        rt_coo = t_coo if right is None else right.tcsr.to_coo()
+        # CSR operands in, the next iterate's CSR out (kernels' format rule)
         product, stats = spgemm_kernel(
-            t_coo, rt_coo, ArithmeticSemiring(), return_stats=True, **kwargs
+            self.tcsr,
+            self.tcsr if right is None else right.tcsr,
+            ArithmeticSemiring(),
+            return_stats=True,
+            **kwargs,
         )
-        return StochasticMatrix(CsrMatrix.from_coo(product)), stats
+        return StochasticMatrix(product), stats
 
     def inflate(self, power: float) -> "StochasticMatrix":
         """MCL inflation: elementwise power, then column renormalization."""

@@ -43,6 +43,7 @@ from .matrix import (
     inflate_tcsr,
     normalize_tcsr,
     prune_keep_mask,
+    sort_columns_tcsr,
 )
 
 #: Memory-tracker component for the live MCL iterate.
@@ -194,6 +195,9 @@ class MarkovClustering:
         The plan only charges: the matrices are the same either way.
         """
         backend = kernel_name(self.spgemm_backend)
+        # the kernels take column-sorted CSR operands; every iterate is, a
+        # caller's hand-built matrix need not be
+        matrix = StochasticMatrix(sort_columns_tcsr(matrix.tcsr))
         original = matrix if self.regularized else None
         if plan is None:
             blocks, footprint = [(0, matrix.n)], CsrMatrix.memory_bytes
@@ -216,6 +220,7 @@ class MarkovClustering:
             )
             expand_seconds = time.perf_counter() - t0
             inflated = inflate_tcsr(expanded.tcsr, self.inflation)
+            del expanded  # inflation made its own values: free the product's
             # prune decisions per stored-row block, merged in block order
             keep_masks, prune_stats = [], PruneStats()
             for lo, hi in blocks:

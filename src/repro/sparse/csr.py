@@ -8,7 +8,9 @@ only, read off row-major triplets in ``O(nnz)`` — and is what the Gustavson
 kernel multiplies from; :func:`csc_pointer_compression` is the memory it
 saves over a full pointer array.  :class:`CsrMatrix`, with its full ``nrows + 1``
 pointer array, is kept for the matrices whose row dimension is small
-(``repro.graph``'s transpose-CSR stochastic matrix, per-row slicing).
+(``repro.graph``'s transpose-CSR stochastic matrix, per-row slicing); both
+SpGEMM kernels take it as an operand, column-sorted within each row
+(:func:`require_sorted_columns`), and return a CSR product for a CSR ``a``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,32 @@ def _own_row_pointers(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     indptr = run_pointers(coo.rows)
     return coo.rows[indptr[:-1]], indptr
+
+
+def columns_sorted(csr: CsrMatrix) -> bool:
+    """Whether every row's column indices ascend (ties allowed), in one
+    ``O(nnz)`` scan."""
+    if csr.nnz < 2:
+        return True
+    decreasing = csr.indices[1:] < csr.indices[:-1]
+    row_start = np.zeros(csr.nnz - 1, dtype=bool)
+    interior = csr.indptr[1:-1]
+    row_start[interior[(interior > 0) & (interior < csr.nnz)] - 1] = True
+    return not np.any(decreasing & ~row_start)
+
+
+def require_sorted_columns(csr: CsrMatrix, name: str) -> None:
+    """Reject a CSR SpGEMM operand whose rows are not column-sorted.
+
+    Both kernels enumerate partial products in ascending inner-index order,
+    which is what keeps their outputs bit-identical; ``from_coo`` and every
+    kernel's CSR product guarantee that order, hand-built CSR may not.
+    """
+    if not columns_sorted(csr):
+        raise ValueError(
+            f"CSR operand {name!r} has unsorted columns within a row; "
+            "build it with CsrMatrix.from_coo to get the required order"
+        )
 
 
 def csc_pointer_compression(ncols: int, nonempty_cols: int) -> float:
@@ -159,6 +187,18 @@ class CsrMatrix:
     def memory_bytes(self) -> int:
         """Approximate memory footprint."""
         return int(self.indptr.nbytes + self.indices.nbytes + self.values.nbytes)
+
+    def __eq__(self, other: object) -> bool:
+        """Same shape, entries and values as another CSR or COO matrix
+        (:meth:`CooMatrix.__eq__` on the triplets)."""
+        if isinstance(other, CsrMatrix):
+            other = other.to_coo()
+        if not isinstance(other, CooMatrix):
+            return NotImplemented
+        return self.to_coo() == other
+
+    def __hash__(self) -> int:  # CsrMatrix is mutable; identity hash
+        return id(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CsrMatrix(shape={self.shape}, nnz={self.nnz}, dtype={self.values.dtype})"

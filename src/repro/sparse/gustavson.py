@@ -53,7 +53,10 @@ Every call costs ``O(nnz + flops)``.  Operands are read through pointers
 over their *non-empty rows only* (:func:`repro.sparse.csr.compress_rows`, an
 order scan and no sort for the row-major triplets the pipeline builds), kept
 with a COO operand (:meth:`~repro.sparse.coo.CooMatrix.derived`) so a stripe
-block broadcast to many SUMMA stages compresses on its first call only.  The
+block broadcast to many SUMMA stages compresses on its first call only; a
+:class:`~repro.sparse.csr.CsrMatrix` operand has them read off its
+``indptr``, and its product comes back as a CSR built on SciPy's own row
+pointers (Markov clustering's iterates never pass through COO).  The
 ``B`` row an ``A`` entry selects is found by :func:`match_rows`, exactly, in
 one of two ways.  When the inner dimension is short next to the keys — the
 batch search operands are born with dense k-mer ids
@@ -83,7 +86,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coo import CooMatrix, radix_order
-from .csr import CsrMatrix, compress_rows, run_pointers
+from .csr import CsrMatrix, compress_rows, require_sorted_columns
 from .semiring import ArithmeticSemiring, CountSemiring, Semiring
 from .spgemm import SpGemmStats, reduce_by_coordinate
 
@@ -166,26 +169,6 @@ def row_group_bounds(row_cum: np.ndarray, batch_flops: int) -> list[int]:
     return bounds
 
 
-def _require_sorted_columns(csr: CsrMatrix, name: str) -> None:
-    """Reject CSR operands whose rows are not column-sorted.
-
-    Partial products must be enumerated in ascending inner-index order for
-    the output to be bit-identical to the other backends; ``from_coo``
-    guarantees that order, hand-built CSR may not.
-    """
-    if csr.nnz < 2:
-        return
-    decreasing = csr.indices[1:] < csr.indices[:-1]
-    row_start = np.zeros(csr.nnz - 1, dtype=bool)
-    interior = csr.indptr[1:-1]
-    row_start[interior[(interior > 0) & (interior < csr.nnz)] - 1] = True
-    if np.any(decreasing & ~row_start):
-        raise ValueError(
-            f"CSR operand {name!r} has unsorted columns within a row; "
-            "build it with CsrMatrix.from_coo to get the required order"
-        )
-
-
 def _row_compressed(
     matrix: CooMatrix | CsrMatrix, name: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -197,10 +180,42 @@ def _row_compressed(
     """
     if not isinstance(matrix, CsrMatrix):
         return compress_rows(matrix)
-    _require_sorted_columns(matrix, name)
+    require_sorted_columns(matrix, name)
     row_ids = np.flatnonzero(matrix.indptr[1:] != matrix.indptr[:-1])
     indptr = np.append(matrix.indptr[row_ids], matrix.nnz)
     return row_ids, indptr, matrix.indices, matrix.values
+
+
+def _product(
+    a: CooMatrix | CsrMatrix,
+    shape: tuple[int, int],
+    cols: np.ndarray,
+    values: np.ndarray,
+    *,
+    rows: np.ndarray | None = None,
+    row_ids: np.ndarray | None = None,
+    row_nnz: np.ndarray | None = None,
+) -> CooMatrix | CsrMatrix:
+    """The product in ``a``'s format, from its row-major ``cols`` and
+    ``values`` and either every entry's row (``rows``) or, from SciPy's
+    pointers, the entry count ``row_nnz[i]`` of each non-empty row
+    ``row_ids[i]``.
+
+    A :class:`CsrMatrix` scatters the counts onto all rows once and keeps
+    ``cols`` (widened to ``int64``) and ``values``; a :class:`CooMatrix`
+    repeats the row ids out when it has no ``rows``.
+    """
+    if not isinstance(a, CsrMatrix):
+        if rows is None:
+            rows = np.repeat(row_ids, row_nnz)
+        return CooMatrix(shape, rows, cols, values, check=False)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    if rows is None:
+        indptr[row_ids + 1] = row_nnz
+    else:
+        indptr[1:] = np.bincount(rows, minlength=shape[0])
+    np.cumsum(indptr, out=indptr)
+    return CsrMatrix(shape, indptr, cols, values)
 
 
 def spgemm_gustavson(
@@ -209,7 +224,7 @@ def spgemm_gustavson(
     semiring: Semiring | None = None,
     return_stats: bool = False,
     batch_flops: int = DEFAULT_BATCH_FLOPS,
-) -> CooMatrix | tuple[CooMatrix, SpGemmStats]:
+) -> CooMatrix | CsrMatrix | tuple[CooMatrix | CsrMatrix, SpGemmStats]:
     """Compute ``C = A ·(semiring) B`` row-wise with bounded intermediates.
 
     Parameters
@@ -220,8 +235,8 @@ def spgemm_gustavson(
         others are stably sorted first.  CSR inputs must be in the row-major,
         column-sorted entry order :meth:`CsrMatrix.from_coo` produces, since
         the bit-identity guarantee depends on it; unsorted columns are
-        rejected.  (The other backend, ``"expand"``, accepts COO only; select
-        the operand format for the backend you call.)
+        rejected.  When ``b is a`` the operand is checked and compressed
+        once.
     semiring:
         Semiring supplying multiply/reduce; defaults to arithmetic (+, ×).
     return_stats:
@@ -234,6 +249,9 @@ def spgemm_gustavson(
     -----
     Output entries are sorted row-major with one entry per distinct output
     coordinate, exactly as :func:`repro.sparse.spgemm.spgemm` produces them.
+    The product is a :class:`CsrMatrix` when ``a`` is one — built on the
+    SciPy product's own row pointers, with nothing converted through COO —
+    and a :class:`CooMatrix` otherwise.
     """
     if semiring is None:
         semiring = ArithmeticSemiring()
@@ -243,27 +261,35 @@ def spgemm_gustavson(
         raise ValueError("batch_flops must be >= 1")
     out_shape = (a.shape[0], b.shape[1])
 
-    a_row_ids, a_indptr, a_cols, a_values = _row_compressed(a, "a")
-    b_row_ids, b_indptr, b_cols, b_values = _row_compressed(b, "b")
+    a_compressed = _row_compressed(a, "a")
+    a_row_ids, a_indptr, a_cols, a_values = a_compressed
+    b_row_ids, b_indptr, b_cols, b_values = a_compressed if b is a else _row_compressed(b, "b")
 
     # the A entries whose inner index selects a non-empty B row: only these
     # produce partial products, and rows without any carry 0 flops, so
     # dropping the rest moves no row-group boundary
     live, b_pos = match_rows(b_row_ids, a_cols, a.shape[1])
     if live.size == 0:
-        result = CooMatrix.empty(out_shape, dtype=semiring.value_dtype)
+        empty = np.empty(0, dtype=np.int64)
+        result = _product(
+            a, out_shape, empty, np.empty(0, dtype=semiring.value_dtype), rows=empty
+        )
         stats = SpGemmStats(flops=0, output_nnz=0, intermediate_bytes=0, compression_factor=1.0)
         return (result, stats) if return_stats else result
     b_start = b_indptr[b_pos]
     entry_cost = b_indptr[b_pos + 1] - b_start  # nnz of the selected B row, >= 1
-    entry_rows = np.repeat(a_row_ids, np.diff(a_indptr))[live]
     entry_values = a_values[live]
+    # pointers over the live A rows into the live entries, read off A's own
+    # pointers: live[live_ptr[j]:live_ptr[j + 1]] are row a_row_ids[j]'s
+    live_ptr = np.searchsorted(live, a_indptr)
+    has_live = live_ptr[1:] > live_ptr[:-1]
+    live_row_ids = a_row_ids[has_live]
+    row_ptr = np.append(live_ptr[:-1][has_live], live.size)
 
     # cumulative flops at every entry and at every (live) A row boundary
     entry_cum = np.zeros(live.size + 1, dtype=np.int64)
     np.cumsum(entry_cost, out=entry_cum[1:])
     flops = int(entry_cum[-1])
-    row_ptr = run_pointers(entry_rows)
     row_cum = entry_cum[row_ptr]
 
     # flop-bounded row groups over the live rows
@@ -295,11 +321,12 @@ def spgemm_gustavson(
         # intermediate_bytes stays the expand form's peak — modeled, since
         # SciPy's accumulator materializes no partial products: one row,
         # column and float64 value per partial product of the largest group
-        product_bytes = entry_rows.itemsize + b_cols.itemsize + a_float.itemsize
+        product_bytes = live_row_ids.itemsize + b_cols.itemsize + a_float.itemsize
         peak_bytes = int(group_flops.max()) * product_bytes
-        out_rows = np.repeat(entry_rows[row_ptr[:-1]], np.diff(product.indptr))
+        row_nnz, out_rows = np.diff(product.indptr), None
         out_cols = product.indices
         out_vals = product.data.astype(semiring.value_dtype, copy=False)
+        del product  # the result takes these arrays over; SciPy keeps none
     else:
         rows_parts: list[np.ndarray] = []
         cols_parts: list[np.ndarray] = []
@@ -313,7 +340,7 @@ def spgemm_gustavson(
             reps = entry_cost[lo:hi]
             b_idx = np.arange(entry_cum[hi] - entry_cum[lo], dtype=np.int64)
             b_idx += np.repeat(b_start[lo:hi] - (entry_cum[lo:hi] - entry_cum[lo]), reps)
-            group_rows = np.repeat(entry_rows[lo:hi], reps)
+            group_rows = np.repeat(live_row_ids[r:r_next], np.diff(row_cum[r : r_next + 1]))
             group_cols = b_cols[b_idx]
             products = np.asarray(
                 semiring.multiply(np.repeat(entry_values[lo:hi], reps), b_values[b_idx])
@@ -330,11 +357,13 @@ def spgemm_gustavson(
             rows_parts.append(group_rows)
             cols_parts.append(group_cols)
             vals_parts.append(group_vals)
-        out_rows = np.concatenate(rows_parts)
+        row_nnz, out_rows = None, np.concatenate(rows_parts)
         out_cols = np.concatenate(cols_parts)
         out_vals = np.concatenate(vals_parts)
 
-    result = CooMatrix(out_shape, out_rows, out_cols, out_vals, check=False)
+    result = _product(
+        a, out_shape, out_cols, out_vals, rows=out_rows, row_ids=live_row_ids, row_nnz=row_nnz
+    )
     stats = SpGemmStats(
         flops=flops,
         output_nnz=result.nnz,

@@ -34,11 +34,19 @@ runs a whole pipeline on the oracle by monkeypatching
 
 A kernel is any callable with the signature
 ``kernel(a, b, semiring=None, return_stats=False)`` accepting
-:class:`~repro.sparse.coo.CooMatrix` operands and returning a
-:class:`~repro.sparse.coo.CooMatrix` (plus stats when requested); callers
-may pass such a callable wherever a name is accepted.  Kernels that form
-the output in flop-bounded batches additionally accept a ``batch_flops``
-keyword (probe with :func:`kernel_supports_batch_flops`).
+:class:`~repro.sparse.coo.CooMatrix` and
+:class:`~repro.sparse.csr.CsrMatrix` operands (CSR ones column-sorted
+within each row, as :meth:`~repro.sparse.csr.CsrMatrix.from_coo` builds
+them; both kernels refuse others) and returning the product (plus stats
+when requested) in ``a``'s format: CSR in, CSR out — a
+:class:`~repro.sparse.csr.CsrMatrix` exactly when ``a`` is one, so Markov
+clustering multiplies its transpose-CSR iterates and gets the next one back
+with no format round trip, while discovery and SUMMA multiply COO blocks
+into COO.  ``"gustavson"`` reads CSR operands directly and builds the CSR
+product on SciPy's own row pointers; ``"expand"`` converts at its boundary.
+Callers may pass such a callable wherever a name is accepted.  Kernels
+that form the output in flop-bounded batches additionally accept a
+``batch_flops`` keyword (probe with :func:`kernel_supports_batch_flops`).
 """
 
 from __future__ import annotations
@@ -94,6 +102,15 @@ def kernel_name(kernel: str | SpGemmKernel | None) -> str:
     if isinstance(kernel, str):
         return kernel
     return getattr(kernel, "__name__", "custom")
+
+
+#: What replaced the removed ``spgemm_backend`` knob: the message of the
+#: ``AttributeError`` that reading it from a params object raises.
+KERNEL_KNOB_REPLACEMENT = (
+    "every run multiplies with repro.sparse.kernels.DEFAULT_KERNEL; the 'expand' "
+    "oracle is reached through the kernel argument of summa, BlockedSpGemm and "
+    "the MCL drivers"
+)
 
 
 def check_removed_kernel_knob(spgemm_backend: str | None) -> None:

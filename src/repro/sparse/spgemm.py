@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coo import CooMatrix, rowmajor_order
+from .csr import CsrMatrix, require_sorted_columns
 from .semiring import ArithmeticSemiring, Semiring
 
 
@@ -179,18 +180,30 @@ def reduce_by_coordinate(
     return out_rows[group_starts], out_cols[group_starts], values
 
 
+def _coo_operand(matrix: CooMatrix | CsrMatrix, name: str) -> CooMatrix:
+    """A COO operand as it is; a CSR one converted after the column-order
+    check the Gustavson kernel applies too."""
+    if not isinstance(matrix, CsrMatrix):
+        return matrix
+    require_sorted_columns(matrix, name)
+    return matrix.to_coo()
+
+
 def spgemm(
-    a: CooMatrix,
-    b: CooMatrix,
+    a: CooMatrix | CsrMatrix,
+    b: CooMatrix | CsrMatrix,
     semiring: Semiring | None = None,
     return_stats: bool = False,
-) -> CooMatrix | tuple[CooMatrix, SpGemmStats]:
+) -> CooMatrix | CsrMatrix | tuple[CooMatrix | CsrMatrix, SpGemmStats]:
     """Compute ``C = A ·(semiring) B``.
 
     Parameters
     ----------
     a, b:
-        COO operands with compatible shapes (``a.shape[1] == b.shape[0]``).
+        Operands with compatible shapes (``a.shape[1] == b.shape[0]``).  The
+        kernel multiplies triplets: a :class:`~repro.sparse.csr.CsrMatrix`
+        operand is converted to COO on the way in, and when ``a`` is one the
+        product is converted back to CSR on the way out.
     semiring:
         Semiring supplying multiply/reduce; defaults to the arithmetic
         (+, ×) semiring.
@@ -203,6 +216,13 @@ def spgemm(
     The output is returned with entries sorted in row-major order and exactly
     one entry per distinct output coordinate.
     """
+    if isinstance(a, CsrMatrix) or isinstance(b, CsrMatrix):
+        a_coo = _coo_operand(a, "a")
+        b_coo = a_coo if b is a else _coo_operand(b, "b")
+        result, stats = spgemm(a_coo, b_coo, semiring, return_stats=True)
+        if isinstance(a, CsrMatrix):
+            result = CsrMatrix.from_coo(result)
+        return (result, stats) if return_stats else result
     if semiring is None:
         semiring = ArithmeticSemiring()
     if a.shape[1] != b.shape[0]:

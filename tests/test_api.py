@@ -128,3 +128,22 @@ def test_alignment_phase_empty_block():
     assert output.pairs_aligned == 0
     assert output.edges.size == 0
     assert output.kernel_seconds == 0.0
+
+
+@pytest.mark.parametrize(
+    "cls,name,replacement",
+    [
+        (PastisParams, "spgemm_backend", "DEFAULT_KERNEL"),
+        (PastisParams, "scheduler", "preblock_depth"),
+        (ClusterParams, "spgemm_backend", "DEFAULT_KERNEL"),
+    ],
+    ids=["PastisParams.spgemm_backend", "PastisParams.scheduler", "ClusterParams.spgemm_backend"],
+)
+def test_reading_a_removed_knob_names_its_replacement(cls, name, replacement):
+    """A removed knob is still accepted at construction, but reading it
+    fails, naming what replaced it, instead of reading back ``None``."""
+    params = cls(**{name: None})
+    with pytest.raises(AttributeError, match=f"'{name}' is no longer a parameter: .*{replacement}"):
+        getattr(params, name)
+    assert not hasattr(params, name) and not hasattr(cls, name)
+    assert params.replace() == params == params.replace(**{name: None})

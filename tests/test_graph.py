@@ -635,3 +635,28 @@ def test_rmcl_tolerance_validation():
         MarkovClustering(rmcl_tolerance=-1.0)
     with pytest.raises(ValueError, match="rmcl_tolerance"):
         ClusterParams(rmcl_tolerance=-0.5)
+
+
+@pytest.mark.parametrize("regularized", [False, True], ids=["mcl", "rmcl"])
+def test_fit_sorts_a_hand_built_matrix_with_unsorted_columns(regularized):
+    """A wrapped transpose-CSR whose stored rows are not column-sorted
+    clusters exactly as its sorted copy (a fit sorts its input once), while
+    expanding it directly is refused by the kernel, naming the fix."""
+    from repro.sparse.csr import CsrMatrix, columns_sorted
+
+    matrix = StochasticMatrix.from_similarity_graph(random_graph(3))
+    tcsr = matrix.tcsr
+    rows = np.repeat(np.arange(tcsr.shape[0]), np.diff(tcsr.indptr))
+    reverse = np.lexsort((-np.arange(tcsr.nnz), rows))  # each stored row backwards
+    unsorted = StochasticMatrix(
+        CsrMatrix(tcsr.shape, tcsr.indptr, tcsr.indices[reverse], tcsr.values[reverse])
+    )
+    assert not columns_sorted(unsorted.tcsr)
+    with pytest.raises(ValueError, match="CsrMatrix.from_coo"):
+        unsorted.expand()
+
+    expected = MarkovClustering(regularized=regularized).fit(matrix)
+    result = MarkovClustering(regularized=regularized).fit(unsorted)
+    assert np.array_equal(result.labels, expected.labels)
+    assert result.final_matrix.same_bits(expected.final_matrix)
+    assert [s.flops for s in result.iterations] == [s.flops for s in expected.iterations]

@@ -747,3 +747,135 @@ def test_registry_unknown_and_duplicate_names():
     with pytest.raises(TypeError):
         KERNELS["expand"] = spgemm_gustavson
     assert get_kernel("expand") is spgemm
+
+
+# ------------------------------------------------------------------ CSR operands, CSR product
+def _csr_format_case(kind, seed):
+    """COO operands ``(A, B)`` for the CSR-versus-COO cases (``B is A`` for
+    ``"b_is_a"``)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":  # zeros, duplicates, empty rows, zero dimensions
+        return _random_case(seed)
+    if kind == "positive":  # the SciPy accumulator, duplicates included
+        return _positive_operands(seed)
+    if kind == "empty_rows":  # whole row bands of A and B empty, positive values
+        a = CooMatrix((24, 18), rng.integers(0, 24, 90), rng.integers(0, 18, 90),
+                      rng.random(90) + 1e-3)
+        b = CooMatrix((18, 15), rng.integers(0, 18, 70), rng.integers(0, 15, 70),
+                      rng.random(70) + 1e-3)
+        a_keep, b_keep = (a.rows % 4) < 2, (b.rows % 3) != 1
+        return (
+            CooMatrix(a.shape, a.rows[a_keep], a.cols[a_keep], a.values[a_keep]),
+            CooMatrix(b.shape, b.rows[b_keep], b.cols[b_keep], b.values[b_keep]),
+        )
+    if kind == "zero_nnz":
+        return CooMatrix.empty((7, 9), dtype=np.float64), random_coo(rng, (9, 5), 20)
+    a = CooMatrix((20, 20), rng.integers(0, 20, 80), rng.integers(0, 20, 80),
+                  rng.random(80) + 1e-3)  # "b_is_a"
+    return a, a
+
+
+def _assert_same_bits(x, y):
+    assert x.dtype == y.dtype
+    for name in x.dtype.names or (None,):
+        xs, ys = (x, y) if name is None else (x[name], y[name])
+        assert np.ascontiguousarray(xs).tobytes() == np.ascontiguousarray(ys).tobytes(), name
+
+
+CSR_FORMAT_KINDS = ["random", "positive", "empty_rows", "zero_nnz", "b_is_a"]
+
+
+@pytest.mark.parametrize("kernel_name", ["expand", "gustavson"])
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=SEMIRING_IDS)
+@pytest.mark.parametrize("kind", CSR_FORMAT_KINDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_csr_operands_give_the_coo_product_bit_for_bit(kernel_name, semiring, kind, seed):
+    """CSR operands: the product is a CSR holding exactly the COO operands'
+    product — pointers, int64 column ids, values bit for bit — with equal
+    ``SpGemmStats``; a COO ``a`` keeps a COO product whatever ``b`` is."""
+    from repro.sparse.csr import CsrMatrix
+
+    kernel = get_kernel(kernel_name)
+    a, b = _csr_format_case(kind, seed)
+    a_csr = CsrMatrix.from_coo(a)
+    b_csr = a_csr if b is a else CsrMatrix.from_coo(b)
+    expected, expected_stats = kernel(a, b, semiring, return_stats=True)
+    got, stats = kernel(a_csr, b_csr, semiring, return_stats=True)
+
+    assert isinstance(got, CsrMatrix) and got.shape == expected.shape
+    counts = np.bincount(expected.rows, minlength=expected.shape[0])
+    assert np.array_equal(got.indptr, np.concatenate(([0], np.cumsum(counts))))
+    assert got.indices.dtype == np.int64
+    assert np.array_equal(got.indices, expected.cols)
+    _assert_same_bits(got.values, expected.values)
+    assert stats == expected_stats
+
+    mixed, mixed_stats = kernel(a_csr, b, semiring, return_stats=True)
+    assert isinstance(mixed, CsrMatrix) and mixed == got and mixed_stats == expected_stats
+    mixed, mixed_stats = kernel(a, b_csr, semiring, return_stats=True)
+    assert isinstance(mixed, CooMatrix) and mixed_stats == expected_stats
+    assert np.array_equal(mixed.rows, expected.rows)
+    _assert_same_bits(mixed.values, expected.values)
+
+
+@pytest.mark.parametrize("kernel_name", ["expand", "gustavson"])
+def test_both_kernels_refuse_csr_with_unsorted_columns(kernel_name):
+    from repro.sparse.csr import CsrMatrix
+
+    unsorted = CsrMatrix(
+        (3, 3), np.array([0, 2, 2, 3]), np.array([2, 0, 1]), np.array([1.0, 2.0, 3.0])
+    )
+    ok = CsrMatrix.from_coo(unsorted.to_coo())
+    kernel = get_kernel(kernel_name)
+    for a, b in ((unsorted, ok), (ok, unsorted), (unsorted, unsorted)):
+        with pytest.raises(ValueError, match="unsorted columns"):
+            kernel(a, b, ArithmeticSemiring())
+
+
+def test_gustavson_checks_and_compresses_a_once_when_b_is_a(monkeypatch):
+    from repro.sparse.csr import CsrMatrix
+
+    checked = []
+    check = gustavson_mod.require_sorted_columns
+
+    def spy(csr, name):
+        checked.append(name)
+        check(csr, name)
+
+    monkeypatch.setattr(gustavson_mod, "require_sorted_columns", spy)
+    a = CsrMatrix.from_coo(_csr_format_case("b_is_a", 0)[0])
+    spgemm_gustavson(a, a)
+    assert checked == ["a"]
+    spgemm_gustavson(a, CsrMatrix(a.shape, a.indptr, a.indices, a.values))
+    assert checked == ["a", "a", "b"]
+
+
+@pytest.mark.parametrize("nprocs", [1, 4])
+def test_gustavson_mcl_fit_makes_no_format_round_trip(nprocs, monkeypatch):
+    """The expansion multiplies the stored transpose-CSR iterates and takes
+    the product back as CSR: no fit converts to COO or from it."""
+    from repro.core.align_phase import EDGE_DTYPE
+    from repro.core.similarity_graph import SimilarityGraph
+    from repro.graph import DistMarkovClustering, MarkovClustering, StochasticMatrix
+    from repro.sparse.csr import CsrMatrix
+
+    rng = np.random.default_rng(5)
+    edges = np.zeros(90, dtype=EDGE_DTYPE)
+    edges["row"], edges["col"] = rng.integers(0, 40, 90), rng.integers(0, 40, 90)
+    edges["ani"], edges["coverage"], edges["score"] = 0.6, 0.9, 50
+    matrix = StochasticMatrix.from_similarity_graph(SimilarityGraph.from_edges(edges, 40))
+    expected = MarkovClustering(spgemm_backend="expand").fit(matrix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("MCL converted its iterate through COO")
+
+    monkeypatch.setattr(CsrMatrix, "to_coo", refuse)
+    monkeypatch.setattr(CsrMatrix, "from_coo", refuse)
+    for regularized in (False, True):
+        if nprocs == 1:
+            result = MarkovClustering(regularized=regularized).fit(matrix)
+        else:
+            result = DistMarkovClustering(nprocs, regularized=regularized).fit(matrix)
+        assert result.n_iterations > 1
+        if not regularized:
+            assert np.array_equal(result.labels, expected.labels)
