@@ -82,6 +82,10 @@ class KmerMatrixInfo:
     #: (:meth:`SeedOperand.dense`), ascending; ``None`` while the columns
     #: are the k-mer ids themselves.  Not a report field.
     kmer_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: per column of a dense-born ``A``: whether at least two rows hold that
+    #: k-mer (the ones ``A·Aᵀ`` multiplies; see
+    #: :class:`repro.distsparse.summa.SharedInner`).  Not a report field.
+    shared_kmers: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view for reports."""
@@ -209,13 +213,17 @@ class SeedOperand:
         """This operand with its k-mer ids relabelled to ``0..U-1`` in
         ascending order, ``U`` the number of distinct k-mers; the info's
         ``kmer_ids`` maps a dense id back (``int32`` while the k-mer space
-        fits: it is held as long as the run's info).  The entries keep
-        their order."""
+        fits: it is held as long as the run's info), and its
+        ``shared_kmers`` marks the k-mers at least two rows hold.  The
+        entries keep their order."""
         first = np.ones(self.kmers.size, dtype=bool)
         first[1:] = self.kmers[1:] != self.kmers[:-1]
         kmer_ids = self.kmers[first]
         if self.shape[1] <= np.iinfo(np.int32).max:
             kmer_ids = kmer_ids.astype(np.int32)
+        # a k-mer's run in (k-mer, row) order holds one entry per row: it is
+        # shared when the entry after its first one is still its own
+        shared = ~np.append(first[1:], True)[first]
         dense = np.cumsum(first)
         dense -= 1
         return SeedOperand(
@@ -223,7 +231,7 @@ class SeedOperand:
             self.rows,
             dense,
             self.positions,
-            replace(self.info, kmer_ids=kmer_ids),
+            replace(self.info, kmer_ids=kmer_ids, shared_kmers=shared),
         )
 
 

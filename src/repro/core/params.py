@@ -6,6 +6,7 @@ is given there, and the small-scale evaluation configuration (§VI) otherwise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -244,8 +245,10 @@ class PastisParams:
             raise ValueError(f"align_batch_size must be >= 1, got {self.align_batch_size}")
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
-        if self.blocking is not None and (self.blocking[0] < 1 or self.blocking[1] < 1):
-            raise ValueError("blocking factors must be >= 1")
+        if self.blocking is not None and not _positive_int_pair(self.blocking):
+            raise ValueError(
+                f"blocking must be a pair of positive ints (br, bc), got {self.blocking!r}"
+            )
         if not 0.0 <= self.ani_threshold <= 1.0:
             raise ValueError("ani_threshold must be in [0, 1]")
         if not 0.0 <= self.coverage_threshold <= 1.0:
@@ -292,6 +295,18 @@ class PastisParams:
         from dataclasses import replace as dc_replace
 
         return dc_replace(self, **{"scheduler": None, "spgemm_backend": None, **overrides})
+
+
+def _positive_int_pair(value) -> bool:
+    """Whether ``value`` is a tuple or list of two ints >= 1 (not bools)."""
+    return (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and all(
+            isinstance(f, numbers.Integral) and not isinstance(f, bool) and f >= 1
+            for f in value
+        )
+    )
 
 
 PastisParams.scheduler = RemovedKnob(

@@ -157,6 +157,11 @@ class RunPlan:
     cache_digest: str | None = None
     #: global output row of each input query, in input order (query runs)
     query_rows: np.ndarray | None = None
+    #: when ``b`` is ``a``'s own transpose (all-vs-all): the inner ids at
+    #: least two rows hold, which are all a block's product multiplies
+    #: (:class:`~repro.distsparse.blocked_summa.BlockedSpGemm`'s
+    #: ``shared_inner``); ``None`` for a query plan
+    shared_inner: np.ndarray | None = None
     #: entries the run adds to ``stats.extras``
     extras: dict = field(default_factory=dict)
 
@@ -181,6 +186,7 @@ def _batch_plan(
         kmer_info=kmer_info,
         stripe_nnz=(a.nnz, at.nnz),
         cache_params=params,
+        shared_inner=kmer_info.shared_kmers,
     )
 
 
@@ -351,6 +357,7 @@ class PastisPipeline:
             CountSemiring(),
             schedule,
             batch_flops=params.batch_flops,
+            shared_inner=plan.shared_inner,
         )
         aligner = AlignmentPhase(plan.align_sequences, params, comm, cost_model)
         accumulator = StreamingGraphAccumulator(n_vertices=schedule.n_rows)

@@ -45,7 +45,7 @@ from ..sparse.kernels import resolve_kernel
 from ..sparse.semiring import OverlapSemiring, Semiring
 from ..sparse.spgemm import SpGemmStats
 from .distmat import DistSparseMatrix
-from .summa import SummaResult, summa
+from .summa import SharedInner, SummaResult, summa
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,15 @@ class BlockedSpGemm:
         Registry name of the local SpGEMM kernel every SUMMA stage uses
         (see :mod:`repro.sparse.kernels`); ``None`` selects the default.
     batch_flops:
-        Per-row-group flop budget passed to every local multiply (bounds
+        Per-row-group flop budget passed to every block's product (bounds
         the Gustavson kernel's peak intermediate memory); ``None`` uses the
         kernel default.
+    shared_inner:
+        When ``b`` is ``aᵀ`` of the same rows (the batch search), a boolean
+        mask over the inner dimension marking the indices held by at least
+        two rows of ``a``; every block's product then multiplies only those
+        and counts the rest back (:class:`~repro.distsparse.summa.SharedInner`,
+        count semiring only).  ``None`` multiplies the whole operands.
     """
 
     a: DistSparseMatrix
@@ -187,6 +193,7 @@ class BlockedSpGemm:
     schedule: BlockSchedule
     spgemm_backend: str | None = None
     batch_flops: int | None = None
+    shared_inner: np.ndarray | None = field(default=None, repr=False)
     #: stripes already sliced, by ("a", block_row) / ("b", block_col)
     _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
         default_factory=dict, init=False, repr=False
@@ -197,6 +204,11 @@ class BlockedSpGemm:
             raise ValueError("inner dimensions of the operands do not match")
         if (self.schedule.n_rows, self.schedule.n_cols) != (self.a.shape[0], self.b.shape[1]):
             raise ValueError("schedule dimensions must match the output shape")
+        self._shared = None
+        if self.shared_inner is not None:
+            if len(self.shared_inner) != self.a.shape[1]:
+                raise ValueError("shared_inner must mark every inner index")
+            self._shared = SharedInner.from_mask(self.shared_inner)
 
     # ------------------------------------------------------------------ stripes
     def _stripe(self, key: tuple[str, int], slice_operand) -> DistSparseMatrix:
@@ -218,9 +230,13 @@ class BlockedSpGemm:
 
     # ------------------------------------------------------------------ block computation
     def compute_block(self, block_row: int, block_col: int) -> OutputBlock:
-        """Compute one output block via SUMMA over the corresponding stripes."""
+        """Compute one output block: SUMMA over the corresponding stripes,
+        one product charged as the grid (:func:`~repro.distsparse.summa.summa`)."""
         row_range = self.schedule.row_range(block_row)
         col_range = self.schedule.col_range(block_col)
+        for (side, row), stripe in self._stripes.items():
+            if side == "a" and row != block_row:
+                stripe.forget_derived()  # only one row stripe's operand lives
         result = summa(
             self.row_stripe(block_row),
             self.col_stripe(block_col),
@@ -228,6 +244,7 @@ class BlockedSpGemm:
             output_shape=(self.a.shape[0], self.b.shape[1]),
             spgemm_backend=self.spgemm_backend,
             batch_flops=self.batch_flops,
+            shared=self._shared,
         )
         return OutputBlock(
             block_row=block_row,

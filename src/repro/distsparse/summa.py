@@ -1,6 +1,8 @@
-"""2D Sparse SUMMA (Buluç & Gilbert) on the simulated runtime.
+"""2D Sparse SUMMA (Buluç & Gilbert) on the simulated runtime: one product,
+the grid charged from counts.
 
-``C = A ·(semiring) B`` proceeds in ``grid_dim`` stages.  In stage ``k``
+``C = A ·(semiring) B`` on a ``√p × √p`` grid proceeds in ``grid_dim``
+stages.  In stage ``k``
 
 * the owner of ``A``'s block at grid position ``(i, k)`` broadcasts it along
   grid row ``i``;
@@ -9,37 +11,79 @@
 * every rank ``(i, j)`` multiplies the two received blocks with the semiring
   and accumulates the partial result into its local piece of ``C``.
 
-Communication is charged through the collective engine (binomial-tree
-broadcasts — the ``(alpha + beta*s) * log2(sqrt p)`` terms of the paper's
-cost analysis), and every rank's local multiply is counted in semiring flops
-(the ``spgemm_flops`` counter and :attr:`SummaResult.flops_per_rank`), from
-which callers charge modeled compute seconds, so component breakdowns and
-load imbalance fall out of the ledger.
+:func:`summa` computes what that grid computes without executing it.  It
+multiplies once, through the SpGEMM kernel (:func:`resolve_kernel`): ``A``'s
+stripe, row-major (:class:`RowOperand`), times ``B``'s stripe with every
+column split by stage — column ``c · grid_dim + k`` of ``B``'s operand holds
+the entries of column ``c`` in ``B``'s row chunk ``k`` (:class:`ColOperand`).
+So entry ``(r, c · grid_dim + k)`` of the product is exactly what rank
+``(i, j)`` — the owner of row ``r`` and column ``c`` — multiplied at stage
+``k``: under :class:`~repro.sparse.semiring.CountSemiring` its value is that
+multiply's flops at the entry, and the entries per (row, stage, grid
+column) are the multiply's output entries and per-row flops.  Reducing each
+output coordinate's stage entries in stage order with the semiring is
+SUMMA's per-rank merge, and the coordinate's rank is its row chunk × column
+chunk, so :attr:`SummaResult.per_rank` is what the executed grid returned.
+A semiring other than the count one multiplies a second time, for the
+values; the counts still come from the count product.
 
-The result is returned per rank in *global* output coordinates, which is what
-the alignment phase consumes; :meth:`SummaResult.to_global` merges the ranks
-for validation against a direct serial SpGEMM.
+**The discovery charge plan.**  From those counts the grid is charged in
+the order the executed stage loop charged it, stage by stage: the ``A``
+block broadcasts along grid rows, then the ``B`` block broadcasts along
+grid columns (binomial trees — the ``(alpha + beta*s) * log2(sqrt p)``
+terms of the paper's cost analysis, at each grid block's triplet bytes),
+then ``spgemm_flops`` for every rank whose two stage blocks both hold
+entries.  The events are laid out once per grid (:func:`stage_layout`) and
+applied with one bulk charge and one bulk count
+(:class:`~repro.mpi.layout.Layout`), so every ledger sum, counter and trace
+bump is the one-by-one charges' to the bit.  Callers turn
+:attr:`SummaResult.flops_per_rank` into modeled compute seconds.
+:class:`~repro.sparse.spgemm.SpGemmStats` is the sum over the per-(rank,
+stage) multiplies the grid made: their flops and output entries, and the
+Gustavson kernel's flop-bounded row groups over each multiply's rows with
+flops (one group per multiply for a kernel without a budget), with the
+largest group's expand-form bytes as ``intermediate_bytes``.
+
+**The shared-k-mer restriction** (:class:`SharedInner`).  When ``B`` is
+``Aᵀ`` of the same rows — the batch search's ``A·Aᵀ`` — an inner index held
+by one row of ``A`` only meets that row's own entry: it adds exactly one
+partial product, on the diagonal, at the stage of its chunk.  The operands
+then keep only the inner indices held by at least two rows, relabelled to
+their rank among those, and the product adds each row's private count back
+on the diagonal instead of multiplying it.  Every count, table and charge
+is unchanged; the kernel's own statistics describe the smaller product.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..mpi.layout import Layout, bcast_segments, segment, summa_broadcasts
+from ..obs import current_metrics
 from ..sparse.coo import CooMatrix
+from ..sparse.csr import assume_rowmajor, compress_rows
+from ..sparse.gustavson import DEFAULT_BATCH_FLOPS
 from ..sparse.kernels import (
     SpGemmKernel,
     kernel_name,
     kernel_supports_batch_flops,
     resolve_kernel,
 )
-from ..sparse.semiring import Semiring
-from ..obs import current_metrics
+from ..sparse.semiring import CountSemiring, Semiring
 from ..sparse.spgemm import SpGemmStats
 from ..trace import current_tracer
 from .distmat import DistSparseMatrix
+
+
+#: ``B``'s stripe is cut to the rows ``A``'s stripe meets — one binary
+#: search per inner id, nothing copied whole — when ``A``'s stripe holds
+#: fewer than ``1 / SELECT_ROWS`` of ``B``'s entries (a served query against
+#: a database stripe); otherwise ``B``'s stripe is assembled once and kept.
+SELECT_ROWS = 32
 
 
 @dataclass
@@ -52,9 +96,10 @@ class SummaResult:
         Global shape of the full output matrix the coordinates refer to.
     per_rank:
         One COO matrix per rank, in **global** coordinates, holding the
-        output elements that rank computed/owns.
+        output elements that rank owns, row-major.
     stats:
-        Aggregated SpGEMM statistics (flops, compression factor, ...).
+        Aggregated SpGEMM statistics of the per-(rank, stage) multiplies
+        (flops, compression factor, ...).
     comm_seconds:
         Modelled broadcast time charged to the slowest rank.
     flops_per_rank:
@@ -95,6 +140,358 @@ class SummaResult:
         return merged.deduplicate(semiring) if semiring is not None else merged.sort_rowmajor()
 
 
+# ---------------------------------------------------------------------- operands
+@dataclass(frozen=True)
+class SharedInner:
+    """The inner indices held by at least two rows of ``A``, for a product
+    whose ``B`` is ``Aᵀ`` of the same rows (see the module docstring).
+
+    ``ranks[t]`` is inner index ``t``'s rank among the shared ones, ``-1``
+    for an index held by one row; ``count`` is the number shared.
+    """
+
+    ranks: np.ndarray
+    count: int
+
+    @classmethod
+    def from_mask(cls, shared: np.ndarray) -> "SharedInner":
+        """From a boolean mask over the inner dimension."""
+        shared = np.asarray(shared, dtype=bool)
+        dtype = np.int32 if shared.size <= np.iinfo(np.int32).max else np.int64
+        ranks = np.cumsum(shared, dtype=dtype)
+        count = int(ranks[-1]) if ranks.size else 0
+        ranks *= shared  # a private index's rank becomes -1 below
+        ranks -= 1
+        return cls(ranks, count)
+
+
+@dataclass(frozen=True)
+class RowOperand:
+    """``A``'s stripe as the product's left operand, and what the charge
+    plan reads of its grid blocks.
+
+    ``matrix`` holds the stripe's rows relabelled to start at 0 (global row
+    ``offset``), row-major, with global inner ids — or shared ranks, with the
+    per-stage counts of each row's private inner indices in ``private``
+    (``[row, k]``).  Grid row ``i``'s rows are ``chunks[i]:chunks[i + 1]``;
+    ``nbytes[i, k]`` / ``occupied[i, k]`` are the triplet bytes and
+    non-emptiness of grid block ``(i, k)``, the payload its stage broadcasts.
+    """
+
+    matrix: CooMatrix
+    offset: int
+    chunks: np.ndarray
+    nbytes: np.ndarray
+    occupied: np.ndarray
+    itemsize: int
+    private: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class ColOperand:
+    """``B``'s stripe as the product's right operand: inner rows, and column
+    ``c · grid_dim + k`` holding local column ``c``'s entries of row chunk
+    ``k`` (global column ``offset + c``), row-major.  ``chunk_of_col[c]`` is
+    the grid column of local column ``c``; ``nbytes[k, j]`` /
+    ``occupied[k, j]`` describe grid block ``(k, j)``."""
+
+    matrix: CooMatrix
+    offset: int
+    chunk_of_col: np.ndarray
+    #: per operand column ``c · grid_dim + k``: ``k · grid_dim + j``, ``j``
+    #: the grid column of local column ``c``
+    stage_class: np.ndarray
+    nbytes: np.ndarray
+    occupied: np.ndarray
+    itemsize: int
+
+    @property
+    def width(self) -> int:
+        """Columns of the stripe."""
+        return int(self.chunk_of_col.size)
+
+
+def _block_facts(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Triplet bytes and non-emptiness of a grid of ``(block, ...)``."""
+    nbytes = np.array([[b[0].memory_bytes() for b in row] for row in blocks], dtype=np.int64)
+    occupied = np.array([[b[0].nnz > 0 for b in row] for row in blocks], dtype=bool)
+    return nbytes, occupied
+
+
+def _span(extents: list[int], offsets: list[int]) -> tuple[int, np.ndarray]:
+    """The stripe origin and the local starts of the grid chunks (plus the
+    stripe's extent) from each chunk's extent within the stripe and global
+    offset; a chunk the stripe misses is empty, clipped to an end."""
+    total = sum(extents)
+    origin = next((offset for extent, offset in zip(extents, offsets) if extent), 0)
+    return origin, np.array([min(max(o - origin, 0), total) for o in offsets] + [total])
+
+
+def _merge_rows(pieces: list[tuple], nrows: int) -> tuple:
+    """``(entries per row, *arrays)`` of row-major pieces ``(pointers,
+    *arrays)`` — ``pointers`` over rows ``0..nrows`` — merged by row, ties in
+    piece order: a counting merge of the pointers, no sort."""
+    if not pieces:
+        return (np.zeros(nrows, dtype=np.int64),)
+    counts = [np.diff(pointers) for pointers, *_ in pieces]
+    per_row = np.sum(counts, axis=0)
+    if len(pieces) == 1:
+        return (per_row, *pieces[0][1:])
+    start = np.cumsum(per_row) - per_row  # where each merged row starts
+    dest = []
+    for (pointers, *_), count in zip(pieces, counts):
+        # a row's entries land after the earlier pieces' entries of the row
+        dest.append(np.repeat(start - pointers[:-1], count) + np.arange(pointers[-1]))
+        start += count
+    dest = np.concatenate(dest)
+    merged = []
+    for arrays in list(zip(*pieces))[1:]:
+        out = np.empty(dest.size, dtype=arrays[0].dtype)
+        out[dest] = np.concatenate(arrays)
+        merged.append(out)
+    return (per_row, *merged)
+
+
+def row_operand(stripe: DistSparseMatrix, shared: SharedInner | None = None) -> RowOperand:
+    """``A``'s row stripe (or whole matrix) as a :class:`RowOperand`: every
+    grid row's blocks merged by row, their columns made global (or shared
+    ranks, when ``shared`` restricts it)."""
+    grid = stripe.grid
+    dim = grid.grid_dim
+    blocks = [[stripe.grid_block(i, k) for k in range(dim)] for i in range(dim)]
+    heights = [row[0][0].shape[0] for row in blocks]
+    origin, chunks = _span(heights, [row[0][1] for row in blocks])
+    height = int(chunks[-1])
+    private = None if shared is None else np.zeros((height, dim), dtype=np.int64)
+    per_row, merged = [], []
+    for i, row in enumerate(blocks):
+        pieces = []
+        edges = np.arange(heights[i] + 1)
+        for k, (block, _, col_offset) in enumerate(row):
+            if not block.nnz:
+                continue
+            pointers = np.searchsorted(block.rows, edges)
+            if shared is None:
+                pieces.append((pointers, block.cols + col_offset, block.values))
+                continue
+            ranks = shared.ranks[col_offset: col_offset + block.shape[1]][block.cols]
+            keep = np.flatnonzero(ranks >= 0)
+            kept = np.searchsorted(keep, pointers)  # kept entries before each row
+            private[chunks[i]: chunks[i + 1], k] = np.diff(pointers) - np.diff(kept)
+            pieces.append((kept, ranks.take(keep)))
+        counts, *arrays = _merge_rows(pieces, int(heights[i]))
+        per_row.append(counts)
+        if arrays:
+            merged.append(arrays)
+    cols = np.concatenate([m[0] for m in merged]) if merged else np.empty(0, np.int64)
+    if shared is None:
+        values = np.concatenate([m[1] for m in merged]) if merged else np.empty(0, stripe.dtype)
+        inner = stripe.shape[1]
+    else:
+        values, inner = None, shared.count
+    rows = np.repeat(np.arange(height), np.concatenate(per_row))
+    nbytes, occupied = _block_facts(blocks)
+    return RowOperand(
+        assume_rowmajor(CooMatrix((height, inner), rows, cols, values, check=False)),
+        origin, chunks, nbytes, occupied, blocks[0][0][0].rows.itemsize, private,
+    )
+
+
+def _select_rows(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The positions of the entries of the sorted ``rows`` whose row is one
+    of the sorted ``wanted``, ascending: one binary search per wanted row."""
+    lo = np.searchsorted(rows, wanted)
+    count = np.searchsorted(rows, wanted, side="right") - lo
+    start = np.cumsum(count) - count
+    return np.repeat(lo - start, count) + np.arange(int(count.sum()))
+
+
+def _col_grid(stripe: DistSparseMatrix) -> tuple:
+    """What a :class:`ColOperand` of ``stripe`` holds besides its matrix,
+    and the stripe's grid blocks ``[k][j]``."""
+    dim = stripe.grid.grid_dim
+    blocks = [[stripe.grid_block(k, j) for j in range(dim)] for k in range(dim)]
+    origin, chunks = _span(
+        [block.shape[1] for block, _, _ in blocks[0]], [offset for _, _, offset in blocks[0]]
+    )
+    chunk_of_col = np.repeat(np.arange(dim), np.diff(chunks))
+    stage_class = (np.arange(dim) * dim + chunk_of_col[:, None]).ravel()
+    return blocks, (origin, chunk_of_col, stage_class, *_block_facts(blocks),
+                    blocks[0][0][0].cols.itemsize)
+
+
+def col_operand(
+    stripe: DistSparseMatrix, shared: SharedInner | None = None, inner: np.ndarray | None = None
+) -> ColOperand:
+    """``B``'s column stripe (or whole matrix) as a :class:`ColOperand`:
+    every row chunk's blocks merged by row, rows made global (or shared
+    ranks), columns split by stage.  ``inner`` (ascending global inner ids)
+    keeps only those rows."""
+    blocks, facts = stripe.derived("summa col grid", lambda: _col_grid(stripe))
+    origin, dim = facts[0], len(blocks)
+    parts = []
+    for k, row in enumerate(blocks):
+        pieces = []
+        for block, row_offset, col_offset in row:
+            if not block.nnz:
+                continue
+            rows, cols, values = block.rows, block.cols, block.values
+            if inner is not None:
+                lo, hi = np.searchsorted(inner, (row_offset, row_offset + block.shape[0]))
+                if lo == hi:
+                    continue
+                take = _select_rows(rows, inner[lo:hi] - row_offset)
+                rows, cols, values = rows.take(take), cols.take(take), values.take(take)
+            if shared is None:
+                rows = rows + row_offset
+            else:
+                ranks = shared.ranks[row_offset: row_offset + block.shape[0]][rows]
+                keep = np.flatnonzero(ranks >= 0)
+                rows, cols, values = ranks.take(keep), cols.take(keep), None
+            cols = (cols + (col_offset - origin)) * dim + k
+            pieces.append((rows, cols) if values is None else (rows, cols, values))
+        if len(pieces) > 1:  # a stripe across grid columns: merge them by row
+            joined = [np.concatenate(arrays) for arrays in zip(*pieces)]
+            order = np.argsort(joined[0], kind="stable")
+            pieces = [tuple(array[order] for array in joined)]
+        parts += pieces
+    rows, cols = (np.concatenate([p[n] for p in parts]) if parts else np.empty(0, np.int64)
+                  for n in (0, 1))
+    if shared is None:
+        values = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, stripe.dtype)
+        height = stripe.shape[0]
+    else:
+        values, height = None, shared.count
+    shape = (height, facts[1].size * dim)
+    return ColOperand(
+        assume_rowmajor(CooMatrix(shape, rows, cols, values, check=False)), *facts
+    )
+
+
+# ---------------------------------------------------------------------- the plan
+@functools.lru_cache(maxsize=None)
+def stage_layout(dim: int, category: str, prefix: str) -> Layout:
+    """The ledger events of SUMMA's stages on a ``dim × dim`` grid, one
+    layout block per stage ``k``: the ``A`` then ``B`` broadcasts (charges,
+    then received and sent bytes) and every rank's ``spgemm_flops``.
+
+    Charge values: broadcast seconds ``[k, side, x]``.  Count values:
+    broadcast bytes ``[k, side, x]``, then flops ``[k, rank]``.  Flags:
+    ``[1 | rank multiplies at stage k]``.
+    """
+    nprocs, ops = dim * dim, 2 * dim
+    stage = np.arange(dim)[:, None]
+    roots, groups = summa_broadcasts(dim)
+    charges, counts = bcast_segments(
+        stage * ops + np.arange(ops), roots.reshape(dim, ops), groups.reshape(dim, ops, dim),
+        category=category, prefix=prefix,
+    )
+    multiply = stage * nprocs + np.arange(nprocs)
+    flops = segment(np.arange(nprocs), "spgemm_flops", dim * ops + multiply, when=1 + multiply)
+    return Layout().add("charge", dim, charges).add("count", dim, counts, flops)
+
+
+def row_groups(
+    row_flops: np.ndarray, chunks: np.ndarray, multiplies: np.ndarray, budget: int
+) -> tuple[int, int]:
+    """``(row groups, largest group's flops)`` of the per-(rank, stage)
+    multiplies: multiply ``(i, k, j)`` (marked in ``multiplies``) runs over
+    rows ``chunks[i]:chunks[i + 1]`` with flops ``row_flops[row, k, j]``.
+
+    The rows with flops — the Gustavson kernel's live rows — are cut
+    greedily into ``budget``-bounded groups, never less than one row, as
+    :func:`~repro.sparse.gustavson.row_group_bounds` cuts them, every
+    multiply at once.
+    """
+    height, dim = row_flops.shape[0], row_flops.shape[1]
+    i, k, j = np.nonzero(multiplies)
+    flat = row_flops.transpose(1, 2, 0).ravel()  # stage, grid column, then row
+    live = flat > 0
+    cum = np.concatenate(([0], np.cumsum(flat[live])))
+    ahead = np.concatenate(([0], np.cumsum(live)))  # live rows before a flat position
+    base = (k * dim + j) * height
+    start, end = ahead[base + chunks[i]], ahead[base + chunks[i + 1]]
+    start, end = start[start < end], end[start < end]
+    groups = peak = 0
+    while start.size:
+        stop = np.searchsorted(cum, cum[start] + budget, side="right") - 1
+        stop = np.minimum(np.maximum(stop, start + 1), end)
+        peak = max(peak, int((cum[stop] - cum[start]).max()))
+        groups += start.size
+        more = stop < end
+        start, end = stop[more], end[more]
+    return groups, peak
+
+
+def _kernel_groups(rows, cols, counts, flops, multiplies, left, right, budget):
+    """``(row groups, largest group's flops)`` of the multiplies: one group
+    for a multiply with flops within ``budget`` (or with no budget), the
+    greedy cut of its rows (:func:`row_groups`) for the others."""
+    whole = multiplies & (flops > 0)
+    split = whole & (flops > budget) if budget is not None else np.zeros_like(whole)
+    whole &= ~split
+    groups, peak = int(np.count_nonzero(whole)), int(flops[whole].max(initial=0))
+    if split.any():
+        height, dim = left.matrix.shape[0], flops.shape[0]
+        cell = rows * (dim * dim) + right.stage_class[cols]
+        row_flops = np.bincount(cell, weights=counts, minlength=height * dim * dim)
+        more = row_groups(
+            row_flops.astype(np.int64).reshape(height, dim, dim), left.chunks, split, budget
+        )
+        groups, peak = groups + more[0], max(peak, more[1])
+    return groups, peak
+
+
+def _own_stripe(left: RowOperand, right: ColOperand, dim: int) -> tuple:
+    """The operands and private counts of a block whose columns are its
+    rows (``B``'s stripe is ``A``'s transposed): only the inner indices at
+    least two of the stripe's rows hold meet another row, so the product
+    keeps those, and each row's others — held by it alone here, shared or
+    not — count once on the diagonal, at their stages (``[row, k]``)."""
+    b = right.matrix
+    row_ids, pointers, _, _ = compress_rows(b)
+    holders = np.diff(pointers)  # the stripe's rows holding each inner index
+    alone = np.repeat(holders == 1, holders)
+    counts = np.bincount(b.cols[alone], minlength=b.shape[1]).reshape(-1, dim)
+    kept = np.flatnonzero(~alone)
+    b = CooMatrix(b.shape, b.rows[kept], b.cols[kept], check=False)
+    together = np.zeros(b.shape[0], dtype=bool)
+    together[row_ids[holders > 1]] = True
+    a = left.matrix
+    kept = np.flatnonzero(together[a.cols])
+    a = CooMatrix(a.shape, a.rows[kept], a.cols[kept], check=False)
+    return assume_rowmajor(a), assume_rowmajor(b), left.private + counts
+
+
+def _count_diagonal(
+    product: CooMatrix, private: np.ndarray, a: RowOperand, b: ColOperand, dim: int
+) -> tuple:
+    """The product's ``(rows, cols, counts)`` with ``private[row, k]`` —
+    each diagonal row's private inner indices — counted back in at stage
+    ``k``."""
+    rows, cols, counts = product.rows, product.cols, product.values
+    lo, hi = max(a.offset, b.offset), min(a.offset + a.matrix.shape[0], b.offset + b.width)
+    if lo >= hi:
+        return rows, cols, counts
+    held = private[lo - a.offset: hi - a.offset]
+    row, stage = np.nonzero(held)
+    add_rows = row + (lo - a.offset)
+    add_cols = (row + (lo - b.offset)) * dim + stage
+    add = held[row, stage]
+    span = b.matrix.shape[1]
+    keys, add_keys = rows * span + cols, add_rows * span + add_cols
+    at = np.searchsorted(keys, add_keys)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == add_keys[hit]
+    counts[at[hit]] += add[hit]
+    miss = ~hit
+    return (
+        np.insert(rows, at[miss], add_rows[miss]),
+        np.insert(cols, at[miss], add_cols[miss]),
+        np.insert(counts, at[miss], add[miss]),
+    )
+
+
 def summa(
     a: DistSparseMatrix,
     b: DistSparseMatrix,
@@ -102,17 +499,22 @@ def summa(
     output_shape: tuple[int, int] | None = None,
     spgemm_backend: str | SpGemmKernel | None = None,
     batch_flops: int | None = None,
+    shared: SharedInner | None = None,
 ) -> SummaResult:
-    """Run the 2D Sparse SUMMA ``C = A ·(semiring) B`` on the simulated grid.
+    """``C = A ·(semiring) B`` as the 2D Sparse SUMMA on the simulated grid
+    computes it, charged as it charges (see the module docstring).
 
     ``a`` and ``b`` may be full distributed matrices or stripes of them; the
-    output coordinates are global either way.  ``output_shape`` defaults to
+    output coordinates are global either way.  Each stripe's product operand
+    is assembled on its first multiply and kept with it
+    (:meth:`DistSparseMatrix.derived`).  ``output_shape`` defaults to
     ``(a.shape[0], b.shape[1])`` and should be set to the full matrix shape
-    when multiplying stripes.  ``spgemm_backend`` selects the local-multiply
-    kernel by name (see :mod:`repro.sparse.kernels`) or directly as
-    a callable; ``None`` uses the registry default.  ``batch_flops`` bounds
-    the per-row-group flop budget of every local multiply (memory-constrained
-    runs); the selected backend must support batching.
+    when multiplying stripes.  ``spgemm_backend`` selects the kernel by name
+    (see :mod:`repro.sparse.kernels`) or directly as a callable; ``None``
+    uses the registry default.  ``batch_flops`` bounds the per-row-group
+    flop budget of the kernel (memory-constrained runs); the selected
+    backend must support batching.  ``shared`` (count semiring only, ``b``
+    being ``aᵀ``) restricts the product to the shared inner indices.
     """
     if a.comm is not b.comm:
         raise ValueError("operands must live on the same communicator")
@@ -121,105 +523,162 @@ def summa(
     dim = grid.grid_dim
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
+    if shared is not None and type(semiring) is not CountSemiring:
+        raise ValueError("the shared-inner restriction needs the count semiring")
     if output_shape is None:
         output_shape = (a.shape[0], b.shape[1])
     spgemm_kernel = resolve_kernel(spgemm_backend)
+    batched = kernel_supports_batch_flops(spgemm_kernel)
     kernel_kwargs: dict[str, int] = {}
     if batch_flops is not None:
-        if not kernel_supports_batch_flops(spgemm_kernel):
+        if not batched:
             raise ValueError(
                 f"spgemm_backend {spgemm_backend!r} does not support batch_flops; "
                 "use the 'gustavson' backend for flop-budgeted batching"
             )
         kernel_kwargs["batch_flops"] = batch_flops
+    key = None if shared is None else id(shared)  # the kept operand holds ``shared``
+    left = a.derived(("summa rows", key), lambda: (shared, row_operand(a, shared)))[1]
+    if shared is None and SELECT_ROWS * left.matrix.nnz < b.nnz:
+        # a few inner ids (a served query): the B rows they meet, searched
+        right = col_operand(b, inner=np.unique(left.matrix.cols))
+    else:
+        right = b.derived(("summa cols", key), lambda: (shared, col_operand(b, shared)))[1]
 
-    ledger = comm.ledger
-    engine = comm.collectives
-    partials: list[list[CooMatrix]] = [[] for _ in range(grid.nprocs)]
-    stats = SpGemmStats()
-    flops_per_rank = np.zeros(grid.nprocs)
-    comm_before = ledger.per_rank(engine.comm_category).copy()
-    # summa has no StageContext, so it reaches the tracer through the
-    # module-level active-tracer global
+    a_matrix, b_matrix, private = left.matrix, right.matrix, left.private
+    if private is not None and (left.offset, left.matrix.shape[0]) == (right.offset, right.width):
+        a_matrix, b_matrix, private = _own_stripe(left, right, dim)
+
     tracer = current_tracer()
-    # kernel dispatch records (measured compression factor + per-kernel
-    # seconds) go to the active metrics hub the same way
+    t0 = time.perf_counter()
+    product, kernel_stats = spgemm_kernel(
+        a_matrix, b_matrix, CountSemiring(), return_stats=True, **kernel_kwargs
+    )
+    values = None
+    if type(semiring) is not CountSemiring:
+        values = spgemm_kernel(a_matrix, b_matrix, semiring, **kernel_kwargs).values
+    kernel_seconds = time.perf_counter() - t0
+    if tracer is not None:
+        tracer.add_span(
+            "summa_product", "summa", t0, t0 + kernel_seconds, lane="discover",
+            flops=kernel_stats.flops,
+        )
+    if private is not None:
+        rows, cols, counts = _count_diagonal(product, private, left, right, dim)
+    else:
+        rows, cols, counts = product.rows, product.cols, product.values
+    del product
+    if values is None:
+        values = counts
+
+    # per multiply (i, k, j): its flops and output entries
+    classes = dim * dim
+    cell = right.stage_class[cols]
+    grid_rows = np.flatnonzero(np.diff(left.chunks))  # the grid rows the stripe meets
+    if grid_rows.size > 1:
+        cell += classes * np.searchsorted(left.chunks[1:-1], rows, side="right")
+    elif grid_rows.size:
+        cell += classes * int(grid_rows[0])
+    flops = np.bincount(cell, weights=counts, minlength=dim * classes)
+    flops = flops.astype(np.int64).reshape(dim, dim, dim)
+    outputs = np.bincount(cell, minlength=dim * classes).reshape(dim, dim, dim)
+    del cell
+    multiplies = left.occupied[:, :, None] & right.occupied[None, :, :]
+    budget = (batch_flops or DEFAULT_BATCH_FLOPS) if batched else None
+    groups, peak = _kernel_groups(rows, cols, counts, flops, multiplies, left, right, budget)
+    total_flops, output_nnz = int(flops.sum()), int(outputs.sum())
+    stats = SpGemmStats(
+        flops=total_flops,
+        output_nnz=output_nnz,
+        intermediate_bytes=peak * (
+            left.itemsize + right.itemsize + np.dtype(semiring.value_dtype).itemsize
+        ),
+        compression_factor=total_flops / output_nnz if output_nnz else 1.0,
+        row_groups=groups,
+    )
+
+    # SUMMA's per-rank merge: each coordinate's stage entries, in stage order
+    local_cols = cols // dim
+    if rows.size:
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (local_cols[1:] != local_cols[:-1])
+        starts = np.flatnonzero(first)
+        rows, local_cols = rows[starts], local_cols[starts]
+        values = semiring.reduce(values, starts)
+    else:
+        values = np.empty(0, dtype=semiring.value_dtype)
+    per_rank = _split_by_rank(
+        output_shape, rows + left.offset, local_cols, values, left, right, semiring
+    )
+
+    # the grid's charges, in its order
+    ledger, collectives = comm.ledger, comm.collectives
+    comm_before = ledger.per_rank(collectives.comm_category).copy()
+    nbytes = np.stack([left.nbytes.T, right.nbytes], axis=1)  # [k, side, x]
+    seconds = np.broadcast_to(
+        comm.cluster.network.tree_broadcast_seconds(nbytes, dim), nbytes.shape
+    )
+    rank_flops = flops.transpose(1, 0, 2).reshape(dim, grid.nprocs)  # [k, rank]
+    rank_multiplies = multiplies.transpose(1, 0, 2).reshape(dim, grid.nprocs)
+    stage_layout(dim, collectives.comm_category, collectives.counter_prefix).apply(
+        ledger,
+        seconds.ravel(),
+        np.concatenate([nbytes.ravel(), rank_flops.ravel()]),
+        np.concatenate([[True], rank_multiplies.ravel()]),
+    )
+    comm_after = ledger.per_rank(collectives.comm_category)
     metrics = current_metrics()
-    backend_label = kernel_name(spgemm_backend)
-
-    for k in range(dim):
-        stage_t0 = time.perf_counter() if tracer is not None else 0.0
-        # --- broadcast A(:, k) along grid rows and B(k, :) along grid columns
-        a_blocks: dict[int, tuple[CooMatrix, int, int]] = {}
-        for i in range(dim):
-            block, roff, coff = a.grid_block(i, k)
-            owner = grid.rank_of(i, k)
-            engine.bcast(block, owner, grid.row_group(i))
-            for rank in grid.row_group(i):
-                a_blocks[rank] = (block, roff, coff)
-        b_blocks: dict[int, tuple[CooMatrix, int, int]] = {}
-        for j in range(dim):
-            block, roff, coff = b.grid_block(k, j)
-            owner = grid.rank_of(k, j)
-            engine.bcast(block, owner, grid.col_group(j))
-            for rank in grid.col_group(j):
-                b_blocks[rank] = (block, roff, coff)
-
-        # --- local semiring multiply on every rank
-        for rank in range(grid.nprocs):
-            a_block, a_roff, _ = a_blocks[rank]
-            b_block, _, b_coff = b_blocks[rank]
-            if a_block.nnz == 0 or b_block.nnz == 0:
-                continue
-            t0 = time.perf_counter()
-            partial, pstats = spgemm_kernel(
-                a_block, b_block, semiring, return_stats=True, **kernel_kwargs
-            )
-            kernel_dt = time.perf_counter() - t0
-            stats = stats.merge(pstats)
-            if metrics is not None:
-                metrics.record_spgemm_stage(
-                    backend_label, k, kernel_dt, pstats.flops,
-                    pstats.compression_factor,
-                )
-            if partial.nnz:
-                partials[rank].append(
-                    CooMatrix(
-                        output_shape,
-                        partial.rows + a_roff,
-                        partial.cols + b_coff,
-                        partial.values,
-                        check=False,
-                    )
-                )
-            ledger.count(rank, "spgemm_flops", pstats.flops)
-            flops_per_rank[rank] += pstats.flops
-        if tracer is not None:
-            tracer.add_span(
-                "summa_stage", "summa", stage_t0, time.perf_counter(),
-                lane="discover", stage=k,
-            )
-
-    # --- merge per-rank partial results across stages
-    per_rank: list[CooMatrix] = []
-    for rank in range(grid.nprocs):
-        parts = partials[rank]
-        if not parts:
-            per_rank.append(CooMatrix.empty(output_shape, dtype=semiring.value_dtype))
-            continue
-        rows = np.concatenate([p.rows for p in parts])
-        cols = np.concatenate([p.cols for p in parts])
-        values = np.concatenate([p.values for p in parts])
-        merged = CooMatrix(output_shape, rows, cols, values, check=False).deduplicate(semiring)
-        per_rank.append(merged)
-
-    comm_after = ledger.per_rank(engine.comm_category)
-    comm_seconds = float((comm_after - comm_before).max()) if grid.nprocs else 0.0
-
+    if metrics is not None:
+        _record_stages(
+            metrics, kernel_name(spgemm_backend), kernel_seconds, rank_flops,
+            outputs.transpose(1, 0, 2).reshape(dim, grid.nprocs), rank_multiplies,
+        )
     return SummaResult(
         shape=output_shape,
         per_rank=per_rank,
         stats=stats,
-        comm_seconds=comm_seconds,
-        flops_per_rank=flops_per_rank,
+        comm_seconds=float((comm_after - comm_before).max()),
+        flops_per_rank=rank_flops.sum(axis=0).astype(np.float64),
     )
+
+
+def _split_by_rank(
+    shape, rows, local_cols, values, left: RowOperand, right: ColOperand, semiring: Semiring
+) -> list[CooMatrix]:
+    """The row-major output (global rows, stripe-local columns) cut into
+    each rank's piece: rank ``(i, j)`` owns row chunk ``i`` × column chunk
+    ``j``."""
+    dim = left.chunks.size - 1
+    bounds = np.searchsorted(rows, left.chunks + left.offset)
+    cols = local_cols + right.offset
+    spread = right.width and right.chunk_of_col[0] != right.chunk_of_col[-1]
+    owner = right.chunk_of_col[local_cols] if spread else None
+    per_rank = []
+    for rank in range(dim * dim):
+        i, j = divmod(rank, dim)
+        lo, hi = int(bounds[i]), int(bounds[i + 1])
+        if owner is not None:  # the stripe spans grid columns
+            take = lo + np.flatnonzero(owner[lo:hi] == j)
+            piece = (rows[take], cols[take], values[take])
+        else:
+            piece = (rows[lo:hi], cols[lo:hi], values[lo:hi])
+            if right.width and right.chunk_of_col[0] != j:
+                piece = (rows[:0],)
+        if piece[0].size:
+            per_rank.append(CooMatrix(shape, *piece, check=False))
+        else:
+            per_rank.append(CooMatrix.empty(shape, dtype=semiring.value_dtype))
+    return per_rank
+
+
+def _record_stages(metrics, label, seconds, rank_flops, rank_outputs, rank_multiplies) -> None:
+    """One metrics record per planned (rank, stage) multiply, in the grid's
+    order: its flops and compression factor, and the block product's
+    measured kernel seconds apportioned by flops."""
+    total = float(rank_flops.sum())
+    for k, rank in zip(*np.nonzero(rank_multiplies)):
+        flops, nnz = int(rank_flops[k, rank]), int(rank_outputs[k, rank])
+        metrics.record_spgemm_stage(
+            label, int(k), seconds * flops / total if total else 0.0, flops,
+            flops / nnz if nnz else 1.0,
+        )

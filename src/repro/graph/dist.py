@@ -83,7 +83,14 @@ import numpy as np
 from ..distsparse.blocked_summa import _chunk_bounds
 from ..metrics.memory import MemoryTracker  # DistMclResult.__init__'s inherited hint
 from ..mpi.communicator import SimCommunicator
-from ..mpi.costmodel import CostLedger, OverlapWindow
+from ..mpi.costmodel import OverlapWindow
+from ..mpi.layout import (
+    Layout,
+    allreduce_segments,
+    bcast_segments,
+    segment,
+    summa_broadcasts,
+)
 from ..mpi.process_grid import is_perfect_square
 from ..sparse.csr import CsrMatrix
 from ..sparse.gustavson import DEFAULT_BATCH_FLOPS
@@ -114,6 +121,9 @@ COO_ENTRY_BYTES = 24
 #: The cluster stage's byte counters.
 SENT_COUNTER = CLUSTER_COUNTER_PREFIX + "bytes_sent"
 RECEIVED_COUNTER = CLUSTER_COUNTER_PREFIX + "bytes_received"
+#: How the expansion broadcasts and row-op collectives charge and count:
+#: the keywords of :func:`repro.mpi.layout.bcast_segments`.
+COLLECTIVES = {"category": CLUSTER_COMM_CATEGORY, "prefix": CLUSTER_COUNTER_PREFIX}
 #: Memory-tracker component names.
 DIST_MCL_ITERATE = "dist_mcl_iterate"
 DIST_MCL_INTERMEDIATE = "dist_mcl_intermediate"
@@ -169,91 +179,6 @@ class _VolumePredictor:
     def allreduce(self, nbytes: int, participants: int) -> None:
         # reduce-then-broadcast: only the broadcast leg counts bytes
         self.bcast(nbytes, participants)
-
-
-def _segment(ranks, name, slot, scale=1.0, when=0) -> tuple:
-    """One run of ledger events of a :class:`_Layout` (see :meth:`_Layout.add`)."""
-    return ranks, name, slot, scale, when
-
-
-def _bcast_segments(slot: np.ndarray, roots: np.ndarray, groups: np.ndarray, when=0):
-    """The charge and count segments of binomial-tree broadcasts from
-    ``roots[..., op]`` to ``groups[..., op, :]`` whose seconds and bytes are
-    slot ``slot[b, op]``, as
-    :meth:`~repro.mpi.collectives.CollectiveEngine.bcast_bytes` emits them:
-    every participant's charge, then every participant's received bytes and
-    the root's sent bytes."""
-    nblocks, p = slot.shape[0], groups.shape[-1]
-    shape = slot.shape + (p,)
-    groups = np.broadcast_to(groups, shape)
-    roots = np.broadcast_to(roots, slot.shape)[..., None]
-    charges = _segment(
-        groups.reshape(nblocks, -1), CLUSTER_COMM_CATEGORY,
-        np.broadcast_to(slot[..., None], shape).reshape(nblocks, -1), when=when,
-    )
-    # a root receives nothing and sends its bytes to the p - 1 others
-    scale = np.concatenate([groups != roots, np.full(roots.shape, p - 1)], axis=-1)
-    counts = _segment(
-        np.concatenate([groups, roots], axis=-1).reshape(nblocks, -1),
-        ([RECEIVED_COUNTER] * p + [SENT_COUNTER]) * slot.shape[1],
-        np.repeat(slot, p + 1, axis=-1),
-        scale.reshape(nblocks, -1),
-        when,
-    )
-    return charges, counts
-
-
-def _allreduce_segments(slot: np.ndarray, groups: np.ndarray, when=0):
-    """Segments of one allreduce per row of ``groups`` (ascending ranks)
-    whose seconds and bytes are slot ``slot[b]``: a tree reduction onto the
-    lowest rank — every participant's charge — then its broadcast."""
-    charges, counts = _bcast_segments(slot[:, None], groups[:, :1], groups[:, None, :], when)
-    return (charges, charges), counts
-
-
-class _Layout:
-    """One stage's ledger events, laid out once per fit in the order the
-    executed grid emits them.
-
-    Each event has a rank and a name, reads slot ``slot`` of the stage's
-    per-iteration value vector times a constant ``scale``, and happens when
-    slot ``when`` of the iteration's flag vector is set (slot 0 always is).
-    :meth:`apply` charges one iteration with one bulk charge and one bulk
-    count.
-    """
-
-    def __init__(self) -> None:
-        #: per kind: the rank, name, slot, scale and flag slot of every event
-        self.events: dict[str, list[np.ndarray]] = {"charge": [], "count": []}
-
-    def add(self, kind: str, blocks: int, *segments: tuple) -> "_Layout":
-        """Append ``segments`` (:func:`_segment`), each field broadcastable
-        to ``(blocks, width)``: block by block, and within a block in
-        argument order."""
-        columns = []
-        for segment in segments:
-            shape = np.broadcast_shapes(*(np.shape(field) for field in segment), (blocks, 1))
-            columns.append([np.broadcast_to(field, shape) for field in segment])
-        fields = [np.hstack(column).ravel() for column in zip(*columns)]
-        laid = self.events[kind]
-        self.events[kind] = [np.concatenate(pair) for pair in zip(laid, fields)] if laid else fields
-        return self
-
-    def apply(
-        self, ledger: CostLedger, charges: np.ndarray, counts: np.ndarray, flags=None
-    ) -> None:
-        """Charge one iteration: ``charges``/``counts`` are the value
-        vectors, ``flags`` the flag vector (``None``: every event happens)."""
-        for kind, values, bulk in (
-            ("charge", charges, ledger.charge_events),
-            ("count", counts, ledger.count_events),
-        ):
-            ranks, names, slot, scale, when = self.events[kind]
-            values = values[slot] * scale
-            if flags is not None:
-                keep = flags[when]
-                ranks, names, values = ranks[keep], names[keep], values[keep]
-            bulk(ranks, names, values)
 
 
 class _ChargePlan:
@@ -319,7 +244,7 @@ class _ChargePlan:
         self.a_bcasts = (np.arange(len(self.blocks))[:, None], lanes, 0, block_grid_row[:, None])
         self.block_ranks = row_groups[block_grid_row]  # [b, c]: block b's grid row
         self.at_block_ranks = (self.a_bcasts[0], self.block_ranks)
-        self.layouts = self._layouts(row_groups)
+        self.layouts = self._layouts()
         # the row-op allreduces never change size: one float64 per stored row
         # for prune's column sums; the epilogue's [drop flag | post-prune
         # renormalization (block) | chaos (block) | chaos max | residual max]
@@ -344,7 +269,7 @@ class _ChargePlan:
         self._right: tuple[CsrMatrix, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ layouts
-    def _layouts(self, row_groups: np.ndarray) -> dict[str, _Layout]:
+    def _layouts(self) -> dict[str, Layout]:
         """Every stage's events in the executed grid's order; the comments
         give each stage's value and flag vectors."""
         dim, nprocs, nblocks = self.grid.grid_dim, self.grid.nprocs, len(self.blocks)
@@ -356,35 +281,36 @@ class _ChargePlan:
         # k broadcasts A block (i, k) along grid row i for every i, then
         # B block (k, j) along grid column j for every j.
         ops = 2 * dim * dim
-        roots = np.stack([row_groups.T, row_groups], axis=1)  # [k, side, x]
-        groups = np.broadcast_to(np.stack([row_groups, row_groups.T]), (dim, 2, dim, dim))
-        summa_charges, summa_counts = _bcast_segments(
-            block * ops + np.arange(ops), roots.ravel(), groups.reshape(ops, dim)
+        roots, groups = summa_broadcasts(dim)  # [k, side, x(, :)]
+        summa_charges, summa_counts = bcast_segments(
+            block * ops + np.arange(ops), roots.ravel(), groups.reshape(ops, dim), **COLLECTIVES
         )
         multiply = block * dim + lanes
-        expand = _Layout()
+        expand = Layout()
         expand.add(
             "charge", nblocks, summa_charges,
-            _segment(everyone, CLUSTER_EXPAND_CATEGORY, nblocks * ops + block * nprocs + everyone),
+            segment(everyone, CLUSTER_EXPAND_CATEGORY, nblocks * ops + block * nprocs + everyone),
         )
         expand.add(
             "count", nblocks, summa_counts,
-            _segment(self.block_ranks, "spgemm_flops", nblocks * ops + multiply, when=1 + multiply),
+            segment(self.block_ranks, "spgemm_flops", nblocks * ops + multiply, when=1 + multiply),
         )
         # prune — charges: [allreduce seconds (block) | allgather seconds
         # (block) | row-op seconds (block, rank)]; counts: [allreduce bytes
         # (block) | allgather sent, then received (block, grid column)]
-        reduce_charges, reduce_counts = _allreduce_segments(block[:, 0], self.block_ranks)
+        reduce_charges, reduce_counts = allreduce_segments(
+            block[:, 0], self.block_ranks, **COLLECTIVES
+        )
         gathered = nblocks + multiply
-        prune = _Layout()
+        prune = Layout()
         prune.add(
             "charge", nblocks, *reduce_charges,
-            _segment(self.block_ranks, CLUSTER_COMM_CATEGORY, nblocks + block),
-            _segment(everyone, CLUSTER_PRUNE_CATEGORY, 2 * nblocks + block * nprocs + everyone),
+            segment(self.block_ranks, CLUSTER_COMM_CATEGORY, nblocks + block),
+            segment(everyone, CLUSTER_PRUNE_CATEGORY, 2 * nblocks + block * nprocs + everyone),
         )
         prune.add(
             "count", nblocks, reduce_counts,
-            _segment(
+            segment(
                 np.repeat(self.block_ranks, 2, axis=1),
                 [SENT_COUNTER, RECEIVED_COUNTER] * dim,
                 np.stack([gathered, gathered + nblocks * dim], axis=2).reshape(nblocks, -1),
@@ -394,13 +320,15 @@ class _ChargePlan:
         # renormalization (block) | chaos (block) | chaos max | residual max],
         # then [row-op seconds (rank)]; counts: those allreduces' bytes;
         # flags: [1 | anything dropped | R-MCL residual]
-        flag = _allreduce_segments(np.array([0]), everyone_row)
-        renormalize = _allreduce_segments(1 + block[:, 0], self.block_ranks, when=1)
-        chaos = _allreduce_segments(1 + nblocks + block[:, 0], self.block_ranks)
-        chaos_max = _allreduce_segments(np.array([1 + 2 * nblocks]), everyone_row)
-        residual = _allreduce_segments(np.array([2 + 2 * nblocks]), everyone_row, when=2)
-        seconds = _segment(everyone, CLUSTER_PRUNE_CATEGORY, 3 + 2 * nblocks + everyone)
-        epilogue = _Layout()
+        flag = allreduce_segments(np.array([0]), everyone_row, **COLLECTIVES)
+        renormalize = allreduce_segments(1 + block[:, 0], self.block_ranks, when=1, **COLLECTIVES)
+        chaos = allreduce_segments(1 + nblocks + block[:, 0], self.block_ranks, **COLLECTIVES)
+        chaos_max = allreduce_segments(np.array([1 + 2 * nblocks]), everyone_row, **COLLECTIVES)
+        residual = allreduce_segments(
+            np.array([2 + 2 * nblocks]), everyone_row, when=2, **COLLECTIVES
+        )
+        seconds = segment(everyone, CLUSTER_PRUNE_CATEGORY, 3 + 2 * nblocks + everyone)
+        epilogue = Layout()
         epilogue.add("charge", 1, *flag[0]).add("count", 1, flag[1])
         epilogue.add("charge", nblocks, *renormalize[0], *chaos[0])
         epilogue.add("count", nblocks, renormalize[1], chaos[1])

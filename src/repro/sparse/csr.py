@@ -53,13 +53,26 @@ def compress_rows(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return rows[indptr[:-1]], indptr, cols, values
 
 
+def assume_rowmajor(coo: CooMatrix) -> CooMatrix:
+    """``coo``, whose triplets its builder laid out row-major and
+    column-sorted, with the row pointers :func:`compress_rows` reads kept
+    without the order scan (SUMMA's product operands, assembled from sorted
+    stripe blocks).  Returns ``coo``."""
+    coo.derived("row_pointers", lambda: _row_pointers(coo.rows))
+    return coo
+
+
 def _own_row_pointers(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     """``(row_ids, indptr)`` over the matrix's own arrays, or ``None`` when
     they are not row-major."""
     if not coo.is_rowmajor():
         return None
-    indptr = run_pointers(coo.rows)
-    return coo.rows[indptr[:-1]], indptr
+    return _row_pointers(coo.rows)
+
+
+def _row_pointers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    indptr = run_pointers(rows)
+    return rows[indptr[:-1]], indptr
 
 
 def columns_sorted(csr: CsrMatrix) -> bool:

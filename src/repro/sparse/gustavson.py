@@ -20,12 +20,14 @@ A call has one of two accumulators:
 
   - the count semiring (:class:`~repro.sparse.semiring.CountSemiring`, the
     search pipeline's discovery semiring) when the call has at least as many
-    flops as ``B`` has entries: a count is the number of partial products,
-    so both operands go to SciPy as all-ones float64 patterns and every sum
-    is an integer below 2⁵³ — exact — and never 0.  SciPy's set-up is
-    ``O(nnz(B))`` while the expand form's integer reduce is cheap, so only
-    such calls pay it back — a whole ``A·Aᵀ`` always does (``Σ deg² ≥ Σ
-    deg``), a query against a database stripe almost never;
+    flops as ``A`` has live entries and ``B`` has entries together: a count
+    is the number of partial products, so both operands go to SciPy as
+    all-ones float64 patterns and every sum is an integer below 2⁵³ — exact
+    — and never 0.  SciPy's set-up converts both operands, ``O(live(A) +
+    nnz(B))``, while the expand form's integer reduce is cheap, so only such
+    calls pay it back — ``A·Aᵀ`` over k-mers most rows share does, a query
+    against a database stripe (or against just the stripe rows its k-mers
+    select, which it meets about once each) does not;
   - the plain arithmetic semiring when every live ``A`` value and every
     ``B`` value is ``> 0`` with ``min(a) * min(b) > 0`` in float64.  SciPy's
     scalar accumulator adds each output entry's partial products in
@@ -301,7 +303,11 @@ def spgemm_gustavson(
     # product of A′ — A's live rows with inner index b_pos — and B′ — B over
     # its non-empty rows — so the inner dimension is at most nnz(B)
     exact = False
-    if _scipy_sparse is not None and type(semiring) is CountSemiring and flops >= b_cols.size:
+    if (
+        _scipy_sparse is not None
+        and type(semiring) is CountSemiring
+        and flops >= live.size + b_cols.size
+    ):
         a_float, b_float = np.ones(live.size), np.ones(b_cols.size)
         exact = True
     elif _scipy_sparse is not None and type(semiring) is ArithmeticSemiring:

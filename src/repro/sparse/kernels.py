@@ -9,9 +9,10 @@
     flop count, and nothing of inner-dimension size is allocated, so a
     ``20ᵏ``-long k-mer dimension costs nothing.  Under the arithmetic
     semiring with positive values (MCL's transition matrices), and under
-    the count semiring when a call has at least as many flops as ``B`` has
-    entries, the whole product is one SciPy CSR matmul on the compressed
-    operands (exactly, see :mod:`repro.sparse.gustavson`).
+    the count semiring when a call has at least as many flops as its live
+    ``A`` entries and ``B``'s entries together, the whole product is one
+    SciPy CSR matmul on the compressed operands (exactly, see
+    :mod:`repro.sparse.gustavson`).
 
 ``"expand"``
     The vectorized sort–expand–reduce kernel
@@ -51,6 +52,7 @@ that form the output in flop-bounded batches additionally accept a
 
 from __future__ import annotations
 
+import functools
 import inspect
 from types import MappingProxyType
 from typing import Callable
@@ -125,12 +127,14 @@ def check_removed_kernel_knob(spgemm_backend: str | None) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
 def kernel_supports_batch_flops(kernel: SpGemmKernel) -> bool:
     """Whether a backend accepts the ``batch_flops`` flop-budget keyword.
 
     Only an explicitly named ``batch_flops`` parameter counts — a bare
     ``**kwargs`` would swallow the budget without honoring it, silently
-    defeating the memory bound the caller asked for.
+    defeating the memory bound the caller asked for.  The answer is kept
+    per callable: SUMMA asks once per output block.
     """
     try:
         parameters = inspect.signature(kernel).parameters

@@ -61,6 +61,24 @@ BAD_SETTINGS = [
     (PastisParams, {"align_batch_size": -3}, "align_batch_size"),
     (PastisParams, {"substitute_kmers": -1}, "substitute_kmers"),
     (PastisParams, {"max_kmer_frequency": 0}, "max_kmer_frequency"),
+    # blocking is a pair of positive ints: one factor, three, a float, zero,
+    # a bool and a string are refused
+    (PastisParams, {"blocking": (2,)}, "blocking"),
+    (PastisParams, {"blocking": (2, 3, 4)}, "blocking"),
+    (PastisParams, {"blocking": (2.5, 1)}, "blocking"),
+    (PastisParams, {"blocking": (0, 2)}, "blocking"),
+    (PastisParams, {"blocking": (True, 2)}, "blocking"),
+    (PastisParams, {"blocking": "22"}, "blocking"),
+    (PastisParams, {"num_blocks": 0}, "num_blocks"),
+    (PastisParams, {"coverage_threshold": 1.5}, "coverage_threshold"),
+    (PastisParams, {"common_kmer_threshold": 0}, "common_kmer_threshold"),
+    (PastisParams, {"batch_flops": 0}, "batch_flops"),
+    (PastisParams, {"preblock_depth": -1}, "preblock_depth"),
+    (PastisParams, {"alignment_mode": "bogus"}, "alignment_mode"),
+    (PastisParams, {"seed_alphabet": "dna"}, "seed_alphabet"),
+    (PastisParams, {"cache_dir": " "}, "cache_dir"),
+    (PastisParams, {"trace_dir": " "}, "trace_dir"),
+    (PastisParams, {"run_registry": " "}, "run_registry"),
     (ClusterParams, {"nprocs": 3}, "nprocs"),
     (ClusterParams, {"spgemm_backend": "expand"}, "spgemm_backend"),
     (AdeptDriver, {"batch_size": 0}, "batch_size"),
@@ -87,6 +105,8 @@ def test_params_validation():
     # the largest k-mer lengths whose ids fit int64 are accepted
     PastisParams(kmer_length=14)
     PastisParams(seed_alphabet="murphy10", kmer_length=18)
+    # any pair of positive integers blocks, NumPy's included
+    assert PastisParams(blocking=(np.int64(2), 3)).blocking_factors() == (2, 3)
 
 
 @pytest.mark.parametrize("seed_alphabet, largest", [("protein", 14), ("murphy10", 18)])

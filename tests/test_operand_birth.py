@@ -3,9 +3,11 @@
 ``repro.sparse.coo.radix_order`` replaces comparison sorts at birth and must
 give ``np.lexsort``'s permutation; after birth nothing is sorted, sliced by
 mask or compressed twice: every stripe handed to SUMMA is a view of the born
-operand, equal to what a plain mask over the row-major global operand cuts.
+operand, equal to what a plain mask over the row-major global operand cuts,
+and the product operand assembled from each stripe is compressed once.
 """
 
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -22,6 +24,9 @@ from repro.distsparse.blocked_summa import BlockSchedule
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix, radix_order, rowmajor_order
 from search_oracles import build_kmer_coo
+
+# the package re-exports the function under the module's name
+summa_module = importlib.import_module("repro.distsparse.summa")
 
 
 def _argsorts(monkeypatch) -> list:
@@ -165,8 +170,9 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     """A pipeline on a 2×2 grid with a 3×3 blocking: every stripe SUMMA gets
     is a view of the born operand and bitwise what a mask would cut out of
     the dense-id global operand — which is the k-mer-id operand through the
-    dictionary; no operand is ever sorted, and each stripe block is
-    compressed at most once."""
+    dictionary; no operand is ever sorted, and each operand the kernel
+    multiplies — one per stripe, assembled from its blocks, and a diagonal
+    block's cut of them — is compressed exactly once."""
     seqs = synthetic_dataset(n_sequences=60, seed=13)
     params = PastisParams(kmer_length=4, nodes=4, blocking=(3, 3), common_kmer_threshold=1)
     born = {}
@@ -183,12 +189,25 @@ def test_nothing_is_redone_after_birth(monkeypatch):
         handed.append((a, b))
         return real_summa(a, b, *args, **kwargs)
 
+    multiplied = []
+    real_resolve = summa_module.resolve_kernel
+
+    def resolve_kernel(name):
+        kernel = real_resolve(name)
+
+        def recording(a, b, *args, **kwargs):
+            multiplied.extend((a, b))
+            return kernel(a, b, *args, **kwargs)
+
+        return recording
+
     sorted_rows = []
     real_order = coo_module.rowmajor_order
     compressed = []
     real_pointers = csr_module.run_pointers
     monkeypatch.setattr(pipeline_module, "build_distributed_kmer_matrix", build)
     monkeypatch.setattr(blocked_summa_module, "summa", summa)
+    monkeypatch.setattr(summa_module, "resolve_kernel", resolve_kernel)
     monkeypatch.setattr(
         coo_module, "rowmajor_order",
         lambda rows, cols: sorted_rows.append(rows) or real_order(rows, cols),
@@ -245,5 +264,9 @@ def test_nothing_is_redone_after_birth(monkeypatch):
 
     operand_arrays = {id(array) for block in blocks for array in (block.rows, block.cols)}
     assert not [rows for rows in sorted_rows if id(rows) in operand_arrays]
-    per_block = Counter(id(keys) for keys in compressed if id(keys) in operand_arrays)
-    assert per_block and max(per_block.values()) == 1
+    assert not [keys for keys in compressed if id(keys) in operand_arrays]
+    kernel_operands = {id(m.rows): m for m in multiplied}
+    # one per stripe, and a pair per diagonal block: its rows' own k-mers
+    assert len(kernel_operands) == len(stripes["a"]) + len(stripes["b"]) + 2 * 3
+    per_operand = Counter(id(keys) for keys in compressed if id(keys) in kernel_operands)
+    assert per_operand.keys() == kernel_operands.keys() and set(per_operand.values()) == {1}
