@@ -69,7 +69,7 @@ the mechanisms above —
   window (attributes ``blocks`` and ``pairs``), the others one per block;
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
   :class:`StageCache` consult and the commit of a hit;
-* ``summa`` spans (``summa_stage``) — the broadcast stages inside one
+* ``summa`` spans (``summa_product``) — the one kernel product inside one
   discover's 2D SUMMA;
 * ``replay`` spans (``ledger_replay``) — the commit of a computed block;
 * counter series (live blocks, ``ledger.<category>`` totals, cache hits)
@@ -89,13 +89,14 @@ the instrumentation points above; pick by the question being asked:
 * *"How much, and is it getting slower across runs?"* → **metrics**
   (``PastisParams.metrics``/``run_registry``, :mod:`repro.obs`): typed
   counters/gauges/histograms with label sets — ledger seconds per
-  category, phase timers, cache hit/miss counts, per-SUMMA-stage kernel
-  seconds and measured compression factors — aggregated
+  category, phase timers, cache hit/miss counts, per-(rank, stage)
+  multiply flops and compression factors with the block product's kernel
+  seconds apportioned by flops — aggregated
   per run, persisted as registry manifests, scraped via Prometheus text
   exposition, and guarded by ``python -m repro.obs regress``.
 
 Both ride the same ledger trace hook (fanned out when both are on); the
-metrics hub reaches the SUMMA stage loop through the active-hub global,
+metrics hub reaches SUMMA through the active-hub global,
 not the :class:`StageContext`, and takes the run's cache counters and
 peaks once at the end.  Both carry the same contract: off by default,
 near-zero-cost when disabled, and non-perturbing — ``tests/test_trace.py``

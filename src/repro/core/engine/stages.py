@@ -4,9 +4,11 @@ One :class:`BlockTask` per output block of the blocked overlap computation,
 with four explicit stages:
 
 ``discover``
-    Run the Blocked 2D Sparse SUMMA for this block — shared-k-mer counts
-    under :class:`~repro.sparse.semiring.CountSemiring` — and derive the
-    per-rank modeled sparse (SpGEMM + stripe-traversal) seconds.
+    Compute this block of the Blocked 2D Sparse SUMMA — one
+    :class:`~repro.sparse.semiring.CountSemiring` product of the block's
+    stripes (shared-k-mer counts), with the grid's broadcasts and per-rank
+    flops charged from its counts — and derive the per-rank modeled sparse
+    (SpGEMM + stripe-traversal) seconds.
 ``prune``
     Apply the load-balancing scheme's element selection, drop self pairs,
     and apply the common-k-mer threshold — per rank; discovery produced
@@ -143,7 +145,8 @@ def discover(ctx: StageContext, task: "BlockTask") -> BlockResult:
     """Compute one block via SUMMA (or read it from the stage cache).
 
     Charges nothing to the run and changes none of its totals (the engine
-    only memoizes the stripes it slices): SUMMA charges a fresh
+    only memoizes the stripes it slices and the product operands it
+    assembles from them): SUMMA charges a fresh
     :class:`~repro.mpi.costmodel.RecordingLedger`, swapped into both
     ``comm.ledger`` and ``comm.collectives.ledger`` (they alias one object)
     for the duration of the multiply.

@@ -9,7 +9,9 @@ CombBLAS plays for PASTIS:
 * :mod:`repro.distsparse.distribute` — partitioning triplets / sequences to
   the grid, with the distribution traffic charged as an all-to-all;
 * :mod:`repro.distsparse.summa` — the 2D Sparse SUMMA SpGEMM of Buluç &
-  Gilbert, with row/column broadcasts charged per stage;
+  Gilbert, computed as one product and charged as the grid: the row/column
+  broadcasts and every rank's flops of every stage, from the product's
+  counts;
 * :mod:`repro.distsparse.blocked_summa` — the paper's **Blocked 2D Sparse
   SUMMA** (§VI-A): the output matrix is formed in ``br x bc`` blocks, each
   computed by a SUMMA over the corresponding row stripe of ``A`` and column

@@ -4,7 +4,9 @@ The overlap matrix of a many-against-many search is far too large to hold in
 memory at once (the production run discovers 95.9 *trillion* candidate
 elements).  The blocked SUMMA therefore forms the output in ``br x bc``
 blocks: output block ``C(r, c)`` is computed by a full 2D Sparse SUMMA over
-the row stripe ``A(r, *)`` and the column stripe ``B(*, c)``, after which the
+the row stripe ``A(r, *)`` and the column stripe ``B(*, c)`` — here one
+product of the two stripes, with the simulated grid charged from its counts
+(:func:`repro.distsparse.summa.summa`) — after which the
 block can be aligned and *discarded* before the next block is formed
 ("incremental similarity search").  Peak memory is then bounded by one output
 block plus the stripes, at the price of broadcasting the inputs ``br``/``bc``
@@ -27,10 +29,13 @@ each row-major block, and a column stripe is one column segment of each
 block of ``B``, which is born sorted by (rank block, column stripe, row,
 column) (:meth:`DistSparseMatrix.from_global_coo` with the schedule's
 :meth:`BlockSchedule.col_cuts`; a ``B`` born without them is refused by
-its first column stripe).  Each stripe block keeps the row pointers the
-kernel reads it through (:func:`repro.sparse.csr.compress_rows`), computed
-on its first multiply — so a stripe is scanned and compressed once per run,
-however many SUMMA stages and output blocks broadcast it.
+its first column stripe).  Each stripe keeps the product operand SUMMA
+assembles from it on its first multiply (:meth:`DistSparseMatrix.derived`),
+so a stripe is assembled once per run however many output blocks it meets;
+the engine keeps only the current block row's ``A`` operand.  For the
+all-vs-all search, where ``B`` is ``A``'s own transpose, the engine hands
+SUMMA the k-mers at least two rows hold (``shared_inner``), and only those
+are multiplied.
 """
 
 from __future__ import annotations

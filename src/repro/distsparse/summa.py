@@ -2,56 +2,43 @@
 the grid charged from counts.
 
 ``C = A ·(semiring) B`` on a ``√p × √p`` grid proceeds in ``grid_dim``
-stages.  In stage ``k``
-
-* the owner of ``A``'s block at grid position ``(i, k)`` broadcasts it along
-  grid row ``i``;
-* the owner of ``B``'s block at ``(k, j)`` broadcasts it along grid column
-  ``j``;
-* every rank ``(i, j)`` multiplies the two received blocks with the semiring
-  and accumulates the partial result into its local piece of ``C``.
+stages.  In stage ``k`` the owner of ``A``'s block ``(i, k)`` broadcasts it
+along grid row ``i``, the owner of ``B``'s block ``(k, j)`` broadcasts it
+along grid column ``j``, and every rank ``(i, j)`` multiplies the two
+blocks and accumulates into its piece of ``C``.
 
 :func:`summa` computes what that grid computes without executing it.  It
-multiplies once, through the SpGEMM kernel (:func:`resolve_kernel`): ``A``'s
-stripe, row-major (:class:`RowOperand`), times ``B``'s stripe with every
-column split by stage — column ``c · grid_dim + k`` of ``B``'s operand holds
-the entries of column ``c`` in ``B``'s row chunk ``k`` (:class:`ColOperand`).
-So entry ``(r, c · grid_dim + k)`` of the product is exactly what rank
-``(i, j)`` — the owner of row ``r`` and column ``c`` — multiplied at stage
-``k``: under :class:`~repro.sparse.semiring.CountSemiring` its value is that
-multiply's flops at the entry, and the entries per (row, stage, grid
-column) are the multiply's output entries and per-row flops.  Reducing each
-output coordinate's stage entries in stage order with the semiring is
-SUMMA's per-rank merge, and the coordinate's rank is its row chunk × column
-chunk, so :attr:`SummaResult.per_rank` is what the executed grid returned.
-A semiring other than the count one multiplies a second time, for the
-values; the counts still come from the count product.
+multiplies once through the SpGEMM kernel: ``A``'s stripe, row-major
+(:class:`RowOperand`), times ``B``'s stripe with every column split by
+stage — operand column ``c · grid_dim + k`` holds column ``c``'s entries in
+``B``'s row chunk ``k`` (:class:`ColOperand`).  Entry ``(r, c · grid_dim +
+k)`` of the product is then what rank ``(i, j)`` — the owner of row ``r``
+and column ``c`` — multiplied at stage ``k``: under the count semiring its
+value is that multiply's flops at the entry.  Reducing each coordinate's
+stage entries in stage order with the semiring is SUMMA's per-rank merge
+(a semiring other than the count one multiplies a second time for the
+values), and a coordinate belongs to its row chunk × column chunk's rank.
 
-**The discovery charge plan.**  From those counts the grid is charged in
-the order the executed stage loop charged it, stage by stage: the ``A``
-block broadcasts along grid rows, then the ``B`` block broadcasts along
-grid columns (binomial trees — the ``(alpha + beta*s) * log2(sqrt p)``
-terms of the paper's cost analysis, at each grid block's triplet bytes),
-then ``spgemm_flops`` for every rank whose two stage blocks both hold
-entries.  The events are laid out once per grid (:func:`stage_layout`) and
-applied with one bulk charge and one bulk count
-(:class:`~repro.mpi.layout.Layout`), so every ledger sum, counter and trace
-bump is the one-by-one charges' to the bit.  Callers turn
-:attr:`SummaResult.flops_per_rank` into modeled compute seconds.
-:class:`~repro.sparse.spgemm.SpGemmStats` is the sum over the per-(rank,
-stage) multiplies the grid made: their flops and output entries, and the
-Gustavson kernel's flop-bounded row groups over each multiply's rows with
-flops (one group per multiply for a kernel without a budget), with the
-largest group's expand-form bytes as ``intermediate_bytes``.
+**The discovery charge plan.**  The grid is charged in the order the
+executed stage loop charged it, stage by stage: the ``A`` block broadcasts
+along grid rows, the ``B`` block broadcasts along grid columns (binomial
+trees at each block's triplet bytes), then ``spgemm_flops`` for every rank
+whose two stage blocks both hold entries — laid out once per grid
+(:func:`stage_layout`) and applied with one bulk charge and one bulk count,
+so every ledger sum and trace bump is the one-by-one charges' to the bit.
+:class:`~repro.sparse.spgemm.SpGemmStats` sums the per-(rank, stage)
+multiplies: their flops and output entries from the product's counts per
+(row, stage, grid column), the Gustavson kernel's flop-bounded row groups
+(:func:`row_groups`) and the largest group's expand-form bytes.
 
 **The shared-k-mer restriction** (:class:`SharedInner`).  When ``B`` is
-``Aᵀ`` of the same rows — the batch search's ``A·Aᵀ`` — an inner index held
-by one row of ``A`` only meets that row's own entry: it adds exactly one
-partial product, on the diagonal, at the stage of its chunk.  The operands
-then keep only the inner indices held by at least two rows, relabelled to
-their rank among those, and the product adds each row's private count back
-on the diagonal instead of multiplying it.  Every count, table and charge
-is unchanged; the kernel's own statistics describe the smaller product.
+``Aᵀ`` of the same rows — the batch search — an inner index one row holds
+meets only that row's own entry: one partial product, on the diagonal, at
+its stage.  The operands keep only the indices at least two rows hold, and
+each row's private count is added back on the diagonal; a block whose
+columns are its rows also drops the indices one row of its stripe holds.
+Every result, table and charge is unchanged; the kernel's own statistics
+describe the smaller product.
 """
 
 from __future__ import annotations
@@ -392,7 +379,7 @@ def stage_layout(dim: int, category: str, prefix: str) -> Layout:
 
 
 def row_groups(
-    row_flops: np.ndarray, chunks: np.ndarray, multiplies: np.ndarray, budget: int
+    row_flops: np.ndarray, chunks: np.ndarray, multiplies: np.ndarray, budget: int | None
 ) -> tuple[int, int]:
     """``(row groups, largest group's flops)`` of the per-(rank, stage)
     multiplies: multiply ``(i, k, j)`` (marked in ``multiplies``) runs over
@@ -401,17 +388,19 @@ def row_groups(
     The rows with flops — the Gustavson kernel's live rows — are cut
     greedily into ``budget``-bounded groups, never less than one row, as
     :func:`~repro.sparse.gustavson.row_group_bounds` cuts them, every
-    multiply at once.
+    multiply at once; ``None`` makes each multiply one group.  The MCL
+    charge plan reads its kernel peak here too.
     """
-    height, dim = row_flops.shape[0], row_flops.shape[1]
+    height, stages, columns = row_flops.shape
     i, k, j = np.nonzero(multiplies)
     flat = row_flops.transpose(1, 2, 0).ravel()  # stage, grid column, then row
     live = flat > 0
     cum = np.concatenate(([0], np.cumsum(flat[live])))
     ahead = np.concatenate(([0], np.cumsum(live)))  # live rows before a flat position
-    base = (k * dim + j) * height
+    base = (k * columns + j) * height
     start, end = ahead[base + chunks[i]], ahead[base + chunks[i + 1]]
     start, end = start[start < end], end[start < end]
+    budget = budget or int(cum[-1])
     groups = peak = 0
     while start.size:
         stop = np.searchsorted(cum, cum[start] + budget, side="right") - 1
@@ -452,14 +441,14 @@ def _own_stripe(left: RowOperand, right: ColOperand, dim: int) -> tuple:
     row_ids, pointers, _, _ = compress_rows(b)
     holders = np.diff(pointers)  # the stripe's rows holding each inner index
     alone = np.repeat(holders == 1, holders)
-    counts = np.bincount(b.cols[alone], minlength=b.shape[1]).reshape(-1, dim)
+    counts = np.bincount(b.cols.compress(alone), minlength=b.shape[1]).reshape(-1, dim)
     kept = np.flatnonzero(~alone)
-    b = CooMatrix(b.shape, b.rows[kept], b.cols[kept], check=False)
+    b = CooMatrix(b.shape, b.rows.take(kept), b.cols.take(kept), check=False)
     together = np.zeros(b.shape[0], dtype=bool)
     together[row_ids[holders > 1]] = True
     a = left.matrix
     kept = np.flatnonzero(together[a.cols])
-    a = CooMatrix(a.shape, a.rows[kept], a.cols[kept], check=False)
+    a = CooMatrix(a.shape, a.rows.take(kept), a.cols.take(kept), check=False)
     return assume_rowmajor(a), assume_rowmajor(b), left.private + counts
 
 
@@ -544,7 +533,6 @@ def summa(
         right = col_operand(b, inner=np.unique(left.matrix.cols))
     else:
         right = b.derived(("summa cols", key), lambda: (shared, col_operand(b, shared)))[1]
-
     a_matrix, b_matrix, private = left.matrix, right.matrix, left.private
     if private is not None and (left.offset, left.matrix.shape[0]) == (right.offset, right.width):
         a_matrix, b_matrix, private = _own_stripe(left, right, dim)
@@ -568,21 +556,8 @@ def summa(
     else:
         rows, cols, counts = product.rows, product.cols, product.values
     del product
-    if values is None:
-        values = counts
 
-    # per multiply (i, k, j): its flops and output entries
-    classes = dim * dim
-    cell = right.stage_class[cols]
-    grid_rows = np.flatnonzero(np.diff(left.chunks))  # the grid rows the stripe meets
-    if grid_rows.size > 1:
-        cell += classes * np.searchsorted(left.chunks[1:-1], rows, side="right")
-    elif grid_rows.size:
-        cell += classes * int(grid_rows[0])
-    flops = np.bincount(cell, weights=counts, minlength=dim * classes)
-    flops = flops.astype(np.int64).reshape(dim, dim, dim)
-    outputs = np.bincount(cell, minlength=dim * classes).reshape(dim, dim, dim)
-    del cell
+    flops, outputs = _multiply_tables(rows, cols, counts, left, right, dim)
     multiplies = left.occupied[:, :, None] & right.occupied[None, :, :]
     budget = (batch_flops or DEFAULT_BATCH_FLOPS) if batched else None
     groups, peak = _kernel_groups(rows, cols, counts, flops, multiplies, left, right, budget)
@@ -596,37 +571,16 @@ def summa(
         compression_factor=total_flops / output_nnz if output_nnz else 1.0,
         row_groups=groups,
     )
-
-    # SUMMA's per-rank merge: each coordinate's stage entries, in stage order
-    local_cols = cols // dim
-    if rows.size:
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (local_cols[1:] != local_cols[:-1])
-        starts = np.flatnonzero(first)
-        rows, local_cols = rows[starts], local_cols[starts]
-        values = semiring.reduce(values, starts)
-    else:
-        values = np.empty(0, dtype=semiring.value_dtype)
     per_rank = _split_by_rank(
-        output_shape, rows + left.offset, local_cols, values, left, right, semiring
+        output_shape, *_merge_stages(rows, cols, counts if values is None else values,
+                                     semiring, dim),
+        left, right, semiring,
     )
 
     # the grid's charges, in its order
-    ledger, collectives = comm.ledger, comm.collectives
-    comm_before = ledger.per_rank(collectives.comm_category).copy()
-    nbytes = np.stack([left.nbytes.T, right.nbytes], axis=1)  # [k, side, x]
-    seconds = np.broadcast_to(
-        comm.cluster.network.tree_broadcast_seconds(nbytes, dim), nbytes.shape
-    )
     rank_flops = flops.transpose(1, 0, 2).reshape(dim, grid.nprocs)  # [k, rank]
     rank_multiplies = multiplies.transpose(1, 0, 2).reshape(dim, grid.nprocs)
-    stage_layout(dim, collectives.comm_category, collectives.counter_prefix).apply(
-        ledger,
-        seconds.ravel(),
-        np.concatenate([nbytes.ravel(), rank_flops.ravel()]),
-        np.concatenate([[True], rank_multiplies.ravel()]),
-    )
-    comm_after = ledger.per_rank(collectives.comm_category)
+    comm_seconds = _charge(comm, left, right, rank_flops, rank_multiplies)
     metrics = current_metrics()
     if metrics is not None:
         _record_stages(
@@ -637,20 +591,67 @@ def summa(
         shape=output_shape,
         per_rank=per_rank,
         stats=stats,
-        comm_seconds=float((comm_after - comm_before).max()),
+        comm_seconds=comm_seconds,
         flops_per_rank=rank_flops.sum(axis=0).astype(np.float64),
     )
+
+
+def _multiply_tables(rows, cols, counts, left: RowOperand, right: ColOperand, dim: int):
+    """``(flops, output entries)`` of every per-(rank, stage) multiply
+    ``[i, k, j]``: the product's counts and entries per grid row, stage and
+    grid column."""
+    classes = dim * dim
+    cell = right.stage_class[cols]
+    grid_rows = np.flatnonzero(np.diff(left.chunks))  # the grid rows the stripe meets
+    if grid_rows.size > 1:
+        cell += classes * np.searchsorted(left.chunks[1:-1], rows, side="right")
+    elif grid_rows.size:
+        cell += classes * int(grid_rows[0])
+    flops = np.bincount(cell, weights=counts, minlength=dim * classes)
+    outputs = np.bincount(cell, minlength=dim * classes)
+    return flops.astype(np.int64).reshape(dim, dim, dim), outputs.reshape(dim, dim, dim)
+
+
+def _merge_stages(rows, cols, values, semiring: Semiring, dim: int) -> tuple:
+    """SUMMA's per-rank merge: ``(rows, local columns, values)`` with each
+    coordinate's stage entries reduced by the semiring, in stage order."""
+    local_cols = cols // dim
+    if not rows.size:
+        return rows, local_cols, np.empty(0, dtype=semiring.value_dtype)
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (local_cols[1:] != local_cols[:-1])
+    starts = np.flatnonzero(first)
+    return rows[starts], local_cols[starts], semiring.reduce(values, starts)
+
+
+def _charge(comm, left: RowOperand, right: ColOperand, rank_flops, rank_multiplies) -> float:
+    """Charge the grid's stages (:func:`stage_layout`) and return the comm
+    seconds of the slowest rank."""
+    dim = left.nbytes.shape[0]
+    ledger, collectives = comm.ledger, comm.collectives
+    before = ledger.per_rank(collectives.comm_category).copy()
+    nbytes = np.stack([left.nbytes.T, right.nbytes], axis=1)  # [k, side, x]
+    seconds = np.broadcast_to(
+        comm.cluster.network.tree_broadcast_seconds(nbytes, dim), nbytes.shape
+    )
+    stage_layout(dim, collectives.comm_category, collectives.counter_prefix).apply(
+        ledger,
+        seconds.ravel(),
+        np.concatenate([nbytes.ravel(), rank_flops.ravel()]),
+        np.concatenate([[True], rank_multiplies.ravel()]),
+    )
+    return float((ledger.per_rank(collectives.comm_category) - before).max())
 
 
 def _split_by_rank(
     shape, rows, local_cols, values, left: RowOperand, right: ColOperand, semiring: Semiring
 ) -> list[CooMatrix]:
-    """The row-major output (global rows, stripe-local columns) cut into
-    each rank's piece: rank ``(i, j)`` owns row chunk ``i`` × column chunk
-    ``j``."""
+    """The row-major output (stripe-local coordinates) cut into each rank's
+    piece in global coordinates: rank ``(i, j)`` owns row chunk ``i`` ×
+    column chunk ``j``."""
     dim = left.chunks.size - 1
-    bounds = np.searchsorted(rows, left.chunks + left.offset)
-    cols = local_cols + right.offset
+    bounds = np.searchsorted(rows, left.chunks)
+    rows, cols = rows + left.offset, local_cols + right.offset
     spread = right.width and right.chunk_of_col[0] != right.chunk_of_col[-1]
     owner = right.chunk_of_col[local_cols] if spread else None
     per_rank = []

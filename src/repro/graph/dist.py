@@ -54,7 +54,9 @@ deferred-merge SUMMA per block on real payloads — bit for bit:
 stage's events — every broadcast, allreduce and allgather charge, every
 byte and flop count, every rank's compute seconds — are laid out once per
 fit, in the executed grid's order, as arrays of ranks and names with the
-slot of a per-iteration value vector each event reads.  An iteration
+slot of a per-iteration value vector each event reads
+(:class:`repro.mpi.layout.Layout`, which discovery's charge plan uses
+too).  An iteration
 computes those values from vectorised count tables — entries per (block,
 grid column) from ``grid_dim − 1`` comparisons and one count per block,
 entries per (stored row, grid column) for the right operand, and the flops
@@ -81,6 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..distsparse.blocked_summa import _chunk_bounds
+from ..distsparse.summa import row_groups
 from ..metrics.memory import MemoryTracker  # DistMclResult.__init__'s inherited hint
 from ..mpi.communicator import SimCommunicator
 from ..mpi.costmodel import OverlapWindow
@@ -385,27 +388,11 @@ class _ChargePlan:
 
     def kernel_peak(self, row_flops: np.ndarray, multiplies: np.ndarray) -> int:
         """Intermediate bytes of the largest row group over the rank
-        multiplies ``multiplies[b, j]`` marks: each multiply's rows, cut
-        greedily into flop-bounded groups as
-        :func:`~repro.sparse.gustavson.row_group_bounds` cuts its rows with
-        flops, every multiply at once.  A row without flops repeats its
-        predecessor's cumulative count, which can add a group of none but
-        never changes the largest group."""
-        nrows = row_flops.shape[0]
-        cum = np.concatenate(([0], np.cumsum(row_flops.T)))  # grid column after grid column
-        block, column = np.nonzero(multiplies)
-        start, end = column * nrows + self.edges[block], column * nrows + self.edges[block + 1]
-        budget = self.budget or int(cum[-1])
-        peak = 0
-        while start.size:
-            # one group per multiply and pass: the largest run of rows
-            # within the budget, never less than one row
-            stop = np.searchsorted(cum, cum[start] + budget, side="right") - 1
-            stop = np.minimum(np.maximum(stop, start + 1), end)
-            peak = max(peak, int((cum[stop] - cum[start]).max()))
-            more = stop < end
-            start, end = stop[more], end[more]
-        return COO_ENTRY_BYTES * peak
+        multiplies ``multiplies[b, j]`` marks: each multiply's rows with
+        flops cut into flop-bounded groups as the Gustavson kernel cuts
+        them (:func:`repro.distsparse.summa.row_groups`)."""
+        groups = row_groups(row_flops[:, None, :], self.edges, multiplies[:, None, :], self.budget)
+        return COO_ENTRY_BYTES * groups[1]
 
     def iterate_bytes(self, tcsr: CsrMatrix) -> int:
         """Footprint of the iterate as grid-row stripes, each with its own

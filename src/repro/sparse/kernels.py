@@ -42,8 +42,8 @@ them; both kernels refuse others) and returning the product (plus stats
 when requested) in ``a``'s format: CSR in, CSR out — a
 :class:`~repro.sparse.csr.CsrMatrix` exactly when ``a`` is one, so Markov
 clustering multiplies its transpose-CSR iterates and gets the next one back
-with no format round trip, while discovery and SUMMA multiply COO blocks
-into COO.  ``"gustavson"`` reads CSR operands directly and builds the CSR
+with no format round trip, while discovery multiplies one COO product per
+output block.  ``"gustavson"`` reads CSR operands directly and builds the CSR
 product on SciPy's own row pointers; ``"expand"`` converts at its boundary.
 Callers may pass such a callable wherever a name is accepted.  Kernels
 that form the output in flop-bounded batches additionally accept a
