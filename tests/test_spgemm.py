@@ -149,3 +149,32 @@ def test_spgemm_output_is_sorted_and_unique():
     c = spgemm(a, b)
     keys = c.rows * c.shape[1] + c.cols
     assert np.all(np.diff(keys) > 0)
+
+
+def test_count_query_against_the_rows_it_selects_expands(monkeypatch):
+    """A query's count product against only the database rows its k-mers
+    select meets each row about once: it has at least as many flops as
+    ``B`` has entries, yet fewer than its live ``A`` entries and ``B``'s
+    together, so SciPy's set-up of both operands would not pay back and
+    no SciPy product runs; the counts equal ``"expand"``'s."""
+    import repro.sparse.gustavson as gustavson_mod
+    from repro.sparse.gustavson import spgemm_gustavson
+
+    rng = np.random.default_rng(5)
+    database = CooMatrix(
+        (30, 5000), rng.integers(0, 30, 900), rng.integers(0, 5000, 900)
+    ).deduplicate()
+    query = CooMatrix((1, 5000), np.zeros(40, dtype=np.int64), database.cols[:40]).deduplicate()
+    selected = database.select(np.isin(database.cols, query.cols)).transpose().sort_rowmajor()
+    expected, expected_stats = spgemm(query, selected, CountSemiring(), return_stats=True)
+    products = []
+    matmul = gustavson_mod._scipy_sparse.csr_array.__matmul__
+    monkeypatch.setattr(
+        gustavson_mod._scipy_sparse.csr_array, "__matmul__",
+        lambda self, other: products.append(self.shape) or matmul(self, other),
+    )
+    got, stats = spgemm_gustavson(query, selected, CountSemiring(), return_stats=True)
+    assert selected.nnz <= stats.flops < query.nnz + selected.nnz
+    assert products == []
+    assert got == expected and np.array_equal(got.values, expected.values)
+    assert stats == expected_stats
