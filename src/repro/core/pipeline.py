@@ -235,12 +235,12 @@ class PastisPipeline:
         # dying; _run_impl fills this in as the pieces come up
         state = _RunState()
         if tracer is not None:
-            # deep sites without a StageContext (the SUMMA stage loop, MCL
-            # iterations) reach the recorder through the active-tracer global
+            # deep sites without a StageContext (SUMMA, MCL iterations)
+            # reach the recorder through the active-tracer global
             activate(tracer)
         if hub is not None:
-            # same pattern for metrics: the SUMMA stage loop finds the hub
-            # through the active global
+            # same pattern for metrics: SUMMA finds the hub through the
+            # active global
             activate_metrics(hub)
         try:
             result = self._run_impl(sequences, resume, tracer, hub, phases, state)

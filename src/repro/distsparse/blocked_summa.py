@@ -178,7 +178,7 @@ class BlockedSpGemm:
     schedule:
         Output blocking.
     spgemm_backend:
-        Registry name of the local SpGEMM kernel every SUMMA stage uses
+        Registry name of the SpGEMM kernel every block's product uses
         (see :mod:`repro.sparse.kernels`); ``None`` selects the default.
     batch_flops:
         Per-row-group flop budget passed to every block's product (bounds

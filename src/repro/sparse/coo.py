@@ -23,7 +23,7 @@ import numpy as np
 #: packed sort
 _ONE_PASS_BITS = 8
 #: a packed key in at most this many ascending runs (concatenated sorted
-#: pieces, e.g. SUMMA stage outputs) is merged by a stable argsort, which
+#: pieces, e.g. per-rank outputs) is merged by a stable argsort, which
 #: gallops through the runs; measured on 10⁵–10⁶ random keys cut into
 #: interleaving runs, it is on par with the packed ``(key, index)`` sort at
 #: four runs and 2–3× slower at sixteen

@@ -55,7 +55,7 @@ Every call costs ``O(nnz + flops)``.  Operands are read through pointers
 over their *non-empty rows only* (:func:`repro.sparse.csr.compress_rows`, an
 order scan and no sort for the row-major triplets the pipeline builds), kept
 with a COO operand (:meth:`~repro.sparse.coo.CooMatrix.derived`) so a stripe
-block broadcast to many SUMMA stages compresses on its first call only; a
+operand multiplied in many output blocks compresses on its first call only; a
 :class:`~repro.sparse.csr.CsrMatrix` operand has them read off its
 ``indptr``, and its product comes back as a CSR built on SciPy's own row
 pointers (Markov clustering's iterates never pass through COO).  The

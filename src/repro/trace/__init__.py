@@ -23,7 +23,7 @@ on (asserted in ``tests/test_trace.py``).
 The stage loop records directly into the run's one recorder.
 
 Deep sites without a :class:`~repro.core.engine.stages.StageContext`
-(the SUMMA stage loop, Markov clustering) find the recorder through the
+(SUMMA, Markov clustering) find the recorder through the
 module-level active tracer (:func:`activate` / :func:`current_tracer`),
 which the pipeline installs for the duration of a traced run.
 
