@@ -598,18 +598,18 @@ def summa(
 
 def _multiply_tables(rows, cols, counts, left: RowOperand, right: ColOperand, dim: int):
     """``(flops, output entries)`` of every per-(rank, stage) multiply
-    ``[i, k, j]``: the product's counts and entries per grid row, stage and
-    grid column."""
-    classes = dim * dim
-    cell = right.stage_class[cols]
-    grid_rows = np.flatnonzero(np.diff(left.chunks))  # the grid rows the stripe meets
-    if grid_rows.size > 1:
-        cell += classes * np.searchsorted(left.chunks[1:-1], rows, side="right")
-    elif grid_rows.size:
-        cell += classes * int(grid_rows[0])
-    flops = np.bincount(cell, weights=counts, minlength=dim * classes)
-    outputs = np.bincount(cell, minlength=dim * classes)
-    return flops.astype(np.int64).reshape(dim, dim, dim), outputs.reshape(dim, dim, dim)
+    ``[i, k, j]``: the product's counts and entries per grid row, summed
+    per operand column, then per (stage, grid column)."""
+    flops = np.zeros((dim, dim * dim), dtype=np.int64)
+    outputs = np.zeros((dim, dim * dim), dtype=np.int64)
+    width = right.stage_class.size
+    bounds = np.searchsorted(rows, left.chunks)  # each grid row's entries
+    for i in np.flatnonzero(np.diff(bounds)):
+        lo, hi = bounds[i], bounds[i + 1]
+        for table, weights in ((flops, counts[lo:hi]), (outputs, None)):
+            per_column = np.bincount(cols[lo:hi], weights=weights, minlength=width)
+            table[i] = np.bincount(right.stage_class, weights=per_column, minlength=dim * dim)
+    return flops.reshape(dim, dim, dim), outputs.reshape(dim, dim, dim)
 
 
 def _merge_stages(rows, cols, values, semiring: Semiring, dim: int) -> tuple:

@@ -34,6 +34,7 @@ bump per charge event, in event order.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -505,9 +506,10 @@ def _add_in_order(
 
 
 def replay_journal(ledger: CostLedger, events) -> None:
-    """Apply a :class:`RecordingLedger` journal to ``ledger``, in order."""
-    for kind, rank, name, value in events:
-        if kind == "charge":
-            ledger.charge(rank, name, value)
-        else:
-            ledger.count(rank, name, value)
+    """Apply a :class:`RecordingLedger` journal to ``ledger``, in order: each
+    run of consecutive charges or counts in one bulk call, which adds as
+    charging event by event does."""
+    for kind, run in itertools.groupby(events, key=lambda event: event[0]):
+        _, ranks, names, values = zip(*run)
+        bulk = ledger.charge_events if kind == "charge" else ledger.count_events
+        bulk(ranks, names, values)
