@@ -391,7 +391,7 @@ def row_groups(
     multiply at once; ``None`` makes each multiply one group.  The MCL
     charge plan reads its kernel peak here too.
     """
-    height, stages, columns = row_flops.shape
+    height, _, columns = row_flops.shape
     i, k, j = np.nonzero(multiplies)
     flat = row_flops.transpose(1, 2, 0).ravel()  # stage, grid column, then row
     live = flat > 0
