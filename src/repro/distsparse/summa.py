@@ -51,7 +51,7 @@ import numpy as np
 
 from ..mpi.layout import Layout, bcast_segments, segment, summa_broadcasts
 from ..obs import current_metrics
-from ..sparse.coo import CooMatrix
+from ..sparse.coo import CooMatrix, radix_order
 from ..sparse.csr import assume_rowmajor, compress_rows
 from ..sparse.gustavson import DEFAULT_BATCH_FLOPS
 from ..sparse.kernels import (
@@ -214,35 +214,32 @@ def _span(extents: list[int], offsets: list[int]) -> tuple[int, np.ndarray]:
     return origin, np.array([min(max(o - origin, 0), total) for o in offsets] + [total])
 
 
-def _merge_rows(pieces: list[tuple], nrows: int) -> tuple:
-    """``(entries per row, *arrays)`` of row-major pieces ``(pointers,
-    *arrays)`` — ``pointers`` over rows ``0..nrows`` — merged by row, ties in
-    piece order: a counting merge of the pointers, no sort."""
-    if not pieces:
-        return (np.zeros(nrows, dtype=np.int64),)
-    counts = [np.diff(pointers) for pointers, *_ in pieces]
-    per_row = np.sum(counts, axis=0)
-    if len(pieces) == 1:
-        return (per_row, *pieces[0][1:])
-    start = np.cumsum(per_row) - per_row  # where each merged row starts
-    dest = []
-    for (pointers, *_), count in zip(pieces, counts):
-        # a row's entries land after the earlier pieces' entries of the row
-        dest.append(np.repeat(start - pointers[:-1], count) + np.arange(pointers[-1]))
-        start += count
-    dest = np.concatenate(dest)
-    merged = []
-    for arrays in list(zip(*pieces))[1:]:
-        out = np.empty(dest.size, dtype=arrays[0].dtype)
-        out[dest] = np.concatenate(arrays)
-        merged.append(out)
-    return (per_row, *merged)
+def _by_row(parts: list[tuple]) -> list[np.ndarray]:
+    """The pieces ``(rows, *arrays)`` concatenated and stably ordered by row:
+    pieces in order, each row-major, whose rows interleave (the grid blocks
+    of one stripe row) come out row-major (:func:`repro.sparse.coo.radix_order`)."""
+    if len(parts) == 1:
+        return list(parts[0])
+    joined = [np.concatenate(arrays) for arrays in zip(*parts)]
+    order = radix_order(joined[0])
+    return [array.take(order) for array in joined]
+
+
+def _operand(shape, arrays: list | None, with_values: bool, dtype) -> CooMatrix:
+    """Row-major ``[rows, cols(, values)]`` (``None``: no entries) as a
+    product operand whose row pointers are kept; a restricted (count-only)
+    operand carries no values."""
+    if arrays is None:
+        arrays = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, dtype)]
+    rows, cols, *values = arrays
+    values = values[0] if with_values else None
+    return assume_rowmajor(CooMatrix(shape, rows, cols, values, check=False))
 
 
 def row_operand(stripe: DistSparseMatrix, shared: SharedInner | None = None) -> RowOperand:
-    """``A``'s row stripe (or whole matrix) as a :class:`RowOperand`: every
-    grid row's blocks merged by row, their columns made global (or shared
-    ranks, when ``shared`` restricts it)."""
+    """``A``'s row stripe (or whole matrix) as a :class:`RowOperand`: the
+    grid blocks merged by row, their columns made global (or shared ranks,
+    when ``shared`` restricts it)."""
     grid = stripe.grid
     dim = grid.grid_dim
     blocks = [[stripe.grid_block(i, k) for k in range(dim)] for i in range(dim)]
@@ -250,37 +247,30 @@ def row_operand(stripe: DistSparseMatrix, shared: SharedInner | None = None) -> 
     origin, chunks = _span(heights, [row[0][1] for row in blocks])
     height = int(chunks[-1])
     private = None if shared is None else np.zeros((height, dim), dtype=np.int64)
-    per_row, merged = [], []
+    parts = []
     for i, row in enumerate(blocks):
-        pieces = []
-        edges = np.arange(heights[i] + 1)
         for k, (block, _, col_offset) in enumerate(row):
             if not block.nnz:
                 continue
-            pointers = np.searchsorted(block.rows, edges)
+            rows, cols, values = block.rows, block.cols, block.values
             if shared is None:
-                pieces.append((pointers, block.cols + col_offset, block.values))
-                continue
-            ranks = shared.ranks[col_offset: col_offset + block.shape[1]][block.cols]
-            keep = np.flatnonzero(ranks >= 0)
-            kept = np.searchsorted(keep, pointers)  # kept entries before each row
-            private[chunks[i]: chunks[i + 1], k] = np.diff(pointers) - np.diff(kept)
-            pieces.append((kept, ranks.take(keep)))
-        counts, *arrays = _merge_rows(pieces, int(heights[i]))
-        per_row.append(counts)
-        if arrays:
-            merged.append(arrays)
-    cols = np.concatenate([m[0] for m in merged]) if merged else np.empty(0, np.int64)
-    if shared is None:
-        values = np.concatenate([m[1] for m in merged]) if merged else np.empty(0, stripe.dtype)
-        inner = stripe.shape[1]
-    else:
-        values, inner = None, shared.count
-    rows = np.repeat(np.arange(height), np.concatenate(per_row))
+                cols = cols + col_offset
+            else:
+                ranks = shared.ranks[col_offset: col_offset + block.shape[1]][cols]
+                keep = np.flatnonzero(ranks >= 0)
+                # per row: the block's entries, less the kept ones before each row
+                pointers = np.searchsorted(rows, np.arange(heights[i] + 1))
+                kept = np.searchsorted(keep, pointers)
+                private[chunks[i]: chunks[i + 1], k] = np.diff(pointers) - np.diff(kept)
+                rows, cols, values = rows.take(keep), ranks.take(keep), None
+            parts.append((rows + chunks[i], cols) if values is None else
+                         (rows + chunks[i], cols, values))
+    inner = stripe.shape[1] if shared is None else shared.count
+    matrix = _operand((height, inner), _by_row(parts) if parts else None, shared is None,
+                      stripe.dtype)
     nbytes, occupied = _block_facts(blocks)
     return RowOperand(
-        assume_rowmajor(CooMatrix((height, inner), rows, cols, values, check=False)),
-        origin, chunks, nbytes, occupied, blocks[0][0][0].rows.itemsize, private,
+        matrix, origin, chunks, nbytes, occupied, blocks[0][0][0].rows.itemsize, private
     )
 
 
@@ -337,22 +327,12 @@ def col_operand(
                 rows, cols, values = ranks.take(keep), cols.take(keep), None
             cols = (cols + (col_offset - origin)) * dim + k
             pieces.append((rows, cols) if values is None else (rows, cols, values))
-        if len(pieces) > 1:  # a stripe across grid columns: merge them by row
-            joined = [np.concatenate(arrays) for arrays in zip(*pieces)]
-            order = np.argsort(joined[0], kind="stable")
-            pieces = [tuple(array[order] for array in joined)]
-        parts += pieces
-    rows, cols = (np.concatenate([p[n] for p in parts]) if parts else np.empty(0, np.int64)
-                  for n in (0, 1))
-    if shared is None:
-        values = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, stripe.dtype)
-        height = stripe.shape[0]
-    else:
-        values, height = None, shared.count
-    shape = (height, facts[1].size * dim)
-    return ColOperand(
-        assume_rowmajor(CooMatrix(shape, rows, cols, values, check=False)), *facts
-    )
+        if pieces:  # a stripe across grid columns merges its blocks by row
+            parts.append(_by_row(pieces))
+    height = stripe.shape[0] if shared is None else shared.count
+    arrays = [np.concatenate(column) for column in zip(*parts)] if parts else None
+    matrix = _operand((height, facts[1].size * dim), arrays, shared is None, stripe.dtype)
+    return ColOperand(matrix, *facts)
 
 
 # ---------------------------------------------------------------------- the plan

@@ -1,8 +1,8 @@
 """Search operands are born in the order the process grid consumes them.
 
 ``repro.sparse.coo.radix_order`` replaces comparison sorts at birth and must
-give ``np.lexsort``'s permutation; after birth nothing is sorted, sliced by
-mask or compressed twice: every stripe handed to SUMMA is a view of the born
+give ``np.lexsort``'s permutation; after birth no stripe is sorted, sliced by
+mask or compressed: every stripe handed to SUMMA is a view of the born
 operand, equal to what a plain mask over the row-major global operand cuts,
 and the product operand assembled from each stripe is compressed once.
 """
@@ -170,9 +170,9 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     """A pipeline on a 2×2 grid with a 3×3 blocking: every stripe SUMMA gets
     is a view of the born operand and bitwise what a mask would cut out of
     the dense-id global operand — which is the k-mer-id operand through the
-    dictionary; no operand is ever sorted, and each operand the kernel
-    multiplies — one per stripe, assembled from its blocks, and a diagonal
-    block's cut of them — is compressed exactly once."""
+    dictionary; no stripe block is ever sorted or compressed, and each
+    operand the kernel multiplies — one per stripe, merged from its blocks,
+    and a diagonal block's cut of them — is compressed exactly once."""
     seqs = synthetic_dataset(n_sequences=60, seed=13)
     params = PastisParams(kmer_length=4, nodes=4, blocking=(3, 3), common_kmer_threshold=1)
     born = {}
