@@ -344,7 +344,8 @@ def stage_layout(dim: int, category: str, prefix: str) -> Layout:
 
     Charge values: broadcast seconds ``[k, side, x]``.  Count values:
     broadcast bytes ``[k, side, x]``, then flops ``[k, rank]``.  Flags:
-    ``[1 | rank multiplies at stage k]``.
+    ``[1 | rank multiplies at stage k]``.  Built once per grid and names,
+    and shared: :meth:`Layout.apply` only reads it.
     """
     nprocs, ops = dim * dim, 2 * dim
     stage = np.arange(dim)[:, None]

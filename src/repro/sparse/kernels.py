@@ -52,7 +52,6 @@ that form the output in flop-bounded batches additionally accept a
 
 from __future__ import annotations
 
-import functools
 import inspect
 from types import MappingProxyType
 from typing import Callable
@@ -127,14 +126,12 @@ def check_removed_kernel_knob(spgemm_backend: str | None) -> None:
         )
 
 
-@functools.lru_cache(maxsize=None)
 def kernel_supports_batch_flops(kernel: SpGemmKernel) -> bool:
     """Whether a backend accepts the ``batch_flops`` flop-budget keyword.
 
     Only an explicitly named ``batch_flops`` parameter counts — a bare
     ``**kwargs`` would swallow the budget without honoring it, silently
-    defeating the memory bound the caller asked for.  The answer is kept
-    per callable: SUMMA asks once per output block.
+    defeating the memory bound the caller asked for.
     """
     try:
         parameters = inspect.signature(kernel).parameters
