@@ -54,10 +54,10 @@ def compress_rows(coo: CooMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 
 def assume_rowmajor(coo: CooMatrix) -> CooMatrix:
-    """``coo``, whose triplets its builder laid out row-major and
-    column-sorted, with the row pointers :func:`compress_rows` reads kept
-    without the order scan (SUMMA's product operands, assembled from sorted
-    stripe blocks).  Returns ``coo``."""
+    """``coo``, whose triplets were assembled row-major and column-sorted,
+    with the row pointers :func:`compress_rows` reads kept without the
+    order scan (SUMMA's product operands, merged from sorted stripe blocks).
+    Returns ``coo``."""
     coo.derived("row_pointers", lambda: _row_pointers(coo.rows))
     return coo
 
