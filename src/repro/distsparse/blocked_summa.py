@@ -29,13 +29,15 @@ each row-major block, and a column stripe is one column segment of each
 block of ``B``, which is born sorted by (rank block, column stripe, row,
 column) (:meth:`DistSparseMatrix.from_global_coo` with the schedule's
 :meth:`BlockSchedule.col_cuts`; a ``B`` born without them is refused by
-its first column stripe).  Each stripe keeps the product operand SUMMA
-assembles from it on its first multiply (:meth:`DistSparseMatrix.derived`),
-so a stripe is assembled once per run however many output blocks it meets;
-the engine keeps only the current block row's ``A`` operand.  For the
-all-vs-all search, where ``B`` is ``A``'s own transpose, the engine hands
-SUMMA the k-mers at least two rows hold (``shared_inner``), and only those
-are multiplied.
+its first column stripe).  The engine also keeps the product operands
+SUMMA multiplies (:func:`~repro.distsparse.summa.row_operand`,
+:func:`~repro.distsparse.summa.col_operand`): the current block row's
+``A`` operand, and — for the all-vs-all search, where ``B`` is ``A``'s own
+transpose and only the k-mers at least two rows hold (``shared_inner``)
+are multiplied — every column stripe's ``B`` operand, assembled once per
+run however many output blocks it meets.  Without ``shared_inner`` (a
+query batch) each block's ``B`` operand is only the stripe rows the
+query's k-mers select.
 """
 
 from __future__ import annotations
@@ -50,7 +52,15 @@ from ..sparse.kernels import resolve_kernel
 from ..sparse.semiring import OverlapSemiring, Semiring
 from ..sparse.spgemm import SpGemmStats
 from .distmat import DistSparseMatrix
-from .summa import SharedInner, SummaResult, summa
+from .summa import (
+    ColOperand,
+    RowOperand,
+    SharedInner,
+    SummaResult,
+    col_operand,
+    row_operand,
+    summa,
+)
 
 
 @dataclass(frozen=True)
@@ -203,6 +213,10 @@ class BlockedSpGemm:
     _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
         default_factory=dict, init=False, repr=False
     )
+    #: the current block row and its product operand
+    _row_operand: tuple[int, RowOperand] | None = field(default=None, init=False, repr=False)
+    #: each column stripe's product operand, by block column (``shared_inner`` only)
+    _col_operands: dict[int, ColOperand] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.a.shape[1] != self.b.shape[0]:
@@ -239,9 +253,18 @@ class BlockedSpGemm:
         one product charged as the grid (:func:`~repro.distsparse.summa.summa`)."""
         row_range = self.schedule.row_range(block_row)
         col_range = self.schedule.col_range(block_col)
-        for (side, row), stripe in self._stripes.items():
-            if side == "a" and row != block_row:
-                stripe.forget_derived()  # only one row stripe's operand lives
+        if self._row_operand is None or self._row_operand[0] != block_row:
+            self._row_operand = None  # the previous row's operand goes first
+            self._row_operand = (
+                block_row, row_operand(self.row_stripe(block_row), self._shared)
+            )
+        right = None
+        if self._shared is not None:
+            if block_col not in self._col_operands:
+                self._col_operands[block_col] = col_operand(
+                    self.col_stripe(block_col), self._shared
+                )
+            right = self._col_operands[block_col]
         result = summa(
             self.row_stripe(block_row),
             self.col_stripe(block_col),
@@ -250,6 +273,8 @@ class BlockedSpGemm:
             spgemm_backend=self.spgemm_backend,
             batch_flops=self.batch_flops,
             shared=self._shared,
+            left=self._row_operand[1],
+            right=right,
         )
         return OutputBlock(
             block_row=block_row,

@@ -126,7 +126,6 @@ class DistSparseMatrix:
         self._row_offsets = list(row_offsets)
         self._col_offsets = list(col_offsets)
         self._col_segments = list(col_segments or [None] * grid.nprocs)
-        self._derived: dict = {}
 
     # ------------------------------------------------------------------ constructors
     @classmethod
@@ -233,18 +232,6 @@ class DistSparseMatrix:
             return np.array([0, block.shape[1]]), np.array([0, block.nnz])
         return segments
 
-    def derived(self, key, compute):
-        """``compute()``'s result, computed on the first call for ``key``
-        and kept with this matrix (the product operand SUMMA assembles from a
-        stripe).  Replacing a local block discards everything kept."""
-        if key not in self._derived:
-            self._derived[key] = compute()
-        return self._derived[key]
-
-    def forget_derived(self) -> None:
-        """Drop everything :meth:`derived` kept."""
-        self._derived = {}
-
     def grid_block(self, grid_row: int, grid_col: int) -> tuple[CooMatrix, int, int]:
         """Block at grid position ``(grid_row, grid_col)`` with its global offsets."""
         rank = self.grid.rank_of(grid_row, grid_col)
@@ -259,7 +246,6 @@ class DistSparseMatrix:
             )
         self._blocks[rank] = block
         self._col_segments[rank] = None
-        self.forget_derived()
 
     @property
     def nnz(self) -> int:

@@ -18,6 +18,11 @@ value is that multiply's flops at the entry.  Reducing each coordinate's
 stage entries in stage order with the semiring is SUMMA's per-rank merge
 (a semiring other than the count one multiplies a second time for the
 values), and a coordinate belongs to its row chunk × column chunk's rank.
+Without the restriction below, ``B``'s operand holds only the rows
+``A``'s stripe meets (one binary search per inner id: a served query meets
+a few of a database stripe's rows); the caller may pass operands it keeps
+across calls (:class:`~repro.distsparse.blocked_summa.BlockedSpGemm`).
+The one product is recorded in the metrics with the block's SUMMA flops.
 
 **The discovery charge plan.**  The grid is charged in the order the
 executed stage loop charged it, stage by stage: the ``A`` block broadcasts
@@ -36,7 +41,8 @@ multiplies: their flops and output entries from the product's counts per
 meets only that row's own entry: one partial product, on the diagonal, at
 its stage.  The operands keep only the indices at least two rows hold, and
 each row's private count is added back on the diagonal; a block whose
-columns are its rows also drops the indices one row of its stripe holds.
+columns are its rows also drops the indices one row of its stripe holds
+(their own rows' diagonal is all they meet there).
 Every result, table and charge is unchanged; the kernel's own statistics
 describe the smaller product.
 """
@@ -64,13 +70,6 @@ from ..sparse.semiring import CountSemiring, Semiring
 from ..sparse.spgemm import SpGemmStats
 from ..trace import current_tracer
 from .distmat import DistSparseMatrix
-
-
-#: ``B``'s stripe is cut to the rows ``A``'s stripe meets — one binary
-#: search per inner id, nothing copied whole — when ``A``'s stripe holds
-#: fewer than ``1 / SELECT_ROWS`` of ``B``'s entries (a served query against
-#: a database stripe); otherwise ``B``'s stripe is assembled once and kept.
-SELECT_ROWS = 32
 
 
 @dataclass
@@ -304,7 +303,7 @@ def col_operand(
     every row chunk's blocks merged by row, rows made global (or shared
     ranks), columns split by stage.  ``inner`` (ascending global inner ids)
     keeps only those rows."""
-    blocks, facts = stripe.derived("summa col grid", lambda: _col_grid(stripe))
+    blocks, facts = _col_grid(stripe)
     origin, dim = facts[0], len(blocks)
     parts = []
     for k, row in enumerate(blocks):
@@ -470,14 +469,18 @@ def summa(
     spgemm_backend: str | SpGemmKernel | None = None,
     batch_flops: int | None = None,
     shared: SharedInner | None = None,
+    left: RowOperand | None = None,
+    right: ColOperand | None = None,
 ) -> SummaResult:
     """``C = A ·(semiring) B`` as the 2D Sparse SUMMA on the simulated grid
     computes it, charged as it charges (see the module docstring).
 
     ``a`` and ``b`` may be full distributed matrices or stripes of them; the
-    output coordinates are global either way.  Each stripe's product operand
-    is assembled on its first multiply and kept with it
-    (:meth:`DistSparseMatrix.derived`).  ``output_shape`` defaults to
+    output coordinates are global either way.  ``left`` / ``right`` are
+    their product operands (:func:`row_operand` / :func:`col_operand`, with
+    the same ``shared``) when the caller keeps them across calls; a missing
+    one is assembled here, ``B``'s cut to the rows ``A`` meets unless
+    ``shared`` restricts both.  ``output_shape`` defaults to
     ``(a.shape[0], b.shape[1])`` and should be set to the full matrix shape
     when multiplying stripes.  ``spgemm_backend`` selects the kernel by name
     (see :mod:`repro.sparse.kernels`) or directly as a callable; ``None``
@@ -507,13 +510,11 @@ def summa(
                 "use the 'gustavson' backend for flop-budgeted batching"
             )
         kernel_kwargs["batch_flops"] = batch_flops
-    key = None if shared is None else id(shared)  # the kept operand holds ``shared``
-    left = a.derived(("summa rows", key), lambda: (shared, row_operand(a, shared)))[1]
-    if shared is None and SELECT_ROWS * left.matrix.nnz < b.nnz:
-        # a few inner ids (a served query): the B rows they meet, searched
-        right = col_operand(b, inner=np.unique(left.matrix.cols))
-    else:
-        right = b.derived(("summa cols", key), lambda: (shared, col_operand(b, shared)))[1]
+    if left is None:
+        left = row_operand(a, shared)
+    if right is None:
+        inner = None if shared is not None else np.unique(left.matrix.cols)
+        right = col_operand(b, shared, inner=inner)
     a_matrix, b_matrix, private = left.matrix, right.matrix, left.private
     if private is not None and (left.offset, left.matrix.shape[0]) == (right.offset, right.width):
         a_matrix, b_matrix, private = _own_stripe(left, right, dim)
@@ -564,9 +565,9 @@ def summa(
     comm_seconds = _charge(comm, left, right, rank_flops, rank_multiplies)
     metrics = current_metrics()
     if metrics is not None:
-        _record_stages(
-            metrics, kernel_name(spgemm_backend), kernel_seconds, rank_flops,
-            outputs.transpose(1, 0, 2).reshape(dim, grid.nprocs), rank_multiplies,
+        metrics.record_spgemm_stage(
+            kernel_name(spgemm_backend), "block", kernel_seconds, total_flops,
+            stats.compression_factor,
         )
     return SummaResult(
         shape=output_shape,
@@ -651,16 +652,3 @@ def _split_by_rank(
         else:
             per_rank.append(CooMatrix.empty(shape, dtype=semiring.value_dtype))
     return per_rank
-
-
-def _record_stages(metrics, label, seconds, rank_flops, rank_outputs, rank_multiplies) -> None:
-    """One metrics record per planned (rank, stage) multiply, in the grid's
-    order: its flops and compression factor, and the block product's
-    measured kernel seconds apportioned by flops."""
-    total = float(rank_flops.sum())
-    for k, rank in zip(*np.nonzero(rank_multiplies)):
-        flops, nnz = int(rank_flops[k, rank]), int(rank_outputs[k, rank])
-        metrics.record_spgemm_stage(
-            label, int(k), seconds * flops / total if total else 0.0, flops,
-            flops / nnz if nnz else 1.0,
-        )

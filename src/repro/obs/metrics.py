@@ -73,7 +73,7 @@ class MetricsHub:
     :meth:`observe`; labels are passed as keyword arguments::
 
         hub.counter_add("spgemm_stage_flops", flops, backend="gustavson")
-        hub.observe("spgemm_kernel_seconds", dt, backend="gustavson", stage="2")
+        hub.observe("spgemm_kernel_seconds", dt, backend="gustavson", stage="block")
 
     The hub also speaks the :class:`~repro.mpi.costmodel.CostLedger`
     trace-hook protocol (:meth:`bump`), so it can be attached to
@@ -117,7 +117,10 @@ class MetricsHub:
         flops: float,
         compression_factor: float,
     ) -> None:
-        """One SUMMA-stage kernel invocation: measured CF + seconds."""
+        """One measured SpGEMM product: its kernel seconds, and the flops and
+        compression factor of the multiplies it computes.  Discovery records
+        one per output block, ``stage="block"``: the block's SUMMA flops,
+        whatever inner indices its product skips."""
         self.counter_add("spgemm_stage_invocations", 1.0, backend=backend)
         self.counter_add("spgemm_stage_flops", float(flops), backend=backend)
         self.observe(

@@ -400,6 +400,58 @@ def test_blocked_summa_slices_each_stripe_once_per_run():
     assert set(slicings.values()) == {1}
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_blocked_summa_assembles_operands_once_and_records_each_product(
+    monkeypatch, shared
+):
+    """The engine assembles one ``A`` operand per block row and, under
+    ``shared_inner``, one ``B`` operand per block column (without it each
+    block selects ``B``'s rows); the metrics hold one measured product per
+    block, with the block's SUMMA flops."""
+    from collections import Counter
+
+    import repro.distsparse.blocked_summa as blocked_module
+
+    comm = SimCommunicator(4)
+    n = 24
+    a = random_coo((n, 120), 200, 7, dtype=np.int32)
+    schedule = BlockSchedule(n, n, 3, 4)
+    holders = np.bincount(a.cols, minlength=a.shape[1])
+    kwargs = {"shared_inner": holders >= 2} if shared else {}
+    engine = blocked_engine(a, comm, schedule, CountSemiring(), **kwargs)
+    assembled = Counter()
+    for name in ("row_operand", "col_operand"):
+        original = getattr(blocked_module, name)
+
+        def counted(stripe, *args, _original=original, _name=name):
+            assembled[_name] += 1
+            return _original(stripe, *args)
+
+        monkeypatch.setattr(blocked_module, name, counted)
+    hub = activate_metrics(MetricsHub())
+    try:
+        blocks = list(engine.iter_blocks())
+    finally:
+        deactivate_metrics()
+    assert assembled == Counter(row_operand=3, **({"col_operand": 4} if shared else {}))
+    assert hub.value("spgemm_stage_invocations", backend="gustavson") == len(blocks) == 12
+    assert hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="block")[
+        "count"
+    ] == 12
+    assert hub.value("spgemm_stage_flops", backend="gustavson") == sum(
+        block.stats.flops for block in blocks
+    )
+    direct = spgemm(a, a.transpose(), CountSemiring())
+    merged = [block.result.to_global() for block in blocks]
+    got = CooMatrix(
+        direct.shape,
+        np.concatenate([m.rows for m in merged]),
+        np.concatenate([m.cols for m in merged]),
+        np.concatenate([m.values for m in merged]),
+    ).sort_rowmajor()
+    assert got == direct and np.array_equal(got.values, direct.values)
+
+
 def test_blocked_summa_peak_memory_decreases_with_more_blocks():
     comm = SimCommunicator(4)
     n, k = 30, 200
