@@ -250,9 +250,11 @@ class BlockTask:
         ):
             per_rank: list[CooMatrix] = []
             for rank_piece in self.block.result.per_rank:
-                pruned = ctx.scheme.prune(rank_piece)
+                # three per-entry filters, so their order changes nothing but
+                # the work: the count threshold, which keeps fewest, goes first
+                pruned = filter_common_kmers(rank_piece, ctx.params.common_kmer_threshold)
+                pruned = ctx.scheme.prune(pruned)
                 pruned = drop_self_pairs(pruned)
-                pruned = filter_common_kmers(pruned, ctx.params.common_kmer_threshold)
                 per_rank.append(pruned)
             if ctx.params.alignment_mode == "seed_extend":
                 # discovery counted shared k-mers only; the survivors' seeds

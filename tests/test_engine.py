@@ -931,3 +931,39 @@ def test_overlapped_scheduler_empty_task_list(small_seqs, fast_params):
     assert outcome.records == []
     assert outcome.timeline.combined_per_rank is None
     assert outcome.timeline.preblocking_report(1.0) is None
+
+
+@pytest.mark.parametrize("load_balancing", ["index", "triangularity"])
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_prune_equals_the_scheme_then_self_pairs_then_threshold(
+    monkeypatch, load_balancing, threshold
+):
+    """``BlockTask.prune`` filters by the k-mer count first; every rank's
+    survivors — entries, order and values — are those of the scheme's prune,
+    then the self-pair drop, then the count threshold."""
+    from repro.core.engine import stages
+    from repro.core.filtering import drop_self_pairs, filter_common_kmers
+
+    checked = []
+    original = stages.BlockTask.prune
+
+    def checking(self, ctx):
+        pieces = self.block.result.per_rank if self.block is not None else None
+        got = original(self, ctx)
+        if pieces is not None:
+            for piece, survivors in zip(pieces, got):
+                want = filter_common_kmers(drop_self_pairs(ctx.scheme.prune(piece)), threshold)
+                assert np.array_equal(survivors.rows, want.rows)
+                assert np.array_equal(survivors.cols, want.cols)
+                assert np.array_equal(survivors.values, want.values)
+                checked.append(piece.nnz - survivors.nnz)
+        return got
+
+    monkeypatch.setattr(stages.BlockTask, "prune", checking)
+    seqs = synthetic_dataset(n_sequences=40, seed=3)
+    params = PastisParams(
+        kmer_length=4, nodes=4, num_blocks=4, common_kmer_threshold=threshold,
+        load_balancing=load_balancing,
+    )
+    PastisPipeline(params).run(seqs)
+    assert checked and sum(checked) > 0  # pieces were checked, entries pruned
