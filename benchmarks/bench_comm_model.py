@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
-from repro.distsparse.distmat import DistSparseMatrix
+from repro.distsparse.stripe import Stripe
 from repro.hardware.topology import SUMMIT_NETWORK
 from repro.io.tables import format_table
 from repro.mpi.communicator import SimCommunicator
@@ -57,8 +57,8 @@ def run():
         comm = SimCommunicator(4)
         schedule = BlockSchedule(n, n, br, bc)
         engine = BlockedSpGemm(
-            DistSparseMatrix.from_global_coo(a, comm),
-            DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts()),
+            Stripe.of(a, comm),
+            Stripe.of(a.transpose(), comm).cut_columns(schedule.col_cuts()),
             OverlapSemiring(),
             schedule,
         )

@@ -390,18 +390,21 @@ def operand_birth(n=2000, k=5, seed=33, repeats=3):
 
 
 def match_paths(n=2000, k=5, seed=33, repeats=3):
-    """Discovery's ``A``-entry → ``B``-row match on born chunk pairs, both ways.
+    """Discovery's ``A``-entry → ``B``-row match on born operand pairs, both ways.
 
     The search operands of the seed-33 generator's set are built as a run
-    builds them (2x2 grid, 3x3 blocking, dense k-mer ids), and every pair of
-    stripe blocks a SUMMA stage multiplies is matched by the direct table
-    and by the sort and search (:mod:`repro.sparse.gustavson`).
+    builds them (2x2 grid, 3x3 blocking, dense k-mer ids, the shared-k-mer
+    restriction), and the product operands of every block
+    (:func:`~repro.distsparse.summa.row_operand` ×
+    :func:`~repro.distsparse.summa.col_operand`) are matched by the direct
+    table and by the sort and search (:mod:`repro.sparse.gustavson`).
     Best-of-``repeats`` seconds over all pairs per path, the pairs the size
     rule sends to each, and the pairs whose two answers differ.
     """
     from repro.core.blocking import make_schedule
     from repro.core.kmer_matrix import build_distributed_kmer_matrix
     from repro.core.params import PastisParams
+    from repro.distsparse.summa import SharedInner, col_operand, row_operand
     from repro.mpi.communicator import SimCommunicator
     from repro.sparse.csr import compress_rows
     from repro.sparse.gustavson import DIRECT_SLOTS_PER_KEY, match_by_search, match_by_table
@@ -409,17 +412,16 @@ def match_paths(n=2000, k=5, seed=33, repeats=3):
     seqs = synthetic_dataset(n_sequences=n, seed=seed)
     params = PastisParams(kmer_length=k, nodes=4, blocking=(3, 3))
     schedule = make_schedule(n, params)
-    a, at, _ = build_distributed_kmer_matrix(seqs, params, SimCommunicator(params.nodes))
-    dim = a.grid.grid_dim
+    a, at, info = build_distributed_kmer_matrix(seqs, params, SimCommunicator(params.nodes))
+    shared = SharedInner.from_mask(info.shared_kmers)
+    right = [
+        compress_rows(col_operand(at.col_stripe(schedule.col_range(c)), shared).matrix)[0]
+        for c in range(schedule.bc)
+    ]
     pairs = []
     for r in range(schedule.br):
-        a_stripe = a.row_stripe(schedule.row_range(r))
-        for c in range(schedule.bc):
-            b_stripe = at.col_stripe(schedule.col_range(c))
-            for i, j, stage in np.ndindex(dim, dim, dim):
-                a_block, b_block = a_stripe.grid_block(i, stage)[0], b_stripe.grid_block(stage, j)[0]
-                if a_block.nnz and b_block.nnz:
-                    pairs.append((compress_rows(b_block)[0], a_block.cols, a_block.shape[1]))
+        left = row_operand(a.row_stripe(schedule.row_range(r)), shared).matrix
+        pairs += [(row_ids, left.cols, left.shape[1]) for row_ids in right]
     paths = {
         "table": match_by_table,
         "search": lambda row_ids, keys, _inner: match_by_search(row_ids, keys),

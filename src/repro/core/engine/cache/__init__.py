@@ -49,7 +49,7 @@ import numpy as np
 
 from ....config import atomic_write_bytes, atomic_write_text
 from ....distsparse.blocked_summa import BlockedSpGemm
-from ....distsparse.distmat import DistSparseMatrix
+from ....distsparse.stripe import Stripe
 from ....sequences.sequence import SequenceSet
 from ....sparse import kernels
 from ....sparse.spgemm import SpGemmStats
@@ -155,13 +155,18 @@ def sequence_digest(sequences: SequenceSet) -> str:
     return h.hexdigest()
 
 
-def stripe_digest(stripe: DistSparseMatrix) -> str:
+def stripe_digest(stripe: Stripe) -> str:
     """Content digest of one operand stripe (per-rank blocks + placement)."""
+    return pieces_digest(stripe.shape, stripe.per_rank())
+
+
+def pieces_digest(shape: tuple[int, int], pieces: list[tuple]) -> str:
+    """:func:`stripe_digest` of the stripe whose per-rank cut
+    (:meth:`~repro.distsparse.stripe.Stripe.per_rank`) is ``pieces``."""
     h = hashlib.sha256()
-    h.update(str(stripe.shape).encode())
-    for rank in range(stripe.grid.nprocs):
-        local = stripe.local(rank)
-        h.update(str(stripe.offsets(rank)).encode())
+    h.update(str(shape).encode())
+    for local, row_offset, col_offset in pieces:
+        h.update(str((row_offset, col_offset)).encode())
         h.update(str(local.shape).encode())
         _update_array(h, local.rows)
         _update_array(h, local.cols)

@@ -14,21 +14,17 @@ The matrix is hypersparse per rank (the k-mer dimension is ``|alphabet|^k``,
 e.g. 64 M for k=6), which is why CombBLAS/PASTIS store it in DCSC; the
 builder reports that compression ratio as part of its info record.
 
-Both operands are born here, once, in the order the process grid consumes
-them, by sorts of integer keys instead of comparison sorts of coordinate
-tuples (:func:`repro.sparse.coo.radix_order`).  The deduplicated triples
-come out of :func:`seed_operand` in (k-mer, sequence) order — ``Aᵀ``
-row-major — and one more sort per operand orders them by rank block
-(:meth:`repro.distsparse.distmat.DistSparseMatrix.from_global_coo`): ``A``
-by (rank block, sequence, k-mer), ``Aᵀ`` by (rank block, column stripe of
-the run's schedule, k-mer, sequence), in block-local coordinates with
-per-segment pointers.  Every rank block, row stripe, column stripe, SUMMA
-stage operand and index shard is then a contiguous view of those arrays,
-and each stripe block caches the row pointers the kernel reads it through
-on its first multiply (:func:`repro.sparse.csr.compress_rows`).  The query
-path (:mod:`repro.serve.query`) and the index build
-(:mod:`repro.serve.index`) build their operands through the same
-:func:`seed_operand`.
+Both operands are born here, once, as the row-major stripes the grid
+consumes (:class:`repro.distsparse.stripe.Stripe`), by sorts of integer
+keys instead of comparison sorts of coordinate tuples
+(:func:`repro.sparse.coo.radix_order`).  The deduplicated triples come out
+of :func:`seed_operand` in (k-mer, sequence) order, which *is* ``Aᵀ``
+row-major; one stable pass on the stripe id cuts it into the run's column
+stripes, and one stable sort by sequence makes ``A`` row-major.  Every row
+stripe and column stripe is then a view, and nothing between birth and the
+SpGEMM kernel sorts again.  The query path (:mod:`repro.serve.query`) and
+the index build (:mod:`repro.serve.index`) build their operands through
+the same :func:`seed_operand`.
 
 The batch operands are born with **dense k-mer ids**
 (:meth:`SeedOperand.dense`): the k-mer dimension is contracted away by
@@ -55,8 +51,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..align.substitution import BLOSUM62, identity_matrix, reduce_matrix
-from ..distsparse.distmat import DistSparseMatrix, chunk_starts
-from ..distsparse.distribute import distribute_coo
+from ..distsparse.distribute import charge_distribution
+from ..distsparse.stripe import ColumnStripes, Stripe, chunk_starts
 from ..mpi.communicator import SimCommunicator
 from ..sequences.alphabet import PROTEIN
 from ..sequences.kmers import KmerExtractor, substitute_kmers
@@ -188,9 +184,8 @@ def extract_seed_triples(
 class SeedOperand:
     """The deduplicated seed triples of ``A``, in (k-mer, row) order.
 
-    That order *is* ``Aᵀ`` row-major, and ``A`` column-major: both operands
-    are distributed from these arrays without a comparison sort
-    (:meth:`repro.distsparse.distmat.DistSparseMatrix.from_global_coo`).
+    That order *is* ``Aᵀ`` row-major (:meth:`transposed`), and ``A``
+    column-major, one stable sort by row from row-major (:meth:`rowmajor`).
     """
 
     #: shape of ``A``: (rows, k-mer space)
@@ -203,6 +198,14 @@ class SeedOperand:
     def matrix(self) -> CooMatrix:
         """``A`` (entries in (k-mer, row) order)."""
         return CooMatrix(self.shape, self.rows, self.kmers, self.positions, check=False)
+
+    def rowmajor(self) -> CooMatrix:
+        """``A`` row-major: one stable sort by row of the (k-mer, row)
+        order leaves each row's k-mers ascending."""
+        order = radix_order(self.rows)
+        return CooMatrix(
+            self.shape, self.rows[order], self.kmers[order], self.positions[order], check=False
+        )
 
     def transposed(self) -> CooMatrix:
         """``Aᵀ``, row-major by (k-mer, row)."""
@@ -280,30 +283,32 @@ def build_distributed_kmer_matrix(
     params: PastisParams,
     comm: SimCommunicator,
     cost_seconds_per_rank: np.ndarray | None = None,
-) -> tuple[DistSparseMatrix, DistSparseMatrix, KmerMatrixInfo]:
+) -> tuple[Stripe, ColumnStripes, KmerMatrixInfo]:
     """Build ``A`` and ``Aᵀ`` distributed over the communicator's 2D grid.
 
     Returns ``(A, A_transpose, info)``, born in the order the run's Blocked
-    SUMMA consumes them: ``A``'s blocks row-major, ``Aᵀ``'s blocks cut into
-    the schedule's column stripes (:func:`repro.core.blocking.make_schedule`)
-    and row-major within each — every stripe of either is a view.  The
-    k-mer dimension holds dense ids (:meth:`SeedOperand.dense`;
-    ``info.kmer_ids[j]`` is column ``j``'s k-mer), chunked where the
-    balanced chunks of the k-mer space fall.  The distribution traffic is
-    charged by :func:`repro.distsparse.distribute.distribute_coo`.
+    SUMMA consumes them: ``A`` row-major (:meth:`SeedOperand.rowmajor`), and
+    ``Aᵀ`` — row-major as the operand comes — cut into the schedule's
+    column stripes (:func:`repro.core.blocking.make_schedule`) by one
+    stable pass on the stripe id; every row stripe of ``A`` and every
+    column stripe of ``Aᵀ`` is a view.  The k-mer dimension holds dense ids
+    (:meth:`SeedOperand.dense`; ``info.kmer_ids[j]`` is column ``j``'s
+    k-mer), chunked where the balanced chunks of the k-mer space fall.  The
+    distribution traffic of both is charged by
+    :func:`repro.distsparse.distribute.charge_distribution`.
     """
     operand = seed_operand(extract_seed_triples(sequences, params)).dense()
+    grid = comm.require_grid()
     kmer_starts = np.searchsorted(
-        operand.info.kmer_ids, chunk_starts(comm.require_grid(), operand.info.kmer_space)
+        operand.info.kmer_ids, chunk_starts(grid, operand.info.kmer_space)
     )
-    a_dist = distribute_coo(operand.matrix(), comm, col_starts=kmer_starts)
-    at_dist = distribute_coo(
-        operand.transposed(),
-        comm,
-        col_cuts=make_schedule(len(sequences), params).col_cuts(),
-        row_starts=kmer_starts,
-    )
+    row_starts = chunk_starts(grid, operand.shape[0])
+    a = Stripe(operand.rowmajor(), comm, row_starts, kmer_starts)
+    charge_distribution(a.matrix, comm)
+    at = Stripe(operand.transposed(), comm, kmer_starts, row_starts)
+    charge_distribution(at.matrix, comm)
+    at = at.cut_columns(make_schedule(len(sequences), params).col_cuts())
     if cost_seconds_per_rank is not None:
         for rank in range(comm.size):
             comm.ledger.charge(rank, "sparse_other", float(cost_seconds_per_rank[rank]))
-    return a_dist, at_dist, operand.info
+    return a, at, operand.info

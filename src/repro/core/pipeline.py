@@ -60,8 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
-from ..distsparse.distmat import DistSparseMatrix
-from ..distsparse.shards import ShardedStripeMatrix
+from ..distsparse.stripe import ColumnStripes, Stripe
 from ..graph.api import ClusteringResult, cluster_similarity_graph
 from ..metrics.imbalance import imbalance_percent
 from ..metrics.memory import MemoryTracker
@@ -143,8 +142,8 @@ class RunPlan:
 
     #: the row operand ``A`` and the column-stripe source ``Aᵀ`` (or the
     #: index's persisted database stripes) of ``C = A·Aᵀ``
-    a: DistSparseMatrix
-    b: DistSparseMatrix | ShardedStripeMatrix
+    a: Stripe
+    b: ColumnStripes
     schedule: BlockSchedule
     scheme: LoadBalancingScheme
     #: the sequences the alignment phase indexes by global row/column id

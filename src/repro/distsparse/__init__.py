@@ -3,11 +3,12 @@
 This is the distributed-memory layer of the reproduction, playing the role
 CombBLAS plays for PASTIS:
 
-* :mod:`repro.distsparse.distmat` — a sparse matrix partitioned into
-  rectangular blocks over the square process grid (one local
-  :class:`repro.sparse.coo.CooMatrix` per virtual rank);
-* :mod:`repro.distsparse.distribute` — partitioning triplets / sequences to
-  the grid, with the distribution traffic charged as an all-to-all;
+* :mod:`repro.distsparse.stripe` — an operand over the square process grid
+  held as row-major stripes in global coordinates (:class:`Stripe`, and
+  the schedule's column stripes as :class:`ColumnStripes`), each grid
+  block's nnz and bytes counted from the chunk starts;
+* :mod:`repro.distsparse.distribute` — the distribution traffic of the
+  k-mer triplets and the sequences, charged as the paper's exchanges;
 * :mod:`repro.distsparse.summa` — the 2D Sparse SUMMA SpGEMM of Buluç &
   Gilbert, computed as one product and charged as the grid: the row/column
   broadcasts and every rank's flops of every stage, from the product's
@@ -17,18 +18,19 @@ CombBLAS plays for PASTIS:
   computed by a SUMMA over the corresponding row stripe of ``A`` and column
   stripe of ``B``, so peak memory is bounded by one output block (plus the
   stripes) instead of the whole overlap matrix;
-* :mod:`repro.distsparse.shards` — column stripes stored as on-disk shards
-  and read back as views.
+* :mod:`repro.distsparse.shards` — column stripes stored as on-disk
+  per-rank shards.
 """
 
-from .distmat import DistSparseMatrix
-from .distribute import distribute_coo, distribute_sequences
+from .stripe import ColumnStripes, Stripe
+from .distribute import charge_distribution, distribute_sequences
 from .summa import summa, SummaResult
 from .blocked_summa import BlockedSpGemm, BlockSchedule, OutputBlock
 
 __all__ = [
-    "DistSparseMatrix",
-    "distribute_coo",
+    "Stripe",
+    "ColumnStripes",
+    "charge_distribution",
     "distribute_sequences",
     "summa",
     "SummaResult",

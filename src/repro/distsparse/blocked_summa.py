@@ -22,22 +22,22 @@ computing a block changes nothing but the stripe cache and the ledger SUMMA
 charges.
 
 The stripes are the paper's stored-once, re-traversed operands: each
-distinct ``A(r, *)`` / ``B(*, c)`` is sliced out of its operand the first
-time a block needs it and kept for the run (``br + bc`` slicings, not
-``2 br bc``).  Both are views: a row stripe is a ``searchsorted`` range of
-each row-major block, and a column stripe is one column segment of each
-block of ``B``, which is born sorted by (rank block, column stripe, row,
-column) (:meth:`DistSparseMatrix.from_global_coo` with the schedule's
-:meth:`BlockSchedule.col_cuts`; a ``B`` born without them is refused by
-its first column stripe).  The engine also keeps the product operands
-SUMMA multiplies (:func:`~repro.distsparse.summa.row_operand`,
-:func:`~repro.distsparse.summa.col_operand`): the current block row's
-``A`` operand, and — for the all-vs-all search, where ``B`` is ``A``'s own
-transpose and only the k-mers at least two rows hold (``shared_inner``)
-are multiplied — every column stripe's ``B`` operand, assembled once per
-run however many output blocks it meets.  Without ``shared_inner`` (a
-query batch) each block's ``B`` operand is only the stripe rows the
-query's k-mers select.
+distinct ``A(r, *)`` / ``B(*, c)`` is taken the first time a block needs it
+and kept for the run (``br + bc`` takings, not ``2 br bc``).  Both are views
+of row-major arrays (:class:`~repro.distsparse.stripe.Stripe`): a row
+stripe is a ``searchsorted`` slice of ``A``, and ``B`` is born cut into
+the schedule's column stripes (:meth:`~repro.distsparse.stripe.Stripe.cut_columns`
+at :meth:`BlockSchedule.col_cuts`, held by a
+:class:`~repro.distsparse.stripe.ColumnStripes`, which refuses any other
+range).  The engine also keeps the product operands SUMMA multiplies
+(:func:`~repro.distsparse.summa.row_operand`,
+:func:`~repro.distsparse.summa.col_operand`, which read the stripes as
+they are): the current block row's ``A`` operand, and — for the
+all-vs-all search, where ``B`` is ``A``'s own transpose and only the
+k-mers at least two rows hold (``shared_inner``) are multiplied — every
+column stripe's ``B`` operand, assembled once per run however many output
+blocks it meets.  Without ``shared_inner`` (a query batch) each block's
+``B`` operand is only the stripe rows the query's k-mers select.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from ..sparse.coo import CooMatrix
 from ..sparse.kernels import resolve_kernel
 from ..sparse.semiring import OverlapSemiring, Semiring
 from ..sparse.spgemm import SpGemmStats
-from .distmat import DistSparseMatrix
+from .stripe import ColumnStripes, Stripe
 from .summa import (
     ColOperand,
     RowOperand,
@@ -112,23 +112,13 @@ class BlockSchedule:
         return self.row_range(r), self.col_range(c)
 
 
-def _restricted(stripe: DistSparseMatrix, keep: np.ndarray, axis: int) -> CooMatrix:
+def _restricted(stripe: Stripe, keep: np.ndarray, axis: int) -> CooMatrix:
     """The stripe's entries whose global row (``axis=0``) or column
     (``axis=1``) is in the sorted ``keep``, as one row-major global COO."""
-    parts = []
-    for rank in range(stripe.grid.nprocs):
-        local = stripe.local(rank)
-        row_offset, col_offset = stripe.offsets(rank)
-        rows, cols = local.rows + row_offset, local.cols + col_offset
-        mask = np.isin(rows if axis == 0 else cols, keep)
-        parts.append((rows[mask], cols[mask], local.values[mask]))
-    return CooMatrix(
-        stripe.shape,
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-        check=False,
-    ).sort_rowmajor()
+    m = stripe.matrix
+    take = np.flatnonzero(np.isin(m.rows if axis == 0 else m.cols, keep))
+    return CooMatrix(m.shape, m.rows.take(take), m.cols.take(take), m.values.take(take),
+                     check=False)
 
 
 def _chunk_bounds(n: int, parts: int, index: int) -> tuple[int, int]:
@@ -181,8 +171,9 @@ class BlockedSpGemm:
     Parameters
     ----------
     a, b:
-        Distributed operands (for the overlap matrix, ``a`` is the
-        sequence-by-k-mer matrix and ``b`` its transpose).
+        The row operand and the column stripes of the right operand (for
+        the overlap matrix, ``a`` is the sequence-by-k-mer matrix and ``b``
+        its transpose, or the index's stored stripes of it).
     semiring:
         Semiring used for candidate discovery.
     schedule:
@@ -202,15 +193,15 @@ class BlockedSpGemm:
         count semiring only).  ``None`` multiplies the whole operands.
     """
 
-    a: DistSparseMatrix
-    b: DistSparseMatrix
+    a: Stripe
+    b: ColumnStripes
     semiring: Semiring
     schedule: BlockSchedule
     spgemm_backend: str | None = None
     batch_flops: int | None = None
     shared_inner: np.ndarray | None = field(default=None, repr=False)
     #: stripes already sliced, by ("a", block_row) / ("b", block_col)
-    _stripes: dict[tuple[str, int], DistSparseMatrix] = field(
+    _stripes: dict[tuple[str, int], Stripe] = field(
         default_factory=dict, init=False, repr=False
     )
     #: the current block row and its product operand
@@ -230,18 +221,18 @@ class BlockedSpGemm:
             self._shared = SharedInner.from_mask(self.shared_inner)
 
     # ------------------------------------------------------------------ stripes
-    def _stripe(self, key: tuple[str, int], slice_operand) -> DistSparseMatrix:
+    def _stripe(self, key: tuple[str, int], slice_operand) -> Stripe:
         if key not in self._stripes:
             self._stripes[key] = slice_operand()
         return self._stripes[key]
 
-    def row_stripe(self, block_row: int) -> DistSparseMatrix:
+    def row_stripe(self, block_row: int) -> Stripe:
         """``A(r, *)`` for block row ``r``, sliced once per run."""
         return self._stripe(
             ("a", block_row), lambda: self.a.row_stripe(self.schedule.row_range(block_row))
         )
 
-    def col_stripe(self, block_col: int) -> DistSparseMatrix:
+    def col_stripe(self, block_col: int) -> Stripe:
         """``B(*, c)`` for block column ``c``, sliced once per run."""
         return self._stripe(
             ("b", block_col), lambda: self.b.col_stripe(self.schedule.col_range(block_col))

@@ -3,7 +3,9 @@
 PASTIS reads the FASTA file in parallel (each rank parses a byte range) and
 then redistributes both the sequences and the k-mer triplets so that every
 rank owns its 2D block of the sequence-by-k-mer matrix.  The redistribution
-is a personalized all-to-all; its traffic is charged here.  Sequences
+is a personalized all-to-all; its traffic is charged here
+(:func:`charge_distribution`), while the operand itself is held as the
+row-major stripes of :mod:`repro.distsparse.stripe`.  Sequences
 themselves are also exchanged (each rank eventually needs the residues of the
 sequences appearing in its alignment work), which PASTIS overlaps with
 computation using non-blocking sends — the *wait* time of that exchange is
@@ -17,40 +19,23 @@ import numpy as np
 from ..mpi.communicator import SimCommunicator
 from ..sequences.sequence import SequenceSet
 from ..sparse.coo import CooMatrix
-from .distmat import DistSparseMatrix
 
 
-def distribute_coo(
-    matrix: CooMatrix, comm: SimCommunicator, col_cuts=(), row_starts=None, col_starts=None
-) -> DistSparseMatrix:
-    """Distribute a global COO matrix onto the 2D grid, charging the traffic.
+def charge_distribution(matrix: CooMatrix, comm: SimCommunicator) -> None:
+    """Charge the all-to-all that moves ``matrix``'s triplets to their owners.
 
-    The blocks are born as :meth:`DistSparseMatrix.from_global_coo` lays
-    them out (column segments cut at ``col_cuts``, chunks at ``row_starts``
-    / ``col_starts`` when given).  The triplets are
-    assumed to start uniformly spread over ranks (the result of parallel
-    input parsing); moving each triplet to its owning rank is a personalized
-    all-to-all whose per-rank volume is ``nnz/p`` triplets.
+    The triplets are assumed to start uniformly spread over ranks (the
+    result of parallel input parsing); moving each to the rank whose block
+    holds it is a personalized all-to-all whose per-rank volume is
+    ``nnz/p`` triplets.
     """
     grid = comm.require_grid()
-    dist = DistSparseMatrix.from_global_coo(
-        matrix, comm, col_cuts=col_cuts, row_starts=row_starts, col_starts=col_starts
-    )
-
-    # model the all-to-all that permutes triplets from the readers to the owners
     triplet_bytes = 8 + 8 + (matrix.values.dtype.itemsize if matrix.nnz else 8)
     per_rank_bytes = int(matrix.nnz / max(grid.nprocs, 1)) * triplet_bytes
-    send_matrix = {
-        src: {dst: np.zeros(0, dtype=np.uint8) for dst in range(grid.nprocs) if dst != src}
-        for src in range(grid.nprocs)
-    }
-    # charge the volume explicitly (payloads above are placeholders)
     for rank in range(grid.nprocs):
         seconds = comm.cluster.network.alltoallv_seconds(per_rank_bytes, grid.nprocs)
         comm.ledger.charge(rank, "comm", seconds)
         comm.ledger.count(rank, "bytes_sent", per_rank_bytes)
-    del send_matrix
-    return dist
 
 
 def distribute_sequences(

@@ -1,14 +1,13 @@
 """Per-rank stripe shards: the on-disk form of a distributed operand.
 
 The serving index (:mod:`repro.serve.index`) persists the database operand
-``Bᵀ = A_dbᵀ`` as the exact column stripes Blocked SUMMA consumes: for each
-output block column ``c`` and each rank ``r``, one ``.bin`` shard holding
-the rank's local COO piece of ``B.col_stripe(col_range(c))`` together with
-its global placement offsets.  Loading the shards of a stripe reconstructs
-a :class:`~repro.distsparse.distmat.DistSparseMatrix` *bitwise identical*
-to the one an all-vs-all run would slice out of the freshly built matrix —
-which is what keeps the stage-cache stripe digests honest across the
-build/serve boundary.
+``Bᵀ = A_dbᵀ`` as the column stripes Blocked SUMMA consumes, cut per rank
+(:meth:`~repro.distsparse.stripe.Stripe.per_rank`): one ``.bin`` shard per
+(block column ``c``, rank ``r``) holding the rank's block of stripe ``c``
+and its global placement offsets.  The pieces join back into the stripe an
+all-vs-all run over the same sequences holds, with the same stage-cache
+stripe digest, which keeps the cache keys honest across the build/serve
+boundary.
 
 A shard is flat and little-endian, so reading one costs bytes, not parsing::
 
@@ -23,27 +22,19 @@ Every array starts on an 8-byte boundary and the file ends with the last
 value.  :func:`read_shard` is one read, a magic check, an exact length
 check against the header and three read-only ``np.frombuffer`` views; the
 header's shape and offsets and all three arrays are covered by the
-manifest's stripe digest, which the index verifies on every load.
-
-:class:`ShardedStripeMatrix` is the lazy B-side operand adapter: it exposes
-exactly the surface :class:`~repro.distsparse.blocked_summa.BlockedSpGemm`
-touches (``shape``, ``col_stripe``) plus ``nnz``, which a query run's plan
-reads for both terms of the stripe-traversal charge, loading and
-digest-verifying each stripe on first use.
+manifest's stripe digest, which the index checks on the pieces of every
+stripe it loads before it joins them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from ..config import atomic_write_bytes
-from ..mpi.communicator import SimCommunicator
 from ..sparse.coo import CooMatrix
-from .distmat import DistSparseMatrix
+from .stripe import Stripe
 
 #: first header word of every shard (``b"PSHARD03"`` read as little-endian int64)
 SHARD_MAGIC = int.from_bytes(b"PSHARD03", "little")
@@ -117,77 +108,21 @@ def read_shard(path: Path) -> tuple[CooMatrix, int, int]:
     return block, row_offset, col_offset
 
 
-def write_stripe_shards(
-    directory: Path, stripe: int, matrix: DistSparseMatrix
-) -> tuple[list[str], int]:
-    """Persist every rank's piece of one column stripe; returns (names, bytes)."""
+def write_stripe_shards(directory: Path, stripe: int, matrix: Stripe) -> tuple[list[str], int]:
+    """Persist every rank's piece of one column stripe (its per-rank cut,
+    :meth:`~repro.distsparse.stripe.Stripe.per_rank`); returns (names, bytes)."""
     names: list[str] = []
     total = 0
-    for rank in range(matrix.grid.nprocs):
+    for rank, (block, row_offset, col_offset) in enumerate(matrix.per_rank()):
         name = shard_filename(stripe, rank)
-        row_offset, col_offset = matrix.offsets(rank)
-        total += write_shard(directory / name, matrix.local(rank), row_offset, col_offset)
+        total += write_shard(directory / name, block, row_offset, col_offset)
         names.append(name)
     return names, total
 
 
-def load_stripe_shards(
-    directory: Path, stripe: int, shape: tuple[int, int], comm: SimCommunicator
-) -> DistSparseMatrix:
-    """Reassemble one column stripe from its per-rank shard files.
-
-    ``shape`` is the *full* operand shape: stripes keep global offsets (the
-    same convention as :meth:`DistSparseMatrix.col_stripe`), so SUMMA output
-    coordinates stay global.
-    """
-    grid = comm.require_grid()
-    blocks: list[CooMatrix] = []
-    row_offsets: list[int] = []
-    col_offsets: list[int] = []
-    for rank in range(grid.nprocs):
-        block, row_offset, col_offset = read_shard(directory / shard_filename(stripe, rank))
-        blocks.append(block)
-        row_offsets.append(row_offset)
-        col_offsets.append(col_offset)
-    return DistSparseMatrix(shape, comm, blocks, row_offsets, col_offsets)
-
-
-@dataclass
-class ShardedStripeMatrix:
-    """Disk-backed B-side operand for :class:`BlockedSpGemm`.
-
-    Quacks like the column-stripe source SUMMA needs — ``shape`` and
-    ``col_stripe(col_range)`` — but serves stripes from the index shards,
-    loaded lazily and verified against their stamped digests on first use.
-    Only the exact column ranges the index was blocked with are available;
-    asking for any other range is a contract violation, not a recompute.
-    """
-
-    shape: tuple[int, int]
-    nnz: int
-    #: global column range of each stored stripe, in stripe order
-    col_ranges: list[tuple[int, int]]
-    #: loads (and digest-verifies) stripe ``c`` as a DistSparseMatrix
-    loader: Callable[[int], DistSparseMatrix]
-    _by_range: dict[tuple[int, int], int] = field(init=False, repr=False)
-    _loaded: dict[int, DistSparseMatrix] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self.shape = (int(self.shape[0]), int(self.shape[1]))
-        self._by_range = {
-            (int(lo), int(hi)): c for c, (lo, hi) in enumerate(self.col_ranges)
-        }
-
-    def col_stripe(self, col_range: tuple[int, int]) -> DistSparseMatrix:
-        """The stored stripe covering ``col_range`` (must match exactly)."""
-        key = (int(col_range[0]), int(col_range[1]))
-        if key not in self._by_range:
-            raise ValueError(
-                f"index has no stripe for column range {key}; stored stripes "
-                f"cover {sorted(self._by_range)} — the run's blocking must "
-                "match the blocking the index was built with"
-            )
-        c = self._by_range[key]
-        if c not in self._loaded:
-            self._loaded[c] = self.loader(c)
-        return self._loaded[c]
+def read_stripe_shards(
+    directory: Path, stripe: int, nprocs: int
+) -> list[tuple[CooMatrix, int, int]]:
+    """Every rank's piece of one column stripe, as :func:`read_shard` maps
+    it: ``(block, row offset, col offset)`` in rank order."""
+    return [read_shard(directory / shard_filename(stripe, rank)) for rank in range(nprocs)]

@@ -11,7 +11,10 @@ blocks and accumulates into its piece of ``C``.
 multiplies once through the SpGEMM kernel: ``A``'s stripe, row-major
 (:class:`RowOperand`), times ``B``'s stripe with every column split by
 stage — operand column ``c · grid_dim + k`` holds column ``c``'s entries in
-``B``'s row chunk ``k`` (:class:`ColOperand`).  Entry ``(r, c · grid_dim +
+``B``'s row chunk ``k`` (:class:`ColOperand`).  Both are read off the
+row-major stripes (:class:`~repro.distsparse.stripe.Stripe`) entry by
+entry — ``A``'s rows shifted, ``B``'s columns relabelled — so nothing is
+merged or sorted between birth and the kernel.  Entry ``(r, c · grid_dim +
 k)`` of the product is then what rank ``(i, j)`` — the owner of row ``r``
 and column ``c`` — multiplied at stage ``k``: under the count semiring its
 value is that multiply's flops at the entry.  Reducing each coordinate's
@@ -57,7 +60,7 @@ import numpy as np
 
 from ..mpi.layout import Layout, bcast_segments, segment, summa_broadcasts
 from ..obs import current_metrics
-from ..sparse.coo import CooMatrix, radix_order
+from ..sparse.coo import CooMatrix
 from ..sparse.csr import assume_rowmajor, compress_rows
 from ..sparse.gustavson import DEFAULT_BATCH_FLOPS
 from ..sparse.kernels import (
@@ -69,7 +72,7 @@ from ..sparse.kernels import (
 from ..sparse.semiring import CountSemiring, Semiring
 from ..sparse.spgemm import SpGemmStats
 from ..trace import current_tracer
-from .distmat import DistSparseMatrix
+from .stripe import Stripe
 
 
 @dataclass
@@ -160,16 +163,14 @@ class RowOperand:
     ``offset``), row-major, with global inner ids — or shared ranks, with the
     per-stage counts of each row's private inner indices in ``private``
     (``[row, k]``).  Grid row ``i``'s rows are ``chunks[i]:chunks[i + 1]``;
-    ``nbytes[i, k]`` / ``occupied[i, k]`` are the triplet bytes and
-    non-emptiness of grid block ``(i, k)``, the payload its stage broadcasts.
+    ``nbytes[i, k]`` is the triplet bytes of grid block ``(i, k)``, the
+    payload its stage broadcasts.
     """
 
     matrix: CooMatrix
     offset: int
     chunks: np.ndarray
     nbytes: np.ndarray
-    occupied: np.ndarray
-    itemsize: int
     private: np.ndarray | None = None
 
 
@@ -178,8 +179,8 @@ class ColOperand:
     """``B``'s stripe as the product's right operand: inner rows, and column
     ``c · grid_dim + k`` holding local column ``c``'s entries of row chunk
     ``k`` (global column ``offset + c``), row-major.  ``chunk_of_col[c]`` is
-    the grid column of local column ``c``; ``nbytes[k, j]`` /
-    ``occupied[k, j]`` describe grid block ``(k, j)``."""
+    the grid column of local column ``c``; ``nbytes[k, j]`` is the triplet
+    bytes of grid block ``(k, j)``."""
 
     matrix: CooMatrix
     offset: int
@@ -188,8 +189,6 @@ class ColOperand:
     #: the grid column of local column ``c``
     stage_class: np.ndarray
     nbytes: np.ndarray
-    occupied: np.ndarray
-    itemsize: int
 
     @property
     def width(self) -> int:
@@ -197,80 +196,36 @@ class ColOperand:
         return int(self.chunk_of_col.size)
 
 
-def _block_facts(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Triplet bytes and non-emptiness of a grid of ``(block, ...)``."""
-    nbytes = np.array([[b[0].memory_bytes() for b in row] for row in blocks], dtype=np.int64)
-    occupied = np.array([[b[0].nnz > 0 for b in row] for row in blocks], dtype=bool)
-    return nbytes, occupied
-
-
-def _span(extents: list[int], offsets: list[int]) -> tuple[int, np.ndarray]:
-    """The stripe origin and the local starts of the grid chunks (plus the
-    stripe's extent) from each chunk's extent within the stripe and global
-    offset; a chunk the stripe misses is empty, clipped to an end."""
-    total = sum(extents)
-    origin = next((offset for extent, offset in zip(extents, offsets) if extent), 0)
-    return origin, np.array([min(max(o - origin, 0), total) for o in offsets] + [total])
-
-
-def _by_row(parts: list[tuple]) -> list[np.ndarray]:
-    """The pieces ``(rows, *arrays)`` concatenated and stably ordered by row:
-    pieces in order, each row-major, whose rows interleave (the grid blocks
-    of one stripe row) come out row-major (:func:`repro.sparse.coo.radix_order`)."""
-    if len(parts) == 1:
-        return list(parts[0])
-    joined = [np.concatenate(arrays) for arrays in zip(*parts)]
-    order = radix_order(joined[0])
-    return [array.take(order) for array in joined]
-
-
-def _operand(shape, arrays: list | None, with_values: bool, dtype) -> CooMatrix:
-    """Row-major ``[rows, cols(, values)]`` (``None``: no entries) as a
-    product operand whose row pointers are kept; a restricted (count-only)
-    operand carries no values."""
-    if arrays is None:
-        arrays = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, dtype)]
-    rows, cols, *values = arrays
-    values = values[0] if with_values else None
+def _operand(shape, rows, cols, values) -> CooMatrix:
+    """Row-major triplets as a product operand whose row pointers are kept;
+    a restricted (count-only) operand has ``values=None``."""
     return assume_rowmajor(CooMatrix(shape, rows, cols, values, check=False))
 
 
-def row_operand(stripe: DistSparseMatrix, shared: SharedInner | None = None) -> RowOperand:
-    """``A``'s row stripe (or whole matrix) as a :class:`RowOperand`: the
-    grid blocks merged by row, their columns made global (or shared ranks,
+def row_operand(stripe: Stripe, shared: SharedInner | None = None) -> RowOperand:
+    """``A``'s row stripe (or whole matrix) as a :class:`RowOperand`: its
+    rows relabelled to start at 0, its columns global (or shared ranks,
     when ``shared`` restricts it)."""
-    grid = stripe.grid
-    dim = grid.grid_dim
-    blocks = [[stripe.grid_block(i, k) for k in range(dim)] for i in range(dim)]
-    heights = [row[0][0].shape[0] for row in blocks]
-    origin, chunks = _span(heights, [row[0][1] for row in blocks])
-    height = int(chunks[-1])
-    private = None if shared is None else np.zeros((height, dim), dtype=np.int64)
-    parts = []
-    for i, row in enumerate(blocks):
-        for k, (block, _, col_offset) in enumerate(row):
-            if not block.nnz:
-                continue
-            rows, cols, values = block.rows, block.cols, block.values
-            if shared is None:
-                cols = cols + col_offset
-            else:
-                ranks = shared.ranks[col_offset: col_offset + block.shape[1]][cols]
-                keep = np.flatnonzero(ranks >= 0)
-                # per row: the block's entries, less the kept ones before each row
-                pointers = np.searchsorted(rows, np.arange(heights[i] + 1))
-                kept = np.searchsorted(keep, pointers)
-                private[chunks[i]: chunks[i + 1], k] = np.diff(pointers) - np.diff(kept)
-                rows, cols, values = rows.take(keep), ranks.take(keep), None
-            parts.append((rows + chunks[i], cols) if values is None else
-                         (rows + chunks[i], cols, values))
-    inner = stripe.shape[1] if shared is None else shared.count
-    matrix = _operand((height, inner), _by_row(parts) if parts else None, shared is None,
-                      stripe.dtype)
-    nbytes, occupied = _block_facts(blocks)
-    return RowOperand(
-        matrix, origin, chunks, nbytes, occupied, blocks[0][0][0].rows.itemsize, private
-    )
+    dim = stripe.grid.grid_dim
+    origin, end = stripe.row_range
+    height = end - origin
+    m = stripe.matrix
+    private = None
+    if shared is None:
+        matrix = _operand((height, stripe.shape[1]), m.rows - origin, m.cols, m.values)
+    else:
+        ranks = shared.ranks[m.cols]
+        held = ranks < 0
+        alone = np.flatnonzero(held)  # positions, not masks: a take is the fast gather
+        stage = np.searchsorted(stripe.col_starts, m.cols.take(alone), side="right") - 1
+        cell = (m.rows.take(alone) - origin) * dim + stage
+        private = np.bincount(cell, minlength=height * dim).reshape(height, dim)
+        keep = np.flatnonzero(~held)
+        matrix = _operand(
+            (height, shared.count), m.rows.take(keep) - origin, ranks.take(keep), None
+        )
+    chunks = np.clip(stripe.row_starts - origin, 0, height)
+    return RowOperand(matrix, origin, chunks, stripe.block_nnz * stripe.triplet_bytes, private)
 
 
 def _select_rows(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -282,56 +237,39 @@ def _select_rows(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.repeat(lo - start, count) + np.arange(int(count.sum()))
 
 
-def _col_grid(stripe: DistSparseMatrix) -> tuple:
-    """What a :class:`ColOperand` of ``stripe`` holds besides its matrix,
-    and the stripe's grid blocks ``[k][j]``."""
-    dim = stripe.grid.grid_dim
-    blocks = [[stripe.grid_block(k, j) for j in range(dim)] for k in range(dim)]
-    origin, chunks = _span(
-        [block.shape[1] for block, _, _ in blocks[0]], [offset for _, _, offset in blocks[0]]
-    )
-    chunk_of_col = np.repeat(np.arange(dim), np.diff(chunks))
-    stage_class = (np.arange(dim) * dim + chunk_of_col[:, None]).ravel()
-    return blocks, (origin, chunk_of_col, stage_class, *_block_facts(blocks),
-                    blocks[0][0][0].cols.itemsize)
-
-
 def col_operand(
-    stripe: DistSparseMatrix, shared: SharedInner | None = None, inner: np.ndarray | None = None
+    stripe: Stripe, shared: SharedInner | None = None, inner: np.ndarray | None = None
 ) -> ColOperand:
     """``B``'s column stripe (or whole matrix) as a :class:`ColOperand`:
-    every row chunk's blocks merged by row, rows made global (or shared
-    ranks), columns split by stage.  ``inner`` (ascending global inner ids)
-    keeps only those rows."""
-    blocks, facts = _col_grid(stripe)
-    origin, dim = facts[0], len(blocks)
-    parts = []
-    for k, row in enumerate(blocks):
-        pieces = []
-        for block, row_offset, col_offset in row:
-            if not block.nnz:
-                continue
-            rows, cols, values = block.rows, block.cols, block.values
-            if inner is not None:
-                lo, hi = np.searchsorted(inner, (row_offset, row_offset + block.shape[0]))
-                if lo == hi:
-                    continue
-                take = _select_rows(rows, inner[lo:hi] - row_offset)
-                rows, cols, values = rows.take(take), cols.take(take), values.take(take)
-            if shared is None:
-                rows = rows + row_offset
-            else:
-                ranks = shared.ranks[row_offset: row_offset + block.shape[0]][rows]
-                keep = np.flatnonzero(ranks >= 0)
-                rows, cols, values = ranks.take(keep), cols.take(keep), None
-            cols = (cols + (col_offset - origin)) * dim + k
-            pieces.append((rows, cols) if values is None else (rows, cols, values))
-        if pieces:  # a stripe across grid columns merges its blocks by row
-            parts.append(_by_row(pieces))
-    height = stripe.shape[0] if shared is None else shared.count
-    arrays = [np.concatenate(column) for column in zip(*parts)] if parts else None
-    matrix = _operand((height, facts[1].size * dim), arrays, shared is None, stripe.dtype)
-    return ColOperand(matrix, *facts)
+    rows global (or shared ranks), every column split by stage — relabelled
+    ``c · grid_dim + k``, ``k`` the grid row of the entry.  ``inner``
+    (ascending global inner ids) keeps only those rows."""
+    dim = stripe.grid.grid_dim
+    origin, end = stripe.col_range
+    width = end - origin
+    m = stripe.matrix
+    rows, cols, values = m.rows, m.cols, m.values
+    if inner is not None:
+        take = _select_rows(rows, inner)
+        rows, cols, values = rows.take(take), cols.take(take), values.take(take)
+    # each entry's grid row, the stage its block is broadcast at
+    stage = np.repeat(np.arange(dim), np.diff(np.searchsorted(rows, stripe.row_starts)))
+    height = stripe.shape[0]
+    if shared is not None:
+        ranks = shared.ranks[rows]
+        keep = np.flatnonzero(ranks >= 0)
+        rows, cols, values, stage = ranks.take(keep), cols.take(keep), None, stage.take(keep)
+        height = shared.count
+    cols = cols - origin
+    cols *= dim
+    cols += stage
+    chunks = np.clip(stripe.col_starts - origin, 0, width)
+    chunk_of_col = np.repeat(np.arange(dim), np.diff(chunks))
+    stage_class = (np.arange(dim) * dim + chunk_of_col[:, None]).ravel()
+    return ColOperand(
+        _operand((height, width * dim), rows, cols, values), origin, chunk_of_col,
+        stage_class, stripe.block_nnz * stripe.triplet_bytes,
+    )
 
 
 # ---------------------------------------------------------------------- the plan
@@ -462,8 +400,8 @@ def _count_diagonal(
 
 
 def summa(
-    a: DistSparseMatrix,
-    b: DistSparseMatrix,
+    a: Stripe,
+    b: Stripe,
     semiring: Semiring,
     output_shape: tuple[int, int] | None = None,
     spgemm_backend: str | SpGemmKernel | None = None,
@@ -540,7 +478,7 @@ def summa(
     del product
 
     flops, outputs = _multiply_tables(rows, cols, counts, left, right, dim)
-    multiplies = left.occupied[:, :, None] & right.occupied[None, :, :]
+    multiplies = (left.nbytes > 0)[:, :, None] & (right.nbytes > 0)[None, :, :]
     budget = (batch_flops or DEFAULT_BATCH_FLOPS) if batched else None
     groups, peak = _kernel_groups(rows, cols, counts, flops, multiplies, left, right, budget)
     total_flops, output_nnz = int(flops.sum()), int(outputs.sum())
@@ -548,7 +486,8 @@ def summa(
         flops=total_flops,
         output_nnz=output_nnz,
         intermediate_bytes=peak * (
-            left.itemsize + right.itemsize + np.dtype(semiring.value_dtype).itemsize
+            a_matrix.rows.itemsize + b_matrix.cols.itemsize
+            + np.dtype(semiring.value_dtype).itemsize
         ),
         compression_factor=total_flops / output_nnz if output_nnz else 1.0,
         row_groups=groups,

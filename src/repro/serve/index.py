@@ -1,13 +1,12 @@
 """The persistent database k-mer index.
 
 ``build_index`` runs the batch pipeline's own k-mer matrix birth
-(:func:`repro.core.kmer_matrix.seed_operand`) once over the database,
-distributes the transposed operand ``Bᵀ = A_dbᵀ`` onto the 2D process grid
-cut into the index's column stripes — each stripe block a row-major view by
-(k-mer, sequence), the order a served SpGEMM multiplies from without
-sorting — and persists it as the exact per-rank column-stripe shards
-Blocked SUMMA consumes
-(:mod:`repro.distsparse.shards`).  Every artifact is stamped with
+(:func:`repro.core.kmer_matrix.seed_operand`) once over the database, cuts
+the transposed operand ``Bᵀ = A_dbᵀ`` — row-major by (k-mer, sequence), the
+order a served SpGEMM multiplies from — into the index's column stripes,
+and persists each stripe as its per-rank shards
+(:mod:`repro.distsparse.shards`); a load checks the pieces against the
+stamped digest, then joins them into the stripe.  Every artifact is stamped with
 the same content digests the stage cache keys on —
 :func:`repro.core.engine.cache.sequence_digest` for the database residues,
 :func:`repro.core.engine.cache.stripe_digest` per stripe — so a query run
@@ -60,16 +59,12 @@ from pathlib import Path
 import numpy as np
 
 from ..config import atomic_write_bytes, atomic_write_text
-from ..core.engine.cache import sequence_digest, stripe_digest
+from ..core.engine.cache import pieces_digest, sequence_digest, stripe_digest
 from ..core.kmer_matrix import KmerMatrixInfo, extract_seed_triples, seed_operand
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
-from ..distsparse.distmat import DistSparseMatrix
-from ..distsparse.shards import (
-    ShardedStripeMatrix,
-    load_stripe_shards,
-    write_stripe_shards,
-)
+from ..distsparse.shards import read_stripe_shards, write_stripe_shards
+from ..distsparse.stripe import ColumnStripes, Stripe
 from ..mpi.communicator import SimCommunicator
 from ..mpi.process_grid import is_perfect_square
 from ..sequences.alphabet import MURPHY10, PROTEIN, Alphabet
@@ -240,9 +235,8 @@ def build_index(
     info = operand.info
     _, bc = effective_blocking(params, len(sequences))
     schedule = BlockSchedule(n_rows=len(sequences), n_cols=len(sequences), br=1, bc=bc)
-    bt = DistSparseMatrix.from_global_coo(
-        operand.transposed(), comm, col_cuts=schedule.col_cuts()
-    )
+    # Bᵀ comes out of the birth row-major by (k-mer, sequence)
+    bt = Stripe.of(operand.transposed(), comm).cut_columns(schedule.col_cuts())
 
     stripes: list[dict] = []
     shard_bytes = 0
@@ -287,6 +281,28 @@ def build_index(
     # manifest last: its existence certifies every artifact above it
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return KmerIndex.open(out)
+
+
+def load_stripe_shards(
+    shard_dir: Path, c: int, shape: tuple[int, int], comm: SimCommunicator, entry: dict
+) -> Stripe:
+    """Column stripe ``c`` from its per-rank shards: the pieces are read and
+    their stripe digest checked against the manifest ``entry`` before they
+    are joined into the stripe."""
+    try:
+        pieces = read_stripe_shards(shard_dir, c, comm.size)
+    except (OSError, ValueError) as exc:
+        raise IndexIntegrityError(
+            f"corrupt index shard for stripe {c} under {shard_dir}: {exc}"
+        ) from exc
+    digest = pieces_digest(shape, pieces)
+    if digest != entry["digest"]:
+        raise IndexIntegrityError(
+            f"stale index: stripe {c} ({', '.join(entry['files'])} under "
+            f"{shard_dir}) digests to {digest[:16]}… but the manifest stamps "
+            f"{entry['digest'][:16]}…"
+        )
+    return Stripe.join(pieces, comm, shape, entry["col_range"])
 
 
 @dataclass
@@ -398,29 +414,14 @@ class KmerIndex:
             self.sequences()
         return self._banned
 
-    def stripe(self, c: int, comm: SimCommunicator) -> DistSparseMatrix:
+    def stripe(self, c: int, comm: SimCommunicator) -> Stripe:
         """Column stripe ``c`` of ``Bᵀ``, digest-verified against the manifest."""
-        entry = self.manifest["stripes"][c]
         shape = (self.kmer_space, self.n_sequences)
-        shard_dir = self.path / SHARD_DIR
-        try:
-            stripe = load_stripe_shards(shard_dir, c, shape, comm)
-        except (OSError, ValueError) as exc:
-            raise IndexIntegrityError(
-                f"corrupt index shard for stripe {c} under {shard_dir}: {exc}"
-            ) from exc
-        digest = stripe_digest(stripe)
-        if digest != entry["digest"]:
-            raise IndexIntegrityError(
-                f"stale index: stripe {c} ({', '.join(entry['files'])} under "
-                f"{shard_dir}) digests to {digest[:16]}… but the manifest stamps "
-                f"{entry['digest'][:16]}…"
-            )
-        return stripe
+        return load_stripe_shards(self.path / SHARD_DIR, c, shape, comm, self.manifest["stripes"][c])
 
-    def matrix(self, comm: SimCommunicator) -> ShardedStripeMatrix:
-        """The database operand ``Bᵀ`` as a lazy disk-backed SUMMA operand."""
-        return ShardedStripeMatrix(
+    def matrix(self, comm: SimCommunicator) -> ColumnStripes:
+        """The database operand ``Bᵀ`` as lazily loaded column stripes."""
+        return ColumnStripes(
             shape=(self.kmer_space, self.n_sequences),
             nnz=self.nnz,
             col_ranges=self.col_ranges,

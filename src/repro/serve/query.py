@@ -40,7 +40,8 @@ from ..core.load_balance import LoadBalancingScheme, make_scheme
 from ..core.params import PastisParams
 from ..core.pipeline import RunPlan
 from ..distsparse.blocked_summa import BlockSchedule
-from ..distsparse.distribute import distribute_coo
+from ..distsparse.distribute import charge_distribution
+from ..distsparse.stripe import Stripe
 from ..mpi.communicator import SimCommunicator
 from ..sequences.sequence import SequenceSet
 from ..sparse.coo import CooMatrix
@@ -172,7 +173,8 @@ def prepare_query_run(
     n_rows = n_db + n_novel
 
     operand = build_query_operand(queries, params, index, query_rows, n_rows)
-    a = distribute_coo(operand.matrix(), comm)
+    a = Stripe.of(operand.rowmajor(), comm)
+    charge_distribution(a.matrix, comm)
     b = index.matrix(comm)
 
     br_param, _ = params.blocking_factors()

@@ -48,13 +48,26 @@ class ExecutedSumma:
         return flops
 
 
+class GridBlocks:
+    """A stripe's per-rank cut (:meth:`repro.distsparse.stripe.Stripe.per_rank`),
+    read by grid position as ``(block, row offset, column offset)``."""
+
+    def __init__(self, stripe):
+        self.grid, self.pieces = stripe.grid, stripe.per_rank()
+
+    def grid_block(self, grid_row, grid_col):
+        return self.pieces[self.grid.rank_of(grid_row, grid_col)]
+
+
 def executed_summa(a, b, semiring, output_shape=None, kernel=None, batch_flops=None):
     """``C = A ·(semiring) B`` by the executed per-(rank, stage) loop,
-    charging ``a.comm``'s ledger as the grid runs."""
+    charging ``a.comm``'s ledger as the grid runs; ``a`` and ``b`` are
+    :class:`~repro.distsparse.stripe.Stripe`s, executed as their rank blocks."""
     comm = a.comm
     grid = comm.require_grid()
     dim = grid.grid_dim
     output_shape = output_shape or (a.shape[0], b.shape[1])
+    a, b = GridBlocks(a), GridBlocks(b)
     multiply = resolve_kernel(kernel)
     kwargs = {} if batch_flops is None else {"batch_flops": batch_flops}
     partials: list[list[CooMatrix]] = [[] for _ in range(grid.nprocs)]

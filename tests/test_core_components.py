@@ -390,11 +390,18 @@ def test_build_distributed_kmer_matrix():
     assert a.shape == (25, distinct)
     assert at.shape == (distinct, 25)
     assert a.nnz == at.nnz == info.nnz
-    # both operands are born row-major: no SpGEMM call downstream has to sort
-    assert all(m.local(rank).is_rowmajor() for m in (a, at) for rank in range(4))
-    assert at.to_global_coo() == a.to_global_coo().transpose()
+    # both operands are born row-major — A whole, Aᵀ per column stripe of
+    # the schedule — so no SpGEMM call downstream has to sort
+    stripes = [at.col_stripe(cols) for cols in at.col_ranges]
+    assert all(m.matrix.is_rowmajor() for m in (a, *stripes))
+    rows, cols, values = (
+        np.concatenate([getattr(s.matrix, name) for s in stripes])
+        for name in ("rows", "cols", "values")
+    )
+    transposed = CooMatrix(at.shape, rows, cols, values).sort_rowmajor()
+    assert transposed == a.matrix.transpose().sort_rowmajor()
     # through the dictionary, A is the matrix over k-mer ids
-    dense = a.to_global_coo()
+    dense = a.matrix
     by_kmer_id = CooMatrix((25, 20**5), dense.rows, info.kmer_ids[dense.cols], dense.values)
     assert by_kmer_id == build_kmer_coo(seqs, params)[0]
 

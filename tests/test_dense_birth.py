@@ -20,7 +20,8 @@ from repro.core.kmer_matrix import (
 )
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
-from repro.distsparse.distribute import distribute_coo
+from repro.distsparse.distribute import charge_distribution
+from repro.distsparse.stripe import Stripe
 from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
 from repro.mpi.costmodel import RecordingLedger
@@ -44,9 +45,10 @@ def _kmer_id_operands(sequences, params, comm):
     """``A`` and ``Aᵀ`` distributed with the k-mer ids themselves as the
     k-mer coordinates, on the grid's balanced chunks of the k-mer space."""
     operand = seed_operand(extract_seed_triples(sequences, params))
-    a = distribute_coo(operand.matrix(), comm)
-    cuts = make_schedule(len(sequences), params).col_cuts()
-    return a, distribute_coo(operand.transposed(), comm, col_cuts=cuts)
+    a, at = Stripe.of(operand.rowmajor(), comm), Stripe.of(operand.transposed(), comm)
+    for matrix in (a.matrix, at.matrix):
+        charge_distribution(matrix, comm)
+    return a, at.cut_columns(make_schedule(len(sequences), params).col_cuts())
 
 
 def stripe_mismatches(dense, by_id, kmer_ids, kmer_axis):
@@ -54,9 +56,7 @@ def stripe_mismatches(dense, by_id, kmer_ids, kmer_axis):
     k-mer-id stripe once its k-mer coordinates go through ``kmer_ids``,
     counted over every rank block."""
     mismatches = 0
-    for rank in range(dense.grid.nprocs):
-        got, want = dense.local(rank), by_id.local(rank)
-        got_offsets, want_offsets = dense.offsets(rank), by_id.offsets(rank)
+    for (got, *got_offsets), (want, *want_offsets) in zip(dense.per_rank(), by_id.per_rank()):
         other_axis = 1 - kmer_axis
         if (
             got.nnz != want.nnz
@@ -95,8 +95,9 @@ def test_dense_birth_equals_the_kmer_id_layout(nodes, blocking):
 
     assert info.kmer_space == 20**4 and a.shape[1] == at.shape[0] == info.kmer_ids.size
     assert dense_comm.ledger.events == by_id_comm.ledger.events
-    for dense, by_id in ((a, a_by_id), (at, at_by_id)):
-        assert np.array_equal(dense.nnz_per_rank(), by_id.nnz_per_rank())
+    stripes = [(at.col_stripe(cols), at_by_id.col_stripe(cols)) for cols in at.col_ranges]
+    for dense, by_id in ((a, a_by_id), *stripes):
+        assert np.array_equal(dense.block_nnz, by_id.block_nnz)
         assert np.array_equal(dense.memory_bytes_per_rank(), by_id.memory_bytes_per_rank())
 
     schedule = make_schedule(len(seqs), params)

@@ -24,7 +24,7 @@ import numpy as np
 from summa_oracle import executed_summa, journal_of, pieces_bytes
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
-from repro.distsparse.distmat import DistSparseMatrix
+from repro.distsparse.stripe import Stripe
 from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
 from repro.sparse.coo import CooMatrix
@@ -98,8 +98,8 @@ def test_charge_plan_equals_the_executed_grid():
     ):
         kernel, batch_flops = BUDGETS[budget]
         comm = SimCommunicator(nprocs)
-        a = DistSparseMatrix.from_global_coo(left, comm)
-        b = DistSparseMatrix.from_global_coo(
+        a = Stripe.of(left, comm)
+        b = Stripe.of(
             (left if right is None else right).transpose(), comm
         )
         got, charges, counts = journal_of(
@@ -119,10 +119,10 @@ def test_charge_plan_equals_the_executed_grid():
         comm = SimCommunicator(nprocs)
         schedule = BlockSchedule(31, 31, *blocking)
         engine = BlockedSpGemm(
-            DistSparseMatrix.from_global_coo(left, comm),
-            DistSparseMatrix.from_global_coo(
-                left.transpose(), comm, col_cuts=schedule.col_cuts()
-            ),
+            Stripe.of(left, comm),
+            Stripe.of(
+                left.transpose(), comm
+            ).cut_columns(schedule.col_cuts()),
             CountSemiring(), schedule, spgemm_backend=kernel, batch_flops=batch_flops,
             shared_inner=np.bincount(left.cols, minlength=INNER) >= 2,
         )
@@ -143,8 +143,8 @@ def test_tiny_budgets_split_multiplies_into_row_groups():
     multiplies, as the executed kernel does."""
     left = OPERANDS["a·aᵀ"][0]
     comm = SimCommunicator(4)
-    a = DistSparseMatrix.from_global_coo(left, comm)
-    b = DistSparseMatrix.from_global_coo(left.transpose(), comm)
+    a = Stripe.of(left, comm)
+    b = Stripe.of(left.transpose(), comm)
     result = summa(a, b, CountSemiring(), batch_flops=BUDGETS["tiny"][1])
     executed = executed_summa(a, b, CountSemiring(), batch_flops=BUDGETS["tiny"][1])
     assert result.stats.row_groups == executed.stats.row_groups > len(executed.calls) > 0

@@ -1,11 +1,11 @@
-"""Tests for the distributed sparse layer: DistSparseMatrix, SUMMA, Blocked SUMMA."""
+"""Tests for the distributed sparse layer: stripes, SUMMA, Blocked SUMMA."""
 
 import numpy as np
 import pytest
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
-from repro.distsparse.distmat import DistSparseMatrix
-from repro.distsparse.distribute import distribute_coo, distribute_sequences
+from repro.distsparse.distribute import charge_distribution, distribute_sequences
+from repro.distsparse.stripe import ColumnStripes, Stripe
 from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
 from repro.obs import MetricsHub, activate_metrics, deactivate_metrics
@@ -27,86 +27,159 @@ def random_coo(shape, nnz, seed, dtype=np.float64):
 
 
 def blocked_engine(a, comm, schedule, semiring, **kwargs):
-    """``BlockedSpGemm`` of ``a · aᵀ``, with ``aᵀ`` distributed on the
-    schedule's column stripes."""
+    """``BlockedSpGemm`` of ``a · aᵀ``, with ``aᵀ`` cut into the schedule's
+    column stripes."""
     return BlockedSpGemm(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts()),
+        Stripe.of(a, comm),
+        Stripe.of(a.transpose(), comm).cut_columns(schedule.col_cuts()),
         semiring,
         schedule,
         **kwargs,
     )
 
 
-# ---------------------------------------------------------------- DistSparseMatrix
-def test_distribution_partitions_all_nonzeros():
+def empty(shape, comm):
+    return Stripe.of(CooMatrix.empty(shape), comm)
+
+
+# ---------------------------------------------------------------- Stripe
+def _cut_facts(stripe):
+    """What the per-rank cut holds, checked block by block: every block is
+    row-major in block-local coordinates inside its shape, and its offsets
+    are its rank's chunks clipped to the stripe.  Returns the cut's entries
+    mapped back to global coordinates (rank order) and its nnz and bytes
+    per rank."""
+    grid = stripe.grid
+    entries, nnz, nbytes = [], [], []
+    for rank, (block, row_offset, col_offset) in enumerate(stripe.per_rank()):
+        (rlo, rhi), (clo, chi) = grid.local_ranges(*stripe.shape, rank)
+        (r0, r1), (c0, c1) = stripe.row_range, stripe.col_range
+        assert row_offset == min(max(r0, rlo), rhi)
+        assert col_offset == min(max(c0, clo), chi)
+        assert block.shape == (min(max(r1, rlo), rhi) - row_offset,
+                               min(max(c1, clo), chi) - col_offset)
+        assert block.is_rowmajor()
+        if block.nnz:
+            assert 0 <= block.rows.min() and block.rows.max() < block.shape[0]
+            assert 0 <= block.cols.min() and block.cols.max() < block.shape[1]
+        entries += zip((block.rows + row_offset).tolist(), (block.cols + col_offset).tolist(),
+                       block.values.tolist())
+        nnz.append(block.nnz)
+        nbytes.append(block.memory_bytes())
+    return entries, nnz, nbytes
+
+
+def _stripes_of(mat, comm):
+    """The whole matrix, a row stripe, and column stripes (some across grid
+    columns) of it."""
+    whole = Stripe.of(mat, comm)
+    n_rows, n_cols = mat.shape
+    cuts = [n_cols // 3, 2 * n_cols // 3]
+    columns = whole.cut_columns(cuts)
+    return [whole, whole.row_stripe((n_rows // 4, 3 * n_rows // 4)),
+            *(columns.col_stripe(cols) for cols in columns.col_ranges)]
+
+
+@pytest.mark.parametrize("nprocs", [1, 4, 9])
+def test_per_rank_cut_holds_every_entry_once(nprocs):
+    """Every stripe's cut holds each of its entries exactly once, in
+    block-local coordinates, row-major; the counted block nnz and
+    bytes equal the cut's."""
+    comm = SimCommunicator(nprocs)
+    mat = random_coo((20, 30), 120, nprocs)
+    for stripe in _stripes_of(mat, comm):
+        (r0, r1), (c0, c1) = stripe.row_range, stripe.col_range
+        inside = (mat.rows >= r0) & (mat.rows < r1) & (mat.cols >= c0) & (mat.cols < c1)
+        entries, nnz, nbytes = _cut_facts(stripe)
+        assert sorted(entries) == sorted(zip(
+            mat.rows[inside].tolist(), mat.cols[inside].tolist(), mat.values[inside].tolist()
+        ))
+        assert len(entries) == stripe.nnz == inside.sum()
+        assert stripe.block_nnz.ravel().tolist() == nnz
+        assert stripe.memory_bytes_per_rank().tolist() == nbytes
+
+
+@pytest.mark.parametrize("nprocs", [1, 4, 9])
+def test_a_stripe_is_a_row_major_view(nprocs):
+    """Row stripes are slices and column stripes views of one cut: row-major
+    in global coordinates, each what a mask over the matrix keeps."""
+    comm = SimCommunicator(nprocs)
+    mat = random_coo((16, 12), 70, 2)
+    stripes = _stripes_of(mat, comm)
+    whole = stripes[0]
+    assert whole.matrix == mat.copy().sort_rowmajor()
+    for stripe in stripes[1:]:
+        (r0, r1), (c0, c1) = stripe.row_range, stripe.col_range
+        inside = (mat.rows >= r0) & (mat.rows < r1) & (mat.cols >= c0) & (mat.cols < c1)
+        assert stripe.matrix.is_rowmajor() and stripe.shape == mat.shape
+        assert stripe.matrix == mat.select(inside).sort_rowmajor()
+    assert np.shares_memory(stripes[1].matrix.rows, whole.matrix.rows)
+    # the column stripes are slices of one reordered copy
+    assert stripes[2].matrix.rows.base is stripes[3].matrix.rows.base is not None
+
+
+def test_a_stripe_spans_grid_columns():
+    """A column stripe across both grid columns: each rank holds its own
+    columns of it, and the stripe joins back from its cut."""
     comm = SimCommunicator(4)
-    mat = random_coo((20, 30), 80, 0)
-    dist = DistSparseMatrix.from_global_coo(mat, comm)
-    assert dist.nnz == mat.nnz
-    assert dist.to_global_coo() == mat.copy().sort_rowmajor()
-    assert dist.nnz_per_rank().sum() == mat.nnz
-    assert dist.memory_bytes_per_rank().sum() > 0
+    mat = random_coo((10, 12), 80, 3, dtype=np.int32)
+    columns = Stripe.of(mat, comm).cut_columns([4, 9])
+    stripe = columns.col_stripe((4, 9))  # grid columns [0, 6) and [6, 12)
+    pieces = stripe.per_rank()
+    assert [(offset, block.shape[1]) for block, _, offset in pieces] == [(4, 2), (6, 3)] * 2
+    assert all(block.nnz for block, _, _ in pieces)
+    joined = Stripe.join(pieces, comm, mat.shape, stripe.col_range)
+    assert joined.matrix == stripe.matrix
+    assert np.array_equal(joined.matrix.values, stripe.matrix.values)
+    assert not joined.matrix.rows.flags.writeable
 
 
-def test_distribution_block_ownership():
+@pytest.mark.parametrize("nprocs", [1, 4, 9])
+def test_empty_stripe(nprocs):
+    comm = SimCommunicator(nprocs)
+    stripe = empty((12, 7), comm)
+    assert stripe.nnz == 0 and not stripe.block_nnz.any()
+    assert [block.nnz for block, _, _ in stripe.per_rank()] == [0] * nprocs
+    assert sum(block.shape[0] * block.shape[1] for block, _, _ in stripe.per_rank()) == 84
+    assert stripe.row_stripe((3, 9)).nnz == 0
+    columns = stripe.cut_columns([2, 5])
+    assert columns.nnz == 0 and columns.col_ranges == [(0, 2), (2, 5), (5, 7)]
+
+
+def test_block_ownership():
     comm = SimCommunicator(4)
     mat = CooMatrix((4, 4), np.array([0, 3]), np.array([0, 3]), np.array([1.0, 2.0]))
-    dist = DistSparseMatrix.from_global_coo(mat, comm)
+    block_nnz = Stripe.of(mat, comm).block_nnz
     # element (0,0) belongs to rank (0,0); (3,3) to rank (1,1)
-    assert dist.local(comm.grid.rank_of(0, 0)).nnz == 1
-    assert dist.local(comm.grid.rank_of(1, 1)).nnz == 1
-    assert dist.local(comm.grid.rank_of(0, 1)).nnz == 0
+    assert block_nnz.tolist() == [[1, 0], [0, 1]]
 
 
-def test_grid_block_offsets():
+def test_per_rank_offsets():
     comm = SimCommunicator(4)
-    mat = random_coo((10, 10), 30, 1)
-    dist = DistSparseMatrix.from_global_coo(mat, comm)
-    block, roff, coff = dist.grid_block(1, 0)
+    pieces = Stripe.of(random_coo((10, 10), 30, 1), comm).per_rank()
+    block, roff, coff = pieces[comm.grid.rank_of(1, 0)]
     assert roff == 5 and coff == 0
     assert block.shape == (5, 5)
 
 
-def test_empty_distributed_matrix():
-    comm = SimCommunicator(9)
-    dist = DistSparseMatrix.empty((12, 12), comm)
-    assert dist.nnz == 0
-    assert dist.to_global_coo().nnz == 0
-
-
-def test_row_and_col_stripes_cover_matrix():
+def test_column_stripes_refuse_another_range():
     comm = SimCommunicator(4)
-    mat = random_coo((16, 12), 70, 2)
-    dist = DistSparseMatrix.from_global_coo(mat, comm)
-    stripe = dist.row_stripe((4, 11))
-    global_stripe = stripe.to_global_coo()
-    expected = mat.select((mat.rows >= 4) & (mat.rows < 11)).sort_rowmajor()
-    assert set(zip(global_stripe.rows.tolist(), global_stripe.cols.tolist())) == set(
-        zip(expected.rows.tolist(), expected.cols.tolist())
-    )
-    # a column stripe is one column segment of every block: cut there first
-    with pytest.raises(ValueError, match="not one column segment"):
-        dist.col_stripe((0, 5))
-    cstripe = DistSparseMatrix.from_global_coo(mat, comm, col_cuts=[5]).col_stripe((0, 5))
-    expected_c = mat.select(mat.cols < 5)
-    assert cstripe.nnz == expected_c.nnz
-    assert cstripe.to_global_coo() == expected_c.copy().sort_rowmajor()
-    assert all(cstripe.local(rank).is_rowmajor() for rank in range(4))
+    columns = Stripe.of(random_coo((16, 12), 70, 2), comm).cut_columns([5])
+    assert columns.col_stripe((0, 5)).nnz + columns.col_stripe((5, 12)).nnz == columns.nnz
+    with pytest.raises(ValueError, match="col_cuts"):
+        columns.col_stripe((0, 6))
 
 
-def test_set_local_shape_check():
-    comm = SimCommunicator(4)
-    dist = DistSparseMatrix.empty((8, 8), comm)
-    with pytest.raises(ValueError):
-        dist.set_local(0, CooMatrix.empty((3, 3)))
-    dist.set_local(0, CooMatrix.empty((4, 4)))
-
-
-def test_wrong_block_count_raises():
-    comm = SimCommunicator(4)
-    with pytest.raises(ValueError):
-        DistSparseMatrix((8, 8), comm, [CooMatrix.empty((4, 4))])
+def test_column_stripes_load_each_stripe_once():
+    comm = SimCommunicator(1)
+    cut = Stripe.of(random_coo((6, 6), 12, 4), comm).cut_columns([3])
+    stripes = [cut.col_stripe(cols) for cols in cut.col_ranges]
+    loads = []
+    columns = ColumnStripes((6, 6), 12, [(0, 3), (3, 6)],
+                            lambda c: loads.append(c) or stripes[c])
+    for _ in range(2):
+        assert columns.col_stripe((3, 6)) is stripes[1]
+    assert loads == [1]
 
 
 # ---------------------------------------------------------------- SUMMA
@@ -116,11 +189,7 @@ def test_summa_equals_direct_spgemm(nprocs):
     a = random_coo((18, 22), 90, 3)
     b = random_coo((22, 15), 70, 4)
     sr = ArithmeticSemiring()
-    dist_result = summa(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(b, comm),
-        sr,
-    )
+    dist_result = summa(Stripe.of(a, comm), Stripe.of(b, comm), sr)
     direct = spgemm(a, b, sr)
     merged = dist_result.to_global(sr)
     assert np.array_equal(merged.rows, direct.rows)
@@ -133,8 +202,8 @@ def test_summa_backend_selection_preserves_results(backend):
     """Every registered backend yields the same SUMMA result and flop count."""
     comm = SimCommunicator(4)
     a = random_coo((20, 60), 150, 7, dtype=np.int32)
-    a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    at_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm)
+    a_dist = Stripe.of(a, comm)
+    at_dist = Stripe.of(a.transpose(), comm)
     res = summa(a_dist, at_dist, OverlapSemiring(), spgemm_backend=backend)
     baseline = summa(a_dist, at_dist, OverlapSemiring())
     assert res.stats.flops == baseline.stats.flops
@@ -151,8 +220,8 @@ def test_summa_records_stage_metrics_under_the_kernel_name(backend, label):
     """``None`` reports under the default kernel's name, not ``"custom"``."""
     comm = SimCommunicator(4)
     a = random_coo((20, 60), 150, 7)
-    a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    at_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm)
+    a_dist = Stripe.of(a, comm)
+    at_dist = Stripe.of(a.transpose(), comm)
     hub = activate_metrics(MetricsHub())
     try:
         summa(a_dist, at_dist, ArithmeticSemiring(), spgemm_backend=backend)
@@ -164,7 +233,7 @@ def test_summa_records_stage_metrics_under_the_kernel_name(backend, label):
 
 def test_summa_unknown_backend_raises():
     comm = SimCommunicator(4)
-    a = DistSparseMatrix.empty((4, 4), comm)
+    a = empty((4, 4), comm)
     with pytest.raises(ValueError, match="unknown SpGEMM kernel"):
         summa(a, a, ArithmeticSemiring(), spgemm_backend="bogus")
 
@@ -176,8 +245,8 @@ def test_summa_charges_communication_and_compute():
     comm = SimCommunicator(4)
     a = random_coo((20, 20), 120, 5)
     result = summa(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm),
+        Stripe.of(a, comm),
+        Stripe.of(a.transpose(), comm),
         CountSemiring(),
     )
     assert comm.ledger.component_time("comm") > 0
@@ -187,15 +256,15 @@ def test_summa_charges_communication_and_compute():
 
 def test_summa_dimension_mismatch():
     comm = SimCommunicator(4)
-    a = DistSparseMatrix.empty((4, 5), comm)
-    b = DistSparseMatrix.empty((6, 4), comm)
+    a = empty((4, 5), comm)
+    b = empty((6, 4), comm)
     with pytest.raises(ValueError):
         summa(a, b, ArithmeticSemiring())
 
 
 def test_summa_requires_same_communicator():
-    a = DistSparseMatrix.empty((4, 4), SimCommunicator(4))
-    b = DistSparseMatrix.empty((4, 4), SimCommunicator(4))
+    a = empty((4, 4), SimCommunicator(4))
+    b = empty((4, 4), SimCommunicator(4))
     with pytest.raises(ValueError):
         summa(a, b, ArithmeticSemiring())
 
@@ -204,8 +273,8 @@ def test_summa_result_flops_per_rank():
     comm = SimCommunicator(4)
     a = random_coo((20, 20), 150, 6)
     res = summa(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm),
+        Stripe.of(a, comm),
+        Stripe.of(a.transpose(), comm),
         CountSemiring(),
     )
     assert res.flops_per_rank.sum() == res.stats.flops
@@ -257,8 +326,8 @@ def test_blocked_summa_default_backend_equals_expand_oracle(blocking):
     a = random_coo((n, k), 200, 11, dtype=np.int32)
     sr = OverlapSemiring()
     schedule = BlockSchedule(n, n, blocking[0], blocking[1])
-    a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    at_dist = DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts())
+    a_dist = Stripe.of(a, comm)
+    at_dist = Stripe.of(a.transpose(), comm).cut_columns(schedule.col_cuts())
     default = BlockedSpGemm(a_dist, at_dist, sr, schedule)
     oracle = BlockedSpGemm(a_dist, at_dist, sr, schedule, spgemm_backend="expand")
     pairs = list(zip(default.iter_blocks(), oracle.iter_blocks(), strict=True))
@@ -350,9 +419,10 @@ def test_summa_overlap_payload_equals_serial_kernel_on_every_grid(nodes):
     seqs = synthetic_dataset(n_sequences=26, seed=31)
     params = PastisParams(kmer_length=4, nodes=nodes, substitute_kmers=0)
     comm = SimCommunicator(nodes)
-    a_dist, at_dist, _ = build_distributed_kmer_matrix(seqs, params, comm)
+    a_dist, at_columns, _ = build_distributed_kmer_matrix(seqs, params, comm)
+    at_dist = at_columns.col_stripe((0, len(seqs)))  # one column stripe
     sr = OverlapSemiring()
-    serial = spgemm_gustavson(a_dist.to_global_coo(), at_dist.to_global_coo(), sr)
+    serial = spgemm_gustavson(a_dist.matrix, at_dist.matrix, sr)
     distributed = summa(a_dist, at_dist, sr, spgemm_backend="gustavson").to_global(sr)
     assert np.array_equal(distributed.rows, serial.rows)
     assert np.array_equal(distributed.cols, serial.cols)
@@ -372,10 +442,8 @@ def test_blocked_summa_slices_each_stripe_once_per_run():
     n = 24
     a = random_coo((n, 120), 200, 7, dtype=np.int32)
     schedule = BlockSchedule(n, n, 3, 4)
-    a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    b_dist = DistSparseMatrix.from_global_coo(
-        a.transpose(), comm, col_cuts=schedule.col_cuts()
-    )
+    a_dist = Stripe.of(a, comm)
+    b_dist = Stripe.of(a.transpose(), comm).cut_columns(schedule.col_cuts())
     engine = BlockedSpGemm(a_dist, b_dist, CountSemiring(), schedule)
     slicings = Counter()
     for matrix, name in ((a_dist, "row_stripe"), (b_dist, "col_stripe")):
@@ -385,7 +453,7 @@ def test_blocked_summa_slices_each_stripe_once_per_run():
             slicings[_name, index_range] += 1
             return _original(index_range)
 
-        setattr(matrix, name, counted)
+        object.__setattr__(matrix, name, counted)  # Stripe is frozen
 
     seen: list[dict] = []
     for _ in range(3):
@@ -466,23 +534,23 @@ def test_blocked_summa_peak_memory_decreases_with_more_blocks():
 
 def test_blocked_summa_validation():
     comm = SimCommunicator(4)
-    a = DistSparseMatrix.empty((10, 20), comm)
-    b = DistSparseMatrix.empty((20, 10), comm)
+    a = empty((10, 20), comm)
+    b = empty((20, 10), comm).cut_columns([])
     with pytest.raises(ValueError):
         BlockedSpGemm(a, b, CountSemiring(), BlockSchedule(8, 10, 2, 2))
     with pytest.raises(ValueError):
-        BlockedSpGemm(a, DistSparseMatrix.empty((15, 10), comm), CountSemiring(),
+        BlockedSpGemm(a, empty((15, 10), comm).cut_columns([]), CountSemiring(),
                       BlockSchedule(10, 10, 2, 2))
 
 
 def test_blocked_summa_refuses_b_without_the_schedules_cuts():
-    """A ``B`` distributed without the schedule's column cuts is not re-cut:
-    its first column stripe is refused, naming ``col_cuts``."""
+    """A ``B`` cut elsewhere than the schedule's columns is not re-cut: its
+    first column stripe is refused, naming ``col_cuts``."""
     comm = SimCommunicator(4)
     a = random_coo((20, 50), 100, 9, dtype=np.int32)
     engine = BlockedSpGemm(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm),
+        Stripe.of(a, comm),
+        Stripe.of(a.transpose(), comm).cut_columns([10]),
         CountSemiring(),
         BlockSchedule(20, 20, 1, 3),
     )
@@ -506,12 +574,14 @@ def test_blocked_summa_broadcast_volume_model():
 
 
 # ---------------------------------------------------------------- distribute / gather
-def test_distribute_coo_charges_traffic():
+def test_charge_distribution_charges_traffic():
+    """Each rank sends its ``nnz/p`` triplets of row, column and value."""
     comm = SimCommunicator(4)
     mat = random_coo((20, 20), 100, 10)
-    dist = distribute_coo(mat, comm)
-    assert dist.to_global_coo() == mat.copy().sort_rowmajor()
+    charge_distribution(mat, comm)
     assert comm.ledger.component_time("comm") > 0
+    assert comm.ledger.counter_total("bytes_sent") == 4 * int(mat.nnz / 4) * (8 + 8 + 8)
+    assert comm.ledger.categories() == ["comm"]
 
 
 def test_distribute_sequences_assigns_row_and_col_ranges():
@@ -569,10 +639,8 @@ def test_broadcast_volume_model_consistent_with_ledger_charges():
     n, k = 12, 30
     a = random_coo((n, k), 80, 13, dtype=np.int32)
     schedule = BlockSchedule(n, n, 2, 2)
-    a_dist = DistSparseMatrix.from_global_coo(a, comm)
-    at_dist = DistSparseMatrix.from_global_coo(
-        a.transpose(), comm, col_cuts=schedule.col_cuts()
-    )
+    a_dist = Stripe.of(a, comm)
+    at_dist = Stripe.of(a.transpose(), comm).cut_columns(schedule.col_cuts())
     engine = BlockedSpGemm(a_dist, at_dist, CountSemiring(), schedule)
     for _ in engine.iter_blocks():
         pass
@@ -584,9 +652,11 @@ def test_broadcast_volume_model_consistent_with_ledger_charges():
             cstripe = at_dist.col_stripe(schedule.col_range(bc_idx))
             for kk in range(dim):
                 for i in range(dim):
-                    expected += stripe.grid_block(i, kk)[0].memory_bytes() * (dim - 1)
+                    block = stripe.per_rank()[grid.rank_of(i, kk)][0]
+                    expected += block.memory_bytes() * (dim - 1)
                 for j in range(dim):
-                    expected += cstripe.grid_block(kk, j)[0].memory_bytes() * (dim - 1)
+                    block = cstripe.per_rank()[grid.rank_of(kk, j)][0]
+                    expected += block.memory_bytes() * (dim - 1)
     assert comm.ledger.counter_total("bytes_sent") == expected
     assert comm.ledger.counter_total("bytes_received") == expected
 
@@ -611,6 +681,6 @@ def test_process_grid_more_ranks_than_rows():
     assert bounds == [(0, 1), (1, 2), (2, 2)]
     assert sum(hi - lo for lo, hi in bounds) == 2
     comm = SimCommunicator(9)
-    dist = DistSparseMatrix.from_global_coo(random_coo((2, 2), 3, 14), comm)
-    assert dist.nnz_per_rank().sum() == dist.nnz
-    assert dist.local(8).shape == (0, 0)
+    dist = Stripe.of(random_coo((2, 2), 3, 14), comm)
+    assert dist.block_nnz.sum() == dist.nnz
+    assert dist.per_rank()[8][0].shape == (0, 0)

@@ -8,6 +8,7 @@ and the product operand assembled from each stripe is compressed once.
 """
 
 import importlib
+import sys
 from collections import Counter
 
 import numpy as np
@@ -155,32 +156,60 @@ def test_birth_equals_the_comparison_sorted_operands(substitutes):
 
 
 # ---------------------------------------------------------------- after birth
-def _mask_stripe_block(global_op: CooMatrix, row_offset, col_offset, shape):
+def _mask_stripe(global_op: CooMatrix, stripe):
     """Reference slicer: the entries of the row-major global operand inside
-    one stripe block's rectangle, by plain masks, relabelled to its origin."""
+    a stripe's row and column ranges, by plain masks."""
     rows, cols = global_op.rows, global_op.cols
-    inside = (
-        (rows >= row_offset) & (rows < row_offset + shape[0])
-        & (cols >= col_offset) & (cols < col_offset + shape[1])
-    )
-    return rows[inside] - row_offset, cols[inside] - col_offset, global_op.values[inside]
+    (r0, r1), (c0, c1) = stripe.row_range, stripe.col_range
+    inside = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
+    return rows[inside], cols[inside], global_op.values[inside]
+
+
+def _spy_sorts(monkeypatch, window: dict) -> None:
+    """Note every ``radix_order`` (wherever a ``repro`` module bound it),
+    ``np.argsort`` and ``np.lexsort`` call made while ``window["open"]``."""
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            if window["open"]:
+                window["sorts"].append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "radix_order", None) is radix_order:
+            monkeypatch.setattr(module, "radix_order", spy(f"{name}.radix_order", radix_order))
+    for name in ("argsort", "lexsort"):
+        monkeypatch.setattr(np, name, spy(f"np.{name}", getattr(np, name)))
 
 
 def test_nothing_is_redone_after_birth(monkeypatch):
-    """A pipeline on a 2×2 grid with a 3×3 blocking: every stripe SUMMA gets
-    is a view of the born operand and bitwise what a mask would cut out of
-    the dense-id global operand — which is the k-mer-id operand through the
-    dictionary; no stripe block is ever sorted or compressed, and each
-    operand the kernel multiplies — one per stripe, merged from its blocks,
-    and a diagonal block's cut of them — is compressed exactly once."""
+    """A pipeline on a 2×2 grid with a 3×3 blocking: from the moment the
+    operands are born until each kernel call — and from each block's start
+    to its kernel call — nothing is sorted.  Every stripe SUMMA gets is a
+    view of the born operand and bitwise what a mask would cut out of the
+    dense-id global operand — which is the k-mer-id operand through the
+    dictionary; no stripe is ever sorted or compressed, and each operand the
+    kernel multiplies — one per stripe, and a diagonal block's cut of them —
+    is compressed exactly once."""
     seqs = synthetic_dataset(n_sequences=60, seed=13)
     params = PastisParams(kmer_length=4, nodes=4, blocking=(3, 3), common_kmer_threshold=1)
+    window = {"open": False, "sorts": []}
+    sorted_before_kernel = []
     born = {}
     real_build = pipeline_module.build_distributed_kmer_matrix
 
     def build(*args, **kwargs):
         born["a"], born["b"], born["info"] = real_build(*args, **kwargs)
+        window["open"] = True
         return born["a"], born["b"], born["info"]
+
+    real_compute = blocked_summa_module.BlockedSpGemm.compute_block
+
+    def compute_block(self, *args, **kwargs):
+        window["open"] = True
+        return real_compute(self, *args, **kwargs)
 
     handed = []
     real_summa = blocked_summa_module.summa
@@ -196,6 +225,9 @@ def test_nothing_is_redone_after_birth(monkeypatch):
         kernel = real_resolve(name)
 
         def recording(a, b, *args, **kwargs):
+            if window["open"]:
+                sorted_before_kernel.extend(window["sorts"])
+                window["open"], window["sorts"] = False, []
             multiplied.extend((a, b))
             return kernel(a, b, *args, **kwargs)
 
@@ -205,7 +237,9 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     real_order = coo_module.rowmajor_order
     compressed = []
     real_pointers = csr_module.run_pointers
+    _spy_sorts(monkeypatch, window)
     monkeypatch.setattr(pipeline_module, "build_distributed_kmer_matrix", build)
+    monkeypatch.setattr(blocked_summa_module.BlockedSpGemm, "compute_block", compute_block)
     monkeypatch.setattr(blocked_summa_module, "summa", summa)
     monkeypatch.setattr(summa_module, "resolve_kernel", resolve_kernel)
     monkeypatch.setattr(
@@ -217,6 +251,9 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     )
     result = PastisPipeline(params).run(seqs)
     assert result.stats.candidates_discovered > 0
+    assert len(multiplied) > 2 * 3  # several stripes of each operand were multiplied
+    assert not sorted_before_kernel, f"sorted between birth and a kernel call: {sorted_before_kernel}"
+    monkeypatch.undo()
 
     # the born operands hold dense k-mer ids: through the dictionary, the
     # dense global operands are the k-mer-id ones
@@ -235,34 +272,36 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     stripes = {"a": {}, "b": {}}
     for a, b in handed:
         stripes["a"][id(a)], stripes["b"][id(b)] = a, b
-    assert 0 < len(stripes["a"]) <= 3 and 0 < len(stripes["b"]) <= 3
+    assert len(stripes["a"]) == 3 and len(stripes["b"]) == 3
 
-    blocks = []
+    born_b = [born["b"].col_stripe(cols) for cols in born["b"].col_ranges]
     for side, global_op, ranges in (
-        ("a", a_global, {schedule.row_range(r) for r in range(3)}),
-        ("b", at_global, {schedule.col_range(c) for c in range(3)}),
+        ("a", a_global, [schedule.row_range(r) for r in range(3)]),
+        ("b", at_global, [schedule.col_range(c) for c in range(3)]),
     ):
-        axis = 0 if side == "a" else 1
+        covered = []
         for stripe in stripes[side].values():
-            covered = set()
-            for rank in range(params.nodes):
-                block, offsets = stripe.local(rank), stripe.offsets(rank)
-                whole = born[side].local(rank)
-                if block.nnz:
-                    assert np.shares_memory(block.values, whole.values)
-                    kept = block.cols if side == "a" else block.rows
-                    assert np.shares_memory(kept, whole.cols if side == "a" else whole.rows)
-                if block.shape[axis]:
-                    covered.add((offsets[axis], offsets[axis] + block.shape[axis]))
-                want = _mask_stripe_block(global_op, *offsets, block.shape)
-                for have, expected in zip((block.rows, block.cols, block.values), want):
-                    assert have.dtype == expected.dtype and np.array_equal(have, expected)
-                blocks.append(block)
-            # the rank rectangles tile one stripe of the schedule
-            lo, hi = min(c[0] for c in covered), max(c[1] for c in covered)
-            assert (lo, hi) in ranges
+            matrix = stripe.matrix
+            if side == "a":
+                whole = born["a"].matrix
+                assert all(np.shares_memory(mine, theirs) for mine, theirs in zip(
+                    (matrix.rows, matrix.cols, matrix.values),
+                    (whole.rows, whole.cols, whole.values),
+                ))
+                covered.append(stripe.row_range)
+            else:
+                assert any(stripe is kept for kept in born_b)
+                covered.append(stripe.col_range)
+            want = _mask_stripe(global_op, stripe)
+            for have, expected in zip((matrix.rows, matrix.cols, matrix.values), want):
+                assert have.dtype == expected.dtype and np.array_equal(have, expected)
+        # the stripes are the schedule's
+        assert sorted(covered) == ranges
 
-    operand_arrays = {id(array) for block in blocks for array in (block.rows, block.cols)}
+    operand_arrays = {
+        id(array) for side in stripes.values() for stripe in side.values()
+        for array in (stripe.matrix.rows, stripe.matrix.cols)
+    }
     assert not [rows for rows in sorted_rows if id(rows) in operand_arrays]
     assert not [keys for keys in compressed if id(keys) in operand_arrays]
     kernel_operands = {id(m.rows): m for m in multiplied}

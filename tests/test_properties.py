@@ -21,7 +21,7 @@ from repro.align.substitution import DEFAULT_SCORING
 from repro.core.load_balance import make_scheme
 from repro.core.filtering import drop_self_pairs
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
-from repro.distsparse.distmat import DistSparseMatrix
+from repro.distsparse.stripe import Stripe
 from repro.mpi.communicator import SimCommunicator
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
@@ -161,8 +161,8 @@ def test_blocked_summa_blocking_invariance_property(data, br, bc):
     comm = SimCommunicator(4)
     schedule = BlockSchedule(15, 15, br, bc)
     engine = BlockedSpGemm(
-        DistSparseMatrix.from_global_coo(a, comm),
-        DistSparseMatrix.from_global_coo(a.transpose(), comm, col_cuts=schedule.col_cuts()),
+        Stripe.of(a, comm),
+        Stripe.of(a.transpose(), comm).cut_columns(schedule.col_cuts()),
         sr,
         schedule,
     )

@@ -72,17 +72,19 @@ def test_index_round_trip_bitwise(db):
         expected = bt.col_stripe(schedule.col_range(c))
         got = index.stripe(c, comm)
         assert got.shape == (index.kmer_space, expected.shape[1])
-        for rank in range(params.nodes):
-            (row_offset, col_offset), (dense_offset, want_col_offset) = (
-                got.offsets(rank), expected.offsets(rank)
-            )
+        assert got.col_range == expected.col_range
+        np.testing.assert_array_equal(got.matrix.rows, info.kmer_ids[expected.matrix.rows])
+        np.testing.assert_array_equal(got.matrix.cols, expected.matrix.cols)
+        np.testing.assert_array_equal(got.matrix.values, expected.matrix.values)
+        assert got.matrix.is_rowmajor()  # a served SpGEMM never sorts
+        for (have, row_offset, col_offset), (want, dense_offset, want_col_offset) in zip(
+            got.per_rank(), expected.per_rank(), strict=True
+        ):
             assert col_offset == want_col_offset
-            want, have = expected.local(rank), got.local(rank)
             kmers = info.kmer_ids[want.rows + dense_offset]
             np.testing.assert_array_equal(have.rows, kmers - row_offset)
             np.testing.assert_array_equal(have.cols, want.cols)
             np.testing.assert_array_equal(have.values, want.values)
-            assert have.is_rowmajor()  # a served SpGEMM never sorts
 
 
 def test_index_round_trips_sequences_and_summary(db):
@@ -286,9 +288,10 @@ def test_every_index_payload_failure_has_one_outcome(banned_index, tmp_path, pay
 
 
 def test_served_run_reads_index_memory_read_only(db, monkeypatch):
-    """Stripe blocks and database sequences come off disk as read-only views,
-    and a query run, a batcher drain and a deep verify all succeed on them:
-    nothing writes into index memory."""
+    """Stripes come off disk read-only (the shard pieces as views, joined
+    into read-only arrays) and so do the database sequences, and a query
+    run, a batcher drain and a deep verify all succeed on them: nothing
+    writes into index memory."""
     from repro.serve import index as index_mod
 
     sequences, params, index_dir = db
@@ -298,7 +301,7 @@ def test_served_run_reads_index_memory_read_only(db, monkeypatch):
 
     def spy_stripe(*args, **kwargs):
         stripe = load_stripe_shards(*args, **kwargs)
-        blocks.extend(stripe.local(rank) for rank in range(stripe.grid.nprocs))
+        blocks.append(stripe.matrix)
         return stripe
 
     def spy_sequences(self):
