@@ -112,6 +112,19 @@ def test_radix_order_skips_a_minor_key_the_input_ascends_in(monkeypatch):
     assert sorts == [np.dtype(np.uint8)]
 
 
+def test_radix_order_of_a_16_bit_key_is_one_uint16_pass(monkeypatch):
+    """``A``'s row order at birth: 5000 row ids (13 bits) are one ``uint16``
+    counting pass, and so is a two-key prefix of at most 16 bits."""
+    rng = np.random.default_rng(8)
+    rows, cols = rng.integers(0, 5000, 3000), rng.integers(0, 12, 3000)
+    by_row, by_row_col = np.lexsort((rows,)), np.lexsort((cols, rows))
+    sorts = _argsorts(monkeypatch)
+    monkeypatch.setattr(np, "lexsort", None)
+    assert np.array_equal(radix_order(rows), by_row)
+    assert np.array_equal(radix_order(rows, cols), by_row_col)  # 5000 · 12 < 2¹⁶
+    assert sorts == [np.dtype(np.uint16)] * 2
+
+
 def test_radix_order_too_wide_to_pack_falls_back_to_lexsort(monkeypatch):
     rng = np.random.default_rng(6)
     rows = rng.integers(0, 12, 3000) * 2**40
