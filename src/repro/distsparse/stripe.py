@@ -99,25 +99,32 @@ class Stripe:
         """The column stripe whose :meth:`per_rank` cut is ``pieces`` (one
         ``(block, row offset, column offset)`` per rank, on the balanced
         chunks of ``shape``); its arrays are read-only."""
-        matrix = CooMatrix(
-            shape,
-            np.concatenate([block.rows + row_offset for block, row_offset, _ in pieces]),
-            np.concatenate([block.cols + col_offset for block, _, col_offset in pieces]),
-            np.concatenate([block.values for block, _, _ in pieces]),
-            check=False,
-        )
-        # a grid row's blocks interleave by row when the stripe spans grid columns
-        matrix.sort_rowmajor()
-        for array in (matrix.rows, matrix.cols, matrix.values):
-            array.flags.writeable = False
         grid = comm.require_grid()
-        return cls(
-            matrix,
+        rows, cols, values = (
+            np.concatenate([getattr(block, name) for block, _, _ in pieces])
+            for name in ("rows", "cols", "values")
+        )
+        nnz = np.array([block.nnz for block, _, _ in pieces], dtype=np.int64)
+        bounds = np.concatenate(([0], np.cumsum(nnz)))
+        for (_, row_offset, col_offset), lo, hi in zip(pieces, bounds[:-1], bounds[1:]):
+            rows[lo:hi] += row_offset
+            cols[lo:hi] += col_offset
+        block_nnz = nnz.reshape(grid.grid_dim, grid.grid_dim)
+        if np.any(np.count_nonzero(block_nnz, axis=1) > 1):
+            # a grid row's blocks interleave by row: the stripe spans grid columns
+            order = radix_order(rows)
+            rows, cols, values = rows[order], cols[order], values[order]
+        for array in (rows, cols, values):
+            array.flags.writeable = False
+        stripe = cls(
+            CooMatrix(shape, rows, cols, values, check=False),
             comm,
             chunk_starts(grid, shape[0]),
             chunk_starts(grid, shape[1]),
             col_range=(int(col_range[0]), int(col_range[1])),
         )
+        stripe.__dict__["block_nnz"] = block_nnz  # the pieces are the blocks
+        return stripe
 
     # ------------------------------------------------------------------ facts
     @property
