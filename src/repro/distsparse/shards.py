@@ -118,11 +118,3 @@ def write_stripe_shards(directory: Path, stripe: int, matrix: Stripe) -> tuple[l
         total += write_shard(directory / name, block, row_offset, col_offset)
         names.append(name)
     return names, total
-
-
-def read_stripe_shards(
-    directory: Path, stripe: int, nprocs: int
-) -> list[tuple[CooMatrix, int, int]]:
-    """Every rank's piece of one column stripe, as :func:`read_shard` maps
-    it: ``(block, row offset, col offset)`` in rank order."""
-    return [read_shard(directory / shard_filename(stripe, rank)) for rank in range(nprocs)]

@@ -238,9 +238,6 @@ class ColumnStripes:
     loader: Callable[[int], Stripe]
     _loaded: dict[int, Stripe] = field(default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        self.col_ranges = [(int(lo), int(hi)) for lo, hi in self.col_ranges]
-
     def col_stripe(self, col_range: tuple[int, int]) -> Stripe:
         """The stripe covering exactly ``col_range``."""
         key = (int(col_range[0]), int(col_range[1]))

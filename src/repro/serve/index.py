@@ -63,7 +63,7 @@ from ..core.engine.cache import pieces_digest, sequence_digest, stripe_digest
 from ..core.kmer_matrix import KmerMatrixInfo, extract_seed_triples, seed_operand
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
-from ..distsparse.shards import read_stripe_shards, write_stripe_shards
+from ..distsparse.shards import read_shard, shard_filename, write_stripe_shards
 from ..distsparse.stripe import ColumnStripes, Stripe
 from ..mpi.communicator import SimCommunicator
 from ..mpi.process_grid import is_perfect_square
@@ -290,7 +290,7 @@ def load_stripe_shards(
     their stripe digest checked against the manifest ``entry`` before they
     are joined into the stripe."""
     try:
-        pieces = read_stripe_shards(shard_dir, c, comm.size)
+        pieces = [read_shard(shard_dir / shard_filename(c, rank)) for rank in range(comm.size)]
     except (OSError, ValueError) as exc:
         raise IndexIntegrityError(
             f"corrupt index shard for stripe {c} under {shard_dir}: {exc}"
@@ -417,7 +417,8 @@ class KmerIndex:
     def stripe(self, c: int, comm: SimCommunicator) -> Stripe:
         """Column stripe ``c`` of ``Bᵀ``, digest-verified against the manifest."""
         shape = (self.kmer_space, self.n_sequences)
-        return load_stripe_shards(self.path / SHARD_DIR, c, shape, comm, self.manifest["stripes"][c])
+        entry = self.manifest["stripes"][c]
+        return load_stripe_shards(self.path / SHARD_DIR, c, shape, comm, entry)
 
     def matrix(self, comm: SimCommunicator) -> ColumnStripes:
         """The database operand ``Bᵀ`` as lazily loaded column stripes."""

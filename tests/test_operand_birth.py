@@ -265,7 +265,7 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     result = PastisPipeline(params).run(seqs)
     assert result.stats.candidates_discovered > 0
     assert len(multiplied) > 2 * 3  # several stripes of each operand were multiplied
-    assert not sorted_before_kernel, f"sorted between birth and a kernel call: {sorted_before_kernel}"
+    assert not sorted_before_kernel, f"sorted before a kernel call: {sorted_before_kernel}"
     monkeypatch.undo()
 
     # the born operands hold dense k-mer ids: through the dictionary, the
