@@ -340,7 +340,7 @@ def kmer_count_operands(n=600, k=5, seed=97):
 
     seqs = synthetic_dataset(n_sequences=n, seed=seed)
     operand = seed_operand(extract_seed_triples(seqs, PastisParams(kmer_length=k)))
-    return operand.matrix().sort_rowmajor(), operand.transposed()
+    return operand.rowmajor(), operand.transposed()
 
 
 def operand_birth(n=2000, k=5, seed=33, repeats=3):

@@ -195,10 +195,6 @@ class SeedOperand:
     positions: np.ndarray
     info: KmerMatrixInfo
 
-    def matrix(self) -> CooMatrix:
-        """``A`` (entries in (k-mer, row) order)."""
-        return CooMatrix(self.shape, self.rows, self.kmers, self.positions, check=False)
-
     def rowmajor(self) -> CooMatrix:
         """``A`` row-major: one stable sort by row of the (k-mer, row)
         order leaves each row's k-mers ascending."""

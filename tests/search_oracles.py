@@ -24,7 +24,7 @@ from repro.sparse.coo import CooMatrix
 def build_kmer_coo(sequences: SequenceSet, params: PastisParams) -> tuple[CooMatrix, KmerMatrixInfo]:
     """Build the global (undistributed) sequence-by-k-mer COO matrix, row-major."""
     operand = seed_operand(extract_seed_triples(sequences, params))
-    return operand.matrix().sort_rowmajor(), operand.info
+    return operand.rowmajor(), operand.info
 
 
 def pairs_align_exactly_once(pruned_blocks: list[CooMatrix], n: int) -> bool:

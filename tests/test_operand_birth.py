@@ -273,7 +273,7 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     dense = seed_operand(extract_seed_triples(seqs, params)).dense()
     kmer_ids = born["info"].kmer_ids
     assert np.array_equal(dense.info.kmer_ids, kmer_ids)
-    a_global, at_global = dense.matrix().sort_rowmajor(), dense.transposed()
+    a_global, at_global = dense.rowmajor(), dense.transposed()
     a_by_id, at_by_id, _ = _global_operands(seqs, params)
     assert np.array_equal(kmer_ids[a_global.cols], a_by_id.cols)
     assert np.array_equal(kmer_ids[at_global.rows], at_by_id.rows)
