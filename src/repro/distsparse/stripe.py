@@ -50,7 +50,7 @@ def _chunk_index(values: np.ndarray, starts: np.ndarray, span: int) -> np.ndarra
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a stripe is compared by identity
 class Stripe:
     """Rows ``row_range`` × columns ``col_range`` of a matrix distributed
     over the communicator's grid (see the module docstring).
@@ -224,7 +224,7 @@ class Stripe:
         return pieces
 
 
-@dataclass
+@dataclass(eq=False)
 class ColumnStripes:
     """An operand held as the column stripes a Blocked SUMMA schedule
     consumes: ``col_stripe(col_range)`` hands out stripe ``c`` for exactly
