@@ -392,9 +392,9 @@ def operand_birth(n=2000, k=5, seed=33, repeats=3):
 def match_paths(n=2000, k=5, seed=33, repeats=3):
     """Discovery's ``A``-entry → ``B``-row match on born operand pairs, both ways.
 
-    The search operands of the seed-33 generator's set are built as a run
-    builds them (2x2 grid, 3x3 blocking, dense k-mer ids, the shared-k-mer
-    restriction), and the product operands of every block
+    The search operands of the seed-33 generator's set are born as a run
+    bears them (2x2 grid, 3x3 blocking, dense ids of the shared k-mers
+    only), and the product operands of every block
     (:func:`~repro.distsparse.summa.row_operand` ×
     :func:`~repro.distsparse.summa.col_operand`) are matched by the direct
     table and by the sort and search (:mod:`repro.sparse.gustavson`).
@@ -404,7 +404,7 @@ def match_paths(n=2000, k=5, seed=33, repeats=3):
     from repro.core.blocking import make_schedule
     from repro.core.kmer_matrix import build_distributed_kmer_matrix
     from repro.core.params import PastisParams
-    from repro.distsparse.summa import SharedInner, col_operand, row_operand
+    from repro.distsparse.summa import col_operand, row_operand
     from repro.mpi.communicator import SimCommunicator
     from repro.sparse.csr import compress_rows
     from repro.sparse.gustavson import DIRECT_SLOTS_PER_KEY, match_by_search, match_by_table
@@ -412,15 +412,14 @@ def match_paths(n=2000, k=5, seed=33, repeats=3):
     seqs = synthetic_dataset(n_sequences=n, seed=seed)
     params = PastisParams(kmer_length=k, nodes=4, blocking=(3, 3))
     schedule = make_schedule(n, params)
-    a, at, info = build_distributed_kmer_matrix(seqs, params, SimCommunicator(params.nodes))
-    shared = SharedInner.from_mask(info.shared_kmers)
+    a, at, _ = build_distributed_kmer_matrix(seqs, params, SimCommunicator(params.nodes))
     right = [
-        compress_rows(col_operand(at.col_stripe(schedule.col_range(c)), shared).matrix)[0]
+        compress_rows(col_operand(at.col_stripe(schedule.col_range(c))).matrix)[0]
         for c in range(schedule.bc)
     ]
     pairs = []
     for r in range(schedule.br):
-        left = row_operand(a.row_stripe(schedule.row_range(r)), shared).matrix
+        left = row_operand(a.row_stripe(schedule.row_range(r))).matrix
         pairs += [(row_ids, left.cols, left.shape[1]) for row_ids in right]
     paths = {
         "table": match_by_table,

@@ -156,13 +156,22 @@ def sequence_digest(sequences: SequenceSet) -> str:
 
 
 def stripe_digest(stripe: Stripe) -> str:
-    """Content digest of one operand stripe (per-rank blocks + placement)."""
-    return pieces_digest(stripe.shape, stripe.per_rank())
+    """Content digest of one operand stripe as it is held: its shape,
+    ranges, grid chunk starts, entries and — born on the shared k-mers —
+    count tables."""
+    h = hashlib.sha256()
+    h.update(str((stripe.shape, stripe.row_range, stripe.col_range)).encode())
+    m, counts = stripe.matrix, stripe.kmer_counts
+    tables = () if counts is None else (counts.entries, counts.private)
+    for array in (stripe.row_starts, stripe.col_starts, m.rows, m.cols, m.values, *tables):
+        _update_array(h, array)
+    return h.hexdigest()
 
 
 def pieces_digest(shape: tuple[int, int], pieces: list[tuple]) -> str:
-    """:func:`stripe_digest` of the stripe whose per-rank cut
-    (:meth:`~repro.distsparse.stripe.Stripe.per_rank`) is ``pieces``."""
+    """Content digest of the stripe whose per-rank cut
+    (:meth:`~repro.distsparse.stripe.Stripe.per_rank`) is ``pieces``: the
+    blocks and their placement, as the index stamps and checks them."""
     h = hashlib.sha256()
     h.update(str(shape).encode())
     for local, row_offset, col_offset in pieces:

@@ -27,20 +27,23 @@ the index build (:mod:`repro.serve.index`) build their operands through
 the same :func:`seed_operand`.
 
 The batch operands are born with **dense k-mer ids**
-(:meth:`SeedOperand.dense`): the k-mer dimension is contracted away by
+(:meth:`SeedOperand.dense`) on the **shared k-mers only**
+(:meth:`SeedOperand.shared`).  The k-mer dimension is contracted away by
 ``A·Aᵀ``, so any monotone relabelling of it leaves every product, the order
-its partial products are summed in, and every statistic unchanged.  In
-(k-mer, row) order a k-mer's dense id is the number of k-mer runs before
-it — one cumulative sum of the run flags — so ``A`` is ``n × U`` with ``U ≤
-nnz`` distinct k-mers instead of ``n × |alphabet|^k``, and the SpGEMM kernel
-matches ``A``'s columns to ``Aᵀ``'s rows through a table over a block's
-share of ``U`` (:func:`repro.sparse.gustavson.match_rows`).  The grid's
-k-mer chunks stay the balanced chunks of the ``|alphabet|^k`` space, their
-starts mapped to dense ids by one ``searchsorted`` in the sorted k-mer ids
-(``KmerMatrixInfo.kmer_ids``), so every rank owns exactly the entries, bytes
-and traffic it owns in k-mer-id coordinates.  The query path and the index
-stay in the ``|alphabet|^k`` space, where a query's k-mers and a stored
-database's can meet without a shared dictionary.
+its partial products are summed in, and every statistic unchanged; and a
+k-mer one sequence holds meets only its own entry, one partial product on
+the diagonal.  So the birth keeps the k-mers at least two sequences hold,
+relabelled to their ranks (one cumulative sum of the run flags in (k-mer,
+row) order), and counts per sequence and k-mer chunk what the full operand
+holds and what it drops (:class:`~repro.distsparse.stripe.KmerCounts`):
+every block's nnz, bytes and traffic are the full operand's, and SUMMA adds
+the dropped entries back on the diagonal.  Only then are the entries left
+sorted and cut.  The grid's k-mer chunks stay the balanced
+chunks of the ``|alphabet|^k`` space, their starts mapped by one
+``searchsorted`` in the sorted k-mer ids (``KmerMatrixInfo.kmer_ids``).
+The query path and the index keep every k-mer, in the ``|alphabet|^k``
+space, where a query's k-mers and a stored database's can meet without a
+shared dictionary.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 
 from ..align.substitution import BLOSUM62, identity_matrix, reduce_matrix
 from ..distsparse.distribute import charge_distribution
-from ..distsparse.stripe import ColumnStripes, Stripe, chunk_starts
+from ..distsparse.stripe import ColumnStripes, KmerCounts, Stripe, chunk_starts
 from ..mpi.communicator import SimCommunicator
 from ..sequences.alphabet import PROTEIN
 from ..sequences.kmers import KmerExtractor, substitute_kmers
@@ -75,13 +78,10 @@ class KmerMatrixInfo:
     build_seconds: float
     hypersparsity_ratio: float
     #: the k-mer id of every column of a dense-born ``A``
-    #: (:meth:`SeedOperand.dense`), ascending; ``None`` while the columns
-    #: are the k-mer ids themselves.  Not a report field.
+    #: (:meth:`SeedOperand.dense`, :meth:`SeedOperand.shared`), ascending;
+    #: ``None`` while the columns are the k-mer ids themselves.  Not a
+    #: report field.
     kmer_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
-    #: per column of a dense-born ``A``: whether at least two rows hold that
-    #: k-mer (the ones ``A·Aᵀ`` multiplies; see
-    #: :class:`repro.distsparse.summa.SharedInner`).  Not a report field.
-    shared_kmers: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view for reports."""
@@ -212,17 +212,13 @@ class SeedOperand:
         """This operand with its k-mer ids relabelled to ``0..U-1`` in
         ascending order, ``U`` the number of distinct k-mers; the info's
         ``kmer_ids`` maps a dense id back (``int32`` while the k-mer space
-        fits: it is held as long as the run's info), and its
-        ``shared_kmers`` marks the k-mers at least two rows hold.  The
-        entries keep their order."""
+        fits: it is held as long as the run's info).  The entries keep
+        their order."""
         first = np.ones(self.kmers.size, dtype=bool)
         first[1:] = self.kmers[1:] != self.kmers[:-1]
         kmer_ids = self.kmers[first]
         if self.shape[1] <= np.iinfo(np.int32).max:
             kmer_ids = kmer_ids.astype(np.int32)
-        # a k-mer's run in (k-mer, row) order holds one entry per row: it is
-        # shared when the entry after its first one is still its own
-        shared = ~np.append(first[1:], True)[first]
         dense = np.cumsum(first)
         dense -= 1
         return SeedOperand(
@@ -230,8 +226,44 @@ class SeedOperand:
             self.rows,
             dense,
             self.positions,
-            replace(self.info, kmer_ids=kmer_ids, shared_kmers=shared),
+            replace(self.info, kmer_ids=kmer_ids),
         )
+
+    def shared(self, kmer_starts: np.ndarray) -> tuple["SeedOperand", KmerCounts]:
+        """This dense operand on the k-mers at least two rows hold, relabelled
+        to their ranks ``0..S-1`` in ascending order (every dtype and the
+        entries' order kept; the info's ``kmer_ids`` keeps those k-mers'
+        ids), and ``A``'s counts of the full operand
+        (:class:`~repro.distsparse.stripe.KmerCounts`): per row × k-mer chunk
+        (``kmer_starts``, dense ids), its entries and its private ones."""
+        n = self.shape[0]
+        kmers, rows = self.kmers, self.rows
+        # a k-mer's run in (k-mer, row) order holds one entry per row: an
+        # entry is private when it is its run's first and last
+        last = np.append(kmers[1:] != kmers[:-1], True)
+        first = np.append(True, last[:-1])
+        keep = np.flatnonzero(~(first & last))
+        kept_rows = rows.take(keep)
+        # a k-mer chunk is a slice of either order: each row's entries in it
+        # are one bincount, and the private ones all of them but the kept
+        bounds = np.searchsorted(kmers, kmer_starts)
+        entries, held = (
+            np.stack([np.bincount(r[lo:hi], minlength=n) for lo, hi in zip(b[:-1], b[1:])], axis=1)
+            for r, b in ((rows, bounds), (kept_rows, np.searchsorted(keep, bounds)))
+        )
+        counts = KmerCounts(entries, entries - held, axis=0)
+        run_starts = first.take(keep)
+        ranks = np.cumsum(run_starts, dtype=kmers.dtype)
+        ranks -= 1
+        kmer_ids = self.info.kmer_ids.take(kmers.take(keep[run_starts]))
+        operand = SeedOperand(
+            (n, kmer_ids.size),
+            kept_rows,
+            ranks,
+            self.positions.take(keep),
+            replace(self.info, kmer_ids=kmer_ids),
+        )
+        return operand, counts
 
 
 def seed_operand(
@@ -274,37 +306,35 @@ def seed_operand(
     return SeedOperand(shape, rows, kmers, positions, info)
 
 
-def build_distributed_kmer_matrix(
-    sequences: SequenceSet,
-    params: PastisParams,
-    comm: SimCommunicator,
-    cost_seconds_per_rank: np.ndarray | None = None,
+def batch_stripes(
+    operand: SeedOperand, comm: SimCommunicator, col_cuts
 ) -> tuple[Stripe, ColumnStripes, KmerMatrixInfo]:
-    """Build ``A`` and ``Aᵀ`` distributed over the communicator's 2D grid.
-
-    Returns ``(A, A_transpose, info)``, born in the order the run's Blocked
-    SUMMA consumes them: ``A`` row-major (:meth:`SeedOperand.rowmajor`), and
-    ``Aᵀ`` — row-major as the operand comes — cut into the schedule's
-    column stripes (:func:`repro.core.blocking.make_schedule`) by one
-    stable pass on the stripe id; every row stripe of ``A`` and every
-    column stripe of ``Aᵀ`` is a view.  The k-mer dimension holds dense ids
-    (:meth:`SeedOperand.dense`; ``info.kmer_ids[j]`` is column ``j``'s
-    k-mer), chunked where the balanced chunks of the k-mer space fall.  The
-    distribution traffic of both is charged by
-    :func:`repro.distsparse.distribute.charge_distribution`.
-    """
-    operand = seed_operand(extract_seed_triples(sequences, params)).dense()
+    """``A`` and ``Aᵀ`` of the dense ``operand`` (:meth:`SeedOperand.dense`)
+    born on its shared k-mers only, with the full operand's counts
+    (:meth:`SeedOperand.shared`), and the info whose ``kmer_ids`` maps their
+    k-mer dimension back: ``A`` row-major and ``Aᵀ`` cut at the global
+    columns ``col_cuts``.  The full operand's distribution is charged first."""
     grid = comm.require_grid()
-    kmer_starts = np.searchsorted(
-        operand.info.kmer_ids, chunk_starts(grid, operand.info.kmer_space)
-    )
+    space_starts = chunk_starts(grid, operand.info.kmer_space)
+    for _ in range(2):  # A's triplets, then Aᵀ's
+        charge_distribution(operand.transposed(), comm)
+    operand, counts = operand.shared(np.searchsorted(operand.info.kmer_ids, space_starts))
+    kmer_starts = np.searchsorted(operand.info.kmer_ids, space_starts)
     row_starts = chunk_starts(grid, operand.shape[0])
-    a = Stripe(operand.rowmajor(), comm, row_starts, kmer_starts)
-    charge_distribution(a.matrix, comm)
-    at = Stripe(operand.transposed(), comm, kmer_starts, row_starts)
-    charge_distribution(at.matrix, comm)
-    at = at.cut_columns(make_schedule(len(sequences), params).col_cuts())
-    if cost_seconds_per_rank is not None:
-        for rank in range(comm.size):
-            comm.ledger.charge(rank, "sparse_other", float(cost_seconds_per_rank[rank]))
-    return a, at, operand.info
+    a = Stripe(operand.rowmajor(), comm, row_starts, kmer_starts, kmer_counts=counts)
+    at = Stripe(operand.transposed(), comm, kmer_starts, row_starts,
+                kmer_counts=replace(counts, axis=1))
+    return a, at.cut_columns(col_cuts), operand.info
+
+
+def build_distributed_kmer_matrix(
+    sequences: SequenceSet, params: PastisParams, comm: SimCommunicator
+) -> tuple[Stripe, ColumnStripes, KmerMatrixInfo]:
+    """Build ``A`` and ``Aᵀ`` distributed over the communicator's 2D grid:
+    ``(A, A_transpose, info)`` as :func:`batch_stripes` bears them, ``Aᵀ``
+    cut into the schedule's column stripes
+    (:func:`repro.core.blocking.make_schedule`)."""
+    return batch_stripes(
+        seed_operand(extract_seed_triples(sequences, params)).dense(), comm,
+        make_schedule(len(sequences), params).col_cuts(),
+    )

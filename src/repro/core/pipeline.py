@@ -156,11 +156,6 @@ class RunPlan:
     cache_digest: str | None = None
     #: global output row of each input query, in input order (query runs)
     query_rows: np.ndarray | None = None
-    #: when ``b`` is ``a``'s own transpose (all-vs-all): the inner ids at
-    #: least two rows hold, which are all a block's product multiplies
-    #: (:class:`~repro.distsparse.blocked_summa.BlockedSpGemm`'s
-    #: ``shared_inner``); ``None`` for a query plan
-    shared_inner: np.ndarray | None = None
     #: entries the run adds to ``stats.extras``
     extras: dict = field(default_factory=dict)
 
@@ -183,9 +178,9 @@ def _batch_plan(
         scheme=make_scheme(params.load_balancing),
         align_sequences=sequences,
         kmer_info=kmer_info,
-        stripe_nnz=(a.nnz, at.nnz),
+        # born on the shared k-mers, the stripes stand for all of A's entries
+        stripe_nnz=(kmer_info.nnz, kmer_info.nnz),
         cache_params=params,
-        shared_inner=kmer_info.shared_kmers,
     )
 
 
@@ -356,7 +351,6 @@ class PastisPipeline:
             CountSemiring(),
             schedule,
             batch_flops=params.batch_flops,
-            shared_inner=plan.shared_inner,
         )
         aligner = AlignmentPhase(plan.align_sequences, params, comm, cost_model)
         accumulator = StreamingGraphAccumulator(n_vertices=schedule.n_rows)

@@ -33,11 +33,11 @@ range).  The engine also keeps the product operands SUMMA multiplies
 (:func:`~repro.distsparse.summa.row_operand`,
 :func:`~repro.distsparse.summa.col_operand`, which read the stripes as
 they are): the current block row's ``A`` operand, and — for the
-all-vs-all search, where ``B`` is ``A``'s own transpose and only the
-k-mers at least two rows hold (``shared_inner``) are multiplied — every
+all-vs-all search, whose ``A`` and ``Aᵀ`` are born on the k-mers at least
+two rows hold (:func:`repro.core.kmer_matrix.batch_stripes`) — every
 column stripe's ``B`` operand, assembled once per run however many output
-blocks it meets.  Without ``shared_inner`` (a query batch) each block's
-``B`` operand is only the stripe rows the query's k-mers select.
+blocks it meets.  For other operands (a query batch) each block's ``B``
+operand is only the stripe rows the query's k-mers select.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .stripe import ColumnStripes, Stripe
 from .summa import (
     ColOperand,
     RowOperand,
-    SharedInner,
     SummaResult,
     col_operand,
     row_operand,
@@ -185,12 +184,6 @@ class BlockedSpGemm:
         Per-row-group flop budget passed to every block's product (bounds
         the Gustavson kernel's peak intermediate memory); ``None`` uses the
         kernel default.
-    shared_inner:
-        When ``b`` is ``aᵀ`` of the same rows (the batch search), a boolean
-        mask over the inner dimension marking the indices held by at least
-        two rows of ``a``; every block's product then multiplies only those
-        and counts the rest back (:class:`~repro.distsparse.summa.SharedInner`,
-        count semiring only).  ``None`` multiplies the whole operands.
     """
 
     a: Stripe
@@ -199,14 +192,14 @@ class BlockedSpGemm:
     schedule: BlockSchedule
     spgemm_backend: str | None = None
     batch_flops: int | None = None
-    shared_inner: np.ndarray | None = field(default=None, repr=False)
     #: stripes already sliced, by ("a", block_row) / ("b", block_col)
     _stripes: dict[tuple[str, int], Stripe] = field(
         default_factory=dict, init=False, repr=False
     )
     #: the current block row and its product operand
     _row_operand: tuple[int, RowOperand] | None = field(default=None, init=False, repr=False)
-    #: each column stripe's product operand, by block column (``shared_inner`` only)
+    #: each column stripe's product operand, by block column (operands born
+    #: on the shared k-mers only)
     _col_operands: dict[int, ColOperand] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -214,11 +207,6 @@ class BlockedSpGemm:
             raise ValueError("inner dimensions of the operands do not match")
         if (self.schedule.n_rows, self.schedule.n_cols) != (self.a.shape[0], self.b.shape[1]):
             raise ValueError("schedule dimensions must match the output shape")
-        self._shared = None
-        if self.shared_inner is not None:
-            if len(self.shared_inner) != self.a.shape[1]:
-                raise ValueError("shared_inner must mark every inner index")
-            self._shared = SharedInner.from_mask(self.shared_inner)
 
     # ------------------------------------------------------------------ stripes
     def _stripe(self, key: tuple[str, int], slice_operand) -> Stripe:
@@ -246,15 +234,11 @@ class BlockedSpGemm:
         col_range = self.schedule.col_range(block_col)
         if self._row_operand is None or self._row_operand[0] != block_row:
             self._row_operand = None  # the previous row's operand goes first
-            self._row_operand = (
-                block_row, row_operand(self.row_stripe(block_row), self._shared)
-            )
+            self._row_operand = (block_row, row_operand(self.row_stripe(block_row)))
         right = None
-        if self._shared is not None:
+        if self.a.kmer_counts is not None:
             if block_col not in self._col_operands:
-                self._col_operands[block_col] = col_operand(
-                    self.col_stripe(block_col), self._shared
-                )
+                self._col_operands[block_col] = col_operand(self.col_stripe(block_col))
             right = self._col_operands[block_col]
         result = summa(
             self.row_stripe(block_row),
@@ -263,7 +247,6 @@ class BlockedSpGemm:
             output_shape=(self.a.shape[0], self.b.shape[1]),
             spgemm_backend=self.spgemm_backend,
             batch_flops=self.batch_flops,
-            shared=self._shared,
             left=self._row_operand[1],
             right=right,
         )

@@ -11,13 +11,16 @@ the grid's row and column chunk starts.  Every grid block's nnz and
 triplet bytes — all the SUMMA charge plan reads of the blocks — are
 counted from the starts (:attr:`Stripe.block_nnz`), not cut out.
 
+The batch search's operands hold their shared k-mers only
+(:func:`repro.core.kmer_matrix.batch_stripes`); their stripes carry the
+full operand's counts (:class:`KmerCounts`), which block nnz and bytes sum.
+
 A row stripe of a stripe is a ``searchsorted`` slice.  A column range of a
 row-major matrix is not contiguous, so ``B`` is cut into the schedule's
 column stripes once, at birth (:meth:`Stripe.cut_columns`), and handed out
 by :class:`ColumnStripes`, which also serves the index's stored stripes.
 :meth:`Stripe.per_rank` cuts a stripe into the rank blocks themselves —
-the form the index stores and the stage cache's stripe digest hashes —
-and :meth:`Stripe.join` is its inverse.
+the form the index stores — and :meth:`Stripe.join` is its inverse.
 """
 
 from __future__ import annotations
@@ -50,6 +53,19 @@ def _chunk_index(values: np.ndarray, starts: np.ndarray, span: int) -> np.ndarra
     return index
 
 
+@dataclass(frozen=True, eq=False)
+class KmerCounts:
+    """What a stripe of an operand born on the shared k-mers only counts
+    instead of holding, per sequence of the stripe's range × k-mer chunk:
+    the full operand's entries, and the private ones — k-mers no other
+    sequence holds, dropped at birth.  The sequences are the stripe's rows
+    (``axis=0``, ``A``) or its columns (``axis=1``, ``Aᵀ``)."""
+
+    entries: np.ndarray
+    private: np.ndarray
+    axis: int
+
+
 @dataclass(frozen=True, eq=False)  # a stripe is compared by identity
 class Stripe:
     """Rows ``row_range`` × columns ``col_range`` of a matrix distributed
@@ -59,7 +75,8 @@ class Stripe:
     row-major, in global coordinates; the grid's row chunks start at
     ``row_starts`` and its column chunks at ``col_starts`` (``grid_dim + 1``
     ascending starts, 0 first and the dimension last).  The ranges default
-    to the whole matrix.
+    to the whole matrix.  ``kmer_counts`` is set when the matrix is born on
+    the shared k-mers only.
     """
 
     matrix: CooMatrix
@@ -68,6 +85,7 @@ class Stripe:
     col_starts: np.ndarray
     row_range: tuple[int, int] | None = None
     col_range: tuple[int, int] | None = None
+    kmer_counts: KmerCounts | None = None
 
     def __post_init__(self) -> None:
         if self.row_range is None:
@@ -153,7 +171,17 @@ class Stripe:
         """Entries of every grid block ``[i, j]``, counted once per stripe:
         grid row ``i`` is a slice of the row-major entries, and its entries
         at or past each column chunk start are one comparison each (a
-        ``bincount`` of the grid coordinates costs 8x as much)."""
+        ``bincount`` of the grid coordinates costs 8x as much).  A stripe
+        born on the shared k-mers sums its sequences' full entries instead."""
+        counts = self.kmer_counts
+        if counts is not None:
+            starts, (lo, hi) = ((self.row_starts, self.row_range),
+                                (self.col_starts, self.col_range))[counts.axis]
+            summed = np.zeros((hi - lo + 1, counts.entries.shape[1]), dtype=np.int64)
+            np.cumsum(counts.entries, axis=0, out=summed[1:])
+            bounds = np.clip(starts - lo, 0, hi - lo)
+            per_chunk = summed[bounds[1:]] - summed[bounds[:-1]]  # [sequence chunk, k]
+            return per_chunk if counts.axis == 0 else per_chunk.T
         m = self.matrix
         bounds = np.searchsorted(m.rows, self.row_starts)
         past = np.array([
@@ -167,12 +195,25 @@ class Stripe:
         return self.block_nnz.ravel() * self.triplet_bytes
 
     # ------------------------------------------------------------------ stripes
+    def _counts_of(self, axis: int, lo: int, hi: int) -> KmerCounts | None:
+        """The count tables of the sequences ``lo:hi`` along ``axis``."""
+        counts = self.kmer_counts
+        if counts is None:
+            return None
+        if counts.axis != axis:
+            raise ValueError("a stripe born on the shared k-mers is cut along its sequences only")
+        origin = (self.row_range, self.col_range)[axis][0]
+        lo, hi = lo - origin, hi - origin
+        return replace(counts, entries=counts.entries[lo:hi], private=counts.private[lo:hi])
+
     def row_stripe(self, row_range: tuple[int, int]) -> "Stripe":
         """The rows ``row_range``: a view of this stripe's arrays."""
         m = self.matrix
         lo, hi = np.searchsorted(m.rows, row_range)
         rows = CooMatrix(m.shape, m.rows[lo:hi], m.cols[lo:hi], m.values[lo:hi], check=False)
-        return replace(self, matrix=rows, row_range=(int(row_range[0]), int(row_range[1])))
+        row_range = (int(row_range[0]), int(row_range[1]))
+        return replace(self, matrix=rows, row_range=row_range,
+                       kmer_counts=self._counts_of(0, *row_range))
 
     def cut_columns(self, cuts) -> "ColumnStripes":
         """This stripe cut at the global columns ``cuts`` (ascending, inside
@@ -192,7 +233,7 @@ class Stripe:
             stripes = [
                 replace(self, col_range=(bounds[s], bounds[s + 1]), matrix=CooMatrix(
                     m.shape, rows[lo:hi], cols[lo:hi], values[lo:hi], check=False
-                ))
+                ), kmer_counts=self._counts_of(1, bounds[s], bounds[s + 1]))
                 for s, (lo, hi) in enumerate(zip(pointers[:-1], pointers[1:]))
             ]
         ranges = [stripe.col_range for stripe in stripes]

@@ -21,10 +21,10 @@ value is that multiply's flops at the entry.  Reducing each coordinate's
 stage entries in stage order with the semiring is SUMMA's per-rank merge
 (a semiring other than the count one multiplies a second time for the
 values), and a coordinate belongs to its row chunk × column chunk's rank.
-Without the restriction below, ``B``'s operand holds only the rows
-``A``'s stripe meets (one binary search per inner id: a served query meets
-a few of a database stripe's rows); the caller may pass operands it keeps
-across calls (:class:`~repro.distsparse.blocked_summa.BlockedSpGemm`).
+Unless born on the shared k-mers (below), ``B``'s operand holds only the
+rows ``A``'s stripe meets (one binary search per inner id: a served query
+meets a few of a database stripe's rows); the caller may pass operands it
+keeps across calls (:class:`~repro.distsparse.blocked_summa.BlockedSpGemm`).
 The one product is recorded in the metrics with the block's SUMMA flops.
 
 **The discovery charge plan.**  The grid is charged in the order the
@@ -39,15 +39,14 @@ multiplies: their flops and output entries from the product's counts per
 (row, stage, grid column), the Gustavson kernel's flop-bounded row groups
 (:func:`row_groups`) and the largest group's expand-form bytes.
 
-**The shared-k-mer restriction** (:class:`SharedInner`).  When ``B`` is
-``Aᵀ`` of the same rows — the batch search — an inner index one row holds
-meets only that row's own entry: one partial product, on the diagonal, at
-its stage.  The operands keep only the indices at least two rows hold, and
-each row's private count is added back on the diagonal; a block whose
-columns are its rows also drops the indices one row of its stripe holds
-(their own rows' diagonal is all they meet there).
-Every result, table and charge is unchanged; the kernel's own statistics
-describe the smaller product.
+**Operands born on the shared k-mers.**  In the batch search (``B`` is
+``Aᵀ``) an inner index one row holds meets only that row's own entry, one
+partial product on the diagonal, so the operands are born on the indices
+two rows hold and count the rest (:func:`repro.core.kmer_matrix.batch_stripes`):
+:func:`summa` adds each row's private counts back on the diagonal (the
+count semiring only), and a block whose columns are its rows also drops
+the indices one row of its stripe holds.  Every result, table and charge
+is the full operands'; the kernel's statistics describe the smaller product.
 """
 
 from __future__ import annotations
@@ -131,47 +130,20 @@ class SummaResult:
 
 # ---------------------------------------------------------------------- operands
 @dataclass(frozen=True)
-class SharedInner:
-    """The inner indices held by at least two rows of ``A``, for a product
-    whose ``B`` is ``Aᵀ`` of the same rows (see the module docstring).
-
-    ``ranks[t]`` is inner index ``t``'s rank among the shared ones, ``-1``
-    for an index held by one row; ``count`` is the number shared.
-    """
-
-    ranks: np.ndarray
-    count: int
-
-    @classmethod
-    def from_mask(cls, shared: np.ndarray) -> "SharedInner":
-        """From a boolean mask over the inner dimension."""
-        shared = np.asarray(shared, dtype=bool)
-        dtype = np.int32 if shared.size <= np.iinfo(np.int32).max else np.int64
-        ranks = np.cumsum(shared, dtype=dtype)
-        count = int(ranks[-1]) if ranks.size else 0
-        ranks *= shared  # a private index's rank becomes -1 below
-        ranks -= 1
-        return cls(ranks, count)
-
-
-@dataclass(frozen=True)
 class RowOperand:
     """``A``'s stripe as the product's left operand, and what the charge
     plan reads of its grid blocks.
 
     ``matrix`` holds the stripe's rows relabelled to start at 0 (global row
-    ``offset``), row-major, with global inner ids — or shared ranks, with the
-    per-stage counts of each row's private inner indices in ``private``
-    (``[row, k]``).  Grid row ``i``'s rows are ``chunks[i]:chunks[i + 1]``;
-    ``nbytes[i, k]`` is the triplet bytes of grid block ``(i, k)``, the
-    payload its stage broadcasts.
+    ``offset``), row-major, with global inner ids.  Grid row ``i``'s rows
+    are ``chunks[i]:chunks[i + 1]``; ``nbytes[i, k]`` is the triplet bytes
+    of grid block ``(i, k)``, the payload its stage broadcasts.
     """
 
     matrix: CooMatrix
     offset: int
     chunks: np.ndarray
     nbytes: np.ndarray
-    private: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -198,34 +170,20 @@ class ColOperand:
 
 def _operand(shape, rows, cols, values) -> CooMatrix:
     """Row-major triplets as a product operand whose row pointers are kept;
-    a restricted (count-only) operand has ``values=None``."""
+    a born-shared (count-only) operand has ``values=None``."""
     return assume_rowmajor(CooMatrix(shape, rows, cols, values, check=False))
 
 
-def row_operand(stripe: Stripe, shared: SharedInner | None = None) -> RowOperand:
+def row_operand(stripe: Stripe) -> RowOperand:
     """``A``'s row stripe (or whole matrix) as a :class:`RowOperand`: its
-    rows relabelled to start at 0, its columns global (or shared ranks,
-    when ``shared`` restricts it)."""
-    dim = stripe.grid.grid_dim
+    rows relabelled to start at 0, its columns global."""
     origin, end = stripe.row_range
     height = end - origin
     m = stripe.matrix
-    private = None
-    if shared is None:
-        matrix = _operand((height, stripe.shape[1]), m.rows - origin, m.cols, m.values)
-    else:
-        ranks = shared.ranks[m.cols]
-        held = ranks < 0
-        alone = np.flatnonzero(held)  # positions, not masks: a take is the fast gather
-        stage = np.searchsorted(stripe.col_starts, m.cols.take(alone), side="right") - 1
-        cell = (m.rows.take(alone) - origin) * dim + stage
-        private = np.bincount(cell, minlength=height * dim).reshape(height, dim)
-        keep = np.flatnonzero(~held)
-        matrix = _operand(
-            (height, shared.count), m.rows.take(keep) - origin, ranks.take(keep), None
-        )
+    values = m.values if stripe.kmer_counts is None else None
+    matrix = _operand((height, stripe.shape[1]), m.rows - origin, m.cols, values)
     chunks = np.clip(stripe.row_starts - origin, 0, height)
-    return RowOperand(matrix, origin, chunks, stripe.block_nnz * stripe.triplet_bytes, private)
+    return RowOperand(matrix, origin, chunks, stripe.block_nnz * stripe.triplet_bytes)
 
 
 def _select_rows(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -237,13 +195,11 @@ def _select_rows(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.repeat(lo - start, count) + np.arange(int(count.sum()))
 
 
-def col_operand(
-    stripe: Stripe, shared: SharedInner | None = None, inner: np.ndarray | None = None
-) -> ColOperand:
+def col_operand(stripe: Stripe, inner: np.ndarray | None = None) -> ColOperand:
     """``B``'s column stripe (or whole matrix) as a :class:`ColOperand`:
-    rows global (or shared ranks), every column split by stage — relabelled
-    ``c · grid_dim + k``, ``k`` the grid row of the entry.  ``inner``
-    (ascending global inner ids) keeps only those rows."""
+    rows global, every column split by stage — relabelled ``c · grid_dim +
+    k``, ``k`` the grid row of the entry.  ``inner`` (ascending global inner
+    ids) keeps only those rows."""
     dim = stripe.grid.grid_dim
     origin, end = stripe.col_range
     width = end - origin
@@ -252,14 +208,12 @@ def col_operand(
     if inner is not None:
         take = _select_rows(rows, inner)
         rows, cols, values = rows.take(take), cols.take(take), values.take(take)
+    else:
+        rows = rows.copy()  # the operand's rows are compressed, never the stripe's
+    if stripe.kmer_counts is not None:
+        values = None
     # each entry's grid row, the stage its block is broadcast at
     stage = np.repeat(np.arange(dim), np.diff(np.searchsorted(rows, stripe.row_starts)))
-    height = stripe.shape[0]
-    if shared is not None:
-        ranks = shared.ranks[rows]
-        keep = np.flatnonzero(ranks >= 0)
-        rows, cols, values, stage = ranks.take(keep), cols.take(keep), None, stage.take(keep)
-        height = shared.count
     cols = cols - origin
     cols *= dim
     cols += stage
@@ -267,7 +221,7 @@ def col_operand(
     chunk_of_col = np.repeat(np.arange(dim), np.diff(chunks))
     stage_class = (np.arange(dim) * dim + chunk_of_col[:, None]).ravel()
     return ColOperand(
-        _operand((height, width * dim), rows, cols, values), origin, chunk_of_col,
+        _operand((stripe.shape[0], width * dim), rows, cols, values), origin, chunk_of_col,
         stage_class, stripe.block_nnz * stripe.triplet_bytes,
     )
 
@@ -349,12 +303,12 @@ def _kernel_groups(rows, cols, counts, flops, multiplies, left, right, budget):
     return groups, peak
 
 
-def _own_stripe(left: RowOperand, right: ColOperand, dim: int) -> tuple:
-    """The operands and private counts of a block whose columns are its
-    rows (``B``'s stripe is ``A``'s transposed): only the inner indices at
-    least two of the stripe's rows hold meet another row, so the product
-    keeps those, and each row's others — held by it alone here, shared or
-    not — count once on the diagonal, at their stages (``[row, k]``)."""
+def _own_stripe(left: RowOperand, right: ColOperand, private: np.ndarray, dim: int) -> tuple:
+    """The operands and ``private`` counts (``[row, k]``) of a block whose
+    columns are its rows (``B``'s stripe is ``A``'s transposed): only the
+    inner indices at least two of the stripe's rows hold meet another row,
+    so the product keeps those, and each row's others — held by it alone
+    here — count once on the diagonal, at their stages."""
     b = right.matrix
     row_ids, pointers, _, _ = compress_rows(b)
     holders = np.diff(pointers)  # the stripe's rows holding each inner index
@@ -367,7 +321,7 @@ def _own_stripe(left: RowOperand, right: ColOperand, dim: int) -> tuple:
     a = left.matrix
     kept = np.flatnonzero(together[a.cols])
     a = CooMatrix(a.shape, a.rows.take(kept), a.cols.take(kept), check=False)
-    return assume_rowmajor(a), assume_rowmajor(b), left.private + counts
+    return assume_rowmajor(a), assume_rowmajor(b), private + counts
 
 
 def _count_diagonal(
@@ -406,7 +360,6 @@ def summa(
     output_shape: tuple[int, int] | None = None,
     spgemm_backend: str | SpGemmKernel | None = None,
     batch_flops: int | None = None,
-    shared: SharedInner | None = None,
     left: RowOperand | None = None,
     right: ColOperand | None = None,
 ) -> SummaResult:
@@ -415,17 +368,16 @@ def summa(
 
     ``a`` and ``b`` may be full distributed matrices or stripes of them; the
     output coordinates are global either way.  ``left`` / ``right`` are
-    their product operands (:func:`row_operand` / :func:`col_operand`, with
-    the same ``shared``) when the caller keeps them across calls; a missing
-    one is assembled here, ``B``'s cut to the rows ``A`` meets unless
-    ``shared`` restricts both.  ``output_shape`` defaults to
-    ``(a.shape[0], b.shape[1])`` and should be set to the full matrix shape
-    when multiplying stripes.  ``spgemm_backend`` selects the kernel by name
+    their product operands (:func:`row_operand` / :func:`col_operand`) when
+    the caller keeps them across calls; a missing one is assembled here,
+    ``B``'s cut to the rows ``A`` meets unless both are born on the shared
+    k-mers (count semiring only, ``b`` being ``aᵀ``; see the module
+    docstring).  ``output_shape`` defaults to ``(a.shape[0], b.shape[1])``
+    and should be set to the full matrix shape when multiplying stripes.  ``spgemm_backend`` selects the kernel by name
     (see :mod:`repro.sparse.kernels`) or directly as a callable; ``None``
     uses the registry default.  ``batch_flops`` bounds the per-row-group
     flop budget of the kernel (memory-constrained runs); the selected
-    backend must support batching.  ``shared`` (count semiring only, ``b``
-    being ``aᵀ``) restricts the product to the shared inner indices.
+    backend must support batching.
     """
     if a.comm is not b.comm:
         raise ValueError("operands must live on the same communicator")
@@ -434,8 +386,13 @@ def summa(
     dim = grid.grid_dim
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
-    if shared is not None and type(semiring) is not CountSemiring:
-        raise ValueError("the shared-inner restriction needs the count semiring")
+    born_shared = a.kmer_counts is not None
+    if born_shared and type(semiring) is not CountSemiring:
+        raise ValueError(
+            f"operands born on the shared k-mers need the count semiring, not "
+            f"{type(semiring).__name__}: they hold no private k-mer, whose one "
+            "partial product only a count can add back on the diagonal"
+        )
     if output_shape is None:
         output_shape = (a.shape[0], b.shape[1])
     spgemm_kernel = resolve_kernel(spgemm_backend)
@@ -449,13 +406,13 @@ def summa(
             )
         kernel_kwargs["batch_flops"] = batch_flops
     if left is None:
-        left = row_operand(a, shared)
+        left = row_operand(a)
     if right is None:
-        inner = None if shared is not None else np.unique(left.matrix.cols)
-        right = col_operand(b, shared, inner=inner)
-    a_matrix, b_matrix, private = left.matrix, right.matrix, left.private
+        right = col_operand(b, inner=None if born_shared else np.unique(left.matrix.cols))
+    a_matrix, b_matrix = left.matrix, right.matrix
+    private = a.kmer_counts.private if born_shared else None  # [row, k]
     if private is not None and (left.offset, left.matrix.shape[0]) == (right.offset, right.width):
-        a_matrix, b_matrix, private = _own_stripe(left, right, dim)
+        a_matrix, b_matrix, private = _own_stripe(left, right, private, dim)
 
     tracer = current_tracer()
     t0 = time.perf_counter()

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..hardware.cluster import ClusterSpec, summit_subset
 from .collectives import CollectiveEngine
 from .costmodel import CostLedger
@@ -81,10 +79,6 @@ class SimCommunicator:
     def charge_compute(self, rank: int, category: str, seconds: float) -> None:
         """Charge local computation time to one rank."""
         self.ledger.charge(rank, category, seconds)
-
-    def charge_compute_all(self, category: str, seconds_per_rank: np.ndarray | float) -> None:
-        """Charge computation time to every rank."""
-        self.ledger.charge_all(category, seconds_per_rank)
 
     def charge_io(self, total_bytes: int, category: str = "io") -> float:
         """Charge a collective parallel-IO operation; returns the modelled seconds."""

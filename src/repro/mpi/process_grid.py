@@ -66,14 +66,6 @@ class ProcessGrid:
         """Ranks of one grid column (a SUMMA column-broadcast group)."""
         return [self.rank_of(r, col) for r in range(self.grid_dim)]
 
-    def row_of(self, rank: int) -> int:
-        """Grid row of a rank."""
-        return self.coords(rank)[0]
-
-    def col_of(self, rank: int) -> int:
-        """Grid column of a rank."""
-        return self.coords(rank)[1]
-
     # ------------------------------------------------------------------ data decomposition
     def block_bounds(self, n: int, index: int) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of the ``index``-th of ``grid_dim`` chunks of ``n``.

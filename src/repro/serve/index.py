@@ -7,11 +7,9 @@ order a served SpGEMM multiplies from — into the index's column stripes,
 and persists each stripe as its per-rank shards
 (:mod:`repro.distsparse.shards`); a load checks the pieces against the
 stamped digest, then joins them into the stripe.  Every artifact is stamped with
-the same content digests the stage cache keys on —
-:func:`repro.core.engine.cache.sequence_digest` for the database residues,
-:func:`repro.core.engine.cache.stripe_digest` per stripe — so a query run
-served from the index produces byte-for-byte the cache keys an all-vs-all
-run over the database would.
+a content digest: :func:`repro.core.engine.cache.sequence_digest` for the
+database residues (the one the stage cache keys on), and
+:func:`repro.core.engine.cache.pieces_digest` of each stripe's per-rank cut.
 
 Disk layout (all files written atomically, ``index.json`` last so a
 killed build never leaves a manifest pointing at missing shards)::
@@ -59,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import atomic_write_bytes, atomic_write_text
-from ..core.engine.cache import pieces_digest, sequence_digest, stripe_digest
+from ..core.engine.cache import pieces_digest, sequence_digest
 from ..core.kmer_matrix import KmerMatrixInfo, extract_seed_triples, seed_operand
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
@@ -249,7 +247,7 @@ def build_index(
             {
                 "stripe": c,
                 "col_range": [int(col_range[0]), int(col_range[1])],
-                "digest": stripe_digest(stripe),
+                "digest": pieces_digest(stripe.shape, stripe.per_rank()),
                 "files": names,
                 "nnz": int(stripe.nnz),
                 "bytes": int(nbytes),

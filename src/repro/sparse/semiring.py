@@ -58,10 +58,6 @@ class Semiring:
         raise NotImplementedError
 
     # convenience scalar API used by reference implementations / tests -----
-    def scalar_multiply(self, a, b):
-        """Scalar version of :meth:`multiply` (reference/tests only)."""
-        return self.multiply(np.array([a], dtype=None), np.array([b], dtype=None))[0]
-
     def scalar_add(self, a, b):
         """Scalar version of the additive combine (reference/tests only)."""
         values = np.array([a, b], dtype=self.value_dtype)

@@ -383,13 +383,19 @@ def test_build_distributed_kmer_matrix():
     comm = SimCommunicator(4)
     params = PastisParams(kmer_length=5)
     a, at, info = build_distributed_kmer_matrix(seqs, params, comm)
-    # the k-mer dimension holds dense ids, one per distinct k-mer, ascending
-    distinct = info.kmer_ids.size
-    assert info.kmer_space == 20**5 and 0 < distinct <= info.nnz
-    assert np.all(np.diff(info.kmer_ids) > 0)
-    assert a.shape == (25, distinct)
-    assert at.shape == (distinct, 25)
-    assert a.nnz == at.nnz == info.nnz
+    full = build_kmer_coo(seqs, params)[0]
+    # the k-mer dimension holds dense ids, one per k-mer two sequences hold,
+    # ascending; the stripes count the full operand's entries
+    kmers, holders = np.unique(full.cols, return_counts=True)
+    shared = info.kmer_ids.size
+    assert info.kmer_space == 20**5 and 0 < shared < kmers.size
+    assert np.array_equal(info.kmer_ids, kmers[holders >= 2])
+    assert a.shape == (25, shared)
+    assert at.shape == (shared, 25)
+    held = np.isin(full.cols, info.kmer_ids)
+    assert a.nnz == at.nnz == int(held.sum()) < info.nnz == full.nnz
+    assert int(a.block_nnz.sum()) == info.nnz
+    assert sum(int(at.col_stripe(cols).block_nnz.sum()) for cols in at.col_ranges) == info.nnz
     # both operands are born row-major — A whole, Aᵀ per column stripe of
     # the schedule — so no SpGEMM call downstream has to sort
     stripes = [at.col_stripe(cols) for cols in at.col_ranges]
@@ -400,10 +406,12 @@ def test_build_distributed_kmer_matrix():
     )
     transposed = CooMatrix(at.shape, rows, cols, values).sort_rowmajor()
     assert transposed == a.matrix.transpose().sort_rowmajor()
-    # through the dictionary, A is the matrix over k-mer ids
+    # through the dictionary, A is the matrix over k-mer ids on those k-mers
     dense = a.matrix
     by_kmer_id = CooMatrix((25, 20**5), dense.rows, info.kmer_ids[dense.cols], dense.values)
-    assert by_kmer_id == build_kmer_coo(seqs, params)[0]
+    assert by_kmer_id == CooMatrix(
+        full.shape, full.rows[held], full.cols[held], full.values[held]
+    )
 
 
 # ---------------------------------------------------------------- costing

@@ -1,18 +1,21 @@
 """Dense k-mer ids at birth change no entry, byte, charge or product.
 
 ``build_distributed_kmer_matrix`` relabels the k-mer dimension to dense ids
-and maps the grid's k-mer chunks through the same dictionary.  Against
-operands distributed over the k-mer ids themselves, every stripe block must
-hold the same entries once its dense ids are mapped back, every rank the
-same bytes, the distribution the same ledger events, and every SUMMA the
-same records and statistics.  Each comparison visits every stripe block and
-counts mismatches, which must be zero.
+of the k-mers at least two sequences hold and maps the grid's k-mer chunks
+through the same dictionary.  Against operands distributed over the k-mer
+ids themselves, every stripe block must hold the same entries of those
+k-mers once its dense ids are mapped back, every rank the same bytes, the
+distribution the same ledger events, every count SUMMA the same records and
+statistics, and every block's seeds the same overlap records.  Each
+comparison visits every stripe block and counts mismatches, which must be
+zero.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.blocking import make_schedule
+from repro.core.filtering import drop_self_pairs
 from repro.core.kmer_matrix import (
     build_distributed_kmer_matrix,
     extract_seed_triples,
@@ -20,14 +23,15 @@ from repro.core.kmer_matrix import (
 )
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
+from repro.distsparse.blocked_summa import BlockedSpGemm
 from repro.distsparse.distribute import charge_distribution
 from repro.distsparse.stripe import Stripe
-from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
 from repro.mpi.costmodel import RecordingLedger
 from repro.sequences.sequence import SequenceSet
 from repro.sequences.synthetic import synthetic_dataset
-from repro.sparse.semiring import CountSemiring, OverlapSemiring
+from repro.sparse.coo import CooMatrix
+from repro.sparse.semiring import CountSemiring
 from repro.sparse.spgemm import spgemm
 from search_oracles import build_kmer_coo
 
@@ -41,13 +45,21 @@ def _recording_comm(nodes):
     return comm
 
 
-def _kmer_id_operands(sequences, params, comm):
+def _kmer_id_operands(sequences, params, comm, kmers=None):
     """``A`` and ``Aᵀ`` distributed with the k-mer ids themselves as the
-    k-mer coordinates, on the grid's balanced chunks of the k-mer space."""
+    k-mer coordinates, on the grid's balanced chunks of the k-mer space;
+    with ``kmers`` (sorted k-mer ids), only their entries."""
     operand = seed_operand(extract_seed_triples(sequences, params))
-    a, at = Stripe.of(operand.rowmajor(), comm), Stripe.of(operand.transposed(), comm)
-    for matrix in (a.matrix, at.matrix):
-        charge_distribution(matrix, comm)
+    a, at = operand.rowmajor(), operand.transposed()
+    if kmers is None:
+        for matrix in (a, at):
+            charge_distribution(matrix, comm)
+    else:
+        a, at = (
+            CooMatrix(m.shape, m.rows[held], m.cols[held], m.values[held], check=False)
+            for m, held in ((a, np.isin(a.cols, kmers)), (at, np.isin(at.rows, kmers)))
+        )
+    a, at = Stripe.of(a, comm), Stripe.of(at, comm)
     return a, at.cut_columns(make_schedule(len(sequences), params).col_cuts())
 
 
@@ -92,8 +104,11 @@ def test_dense_birth_equals_the_kmer_id_layout(nodes, blocking):
     dense_comm, by_id_comm = _recording_comm(nodes), _recording_comm(nodes)
     a, at, info = build_distributed_kmer_matrix(seqs, params, dense_comm)
     a_by_id, at_by_id = _kmer_id_operands(seqs, params, by_id_comm)
+    # the entries the born operands hold: those of the k-mers two rows hold
+    a_held, at_held = _kmer_id_operands(seqs, params, by_id_comm, kmers=info.kmer_ids)
 
     assert info.kmer_space == 20**4 and a.shape[1] == at.shape[0] == info.kmer_ids.size
+    assert 0 < a.nnz < a_by_id.nnz and int(a.block_nnz.sum()) == a_by_id.nnz == info.nnz
     assert dense_comm.ledger.events == by_id_comm.ledger.events
     stripes = [(at.col_stripe(cols), at_by_id.col_stripe(cols)) for cols in at.col_ranges]
     for dense, by_id in ((a, a_by_id), *stripes):
@@ -104,55 +119,78 @@ def test_dense_birth_equals_the_kmer_id_layout(nodes, blocking):
     row_stripes = [schedule.row_range(r) for r in range(schedule.br)]
     col_stripes = [schedule.col_range(c) for c in range(schedule.bc)]
     mismatches = sum(
-        stripe_mismatches(a.row_stripe(rows), a_by_id.row_stripe(rows), info.kmer_ids, 1)
+        stripe_mismatches(a.row_stripe(rows), a_held.row_stripe(rows), info.kmer_ids, 1)
         for rows in row_stripes
     ) + sum(
-        stripe_mismatches(at.col_stripe(cols), at_by_id.col_stripe(cols), info.kmer_ids, 0)
+        stripe_mismatches(at.col_stripe(cols), at_held.col_stripe(cols), info.kmer_ids, 0)
         for cols in col_stripes
     )
     assert mismatches == 0
 
-    candidates = 0
-    for semiring in (CountSemiring(), OverlapSemiring()):
-        for rows in row_stripes:
-            for cols in col_stripes:
-                got, want = (
-                    summa(left.row_stripe(rows), right.col_stripe(cols), semiring,
-                          output_shape=(len(seqs), len(seqs)))
-                    for left, right in ((a, at), (a_by_id, at_by_id))
-                )
-                assert got.stats == want.stats
-                assert got.comm_seconds == want.comm_seconds
-                assert all(map(_records_equal, got.per_rank, want.per_rank))
-                candidates += got.nnz
-    assert candidates > 0
+    candidates = seeded = 0
+    engines = [
+        BlockedSpGemm(left, right, CountSemiring(), schedule)
+        for left, right in ((a, at), (a_by_id, at_by_id))
+    ]
+    for r, c in schedule.all_blocks():
+        got, want = (engine.compute_block(r, c).result for engine in engines)
+        assert got.stats == want.stats
+        assert got.comm_seconds == want.comm_seconds
+        assert all(map(_records_equal, got.per_rank, want.per_rank))
+        candidates += got.nnz
+        # the seeds of every off-diagonal candidate: OverlapSemiring records
+        pairs = [drop_self_pairs(piece) for piece in got.per_rank]
+        got_seeds, want_seeds = (engine.with_seeds(r, c, pairs) for engine in engines)
+        assert all(map(_records_equal, got_seeds, want_seeds))
+        seeded += sum(piece.nnz for piece in got_seeds)
+    assert candidates > seeded > 0
 
 
-def _boundary_set(kind):
-    if kind == "shorter_than_k":  # no sequence holds a k-mer: U = 0
-        return SequenceSet.from_strings(["ACD", "MK", "WWWW", "A", ""])
-    return SequenceSet.from_strings(["ACDEF"] * 4 + ["ACD"])  # one shared k-mer: U = 1
+BOUNDARY_SETS = {
+    # no sequence holds a k-mer: U = 0
+    "shorter_than_k": ["ACD", "MK", "WWWW", "A", ""],
+    # one k-mer, four holders: U = 1
+    "one_kmer": ["ACDEF"] * 4 + ["ACD"],
+    # every sequence holds its own k-mers only: the born operands are empty
+    "none_shared": ["ACDEFG", "HIKLMN", "PQRSTV", "WYWYWY"],
+    # every k-mer is held twice or more: nothing is private
+    "all_shared": ["ACDEFGH"] * 3 + ["KLMNPQR"] * 2,
+}
 
 
-@pytest.mark.parametrize("kind", ["shorter_than_k", "one_kmer"])
+@pytest.mark.parametrize("kind", list(BOUNDARY_SETS))
 @pytest.mark.parametrize("nodes", [1, 4])
 def test_boundary_sets_give_the_exact_candidates(kind, nodes):
-    """``U = 0`` and ``U = 1`` runs end without error and discover exactly
-    the candidates of the serial product over k-mer ids."""
-    seqs = _boundary_set(kind)
+    """``U = 0``, ``U = 1``, nothing shared and nothing private: runs end
+    without error and discover exactly the candidates of the serial product
+    over k-mer ids, and the born operands hold exactly the shared k-mers'
+    entries while standing for all of them."""
+    seqs = SequenceSet.from_strings(BOUNDARY_SETS[kind])
     params = PastisParams(kmer_length=5, nodes=nodes, blocking=(2, 2), common_kmer_threshold=1)
     a, at, info = build_distributed_kmer_matrix(seqs, params, SimCommunicator(nodes))
-    assert info.kmer_ids.size == a.shape[1] == at.shape[0] == (kind == "one_kmer")
+    a_by_id = build_kmer_coo(seqs, params)[0]
+    holders = np.unique(a_by_id.cols, return_counts=True)
+    shared = holders[0][holders[1] >= 2]
+    assert np.array_equal(info.kmer_ids, shared)
+    assert info.kmer_ids.size == a.shape[1] == at.shape[0]
+    assert a.nnz == int(np.isin(a_by_id.cols, shared).sum())
+    assert int(a.block_nnz.sum()) == info.nnz == a_by_id.nnz
+    if kind == "none_shared":
+        assert a.nnz == 0 and a_by_id.nnz > 0
+    if kind == "all_shared":
+        assert a.nnz == a_by_id.nnz and not a.kmer_counts.private.any()
 
     result = PastisPipeline(params).run(seqs)
-    a_by_id = build_kmer_coo(seqs, params)[0]
     expected = spgemm(a_by_id, a_by_id.transpose(), CountSemiring())
     assert result.stats.candidates_discovered == expected.nnz
     edges = result.similarity_graph.edges
-    if kind == "shorter_than_k":
-        assert expected.nnz == 0 and edges.size == 0
-    else:
-        assert expected.nnz == 16
-        assert sorted(zip(edges["row"].tolist(), edges["col"].tolist())) == [
-            (i, j) for i in range(4) for j in range(i + 1, 4)
-        ]
+    want_pairs = {
+        "shorter_than_k": [],
+        "one_kmer": [(i, j) for i in range(4) for j in range(i + 1, 4)],
+        "none_shared": [],
+        "all_shared": [(0, 1), (0, 2), (1, 2), (3, 4)],
+    }[kind]
+    assert expected.nnz == {
+        "shorter_than_k": 0, "one_kmer": 16, "none_shared": 4, "all_shared": 13,
+    }[kind]
+    assert sorted(zip(edges["row"].tolist(), edges["col"].tolist())) == want_pairs

@@ -9,8 +9,9 @@ the flops of every (rank, stage) multiply in order, the output entries,
 row groups and largest group of those multiplies, the flops per rank, the
 comm seconds and every rank's piece, bit for bit.  The cells are random
 operands (with empty rows, an empty grid row, no entries at all, a
-query-shaped left operand, and the batch search's shared-k-mer stripes) ×
-grids {1, 4, 9, 16} × the ``"expand"`` kernel and three flop budgets of
+query-shaped left operand, and the batch search's stripes, born on the
+shared k-mers) × grids {1, 4, 9, 16} × the ``"expand"`` kernel and three
+flop budgets of
 ``"gustavson"`` (the default and two that cut multiplies into several row
 groups).  Every cell is visited before the one assertion, so a failure
 lists every differing field of every cell.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from search_oracles import born_shared
 from summa_oracle import executed_summa, journal_of, pieces_bytes
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
@@ -110,8 +112,9 @@ def test_charge_plan_equals_the_executed_grid():
         want = executed_fields(comm, a, b, None, kernel, batch_flops)
         cell = f"nprocs={nprocs} budget={budget} operands={name}"
         diffs += [f"{cell}: {key}" for key in want if have[key] != want[key]]
-    # the batch search's blocks: stripes of A and Aᵀ with the shared-k-mer
-    # restriction, on blockings whose stripes do and do not cross grid chunks
+    # the batch search's blocks: stripes of A and Aᵀ born on the shared
+    # k-mers, on blockings whose stripes do and do not cross grid chunks; the
+    # executed grid multiplies the stripes of the full operands
     left = random_pattern(9, 31, 0.12)
     blockings = ((1, 1), (3, 3), (2, 5))
     for nprocs, budget, blocking in itertools.product(GRIDS, BUDGETS, blockings):
@@ -119,19 +122,22 @@ def test_charge_plan_equals_the_executed_grid():
         comm = SimCommunicator(nprocs)
         schedule = BlockSchedule(31, 31, *blocking)
         engine = BlockedSpGemm(
+            *born_shared(left, comm, schedule.col_cuts()),
+            CountSemiring(), schedule, spgemm_backend=kernel, batch_flops=batch_flops,
+        )
+        full = BlockedSpGemm(
             Stripe.of(left, comm),
             Stripe.of(
                 left.transpose(), comm
             ).cut_columns(schedule.col_cuts()),
-            CountSemiring(), schedule, spgemm_backend=kernel, batch_flops=batch_flops,
-            shared_inner=np.bincount(left.cols, minlength=INNER) >= 2,
+            CountSemiring(), schedule,
         )
         for r, c in schedule.all_blocks():
             block, charges, counts = journal_of(comm, lambda: engine.compute_block(r, c))
             have = fields(block.result, charges, counts)
             have["comm seconds"] = block.result.comm_seconds
             want = executed_fields(
-                comm, engine.row_stripe(r), engine.col_stripe(c), (31, 31), kernel, batch_flops
+                comm, full.row_stripe(r), full.col_stripe(c), (31, 31), kernel, batch_flops
             )
             cell = f"nprocs={nprocs} budget={budget} blocking={blocking} block=({r}, {c})"
             diffs += [f"{cell}: {key}" for key in want if have[key] != want[key]]

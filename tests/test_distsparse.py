@@ -346,10 +346,13 @@ def test_blocked_discover_equals_scipy_oracle_block_by_block():
     The k-mer pattern is read off the residue strings with plain slicing and
     multiplied by SciPy as an integer ``P·Pᵀ``; per output block of a 3x4
     blocking on a 2x2 grid, the blocked-SUMMA candidates' coordinates and
-    shared-k-mer counts must equal the matching slice with error exactly 0,
-    and every stored seed pair must point at k equal residues.
+    shared-k-mer counts must equal the matching slice with error exactly 0 —
+    the overlap records of the operands on every k-mer, and the counts of
+    the operands born on the shared k-mers — and every stored seed pair
+    must point at k equal residues.
     """
     import scipy.sparse as sp
+    from search_oracles import unrestricted_operands
 
     from repro.core.kmer_matrix import build_distributed_kmer_matrix
     from repro.core.params import PastisParams
@@ -358,7 +361,11 @@ def test_blocked_discover_equals_scipy_oracle_block_by_block():
     seqs = synthetic_dataset(n_sequences=26, seed=31)
     params = PastisParams(kmer_length=k, nodes=4, substitute_kmers=0, blocking=(3, 4))
     comm = SimCommunicator(params.nodes)
-    a_dist, at_dist, _ = build_distributed_kmer_matrix(seqs, params, comm)
+    a_dist, at_dist, _ = unrestricted_operands(seqs, params, comm)
+    born = BlockedSpGemm(
+        *build_distributed_kmer_matrix(seqs, params, comm)[:2], CountSemiring(),
+        BlockSchedule(len(seqs), len(seqs), 3, 4),
+    )
 
     n = len(seqs)
     strings = [seqs.residues(i) for i in range(n)]
@@ -389,6 +396,10 @@ def test_blocked_discover_equals_scipy_oracle_block_by_block():
         np.add.at(counts, (found.rows - r0, found.cols - c0), found.values["count"])
         assert found.nnz == np.count_nonzero(counts)  # one element per coordinate
         max_block_error = max(max_block_error, int(np.abs(counts - oracle[r0:r1, c0:c1]).max()))
+        born_found = born.compute_block(block.block_row, block.block_col).result.to_global()
+        born_counts = np.zeros_like(counts)
+        born_counts[born_found.rows - r0, born_found.cols - c0] = born_found.values
+        max_block_error = max(max_block_error, int(np.abs(born_counts - counts).max()))
         for i, j, rec in zip(found.rows, found.cols, found.values):
             seeds = [(rec["first_pos_a"], rec["first_pos_b"])]
             # a second seed exactly when there is a second shared k-mer: the
@@ -412,14 +423,15 @@ def test_summa_overlap_payload_equals_serial_kernel_on_every_grid(nodes):
     merge is associative, so every field — the two seeds included — equals
     one serial kernel call on the undistributed operands.
     """
-    from repro.core.kmer_matrix import build_distributed_kmer_matrix
+    from search_oracles import unrestricted_operands
+
     from repro.core.params import PastisParams
     from repro.sparse.gustavson import spgemm_gustavson
 
     seqs = synthetic_dataset(n_sequences=26, seed=31)
     params = PastisParams(kmer_length=4, nodes=nodes, substitute_kmers=0)
     comm = SimCommunicator(nodes)
-    a_dist, at_columns, _ = build_distributed_kmer_matrix(seqs, params, comm)
+    a_dist, at_columns, _ = unrestricted_operands(seqs, params, comm)
     at_dist = at_columns.col_stripe((0, len(seqs)))  # one column stripe
     sr = OverlapSemiring()
     serial = spgemm_gustavson(a_dist.matrix, at_dist.matrix, sr)
@@ -472,11 +484,13 @@ def test_blocked_summa_slices_each_stripe_once_per_run():
 def test_blocked_summa_assembles_operands_once_and_records_each_product(
     monkeypatch, shared
 ):
-    """The engine assembles one ``A`` operand per block row and, under
-    ``shared_inner``, one ``B`` operand per block column (without it each
-    block selects ``B``'s rows); the metrics hold one measured product per
-    block, with the block's SUMMA flops."""
+    """The engine assembles one ``A`` operand per block row and, for
+    operands born on the shared k-mers, one ``B`` operand per block column
+    (for others each block selects ``B``'s rows); the metrics hold one
+    measured product per block, with the block's SUMMA flops."""
     from collections import Counter
+
+    from search_oracles import born_shared
 
     import repro.distsparse.blocked_summa as blocked_module
 
@@ -484,9 +498,12 @@ def test_blocked_summa_assembles_operands_once_and_records_each_product(
     n = 24
     a = random_coo((n, 120), 200, 7, dtype=np.int32)
     schedule = BlockSchedule(n, n, 3, 4)
-    holders = np.bincount(a.cols, minlength=a.shape[1])
-    kwargs = {"shared_inner": holders >= 2} if shared else {}
-    engine = blocked_engine(a, comm, schedule, CountSemiring(), **kwargs)
+    if shared:
+        engine = BlockedSpGemm(
+            *born_shared(a, comm, schedule.col_cuts()), CountSemiring(), schedule
+        )
+    else:
+        engine = blocked_engine(a, comm, schedule, CountSemiring())
     assembled = Counter()
     for name in ("row_operand", "col_operand"):
         original = getattr(blocked_module, name)

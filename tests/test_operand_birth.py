@@ -271,8 +271,7 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     # the born operands hold dense k-mer ids: through the dictionary, the
     # dense global operands are the k-mer-id ones
     dense = seed_operand(extract_seed_triples(seqs, params)).dense()
-    kmer_ids = born["info"].kmer_ids
-    assert np.array_equal(dense.info.kmer_ids, kmer_ids)
+    kmer_ids = dense.info.kmer_ids
     a_global, at_global = dense.rowmajor(), dense.transposed()
     a_by_id, at_by_id, _ = _global_operands(seqs, params)
     assert np.array_equal(kmer_ids[a_global.cols], a_by_id.cols)
@@ -281,6 +280,17 @@ def test_nothing_is_redone_after_birth(monkeypatch):
     assert np.array_equal(at_global.cols, at_by_id.cols)
     for got, want in ((a_global, a_by_id), (at_global, at_by_id)):
         assert np.array_equal(got.values, want.values)
+    # ... born on the k-mers two rows hold, relabelled to their ranks: the
+    # dense global operands' entries of those
+    shared = np.bincount(at_global.rows, minlength=kmer_ids.size) >= 2
+    assert np.array_equal(kmer_ids[shared], born["info"].kmer_ids)
+    ranks = (np.cumsum(shared) - 1).astype(at_global.rows.dtype)
+    held = shared[a_global.cols]
+    a_global = CooMatrix(a_global.shape, a_global.rows[held], ranks[a_global.cols[held]],
+                         a_global.values[held], check=False)
+    held = shared[at_global.rows]
+    at_global = CooMatrix(at_global.shape, ranks[at_global.rows[held]], at_global.cols[held],
+                          at_global.values[held], check=False)
     schedule = BlockSchedule(len(seqs), len(seqs), 3, 3)
     stripes = {"a": {}, "b": {}}
     for a, b in handed:

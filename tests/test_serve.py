@@ -19,7 +19,6 @@ from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockSchedule
 from repro.distsparse.shards import shard_filename
-from repro.core.kmer_matrix import build_distributed_kmer_matrix
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences import SequenceSet, write_fasta
 from repro.sequences.alphabet import MURPHY10
@@ -38,6 +37,7 @@ from repro.serve import (
 from repro.serve.cli import main as serve_main
 from repro.serve.query import resolve_queries
 from repro.serve.index import INDEX_VERSION, MANIFEST_NAME, SEQUENCES_NAME, SHARD_DIR
+from search_oracles import unrestricted_operands
 
 N_DB = 16
 
@@ -60,13 +60,14 @@ def db(tmp_path_factory):
 
 # ---------------------------------------------------------------------- index
 def test_index_round_trip_bitwise(db):
-    """Stored stripes reload bitwise equal to the ones an all-vs-all run
-    slices out of its freshly built ``Aᵀ`` — whose rows are dense k-mer ids,
-    so its k-mer coordinates are compared through the dictionary."""
+    """Stored stripes reload bitwise equal to the stripes of the full
+    ``Aᵀ`` — every k-mer, the index keeps them all — on the batch birth's
+    dense k-mer ids and chunks, so its k-mer coordinates are compared
+    through the dictionary."""
     sequences, params, index_dir = db
     index = KmerIndex.open(index_dir)
     comm = SimCommunicator(params.nodes)
-    _, bt, info = build_distributed_kmer_matrix(sequences, params, comm)
+    _, bt, info = unrestricted_operands(sequences, params, comm)
     schedule = BlockSchedule(n_rows=N_DB, n_cols=N_DB, br=1, bc=index.bc)
     for c in range(index.bc):
         expected = bt.col_stripe(schedule.col_range(c))
