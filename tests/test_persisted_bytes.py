@@ -96,27 +96,27 @@ def persisted(root: Path, nodes: int, blocks: int, monkeypatch) -> dict:
 
 EXPECTED = {(1, 1): {'shards': {'stripe-00000-rank-000.bin': '030ddfef1dfc08c0e70076296db31468824419fe5a9a9afb7ae8577ef5c377e0'},
           'stripe_digests': ['b99a204661376609a5fda9beab1ffd5ec450e49f90949be6764a22a227ed4337'],
-          'all_vs_all_keys': {'0,0': '496bfdd1b6ceb5f98a4a46c98c959586dce86b0cd207f64c1cc73b492fe21fd4'},
-          'query_keys': {'0,0': 'aa0caf62dfd96308aeba4738436bd8d6644b132725a5e688bbeec4c2a3ae0a9e'}},
+          'all_vs_all_keys': {'0,0': 'b6837f10e6ed379b9ef8241067c831f6daf32e375ae252d92a52702e2502343e'},
+          'query_keys': {'0,0': '90d6cff07bcef992c6ca48c7ac86a94f1ebccc908cbd42f5c0b13d93bee1416b'}},
  (1, 4): {'shards': {'stripe-00000-rank-000.bin': '6d43dcd6da1d82606ecf9f50170404e5b8ec94ce8075ef251da380c987cc8341',
                      'stripe-00001-rank-000.bin': '43d8a64efbe9c756a1bb5a92bd65ee22f36ba7c9afca39c3a8d404e809fa10b9'},
           'stripe_digests': ['a0c776b9abc2f9cee3139cc02620956b235e19abb8be53afee578d8ee4deed67',
                              '8d8813db39004b91251c2504f4334108f86abdc40d92affc7122c84dae078faa'],
-          'all_vs_all_keys': {'0,0': 'e92b7a96a2d136922ba7921a19678f0e296d2b2685debc566d229386058576d4',
-                              '0,1': '00c1e358809eddb1bad0f19a5335fc3baaaca874c595341ee9be6846472595ae',
-                              '1,0': 'c432dfcec706698004bd08b3f8efcb011f9f12bd62eea54cd3f2334bdba21ad2',
-                              '1,1': '66650e581b3d85a83326b20b6f60fcea48802da409cfe40899ac942094f90834'},
-          'query_keys': {'0,0': 'b9fed8b322985e179cf328a894c9ec1c7e06e8657f9e5ee49a09acb8496726de',
-                         '0,1': '7a530438d41512c94ef0e336de307a3f5d5904e6c0d26d702319e543616237b8',
-                         '1,0': '4acaf78e9b7df42a7f4700a2137923b1c9c0fc198f7cd8053bcb7c731de408ea',
-                         '1,1': '049dcd6a9f22d138dc183851778494f925c7b83b0ef87afae3d6961a0e0d305c'}},
+          'all_vs_all_keys': {'0,0': 'f2f9743452430b1c0b1349e20cbb0ab47dcb7c45ab35c55447f6aff4c446cc77',
+                              '0,1': '703fb8aa636cc760a04b4eaa75c7fd1b2eaae526ee8e8a092fda5cb02359ec31',
+                              '1,0': 'c60c042f490dd31002d56dc01fa69b9e833bd47bb71a281eb02d81b7d3f5b7ce',
+                              '1,1': '09eb6d770e46c5dffb948256dfbd4963b3e95fb3fa198d80c215c2790d8d0ca8'},
+          'query_keys': {'0,0': '801030cf3672da15cd23d26412ba65fb6318640069b21d162f0207f01113f6f0',
+                         '0,1': 'ddf094e34e1d363027c917535517c887cc3affced16f5bfdfa4796c835150595',
+                         '1,0': 'ba92feb9ab1f7286f20980ce9efead34a8c5130680abed114d224c4df7c1e930',
+                         '1,1': '1cbacb33eb2a0407c858ba823914d189c5605df814c1cdb9b1e4cdb0351a8cd7'}},
  (4, 1): {'shards': {'stripe-00000-rank-000.bin': '6d4580ebf363da83f23e3b75b0f49b8e6bae4445803bfd82a1d91d93f99bcba7',
                      'stripe-00000-rank-001.bin': 'fb342b00d24df10b52d6ee846551bfb603a9bfab2b09499eb5a2009cbb993c6a',
                      'stripe-00000-rank-002.bin': 'eee19d121a12176d196efc1d0e9fe17a70fa5585637a2f35b84bbe074efea7ab',
                      'stripe-00000-rank-003.bin': '0ce02b099bf4d7ab891823494529c05e60daab1458810b563f0705cad4586aa7'},
           'stripe_digests': ['d4d1d1278d4c06292ca8469f20cdc79beebb34e05043ee988c825ae81876a1eb'],
-          'all_vs_all_keys': {'0,0': '19583b7992e831eb0d24b29201c19ad944a542876c6b9181e8401148219c8972'},
-          'query_keys': {'0,0': '8110645ddf510b7a666e56489905104f6b468f0489555137a6e1ee351c00e88f'}},
+          'all_vs_all_keys': {'0,0': '90137580b03d0ae74b861a070b852a5a7497e3a300a531cf1ee4f50e9a6839cb'},
+          'query_keys': {'0,0': 'f044378844c14bf00e913de3f046f9866546c9fcb8c8566dfeaeb291a07f911d'}},
  (4, 4): {'shards': {'stripe-00000-rank-000.bin': '6d4580ebf363da83f23e3b75b0f49b8e6bae4445803bfd82a1d91d93f99bcba7',
                      'stripe-00000-rank-001.bin': 'b5990967e2f2f06b01d2c9fa53361cdb6adf446ab23fe3fc82caf20a25ec0921',
                      'stripe-00000-rank-002.bin': 'eee19d121a12176d196efc1d0e9fe17a70fa5585637a2f35b84bbe074efea7ab',
@@ -127,14 +127,14 @@ EXPECTED = {(1, 1): {'shards': {'stripe-00000-rank-000.bin': '030ddfef1dfc08c0e7
                      'stripe-00001-rank-003.bin': '0ce02b099bf4d7ab891823494529c05e60daab1458810b563f0705cad4586aa7'},
           'stripe_digests': ['ddfb75606dcb8a8a3bc705c7d75a7c20be9a623dbc1685fcf806d2abd173b189',
                              'f39d65e9072546f3a87570011ef41a822fc22f0899a41d163718ed31fa3de56a'],
-          'all_vs_all_keys': {'0,0': '5114b0b7c0db0c8d658dc6380bf4cef081568aa56d309c1c3d40ab1fe606354e',
-                              '0,1': 'a6171adf8287e1737c8fd4ad58852c2eee787aa4c3141d88df6218f4467e5944',
-                              '1,0': 'b8cb821186d04557db38430401c610c970825fbcf4bce5864006f1070377ebff',
-                              '1,1': 'eaa18856fabba8d5b16c54ea06740bc60f939a78bb23807c7b001d55864d1a0e'},
-          'query_keys': {'0,0': '30554b3b85e23d09168b3c261bdedd8d75fa6a4736977bcdc651f9ec34802138',
-                         '0,1': '1bcc8dcfc758cd0ec3823bba6b69bfd6ae7a0460abf04812a146ad11ab73866c',
-                         '1,0': '9cd89b9e7fcab450d6c04add74d59d6a8f572b9cc4c4a4a73b04222e28ff0c62',
-                         '1,1': 'e1edaec29573af212baa48323caecbb7ede941ef42af8351b19a38f7358281b3'}},
+          'all_vs_all_keys': {'0,0': '06851d5cad824175dfdfd58ea1c885e7980dca1b4b358ea92a16137a3c242daa',
+                              '0,1': 'fe182c3061b8630f5153f90bf0e15bbcc4ae081a03a939418ef9f4c36cde642e',
+                              '1,0': '149ba1f192a77c30a3b168a945c1c2d580c626ca1a475b38ea754e8b95da92ce',
+                              '1,1': '1d9888deaeee43965b36ffbb7dfa8eca1f9308f69bf45acb948835d7ba2c1ff0'},
+          'query_keys': {'0,0': 'e902f835fc36ec3190870cf4366a021c6dcd19df334ef1d908263ebe6b279742',
+                         '0,1': 'e9c2ac526c97221f7cf0280081668f32c80a91d4f857ec8e2287ff9d86586d45',
+                         '1,0': '6b0de75b56b81bf97e12fc9c7b6ecfb334bed96eed9e0bc37e165e423c8449d2',
+                         '1,1': 'd851849d47b323c1c3a3fbbe2233cac09636cbafa1be88448378c39f76751c3b'}},
  (4, 9): {'shards': {'stripe-00000-rank-000.bin': '19a7041a0085bc527fed81110461c8d7faa9396b13d414ea0494c81d4ebe40c3',
                      'stripe-00000-rank-001.bin': 'b5990967e2f2f06b01d2c9fa53361cdb6adf446ab23fe3fc82caf20a25ec0921',
                      'stripe-00000-rank-002.bin': '3b4dd4bf720d645709e369b80bf6ea0aaf7538692ce1b887bc20e1e2b663b846',
@@ -150,24 +150,24 @@ EXPECTED = {(1, 1): {'shards': {'stripe-00000-rank-000.bin': '030ddfef1dfc08c0e7
           'stripe_digests': ['9458f83844e2cdac6e309d30572f67464475e40300614347ee0f77da72eb8ac3',
                              '8eb3b88d555703f6e04036bd2ea5a63b1b5f2596b4e4bf77152085b4936bc945',
                              '81b29874d58526a06420bace02dd5efa8b13281a8ab2bd99881c5f6a3f2f57b9'],
-          'all_vs_all_keys': {'0,0': '1c6141ae8c9185d904e1e326e780ac6f6a599a325c46ee0c90c56caf42636c8f',
-                              '0,1': '69258d7959fb747fd17403de775887240cf57507096748598867359dca1c9256',
-                              '0,2': 'fffd480ed3afa2bf50aa46f792ad2861d0c8d1d891330989986cf6919d14759c',
-                              '1,0': 'bc90e1ae5516cced0bbf8a971d61bbaf5540c7bf7255ba97c1d20c5b053879e4',
-                              '1,1': '1581a97741977104e8abe39faaa2b721ced2050642ed1909501d2c81ed6c908e',
-                              '1,2': '438ad6026ee0144009b07d3118e156328f67b0b0dd64e2e4bfd82b244f87ceae',
-                              '2,0': 'a939a919be8eb09a306ee7aeaf9d04f96f594e4251f6fdb83115bae3dd05d637',
-                              '2,1': 'c7073200e69dac1acd1013cb6743f2b83eab1fa65522e24b7b291d92d783733d',
-                              '2,2': 'd9734285bb942bda21f04a8429040f6ce294e25d162b0e39d3aee07fcb4580f7'},
-          'query_keys': {'0,0': '83dee5f4b75639d81c66f9fbc848fb902a154e20d5b688ed30016aca05d0e475',
-                         '0,1': '4d94c759b58801ed66d1ea01bf7e136d21a27a2c67dafc6b7f1ca798243f0a36',
-                         '0,2': '872ac41dc9932244526243a6623d0fedccf6937f477e04fa942d92cb60d99766',
-                         '1,0': 'b35206c8a94e22effc93c1929ec60d6f0270d064eba9294a139ead7a304aadb2',
-                         '1,1': 'd04ca83f2a1e23101c66f8adb2e7e6071a8333e2b231df9e22a7761a92df1d00',
-                         '1,2': 'a31da9adf64695bfb310c78af45e4e30e69ff963987d57b90c491d52469399f3',
-                         '2,0': 'b225e103371b0cef6212339f150403a720b7c6b5f6ca2b38edad18938997e1ff',
-                         '2,1': '19d9a488e82b2a8e178e79d6f31e62e5d807560bcd1da1294f2c10f8ffdde4bd',
-                         '2,2': 'c0b25b366220ff96923d4be96c50f521b8349bc82f5a6e65712caed93ead644b'}}}
+          'all_vs_all_keys': {'0,0': 'b8b4cc3c84705e95c566d5d630071314a928551dbbedf75bb3d4008ac0473882',
+                              '0,1': '022f5d49c5dc5d516c011b83e0c05173021c441a106aa43242e26ece557a2ac3',
+                              '0,2': '85fcc5b75ae69d0c84ad323b4df51f7d5f7d28281bd00c0e401b01078ac81daf',
+                              '1,0': '7e85f83daa1294800c767fb152c2ed0e2ea38bff3e72678c3fdbf0297d60a9c5',
+                              '1,1': 'acfc0e6b5c6f2c326ee6a9ae7a56477a029853678ce4d78de7ace1e42f937752',
+                              '1,2': '62b578696debf7350d78a412e562620248c17498cea9b02927966f3e97aa8d50',
+                              '2,0': '3b9f81806374fe875e1e3c7cd9203415acf955133e23b09645e5c943b811b7f6',
+                              '2,1': '3f091e2b4030d495f89334ad04c959ddf7d567ad3c69eedc27a9ed1bf470fac5',
+                              '2,2': 'f36197ac41af4d887e89b28d896576a30c9c6afa90f26acb55cc00bf90c971ca'},
+          'query_keys': {'0,0': '0dea3b5c0966fd2e20620b8d9b13a0413110a63fc43f8c85747204ccb476078f',
+                         '0,1': '709920bddd265eac5728b58940adb36bebacb7e218a138cbfe52be45f064b901',
+                         '0,2': '353676e6ec8558e0cbb7156156096fdb44a60af2be94e51fa7a80512b1b50850',
+                         '1,0': '7169ad762490aef209541133c65933ca46216a8c3d2c0c81c0b163f930d95566',
+                         '1,1': '50c0d4db390f153c5779bdcc68afd3a8066e26d957b7690c3ce5af8f36f7e82d',
+                         '1,2': 'ecdb001ea3891d3a1a5c0898062439364797b528c69a80d5066767a39d50ee68',
+                         '2,0': '78f05f96ac9e7cfd8de82e289426da540b1c648f72416b7a24a9249a60784750',
+                         '2,1': '6cfd454536a2c88d7e3682142a4630a94d6013ccc41b2ce175cd8edc041edb7e',
+                         '2,2': '939f326a60d179a4f2df31f9aa8f82f0afe45f0864495f3cffade99d5b4e8c2b'}}}
 
 
 @pytest.mark.parametrize("nodes, blocks", CELLS)
