@@ -62,7 +62,7 @@ def run():
             OverlapSemiring(),
             schedule,
         )
-        peak_block_bytes = max(block.memory_bytes() for block in engine.iter_blocks())
+        peak_block_bytes = max(block.matrix.memory_bytes() for block in engine.iter_blocks())
         comm_seconds = comm.ledger.component_time("comm")
         measured.append(
             {

@@ -178,9 +178,7 @@ class AlignmentPhase:
         return AlignmentWindow(self.driver.batch_size if full_sw else 1)
 
     # ------------------------------------------------------------------ execution
-    def align_block(
-        self, window: AlignmentWindow | list[list[CooMatrix]]
-    ) -> list[BlockAlignmentOutput]:
+    def align_block(self, window: AlignmentWindow) -> list[BlockAlignmentOutput]:
         """Align a window's due pairs; filter the completed blocks to similar pairs.
 
         The due pairs (see :class:`AlignmentWindow`) are **one**
@@ -194,16 +192,9 @@ class AlignmentPhase:
         measured seconds are the group's pairs' shares, by cells, of the
         kernel calls that aligned them.  The ledger is left untouched: the
         stage loop charges it (see :mod:`repro.core.engine.schedulers`).
-
-        A plain list holds, per block, every rank's (already pruned and
-        filtered) overlap elements in global coordinates; it is aligned as
-        one closed window.
+        To align whole blocks at once, add them to a :meth:`window` and
+        close it.
         """
-        if not isinstance(window, AlignmentWindow):
-            blocks, window = window, self.window()
-            for per_rank in blocks:
-                window.add(per_rank)
-            window.closed = True
         due = window.due
         if due:
             lengths = self.sequences.lengths

@@ -10,12 +10,15 @@ with four explicit stages:
     flops charged from its counts — and derive the per-rank modeled sparse
     (SpGEMM + stripe-traversal) seconds.
 ``prune``
-    Apply the load-balancing scheme's element selection, drop self pairs,
-    and apply the common-k-mer threshold — per rank; discovery produced
-    shared-k-mer counts only, so under ``alignment_mode="seed_extend"`` the
-    survivors' seed positions are gathered here too.  :meth:`BlockTask.release`
-    ends the stage: the block's
-    :class:`~repro.distsparse.blocked_summa.OutputBlock` is dropped and its
+    Apply the common-k-mer threshold, the load-balancing scheme's element
+    selection and the self-pair drop, once, to the block's product;
+    discovery produced shared-k-mer counts only, so under
+    ``alignment_mode="seed_extend"`` the survivors' seed positions are
+    gathered here too.  Only then are the survivors cut by owner rank
+    (:func:`~repro.distsparse.stripe.by_owner`): rank after rank, row-major
+    within a rank, the order the alignment window reads.
+    :meth:`BlockTask.release` ends the stage: the block's
+    :class:`~repro.distsparse.summa.SummaResult` is dropped and its
     accumulator slot released, so a block waiting for alignment holds its
     survivors only.
 ``align``
@@ -56,7 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...distsparse.blocked_summa import BlockedSpGemm, BlockSchedule, OutputBlock
+from ...distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
+from ...distsparse.stripe import by_owner
+from ...distsparse.summa import SummaResult
 from ...metrics.timers import time_call
 from ...mpi.communicator import SimCommunicator
 from ...mpi.costmodel import RecordingLedger, replay_journal
@@ -129,7 +134,7 @@ class BlockResult:
     """What :func:`discover` hands to :func:`commit`."""
 
     #: the computed block (None on a cache hit)
-    block: OutputBlock | None
+    block: SummaResult | None
     #: the stored block being replayed (None on a miss)
     entry: CachedBlock | None
     sparse_seconds: np.ndarray
@@ -173,13 +178,13 @@ def discover(ctx: StageContext, task: "BlockTask") -> BlockResult:
     try:
         with maybe_span(ctx.trace, "discover", "stage", lane="discover", block=coords) as span:
             block, wall_seconds = time_call(ctx.engine.compute_block, *coords)
-            span.set(nnz=block.nnz, flops=float(block.result.flops_per_rank.sum()))
+            span.set(nnz=block.nnz, flops=float(block.flops_per_rank.sum()))
     finally:
         comm.ledger, comm.collectives.ledger = ledgers
     sparse_seconds = np.array(
         [
             ctx.cost_model.spgemm_seconds(f) + ctx.stripe_seconds
-            for f in block.result.flops_per_rank
+            for f in block.flops_per_rank
         ]
     )
     return BlockResult(
@@ -188,7 +193,7 @@ def discover(ctx: StageContext, task: "BlockTask") -> BlockResult:
         sparse_seconds=sparse_seconds,
         stats=block.stats,
         candidates=block.nnz,
-        block_bytes=block.memory_bytes(),
+        block_bytes=block.matrix.memory_bytes(),
         wall_seconds=wall_seconds,
         journal=journal.events,
     )
@@ -232,7 +237,7 @@ class BlockTask:
     #: the committed discover result
     result: BlockResult | None = field(default=None, repr=False)
     #: the computed block the prune stage reads (None on a cache hit)
-    block: OutputBlock | None = field(default=None, repr=False)
+    block: SummaResult | None = field(default=None, repr=False)
     candidates: list[CooMatrix] | None = field(default=None, repr=False)
     record: BlockRecord | None = field(default=None, repr=False)
     #: a miss to store in the cache once ``accumulate`` completes it
@@ -240,28 +245,27 @@ class BlockTask:
 
     # ------------------------------------------------------------------ stages
     def prune(self, ctx: StageContext) -> list[CooMatrix]:
-        """Select the elements each rank will align."""
+        """Select the elements each rank will align: the block's survivors,
+        one piece per rank."""
         assert self.result is not None, "prune before commit"
         if self.result.entry is not None:
             self.candidates = []
             return self.candidates
-        with maybe_span(
-            ctx.trace, "prune", "stage", block=(self.block_row, self.block_col)
-        ):
-            per_rank: list[CooMatrix] = []
-            for rank_piece in self.block.result.per_rank:
-                # three per-entry filters, so their order changes nothing but
-                # the work: the count threshold, which keeps fewest, goes first
-                pruned = filter_common_kmers(rank_piece, ctx.params.common_kmer_threshold)
-                pruned = ctx.scheme.prune(pruned)
-                pruned = drop_self_pairs(pruned)
-                per_rank.append(pruned)
+        r, c, engine = self.block_row, self.block_col, ctx.engine
+        with maybe_span(ctx.trace, "prune", "stage", block=(r, c)):
+            # three per-entry filters, so their order changes nothing but
+            # the work: the count threshold, which keeps fewest, goes first
+            pruned = filter_common_kmers(self.block.matrix, ctx.params.common_kmer_threshold)
+            pruned = ctx.scheme.prune(pruned)
+            pruned = drop_self_pairs(pruned)
             if ctx.params.alignment_mode == "seed_extend":
                 # discovery counted shared k-mers only; the survivors' seeds
                 # are gathered here, where they are read
-                per_rank = ctx.engine.with_seeds(self.block_row, self.block_col, per_rank)
-            self.candidates = per_rank
-        return per_rank
+                pruned = engine.with_seeds(r, c, pruned)
+            self.candidates = by_owner(
+                pruned, engine.row_stripe(r).row_starts, engine.col_stripe(c).col_starts
+            )
+        return self.candidates
 
     def release(self, ctx: StageContext) -> None:
         """Drop the pruned block and release its live-block slot.

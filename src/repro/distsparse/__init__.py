@@ -25,7 +25,7 @@ CombBLAS plays for PASTIS:
 from .stripe import ColumnStripes, Stripe
 from .distribute import charge_distribution, distribute_sequences
 from .summa import summa, SummaResult
-from .blocked_summa import BlockedSpGemm, BlockSchedule, OutputBlock
+from .blocked_summa import BlockedSpGemm, BlockSchedule
 
 __all__ = [
     "Stripe",
@@ -36,5 +36,4 @@ __all__ = [
     "SummaResult",
     "BlockedSpGemm",
     "BlockSchedule",
-    "OutputBlock",
 ]

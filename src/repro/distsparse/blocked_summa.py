@@ -16,10 +16,14 @@ times — the communication trade-off quantified by the paper's cost formula
 
 :class:`BlockedSpGemm` exposes the blocks as a generator so the caller (the
 pipeline, possibly with pre-blocking) controls how many blocks are alive at
-any time; each block reports its own ``memory_bytes``, from which the
-memory/blocking trade-off (Fig. 5) is read.  The engine keeps no run totals:
-computing a block changes nothing but the stripe cache and the ledger SUMMA
-charges.
+any time.  A block is SUMMA's result
+(:class:`~repro.distsparse.summa.SummaResult`): one row-major product in
+global coordinates, whose ``memory_bytes`` is what the memory/blocking
+trade-off (Fig. 5) reads; its range is the schedule's.  No block is cut into
+the grid's pieces: a caller reads an entry's owner off the stripes' chunk
+starts (:func:`~repro.distsparse.stripe.by_owner`).  The engine keeps no run
+totals: computing a block changes nothing but the stripe cache and the
+ledger SUMMA charges.
 
 The stripes are the paper's stored-once, re-traversed operands: each
 distinct ``A(r, *)`` / ``B(*, c)`` is taken the first time a block needs it
@@ -50,7 +54,6 @@ import numpy as np
 from ..sparse.coo import CooMatrix
 from ..sparse.kernels import resolve_kernel
 from ..sparse.semiring import OverlapSemiring, Semiring
-from ..sparse.spgemm import SpGemmStats
 from .stripe import ColumnStripes, Stripe
 from .summa import (
     ColOperand,
@@ -131,39 +134,6 @@ def _chunk_bounds(n: int, parts: int, index: int) -> tuple[int, int]:
 
 
 @dataclass
-class OutputBlock:
-    """One computed block of the overlap matrix.
-
-    Attributes
-    ----------
-    block_row, block_col:
-        Block coordinates within the ``br x bc`` blocking.
-    row_range, col_range:
-        Global index ranges the block covers.
-    result:
-        The SUMMA result: per-rank COO pieces in global coordinates.
-    stats:
-        SpGEMM statistics of this block.
-    """
-
-    block_row: int
-    block_col: int
-    row_range: tuple[int, int]
-    col_range: tuple[int, int]
-    result: SummaResult
-    stats: SpGemmStats
-
-    @property
-    def nnz(self) -> int:
-        """Number of candidate elements discovered in this block."""
-        return self.result.nnz
-
-    def memory_bytes(self) -> int:
-        """Memory held by this block's per-rank outputs."""
-        return self.result.memory_bytes()
-
-
-@dataclass
 class BlockedSpGemm:
     """Blocked 2D Sparse SUMMA engine.
 
@@ -227,11 +197,10 @@ class BlockedSpGemm:
         )
 
     # ------------------------------------------------------------------ block computation
-    def compute_block(self, block_row: int, block_col: int) -> OutputBlock:
+    def compute_block(self, block_row: int, block_col: int) -> SummaResult:
         """Compute one output block: SUMMA over the corresponding stripes,
-        one product charged as the grid (:func:`~repro.distsparse.summa.summa`)."""
-        row_range = self.schedule.row_range(block_row)
-        col_range = self.schedule.col_range(block_col)
+        one product charged as the grid (:func:`~repro.distsparse.summa.summa`),
+        in global coordinates."""
         if self._row_operand is None or self._row_operand[0] != block_row:
             self._row_operand = None  # the previous row's operand goes first
             self._row_operand = (block_row, row_operand(self.row_stripe(block_row)))
@@ -240,7 +209,7 @@ class BlockedSpGemm:
             if block_col not in self._col_operands:
                 self._col_operands[block_col] = col_operand(self.col_stripe(block_col))
             right = self._col_operands[block_col]
-        result = summa(
+        return summa(
             self.row_stripe(block_row),
             self.col_stripe(block_col),
             self.semiring,
@@ -250,19 +219,9 @@ class BlockedSpGemm:
             left=self._row_operand[1],
             right=right,
         )
-        return OutputBlock(
-            block_row=block_row,
-            block_col=block_col,
-            row_range=row_range,
-            col_range=col_range,
-            result=result,
-            stats=result.stats,
-        )
 
-    def with_seeds(
-        self, block_row: int, block_col: int, pieces: list[CooMatrix]
-    ) -> list[CooMatrix]:
-        """``pieces`` — candidate pairs of one block, in global coordinates —
+    def with_seeds(self, block_row: int, block_col: int, pairs: CooMatrix) -> CooMatrix:
+        """``pairs`` — candidate pairs of one block, in global coordinates —
         with their values replaced by overlap records carrying two seeds.
 
         One :class:`~repro.sparse.semiring.OverlapSemiring` product of the
@@ -271,10 +230,9 @@ class BlockedSpGemm:
         function of its pair alone (the semiring's add is an associative
         merge), so it equals the one a full overlap SUMMA would have formed.
         """
-        rows = np.concatenate([p.rows for p in pieces])
-        cols = np.concatenate([p.cols for p in pieces])
+        rows, cols = pairs.rows, pairs.cols
         if rows.size == 0:
-            return pieces
+            return pairs
         a = _restricted(self.row_stripe(block_row), np.unique(rows), axis=0)
         b = _restricted(self.col_stripe(block_col), np.unique(cols), axis=1)
         kernel = resolve_kernel(self.spgemm_backend)
@@ -290,16 +248,11 @@ class BlockedSpGemm:
                 f"block ({block_row}, {block_col}): a candidate pair shares no "
                 "k-mer with its partner, so it has no seed"
             )
-        seeds = product.values[at]
-        bounds = np.cumsum([0] + [p.nnz for p in pieces])
-        return [
-            CooMatrix(p.shape, p.rows, p.cols, seeds[lo:hi], check=False)
-            for p, lo, hi in zip(pieces, bounds[:-1], bounds[1:])
-        ]
+        return CooMatrix(pairs.shape, rows, cols, product.values[at], check=False)
 
     def iter_blocks(
         self, blocks: Iterable[tuple[int, int]] | None = None
-    ) -> Iterator[OutputBlock]:
+    ) -> Iterator[SummaResult]:
         """Yield output blocks one at a time (incremental similarity search).
 
         ``blocks`` defaults to all ``br * bc`` blocks in row-major order; the

@@ -21,6 +21,8 @@ column stripes once, at birth (:meth:`Stripe.cut_columns`), and handed out
 by :class:`ColumnStripes`, which also serves the index's stored stripes.
 :meth:`Stripe.per_rank` cuts a stripe into the rank blocks themselves —
 the form the index stores — and :meth:`Stripe.join` is its inverse.
+:func:`by_owner` cuts a product's entries by the same ownership, for the
+few a search keeps.
 """
 
 from __future__ import annotations
@@ -51,6 +53,27 @@ def _chunk_index(values: np.ndarray, starts: np.ndarray, span: int) -> np.ndarra
     for start in starts[1:]:
         index += values >= start
     return index
+
+
+def by_owner(
+    matrix: CooMatrix, row_starts: np.ndarray, col_starts: np.ndarray
+) -> list[CooMatrix]:
+    """``matrix`` (global coordinates) cut into one piece per rank of the
+    grid whose row chunks start at ``row_starts`` and column chunks at
+    ``col_starts``, in rank order: rank ``(i, j)`` owns row chunk ``i`` ×
+    column chunk ``j``.  One stable sort by owner, so each piece keeps its
+    entries in ``matrix``'s order."""
+    dim = row_starts.size - 1
+    owner = _chunk_index(matrix.rows, row_starts[:-1], matrix.shape[0]) * dim
+    owner += _chunk_index(matrix.cols, col_starts[:-1], matrix.shape[1])
+    order = np.argsort(owner, kind="stable")
+    bounds = np.zeros(dim * dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=dim * dim), out=bounds[1:])
+    rows, cols, values = matrix.rows[order], matrix.cols[order], matrix.values[order]
+    return [
+        CooMatrix(matrix.shape, rows[lo:hi], cols[lo:hi], values[lo:hi], check=False)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 @dataclass(frozen=True, eq=False)

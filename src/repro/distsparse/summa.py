@@ -20,7 +20,11 @@ and column ``c`` — multiplied at stage ``k``: under the count semiring its
 value is that multiply's flops at the entry.  Reducing each coordinate's
 stage entries in stage order with the semiring is SUMMA's per-rank merge
 (a semiring other than the count one multiplies a second time for the
-values), and a coordinate belongs to its row chunk × column chunk's rank.
+values).  The result is that one product, row-major in global coordinates
+(:class:`SummaResult`): the grid's pieces of it are not cut, since a
+coordinate's owner is its row chunk × column chunk's rank, which a caller
+reads off the stripes' chunk starts for the few entries it keeps
+(:func:`~repro.distsparse.stripe.by_owner`).
 Unless born on the shared k-mers (below), ``B``'s operand holds only the
 rows ``A``'s stripe meets (one binary search per inner id: a served query
 meets a few of a database stripe's rows); the caller may pass operands it
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,11 +84,10 @@ class SummaResult:
 
     Attributes
     ----------
-    shape:
-        Global shape of the full output matrix the coordinates refer to.
-    per_rank:
-        One COO matrix per rank, in **global** coordinates, holding the
-        output elements that rank owns, row-major.
+    matrix:
+        The product, row-major, in **global** coordinates, with the global
+        output shape.  Rank ``(i, j)`` of the grid owns its entries in row
+        chunk ``i`` × column chunk ``j`` of the operands' stripes.
     stats:
         Aggregated SpGEMM statistics of the per-(rank, stage) multiplies
         (flops, compression factor, ...).
@@ -94,38 +97,15 @@ class SummaResult:
         Semiring flops (partial products) of each rank's local multiplies.
     """
 
-    shape: tuple[int, int]
-    per_rank: list[CooMatrix]
-    stats: SpGemmStats = field(default_factory=SpGemmStats)
-    comm_seconds: float = 0.0
-    flops_per_rank: np.ndarray | None = None
+    matrix: CooMatrix
+    stats: SpGemmStats
+    comm_seconds: float
+    flops_per_rank: np.ndarray
 
     @property
     def nnz(self) -> int:
-        """Total output nonzeros across ranks."""
-        return sum(m.nnz for m in self.per_rank)
-
-    def nnz_per_rank(self) -> np.ndarray:
-        """Output nonzeros per rank."""
-        return np.array([m.nnz for m in self.per_rank], dtype=np.int64)
-
-    def memory_bytes(self) -> int:
-        """Total memory held by the per-rank outputs."""
-        return sum(m.memory_bytes() for m in self.per_rank)
-
-    def to_global(self, semiring: Semiring | None = None) -> CooMatrix:
-        """Merge the per-rank outputs into one global COO matrix."""
-        parts = [m for m in self.per_rank if m.nnz]
-        if not parts:
-            dtype = self.per_rank[0].dtype if self.per_rank else np.int8
-            return CooMatrix.empty(self.shape, dtype=dtype)
-        rows = np.concatenate([m.rows for m in parts])
-        cols = np.concatenate([m.cols for m in parts])
-        values = np.concatenate([m.values for m in parts])
-        merged = CooMatrix(self.shape, rows, cols, values, check=False)
-        # blocks owned by different ranks are disjoint, but a semiring merge is
-        # still applied defensively so stripe overlaps (if any) reduce correctly
-        return merged.deduplicate(semiring) if semiring is not None else merged.sort_rowmajor()
+        """Output nonzeros."""
+        return self.matrix.nnz
 
 
 # ---------------------------------------------------------------------- operands
@@ -150,22 +130,17 @@ class RowOperand:
 class ColOperand:
     """``B``'s stripe as the product's right operand: inner rows, and column
     ``c · grid_dim + k`` holding local column ``c``'s entries of row chunk
-    ``k`` (global column ``offset + c``), row-major.  ``chunk_of_col[c]`` is
-    the grid column of local column ``c``; ``nbytes[k, j]`` is the triplet
-    bytes of grid block ``(k, j)``."""
+    ``k`` (global column ``offset + c``), row-major, for each of the
+    stripe's ``width`` columns; ``nbytes[k, j]`` is the triplet bytes of
+    grid block ``(k, j)``."""
 
     matrix: CooMatrix
     offset: int
-    chunk_of_col: np.ndarray
+    width: int
     #: per operand column ``c · grid_dim + k``: ``k · grid_dim + j``, ``j``
     #: the grid column of local column ``c``
     stage_class: np.ndarray
     nbytes: np.ndarray
-
-    @property
-    def width(self) -> int:
-        """Columns of the stripe."""
-        return int(self.chunk_of_col.size)
 
 
 def _operand(shape, rows, cols, values) -> CooMatrix:
@@ -221,7 +196,7 @@ def col_operand(stripe: Stripe, inner: np.ndarray | None = None) -> ColOperand:
     chunk_of_col = np.repeat(np.arange(dim), np.diff(chunks))
     stage_class = (np.arange(dim) * dim + chunk_of_col[:, None]).ravel()
     return ColOperand(
-        _operand((stripe.shape[0], width * dim), rows, cols, values), origin, chunk_of_col,
+        _operand((stripe.shape[0], width * dim), rows, cols, values), origin, width,
         stage_class, stripe.block_nnz * stripe.triplet_bytes,
     )
 
@@ -449,10 +424,11 @@ def summa(
         compression_factor=total_flops / output_nnz if output_nnz else 1.0,
         row_groups=groups,
     )
-    per_rank = _split_by_rank(
-        output_shape, *_merge_stages(rows, cols, counts if values is None else values,
-                                     semiring, dim),
-        left, right, semiring,
+    rows, local_cols, values = _merge_stages(
+        rows, cols, counts if values is None else values, semiring, dim
+    )
+    matrix = CooMatrix(
+        output_shape, rows + left.offset, local_cols + right.offset, values, check=False
     )
 
     # the grid's charges, in its order
@@ -466,8 +442,7 @@ def summa(
             stats.compression_factor,
         )
     return SummaResult(
-        shape=output_shape,
-        per_rank=per_rank,
+        matrix=matrix,
         stats=stats,
         comm_seconds=comm_seconds,
         flops_per_rank=rank_flops.sum(axis=0).astype(np.float64),
@@ -520,31 +495,3 @@ def _charge(comm, left: RowOperand, right: ColOperand, rank_flops, rank_multipli
     )
     return float((ledger.per_rank(collectives.comm_category) - before).max())
 
-
-def _split_by_rank(
-    shape, rows, local_cols, values, left: RowOperand, right: ColOperand, semiring: Semiring
-) -> list[CooMatrix]:
-    """The row-major output (stripe-local coordinates) cut into each rank's
-    piece in global coordinates: rank ``(i, j)`` owns row chunk ``i`` ×
-    column chunk ``j``."""
-    dim = left.chunks.size - 1
-    bounds = np.searchsorted(rows, left.chunks)
-    rows, cols = rows + left.offset, local_cols + right.offset
-    spread = right.width and right.chunk_of_col[0] != right.chunk_of_col[-1]
-    owner = right.chunk_of_col[local_cols] if spread else None
-    per_rank = []
-    for rank in range(dim * dim):
-        i, j = divmod(rank, dim)
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        if owner is not None:  # the stripe spans grid columns
-            take = lo + np.flatnonzero(owner[lo:hi] == j)
-            piece = (rows[take], cols[take], values[take])
-        else:
-            piece = (rows[lo:hi], cols[lo:hi], values[lo:hi])
-            if right.width and right.chunk_of_col[0] != j:
-                piece = (rows[:0],)
-        if piece[0].size:
-            per_rank.append(CooMatrix(shape, *piece, check=False))
-        else:
-            per_rank.append(CooMatrix.empty(shape, dtype=semiring.value_dtype))
-    return per_rank

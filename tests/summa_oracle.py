@@ -8,9 +8,10 @@ kept here as the reference: the grid's stage loop run for real — in stage
 engine, then one kernel call per rank whose two stage blocks hold entries,
 charged as it happens, and the per-rank partials merged with the semiring.
 
-:func:`journal_of` runs either against a fresh
-:class:`~repro.mpi.costmodel.RecordingLedger` and returns the result with
-its ledger events split by kind, in order.
+:func:`owner_pieces` cuts :func:`~repro.distsparse.summa.summa`'s one
+product into those per-rank pieces.  :func:`journal_of` runs either against
+a fresh :class:`~repro.mpi.costmodel.RecordingLedger` and returns the
+result with its ledger events split by kind, in order.
 """
 
 from __future__ import annotations
@@ -107,6 +108,23 @@ def executed_summa(a, b, semiring, output_shape=None, kernel=None, batch_flops=N
         )
         per_rank.append(merged.deduplicate(semiring))
     return ExecutedSumma(per_rank, calls)
+
+
+def owner_pieces(matrix, a, b) -> list[CooMatrix]:
+    """``matrix`` — the product of the stripes ``a`` and ``b``, in global
+    coordinates — cut as the executed grid holds it: rank ``(i, j)``'s piece
+    is the entries in ``a``'s row chunk ``i`` × ``b``'s column chunk ``j``,
+    in ``matrix``'s order, one mask per rank."""
+    grid = a.grid
+    pieces = []
+    for rank in range(grid.nprocs):
+        i, j = grid.coords(rank)
+        inside = (
+            (matrix.rows >= a.row_starts[i]) & (matrix.rows < a.row_starts[i + 1])
+            & (matrix.cols >= b.col_starts[j]) & (matrix.cols < b.col_starts[j + 1])
+        )
+        pieces.append(matrix.select(inside))
+    return pieces
 
 
 def journal_of(comm, run):

@@ -89,6 +89,16 @@ def _candidates_for(pairs, n, with_seeds):
     return CooMatrix((n, n), rows, cols, values)
 
 
+def _closed_window(phase, *blocks):
+    """A closed window of ``phase`` holding ``blocks`` (each a list of
+    per-rank pieces): one flush aligns every pair."""
+    window = phase.window()
+    for pieces in blocks:
+        window.add(pieces)
+    window.closed = True
+    return window
+
+
 def test_alignment_phase_full_sw_and_seed_extend_agree_on_easy_pairs():
     seqs = synthetic_dataset(n_sequences=20, seed=31)
     comm = SimCommunicator(4)
@@ -99,21 +109,23 @@ def test_alignment_phase_full_sw_and_seed_extend_agree_on_easy_pairs():
         CooMatrix.empty((len(seqs), len(seqs)), dtype=OVERLAP_DTYPE),
         CooMatrix.empty((len(seqs), len(seqs)), dtype=OVERLAP_DTYPE),
     ]
-    full = AlignmentPhase(
+    phase = AlignmentPhase(
         seqs, PastisParams(nodes=4, common_kmer_threshold=1), comm, CostModel()
-    ).align_block([per_rank])[0]
+    )
+    full = phase.align_block(_closed_window(phase, per_rank))[0]
     assert full.pairs_aligned == 3
     assert full.pairs_aligned_per_rank.tolist() == [3, 0, 0, 0]
     assert full.cells > 0
     assert full.edges.dtype == EDGE_DTYPE
 
     comm2 = SimCommunicator(4)
-    seed_mode = AlignmentPhase(
+    phase = AlignmentPhase(
         seqs,
         PastisParams(nodes=4, common_kmer_threshold=1, alignment_mode="seed_extend"),
         comm2,
         CostModel(),
-    ).align_block([per_rank])[0]
+    )
+    seed_mode = phase.align_block(_closed_window(phase, per_rank))[0]
     assert seed_mode.pairs_aligned == 3
     # x-drop ungapped extension cannot admit more pairs than full Smith-Waterman
     assert seed_mode.edges.size <= full.edges.size
@@ -124,7 +136,7 @@ def test_alignment_phase_empty_block():
     comm = SimCommunicator(4)
     phase = AlignmentPhase(seqs, PastisParams(nodes=4), comm, CostModel())
     empty = [CooMatrix.empty((10, 10), dtype=OVERLAP_DTYPE) for _ in range(4)]
-    (output,) = phase.align_block([empty])
+    (output,) = phase.align_block(_closed_window(phase, empty))
     assert output.pairs_aligned == 0
     assert output.edges.size == 0
     assert output.kernel_seconds == 0.0

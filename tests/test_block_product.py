@@ -1,7 +1,7 @@
 """Discovery's block product against an independent SciPy count.
 
-Every block a pipeline computes is one product split into the pieces each
-rank owns.  Here the k-mer pattern is read off the residue strings with
+Every block a pipeline computes is one product, of which each rank owns a
+piece (cut here by ``summa_oracle.owner_pieces``).  Here the k-mer pattern is read off the residue strings with
 plain slicing (nothing of ``repro.sparse`` on this side), multiplied by
 SciPy as an integer ``P·Pᵀ``, and every computed block's rank ``(i, j)``
 piece must hold exactly the nonzeros of that block's rectangle cut to row
@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from summa_oracle import executed_summa, journal_of
+from summa_oracle import executed_summa, journal_of, owner_pieces
 
 import repro.distsparse.blocked_summa as blocked_summa_module
 from repro.core.params import PastisParams
@@ -66,10 +66,11 @@ def kmer_pattern(strings: list[str]) -> sp.csr_array:
     return sp.csr_array((ones, (rows, cols)), shape=(len(strings), len(columns)))
 
 
-def oracle_pieces(counts: np.ndarray, block, grid: ProcessGrid) -> list[tuple]:
-    """Per rank: the ``(rows, cols, counts)`` of the block's nonzeros in that
-    rank's row chunk × column chunk, row-major."""
-    (r0, r1), (c0, c1) = block.row_range, block.col_range
+def oracle_pieces(counts: np.ndarray, bounds, grid: ProcessGrid) -> list[tuple]:
+    """Per rank: the ``(rows, cols, counts)`` of the nonzeros of the block
+    with ``bounds`` (row range, column range) in that rank's row chunk ×
+    column chunk, row-major."""
+    (r0, r1), (c0, c1) = bounds
     pieces = []
     for rank in range(grid.nprocs):
         (lo, hi), (clo, chi) = grid.local_ranges(N, N, rank)
@@ -98,8 +99,9 @@ def test_every_block_equals_the_scipy_count_split_by_rank(nodes, scheme, monkeyp
 
     def capture(engine, r, c):
         block = real(engine, r, c)
-        computed[(r, c)] = (block, [
-            (p.rows.tolist(), p.cols.tolist(), p.values.tolist()) for p in block.result.per_rank
+        pieces = owner_pieces(block.matrix, engine.row_stripe(r), engine.col_stripe(c))
+        computed[(r, c)] = (block, engine.schedule.block_bounds(r, c), [
+            (p.rows.tolist(), p.cols.tolist(), p.values.tolist()) for p in pieces
         ])
         return block
 
@@ -112,8 +114,8 @@ def test_every_block_equals_the_scipy_count_split_by_rank(nodes, scheme, monkeyp
     grid = ProcessGrid.from_nprocs(nodes)
     assert computed
     wrong = [
-        (r, c) for (r, c), (block, pieces) in sorted(computed.items())
-        if pieces != oracle_pieces(counts, block, grid)
+        (r, c) for (r, c), (_, bounds, pieces) in sorted(computed.items())
+        if pieces != oracle_pieces(counts, bounds, grid)
     ]
     assert not wrong, wrong
     assert (1, 2) in computed and computed[(1, 2)][0].nnz == 0  # no shared k-mer

@@ -34,6 +34,7 @@ from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import CountSemiring
 from repro.sparse.spgemm import spgemm
 from search_oracles import build_kmer_coo
+from summa_oracle import owner_pieces
 
 GRIDS = [1, 4, 9]
 BLOCKINGS = [(1, 1), (3, 4)]
@@ -133,16 +134,20 @@ def test_dense_birth_equals_the_kmer_id_layout(nodes, blocking):
         for left, right in ((a, at), (a_by_id, at_by_id))
     ]
     for r, c in schedule.all_blocks():
-        got, want = (engine.compute_block(r, c).result for engine in engines)
+        got, want = (engine.compute_block(r, c) for engine in engines)
         assert got.stats == want.stats
         assert got.comm_seconds == want.comm_seconds
-        assert all(map(_records_equal, got.per_rank, want.per_rank))
+        got_pieces, want_pieces = (
+            owner_pieces(block.matrix, engine.row_stripe(r), engine.col_stripe(c))
+            for block, engine in zip((got, want), engines)
+        )
+        assert all(map(_records_equal, got_pieces, want_pieces))
         candidates += got.nnz
         # the seeds of every off-diagonal candidate: OverlapSemiring records
-        pairs = [drop_self_pairs(piece) for piece in got.per_rank]
+        pairs = drop_self_pairs(got.matrix)
         got_seeds, want_seeds = (engine.with_seeds(r, c, pairs) for engine in engines)
-        assert all(map(_records_equal, got_seeds, want_seeds))
-        seeded += sum(piece.nnz for piece in got_seeds)
+        assert _records_equal(got_seeds, want_seeds)
+        seeded += got_seeds.nnz
     assert candidates > seeded > 0
 
 

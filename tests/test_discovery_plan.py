@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 from search_oracles import born_shared
-from summa_oracle import executed_summa, journal_of, pieces_bytes
+from summa_oracle import executed_summa, journal_of, owner_pieces, pieces_bytes
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
 from repro.distsparse.stripe import Stripe
@@ -66,8 +66,9 @@ OPERANDS = {
 }
 
 
-def fields(result, charges, counts) -> dict:
-    """What the grid charged and reported, by field."""
+def fields(result, charges, counts, pieces) -> dict:
+    """What the grid charged and reported, by field; ``pieces`` is every
+    rank's piece of the result."""
     stats = result.stats
     return {
         "charges in order": charges,
@@ -78,7 +79,7 @@ def fields(result, charges, counts) -> dict:
         "largest group bytes": stats.intermediate_bytes,
         "flops": (stats.flops, stats.compression_factor),
         "flops per rank": result.flops_per_rank.tolist(),
-        "pieces": pieces_bytes(result.per_rank),
+        "pieces": pieces_bytes(pieces),
     }
 
 
@@ -90,7 +91,9 @@ def executed_fields(comm, a, b, output_shape, kernel, batch_flops) -> dict:
     comm_seconds = np.zeros(comm.nranks)
     for rank, _, seconds in charges:
         comm_seconds[rank] += seconds
-    return fields(want, charges, counts) | {"comm seconds": float(comm_seconds.max())}
+    return fields(want, charges, counts, want.per_rank) | {
+        "comm seconds": float(comm_seconds.max())
+    }
 
 
 def test_charge_plan_equals_the_executed_grid():
@@ -108,7 +111,8 @@ def test_charge_plan_equals_the_executed_grid():
             comm, lambda: summa(a, b, CountSemiring(), spgemm_backend=kernel,
                                 batch_flops=batch_flops)
         )
-        have = fields(got, charges, counts) | {"comm seconds": got.comm_seconds}
+        have = fields(got, charges, counts, owner_pieces(got.matrix, a, b))
+        have["comm seconds"] = got.comm_seconds
         want = executed_fields(comm, a, b, None, kernel, batch_flops)
         cell = f"nprocs={nprocs} budget={budget} operands={name}"
         diffs += [f"{cell}: {key}" for key in want if have[key] != want[key]]
@@ -134,8 +138,9 @@ def test_charge_plan_equals_the_executed_grid():
         )
         for r, c in schedule.all_blocks():
             block, charges, counts = journal_of(comm, lambda: engine.compute_block(r, c))
-            have = fields(block.result, charges, counts)
-            have["comm seconds"] = block.result.comm_seconds
+            pieces = owner_pieces(block.matrix, engine.row_stripe(r), engine.col_stripe(c))
+            have = fields(block, charges, counts, pieces)
+            have["comm seconds"] = block.comm_seconds
             want = executed_fields(
                 comm, full.row_stripe(r), full.col_stripe(c), (31, 31), kernel, batch_flops
             )

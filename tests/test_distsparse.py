@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from summa_oracle import owner_pieces
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
 from repro.distsparse.distribute import charge_distribution, distribute_sequences
@@ -191,7 +192,7 @@ def test_summa_equals_direct_spgemm(nprocs):
     sr = ArithmeticSemiring()
     dist_result = summa(Stripe.of(a, comm), Stripe.of(b, comm), sr)
     direct = spgemm(a, b, sr)
-    merged = dist_result.to_global(sr)
+    merged = dist_result.matrix
     assert np.array_equal(merged.rows, direct.rows)
     assert np.array_equal(merged.cols, direct.cols)
     assert np.allclose(merged.values, direct.values)
@@ -208,8 +209,8 @@ def test_summa_backend_selection_preserves_results(backend):
     baseline = summa(a_dist, at_dist, OverlapSemiring())
     assert res.stats.flops == baseline.stats.flops
     assert res.stats.output_nnz == baseline.stats.output_nnz
-    merged = res.to_global()
-    assert merged == baseline.to_global()
+    merged = res.matrix
+    assert merged == baseline.matrix
 
 
 @pytest.mark.parametrize(
@@ -272,13 +273,10 @@ def test_summa_requires_same_communicator():
 def test_summa_result_flops_per_rank():
     comm = SimCommunicator(4)
     a = random_coo((20, 20), 150, 6)
-    res = summa(
-        Stripe.of(a, comm),
-        Stripe.of(a.transpose(), comm),
-        CountSemiring(),
-    )
+    a_dist, at_dist = Stripe.of(a, comm), Stripe.of(a.transpose(), comm)
+    res = summa(a_dist, at_dist, CountSemiring())
     assert res.flops_per_rank.sum() == res.stats.flops
-    assert res.nnz == res.nnz_per_rank().sum()
+    assert res.nnz == sum(piece.nnz for piece in owner_pieces(res.matrix, a_dist, at_dist))
 
 
 # ---------------------------------------------------------------- Blocked SUMMA
@@ -309,7 +307,7 @@ def test_blocked_summa_union_equals_direct(blocking):
     sr = CountSemiring()
     direct = spgemm(a, a.transpose(), sr)
     engine = blocked_engine(a, comm, BlockSchedule(n, n, blocking[0], blocking[1]), sr)
-    pieces = [blk.result.to_global(sr) for blk in engine.iter_blocks()]
+    pieces = [blk.matrix for blk in engine.iter_blocks()]
     rows = np.concatenate([p.rows for p in pieces])
     cols = np.concatenate([p.cols for p in pieces])
     vals = np.concatenate([p.values for p in pieces])
@@ -333,9 +331,9 @@ def test_blocked_summa_default_backend_equals_expand_oracle(blocking):
     pairs = list(zip(default.iter_blocks(), oracle.iter_blocks(), strict=True))
     assert len(pairs) == blocking[0] * blocking[1]
     for got, want in pairs:
-        assert got.result.stats.flops == want.result.stats.flops
-        assert got.result.to_global() == want.result.to_global()
-    assert sum(g.result.stats.flops for g, _ in pairs) == spgemm(
+        assert got.stats.flops == want.stats.flops
+        assert got.matrix == want.matrix
+    assert sum(g.stats.flops for g, _ in pairs) == spgemm(
         a, a.transpose(), sr, return_stats=True
     )[1].flops
 
@@ -387,16 +385,17 @@ def test_blocked_discover_equals_scipy_oracle_block_by_block():
     )
     max_block_error = -1
     candidates = 0
-    for block in engine.iter_blocks():
-        (r0, r1), (c0, c1) = block.row_range, block.col_range
-        found = block.result.to_global()
+    schedule = engine.schedule
+    for (r, c), block in zip(schedule.all_blocks(), engine.iter_blocks(), strict=True):
+        (r0, r1), (c0, c1) = schedule.block_bounds(r, c)
+        found = block.matrix
         assert np.all((found.rows >= r0) & (found.rows < r1))
         assert np.all((found.cols >= c0) & (found.cols < c1))
         counts = np.zeros((r1 - r0, c1 - c0), dtype=np.int64)
         np.add.at(counts, (found.rows - r0, found.cols - c0), found.values["count"])
         assert found.nnz == np.count_nonzero(counts)  # one element per coordinate
         max_block_error = max(max_block_error, int(np.abs(counts - oracle[r0:r1, c0:c1]).max()))
-        born_found = born.compute_block(block.block_row, block.block_col).result.to_global()
+        born_found = born.compute_block(r, c).matrix
         born_counts = np.zeros_like(counts)
         born_counts[born_found.rows - r0, born_found.cols - c0] = born_found.values
         max_block_error = max(max_block_error, int(np.abs(born_counts - counts).max()))
@@ -435,7 +434,7 @@ def test_summa_overlap_payload_equals_serial_kernel_on_every_grid(nodes):
     at_dist = at_columns.col_stripe((0, len(seqs)))  # one column stripe
     sr = OverlapSemiring()
     serial = spgemm_gustavson(a_dist.matrix, at_dist.matrix, sr)
-    distributed = summa(a_dist, at_dist, sr, spgemm_backend="gustavson").to_global(sr)
+    distributed = summa(a_dist, at_dist, sr, spgemm_backend="gustavson").matrix
     assert np.array_equal(distributed.rows, serial.rows)
     assert np.array_equal(distributed.cols, serial.cols)
     for field in sr.value_dtype.names:
@@ -527,7 +526,7 @@ def test_blocked_summa_assembles_operands_once_and_records_each_product(
         block.stats.flops for block in blocks
     )
     direct = spgemm(a, a.transpose(), CountSemiring())
-    merged = [block.result.to_global() for block in blocks]
+    merged = [block.matrix for block in blocks]
     got = CooMatrix(
         direct.shape,
         np.concatenate([m.rows for m in merged]),
@@ -545,7 +544,7 @@ def test_blocked_summa_peak_memory_decreases_with_more_blocks():
     peaks = {}
     for blocks in [(1, 1), (5, 5)]:
         engine = blocked_engine(a, comm, BlockSchedule(n, n, *blocks), sr)
-        peaks[blocks] = max(block.memory_bytes() for block in engine.iter_blocks())
+        peaks[blocks] = max(block.matrix.memory_bytes() for block in engine.iter_blocks())
     assert peaks[(5, 5)] < peaks[(1, 1)]
 
 
@@ -636,7 +635,7 @@ def test_broadcast_volume_model_non_divisible_dims():
     # 17 rows into 4 blocks: uneven chunks
     engine = blocked_engine(a, comm, BlockSchedule(n, n, 4, 3), CountSemiring())
     direct = spgemm(a, a.transpose(), CountSemiring())
-    pieces = [blk.result.to_global(CountSemiring()) for blk in engine.iter_blocks()]
+    pieces = [blk.matrix for blk in engine.iter_blocks()]
     rows = np.concatenate([p.rows for p in pieces])
     cols = np.concatenate([p.cols for p in pieces])
     vals = np.concatenate([p.values for p in pieces])

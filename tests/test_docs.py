@@ -2,7 +2,8 @@
 
 Runs the same checks CI's docs job runs (``tools/check_docs.py``) from
 inside the test suite, so a rename that orphans a ``repro.x.y`` reference
-or a moved file that breaks a relative link fails tier-1 locally too.
+(in the docs, or a docstring's Sphinx cross-reference) or a moved file that
+breaks a relative link fails tier-1 locally too.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def test_dotted_references_import(name):
     assert not errors, "\n".join(errors)
 
 
+@pytest.mark.parametrize(
+    "path", check_docs.source_files(), ids=lambda path: str(path.relative_to(REPO_ROOT))
+)
+def test_source_cross_references_resolve(path):
+    errors = check_docs.check_cross_refs(path)
+    assert not errors, "\n".join(errors)
+
+
 def test_checker_catches_rot(tmp_path):
     bad = tmp_path / "bad.md"
     bad.write_text(
@@ -56,6 +65,13 @@ def test_checker_catches_rot(tmp_path):
     assert any("nowhere.md" in e for e in errors)
     assert any("repro.not_a_module.at_all" in e for e in errors)
     assert any("repro.also_missing" in e for e in errors)
+    source = tmp_path / "bad.py"
+    source.write_text(
+        '"""See :class:`~repro.distsparse.summa.SummaResult` and '
+        ':meth:`repro.distsparse.summa.SummaResult.to_global`."""\n'
+    )
+    (error,) = check_docs.check_cross_refs(source)
+    assert error.endswith("-> repro.distsparse.summa.SummaResult.to_global")
 
 
 def test_readme_documents_both_workloads():

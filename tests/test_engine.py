@@ -933,37 +933,58 @@ def test_overlapped_scheduler_empty_task_list(small_seqs, fast_params):
     assert outcome.timeline.preblocking_report(1.0) is None
 
 
+@pytest.mark.parametrize("nodes", [1, 4, 9])
 @pytest.mark.parametrize("load_balancing", ["index", "triangularity"])
 @pytest.mark.parametrize("threshold", [1, 2, 3])
-def test_prune_equals_the_scheme_then_self_pairs_then_threshold(
-    monkeypatch, load_balancing, threshold
+def test_prune_survivors_equal_the_executed_grid_pieces_filtered(
+    monkeypatch, nodes, load_balancing, threshold
 ):
-    """``BlockTask.prune`` filters by the k-mer count first; every rank's
-    survivors — entries, order and values — are those of the scheme's prune,
-    then the self-pair drop, then the count threshold."""
+    """``BlockTask.prune`` filters the block's one product, then cuts the
+    survivors by owner rank.  Every rank's survivors — entries, order,
+    values and dtype — are that rank's piece of the executed grid
+    (``summa_oracle.executed_summa`` over the operands on every k-mer)
+    through the scheme's prune, then the self-pair drop, then the count
+    threshold: prune runs the threshold first, and the order of per-entry
+    filters changes nothing."""
+    from search_oracles import unrestricted_operands
+    from summa_oracle import executed_summa
+
     from repro.core.engine import stages
     from repro.core.filtering import drop_self_pairs, filter_common_kmers
+    from repro.mpi.communicator import SimCommunicator
+    from repro.sparse.semiring import CountSemiring
 
+    seqs = synthetic_dataset(n_sequences=40, seed=3)
+    params = PastisParams(
+        kmer_length=4, nodes=nodes, num_blocks=4, common_kmer_threshold=threshold,
+        load_balancing=load_balancing,
+    )
+    full_a, full_at, _ = unrestricted_operands(seqs, params, SimCommunicator(nodes))
     checked = []
     original = stages.BlockTask.prune
 
     def checking(self, ctx):
-        pieces = self.block.result.per_rank if self.block is not None else None
+        computed = self.block is not None
         got = original(self, ctx)
-        if pieces is not None:
-            for piece, survivors in zip(pieces, got):
+        if computed:
+            schedule = ctx.schedule
+            executed = executed_summa(
+                full_a.row_stripe(schedule.row_range(self.block_row)),
+                full_at.col_stripe(schedule.col_range(self.block_col)),
+                CountSemiring(), (len(seqs), len(seqs)),
+            )
+            assert len(got) == len(executed.per_rank) == nodes
+            for piece, survivors in zip(executed.per_rank, got):
                 want = filter_common_kmers(drop_self_pairs(ctx.scheme.prune(piece)), threshold)
-                assert np.array_equal(survivors.rows, want.rows)
-                assert np.array_equal(survivors.cols, want.cols)
-                assert np.array_equal(survivors.values, want.values)
+                for have, expected in zip(
+                    (survivors.rows, survivors.cols, survivors.values),
+                    (want.rows, want.cols, want.values),
+                ):
+                    assert have.dtype == expected.dtype
+                    assert np.array_equal(have, expected)
                 checked.append(piece.nnz - survivors.nnz)
         return got
 
     monkeypatch.setattr(stages.BlockTask, "prune", checking)
-    seqs = synthetic_dataset(n_sequences=40, seed=3)
-    params = PastisParams(
-        kmer_length=4, nodes=4, num_blocks=4, common_kmer_threshold=threshold,
-        load_balancing=load_balancing,
-    )
     PastisPipeline(params).run(seqs)
     assert checked and sum(checked) > 0  # pieces were checked, entries pruned

@@ -82,5 +82,8 @@ def test_seed_extend_refuses_candidates_without_seeds(seqs):
         seqs, PastisParams(nodes=4, alignment_mode="seed_extend"), SimCommunicator(4),
         CostModel(),
     )
+    window = phase.window()
+    window.add([counts, empty, empty, empty])
+    window.closed = True
     with pytest.raises(ValueError, match=r"no seed fields.*\(0, 1\)"):
-        phase.align_block([[counts, empty, empty, empty]])
+        phase.align_block(window)

@@ -25,6 +25,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from search_oracles import unrestricted_operands
+from summa_oracle import owner_pieces
 
 from repro.core.blocking import make_schedule
 from repro.core.kmer_matrix import (
@@ -95,11 +96,11 @@ def _same_arrays(got, want) -> bool:
     )
 
 
-def _pieces(result) -> list:
+def _pieces(engine, result, r, c) -> list:
     return [
         (piece.rows.tolist(), piece.cols.tolist(), piece.values.dtype.str,
          piece.values.tobytes())
-        for piece in result.per_rank
+        for piece in owner_pieces(result.matrix, engine.row_stripe(r), engine.col_stripe(c))
     ]
 
 
@@ -107,7 +108,7 @@ def _block(engine, comm, r, c):
     """Block ``(r, c)`` and the ledger events computing it made."""
     start = len(comm.ledger.events)
     block = engine.compute_block(r, c)
-    return block.result, comm.ledger.events[start:]
+    return block, comm.ledger.events[start:]
 
 
 def test_born_shared_operands_equal_masks_counts_and_the_full_products():
@@ -157,7 +158,7 @@ def test_born_shared_operands_equal_masks_counts_and_the_full_products():
             got, got_events = _block(born, born_comm, r, c)
             want, want_events = _block(full, full_comm, r, c)
             where = f"block ({r}, {c})"
-            differ(f"{where} pieces", _pieces(got), _pieces(want))
+            differ(f"{where} pieces", _pieces(born, got, r, c), _pieces(full, want, r, c))
             differ(f"{where} stats", got.stats, want.stats)
             differ(f"{where} flops per rank", got.flops_per_rank, want.flops_per_rank)
             differ(f"{where} comm seconds", got.comm_seconds, want.comm_seconds)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation reference checker — keeps README/docs honest.
+"""Documentation reference checker — keeps README/docs and docstrings honest.
 
 Three classes of rot this catches, run over ``README.md`` and ``docs/``:
 
@@ -11,6 +11,12 @@ Three classes of rot this catches, run over ``README.md`` and ``docs/``:
   ``repro.io.report.run_report`` both count);
 * **module commands**: every ``python -m repro.x`` command must name an
   importable module.
+
+and one over the docstrings and comments of ``src/**/*.py``:
+
+* **cross-references**: every Sphinx role naming ``repro.*``
+  (``:class:``, ``:meth:``, ``:func:``, ``:mod:``, ``:attr:``, with or
+  without ``~``) must resolve the same way as a dotted reference.
 
 Used by CI (``python tools/check_docs.py``) and by ``tests/test_docs.py``.
 Exits non-zero listing every broken reference.
@@ -31,6 +37,12 @@ DOC_FILES = ("README.md", "docs/architecture.md", "docs/serving.md")
 _LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 _MODULE_CMD_RE = re.compile(r"python -m (repro(?:\.\w+)*)")
+_XREF_RE = re.compile(r":(?:class|meth|func|mod|attr):`~?(repro(?:\.\w+)+)`")
+
+
+def source_files() -> list[Path]:
+    """Every Python file of the package, in path order."""
+    return sorted((REPO_ROOT / "src").rglob("*.py"))
 
 
 def _display(path: Path) -> str:
@@ -76,14 +88,28 @@ def resolve_dotted(ref: str) -> bool:
     return False
 
 
+def _unresolvable(path: Path, refs, kind: str) -> list[str]:
+    """One error per distinct ``repro.*`` reference in ``refs`` that no longer
+    imports."""
+    return [
+        f"{_display(path)}: unresolvable {kind} -> {ref}"
+        for ref in sorted(set(refs))
+        if not resolve_dotted(ref)
+    ]
+
+
 def check_dotted_refs(path: Path) -> list[str]:
     """Dotted ``repro.*`` references that no longer import."""
-    errors = []
     text = path.read_text()
-    for ref in sorted({*_DOTTED_RE.findall(text), *_MODULE_CMD_RE.findall(text)}):
-        if not resolve_dotted(ref):
-            errors.append(f"{_display(path)}: unresolvable reference -> {ref}")
-    return errors
+    return _unresolvable(
+        path, [*_DOTTED_RE.findall(text), *_MODULE_CMD_RE.findall(text)], "reference"
+    )
+
+
+def check_cross_refs(path: Path) -> list[str]:
+    """Sphinx cross-references to ``repro.*`` in one source file that no
+    longer resolve."""
+    return _unresolvable(path, _XREF_RE.findall(path.read_text()), "cross-reference")
 
 
 def check_file(path: Path) -> list[str]:
@@ -99,11 +125,17 @@ def main() -> int:
             errors.append(f"missing documentation file: {name}")
             continue
         errors.extend(check_file(path))
+    sources = source_files()
+    for path in sources:
+        errors.extend(check_cross_refs(path))
     if errors:
         print("\n".join(errors))
         print(f"\n{len(errors)} broken documentation reference(s)")
         return 1
-    print(f"docs OK: {len(DOC_FILES)} files, all links and repro.* references resolve")
+    print(
+        f"docs OK: {len(DOC_FILES)} files, all links and repro.* references resolve; "
+        f"{len(sources)} source files, all repro.* cross-references resolve"
+    )
     return 0
 
 
