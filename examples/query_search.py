@@ -13,7 +13,9 @@ through the :class:`repro.serve.QueryBatcher`:
 
 Prints each request's per-query matches and the modeled request-queue
 books (the same OverlapWindow algebra the engine's pre-blocking clock
-uses, one level up).
+uses, one level up).  A batcher is a serving session: a second drain
+answers from the stripes the first one read and verified, and the example
+checks that it read none from disk.
 
 Run with:  python examples/query_search.py
 """
@@ -82,7 +84,16 @@ def main() -> None:
             suffix = " …" if matches.size > 5 else ""
             print(f"  {name} [row {int(row)}]: {matches.size} matches: {partners}{suffix}")
 
-    # 6. the request queue's books (reconciliation identity holds exactly)
+    # 6. a second drain is served from the session's held index: no stripe
+    #    is read from disk again
+    loads = batcher.hub.value("serve_stripe_loads")
+    batcher.submit(database.subset(np.arange(6, 9)), request_id="again")
+    (again,) = batcher.drain()
+    assert batcher.hub.value("serve_stripe_loads") == loads == index.bc, "a stripe was re-read"
+    print(f"\nsecond drain: {again.total_matches} matches, {index.bc} stripes "
+          f"loaded once, {batcher.hub.value('serve_index_opens'):.0f} index open")
+
+    # 7. the request queue's books (reconciliation identity holds exactly)
     queue = batcher.queue_summary()
     print(f"\nqueue: {queue['batches']} batches, {queue['queries']} queries, "
           f"clock {queue['clock_seconds']:.6f}s modeled "

@@ -56,6 +56,7 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -185,10 +186,25 @@ def _batch_plan(
 
 
 class PastisPipeline:
-    """End-to-end many-against-many protein similarity search."""
+    """End-to-end many-against-many protein similarity search.
 
-    def __init__(self, params: PastisParams | None = None) -> None:
+    ``index`` is an already opened :class:`repro.serve.index.KmerIndex` at
+    ``params.index_dir`` for a query run to read instead of opening its
+    own: a serving session's, whose verified payloads stay held across
+    runs.  The run still re-checks its manifest and validates the params
+    against it in the input-IO phase.
+    """
+
+    def __init__(self, params: PastisParams | None = None, *, index=None) -> None:
         self.params = params if params is not None else PastisParams()
+        if index is not None and (
+            self.params.index_dir is None or Path(self.params.index_dir) != index.path
+        ):
+            raise ValueError(
+                f"an opened index serves the query run at its own path ({index.path}), "
+                f"not index_dir={self.params.index_dir!r}"
+            )
+        self.index = index
 
     # ------------------------------------------------------------------ public API
     def run(self, sequences: SequenceSet, resume: bool = False) -> SearchResult:
@@ -322,7 +338,7 @@ class PastisPipeline:
         # residues) instead of re-deriving it; the index open/validate happens
         # inside the IO phase because a refused index is an input failure
         with phase("input_io"):
-            index = None if params.index_dir is None else open_index_for(params)
+            index = None if params.index_dir is None else open_index_for(params, self.index)
             io_model.collective_read(
                 ParallelIoModel.fasta_bytes(sequences.total_residues, len(sequences))
             )

@@ -62,8 +62,10 @@ def by_owner(
     grid whose row chunks start at ``row_starts`` and column chunks at
     ``col_starts``, in rank order: rank ``(i, j)`` owns row chunk ``i`` ×
     column chunk ``j``.  One stable sort by owner, so each piece keeps its
-    entries in ``matrix``'s order."""
+    entries in ``matrix``'s order; an empty ``matrix`` is every piece, uncut."""
     dim = row_starts.size - 1
+    if not matrix.nnz:
+        return [matrix] * (dim * dim)
     owner = _chunk_index(matrix.rows, row_starts[:-1], matrix.shape[0]) * dim
     owner += _chunk_index(matrix.cols, col_starts[:-1], matrix.shape[1])
     order = np.argsort(owner, kind="stable")

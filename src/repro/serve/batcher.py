@@ -7,6 +7,13 @@ as one query-mode pipeline execution against the configured index,
 and each request gets back its per-query matches split out of the batch
 result.
 
+A batcher is a serving session: it opens its
+:class:`~repro.serve.index.KmerIndex` once, at the first drain, and hands
+it to every batch's run, so each payload is read from disk and verified
+once, when it first enters memory, and every later request reads the held
+copy.  Each run still re-checks the manifest (a rebuilt index is re-opened)
+and validates its parameters against it in its input-IO phase.
+
 The request queue is modeled with the same
 :class:`~repro.mpi.costmodel.OverlapWindow` admission algebra the engine's
 pre-blocking clock uses: each batch's discovery lane (its per-rank
@@ -18,7 +25,8 @@ the window's reconciliation identity per drain::
 
     sum(align) + sum(discover) - sum(hidden) == clock        (per rank)
 
-Per-batch wall and modeled latency are surfaced through a
+Per-batch wall and modeled latency, and the session's index opens and
+stripe loads, are surfaced through a
 :class:`~repro.obs.MetricsHub` (``serve_*`` series) and, when
 ``params.run_registry`` is set, every batch appends its own run manifest to
 the registry like any other pipeline run.
@@ -36,6 +44,7 @@ from ..core.pipeline import PastisPipeline, SearchResult
 from ..mpi.costmodel import CostLedger, OverlapWindow
 from ..obs import MetricsHub
 from ..sequences.sequence import SequenceSet
+from .index import KmerIndex
 
 #: per-query match rows handed back to requesters: the partner's global
 #: database row (or novel-query row) plus the admitted edge's metrics
@@ -131,6 +140,8 @@ class QueryBatcher:
         self.batches: list[BatchResult] = []
         self._ledger = CostLedger(self.params.nodes)
         self._clock = np.zeros(self.params.nodes)
+        #: the session's index: opened at the first drain, held after it
+        self.index: KmerIndex | None = None
 
     # ------------------------------------------------------------------ admission
     def submit(self, queries: SequenceSet, request_id: str | None = None) -> str:
@@ -177,6 +188,11 @@ class QueryBatcher:
         if not grouped:
             return []
 
+        if self.index is None:
+            self.index = KmerIndex.open(self.params.index_dir)
+            self.hub.counter_add("serve_index_opens", 1.0)
+        index = self.index
+
         # execute every batch, collecting its pipeline result + lane seconds
         executed: list[tuple[list[_Request], SearchResult, float]] = []
         for group in grouped:
@@ -185,9 +201,12 @@ class QueryBatcher:
                 if len(group) == 1
                 else SequenceSet.concatenate([request.queries for request in group])
             )
+            opens, loads = index.opens, index.stripe_loads
             t0 = time.perf_counter()
-            result = PastisPipeline(self.params).run(queries)
+            result = PastisPipeline(self.params, index=index).run(queries)
             executed.append((group, result, time.perf_counter() - t0))
+            self.hub.counter_add("serve_index_opens", float(index.opens - opens))
+            self.hub.counter_add("serve_stripe_loads", float(index.stripe_loads - loads))
 
         # model the request queue: discovery lanes are the background FIFO,
         # alignment lanes the foreground slots (the engine's own algebra,
@@ -225,12 +244,12 @@ class QueryBatcher:
                     queue_clock_seconds=completions[offset],
                 )
             )
-            edges = result.similarity_graph.edges
+            matches_of = _matches_by_row(result.similarity_graph.edges)
             lo = 0
             for request in group:
                 hi = lo + len(request.queries)
                 rows = result.query_rows[lo:hi]
-                matches = [_matches_for_row(edges, int(row)) for row in rows]
+                matches = [matches_of(int(row)) for row in rows]
                 answers.append(
                     QueryMatches(
                         request_id=request.request_id,
@@ -276,14 +295,20 @@ class QueryBatcher:
         }
 
 
-def _matches_for_row(edges: np.ndarray, row: int) -> np.ndarray:
-    """One query row's matches from the canonicalized (row < col) edge set."""
-    as_row = edges[edges["row"] == row]
-    as_col = edges[edges["col"] == row]
-    out = np.empty(as_row.size + as_col.size, dtype=MATCH_DTYPE)
-    out["partner"][: as_row.size] = as_row["col"]
-    out["partner"][as_row.size:] = as_col["row"]
+def _matches_by_row(edges: np.ndarray):
+    """Each row's matches from the canonicalized (row < col) edge set:
+    every edge is listed under both of its ends once, grouped by end and
+    ordered by partner, and the returned lookup slices one row's group."""
+    ends = np.concatenate([edges["row"], edges["col"]])
+    table = np.empty(ends.size, dtype=MATCH_DTYPE)
+    table["partner"] = np.concatenate([edges["col"], edges["row"]])
     for key in ("score", "ani", "coverage"):
-        out[key][: as_row.size] = as_row[key]
-        out[key][as_row.size:] = as_col[key]
-    return np.sort(out, order="partner")
+        table[key] = np.concatenate([edges[key], edges[key]])
+    order = np.lexsort((table["partner"], ends))
+    ends, table = ends[order], table[order]
+
+    def matches_of(row: int) -> np.ndarray:
+        lo, hi = np.searchsorted(ends, [row, row + 1])
+        return table[lo:hi]
+
+    return matches_of

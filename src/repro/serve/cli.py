@@ -149,7 +149,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         cache_dir=None,
     )
     queries = load_sequences(args.source)
-    result = PastisPipeline(params).run(queries)
+    result = PastisPipeline(params, index=index).run(queries)
     report = run_report(result.stats)
     print(
         f"queries: {len(queries)}  matches: {result.stats.similar_pairs}  "

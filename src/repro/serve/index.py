@@ -38,6 +38,13 @@ length and the manifest's stripe digest (:mod:`repro.distsparse.shards`);
 ``sequences_payload_digest`` (sha256 of the whole file) and
 ``sequence_digest`` (the residues and offsets the cache keys on).
 
+An opened :class:`KmerIndex` is a serving session's database: each payload
+is read and checked once, when it first enters memory, and held for every
+later run (:meth:`KmerIndex.matrix`, :meth:`KmerIndex.sequences`).  A
+rebuild writes a new manifest, which :meth:`KmerIndex.refresh` sees by its
+file identity and answers by re-opening and dropping what was held;
+:meth:`KmerIndex.verify` always reads from disk.
+
 Failure taxonomy: :class:`IndexIntegrityError` — the index contradicts its
 own stamps (absent, truncated, extended or corrupt payload); never answered
 from, always refused with the offending file named.
@@ -50,8 +57,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -303,36 +311,70 @@ def load_stripe_shards(
     return Stripe.join(pieces, comm, shape, entry["col_range"])
 
 
+def _read_manifest(manifest_path: Path) -> tuple[dict, tuple[int, int, int]]:
+    """The parsed manifest and the identity of the file it was read from."""
+    try:
+        with open(manifest_path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            manifest = json.loads(fh.read())
+    except FileNotFoundError:
+        raise ServeIndexError(f"no index manifest at {manifest_path}") from None
+    except (OSError, ValueError) as exc:
+        raise IndexIntegrityError(f"unreadable index manifest {manifest_path}: {exc}") from exc
+    if manifest.get("format") != INDEX_FORMAT:
+        raise ServeIndexError(
+            f"{manifest_path} is not a {INDEX_FORMAT} manifest "
+            f"(format={manifest.get('format')!r})"
+        )
+    if manifest.get("version") != INDEX_VERSION:
+        raise IndexCompatibilityError(
+            f"index version {manifest.get('version')} unsupported "
+            f"(this build reads version {INDEX_VERSION})"
+        )
+    return manifest, (st.st_ino, st.st_mtime_ns, st.st_size)
+
+
 @dataclass
 class KmerIndex:
-    """An opened on-disk index (manifest parsed, payloads loaded lazily)."""
+    """An opened on-disk index: the manifest parsed, each payload read and
+    digest-checked on first use, then held for every later run (see
+    :meth:`matrix` and :meth:`refresh`)."""
 
     path: Path
     manifest: dict
+    #: ``(st_ino, st_mtime_ns, st_size)`` of the manifest file read
+    identity: tuple[int, int, int] | None = None
+    #: manifest reads (the open and every :meth:`refresh` that re-opened)
+    opens: int = 1
+    #: stripes read from disk into the held set
+    stripe_loads: int = 0
     _sequences: SequenceSet | None = field(default=None, repr=False)
     _banned: np.ndarray | None = field(default=None, repr=False)
+    _stripes: dict[int, Stripe] = field(default_factory=dict, repr=False)
 
     @classmethod
     def open(cls, path: str | Path) -> "KmerIndex":
         path = Path(path)
-        manifest_path = path / MANIFEST_NAME
+        manifest, identity = _read_manifest(path / MANIFEST_NAME)
+        return cls(path=path, manifest=manifest, identity=identity)
+
+    def refresh(self) -> bool:
+        """Re-open in place when the manifest on disk is no longer the one
+        this index opened, dropping every payload held; ``True`` when it
+        re-opened.  A rebuild always writes a new manifest (by atomic rename,
+        last), so a changed ``(st_ino, st_mtime_ns, st_size)`` is how a
+        session sees it; one ``os.stat`` otherwise."""
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except FileNotFoundError:
-            raise ServeIndexError(f"no index manifest at {manifest_path}") from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IndexIntegrityError(f"unreadable index manifest {manifest_path}: {exc}") from exc
-        if manifest.get("format") != INDEX_FORMAT:
-            raise ServeIndexError(
-                f"{manifest_path} is not a {INDEX_FORMAT} manifest "
-                f"(format={manifest.get('format')!r})"
-            )
-        if manifest.get("version") != INDEX_VERSION:
-            raise IndexCompatibilityError(
-                f"index version {manifest.get('version')} unsupported "
-                f"(this build reads version {INDEX_VERSION})"
-            )
-        return cls(path=path, manifest=manifest)
+            st = os.stat(self.path / MANIFEST_NAME)
+            if (st.st_ino, st.st_mtime_ns, st.st_size) == self.identity:
+                return False
+        except OSError:
+            pass  # gone: the re-open below refuses it
+        self._sequences = self._banned = None
+        self._stripes.clear()
+        self.manifest, self.identity = _read_manifest(self.path / MANIFEST_NAME)
+        self.opens += 1
+        return True
 
     # ------------------------------------------------------------------ manifest facts
     @property
@@ -372,13 +414,19 @@ class KmerIndex:
 
     # ------------------------------------------------------------------ payloads
     def sequences(self) -> SequenceSet:
-        """The database sequences, digest-verified against the manifest.
+        """The database sequences, read and digest-verified on the first call
+        and held after it.
 
         The residues, offsets and banned k-mer ids are read-only views into
         the payload's bytes.
         """
-        if self._sequences is not None:
-            return self._sequences
+        if self._sequences is None:
+            self._sequences, self._banned = self._read_sequences()
+        return self._sequences
+
+    def _read_sequences(self) -> tuple[SequenceSet, np.ndarray]:
+        """``sequences.bin`` from disk, checked against both of its digests:
+        (sequences, banned k-mer ids)."""
         path = self.path / SEQUENCES_NAME
         alphabet_name = str(self.manifest["alphabet"])
         if alphabet_name not in _ALPHABETS:
@@ -403,8 +451,7 @@ class KmerIndex:
                 f"stamps {self.sequence_digest[:16]}… — rebuild the index instead "
                 "of serving wrong answers"
             )
-        self._sequences, self._banned = sequences, banned
-        return sequences
+        return sequences, banned
 
     def banned_kmers(self) -> np.ndarray:
         """The database's globally banned k-mer ids (see :func:`banned_kmer_ids`)."""
@@ -413,18 +460,37 @@ class KmerIndex:
         return self._banned
 
     def stripe(self, c: int, comm: SimCommunicator) -> Stripe:
-        """Column stripe ``c`` of ``Bᵀ``, digest-verified against the manifest."""
+        """Column stripe ``c`` of ``Bᵀ`` read from disk, digest-verified
+        against the manifest (never the held copy)."""
         shape = (self.kmer_space, self.n_sequences)
         entry = self.manifest["stripes"][c]
         return load_stripe_shards(self.path / SHARD_DIR, c, shape, comm, entry)
 
+    def _held_stripe(self, c: int, comm: SimCommunicator) -> Stripe:
+        """Stripe ``c`` as held — read from disk on first use — bound to
+        ``comm``: SUMMA multiplies stripes of one communicator."""
+        held = self._stripes.get(c)
+        if held is None:
+            held = self._stripes[c] = self.stripe(c, comm)
+            self.stripe_loads += 1
+        if held.comm is comm:
+            return held
+        if held.comm.size != comm.size:
+            raise ValueError(
+                f"stripe {c} is held on {held.comm.size} ranks, not {comm.size}"
+            )
+        bound = replace(held, comm=comm)
+        bound.__dict__["block_nnz"] = held.block_nnz  # counted at the join; replace drops it
+        return bound
+
     def matrix(self, comm: SimCommunicator) -> ColumnStripes:
-        """The database operand ``Bᵀ`` as lazily loaded column stripes."""
+        """The database operand ``Bᵀ`` as column stripes, each read from disk
+        on its first use by any run and held for every later one."""
         return ColumnStripes(
             shape=(self.kmer_space, self.n_sequences),
             nnz=self.nnz,
             col_ranges=self.col_ranges,
-            loader=lambda c: self.stripe(c, comm),
+            loader=lambda c: self._held_stripe(c, comm),
         )
 
     # ------------------------------------------------------------------ checks
@@ -452,9 +518,11 @@ class KmerIndex:
             )
 
     def verify(self, comm: SimCommunicator | None = None) -> dict:
-        """Deep integrity check: every payload loaded and digest-verified."""
+        """Deep integrity check: every payload read from disk and
+        digest-verified — never the held copies, so a payload changed after
+        a run loaded it is still refused here."""
         comm = comm or SimCommunicator(int(self.manifest["params"]["nodes"]))
-        sequences = self.sequences()
+        sequences, banned = self._read_sequences()
         stripe_nnz = 0
         for c in range(self.bc):
             stripe_nnz += self.stripe(c, comm).nnz
@@ -467,7 +535,7 @@ class KmerIndex:
             "n_sequences": len(sequences),
             "stripes": self.bc,
             "nnz": stripe_nnz,
-            "banned_kmers": int(self.banned_kmers().size),
+            "banned_kmers": int(banned.size),
             "payload_bytes": self.payload_bytes(),
         }
 

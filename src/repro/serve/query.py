@@ -142,9 +142,14 @@ def build_query_operand(
     return seed_operand(triples, n_rows, row_ids=row_ids)
 
 
-def open_index_for(params: PastisParams) -> KmerIndex:
-    """Open and validate the index a query-mode run points at."""
-    index = KmerIndex.open(params.index_dir)
+def open_index_for(params: PastisParams, index: KmerIndex | None = None) -> KmerIndex:
+    """Open and validate the index a query-mode run points at.  An index
+    already open (a serving session's) is used as held, re-opened only when
+    its manifest was rewritten (:meth:`KmerIndex.refresh`)."""
+    if index is None:
+        index = KmerIndex.open(params.index_dir)
+    else:
+        index.refresh()
     index.validate_params(params)
     return index
 

@@ -6,7 +6,7 @@ from summa_oracle import owner_pieces
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
 from repro.distsparse.distribute import charge_distribution, distribute_sequences
-from repro.distsparse.stripe import ColumnStripes, Stripe
+from repro.distsparse.stripe import ColumnStripes, Stripe, by_owner
 from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
 from repro.obs import MetricsHub, activate_metrics, deactivate_metrics
@@ -145,6 +145,24 @@ def test_empty_stripe(nprocs):
     assert stripe.row_stripe((3, 9)).nnz == 0
     columns = stripe.cut_columns([2, 5])
     assert columns.nnz == 0 and columns.col_ranges == [(0, 2), (2, 5), (5, 7)]
+
+
+@pytest.mark.parametrize("nnz", [0, 1, 40])
+@pytest.mark.parametrize("nprocs", [1, 4, 9])
+def test_by_owner_equals_the_executed_cut(nprocs, nnz):
+    """A product's entries cut by owner rank equal the executed grid's
+    per-rank masks, piece for piece; an empty product is ``nprocs`` empty
+    pieces, so the align window still reads one size per rank."""
+    comm = SimCommunicator(nprocs)
+    a = Stripe.of(random_coo((15, 8), 30, 1), comm)
+    b = Stripe.of(random_coo((8, 11), 30, 2), comm)
+    product = random_coo((15, 11), nnz, 3).sort_rowmajor()
+    pieces = by_owner(product, a.row_starts, b.col_starts)
+    expected = owner_pieces(product, a, b)
+    assert len(pieces) == nprocs
+    for got, want in zip(pieces, expected, strict=True):
+        assert got == want and got.shape == product.shape
+        assert got.values.dtype == product.values.dtype
 
 
 def test_block_ownership():

@@ -34,6 +34,7 @@ from repro.serve import (
     load_sequences,
     register_provider,
 )
+from repro.serve.batcher import MATCH_DTYPE
 from repro.serve.cli import main as serve_main
 from repro.serve.query import resolve_queries
 from repro.serve.index import INDEX_VERSION, MANIFEST_NAME, SEQUENCES_NAME, SHARD_DIR
@@ -318,6 +319,8 @@ def test_served_run_reads_index_memory_read_only(db, monkeypatch):
     batcher = QueryBatcher(index_dir, params, max_batch_queries=4)
     batcher.submit(sequences.subset(np.arange(5, 8)))
     assert len(batcher.drain()) == 1
+    batcher.submit(sequences.subset(np.arange(8, 10)))
+    assert len(batcher.drain()) == 1
     assert KmerIndex.open(index_dir).verify()["ok"]
 
     assert blocks and databases
@@ -327,6 +330,14 @@ def test_served_run_reads_index_memory_read_only(db, monkeypatch):
     for database in databases:
         assert not database.codes(0).flags.writeable
         assert not database._offsets.flags.writeable
+    # after two drains the session holds the stripes it loaded, still read-only
+    held = batcher.index.matrix(SimCommunicator(params.nodes))
+    for col_range in held.col_ranges:
+        matrix = held.col_stripe(col_range).matrix
+        assert any(matrix is block for block in blocks)
+        for arr in (matrix.rows, matrix.cols, matrix.values):
+            assert not arr.flags.writeable
+    assert not batcher.index.sequences().codes(0).flags.writeable
 
 
 # ------------------------------------------------------------- member resolution
@@ -562,3 +573,160 @@ def test_batcher_oversized_request_forms_own_batch(db):
     assert answers[big].batch_index == 0
     assert answers[small].batch_index == 1
     assert len(answers[big].matches) == 5
+
+
+# ---------------------------------------------------------------------- sessions
+def _matches_oracle(edges: np.ndarray, row: int) -> np.ndarray:
+    """One query row's matches, scanned out of every edge."""
+    as_row = edges[edges["row"] == row]
+    as_col = edges[edges["col"] == row]
+    out = np.empty(as_row.size + as_col.size, dtype=MATCH_DTYPE)
+    out["partner"] = np.concatenate([as_row["col"], as_col["row"]])
+    for key in ("score", "ani", "coverage"):
+        out[key] = np.concatenate([as_row[key], as_col[key]])
+    return np.sort(out, order="partner")
+
+
+def test_session_reads_each_payload_once(db, monkeypatch):
+    """Across drains a batcher reads and verifies every stripe, and the
+    sequences payload, exactly once."""
+    from repro.serve import index as index_mod
+
+    sequences, params, index_dir = db
+    loads, reads = [], []
+    load_stripe_shards = index_mod.load_stripe_shards
+    read_sequences = index_mod.KmerIndex._read_sequences
+
+    def spy_stripe(shard_dir, c, *args, **kwargs):
+        loads.append(c)
+        return load_stripe_shards(shard_dir, c, *args, **kwargs)
+
+    def spy_sequences(self):
+        reads.append(self.path)
+        return read_sequences(self)
+
+    monkeypatch.setattr(index_mod, "load_stripe_shards", spy_stripe)
+    monkeypatch.setattr(index_mod.KmerIndex, "_read_sequences", spy_sequences)
+    batcher = QueryBatcher(index_dir, params, max_batch_queries=2)
+    for lo in (0, 2, 4, 6):
+        batcher.submit(sequences.subset(np.arange(lo, lo + 2)))
+        batcher.submit(sequences.subset(np.arange(lo + 8, lo + 9)))
+        assert len(batcher.drain()) == 2
+    bc = batcher.index.bc
+    assert len(batcher.batches) == 8
+    assert sorted(loads) == list(range(bc))
+    assert len(reads) == 1
+    assert batcher.hub.value("serve_index_opens") == 1.0
+    assert batcher.hub.value("serve_stripe_loads") == bc
+
+
+def test_session_requests_equal_one_shot_runs(db):
+    """Every request a session answers — first drain or later, from the
+    disk or from held stripes — equals a one-shot run of its queries:
+    answers byte for byte, stats, block records and the per-rank ledger."""
+    from test_cache import MEASURED_STATS_KEYS, assert_results_identical
+
+    sequences, params, index_dir = db
+    novel = SequenceSet.from_strings(["MKVLAAGIVGLLLAQPAMA"], names=["novel"])
+    requests = [
+        sequences.subset(np.arange(0, 2)),
+        SequenceSet.concatenate([sequences.subset(np.arange(7, 9)), novel]),
+        sequences.subset(np.arange(2, 4)),
+    ]
+    batcher = QueryBatcher(index_dir, params, max_batch_queries=3)
+    for _ in range(2):
+        for queries in requests:
+            batcher.submit(queries)
+        answers = batcher.drain()
+        assert len(answers) == len(requests)
+        for answer, batch, queries in zip(answers, batcher.batches[-3:], requests):
+            solo = PastisPipeline(params.replace(index_dir=index_dir)).run(queries)
+            assert_results_identical(solo, batch.result, skip_stats=MEASURED_STATS_KEYS)
+            assert answer.rows.tolist() == solo.query_rows.tolist()
+            edges = solo.similarity_graph.edges
+            for row, got in zip(answer.rows, answer.matches):
+                assert got.tobytes() == _matches_oracle(edges, int(row)).tobytes()
+    assert any(answer.total_matches for answer in answers)
+
+
+def test_session_follows_a_rebuilt_index(db, tmp_path):
+    """A rebuild under a live batcher is seen at the next drain: another
+    database is answered from; other parameters are refused inside the
+    run's input-IO phase, leaving its error manifest."""
+    from repro.obs.registry import RunRegistry
+
+    sequences, params, _ = db
+    index_dir = tmp_path / "index"
+    registry = tmp_path / "registry"
+    build_index(sequences, params, index_dir)
+    batcher = QueryBatcher(
+        str(index_dir), params.replace(run_registry=str(registry)), max_batch_queries=8
+    )
+    batcher.submit(sequences.subset(np.arange(0, 3)))
+    batcher.drain()
+
+    other = synthetic_dataset(
+        config=SyntheticDatasetConfig(
+            n_sequences=N_DB + 4, seed=23, family_fraction=0.8, mean_family_size=4.0
+        )
+    )
+    build_index(other, params, index_dir, force=True)
+    queries = other.subset(np.arange(N_DB, N_DB + 3))
+    batcher.submit(queries)
+    (answer,) = batcher.drain()
+    solo = PastisPipeline(params.replace(index_dir=str(index_dir))).run(queries)
+    assert answer.rows.tolist() == [N_DB, N_DB + 1, N_DB + 2]
+    edges = solo.similarity_graph.edges
+    assert edges.size
+    for row, got in zip(answer.rows, answer.matches):
+        assert got.tobytes() == _matches_oracle(edges, int(row)).tobytes()
+    assert batcher.index.n_sequences == N_DB + 4
+    assert batcher.hub.value("serve_index_opens") == 2.0
+
+    build_index(other, params.replace(kmer_length=5), index_dir, force=True)
+    batcher.submit(queries)
+    with pytest.raises(IndexCompatibilityError, match="different parameters"):
+        batcher.drain()
+    manifest = RunRegistry(registry).latest()
+    assert manifest["status"] == "error"
+    assert manifest["error"]["type"] == "IndexCompatibilityError"
+    assert set(manifest["phase_seconds"]) == {"input_io"}
+
+
+def test_shard_tampered_after_load(db, tmp_path):
+    """A shard changed after a session loaded it: the session answers from
+    what it verified; a deep verify — even the session's own — and a new
+    batcher read the disk and refuse, naming the file."""
+    sequences, params, _ = db
+    index_dir = tmp_path / "index"
+    build_index(sequences, params, index_dir)
+    queries = sequences.subset(np.arange(0, 4))
+    batcher = QueryBatcher(str(index_dir), params, max_batch_queries=8)
+    batcher.submit(queries)
+    (before,) = batcher.drain()
+
+    victim = max((index_dir / SHARD_DIR).iterdir(), key=lambda p: p.stat().st_size)
+    _flip_middle_byte(victim, "rows")
+    batcher.submit(queries)
+    (after,) = batcher.drain()
+    assert [m.tobytes() for m in after.matches] == [m.tobytes() for m in before.matches]
+    for index in (KmerIndex.open(index_dir), batcher.index):
+        with pytest.raises(IndexIntegrityError, match=victim.name):
+            index.verify()
+    fresh = QueryBatcher(str(index_dir), params, max_batch_queries=8)
+    fresh.submit(queries)
+    with pytest.raises(IndexIntegrityError, match=victim.name):
+        fresh.drain()
+
+
+def test_pipeline_refuses_an_index_it_does_not_query(db):
+    sequences, params, index_dir = db
+    index = KmerIndex.open(index_dir)
+    with pytest.raises(ValueError, match="opened index"):
+        PastisPipeline(params, index=index)
+    with pytest.raises(ValueError, match="opened index"):
+        PastisPipeline(params.replace(index_dir=str(Path(index_dir) / "elsewhere")), index=index)
+    result = PastisPipeline(params.replace(index_dir=index_dir), index=index).run(
+        sequences.subset(np.arange(0, 2))
+    )
+    assert result.query_rows.tolist() == [0, 1]
