@@ -67,7 +67,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     disk mid-write, a failed ``os.replace`` — the temp file is unlinked
     before the error propagates, so a crash cannot strand ``.tmp`` litter
     next to the real file.  Used by every persistent artifact writer: the
-    stage cache, index shards and manifests, and run manifests.
+    stage cache, index payloads and manifests, and run manifests.
     """
     p = Path(path)
     tmp = p.with_name(p.name + ".tmp")

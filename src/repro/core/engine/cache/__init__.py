@@ -168,21 +168,6 @@ def stripe_digest(stripe: Stripe) -> str:
     return h.hexdigest()
 
 
-def pieces_digest(shape: tuple[int, int], pieces: list[tuple]) -> str:
-    """Content digest of the stripe whose per-rank cut
-    (:meth:`~repro.distsparse.stripe.Stripe.per_rank`) is ``pieces``: the
-    blocks and their placement, as the index stamps and checks them."""
-    h = hashlib.sha256()
-    h.update(str(shape).encode())
-    for local, row_offset, col_offset in pieces:
-        h.update(str((row_offset, col_offset)).encode())
-        h.update(str(local.shape).encode())
-        _update_array(h, local.rows)
-        _update_array(h, local.cols)
-        _update_array(h, local.values)
-    return h.hexdigest()
-
-
 def run_cache_key(
     params: PastisParams, sequences: SequenceSet, extra_digest: str | None = None
 ) -> str:

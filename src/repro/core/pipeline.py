@@ -334,7 +334,7 @@ class PastisPipeline:
         from ..serve.query import open_index_for, prepare_query_run
 
         # ---- input IO and sequence exchange -------------------------------------
-        # a query run reads the persistent database operand (stripe shards +
+        # a query run reads the persistent database operand (stripe files +
         # residues) instead of re-deriving it; the index open/validate happens
         # inside the IO phase because a refused index is an input failure
         with phase("input_io"):

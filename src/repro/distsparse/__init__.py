@@ -17,9 +17,10 @@ CombBLAS plays for PASTIS:
   SUMMA** (§VI-A): the output matrix is formed in ``br x bc`` blocks, each
   computed by a SUMMA over the corresponding row stripe of ``A`` and column
   stripe of ``B``, so peak memory is bounded by one output block (plus the
-  stripes) instead of the whole overlap matrix;
-* :mod:`repro.distsparse.shards` — column stripes stored as on-disk
-  per-rank shards.
+  stripes) instead of the whole overlap matrix.
+
+The serving index stores each column stripe as one file, as it is held
+(:mod:`repro.serve.index`).
 """
 
 from .stripe import ColumnStripes, Stripe

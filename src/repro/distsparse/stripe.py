@@ -18,11 +18,10 @@ full operand's counts (:class:`KmerCounts`), which block nnz and bytes sum.
 A row stripe of a stripe is a ``searchsorted`` slice.  A column range of a
 row-major matrix is not contiguous, so ``B`` is cut into the schedule's
 column stripes once, at birth (:meth:`Stripe.cut_columns`), and handed out
-by :class:`ColumnStripes`, which also serves the index's stored stripes.
-:meth:`Stripe.per_rank` cuts a stripe into the rank blocks themselves —
-the form the index stores — and :meth:`Stripe.join` is its inverse.
-:func:`by_owner` cuts a product's entries by the same ownership, for the
-few a search keeps.
+by :class:`ColumnStripes`, which also serves the index's stored stripes
+(each stored as it is held, :mod:`repro.serve.index`).  No rank block is
+ever cut out of a stripe: :func:`by_owner` cuts a product's entries by the
+grid's ownership, for the few a search keeps.
 """
 
 from __future__ import annotations
@@ -131,44 +130,6 @@ class Stripe:
             chunk_starts(grid, matrix.shape[1]),
         )
 
-    @classmethod
-    def join(
-        cls,
-        pieces: list[tuple[CooMatrix, int, int]],
-        comm: SimCommunicator,
-        shape: tuple[int, int],
-        col_range: tuple[int, int],
-    ) -> "Stripe":
-        """The column stripe whose :meth:`per_rank` cut is ``pieces`` (one
-        ``(block, row offset, column offset)`` per rank, on the balanced
-        chunks of ``shape``); its arrays are read-only."""
-        grid = comm.require_grid()
-        rows, cols, values = (
-            np.concatenate([getattr(block, name) for block, _, _ in pieces])
-            for name in ("rows", "cols", "values")
-        )
-        nnz = np.array([block.nnz for block, _, _ in pieces], dtype=np.int64)
-        bounds = np.concatenate(([0], np.cumsum(nnz)))
-        for (_, row_offset, col_offset), lo, hi in zip(pieces, bounds[:-1], bounds[1:]):
-            rows[lo:hi] += row_offset
-            cols[lo:hi] += col_offset
-        block_nnz = nnz.reshape(grid.grid_dim, grid.grid_dim)
-        if np.any(np.count_nonzero(block_nnz, axis=1) > 1):
-            # a grid row's blocks interleave by row: the stripe spans grid columns
-            order = radix_order(rows)
-            rows, cols, values = rows[order], cols[order], values[order]
-        for array in (rows, cols, values):
-            array.flags.writeable = False
-        stripe = cls(
-            CooMatrix(shape, rows, cols, values, check=False),
-            comm,
-            chunk_starts(grid, shape[0]),
-            chunk_starts(grid, shape[1]),
-            col_range=(int(col_range[0]), int(col_range[1])),
-        )
-        stripe.__dict__["block_nnz"] = block_nnz  # the pieces are the blocks
-        return stripe
-
     # ------------------------------------------------------------------ facts
     @property
     def shape(self) -> tuple[int, int]:
@@ -264,38 +225,13 @@ class Stripe:
         ranges = [stripe.col_range for stripe in stripes]
         return ColumnStripes(self.shape, self.nnz, ranges, stripes.__getitem__)
 
-    def per_rank(self) -> list[tuple[CooMatrix, int, int]]:
-        """Every rank's block of the stripe, in rank order, as ``(block,
-        global row offset, global column offset)``: the block in
-        block-local coordinates, row-major, its shape and offsets the part
-        of the rank's chunks inside the stripe's ranges."""
-        grid, m = self.grid, self.matrix
-        per_grid_row = np.diff(np.searchsorted(m.rows, self.row_starts))
-        owner = np.repeat(np.arange(grid.grid_dim) * grid.grid_dim, per_grid_row)
-        owner += _chunk_index(m.cols, self.col_starts[:-1], self.shape[1])
-        # each chunk's part of the stripe's range, clipped into the chunk
-        row_lo, row_hi = (np.clip(r, self.row_starts[:-1], self.row_starts[1:])
-                          for r in self.row_range)
-        col_lo, col_hi = (np.clip(c, self.col_starts[:-1], self.col_starts[1:])
-                          for c in self.col_range)
-        pieces = []
-        for rank in range(grid.nprocs):
-            i, j = grid.coords(rank)
-            take = np.flatnonzero(owner == rank)
-            r0, c0 = int(row_lo[i]), int(col_lo[j])
-            shape = (int(row_hi[i]) - r0, int(col_hi[j]) - c0)
-            block = CooMatrix(shape, m.rows[take] - r0, m.cols[take] - c0, m.values[take],
-                              check=False)
-            pieces.append((block, r0, c0))
-        return pieces
-
 
 @dataclass(eq=False)
 class ColumnStripes:
     """An operand held as the column stripes a Blocked SUMMA schedule
     consumes: ``col_stripe(col_range)`` hands out stripe ``c`` for exactly
     its range, loaded by ``loader(c)`` on first use (in memory, or from the
-    index's shards).  Any other range is refused, not recomputed."""
+    index's stripe files).  Any other range is refused, not recomputed."""
 
     shape: tuple[int, int]
     nnz: int

@@ -6,8 +6,8 @@ database k-mer matrix once, persist it, and answer query batches as the
 one-sided product ``A_query · B_dbᵀ`` through the same Blocked SUMMA engine:
 
 * :mod:`repro.serve.index` — the persistent on-disk index: the database
-  operand ``A_dbᵀ`` blocked into per-rank stripe shards, stamped with the
-  stage cache's content digests;
+  operand ``A_dbᵀ`` as one file per column stripe, each stamped with its
+  sha256;
 * :mod:`repro.serve.query` — the asymmetric search path behind
   ``PastisParams(index_dir=...)``: resolves queries against
   the database, builds the row-sparse query operand in *database row

@@ -4,25 +4,34 @@
 (:func:`repro.core.kmer_matrix.seed_operand`) once over the database, cuts
 the transposed operand ``Bᵀ = A_dbᵀ`` — row-major by (k-mer, sequence), the
 order a served SpGEMM multiplies from — into the index's column stripes,
-and persists each stripe as its per-rank shards
-(:mod:`repro.distsparse.shards`); a load checks the pieces against the
-stamped digest, then joins them into the stripe.  Every artifact is stamped with
-a content digest: :func:`repro.core.engine.cache.sequence_digest` for the
-database residues (the one the stage cache keys on), and
-:func:`repro.core.engine.cache.pieces_digest` of each stripe's per-rank cut.
+and persists each stripe as one file holding it as it is held: a load is
+the born stripe again, array for array, with the same stage-cache
+:func:`repro.core.engine.cache.stripe_digest`.  The manifest stamps the
+sha256 of each payload file, and the database residues'
+:func:`repro.core.engine.cache.sequence_digest` (the one the cache keys on).
 
 Disk layout (all files written atomically, ``index.json`` last so a
-killed build never leaves a manifest pointing at missing shards)::
+killed build never leaves a manifest pointing at missing stripes)::
 
     index_dir/
-      index.json                       # manifest: format/version, digests,
-                                       #   blocking, canonical params token
-      sequences.bin                    # residues + names + banned k-mer ids
-      shards/stripe-CCCCC-rank-RRR.bin # rank R's piece of column stripe C
+      index.json               # manifest: format/version, digests,
+                               #   blocking, canonical params token
+      sequences.bin            # residues + names + banned k-mer ids
+      shards/stripe-CCCCC.bin  # column stripe C
 
 Both payloads are flat little-endian files read with one ``read_bytes`` and
 a few read-only ``np.frombuffer`` views (no archive, no per-member header
-parsing).  ``sequences.bin`` is::
+parsing); every array starts on an 8-byte boundary.  ``stripe-CCCCC.bin``
+holds the stripe's entries row-major in global coordinates::
+
+    int64[8]          magic, nnz, rows and columns of the whole matrix,
+                      column range lo and hi, values dtype kind (ord of
+                      the char) and itemsize
+    int64[nnz]        rows
+    int64[nnz]        cols
+    <kind><size>[nnz] values
+
+``sequences.bin`` is::
 
     int64[5]          magic, n sequences, n residues, n banned k-mers,
                       name blob bytes
@@ -32,11 +41,11 @@ parsing).  ``sequences.bin`` is::
     uint8[n_residues] residue codes, zero-padded to an 8-byte boundary
     bytes             UTF-8 name blob
 
-Every byte is covered by a check on read: a shard by its magic, its exact
-length and the manifest's stripe digest (:mod:`repro.distsparse.shards`);
-``sequences.bin`` by its magic, its exact length, the manifest's
-``sequences_payload_digest`` (sha256 of the whole file) and
-``sequence_digest`` (the residues and offsets the cache keys on).
+Every byte is covered by a check on read: a payload is hashed against the
+manifest's sha256 of the whole file before it is decoded, then its magic
+and exact length are checked against its header; a stripe's shape and
+column range must be the manifest's, and ``sequences.bin``'s residues and
+offsets must match ``sequence_digest`` too.
 
 An opened :class:`KmerIndex` is a serving session's database: each payload
 is read and checked once, when it first enters memory, and held for every
@@ -61,33 +70,39 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ..config import atomic_write_bytes, atomic_write_text
-from ..core.engine.cache import pieces_digest, sequence_digest
+from ..core.engine.cache import sequence_digest
 from ..core.kmer_matrix import KmerMatrixInfo, extract_seed_triples, seed_operand
 from ..core.params import PastisParams
 from ..distsparse.blocked_summa import BlockSchedule
-from ..distsparse.shards import read_shard, shard_filename, write_stripe_shards
-from ..distsparse.stripe import ColumnStripes, Stripe
+from ..distsparse.stripe import ColumnStripes, Stripe, chunk_starts
 from ..mpi.communicator import SimCommunicator
 from ..mpi.process_grid import is_perfect_square
 from ..sequences.alphabet import MURPHY10, PROTEIN, Alphabet
 from ..sequences.kmers import KmerExtractor
 from ..sequences.sequence import SequenceSet
+from ..sparse.coo import CooMatrix
 
 INDEX_FORMAT = "pastis-kmer-index"
-#: 3: flat little-endian ``.bin`` payloads read as array views (version 2
-#: stored npz archives; version 1 stored shard entries in (sequence, k-mer)
-#: order, which every request would re-sort)
-INDEX_VERSION = 3
+#: 4: one file per column stripe, holding the stripe as it is held (version
+#: 3 stored one flat file per (stripe, rank); version 2 stored npz archives;
+#: version 1 stored entries in (sequence, k-mer) order, which every request
+#: would re-sort)
+INDEX_VERSION = 4
 MANIFEST_NAME = "index.json"
 SEQUENCES_NAME = "sequences.bin"
 SHARD_DIR = "shards"
 #: first header word of ``sequences.bin`` (``b"PSEQS003"`` as little-endian int64)
 SEQUENCES_MAGIC = int.from_bytes(b"PSEQS003", "little")
 _SEQUENCES_HEADER_WORDS = 5
+#: first header word of a stripe file (``b"PSTRIP04"`` as little-endian int64)
+STRIPE_MAGIC = int.from_bytes(b"PSTRIP04", "little")
+_STRIPE_HEADER_WORDS = 8
+_VALUE_KINDS = "biuf"
 
 _ALPHABETS = {PROTEIN.name: PROTEIN, MURPHY10.name: MURPHY10}
 
@@ -176,6 +191,16 @@ def _encode_sequences(sequences: SequenceSet, banned: np.ndarray) -> bytes:
     )
 
 
+def _header(data: bytes, words: int, magic: int, what: str) -> list[int]:
+    """The ``words`` int64 header words of a ``what`` payload, magic first."""
+    if len(data) < 8 * words:
+        raise ValueError(f"{len(data)} bytes, shorter than the payload header")
+    header = np.frombuffer(data, dtype="<i8", count=words).tolist()
+    if header[0] != magic:
+        raise ValueError(f"not a {what} payload (bad magic)")
+    return header
+
+
 def _decode_sequences(data: bytes, alphabet: Alphabet) -> tuple[SequenceSet, np.ndarray]:
     """Views of one ``sequences.bin`` payload: (sequences, banned k-mer ids).
 
@@ -184,13 +209,9 @@ def _decode_sequences(data: bytes, alphabet: Alphabet) -> tuple[SequenceSet, np.
     into ``data``.
     """
     header_bytes = 8 * _SEQUENCES_HEADER_WORDS
-    if len(data) < header_bytes:
-        raise ValueError(f"{len(data)} bytes, shorter than the payload header")
-    magic, n, n_residues, n_banned, name_bytes = (
-        int(word) for word in np.frombuffer(data, dtype="<i8", count=_SEQUENCES_HEADER_WORDS)
+    _, n, n_residues, n_banned, name_bytes = _header(
+        data, _SEQUENCES_HEADER_WORDS, SEQUENCES_MAGIC, "sequences"
     )
-    if magic != SEQUENCES_MAGIC:
-        raise ValueError("not a sequences payload (bad magic)")
     if min(n, n_residues, n_banned, name_bytes) < 0:
         raise ValueError("negative count in the payload header")
     residues_at = header_bytes + 8 * (2 * (n + 1) + n_banned)
@@ -210,6 +231,61 @@ def _decode_sequences(data: bytes, alphabet: Alphabet) -> tuple[SequenceSet, np.
     blob = data[names_at:]
     names = [blob[lo:hi].decode("utf-8") for lo, hi in zip(name_offsets, name_offsets[1:])]
     return SequenceSet(residues, offsets, names, alphabet), banned
+
+
+def stripe_filename(c: int) -> str:
+    """File name of column stripe ``c`` under ``shards/``."""
+    return f"stripe-{c:05d}.bin"
+
+
+def _encode_stripe(stripe: Stripe) -> bytes:
+    """The ``stripe-CCCCC.bin`` payload of a column stripe (layout in the module doc)."""
+    m = stripe.matrix
+    values = m.values.astype(m.values.dtype.newbyteorder("<"), copy=False)
+    header = np.array(
+        [STRIPE_MAGIC, m.nnz, *m.shape, *stripe.col_range,
+         ord(values.dtype.kind), values.dtype.itemsize],
+        dtype="<i8",
+    )
+    rows, cols = (a.astype("<i8", copy=False) for a in (m.rows, m.cols))
+    return b"".join(part.tobytes() for part in (header, rows, cols, values))
+
+
+def _decode_stripe(data: bytes) -> tuple[CooMatrix, tuple[int, int]]:
+    """Read-only views of one stripe payload: (entries, column range); a
+    ``ValueError`` on a header its bytes or its shape contradict."""
+    header_bytes = 8 * _STRIPE_HEADER_WORDS
+    _, nnz, n_rows, n_cols, lo, hi, kind, itemsize = _header(
+        data, _STRIPE_HEADER_WORDS, STRIPE_MAGIC, "stripe"
+    )
+    if not (0 <= kind < 128 and chr(kind) in _VALUE_KINDS and itemsize in (1, 2, 4, 8)):
+        raise ValueError(f"unknown values dtype (kind={kind}, itemsize={itemsize})")
+    if nnz < 0 or len(data) != header_bytes + nnz * (16 + itemsize):
+        raise ValueError(f"{len(data)} bytes, but its header describes {nnz} entries")
+    rows, cols = (
+        np.frombuffer(data, dtype="<i8", count=nnz, offset=header_bytes + 8 * nnz * k)
+        for k in (0, 1)
+    )
+    values = np.frombuffer(
+        data, dtype=f"<{chr(kind)}{itemsize}", count=nnz, offset=header_bytes + 16 * nnz
+    )
+    return CooMatrix((n_rows, n_cols), rows, cols, values), (lo, hi)
+
+
+def _read_payload(path: Path, stamp: str, decode: Callable[[bytes], tuple]) -> tuple:
+    """One payload file, decoded by ``decode`` only once the sha256 of its
+    bytes is the manifest's ``stamp``; any failure is refused naming it."""
+    try:
+        data = path.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != stamp:
+            raise IndexIntegrityError(
+                f"corrupt index payload: {path} digests to {digest[:16]}… but the "
+                f"manifest stamps {stamp[:16]}…"
+            )
+        return decode(data)
+    except (OSError, ValueError) as exc:
+        raise IndexIntegrityError(f"unreadable index payload {path}: {exc}") from exc
 
 
 def build_index(
@@ -247,20 +323,12 @@ def build_index(
     stripes: list[dict] = []
     shard_bytes = 0
     for c in range(bc):
-        col_range = schedule.col_range(c)
-        stripe = bt.col_stripe(col_range)
-        names, nbytes = write_stripe_shards(shard_dir, c, stripe)
-        shard_bytes += nbytes
-        stripes.append(
-            {
-                "stripe": c,
-                "col_range": [int(col_range[0]), int(col_range[1])],
-                "digest": pieces_digest(stripe.shape, stripe.per_rank()),
-                "files": names,
-                "nnz": int(stripe.nnz),
-                "bytes": int(nbytes),
-            }
-        )
+        stripe = bt.col_stripe(schedule.col_range(c))
+        payload = _encode_stripe(stripe)
+        atomic_write_bytes(shard_dir / stripe_filename(c), payload)
+        shard_bytes += len(payload)
+        stripes.append({"stripe": c, "col_range": list(stripe.col_range), "nnz": stripe.nnz,
+                        "digest": hashlib.sha256(payload).hexdigest(), "bytes": len(payload)})
 
     banned = banned_kmer_ids(sequences, params)
     sequences_payload = _encode_sequences(sequences, banned)
@@ -292,23 +360,22 @@ def build_index(
 def load_stripe_shards(
     shard_dir: Path, c: int, shape: tuple[int, int], comm: SimCommunicator, entry: dict
 ) -> Stripe:
-    """Column stripe ``c`` from its per-rank shards: the pieces are read and
-    their stripe digest checked against the manifest ``entry`` before they
-    are joined into the stripe."""
-    try:
-        pieces = [read_shard(shard_dir / shard_filename(c, rank)) for rank in range(comm.size)]
-    except (OSError, ValueError) as exc:
+    """Column stripe ``c`` from its file: the bytes are checked against the
+    manifest ``entry``'s sha256 before they are decoded into read-only views,
+    and the header's shape and column range against the manifest's.  The
+    grid blocks' nnz are counted here, once per load."""
+    path = shard_dir / stripe_filename(c)
+    matrix, col_range = _read_payload(path, entry["digest"], _decode_stripe)
+    if matrix.shape != shape or list(col_range) != entry["col_range"]:
         raise IndexIntegrityError(
-            f"corrupt index shard for stripe {c} under {shard_dir}: {exc}"
-        ) from exc
-    digest = pieces_digest(shape, pieces)
-    if digest != entry["digest"]:
-        raise IndexIntegrityError(
-            f"stale index: stripe {c} ({', '.join(entry['files'])} under "
-            f"{shard_dir}) digests to {digest[:16]}… but the manifest stamps "
-            f"{entry['digest'][:16]}…"
+            f"index payload {path} holds columns {col_range} of a {matrix.shape} matrix, "
+            f"but the manifest describes columns {tuple(entry['col_range'])} of {shape}"
         )
-    return Stripe.join(pieces, comm, shape, entry["col_range"])
+    grid = comm.require_grid()
+    stripe = Stripe(matrix, comm, chunk_starts(grid, shape[0]), chunk_starts(grid, shape[1]),
+                    col_range=col_range)
+    stripe.block_nnz  # noqa: B018 — cached on the stripe, carried by _held_stripe
+    return stripe
 
 
 def _read_manifest(manifest_path: Path) -> tuple[dict, tuple[int, int, int]]:
@@ -329,7 +396,9 @@ def _read_manifest(manifest_path: Path) -> tuple[dict, tuple[int, int, int]]:
     if manifest.get("version") != INDEX_VERSION:
         raise IndexCompatibilityError(
             f"index version {manifest.get('version')} unsupported "
-            f"(this build reads version {INDEX_VERSION})"
+            f"(this build reads version {INDEX_VERSION}); rebuild it with "
+            f"`python -m repro.serve build --source <database> --out {manifest_path.parent} "
+            "--force`"
         )
     return manifest, (st.st_ino, st.st_mtime_ns, st.st_size)
 
@@ -409,7 +478,7 @@ class KmerIndex:
         return KmerMatrixInfo(**self.manifest["kmer_info"])
 
     def payload_bytes(self) -> int:
-        """Bytes a serving run reads from disk (shards + sequences)."""
+        """Bytes a serving run reads from disk (stripe files + sequences)."""
         return int(self.manifest["shard_bytes"]) + int(self.manifest["sequences_bytes"])
 
     # ------------------------------------------------------------------ payloads
@@ -433,17 +502,10 @@ class KmerIndex:
             raise IndexCompatibilityError(
                 f"index alphabet {alphabet_name!r} unknown to this build"
             )
-        try:
-            data = path.read_bytes()
-            sequences, banned = _decode_sequences(data, _ALPHABETS[alphabet_name])
-        except (OSError, ValueError) as exc:
-            raise IndexIntegrityError(f"unreadable index payload {path}: {exc}") from exc
-        payload_digest = hashlib.sha256(data).hexdigest()
-        if payload_digest != self.manifest["sequences_payload_digest"]:
-            raise IndexIntegrityError(
-                f"corrupt index payload: {path} digests to {payload_digest[:16]}… but "
-                f"the manifest stamps {self.manifest['sequences_payload_digest'][:16]}…"
-            )
+        sequences, banned = _read_payload(
+            path, self.manifest["sequences_payload_digest"],
+            lambda data: _decode_sequences(data, _ALPHABETS[alphabet_name]),
+        )
         digest = sequence_digest(sequences)
         if digest != self.sequence_digest:
             raise IndexIntegrityError(
@@ -480,7 +542,7 @@ class KmerIndex:
                 f"stripe {c} is held on {held.comm.size} ranks, not {comm.size}"
             )
         bound = replace(held, comm=comm)
-        bound.__dict__["block_nnz"] = held.block_nnz  # counted at the join; replace drops it
+        bound.__dict__["block_nnz"] = held.block_nnz  # counted at load; replace drops it
         return bound
 
     def matrix(self, comm: SimCommunicator) -> ColumnStripes:

@@ -8,8 +8,10 @@ kept here as the reference: the grid's stage loop run for real — in stage
 engine, then one kernel call per rank whose two stage blocks hold entries,
 charged as it happens, and the per-rank partials merged with the semiring.
 
-:func:`owner_pieces` cuts :func:`~repro.distsparse.summa.summa`'s one
-product into those per-rank pieces.  :func:`journal_of` runs either against
+:func:`rank_pieces` cuts an operand stripe into the rank blocks the loop
+multiplies, and :func:`owner_pieces` cuts
+:func:`~repro.distsparse.summa.summa`'s one product into the per-rank
+pieces it merges.  :func:`journal_of` runs either against
 a fresh :class:`~repro.mpi.costmodel.RecordingLedger` and returns the
 result with its ledger events split by kind, in order.
 """
@@ -49,12 +51,31 @@ class ExecutedSumma:
         return flops
 
 
+def rank_pieces(stripe) -> list[tuple[CooMatrix, int, int]]:
+    """Every rank's block of ``stripe``, in rank order, as ``(block, global
+    row offset, global column offset)``: the block in block-local
+    coordinates, row-major, its shape and offsets the part of the rank's
+    chunks inside the stripe's ranges — the executed grid's per-rank cut,
+    one mask per rank (the library only counts the blocks)."""
+    grid, m = stripe.grid, stripe.matrix
+    pieces = []
+    for rank in range(grid.nprocs):
+        i, j = grid.coords(rank)
+        r0, r1 = (int(r) for r in np.clip(stripe.row_range, *stripe.row_starts[i:i + 2]))
+        c0, c1 = (int(c) for c in np.clip(stripe.col_range, *stripe.col_starts[j:j + 2]))
+        take = (m.rows >= r0) & (m.rows < r1) & (m.cols >= c0) & (m.cols < c1)
+        block = CooMatrix((r1 - r0, c1 - c0), m.rows[take] - r0, m.cols[take] - c0,
+                          m.values[take], check=False)
+        pieces.append((block, r0, c0))
+    return pieces
+
+
 class GridBlocks:
-    """A stripe's per-rank cut (:meth:`repro.distsparse.stripe.Stripe.per_rank`),
-    read by grid position as ``(block, row offset, column offset)``."""
+    """A stripe's per-rank cut (:func:`rank_pieces`), read by grid position
+    as ``(block, row offset, column offset)``."""
 
     def __init__(self, stripe):
-        self.grid, self.pieces = stripe.grid, stripe.per_rank()
+        self.grid, self.pieces = stripe.grid, rank_pieces(stripe)
 
     def grid_block(self, grid_row, grid_col):
         return self.pieces[self.grid.rank_of(grid_row, grid_col)]

