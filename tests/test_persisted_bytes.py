@@ -1,4 +1,4 @@
-"""The bytes that outlive a run, pinned: index shards, stripe digests, cache keys.
+"""The bytes that outlive a run, pinned: index stripe files, their stamps, cache keys.
 
 An index built by one version of the code is served by another, and a stage
 cache written by one run is replayed by the next; both are trusted only
@@ -8,8 +8,8 @@ cached query search against that index at nodes {1, 4} × ``num_blocks``
 {1, 4} (and 9, whose stripes cross grid chunks), and compares against
 constants:
 
-* the sha256 of every shard file of the index;
-* every stripe digest the index manifest stamps;
+* the sha256 of every stripe file of the index (one per column stripe);
+* every stripe digest the index manifest stamps (the sha256 of its file);
 * every block cache key of both runs.
 
 A change to how operands are born, cut or stored must leave all of them
@@ -71,7 +71,7 @@ def _run_keys(monkeypatch, params, sequences) -> dict[str, str]:
 
 
 def persisted(root: Path, nodes: int, blocks: int, monkeypatch) -> dict:
-    """What one cell persists: shard hashes, stamped digests, cache keys."""
+    """What one cell persists: stripe file hashes, stamped digests, cache keys."""
     database, queries = _sequences()
     params = PastisParams(
         kmer_length=4, nodes=nodes, num_blocks=blocks, common_kmer_threshold=1,
@@ -94,14 +94,14 @@ def persisted(root: Path, nodes: int, blocks: int, monkeypatch) -> dict:
     }
 
 
-EXPECTED = {(1, 1): {'shards': {'stripe-00000-rank-000.bin': '030ddfef1dfc08c0e70076296db31468824419fe5a9a9afb7ae8577ef5c377e0'},
-          'stripe_digests': ['b99a204661376609a5fda9beab1ffd5ec450e49f90949be6764a22a227ed4337'],
+EXPECTED = {(1, 1): {'shards': {'stripe-00000.bin': 'bad3eaa4f860ad064d5dc5f4470afc95b22415a89f82268d5df47186429793e4'},
+          'stripe_digests': ['bad3eaa4f860ad064d5dc5f4470afc95b22415a89f82268d5df47186429793e4'],
           'all_vs_all_keys': {'0,0': 'b6837f10e6ed379b9ef8241067c831f6daf32e375ae252d92a52702e2502343e'},
           'query_keys': {'0,0': '90d6cff07bcef992c6ca48c7ac86a94f1ebccc908cbd42f5c0b13d93bee1416b'}},
- (1, 4): {'shards': {'stripe-00000-rank-000.bin': '6d43dcd6da1d82606ecf9f50170404e5b8ec94ce8075ef251da380c987cc8341',
-                     'stripe-00001-rank-000.bin': '43d8a64efbe9c756a1bb5a92bd65ee22f36ba7c9afca39c3a8d404e809fa10b9'},
-          'stripe_digests': ['a0c776b9abc2f9cee3139cc02620956b235e19abb8be53afee578d8ee4deed67',
-                             '8d8813db39004b91251c2504f4334108f86abdc40d92affc7122c84dae078faa'],
+ (1, 4): {'shards': {'stripe-00000.bin': '32b0b833785a76145ea626188ee8f2984888f00557b24edec20d03ec64641fc2',
+                     'stripe-00001.bin': '57f03309d93b74ab38ac02380efbc8611246f3d6150c3d220edcc313d5702cd2'},
+          'stripe_digests': ['32b0b833785a76145ea626188ee8f2984888f00557b24edec20d03ec64641fc2',
+                             '57f03309d93b74ab38ac02380efbc8611246f3d6150c3d220edcc313d5702cd2'],
           'all_vs_all_keys': {'0,0': 'f2f9743452430b1c0b1349e20cbb0ab47dcb7c45ab35c55447f6aff4c446cc77',
                               '0,1': '703fb8aa636cc760a04b4eaa75c7fd1b2eaae526ee8e8a092fda5cb02359ec31',
                               '1,0': 'c60c042f490dd31002d56dc01fa69b9e833bd47bb71a281eb02d81b7d3f5b7ce',
@@ -110,23 +110,14 @@ EXPECTED = {(1, 1): {'shards': {'stripe-00000-rank-000.bin': '030ddfef1dfc08c0e7
                          '0,1': 'ddf094e34e1d363027c917535517c887cc3affced16f5bfdfa4796c835150595',
                          '1,0': 'ba92feb9ab1f7286f20980ce9efead34a8c5130680abed114d224c4df7c1e930',
                          '1,1': '1cbacb33eb2a0407c858ba823914d189c5605df814c1cdb9b1e4cdb0351a8cd7'}},
- (4, 1): {'shards': {'stripe-00000-rank-000.bin': '6d4580ebf363da83f23e3b75b0f49b8e6bae4445803bfd82a1d91d93f99bcba7',
-                     'stripe-00000-rank-001.bin': 'fb342b00d24df10b52d6ee846551bfb603a9bfab2b09499eb5a2009cbb993c6a',
-                     'stripe-00000-rank-002.bin': 'eee19d121a12176d196efc1d0e9fe17a70fa5585637a2f35b84bbe074efea7ab',
-                     'stripe-00000-rank-003.bin': '0ce02b099bf4d7ab891823494529c05e60daab1458810b563f0705cad4586aa7'},
-          'stripe_digests': ['d4d1d1278d4c06292ca8469f20cdc79beebb34e05043ee988c825ae81876a1eb'],
+ (4, 1): {'shards': {'stripe-00000.bin': 'bad3eaa4f860ad064d5dc5f4470afc95b22415a89f82268d5df47186429793e4'},
+          'stripe_digests': ['bad3eaa4f860ad064d5dc5f4470afc95b22415a89f82268d5df47186429793e4'],
           'all_vs_all_keys': {'0,0': '90137580b03d0ae74b861a070b852a5a7497e3a300a531cf1ee4f50e9a6839cb'},
           'query_keys': {'0,0': 'f044378844c14bf00e913de3f046f9866546c9fcb8c8566dfeaeb291a07f911d'}},
- (4, 4): {'shards': {'stripe-00000-rank-000.bin': '6d4580ebf363da83f23e3b75b0f49b8e6bae4445803bfd82a1d91d93f99bcba7',
-                     'stripe-00000-rank-001.bin': 'b5990967e2f2f06b01d2c9fa53361cdb6adf446ab23fe3fc82caf20a25ec0921',
-                     'stripe-00000-rank-002.bin': 'eee19d121a12176d196efc1d0e9fe17a70fa5585637a2f35b84bbe074efea7ab',
-                     'stripe-00000-rank-003.bin': '1dc1bc115e7e4389300ed266647d7c017ae9b6b64acc4d2c0b3ac42c54e8e789',
-                     'stripe-00001-rank-000.bin': 'b5990967e2f2f06b01d2c9fa53361cdb6adf446ab23fe3fc82caf20a25ec0921',
-                     'stripe-00001-rank-001.bin': 'fb342b00d24df10b52d6ee846551bfb603a9bfab2b09499eb5a2009cbb993c6a',
-                     'stripe-00001-rank-002.bin': '1dc1bc115e7e4389300ed266647d7c017ae9b6b64acc4d2c0b3ac42c54e8e789',
-                     'stripe-00001-rank-003.bin': '0ce02b099bf4d7ab891823494529c05e60daab1458810b563f0705cad4586aa7'},
-          'stripe_digests': ['ddfb75606dcb8a8a3bc705c7d75a7c20be9a623dbc1685fcf806d2abd173b189',
-                             'f39d65e9072546f3a87570011ef41a822fc22f0899a41d163718ed31fa3de56a'],
+ (4, 4): {'shards': {'stripe-00000.bin': '32b0b833785a76145ea626188ee8f2984888f00557b24edec20d03ec64641fc2',
+                     'stripe-00001.bin': '57f03309d93b74ab38ac02380efbc8611246f3d6150c3d220edcc313d5702cd2'},
+          'stripe_digests': ['32b0b833785a76145ea626188ee8f2984888f00557b24edec20d03ec64641fc2',
+                             '57f03309d93b74ab38ac02380efbc8611246f3d6150c3d220edcc313d5702cd2'],
           'all_vs_all_keys': {'0,0': '06851d5cad824175dfdfd58ea1c885e7980dca1b4b358ea92a16137a3c242daa',
                               '0,1': 'fe182c3061b8630f5153f90bf0e15bbcc4ae081a03a939418ef9f4c36cde642e',
                               '1,0': '149ba1f192a77c30a3b168a945c1c2d580c626ca1a475b38ea754e8b95da92ce',
@@ -135,21 +126,12 @@ EXPECTED = {(1, 1): {'shards': {'stripe-00000-rank-000.bin': '030ddfef1dfc08c0e7
                          '0,1': 'e9c2ac526c97221f7cf0280081668f32c80a91d4f857ec8e2287ff9d86586d45',
                          '1,0': '6b0de75b56b81bf97e12fc9c7b6ecfb334bed96eed9e0bc37e165e423c8449d2',
                          '1,1': 'd851849d47b323c1c3a3fbbe2233cac09636cbafa1be88448378c39f76751c3b'}},
- (4, 9): {'shards': {'stripe-00000-rank-000.bin': '19a7041a0085bc527fed81110461c8d7faa9396b13d414ea0494c81d4ebe40c3',
-                     'stripe-00000-rank-001.bin': 'b5990967e2f2f06b01d2c9fa53361cdb6adf446ab23fe3fc82caf20a25ec0921',
-                     'stripe-00000-rank-002.bin': '3b4dd4bf720d645709e369b80bf6ea0aaf7538692ce1b887bc20e1e2b663b846',
-                     'stripe-00000-rank-003.bin': '1dc1bc115e7e4389300ed266647d7c017ae9b6b64acc4d2c0b3ac42c54e8e789',
-                     'stripe-00001-rank-000.bin': 'd3c1f920165b287664902e70f56d9f9ebb0b39035052d8ac97c0e11b77afee34',
-                     'stripe-00001-rank-001.bin': 'c1c2f157cce65c861c3f52a9827716572f344b6dff39e6ce2d8f311d2de08d72',
-                     'stripe-00001-rank-002.bin': 'f6e2dff23c708cf40aa9a4918d50b32d865d0fcd2e71b436110bacbf5fd4b207',
-                     'stripe-00001-rank-003.bin': 'c5dec2c4a2ffa64b799c0a1ce5cf6380e56670dd6d5f52d02f2b75a6266ea317',
-                     'stripe-00002-rank-000.bin': 'b5990967e2f2f06b01d2c9fa53361cdb6adf446ab23fe3fc82caf20a25ec0921',
-                     'stripe-00002-rank-001.bin': 'dc54861605f89064a096acc982d96ada6d065eb62eacd1a1dc79156db2768e3f',
-                     'stripe-00002-rank-002.bin': '1dc1bc115e7e4389300ed266647d7c017ae9b6b64acc4d2c0b3ac42c54e8e789',
-                     'stripe-00002-rank-003.bin': 'ee1b29b60dc3f797cfaa88a06762bd1b05bdf643b2698c0cf9b8313b81751f3b'},
-          'stripe_digests': ['9458f83844e2cdac6e309d30572f67464475e40300614347ee0f77da72eb8ac3',
-                             '8eb3b88d555703f6e04036bd2ea5a63b1b5f2596b4e4bf77152085b4936bc945',
-                             '81b29874d58526a06420bace02dd5efa8b13281a8ab2bd99881c5f6a3f2f57b9'],
+ (4, 9): {'shards': {'stripe-00000.bin': '0d6ef36dffdf8513ff04bf04e3bb7f814e5a2642cf3226456ff6a7c4efc75252',
+                     'stripe-00001.bin': 'e08e82809460be2e6236e7aaa93aa5dfb253001465ebbdccce563b1fd1750ad5',
+                     'stripe-00002.bin': '0f2da1ef07717f1d539cc68115de67c733f0daad2cb6711100125d8b4987bbb6'},
+          'stripe_digests': ['0d6ef36dffdf8513ff04bf04e3bb7f814e5a2642cf3226456ff6a7c4efc75252',
+                             'e08e82809460be2e6236e7aaa93aa5dfb253001465ebbdccce563b1fd1750ad5',
+                             '0f2da1ef07717f1d539cc68115de67c733f0daad2cb6711100125d8b4987bbb6'],
           'all_vs_all_keys': {'0,0': 'b8b4cc3c84705e95c566d5d630071314a928551dbbedf75bb3d4008ac0473882',
                               '0,1': '022f5d49c5dc5d516c011b83e0c05173021c441a106aa43242e26ece557a2ac3',
                               '0,2': '85fcc5b75ae69d0c84ad323b4df51f7d5f7d28281bd00c0e401b01078ac81daf',
