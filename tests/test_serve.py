@@ -229,6 +229,12 @@ def test_corrupt_shard_is_refused_with_file_named(db, tmp_path):
     comm = SimCommunicator(params.nodes)
     with pytest.raises(IndexIntegrityError, match=f"corrupt index payload: .*{victim.name}"):
         index.stripe(0, comm)
+    # an intact file whose header disagrees with the manifest's column range
+    manifest = json.loads((index_dir / MANIFEST_NAME).read_text())
+    manifest["stripes"][1]["col_range"][0] += 1
+    (index_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(IndexIntegrityError, match=f"{stripe_filename(1)} holds columns"):
+        KmerIndex.open(index_dir).stripe(1, comm)
     with pytest.raises(IndexIntegrityError):
         index.verify()
 
