@@ -302,10 +302,12 @@ _CORRUPTIONS = {
     "version_2": _as_version_2_index,
     "version_3": _as_version_3_index,
 }
-#: the manifest is JSON, whose last byte is a newline: truncated, it is cut in half
 _MANIFEST_CORRUPTIONS = {
     "absent": _CORRUPTIONS["absent"],
-    "truncated": lambda victim, _: victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2]),
+    # JSON still parses without its last byte, a newline: cut it in half
+    "truncated": lambda victim, _: victim.write_bytes(
+        victim.read_bytes()[: victim.stat().st_size // 2]
+    ),
 }
 _SHARD_REGIONS = ("header", "rows", "cols", "values")
 _SEQUENCES_REGIONS = ("header", "offsets", "name_offsets", "banned", "residues", "names")
