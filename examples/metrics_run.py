@@ -1,25 +1,26 @@
 #!/usr/bin/env python
-"""Metrics, the run registry, and the regression gate, end to end.
+"""The run registry, its Prometheus export, and the regression gate, end to end.
 
 The walkthrough for :mod:`repro.obs` — where :mod:`repro.trace` answers
-"when did what happen inside this one run", the metrics layer answers
+"when did what happen inside this one run", the registry answers
 "how much, and is it getting slower across runs":
 
 1. run the PASTIS search twice with ``PastisParams.run_registry`` set —
    a cold cache-populating run and a warm run, both on the depth-2
    pre-blocking clock — so each run appends a schema-versioned manifest
    (``run.json``) to the local registry;
-2. look at what the metrics facade collected: ledger seconds per
-   category, per-SUMMA-stage kernel seconds and measured compression
-   factors, cache hit/miss counters;
+2. look at what the warm run's manifest recorded: phase wall seconds,
+   ledger seconds per category, cache hit/miss/store counters, peak
+   block bytes and the run's statistics;
 3. drive the registry CLI the way CI does: ``ls`` the runs, ``diff``
-   cold vs warm, ``export`` Prometheus text, and ``regress`` the warm
-   run against the cold baseline;
+   cold vs warm, ``export`` the warm manifest as Prometheus text (one
+   series per name and label set), and ``regress`` the warm run against
+   the cold baseline;
 4. show the regression gate firing: inject a synthetic 2x slowdown into
    a copy of the warm manifest and watch ``regress`` flag it.
 
-Metrics are off by default and non-perturbing: the observed run's edges
-are bit-identical to an unobserved one (asserted below, and by
+The registry is off by default and non-perturbing: the observed run's
+edges are bit-identical to an unobserved one (asserted below, and by
 ``tests/test_obs.py`` per pre-blocking depth).
 
 Run with:  python examples/metrics_run.py
@@ -76,7 +77,7 @@ def main() -> None:
         observed = PastisPipeline(params).run(sequences, resume=True)
         warm_id = registry.latest()["run_id"]
 
-        # non-perturbation: metrics never change results
+        # non-perturbation: the registry never changes results
         unobserved = PastisPipeline(
             params.replace(run_registry=None)
         ).run(sequences, resume=True)
@@ -84,36 +85,35 @@ def main() -> None:
         observed.similarity_graph.edges, unobserved.similarity_graph.edges
     ), "observed run diverged from the unobserved one"
 
-    # ---- 2. what the metrics facade collected --------------------------------
-    hub = observed.metrics
-    snapshot = hub.snapshot()
-    print(f"\ncollected {len(snapshot['counters'])} counters, "
-          f"{len(snapshot['gauges'])} gauges, "
-          f"{len(snapshot['histograms'])} histograms")
+    # ---- 2. what the warm run's manifest recorded ----------------------------
+    manifest = registry.load(warm_id)
+    print(f"\nmanifest {warm_id}: {sorted(manifest)}")
+    for name, seconds in sorted(manifest["phase_seconds"].items()):
+        print(f"  phase {name:<24} {seconds:.3f} s")
     print(f"  ledger align seconds      "
-          f"{hub.value('ledger_seconds', category='align'):.6f}")
-    print(f"  cache hits                "
-          f"{hub.value('cache_events', kind='hits'):.0f}")
-    # kernel histograms live in the *cold* run's hub — the warm run replayed
-    # every block from the cache, so no SpGEMM kernel ever executed
-    kernel = baseline.metrics.histogram("spgemm_kernel_seconds",
-                                        backend="gustavson", stage="block")
-    if kernel is not None:
-        print(f"  block kernel seconds      {kernel['count']:.0f} obs, "
-              f"sum {kernel['sum']:.6f} (cold run)")
+          f"{manifest['ledger']['category_seconds']['align']:.6f}")
+    print(f"  cache                     {manifest['cache']}")
+    print(f"  peak block bytes          "
+          f"{manifest['peak_memory']['peak_block_bytes']:,.0f}")
+    # the warm run replayed every block from the cache: its statistics are
+    # the cold run's, though no SpGEMM kernel ran
+    print(f"  spgemm flops              {manifest['stats']['spgemm_flops']:,} "
+          f"(cold run: {baseline.stats.spgemm_flops:,})")
 
     # ---- 3. the registry CLI, as CI drives it --------------------------------
     print(f"\n$ python -m repro.obs ls --registry {registry_dir}")
     obs_cli(["ls", "--registry", str(registry_dir)])
     print(f"\n$ python -m repro.obs diff {cold_id} {warm_id}")
     obs_cli(["diff", cold_id, warm_id, "--registry", str(registry_dir)])
-    print(f"\n$ python -m repro.obs export {warm_id} | head")
-    text = registry.load(warm_id)
-    from repro.obs import prometheus_from_snapshot
-    for line in prometheus_from_snapshot(
-        text.get("metrics") or {"counters": [], "gauges": [], "histograms": []}
-    ).splitlines()[:8]:
-        print(line)
+    prom = OUT_DIR / "warm.prom"
+    print(f"\n$ python -m repro.obs export {warm_id} -o {prom}")
+    obs_cli(["export", warm_id, "--registry", str(registry_dir), "-o", str(prom)])
+    lines = prom.read_text().splitlines()
+    for line in lines[:10]:
+        print(f"  {line}")
+    series = [line.split(" ")[0] for line in lines if not line.startswith("#")]
+    assert len(series) == len(set(series)), "a series was exported twice"
+    print(f"  ... {len(series)} series, each exported once")
 
     print(f"\n$ python -m repro.obs regress {warm_id}  (warm vs cold baseline)")
     rc = obs_cli(["regress", warm_id, "--registry", str(registry_dir)])

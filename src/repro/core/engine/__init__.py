@@ -70,7 +70,8 @@ the mechanisms above —
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
   :class:`StageCache` consult and the commit of a hit;
 * ``summa`` spans (``summa_product``) — the one kernel product inside one
-  discover's 2D SUMMA;
+  discover's 2D SUMMA, with the kernel's name and the block's SUMMA
+  ``flops`` and ``compression_factor``;
 * ``replay`` spans (``ledger_replay``) — the commit of a computed block;
 * counter series (live blocks, ``ledger.<category>`` totals, cache hits)
   are sampled once per block at the accumulate boundary.
@@ -78,29 +79,29 @@ the mechanisms above —
 Tracing is off by default, zero-cost when disabled, and non-perturbing:
 results stay bit-identical with it on.
 
-**Tracing vs metrics** — two complementary observability layers share
-the instrumentation points above; pick by the question being asked:
+**Tracing vs the run registry** — two complementary layers; pick by the
+question being asked:
 
 * *"When did what happen inside this one run?"* → **tracing**
   (``PastisParams.trace``/``trace_dir``, :mod:`repro.trace`): ordered
   spans with pid/tid attribution and block-boundary counter series,
   exported as a Perfetto-loadable timeline.  High detail, one run at a
   time, meant for eyeballs and ``python -m repro.trace diff``.
-* *"How much, and is it getting slower across runs?"* → **metrics**
-  (``PastisParams.metrics``/``run_registry``, :mod:`repro.obs`): typed
-  counters/gauges/histograms with label sets — ledger seconds per
-  category, phase timers, cache hit/miss counts, per-(rank, stage)
-  multiply flops and compression factors with the block product's kernel
-  seconds apportioned by flops — aggregated
-  per run, persisted as registry manifests, scraped via Prometheus text
-  exposition, and guarded by ``python -m repro.obs regress``.
+* *"How much, and is it getting slower across runs?"* → **the run
+  registry** (``PastisParams.run_registry``, :mod:`repro.obs`): one
+  ``run.json`` manifest per run with the phase timers, the ledger's
+  per-category totals and counters, the cache's hit/miss/store counts,
+  the peak block bytes and the run's statistics — compared with
+  ``python -m repro.obs diff``, rendered as Prometheus text by
+  ``export`` and guarded by ``regress``.
 
-Both ride the same ledger trace hook (fanned out when both are on); the
-metrics hub reaches SUMMA through the active-hub global,
-not the :class:`StageContext`, and takes the run's cache counters and
-peaks once at the end.  Both carry the same contract: off by default,
-near-zero-cost when disabled, and non-perturbing — ``tests/test_trace.py``
-and ``tests/test_obs.py`` assert bit-identity per pre-blocking depth.
+Only tracing rides the ledger's trace hook, and the active tracer is the
+one module-global sink (SUMMA and the MCL iterations reach it without a
+:class:`StageContext`); the manifest reads the run's ledger, timers,
+cache counters and statistics once at the end.  Both carry the same
+contract: off by default, near-zero-cost when disabled, and
+non-perturbing — ``tests/test_trace.py`` and ``tests/test_obs.py`` assert
+bit-identity per pre-blocking depth.
 """
 
 from .accumulator import StreamingGraphAccumulator

@@ -101,7 +101,6 @@ CACHE_KEY_EXCLUSIONS: tuple[tuple[str, str], ...] = (
     ("cache_dir", "where entries live, not what they hold"),
     ("trace", "observability never perturbs a result"),
     ("trace_dir", "observability never perturbs a result"),
-    ("metrics", "observability never perturbs a result"),
     ("run_registry", "observability never perturbs a result"),
     (
         "index_dir",

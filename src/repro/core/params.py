@@ -108,23 +108,15 @@ class PastisParams:
     trace_dir:
         Directory the trace files are exported into (created if missing).
         Implies ``trace=True``.
-    metrics:
-        Collect typed counters/gauges/histograms for the run through a
-        :class:`repro.obs.MetricsHub` (ledger seconds per category, phase
-        timers, cache hit/miss counters, and per-SUMMA-stage kernel
-        dispatch records with measured compression factors).  Off by
-        default; like tracing it is near-zero-cost when disabled and never
-        perturbs results (asserted per pre-blocking depth in
-        ``tests/test_obs.py``).  The hub is returned on
-        ``SearchResult.metrics``.
     run_registry:
         Directory of the persistent run registry (see
         :mod:`repro.obs.registry`).  When set, every run — successful or
         failed — appends a schema-versioned ``run.json`` manifest (params
         cache token, host fingerprint, config, phase seconds, ledger
-        totals, cache counters, peak memory, exit status) inspectable with
-        ``python -m repro.obs ls|show|diff|export|regress``.  Implies
-        ``metrics=True``.
+        totals, cache counters, peak memory, statistics, exit status)
+        inspectable with ``python -m repro.obs ls|show|diff|export|regress``.
+        Off by default; like tracing it never perturbs results (asserted
+        per pre-blocking depth in ``tests/test_obs.py``).
     index_dir:
         Directory of the database index built by
         :func:`repro.serve.index.build_index` /
@@ -172,7 +164,6 @@ class PastisParams:
     cache_dir: str | None = DEFAULTS.cache_dir
     trace: bool = False
     trace_dir: str | None = None
-    metrics: bool = False
     run_registry: str | None = None
     index_dir: str | None = None
     query_dedup: bool = False
@@ -266,12 +257,6 @@ class PastisParams:
     def trace_enabled(self) -> bool:
         """Whether the run records spans (``trace_dir`` implies ``trace``)."""
         return self.trace or self.trace_dir is not None
-
-    @property
-    def metrics_enabled(self) -> bool:
-        """Whether the run collects metrics (``run_registry`` implies it:
-        a manifest without its metrics snapshot would be half a record)."""
-        return self.metrics or self.run_registry is not None
 
     @property
     def alphabet(self) -> Alphabet:

@@ -67,7 +67,6 @@ from ..metrics.imbalance import imbalance_percent
 from ..metrics.memory import MemoryTracker
 from ..metrics.timers import TimerRegistry
 from ..mpi.communicator import SimCommunicator
-from ..obs import LedgerFanout, MetricsHub, activate_metrics, deactivate_metrics
 from ..obs.manifest import build_manifest
 from ..obs.registry import RunRegistry
 from ..trace import TraceRecorder, activate, deactivate, maybe_span, write_trace
@@ -116,9 +115,6 @@ class SearchResult:
     #: the run's span recorder when ``params.trace``/``trace_dir`` enabled
     #: tracing (None otherwise); see :mod:`repro.trace`
     trace: TraceRecorder | None = None
-    #: the run's metrics hub when ``params.metrics``/``run_registry``
-    #: enabled collection (None otherwise); see :mod:`repro.obs`
-    metrics: MetricsHub | None = None
     #: query mode only: global output row of each input query, in input
     #: order (database members keep their database row, novel queries get
     #: appended rows ``>= n_db``); None for all-vs-all runs
@@ -226,21 +222,19 @@ class PastisPipeline:
         (a partial trace of a crashed run is often the most useful one).
         Tracing never perturbs results.
 
-        With ``params.metrics``/``params.run_registry`` set, the run
-        additionally collects typed metrics into a
-        :class:`repro.obs.MetricsHub` (returned on
-        ``SearchResult.metrics``) and — when ``run_registry`` is set —
-        appends a schema-versioned ``run.json`` manifest to that registry
-        directory, again on success *and* on failure: a crashed run's
-        manifest records its exit status and whatever phase timers had
-        accumulated.  Metrics collection never perturbs results either.
+        With ``params.run_registry`` set, the run appends a
+        schema-versioned ``run.json`` manifest (phase timers, ledger
+        totals, cache counters, peak memory, statistics; see
+        :mod:`repro.obs.manifest`) to that registry directory, again on
+        success *and* on failure: a crashed run's manifest records its
+        exit status and whatever phase timers had accumulated.  The
+        registry never perturbs results either.
         """
         params = self.params
         tracer = TraceRecorder() if params.trace_enabled else None
-        hub = MetricsHub() if params.metrics_enabled else None
         phases = TimerRegistry()
-        if tracer is None and hub is None:
-            return self._run_impl(sequences, resume, None, None, phases, None)
+        if tracer is None and params.run_registry is None:
+            return self._run_impl(sequences, resume, None, phases, None)
         # the failure path reports from whatever state the run built before
         # dying; _run_impl fills this in as the pieces come up
         state = _RunState()
@@ -248,12 +242,8 @@ class PastisPipeline:
             # deep sites without a StageContext (SUMMA, MCL iterations)
             # reach the recorder through the active-tracer global
             activate(tracer)
-        if hub is not None:
-            # same pattern for metrics: SUMMA finds the hub through the
-            # active global
-            activate_metrics(hub)
         try:
-            result = self._run_impl(sequences, resume, tracer, hub, phases, state)
+            result = self._run_impl(sequences, resume, tracer, phases, state)
         except BaseException as exc:
             if tracer is not None and params.trace_dir is not None:
                 try:  # best effort: never mask the run's own failure
@@ -270,7 +260,6 @@ class PastisPipeline:
                             status="error",
                             error=exc,
                             phases=phases,
-                            hub=hub,
                             comm=state.comm,
                             cache=state.cache,
                         )
@@ -281,8 +270,6 @@ class PastisPipeline:
         finally:
             if tracer is not None:
                 deactivate()
-            if hub is not None:
-                deactivate_metrics()
         return result
 
     def _run_impl(
@@ -290,7 +277,6 @@ class PastisPipeline:
         sequences: SequenceSet,
         resume: bool,
         tracer: TraceRecorder | None,
-        hub: MetricsHub | None,
         phases: TimerRegistry,
         state: "_RunState | None",
     ) -> SearchResult:
@@ -314,16 +300,10 @@ class PastisPipeline:
         comm = SimCommunicator(params.nodes)
         if state is not None:
             state.comm = comm
-        # the ledger's trace hook feeds whichever sinks are active: every
-        # charge/charge_all bumps the tracer's per-category cumulative
-        # counters (sampled into events at block boundaries) and/or the
-        # metrics hub's labeled ledger_seconds counters
-        if tracer is not None and hub is not None:
-            comm.ledger.trace = LedgerFanout(tracer, hub)
-        elif tracer is not None:
+        if tracer is not None:
+            # every charge/charge_all bumps the tracer's per-category
+            # cumulative counters, sampled into events at block boundaries
             comm.ledger.trace = tracer
-        elif hub is not None:
-            comm.ledger.trace = hub
         cost_model = CostModel(node=comm.cluster.node)
         io_model = ParallelIoModel(cluster=comm.cluster, ledger=comm.ledger)
         # "cluster" is excluded from the Table-IV total: the paper's runtime
@@ -498,8 +478,6 @@ class PastisPipeline:
                 **clustering.summary(),
                 "modeled_seconds": cluster_seconds,
             }
-        if hub is not None:
-            _feed_metrics(hub, phases, stage_cache, ctx)
         if tracer is not None and params.trace_dir is not None:
             write_trace(tracer, params.trace_dir)
         if params.run_registry is not None:
@@ -508,7 +486,6 @@ class PastisPipeline:
                     params=params,
                     status="ok",
                     phases=phases,
-                    hub=hub,
                     comm=comm,
                     cache=stage_cache,
                     stats=stats,
@@ -528,7 +505,6 @@ class PastisPipeline:
             preblock_depth=params.preblock_depth,
             clustering=clustering,
             trace=tracer,
-            metrics=hub,
             query_rows=plan.query_rows,
         )
 
@@ -540,20 +516,3 @@ class _RunState:
 
     comm: SimCommunicator | None = None
     cache: StageCache | None = None
-
-
-def _feed_metrics(hub, phases, stage_cache, ctx) -> None:
-    """End-of-run ingestion of everything the hub can't see live:
-    phase timers, cache counters, peak memory.
-    (Ledger seconds and SUMMA kernel records arrive live via the ledger
-    hook and the active-hub global.)"""
-    for name, seconds in phases.summary().items():
-        hub.gauge_set("phase_seconds", seconds, phase=name)
-    if stage_cache is not None:
-        for kind, count in stage_cache.counters().items():
-            hub.counter_add("cache_events", float(count), kind=kind)
-    hub.gauge_set("peak_block_bytes", float(ctx.peak_block_bytes))
-    hub.gauge_set(
-        "peak_live_block_bytes", float(ctx.accumulator.peak_live_block_bytes)
-    )
-

@@ -29,7 +29,9 @@ Unless born on the shared k-mers (below), ``B``'s operand holds only the
 rows ``A``'s stripe meets (one binary search per inner id: a served query
 meets a few of a database stripe's rows); the caller may pass operands it
 keeps across calls (:class:`~repro.distsparse.blocked_summa.BlockedSpGemm`).
-The one product is recorded in the metrics with the block's SUMMA flops.
+On a traced run the one product is a ``summa_product`` span over the
+kernel call, carrying the kernel's name and the block's SUMMA flops and
+compression factor.
 
 **The discovery charge plan.**  The grid is charged in the order the
 executed stage loop charged it, stage by stage: the ``A`` block broadcasts
@@ -62,7 +64,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mpi.layout import Layout, bcast_segments, segment, summa_broadcasts
-from ..obs import current_metrics
 from ..sparse.coo import CooMatrix
 from ..sparse.csr import assume_rowmajor, compress_rows
 from ..sparse.gustavson import DEFAULT_BATCH_FLOPS
@@ -391,18 +392,15 @@ def summa(
 
     tracer = current_tracer()
     t0 = time.perf_counter()
-    product, kernel_stats = spgemm_kernel(
+    # the block's SpGemmStats are counted from the product below; the kernel's
+    # own stats stay returned for the per-layer benchmark's kernel wrap
+    product, _ = spgemm_kernel(
         a_matrix, b_matrix, CountSemiring(), return_stats=True, **kernel_kwargs
     )
     values = None
     if type(semiring) is not CountSemiring:
         values = spgemm_kernel(a_matrix, b_matrix, semiring, **kernel_kwargs).values
     kernel_seconds = time.perf_counter() - t0
-    if tracer is not None:
-        tracer.add_span(
-            "summa_product", "summa", t0, t0 + kernel_seconds, lane="discover",
-            flops=kernel_stats.flops,
-        )
     if private is not None:
         rows, cols, counts = _count_diagonal(product, private, left, right, dim)
     else:
@@ -424,6 +422,12 @@ def summa(
         compression_factor=total_flops / output_nnz if output_nnz else 1.0,
         row_groups=groups,
     )
+    if tracer is not None:
+        tracer.add_span(
+            "summa_product", "summa", t0, t0 + kernel_seconds, lane="discover",
+            kernel=kernel_name(spgemm_backend), flops=total_flops,
+            compression_factor=stats.compression_factor,
+        )
     rows, local_cols, values = _merge_stages(
         rows, cols, counts if values is None else values, semiring, dim
     )
@@ -435,12 +439,6 @@ def summa(
     rank_flops = flops.transpose(1, 0, 2).reshape(dim, grid.nprocs)  # [k, rank]
     rank_multiplies = multiplies.transpose(1, 0, 2).reshape(dim, grid.nprocs)
     comm_seconds = _charge(comm, left, right, rank_flops, rank_multiplies)
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.record_spgemm_stage(
-            kernel_name(spgemm_backend), "block", kernel_seconds, total_flops,
-            stats.compression_factor,
-        )
     return SummaResult(
         matrix=matrix,
         stats=stats,

@@ -119,28 +119,36 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _manifest_snapshot(run: dict[str, Any]) -> dict[str, list[dict[str, Any]]]:
+    """The Prometheus view of one manifest, one series per (name, labels),
+    in the :meth:`repro.obs.MetricsHub.snapshot` layout."""
+
+    def row(name: str, value: float, **labels: Any) -> dict[str, Any]:
+        return {"name": name, "labels": {k: str(v) for k, v in labels.items()},
+                "value": float(value)}
+
+    ledger = (run.get("ledger") or {}).get("category_seconds") or {}
+    peaks = run.get("peak_memory") or {}
+    gauges = [row("run_info", 1.0, run_id=run.get("run_id"), status=run.get("status"),
+                  config_key=run.get("config_key"))]
+    gauges += [row("phase_seconds", v, phase=k)
+               for k, v in sorted((run.get("phase_seconds") or {}).items())]
+    gauges += [row("ledger_total_seconds", v, category=k) for k, v in sorted(ledger.items())]
+    gauges += [row(name, peaks[name]) for name in ("peak_block_bytes", "peak_live_block_bytes")
+               if name in peaks]
+    if run.get("wall_seconds") is not None:
+        gauges.append(row("wall_seconds", run["wall_seconds"]))
+    cache = run.get("cache") or {}
+    counters = [row("cache_events", v, kind=k) for k, v in sorted(cache.items())]
+    return {"counters": counters, "gauges": gauges, "histograms": []}
+
+
 def _cmd_export(args: argparse.Namespace) -> int:
     run = _registry(args).resolve(args.run)
     if args.format == "json":
         text = json.dumps(run, indent=2, sort_keys=True)
     else:
-        snapshot = run.get("metrics") or {}
-        extra: list[str] = []
-        labels = (
-            f'{{run_id="{run.get("run_id")}",status="{run.get("status")}",'
-            f'config_key="{run.get("config_key")}"}}'
-        )
-        extra.append("# TYPE pastis_run_info gauge")
-        extra.append(f"pastis_run_info{labels} 1")
-        for name, value in sorted((run.get("phase_seconds") or {}).items()):
-            extra.append(f'pastis_phase_seconds{{phase="{name}"}} {value:.9g}')
-        for name, value in sorted(
-            ((run.get("ledger") or {}).get("category_seconds") or {}).items()
-        ):
-            extra.append(f'pastis_ledger_total_seconds{{category="{name}"}} {value:.9g}')
-        if run.get("wall_seconds") is not None:
-            extra.append(f"pastis_wall_seconds {run['wall_seconds']:.9g}")
-        text = prometheus_from_snapshot(snapshot, extra_lines=extra)
+        text = prometheus_from_snapshot(_manifest_snapshot(run))
     if args.output:
         Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
         print(f"wrote {args.output}")

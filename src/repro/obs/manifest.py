@@ -4,7 +4,7 @@ A manifest is one JSON document describing a run well enough to compare
 it against other runs later: the params cache token (the same
 result-determining subset the stage cache keys on), a host fingerprint,
 the pre-blocking/kernel configuration, phase wall seconds, ledger totals,
-cache counters, peak memory, the metrics snapshot, and the exit status.
+cache counters, peak memory, the run's statistics, and the exit status.
 Failed runs get a manifest too — with whatever phase timers had
 accumulated when the run died, which is usually the most interesting
 timing a crashed run leaves behind.
@@ -98,7 +98,6 @@ def build_manifest(
     params: Any,
     status: str,
     phases: Any = None,
-    hub: Any = None,
     comm: Any = None,
     cache: Any = None,
     stats: Any = None,
@@ -163,6 +162,4 @@ def build_manifest(
             ),
         }
         manifest["stats"] = stats.as_dict()
-    if hub is not None:
-        manifest["metrics"] = hub.snapshot()
     return manifest

@@ -1,32 +1,25 @@
-"""Unified metrics facade: typed counters, gauges, and histograms.
+"""Typed counters, gauges and histograms, and their Prometheus rendering.
 
-One :class:`MetricsHub` per pipeline run collects everything the run
-measures about itself — ledger seconds per category (via the same hook
-protocol :class:`repro.trace.TraceRecorder` implements), phase timers,
-cache hit/miss counters, and per-SUMMA-stage kernel dispatch records (measured compression factor + per-kernel
-seconds).
+A :class:`MetricsHub` holds the ``serve_*`` session counters of a
+:class:`repro.serve.batcher.QueryBatcher` (requests, queries, batches,
+index opens, stripe loads, per-batch wall and queue latency), which no
+other record of a run keeps.  A search run keeps no hub: its manifest's
+``phase_seconds``, ``ledger``, ``cache`` and ``peak_memory`` fields and
+the trace's ``summa_product`` spans already hold what one would copy.
+:func:`prometheus_from_snapshot` renders a snapshot — a hub's, or the one
+``python -m repro.obs export`` builds from a manifest — as Prometheus
+text.
 
-Design constraints, in order:
-
-* **non-perturbing** — collection never touches the data path; every
-  instrument is a dict update under one lock.  Bit-identity with
-  metrics on is asserted per pre-blocking depth in ``tests/test_obs.py``.
-* **near-zero cost when off** — instrumented code guards on
-  ``current_metrics() is not None`` (one global read); no hub, no cost.
-
-This module depends only on the standard library so low-level code
-(``repro.sparse.kernels``, ``repro.distsparse.summa``) can import it
-without cycles.
+This module depends only on the standard library.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "MetricsHub",
-    "LedgerFanout",
     "prometheus_from_snapshot",
 ]
 
@@ -72,13 +65,8 @@ class MetricsHub:
     The typed facade is :meth:`counter_add`, :meth:`gauge_set`, and
     :meth:`observe`; labels are passed as keyword arguments::
 
-        hub.counter_add("spgemm_stage_flops", flops, backend="gustavson")
-        hub.observe("spgemm_kernel_seconds", dt, backend="gustavson", stage="block")
-
-    The hub also speaks the :class:`~repro.mpi.costmodel.CostLedger`
-    trace-hook protocol (:meth:`bump`), so it can be attached to
-    ``ledger.trace`` directly — ``ledger.<category>`` names become a
-    ``ledger_seconds`` counter labeled by category.
+        hub.counter_add("serve_queries", 2.0)
+        hub.observe("serve_batch_wall_seconds", dt)
     """
 
     def __init__(self) -> None:
@@ -106,40 +94,6 @@ class MetricsHub:
             if hist is None:
                 hist = self._hists[key] = _Hist()
             hist.observe(float(value))
-
-    # ---- domain recorders ------------------------------------------------
-
-    def record_spgemm_stage(
-        self,
-        backend: str,
-        stage: int | str,
-        seconds: float,
-        flops: float,
-        compression_factor: float,
-    ) -> None:
-        """One measured SpGEMM product: its kernel seconds, and the flops and
-        compression factor of the multiplies it computes.  Discovery records
-        one per output block, ``stage="block"``: the block's SUMMA flops,
-        whatever inner indices its product skips."""
-        self.counter_add("spgemm_stage_invocations", 1.0, backend=backend)
-        self.counter_add("spgemm_stage_flops", float(flops), backend=backend)
-        self.observe(
-            "spgemm_kernel_seconds", seconds, backend=backend, stage=str(stage)
-        )
-        self.observe(
-            "spgemm_compression_factor",
-            compression_factor,
-            backend=backend,
-            stage=str(stage),
-        )
-
-    # ---- CostLedger trace-hook protocol ----------------------------------
-
-    def bump(self, name: str, delta: float) -> None:
-        if name.startswith("ledger."):
-            self.counter_add("ledger_seconds", delta, category=name[7:])
-        else:
-            self.counter_add(name, delta)
 
     # ---- views -----------------------------------------------------------
 
@@ -184,17 +138,6 @@ class MetricsHub:
         return prometheus_from_snapshot(self.snapshot(), prefix=prefix)
 
 
-class LedgerFanout:
-    """Forward the ledger trace hook to several sinks (tracer + hub)."""
-
-    def __init__(self, *sinks: Any) -> None:
-        self.sinks = [sink for sink in sinks if sink is not None]
-
-    def bump(self, name: str, delta: float) -> None:
-        for sink in self.sinks:
-            sink.bump(name, delta)
-
-
 # ---- Prometheus text exposition ------------------------------------------
 
 
@@ -218,7 +161,6 @@ def _prom_labels(labels: Mapping[str, str]) -> str:
 def prometheus_from_snapshot(
     snapshot: Mapping[str, Any],
     prefix: str = "pastis_",
-    extra_lines: Iterable[str] = (),
 ) -> str:
     """Render a :meth:`MetricsHub.snapshot` in Prometheus text format.
 
@@ -247,5 +189,4 @@ def prometheus_from_snapshot(
         emit(name + "_sum", "counter", labels, entry["sum"])
         emit(name + "_min", "gauge", labels, entry["min"])
         emit(name + "_max", "gauge", labels, entry["max"])
-    lines.extend(extra_lines)
     return "\n".join(lines) + "\n"

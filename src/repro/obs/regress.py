@@ -45,16 +45,18 @@ DEFAULT_MAD_K = 4.0
 #: durations below this are pure noise (and zero-time phases divide badly)
 MIN_BASELINE_SECONDS = 1e-6
 
-#: document keys that describe the run rather than measure it
+#: document keys that describe the run rather than measure it, and the
+#: copy of the ledger, phase and cache fields older manifests carry
 _NON_METRIC_ROOTS = ("host", "meta", "params_token", "config", "error", "metrics")
 
 
 def flatten_numeric(doc: Mapping[str, Any], prefix: str = "") -> dict[str, float]:
     """All numeric leaves of a nested document as dotted flat keys.
 
-    Descriptive sections (host fingerprint, params token, config, the
-    raw metrics snapshot) are skipped at the top level — they describe
-    *what* ran, not *how fast*.
+    Descriptive sections (host fingerprint, params token, config) are
+    skipped at the top level — they describe *what* ran, not *how fast* —
+    and so is the ``metrics`` copy of the ledger, phase and cache fields
+    that older manifests carry.
     """
     out: dict[str, float] = {}
     for key, value in doc.items():

@@ -112,9 +112,10 @@ class QueryBatcher:
         Depth of the modeled request queue (how many batches' discovery
         may be in flight behind the current batch's alignment), mirroring
         ``preblock_depth``.
-    hub:
-        Metrics sink; a private hub is created when omitted (always on —
-        per-batch latency is the serving layer's primary observable).
+
+    The session's ``serve_*`` series live on its own ``hub``, a
+    :class:`~repro.obs.MetricsHub` that is always on: per-batch latency is
+    the serving layer's primary observable.
     """
 
     def __init__(
@@ -124,7 +125,6 @@ class QueryBatcher:
         *,
         max_batch_queries: int = 32,
         admission_depth: int = 1,
-        hub: MetricsHub | None = None,
     ) -> None:
         if max_batch_queries < 1:
             raise ValueError("max_batch_queries must be >= 1")
@@ -134,7 +134,7 @@ class QueryBatcher:
         self.params = base.replace(index_dir=str(index_dir))
         self.max_batch_queries = max_batch_queries
         self.admission_depth = admission_depth
-        self.hub = hub if hub is not None else MetricsHub()
+        self.hub = MetricsHub()
         self._pending: list[_Request] = []
         self._next_request = 0
         self.batches: list[BatchResult] = []

@@ -295,7 +295,11 @@ def build_index(
     *,
     force: bool = False,
 ) -> "KmerIndex":
-    """Build and persist the database index; returns the opened index."""
+    """Build and persist the database index; returns the opened index.
+
+    ``force`` replaces an index already at ``out_dir``; afterwards
+    ``shards/`` holds no ``stripe-*.bin`` file the new manifest does not name.
+    """
     if len(sequences) < 1:
         raise ValueError("need at least one database sequence to index")
     if not is_perfect_square(params.nodes):
@@ -354,6 +358,11 @@ def build_index(
     }
     # manifest last: its existence certifies every artifact above it
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # an older layout's per-rank files, or the extra stripes of a larger blocking
+    named = {stripe_filename(c) for c in range(bc)}
+    for path in shard_dir.glob("stripe-*.bin"):
+        if path.name not in named:
+            path.unlink()
     return KmerIndex.open(out)
 
 

@@ -138,7 +138,7 @@ def charge_log():
 
     Wraps the communicator constructor the pipeline uses, so the log is the
     ledger's trace hook from the first charge on (the cells run with
-    tracing and metrics off, so the pipeline leaves the hook alone).
+    tracing off, so the pipeline leaves the hook alone).
     """
     log = ChargeLog()
     raw = pipeline.SimCommunicator

@@ -537,7 +537,6 @@ def test_cache_key_exclusions_cannot_change_a_block(tmp_path, tiny_seqs, monkeyp
         "cache_dir": paths("cache"),
         "trace": (False, True),
         "trace_dir": paths("trace"),
-        "metrics": (False, True),
         "run_registry": paths("registry"),
         "index_dir": paths("index"),
     }

@@ -9,11 +9,11 @@ from repro.distsparse.distribute import charge_distribution, distribute_sequence
 from repro.distsparse.stripe import ColumnStripes, Stripe, by_owner
 from repro.distsparse.summa import summa
 from repro.mpi.communicator import SimCommunicator
-from repro.obs import MetricsHub, activate_metrics, deactivate_metrics
 from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.coo import CooMatrix
 from repro.sparse.semiring import ArithmeticSemiring, CountSemiring, OverlapSemiring
 from repro.sparse.spgemm import spgemm
+from repro.trace import TraceRecorder, activate, deactivate
 
 
 def random_coo(shape, nnz, seed, dtype=np.float64):
@@ -25,6 +25,18 @@ def random_coo(shape, nnz, seed, dtype=np.float64):
     else:
         vals = rng.integers(1, 9, nnz).astype(np.float64)
     return CooMatrix(shape, rows, cols, vals).deduplicate()
+
+
+def summa_products(call) -> tuple[list[dict], object]:
+    """``call()`` under an active tracer: the attributes of the
+    ``summa_product`` spans it records, and its result."""
+    tracer = TraceRecorder()
+    activate(tracer)
+    try:
+        out = call()
+    finally:
+        deactivate()
+    return [s.attrs_dict() for s in tracer.spans if s.name == "summa_product"], out
 
 
 def blocked_engine(a, comm, schedule, semiring, **kwargs):
@@ -231,19 +243,22 @@ def test_summa_backend_selection_preserves_results(backend):
     "backend, label",
     [(None, "gustavson"), ("expand", "expand"), (spgemm, "spgemm")],
 )
-def test_summa_records_stage_metrics_under_the_kernel_name(backend, label):
-    """``None`` reports under the default kernel's name, not ``"custom"``."""
+def test_summa_span_names_the_kernel(backend, label):
+    """The ``summa_product`` span names the kernel that multiplied (``None``
+    the default's, never ``"custom"``) and carries the block's SUMMA flops
+    and compression factor."""
     comm = SimCommunicator(4)
     a = random_coo((20, 60), 150, 7)
     a_dist = Stripe.of(a, comm)
     at_dist = Stripe.of(a.transpose(), comm)
-    hub = activate_metrics(MetricsHub())
-    try:
-        summa(a_dist, at_dist, ArithmeticSemiring(), spgemm_backend=backend)
-    finally:
-        deactivate_metrics()
-    assert hub.value("spgemm_stage_invocations", backend=label) > 0
-    assert hub.value("spgemm_stage_invocations", backend="custom") == 0
+    products, res = summa_products(
+        lambda: summa(a_dist, at_dist, ArithmeticSemiring(), spgemm_backend=backend)
+    )
+    assert products == [{
+        "kernel": label,
+        "flops": res.stats.flops,
+        "compression_factor": res.stats.compression_factor,
+    }]
 
 
 def test_summa_unknown_backend_raises():
@@ -499,8 +514,8 @@ def test_blocked_summa_assembles_operands_once_and_records_each_product(
 ):
     """The engine assembles one ``A`` operand per block row and, for
     operands born on the shared k-mers, one ``B`` operand per block column
-    (for others each block selects ``B``'s rows); the metrics hold one
-    measured product per block, with the block's SUMMA flops."""
+    (for others each block selects ``B``'s rows); the trace holds one
+    ``summa_product`` span per block, with the block's SUMMA flops."""
     from collections import Counter
 
     from search_oracles import born_shared
@@ -526,19 +541,11 @@ def test_blocked_summa_assembles_operands_once_and_records_each_product(
             return _original(stripe, *args)
 
         monkeypatch.setattr(blocked_module, name, counted)
-    hub = activate_metrics(MetricsHub())
-    try:
-        blocks = list(engine.iter_blocks())
-    finally:
-        deactivate_metrics()
+    products, blocks = summa_products(lambda: list(engine.iter_blocks()))
     assert assembled == Counter(row_operand=3, **({"col_operand": 4} if shared else {}))
-    assert hub.value("spgemm_stage_invocations", backend="gustavson") == len(blocks) == 12
-    assert hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="block")[
-        "count"
-    ] == 12
-    assert hub.value("spgemm_stage_flops", backend="gustavson") == sum(
-        block.stats.flops for block in blocks
-    )
+    assert len(products) == len(blocks) == 12
+    assert {p["kernel"] for p in products} == {"gustavson"}
+    assert [p["flops"] for p in products] == [block.stats.flops for block in blocks]
     direct = spgemm(a, a.transpose(), CountSemiring())
     merged = [block.matrix for block in blocks]
     got = CooMatrix(

@@ -1,14 +1,14 @@
-"""Metrics facade, run registry, and regression detector.
+"""Run registry, regression detector, and the metrics hub.
 
 The observability contract under test has four legs:
 
-* **Non-perturbation** — a run with metrics enabled is bit-identical to
-  the same run without, per pre-blocking depth: records, edges, every
+* **Non-perturbation** — a run with ``run_registry`` set is bit-identical
+  to the same run without, per pre-blocking depth: records, edges, every
   deterministic ledger category and counter (the same contract
   ``tests/test_trace.py`` asserts for tracing).
-* **Fidelity** — the hub's ``ledger_seconds`` counters equal the
-  ledger's own per-category sums, and SUMMA-stage kernel histograms are
-  recorded.
+* **Fidelity** — the manifest's ledger totals equal the ledger's own
+  per-category sums, and ``python -m repro.obs export`` renders each
+  series once.
 * **Manifests** — every run, success *and* failure path (before block 0
   or after blocks have been committed), leaves a schema-versioned,
   loadable ``run.json`` in the registry; a crashed run records its
@@ -30,12 +30,7 @@ from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.core.stats import SearchStats
 from repro.io.report import run_report
-from repro.obs import (
-    LedgerFanout,
-    MetricsHub,
-    current_metrics,
-    prometheus_from_snapshot,
-)
+from repro.obs import MetricsHub
 from repro.obs.__main__ import main as obs_cli
 from repro.obs.manifest import (
     RUN_SCHEMA_VERSION,
@@ -141,25 +136,6 @@ def test_hub_snapshot_is_sorted_and_jsonable():
     json.dumps(snapshot)  # must serialize as-is
 
 
-def test_hub_speaks_the_ledger_hook_protocol():
-    hub = MetricsHub()
-    hub.bump("ledger.align", 0.25)
-    hub.bump("ledger.align", 0.25)
-    hub.bump("live_blocks", 1.0)  # non-ledger bumps become plain counters
-    assert hub.value("ledger_seconds", category="align") == 0.5
-    assert hub.value("live_blocks") == 1.0
-
-
-def test_ledger_fanout_forwards_to_all_sinks():
-    a, b = MetricsHub(), MetricsHub()
-    fanout = LedgerFanout(a, None, b)
-    fanout.bump("ledger.io", 1.5)
-    fanout.bump("x", 3.0)
-    for hub in (a, b):
-        assert hub.value("ledger_seconds", category="io") == 1.5
-        assert hub.value("x") == 3.0
-
-
 def test_prometheus_text_exposition():
     hub = MetricsHub()
     hub.counter_add("reqs", 2.0, route='a"b\\c')
@@ -174,77 +150,57 @@ def test_prometheus_text_exposition():
     assert 'pastis_lat_sum{stage="0"} 0.5' in text
     assert "# TYPE pastis_lat_min gauge" in text
     assert text.endswith("\n")
-    # extra lines ride along verbatim
-    extra = prometheus_from_snapshot(hub.snapshot(), extra_lines=["custom 1"])
-    assert extra.rstrip().endswith("custom 1")
-
-
-def test_active_hub_defaults_to_none():
-    assert current_metrics() is None
-
-
-def test_record_spgemm_stage():
-    hub = MetricsHub()
-    hub.record_spgemm_stage("gustavson", 0, 0.01, 100.0, 4.0)
-    hub.record_spgemm_stage("gustavson", 0, 0.03, 300.0, 2.0)
-    assert hub.value("spgemm_stage_invocations", backend="gustavson") == 2.0
-    assert hub.value("spgemm_stage_flops", backend="gustavson") == 400.0
-    kernel = hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="0")
-    assert kernel["count"] == 2.0 and kernel["max"] == 0.03
-    cf = hub.histogram("spgemm_compression_factor", backend="gustavson", stage="0")
-    assert cf["min"] == 2.0 and cf["max"] == 4.0
-
-
-def test_default_run_records_stages_under_the_default_kernel(tiny_seqs, fast_params):
-    """Every SUMMA stage of a default run is recorded under ``"gustavson"``;
-    there is no dispatch decision left to count."""
-    observed = _run(tiny_seqs, fast_params, metrics=True)
-    hub = observed.metrics
-    assert hub.value("spgemm_stage_invocations", backend="gustavson") > 0
-    assert hub.value("spgemm_stage_flops", backend="gustavson") == observed.stats.spgemm_flops
-    names = {row["name"] for rows in hub.snapshot().values() for row in rows}
-    assert not names & {"spgemm_dispatch", "spgemm_predicted_compression_factor"}
-    assert not hasattr(hub, "record_dispatch")
 
 
 # ---------------------------------------------------------------------------
-# non-perturbation: observed == unobserved, per pre-blocking depth
+# non-perturbation: registered == unregistered, per pre-blocking depth
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("overrides", SCHEDULER_OVERRIDES)
-def test_metrics_are_non_perturbing_per_scheduler(tiny_seqs, fast_params, overrides):
-    plain = _run(tiny_seqs, fast_params, **overrides)
-    observed = _run(tiny_seqs, fast_params, metrics=True, **overrides)
-    assert plain.metrics is None
-    hub = observed.metrics
-    assert hub is not None
-    assert_observed_identical(plain, observed)
-    assert current_metrics() is None  # teardown deactivated the hub
-
-    # ledger fidelity: the hub's counters equal the ledger's own sums
-    for category in ("align", "spgemm", "comm", "io"):
-        assert hub.value("ledger_seconds", category=category) == pytest.approx(
-            float(observed.ledger.per_rank(category).sum())
-        ), f"hub ledger_seconds[{category}] diverged from the ledger"
-    # phase gauges arrive through the end-of-run feed
-    for phase in ("input_io", "kmer_matrix", "stage_graph", "output_io"):
-        assert hub.value("phase_seconds", default=-1.0, phase=phase) >= 0.0
-    # every block's kernel product was recorded
-    kernel = hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="block")
-    assert kernel is not None and kernel["count"] > 0
-
-
-def test_tracing_and_metrics_fan_out_the_ledger_hook(tiny_seqs, fast_params):
-    both = _run(tiny_seqs, fast_params, trace=True, metrics=True)
-    assert both.trace is not None and both.metrics is not None
-    align_sum = float(both.ledger.per_rank("align").sum())
-    # the tracer's sampled counter series and the hub's counter both saw it
-    assert both.metrics.value("ledger_seconds", category="align") == pytest.approx(
-        align_sum
+def test_registry_is_non_perturbing_per_scheduler(
+    tmp_path, tiny_seqs, fast_params, overrides
+):
+    """A registered run equals an unregistered one bit for bit, and its
+    manifest holds the run's own timers, ledger, cache counters, peaks and
+    statistics (each cold run gets its own cache directory)."""
+    plain = _run(tiny_seqs, fast_params, cache_dir=str(tmp_path / "plain"), **overrides)
+    registry = RunRegistry(tmp_path / "reg")
+    observed = _run(
+        tiny_seqs, fast_params, cache_dir=str(tmp_path / "observed"),
+        run_registry=str(registry.root), **overrides,
     )
+    assert_observed_identical(plain, observed)
+    assert observed.ledger.trace is None  # no sink rides the ledger hook
+
+    manifest = registry.latest()
+    assert "metrics" not in manifest
+    assert {"input_io", "kmer_matrix", "stage_graph", "output_io"} <= set(
+        manifest["phase_seconds"]
+    )
+    for category in observed.ledger.categories():
+        assert manifest["ledger"]["category_seconds"][category] == float(
+            observed.ledger.per_rank(category).sum()
+        ), f"manifest ledger[{category}] diverged from the ledger"
+    assert manifest["cache"] == observed.stats.extras["cache"]
+    assert manifest["cache"] == {"hits": 0, "misses": 4, "stores": 4}
+    assert manifest["peak_memory"] == {
+        "peak_block_bytes": float(observed.stats.peak_block_bytes),
+        "peak_live_block_bytes": observed.stats.extras["peak_live_block_bytes"],
+    }
+    assert manifest["stats"]["spgemm_flops"] == observed.stats.spgemm_flops
+
+
+def test_tracing_with_the_registry_keeps_one_ledger_hook(tmp_path, tiny_seqs, fast_params):
+    """The tracer is the ledger hook's one client; the manifest's totals
+    come from the ledger itself."""
+    registry = RunRegistry(tmp_path / "reg")
+    both = _run(tiny_seqs, fast_params, trace=True, run_registry=str(registry.root))
+    assert both.ledger.trace is both.trace
+    align_sum = float(both.ledger.per_rank("align").sum())
     traced_align = [c.value for c in both.trace.counters if c.name == "ledger.align"]
     assert traced_align and traced_align[-1] == pytest.approx(align_sum)
+    assert registry.latest()["ledger"]["category_seconds"]["align"] == align_sum
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +211,7 @@ def test_tracing_and_metrics_fan_out_the_ledger_hook(tiny_seqs, fast_params):
 def test_successful_run_records_a_manifest(tmp_path, tiny_seqs, fast_params):
     registry = RunRegistry(tmp_path / "reg")
     result = _run(tiny_seqs, fast_params, run_registry=str(tmp_path / "reg"))
-    assert result.metrics is not None  # run_registry implies metrics
+    assert not hasattr(result, "metrics")
     ids = registry.run_ids()
     assert len(ids) == 1
     manifest = registry.load(ids[0])
@@ -277,7 +233,7 @@ def test_successful_run_records_a_manifest(tmp_path, tiny_seqs, fast_params):
     assert manifest["ledger"]["counters"]["alignments"] > 0
     assert manifest["peak_memory"]["peak_block_bytes"] > 0
     assert manifest["stats"]["similar_pairs"] == result.stats.similar_pairs
-    assert manifest["metrics"]["counters"]  # snapshot rode along
+    assert "metrics" not in manifest  # no hub copies the fields above
     # resolve: exact id, unique prefix, latest
     assert registry.resolve(ids[0])["run_id"] == ids[0]
     assert registry.resolve(ids[0][:12])["run_id"] == ids[0]
@@ -291,15 +247,17 @@ def test_manifest_records_the_kernel_that_multiplied(
     tmp_path, tiny_seqs, fast_params, default_kernel, kernel
 ):
     """The kernel is no run parameter, yet the manifest (config and cache
-    token alike) names the one every SUMMA stage of the run used."""
+    token alike) names the one every block product of the run used, as its
+    ``summa_product`` spans do."""
     default_kernel(kernel)
     registry = RunRegistry(tmp_path / "reg")
-    result = _run(tiny_seqs, fast_params, run_registry=str(tmp_path / "reg"))
+    result = _run(tiny_seqs, fast_params, trace=True, run_registry=str(tmp_path / "reg"))
     manifest = registry.load(registry.run_ids()[0])
     assert manifest["config"]["spgemm_backend"] == kernel
     assert manifest["params_token"]["spgemm_backend"] == kernel
-    hub = result.metrics
-    assert hub.value("spgemm_stage_flops", backend=kernel) == result.stats.spgemm_flops
+    products = [s.attrs_dict() for s in result.trace.spans if s.name == "summa_product"]
+    assert {p["kernel"] for p in products} == {kernel}
+    assert sum(p["flops"] for p in products) == manifest["stats"]["spgemm_flops"]
 
 
 def test_run_ids_sort_chronologically():
@@ -374,7 +332,6 @@ def test_failed_run_records_partial_phase_timers(
     assert "output_io" not in phases
     assert manifest["config"]["preblock_depth"] == 0
     assert "ledger" in manifest  # the communicator existed at death
-    assert current_metrics() is None  # teardown deactivated the hub
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +461,51 @@ def test_cli_ls_show_diff_export(observed_registry, tmp_path, capsys):
         ["export", "latest", "--registry", reg, "-o", str(out_path)]
     ) == 0
     text = out_path.read_text()
-    assert "# TYPE pastis_ledger_seconds counter" in text
+    assert "pastis_ledger_total_seconds{" in text
     assert "pastis_run_info{" in text
     assert "pastis_wall_seconds" in text
     capsys.readouterr()  # flush the "wrote <path>" line
     assert obs_cli(["ls", "--registry", reg, "--json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert len(parsed) == 2 and all(m["schema"] == 1 for m in parsed)
+
+
+def _prometheus_series(text: str) -> list[str]:
+    """The ``name{labels}`` of every sample line of a Prometheus text."""
+    return [line.split(" ")[0] for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def test_cli_export_prints_each_series_once(observed_registry, capsys):
+    """Prometheus exposition names each (name, labels) series once: the
+    export renders the manifest's own fields, with no second copy of the
+    phase timers, ledger totals or cache counters."""
+    assert obs_cli(["export", "latest", "--registry", str(observed_registry)]) == 0
+    text = capsys.readouterr().out
+    series = _prometheus_series(text)
+    assert len(series) == len(set(series)), sorted(
+        name for name in set(series) if series.count(name) > 1
+    )
+    manifest = RunRegistry(observed_registry).latest()
+    for name, value in manifest["phase_seconds"].items():
+        assert f'pastis_phase_seconds{{phase="{name}"}} {value:.9g}' in text
+    for name in manifest["ledger"]["category_seconds"]:
+        assert f'pastis_ledger_total_seconds{{category="{name}"}}' in series
+    for name in ("peak_block_bytes", "peak_live_block_bytes", "wall_seconds"):
+        assert f"pastis_{name}" in series
+    assert sum(name.startswith("pastis_run_info{") for name in series) == 1
+    # every sample belongs to a typed family
+    types = {line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")}
+    assert {name.split("{")[0] for name in series} == types
+
+
+def test_cli_export_counts_cache_events(tmp_path, tiny_seqs, fast_params, capsys):
+    registry = tmp_path / "reg"
+    _run(tiny_seqs, fast_params, cache_dir=str(tmp_path / "cache"), run_registry=str(registry))
+    assert obs_cli(["export", "latest", "--registry", str(registry)]) == 0
+    text = capsys.readouterr().out
+    assert "# TYPE pastis_cache_events counter" in text
+    for kind, count in (("hits", 0), ("misses", 4), ("stores", 4)):
+        assert f'pastis_cache_events{{kind="{kind}"}} {count}' in text
 
 
 def test_cli_regress_on_real_manifests(observed_registry, tmp_path, capsys):
@@ -620,6 +615,6 @@ def test_as_table_phase_timer_section(pipeline_result):
 def test_obs_params_validation():
     with pytest.raises(ValueError, match="run_registry"):
         PastisParams(run_registry="   ")
-    assert PastisParams(metrics=True).metrics_enabled
-    assert PastisParams(run_registry="/tmp/reg").metrics_enabled
-    assert not PastisParams().metrics_enabled
+    with pytest.raises(TypeError, match="metrics"):
+        PastisParams(metrics=True)
+    assert not hasattr(PastisParams(), "metrics")

@@ -118,6 +118,42 @@ def test_build_refuses_overwrite_without_force(db, tmp_path):
     assert rebuilt.verify()["ok"]
 
 
+def test_force_rebuild_leaves_only_the_files_its_manifest_names(db, tmp_path, capsys):
+    """A forced rebuild over a version-3 per-rank layout, and over a larger
+    blocking, unlinks every stripe file its manifest does not name — and
+    nothing else under ``shards/``."""
+    sequences, params, _ = db
+    index_dir = tmp_path / "index"
+    shards = index_dir / SHARD_DIR
+
+    def stripe_files() -> set[str]:
+        return {path.name for path in shards.iterdir() if path.name != "notes.txt"}
+
+    def assert_rebuilt(index: KmerIndex) -> None:
+        manifest = json.loads((index_dir / MANIFEST_NAME).read_text())
+        assert stripe_files() == {stripe_filename(e["stripe"]) for e in manifest["stripes"]}
+        assert len(manifest["stripes"]) == index.bc
+        assert (shards / "notes.txt").read_text() == "kept"
+        assert serve_main(["inspect", str(index_dir), "--verify"]) == 0
+        assert json.loads(capsys.readouterr().out)["verify"]["ok"] is True
+
+    # the layout a version-3 build left: each stripe as per-rank files
+    narrow = build_index(sequences, params, index_dir)
+    (shards / "notes.txt").write_text("kept")
+    for c in range(narrow.bc):
+        payload = (shards / stripe_filename(c)).read_bytes()
+        (shards / stripe_filename(c)).unlink()
+        for rank in range(params.nodes):
+            (shards / f"stripe-{c:05d}-rank-{rank:03d}.bin").write_bytes(payload)
+    _set_version(index_dir, 3)
+    assert_rebuilt(build_index(sequences, params, index_dir, force=True))
+
+    # a larger blocking's extra stripes
+    wide = build_index(sequences, params.replace(num_blocks=16), index_dir, force=True)
+    assert wide.bc > narrow.bc
+    assert_rebuilt(build_index(sequences, params, index_dir, force=True))
+
+
 def test_index_refuses_mismatched_params(db):
     sequences, params, index_dir = db
     index = KmerIndex.open(index_dir)

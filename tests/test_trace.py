@@ -168,6 +168,21 @@ def test_tracing_is_non_perturbing_per_scheduler(tiny_seqs, fast_params, overrid
     assert {s.pid for s in traced.trace.spans} == {traced.trace.pid}
 
 
+@pytest.mark.parametrize("kernel", ["gustavson", "expand"])
+def test_summa_product_spans_record_each_block_product(
+    tiny_seqs, fast_params, default_kernel, kernel
+):
+    """One ``summa_product`` span per computed block, named for the kernel
+    that multiplied; their flops sum to the run's SpGEMM flops."""
+    default_kernel(kernel)
+    traced = _run(tiny_seqs, fast_params, trace=True)
+    products = [s.attrs_dict() for s in traced.trace.spans if s.name == "summa_product"]
+    assert len(products) == traced.stats.blocks_computed
+    assert {p["kernel"] for p in products} == {kernel}
+    assert sum(p["flops"] for p in products) == traced.stats.spgemm_flops
+    assert all(p["compression_factor"] >= 1.0 for p in products)
+
+
 def test_phase_seconds_reported_with_and_without_tracing(tiny_seqs, fast_params):
     result = _run(tiny_seqs, fast_params)
     phases = result.stats.extras["phase_seconds"]
